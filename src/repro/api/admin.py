@@ -14,9 +14,7 @@ processing-pool grow/shrink, and topology introspection::
 Every mutation goes through the versioned :class:`repro.elastic.Topology`
 layer (epoch bumps, handoff lifecycle) and the bounded-batch migration
 protocol, so the embedded path exercises exactly the state machine the
-simulated elastic coordinator drives under live load.  Direct mutation
-of :class:`~repro.store.cluster.StorageCluster` (the old
-``cluster.add_node()``) is deprecated and warns.
+simulated elastic coordinator drives under live load.
 
 Leaving the ``with`` block verifies nothing leaked: no handoff residue,
 hosting consistent with assignment, and -- because migrations never open

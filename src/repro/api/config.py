@@ -31,12 +31,6 @@ class DatabaseConfig:
     tid_range_size: int = 256
     interleaved_tids: bool = False
     partitions_per_node: int = 8
-    #: The paper's request-batching knob: coalesce co-timed single-key
-    #: requests per PN<->SN pair into one message.  Only meaningful under
-    #: the simulated fabric (`repro.bench.simcluster`), where messages
-    #: have a latency cost; the embedded direct-mode engine executes
-    #: requests synchronously and ignores it.
-    coalescing: bool = False
     #: Attach a :class:`repro.obs.Observability` hub to the deployment.
     observability: bool = False
     #: Isolation protocol: "si" (snapshot isolation, the paper's default),

@@ -32,12 +32,6 @@ class TellConfig:
     interleaved_tids: bool = False   # the paper's future-work tid scheme
     cm_sync_interval_us: float = 1000.0
     batching: bool = True            # ablation: split batches when False
-    #: The paper's request-batching knob for *implicit* batches: coalesce
-    #: co-timed single-key requests from one PN to one SN into a single
-    #: fabric message (one wire latency, summed serialization).  Off by
-    #: default -- the off path is byte-identical to the historical
-    #: simulation, which the determinism digest pins down.
-    coalescing: bool = False
     threads_per_pn: int = 32         # synchronous worker threads per PN
     #: Isolation protocol: si | wsi | ssi (repro.core.isolation).  SI is
     #: the paper's protocol and keeps the simulation byte-identical to

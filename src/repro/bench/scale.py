@@ -9,11 +9,8 @@ records *host* event-loop throughput (``Simulator.events_processed`` per
 wall second) next to the simulated txns/s -- the first number tracks how
 affordable large experiments are, the second is the science.
 
-Every point reports the run's metrics digest.  The default points keep
-coalescing off, so their digests are pinned by the same determinism
-contract as ``tpcc_e2e``; the ``coalesced64`` point turns the knob on and
-its digest is checked for *reproducibility* (same seed, same digest)
-rather than against the uncoalesced baseline.
+Every point reports the run's metrics digest, pinned by the same
+determinism contract as ``tpcc_e2e``.
 
 Use via ``python -m repro.bench --suite scale`` (appends a ``scale``
 section to ``BENCH_perf.json``) or :func:`run_scale_suite` directly.
@@ -40,7 +37,6 @@ def _point(
     duration_us: float,
     threads_per_pn: int = 16,
     commit_managers: int = 1,
-    coalescing: bool = False,
     customers_per_district: int = 120,
 ) -> Dict[str, Any]:
     scale = TpccScale(
@@ -55,7 +51,6 @@ def _point(
         storage_nodes=sns,
         commit_managers=commit_managers,
         threads_per_pn=threads_per_pn,
-        coalescing=coalescing,
         scale=scale,
         duration_us=duration_us,
         warmup_us=duration_us / 10,
@@ -76,8 +71,6 @@ def scale_points() -> List[Dict[str, Any]]:
                threads_per_pn=8),
         _point("nodes16", 4, 12, warehouses=8, duration_us=100_000.0),
         _point("nodes64", 16, 48, warehouses=16, duration_us=60_000.0),
-        _point("coalesced64", 16, 48, warehouses=16, duration_us=60_000.0,
-               coalescing=True),
         _point("nodes128", 32, 96, warehouses=32, duration_us=40_000.0),
         _point("wh100", 8, 24, warehouses=100, duration_us=40_000.0,
                customers_per_district=30),
@@ -103,7 +96,6 @@ def run_scale_point(label: str, config: TellConfig) -> Dict[str, Any]:
         "pns": config.processing_nodes,
         "sns": config.storage_nodes,
         "warehouses": config.scale.warehouses,
-        "coalescing": config.coalescing,
         "duration_us": config.duration_us,
         "events": events,
         "events_per_s": events / wall,
@@ -177,8 +169,7 @@ def merge_scale_report(path: str, points: List[Dict[str, Any]]) -> None:
 
 def render_scale_curve(points: List[Dict[str, Any]]) -> str:
     """ASCII events/s-vs-deployment-size curve for the report/terminal."""
-    rows = [point for point in points if not point.get("coalescing")]
-    rows.sort(key=lambda point: point["nodes"])
+    rows = sorted(points, key=lambda point: point["nodes"])
     if not rows:
         return "(no scale points recorded)"
     peak = max(point["events_per_s"] for point in rows)
@@ -189,11 +180,5 @@ def render_scale_curve(points: List[Dict[str, Any]]) -> str:
         lines.append(
             f"  {point['nodes']:4d} nodes ({point['label']:>8s}) "
             f"{point['events_per_s']:>12,.0f} events/s {bar}"
-        )
-    extras = [point for point in points if point.get("coalescing")]
-    for point in extras:
-        lines.append(
-            f"  {point['nodes']:4d} nodes ({point['label']:>8s}) "
-            f"{point['events_per_s']:>12,.0f} events/s [coalescing on]"
         )
     return "\n".join(lines)

@@ -28,11 +28,11 @@ from repro.bench.config import TellConfig
 from repro.bench.metrics import TxnMetrics
 from repro.core.buffers import make_strategy
 from repro.core.commit_manager import CommitManager
+from repro.core.isolation import make_protocol, make_validator
 from repro.core.processing_node import ProcessingNode
 from repro.core.transaction import Transaction
 from repro.dispatch import (
     KIND_BATCH,
-    KIND_CM_ABORTED,
     KIND_CM_COMMITTED,
     KIND_CM_START,
     KIND_CM_VALIDATE,
@@ -47,7 +47,6 @@ from repro.dispatch import (
     attach_all,
     compose,
     kind_of,
-    kind_table,
 )
 from repro.errors import TellError, TransactionAborted, WrongOwner
 from repro.net.profiles import NetworkProfile, profile_by_name
@@ -159,12 +158,6 @@ class SimFabric:
         # Per-run constants of the CM round trip, hoisted off the hot path.
         self._cm_wire_us = self.profile.one_way(CM_MESSAGE_BYTES)
         self._cm_service_us = SN_SERVICE_CM_US + self.profile.server_cpu_per_msg_us
-        #: PN<->SN message coalescing (the paper's batching knob applied
-        #: to implicit, co-timed single-key traffic).  ``_pending`` maps
-        #: (pn_pool, node_id) to the ops accumulated at the current
-        #: timestamp; a flush callback drains each group as one message.
-        self.coalescing = getattr(config, "coalescing", False)
-        self._pending: Dict[Tuple[Any, int], List[Tuple[Any, int, Any]]] = {}
         #: Set by the elastic coordinator when live topology change is in
         #: play.  Arms the apply-time ownership guard in
         #: :meth:`_send_group`: a request that was routed before a
@@ -185,6 +178,8 @@ class SimFabric:
                 request: effects.Request, pn_id: int = -1) -> Generator:
         """Sub-generator (yields Delay/Event) resolving one request.
 
+        The only executor of a request under simulation: every driver
+        reaches the fabric through :func:`drive`, whose chain ends here.
         Routing is the shared :func:`repro.dispatch.kind_of`
         classification (one dict lookup for the exact effect classes);
         this fabric owns only the *timing* model for each kind.  Checks
@@ -193,9 +188,12 @@ class SimFabric:
         """
         kind = kind_of(request)
         if kind == KIND_STORE:
-            if self.coalescing:
-                return (yield from self._perform_coalesced(pn_pool, request))
-            return (yield from self._perform_single(pn_pool, request))
+            slot, wait = self.prepare_single(pn_pool, request)
+            if wait > 0:
+                yield Delay(wait)
+            if slot.error is not None:
+                raise slot.error
+            return slot.value[0]
         if kind == KIND_COMPUTE:
             now = self.sim.now
             _start, end = pn_pool.reserve(now, request.duration)
@@ -206,34 +204,34 @@ class SimFabric:
             yield delay_of(request.duration)
             return None
         if kind == KIND_BATCH:
-            if self.config.batching:
-                return (yield from self._perform_batch(pn_pool, request.ops))
+            ops = request.ops
+            if self.config.batching and len(ops) > 1:
+                return (yield from self._perform_batch(pn_pool, ops))
             results = []
-            for op in request.ops:  # no batching: one round trip each
-                single = yield from self._perform_single(pn_pool, op)
-                results.append(single)
+            for op in ops:  # nothing to batch: one round trip each
+                results.append(
+                    (yield from self.perform(pn_pool, cm_index, op, pn_id))
+                )
             return results
         if kind == KIND_SCAN:
             return (yield from self._perform_scan(pn_pool, request))
         # Remaining kinds are the commit-manager round trips.
-        return (yield from self._perform_cm(pn_pool, cm_index, request, pn_id,
-                                            kind))
+        result, wait = self.prepare_cm(cm_index, request, pn_id, kind)
+        yield Delay(wait)
+        return result
 
     # -- storage messages ------------------------------------------------------------
 
     def prepare_single(
         self, pn_pool: CorePool, op: effects.StoreRequest
     ) -> Tuple[_Slot, float]:
-        """Non-generator core of one single-key op: the degenerate
-        one-message batch.
+        """One single-key op: the degenerate one-message batch.
 
         Performs every reservation and schedules the state transition,
-        then returns ``(slot, wait_us)`` and leaves the single suspension
-        to the caller -- the zero-allocation driver loop in
-        :meth:`SimulatedTell._drive` yields one reusable Delay instead of
-        instantiating a sub-generator per request.  Routing is inlined
-        (partitioner + master lookup) so the hot path allocates nothing
-        beyond the result slot.
+        then returns ``(slot, wait_us)``; :meth:`perform` owns the single
+        suspension and unwraps the slot.  Routing is inlined (partitioner
+        + master lookup) so the hot path allocates nothing beyond the
+        result slot.
         """
         cluster = self.cluster
         partition_id = cluster.partitioner.partition_of(op.key)
@@ -250,26 +248,10 @@ class SimFabric:
             _s, t_done = pn_pool.reserve(t_done, client_cpu)
         return slot, t_done - now
 
-    def _perform_single(
-        self, pn_pool: CorePool, op: effects.StoreRequest
-    ) -> Generator:
-        """Generator wrapper over :meth:`prepare_single` -- most requests
-        the protocol issues outside explicit batches land here (or on the
-        driver's inlined equivalent)."""
-        slot, wait = self.prepare_single(pn_pool, op)
-        if wait > 0:
-            yield Delay(wait)
-        if slot.error is not None:
-            raise slot.error
-        return slot.value[0]
-
     def _perform_batch(
         self, pn_pool: CorePool, ops: List[effects.StoreRequest]
     ) -> Generator:
         """Send ops grouped per target storage node; one message each."""
-        if len(ops) == 1:
-            only = yield from self._perform_single(pn_pool, ops[0])
-            return [only]
         routing_of = self.cluster.routing
         groups: Dict[int, List[Tuple[int, effects.StoreRequest, int]]] = {}
         for position, op in enumerate(ops):
@@ -309,64 +291,6 @@ class SimFabric:
         if error is not None:
             raise error
         return results
-
-    def _perform_coalesced(
-        self, pn_pool: CorePool, op: effects.StoreRequest
-    ) -> Generator:
-        """One single-key op under the coalescing knob (Section 7 batching).
-
-        Co-timed ops from the same PN to the same storage node aggregate
-        into one fabric message: the first op of a (pn, node) group at the
-        current instant schedules a same-time flush callback; every op
-        parks on a private event until the group's shared response lands.
-        The group pays one wire latency plus the *summed* serialization
-        and service cost -- exactly the paper's middleware batching --
-        instead of one full round trip per op.
-
-        Determinism: group membership and flush order ride the kernel's
-        same-time ready FIFO, so a fixed seed reproduces the identical
-        grouping, timing, and digest on every invocation.
-        """
-        cluster = self.cluster
-        partition_id = cluster.partitioner.partition_of(op.key)
-        node_id = cluster.partition_map.assignments[partition_id].replicas[0]
-        key = (pn_pool, node_id)
-        event = self.sim.event()
-        group = self._pending.get(key)
-        if group is None:
-            self._pending[key] = [(op, partition_id, event)]
-            self.sim.call_at(
-                self.sim.now, lambda: self._flush_coalesced(key)
-            )
-        else:
-            group.append((op, partition_id, event))
-        slot, position = yield event
-        if slot.error is not None:
-            raise slot.error
-        return slot.value[position]
-
-    def _flush_coalesced(self, key: Tuple[Any, int]) -> None:
-        """Ship one accumulated (pn, node) group as a single message."""
-        pn_pool, node_id = key
-        group = self._pending.pop(key)
-        now = self.sim.now
-        t_send = now
-        client_cpu = self.profile.client_cpu_per_msg_us
-        if client_cpu > 0:
-            _s, t_send = pn_pool.reserve(t_send, client_cpu)
-        members = [
-            (position, op, pid)
-            for position, (op, pid, _event) in enumerate(group)
-        ]
-        slot, t_response = self._send_group(t_send, node_id, members)
-        if client_cpu > 0:
-            _s, t_response = pn_pool.reserve(t_response, client_cpu)
-
-        def deliver() -> None:
-            for position, (_op, _pid, event) in enumerate(group):
-                event.trigger((slot, position))
-
-        self.sim.call_at(t_response, deliver)
 
     def _send_group(
         self,
@@ -536,7 +460,7 @@ class SimFabric:
         self, cm_index: int, request: effects.CommitManagerRequest,
         pn_id: int, kind: int,
     ) -> Tuple[Any, float]:
-        """Non-generator core of one commit-manager round trip.
+        """One commit-manager round trip.
 
         Manager state executes at issue time (its operations are
         microsecond-cheap and commute across the tiny reordering window);
@@ -544,7 +468,7 @@ class SimFabric:
         storage round trip whenever serving a start required refilling the
         manager's tid range from the shared counter.  Returns
         ``(result, wait_us)``; ``wait_us`` is always positive (two wire
-        hops), the caller owns the suspension.
+        hops), :meth:`perform` owns the suspension.
         """
         manager = self.commit_managers[cm_index]
         pool = self.cm_pools[cm_index]
@@ -569,17 +493,39 @@ class SimFabric:
             t_response += self.profile.round_trip() + 2.0
         return result, t_response - now
 
-    def _perform_cm(
-        self, pn_pool: CorePool, cm_index: int,
-        request: effects.CommitManagerRequest, pn_id: int = -1,
-        kind: int = -1,
-    ) -> Generator:
-        """Generator wrapper over :meth:`prepare_cm`."""
-        if kind < 0:
-            kind = kind_of(request)
-        result, wait = self.prepare_cm(cm_index, request, pn_id, kind)
-        yield Delay(wait)
-        return result
+
+def drive(fabric: SimFabric, interceptors: Sequence[Interceptor],
+          pool: CorePool, cm_index: int, gen: Generator,
+          pn_id: int = -1) -> Generator:
+    """Run a protocol coroutine under the fabric (a sim process body).
+
+    The one trampoline of the simulated runtime: every request ``gen``
+    yields flows through the composed :mod:`repro.dispatch` chain into
+    :meth:`SimFabric.perform` (an empty chain is that call and nothing
+    else), and a :class:`~repro.errors.TellError` raised on the way is
+    thrown back into ``gen`` at the yield that issued the request.
+    """
+    step = compose(
+        interceptors,
+        lambda request: fabric.perform(pool, cm_index, request, pn_id),
+        DispatchContext(pn_id=pn_id, clock=fabric.sim.clock(), engine="sim"),
+    )
+    send_value: Any = None
+    throw_exc: Optional[BaseException] = None
+    while True:
+        try:
+            if throw_exc is not None:
+                request = gen.throw(throw_exc)
+                throw_exc = None
+            else:
+                request = gen.send(send_value)
+        except StopIteration as stop:
+            return stop.value
+        try:
+            send_value = yield from step(request)
+        except TellError as exc:
+            send_value = None
+            throw_exc = exc
 
 
 class SimulatedTell:
@@ -600,11 +546,9 @@ class SimulatedTell:
             n_nodes=config.storage_nodes,
             replication_factor=config.replication_factor,
             partitions_per_node=config.partitions_per_node,
-            placement=getattr(config, "placement", "hash"),
+            placement=config.placement,
         )
-        from repro.core.isolation import make_protocol, make_validator
-
-        isolation = getattr(config, "isolation", "si")
+        isolation = config.isolation
         self.protocol = make_protocol(isolation)
         # One validator shared by every manager: it models validation
         # state synchronized through the store, not per-manager memory.
@@ -706,20 +650,16 @@ class SimulatedTell:
     def run(self) -> TxnMetrics:
         if not self._populated:
             self.load()
-        config = self.config
         end_time = self._end_time
-        warmup_end = self._warmup_end
-        mix = MIXES[config.mix]
-
-        for pn_id in range(config.processing_nodes):
-            self._spawn_pn(pn_id, mix, warmup_end, end_time)
+        for pn_id in range(self.config.processing_nodes):
+            self._spawn_pn(pn_id)
         if len(self.commit_managers) > 1:
             for manager in self.commit_managers:
                 self.sim.spawn(
                     self._cm_sync_loop(manager), name=f"cm{manager.cm_id}-sync"
                 )
         self.sim.run(until=end_time)
-        self.metrics.measured_time_us = end_time - warmup_end
+        self.metrics.measured_time_us = end_time - self._warmup_end
         if self.sanitizer_log is not None:
             self.sanitizer_log.assert_clean()
         if self.obs is not None:
@@ -732,20 +672,20 @@ class SimulatedTell:
             obs_module.emit(self._obs_label(), snapshot)
         return self.metrics
 
-    def _spawn_pn(self, pn_id: int, mix, warmup_end: float,  # noqa: ANN001
-                  end_time: float) -> Tuple[ProcessingNode, CorePool, int,
-                                            IndexManager]:
+    def _spawn_pn(self, pn_id: int) -> None:
         handle = self._make_pn(pn_id)
         self._pn_handles.append(handle)
         self._pn_active[pn_id] = True
         procs = self._pn_procs.setdefault(pn_id, [])
         for thread in range(self.config.threads_per_pn):
-            seed = (self.config.seed * 10_007 + pn_id * 131 + thread) & 0x7FFFFFFF
             procs.append(self.sim.spawn(
-                self._terminal(handle, mix, seed, warmup_end, end_time),
+                self._terminal(handle, self._terminal_seed(pn_id, thread)),
                 name=f"pn{pn_id}-t{thread}",
             ))
-        return handle
+
+    def _terminal_seed(self, pn_id: int, thread: int) -> int:
+        """Per-terminal RNG seed; workload subclasses derive their own."""
+        return (self.config.seed * 10_007 + pn_id * 131 + thread) & 0x7FFFFFFF
 
     def start_pn(self) -> int:
         """Attach a fresh processing node while the simulation runs.
@@ -759,8 +699,7 @@ class SimulatedTell:
             max(pn.pn_id for pn, _pool, _cm, _idx in self._pn_handles) + 1
             if self._pn_handles else 0
         )
-        self._spawn_pn(pn_id, MIXES[self.config.mix],
-                       self._warmup_end, self._end_time)
+        self._spawn_pn(pn_id)
         return pn_id
 
     def stop_pn(self, pn_id: int) -> None:
@@ -801,13 +740,15 @@ class SimulatedTell:
     def _terminal(
         self,
         handle: Tuple[ProcessingNode, CorePool, int, IndexManager],
-        mix,  # noqa: ANN001
         seed: int,
-        warmup_end: float,
-        end_time: float,
     ) -> Generator:
+        """One closed-loop client (a sim process body); the workload
+        subclasses replace this with their own transaction loop."""
         pn, pool, cm_index, indexes = handle
         config = self.config
+        mix = MIXES[config.mix]
+        warmup_end = self._warmup_end
+        end_time = self._end_time
         rng = random.Random(seed)
         param_gen = ParamGenerator(
             config.scale, seed=seed ^ 0x5DEECE66D,
@@ -873,120 +814,9 @@ class SimulatedTell:
 
     def _drive(self, pool: CorePool, cm_index: int, gen,
                pn_id: int = -1) -> Generator:  # noqa: ANN001
-        """Run a protocol coroutine under the fabric (a sim process body).
-
-        With interceptors configured, every request flows through the
-        composed :mod:`repro.dispatch` chain terminating in
-        :meth:`SimFabric.perform`.  The empty chain takes the
-        zero-allocation fast path: the pre-bound exact-class kind table
-        classifies each request with one dict lookup, single-key storage
-        and CM round trips run through the non-generator ``prepare_*``
-        forms (no sub-generator, no OpRouting), and the one suspension
-        per request reuses a single mutable Delay -- the kernel consumes
-        ``duration`` synchronously at the yield, so the instance is free
-        for the next request by the time this driver resumes.  Only
-        batches, scans, and subclassed requests fall back to the generic
-        :meth:`SimFabric.perform` sub-generator.
-        """
-        send_value: Any = None
-        throw_exc: Optional[BaseException] = None
-        fabric = self.fabric
-        perform = fabric.perform
-        sim = fabric.sim
-        reserve = pool.reserve
-        chain = None
-        if self.interceptors:
-            ctx = DispatchContext(
-                pn_id=pn_id, clock=sim.clock(), engine="sim"
-            )
-
-            def tail(request: effects.Request) -> Generator:
-                return perform(pool, cm_index, request, pn_id)
-
-            chain = compose(self.interceptors, tail, ctx)
-            while True:
-                try:
-                    if throw_exc is not None:
-                        request = gen.throw(throw_exc)
-                        throw_exc = None
-                    else:
-                        request = gen.send(send_value)
-                except StopIteration as stop:
-                    return stop.value
-                try:
-                    send_value = yield from chain(request)
-                except TellError as exc:
-                    send_value = None
-                    throw_exc = exc
-            # not reached
-
-        kind_get = kind_table().get
-        prepare_single = fabric.prepare_single
-        prepare_cm = fabric.prepare_cm
-        coalescing = fabric.coalescing
-        # Private reusable suspension: never shared across processes and
-        # never interned (unlike delay_of results), so mutating it is safe.
-        wait_delay = Delay(0.0)
-        while True:
-            try:
-                if throw_exc is not None:
-                    request = gen.throw(throw_exc)
-                    throw_exc = None
-                else:
-                    request = gen.send(send_value)
-            except StopIteration as stop:
-                return stop.value
-            kind = kind_get(request.__class__, -1)
-            # Compute is the most frequent request (charged per row) and
-            # cannot fail; single-key storage ops are next.
-            if kind == KIND_COMPUTE:
-                now = sim.now
-                _start, end = reserve(now, request.duration)
-                if end > now:
-                    wait_delay.duration = end - now
-                    yield wait_delay
-                send_value = None
-                continue
-            if kind == KIND_STORE and not coalescing:
-                try:
-                    slot, wait = prepare_single(pool, request)
-                except TellError as exc:
-                    send_value = None
-                    throw_exc = exc
-                    continue
-                if wait > 0:
-                    wait_delay.duration = wait
-                    yield wait_delay
-                error = slot.error
-                if error is not None:
-                    send_value = None
-                    throw_exc = error
-                else:
-                    send_value = slot.value[0]
-                continue
-            if KIND_CM_START <= kind <= KIND_CM_ABORTED:
-                try:
-                    result, wait = prepare_cm(cm_index, request, pn_id, kind)
-                except TellError as exc:
-                    send_value = None
-                    throw_exc = exc
-                    continue
-                wait_delay.duration = wait
-                yield wait_delay
-                send_value = result
-                continue
-            if kind == KIND_SLEEP:
-                yield delay_of(request.duration)
-                send_value = None
-                continue
-            # Batches, scans, coalesced stores, subclassed requests.
-            try:
-                send_value = yield from perform(
-                    pool, cm_index, request, pn_id
-                )
-            except TellError as exc:
-                send_value = None
-                throw_exc = exc
+        """:func:`drive` bound to this deployment's fabric and chain."""
+        return drive(self.fabric, self.interceptors, pool, cm_index, gen,
+                     pn_id)
 
     def quiesce(self) -> int:
         """Roll back every transaction still in flight after the run.

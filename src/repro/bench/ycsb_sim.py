@@ -1,7 +1,7 @@
 """Simulated Tell deployment running the YCSB-style workload.
 
-Reuses the TPC-C deployment's fabric, drivers, and recovery; only the
-catalog, population, and terminal loop differ.  The point of the
+Reuses the TPC-C deployment's fabric, drivers, ``run()`` and recovery; only
+the catalog, population, and terminal loop differ.  The point of the
 experiment: a zipfian key-value workload has no partitionable structure
 at all, and the shared-data architecture's scaling is unaffected --
 "no assumptions on the workload" (Section 2.1) made measurable.
@@ -13,7 +13,6 @@ from typing import Dict, Generator
 
 from repro import effects
 from repro.bench.config import TellConfig
-from repro.bench.metrics import TxnMetrics
 from repro.bench.simcluster import SimulatedTell
 from repro.dispatch import Dispatcher
 from repro.errors import TellError, TransactionAborted
@@ -58,45 +57,23 @@ class SimulatedYcsb(SimulatedTell):
 
     # -- workload --------------------------------------------------------------
 
-    def run(self) -> TxnMetrics:
-        if not self._populated:
-            self.load()
-        config = self.config
-        end_time = config.duration_us
-        warmup_end = min(config.warmup_us, end_time)
-        for pn_id in range(config.processing_nodes):
-            handle = self._make_pn(pn_id)
-            self._pn_handles.append(handle)
-            for thread in range(config.threads_per_pn):
-                seed = (config.seed * 7919 + pn_id * 211 + thread) & 0x7FFFFFFF
-                self.sim.spawn(
-                    self._ycsb_terminal(handle, seed, warmup_end, end_time),
-                    name=f"ycsb-pn{pn_id}-t{thread}",
-                )
-        if len(self.commit_managers) > 1:
-            for manager in self.commit_managers:
-                self.sim.spawn(
-                    self._cm_sync_loop(manager), name=f"cm{manager.cm_id}-sync"
-                )
-        self.sim.run(until=end_time)
-        self.metrics.measured_time_us = end_time - warmup_end
-        return self.metrics
+    def _terminal_seed(self, pn_id: int, thread: int) -> int:
+        return (self.config.seed * 7919 + pn_id * 211 + thread) & 0x7FFFFFFF
 
-    def _ycsb_terminal(self, handle, seed: int, warmup_end: float,
-                       end_time: float) -> Generator:  # noqa: ANN001
+    def _terminal(self, handle, seed: int) -> Generator:  # noqa: ANN001
         pn, pool, cm_index, indexes = handle
         client = YcsbClient(
             self.catalog, indexes, self.record_count, self.workload,
             theta=self.zipf_theta, seed=seed,
         )
-        while self.sim.now < end_time:
+        while self.sim.now < self._end_time:
             op, args = client.next_operation()
             started = self.sim.now
             outcome = yield from self._drive(
                 pool, cm_index, self._ycsb_script(pn, client, op, args),
                 pn_id=pn.pn_id,
             )
-            if started >= warmup_end:
+            if started >= self._warmup_end:
                 self.metrics.record(op, outcome, self.sim.now - started)
 
     def _ycsb_script(self, pn, client: YcsbClient, op: str,

@@ -27,7 +27,6 @@ from repro.dispatch.core import (
     compose,
     drive_sync,
     kind_of,
-    kind_table,
 )
 from repro.dispatch.direct import Dispatcher
 from repro.dispatch.interceptors import (
@@ -64,7 +63,6 @@ __all__ = [
     "compose",
     "drive_sync",
     "kind_of",
-    "kind_table",
     "Dispatcher",
     "TRACE_SCHEMA",
     "RequestTrace",

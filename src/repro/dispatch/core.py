@@ -45,9 +45,9 @@ KIND_CM_COMMITTED = 4
 KIND_CM_ABORTED = 5
 KIND_COMPUTE = 6
 KIND_SLEEP = 7
-#: Appended after the original kinds so the drivers' range fast paths
-#: (``kind <= KIND_SCAN``, ``KIND_CM_START <= kind <= KIND_CM_ABORTED``)
-#: keep their exact numeric meaning; only the WSI/SSI protocols yield it.
+#: Appended after the original kinds so the direct driver's range check
+#: (``kind <= KIND_SCAN``) keeps its exact numeric meaning; only the
+#: WSI/SSI protocols yield it.
 KIND_CM_VALIDATE = 8
 
 #: Exact-class kind table: one dict lookup covers every effect the
@@ -70,18 +70,6 @@ _KIND_BY_CLASS: Dict[type, int] = {
     effects.Compute: KIND_COMPUTE,
     effects.Sleep: KIND_SLEEP,
 }
-
-
-def kind_table() -> Dict[type, int]:
-    """The live exact-class kind mapping (treat as read-only).
-
-    Hot drivers pre-bind ``kind_table().get`` once and classify each
-    request with a single dict lookup, skipping even the
-    :func:`kind_of` call.  A miss (``None``/default) means a subclassed
-    request: fall back to :func:`kind_of`, which classifies it via the
-    isinstance ladder and caches the verdict in this same table.
-    """
-    return _KIND_BY_CLASS
 
 
 def _classify_slow(request: effects.Request) -> int:
@@ -208,9 +196,8 @@ def compose(interceptors: Sequence[Interceptor], tail: NextFn,
     """Fold ``interceptors`` (outermost first) around ``tail``.
 
     Returns a callable with the same shape as ``tail``; an empty chain
-    returns ``tail`` itself, which is what lets the zero-interceptor
-    pipeline compile down to the drivers' existing exact-class fast
-    paths.
+    returns ``tail`` itself, so the zero-interceptor pipeline is the
+    driver's terminal handler and nothing else.
     """
     next_fn = tail
     for interceptor in reversed(list(interceptors)):

@@ -784,9 +784,7 @@ index / net / baselines / bench / workloads) on:
   every iteration, so the Delay should be too).
 
 A computed duration (`yield Delay(end - now)`) is exempt: the value
-genuinely varies, so an allocation-free yield needs a driver-private
-mutable Delay, which is a deliberate, documented pattern rather than a
-lint-enforced one.
+genuinely varies per yield.
 
 Fix: `yield delay_of(duration)` for recurring durations, or build the
 Delay once before the loop (`pause = delay_of(step)` ... `yield pause`).

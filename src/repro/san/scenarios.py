@@ -21,13 +21,13 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tup
 
 from repro import effects
 from repro.bench.config import TellConfig
-from repro.bench.simcluster import CorePool, SimFabric
+from repro.bench.simcluster import CorePool, SimFabric, drive
 from repro.core.buffers import make_strategy
 from repro.core.commit_manager import CommitManager
 from repro.core.gc import lazy_gc_pass
 from repro.core.processing_node import ProcessingNode
 from repro.core.spaces import DATA_SPACE
-from repro.dispatch import DispatchContext, DispatchEnv, attach_all, compose
+from repro.dispatch import DispatchEnv, attach_all
 from repro.errors import TellError, TransactionAborted
 from repro.index.btree import DistributedBTree
 from repro.san import make_sanitizers
@@ -101,31 +101,8 @@ class SimWorld:
         """A sim process body: run one protocol script through the
         sanitizer chain into the fabric (one fresh DispatchContext per
         script, which is what keys the shadow's txn attribution)."""
-        pool = self.pools[pn_id]
-        fabric = self.fabric
-        ctx = DispatchContext(pn_id=pn_id, clock=self.sim.clock(),
-                              engine="sim")
-
-        def tail(request: effects.Request) -> Generator:
-            return fabric.perform(pool, 0, request, pn_id)
-
-        chain = compose(self.sanitizers, tail, ctx)
-        send_value: Any = None
-        throw_exc: Optional[BaseException] = None
-        while True:
-            try:
-                if throw_exc is not None:
-                    request = gen.throw(throw_exc)
-                    throw_exc = None
-                else:
-                    request = gen.send(send_value)
-            except StopIteration as stop:
-                return stop.value
-            try:
-                send_value = yield from chain(request)
-            except TellError as exc:
-                send_value = None
-                throw_exc = exc
+        return drive(self.fabric, self.sanitizers, self.pools[pn_id], 0,
+                     gen, pn_id)
 
     def spawn(self, pn_id: int, gen: Generator, name: str) -> Process:
         return self.sim.spawn(self._drive(pn_id, gen), name=name)

@@ -20,7 +20,6 @@ simulated instant.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import effects
@@ -297,22 +296,3 @@ class StorageCluster:
         if node_id in self.partition_map.node_ids:
             self.topology.remove_node(node_id)
         return self.nodes.pop(node_id)
-
-    def add_node(
-        self, capacity_bytes: Optional[int] = None
-    ) -> StorageNode:
-        """Deprecated: attach a storage node by mutating the cluster.
-
-        Use ``db.admin().add_storage_node()`` (the
-        :class:`repro.api.admin.ClusterAdmin` surface), which also
-        rebalances partitions onto the new node.  This shim only
-        registers the (empty) node with the topology.
-        """
-        warnings.warn(
-            "StorageCluster.add_node() is deprecated; use "
-            "db.admin().add_storage_node() which also rebalances "
-            "partitions onto the new node",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.create_node(capacity_bytes)

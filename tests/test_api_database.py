@@ -57,7 +57,8 @@ class TestElasticity:
 
     def test_storage_elasticity(self):
         db = Database(storage_nodes=2)
-        db.cluster.add_node()
+        with db.admin() as admin:
+            admin.add_storage_node()
         assert len(db.cluster.nodes) == 3
 
 

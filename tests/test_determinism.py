@@ -43,35 +43,3 @@ def test_different_seed_diverges():
     first = run_tell_experiment(_small_config(seed=7))
     second = run_tell_experiment(_small_config(seed=8))
     assert first.digest() != second.digest()
-
-
-def test_coalescing_off_matches_default():
-    """The knob's off position is byte-identical to not having it."""
-    baseline = run_tell_experiment(_small_config(seed=7))
-    explicit = run_tell_experiment(_small_config(seed=7).with_(coalescing=False))
-    assert baseline.digest() == explicit.digest()
-
-
-def test_coalescing_on_is_deterministic():
-    """Coalesced runs are fixed-seed reproducible across invocations.
-
-    Group membership comes from the deterministic ready-FIFO order and
-    the flush rides ``call_at(now, ...)``, so repeated runs must agree
-    event for event even though the coalesced schedule differs from the
-    uncoalesced one.
-    """
-    config = _small_config(seed=7).with_(coalescing=True)
-    first = run_tell_experiment(config)
-    second = run_tell_experiment(config)
-    assert first.total_finished > 0
-    assert first.digest() == second.digest()
-
-
-def test_coalescing_on_deterministic_under_sanitizers(monkeypatch):
-    """REPRO_SANITIZE=1 attaches the sanitizer interceptor chain; the
-    coalesced schedule must stay reproducible (and clean) under it."""
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
-    config = _small_config(seed=7).with_(coalescing=True)
-    first = run_tell_experiment(config)
-    second = run_tell_experiment(config)
-    assert first.digest() == second.digest()

@@ -14,7 +14,7 @@ import pytest
 
 from repro.api.runner import DirectRunner, Router
 from repro.bench.config import TellConfig
-from repro.bench.simcluster import SimulatedTell, run_tell_experiment
+from repro.bench.simcluster import SimulatedTell
 from repro.core.processing_node import ProcessingNode
 from repro.dispatch import (
     FaultInjector,
@@ -190,10 +190,17 @@ class TestTraceInvariance:
             warmup_us=4_000.0,
             seed=7,
         )
-        bare = run_tell_experiment(config)
+        plain = SimulatedTell(config)
+        bare = plain.run()
         trace = TraceInterceptor()
-        traced = run_tell_experiment(config, interceptors=[trace])
+        observed = SimulatedTell(config, interceptors=[trace])
+        traced = observed.run()
         assert bare.digest() == traced.digest()
+        # One request path: the chain adds observers, not work.
+        assert plain.sim.events_processed == observed.sim.events_processed
+        for count in ("messages", "store_ops", "bytes_sent"):
+            assert getattr(plain.fabric.stats, count) \
+                == getattr(observed.fabric.stats, count) > 0
         assert traced.request_trace is trace.trace
         assert trace.trace.total_requests > 1_000
         assert trace.trace.per_class["Compute"].count > 0

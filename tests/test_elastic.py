@@ -182,11 +182,6 @@ class TestClusterAdmin:
         with pytest.raises(InvalidState):
             db.admin()
 
-    def test_direct_cluster_mutation_warns(self):
-        with repro.connect(storage_nodes=2) as db:
-            with pytest.deprecated_call():
-                db.cluster.add_node()
-
 
 class TestMigrationLeaks:
     def test_aborted_migration_leaks_nothing(self):

@@ -117,8 +117,8 @@ class TestCallGraph:
     def test_yield_from_delegation_edges(self, src_analysis):
         g = src_analysis.graph
         perform = ("repro.bench.simcluster", "SimFabric.perform")
-        single = ("repro.bench.simcluster", "SimFabric._perform_single")
-        assert single in g.yf_edges[perform]
+        batch = ("repro.bench.simcluster", "SimFabric._perform_batch")
+        assert batch in g.yf_edges[perform]
         script = ("repro.bench.simcluster", "SimulatedTell._transaction_script")
         commit = ("repro.core.transaction", "Transaction.commit")
         assert commit in g.yf_edges[script]

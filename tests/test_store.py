@@ -250,7 +250,7 @@ class TestStorageCluster:
 
     def test_add_node_for_elasticity(self, cluster):
         before = len(cluster.nodes)
-        node = cluster.add_node()
+        node = cluster.create_node()
         assert len(cluster.nodes) == before + 1
         assert node.alive
 

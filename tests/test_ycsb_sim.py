@@ -47,6 +47,23 @@ class TestSimulatedYcsb:
         tps_four = quad.run().tps
         assert tps_four > tps_one * 2.2
 
+    def test_observed_run_reports_its_snapshot(self):
+        deployment = SimulatedYcsb(config(observability=True),
+                                   record_count=500)
+        assert deployment.run().obs_snapshot is not None
+
+    def test_sanitized_run_consults_the_log(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        deployment = SimulatedYcsb(config(), record_count=500)
+        log = deployment.sanitizer_log
+        consulted = []
+        monkeypatch.setattr(
+            log, "assert_clean", lambda: consulted.append(log.clean)
+        )
+        assert deployment.run().total_committed > 100
+        assert consulted == [True]
+        assert sum(log.reconciliations.values()) > 0  # the chain saw traffic
+
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValueError):
             SimulatedYcsb(config(mix="standard"))
