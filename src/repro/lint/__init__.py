@@ -10,11 +10,10 @@ and kernel classes must keep the ``__slots__`` hot-path contract
 ``repro-lint src`` enforces all of it statically; ``--flow`` adds the
 interprocedural RF family and ``--atomic`` the yield-point interleaving
 and typestate RA family.  See ``docs/static-analysis.md`` for the full
-rule catalog, the inline suppression syntax, and the baseline workflow.
+rule catalog and the inline suppression syntax.
 """
 
 from repro.lint.atomic import ATOMIC_RULES, ATOMIC_RULES_BY_CODE
-from repro.lint.baseline import Baseline
 from repro.lint.engine import (
     Finding,
     LintResult,
@@ -29,7 +28,6 @@ __all__ = [
     "ALL_RULES",
     "ATOMIC_RULES",
     "ATOMIC_RULES_BY_CODE",
-    "Baseline",
     "Finding",
     "LintResult",
     "RULES_BY_CODE",

@@ -10,11 +10,9 @@ contracts over the call graph.  They run only under
 :class:`~repro.lint.flow.atomic.AtomicAnalysis` the engine attaches to
 the flow analysis.
 
-Unlike the RF rules, RA rules re-walk the *live* AST of the module under
-check (path-sensitive staleness and typestate need statement order and
-branch structure the serialized summaries do not keep); modules loaded
-from the summary cache still contribute their call-graph facts, so
-interprocedural resolution stays warm.
+Unlike the RF rules, RA rules re-walk the AST of the module under check
+(path-sensitive staleness and typestate need statement order and branch
+structure the flow summaries do not keep).
 """
 
 from __future__ import annotations
@@ -163,7 +161,7 @@ degrades into false positives against ghosts.
 RA005(a) is path-local: the discharge must appear at or after the state
 write in the same function (delegation counts via a ReportAborted
 reachability fixpoint over `yield from` edges).  RA005(b) is class
--local over serialized call facts, so cached modules are checked too.
+-local over the extracted call facts.
 
 Fix by delivering `ReportAborted` on every abort path (the shipped
 idiom is `Transaction._finish_abort`) and by calling

@@ -5,12 +5,9 @@ Usage::
     repro-lint [PATHS...]              lint (default: src)
     repro-lint --flow src              + interprocedural RF rules
     repro-lint --flow --atomic src     + yield-point RA rules
-    repro-lint --jobs 4 --flow src     parallel flow extraction
-    repro-lint --changed src           lint only files changed per git
     repro-lint --json src              machine-readable findings
     repro-lint --explain RF001         print one rule's documentation
     repro-lint --list-rules            one line per rule
-    repro-lint --write-baseline src    grandfather current findings
     repro-lint --flow --dump-callgraph src   call graph as JSON
 
 Exit codes: 0 clean, 1 findings, 2 usage or internal error.
@@ -20,37 +17,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import textwrap
 from typing import List, Optional
 
-from repro.lint.baseline import Baseline
-from repro.lint.cache import (
-    DEFAULT_CACHE,
-    SummaryCache,
-    load_project,
-    resolve_changed,
-    reverse_dependents,
-)
 from repro.lint.atomic import ATOMIC_RULES_BY_CODE
-from repro.lint.engine import (
-    iter_python_files,
-    lint_sources,
-    load_sources,
-    module_name_for,
-    run_rules,
-)
-from repro.lint.flow.analysis import FlowAnalysis
+from repro.lint.engine import build_index, lint_sources, load_sources
 from repro.lint.flow.atomic import ANALYZER_VERSION
 from repro.lint.flow.rules import FLOW_RULES_BY_CODE
 from repro.lint.rules import ALL_RULES, RULES_BY_CODE
 
-DEFAULT_BASELINE = ".repro-lint-baseline.json"
-
 #: JSON output schema tag.  /1 had no "schema"/"analyzer"/"family"
-#: fields; /2 adds them and keeps every /1 field unchanged.
-JSON_SCHEMA = "repro-lint-findings/2"
+#: fields; /2 added them; /3 drops "baselined" (baselines are gone).
+JSON_SCHEMA = "repro-lint-findings/3"
 
 _ALL_RULES_BY_CODE = {**RULES_BY_CODE, **FLOW_RULES_BY_CODE,
                       **ATOMIC_RULES_BY_CODE}
@@ -76,30 +55,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--atomic", action="store_true",
                         help="run the yield-point interleaving and "
                              "typestate RA rules (implies --flow)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for the flow-extraction "
-                             "phase (default: 1, in-process)")
-    parser.add_argument("--changed", action="store_true",
-                        help="lint only files changed per git (plus their "
-                             "reverse dependents under --flow); unchanged "
-                             "files join the analysis from the summary "
-                             "cache")
-    parser.add_argument("--cache", default=None, metavar="FILE",
-                        help=f"summary cache for --changed "
-                             f"(default: {DEFAULT_CACHE})")
     parser.add_argument("--dump-callgraph", action="store_true",
                         help="with --flow: print the resolved call graph "
                              "as JSON and exit")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit findings as JSON on stdout")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help=f"baseline file (default: {DEFAULT_BASELINE} "
-                             f"when it exists)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write current findings to the baseline file "
-                             "and exit 0")
     parser.add_argument("--explain", metavar="RULE", default=None,
                         help="print the documentation for one rule "
                              "(e.g. --explain RF001) and exit")
@@ -131,71 +91,6 @@ def _list_rules() -> int:
     return 0
 
 
-def _dump_callgraph(paths: List[str]) -> int:
-    from repro.lint.flow.summary import extract_module_flow
-    from repro.lint.index import ModuleSummary, ProjectIndex
-
-    sources = load_sources(paths)
-    summaries = {
-        s.module: ModuleSummary(s.module, s.tree)
-        for s in sources if s.tree is not None and not s.skip_file
-    }
-    flows = {
-        s.module: extract_module_flow(summaries[s.module], s.tree)
-        for s in sources if s.tree is not None and not s.skip_file
-    }
-    analysis = FlowAnalysis(ProjectIndex(summaries), flows)
-    print(json.dumps(analysis.graph.to_dict(), indent=2, sort_keys=True))
-    return 0
-
-
-def _changed_run(args: argparse.Namespace,
-                 baseline: Optional[Baseline]) -> "object":
-    """Incremental lint: parse changed files live, load the rest of the
-    project from the summary cache, and report findings only for the
-    changed set (plus reverse dependents under --flow)."""
-    changed = resolve_changed(args.paths, iter_python_files)
-    if changed is None:
-        print("repro-lint: --changed requires a git checkout; "
-              "running a full lint", file=sys.stderr)
-        sources = load_sources(args.paths)
-        return lint_sources(sources, baseline=baseline, flow=args.flow,
-                            atomic=args.atomic, jobs=args.jobs)
-
-    cache = SummaryCache(args.cache or DEFAULT_CACHE)
-    every = iter_python_files(args.paths)
-    project = load_project(every, cache, module_name_for,
-                           need_flow=args.flow, jobs=args.jobs)
-    cache.save()
-
-    changed_keys = {os.path.abspath(p) for p in changed}
-    lint_modules = {
-        entry[0] for key, entry in project.items() if key in changed_keys
-    }
-    if args.flow and lint_modules:
-        summaries = {entry[0]: entry[1] for entry in project.values()}
-        lint_modules = reverse_dependents(lint_modules, summaries)
-
-    lint_files = [
-        key for key, entry in project.items()
-        if key in changed_keys or entry[0] in lint_modules
-    ]
-    # Changed files that failed to parse still need their RL000 finding.
-    lint_files.extend(
-        key for key in changed_keys
-        if key not in project and os.path.exists(key)
-    )
-    sources = load_sources(sorted(lint_files))
-    live = {s.module for s in sources}
-    context = {
-        entry[0]: (entry[1], entry[2])
-        for entry in project.values() if entry[0] not in live
-    }
-    return lint_sources(sources, baseline=baseline, flow=args.flow,
-                        project=context, atomic=args.atomic,
-                        jobs=args.jobs)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -207,56 +102,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _explain(args.explain)
     if args.list_rules:
         return _list_rules()
-    if args.dump_callgraph:
-        if not args.flow:
-            print("repro-lint: --dump-callgraph requires --flow",
-                  file=sys.stderr)
-            return 2
-        try:
-            return _dump_callgraph(args.paths)
-        except FileNotFoundError as exc:
-            print(f"repro-lint: no such file or directory: {exc}",
-                  file=sys.stderr)
-            return 2
-
-    baseline_path = args.baseline or DEFAULT_BASELINE
-
-    if args.write_baseline:
-        try:
-            sources = load_sources(args.paths)
-        except FileNotFoundError as exc:
-            print(f"repro-lint: no such file or directory: {exc}",
-                  file=sys.stderr)
-            return 2
-        findings = run_rules(sources, flow=args.flow, atomic=args.atomic,
-                             jobs=args.jobs)
-        by_path = {source.path: source for source in sources}
-        kept = [f for f in findings
-                if not (by_path.get(f.path) or _NEVER).is_suppressed(f)]
-        Baseline.from_findings(kept).save(baseline_path)
-        print(f"repro-lint: wrote {len(kept)} finding(s) to {baseline_path}")
-        return 0
-
-    baseline = None
-    if not args.no_baseline:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (ValueError, OSError) as exc:
-            print(f"repro-lint: cannot read baseline {baseline_path}: {exc}",
-                  file=sys.stderr)
-            return 2
+    if args.dump_callgraph and not args.flow:
+        print("repro-lint: --dump-callgraph requires --flow",
+              file=sys.stderr)
+        return 2
 
     try:
-        if args.changed:
-            result = _changed_run(args, baseline)
-        else:
-            sources = load_sources(args.paths)
-            result = lint_sources(sources, baseline=baseline, flow=args.flow,
-                                  atomic=args.atomic, jobs=args.jobs)
+        sources = load_sources(args.paths)
     except FileNotFoundError as exc:
         print(f"repro-lint: no such file or directory: {exc}",
               file=sys.stderr)
         return 2
+
+    if args.dump_callgraph:
+        graph = build_index(sources, flow=True).flow.graph
+        print(json.dumps(graph.to_dict(), indent=2, sort_keys=True))
+        return 0
+
+    result = lint_sources(sources, flow=args.flow, atomic=args.atomic)
 
     if args.as_json:
         findings = []
@@ -269,7 +132,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "analyzer": ANALYZER_VERSION,
             "findings": findings,
             "files_checked": result.files_checked,
-            "baselined": result.baselined,
             "suppressed": result.suppressed,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -280,12 +142,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"{finding.rule} {finding.message}")
         if finding.line_text.strip():
             print(f"    {finding.line_text.strip()}")
-    extras = []
-    if result.baselined:
-        extras.append(f"{result.baselined} baselined")
-    if result.suppressed:
-        extras.append(f"{result.suppressed} suppressed")
-    suffix = f" ({', '.join(extras)})" if extras else ""
+    suffix = f" ({result.suppressed} suppressed)" if result.suppressed else ""
     if result.findings:
         print(f"repro-lint: {len(result.findings)} finding(s) in "
               f"{result.files_checked} file(s){suffix}")
@@ -295,15 +152,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"repro-lint: clean -- {result.files_checked} file(s)"
               f"{suffix}")
     return result.exit_code
-
-
-class _NeverSuppressed:
-    @staticmethod
-    def is_suppressed(_finding: object) -> bool:
-        return False
-
-
-_NEVER = _NeverSuppressed()
 
 
 if __name__ == "__main__":  # pragma: no cover

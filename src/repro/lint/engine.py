@@ -1,9 +1,8 @@
-"""repro-lint engine: discovery, suppression, baseline, reporting.
+"""repro-lint engine: discovery, suppression, reporting.
 
 Flow: collect :class:`SourceModule` objects (from paths or in-memory
 strings), summarize each into the pass-1 :class:`ProjectIndex`, run every
-rule over every module, then filter findings through inline suppressions
-and the checked-in baseline.
+rule over every module, then filter findings through inline suppressions.
 
 Inline suppressions::
 
@@ -25,19 +24,14 @@ import io
 import os
 import re
 import tokenize
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.lint.atomic import ATOMIC_RULES
-from repro.lint.baseline import Baseline
 from repro.lint.flow.analysis import FlowAnalysis
 from repro.lint.flow.rules import FLOW_RULES
-from repro.lint.flow.summary import ModuleFlow, extract_module_flow
+from repro.lint.flow.summary import extract_module_flow
 from repro.lint.index import ModuleSummary, ProjectIndex
 from repro.lint.rules import ALL_RULES, Rule
-
-#: Cached project view passed by ``repro-lint --changed``: modules that
-#: are part of the analysis but whose findings are not re-reported.
-ProjectContext = Dict[str, Tuple[ModuleSummary, Optional[ModuleFlow]]]
 
 _IGNORE_RE = re.compile(r"#\s*repro-lint:\s*ignore\[([A-Z0-9,\s]+)\]")
 _SKIP_FILE_RE = re.compile(r"#\s*repro-lint:\s*skip-file")
@@ -65,12 +59,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
         }
-
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Line-number-independent identity used by the baseline: moving
-        code around does not invalidate entries, editing the line does."""
-        return (self.rule, self.path.replace(os.sep, "/"),
-                self.line_text.strip())
 
     def __repr__(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
@@ -133,10 +121,9 @@ class SourceModule:
 class LintResult:
     """Outcome of one lint run."""
 
-    def __init__(self, findings: List[Finding], baselined: int,
-                 suppressed: int, files_checked: int) -> None:
+    def __init__(self, findings: List[Finding], suppressed: int,
+                 files_checked: int) -> None:
         self.findings = findings
-        self.baselined = baselined
         self.suppressed = suppressed
         self.files_checked = files_checked
 
@@ -149,10 +136,12 @@ class LintResult:
 
 
 def iter_python_files(paths: Sequence[str]) -> List[str]:
-    files: List[str] = []
+    """Python files under ``paths`` in first-seen order; a file reached
+    through overlapping arguments (``DIR DIR/x.py``) is listed once."""
+    files: Dict[str, str] = {}  # absolute path -> path as first reached
     for path in paths:
         if os.path.isfile(path):
-            files.append(path)
+            files.setdefault(os.path.abspath(path), path)
         elif os.path.isdir(path):
             for root, dirnames, filenames in os.walk(path):
                 dirnames[:] = sorted(
@@ -161,10 +150,11 @@ def iter_python_files(paths: Sequence[str]) -> List[str]:
                 )
                 for name in sorted(filenames):
                     if name.endswith(".py"):
-                        files.append(os.path.join(root, name))
+                        found = os.path.join(root, name)
+                        files.setdefault(os.path.abspath(found), found)
         else:
             raise FileNotFoundError(path)
-    return files
+    return list(files.values())
 
 
 def module_name_for(path: str) -> str:
@@ -205,20 +195,34 @@ def load_sources(paths: Sequence[str],
 # -- running ---------------------------------------------------------------
 
 
+def build_index(sources: Sequence[SourceModule], flow: bool = False,
+                atomic: bool = False) -> ProjectIndex:
+    """Pass-1 summaries of every parsed source; under ``flow`` also the
+    pass-2 flow summaries, linked into the :class:`FlowAnalysis` the RF
+    (and, with ``atomic``, RA) rules read off ``index.flow``."""
+    parsed = [source for source in sources
+              if source.tree is not None and not source.skip_file]
+    summaries = {source.module: ModuleSummary(source.module, source.tree)
+                 for source in parsed}
+    index = ProjectIndex(summaries)
+    if flow:
+        flows = {
+            source.module: extract_module_flow(
+                summaries[source.module], source.tree)
+            for source in parsed
+        }
+        index.flow = FlowAnalysis(index, flows, atomic=atomic)
+    return index
+
+
 def run_rules(sources: Sequence[SourceModule],
               rules: Optional[Sequence[Rule]] = None,
               flow: bool = False,
-              project: Optional[ProjectContext] = None,
-              atomic: bool = False,
-              jobs: int = 1) -> List[Finding]:
-    """Raw findings (suppressions applied, no baseline).
+              atomic: bool = False) -> List[Finding]:
+    """Raw findings, before inline suppressions are applied.
 
     ``flow`` enables the interprocedural RF rules and ``atomic`` (which
-    requires ``flow``) the yield-point RA rules; ``project`` supplies
-    pre-built summaries of modules that should join the index (and the
-    call graph) without being linted themselves -- the unchanged half of
-    a ``--changed`` run, loaded from the cache.  ``jobs`` > 1 runs the
-    flow-extraction phase in worker processes.
+    requires ``flow``) the yield-point RA rules.
     """
     if rules is not None:
         active_rules = list(rules)
@@ -227,36 +231,7 @@ def run_rules(sources: Sequence[SourceModule],
             (ATOMIC_RULES if atomic else [])
     else:
         active_rules = list(ALL_RULES)
-    summaries: Dict[str, ModuleSummary] = {}
-    flows: Dict[str, ModuleFlow] = {}
-    if project:
-        for module, (summary, module_flow) in project.items():
-            summaries[module] = summary
-            if module_flow is not None:
-                flows[module] = module_flow
-    for source in sources:
-        if source.tree is not None and not source.skip_file:
-            summaries[source.module] = ModuleSummary(source.module, source.tree)
-    index = ProjectIndex(summaries)
-    if flow:
-        live = [source for source in sources
-                if source.tree is not None and not source.skip_file]
-        extracted: Dict[str, object] = {}
-        if jobs > 1 and len(live) > 2:
-            from repro.lint.parallel import extract_flows
-            for path, (_summary, flow_data) in extract_flows(
-                    [(s.path, s.module, s.text) for s in live],
-                    jobs).items():
-                if flow_data is not None:
-                    extracted[path] = flow_data
-        for source in live:
-            flow_data = extracted.get(source.path)
-            if flow_data is not None:
-                flows[source.module] = ModuleFlow.from_dict(flow_data)  # type: ignore[arg-type]
-            else:
-                flows[source.module] = extract_module_flow(
-                    summaries[source.module], source.tree)
-        index.flow = FlowAnalysis(index, flows, atomic=atomic)
+    index = build_index(sources, flow=flow, atomic=atomic)
 
     findings: List[Finding] = []
     for source in sources:
@@ -269,7 +244,7 @@ def run_rules(sources: Sequence[SourceModule],
                 f"syntax error: {exc.msg}", source.line_text(exc.lineno or 1),
             ))
             continue
-        summary = summaries[source.module]
+        summary = index.summaries[source.module]
         for rule in active_rules:
             for node, message in rule.check(summary, source.tree, index):
                 lineno = getattr(node, "lineno", 1)
@@ -284,13 +259,9 @@ def run_rules(sources: Sequence[SourceModule],
 
 def lint_sources(sources: Sequence[SourceModule],
                  rules: Optional[Sequence[Rule]] = None,
-                 baseline: Optional["Baseline"] = None,
                  flow: bool = False,
-                 project: Optional[ProjectContext] = None,
-                 atomic: bool = False,
-                 jobs: int = 1) -> LintResult:
-    raw = run_rules(sources, rules, flow=flow, project=project,
-                    atomic=atomic, jobs=jobs)
+                 atomic: bool = False) -> LintResult:
+    raw = run_rules(sources, rules, flow=flow, atomic=atomic)
     by_path = {source.path: source for source in sources}
     kept: List[Finding] = []
     suppressed = 0
@@ -300,25 +271,17 @@ def lint_sources(sources: Sequence[SourceModule],
             suppressed += 1
             continue
         kept.append(finding)
-    if baseline is not None:
-        kept, baselined = baseline.filter(kept)
-    else:
-        baselined = 0
     checked = sum(1 for s in sources if not s.skip_file)
-    return LintResult(kept, baselined, suppressed, checked)
+    return LintResult(kept, suppressed, checked)
 
 
 def lint_paths(paths: Sequence[str],
                rules: Optional[Sequence[Rule]] = None,
-               baseline: Optional["Baseline"] = None,
                relative_to: Optional[str] = None,
                flow: bool = False,
-               project: Optional[ProjectContext] = None,
-               atomic: bool = False,
-               jobs: int = 1) -> LintResult:
-    return lint_sources(load_sources(paths, relative_to), rules, baseline,
-                        flow=flow, project=project, atomic=atomic,
-                        jobs=jobs)
+               atomic: bool = False) -> LintResult:
+    return lint_sources(load_sources(paths, relative_to), rules,
+                        flow=flow, atomic=atomic)
 
 
 def lint_source(text: str, module: str = "repro.example",

@@ -32,10 +32,16 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.flow.callgraph import CallGraph, Node, _TypeEntry
 from repro.lint.flow.summary import ATOMIC_MUTATORS
-from repro.lint.index import ModuleSummary, Symbol, in_prefixes, name_ref_of
+from repro.lint.index import (
+    ModuleSummary,
+    Symbol,
+    in_prefixes,
+    name_ref_of,
+    walk_functions,
+)
 
-#: Analyzer version, part of the cache schema stamp and the ``--json``
-#: payload.  Bump on any semantic change to the RA rules.
+#: Analyzer version, part of the ``--json`` payload.  Bump on any
+#: semantic change to the RA rules.
 ANALYZER_VERSION = "repro-atomic/1"
 
 #: Classes whose instances are shared between coroutines: attributes of
@@ -244,7 +250,7 @@ class AtomicAnalysis:
 
     def node_touches(self, node: Node) -> Tuple[Set[str], Set[str]]:
         """Resolved (reads, writes) shared-footprint names of one
-        function, from its serialized touch records."""
+        function, from its touch records."""
         cached = self._touch_cache.get(node)
         if cached is not None:
             return cached
@@ -441,25 +447,13 @@ class AtomicAnalysis:
         if flow is not None:
             interleaving = in_prefixes(summary.module, ATOMIC_PACKAGES)
 
-            def visit(node: ast.AST, class_name: Optional[str],
-                      prefix: str) -> None:
-                for child in ast.iter_child_nodes(node):
-                    if isinstance(child, (ast.FunctionDef,
-                                          ast.AsyncFunctionDef)):
-                        qualname = prefix + child.name
-                        info = flow.functions.get(qualname)
-                        if info is not None:
-                            walker = _FunctionWalker(
-                                self, summary, qualname, info, child)
-                            walker.run(interleaving)
-                            findings.extend(walker.findings)
-                        visit(child, class_name, qualname + ".")
-                    elif isinstance(child, ast.ClassDef):
-                        visit(child, child.name, child.name + ".")
-                    else:
-                        visit(child, class_name, prefix)
-
-            visit(tree, None, "")
+            for fn, _class_name, qualname in walk_functions(tree):
+                info = flow.functions.get(qualname)
+                if info is not None:
+                    walker = _FunctionWalker(
+                        self, summary, qualname, info, fn)
+                    walker.run(interleaving)
+                    findings.extend(walker.findings)
             findings.extend(self._validator_findings(summary.module, flow))
         findings.sort()
         self._module_cache[summary.module] = findings

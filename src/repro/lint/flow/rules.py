@@ -21,7 +21,7 @@ from repro.lint.rules import Rule
 
 class _Loc:
     """Line/column anchor for findings that have no AST node (flow facts
-    are reported from serialized summaries, not a live tree)."""
+    are reported from the flow summaries, not an AST node)."""
 
     __slots__ = ("lineno", "col_offset")
 

@@ -1,12 +1,10 @@
-"""Pass-2 extraction: one serializable flow summary per module.
+"""Pass-2 extraction: one flow summary per module.
 
 The pass-1 :class:`~repro.lint.index.ModuleSummary` answers "what does
 this name import to"; this pass records what every *function* does --
 which callables it invokes (and through which receiver chains), what it
 yields, what it spawns into a simulator, and which determinism /
-allocation / isolation facts its body exhibits.  Everything is plain
-JSON-serializable data so ``repro-lint --changed`` can reload summaries
-of unchanged files from the on-disk cache without re-parsing them.
+allocation / isolation facts its body exhibits, as plain data.
 
 Resolution is deliberately deferred: a call is recorded as a *shape*
 (bare name, receiver chain rooted at ``self``/a local/a parameter, a
@@ -28,14 +26,9 @@ from repro.lint.index import (
     NameRef,
     function_is_generator,
     name_ref_of,
+    walk_functions,
 )
 from repro.lint.rules import WALL_CLOCK_ATTRS
-
-#: Version stamp of the extraction format.  Bumped whenever the shape of
-#: the serialized per-function info changes (new keys, changed meaning),
-#: so ``repro-lint --changed`` invalidates warm caches instead of
-#: feeding old summaries to a newer analyzer (see repro.lint.cache).
-EXTRACTION_SCHEMA = 3
 
 #: Kernel Delay symbols (RF005 per-call allocation facts).
 _DELAY_SYMBOLS = frozenset({
@@ -219,9 +212,9 @@ class _FunctionExtractor(ast.NodeVisitor):
         self._loop_depth = 0
         self._yf_calls: set = set()
         #: Lexical yield-segment counter: 0 before the first preemption
-        #: point, +1 after every ``yield``/``yield from``.  Serialized
-        #: touch records carry the segment they happened in so the
-        #: atomic analysis can build yield-point summaries from cache.
+        #: point, +1 after every ``yield``/``yield from``.  Touch records
+        #: carry the segment they happened in so the atomic analysis can
+        #: build yield-point summaries of callees.
         self._seg = 0
         self._touch_seen: set = set()
         args = getattr(node, "args", None)
@@ -548,31 +541,14 @@ class ModuleFlow:
 
     __slots__ = ("module", "functions", "attr_types", "tables")
 
-    def __init__(self, module: str,
-                 functions: Optional[Dict[str, Dict[str, Any]]] = None,
-                 attr_types: Optional[Dict[str, Dict[str, Any]]] = None,
-                 tables: Optional[Dict[str, Dict[str, Any]]] = None) -> None:
+    def __init__(self, module: str) -> None:
         self.module = module
-        self.functions: Dict[str, Dict[str, Any]] = functions or {}
-        self.attr_types: Dict[str, Dict[str, Any]] = attr_types or {}
-        self.tables: Dict[str, Dict[str, Any]] = tables or {}
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "module": self.module,
-            "functions": self.functions,
-            "attr_types": self.attr_types,
-            "tables": self.tables,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ModuleFlow":
-        return cls(data["module"], data.get("functions", {}),
-                   data.get("attr_types", {}), data.get("tables", {}))
+        self.functions: Dict[str, Dict[str, Any]] = {}
+        self.attr_types: Dict[str, Dict[str, Any]] = {}
+        self.tables: Dict[str, Dict[str, Any]] = {}
 
 
-def _collect_attr_types(cls_node: ast.ClassDef,
-                        flow: ModuleFlow) -> Dict[str, Any]:
+def _collect_attr_types(cls_node: ast.ClassDef) -> Dict[str, Any]:
     """Instance-attribute types of one class, from class-body annotations
     and ``self.x = ...`` assignments in method bodies."""
     attrs: Dict[str, Any] = {}
@@ -668,21 +644,10 @@ def extract_module_flow(summary: ModuleSummary,
     flow = ModuleFlow(summary.module)
     flow.tables = _collect_tables(tree)
 
-    def visit(node: ast.AST, class_name: Optional[str],
-              prefix: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = prefix + child.name
-                extractor = _FunctionExtractor(
-                    summary, child, qualname, class_name)
-                flow.functions[qualname] = extractor.info
-                visit(child, class_name, qualname + ".")
-            elif isinstance(child, ast.ClassDef):
-                flow.attr_types[child.name] = _collect_attr_types(
-                    child, flow)
-                visit(child, child.name, child.name + ".")
-            else:
-                visit(child, class_name, prefix)
-
-    visit(tree, None, "")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            flow.attr_types[node.name] = _collect_attr_types(node)
+    for fn, class_name, qualname in walk_functions(tree):
+        flow.functions[qualname] = _FunctionExtractor(
+            summary, fn, qualname, class_name).info
     return flow

@@ -16,21 +16,16 @@ are resolved only through ``self``/a locally defined class, never through
 arbitrary receiver expressions -- an unresolvable receiver produces *no*
 finding rather than a speculative one.  (The interprocedural layer in
 :mod:`repro.lint.flow` builds a richer resolver on top of this index.)
-
-Summaries are plain data: every field survives a ``to_dict`` /
-``from_dict`` round trip, which is what lets ``repro-lint --changed``
-rebuild the project index from the on-disk cache without re-parsing
-unchanged files.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 Symbol = Tuple[str, str]  # (dotted module, name)
 
-#: A serializable reference to a not-yet-resolved name:
+#: A reference to a not-yet-resolved name:
 #: ``("name", id)`` for a bare name, ``("qual", base, attr)`` for
 #: ``base.attr``.  Resolved against a module's import table.
 NameRef = Tuple[str, ...]
@@ -91,6 +86,31 @@ def function_is_generator(fn: ast.AST) -> bool:
     return False
 
 
+FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+
+
+def walk_functions(
+        tree: ast.AST) -> Iterator[Tuple[FunctionNode, Optional[str], str]]:
+    """Every function/method under ``tree`` in source order, as
+    ``(node, enclosing class name, qualname)``.  A nested def is qualified
+    by its parent function (``outer.inner``) and keeps the parent's class;
+    a class body restarts the qualname at the class name."""
+
+    def visit(node: ast.AST, class_name: Optional[str], prefix: str
+              ) -> Iterator[Tuple[FunctionNode, Optional[str], str]]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = prefix + child.name
+                yield child, class_name, qualname
+                yield from visit(child, class_name, qualname + ".")
+            elif isinstance(child, ast.ClassDef):
+                yield from visit(child, child.name, child.name + ".")
+            else:
+                yield from visit(child, class_name, prefix)
+
+    return visit(tree, None, "")
+
+
 def name_ref_of(node: ast.expr) -> Optional[NameRef]:
     """Serializable reference for ``Name`` / ``Name.attr`` expressions."""
     if isinstance(node, ast.Name):
@@ -102,26 +122,23 @@ def name_ref_of(node: ast.expr) -> Optional[NameRef]:
 
 class ClassSummary:
     """What RL002/RL006 (and the flow layer) need to know about one
-    class definition.  Pure data; serializable."""
+    class definition.  Pure data."""
 
     __slots__ = ("name", "lineno", "col_offset", "base_refs",
                  "generator_methods", "methods", "has_slots",
                  "local_base_names")
 
-    def __init__(self, name: str, lineno: int = 0, col_offset: int = 0,
-                 base_refs: Optional[List[NameRef]] = None,
-                 generator_methods: Optional[Set[str]] = None,
-                 methods: Optional[Set[str]] = None,
-                 has_slots: bool = False) -> None:
+    def __init__(self, name: str, lineno: int, col_offset: int,
+                 base_refs: List[NameRef]) -> None:
         self.name = name
         self.lineno = lineno
         self.col_offset = col_offset
-        self.base_refs: List[NameRef] = list(base_refs or [])
-        self.generator_methods: Set[str] = set(generator_methods or ())
-        self.methods: Set[str] = set(methods or ())
-        self.has_slots = has_slots
+        self.base_refs = base_refs
+        self.generator_methods: Set[str] = set()
+        self.methods: Set[str] = set()
+        self.has_slots = False
         self.local_base_names: List[str] = [
-            ref[1] for ref in self.base_refs if ref[0] == "name"
+            ref[1] for ref in base_refs if ref[0] == "name"
         ]
 
     @classmethod
@@ -145,27 +162,6 @@ class ClassSummary:
                         and item.target.id == "__slots__"):
                     summary.has_slots = True
         return summary
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "lineno": self.lineno,
-            "col_offset": self.col_offset,
-            "base_refs": [list(ref) for ref in self.base_refs],
-            "generator_methods": sorted(self.generator_methods),
-            "methods": sorted(self.methods),
-            "has_slots": self.has_slots,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ClassSummary":
-        return cls(
-            data["name"], data.get("lineno", 0), data.get("col_offset", 0),
-            [tuple(ref) for ref in data.get("base_refs", [])],
-            set(data.get("generator_methods", [])),
-            set(data.get("methods", [])),
-            data.get("has_slots", False),
-        )
 
 
 class ModuleSummary:
@@ -206,32 +202,6 @@ class ModuleSummary:
                 if function_is_generator(node):
                     self.generator_functions.add(node.name)
 
-    # -- serialization (repro-lint --changed / index cache) ----------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "module": self.module,
-            "module_aliases": dict(self.module_aliases),
-            "from_imports": {k: list(v) for k, v in self.from_imports.items()},
-            "generator_functions": sorted(self.generator_functions),
-            "classes": {name: cls.to_dict()
-                        for name, cls in self.classes.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ModuleSummary":
-        summary = cls(data["module"])
-        summary.module_aliases = dict(data.get("module_aliases", {}))
-        summary.from_imports = {
-            k: (v[0], v[1]) for k, v in data.get("from_imports", {}).items()
-        }
-        summary.generator_functions = set(data.get("generator_functions", []))
-        summary.classes = {
-            name: ClassSummary.from_dict(entry)
-            for name, entry in data.get("classes", {}).items()
-        }
-        return summary
-
     # -- name resolution -------------------------------------------------
 
     def resolve_name(self, name: str) -> Optional[Symbol]:
@@ -253,7 +223,7 @@ class ModuleSummary:
         return None
 
     def resolve_ref(self, ref: Optional[NameRef]) -> Optional[Symbol]:
-        """Resolve a serialized :data:`NameRef` to a symbol, or None."""
+        """Resolve a :data:`NameRef` to a symbol, or None."""
         if ref is None:
             return None
         if ref[0] == "name":
@@ -284,7 +254,7 @@ class ProjectIndex:
         #: Attached by the engine when ``--flow`` is on; the RF rules
         #: read it.  Typed loosely to avoid an import cycle with
         #: repro.lint.flow.
-        self.flow: Optional[Any] = None
+        self.flow: Any = None
         self._close_subclasses(self.effect_classes)
         self._close_subclasses(self.kernel_classes)
 

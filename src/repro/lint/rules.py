@@ -15,7 +15,12 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.lint.index import ModuleSummary, ProjectIndex
+from repro.lint.index import (
+    ModuleSummary,
+    ProjectIndex,
+    function_is_generator,
+    walk_functions,
+)
 
 # Packages whose code runs on *simulated* time.  Wall-clock reads here
 # bypass the event kernel and (worse) vary run to run, breaking the
@@ -58,35 +63,6 @@ class Rule:
         """Yield ``(node, message)`` pairs; the engine adds location."""
         raise NotImplementedError
         yield  # pragma: no cover
-
-
-class _FunctionContext:
-    __slots__ = ("node", "is_generator", "class_name")
-
-    def __init__(self, node: ast.AST, is_generator: bool,
-                 class_name: Optional[str]) -> None:
-        self.node = node
-        self.is_generator = is_generator
-        self.class_name = class_name
-
-
-def _walk_functions(tree: ast.Module) -> Iterator[_FunctionContext]:
-    """Every function/method in the module with its enclosing class."""
-    from repro.lint.index import function_is_generator
-
-    def visit(node: ast.AST, class_name: Optional[str]) -> Iterator[_FunctionContext]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield _FunctionContext(
-                    child, function_is_generator(child), class_name
-                )
-                yield from visit(child, class_name)
-            elif isinstance(child, ast.ClassDef):
-                yield from visit(child, child.name)
-            else:
-                yield from visit(child, class_name)
-
-    return visit(tree, None)
 
 
 def _effect_call_name(node: ast.expr, module: ModuleSummary,
@@ -223,17 +199,18 @@ Fix: delegate with `yield from`, or drive the generator explicitly.
 
     def check(self, module: ModuleSummary, tree: ast.Module,
               index: ProjectIndex) -> Iterator[Tuple[ast.AST, str]]:
-        for ctx in _walk_functions(tree):
-            cls = ctx.class_name
-            for child in ast.iter_child_nodes(ctx.node):
-                yield from self._check_body(child, module, index, ctx, cls)
+        for fn, cls, _qualname in walk_functions(tree):
+            in_generator = function_is_generator(fn)
+            for child in ast.iter_child_nodes(fn):
+                yield from self._check_body(child, module, index,
+                                            in_generator, cls)
 
     def _check_body(self, node: ast.AST, module: ModuleSummary,
-                    index: ProjectIndex, ctx: _FunctionContext,
+                    index: ProjectIndex, in_generator: bool,
                     cls: Optional[str]) -> Iterator[Tuple[ast.AST, str]]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.Lambda)):
-            return  # nested defs get their own _FunctionContext
+            return  # nested defs are walked on their own
         if isinstance(node, ast.Expr) and not isinstance(
                 node.value, (ast.Yield, ast.YieldFrom)):
             name = _resolve_generator_call(node.value, module, index, cls)
@@ -251,7 +228,7 @@ Fix: delegate with `yield from`, or drive the generator explicitly.
                     f"`yield {name}(...)` hands the raw generator to the "
                     f"driver -- use `yield from {name}(...)`"
                 )
-        elif isinstance(node, ast.Return) and ctx.is_generator:
+        elif isinstance(node, ast.Return) and in_generator:
             name = _resolve_generator_call(node.value, module, index, cls) \
                 if node.value is not None else None
             if name is not None:
@@ -261,7 +238,8 @@ Fix: delegate with `yield from`, or drive the generator explicitly.
                     f"{name}(...))`"
                 )
         for child in ast.iter_child_nodes(node):
-            yield from self._check_body(child, module, index, ctx, cls)
+            yield from self._check_body(child, module, index,
+                                        in_generator, cls)
 
 
 class RL003WallClock(Rule):

@@ -508,6 +508,22 @@ class StatementExecutor:
 
     # -- base table access ------------------------------------------------------------
 
+    def _access_path(
+        self,
+        table_ref: ast.TableRef,
+        schema: TableSchema,
+        condition: Optional[ast.Expr],
+    ) -> Tuple[str, Optional[IndexDef], Any, Any, bool, Any]:
+        """The access-path decision for one base table, read by execution
+        and EXPLAIN alike: :func:`choose_access_path`'s tuple plus the
+        storage-side filter, which is only built when the path is a scan."""
+        predicates = _analyze_predicates(
+            condition, table_ref.alias, schema, self.params
+        )
+        path = choose_access_path(schema, predicates)
+        pushdown = _build_pushdown(schema, predicates) if path[0] == "scan" else None
+        return path + (pushdown,)
+
     def _base_rows(
         self,
         table_ref: ast.TableRef,
@@ -515,16 +531,14 @@ class StatementExecutor:
     ) -> Generator:
         table: Table = self.tables(table_ref.name)
         schema = table.schema
-        predicates = _analyze_predicates(
-            condition, table_ref.alias, schema, self.params
+        kind, index, low, high, include_high, pushdown = self._access_path(
+            table_ref, schema, condition
         )
-        kind, index, low, high, include_high = choose_access_path(schema, predicates)
         if kind == "lookup":
             pairs = yield from table.lookup(index, low)
         elif kind == "range":
             pairs = yield from table.index_range(index, low, high, include_high)
         else:
-            pushdown = _build_pushdown(schema, predicates)
             pairs = yield from table.scan(pushdown)
         return [
             self._env_from(table_ref.alias, schema, rid, row)
@@ -639,20 +653,11 @@ class StatementExecutor:
         table: Table = self.tables(join.table.name)
         schema = table.schema
         alias = join.table.alias
-        # Find equi-join pairs: inner.column = <expr over left scope>.
-        left_aliases = {scope_alias for scope_alias, _ in scopes}
-        equi: List[Tuple[str, ast.Expr]] = []
-        residual: List[ast.Expr] = []
-        for conjunct in _conjuncts(join.on):
-            pair = self._equi_pair(conjunct, alias, schema, left_aliases)
-            if pair is not None:
-                equi.append(pair)
-            else:
-                residual.append(conjunct)
-
-        index = self._index_for_equi(schema, [column for column, _ in equi])
+        strategy, index, equi, residual = self._join_plan(
+            join, schema, {scope_alias for scope_alias, _ in scopes}
+        )
         out: List[Row] = []
-        if index is not None and left_rows:
+        if strategy == "index" and left_rows:
             # Index nested-loop join.
             order = {column: position for position, column in enumerate(index.columns)}
             ordered = sorted(equi, key=lambda pair: order[pair[0]])
@@ -683,8 +688,9 @@ class StatementExecutor:
         inner_rows = [
             self._env_from(alias, schema, rid, row) for rid, row in inner_pairs
         ]
-        if equi and join.kind == "inner":
-            # Hash join on the equi columns.
+        if strategy != "loop" and join.kind == "inner":
+            # Hash join on the equi columns (also what an index join with
+            # no left rows falls through to).
             buckets: Dict[Tuple, List[Row]] = {}
             for inner in inner_rows:
                 key = tuple(inner[f"{alias}.{column}"] for column, _ in equi)
@@ -717,6 +723,31 @@ class StatementExecutor:
             if join.kind == "left" and not matched:
                 out.append(self._merge(left, self._null_env(alias, schema)))
         return out
+
+    def _join_plan(
+        self, join: ast.Join, schema: TableSchema, left_aliases: set
+    ) -> Tuple[str, Optional[IndexDef], List[Tuple[str, ast.Expr]], List[ast.Expr]]:
+        """The join decision, read by execution and EXPLAIN alike:
+        ``(strategy, index, equi, residual)`` with strategy ``"index"``
+        (nested-loop lookups through ``index``), ``"hash"`` or ``"loop"``.
+        ``equi`` pairs are ``inner.column = <expr over the left scope>``;
+        ``residual`` holds the other ON conjuncts."""
+        equi: List[Tuple[str, ast.Expr]] = []
+        residual: List[ast.Expr] = []
+        for conjunct in _conjuncts(join.on):
+            pair = self._equi_pair(conjunct, join.table.alias, schema, left_aliases)
+            if pair is not None:
+                equi.append(pair)
+            else:
+                residual.append(conjunct)
+        index = self._index_for_equi(schema, [column for column, _ in equi])
+        if index is not None:
+            strategy = "index"
+        elif equi and join.kind == "inner":
+            strategy = "hash"
+        else:
+            strategy = "loop"
+        return strategy, index, equi, residual
 
     def _null_env(self, alias: str, schema: TableSchema) -> Row:
         env: Row = {"__rid." + alias: None}
@@ -885,26 +916,18 @@ class StatementExecutor:
                 lines.append("  " + line)
             left_aliases = {stmt.table.alias}
             for join in stmt.joins:
-                inner = self.tables(join.table.name)
-                equi = []
-                for conjunct in _conjuncts(join.on):
-                    pair = self._equi_pair(
-                        conjunct, join.table.alias, inner.schema, left_aliases
-                    )
-                    if pair is not None:
-                        equi.append(pair)
-                index = self._index_for_equi(
-                    inner.schema, [column for column, _ in equi]
+                strategy, index, equi, _residual = self._join_plan(
+                    join, self.tables(join.table.name).schema, left_aliases
                 )
-                if index is not None:
-                    strategy = f"index nested-loop join via {index.name}"
-                elif equi and join.kind == "inner":
-                    strategy = "hash join on " + ", ".join(c for c, _ in equi)
+                if strategy == "index":
+                    how = f"index nested-loop join via {index.name}"
+                elif strategy == "hash":
+                    how = "hash join on " + ", ".join(c for c, _ in equi)
                 else:
-                    strategy = "nested-loop join"
+                    how = "nested-loop join"
                 lines.append(
                     f"  {join.kind} join {join.table.name} "
-                    f"[{join.table.alias}]: {strategy}"
+                    f"[{join.table.alias}]: {how}"
                 )
                 left_aliases.add(join.table.alias)
         if stmt.where is not None:
@@ -925,11 +948,8 @@ class StatementExecutor:
         schema: TableSchema,
         condition: Optional[ast.Expr],
     ) -> List[str]:
-        predicates = _analyze_predicates(
-            condition, table_ref.alias, schema, self.params
-        )
-        kind, index, low, high, include_high = choose_access_path(
-            schema, predicates
+        kind, index, low, high, include_high, pushdown = self._access_path(
+            table_ref, schema, condition
         )
         if kind == "lookup":
             return [
@@ -942,7 +962,6 @@ class StatementExecutor:
                 f"scan {schema.name} [{table_ref.alias}]: "
                 f"range via {index.name} {low!r} .. {bound} {high!r}"
             ]
-        pushdown = _build_pushdown(schema, predicates)
         if pushdown is not None:
             return [
                 f"scan {schema.name} [{table_ref.alias}]: full scan with "

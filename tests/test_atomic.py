@@ -1,9 +1,8 @@
 """Tests for repro-atomic (`repro-lint --atomic`): every RA rule catches
 its planted interleaving bug with a yield-site witness and stays quiet
 on the clean variant, the seeded-mutation guards prove the analyzer
-would have caught real bugs in core/, the analyzer-schema cache stamp
-invalidates stale summaries, parallel extraction is equivalent to
-serial, and the shipped tree is atomic-clean."""
+would have caught real bugs in core/, and the shipped tree is
+atomic-clean."""
 
 import json
 import os
@@ -13,14 +12,9 @@ from pathlib import Path
 import pytest
 
 from repro.lint import SourceModule, lint_sources
-from repro.lint.cache import ANALYZER_SCHEMA, SummaryCache
 from repro.lint.cli import main as lint_main
-from repro.lint.engine import load_sources
-from repro.lint.flow.analysis import FlowAnalysis
+from repro.lint.engine import build_index, load_sources
 from repro.lint.flow.atomic import ANALYZER_VERSION
-from repro.lint.flow.summary import extract_module_flow
-from repro.lint.index import ModuleSummary, ProjectIndex
-from repro.lint.parallel import _extract_one, extract_flows
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = str(REPO_ROOT / "src")
@@ -52,16 +46,7 @@ def src_sources():
 
 @pytest.fixture(scope="module")
 def src_atomic(src_sources):
-    summaries = {
-        s.module: ModuleSummary(s.module, s.tree)
-        for s in src_sources if s.tree is not None and not s.skip_file
-    }
-    flows = {
-        s.module: extract_module_flow(summaries[s.module], s.tree)
-        for s in src_sources if s.tree is not None and not s.skip_file
-    }
-    analysis = FlowAnalysis(ProjectIndex(summaries), flows, atomic=True)
-    return analysis.atomic
+    return build_index(src_sources, flow=True, atomic=True).flow.atomic
 
 
 def mutate(src_sources, edits):
@@ -514,11 +499,7 @@ class TestYieldSummaries:
             yield effects.Sleep(1)
             self._peer_lav[key] = base
     """))
-        summaries = {s.module: ModuleSummary(s.module, s.tree)
-                     for s in sources}
-        flows = {s.module: extract_module_flow(summaries[s.module], s.tree)
-                 for s in sources}
-        analysis = FlowAnalysis(ProjectIndex(summaries), flows, atomic=True)
+        analysis = build_index(sources, flow=True, atomic=True).flow
         points = analysis.atomic.yield_summary(
             ("repro.core.fixture", "Worker.probe"))
         assert len(points) == 1
@@ -545,81 +526,6 @@ class TestYieldSummaries:
 
 
 # ---------------------------------------------------------------------------
-# Cache schema stamp (satellite: analyzer upgrades invalidate warm caches)
-# ---------------------------------------------------------------------------
-
-
-class TestCacheSchema:
-    def test_schema_mismatch_starts_cold(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("def f():\n    return 1\n")
-        cache_file = tmp_path / "cache.json"
-
-        cache = SummaryCache(str(cache_file))
-        summary = ModuleSummary("mod", __import__("ast").parse(
-            target.read_text()))
-        flow = extract_module_flow(summary, __import__("ast").parse(
-            target.read_text()))
-        cache.store(str(target), summary, flow)
-        cache.save()
-
-        warm = SummaryCache(str(cache_file))
-        assert warm.lookup(str(target)) is not None
-
-        # Same file bytes, older analyzer stamp: must miss, not reuse.
-        data = json.loads(cache_file.read_text())
-        assert data["schema"] == ANALYZER_SCHEMA
-        data["schema"] = "1/0/repro-atomic/0/RL001"
-        cache_file.write_text(json.dumps(data))
-        stale = SummaryCache(str(cache_file))
-        assert stale.lookup(str(target)) is None
-
-    def test_schema_folds_in_rule_codes_and_analyzer(self):
-        assert ANALYZER_VERSION in ANALYZER_SCHEMA
-        for code in ("RA001", "RA005", "RF001", "RL001"):
-            assert code in ANALYZER_SCHEMA
-
-
-# ---------------------------------------------------------------------------
-# Parallel extraction (satellite: --jobs)
-# ---------------------------------------------------------------------------
-
-
-class TestParallelExtraction:
-    def test_worker_output_equals_inprocess_extraction(self, src_sources):
-        picked = [s for s in src_sources
-                  if s.module.startswith("repro.core")][:6]
-        for source in picked:
-            _path, summary_data, flow_data = _extract_one(
-                (source.path, source.module, source.text))
-            summary = ModuleSummary(source.module, source.tree)
-            flow = extract_module_flow(summary, source.tree)
-            assert summary_data == summary.to_dict()
-            assert flow_data == flow.to_dict()
-
-    def test_extract_flows_matches_serial(self, src_sources):
-        items = [(s.path, s.module, s.text)
-                 for s in src_sources
-                 if s.module.startswith("repro.core")][:8]
-        parallel = extract_flows(items, jobs=4)
-        serial = {path: (summary, flow)
-                  for path, summary, flow in map(_extract_one, items)}
-        assert parallel == serial
-
-    def test_jobs_cli_run_is_equivalent(self, src_sources):
-        serial = lint_sources(src_sources, flow=True, atomic=True)
-        parallel = lint_sources(src_sources, flow=True, atomic=True,
-                                jobs=4)
-        assert [str(f) for f in parallel.findings] == \
-            [str(f) for f in serial.findings]
-        assert parallel.files_checked == serial.files_checked
-
-    def test_syntax_error_returns_none(self):
-        path, summary, flow = _extract_one(("<x>", "x", "def broken(:"))
-        assert summary is None and flow is None
-
-
-# ---------------------------------------------------------------------------
 # CLI surface
 # ---------------------------------------------------------------------------
 
@@ -639,7 +545,7 @@ class TestCLI:
         assert "typestate" in out.lower() or "contract" in out.lower()
 
     def test_atomic_implies_flow_and_src_is_clean(self, capsys):
-        code = lint_main(["--atomic", "--no-baseline", SRC])
+        code = lint_main(["--atomic", SRC])
         out = capsys.readouterr().out
         assert code == 0, out
         assert "clean" in out
@@ -652,15 +558,12 @@ class TestCLI:
             def now():
                 return time.time()
         """))
-        code = lint_main(["--json", "--no-baseline", "--flow", "--atomic",
-                          str(bad)])
+        code = lint_main(["--json", "--flow", "--atomic", str(bad)])
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == "repro-lint-findings/2"
+        assert payload["schema"] == "repro-lint-findings/3"
         assert payload["analyzer"] == ANALYZER_VERSION
-        # Old fields are all still present.
-        for field in ("findings", "files_checked", "baselined",
-                      "suppressed"):
-            assert field in payload
+        assert set(payload) == {"schema", "analyzer", "findings",
+                                "files_checked", "suppressed"}
         for finding in payload["findings"]:
             assert finding["family"] in ("RL", "RF", "RA")
         assert code in (0, 1)

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.api import Database
+from repro.sql.executor import StatementExecutor
+from repro.sql.parser import parse
+from repro.sql.table import Table
 
 
 @pytest.fixture
@@ -112,3 +115,67 @@ class TestDmlPlans:
     def test_insert_plan(self, session):
         plan = plan_text(session, "INSERT INTO orders VALUES (1, 2, 'x', 3)")
         assert "INSERT 1 row(s)" in plan
+
+
+class _RecordingTable(Table):
+    """A real table handle that logs which access method the executor used."""
+
+    calls = None  # the shared log, set per provider
+
+    def lookup(self, index, key):
+        self.calls.append("lookup")
+        return (yield from super().lookup(index, key))
+
+    def index_range(self, index, low, high, include_high=False, limit=None):
+        self.calls.append("index_range")
+        return (yield from super().index_range(index, low, high, include_high, limit))
+
+    def scan(self, pushdown=None):
+        self.calls.append("scan" if pushdown is None else "scan+pushdown")
+        return (yield from super().scan(pushdown))
+
+
+# (statement, the access EXPLAIN must name, the Table calls execution must make:
+# first the base-table access, then what every join access is).
+_PLANNED = [
+    ("SELECT * FROM orders WHERE id = 5",
+     "point lookup via orders_pk", "lookup", None),
+    ("SELECT * FROM orders WHERE id > 1 AND id < 4",
+     "range via orders_pk", "index_range", None),
+    ("SELECT * FROM orders WHERE region = 'emea'",
+     "full scan with storage-side", "scan+pushdown", None),
+    ("SELECT * FROM orders",
+     ": full scan", "scan", None),
+    ("SELECT * FROM orders o JOIN customers c ON c.id = o.customer",
+     "index nested-loop join via customers_pk", "scan", "lookup"),
+    ("SELECT * FROM orders a JOIN orders b ON a.region = b.region",
+     "hash join on region", "scan", "scan"),
+    ("SELECT * FROM orders a JOIN orders b ON a.total < b.total",
+     ": nested-loop join", "scan", "scan"),
+]
+
+
+class TestPlanShownIsPlanExecuted:
+    @pytest.mark.parametrize("sql, named, base_call, join_call", _PLANNED)
+    def test_execution_uses_the_access_explain_names(
+            self, session, sql, named, base_call, join_call):
+        for i in range(6):
+            session.execute(
+                "INSERT INTO orders VALUES (?, ?, ?, ?)",
+                [i, i % 2, "emea" if i % 2 else "apac", i],
+            )
+            session.execute("INSERT INTO customers VALUES (?, ?)", [i, "n"])
+        assert named in plan_text(session, sql)
+
+        calls = []
+        txn = session.begin()
+
+        def provider(name):
+            table = _RecordingTable(session.catalog.table(name), txn, session.indexes)
+            table.calls = calls
+            return table
+
+        session.runner.run(StatementExecutor(provider).select(parse(sql)))
+        session.rollback()
+        assert calls[0] == base_call
+        assert set(calls[1:]) == ({join_call} if join_call else set())

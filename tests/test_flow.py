@@ -1,27 +1,17 @@
 """Tests for repro-flow (`repro-lint --flow`): the call graph links what
 it should, every RF rule catches its planted defect and stays quiet on
-the clean variant, the incremental cache round-trips, and the shipped
-tree is flow-clean."""
+the clean variant, and the shipped tree is flow-clean."""
 
 import json
 import os
-import subprocess
 import textwrap
 from pathlib import Path
 
 import pytest
 
 from repro.lint import SourceModule, lint_sources
-from repro.lint.cache import (
-    SummaryCache,
-    module_dependencies,
-    reverse_dependents,
-)
 from repro.lint.cli import main as lint_main
-from repro.lint.engine import load_sources
-from repro.lint.flow.analysis import FlowAnalysis
-from repro.lint.flow.summary import extract_module_flow
-from repro.lint.index import ModuleSummary, ProjectIndex
+from repro.lint.engine import build_index, load_sources
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = str(REPO_ROOT / "src")
@@ -46,15 +36,7 @@ def flow_codes(*pairs):
 
 
 def analysis_of(sources):
-    summaries = {
-        s.module: ModuleSummary(s.module, s.tree)
-        for s in sources if s.tree is not None and not s.skip_file
-    }
-    flows = {
-        s.module: extract_module_flow(summaries[s.module], s.tree)
-        for s in sources if s.tree is not None and not s.skip_file
-    }
-    return FlowAnalysis(ProjectIndex(summaries), flows)
+    return build_index(sources, flow=True).flow
 
 
 @pytest.fixture(scope="module")
@@ -92,11 +74,6 @@ class TestShippedTree:
     def test_flow_lint_clean_on_src(self, src_sources):
         result = lint_sources(src_sources, flow=True)
         assert result.findings == []
-
-    def test_baseline_is_empty(self):
-        data = json.loads(
-            (REPO_ROOT / ".repro-lint-baseline.json").read_text())
-        assert data["findings"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +415,7 @@ class TestRF005:
 
 
 # ---------------------------------------------------------------------------
-# Suppression / baseline integration
+# Suppression integration
 # ---------------------------------------------------------------------------
 
 
@@ -481,7 +458,7 @@ class TestIntegration:
 
 class TestCli:
     def test_flow_flag_clean_on_src(self, capsys):
-        code = lint_main(["--flow", "--no-baseline", SRC])
+        code = lint_main(["--flow", SRC])
         out = capsys.readouterr().out
         assert code == 0
         assert "clean" in out
@@ -508,123 +485,3 @@ class TestCli:
 
     def test_dump_callgraph_requires_flow(self, capsys):
         assert lint_main(["--dump-callgraph", SRC]) == 2
-
-
-# ---------------------------------------------------------------------------
-# Incremental cache / --changed
-# ---------------------------------------------------------------------------
-
-
-class TestIncremental:
-    def test_cache_roundtrip(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text(textwrap.dedent("""
-            from repro import effects
-            def read(space, key):
-                value = yield effects.Get(space, key)
-                return value
-        """))
-        cache = SummaryCache(str(tmp_path / "cache.json"))
-        assert cache.lookup(str(target)) is None
-        import ast as ast_mod
-        tree = ast_mod.parse(target.read_text())
-        summary = ModuleSummary("repro.mod", tree)
-        flow = extract_module_flow(summary, tree)
-        cache.store(str(target), summary, flow)
-        cache.save()
-
-        reloaded = SummaryCache(str(tmp_path / "cache.json"))
-        hit = reloaded.lookup(str(target))
-        assert hit is not None
-        summary2, flow2 = hit
-        assert summary2.module == "repro.mod"
-        assert "read" in flow2.functions
-        assert summary2.resolve_name("effects") is None or True
-
-        # Editing the file invalidates the entry.
-        target.write_text(target.read_text() + "\n# changed\n")
-        assert reloaded.lookup(str(target)) is None
-
-    def test_reverse_dependents(self):
-        sources = _modules(
-            ("repro.a", "from repro.b import f\ndef g():\n    return f()"),
-            ("repro.b", "def f():\n    return 1"),
-            ("repro.c", "def h():\n    return 2"),
-        )
-        summaries = {
-            s.module: ModuleSummary(s.module, s.tree) for s in sources
-        }
-        closure = reverse_dependents({"repro.b"}, summaries)
-        assert closure == {"repro.a", "repro.b"}
-        assert "repro.b" in module_dependencies(summaries["repro.a"])
-
-    def test_changed_lints_only_changed_files(self, tmp_path):
-        repo = tmp_path / "proj"
-        pkg = repo / "src" / "repro"
-        pkg.mkdir(parents=True)
-        (pkg / "__init__.py").write_text("")
-        clean = "def helper():\n    return 1\n"
-        (pkg / "util.py").write_text(clean)
-        (pkg / "other.py").write_text("def other():\n    return 2\n")
-        env = {**os.environ,
-               "GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@t",
-               "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@t"}
-
-        def git(*argv):
-            subprocess.run(["git", *argv], cwd=repo, check=True,
-                           capture_output=True, env=env)
-
-        git("init", "-q")
-        git("add", "-A")
-        git("commit", "-qm", "seed")
-
-        # Introduce a determinism defect in ONE file.
-        (pkg / "util.py").write_text(
-            "import time\n\ndef helper():\n    return time.time()\n")
-        # And an (uncommitted-undetectable) defect would be caught too --
-        # but other.py is unchanged, so it must come from the cache.
-        cwd = os.getcwd()
-        os.chdir(repo)
-        try:
-            code = lint_main([
-                "--changed", "--no-baseline",
-                "--cache", str(repo / "cache.json"), "src",
-            ])
-        finally:
-            os.chdir(cwd)
-        # util.py maps to module repro.util -- not a simulated-time
-        # package member, so RL003 stays quiet; the point here is the
-        # plumbing: only the changed file is linted and exit is clean.
-        assert code == 0
-        assert (repo / "cache.json").exists()
-
-    def test_changed_reports_defect_in_changed_sim_file(self, tmp_path):
-        repo = tmp_path / "proj"
-        pkg = repo / "src" / "repro" / "core"
-        pkg.mkdir(parents=True)
-        (repo / "src" / "repro" / "__init__.py").write_text("")
-        (pkg / "__init__.py").write_text("")
-        (pkg / "clocked.py").write_text("def now():\n    return 0.0\n")
-        env = {**os.environ,
-               "GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@t",
-               "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@t"}
-
-        def git(*argv):
-            subprocess.run(["git", *argv], cwd=repo, check=True,
-                           capture_output=True, env=env)
-
-        git("init", "-q")
-        git("add", "-A")
-        git("commit", "-qm", "seed")
-        (pkg / "clocked.py").write_text(
-            "import time\n\ndef now():\n    return time.time()\n")
-        cwd = os.getcwd()
-        os.chdir(repo)
-        try:
-            code = lint_main([
-                "--changed", "--no-baseline",
-                "--cache", str(repo / "cache.json"), "src",
-            ])
-        finally:
-            os.chdir(cwd)
-        assert code == 1  # RL003 in the changed file

@@ -1,6 +1,6 @@
 """Tests for repro-lint: every rule fires on a bad fixture, stays quiet
 on the good variant, and honours inline suppression; plus engine
-behaviour (baseline, skip-file, CLI) and the seeded-mutation check that
+behaviour (skip-file, CLI) and the seeded-mutation check that
 guards the linter itself against regressions."""
 
 import json
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import Baseline, SourceModule, lint_source, lint_sources
+from repro.lint import SourceModule, lint_source
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import module_name_for
 
@@ -845,34 +845,6 @@ class TestEngine:
             "repro.core.transaction"
         assert module_name_for("src/repro/sim/__init__.py") == "repro.sim"
 
-    def test_baseline_filters_and_counts(self):
-        source = SourceModule(
-            "fx.py", "repro.core.fixture",
-            "def f(x, acc=[]):\n    acc.append(x)\n",
-        )
-        raw = lint_sources([source])
-        assert [f.rule for f in raw.findings] == ["RL007"]
-        baseline = Baseline.from_findings(raw.findings)
-        filtered = lint_sources([source], baseline=baseline)
-        assert filtered.findings == []
-        assert filtered.baselined == 1
-
-    def test_baseline_roundtrip_is_line_number_independent(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        source = SourceModule(
-            "fx.py", "repro.core.fixture",
-            "def f(x, acc=[]):\n    acc.append(x)\n",
-        )
-        raw = lint_sources([source])
-        Baseline.from_findings(raw.findings).save(str(path))
-        moved = SourceModule(
-            "fx.py", "repro.core.fixture",
-            "import os\n\n\ndef f(x, acc=[]):\n    acc.append(x)\n",
-        )
-        result = lint_sources([moved], baseline=Baseline.load(str(path)))
-        assert result.findings == []
-        assert result.baselined == 1
-
 
 # ---------------------------------------------------------------------------
 # CLI
@@ -910,14 +882,24 @@ class TestCli:
         assert payload["findings"][0]["rule"] == "RL007"
         assert payload["files_checked"] == 1
 
-    def test_write_baseline_then_clean(self, tmp_path, capsys, monkeypatch):
+    def test_overlapping_paths_lint_each_file_once(self, tmp_path, capsys,
+                                                   monkeypatch):
         monkeypatch.chdir(tmp_path)
         bad = self._write_fixture(tmp_path)
-        assert lint_main(["--write-baseline", str(bad)]) == 0
-        assert (tmp_path / ".repro-lint-baseline.json").exists()
-        assert lint_main([str(bad)]) == 0
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
+        assert lint_main(["--json", "repro", str(bad), "repro/core"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert [f["rule"] for f in payload["findings"]] == ["RL007"]
+        assert payload["files_checked"] == 1
+
+    @pytest.mark.parametrize("flag", [
+        ["--jobs", "2"], ["--changed"], ["--cache", "c.json"],
+        ["--baseline", "b.json"], ["--no-baseline"], ["--write-baseline"],
+    ])
+    def test_removed_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            lint_main(flag + ["src"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_explain_known_rule(self, capsys):
         assert lint_main(["--explain", "RL001"]) == 0

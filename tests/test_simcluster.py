@@ -77,11 +77,13 @@ class TestSimulatedRun:
         assert a.run().total_committed != b.run().total_committed
 
     def test_more_pns_more_throughput(self):
-        one = SimulatedTell(tiny_config(scale=TpccScale.small(16)))
+        # 16 warehouses keep the 16 terminals of the 4-PN run uncontended;
+        # tiny rows keep the two loads cheap.
+        one = SimulatedTell(tiny_config(scale=TpccScale.tiny(16)))
         one.load()
         tpmc_one = one.run().tpmc
         four = SimulatedTell(
-            tiny_config(processing_nodes=4, scale=TpccScale.small(16))
+            tiny_config(processing_nodes=4, scale=TpccScale.tiny(16))
         )
         four.load()
         tpmc_four = four.run().tpmc
