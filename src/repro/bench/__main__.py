@@ -11,6 +11,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 import time
@@ -163,6 +164,15 @@ EXPERIMENTS = {
 }
 
 
+#: ``--suite NAME`` -> the run and render functions of ``repro.bench.NAME``,
+#: looked up on demand because the suites import repro.san / repro.elastic.
+SUITES = {
+    "scale": ("run_scale_suite", "render_scale_curve"),
+    "isolation": ("run_isolation_suite", "render_isolation_table"),
+    "elastic": ("run_elastic_suite", "render_elastic_table"),
+}
+
+
 def _write_snapshots(directory, experiment, snapshots) -> int:
     """Write each ``(label, snapshot)`` pair next to the printed results
     as ``<experiment>-<NN>-<label>.json`` (+ Prometheus text)."""
@@ -187,21 +197,16 @@ def main(argv=None) -> int:
                         help=f"one or more of: {', '.join(EXPERIMENTS)}")
     parser.add_argument("--list", action="store_true",
                         help="list available experiments")
-    parser.add_argument("--suite", choices=("scale", "isolation", "elastic"),
+    parser.add_argument("--suite", choices=tuple(SUITES),
                         help="run a benchmark suite instead of the paper "
-                             "experiments (scale: 16/64/128-node + "
-                             "100-warehouse deployments; isolation: the "
-                             "same skew workload under SI/WSI/SSI; "
-                             "elastic: live SN double/halve cycles with "
-                             "before/during/after throughput; all "
-                             "appended to the perf report)")
+                             "experiments and print its table (scale: "
+                             "16/64/128-node + 100-warehouse deployments; "
+                             "isolation: the same skew workload under "
+                             "SI/WSI/SSI; elastic: live SN double/halve "
+                             "cycles with before/during/after throughput)")
     parser.add_argument("--smoke", action="store_true",
-                        help="with --suite: run only the smoke-sized "
-                             "configuration (the CI gate)")
-    parser.add_argument("--report", default="BENCH_perf.json",
-                        help="with --suite: perf report to merge results "
-                             "into (default: BENCH_perf.json); '-' skips "
-                             "the write")
+                        help="with --suite scale|elastic: run only the "
+                             "smoke-sized configuration")
     parser.add_argument("--profile", choices=("smoke", "quick", "full"),
                         help="sizing profile (default: REPRO_BENCH_PROFILE "
                              "or 'quick')")
@@ -220,45 +225,15 @@ def main(argv=None) -> int:
                              "DIR (default: obs-snapshots/)")
     args = parser.parse_args(argv)
 
-    if args.suite == "scale":
-        from repro.bench.scale import (merge_scale_report, render_scale_curve,
-                                       run_scale_suite)
-
+    if args.suite:
         if args.sanitize:
             os.environ["REPRO_SANITIZE"] = "1"
-        points = run_scale_suite(smoke=args.smoke)
-        print(render_scale_curve(points))
-        if args.report != "-":
-            merge_scale_report(args.report, points)
-            print(f"[scale points merged into {args.report}]")
-        return 0
-
-    if args.suite == "isolation":
-        from repro.bench.isolation import (merge_isolation_report,
-                                           render_isolation_table,
-                                           run_isolation_suite)
-
-        if args.sanitize:
-            os.environ["REPRO_SANITIZE"] = "1"
-        rows = run_isolation_suite()
-        print(render_isolation_table(rows))
-        if args.report != "-":
-            merge_isolation_report(args.report, rows)
-            print(f"[isolation rows merged into {args.report}]")
-        return 0
-
-    if args.suite == "elastic":
-        from repro.bench.elastic import (merge_elastic_report,
-                                         render_elastic_table,
-                                         run_elastic_suite)
-
-        if args.sanitize:
-            os.environ["REPRO_SANITIZE"] = "1"
-        points = run_elastic_suite(smoke=args.smoke)
-        print(render_elastic_table(points))
-        if args.report != "-":
-            merge_elastic_report(args.report, points)
-            print(f"[elastic points merged into {args.report}]")
+        module = importlib.import_module(f"repro.bench.{args.suite}")
+        run, render = (getattr(module, name) for name in SUITES[args.suite])
+        # The isolation suite has one size; the others take --smoke.
+        results = (run() if args.suite == "isolation"
+                   else run(smoke=args.smoke))
+        print(render(results))
         return 0
 
     if args.list or not args.experiments:

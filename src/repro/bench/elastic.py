@@ -19,8 +19,7 @@ The ``autoscale16`` point replaces the fixed schedule with the
 deterministic :class:`repro.elastic.Autoscaler` driving the same
 coordinator, and records its decision log.
 
-Use via ``python -m repro.bench --suite elastic`` (appends an
-``elastic`` section to ``BENCH_perf.json``) or
+Use via ``python -m repro.bench --suite elastic`` (prints the table) or
 :func:`run_elastic_suite` directly.
 """
 
@@ -28,10 +27,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.bench.config import TellConfig
 from repro.bench.metrics import TxnMetrics
@@ -236,65 +234,25 @@ def _cycle(point: Dict[str, Any]) -> str:
             f"{point['sns_final']} SNs")
 
 
-def run_elastic_suite(
-    labels: Optional[List[str]] = None,
-    smoke: bool = False,
-    verbose: bool = True,
-) -> List[Dict[str, Any]]:
-    """Run the selected points (default: all, or the smoke subset)."""
-    points = elastic_points()
-    known = [point["label"] for point in points]
-    selected = labels or (list(SMOKE_LABELS) if smoke else known)
-    for label in selected:
-        if label not in known:
-            raise ValueError(
-                f"unknown elastic point {label!r} (known: {', '.join(known)})"
-            )
+def run_elastic_suite(smoke: bool = False) -> List[Dict[str, Any]]:
+    """Run every point (``smoke``: only the smoke subset), logging each
+    to stderr as it finishes."""
     results = []
-    for point in points:
-        if point["label"] not in selected:
+    for point in elastic_points():
+        if smoke and point["label"] not in SMOKE_LABELS:
             continue
         result = run_elastic_point(point)
         results.append(result)
-        if verbose:
-            phases = result["phases"]
-            print(
-                f"  {result['label']:12s} {_cycle(result):16s} "
-                f"{phases['before']['txns_per_s']:>9,.0f} / "
-                f"{phases['during']['txns_per_s']:>9,.0f} / "
-                f"{phases['after']['txns_per_s']:>9,.0f} txns/s "
-                f"({result['wall_s']:.1f}s wall)",
-                file=sys.stderr,
-            )
+        phases = result["phases"]
+        print(
+            f"  {result['label']:12s} {_cycle(result):16s} "
+            f"{phases['before']['txns_per_s']:>9,.0f} / "
+            f"{phases['during']['txns_per_s']:>9,.0f} / "
+            f"{phases['after']['txns_per_s']:>9,.0f} txns/s "
+            f"({result['wall_s']:.1f}s wall)",
+            file=sys.stderr,
+        )
     return results
-
-
-def merge_elastic_report(path: str, points: List[Dict[str, Any]]) -> None:
-    """Merge ``points`` into the ``elastic`` section of ``path``.
-
-    The rest of the report (``benchmarks``, ``scale``, ``isolation``)
-    is preserved; points are replaced by label so a smoke run refreshes
-    ``smoke`` without clobbering the full suite.
-    """
-    report: Dict[str, Any] = {}
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-    section = report.setdefault("elastic", {})
-    existing = {point["label"]: point for point in section.get("points", [])}
-    for point in points:
-        existing[point["label"]] = point
-    order = [point["label"] for point in elastic_points()]
-    section["points"] = sorted(
-        existing.values(),
-        key=lambda point: (
-            order.index(point["label"])
-            if point["label"] in order else len(order)
-        ),
-    )
-    section["created_unix"] = int(time.time())
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def render_elastic_table(points: List[Dict[str, Any]]) -> str:

@@ -20,9 +20,6 @@ and the anomaly counts are exact:
 
 from __future__ import annotations
 
-import json
-import os
-import time
 from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from repro.errors import TellError, TransactionAborted
@@ -138,7 +135,7 @@ def run_isolation_suite(
 
 
 def render_isolation_table(rows: List[Dict[str, Any]]) -> str:
-    """Fixed-width comparison table for the terminal/report."""
+    """Fixed-width comparison table for the terminal."""
     lines = [
         "Isolation protocol trade-off (skew-heavy workload, "
         "simulated fabric):",
@@ -154,26 +151,3 @@ def render_isolation_table(rows: List[Dict[str, Any]]) -> str:
             f"{row['validations']:11d}"
         )
     return "\n".join(lines)
-
-
-def merge_isolation_report(path: str, rows: List[Dict[str, Any]]) -> None:
-    """Merge ``rows`` into the ``isolation`` section of ``path``,
-    keyed by mode; the rest of the report is preserved (same contract
-    as :func:`repro.bench.scale.merge_scale_report`)."""
-    report: Dict[str, Any] = {}
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-    section = report.setdefault("isolation", {})
-    existing = {row["mode"]: row for row in section.get("modes", [])}
-    for row in rows:
-        existing[row["mode"]] = row
-    section["modes"] = sorted(
-        existing.values(),
-        key=lambda row: (
-            MODES.index(row["mode"]) if row["mode"] in MODES else len(MODES)
-        ),
-    )
-    section["created_unix"] = int(time.time())
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(report, indent=2, sort_keys=True) + "\n")

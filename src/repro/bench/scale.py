@@ -12,17 +12,15 @@ affordable large experiments are, the second is the science.
 Every point reports the run's metrics digest, pinned by the same
 determinism contract as ``tpcc_e2e``.
 
-Use via ``python -m repro.bench --suite scale`` (appends a ``scale``
-section to ``BENCH_perf.json``) or :func:`run_scale_suite` directly.
+Use via ``python -m repro.bench --suite scale`` (prints the curve) or
+:func:`run_scale_suite` directly.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import sys
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.bench.config import TellConfig
 from repro.workloads.tpcc.params import TpccScale
@@ -59,12 +57,12 @@ def _point(
     return {"label": label, "config": config}
 
 
-#: The suite, smallest first.  ``smoke16`` is the CI gate
-#: (``tools/perf_guard.py --scale-smoke``): small enough for every PR,
-#: digest-pinned like ``tpcc_e2e``.  The node-count points share the
-#: paper's 1:3 PN:SN ratio; ``wh100`` holds the deployment at 32 nodes
-#: and scales the *database* instead (100 warehouses, reduced rows per
-#: district so population stays affordable).
+#: The suite, smallest first.  ``smoke16`` is small enough for every PR
+#: and digest-pinned, like ``tpcc_e2e``, by ``tests/test_determinism.py``.
+#: The node-count points share the paper's 1:3 PN:SN ratio; ``wh100``
+#: holds the deployment at 32 nodes and scales the *database* instead
+#: (100 warehouses, reduced rows per district so population stays
+#: affordable).
 def scale_points() -> List[Dict[str, Any]]:
     return [
         _point("smoke16", 4, 12, warehouses=4, duration_us=30_000.0,
@@ -107,68 +105,27 @@ def run_scale_point(label: str, config: TellConfig) -> Dict[str, Any]:
     }
 
 
-def run_scale_suite(
-    labels: Optional[List[str]] = None,
-    smoke: bool = False,
-    verbose: bool = True,
-) -> List[Dict[str, Any]]:
-    """Run the selected points (default: all, or the smoke subset)."""
-    points = scale_points()
-    known = [point["label"] for point in points]
-    selected = labels or (list(SMOKE_LABELS) if smoke else known)
-    for label in selected:
-        if label not in known:
-            raise ValueError(
-                f"unknown scale point {label!r} (known: {', '.join(known)})"
-            )
+def run_scale_suite(smoke: bool = False) -> List[Dict[str, Any]]:
+    """Run every point (``smoke``: only the smoke subset), logging each
+    to stderr as it finishes."""
     results = []
-    for point in points:
-        if point["label"] not in selected:
+    for point in scale_points():
+        if smoke and point["label"] not in SMOKE_LABELS:
             continue
         result = run_scale_point(point["label"], point["config"])
         results.append(result)
-        if verbose:
-            print(
-                f"  {result['label']:12s} {result['nodes']:4d} nodes "
-                f"{result['events_per_s']:>12,.0f} events/s "
-                f"{result['txns_per_s']:>8,.1f} txns/s "
-                f"({result['wall_s']:.1f}s wall)",
-                file=sys.stderr,
-            )
+        print(
+            f"  {result['label']:12s} {result['nodes']:4d} nodes "
+            f"{result['events_per_s']:>12,.0f} events/s "
+            f"{result['txns_per_s']:>8,.1f} txns/s "
+            f"({result['wall_s']:.1f}s wall)",
+            file=sys.stderr,
+        )
     return results
 
 
-def merge_scale_report(path: str, points: List[Dict[str, Any]]) -> None:
-    """Merge ``points`` into the ``scale`` section of ``path``.
-
-    The rest of the report (the ``benchmarks`` section written by
-    :mod:`repro.bench.perfsuite`) is preserved; points are replaced by
-    label so a smoke run refreshes ``smoke16`` without clobbering the
-    full curve.
-    """
-    report: Dict[str, Any] = {}
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-    section = report.setdefault("scale", {})
-    existing = {point["label"]: point for point in section.get("points", [])}
-    for point in points:
-        existing[point["label"]] = point
-    order = [point["label"] for point in scale_points()]
-    section["points"] = sorted(
-        existing.values(),
-        key=lambda point: (
-            order.index(point["label"])
-            if point["label"] in order else len(order)
-        ),
-    )
-    section["created_unix"] = int(time.time())
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-
 def render_scale_curve(points: List[Dict[str, Any]]) -> str:
-    """ASCII events/s-vs-deployment-size curve for the report/terminal."""
+    """ASCII events/s-vs-deployment-size curve for the terminal."""
     rows = sorted(points, key=lambda point: point["nodes"])
     if not rows:
         return "(no scale points recorded)"

@@ -12,8 +12,8 @@ report -- is identical for every protocol; the variants differ only in
 
 :class:`SIProtocol` is the paper's protocol: no tracking, an empty
 validate stage.  Its effect sequence is byte-identical to the historical
-monolithic ``Transaction.commit`` -- ``tools/perf_guard.py`` pins that
-with the benchmark digest.  The read-validating variants live in
+monolithic ``Transaction.commit`` -- ``tests/test_determinism.py`` pins
+that with the benchmark digest.  The read-validating variants live in
 :mod:`repro.core.isolation.validated`.
 
 Protocol instances are stateless and shared across processing nodes;

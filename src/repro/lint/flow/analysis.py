@@ -7,8 +7,9 @@ Four classifications drive the RF rules:
   generator resolved as a ``spawn(...)``/``run_direct(...)`` argument.
   RF001 reports wall-clock / unseeded-RNG facts inside this set.
 * **hot-path-reachable** -- forward closure from the entry points
-  ``tools/perf_guard.py`` drives (the TPC-C deployment and the scale
-  suite).  RF005 reports per-call allocation facts inside this set.
+  the pinned-digest tests and the performance ledger drive (the TPC-C
+  deployment and the scale suite).  RF005 reports per-call allocation
+  facts inside this set.
 * **protocol-mutation tainted** -- reverse closure from every function
   with a recorded protocol-mutation fact; **obs tainted** -- reverse
   closure from the repro.obs modules.  RF004 reports sanitizer observer
@@ -34,8 +35,9 @@ from repro.lint.rules import SIMULATED_TIME_PACKAGES
 #: Where dispatcher registrations (kind tables, classify ladders) live.
 DISPATCH_PACKAGES: Tuple[str, ...] = ("repro.dispatch",)
 
-#: Entry points guarded by tools/perf_guard.py: the end-to-end TPC-C
-#: deployment and the scale suite both run through these.
+#: Entry points of the runs tests/test_determinism.py pins and
+#: benchmarks/ledger measures: the end-to-end TPC-C deployment and the
+#: scale suite both run through these.
 HOT_PATH_ROOTS: Tuple[Node, ...] = (
     ("repro.bench.simcluster", "SimulatedTell.run"),
     ("repro.bench.simcluster", "SimulatedTell.load"),

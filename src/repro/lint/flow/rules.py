@@ -237,13 +237,14 @@ class RF005HotPathAllocation(FlowRule):
     code = "RF005"
     title = "per-call allocation on a perf-guarded hot path"
     explain = """\
-`tools/perf_guard.py` pins the throughput of the TPC-C deployment and
-the scale suite; allocations that happen once per simulated request add
-up to real regressions there.  RF005 computes the forward closure of
-the guarded entry points (`SimulatedTell.run`/`.load`,
-`run_scale_point`) and reports constant-argument `yield Delay(...)`
-constructions and all-constant list/dict literals rebuilt inside loops,
-with the chain from the guarded entry point.
+The performance ledger (`benchmarks/ledger`) measures the host cost of
+the simulated TPC-C deployment, the path the scale suite runs too;
+allocations that happen once per simulated request add up to real
+regressions there.  RF005 computes the forward closure of the guarded
+entry points (`SimulatedTell.run`/`.load`, `run_scale_point`) and
+reports constant-argument `yield Delay(...)` constructions and
+all-constant list/dict literals rebuilt inside loops, with the chain
+from the guarded entry point.
 
 Fix by hoisting the constant to module level (kernel `Delay` objects
 are immutable and reusable).

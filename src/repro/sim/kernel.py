@@ -18,7 +18,7 @@ The event loop is the hottest code in the repository -- every simulated
 request is at least one heap operation plus one generator resume -- so
 :meth:`Simulator._drain` binds its dependencies to locals and dispatches
 on exact yield types.  Optimizations here must be behaviour-invariant;
-``benchmarks/perf`` and the determinism-digest test enforce that.
+the digests pinned in ``tests/test_determinism.py`` enforce that.
 """
 
 from __future__ import annotations

@@ -656,8 +656,10 @@ class StatementExecutor:
         strategy, index, equi, residual = self._join_plan(
             join, schema, {scope_alias for scope_alias, _ in scopes}
         )
+        if not left_rows:
+            return []  # inner and left joins alike produce nothing
         out: List[Row] = []
-        if strategy == "index" and left_rows:
+        if strategy == "index":
             # Index nested-loop join.
             order = {column: position for position, column in enumerate(index.columns)}
             ordered = sorted(equi, key=lambda pair: order[pair[0]])
@@ -689,8 +691,7 @@ class StatementExecutor:
             self._env_from(alias, schema, rid, row) for rid, row in inner_pairs
         ]
         if strategy != "loop" and join.kind == "inner":
-            # Hash join on the equi columns (also what an index join with
-            # no left rows falls through to).
+            # Hash join on the equi columns.
             buckets: Dict[Tuple, List[Row]] = {}
             for inner in inner_rows:
                 key = tuple(inner[f"{alias}.{column}"] for column, _ in equi)

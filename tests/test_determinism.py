@@ -1,45 +1,57 @@
-"""Determinism regression: same seed, same config => identical metrics.
+"""Determinism regression: same seed, same config => the recorded metrics.
 
 The simulation stack must be bit-for-bit reproducible: the event kernel
 tie-breaks by insertion order, partitioning hashes are PYTHONHASHSEED-
 independent, and all randomness flows from seeded ``random.Random``
 instances.  Performance work on the hot paths is only admissible when it
-preserves this property, so this test pins it with the metrics digest
-(which covers every raw measurement: per-type commit/conflict/abort
-counts, the measured window, and the full latency series).
+preserves this property, so these tests pin two runs to the digests
+recorded for them (a digest covers every raw measurement: per-type
+commit/conflict/abort counts, the measured window, and the full latency
+series).
 """
 
+import pytest
+
 from repro.bench.config import TellConfig, TpccScale
+from repro.bench.scale import scale_points
 from repro.bench.simcluster import run_tell_experiment
 
 
-def _small_config(seed: int) -> TellConfig:
+def _config(seed: int, threads_per_pn: int = 4,
+            duration_us: float = 40_000.0) -> TellConfig:
     return TellConfig(
         processing_nodes=2,
         storage_nodes=3,
-        threads_per_pn=4,
+        threads_per_pn=threads_per_pn,
         scale=TpccScale.small(2),
-        duration_us=40_000.0,
-        warmup_us=4_000.0,
+        duration_us=duration_us,
+        warmup_us=duration_us / 10,
         seed=seed,
     )
 
 
-def test_same_seed_identical_digest():
-    first = run_tell_experiment(_small_config(seed=7))
-    second = run_tell_experiment(_small_config(seed=7))
-    assert first.total_finished > 0
-    assert first.digest() == second.digest()
-    # The digest pins these derived figures too; assert a few directly so
-    # a failure names the quantity that diverged.
-    assert first.tpmc == second.tpmc
-    assert first.abort_rate == second.abort_rate
-    assert first.latency().p99_us == second.latency().p99_us
+# Recorded under CPython 3.11.  A digest that moves is a change to the
+# *simulated* system, never a speed-up (docs/performance.md): fix the
+# change, or, for an intended model change, re-record the constant in
+# the same commit and say so.
+@pytest.mark.parametrize("config, pinned", [
+    # also the ledger's tpcc_contended workload at 200 simulated ms
+    pytest.param(
+        _config(seed=1, threads_per_pn=8, duration_us=200_000.0),
+        "d24b0c5500c73a8f44b62489ec4092379ffaff3ac8371bd520c0118725af9aa4",
+        id="tpcc_e2e"),
+    pytest.param(
+        scale_points()[0]["config"],
+        "b34eec05c76d77d5072ae5513a56343c0fa74897d9d4f455c065ccf6b79e2784",
+        id="smoke16"),
+])
+def test_pinned_digest(config, pinned):
+    assert run_tell_experiment(config).digest() == pinned
 
 
 def test_different_seed_diverges():
     # Not a formal requirement, but if two different seeds collide the
     # digest is almost certainly not covering the measurements.
-    first = run_tell_experiment(_small_config(seed=7))
-    second = run_tell_experiment(_small_config(seed=8))
+    first = run_tell_experiment(_config(seed=7))
+    second = run_tell_experiment(_config(seed=8))
     assert first.digest() != second.digest()

@@ -148,6 +148,10 @@ _PLANNED = [
      ": full scan", "scan", None),
     ("SELECT * FROM orders o JOIN customers c ON c.id = o.customer",
      "index nested-loop join via customers_pk", "scan", "lookup"),
+    # no left rows: the inner table is not touched at all
+    ("SELECT * FROM orders o JOIN customers c ON c.id = o.customer"
+     " WHERE o.id = 99",
+     "index nested-loop join via customers_pk", "lookup", None),
     ("SELECT * FROM orders a JOIN orders b ON a.region = b.region",
      "hash join on region", "scan", "scan"),
     ("SELECT * FROM orders a JOIN orders b ON a.total < b.total",

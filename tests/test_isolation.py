@@ -8,8 +8,6 @@ surface (mode gauge, validation counters, the ``validate`` span phase),
 and the ``--suite isolation`` bench harness.
 """
 
-import json
-
 import pytest
 
 import repro
@@ -563,28 +561,10 @@ class TestIsolationBench:
         assert wsi["validation_aborts"] > 0
         assert wsi["committed"] < si["committed"]
 
-    def test_merge_report_preserves_and_replaces(self, tmp_path):
-        from repro.bench.isolation import merge_isolation_report
-
-        path = tmp_path / "perf.json"
-        path.write_text(json.dumps({"scale": {"points": []}}))
-        merge_isolation_report(str(path), [
-            {"mode": "si", "committed": 10},
-            {"mode": "wsi", "committed": 7},
-        ])
-        merge_isolation_report(str(path), [{"mode": "wsi", "committed": 8}])
-        report = json.loads(path.read_text())
-        assert report["scale"] == {"points": []}  # untouched
-        by_mode = {r["mode"]: r for r in report["isolation"]["modes"]}
-        assert by_mode["si"]["committed"] == 10
-        assert by_mode["wsi"]["committed"] == 8
-        assert [r["mode"] for r in report["isolation"]["modes"]] == \
-            ["si", "wsi"]
-
-    def test_cli_suite_runs_without_report(self, capsys):
+    def test_cli_suite_prints_its_table(self, capsys):
         from repro.bench.__main__ import main
 
-        assert main(["--suite", "isolation", "--report", "-"]) == 0
+        assert main(["--suite", "isolation"]) == 0
         out = capsys.readouterr().out
         assert "Isolation protocol trade-off" in out
         for mode in ("si", "wsi", "ssi"):
