@@ -84,13 +84,10 @@ class Database:
 
         if not (self.config.observability or obs_module.obs_enabled()):
             return None
-        from repro.obs import collect
+        from repro.obs.collect import watch_deployment
 
         hub = obs_module.Observability()
-        collect.watch_storage_cluster(hub.registry, self.cluster)
-        for manager in self.commit_managers:
-            collect.watch_commit_manager(hub.registry, manager)
-        collect.watch_topology(hub.registry, self.cluster.topology)
+        watch_deployment(hub, self)
         return hub
 
     # -- lifecycle ----------------------------------------------------------------------
@@ -149,10 +146,7 @@ class Database:
         self.processing_nodes[pn_id] = pn
         self._runners[pn_id] = DirectRunner(router)
         if self.obs is not None:
-            from repro.obs import collect
-
-            pn.obs = self.obs
-            collect.watch_processing_node(self.obs.registry, pn)
+            self.obs.adopt(pn)
         return pn
 
     def remove_processing_node(self, pn_id: int) -> None:
@@ -228,12 +222,6 @@ class Database:
         for runner in self._runners.values():
             if runner.router.commit_manager is failed:
                 runner.router.commit_manager = replacement
-        if self.obs is not None:
-            from repro.obs import collect
-
-            # The replacement's collector registers after the failed
-            # manager's, so its values win for the shared cm label.
-            collect.watch_commit_manager(self.obs.registry, replacement)
         return replacement
 
     def crash_processing_node(self, pn_id: int) -> List[int]:
@@ -259,9 +247,7 @@ class Database:
         pn = self.processing_nodes[pn_id]
         indexes = IndexManager()
         if self.obs is not None:
-            from repro.obs import collect
-
-            collect.watch_index_manager(self.obs.registry, indexes, pn_id)
+            self.obs.adopt(pn, indexes)
         return Session(pn, self._runners[pn_id], indexes)
 
     # -- maintenance ----------------------------------------------------------------------

@@ -118,10 +118,7 @@ class BaselineEngine:
         self.mix: TpccMix = MIXES[config.mix]
         self.interceptors = list(interceptors)
         if self.interceptors:
-            attach_all(
-                self.interceptors,
-                DispatchEnv(sim=self.sim, metrics=self.metrics),
-            )
+            attach_all(self.interceptors, DispatchEnv(sim=self.sim))
 
     def execute(self, work: TxnWork) -> Generator:
         """Simulate one transaction; returns 'committed' or 'conflict'."""

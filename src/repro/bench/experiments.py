@@ -114,9 +114,10 @@ def run_tell(config: TellConfig) -> TxnMetrics:
 def run_phase_breakdown(profile: Optional[BenchProfile] = None,
                         **overrides: Any) -> dict:
     """One TPC-C run with observability forced on; returns the
-    ``repro-obs/1`` snapshot whose ``phases`` section is the paper's
-    Table-4 shape (snapshot / read / write / commit per transaction
-    type).  Deterministic for a fixed seed."""
+    ``repro-obs/2`` snapshot whose ``repro_txn_us`` /
+    ``repro_txn_phase_us`` histograms :func:`repro.obs.phase_table_rows`
+    renders into the paper's Table-4 shape (snapshot / read / write /
+    commit per transaction type).  Deterministic for a fixed seed."""
     profile = profile or bench_profile()
     config = tell_config(profile, observability=True, **overrides)
     metrics = run_tell(config)

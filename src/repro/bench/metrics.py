@@ -78,13 +78,10 @@ class TxnMetrics:
         self.user_aborts: Dict[str, int] = {}
         self.latencies_us: Dict[str, List[float]] = {}
         self.measured_time_us: float = 0.0
-        #: Per-request-class dispatch trace, attached by
-        #: :class:`repro.dispatch.TraceInterceptor` when one is installed.
-        #: Deliberately outside :meth:`digest` -- tracing is observational
-        #: and must not change the behaviour fingerprint.
-        self.request_trace: Optional[object] = None
-        #: ``repro-obs/1`` snapshot, attached by observability-enabled
-        #: deployments when the run finishes.  Also outside the digest.
+        #: ``repro-obs/2`` snapshot, attached by observability-enabled
+        #: deployments when the run finishes.  Deliberately outside
+        #: :meth:`digest` -- telemetry is observational and must not
+        #: change the behaviour fingerprint.
         self.obs_snapshot: Optional[dict] = None
 
     def record(
@@ -184,15 +181,6 @@ class TxnMetrics:
         }
         encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
-
-    def trace_json(self, indent: int = 2) -> Optional[str]:
-        """JSON dump of the dispatch trace (``repro-dispatch-trace/1``
-        schema, see ``docs/dispatch.md``), or ``None`` when the run was
-        not traced."""
-        trace = self.request_trace
-        if trace is None:
-            return None
-        return trace.dump_json(indent=indent)  # type: ignore[attr-defined]
 
     def summary(self) -> str:
         lat = self.latency()

@@ -52,6 +52,7 @@ from repro.errors import TellError, TransactionAborted, WrongOwner
 from repro.net.profiles import NetworkProfile, profile_by_name
 from repro.sim.kernel import Delay, Simulator, delay_of
 from repro.sql.table import IndexManager
+from repro.store.cell import request_size
 from repro.store.cluster import StorageCluster
 from repro.store.management import ManagementNode
 from repro.workloads.loader import BulkLoader
@@ -303,7 +304,6 @@ class SimFabric:
         cluster = self.cluster
         node = cluster.nodes[node_id]
         pool = self.sn_pools[node_id]
-        request_size = cluster.request_size
         service_us_read = node.service_us_read
         service_us_write = node.service_us_write
 
@@ -572,17 +572,10 @@ class SimulatedTell:
         from repro.obs import obs_enabled
         if config.observability or obs_enabled():
             from repro.obs import Observability
-            from repro.obs.collect import (watch_commit_manager,
-                                           watch_fabric,
-                                           watch_storage_cluster,
-                                           watch_topology)
+            from repro.obs.collect import watch_deployment
 
             self.obs = Observability(clock=lambda: self.sim.now)
-            watch_storage_cluster(self.obs.registry, self.cluster)
-            for manager in self.commit_managers:
-                watch_commit_manager(self.obs.registry, manager)
-            watch_fabric(self.obs.registry, self.fabric.stats)
-            watch_topology(self.obs.registry, self.cluster.topology)
+            watch_deployment(self.obs, self)
         self.interceptors = list(interceptors)
         self.sanitizer_log = None
         from repro.san import sanitizers_enabled
@@ -607,8 +600,8 @@ class SimulatedTell:
                     cluster=self.cluster,
                     commit_managers=self.commit_managers,
                     sim=self.sim,
-                    metrics=self.metrics,
                     management=self.management,
+                    obs=self.obs,
                 ),
             )
 
@@ -637,12 +630,7 @@ class SimulatedTell:
         cm_index = pn_id % len(self.commit_managers)
         indexes = IndexManager()
         if self.obs is not None:
-            from repro.obs.collect import (watch_index_manager,
-                                           watch_processing_node)
-
-            pn.obs = self.obs
-            watch_processing_node(self.obs.registry, pn)
-            watch_index_manager(self.obs.registry, indexes, pn_id)
+            self.obs.adopt(pn, indexes)
         return pn, pool, cm_index, indexes
 
     # -- the simulated workload --------------------------------------------------------

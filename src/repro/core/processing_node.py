@@ -76,17 +76,15 @@ class ProcessingNode:
     def begin(self) -> Generator:
         """Start a transaction: one round trip to the commit manager."""
         obs = self.obs
-        if obs is None:
-            start = yield effects.StartTransaction()
-            self.buffers.observe_snapshot(start.snapshot)
-            self.stats.begun += 1
-            return Transaction(self, start)
-        root = obs.tracer.start_span("txn")
-        root.attrs["pn"] = self.pn_id
-        snapshot_child = root.child("snapshot", start_us=root.start_us)
+        root = None
+        if obs is not None:
+            root = obs.tracer.start_span("txn")
+            root.attrs["pn"] = self.pn_id
+            snapshot_child = root.child("snapshot", start_us=root.start_us)
         start = yield effects.StartTransaction()
-        snapshot_child.finish()
-        root.attrs["tid"] = start.tid
+        if root is not None:
+            snapshot_child.finish()
+            root.attrs["tid"] = start.tid
         self.buffers.observe_snapshot(start.snapshot)
         self.stats.begun += 1
         txn = Transaction(self, start)

@@ -30,12 +30,10 @@ from repro.dispatch.core import (
 )
 from repro.dispatch.direct import Dispatcher
 from repro.dispatch.interceptors import (
-    TRACE_SCHEMA,
     CrashPoint,
     FaultInjector,
     FaultRule,
     InjectedCrash,
-    RequestTrace,
     RetryPolicy,
     ScheduledFault,
     TraceInterceptor,
@@ -64,8 +62,6 @@ __all__ = [
     "drive_sync",
     "kind_of",
     "Dispatcher",
-    "TRACE_SCHEMA",
-    "RequestTrace",
     "TraceInterceptor",
     "InjectedCrash",
     "FaultRule",

@@ -150,20 +150,21 @@ class DispatchEnv:
     """Deployment-level bindings handed to :meth:`Interceptor.on_attach`.
 
     Fields are ``None`` when the owning driver does not have the
-    component (e.g. ``sim`` under the direct runner).
+    component (e.g. ``sim`` under the direct runner, ``obs`` -- the
+    :class:`repro.obs.Observability` hub -- when observability is off).
     """
 
-    __slots__ = ("cluster", "commit_managers", "sim", "metrics", "management")
+    __slots__ = ("cluster", "commit_managers", "sim", "management", "obs")
 
     def __init__(self, cluster: Any = None,
                  commit_managers: Optional[Sequence[Any]] = None,
-                 sim: Any = None, metrics: Any = None,
-                 management: Any = None) -> None:
+                 sim: Any = None, management: Any = None,
+                 obs: Any = None) -> None:
         self.cluster = cluster
         self.commit_managers = list(commit_managers or ())
         self.sim = sim
-        self.metrics = metrics
         self.management = management
+        self.obs = obs
 
 
 #: A pipeline stage: called with the request, returns the generator that

@@ -14,9 +14,8 @@ policy re-drives the faulty tail, and faults are injected closest to the
 
 from __future__ import annotations
 
-import json
 import random
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple, Type
 
 from repro.dispatch.core import (
     DispatchContext,
@@ -25,116 +24,12 @@ from repro.dispatch.core import (
     NextFn,
 )
 from repro.errors import NodeUnavailable, WrongOwner
-
-TRACE_SCHEMA = "repro-dispatch-trace/1"
-
+from repro.obs.registry import MetricsRegistry
+from repro.store.cell import request_size
 
 # ---------------------------------------------------------------------------
 # trace / metrics
 # ---------------------------------------------------------------------------
-
-
-def _approx_request_bytes(request: Any) -> int:
-    """Wire-size estimate mirroring StorageCluster.request_size, without
-    needing the cluster: 24 bytes of header plus key/value payload."""
-    from repro.store.cell import approx_size
-
-    ops = getattr(request, "ops", None)
-    if ops is not None:  # a Batch
-        return sum(_approx_request_bytes(op) for op in ops)
-    key = getattr(request, "key", None)
-    if key is None:
-        return 24
-    size = 24 + approx_size(key)
-    value = getattr(request, "value", None)
-    if value is not None:
-        size += approx_size(value)
-    return size
-
-
-class _ClassStats:
-    """Aggregates for one request class."""
-
-    __slots__ = ("count", "ops", "errors", "bytes", "total_latency_us",
-                 "max_latency_us", "histogram")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.ops = 0
-        self.errors = 0
-        self.bytes = 0
-        self.total_latency_us = 0.0
-        self.max_latency_us = 0.0
-        #: log2 latency histogram: bucket i counts requests with
-        #: 2^(i-1) < latency_us <= 2^i (bucket 0: <= 1us).
-        self.histogram: Dict[int, int] = {}
-
-    def record(self, ops: int, size: int, latency_us: float) -> None:
-        self.count += 1
-        self.ops += ops
-        self.bytes += size
-        self.total_latency_us += latency_us
-        if latency_us > self.max_latency_us:
-            self.max_latency_us = latency_us
-        bucket = 0
-        scaled = latency_us
-        while scaled > 1.0:
-            scaled /= 2.0
-            bucket += 1
-        self.histogram[bucket] = self.histogram.get(bucket, 0) + 1
-
-    def to_dict(self) -> Dict[str, Any]:
-        mean = self.total_latency_us / self.count if self.count else 0.0
-        return {
-            "count": self.count,
-            "ops": self.ops,
-            "errors": self.errors,
-            "bytes": self.bytes,
-            "mean_latency_us": mean,
-            "max_latency_us": self.max_latency_us,
-            "latency_histogram_log2_us": {
-                str(b): n for b, n in sorted(self.histogram.items())
-            },
-        }
-
-
-class RequestTrace:
-    """Per-request-class counters collected by :class:`TraceInterceptor`.
-
-    ``to_dict()`` / ``dump_json()`` produce the trace format documented in
-    ``docs/dispatch.md`` (schema ``repro-dispatch-trace/1``).
-    """
-
-    def __init__(self) -> None:
-        self.per_class: Dict[str, _ClassStats] = {}
-        self.round_trips = 0
-        self.errors_by_type: Dict[str, int] = {}
-
-    def stats_for(self, class_name: str) -> _ClassStats:
-        stats = self.per_class.get(class_name)
-        if stats is None:
-            stats = _ClassStats()
-            self.per_class[class_name] = stats
-        return stats
-
-    @property
-    def total_requests(self) -> int:
-        return sum(stats.count for stats in self.per_class.values())
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": TRACE_SCHEMA,
-            "round_trips": self.round_trips,
-            "total_requests": self.total_requests,
-            "errors_by_type": dict(sorted(self.errors_by_type.items())),
-            "per_class": {
-                name: self.per_class[name].to_dict()
-                for name in sorted(self.per_class)
-            },
-        }
-
-    def dump_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
 class TraceInterceptor(Interceptor):
@@ -142,44 +37,57 @@ class TraceInterceptor(Interceptor):
 
     Purely observational: it charges no time and changes no results, so a
     run with only this interceptor produces a ``TxnMetrics.digest()``
-    identical to the bare pipeline.  When the owning driver exposes a
-    :class:`~repro.bench.metrics.TxnMetrics`, the trace is attached to it
-    as ``metrics.request_trace``.
+    identical to the bare pipeline.  It records into ``self.registry``,
+    labelled by request class:
+
+    * ``repro_request_latency_us{class}`` -- histogram; its ``count`` is
+      the number of requests, failed ones included,
+    * ``repro_request_ops{class}`` / ``repro_request_bytes{class}`` --
+      operations (a batch counts each member) and estimated wire bytes,
+    * ``repro_request_errors{class,error}`` -- requests that raised, by
+      exception type.  Successful round trips are count minus errors.
+
+    On an observability-enabled deployment the registry is the hub's, so
+    the series appear in the deployment's ``repro-obs/2`` snapshot;
+    otherwise it is the interceptor's own.
     """
 
-    def __init__(self, trace: Optional[RequestTrace] = None) -> None:
-        self.trace = trace if trace is not None else RequestTrace()
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
+        self._use(registry if registry is not None else MetricsRegistry())
+
+    def _use(self, registry: MetricsRegistry) -> None:
+        self.registry = registry
+        self._latency = registry.histogram(
+            "repro_request_latency_us", "request latency by request class")
+        self._ops = registry.counter(
+            "repro_request_ops", "store operations carried by request class")
+        self._bytes = registry.counter(
+            "repro_request_bytes", "estimated wire bytes by request class")
+        self._errors = registry.counter(
+            "repro_request_errors",
+            "failed requests by request class and exception type")
 
     def on_attach(self, env: DispatchEnv) -> None:
-        if env.metrics is not None:
-            env.metrics.request_trace = self.trace
+        if env.obs is not None:
+            self._use(env.obs.registry)
 
     def intercept(self, request: Any, ctx: DispatchContext,
                   next: NextFn) -> Generator[Any, Any, Any]:
-        trace = self.trace
-        name = request.__class__.__name__
-        ops = getattr(request, "ops", None)
-        n_ops = len(ops) if ops is not None else 1
-        size = _approx_request_bytes(request)
+        labels = {"class": request.__class__.__name__}
         started = ctx.clock.now
         try:
-            result = yield from next(request)
+            return (yield from next(request))
         except BaseException as exc:
-            stats = trace.stats_for(name)
-            stats.errors += 1
+            self._errors.inc(error=exc.__class__.__name__, **labels)
+            raise
+        finally:
             # Failed requests still count toward the per-class totals --
             # an aborted transaction's requests must reconcile with the
-            # sanitizer shadow history, not vanish from the trace.  Only
-            # ``round_trips`` stays success-only.
-            stats.record(n_ops, size, ctx.clock.now - started)
-            exc_name = exc.__class__.__name__
-            trace.errors_by_type[exc_name] = (
-                trace.errors_by_type.get(exc_name, 0) + 1
-            )
-            raise
-        trace.round_trips += 1
-        trace.stats_for(name).record(n_ops, size, ctx.clock.now - started)
-        return result
+            # sanitizer shadow history, not vanish from the trace.
+            self._latency.observe(ctx.clock.now - started, **labels)
+            ops = getattr(request, "ops", None)
+            self._ops.inc(len(ops) if ops is not None else 1, **labels)
+            self._bytes.inc(request_size(request), **labels)
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +370,6 @@ class WrongOwnerRedirect(Interceptor):
 
 
 __all__ = [
-    "TRACE_SCHEMA",
-    "RequestTrace",
     "TraceInterceptor",
     "InjectedCrash",
     "FaultRule",

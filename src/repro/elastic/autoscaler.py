@@ -108,16 +108,23 @@ class Autoscaler:
         self._seen_latencies: Dict[str, int] = {}
         self._seen_conflicts = 0
         self._seen_finished = 0
+        obs = self.deployment.obs
+        if obs is not None:
+            from repro.obs.collect import collect_autoscaler
+
+            obs.registry.register_collector(
+                lambda reg: collect_autoscaler(reg, self))
 
     # -- signal sampling ----------------------------------------------------
 
     def sample(self) -> Dict[str, float]:
         """Read the tick's signals from live deployment state.
 
-        These are exactly the quantities the ``repro.obs`` collectors
-        export (``repro_sn_queue_us``, ``repro_pn_txns``, the latency
-        series behind the bench percentiles); reading them directly
-        keeps a tick O(nodes) instead of materializing a full snapshot.
+        The worst SN queue backlog comes from the fabric's core pools,
+        the p99 and abort rate from the bench ``TxnMetrics`` series since
+        the last tick; each decision's signals are exported afterwards
+        as ``repro_autoscaler_signals``.  Reading live state keeps a tick
+        O(nodes) instead of materializing a full snapshot.
         """
         fabric = self.deployment.fabric
         now = self.sim.now

@@ -23,7 +23,7 @@ from repro.obs.exporters import (OBS_SCHEMA, PHASE_TABLE_HEADERS,
                                  phase_table_rows, to_json, to_prometheus,
                                  validate_snapshot)
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.tracing import PHASES, PhaseBreakdown, Span, Tracer
+from repro.obs.tracing import Span, Tracer
 
 #: Environment flag mirroring ``REPRO_SANITIZE``: any non-empty value
 #: other than "0" enables observability on every deployment.
@@ -31,7 +31,7 @@ ENV_FLAG = "REPRO_OBS"
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "Observability", "PhaseBreakdown", "PHASES", "Span", "Tracer",
+    "Observability", "Span", "Tracer",
     "OBS_SCHEMA", "PHASE_TABLE_HEADERS", "ENV_FLAG", "obs_enabled",
     "install_sink",
     "clear_sink", "emit", "phase_table_rows", "to_json",
@@ -76,10 +76,19 @@ class Observability:
         self.clock_kind = "sim" if clock is not None else "steps"
         self.clock: Callable[[], float] = clock or _StepClock()
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(self.clock, max_roots=max_roots)
+        self.tracer = Tracer(self.clock, self.registry, max_roots=max_roots)
+        #: ``(processing node, its index manager or None)`` pairs harvested
+        #: by :func:`repro.obs.collect.watch_deployment` at snapshot time.
+        self.adopted: List[Tuple[object, object]] = []
+
+    def adopt(self, pn: object, indexes: object = None) -> None:
+        """Instrument ``pn`` (its transactions open spans on this hub) and
+        export its stats -- plus ``indexes``' B+tree stats -- from now on."""
+        pn.obs = self  # type: ignore[attr-defined]
+        self.adopted.append((pn, indexes))
 
     def snapshot(self) -> dict:
-        """Collect and export everything as a ``repro-obs/1`` document."""
+        """Collect and export everything as a ``repro-obs/2`` document."""
         metrics = self.registry.snapshot()
         return {
             "schema": OBS_SCHEMA,
@@ -87,7 +96,6 @@ class Observability:
             "counters": metrics["counters"],
             "gauges": metrics["gauges"],
             "histograms": metrics["histograms"],
-            "phases": self.tracer.phases.to_dict(),
             "spans": self.tracer.to_dict(),
         }
 

@@ -11,7 +11,7 @@ Subcommands::
         repro.bench --obs`` (or ``repro-obs run --out``).
 
     repro-obs validate SNAPSHOT.json
-        Exit 0 when the file is a valid ``repro-obs/1`` document.
+        Exit 0 when the file is a valid ``repro-obs/2`` document.
 
     repro-obs smoke
         CI gate: tiny bench with metrics enabled; asserts the snapshot
@@ -25,8 +25,9 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.obs.exporters import (PHASE_TABLE_HEADERS, phase_table_rows,
-                                 to_json, to_prometheus, validate_snapshot)
+from repro.obs.exporters import (OBS_SCHEMA, PHASE_TABLE_HEADERS,
+                                 phase_table_rows, to_json, to_prometheus,
+                                 validate_snapshot)
 
 
 def _load(path: str) -> dict:
@@ -83,7 +84,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     for problem in problems:
         print(f"invalid snapshot: {problem}", file=sys.stderr)
     if not problems:
-        print(f"{args.snapshot}: valid repro-obs/1 snapshot")
+        print(f"{args.snapshot}: valid {OBS_SCHEMA} snapshot")
     return 1 if problems else 0
 
 
@@ -113,12 +114,14 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
     problems = validate_snapshot(snapshot)
     for problem in problems:
         print(f"SMOKE FAIL: {problem}", file=sys.stderr)
-    rows = snapshot["phases"]["rows"]
+    rows = phase_table_rows(snapshot)
     if not rows:
         print("SMOKE FAIL: empty phase breakdown", file=sys.stderr)
         return 1
-    missing = [r["txn"] for r in rows
-               if "snapshot" not in r["phases"] or "commit" not in r["phases"]]
+    snapshot_col = PHASE_TABLE_HEADERS.index("Snapshot (ms)")
+    commit_col = PHASE_TABLE_HEADERS.index("Commit (ms)")
+    missing = [row[0] for row in rows
+               if "-" in (row[snapshot_col], row[commit_col])]
     if missing:
         print(f"SMOKE FAIL: phases missing for {missing}", file=sys.stderr)
         return 1

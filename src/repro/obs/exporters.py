@@ -1,4 +1,4 @@
-"""Snapshot exporters: JSON schema ``repro-obs/1`` and Prometheus text.
+"""Snapshot exporters: JSON schema ``repro-obs/2`` and Prometheus text.
 
 The JSON snapshot is the canonical artifact -- the bench harness writes
 one next to every figure/table result, the CLI renders it, and CI
@@ -10,9 +10,9 @@ same-seed runs serialize byte-identically.
 from __future__ import annotations
 
 import json
-from typing import List
+from typing import Dict, List, Tuple
 
-OBS_SCHEMA = "repro-obs/1"
+OBS_SCHEMA = "repro-obs/2"
 
 
 def validate_snapshot(snapshot: dict) -> List[str]:
@@ -39,15 +39,6 @@ def validate_snapshot(snapshot: dict) -> List[str]:
             if not isinstance(cell, dict) or not {
                     "count", "sum", "max", "buckets"} <= set(cell):
                 problems.append(f"histograms[{name!r}] malformed")
-    phases = snapshot.get("phases")
-    if not isinstance(phases, dict) or "rows" not in phases:
-        problems.append("missing or malformed section 'phases'")
-    else:
-        for row in phases["rows"]:
-            if not isinstance(row, dict) or not {
-                    "txn", "count", "mean_us", "phases"} <= set(row):
-                problems.append("phase row malformed")
-                break
     spans = snapshot.get("spans")
     if not isinstance(spans, dict) or "finished_roots" not in spans:
         problems.append("missing or malformed section 'spans'")
@@ -61,15 +52,21 @@ def to_json(snapshot: dict, indent: int = 2) -> str:
     return json.dumps(snapshot, indent=indent, sort_keys=True)
 
 
+def _parse_series(series: str) -> Tuple[str, Dict[str, str]]:
+    """``name{a=b,c=d}`` -> ``("name", {"a": "b", "c": "d"})``."""
+    name, _, rest = series.partition("{")
+    if not rest:
+        return name, {}
+    return name, dict(
+        pair.split("=", 1) for pair in rest.rstrip("}").split(","))
+
+
 def _prom_name(series: str) -> str:
     """``name{a=b}`` -> Prometheus ``name{a="b"}``."""
-    if "{" not in series:
-        return series
-    name, _, rest = series.partition("{")
-    labels = rest.rstrip("}")
-    quoted = ",".join(
-        f'{k}="{v}"' for k, v in
-        (pair.split("=", 1) for pair in labels.split(",")))
+    name, labels = _parse_series(series)
+    if not labels:
+        return name
+    quoted = ",".join(f'{k}="{v}"' for k, v in labels.items())
     return f"{name}{{{quoted}}}"
 
 
@@ -111,34 +108,39 @@ def to_prometheus(snapshot: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Table-4 columns after txn / count / total, in presentation order.
+_TABLE_PHASES = ("snapshot", "read", "validate", "write", "commit", "other")
+
+PHASE_TABLE_HEADERS = ["Txn", "Count", "Total (ms)"] + [
+    f"{phase.capitalize()} (ms)" for phase in _TABLE_PHASES]
+
+
 def phase_table_rows(snapshot: dict) -> List[list]:
-    """Tabular per-phase latency breakdown (the Table-4 shape).
+    """Tabular per-phase latency breakdown (the Table-4 shape), rendered
+    from the ``repro_txn_us`` / ``repro_txn_phase_us`` histograms.
 
     Columns: txn, count, mean total (ms), then mean ms in each of
     snapshot / read / validate / write / commit / other.  The validate
     column is the WSI/SSI commit-time validation round trip; it renders
     "-" under plain SI, which never opens that phase.
     """
+    totals: Dict[str, dict] = {}
+    phase_sums: Dict[Tuple[str, str], float] = {}
+    for series, cell in snapshot.get("histograms", {}).items():
+        name, labels = _parse_series(series)
+        if name == "repro_txn_us":
+            totals[labels["txn"]] = cell
+        elif name == "repro_txn_phase_us":
+            phase_sums[labels["txn"], labels["phase"]] = cell["sum"]
     rows = []
-    for row in snapshot.get("phases", {}).get("rows", []):
-        phases = row["phases"]
-
-        def mean_ms(phase: str) -> str:
-            cell = phases.get(phase)
-            if cell is None:
-                return "-"
+    for txn in sorted(totals):
+        count = totals[txn]["count"]
+        row = [txn, count, f"{totals[txn]['sum'] / count / 1000.0:.3f}"]
+        for phase in _TABLE_PHASES:
+            total_us = phase_sums.get((txn, phase))
             # Phase means are per-transaction: total phase time spread
             # over every transaction of this type, not per occurrence.
-            return f"{cell['total_us'] / row['count'] / 1000.0:.3f}"
-
-        rows.append([
-            row["txn"], row["count"], f"{row['mean_us'] / 1000.0:.3f}",
-            mean_ms("snapshot"), mean_ms("read"), mean_ms("validate"),
-            mean_ms("write"), mean_ms("commit"), mean_ms("other"),
-        ])
+            row.append("-" if total_us is None
+                       else f"{total_us / count / 1000.0:.3f}")
+        rows.append(row)
     return rows
-
-
-PHASE_TABLE_HEADERS = ["Txn", "Count", "Total (ms)", "Snapshot (ms)",
-                       "Read (ms)", "Validate (ms)", "Write (ms)",
-                       "Commit (ms)", "Other (ms)"]

@@ -13,7 +13,7 @@ nothing; the snapshot pays a handful of attribute reads.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -69,7 +69,9 @@ class Gauge:
 
 
 class Histogram:
-    """Power-of-two bucket histogram (same shape as ``TraceInterceptor``).
+    """Power-of-two bucket histogram -- the one latency aggregate in the
+    repository (request classes, transactions and Table-4 phases all
+    observe into it).
 
     ``observe(v)`` drops ``v`` into bucket ``ceil(log2(v))`` (bucket 0
     holds everything <= 1) and tracks count/sum/max so means survive the
@@ -109,12 +111,6 @@ class Histogram:
     def sum(self, **labels: str) -> float:
         cell = self._series.get(_label_key(labels))
         return cell[1] if cell else 0.0
-
-    def mean(self, **labels: str) -> float:
-        cell = self._series.get(_label_key(labels))
-        if not cell or not cell[0]:
-            return 0.0
-        return cell[1] / cell[0]
 
     def series(self) -> Dict[LabelKey, list]:
         return {k: [v[0], v[1], v[2], dict(v[3])]
@@ -164,12 +160,6 @@ class MetricsRegistry:
     def collect(self) -> None:
         for collector in self._collectors:
             collector(self)
-
-    def metrics(self) -> Iterable[object]:
-        return list(self._metrics.values())
-
-    def get(self, name: str) -> Optional[object]:
-        return self._metrics.get(name)
 
     def snapshot(self, run_collectors: bool = True) -> Dict[str, dict]:
         """Deterministic nested-dict dump: ``{counters: {...}, ...}``.

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-#: Phase names recognised by the Table-4 breakdown, in presentation order.
-PHASES = ("snapshot", "read", "validate", "write", "commit", "abort")
+from repro.obs.registry import MetricsRegistry
 
 
 class Span:
@@ -84,106 +83,30 @@ class Span:
         return f"Span({self.name!r}, id={self.span_id}, {state})"
 
 
-class PhaseBreakdown:
-    """Aggregates finished root spans into the Table-4 shape.
-
-    Rows are keyed by transaction name; columns are total latency plus
-    per-phase latency (count / total / max microseconds per phase).
-    """
-
-    __slots__ = ("_rows", "_outcomes")
-
-    def __init__(self) -> None:
-        # txn_name -> {"count": n, "total_us": x,
-        #              "phases": {phase: [count, total_us, max_us]}}
-        self._rows: Dict[str, dict] = {}
-        self._outcomes: Dict[str, Dict[str, int]] = {}
-
-    def record(self, root: Span) -> None:
-        name = str(root.attrs.get("txn", root.name))
-        outcome = str(root.attrs.get("outcome", "unknown"))
-        row = self._rows.get(name)
-        if row is None:
-            row = {"count": 0, "total_us": 0.0, "phases": {}}
-            self._rows[name] = row
-        total = root.duration_us
-        row["count"] += 1
-        row["total_us"] += total
-        phases = row["phases"]
-        accounted = 0.0
-        for child in root.children:
-            duration = child.duration_us
-            accounted += duration
-            cell = phases.get(child.name)
-            if cell is None:
-                phases[child.name] = [1, duration, duration]
-            else:
-                cell[0] += 1
-                cell[1] += duration
-                if duration > cell[2]:
-                    cell[2] = duration
-        other = total - accounted
-        if other > 0.0:
-            cell = phases.get("other")
-            if cell is None:
-                phases["other"] = [1, other, other]
-            else:
-                cell[0] += 1
-                cell[1] += other
-                if other > cell[2]:
-                    cell[2] = other
-        per_txn = self._outcomes.setdefault(name, {})
-        per_txn[outcome] = per_txn.get(outcome, 0) + 1
-
-    def rows(self) -> List[dict]:
-        """One dict per transaction name, deterministic order."""
-        out = []
-        for name in sorted(self._rows):
-            row = self._rows[name]
-            count = row["count"]
-            phases = {}
-            order = [p for p in (*PHASES, "other") if p in row["phases"]]
-            order += [p for p in sorted(row["phases"]) if p not in order]
-            for phase in order:
-                p_count, p_total, p_max = row["phases"][phase]
-                phases[phase] = {
-                    "count": p_count,
-                    "total_us": p_total,
-                    "mean_us": p_total / p_count if p_count else 0.0,
-                    "max_us": p_max,
-                }
-            out.append({
-                "txn": name,
-                "count": count,
-                "total_us": row["total_us"],
-                "mean_us": row["total_us"] / count if count else 0.0,
-                "phases": phases,
-                "outcomes": dict(sorted(self._outcomes[name].items())),
-            })
-        return out
-
-    def to_dict(self) -> dict:
-        return {"rows": self.rows()}
-
-
 class Tracer:
-    """Creates spans, stamps them with the injected clock, aggregates
-    finished roots into a :class:`PhaseBreakdown`, and retains up to
-    ``max_roots`` raw root trees for export."""
+    """Creates spans, stamps them with the injected clock, observes every
+    finished root into the registry's ``repro_txn_*`` series (the Table-4
+    source), and retains up to ``max_roots`` raw root trees for export."""
 
-    __slots__ = ("clock", "max_roots", "phases", "roots", "dropped",
-                 "finished_roots", "abandoned", "_id")
+    __slots__ = ("clock", "max_roots", "roots", "dropped", "started_roots",
+                 "finished_roots", "_id", "_txn_us", "_phase_us", "_outcomes")
 
-    def __init__(self, clock: Callable[[], float],
+    def __init__(self, clock: Callable[[], float], registry: MetricsRegistry,
                  max_roots: int = 1000) -> None:
         self.clock = clock
         self.max_roots = max_roots
-        self.phases = PhaseBreakdown()
         self.roots: List[Span] = []
         self.dropped = 0
+        self.started_roots = 0
         self.finished_roots = 0
-        self.abandoned = 0
         self._id = 0
+        self._txn_us = registry.histogram(
+            "repro_txn_us", "transaction response time by type")
+        self._phase_us = registry.histogram(
+            "repro_txn_phase_us",
+            "time per phase span by transaction type (Table 4)")
+        self._outcomes = registry.counter(
+            "repro_txn_outcomes", "finished transactions by outcome")
 
     def _next_id(self) -> int:
         self._id += 1
@@ -191,6 +114,7 @@ class Tracer:
 
     def start_span(self, name: str,
                    start_us: Optional[float] = None) -> Span:
+        self.started_roots += 1
         return Span(self, name, self._next_id(), None,
                     self.clock() if start_us is None else start_us)
 
@@ -202,7 +126,20 @@ class Tracer:
             if child.end_us is None:
                 child.end_us = end
         self.finished_roots += 1
-        self.phases.record(root)
+        txn = str(root.attrs.get("txn", root.name))
+        total = root.duration_us
+        self._txn_us.observe(total, txn=txn)
+        accounted = 0.0
+        for child in root.children:
+            duration = child.duration_us
+            accounted += duration
+            self._phase_us.observe(duration, txn=txn, phase=child.name)
+        # Whatever the phase spans do not cover is application compute.
+        other = total - accounted
+        if other > 0.0:
+            self._phase_us.observe(other, txn=txn, phase="other")
+        self._outcomes.inc(
+            txn=txn, outcome=str(root.attrs.get("outcome", "unknown")))
         if len(self.roots) < self.max_roots:
             self.roots.append(root)
         else:
@@ -213,6 +150,8 @@ class Tracer:
             "finished_roots": self.finished_roots,
             "kept": len(self.roots),
             "dropped": self.dropped,
-            "abandoned": self.abandoned,
+            # Roots still open: a begin() whose StartTransaction raised,
+            # or a transaction in flight when the run ended.
+            "abandoned": self.started_roots - self.finished_roots,
             "roots": [r.to_dict() for r in self.roots],
         }

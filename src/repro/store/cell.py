@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro import effects
+
 
 class Cell:
     """One key's stored value and its write-stamp."""
@@ -81,3 +83,27 @@ def approx_size(value: Any) -> int:
             approx_size(k) + approx_size(v) for k, v in value.items()
         )
     return 64
+
+
+def request_size(request: effects.Request) -> int:
+    """Estimated wire size of ``request``: a 24-byte header plus the key
+    and, for puts, the value payload.  A batch is the sum of its
+    operations; a request without a key (commit-manager and local
+    effects) is header only.
+
+    The simulated fabric charges bandwidth by this for every store op it
+    ships, and the dispatch trace reports the same figure per request
+    class.
+    """
+    cls = request.__class__
+    if (
+        cls is effects.Put
+        or cls is effects.PutIfVersion
+        or isinstance(request, (effects.Put, effects.PutIfVersion))
+    ):
+        return 24 + approx_size(request.key) + approx_size(request.value)
+    if isinstance(request, effects.StoreRequest):
+        return 24 + approx_size(request.key)
+    if isinstance(request, effects.Batch):
+        return sum(request_size(op) for op in request.ops)
+    return 24

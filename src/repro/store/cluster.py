@@ -26,7 +26,6 @@ from repro import effects
 from repro.dispatch.core import KIND_BATCH, KIND_SCAN, kind_of
 from repro.elastic.topology import PlacementSpec, Topology
 from repro.errors import InvalidState, NodeUnavailable
-from repro.store.cell import approx_size
 from repro.store.node import StorageNode
 from repro.store.partition import PartitionMap
 
@@ -239,19 +238,6 @@ class StorageCluster:
             if backup.alive:
                 backup.copy_cell(partition_id, op.space, op.key, cell)
                 self.replication_copies += 1
-
-    # -- sizing (used by the simulation driver) --------------------------------
-
-    def request_size(self, op: effects.StoreRequest) -> int:
-        base = 24 + approx_size(op.key)
-        cls = op.__class__
-        if (
-            cls is effects.Put
-            or cls is effects.PutIfVersion
-            or isinstance(op, (effects.Put, effects.PutIfVersion))
-        ):
-            return base + approx_size(op.value)
-        return base
 
     # -- introspection -----------------------------------------------------------
 

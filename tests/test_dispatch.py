@@ -28,7 +28,6 @@ from repro.dispatch import (
     FaultRule,
     InjectedCrash,
     Interceptor,
-    RequestTrace,
     RetryPolicy,
     TraceInterceptor,
     compose,
@@ -247,44 +246,59 @@ class TestRunDirectErrors:
 # ---------------------------------------------------------------------------
 
 
+def request_count(trace, **labels):
+    return trace.registry.histogram("repro_request_latency_us").count(**labels)
+
+
+def request_errors(trace):
+    """Failed requests summed over class and exception type."""
+    series = trace.registry.counter("repro_request_errors").series()
+    return sum(series.values())
+
+
 class TestTraceInterceptor:
     def test_counts_bytes_and_round_trips(self, cluster):
-        trace = RequestTrace()
-        router = Router(cluster, interceptors=[TraceInterceptor(trace)])
+        trace = TraceInterceptor()
+        router = Router(cluster, interceptors=[trace])
         router.execute(effects.Put("data", "k", "v"))
         router.execute(effects.Get("data", "k"))
         router.execute(
             effects.Batch([effects.Get("data", "k"), effects.Get("data", "x")])
         )
-        assert trace.round_trips == 3
-        assert trace.total_requests == 3
-        assert trace.per_class["Put"].count == 1
-        assert trace.per_class["Get"].count == 1
-        assert trace.per_class["Batch"].ops == 2
-        assert trace.per_class["Put"].bytes > trace.per_class["Get"].bytes
+        ops = trace.registry.counter("repro_request_ops")
+        size = trace.registry.counter("repro_request_bytes")
+        assert request_count(trace, **{"class": "Put"}) == 1
+        assert request_count(trace, **{"class": "Get"}) == 1
+        assert request_count(trace, **{"class": "Batch"}) == 1
+        assert request_errors(trace) == 0  # three successful round trips
+        assert ops.value(**{"class": "Batch"}) == 2
+        assert size.value(**{"class": "Put"}) > size.value(**{"class": "Get"})
 
     def test_errors_are_recorded_and_reraised(self, cluster):
-        trace = RequestTrace()
+        trace = TraceInterceptor()
         fault = FaultInjector(seed=3, rules=[
             FaultRule(op="Get", error_rate=1.0),
         ])
         # trace wraps fault: the trace sees the injected error
-        router = Router(cluster, interceptors=[TraceInterceptor(trace), fault])
+        router = Router(cluster, interceptors=[trace, fault])
         with pytest.raises(NodeUnavailable):
             router.execute(effects.Get("data", "k"))
-        assert trace.per_class["Get"].errors == 1
-        assert trace.errors_by_type == {"NodeUnavailable": 1}
-        assert trace.round_trips == 0
+        assert trace.registry.snapshot()["counters"][
+            "repro_request_errors{class=Get,error=NodeUnavailable}"] == 1
+        # successful round trips are count minus errors
+        assert request_count(trace, **{"class": "Get"}) == 1
+        assert request_errors(trace) == 1
 
-    def test_json_dump_schema(self, cluster):
-        router = Router(cluster, interceptors=[TraceInterceptor()])
+    def test_registry_snapshot_carries_the_per_class_figures(self, cluster):
+        trace = TraceInterceptor()
+        router = Router(cluster, interceptors=[trace])
         router.execute(effects.Put("data", "k", "v"))
-        payload = json.loads(
-            router.interceptors[0].trace.dump_json()
-        )
-        assert payload["schema"] == "repro-dispatch-trace/1"
-        assert payload["per_class"]["Put"]["count"] == 1
-        assert "latency_histogram_log2_us" in payload["per_class"]["Put"]
+        snapshot = json.loads(json.dumps(trace.registry.snapshot()))
+        assert set(snapshot["histograms"][
+            "repro_request_latency_us{class=Put}"]) == {
+                "count", "sum", "max", "buckets"}
+        assert snapshot["counters"]["repro_request_ops{class=Put}"] == 1
+        assert snapshot["counters"]["repro_request_bytes{class=Put}"] > 24
 
 
 # ---------------------------------------------------------------------------

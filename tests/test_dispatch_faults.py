@@ -201,9 +201,10 @@ class TestTraceInvariance:
         for count in ("messages", "store_ops", "bytes_sent"):
             assert getattr(plain.fabric.stats, count) \
                 == getattr(observed.fabric.stats, count) > 0
-        assert traced.request_trace is trace.trace
-        assert trace.trace.total_requests > 1_000
-        assert trace.trace.per_class["Compute"].count > 0
-        assert trace.trace.per_class["Batch"].bytes > 0
+        latency = trace.registry.histogram("repro_request_latency_us")
+        assert sum(cell[0] for cell in latency.series().values()) > 1_000
+        assert latency.count(**{"class": "Compute"}) > 0
+        assert trace.registry.counter("repro_request_bytes").value(
+            **{"class": "Batch"}) > 0
         # simulated latency was measured, not wall-clock
-        assert trace.trace.per_class["Get"].total_latency_us > 0.0
+        assert latency.sum(**{"class": "Get"}) > 0.0

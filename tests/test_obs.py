@@ -1,16 +1,24 @@
 """Tests for repro.obs: registry, tracer, exporters, and determinism."""
 
 import json
+import pathlib
+import re
 
 import pytest
 
+import repro
 from repro.bench.config import TellConfig
 from repro.bench.simcluster import SimulatedTell
+from repro.dispatch import FaultInjector, FaultRule, TraceInterceptor
+from repro.elastic.autoscaler import Autoscaler, AutoscalerPolicy
+from repro.elastic.coordinator import ElasticCoordinator
 from repro.obs import (Observability, obs_enabled, phase_table_rows, to_json,
                        to_prometheus, validate_snapshot)
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.tracing import PhaseBreakdown, Tracer
+from repro.obs.registry import MetricsRegistry
+from repro.obs.tracing import Tracer
 from repro.workloads.tpcc.params import TpccScale
+
+DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
 
 
 def tiny_config(**overrides):
@@ -87,47 +95,55 @@ class TestRegistry:
         assert list(snapshot["counters"]) == ["ops{a=1,b=2}"]
 
 
+def make_tracer(ticks, **kwargs):
+    """A tracer on a counting clock, plus the registry it observes into."""
+    clock = iter(ticks)
+    registry = MetricsRegistry()
+    return Tracer(lambda: float(next(clock)), registry, **kwargs), registry
+
+
 class TestTracer:
-    def test_span_tree_and_phase_breakdown(self):
-        clock = iter(range(0, 1000, 10))
-        tracer = Tracer(clock=lambda: float(next(clock)))
+    def test_finished_root_observes_txn_series(self):
+        tracer, registry = make_tracer(range(0, 1000, 10))
         root = tracer.start_span("txn")
         root.attrs["txn"] = "new_order"
         child = root.child("read")
         child.finish()
         root.attrs["outcome"] = "committed"
         root.finish()
-        rows = tracer.phases.rows()
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["txn"] == "new_order"
-        assert row["count"] == 1
-        assert "read" in row["phases"]
-        assert "other" in row["phases"]
-        assert row["outcomes"] == {"committed": 1}
+        snapshot = registry.snapshot()
+        assert snapshot["histograms"]["repro_txn_us{txn=new_order}"] == {
+            "count": 1, "sum": 30.0, "max": 30.0, "buckets": {"5": 1}}
+        phases = {series: cell["sum"]
+                  for series, cell in snapshot["histograms"].items()
+                  if series.startswith("repro_txn_phase_us")}
+        assert phases == {
+            "repro_txn_phase_us{phase=read,txn=new_order}": 10.0,
+            "repro_txn_phase_us{phase=other,txn=new_order}": 20.0,
+        }
+        assert snapshot["counters"] == {
+            "repro_txn_outcomes{outcome=committed,txn=new_order}": 1.0}
 
     def test_open_children_closed_at_root_finish(self):
-        clock = iter(range(0, 1000, 10))
-        tracer = Tracer(clock=lambda: float(next(clock)))
+        tracer, _registry = make_tracer(range(0, 1000, 10))
         root = tracer.start_span("txn")
         child = root.child("write")  # never finished explicitly
         root.finish()
         assert child.end_us == root.end_us
 
     def test_root_cap_drops_raw_spans_not_aggregates(self):
-        clock = iter(range(0, 100000, 1))
-        tracer = Tracer(clock=lambda: float(next(clock)), max_roots=3)
+        tracer, registry = make_tracer(range(0, 100000, 1), max_roots=3)
         for _ in range(5):
             tracer.start_span("txn").finish()
         payload = tracer.to_dict()
         assert payload["finished_roots"] == 5
         assert payload["kept"] == 3
         assert payload["dropped"] == 2
+        assert registry.histogram("repro_txn_us").count(txn="txn") == 5
 
     def test_span_ids_are_deterministic(self):
         def make():
-            clock = iter(range(0, 100, 1))
-            tracer = Tracer(clock=lambda: float(next(clock)))
+            tracer, _registry = make_tracer(range(0, 100, 1))
             for _ in range(3):
                 span = tracer.start_span("txn")
                 span.child("read").finish()
@@ -136,11 +152,12 @@ class TestTracer:
 
         assert make() == make()
 
-    def test_breakdown_ignores_unfinished_roots(self):
-        tracer = Tracer(clock=lambda: 0.0)
-        tracer.start_span("txn")  # abandoned
-        assert PhaseBreakdown().rows() == []
-        assert tracer.phases.rows() == []
+    def test_open_root_is_abandoned_not_aggregated(self):
+        tracer, registry = make_tracer(range(0, 100, 1))
+        tracer.start_span("txn").finish()
+        tracer.start_span("txn")  # e.g. StartTransaction raised in begin()
+        assert tracer.to_dict()["abandoned"] == 1
+        assert registry.histogram("repro_txn_us").count(txn="txn") == 1
 
 
 class TestExporters:
@@ -198,36 +215,98 @@ class TestEnvFlag:
         assert obs_enabled()
 
 
-class TestSimulatedObservability:
-    def _run(self, **overrides):
-        deployment = SimulatedTell(tiny_config(**overrides))
-        deployment.load()
-        metrics = deployment.run()
-        return metrics
+def run_tiny(**overrides):
+    deployment = SimulatedTell(tiny_config(**overrides))
+    deployment.load()
+    return deployment.run()
 
-    def test_snapshot_emitted_and_valid(self):
-        metrics = self._run()
-        snapshot = metrics.obs_snapshot
+
+@pytest.fixture(scope="module")
+def observed():
+    """The seed-5 ``tiny_config`` run, observability on."""
+    return run_tiny()
+
+
+@pytest.fixture(scope="module")
+def wired():
+    """A run with everything that exports series attached: a request
+    trace (over injected errors, so the error counter has a series) and
+    a ticking autoscaler.  Returns ``(deployment, trace, snapshot)``."""
+    trace = TraceInterceptor()
+    faults = FaultInjector(seed=3, rules=[
+        FaultRule(op="Get", error_rate=0.01),
+    ])
+    deployment = SimulatedTell(tiny_config(), interceptors=[trace, faults])
+    deployment.load()
+    scaler = Autoscaler(ElasticCoordinator(deployment),
+                        AutoscalerPolicy(interval_us=10_000.0))
+    deployment.sim.spawn(scaler.process(deployment.config.duration_us),
+                         name="autoscaler")
+    return deployment, trace, deployment.run().obs_snapshot
+
+
+#: ``phase_table_rows`` of the ``observed`` run, captured at the commit
+#: before the phase table moved onto registry series (PR 15's parent).
+GOLDEN_PHASE_TABLE = [
+    ["delivery", 15, "1.045", "0.005", "0.181", "-", "0.154", "0.018",
+     "0.688"],
+    ["new_order", 191, "0.792", "0.005", "0.058", "-", "0.243", "0.014",
+     "0.472"],
+    ["order_status", 16, "0.202", "0.005", "0.028", "-", "-", "0.005",
+     "0.164"],
+    ["payment", 182, "0.178", "0.005", "0.022", "-", "0.029", "0.019",
+     "0.103"],
+    ["stock_level", 15, "2.408", "0.005", "0.162", "-", "-", "0.005",
+     "2.236"],
+]
+
+#: Every series an obs-enabled deployment can export, by producer.
+EXPORTED_SERIES = {
+    # collectors (repro.obs.collect)
+    "repro_sn_ops", "repro_sn_bytes_used", "repro_sn_alive",
+    "repro_replication_copies", "repro_cm_activity", "repro_isolation_mode",
+    "repro_fabric_totals", "repro_topology", "repro_topology_masters",
+    "repro_pn_txns", "repro_buffer_ops", "repro_buffer_hit_ratio",
+    "repro_index_activity", "repro_autoscaler", "repro_autoscaler_signals",
+    # Tracer
+    "repro_txn_us", "repro_txn_phase_us", "repro_txn_outcomes",
+    # TraceInterceptor
+    "repro_request_latency_us", "repro_request_ops", "repro_request_bytes",
+    "repro_request_errors",
+}
+
+
+def series_names(snapshot):
+    return {series.partition("{")[0]
+            for section in ("counters", "gauges", "histograms")
+            for series in snapshot[section]}
+
+
+class TestSimulatedObservability:
+    def test_snapshot_emitted_and_valid(self, observed):
+        snapshot = observed.obs_snapshot
         assert snapshot is not None
         assert validate_snapshot(snapshot) == []
         assert snapshot["meta"]["clock"] == "sim"
-        rows = snapshot["phases"]["rows"]
-        assert rows, "expected a populated phase breakdown"
-        for row in rows:
-            assert "snapshot" in row["phases"]
-            assert "commit" in row["phases"]
+        assert "phases" not in snapshot  # repro-obs/1 section, now series
 
-    def test_identical_snapshots_across_same_seed_runs(self):
-        first = self._run().obs_snapshot
-        second = self._run().obs_snapshot
-        assert json.dumps(first, sort_keys=True) == \
-            json.dumps(second, sort_keys=True)
+    def test_phase_table_matches_golden(self, observed):
+        assert phase_table_rows(observed.obs_snapshot) == GOLDEN_PHASE_TABLE
 
-    def test_digest_unchanged_by_observability(self):
-        with_obs = self._run()
-        without = self._run(observability=False)
+    def test_transactions_in_flight_at_run_end_are_abandoned(self, observed):
+        spans = observed.obs_snapshot["spans"]
+        assert spans["finished_roots"] == 419
+        # one open root per terminal: the run end cut its transaction off
+        assert spans["abandoned"] == 4
+
+    def test_identical_snapshots_across_same_seed_runs(self, observed):
+        assert json.dumps(observed.obs_snapshot, sort_keys=True) == \
+            json.dumps(run_tiny().obs_snapshot, sort_keys=True)
+
+    def test_digest_unchanged_by_observability(self, observed):
+        without = run_tiny(observability=False)
         assert without.obs_snapshot is None
-        assert with_obs.digest() == without.digest()
+        assert observed.digest() == without.digest()
 
     def test_disabled_run_has_no_tracer_attached(self):
         deployment = SimulatedTell(tiny_config(observability=False))
@@ -236,3 +315,47 @@ class TestSimulatedObservability:
         deployment.run()
         for pn, _pool, _cm, _indexes in deployment._pn_handles:
             assert pn.obs is None
+
+    def test_every_producer_appears_in_the_snapshot(self, wired):
+        _deployment, _trace, snapshot = wired
+        assert validate_snapshot(snapshot) == []
+        assert series_names(snapshot) == EXPORTED_SERIES
+
+    def test_docs_list_exactly_the_exported_series(self):
+        with open(DOCS / "observability.md", encoding="utf-8") as handle:
+            documented = set(re.findall(r"\brepro_[a-z0-9_]+", handle.read()))
+        assert documented == EXPORTED_SERIES
+
+    def test_traced_requests_land_in_the_hub_registry(self, wired):
+        deployment, trace, snapshot = wired
+        assert trace.registry is deployment.obs.registry
+        # Every figure the old per-class trace document carried:
+        latency = snapshot["histograms"]["repro_request_latency_us{class=Get}"]
+        assert latency["count"] > 1_000
+        assert latency["sum"] > 0.0 and latency["max"] > 0.0
+        assert sum(latency["buckets"].values()) == latency["count"]
+        counters = snapshot["counters"]
+        assert counters["repro_request_ops{class=Batch}"] > 0
+        assert counters["repro_request_bytes{class=Get}"] > 0
+        errors = counters[
+            "repro_request_errors{class=Get,error=NodeUnavailable}"]
+        assert 0 < errors < latency["count"]
+
+
+class TestEmbeddedObservability:
+    def test_failed_over_commit_manager_needs_no_reregistration(self):
+        def starts_served(db):
+            return db.obs.snapshot()["gauges"][
+                "repro_cm_activity{cm=0,what=starts_served}"]
+
+        with repro.connect(observability=True) as db:
+            session = db.session()
+            session.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+            for key in range(3):
+                session.execute("INSERT INTO t VALUES (?, 1)", [key])
+            before = starts_served(db)
+            replacement = db.crash_commit_manager(0)
+            session.execute("UPDATE t SET v = 2 WHERE id = 1")
+            assert before == 3 and replacement.starts_served == 1
+            assert starts_served(db) == replacement.starts_served
+            assert len(db.obs.registry._collectors) == 1

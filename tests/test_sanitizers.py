@@ -259,13 +259,14 @@ class TestTraceErrorPath:
         with pytest.raises(KeyNotFound):
             drive_sync(chain(effects.Get("data", 7)))
 
-        trace = interceptor.trace
-        stats = trace.per_class["Get"]
-        assert stats.count == 1  # failed requests reconcile with shadow
-        assert stats.errors == 1
-        assert stats.bytes > 0
-        assert trace.errors_by_type == {"KeyNotFound": 1}
-        assert trace.round_trips == 0  # round trips stay success-only
+        snapshot = interceptor.registry.snapshot()
+        # failed requests reconcile with the shadow history
+        assert snapshot["histograms"][
+            "repro_request_latency_us{class=Get}"]["count"] == 1
+        assert snapshot["counters"]["repro_request_bytes{class=Get}"] > 0
+        # successful round trips are count minus errors: 1 - 1 == 0
+        assert snapshot["counters"][
+            "repro_request_errors{class=Get,error=KeyNotFound}"] == 1
 
     def test_success_path_unchanged(self):
         interceptor = TraceInterceptor()
@@ -277,6 +278,8 @@ class TestTraceErrorPath:
 
         chain = compose([interceptor], tail, ctx)
         assert drive_sync(chain(effects.Get("data", 7))) == ((1,), 1)
-        trace = interceptor.trace
-        assert trace.round_trips == 1
-        assert trace.per_class["Get"].errors == 0
+        snapshot = interceptor.registry.snapshot()
+        assert snapshot["histograms"][
+            "repro_request_latency_us{class=Get}"]["count"] == 1
+        assert snapshot["counters"].keys() == {
+            "repro_request_ops{class=Get}", "repro_request_bytes{class=Get}"}

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro import effects
 from repro.errors import KeyNotFound, NoCapacity, NodeUnavailable
-from repro.store.cell import approx_size
+from repro.store.cell import approx_size, request_size
 from repro.store.cluster import StorageCluster
 from repro.store.node import StorageNode
 from repro.store.partition import HashPartitioner, PartitionMap, stable_hash
@@ -254,10 +254,15 @@ class TestStorageCluster:
         assert len(cluster.nodes) == before + 1
         assert node.alive
 
-    def test_request_size_reflects_value(self, cluster):
-        small = cluster.request_size(effects.Put("data", "k", "x"))
-        large = cluster.request_size(effects.Put("data", "k", "x" * 500))
+    def test_request_size_reflects_value(self):
+        small = request_size(effects.Put("data", "k", "x"))
+        large = request_size(effects.Put("data", "k", "x" * 500))
         assert large > small + 400
+
+    def test_request_size_of_batches_and_keyless_requests(self):
+        get = effects.Get("data", "k")
+        assert request_size(effects.Batch([get, get])) == 2 * request_size(get)
+        assert request_size(effects.StartTransaction()) == 24
 
 
 class TestApproxSize:
