@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.baselines.common import BaselineConfig, BaselineEngine, TxnWork
-from repro.bench.simcluster import CorePool
+from repro.runtime.fabric import CorePool
 from repro.sim.kernel import Delay
 
 #: Per-row cost in the SQL layer: interpretation + one unbatched KV

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Generator, List
 
 from repro.baselines.common import BaselineConfig, BaselineEngine, TxnWork
-from repro.bench.simcluster import CorePool
+from repro.runtime.fabric import CorePool
 from repro.sim.kernel import Delay
 
 #: CPU burned per row operation across SQL + data node (us).

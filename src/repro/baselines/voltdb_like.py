@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Generator, List
 
 from repro.baselines.common import BaselineConfig, BaselineEngine, TxnWork
-from repro.bench.simcluster import CorePool
+from repro.runtime.fabric import CorePool
 from repro.sim.kernel import Delay
 
 #: Per-partition execution cost: fixed dispatch + per-row work (us).

@@ -5,7 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
+
+from repro.runtime.metrics import percentile
 
 
 class LatencyStats:
@@ -25,9 +27,9 @@ class LatencyStats:
         self.mean_us = sum(ordered) / self.count
         variance = sum((x - self.mean_us) ** 2 for x in ordered) / self.count
         self.std_us = math.sqrt(variance)
-        self.p50_us = _percentile(ordered, 0.50)
-        self.p99_us = _percentile(ordered, 0.99)
-        self.p999_us = _percentile(ordered, 0.999)
+        self.p50_us = percentile(ordered, 0.50)
+        self.p99_us = percentile(ordered, 0.99)
+        self.p999_us = percentile(ordered, 0.999)
         self.max_us = ordered[-1]
 
     @property
@@ -43,25 +45,6 @@ class LatencyStats:
             f"LatencyStats(n={self.count}, mean={self.mean_ms:.2f}ms, "
             f"sigma={self.std_ms:.2f}ms, p99={self.p99_us / 1000:.2f}ms)"
         )
-
-
-def _percentile(ordered: List[float], fraction: float) -> float:
-    """Linear interpolation between closest ranks (numpy's default).
-
-    The previous nearest-rank rounding could be off by most of one
-    inter-sample gap on small or skewed samples; interpolating matches
-    the conventional definition: rank = fraction * (n - 1), and the
-    value is interpolated between floor(rank) and ceil(rank).
-    """
-    if not ordered:
-        return 0.0
-    rank = fraction * (len(ordered) - 1)
-    lower = int(rank)
-    upper = lower + 1
-    if upper >= len(ordered):
-        return ordered[-1]
-    weight = rank - lower
-    return ordered[lower] * (1.0 - weight) + ordered[upper] * weight
 
 
 class TxnMetrics:

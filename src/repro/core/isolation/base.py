@@ -76,6 +76,7 @@ class IsolationProtocol:
         if not txn._writes and not txn.index_ops:
             # Read-only fast path: nothing to apply or log.
             txn.state = TxnState.COMMITTED
+            txn.pn.stats.committed += 1
             commit_child = span.child("commit") if span is not None else None
             yield effects.ReportCommitted(txn.tid)
             if commit_child is not None:
@@ -98,6 +99,7 @@ class IsolationProtocol:
             newest = record.newest_tid
             if newest != txn.tid and not txn.snapshot.contains(newest):
                 txn.state = TxnState.ABORTED
+                txn.pn.stats.aborted += 1
                 yield effects.ReportAborted(txn.tid)
                 txn._finish_span("conflict")
                 raise TransactionAborted(
@@ -147,6 +149,7 @@ class IsolationProtocol:
         tail_child = span.child("commit") if span is not None else None
         yield from txn.pn.txlog.set_status(entry, STATUS_COMMITTED)
         txn.state = TxnState.COMMITTED
+        txn.pn.stats.committed += 1
         yield effects.ReportCommitted(txn.tid)
         if tail_child is not None:
             tail_child.finish()

@@ -19,7 +19,8 @@ from repro.errors import TransactionAborted
 
 
 class PnStats:
-    """Per-node commit/abort counters."""
+    """Per-node counters, bumped where a transaction begins and where its
+    state reaches COMMITTED/ABORTED -- once each, whoever drives it."""
 
     __slots__ = ("committed", "aborted", "begun")
 
@@ -27,11 +28,6 @@ class PnStats:
         self.committed = 0
         self.aborted = 0
         self.begun = 0
-
-    @property
-    def abort_rate(self) -> float:
-        finished = self.committed + self.aborted
-        return self.aborted / finished if finished else 0.0
 
 
 class ProcessingNode:
@@ -106,10 +102,8 @@ class ProcessingNode:
             try:
                 result = yield from logic(txn)
                 yield from txn.commit()
-                self.stats.committed += 1
                 return result, attempts
             except TransactionAborted:
-                self.stats.aborted += 1
                 if attempts >= max_attempts:
                     raise
 

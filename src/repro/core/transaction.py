@@ -232,6 +232,7 @@ class Transaction:
         """Manual abort: nothing was applied, just notify the manager."""
         self._require(TxnState.RUNNING)
         self.state = TxnState.ABORTED
+        self.pn.stats.aborted += 1
         span = self.span
         abort_child = span.child("abort") if span is not None else None
         yield effects.ReportAborted(self.tid)
@@ -300,6 +301,7 @@ class Transaction:
     def _finish_abort(self, entry: LogEntry, reason: str) -> Generator:
         yield from self.pn.txlog.set_status(entry, STATUS_ABORTED)
         self.state = TxnState.ABORTED
+        self.pn.stats.aborted += 1
         yield effects.ReportAborted(self.tid)
         self._finish_span("conflict")
         raise TransactionAborted(self.tid, reason)

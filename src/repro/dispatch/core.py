@@ -24,7 +24,7 @@ cross-cutting concerns:
 
 Drivers bind the kinds to their own handlers: the direct
 :class:`repro.dispatch.direct.Dispatcher` resolves requests immediately,
-while :class:`repro.bench.simcluster.SimFabric` keeps only the timing
+while :class:`repro.runtime.fabric.SimFabric` keeps only the timing
 model and lets this module own routing.
 """
 

@@ -7,7 +7,7 @@ and receive the corresponding results via ``send``.  Two drivers exist:
 * :class:`repro.api.runner.DirectRunner` resolves every request immediately
   against in-process components -- this powers the embedded database API
   and fast unit tests.
-* The simulation driver in :mod:`repro.bench.simcluster` charges network and
+* The simulation driver in :mod:`repro.runtime.fabric` charges network and
   service latency for every request, letting many workers interleave, which
   reproduces the distributed behaviour measured in the paper.
 

@@ -34,9 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional
 
-from repro.bench.metrics import _percentile
 from repro.elastic.coordinator import ElasticCoordinator
 from repro.errors import InvalidState
+from repro.runtime.metrics import percentile
 from repro.sim.kernel import delay_of
 
 
@@ -141,7 +141,7 @@ class Autoscaler:
             if len(series) > start:
                 fresh.extend(series[start:])
             self._seen_latencies[name] = len(series)
-        p99_us = _percentile(sorted(fresh), 0.99) if fresh else 0.0
+        p99_us = percentile(sorted(fresh), 0.99) if fresh else 0.0
         conflicts = metrics.total_conflicts
         finished = metrics.total_finished
         d_conflicts = conflicts - self._seen_conflicts

@@ -1,7 +1,7 @@
 """Sim-timeline driver for live topology change.
 
 :class:`ElasticCoordinator` runs against a
-:class:`repro.bench.simcluster.SimulatedTell` deployment and executes
+:class:`repro.runtime.deployment.SimulatedDeployment` and executes
 elastic operations *while the workload runs*: every migration batch is a
 timed message (wire latency plus per-cell copy service on both storage
 nodes' core pools), so a rebalance visibly steals service capacity from
@@ -220,18 +220,11 @@ class ElasticCoordinator:
                 self.deployment.pn_quiesced(pn_id) for pn_id in victims
             ):
                 yield delay_of(self.drain_pause_us)
-            from repro.core.recovery import recover_processing_node
-            from repro.core.txlog import TransactionLog
-
             rolled_back = 0
             for pn_id in victims:
                 _pn, pool, cm_index, _indexes = self.deployment.pn_handle(pn_id)
                 tids = yield from self.deployment._drive(
-                    pool, cm_index,
-                    recover_processing_node(
-                        pn_id, self.deployment.commit_managers,
-                        TransactionLog()
-                    ),
+                    pool, cm_index, self.deployment.recover_pn(pn_id),
                     pn_id=pn_id,
                 )
                 rolled_back += len(tids)

@@ -39,7 +39,7 @@ DISPATCH_PACKAGES: Tuple[str, ...] = ("repro.dispatch",)
 #: benchmarks/ledger measures: the end-to-end TPC-C deployment and the
 #: scale suite both run through these.
 HOT_PATH_ROOTS: Tuple[Node, ...] = (
-    ("repro.bench.simcluster", "SimulatedTell.run"),
+    ("repro.runtime.deployment", "SimulatedDeployment.run"),
     ("repro.bench.simcluster", "SimulatedTell.load"),
     ("repro.bench.scale", "run_scale_point"),
 )

@@ -11,6 +11,8 @@ Edges are added only on explicit evidence, mirroring the pass-1 policy
   construction, or an attribute chain whose types were recorded by
   :mod:`repro.lint.flow.summary` (``self.commit_managers[i]`` resolves
   through the ``List[CommitManager]`` annotation on ``__init__``);
+  a call on bare ``self`` also reaches every subclass override
+  (``SimulatedDeployment._spawn_pn`` spawns ``self._terminal(...)``);
 * ``yield from f(...)`` is a call edge flagged as *delegation*, so
   effect-yield taint flows through coroutine chains;
 * ``TABLE[key](...)`` fans out to every callable registered in a
@@ -116,6 +118,17 @@ class CallGraph:
             stack.extend(self.bases_of.get(current, ()))
         self._method_cache[key] = result
         return result
+
+    def override_nodes(self, cls: Symbol, name: str) -> List[Node]:
+        """Every redefinition of ``name`` in a proper subclass of ``cls``:
+        where a call on ``self`` may land at run time."""
+        return [
+            (module, f"{cls_name}.{name}")
+            for module, cls_name in self.bases_of
+            if (module, cls_name) != cls
+            and f"{cls_name}.{name}" in self.flows[module].functions
+            and self.is_subclass((module, cls_name), cls)
+        ]
 
     def attr_entry(self, cls: Symbol, attr: str) -> Optional[Dict[str, Any]]:
         """The recorded type info of instance attribute ``cls.attr``,
@@ -293,7 +306,10 @@ class CallGraph:
             receiver = self._eval_chain(module, info, root, steps, 0)
             if receiver is not None and receiver.cls is not None:
                 method = self.method_node(receiver.cls, attr)
-                return [method] if method is not None else []
+                targets = [method] if method is not None else []
+                if root == "self" and not steps:
+                    targets += self.override_nodes(receiver.cls, attr)
+                return targets
             if not steps:
                 summary = self.index.summaries.get(module)
                 qualifier = summary.resolve_qualifier(root) \

@@ -241,7 +241,8 @@ The performance ledger (`benchmarks/ledger`) measures the host cost of
 the simulated TPC-C deployment, the path the scale suite runs too;
 allocations that happen once per simulated request add up to real
 regressions there.  RF005 computes the forward closure of the guarded
-entry points (`SimulatedTell.run`/`.load`, `run_scale_point`) and
+entry points (`SimulatedDeployment.run`, `SimulatedTell.load`,
+`run_scale_point`) and
 reports constant-argument `yield Delay(...)` constructions and
 all-constant list/dict literals rebuilt inside loops, with the chain
 from the guarded entry point.

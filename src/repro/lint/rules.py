@@ -24,7 +24,8 @@ from repro.lint.index import (
 
 # Packages whose code runs on *simulated* time.  Wall-clock reads here
 # bypass the event kernel and (worse) vary run to run, breaking the
-# determinism contract of repro/sim/kernel.py.  repro.bench is excluded:
+# determinism contract of repro/sim/kernel.py.  repro.runtime is the code
+# that *decides* simulated time (the fabric); repro.bench is excluded:
 # measuring real elapsed time is its job.
 SIMULATED_TIME_PACKAGES: Tuple[str, ...] = (
     "repro.sim",
@@ -32,6 +33,7 @@ SIMULATED_TIME_PACKAGES: Tuple[str, ...] = (
     "repro.store",
     "repro.index",
     "repro.net",
+    "repro.runtime",
     "repro.baselines",
 )
 
@@ -246,7 +248,7 @@ class RL003WallClock(Rule):
     code = "RL003"
     title = "wall-clock time in simulated-time code"
     explain = """\
-Code under repro.sim / core / store / index / net / baselines runs on
+Code under repro.sim / core / store / index / net / runtime / baselines runs on
 *simulated* time: the event kernel's clock, advanced deterministically by
 the scheduler.  Reading the wall clock there (time.time, time.monotonic,
 time.perf_counter, time.sleep, ...) has two failure modes: the value has

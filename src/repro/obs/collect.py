@@ -8,7 +8,7 @@ a grown PN pool, a new session, a fail-over commit manager -- need no
 registration of their own.  Everything is duck-typed on the stats
 attributes so this module imports no protocol code and works for both
 embedded (:class:`repro.api.Database`) and simulated
-(:class:`repro.bench.simcluster.SimulatedTell`) deployments.
+(:class:`repro.runtime.deployment.SimulatedDeployment`) deployments.
 """
 
 from __future__ import annotations

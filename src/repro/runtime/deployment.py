@@ -1,0 +1,344 @@
+"""The one wiring of a Tell deployment (paper Figure 3, Section 4.4).
+
+:class:`Deployment` is a shared record store, commit managers sharing one
+validator, a management node and any number of *stateless* processing
+nodes, plus the node-failure operations of Section 4.4.  The embedded
+:class:`repro.api.Database` and :class:`SimulatedDeployment` differ only
+in who drives the protocol coroutines and who supplies time.
+"""
+
+from __future__ import annotations
+
+from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
+                    Tuple)
+
+from repro import effects
+from repro.core.buffers import make_strategy
+from repro.core.commit_manager import (META_SPACE, TID_COUNTER_KEY,
+                                       CommitManager)
+from repro.core.isolation import make_protocol, make_validator
+from repro.core.processing_node import ProcessingNode
+from repro.core.recovery import recover_processing_node
+from repro.core.snapshot import SnapshotDescriptor
+from repro.core.txlog import TransactionLog
+from repro.dispatch import DispatchEnv, Dispatcher, Interceptor, attach_all
+from repro.errors import InvalidState
+from repro.runtime.config import DeploymentConfig, SimulationConfig
+from repro.runtime.fabric import CorePool, SimFabric, drive
+from repro.sim.kernel import Simulator, delay_of
+from repro.sql.table import IndexManager
+from repro.store.cluster import StorageCluster
+from repro.store.management import ManagementNode
+
+
+class Deployment:
+    """Storage cluster + commit managers + management node + obs hub;
+    storage-node fail-over is ``management.handle_node_failure``.
+    Without a ``clock`` processing nodes count logical steps."""
+
+    def __init__(self, config: DeploymentConfig,
+                 clock: Optional[Callable[[], float]] = None):
+        self.config = config
+        self.clock = clock
+        self.cluster = StorageCluster(
+            n_nodes=config.storage_nodes,
+            replication_factor=config.replication_factor,
+            partitions_per_node=config.partitions_per_node,
+            placement=config.placement,
+        )
+        self.management = ManagementNode(self.cluster)
+        self.protocol = make_protocol(config.isolation)
+        # One validator shared by every manager: it models validation
+        # state synchronized through the store, not per-manager memory
+        # (None under plain SI).
+        self.validator = make_validator(config.isolation)
+        self.commit_managers: List[CommitManager] = [
+            CommitManager(
+                cm_id, self.cluster.execute, config.tid_range_size,
+                interleaved=config.interleaved_tids,
+                n_managers=config.commit_managers,
+                validator=self.validator,
+            )
+            for cm_id in range(config.commit_managers)
+        ]
+        self.obs = None
+        from repro.obs import obs_enabled
+        if config.observability or obs_enabled():
+            from repro.obs import Observability
+            from repro.obs.collect import watch_deployment
+
+            self.obs = Observability(clock=clock)
+            watch_deployment(self.obs, self)
+
+    def dispatch_env(self, sim: Any = None) -> DispatchEnv:
+        """What interceptors attach to (:func:`repro.dispatch.attach_all`)."""
+        return DispatchEnv(
+            cluster=self.cluster, commit_managers=self.commit_managers,
+            sim=sim, management=self.management, obs=self.obs,
+        )
+
+    # -- processing nodes ---------------------------------------------------
+
+    def make_pn(self, pn_id: int, indexes: Any = None) -> ProcessingNode:
+        """A fresh processing node (no data movement, just a new
+        instance); the obs hub exports it and ``indexes``' B+tree stats."""
+        pn = ProcessingNode(
+            pn_id,
+            buffers=make_strategy(self.config.buffering),
+            clock=self.clock,
+            protocol=self.protocol,
+        )
+        if self.obs is not None:
+            self.obs.adopt(pn, indexes)
+        return pn
+
+    def cm_index_of(self, pn_id: int) -> int:
+        """The commit manager serving processing node ``pn_id``."""
+        return pn_id % len(self.commit_managers)
+
+    def recover_pn(self, pn_id: int) -> Generator:
+        """The recovery coroutine (Section 4.4.1) for a crashed or retired
+        processing node; returns the rolled-back tids.  The caller drives
+        it: directly, or under the fabric so it takes simulated time."""
+        return recover_processing_node(
+            pn_id, self.commit_managers, TransactionLog()
+        )
+
+    def recover_pn_direct(self, pn_id: int) -> List[int]:
+        """:meth:`recover_pn`, run to completion outside simulated time."""
+        return effects.run_direct(
+            self.recover_pn(pn_id), Dispatcher(self.cluster)
+        )
+
+    # -- commit-manager fail-over ------------------------------------------
+
+    def crash_commit_manager(self, cm_id: int) -> CommitManager:
+        """Simulate a commit-manager failure and start a replacement.
+
+        Per Section 4.4.3 a single-manager failure blocks new transactions
+        until the in-flight ones complete (they do not need the manager to
+        finish); then a replacement starts, restoring its state from the
+        store: the shared tid counter both guarantees fresh tids and
+        bounds the completed set -- after the drain, every assigned tid
+        has finished.  With multiple managers, the peers' regular state
+        publications are merged in as well.  The replacement takes the
+        failed manager's slot in ``commit_managers``, so everything that
+        addresses managers by index switches over automatically.
+        """
+        failed = self.commit_managers[cm_id]
+        if failed._active_base:
+            raise InvalidState(
+                "the failed manager still has active transactions; they "
+                "must complete (or be recovered) before a replacement "
+                "starts (paper Section 4.4.3)"
+            )
+        peer_ids = [m.cm_id for m in self.commit_managers if m.cm_id != cm_id]
+        # The WSI/SSI validator is shared deployment state: with live
+        # peers it survives the crash (it models store-synchronized
+        # records).  A single-manager deployment loses it with the
+        # manager, so the replacement gets a fresh one whose recovery
+        # horizon conservatively aborts pre-crash transactions.
+        validator = failed.validator
+        if validator is not None and len(self.commit_managers) == 1:
+            validator = make_validator(self.config.isolation)
+        replacement = CommitManager.recover(
+            cm_id, self.cluster.execute, peer_ids,
+            tid_range_size=failed.tid_range_size,
+            interleaved=failed.interleaved,
+            n_managers=failed.n_managers,
+            validator=validator,
+        )
+        # After a full drain (no manager has active transactions), every
+        # tid up to the shared counter has completed, so the counter
+        # bounds the replacement's snapshot.  With live peers still
+        # running transactions this shortcut would wrongly mark their
+        # in-flight tids complete, so it only applies to a quiet cluster;
+        # otherwise the peers' publications (absorbed above) provide the
+        # recoverable state and the base catches up via syncs.
+        fully_drained = all(
+            manager is failed or not manager._active_base
+            for manager in self.commit_managers
+        )
+        if fully_drained:
+            counter, _version = self.cluster.execute(
+                effects.Get(META_SPACE, TID_COUNTER_KEY)
+            )
+            if counter:
+                replacement.completed.merge_snapshot(
+                    SnapshotDescriptor(counter, 0)
+                )
+                replacement.last_assigned_tid = max(
+                    replacement.last_assigned_tid, counter
+                )
+        if validator is not None and validator is not failed.validator:
+            validator.mark_recovered(replacement.highest_known_tid())
+            self.validator = validator
+        self.commit_managers[cm_id] = replacement
+        return replacement
+
+
+#: A processing node, its core pool, its commit manager's index, its indexes.
+PnHandle = Tuple[ProcessingNode, CorePool, int, IndexManager]
+
+
+class SimulatedDeployment(Deployment):
+    """A deployment under the simulated fabric, minus the workload.
+
+    Owns the event kernel, the fabric, the interceptor chain (see
+    ``docs/dispatch.md``; the empty default adds no work to the hot
+    loop), the live processing-node pool, ``run()`` and ``quiesce()``.
+    A subclass supplies ``load()``, ``_terminal(handle, seed)`` and
+    ``_obs_label()``; ``metrics`` is its recorder -- the runtime only
+    stamps the measured window and the obs snapshot on it.
+    """
+
+    def __init__(self, config: SimulationConfig, metrics: Any,
+                 interceptors: Sequence[Interceptor] = ()):
+        self.sim = Simulator()
+        super().__init__(config, clock=lambda: self.sim.now)
+        self.fabric = SimFabric(
+            self.sim, self.cluster, self.commit_managers, config
+        )
+        self.metrics = metrics
+        self.interceptors = list(interceptors)
+        self.sanitizer_log = None
+        from repro.san import sanitizers_enabled
+        if sanitizers_enabled():
+            from repro.san import make_sanitizers
+
+            self.sanitizer_log, chain = make_sanitizers(
+                isolation=config.isolation
+            )
+            self.interceptors.extend(chain)
+        self._pn_handles: List[PnHandle] = []
+        # Live PN pool state: terminals of a stopped PN exit their loop at
+        # the next transaction boundary (the flag check adds no simulated
+        # time, so the static path's digest is untouched).
+        self._pn_active: Dict[int, bool] = {}
+        self._pn_procs: Dict[int, List[Any]] = {}
+        self._warmup_end = min(config.warmup_us, config.duration_us)
+        self._end_time = config.duration_us
+        self._populated = False
+        if self.interceptors:
+            attach_all(self.interceptors, self.dispatch_env(self.sim))
+
+    def _make_pn(self, pn_id: int) -> PnHandle:
+        indexes = IndexManager()
+        pn = self.make_pn(pn_id, indexes)
+        return (pn, CorePool(self.config.pn_cores), self.cm_index_of(pn_id),
+                indexes)
+
+    # -- the simulated run -------------------------------------------------
+
+    def run(self) -> Any:
+        if not self._populated:
+            self.load()
+        end_time = self._end_time
+        for pn_id in range(self.config.processing_nodes):
+            self._spawn_pn(pn_id)
+        if len(self.commit_managers) > 1:
+            for manager in self.commit_managers:
+                self.sim.spawn(
+                    self._cm_sync_loop(manager), name=f"cm{manager.cm_id}-sync"
+                )
+        self.sim.run(until=end_time)
+        self.metrics.measured_time_us = end_time - self._warmup_end
+        if self.sanitizer_log is not None:
+            self.sanitizer_log.assert_clean()
+        if self.obs is not None:
+            from repro import obs as obs_module
+
+            snapshot = self.obs.snapshot()
+            # Outside the digest: observability must never change the
+            # deterministic result identity of a run.
+            self.metrics.obs_snapshot = snapshot
+            obs_module.emit(self._obs_label(), snapshot)
+        return self.metrics
+
+    def _spawn_pn(self, pn_id: int) -> None:
+        handle = self._make_pn(pn_id)
+        self._pn_handles.append(handle)
+        self._pn_active[pn_id] = True
+        procs = self._pn_procs.setdefault(pn_id, [])
+        for thread in range(self.config.threads_per_pn):
+            procs.append(self.sim.spawn(
+                self._terminal(handle, self._terminal_seed(pn_id, thread)),
+                name=f"pn{pn_id}-t{thread}",
+            ))
+
+    def _terminal_seed(self, pn_id: int, thread: int) -> int:
+        """Per-terminal RNG seed; workload subclasses derive their own."""
+        return (self.config.seed * 10_007 + pn_id * 131 + thread) & 0x7FFFFFFF
+
+    def start_pn(self) -> int:
+        """Attach a fresh processing node while the simulation runs.
+
+        The new PN's terminals enter the workload at the current
+        simulated instant with the same deterministic seed derivation the
+        initial pool uses, so a fixed seed reproduces the grown
+        deployment exactly.  Returns the new pn id.
+        """
+        pn_id = (
+            max(pn.pn_id for pn, _pool, _cm, _idx in self._pn_handles) + 1
+            if self._pn_handles else 0
+        )
+        self._spawn_pn(pn_id)
+        return pn_id
+
+    def stop_pn(self, pn_id: int) -> None:
+        """Retire a processing node: its terminals exit at the next
+        transaction boundary.  The caller (the elastic coordinator) then
+        drains and runs PN recovery to roll back anything in flight."""
+        self._pn_active[pn_id] = False
+
+    def pn_quiesced(self, pn_id: int) -> bool:
+        """True once every terminal of a stopped PN has actually exited.
+
+        A terminal only observes :meth:`stop_pn` at its next transaction
+        boundary, so a transaction in flight at stop time keeps running
+        for a while; recovery must not roll it back underneath it (the
+        sanitizers catch exactly that)."""
+        return all(proc.finished for proc in self._pn_procs.get(pn_id, ()))
+
+    def pn_handle(self, pn_id: int) -> PnHandle:
+        for handle in self._pn_handles:
+            if handle[0].pn_id == pn_id:
+                return handle
+        raise KeyError(f"no processing node {pn_id}")
+
+    def active_pn_ids(self) -> List[int]:
+        return sorted(
+            pn_id for pn_id, active in self._pn_active.items() if active
+        )
+
+    def _drive(self, pool: CorePool, cm_index: int, gen,
+               pn_id: int = -1) -> Generator:  # noqa: ANN001
+        """:func:`drive` bound to this deployment's fabric and chain."""
+        return drive(self.fabric, self.interceptors, pool, cm_index, gen,
+                     pn_id)
+
+    def quiesce(self) -> int:
+        """Roll back every transaction still in flight after the run.
+
+        Stopping the simulation mid-air leaves workers exactly like
+        crashed processing nodes; the paper's recovery procedure
+        (Section 4.4.1) brings the store back to a transaction-consistent
+        state.  Returns the number of transactions rolled back.
+        """
+        pn_ids = {pn.pn_id for pn, _pool, _cm, _idx in self._pn_handles}
+        return sum(
+            len(self.recover_pn_direct(pn_id)) for pn_id in sorted(pn_ids)
+        )
+
+    def _cm_sync_loop(self, manager: CommitManager) -> Generator:
+        """Background snapshot synchronization between commit managers."""
+        peer_ids = [m.cm_id for m in self.commit_managers]
+        # Delay objects are immutable; one interned instance serves every
+        # iteration of the loop.
+        pause = delay_of(self.config.cm_sync_interval_us)
+        while True:
+            yield pause
+            # State-wise the sync runs through the store directly; its
+            # timing cost (a handful of microseconds of CM time per
+            # interval) is negligible compared to the interval itself.
+            manager.sync(peer_ids)

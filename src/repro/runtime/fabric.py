@@ -1,0 +1,499 @@
+"""The simulated fabric: real protocol code, simulated time.
+
+This module is the bridge between the library and the discrete-event
+kernel.  Every processing-node worker is a simulated "thread" running the
+*actual* transaction code (:mod:`repro.core`); the fabric decides when
+each storage or commit-manager request completes, charging:
+
+* wire latency and bandwidth (per the configured network profile),
+* per-message CPU on both endpoints (the kernel-TCP tax on Ethernet),
+* storage-node service time through a multi-core FIFO pool -- including
+  the synchronous-replication wait, which occupies the master's worker
+  and is what makes RF3 expensive under write-heavy load (Figure 5),
+* processing-node CPU for query processing (Compute effects).
+
+State mutations execute via ``Simulator.call_at`` at the exact simulated
+instant the storage node services them, so LL/SC conflicts arise from
+genuine request interleavings.
+"""
+
+from __future__ import annotations
+
+import heapq
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+
+from repro import effects
+from repro.core.commit_manager import CommitManager
+from repro.dispatch import (
+    KIND_BATCH,
+    KIND_CM_COMMITTED,
+    KIND_CM_START,
+    KIND_CM_VALIDATE,
+    KIND_COMPUTE,
+    KIND_SCAN,
+    KIND_SLEEP,
+    KIND_STORE,
+    DispatchContext,
+    Interceptor,
+    compose,
+    kind_of,
+)
+from repro.errors import TellError, WrongOwner
+from repro.net.profiles import NetworkProfile, profile_by_name
+from repro.runtime.config import SimulationConfig
+from repro.sim.kernel import Delay, Simulator, delay_of
+from repro.store.cell import request_size
+from repro.store.cluster import WRITE_CLASSES, StorageCluster
+
+#: Response-size estimates by request kind (bytes); used for wire time.
+READ_RESPONSE_BYTES = 280
+WRITE_RESPONSE_BYTES = 24
+CM_MESSAGE_BYTES = 96
+SN_SERVICE_CM_US = 0.6
+#: Backup write amplification: a replica put appends to the backup's log
+#: and buffers it for persistent storage, costing more than the master's
+#: in-memory update.
+REPL_WRITE_AMP = 2.0
+REPL_FIXED_US = 5.0
+
+#: Exact request classes that must reach the backup replicas (the store's
+#: write set); used for one-lookup membership tests in the fabric's hot
+#: loop (subclasses still take the isinstance route).
+_REPLICATED_OP_CLASSES = WRITE_CLASSES
+
+
+class CorePool:
+    """A multi-server FIFO of CPU cores (reserve = find earliest core)."""
+
+    __slots__ = ("_free",)
+
+    def __init__(self, cores: int):
+        self._free = [0.0] * cores
+        heapq.heapify(self._free)
+
+    def earliest(self, at: float) -> float:
+        return max(at, self._free[0])
+
+    def reserve(
+        self,
+        at: float,
+        duration: float,
+        _heapreplace=heapq.heapreplace,
+    ) -> Tuple[float, float]:
+        free = self._free
+        head = free[0]
+        start = at if at > head else head
+        end = start + duration
+        _heapreplace(free, end)
+        return start, end
+
+
+class FabricStats:
+    __slots__ = ("messages", "store_ops", "bytes_sent")
+
+    def __init__(self) -> None:
+        self.messages = 0
+        self.store_ops = 0
+        self.bytes_sent = 0
+
+
+class _Slot:
+    """Result carrier between a call_at callback and the waiting driver."""
+
+    __slots__ = ("value", "error")
+
+    def __init__(self) -> None:
+        self.value = None
+        self.error: Optional[BaseException] = None
+
+
+class SimFabric:
+    """Times and applies requests for all processing nodes."""
+
+    def __init__(
+        self,
+        sim: Simulator,
+        cluster: StorageCluster,
+        commit_managers: List[CommitManager],
+        config: SimulationConfig,
+    ):
+        self.sim = sim
+        self.cluster = cluster
+        self.commit_managers = commit_managers
+        self.config = config
+        self.profile: NetworkProfile = profile_by_name(config.network)
+        self.sn_pools = {
+            node_id: CorePool(config.sn_cores) for node_id in cluster.nodes
+        }
+        self.cm_pools = [CorePool(2) for _ in commit_managers]
+        self.stats = FabricStats()
+        # Per-run constants of the CM round trip, hoisted off the hot path.
+        self._cm_wire_us = self.profile.one_way(CM_MESSAGE_BYTES)
+        self._cm_service_us = SN_SERVICE_CM_US + self.profile.server_cpu_per_msg_us
+        #: Set by the elastic coordinator when live topology change is in
+        #: play.  Arms the apply-time ownership guard in
+        #: :meth:`_send_group`: a request that was routed before a
+        #: migration promoted a new master must fail with
+        #: :class:`~repro.errors.WrongOwner` *before any state mutation*
+        #: (the redirect interceptor then re-routes it).  False on the
+        #: static path -- the guard costs nothing when elasticity is off.
+        self.elastic_active = False
+
+    def register_node(self, node_id: int) -> None:
+        """Give a freshly attached storage node its simulated core pool."""
+        if node_id not in self.sn_pools:
+            self.sn_pools[node_id] = CorePool(self.config.sn_cores)
+
+    # -- top-level dispatch ------------------------------------------------------
+
+    def perform(self, pn_pool: CorePool, cm_index: int,
+                request: effects.Request, pn_id: int = -1) -> Generator:
+        """Sub-generator (yields Delay/Event) resolving one request.
+
+        The only executor of a request under simulation: every driver
+        reaches the fabric through :func:`drive`, whose chain ends here.
+        Routing is the shared :func:`repro.dispatch.kind_of`
+        classification (one dict lookup for the exact effect classes);
+        this fabric owns only the *timing* model for each kind.  Checks
+        are ordered by request frequency: single-key storage ops and
+        Compute dominate the stream.
+        """
+        kind = kind_of(request)
+        if kind == KIND_STORE:
+            slot, wait = self.prepare_single(pn_pool, request)
+            if wait > 0:
+                yield Delay(wait)
+            if slot.error is not None:
+                raise slot.error
+            return slot.value[0]
+        if kind == KIND_COMPUTE:
+            now = self.sim.now
+            _start, end = pn_pool.reserve(now, request.duration)
+            if end > now:
+                yield Delay(end - now)
+            return None
+        if kind == KIND_SLEEP:
+            yield delay_of(request.duration)
+            return None
+        if kind == KIND_BATCH:
+            ops = request.ops
+            if self.config.batching and len(ops) > 1:
+                return (yield from self._perform_batch(pn_pool, ops))
+            results = []
+            for op in ops:  # nothing to batch: one round trip each
+                results.append(
+                    (yield from self.perform(pn_pool, cm_index, op, pn_id))
+                )
+            return results
+        if kind == KIND_SCAN:
+            return (yield from self._perform_scan(pn_pool, request))
+        # Remaining kinds are the commit-manager round trips.
+        result, wait = self.prepare_cm(cm_index, request, pn_id, kind)
+        yield Delay(wait)
+        return result
+
+    # -- storage messages ------------------------------------------------------------
+
+    def prepare_single(
+        self, pn_pool: CorePool, op: effects.StoreRequest
+    ) -> Tuple[_Slot, float]:
+        """One single-key op: the degenerate one-message batch.
+
+        Performs every reservation and schedules the state transition,
+        then returns ``(slot, wait_us)``; :meth:`perform` owns the single
+        suspension and unwraps the slot.  Routing is inlined (partitioner
+        + master lookup) so the hot path allocates nothing beyond the
+        result slot.
+        """
+        cluster = self.cluster
+        partition_id = cluster.partitioner.partition_of(op.key)
+        node_id = cluster.partition_map.assignments[partition_id].replicas[0]
+        now = self.sim.now
+        t_send = now
+        client_cpu = self.profile.client_cpu_per_msg_us
+        if client_cpu > 0:
+            _s, t_send = pn_pool.reserve(t_send, client_cpu)
+        slot, t_done = self._send_group(
+            t_send, node_id, [(0, op, partition_id)]
+        )
+        if client_cpu > 0:
+            _s, t_done = pn_pool.reserve(t_done, client_cpu)
+        return slot, t_done - now
+
+    def _perform_batch(
+        self, pn_pool: CorePool, ops: List[effects.StoreRequest]
+    ) -> Generator:
+        """Send ops grouped per target storage node; one message each."""
+        routing_of = self.cluster.routing
+        groups: Dict[int, List[Tuple[int, effects.StoreRequest, int]]] = {}
+        for position, op in enumerate(ops):
+            routing = routing_of(op)
+            group = groups.get(routing.node_id)
+            if group is None:
+                groups[routing.node_id] = group = []
+            group.append((position, op, routing.partition_id))
+        now = self.sim.now
+        # Send-side CPU: one charge per outgoing message.
+        t_send = now
+        client_cpu = self.profile.client_cpu_per_msg_us
+        if client_cpu > 0:
+            for _ in groups:
+                _s, t_send = pn_pool.reserve(t_send, client_cpu)
+        slots = []
+        t_done = t_send
+        for node_id, members in groups.items():
+            slot, t_response = self._send_group(t_send, node_id, members)
+            slots.append((slot, members))
+            if t_response > t_done:
+                t_done = t_response
+        # Receive-side CPU, one charge per response message.
+        if client_cpu > 0:
+            for _ in groups:
+                _s, t_done = pn_pool.reserve(t_done, client_cpu)
+        if t_done > now:
+            yield Delay(t_done - now)
+        results: List[Any] = [None] * len(ops)
+        error: Optional[BaseException] = None
+        for slot, members in slots:
+            if slot.error is not None:
+                error = slot.error
+                continue
+            for (position, _op, _pid), value in zip(members, slot.value):
+                results[position] = value
+        if error is not None:
+            raise error
+        return results
+
+    def _send_group(
+        self,
+        now: float,
+        node_id: int,
+        members: List[Tuple[int, effects.StoreRequest, int]],
+    ) -> Tuple[_Slot, float]:
+        """Schedule one request message; returns (slot, t_response)."""
+        profile = self.profile
+        cluster = self.cluster
+        node = cluster.nodes[node_id]
+        pool = self.sn_pools[node_id]
+        service_us_read = node.service_us_read
+        service_us_write = node.service_us_write
+
+        # One pass over the members computes wire size, service time, and
+        # the replicated-write set together (three separate traversals
+        # previously).
+        request_bytes = 0
+        service = profile.server_cpu_per_msg_us
+        response_bytes = 16
+        writes: List[Tuple[effects.StoreRequest, int]] = []
+        for _pos, op, pid in members:
+            request_bytes += request_size(op)
+            cls = op.__class__
+            if cls is effects.Get or isinstance(op, effects.Get):
+                service += service_us_read
+                response_bytes += READ_RESPONSE_BYTES
+            else:
+                service += service_us_write
+                response_bytes += WRITE_RESPONSE_BYTES
+                if cls in _REPLICATED_OP_CLASSES or isinstance(
+                    op,
+                    (effects.Put, effects.PutIfVersion, effects.Delete,
+                     effects.DeleteIfVersion, effects.Increment),
+                ):
+                    writes.append((op, pid))
+
+        stats = self.stats
+        stats.messages += 1
+        stats.store_ops += len(members)
+        stats.bytes_sent += request_bytes
+
+        t_arrive = now + profile.one_way(request_bytes)
+
+        start = pool.earliest(t_arrive)
+        # Synchronous replication: the master worker is held until every
+        # backup acknowledged (RAMCloud-style), so the wait extends the
+        # reservation -- this is what throttles write capacity and
+        # inflates commit latency under RF3 (Figure 5).  A backup write
+        # is costlier than a master write (log append + buffer flush:
+        # the ``REPL_WRITE_AMP`` factor plus a fixed per-put cost), and a
+        # master pipelines its group's puts one at a time.
+        repl_extra = 0.0
+        if writes and cluster.replication_factor > 1:
+            backup_targets: Dict[int, int] = {}
+            backups_of = cluster.partition_map.backups_of
+            for op, pid in writes:
+                for backup_id in backups_of(pid):
+                    backup_targets[backup_id] = backup_targets.get(backup_id, 0) + 1
+            sent = start + service
+            for backup_id, write_count in backup_targets.items():
+                backup_node = cluster.nodes[backup_id]
+                backup_pool = self.sn_pools[backup_id]
+                b_arrive = sent + profile.one_way(64)
+                backup_service = write_count * (
+                    backup_node.service_us_write * REPL_WRITE_AMP
+                    + REPL_FIXED_US
+                )
+                _bs, b_end = backup_pool.reserve(b_arrive, backup_service)
+                repl_extra += max(0.0, b_end + profile.one_way(32) - sent)
+        _s, t_service_end = pool.reserve(t_arrive, service + repl_extra)
+
+        slot = _Slot()
+
+        def apply() -> None:
+            try:
+                if self.elastic_active:
+                    # Ownership may have changed between routing (send
+                    # time) and service (now).  Reject the whole message
+                    # BEFORE applying anything: a write landing on a
+                    # demoted master would be silently lost by the next
+                    # migration batch, and a half-applied group could not
+                    # be retried.  The epoch rides the error so the
+                    # redirect interceptor can report staleness.
+                    assignments = cluster.partition_map.assignments
+                    for _pos, op, pid in members:
+                        if node_id not in assignments[pid].replicas:
+                            raise WrongOwner(
+                                pid, node_id, cluster.topology.epoch
+                            )
+                    for op, pid in writes:
+                        if assignments[pid].replicas[0] != node_id:
+                            raise WrongOwner(
+                                pid, node_id, cluster.topology.epoch
+                            )
+                values = []
+                for _pos, op, pid in members:
+                    value, _size = cluster.apply(op, pid, node_id)
+                    values.append(value)
+                for op, pid in writes:
+                    cluster.replicate(op, pid)
+                slot.value = values
+            except TellError as exc:
+                slot.error = exc
+
+        self.sim.call_at(t_service_end, apply)
+        t_response = t_service_end + profile.one_way(response_bytes)
+        return slot, t_response
+
+    def _perform_scan(self, pn_pool: CorePool, op: effects.Scan) -> Generator:
+        """Fan a scan out to every master; wait for the slowest slice."""
+        profile = self.profile
+        now = self.sim.now
+        slices: Dict[int, List[int]] = {}
+        for pid, node_id in self.cluster.scan_routing(op):
+            slices.setdefault(node_id, []).append(pid)
+        slot = _Slot()
+        t_done = now
+        for node_id, pids in slices.items():
+            node = self.cluster.nodes[node_id]
+            pool = self.sn_pools[node_id]
+            t_arrive = now + profile.one_way(64)
+            # Scans are served by a dedicated thread; cost grows with the
+            # partition's population (approximated per stored cell).
+            cells = sum(
+                sum(len(s) for s in node.partitions[pid].spaces.values())
+                for pid in pids
+                if pid in node.partitions
+            )
+            service = profile.server_cpu_per_msg_us + 0.05 * max(cells, 1)
+            _s, t_end = pool.reserve(t_arrive, service)
+            t_done = max(t_done, t_end)
+            self.stats.messages += 1
+
+        event = self.sim.event()
+
+        def run_scan() -> None:
+            from repro.store.cell import approx_size
+
+            try:
+                slot.value = self.cluster.execute_scan(op)
+                response_bytes = 64 + sum(
+                    16 + approx_size(value) for _k, value, _v in slot.value
+                )
+            except TellError as exc:
+                slot.error = exc
+                response_bytes = 64
+            # The response wire time depends on how much the scan ships:
+            # storage-side push-down (Section 5.2) earns its keep here.
+            self.stats.bytes_sent += response_bytes
+            self.sim.call_at(
+                self.sim.now + profile.one_way(response_bytes),
+                lambda: event.trigger(None),
+            )
+
+        self.sim.call_at(t_done, run_scan)
+        yield event
+        if slot.error is not None:
+            raise slot.error
+        return slot.value
+
+    # -- commit manager messages -----------------------------------------------------
+
+    def prepare_cm(
+        self, cm_index: int, request: effects.CommitManagerRequest,
+        pn_id: int, kind: int,
+    ) -> Tuple[Any, float]:
+        """One commit-manager round trip.
+
+        Manager state executes at issue time (its operations are
+        microsecond-cheap and commute across the tiny reordering window);
+        the latency charged is arrival + queueing + response, plus one
+        storage round trip whenever serving a start required refilling the
+        manager's tid range from the shared counter.  Returns
+        ``(result, wait_us)``; ``wait_us`` is always positive (two wire
+        hops), :meth:`perform` owns the suspension.
+        """
+        manager = self.commit_managers[cm_index]
+        pool = self.cm_pools[cm_index]
+        now = self.sim.now
+        self.stats.messages += 1
+        refilled = False
+        if kind == KIND_CM_START:
+            result: Any = manager.start(pn_id)
+            refilled = result.range_refilled
+        elif kind == KIND_CM_COMMITTED:
+            manager.set_committed(request.tid)
+            result = None
+        elif kind == KIND_CM_VALIDATE:
+            result = manager.validate_commit(request)
+        else:
+            manager.set_aborted(request.tid)
+            result = None
+        cm_wire = self._cm_wire_us
+        _s, t_end = pool.reserve(now + cm_wire, self._cm_service_us)
+        t_response = t_end + cm_wire
+        if refilled:
+            t_response += self.profile.round_trip() + 2.0
+        return result, t_response - now
+
+
+def drive(fabric: SimFabric, interceptors: Sequence[Interceptor],
+          pool: CorePool, cm_index: int, gen: Generator,
+          pn_id: int = -1) -> Generator:
+    """Run a protocol coroutine under the fabric (a sim process body).
+
+    The one trampoline of the simulated runtime: every request ``gen``
+    yields flows through the composed :mod:`repro.dispatch` chain into
+    :meth:`SimFabric.perform` (an empty chain is that call and nothing
+    else), and a :class:`~repro.errors.TellError` raised on the way is
+    thrown back into ``gen`` at the yield that issued the request.
+    """
+    step = compose(
+        interceptors,
+        lambda request: fabric.perform(pool, cm_index, request, pn_id),
+        DispatchContext(pn_id=pn_id, clock=fabric.sim.clock(), engine="sim"),
+    )
+    send_value: Any = None
+    throw_exc: Optional[BaseException] = None
+    while True:
+        try:
+            if throw_exc is not None:
+                request = gen.throw(throw_exc)
+                throw_exc = None
+            else:
+                request = gen.send(send_value)
+        except StopIteration as stop:
+            return stop.value
+        try:
+            send_value = yield from step(request)
+        except TellError as exc:
+            send_value = None
+            throw_exc = exc

@@ -20,20 +20,17 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro import effects
-from repro.bench.config import TellConfig
-from repro.bench.simcluster import CorePool, SimFabric, drive
-from repro.core.buffers import make_strategy
-from repro.core.commit_manager import CommitManager
 from repro.core.gc import lazy_gc_pass
-from repro.core.processing_node import ProcessingNode
 from repro.core.spaces import DATA_SPACE
-from repro.dispatch import DispatchEnv, attach_all
+from repro.dispatch import attach_all
 from repro.errors import TellError, TransactionAborted
 from repro.index.btree import DistributedBTree
+from repro.runtime.config import SimulationConfig
+from repro.runtime.deployment import Deployment
+from repro.runtime.fabric import CorePool, SimFabric, drive
 from repro.san import make_sanitizers
 from repro.san.violations import ViolationLog
 from repro.sim.kernel import Process, SchedulerPolicy, Simulator, all_of
-from repro.store.cluster import StorageCluster
 
 #: Hard wall for every scenario phase, in simulated microseconds.
 _PHASE_LIMIT = 50_000_000.0
@@ -50,50 +47,21 @@ class SimWorld:
     def __init__(self, policy: Optional[SchedulerPolicy] = None,
                  n_pns: int = 2, storage_nodes: int = 2,
                  isolation: str = "si") -> None:
-        from repro.core.isolation import make_protocol, make_validator
-
-        self.config = TellConfig(
-            processing_nodes=n_pns,
-            storage_nodes=storage_nodes,
-            replication_factor=1,
-            partitions_per_node=4,
-            threads_per_pn=1,
-            isolation=isolation,
+        config = SimulationConfig(
+            processing_nodes=n_pns, storage_nodes=storage_nodes,
+            partitions_per_node=4, tid_range_size=16, isolation=isolation,
         )
-        self.isolation = isolation
-        self.protocol = make_protocol(isolation)
         self.sim = Simulator(policy)
-        self.cluster = StorageCluster(
-            n_nodes=storage_nodes,
-            replication_factor=1,
-            partitions_per_node=4,
-        )
-        self.commit_manager = CommitManager(
-            0, self.cluster.execute, tid_range_size=16,
-            validator=make_validator(isolation),
-        )
+        self.deployment = Deployment(config, clock=lambda: self.sim.now)
+        self.commit_manager = self.deployment.commit_managers[0]
         self.fabric = SimFabric(
-            self.sim, self.cluster, [self.commit_manager], self.config
+            self.sim, self.deployment.cluster,
+            self.deployment.commit_managers, config,
         )
         self.log, self.sanitizers = make_sanitizers(isolation=isolation)
-        attach_all(
-            self.sanitizers,
-            DispatchEnv(
-                cluster=self.cluster,
-                commit_managers=[self.commit_manager],
-                sim=self.sim,
-            ),
-        )
-        self.pns = [
-            ProcessingNode(
-                pn_id,
-                buffers=make_strategy("tb"),
-                clock=lambda: self.sim.now,
-                protocol=self.protocol,
-            )
-            for pn_id in range(n_pns)
-        ]
-        self.pools = [CorePool(self.config.pn_cores) for _ in range(n_pns)]
+        attach_all(self.sanitizers, self.deployment.dispatch_env(self.sim))
+        self.pns = [self.deployment.make_pn(pn_id) for pn_id in range(n_pns)]
+        self.pools = [CorePool(config.pn_cores) for _ in range(n_pns)]
 
     # -- driving protocol coroutines under the fabric --------------------
 

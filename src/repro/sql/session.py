@@ -18,7 +18,7 @@ from repro import effects
 from repro.core.processing_node import ProcessingNode
 from repro.core.spaces import DATA_SPACE
 from repro.core.transaction import Transaction
-from repro.errors import InvalidState, SqlPlanError, TellError, TransactionAborted
+from repro.errors import InvalidState, SqlPlanError, TellError
 from repro.sql import ast_nodes as ast
 from repro.sql.executor import ResultSet, StatementExecutor
 from repro.sql.parser import parse
@@ -53,7 +53,6 @@ class Session:
             txn, self._txn = self._txn, None
             with contextlib.suppress(TellError):
                 self.runner.run(txn.abort())
-            self.pn.stats.aborted += 1
 
     @property
     def closed(self) -> bool:
@@ -94,19 +93,13 @@ class Session:
         if self._txn is None:
             raise InvalidState("no open transaction")
         txn, self._txn = self._txn, None
-        try:
-            self.runner.run(txn.commit())
-            self.pn.stats.committed += 1
-        except TransactionAborted:
-            self.pn.stats.aborted += 1
-            raise
+        self.runner.run(txn.commit())
 
     def rollback(self) -> None:
         if self._txn is None:
             raise InvalidState("no open transaction")
         txn, self._txn = self._txn, None
         self.runner.run(txn.abort())
-        self.pn.stats.aborted += 1
 
     @contextlib.contextmanager
     def transaction(self) -> Iterator[Transaction]:
@@ -224,15 +217,9 @@ class Session:
                     self.runner.run(txn.abort())
                 except Exception:
                     pass
-                self.pn.stats.aborted += 1
             raise
         if autocommit:
-            try:
-                self.runner.run(txn.commit())
-                self.pn.stats.committed += 1
-            except TransactionAborted:
-                self.pn.stats.aborted += 1
-                raise
+            self.runner.run(txn.commit())
         return result
 
     def _execute_ddl(self, statement: ast.Statement) -> ResultSet:

@@ -51,7 +51,7 @@ _WRITE_OPS = (
 
 # Exact-class sets let the hot routing/apply paths replace isinstance
 # chains with one dict lookup; subclasses still take the generic path.
-_WRITE_CLASSES = frozenset(_WRITE_OPS)
+WRITE_CLASSES = frozenset(_WRITE_OPS)
 _READ_CLASSES = frozenset((effects.Get, effects.Scan))
 
 _APPLY_DISPATCH = {
@@ -134,7 +134,7 @@ class StorageCluster:
         partition_id = self.partitioner.partition_of(op.key)
         master = self.partition_map.assignments[partition_id].replicas[0]
         cls = op.__class__
-        if cls in _WRITE_CLASSES:
+        if cls in WRITE_CLASSES:
             is_write = True
         elif cls in _READ_CLASSES:
             is_write = False

@@ -1,5 +1,8 @@
 """Tests for the modern public API: connect(), context managers, results."""
 
+import ast
+import pathlib
+
 import pytest
 
 import repro
@@ -65,7 +68,7 @@ class TestConnect:
     def test_legacy_keyword_construction_still_works(self):
         db = Database(storage_nodes=2, replication_factor=2)
         assert len(db.cluster.nodes) == 2
-        assert db.buffering == "tb"
+        assert db.config.buffering == "tb"
         with pytest.raises(InvalidState):
             Database(commit_managers=0)
 
@@ -225,3 +228,54 @@ class TestBackfillAbort:
             session.execute("INSERT INTO d VALUES (3, 6)")
         assert session.query(
             "SELECT COUNT(*) AS n FROM d")[0]["n"] == 3
+
+
+def _imports(tree, module_level_only=False):
+    """Dotted names a module imports (``from a import b`` yields ``a`` and
+    ``a.b``); ``module_level_only`` skips function bodies."""
+    stack, found = [tree], set()
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module)
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif module_level_only and isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _within(names, package):
+    return sorted(name for name in names
+                  if name == package or name.startswith(package + "."))
+
+
+class TestImportDirection:
+    """Library packages sit under the benchmark package, never on it."""
+
+    #: ``repro-obs run`` runs a bench experiment; ``TxnMetrics`` is pinned
+    #: at ``repro.bench.metrics`` by the frozen ledger (docs/simulation.md).
+    MAY_IMPORT_BENCH = {"repro/obs/cli.py", "repro/baselines/common.py"}
+
+    def test_dependency_arrows_point_away_from_the_benchmark(self):
+        package = pathlib.Path(repro.__file__).parent
+        offenders = {}
+        for path in sorted(package.rglob("*.py")):
+            rel = path.relative_to(package.parent).as_posix()
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            if not (rel.startswith("repro/bench/")
+                    or rel in self.MAY_IMPORT_BENCH):
+                bad = _within(_imports(tree), "repro.bench")
+                if bad:
+                    offenders[rel] = bad
+            if rel.startswith("repro/runtime/"):
+                top = _imports(tree, module_level_only=True)
+                bad = [name for upper in ("repro.bench", "repro.api",
+                                          "repro.workloads")
+                       for name in _within(top, upper)]
+                if bad:
+                    offenders[rel] = bad
+        assert offenders == {}

@@ -471,13 +471,9 @@ class TestSeededMutations:
         manager pins the GC horizon forever -- RA005(a)."""
         findings = mutate(src_sources, [(
             "core/transaction.py",
-            "        self.state = TxnState.ABORTED\n"
-            "        span = self.span\n"
             "        abort_child = span.child(\"abort\") "
             "if span is not None else None\n"
             "        yield effects.ReportAborted(self.tid)",
-            "        self.state = TxnState.ABORTED\n"
-            "        span = self.span\n"
             "        abort_child = span.child(\"abort\") "
             "if span is not None else None\n"
             "        yield effects.Sleep(0)",

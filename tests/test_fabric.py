@@ -4,14 +4,14 @@ import pytest
 
 from repro import effects
 from repro.bench.config import TellConfig
-from repro.bench.simcluster import (
+from repro.core.commit_manager import CommitManager
+from repro.net.profiles import INFINIBAND_QDR
+from repro.runtime.fabric import (
     CM_MESSAGE_BYTES,
     SN_SERVICE_CM_US,
     CorePool,
     SimFabric,
 )
-from repro.core.commit_manager import CommitManager
-from repro.net.profiles import INFINIBAND_QDR
 from repro.sim.kernel import Simulator
 from repro.store.cluster import StorageCluster
 

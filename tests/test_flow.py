@@ -93,8 +93,8 @@ class TestCallGraph:
 
     def test_yield_from_delegation_edges(self, src_analysis):
         g = src_analysis.graph
-        perform = ("repro.bench.simcluster", "SimFabric.perform")
-        batch = ("repro.bench.simcluster", "SimFabric._perform_batch")
+        perform = ("repro.runtime.fabric", "SimFabric.perform")
+        batch = ("repro.runtime.fabric", "SimFabric._perform_batch")
         assert batch in g.yf_edges[perform]
         script = ("repro.bench.simcluster", "SimulatedTell._transaction_script")
         commit = ("repro.core.transaction", "Transaction.commit")
@@ -112,12 +112,16 @@ class TestCallGraph:
         # self.commit_managers[i].start resolves through the
         # List[CommitManager] annotation on SimFabric.__init__.
         g = src_analysis.graph
-        prepare = ("repro.bench.simcluster", "SimFabric.prepare_cm")
+        prepare = ("repro.runtime.fabric", "SimFabric.prepare_cm")
         assert ("repro.core.commit_manager", "CommitManager.start") \
             in g.edges[prepare]
 
     def test_spawned_terminals_reach_commit_manager(self, src_analysis):
+        # _spawn_pn lives in repro.runtime and spawns `self._terminal(...)`:
+        # the workload overrides are reached through the self-call.
         assert ("repro.bench.simcluster", "SimulatedTell._terminal") \
+            in src_analysis.graph.spawned
+        assert ("repro.bench.ycsb_sim", "SimulatedYcsb._terminal") \
             in src_analysis.graph.spawned
         assert ("repro.core.commit_manager", "CommitManager.start") \
             in src_analysis.sim_parents
@@ -375,10 +379,10 @@ class TestRF004:
 class TestRF005:
     def test_constant_delay_in_real_drive_loop(self, src_sources):
         findings = mutate(src_sources, [(
-            "bench/simcluster.py", "yield Delay(wait)", "yield Delay(0.001)",
+            "runtime/fabric.py", "yield Delay(wait)", "yield Delay(0.001)",
         )])
         assert [f.rule for f in findings] == ["RF005"]
-        assert "SimulatedTell.run" in findings[0].message
+        assert "SimulatedDeployment.run" in findings[0].message
 
     def test_constant_literal_in_hot_loop(self, src_sources):
         findings = mutate(src_sources, [(

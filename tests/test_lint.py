@@ -15,6 +15,7 @@ from repro.lint.engine import module_name_for
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 TRANSACTION_PY = REPO_ROOT / "src" / "repro" / "core" / "transaction.py"
+FABRIC_PY = REPO_ROOT / "src" / "repro" / "runtime" / "fabric.py"
 ISOLATION_BASE_PY = (
     REPO_ROOT / "src" / "repro" / "core" / "isolation" / "base.py"
 )
@@ -461,6 +462,7 @@ class TestRL008:
                 return cluster.execute(op)
         """
         assert codes(source, module="repro.bench.simcluster") == []
+        assert codes(source, module="repro.runtime.deployment") == []
         assert codes(source, module="repro.dispatch.direct") == []
         assert codes(source, module="repro.api.runner") == []
 
@@ -729,7 +731,7 @@ class TestRL012:
         assert codes("""
             def rewind(validator):
                 validator._validation_horizon = 0
-        """, module="repro.bench.simcluster") == ["RL012"]
+        """, module="repro.runtime.deployment") == ["RL012"]
 
     def test_isolation_package_is_exempt(self):
         assert codes("""
@@ -774,7 +776,7 @@ class TestRL013:
         assert codes("""
             def bump(topology):
                 topology.epoch += 1
-        """, module="repro.bench.simcluster") == ["RL013"]
+        """, module="repro.runtime.deployment") == ["RL013"]
 
     def test_handoffs_mutating_call_fires(self):
         assert codes("""
@@ -970,6 +972,21 @@ class TestShippedTree:
         assert mutated != real
         found = lint_source(mutated, module="repro.core.transaction")
         assert "RL002" in [f.rule for f in found]
+
+    def test_wall_clock_in_the_fabric_trips_rl003(self):
+        # The fabric *decides* simulated time; a wall-clock read there
+        # breaks determinism at the source.
+        real = FABRIC_PY.read_text()
+        mutated = real.replace(
+            "        now = self.sim.now\n        t_send = now\n",
+            "        import time\n        now = time.time()\n"
+            "        t_send = now\n",
+            1,
+        )
+        assert mutated != real, "mutation site vanished; update the test"
+        found = lint_source(mutated, module="repro.runtime.fabric")
+        assert [f.rule for f in found] == ["RL003"]
+        assert lint_source(real, module="repro.runtime.fabric") == []
 
     def test_unmutated_transaction_is_clean(self):
         assert lint_source(

@@ -316,6 +316,20 @@ class TestSimulatedObservability:
         for pn, _pool, _cm, _indexes in deployment._pn_handles:
             assert pn.obs is None
 
+    def test_pn_txn_outcomes_are_counted_under_simulation(self):
+        # PnStats is bumped where a transaction reaches COMMITTED, so the
+        # gauge may lead TxnMetrics by the transactions that committed
+        # just before the run ended without being recorded: at most one
+        # per terminal (tiny_config: 1 PN x 4 threads).
+        metrics = run_tiny(warmup_us=0.0)
+        committed = sum(
+            value
+            for series, value in metrics.obs_snapshot["gauges"].items()
+            if series.startswith("repro_pn_txns{")
+            and "outcome=committed" in series)
+        assert committed > 0
+        assert 0 <= committed - metrics.total_committed <= 4
+
     def test_every_producer_appears_in_the_snapshot(self, wired):
         _deployment, _trace, snapshot = wired
         assert validate_snapshot(snapshot) == []

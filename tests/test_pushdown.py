@@ -158,7 +158,7 @@ class TestSqlIntegration:
         """End-to-end: a selective analytic scan ships far fewer bytes
         with storage-side filtering."""
         from repro.bench.config import TellConfig
-        from repro.bench.simcluster import SimulatedTell, CorePool
+        from repro.bench.simcluster import SimulatedTell
         from repro.workloads.tpcc.params import TpccScale
 
         config = TellConfig(processing_nodes=1, storage_nodes=3,

@@ -4,7 +4,9 @@ import pytest
 
 from repro import effects
 from repro.bench.config import TellConfig
-from repro.bench.simcluster import CorePool, SimFabric, SimulatedTell
+from repro.bench.simcluster import SimulatedTell
+from repro.errors import InvalidState
+from repro.runtime.fabric import CorePool
 from repro.workloads.tpcc.params import TpccScale
 
 
@@ -20,6 +22,20 @@ def tiny_config(**overrides):
     )
     defaults.update(overrides)
     return TellConfig(**defaults)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("bad", [
+        dict(commit_managers=0),
+        dict(buffering="nope"),
+        dict(replication_factor=4, storage_nodes=3),
+        dict(isolation="x"),
+    ])
+    def test_bad_shape_fails_at_construction(self, bad):
+        # Same declaration, same checks as DatabaseConfig: nothing is
+        # built, let alone loaded, from a config that cannot run.
+        with pytest.raises(InvalidState):
+            TellConfig(**bad)
 
 
 class TestCorePool:
@@ -142,6 +158,23 @@ class TestSimulatedRun:
         deployment.run()
         deployment.quiesce()
         assert deployment.quiesce() == 0
+
+    def test_commit_manager_failover_under_simulation(self):
+        # Deployment.crash_commit_manager is every deployment's, not only
+        # the embedded Database's: in-flight work must drain first, and
+        # the fabric addresses managers by index, so it sees the
+        # replacement without rewiring.
+        deployment = SimulatedTell(tiny_config())
+        deployment.load()
+        deployment.run()
+        failed = deployment.commit_managers[0]
+        with pytest.raises(InvalidState):
+            deployment.crash_commit_manager(0)
+        deployment.quiesce()
+        replacement = deployment.crash_commit_manager(0)
+        assert replacement is not failed
+        assert deployment.fabric.commit_managers[0] is replacement
+        assert replacement.start(0).tid > failed.last_assigned_tid
 
     def test_batching_reduces_messages(self):
         batched = SimulatedTell(tiny_config())
