@@ -136,7 +136,6 @@ class ClusterAdmin:
         topo = self._db.cluster.topology
         return {
             "epoch": topo.epoch,
-            "placement": topo.placement.kind,
             "n_partitions": topo.n_partitions,
             "nodes": topo.node_ids(),
             "ownership": topo.ownership(),

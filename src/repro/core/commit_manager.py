@@ -173,6 +173,22 @@ class CommitManager:
             self.validation_aborts += 1
         return verdict
 
+    def serve(self, request: effects.CommitManagerRequest,
+              pn_id: int = -1) -> Any:
+        """Serve one commit-manager request: the one binding of the four
+        request classes to the operations above, called by the direct
+        dispatcher and the simulated fabric alike."""
+        kind = request.kind
+        if kind == effects.KIND_CM_START:
+            return self.start(pn_id)
+        if kind == effects.KIND_CM_COMMITTED:
+            self.set_committed(request.tid)
+            return None
+        if kind == effects.KIND_CM_ABORTED:
+            self.set_aborted(request.tid)
+            return None
+        return self.validate_commit(request)
+
     @property
     def isolation_name(self) -> str:
         """Mode string for reports/observability ("si" without a

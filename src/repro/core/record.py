@@ -101,16 +101,6 @@ class VersionedRecord:
         return record
 
     @classmethod
-    def _from_sorted(cls, versions: Tuple[Version, ...]) -> "VersionedRecord":
-        """Internal: wrap an already newest-first Version tuple."""
-        record = cls._from_slabs(
-            tuple(version.tid for version in versions),
-            tuple(version.payload for version in versions),
-        )
-        record._versions = tuple(versions)
-        return record
-
-    @classmethod
     def initial(cls, tid: int, payload) -> "VersionedRecord":
         return cls._from_slabs((tid,), (payload,))
 

@@ -8,10 +8,10 @@ of them with one shared classification step plus one composition rule for
 cross-cutting concerns:
 
 * :func:`kind_of` maps a request to a small integer *kind* (single-key
-  store op, batch, scan, commit-manager call, local compute/sleep) with a
-  one-lookup fast path for the exact effect classes and a caching
-  ``isinstance`` fallback for subclasses.  This is the only request
-  classification ladder in the repository.
+  store op, batch, scan, commit-manager call, local compute/sleep): one
+  read of the ``kind`` its class declares in :mod:`repro.effects`, so a
+  subclass routes like its parent.  This is the only request
+  classification in the repository.
 * :class:`Interceptor` is the uniform middleware protocol:
   ``intercept(request, ctx, next)`` written as a generator coroutine that
   delegates with ``result = yield from next(request)``.  The same
@@ -30,86 +30,36 @@ model and lets this module own routing.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
+from typing import Any, Callable, Generator, Optional, Sequence
 
 from repro import effects
-
-#: Request kinds.  ``KIND_STORE``..``KIND_SCAN`` are storage-cluster
-#: requests; the CM kinds address the processing node's commit manager;
-#: COMPUTE/SLEEP are local effects charged only under simulation.
-KIND_STORE = 0
-KIND_BATCH = 1
-KIND_SCAN = 2
-KIND_CM_START = 3
-KIND_CM_COMMITTED = 4
-KIND_CM_ABORTED = 5
-KIND_COMPUTE = 6
-KIND_SLEEP = 7
-#: Appended after the original kinds so the direct driver's range check
-#: (``kind <= KIND_SCAN``) keeps its exact numeric meaning; only the
-#: WSI/SSI protocols yield it.
-KIND_CM_VALIDATE = 8
-
-#: Exact-class kind table: one dict lookup covers every effect the
-#: protocol actually yields.  Subclasses are classified once by
-#: :func:`_classify_slow` and then cached here, so even exotic requests
-#: pay the isinstance ladder a single time per class.
-_KIND_BY_CLASS: Dict[type, int] = {
-    effects.Get: KIND_STORE,
-    effects.Put: KIND_STORE,
-    effects.PutIfVersion: KIND_STORE,
-    effects.Delete: KIND_STORE,
-    effects.DeleteIfVersion: KIND_STORE,
-    effects.Increment: KIND_STORE,
-    effects.Scan: KIND_SCAN,
-    effects.Batch: KIND_BATCH,
-    effects.StartTransaction: KIND_CM_START,
-    effects.ReportCommitted: KIND_CM_COMMITTED,
-    effects.ReportAborted: KIND_CM_ABORTED,
-    effects.ValidateCommit: KIND_CM_VALIDATE,
-    effects.Compute: KIND_COMPUTE,
-    effects.Sleep: KIND_SLEEP,
-}
-
-
-def _classify_slow(request: effects.Request) -> int:
-    """The one isinstance ladder: classify a subclassed request and cache
-    the verdict so the next instance takes the exact-class fast path."""
-    if isinstance(request, effects.Scan):
-        kind = KIND_SCAN
-    elif isinstance(request, effects.StoreRequest):
-        kind = KIND_STORE
-    elif isinstance(request, effects.Batch):
-        kind = KIND_BATCH
-    elif isinstance(request, effects.StartTransaction):
-        kind = KIND_CM_START
-    elif isinstance(request, effects.ReportCommitted):
-        kind = KIND_CM_COMMITTED
-    elif isinstance(request, effects.ReportAborted):
-        kind = KIND_CM_ABORTED
-    elif isinstance(request, effects.ValidateCommit):
-        kind = KIND_CM_VALIDATE
-    elif isinstance(request, effects.Compute):
-        kind = KIND_COMPUTE
-    elif isinstance(request, effects.Sleep):
-        kind = KIND_SLEEP
-    else:
-        raise TypeError(f"unroutable request: {request!r}")
-    _KIND_BY_CLASS[request.__class__] = kind
-    return kind
+# The KIND_* constants live beside the classes that declare them; they
+# stay importable from here and from :mod:`repro.dispatch`.
+from repro.effects import (
+    KIND_BATCH,
+    KIND_CM_ABORTED,
+    KIND_CM_COMMITTED,
+    KIND_CM_START,
+    KIND_CM_VALIDATE,
+    KIND_COMPUTE,
+    KIND_SCAN,
+    KIND_SLEEP,
+    KIND_STORE,
+)
 
 
 def kind_of(request: effects.Request) -> int:
-    """Classify ``request`` into one of the ``KIND_*`` constants.
+    """The ``KIND_*`` constant ``request``'s class declares.
 
     Raises ``TypeError`` for objects that are not dispatchable requests
-    (including unknown :class:`~repro.effects.CommitManagerRequest`
-    subclasses, which no driver knows how to serve).
+    (including the abstract bases and unknown
+    :class:`~repro.effects.CommitManagerRequest` subclasses, which
+    declare no kind because no driver knows how to serve them).
     """
-    kind = _KIND_BY_CLASS.get(request.__class__)
-    if kind is None:
-        return _classify_slow(request)
-    return kind
+    try:
+        return request.kind
+    except AttributeError:
+        raise TypeError(f"unroutable request: {request!r}") from None
 
 
 class _ZeroClock:

@@ -18,11 +18,9 @@ from __future__ import annotations
 from typing import Any, Generator, Optional, Sequence
 
 from repro.dispatch.core import (
-    KIND_CM_ABORTED,
-    KIND_CM_COMMITTED,
-    KIND_CM_START,
-    KIND_CM_VALIDATE,
+    KIND_COMPUTE,
     KIND_SCAN,
+    KIND_SLEEP,
     DispatchContext,
     DispatchEnv,
     Interceptor,
@@ -81,17 +79,9 @@ class Dispatcher:
         kind = kind_of(request)
         if kind <= KIND_SCAN:  # store single / batch / scan
             return self.cluster.execute(request)
-        if kind == KIND_CM_START:
-            return self._commit_manager().start(self.pn_id)
-        if kind == KIND_CM_COMMITTED:
-            self._commit_manager().set_committed(request.tid)
-            return None
-        if kind == KIND_CM_ABORTED:
-            self._commit_manager().set_aborted(request.tid)
-            return None
-        if kind == KIND_CM_VALIDATE:
-            return self._commit_manager().validate_commit(request)
-        return None  # Compute/Sleep: time is not modelled in direct mode
+        if kind == KIND_COMPUTE or kind == KIND_SLEEP:
+            return None  # time is not modelled in direct mode
+        return self._commit_manager().serve(request, self.pn_id)
 
     def _tail(self, request: Any) -> Generator[Any, Any, Any]:
         """Generator-shaped terminal stage for the interceptor chain."""

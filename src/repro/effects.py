@@ -17,15 +17,43 @@ benchmarked is the library itself, not a model of it.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, Sequence
+from typing import (TYPE_CHECKING, Any, ClassVar, Generator, Optional,
+                    Sequence, Tuple)
 
 from repro.errors import TellError
 
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.store.node import StorageNode
+
+#: Request kinds, declared by every concrete class below and read by
+#: :func:`repro.dispatch.kind_of`.  ``KIND_STORE``..``KIND_SCAN`` are
+#: storage-cluster requests; the CM kinds address the processing node's
+#: commit manager; COMPUTE/SLEEP are local effects charged only under
+#: simulation.
+KIND_STORE = 0
+KIND_BATCH = 1
+KIND_SCAN = 2
+KIND_CM_START = 3
+KIND_CM_COMMITTED = 4
+KIND_CM_ABORTED = 5
+KIND_COMPUTE = 6
+KIND_SLEEP = 7
+#: Appended after the original kinds so the direct driver's range check
+#: (``kind <= KIND_SCAN``) keeps its exact numeric meaning; only the
+#: WSI/SSI protocols yield it.
+KIND_CM_VALIDATE = 8
+
 
 class Request:
-    """Base class for every yieldable request."""
+    """Base class for every yieldable request.
+
+    A concrete class declares its dispatch ``kind``; subclasses inherit
+    it.  The abstract bases declare none, so no driver routes them.
+    """
 
     __slots__ = ()
+
+    kind: ClassVar[int]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -37,13 +65,26 @@ class Request:
 
 
 class StoreRequest(Request):
-    """A request addressed to the shared storage system."""
+    """A request addressed to the shared storage system.
+
+    Besides its ``kind`` a concrete class declares ``is_write`` (the op
+    changes the cell, so it is copied to the backups) and :meth:`apply`,
+    the :class:`~repro.store.node.StorageNode` operation that serves it.
+    """
 
     __slots__ = ("space", "key")
+
+    is_write: ClassVar[bool]
+    #: The request ships a value payload beside its key (wire size).
+    ships_value: ClassVar[bool] = False
 
     def __init__(self, space: str, key: Any) -> None:
         self.space = space
         self.key = key
+
+    def apply(self, node: StorageNode, partition_id: int) -> Tuple[Any, int]:
+        """Run on ``node``; returns ``(result, response_size)``."""
+        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.space!r}, {self.key!r})"
@@ -55,15 +96,28 @@ class Get(StoreRequest):
 
     __slots__ = ()
 
+    kind = KIND_STORE
+    is_write = False
+
+    def apply(self, node: StorageNode, partition_id: int) -> Tuple[Any, int]:
+        return node.do_get(partition_id, self.space, self.key)
+
 
 class Put(StoreRequest):
     """Unconditional write.  Result: new cell version (int)."""
 
     __slots__ = ("value",)
 
+    kind = KIND_STORE
+    is_write = True
+    ships_value = True
+
     def __init__(self, space: str, key: Any, value: Any) -> None:
         super().__init__(space, key)
         self.value = value
+
+    def apply(self, node: StorageNode, partition_id: int) -> Tuple[Any, int]:
+        return node.do_put(partition_id, self.space, self.key, self.value)
 
     def __repr__(self) -> str:
         return f"Put({self.space!r}, {self.key!r}, {self.value!r})"
@@ -80,10 +134,20 @@ class PutIfVersion(StoreRequest):
 
     __slots__ = ("value", "expected_version")
 
+    kind = KIND_STORE
+    is_write = True
+    ships_value = True
+
     def __init__(self, space: str, key: Any, value: Any, expected_version: int) -> None:
         super().__init__(space, key)
         self.value = value
         self.expected_version = expected_version
+
+    def apply(self, node: StorageNode, partition_id: int) -> Tuple[Any, int]:
+        return node.do_put_if_version(
+            partition_id, self.space, self.key, self.value,
+            self.expected_version,
+        )
 
     def __repr__(self) -> str:
         return (
@@ -97,15 +161,29 @@ class Delete(StoreRequest):
 
     __slots__ = ()
 
+    kind = KIND_STORE
+    is_write = True
+
+    def apply(self, node: StorageNode, partition_id: int) -> Tuple[Any, int]:
+        return node.do_delete(partition_id, self.space, self.key)
+
 
 class DeleteIfVersion(StoreRequest):
     """Conditional remove.  Result: ``(ok, current_version)``."""
 
     __slots__ = ("expected_version",)
 
+    kind = KIND_STORE
+    is_write = True
+
     def __init__(self, space: str, key: Any, expected_version: int) -> None:
         super().__init__(space, key)
         self.expected_version = expected_version
+
+    def apply(self, node: StorageNode, partition_id: int) -> Tuple[Any, int]:
+        return node.do_delete_if_version(
+            partition_id, self.space, self.key, self.expected_version
+        )
 
     def __repr__(self) -> str:
         return (
@@ -123,9 +201,15 @@ class Increment(StoreRequest):
 
     __slots__ = ("delta",)
 
+    kind = KIND_STORE
+    is_write = True
+
     def __init__(self, space: str, key: Any, delta: int = 1) -> None:
         super().__init__(space, key)
         self.delta = delta
+
+    def apply(self, node: StorageNode, partition_id: int) -> Tuple[Any, int]:
+        return node.do_increment(partition_id, self.space, self.key, self.delta)
 
     def __repr__(self) -> str:
         return f"Increment({self.space!r}, {self.key!r}, delta={self.delta})"
@@ -147,6 +231,9 @@ class Scan(StoreRequest):
 
     __slots__ = ("end", "limit", "snapshot", "scan_filter", "projection")
 
+    kind = KIND_SCAN
+    is_write = False
+
     def __init__(self, space: str, start: Any, end: Any,
                  limit: Optional[int] = None, snapshot: Any = None,
                  scan_filter: Any = None, projection: Any = None) -> None:
@@ -160,6 +247,14 @@ class Scan(StoreRequest):
     @property
     def start(self) -> Any:
         return self.key
+
+    def apply(self, node: StorageNode, partition_id: int) -> Tuple[Any, int]:
+        """One partition's slice of the scan."""
+        return node.do_scan(
+            partition_id, self.space, self.key, self.end, self.limit,
+            snapshot=self.snapshot, scan_filter=self.scan_filter,
+            projection=self.projection,
+        )
 
     def __repr__(self) -> str:
         extra = ""
@@ -181,6 +276,8 @@ class Batch(Request):
     """
 
     __slots__ = ("ops",)
+
+    kind = KIND_BATCH
 
     def __init__(self, ops: Sequence[StoreRequest]) -> None:
         self.ops = list(ops)
@@ -209,11 +306,15 @@ class StartTransaction(CommitManagerRequest):
 
     __slots__ = ()
 
+    kind = KIND_CM_START
+
 
 class ReportCommitted(CommitManagerRequest):
     """Tell the commit manager that ``tid`` committed."""
 
     __slots__ = ("tid",)
+
+    kind = KIND_CM_COMMITTED
 
     def __init__(self, tid: int) -> None:
         self.tid = tid
@@ -226,6 +327,8 @@ class ReportAborted(CommitManagerRequest):
     """Tell the commit manager that ``tid`` aborted."""
 
     __slots__ = ("tid",)
+
+    kind = KIND_CM_ABORTED
 
     def __init__(self, tid: int) -> None:
         self.tid = tid
@@ -246,6 +349,8 @@ class ValidateCommit(CommitManagerRequest):
     """
 
     __slots__ = ("tid", "read_keys", "write_keys", "snapshot")
+
+    kind = KIND_CM_VALIDATE
 
     def __init__(self, tid: int, read_keys: Sequence[Any],
                  write_keys: Sequence[Any], snapshot: Any) -> None:
@@ -275,6 +380,8 @@ class Compute(Request):
 
     __slots__ = ("duration",)
 
+    kind = KIND_COMPUTE
+
     def __init__(self, duration: float) -> None:
         self.duration = duration
 
@@ -286,6 +393,8 @@ class Sleep(Request):
     """Suspend for simulated time (background tasks: GC, CM sync)."""
 
     __slots__ = ("duration",)
+
+    kind = KIND_SLEEP
 
     def __init__(self, duration: float) -> None:
         self.duration = duration

@@ -21,7 +21,7 @@ re-routed by :class:`repro.dispatch.WrongOwnerRedirect`.  See
 ``docs/elasticity.md`` for the full protocol.
 """
 
-from repro.elastic.topology import (Handoff, Move, PlacementSpec, Topology)
+from repro.elastic.topology import Handoff, Move, Topology
 
 
 def __getattr__(name):
@@ -51,7 +51,6 @@ __all__ = [
     "Handoff",
     "MigrationStats",
     "Move",
-    "PlacementSpec",
     "Topology",
     "migrate_partition",
     "run_moves_direct",

@@ -26,66 +26,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidState, NodeUnavailable
-from repro.store.partition import (HashPartitioner, PartitionMap,
-                                   RangePartitioner)
-
-#: Placement kinds understood by :class:`PlacementSpec`.
-PLACEMENT_KINDS = ("hash", "range")
-
-
-class PlacementSpec:
-    """Parsed ``placement=`` configuration: kind + virtual-node count.
-
-    The string forms accepted by :func:`parse` are ``"hash"``,
-    ``"range"``, and either with an explicit virtual-node (= partitions
-    per node) count: ``"hash:16"``.  Without a count the deployment's
-    ``partitions_per_node`` applies.
-    """
-
-    __slots__ = ("kind", "virtual_nodes")
-
-    def __init__(self, kind: str, virtual_nodes: Optional[int] = None):
-        if kind not in PLACEMENT_KINDS:
-            raise InvalidState(
-                f"unknown placement kind {kind!r} "
-                f"(expected one of {', '.join(PLACEMENT_KINDS)})"
-            )
-        if virtual_nodes is not None and virtual_nodes < 1:
-            raise InvalidState("placement needs at least one virtual node")
-        self.kind = kind
-        self.virtual_nodes = virtual_nodes
-
-    @classmethod
-    def parse(cls, value: "str | PlacementSpec") -> "PlacementSpec":
-        if isinstance(value, PlacementSpec):
-            return value
-        text = str(value).strip().lower()
-        if ":" in text:
-            kind, _, count = text.partition(":")
-            try:
-                virtual_nodes: Optional[int] = int(count)
-            except ValueError:
-                raise InvalidState(
-                    f"malformed virtual-node count in placement {value!r}"
-                ) from None
-        else:
-            kind, virtual_nodes = text, None
-        return cls(kind, virtual_nodes)
-
-    def partitions_for(self, n_nodes: int, partitions_per_node: int) -> int:
-        per_node = self.virtual_nodes or partitions_per_node
-        return n_nodes * per_node
-
-    def make_partitioner(self, n_partitions: int) -> Any:
-        if self.kind == "range":
-            return RangePartitioner(n_partitions)
-        return HashPartitioner(n_partitions)
-
-    def __repr__(self) -> str:
-        if self.virtual_nodes is None:
-            return f"PlacementSpec({self.kind!r})"
-        return f"PlacementSpec({self.kind!r}, virtual_nodes={self.virtual_nodes})"
-
+from repro.store.partition import PartitionMap
 
 class Handoff:
     """One in-flight partition handoff: ``dst`` takes over ``src``'s slot.
@@ -127,11 +68,9 @@ class Move:
 class Topology:
     """Versioned ownership map over a partitioner + partition map."""
 
-    def __init__(self, partitioner: Any, partition_map: PartitionMap,
-                 placement: Optional[PlacementSpec] = None):
+    def __init__(self, partitioner: Any, partition_map: PartitionMap):
         self.partitioner = partitioner
         self.partition_map = partition_map
-        self.placement = placement or PlacementSpec("hash")
         self.epoch = 1
         self.epoch_log: List[Tuple[int, str]] = [(1, "initial")]
         self._handoffs: Dict[int, Handoff] = {}

@@ -345,15 +345,6 @@ class DistributedBTree:
             level = node.level - 1
         return node_id
 
-    def lookup_unique(self, key: Any) -> Generator:
-        """The single rid under ``key`` or None."""
-        rids = yield from self.lookup(key)
-        if len(rids) > 1:
-            # Possible transiently when stale entries await GC; the caller
-            # disambiguates by reading the records.
-            return rids
-        return rids[0] if rids else None
-
     def range_entries(
         self,
         low: EntryKey,

@@ -14,10 +14,10 @@ Four classifications drive the RF rules:
   with a recorded protocol-mutation fact; **obs tainted** -- reverse
   closure from the repro.obs modules.  RF004 reports sanitizer observer
   edges into either set.
-* **routable** -- effect classes a dispatcher can classify, read out of
-  the dispatch package itself: exact classes registered in class-keyed
-  kind tables plus the subclass closure of the ``isinstance`` ladder
-  bases.  RF002/RF003 report yields and class definitions outside it.
+* **routable** -- effect classes a dispatcher can classify: those whose
+  class body, or an ancestor's, declares the ``kind`` that
+  :func:`repro.dispatch.kind_of` reads.  RF002/RF003 report yields and
+  class definitions outside that closure.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ from repro.lint.flow.callgraph import CallGraph, Node
 from repro.lint.flow.summary import ModuleFlow, PROTOCOL_MUTATORS
 from repro.lint.index import ProjectIndex, Symbol, in_prefixes
 from repro.lint.rules import SIMULATED_TIME_PACKAGES
-
-#: Where dispatcher registrations (kind tables, classify ladders) live.
-DISPATCH_PACKAGES: Tuple[str, ...] = ("repro.dispatch",)
 
 #: Entry points of the runs tests/test_determinism.py pins and
 #: benchmarks/ledger measures: the end-to-end TPC-C deployment and the
@@ -77,8 +74,15 @@ class FlowAnalysis:
             self.atomic = AtomicAnalysis(self.graph)
         self.sim_parents = self._compute_sim_reach()
         self.hot_parents = self.graph.reachable_from(set(HOT_PATH_ROOTS))
-        self.routable_exact, self.ladder_bases = \
-            self._collect_registrations()
+        #: Linted effect classes whose body declares ``kind``
+        #: (RF002/RF003): a class routes iff it inherits from one.
+        self.kind_declarers: Set[Symbol] = {
+            (module, cls.name)
+            for module, summary in index.summaries.items()
+            for cls in summary.classes.values()
+            if cls.declares_kind
+            and (module, cls.name) in index.effect_classes
+        }
         self.mutation_tainted = self.graph.reverse_reachable(
             self._mutation_sources())
         self.obs_tainted = self.graph.reverse_reachable(
@@ -94,50 +98,23 @@ class FlowAnalysis:
                 roots.add(node)
         return self.graph.reachable_from(roots)
 
-    def chain_text(self, parents: Dict[Node, Optional[Node]],
-                   node: Node) -> str:
-        path = self.graph.chain(parents, node)
-        return " -> ".join(format_node(step) for step in path)
-
-    # -- dispatcher registrations (RF002/RF003) ----------------------------
-
-    def _collect_registrations(self) -> Tuple[Set[Symbol], Set[Symbol]]:
-        exact: Set[Symbol] = set()
-        bases: Set[Symbol] = set()
-        for module, flow in self.flows.items():
-            if not in_prefixes(module, DISPATCH_PACKAGES):
-                continue
-            summary = self.index.summaries.get(module)
-            if summary is None:
-                continue
-            for table in flow.tables.values():
-                for key in table.get("keys", []):
-                    symbol = summary.resolve_ref(
-                        tuple(key)) if key else None
-                    if symbol in self.index.effect_classes:
-                        exact.add(symbol)
-            for info in flow.functions.values():
-                for ref in info.get("isinstance", []):
-                    symbol = summary.resolve_ref(tuple(ref))
-                    if symbol in self.index.effect_classes:
-                        bases.add(symbol)
-        return exact, bases
+    # -- dispatch routability (RF002/RF003) --------------------------------
 
     @property
     def has_dispatch_info(self) -> bool:
-        """False when no dispatcher was linted (single-file fixtures):
-        RF002/RF003 stay silent rather than calling everything
-        unroutable."""
-        return bool(self.routable_exact or self.ladder_bases)
+        """False when no kind-declaring effect class was linted (a run
+        without ``repro/effects.py``): RF002/RF003 stay silent rather
+        than calling everything unroutable."""
+        return bool(self.kind_declarers)
 
     def is_routable(self, symbol: Symbol) -> bool:
         """Can :func:`repro.dispatch.core.kind_of` classify this class?"""
         cached = self._routable_cache.get(symbol)
         if cached is not None:
             return cached
-        result = symbol in self.routable_exact or any(
+        result = any(
             self.graph.is_subclass(symbol, base)
-            for base in self.ladder_bases
+            for base in self.kind_declarers
         )
         self._routable_cache[symbol] = result
         return result

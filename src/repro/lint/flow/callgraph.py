@@ -11,13 +11,14 @@ Edges are added only on explicit evidence, mirroring the pass-1 policy
   construction, or an attribute chain whose types were recorded by
   :mod:`repro.lint.flow.summary` (``self.commit_managers[i]`` resolves
   through the ``List[CommitManager]`` annotation on ``__init__``);
-  a call on bare ``self`` also reaches every subclass override
-  (``SimulatedDeployment._spawn_pn`` spawns ``self._terminal(...)``);
+  the call also reaches every subclass override of the method
+  (``SimulatedDeployment._spawn_pn`` spawns ``self._terminal(...)``;
+  ``StorageCluster.apply`` calls ``op.apply(...)`` on a ``StoreRequest``
+  and lands in each effect class's storage-node operation);
 * ``yield from f(...)`` is a call edge flagged as *delegation*, so
   effect-yield taint flows through coroutine chains;
 * ``TABLE[key](...)`` fans out to every callable registered in a
-  module-level dispatch table (``TRANSACTIONS`` in the TPC-C driver,
-  ``_KIND_BY_CLASS`` in the dispatch core).
+  module-level dispatch table (``TRANSACTIONS`` in the TPC-C driver).
 
 Method lookup walks the class's bases across modules (name-based MRO
 approximation, same scheme the pass-1 index uses within one module).
@@ -121,7 +122,7 @@ class CallGraph:
 
     def override_nodes(self, cls: Symbol, name: str) -> List[Node]:
         """Every redefinition of ``name`` in a proper subclass of ``cls``:
-        where a call on ``self`` may land at run time."""
+        where a call on a receiver typed ``cls`` may land at run time."""
         return [
             (module, f"{cls_name}.{name}")
             for module, cls_name in self.bases_of
@@ -307,9 +308,7 @@ class CallGraph:
             if receiver is not None and receiver.cls is not None:
                 method = self.method_node(receiver.cls, attr)
                 targets = [method] if method is not None else []
-                if root == "self" and not steps:
-                    targets += self.override_nodes(receiver.cls, attr)
-                return targets
+                return targets + self.override_nodes(receiver.cls, attr)
             if not steps:
                 summary = self.index.summaries.get(module)
                 qualifier = summary.resolve_qualifier(root) \
@@ -334,7 +333,7 @@ class CallGraph:
             if table is None:
                 return []
             targets: List[Node] = []
-            for value in table.get("values", []):
+            for value in table:
                 symbol = self._resolve_ref(table_sym[0], value)
                 if symbol is None:
                     continue

@@ -115,12 +115,11 @@ yields; a request class no dispatcher can classify is silently dropped
 by drivers that skip unknown kinds -- or raises `TypeError: unroutable
 request` at runtime, far from the yield that produced it.  RF002
 resolves every `yield SomeRequest(...)` construction against the
-dispatch registrations (the exact-class kind table plus the subclass
-closure of the `isinstance` ladder) and reports yields of classes
-outside both.
+classes `kind_of` can classify -- those whose body, or an ancestor's,
+declares `kind` -- and reports yields of classes outside that closure.
 
-Fix by registering the class in `_KIND_BY_CLASS` or deriving it from a
-ladder base (`StoreRequest`, `Scan`, `Batch`, ...).
+Fix by declaring `kind = KIND_...` in the class body or deriving it
+from a concrete effect class (`Get`, `Scan`, `Batch`, ...).
 """
 
     def _check_flow(self, module: ModuleSummary, analysis: FlowAnalysis
@@ -136,9 +135,8 @@ ladder base (`StoreRequest`, `Scan`, `Batch`, ...).
                 yield _Loc(line), (
                     f"`{format_node(node)}` yields "
                     f"`{symbol[0]}.{symbol[1]}`, which no dispatcher can "
-                    f"route (not in the kind table nor the isinstance "
-                    f"ladder); the effect would fail at dispatch, not at "
-                    f"the yield"
+                    f"route (neither it nor an ancestor declares `kind`); "
+                    f"the effect would fail at dispatch, not at the yield"
                 )
 
 
@@ -148,11 +146,10 @@ class RF003UnregisteredRequestClass(FlowRule):
     explain = """\
 Dispatcher exhaustiveness as a lint error instead of a runtime one:
 every concrete (leaf) subclass of `repro.effects.Request` must classify
-to a kind -- either an exact entry in the dispatch kind table or an
-`isinstance` ladder base in its MRO.  Adding a request class without
-wiring it previously surfaced as `TypeError: unroutable request` the
-first time a workload yielded it; RF003 reports it at the class
-definition.
+to a kind -- declared in its own body or inherited from an ancestor.
+Adding a request class without one otherwise surfaces as `TypeError:
+unroutable request` the first time a workload yields it; RF003 reports
+it at the class definition.
 """
 
     def _check_flow(self, module: ModuleSummary, analysis: FlowAnalysis
@@ -167,9 +164,8 @@ definition.
             if analysis.is_routable(symbol):
                 continue
             yield _Loc(cls.lineno, cls.col_offset), (
-                f"request class `{name}` is not registered in any "
-                f"dispatch kind table and matches no isinstance ladder "
-                f"base; yielding it raises `TypeError: unroutable "
+                f"request class `{name}` declares no `kind` and inherits "
+                f"none; yielding it raises `TypeError: unroutable "
                 f"request` at runtime"
             )
 

@@ -398,7 +398,6 @@ class _FunctionExtractor(ast.NodeVisitor):
             self.info["calls"].append(desc)
         self._check_spawn(node)
         self._check_rng(node)
-        self._check_isinstance(node)
         self.generic_visit(node)
 
     @staticmethod
@@ -486,17 +485,6 @@ class _FunctionExtractor(ast.NodeVisitor):
             if symbol == ("random", "Random") and not node.args:
                 self._fact("rng", node.lineno, "Random()")
 
-    def _check_isinstance(self, node: ast.Call) -> None:
-        if not (isinstance(node.func, ast.Name)
-                and node.func.id == "isinstance" and len(node.args) == 2):
-            return
-        second = node.args[1]
-        checks = second.elts if isinstance(second, ast.Tuple) else [second]
-        for check in checks:
-            ref = name_ref_of(check)
-            if ref is not None:
-                self.info.setdefault("isinstance", []).append(list(ref))
-
     # -- remaining facts ---------------------------------------------------
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
@@ -545,7 +533,7 @@ class ModuleFlow:
         self.module = module
         self.functions: Dict[str, Dict[str, Any]] = {}
         self.attr_types: Dict[str, Dict[str, Any]] = {}
-        self.tables: Dict[str, Dict[str, Any]] = {}
+        self.tables: Dict[str, List[Optional[List[str]]]] = {}
 
 
 def _collect_attr_types(cls_node: ast.ClassDef) -> Dict[str, Any]:
@@ -603,10 +591,10 @@ def _collect_attr_types(cls_node: ast.ClassDef) -> Dict[str, Any]:
     return attrs
 
 
-def _collect_tables(tree: ast.Module) -> Dict[str, Dict[str, Any]]:
-    """Module-level dispatch tables: dict literals (and ``TABLE[k] = v``
-    registrations) mapping keys to callables."""
-    tables: Dict[str, Dict[str, Any]] = {}
+def _collect_tables(tree: ast.Module) -> Dict[str, List[Optional[List[str]]]]:
+    """Module-level dispatch tables: the callables a dict literal (or a
+    ``TABLE[k] = v`` registration) maps its keys to."""
+    tables: Dict[str, List[Optional[List[str]]]] = {}
     for stmt in tree.body:
         if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
             target: ast.expr = stmt.targets[0]
@@ -615,25 +603,15 @@ def _collect_tables(tree: ast.Module) -> Dict[str, Dict[str, Any]]:
         else:
             continue
         if isinstance(target, ast.Name) and isinstance(stmt.value, ast.Dict):
-            entry = tables.setdefault(
-                target.id, {"keys": [], "values": []})
-            for key, value in zip(stmt.value.keys, stmt.value.values):
-                key_ref = name_ref_of(key) if key is not None else None
-                entry["keys"].append(
-                    list(key_ref) if key_ref is not None else None)
-                value_ref = name_ref_of(value)
-                entry["values"].append(
-                    list(value_ref) if value_ref is not None else None)
+            name, values = target.id, stmt.value.values
         elif (isinstance(target, ast.Subscript)
                 and isinstance(target.value, ast.Name)):
-            entry = tables.setdefault(
-                target.value.id, {"keys": [], "values": []})
-            key_ref = name_ref_of(target.slice) \
-                if isinstance(target.slice, ast.expr) else None
-            entry["keys"].append(
-                list(key_ref) if key_ref is not None else None)
-            value_ref = name_ref_of(stmt.value)
-            entry["values"].append(
+            name, values = target.value.id, [stmt.value]
+        else:
+            continue
+        for value in values:
+            value_ref = name_ref_of(value)
+            tables.setdefault(name, []).append(
                 list(value_ref) if value_ref is not None else None)
     return tables
 

@@ -50,6 +50,7 @@ EFFECT_CLASS_SEEDS: Set[Symbol] = {
         "StartTransaction",
         "ReportCommitted",
         "ReportAborted",
+        "ValidateCommit",
         "Compute",
         "Sleep",
     )
@@ -126,7 +127,7 @@ class ClassSummary:
 
     __slots__ = ("name", "lineno", "col_offset", "base_refs",
                  "generator_methods", "methods", "has_slots",
-                 "local_base_names")
+                 "declares_kind", "local_base_names")
 
     def __init__(self, name: str, lineno: int, col_offset: int,
                  base_refs: List[NameRef]) -> None:
@@ -137,6 +138,9 @@ class ClassSummary:
         self.generator_methods: Set[str] = set()
         self.methods: Set[str] = set()
         self.has_slots = False
+        #: The class body assigns ``kind`` (an effect class declaring how
+        #: it is dispatched; RF002/RF003 routability).
+        self.declares_kind = False
         self.local_base_names: List[str] = [
             ref[1] for ref in base_refs if ref[0] == "name"
         ]
@@ -153,14 +157,16 @@ class ClassSummary:
                 summary.methods.add(item.name)
                 if function_is_generator(item):
                     summary.generator_methods.add(item.name)
-            elif isinstance(item, ast.Assign):
-                for target in item.targets:
-                    if isinstance(target, ast.Name) and target.id == "__slots__":
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets: List[ast.expr] = list(item.targets) \
+                    if isinstance(item, ast.Assign) else [item.target]
+                for target in targets:
+                    if not isinstance(target, ast.Name):
+                        continue
+                    if target.id == "__slots__":
                         summary.has_slots = True
-            elif isinstance(item, ast.AnnAssign):
-                if (isinstance(item.target, ast.Name)
-                        and item.target.id == "__slots__"):
-                    summary.has_slots = True
+                    elif target.id == "kind" and item.value is not None:
+                        summary.declares_kind = True
         return summary
 
 
@@ -301,11 +307,6 @@ class ProjectIndex:
             symbol in self.effect_classes or symbol in self.effect_factories
         )
 
-    def is_slots_contract_symbol(self, symbol: Optional[Symbol]) -> bool:
-        return symbol is not None and (
-            symbol in self.effect_classes or symbol in self.kernel_classes
-        )
-
     def is_generator_symbol(self, symbol: Optional[Symbol]) -> bool:
         if symbol is None:
             return False
@@ -331,18 +332,6 @@ class ProjectIndex:
             methods.update(cls.generator_methods)
             stack.extend(cls.local_base_names)
         return methods
-
-
-def find_class(summaries: Dict[str, ModuleSummary],
-               symbol: Symbol) -> Optional[Tuple[ModuleSummary, ClassSummary]]:
-    """Locate a class summary by symbol across indexed modules."""
-    summary = summaries.get(symbol[0])
-    if summary is None:
-        return None
-    cls = summary.classes.get(symbol[1])
-    if cls is None:
-        return None
-    return summary, cls
 
 
 def in_prefixes(module: str, prefixes: Sequence[str]) -> bool:

@@ -397,8 +397,9 @@ or more per simulated request.  PR 1 established the contract
 (docs/performance.md) that every class in these hierarchies declares
 `__slots__`: a single slotless subclass re-introduces a per-instance
 `__dict__`, roughly doubling allocation cost and memory for every
-instance *of that subclass*, and silently weakens the exact-class
-dispatch assumptions in Process._step.
+instance *of that subclass*.  (The kernel resumes a process only on a
+yield of exactly `Delay` or `Event`; yielding a subclass instance is a
+`TypeError`, slotted or not.)
 
 RL006 fires on any class that resolves (transitively, across the linted
 files) to a subclass of Request, Delay, or Event and whose body does not

@@ -1,6 +1,6 @@
 """The deployment runtime: where a Tell deployment is assembled and run.
 
-* :mod:`repro.runtime.config` -- ``DeploymentConfig`` (the ten validated
+* :mod:`repro.runtime.config` -- ``DeploymentConfig`` (the nine validated
   shape fields) and ``SimulationConfig`` (plus the simulator's timing);
 * :mod:`repro.runtime.deployment` -- ``Deployment``, the one wiring, and
   ``SimulatedDeployment``, a deployment under the fabric minus the workload;

@@ -1,4 +1,4 @@
-"""The deployment shape: the ten fields every Tell deployment is built from.
+"""The deployment shape: the nine fields every Tell deployment is built from.
 
 :class:`DeploymentConfig` is their single declaration and validation
 point.  :class:`repro.api.DatabaseConfig` *is* this shape;
@@ -41,11 +41,6 @@ class DeploymentConfig:
     #: "wsi" (write-snapshot isolation) or "ssi" (serializable SI).  See
     #: ``docs/isolation.md`` and :mod:`repro.core.isolation`.
     isolation: str = "si"
-    #: Partition placement: "hash" (modulo, the paper's layout) or
-    #: "range" (contiguous hash-space slices), optionally with a
-    #: virtual-node count ("hash:16" = 16 partitions per node).  See
-    #: :class:`repro.elastic.PlacementSpec` and ``docs/elasticity.md``.
-    placement: str = "hash"
 
     def __post_init__(self) -> None:
         for name in ("commit_managers", "storage_nodes", "replication_factor",
@@ -64,9 +59,6 @@ class DeploymentConfig:
                 f"unknown buffering strategy {self.buffering!r} "
                 f"(expected tb, sb, or sbvs<unit>)"
             )
-        from repro.elastic.topology import PlacementSpec
-
-        PlacementSpec.parse(self.placement)  # raises InvalidState when bad
 
     def with_(self: _Config, **changes: object) -> _Config:
         """A modified copy (validation runs again)."""

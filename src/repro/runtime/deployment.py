@@ -44,7 +44,6 @@ class Deployment:
             n_nodes=config.storage_nodes,
             replication_factor=config.replication_factor,
             partitions_per_node=config.partitions_per_node,
-            placement=config.placement,
         )
         self.management = ManagementNode(self.cluster)
         self.protocol = make_protocol(config.isolation)

@@ -26,9 +26,7 @@ from repro import effects
 from repro.core.commit_manager import CommitManager
 from repro.dispatch import (
     KIND_BATCH,
-    KIND_CM_COMMITTED,
     KIND_CM_START,
-    KIND_CM_VALIDATE,
     KIND_COMPUTE,
     KIND_SCAN,
     KIND_SLEEP,
@@ -42,8 +40,8 @@ from repro.errors import TellError, WrongOwner
 from repro.net.profiles import NetworkProfile, profile_by_name
 from repro.runtime.config import SimulationConfig
 from repro.sim.kernel import Delay, Simulator, delay_of
-from repro.store.cell import request_size
-from repro.store.cluster import WRITE_CLASSES, StorageCluster
+from repro.store.cell import approx_size, request_size
+from repro.store.cluster import StorageCluster
 
 #: Response-size estimates by request kind (bytes); used for wire time.
 READ_RESPONSE_BYTES = 280
@@ -55,11 +53,6 @@ SN_SERVICE_CM_US = 0.6
 #: in-memory update.
 REPL_WRITE_AMP = 2.0
 REPL_FIXED_US = 5.0
-
-#: Exact request classes that must reach the backup replicas (the store's
-#: write set); used for one-lookup membership tests in the fabric's hot
-#: loop (subclasses still take the isinstance route).
-_REPLICATED_OP_CLASSES = WRITE_CLASSES
 
 
 class CorePool:
@@ -153,10 +146,9 @@ class SimFabric:
         The only executor of a request under simulation: every driver
         reaches the fabric through :func:`drive`, whose chain ends here.
         Routing is the shared :func:`repro.dispatch.kind_of`
-        classification (one dict lookup for the exact effect classes);
-        this fabric owns only the *timing* model for each kind.  Checks
-        are ordered by request frequency: single-key storage ops and
-        Compute dominate the stream.
+        classification; this fabric owns only the *timing* model for
+        each kind.  Checks are ordered by request frequency: single-key
+        storage ops and Compute dominate the stream.
         """
         kind = kind_of(request)
         if kind == KIND_STORE:
@@ -287,19 +279,13 @@ class SimFabric:
         writes: List[Tuple[effects.StoreRequest, int]] = []
         for _pos, op, pid in members:
             request_bytes += request_size(op)
-            cls = op.__class__
-            if cls is effects.Get or isinstance(op, effects.Get):
-                service += service_us_read
-                response_bytes += READ_RESPONSE_BYTES
-            else:
+            if op.is_write:
                 service += service_us_write
                 response_bytes += WRITE_RESPONSE_BYTES
-                if cls in _REPLICATED_OP_CLASSES or isinstance(
-                    op,
-                    (effects.Put, effects.PutIfVersion, effects.Delete,
-                     effects.DeleteIfVersion, effects.Increment),
-                ):
-                    writes.append((op, pid))
+                writes.append((op, pid))
+            else:
+                service += service_us_read
+                response_bytes += READ_RESPONSE_BYTES
 
         stats = self.stats
         stats.messages += 1
@@ -401,8 +387,6 @@ class SimFabric:
         event = self.sim.event()
 
         def run_scan() -> None:
-            from repro.store.cell import approx_size
-
             try:
                 slot.value = self.cluster.execute_scan(op)
                 response_bytes = 64 + sum(
@@ -445,22 +429,11 @@ class SimFabric:
         pool = self.cm_pools[cm_index]
         now = self.sim.now
         self.stats.messages += 1
-        refilled = False
-        if kind == KIND_CM_START:
-            result: Any = manager.start(pn_id)
-            refilled = result.range_refilled
-        elif kind == KIND_CM_COMMITTED:
-            manager.set_committed(request.tid)
-            result = None
-        elif kind == KIND_CM_VALIDATE:
-            result = manager.validate_commit(request)
-        else:
-            manager.set_aborted(request.tid)
-            result = None
+        result = manager.serve(request, pn_id)
         cm_wire = self._cm_wire_us
         _s, t_end = pool.reserve(now + cm_wire, self._cm_service_us)
         t_response = t_end + cm_wire
-        if refilled:
+        if kind == KIND_CM_START and result.range_refilled:
             t_response += self.profile.round_trip() + 2.0
         return result, t_response - now
 

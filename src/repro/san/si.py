@@ -65,14 +65,6 @@ from repro.san.shadow import (
 from repro.san.violations import ViolationLog
 
 
-def _is_write_op(op: Any) -> bool:
-    return isinstance(
-        op,
-        (effects.Put, effects.PutIfVersion, effects.Delete,
-         effects.DeleteIfVersion, effects.Increment),
-    )
-
-
 class SISanitizer(Interceptor):
     """Shadow-history bookkeeper + SI axiom checker.
 
@@ -116,10 +108,10 @@ class SISanitizer(Interceptor):
             # spot until re-observed.
             if kind == KIND_BATCH:
                 for op in request.ops:
-                    if _is_write_op(op) and op.space == DATA_SPACE:
+                    if op.is_write and op.space == DATA_SPACE:
                         self.shadow.drop(op.key)
                         self.log.reconcile("batch-error-drop")
-            elif kind == KIND_STORE and _is_write_op(request) \
+            elif kind == KIND_STORE and request.is_write \
                     and request.space == DATA_SPACE:
                 self.shadow.drop(request.key)
                 self.log.reconcile("store-error-drop")
@@ -206,14 +198,13 @@ class SISanitizer(Interceptor):
     def _observe(self, ctx_key: int, op: Any, result: Any) -> None:
         if getattr(op, "space", None) != DATA_SPACE:
             return
-        cls = op.__class__
-        if cls is effects.Get or isinstance(op, effects.Get):
+        if isinstance(op, effects.Get):
             self._observe_get(ctx_key, op.key, result)
-        elif cls is effects.PutIfVersion or isinstance(op, effects.PutIfVersion):
+        elif isinstance(op, effects.PutIfVersion):
             self._observe_put_if(ctx_key, op, result)
-        elif cls is effects.DeleteIfVersion or isinstance(op, effects.DeleteIfVersion):
+        elif isinstance(op, effects.DeleteIfVersion):
             self._observe_delete_if(ctx_key, op, result)
-        elif cls is effects.Put or isinstance(op, effects.Put):
+        elif isinstance(op, effects.Put):
             record = op.value
             payloads = {v.tid: v.payload for v in record.versions}
             self.shadow.adopt(op.key, payloads, result)

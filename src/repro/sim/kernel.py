@@ -15,10 +15,12 @@ in scheduling order (a monotonically increasing sequence number breaks
 ties), so a fixed random seed reproduces the exact same run.
 
 The event loop is the hottest code in the repository -- every simulated
-request is at least one heap operation plus one generator resume -- so
-:meth:`Simulator._drain` binds its dependencies to locals and dispatches
-on exact yield types.  Optimizations here must be behaviour-invariant;
-the digests pinned in ``tests/test_determinism.py`` enforce that.
+request is at least one generator resume, plus one heap operation per
+*distinct* wake-up time -- so :meth:`Simulator._drain` binds its
+dependencies to locals and dispatches on the exact yield types (``Delay``
+and ``Event`` are final; anything else is a ``TypeError``).
+Optimizations here must be behaviour-invariant; the digests pinned in
+``tests/test_determinism.py`` enforce that.
 """
 
 from __future__ import annotations
@@ -155,16 +157,10 @@ class Process:
             self.result = stop.value
             self.done_event.trigger(stop.value)
             return
-        # Exact-type checks first: Delay and Event are final in practice,
-        # so one identity compare replaces an isinstance pair per yield.
         cls = yielded.__class__
         if cls is Delay:
             self.sim._schedule(yielded.duration, self, None)
         elif cls is Event:
-            yielded.add_waiter(self)
-        elif isinstance(yielded, Delay):
-            self.sim._schedule(yielded.duration, self, None)
-        elif isinstance(yielded, Event):
             yielded.add_waiter(self)
         else:
             raise TypeError(
@@ -241,21 +237,22 @@ class Simulator:
         #: distinct future timestamp plus a min-heap of the distinct
         #: times themselves.  Because the global sequence counter is
         #: monotone, append order within a bucket *is* seq order, so
-        #: "pop the earliest time, replay its bucket in order" delivers
-        #: the exact (when, seq) order of the all-heap kernel -- while a
+        #: "pop the earliest time, deliver its bucket in order" is the
+        #: exact (when, seq) order of the all-heap kernel -- while a
         #: heap of N events shrinks to a heap of (distinct times) and
         #: every co-timed event costs an O(1) append/iteration instead
         #: of an O(log N) sift.
         self._buckets: Dict[float, List[Tuple[Optional[Process], Any]]] = {}
         self._horizon: List[float] = []
-        #: Same-time ready FIFO (policy ``None`` only).  Every schedule
-        #: for the *current* timestamp lands here instead of a bucket.
-        #: Ordering invariant: a bucket entry at time T was pushed while
-        #: the clock was still < T (zero-delay schedules at T are routed
-        #: here instead), so all bucket entries co-timed with the clock
-        #: precede every ready entry in global sequence order, and the
-        #: deque itself is FIFO -- together that reproduces the exact
-        #: (when, seq) order of the all-heap kernel.
+        #: The delivery FIFO (policy ``None`` only): the one queue the
+        #: drain loop pops.  When the clock advances to T the bucket at T
+        #: is moved here whole, and every schedule for the *current*
+        #: timestamp is appended behind it.  Ordering invariant: the FIFO
+        #: is empty whenever time advances, and a bucket entry at T was
+        #: pushed while the clock was still < T (zero-delay schedules at
+        #: T land here instead), so the bucket's entries precede every
+        #: later append in global sequence order -- together that
+        #: reproduces the exact (when, seq) order of the all-heap kernel.
         self._ready: Deque[Tuple[Optional[Process], Any]] = deque()
         self._next_seq = itertools.count().__next__
         self._stopped = False
@@ -328,19 +325,22 @@ class Simulator:
         ``target`` finishes, or the next event lies beyond ``until``
         (pause: event stays queued) / ``limit`` (error).
 
-        Delivery is batched per timestamp: the loop replays the calendar
-        bucket co-timed with the clock in append (= sequence) order,
-        then the same-time ready FIFO (which only grows by appends while
-        draining), and only then pays the ``until``/``limit``
-        comparisons and advances time -- once per timestamp instead of
-        once per event.  ``Process._step`` is inlined for the
-        Delay/Event fast paths; all of this preserves the exact
-        (when, seq) delivery order of the all-heap kernel (see
+        Delivery is batched per timestamp: the loop drains the delivery
+        FIFO (which only grows by appends while draining), and only when
+        it is empty pays the ``until``/``limit`` comparisons, advances
+        the clock to the earliest bucket and moves that bucket into the
+        FIFO -- once per timestamp instead of once per event.  A
+        :meth:`stop` (or ``target`` finishing) returns mid-timestamp and
+        leaves the undelivered entries queued, in order, for the next
+        call.  ``Process._step`` is inlined; all of this preserves the
+        exact (when, seq) delivery order of the all-heap kernel (see
         ``_buckets``/``_ready``), which the determinism digests pin
         down.
         """
         if self._policy is not None:
             self._drain_policy(until, target, limit)
+            return
+        if target is not None and target.finished:
             return
         buckets = self._buckets
         horizon = self._horizon
@@ -351,71 +351,15 @@ class Simulator:
         append = ready.append
         delay_cls = Delay
         event_cls = Event
+        now = self.now
         events = 0
         try:
-            while horizon or ready:
-                if self._stopped or (target is not None and target.finished):
-                    return
-                now = self.now
-                # (1) The bucket co-timed with the clock (every entry was
-                # pushed before the clock reached `now`, so the whole
-                # bucket precedes every ready entry).  An early return
-                # must leave the unconsumed suffix queued, hence the
-                # index walk instead of a destructive pop.
-                if horizon and horizon[0] == now:
-                    bucket = buckets[now]
-                    index = 0
-                    while index < len(bucket):
-                        process, value = bucket[index]
-                        index += 1
-                        events += 1
-                        if process is None:
-                            value()  # plain callback scheduled via call_at
-                        elif not process.finished:
-                            try:
-                                yielded = process.generator.send(value)
-                            except StopIteration as stop:
-                                process.finished = True
-                                process.result = stop.value
-                                process.done_event.trigger(stop.value)
-                            else:
-                                cls = yielded.__class__
-                                if cls is delay_cls:
-                                    duration = yielded.duration
-                                    if duration > 0.0:
-                                        when = now + duration
-                                        slot = buckets.get(when)
-                                        if slot is None:
-                                            buckets[when] = [(process, None)]
-                                            push(horizon, when)
-                                        else:
-                                            slot.append((process, None))
-                                    else:
-                                        append((process, None))
-                                elif cls is event_cls:
-                                    if yielded.triggered:
-                                        append((process, yielded.value))
-                                    else:
-                                        yielded._waiters.append(process)
-                                else:
-                                    self._resume_slow(process, yielded)
-                        if self._stopped or (
-                            target is not None and target.finished
-                        ):
-                            del bucket[:index]
-                            if not bucket:
-                                del buckets[now]
-                                pop(horizon)
-                            return
-                    del buckets[now]
-                    pop(horizon)
-                # (2) Same-time FIFO wakes; appends during the drain keep
-                # their scheduling order.
+            while True:
                 while ready:
                     process, value = popleft()
                     events += 1
                     if process is None:
-                        value()
+                        value()  # plain callback scheduled via call_at
                     elif not process.finished:
                         try:
                             yielded = process.generator.send(value)
@@ -443,10 +387,13 @@ class Simulator:
                                 else:
                                     yielded._waiters.append(process)
                             else:
-                                self._resume_slow(process, yielded)
+                                raise TypeError(
+                                    f"process {process.name!r} yielded "
+                                    f"{yielded!r}; expected Delay or Event"
+                                )
                     if self._stopped or (target is not None and target.finished):
                         return
-                # (3) Advance: pay the pause/limit checks once per step.
+                # Advance: pay the pause/limit checks once per timestamp.
                 if not horizon:
                     return
                 when = horizon[0]
@@ -458,22 +405,10 @@ class Simulator:
                         f"{target.name if target else 'run'} did not finish "
                         f"before {limit}"
                     )
-                self.now = when
+                self.now = now = pop(horizon)
+                ready.extend(buckets.pop(now))
         finally:
             self.events_processed += events
-
-    def _resume_slow(self, process: Process, yielded: Any) -> None:
-        """Out-of-line tail of the inlined ``Process._step``: Delay/Event
-        subclasses and the garbage-yield TypeError."""
-        if isinstance(yielded, Delay):
-            self._schedule(yielded.duration, process, None)
-        elif isinstance(yielded, Event):
-            yielded.add_waiter(process)
-        else:
-            raise TypeError(
-                f"process {process.name!r} yielded {yielded!r}; "
-                f"expected Delay or Event"
-            )
 
     def _drain_policy(
         self,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro import effects
+from repro.effects import KIND_BATCH, KIND_SCAN, Request
 
 
 class Cell:
@@ -85,7 +85,7 @@ def approx_size(value: Any) -> int:
     return 64
 
 
-def request_size(request: effects.Request) -> int:
+def request_size(request: Request) -> int:
     """Estimated wire size of ``request``: a 24-byte header plus the key
     and, for puts, the value payload.  A batch is the sum of its
     operations; a request without a key (commit-manager and local
@@ -95,15 +95,11 @@ def request_size(request: effects.Request) -> int:
     ships, and the dispatch trace reports the same figure per request
     class.
     """
-    cls = request.__class__
-    if (
-        cls is effects.Put
-        or cls is effects.PutIfVersion
-        or isinstance(request, (effects.Put, effects.PutIfVersion))
-    ):
-        return 24 + approx_size(request.key) + approx_size(request.value)
-    if isinstance(request, effects.StoreRequest):
-        return 24 + approx_size(request.key)
-    if isinstance(request, effects.Batch):
+    kind = request.kind
+    if kind > KIND_SCAN:
+        return 24
+    if kind == KIND_BATCH:
         return sum(request_size(op) for op in request.ops)
-    return 24
+    if request.ships_value:
+        return 24 + approx_size(request.key) + approx_size(request.value)
+    return 24 + approx_size(request.key)

@@ -20,14 +20,14 @@ simulated instant.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import effects
 from repro.dispatch.core import KIND_BATCH, KIND_SCAN, kind_of
-from repro.elastic.topology import PlacementSpec, Topology
+from repro.elastic.topology import Topology
 from repro.errors import InvalidState, NodeUnavailable
 from repro.store.node import StorageNode
-from repro.store.partition import PartitionMap
+from repro.store.partition import HashPartitioner, PartitionMap
 
 
 class OpRouting:
@@ -41,37 +41,6 @@ class OpRouting:
         self.is_write = is_write
 
 
-_WRITE_OPS = (
-    effects.Put,
-    effects.PutIfVersion,
-    effects.Delete,
-    effects.DeleteIfVersion,
-    effects.Increment,
-)
-
-# Exact-class sets let the hot routing/apply paths replace isinstance
-# chains with one dict lookup; subclasses still take the generic path.
-WRITE_CLASSES = frozenset(_WRITE_OPS)
-_READ_CLASSES = frozenset((effects.Get, effects.Scan))
-
-_APPLY_DISPATCH = {
-    effects.Get: lambda node, pid, op: node.do_get(pid, op.space, op.key),
-    effects.PutIfVersion: lambda node, pid, op: node.do_put_if_version(
-        pid, op.space, op.key, op.value, op.expected_version
-    ),
-    effects.Put: lambda node, pid, op: node.do_put(
-        pid, op.space, op.key, op.value
-    ),
-    effects.Delete: lambda node, pid, op: node.do_delete(pid, op.space, op.key),
-    effects.DeleteIfVersion: lambda node, pid, op: node.do_delete_if_version(
-        pid, op.space, op.key, op.expected_version
-    ),
-    effects.Increment: lambda node, pid, op: node.do_increment(
-        pid, op.space, op.key, op.delta
-    ),
-}
-
-
 class StorageCluster:
     """A set of storage nodes behind a partition map."""
 
@@ -83,7 +52,6 @@ class StorageCluster:
         capacity_bytes: Optional[int] = None,
         service_us_read: float = 1.2,
         service_us_write: float = 1.8,
-        placement: Union[str, PlacementSpec] = "hash",
     ):
         if n_nodes < 1:
             raise InvalidState("need at least one storage node")
@@ -102,16 +70,15 @@ class StorageCluster:
             )
             for node_id in range(n_nodes)
         }
-        spec = PlacementSpec.parse(placement)
-        n_partitions = spec.partitions_for(n_nodes, partitions_per_node)
-        self.partitioner = spec.make_partitioner(n_partitions)
+        n_partitions = n_nodes * partitions_per_node
+        self.partitioner = HashPartitioner(n_partitions)
         self.partition_map = PartitionMap(
             n_partitions, list(self.nodes.keys()), replication_factor
         )
         # The versioned ownership layer (repro.elastic) wraps the SAME
         # partitioner/partition-map objects, so the static routing paths
         # above stay byte-identical when no elastic operation ever runs.
-        self.topology = Topology(self.partitioner, self.partition_map, spec)
+        self.topology = Topology(self.partitioner, self.partition_map)
         for partition_id in range(n_partitions):
             for node_id in self.partition_map.replicas_of(partition_id):
                 self.nodes[node_id].host_partition(partition_id)
@@ -121,26 +88,11 @@ class StorageCluster:
     def partition_of(self, key: Any) -> int:
         return self.partitioner.partition_of(key)
 
-    def master_node(self, partition_id: int) -> StorageNode:
-        node = self.nodes[self.partition_map.master_of(partition_id)]
-        if not node.alive:
-            raise NodeUnavailable(
-                f"master of partition {partition_id} (node {node.node_id}) is down"
-            )
-        return node
-
     def routing(self, op: effects.StoreRequest) -> OpRouting:
         """Routing decision for one single-key request."""
         partition_id = self.partitioner.partition_of(op.key)
         master = self.partition_map.assignments[partition_id].replicas[0]
-        cls = op.__class__
-        if cls in WRITE_CLASSES:
-            is_write = True
-        elif cls in _READ_CLASSES:
-            is_write = False
-        else:
-            is_write = isinstance(op, _WRITE_OPS)
-        return OpRouting(partition_id, master, is_write)
+        return OpRouting(partition_id, master, op.is_write)
 
     def scan_routing(self, op: effects.Scan) -> List[Tuple[int, int]]:
         """(partition_id, master_node_id) pairs a scan must visit."""
@@ -154,8 +106,7 @@ class StorageCluster:
     def execute(self, op: effects.Request) -> Any:
         """Execute a request synchronously (direct mode).
 
-        Classification is the shared :func:`repro.dispatch.core.kind_of`
-        (one dict lookup for the exact effect classes).
+        Classification is the shared :func:`repro.dispatch.core.kind_of`.
         """
         kind = kind_of(op)
         if kind == KIND_BATCH:
@@ -171,34 +122,9 @@ class StorageCluster:
     def apply(
         self, op: effects.StoreRequest, partition_id: int, node_id: int
     ) -> Tuple[Any, int]:
-        """Run a single-key op on one node.  Returns (result, resp_size)."""
-        handler = _APPLY_DISPATCH.get(op.__class__)
-        if handler is not None:
-            return handler(self.nodes[node_id], partition_id, op)
-        return self._apply_slow(op, partition_id, node_id)
-
-    def _apply_slow(
-        self, op: effects.StoreRequest, partition_id: int, node_id: int
-    ) -> Tuple[Any, int]:
-        """isinstance fallback for subclassed request types."""
-        node = self.nodes[node_id]
-        if isinstance(op, effects.Get):
-            return node.do_get(partition_id, op.space, op.key)
-        if isinstance(op, effects.PutIfVersion):
-            return node.do_put_if_version(
-                partition_id, op.space, op.key, op.value, op.expected_version
-            )
-        if isinstance(op, effects.Put):
-            return node.do_put(partition_id, op.space, op.key, op.value)
-        if isinstance(op, effects.Delete):
-            return node.do_delete(partition_id, op.space, op.key)
-        if isinstance(op, effects.DeleteIfVersion):
-            return node.do_delete_if_version(
-                partition_id, op.space, op.key, op.expected_version
-            )
-        if isinstance(op, effects.Increment):
-            return node.do_increment(partition_id, op.space, op.key, op.delta)
-        raise TypeError(f"not a single-key storage op: {op!r}")
+        """Run ``op`` on one node -- the :class:`StorageNode` operation its
+        class declares.  Returns (result, resp_size)."""
+        return op.apply(self.nodes[node_id], partition_id)
 
     def execute_scan(self, op: effects.Scan) -> List[Tuple[Any, Any, int]]:
         """Scan every partition and merge the sorted slices."""
@@ -207,11 +133,7 @@ class StorageCluster:
             node = self.nodes[node_id]
             if not node.alive:
                 raise NodeUnavailable(f"storage node {node_id} is down")
-            slice_rows, _ = node.do_scan(
-                partition_id, op.space, op.start, op.end, op.limit,
-                snapshot=op.snapshot, scan_filter=op.scan_filter,
-                projection=op.projection,
-            )
+            slice_rows, _ = op.apply(node, partition_id)
             rows.extend(slice_rows)
         rows.sort(key=lambda row: row[0])
         if op.limit is not None:

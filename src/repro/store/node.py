@@ -78,8 +78,6 @@ class StorageNode:
         self.ops_read = 0
         self.ops_write = 0
         self.ops_scan = 0
-        # simulation bookkeeping: per-worker availability (set by sim driver)
-        self.sim_state: Dict[str, Any] = {}
 
     # -- partition hosting -------------------------------------------------
 
@@ -135,7 +133,7 @@ class StorageNode:
             raise NodeUnavailable(f"storage node {self.node_id} is down")
 
     # -- operations ----------------------------------------------------------
-    # Each returns (result, response_size_estimate, is_write).
+    # Each returns (result, response_size_estimate).
 
     def do_get(self, partition_id: int, space: str, key: Any) -> Tuple[Any, int]:
         # Hottest node op: inline the alive/partition/space lookups and

@@ -79,27 +79,6 @@ class HashPartitioner:
         return stable_hash(key) % self.n_partitions
 
 
-class RangePartitioner:
-    """Maps keys to contiguous slices of the 64-bit hash ring.
-
-    Partition ``p`` owns hashes in ``[p * 2^64 / n, (p+1) * 2^64 / n)``,
-    so neighbouring partitions cover adjacent hash ranges -- the
-    range-split placement of :mod:`repro.elastic` (``placement="range"``).
-    Keys themselves are mixed-type (ints, tuples, strings), so the split
-    is over the deterministic :func:`stable_hash`, not raw key order.
-    Exposes the same ``n_partitions`` / ``partition_of`` surface as
-    :class:`HashPartitioner`.
-    """
-
-    def __init__(self, n_partitions: int):
-        if n_partitions < 1:
-            raise InvalidState("need at least one partition")
-        self.n_partitions = n_partitions
-
-    def partition_of(self, key: Any) -> int:
-        return (stable_hash(key) * self.n_partitions) >> 64
-
-
 class PartitionAssignment:
     """Replica placement of a single partition: master first."""
 

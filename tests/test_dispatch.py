@@ -17,6 +17,7 @@ from repro.dispatch import (
     KIND_CM_ABORTED,
     KIND_CM_COMMITTED,
     KIND_CM_START,
+    KIND_CM_VALIDATE,
     KIND_COMPUTE,
     KIND_SCAN,
     KIND_SLEEP,
@@ -34,9 +35,22 @@ from repro.dispatch import (
     drive_sync,
     kind_of,
 )
-from repro.dispatch.core import _KIND_BY_CLASS
+from repro.core.commit_manager import CommitManager
 from repro.errors import NodeUnavailable, TellError
+from repro.runtime.config import SimulationConfig
+from repro.runtime.fabric import CorePool, SimFabric
+from repro.sim.kernel import Simulator
 from repro.store.cluster import StorageCluster
+
+
+#: Every ``Request`` subclass :mod:`repro.effects` defines, and the
+#: abstract ones among them.
+EFFECT_CLASSES = {
+    cls for cls in vars(effects).values()
+    if isinstance(cls, type) and issubclass(cls, effects.Request)
+    and cls is not effects.Request
+}
+ABSTRACT_EFFECTS = {effects.StoreRequest, effects.CommitManagerRequest}
 
 
 # ---------------------------------------------------------------------------
@@ -60,33 +74,78 @@ class TestKindOf:
         assert kind_of(effects.Compute(1.0)) == KIND_COMPUTE
         assert kind_of(effects.Sleep(1.0)) == KIND_SLEEP
 
-    def test_subclass_is_classified_and_cached(self):
-        class FancyGet(effects.Get):
-            __slots__ = ()
+    @pytest.mark.parametrize("base, args", [
+        (effects.Get, ("data", "k")),
+        (effects.Put, ("data", "k", "v2")),
+        (effects.Scan, ("data", None, None)),
+    ], ids=["Get", "Put", "Scan"])
+    def test_subclass_inherits_kind_write_and_store_call(self, base, args):
+        fancy = type(f"Fancy{base.__name__}", (base,), {"__slots__": ()})
+        assert kind_of(fancy(*args)) == kind_of(base(*args))
+        assert fancy.is_write == base.is_write
 
-        try:
-            request = FancyGet("s", 1)
-            assert FancyGet not in _KIND_BY_CLASS
-            assert kind_of(request) == KIND_STORE
-            assert _KIND_BY_CLASS[FancyGet] == KIND_STORE  # cached now
-            assert kind_of(request) == KIND_STORE
-        finally:
-            _KIND_BY_CLASS.pop(FancyGet, None)
+        def run_fabric(cluster, request):
+            sim = Simulator()
+            fabric = SimFabric(
+                sim, cluster, [CommitManager(0, cluster.execute)],
+                SimulationConfig(storage_nodes=2, replication_factor=2),
+            )
+            return sim.run_until_complete(
+                sim.spawn(fabric.perform(CorePool(4), 0, request)))
 
-    def test_scan_subclass_beats_store_fallback(self):
-        class FancyScan(effects.Scan):
-            __slots__ = ()
+        for run in (StorageCluster.execute, run_fabric):
+            results = []
+            for cls in (base, fancy):
+                cluster = StorageCluster(n_nodes=2, replication_factor=2)
+                cluster.execute(effects.Put("data", "k", "v1"))
+                results.append(run(cluster, cls(*args)))
+                # RF2 on two nodes: the cell lives on both; a write must
+                # have reached the backup, a read must have changed nothing.
+                pid = cluster.partition_of("k")
+                assert [
+                    cluster.nodes[n].partition(pid).space("data")["k"].value
+                    for n in cluster.partition_map.replicas_of(pid)
+                ] == (["v2", "v2"] if base.is_write else ["v1", "v1"])
+            assert results[0] == results[1] and results[0]
 
-        try:
-            assert kind_of(FancyScan("s", None, None)) == KIND_SCAN
-        finally:
-            _KIND_BY_CLASS.pop(FancyScan, None)
+    def test_vocabulary_declares_itself(self):
+        # Every class of the Request closure in repro.effects: concrete
+        # ones resolve a kind, the abstract bases none; every store
+        # request also resolves its write-ness and its node operation.
+        concrete = EFFECT_CLASSES - ABSTRACT_EFFECTS
+        assert len(concrete) == 14
+        for cls in concrete:
+            assert KIND_STORE <= cls.kind <= KIND_CM_VALIDATE, cls
+        for cls in ABSTRACT_EFFECTS:
+            assert not hasattr(cls, "kind")
+
+        class RecordingNode:
+            def __getattr__(self, name):
+                return lambda *args, **kwargs: name
+
+        store_vocabulary = [
+            (effects.Get("s", 1), False, "do_get"),
+            (effects.Put("s", 1, 2), True, "do_put"),
+            (effects.PutIfVersion("s", 1, 2, 0), True, "do_put_if_version"),
+            (effects.Delete("s", 1), True, "do_delete"),
+            (effects.DeleteIfVersion("s", 1, 0), True, "do_delete_if_version"),
+            (effects.Increment("s", 1), True, "do_increment"),
+            (effects.Scan("s", None, None), False, "do_scan"),
+        ]
+        assert {type(op) for op, _w, _n in store_vocabulary} == {
+            cls for cls in concrete if issubclass(cls, effects.StoreRequest)
+        }
+        for op, is_write, node_op in store_vocabulary:
+            assert op.is_write is is_write
+            assert op.apply(RecordingNode(), 0) == node_op
 
     def test_unroutable_raises_type_error(self):
         with pytest.raises(TypeError):
             kind_of("not a request")
         with pytest.raises(TypeError):
             kind_of(effects.Request())
+        with pytest.raises(TypeError):  # abstract bases declare no kind
+            kind_of(effects.StoreRequest("s", 1))
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +513,4 @@ class TestRequestReprs:
 
     def test_all_public_request_classes_covered(self):
         covered = {type(r) for r, _ in self.REQUESTS}
-        public = {
-            cls for cls in vars(effects).values()
-            if isinstance(cls, type)
-            and issubclass(cls, effects.Request)
-            and cls not in (effects.Request, effects.StoreRequest,
-                            effects.CommitManagerRequest)
-        }
-        assert public <= covered
+        assert EFFECT_CLASSES - ABSTRACT_EFFECTS <= covered

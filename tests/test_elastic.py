@@ -16,7 +16,6 @@ from repro.elastic.autoscaler import Autoscaler, AutoscalerPolicy
 from repro.elastic.coordinator import ElasticCoordinator
 from repro.elastic.migration import (assert_migration_clean, capture_pins,
                                      migrate_partition, run_moves_direct)
-from repro.elastic.topology import PlacementSpec
 from repro.errors import InvalidState
 from repro.sim.kernel import delay_of
 from repro.store.cluster import StorageCluster
@@ -40,29 +39,6 @@ def sim_config(**overrides):
     )
     defaults.update(overrides)
     return TellConfig(**defaults)
-
-
-class TestPlacementSpec:
-    def test_parse_plain_and_virtual(self):
-        assert PlacementSpec.parse("hash").kind == "hash"
-        spec = PlacementSpec.parse("range:16")
-        assert (spec.kind, spec.virtual_nodes) == ("range", 16)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(InvalidState):
-            PlacementSpec.parse("consistent-hashing")
-
-    def test_malformed_count_rejected(self):
-        with pytest.raises(InvalidState):
-            PlacementSpec.parse("hash:lots")
-
-    def test_database_config_validates_placement(self):
-        with pytest.raises(InvalidState):
-            repro.connect(storage_nodes=2, placement="bogus")
-
-    def test_range_placement_deployable(self):
-        with repro.connect(storage_nodes=2, placement="range") as db:
-            assert db.cluster.topology.placement.kind == "range"
 
 
 class TestTopology:

@@ -109,12 +109,25 @@ class TestCallGraph:
             assert ("repro.workloads.tpcc.transactions", name) in targets
 
     def test_annotated_list_element_resolves_prepare_cm(self, src_analysis):
-        # self.commit_managers[i].start resolves through the
-        # List[CommitManager] annotation on SimFabric.__init__.
+        # self.commit_managers[i].serve resolves through the
+        # List[CommitManager] annotation on SimFabric.__init__; serve is
+        # the one switch onto the manager's operations.
         g = src_analysis.graph
         prepare = ("repro.runtime.fabric", "SimFabric.prepare_cm")
+        serve = ("repro.core.commit_manager", "CommitManager.serve")
+        assert serve in g.edges[prepare]
         assert ("repro.core.commit_manager", "CommitManager.start") \
-            in g.edges[prepare]
+            in g.edges[serve]
+
+    def test_cluster_apply_reaches_every_node_operation(self, src_analysis):
+        # `op.apply(node, pid)` on a StoreRequest fans out to each effect
+        # class's override, which calls its StorageNode operation: the
+        # analyzer sees the store through the path requests take.
+        reached = src_analysis.graph.reachable_from(
+            {("repro.store.cluster", "StorageCluster.apply")})
+        for op in ("get", "put", "put_if_version", "delete",
+                   "delete_if_version", "increment"):
+            assert ("repro.store.node", f"StorageNode.do_{op}") in reached
 
     def test_spawned_terminals_reach_commit_manager(self, src_analysis):
         # _spawn_pn lives in repro.runtime and spawns `self._terminal(...)`:
@@ -217,26 +230,27 @@ class TestRF001:
 # RF002 / RF003 -- dispatcher exhaustiveness
 # ---------------------------------------------------------------------------
 
-# A miniature dispatch module: exact table + isinstance ladder, the same
-# registration shapes as repro.dispatch.core.
-MINI_DISPATCH = ("repro.dispatch.mini", """
-    from repro import effects
+# A miniature effect vocabulary: the abstract bases declare no `kind`,
+# the concrete class does -- the same shape as repro/effects.py.
+MINI_EFFECTS = ("repro.effects", """
     KIND_STORE = 0
-    _KIND_BY_CLASS = {effects.Get: KIND_STORE}
-    def classify(request):
-        if isinstance(request, effects.StoreRequest):
-            return KIND_STORE
-        raise TypeError("unroutable request")
+    class Request:
+        __slots__ = ()
+    class StoreRequest(Request):
+        __slots__ = ()
+    class Get(StoreRequest):
+        __slots__ = ()
+        kind = KIND_STORE
 """)
 
 
 class TestRF002RF003:
     def test_unregistered_leaf_and_yield_fire(self):
         findings = flow_findings(
-            MINI_DISPATCH,
+            MINI_EFFECTS,
             ("repro.workloads.mini", """
                 from repro import effects
-                class Touch(effects.Request):
+                class Touch(effects.StoreRequest):
                     pass
                 def script():
                     yield Touch()
@@ -248,20 +262,21 @@ class TestRF002RF003:
         assert "Touch" in by_rule["RF002"].message
 
     def test_ladder_subclass_is_silent(self):
+        # A subclass inherits the kind its parent declares.
         assert flow_codes(
-            MINI_DISPATCH,
+            MINI_EFFECTS,
             ("repro.workloads.mini", """
                 from repro import effects
-                class TouchStore(effects.StoreRequest):
+                class TouchGet(effects.Get):
                     pass
                 def script():
-                    yield TouchStore()
+                    yield TouchGet()
             """),
         ) == []
 
     def test_silent_without_dispatch_module(self):
-        # A fixture with no dispatcher linted must not call everything
-        # unroutable.
+        # A run that did not lint repro/effects.py saw no `kind`
+        # declaration and must not call everything unroutable.
         assert flow_codes(
             ("repro.workloads.mini", """
                 from repro import effects
@@ -278,9 +293,12 @@ class TestRF002RF003:
             "class Get(",
             "class Probe(Request):\n"
             "    __slots__ = ()\n\n\n"
+            "def _probe_script():\n"
+            "    yield Probe()\n\n\n"
             "class Get(",
         )])
-        assert "RF003" in {f.rule for f in findings}
+        assert {f.rule for f in findings} == {"RF002", "RF003"}
+        assert all("Probe" in f.message for f in findings)
 
     def test_abstract_base_not_flagged(self, src_analysis):
         # Request/StoreRequest/... have subclasses, so they are not

@@ -3,6 +3,7 @@ on the good variant, and honours inline suppression; plus engine
 behaviour (skip-file, CLI) and the seeded-mutation check that
 guards the linter itself against regressions."""
 
+import ast
 import json
 import textwrap
 from pathlib import Path
@@ -12,8 +13,10 @@ import pytest
 from repro.lint import SourceModule, lint_source
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import module_name_for
+from repro.lint.index import EFFECT_CLASS_SEEDS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+EFFECTS_PY = REPO_ROOT / "src" / "repro" / "effects.py"
 TRANSACTION_PY = REPO_ROOT / "src" / "repro" / "core" / "transaction.py"
 FABRIC_PY = REPO_ROOT / "src" / "repro" / "runtime" / "fabric.py"
 ISOLATION_BASE_PY = (
@@ -93,6 +96,18 @@ class TestRL001:
             def probe():
                 effects.Get("data", 1)  # repro-lint: ignore[RL001] repr probe
         """) == []
+
+    def test_effect_seeds_are_the_request_closure(self):
+        # Runs that do not lint repro/effects.py (`repro-lint tests`,
+        # any single file) know the effect classes from the seeds alone:
+        # a class missing there is a dropped yield nobody reports.
+        closure = {"Request"}
+        for node in ast.parse(EFFECTS_PY.read_text()).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(base, ast.Name) and base.id in closure
+                    for base in node.bases):
+                closure.add(node.name)  # source order: bases come first
+        assert {name for _module, name in EFFECT_CLASS_SEEDS} == closure
 
 
 # ---------------------------------------------------------------------------

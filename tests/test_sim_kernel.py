@@ -272,6 +272,54 @@ def test_stop_then_run_resumes():
         assert seen[-1] == expected
 
 
+def test_stop_mid_timestamp_keeps_scheduling_order():
+    # Four processes and a callback are due at t=5; the second process
+    # stops the run and schedules one more callback for the same instant.
+    # What was not delivered stays queued and comes out in scheduling
+    # order: the rest of the t=5 batch first, then the zero-delay
+    # follow-ups and the late callback in the order they were scheduled.
+    sim = Simulator()
+    trace = []
+
+    def proc(name):
+        yield Delay(5.0)
+        trace.append(name)
+        if name == "p1":
+            sim.stop()
+            sim.call_at(5.0, lambda: trace.append("late"))
+        yield Delay(0.0)
+        trace.append(name + "+0")
+        yield Delay(1.0)
+        trace.append(name + "+1")
+
+    def schedule_callback():
+        sim.call_at(5.0, lambda: trace.append("cb"))
+        return
+        yield
+
+    sim.spawn(proc("p0"))
+    sim.spawn(proc("p1"))
+    sim.spawn(schedule_callback())  # lands between p1 and p2 at t=5
+    sim.spawn(proc("p2"))
+    sim.spawn(proc("p3"))
+
+    assert sim.run() == 5.0
+    assert trace == ["p0", "p1"]
+    assert sim.pending() == 6  # cb, p2, p3 + p0+0, late, p1+0
+    assert sim.events_processed == 7
+
+    assert sim.run(until=5.0) == 5.0
+    assert trace[2:] == ["cb", "p2", "p3",
+                         "p0+0", "late", "p1+0", "p2+0", "p3+0"]
+    assert sim.pending() == 4
+    assert sim.events_processed == 15
+
+    assert sim.run() == 6.0
+    assert trace[10:] == ["p0+1", "p1+1", "p2+1", "p3+1"]
+    assert sim.pending() == 0
+    assert sim.events_processed == 19
+
+
 def test_yielding_garbage_raises():
     sim = Simulator()
 
