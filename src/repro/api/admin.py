@@ -11,10 +11,11 @@ processing-pool grow/shrink, and topology introspection::
             view = admin.topology()           # epoch, ownership map
             admin.wait_balanced()
 
-Every mutation goes through the versioned :class:`repro.elastic.Topology`
-layer (epoch bumps, handoff lifecycle) and the bounded-batch migration
-protocol, so the embedded path exercises exactly the state machine the
-simulated elastic coordinator drives under live load.
+Every mutation goes through the versioned
+:class:`repro.store.partition.PartitionMap` (epoch bumps, handoff
+lifecycle) and the bounded-batch migration protocol, so the embedded
+path exercises exactly the state machine the simulated elastic
+coordinator drives under live load.
 
 Leaving the ``with`` block verifies nothing leaked: no handoff residue,
 hosting consistent with assignment, and -- because migrations never open
@@ -27,6 +28,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.elastic.migration import (capture_pins, assert_migration_clean,
                                      run_moves_direct, MigrationStats)
+from repro.elastic.topology import plan_drain, plan_rebalance
 from repro.errors import InvalidState
 
 
@@ -63,7 +65,8 @@ class ClusterAdmin:
         node = cluster.create_node(capacity_bytes)
         if rebalance:
             run_moves_direct(
-                cluster, cluster.topology.plan_rebalance(), stats=self.stats
+                cluster, plan_rebalance(cluster.partition_map),
+                stats=self.stats,
             )
         return node.node_id
 
@@ -81,7 +84,7 @@ class ClusterAdmin:
             raise InvalidState(f"no storage node {node_id}")
         if drain:
             run_moves_direct(
-                cluster, cluster.topology.plan_drain(node_id),
+                cluster, plan_drain(cluster.partition_map, node_id),
                 stats=self.stats,
             )
         else:
@@ -91,20 +94,20 @@ class ClusterAdmin:
     def rebalance(self) -> int:
         """Even out master placement; returns the number of moves run."""
         cluster = self._db.cluster
-        moves = cluster.topology.plan_rebalance()
+        moves = plan_rebalance(cluster.partition_map)
         run_moves_direct(cluster, moves, stats=self.stats)
         return len(moves)
 
     def wait_balanced(self) -> None:
         """Block until the topology is balanced (embedded mode: migrations
         are synchronous, so at most one rebalance round is needed)."""
-        topology = self._db.cluster.topology
-        if not topology.is_balanced():
+        pmap = self._db.cluster.partition_map
+        if not pmap.is_balanced():
             self.rebalance()
-        if not topology.is_balanced():
+        if not pmap.is_balanced():
             raise InvalidState(
                 "topology failed to balance: "
-                f"master counts {topology.master_counts()!r}"
+                f"master counts {pmap.master_counts()!r}"
             )
 
     # -- processing elasticity ----------------------------------------------
@@ -132,21 +135,21 @@ class ClusterAdmin:
     # -- introspection ------------------------------------------------------
 
     def topology(self) -> Dict[str, Any]:
-        """A point-in-time view of the versioned topology."""
-        topo = self._db.cluster.topology
+        """A point-in-time view of the versioned partition map."""
+        pmap = self._db.cluster.partition_map
         return {
-            "epoch": topo.epoch,
-            "n_partitions": topo.n_partitions,
-            "nodes": topo.node_ids(),
-            "ownership": topo.ownership(),
-            "master_counts": topo.master_counts(),
-            "migrations_in_flight": topo.migrations_in_flight(),
-            "balanced": topo.is_balanced(),
-            "epoch_log": list(topo.epoch_log),
+            "epoch": pmap.epoch,
+            "n_partitions": pmap.n_partitions,
+            "nodes": list(pmap.node_ids),
+            "ownership": pmap.ownership(),
+            "master_counts": pmap.master_counts(),
+            "migrations_in_flight": pmap.migrations_in_flight(),
+            "balanced": pmap.is_balanced(),
+            "epoch_log": list(pmap.epoch_log),
         }
 
     def __repr__(self) -> str:
-        topo = self._db.cluster.topology
-        return (f"<ClusterAdmin epoch={topo.epoch} "
-                f"nodes={len(topo.node_ids())} "
-                f"balanced={topo.is_balanced()}>")
+        pmap = self._db.cluster.partition_map
+        return (f"<ClusterAdmin epoch={pmap.epoch} "
+                f"nodes={len(pmap.node_ids)} "
+                f"balanced={pmap.is_balanced()}>")

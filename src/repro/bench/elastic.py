@@ -216,7 +216,7 @@ def run_elastic_point(point: Dict[str, Any]) -> Dict[str, Any]:
         },
         "migration": coordinator.stats.as_dict(),
         "redirects": redirects,
-        "epoch": deployment.cluster.topology.epoch,
+        "epoch": deployment.cluster.partition_map.epoch,
         "events": deployment.sim.events_processed,
         "wall_s": wall,
         "digest": _run_digest(phase_metrics, coordinator.events),

@@ -1,6 +1,6 @@
 """The canonical effect-dispatch pipeline.
 
-One classification step (:func:`~repro.dispatch.core.kind_of`), one
+One classification step (:func:`~repro.effects.kind_of`), one
 middleware protocol (:class:`~repro.dispatch.core.Interceptor`), one
 synchronous driver (:class:`~repro.dispatch.direct.Dispatcher`), and the
 three production interceptors (tracing, fault injection, retry policy).

@@ -32,9 +32,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Optional, Sequence
 
-from repro import effects
-# The KIND_* constants live beside the classes that declare them; they
-# stay importable from here and from :mod:`repro.dispatch`.
+# The KIND_* constants and kind_of live beside the classes that declare
+# them; they stay importable from here and from :mod:`repro.dispatch`.
 from repro.effects import (
     KIND_BATCH,
     KIND_CM_ABORTED,
@@ -45,21 +44,8 @@ from repro.effects import (
     KIND_SCAN,
     KIND_SLEEP,
     KIND_STORE,
+    kind_of,
 )
-
-
-def kind_of(request: effects.Request) -> int:
-    """The ``KIND_*`` constant ``request``'s class declares.
-
-    Raises ``TypeError`` for objects that are not dispatchable requests
-    (including the abstract bases and unknown
-    :class:`~repro.effects.CommitManagerRequest` subclasses, which
-    declare no kind because no driver knows how to serve them).
-    """
-    try:
-        return request.kind
-    except AttributeError:
-        raise TypeError(f"unroutable request: {request!r}") from None
 
 
 class _ZeroClock:

@@ -28,8 +28,8 @@ from repro.dispatch.core import (
     attach_all,
     compose,
     drive_sync,
-    kind_of,
 )
+from repro.effects import kind_of
 
 
 class Dispatcher:

@@ -328,17 +328,17 @@ class RetryPolicy(Interceptor):
                     backoff *= self.multiplier
 
 
-class WrongOwnerRedirect(Interceptor):
+class WrongOwnerRedirect(RetryPolicy):
     """Re-route requests that hit a node whose partition migrated away.
 
     During a live migration a request can be routed (send time) to a
     node that is no longer the partition's owner by the time it is
     served; the storage layer rejects it with
     :class:`~repro.errors.WrongOwner` *before any state mutation*.  This
-    interceptor waits ``pause_us`` of simulated time (letting the
-    promotion's epoch settle) and re-issues the request down the tail of
-    the pipeline, which re-reads the partition map and therefore reaches
-    the new owner.
+    retry policy waits a constant ``pause_us`` of simulated time (letting
+    the promotion's epoch settle) and re-issues the request down the tail
+    of the pipeline, which re-reads the partition map and therefore
+    reaches the new owner.
 
     Must sit **innermost** in the chain (closest to the fabric) so that
     outer middleware -- in particular the sanitizers -- observes one
@@ -350,23 +350,12 @@ class WrongOwnerRedirect(Interceptor):
     def __init__(self, max_redirects: int = 8, pause_us: float = 20.0) -> None:
         if max_redirects < 1:
             raise ValueError("max_redirects must be >= 1")
-        self.max_redirects = max_redirects
-        self.pause_us = pause_us
-        self.redirects = 0
+        super().__init__(max_attempts=max_redirects + 1, backoff_us=pause_us,
+                         multiplier=1.0, retry_on=(WrongOwner,))
 
-    def intercept(self, request: Any, ctx: DispatchContext,
-                  next: NextFn) -> Generator[Any, Any, Any]:
-        attempt = 0
-        while True:
-            try:
-                return (yield from next(request))
-            except WrongOwner:
-                if attempt >= self.max_redirects:
-                    raise
-                attempt += 1
-                self.redirects += 1
-                if self.pause_us > 0.0:
-                    yield _delay(self.pause_us)
+    @property
+    def redirects(self) -> int:
+        return self.retries
 
 
 __all__ = [

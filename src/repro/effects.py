@@ -18,7 +18,7 @@ benchmarked is the library itself, not a model of it.
 from __future__ import annotations
 
 from typing import (TYPE_CHECKING, Any, ClassVar, Generator, Optional,
-                    Sequence, Tuple)
+                    Sequence)
 
 from repro.errors import TellError
 
@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.store.node import StorageNode
 
 #: Request kinds, declared by every concrete class below and read by
-#: :func:`repro.dispatch.kind_of`.  ``KIND_STORE``..``KIND_SCAN`` are
+#: :func:`kind_of`.  ``KIND_STORE``..``KIND_SCAN`` are
 #: storage-cluster requests; the CM kinds address the processing node's
 #: commit manager; COMPUTE/SLEEP are local effects charged only under
 #: simulation.
@@ -59,6 +59,20 @@ class Request:
         return f"{type(self).__name__}()"
 
 
+def kind_of(request: Request) -> int:
+    """The ``KIND_*`` constant ``request``'s class declares.
+
+    Raises ``TypeError`` for objects that are not dispatchable requests
+    (including the abstract bases and unknown
+    :class:`CommitManagerRequest` subclasses, which declare no kind
+    because no driver knows how to serve them).
+    """
+    try:
+        return request.kind
+    except AttributeError:
+        raise TypeError(f"unroutable request: {request!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # Storage layer requests (served by the shared record store)
 # ---------------------------------------------------------------------------
@@ -82,8 +96,8 @@ class StoreRequest(Request):
         self.space = space
         self.key = key
 
-    def apply(self, node: StorageNode, partition_id: int) -> Tuple[Any, int]:
-        """Run on ``node``; returns ``(result, response_size)``."""
+    def apply(self, node: StorageNode, partition_id: int) -> Any:
+        """Run on ``node``; returns the request's result."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -99,7 +113,7 @@ class Get(StoreRequest):
     kind = KIND_STORE
     is_write = False
 
-    def apply(self, node: StorageNode, partition_id: int) -> Tuple[Any, int]:
+    def apply(self, node: StorageNode, partition_id: int) -> Any:
         return node.do_get(partition_id, self.space, self.key)
 
 
@@ -116,7 +130,7 @@ class Put(StoreRequest):
         super().__init__(space, key)
         self.value = value
 
-    def apply(self, node: StorageNode, partition_id: int) -> Tuple[Any, int]:
+    def apply(self, node: StorageNode, partition_id: int) -> Any:
         return node.do_put(partition_id, self.space, self.key, self.value)
 
     def __repr__(self) -> str:
@@ -143,7 +157,7 @@ class PutIfVersion(StoreRequest):
         self.value = value
         self.expected_version = expected_version
 
-    def apply(self, node: StorageNode, partition_id: int) -> Tuple[Any, int]:
+    def apply(self, node: StorageNode, partition_id: int) -> Any:
         return node.do_put_if_version(
             partition_id, self.space, self.key, self.value,
             self.expected_version,
@@ -164,7 +178,7 @@ class Delete(StoreRequest):
     kind = KIND_STORE
     is_write = True
 
-    def apply(self, node: StorageNode, partition_id: int) -> Tuple[Any, int]:
+    def apply(self, node: StorageNode, partition_id: int) -> Any:
         return node.do_delete(partition_id, self.space, self.key)
 
 
@@ -180,7 +194,7 @@ class DeleteIfVersion(StoreRequest):
         super().__init__(space, key)
         self.expected_version = expected_version
 
-    def apply(self, node: StorageNode, partition_id: int) -> Tuple[Any, int]:
+    def apply(self, node: StorageNode, partition_id: int) -> Any:
         return node.do_delete_if_version(
             partition_id, self.space, self.key, self.expected_version
         )
@@ -208,7 +222,7 @@ class Increment(StoreRequest):
         super().__init__(space, key)
         self.delta = delta
 
-    def apply(self, node: StorageNode, partition_id: int) -> Tuple[Any, int]:
+    def apply(self, node: StorageNode, partition_id: int) -> Any:
         return node.do_increment(partition_id, self.space, self.key, self.delta)
 
     def __repr__(self) -> str:
@@ -248,7 +262,7 @@ class Scan(StoreRequest):
     def start(self) -> Any:
         return self.key
 
-    def apply(self, node: StorageNode, partition_id: int) -> Tuple[Any, int]:
+    def apply(self, node: StorageNode, partition_id: int) -> Any:
         """One partition's slice of the scan."""
         return node.do_scan(
             partition_id, self.space, self.key, self.end, self.limit,

@@ -3,8 +3,9 @@
 The elasticity subsystem makes the paper's headline claim -- processing
 and storage scale *independently* -- operational while traffic runs:
 
-* :mod:`repro.elastic.topology` -- the versioned ownership layer
-  (epochs, handoffs, deterministic rebalance/drain planning);
+* :mod:`repro.elastic.topology` -- deterministic rebalance/drain planning
+  and the leak oracle over the store's versioned
+  :class:`~repro.store.partition.PartitionMap` (epochs, handoffs);
 * :mod:`repro.elastic.migration` -- the bounded-batch key-handoff
   protocol streaming partitions to their new owner while PNs keep
   committing (SI-safe: destination rides the replica list, promotion is
@@ -21,13 +22,14 @@ re-routed by :class:`repro.dispatch.WrongOwnerRedirect`.  See
 ``docs/elasticity.md`` for the full protocol.
 """
 
-from repro.elastic.topology import Handoff, Move, Topology
+from repro.elastic.topology import Move
+from repro.store.partition import Handoff
 
 
 def __getattr__(name):
-    # Heavier pieces load lazily: the static-topology paths (embedded DB,
-    # plain simulation) construct a Topology but never touch migration,
-    # coordination, or autoscaling code.
+    # Loaded on first use: the embedded database's ``db.admin()`` imports
+    # this package for the migration protocol only and must not pull in
+    # the coordinator or the autoscaler (and, through them, the simulator).
     if name in ("MigrationStats", "run_moves_direct", "migrate_partition"):
         from repro.elastic import migration
 
@@ -51,7 +53,6 @@ __all__ = [
     "Handoff",
     "MigrationStats",
     "Move",
-    "Topology",
     "migrate_partition",
     "run_moves_direct",
 ]

@@ -228,7 +228,7 @@ class Autoscaler:
         if action == "sn-add":
             yield from coordinator.add_storage_node()
         elif action == "sn-remove":
-            victim = max(coordinator.topology.node_ids())
+            victim = max(coordinator.cluster.partition_map.node_ids)
             yield from coordinator.remove_storage_node(victim, drain=True)
         elif action == "pn-grow":
             coordinator.grow_pns(1)

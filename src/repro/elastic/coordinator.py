@@ -21,7 +21,7 @@ from typing import Any, Generator, List, Optional, Sequence, Tuple
 
 from repro.elastic.migration import (DEFAULT_BATCH_CELLS, BatchCost,
                                      MigrationStats, migrate_partition)
-from repro.elastic.topology import Move
+from repro.elastic.topology import Move, plan_drain, plan_rebalance
 from repro.errors import InvalidState
 from repro.sim.kernel import Delay, delay_of
 
@@ -48,7 +48,7 @@ class ElasticCoordinator:
         self.sim = deployment.sim
         self.fabric = deployment.fabric
         self.cluster = deployment.cluster
-        self.topology = deployment.cluster.topology
+        self.partition_map = deployment.cluster.partition_map
         self.batch_cells = batch_cells
         self.drain_pause_us = drain_pause_us
         self.stats = MigrationStats()
@@ -103,8 +103,8 @@ class ElasticCoordinator:
         try:
             node = self.cluster.create_node()
             self.fabric.register_node(node.node_id)
-            self._log(f"sn-add {node.node_id} epoch={self.topology.epoch}")
-            moves = self.topology.plan_rebalance()
+            self._log(f"sn-add {node.node_id} epoch={self.partition_map.epoch}")
+            moves = plan_rebalance(self.partition_map)
             yield from self._run_moves(moves)
             return node.node_id
         finally:
@@ -118,7 +118,7 @@ class ElasticCoordinator:
         yield from self._acquire()
         try:
             if drain:
-                moves = self.topology.plan_drain(node_id)
+                moves = plan_drain(self.partition_map, node_id)
                 self._log(f"sn-drain {node_id} moves={len(moves)}")
                 yield from self._run_moves(moves)
                 node = self.cluster.nodes.get(node_id)
@@ -132,7 +132,7 @@ class ElasticCoordinator:
                 self.deployment.management.handle_node_failure(node_id)
             self.cluster.detach_node(node_id)
             self.fabric.sn_pools.pop(node_id, None)
-            self._log(f"sn-removed {node_id} epoch={self.topology.epoch}")
+            self._log(f"sn-removed {node_id} epoch={self.partition_map.epoch}")
         finally:
             self._release()
 
@@ -159,7 +159,7 @@ class ElasticCoordinator:
                     self.fabric.register_node(node.node_id)
                     added.append(node.node_id)
                 self._log(f"sn-scale {len(current)}->{target} added={added}")
-                yield from self._run_moves(self.topology.plan_rebalance())
+                yield from self._run_moves(plan_rebalance(self.partition_map))
             finally:
                 self._release()
         elif target < len(current):
@@ -172,7 +172,7 @@ class ElasticCoordinator:
         self._arm()
         yield from self._acquire()
         try:
-            moves = self.topology.plan_rebalance()
+            moves = plan_rebalance(self.partition_map)
             self._log(f"rebalance moves={len(moves)}")
             yield from self._run_moves(moves)
             return len(moves)
@@ -239,8 +239,8 @@ class ElasticCoordinator:
         for move in moves:
             yield from self._run_move(move)
         self._log(
-            f"moves-done n={len(moves)} epoch={self.topology.epoch} "
-            f"balanced={self.topology.is_balanced()}"
+            f"moves-done n={len(moves)} epoch={self.partition_map.epoch} "
+            f"balanced={self.partition_map.is_balanced()}"
         )
 
     def _run_move(self, move: Move) -> Generator:
@@ -257,7 +257,7 @@ class ElasticCoordinator:
             yield from self._charge_batch(cost)
         self._log(
             f"move p{move.partition_id} {move.src}->{move.dst} "
-            f"{'ok' if committed else 'aborted'} epoch={self.topology.epoch}"
+            f"{'ok' if committed else 'aborted'} epoch={self.partition_map.epoch}"
         )
         return committed
 

@@ -2,7 +2,7 @@
 
 The protocol (per partition move, see ``docs/elasticity.md``):
 
-1. **Register** -- :meth:`Topology.begin_handoff` appends the destination
+1. **Register** -- :meth:`PartitionMap.begin_handoff` appends the destination
    to the partition's replica list (epoch bump).  From this instant every
    *new* write reaches the destination through the ordinary synchronous
    replication path, so the migration only has to stream the cells that
@@ -14,7 +14,7 @@ The protocol (per partition move, see ``docs/elasticity.md``):
    *current master's* cells at its simulated instant, so a cell updated
    after the key snapshot copies in its newest state, and a deleted cell
    is skipped (the delete already replicated as a tombstone copy).
-3. **Promote** -- :meth:`Topology.finish_handoff` swaps the destination
+3. **Promote** -- :meth:`PartitionMap.finish_handoff` swaps the destination
    into the source's slot in one atomic epoch step (master handoffs never
    leave an ownerless instant), and the source drops the partition with a
    moved-out tombstone: stragglers raise
@@ -22,9 +22,9 @@ The protocol (per partition move, see ``docs/elasticity.md``):
 4. **Abort** -- on any storage error (source or destination died) the
    registration rolls back: the destination leaves the replica list and
    drops its partial copy.  A concurrent fail-over may have aborted the
-   handoff already (:meth:`Topology.fail_over` evicts half-copied
+   handoff already (:meth:`PartitionMap.fail_over` evicts half-copied
    destinations before promoting backups); the generator detects that
-   after every batch via :meth:`Topology.handoff_active` and unwinds.
+   after every batch via :meth:`PartitionMap.handoff_active` and unwinds.
 
 Every step is SI-safe: the destination is indistinguishable from a
 backup replica until promotion, and promotion changes routing only --
@@ -36,9 +36,10 @@ from __future__ import annotations
 
 from typing import Any, Generator, List, Optional, Sequence, Tuple
 
-from repro.elastic.topology import Move, Topology
-from repro.errors import TellError
+from repro.elastic.topology import Move, assert_no_leaks
+from repro.errors import InvalidState, TellError
 from repro.store.cell import approx_size
+from repro.store.partition import PartitionMap
 
 #: Default cells per migration batch (bounds the per-event copy work and
 #: the message size; the coordinator charges one wire+service round per
@@ -107,26 +108,25 @@ def migrate_partition(
     """
     if stats is None:
         stats = MigrationStats()
-    topology: Topology = cluster.topology
+    pmap: PartitionMap = cluster.partition_map
     pid = move.partition_id
     try:
         # Registration can legitimately fail under chaos: a fail-over
         # between planning and execution may have evicted the source
         # from the replica list or killed the destination.  The move is
         # simply skipped; the plan's remaining moves still run.
-        handoff = topology.begin_handoff(pid, move.src, move.dst)
+        handoff = pmap.begin_handoff(pid, move.src, move.dst)
     except TellError:
         stats.aborted_handoffs += 1
         return False
     dst_node = cluster.nodes.get(move.dst)
     if dst_node is None or not dst_node.alive:
-        topology.abort_handoff(handoff)
+        pmap.abort_handoff(handoff)
         stats.aborted_handoffs += 1
         return False
     dst_node.host_partition(pid)
     try:
-        master_id = topology.owner_of(pid)
-        master_store = cluster.nodes[master_id].partition(pid)
+        master_store = cluster.nodes[pmap.master_of(pid)].partition(pid)
         for space in sorted(master_store.spaces):
             # Insertion order, not sort order: spaces may mix key types
             # (unorderable), and dict order is deterministic under the
@@ -145,12 +145,11 @@ def migrate_partition(
                 yield BatchCost(move.src, move.dst, len(chunk), nbytes)
                 # Simulated time passed: the handoff may have been
                 # aborted by a fail-over, or the master may have moved.
-                if not topology.handoff_active(handoff):
+                if not pmap.handoff_active(handoff):
                     _drop_partial(cluster, move, pid)
                     stats.aborted_handoffs += 1
                     return False
-                master_id = topology.owner_of(pid)
-                master_store = cluster.nodes[master_id].partition(pid)
+                master_store = cluster.nodes[pmap.master_of(pid)].partition(pid)
                 cells = master_store.spaces.get(space)
                 copied = 0
                 if cells is not None:
@@ -162,20 +161,20 @@ def migrate_partition(
                 stats.cells_copied += copied
                 stats.bytes_copied += nbytes
                 stats.batches += 1
-        if not topology.handoff_active(handoff):
+        if not pmap.handoff_active(handoff):
             _drop_partial(cluster, move, pid)
             stats.aborted_handoffs += 1
             return False
-        topology.finish_handoff(handoff)
+        pmap.finish_handoff(handoff)
         src_node = cluster.nodes.get(move.src)
         if src_node is not None and src_node.alive:
-            src_node.release_partition(pid, topology.epoch)
+            src_node.release_partition(pid, pmap.epoch)
         stats.partitions_moved += 1
         return True
     except TellError:
         # Source or destination died mid-copy: unwind the registration.
-        if topology.handoff_active(handoff):
-            topology.abort_handoff(handoff)
+        if pmap.handoff_active(handoff):
+            pmap.abort_handoff(handoff)
         _drop_partial(cluster, move, pid)
         stats.aborted_handoffs += 1
         return False
@@ -244,18 +243,16 @@ def assert_migration_clean(
 ) -> None:
     """Assert a finished (or aborted) migration leaked nothing.
 
-    Checks the topology invariants (no residual handoffs, hosting
+    Checks the ownership invariants (no residual handoffs, hosting
     matches assignment) and -- when ``pins_before`` was captured on a
     quiescent deployment -- that the commit managers' active-transaction
     sets and lav are unchanged: no open transaction or lav pin survives
     an aborted migration.
     """
-    cluster.topology.assert_no_leaks(cluster)
+    assert_no_leaks(cluster)
     if pins_before is not None:
         pins_after = capture_pins(commit_managers)
         if pins_after != pins_before:
-            from repro.errors import InvalidState
-
             raise InvalidState(
                 f"migration leaked transaction state: pins before "
                 f"{pins_before!r} != after {pins_after!r}"

@@ -108,7 +108,7 @@ class FlowAnalysis:
         return bool(self.kind_declarers)
 
     def is_routable(self, symbol: Symbol) -> bool:
-        """Can :func:`repro.dispatch.core.kind_of` classify this class?"""
+        """Can :func:`repro.effects.kind_of` classify this class?"""
         cached = self._routable_cache.get(symbol)
         if cached is not None:
             return cached

@@ -60,7 +60,7 @@ SHARED_CLASSES: Tuple[Symbol, ...] = (
     ("repro.store.management", "ManagementNode"),
     ("repro.index.btree", "DistributedBTree"),
     ("repro.index.btree", "IndexCache"),
-    ("repro.elastic.topology", "Topology"),
+    ("repro.store.partition", "PartitionMap"),
 )
 
 #: Transaction lifecycle typestate (RA004/RA005).

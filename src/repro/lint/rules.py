@@ -899,15 +899,15 @@ needs the read set must go through the protocol surface instead:
                 )
 
 
-class RL013TopologyEncapsulation(Rule):
+class RL013OwnershipEncapsulation(Rule):
     code = "RL013"
-    title = "topology epoch/ownership state mutated outside repro.elastic"
+    title = "epoch/ownership state mutated outside repro.store.partition"
     explain = """\
-The versioned topology (repro.elastic.topology) owns all ownership
-state: the epoch counter (`epoch`), its audit trail (`epoch_log`), and
-the in-flight handoff registry (`_handoffs`).  Every mutation must go
-through its methods (`begin_handoff` / `finish_handoff` /
-`abort_handoff` / `fail_over`), because each one is a single atomic
+The versioned partition map (repro.store.partition.PartitionMap) owns
+all ownership state: the epoch counter (`epoch`), its audit trail
+(`epoch_log`), and the in-flight handoff registry (`_handoffs`).  Every
+mutation must go through its methods (`begin_handoff` / `finish_handoff`
+/ `abort_handoff` / `fail_over`), because each one is a single atomic
 epoch step -- the invariant that lets in-flight requests detect a
 stale route with one `WrongOwner` check and lets migrations abort
 cleanly.  Library code elsewhere that bumps the epoch or edits the
@@ -918,14 +918,14 @@ checker then reports.
 RL013 fires on any *mutation* -- assignment, augmented assignment,
 deletion, or a mutating method call (`append`, `pop`, `clear`, ...) --
 of an attribute named `epoch`, `epoch_log`, or `_handoffs` in a
-`repro.*` module outside the repro.elastic package.  Reading them is
+`repro.*` module other than repro.store.partition.  Reading them is
 fine (the obs collectors and benches do); changing them is not.
 Tests and tools are out of scope (their module names are not under
 `repro.`).
 """
 
-    #: The only package allowed to mutate topology state.
-    ELASTIC_PACKAGE = "repro.elastic"
+    #: The only module allowed to mutate ownership state.
+    OWNER_MODULE = "repro.store.partition"
 
     _OWNERSHIP_STATE = frozenset({"epoch", "epoch_log", "_handoffs"})
     _MUTATORS = frozenset({
@@ -938,16 +938,16 @@ Tests and tools are out of scope (their module names are not under
         name = module.module
         if not in_packages(name, ("repro",)):
             return
-        if in_packages(name, (self.ELASTIC_PACKAGE,)):
+        if name == self.OWNER_MODULE:
             return
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute)
                     and node.attr in self._OWNERSHIP_STATE
                     and isinstance(node.ctx, (ast.Store, ast.Del))):
                 yield node, (
-                    f"module {name} mutates topology state `{node.attr}` "
-                    f"directly; only repro.elastic may -- go through the "
-                    f"Topology surface (begin/finish/abort_handoff, "
+                    f"module {name} mutates ownership state `{node.attr}` "
+                    f"directly; only {self.OWNER_MODULE} may -- go through "
+                    f"the PartitionMap surface (begin/finish/abort_handoff, "
                     f"fail_over)"
                 )
             elif (isinstance(node, ast.Call)
@@ -956,10 +956,10 @@ Tests and tools are out of scope (their module names are not under
                     and isinstance(node.func.value, ast.Attribute)
                     and node.func.value.attr in self._OWNERSHIP_STATE):
                 yield node, (
-                    f"module {name} mutates topology state "
+                    f"module {name} mutates ownership state "
                     f"`{node.func.value.attr}.{node.func.attr}(...)` "
-                    f"directly; only repro.elastic may -- go through the "
-                    f"Topology surface (begin/finish/abort_handoff, "
+                    f"directly; only {self.OWNER_MODULE} may -- go through "
+                    f"the PartitionMap surface (begin/finish/abort_handoff, "
                     f"fail_over)"
                 )
 
@@ -977,7 +977,7 @@ ALL_RULES: List[Rule] = [
     RL010SanitizerObservability(),
     RL011UninternedDelay(),
     RL012IsolationEncapsulation(),
-    RL013TopologyEncapsulation(),
+    RL013OwnershipEncapsulation(),
 ]
 
 RULES_BY_CODE = {rule.code: rule for rule in ALL_RULES}

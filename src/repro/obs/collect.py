@@ -32,7 +32,7 @@ def watch_deployment(hub: object, deployment: object) -> None:
         fabric = getattr(deployment, "fabric", None)
         if fabric is not None:
             collect_fabric(reg, fabric.stats)
-        collect_topology(reg, deployment.cluster.topology)
+        collect_topology(reg, deployment.cluster.partition_map)
         for pn, indexes in hub.adopted:
             collect_processing_node(reg, pn)
             if indexes is not None:
@@ -141,15 +141,15 @@ def collect_fabric(reg: MetricsRegistry, stats: object) -> None:
     gauge.set(stats.bytes_sent, what="bytes_sent")
 
 
-def collect_topology(reg: MetricsRegistry, topology: object) -> None:
-    """Versioned-topology surface: epoch, membership, live migrations."""
+def collect_topology(reg: MetricsRegistry, pmap: object) -> None:
+    """The versioned partition map: epoch, membership, live migrations."""
     gauge = reg.gauge("repro_topology", "versioned topology state")
-    gauge.set(topology.epoch, what="epoch")
-    gauge.set(len(topology.node_ids()), what="nodes")
-    gauge.set(len(topology.migrations_in_flight()),
+    gauge.set(pmap.epoch, what="epoch")
+    gauge.set(len(pmap.node_ids), what="nodes")
+    gauge.set(len(pmap.migrations_in_flight()),
               what="migrations_in_flight")
-    gauge.set(1.0 if topology.is_balanced() else 0.0, what="balanced")
-    counts = topology.master_counts()
+    gauge.set(1.0 if pmap.is_balanced() else 0.0, what="balanced")
+    counts = pmap.master_counts()
     masters = reg.gauge("repro_topology_masters",
                         "partitions mastered per storage node")
     for node_id in sorted(counts):

@@ -219,11 +219,11 @@ class SimFabric:
         routing_of = self.cluster.routing
         groups: Dict[int, List[Tuple[int, effects.StoreRequest, int]]] = {}
         for position, op in enumerate(ops):
-            routing = routing_of(op)
-            group = groups.get(routing.node_id)
+            partition_id, node_id = routing_of(op)
+            group = groups.get(node_id)
             if group is None:
-                groups[routing.node_id] = group = []
-            group.append((position, op, routing.partition_id))
+                groups[node_id] = group = []
+            group.append((position, op, partition_id))
         now = self.sim.now
         # Send-side CPU: one charge per outgoing message.
         t_send = now
@@ -338,17 +338,15 @@ class SimFabric:
                     for _pos, op, pid in members:
                         if node_id not in assignments[pid].replicas:
                             raise WrongOwner(
-                                pid, node_id, cluster.topology.epoch
+                                pid, node_id, cluster.partition_map.epoch
                             )
                     for op, pid in writes:
                         if assignments[pid].replicas[0] != node_id:
                             raise WrongOwner(
-                                pid, node_id, cluster.topology.epoch
+                                pid, node_id, cluster.partition_map.epoch
                             )
-                values = []
-                for _pos, op, pid in members:
-                    value, _size = cluster.apply(op, pid, node_id)
-                    values.append(value)
+                target = cluster.nodes[node_id]  # as of now, not send time
+                values = [op.apply(target, pid) for _pos, op, pid in members]
                 for op, pid in writes:
                     cluster.replicate(op, pid)
                 slot.value = values

@@ -14,8 +14,9 @@ architecture (Figure 3).  It executes the storage requests defined in
 
 Under the direct runner the cluster executes requests itself via
 :meth:`execute`.  The simulation driver instead uses :meth:`routing` to
-learn which node serves a request and :meth:`apply` to run it at the right
-simulated instant.
+learn which node serves a request, runs ``op.apply(node, partition_id)``
+on that node at the right simulated instant and then calls
+:meth:`replicate`.
 """
 
 from __future__ import annotations
@@ -23,22 +24,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import effects
-from repro.dispatch.core import KIND_BATCH, KIND_SCAN, kind_of
-from repro.elastic.topology import Topology
+from repro.effects import KIND_BATCH, KIND_SCAN, kind_of
 from repro.errors import InvalidState, NodeUnavailable
 from repro.store.node import StorageNode
 from repro.store.partition import HashPartitioner, PartitionMap
-
-
-class OpRouting:
-    """Where a request executes: partition id and master node id."""
-
-    __slots__ = ("partition_id", "node_id", "is_write")
-
-    def __init__(self, partition_id: int, node_id: int, is_write: bool):
-        self.partition_id = partition_id
-        self.node_id = node_id
-        self.is_write = is_write
 
 
 class StorageCluster:
@@ -75,10 +64,6 @@ class StorageCluster:
         self.partition_map = PartitionMap(
             n_partitions, list(self.nodes.keys()), replication_factor
         )
-        # The versioned ownership layer (repro.elastic) wraps the SAME
-        # partitioner/partition-map objects, so the static routing paths
-        # above stay byte-identical when no elastic operation ever runs.
-        self.topology = Topology(self.partitioner, self.partition_map)
         for partition_id in range(n_partitions):
             for node_id in self.partition_map.replicas_of(partition_id):
                 self.nodes[node_id].host_partition(partition_id)
@@ -88,11 +73,12 @@ class StorageCluster:
     def partition_of(self, key: Any) -> int:
         return self.partitioner.partition_of(key)
 
-    def routing(self, op: effects.StoreRequest) -> OpRouting:
-        """Routing decision for one single-key request."""
+    def routing(self, op: effects.StoreRequest) -> Tuple[int, int]:
+        """Where a single-key request executes: ``(partition_id,
+        master_node_id)``."""
         partition_id = self.partitioner.partition_of(op.key)
-        master = self.partition_map.assignments[partition_id].replicas[0]
-        return OpRouting(partition_id, master, op.is_write)
+        return (partition_id,
+                self.partition_map.assignments[partition_id].replicas[0])
 
     def scan_routing(self, op: effects.Scan) -> List[Tuple[int, int]]:
         """(partition_id, master_node_id) pairs a scan must visit."""
@@ -106,25 +92,18 @@ class StorageCluster:
     def execute(self, op: effects.Request) -> Any:
         """Execute a request synchronously (direct mode).
 
-        Classification is the shared :func:`repro.dispatch.core.kind_of`.
+        Classification is the shared :func:`repro.effects.kind_of`.
         """
         kind = kind_of(op)
         if kind == KIND_BATCH:
             return [self.execute(sub) for sub in op.ops]
         if kind == KIND_SCAN:
             return self.execute_scan(op)
-        routing = self.routing(op)
-        result, _size = self.apply(op, routing.partition_id, routing.node_id)
-        if routing.is_write:
-            self.replicate(op, routing.partition_id)
+        partition_id, node_id = self.routing(op)
+        result = op.apply(self.nodes[node_id], partition_id)
+        if op.is_write:
+            self.replicate(op, partition_id)
         return result
-
-    def apply(
-        self, op: effects.StoreRequest, partition_id: int, node_id: int
-    ) -> Tuple[Any, int]:
-        """Run ``op`` on one node -- the :class:`StorageNode` operation its
-        class declares.  Returns (result, resp_size)."""
-        return op.apply(self.nodes[node_id], partition_id)
 
     def execute_scan(self, op: effects.Scan) -> List[Tuple[Any, Any, int]]:
         """Scan every partition and merge the sorted slices."""
@@ -133,8 +112,7 @@ class StorageCluster:
             node = self.nodes[node_id]
             if not node.alive:
                 raise NodeUnavailable(f"storage node {node_id} is down")
-            slice_rows, _ = op.apply(node, partition_id)
-            rows.extend(slice_rows)
+            rows.extend(op.apply(node, partition_id))
         rows.sort(key=lambda row: row[0])
         if op.limit is not None:
             rows = rows[: op.limit]
@@ -173,7 +151,7 @@ class StorageCluster:
         self, capacity_bytes: Optional[int] = None
     ) -> StorageNode:
         """Attach a fresh, empty storage node and register it with the
-        topology (epoch bump).  The node owns nothing until a rebalance
+        partition map (epoch bump).  The node owns nothing until a rebalance
         assigns it partitions -- :class:`repro.api.admin.ClusterAdmin`
         and :class:`repro.elastic.ElasticCoordinator` pair this with a
         migration."""
@@ -188,7 +166,7 @@ class StorageCluster:
             service_us_write=self._service_us_write,
         )
         self.nodes[node_id] = node
-        self.topology.add_node(node_id)
+        self.partition_map.add_node(node_id)
         return node
 
     def detach_node(self, node_id: int) -> StorageNode:
@@ -202,5 +180,5 @@ class StorageCluster:
                 f"{len(node.partitions)} partition(s); drain first"
             )
         if node_id in self.partition_map.node_ids:
-            self.topology.remove_node(node_id)
+            self.partition_map.remove_node(node_id)
         return self.nodes.pop(node_id)

@@ -67,12 +67,7 @@ class ManagementNode:
             if node is not None and node.alive:
                 node.crash()
             self.detector.forget(node_id)
-            # Ownership changes go through the versioned topology layer
-            # (epoch bump; in-flight handoffs touching the dead node are
-            # aborted before the generic fail-over promotes backups).
-            degraded = self.cluster.topology.fail_over(
-                node_id, self.cluster.live_nodes()
-            )
+            degraded = self.cluster.partition_map.fail_over(node_id)
             self._restore_replication(degraded)
             self.recoveries_completed += 1
             return degraded
@@ -92,7 +87,7 @@ class ManagementNode:
                 source = self.cluster.nodes[source_id]
                 clone = source.snapshot_partition(partition_id)
                 self.cluster.nodes[new_host_id].install_partition(clone)
-                self.cluster.topology.add_replica(partition_id, new_host_id)
+                pmap.add_replica(partition_id, new_host_id)
 
     def check_heartbeats(self, now: float) -> List[int]:
         """Run the detector; fail over every suspected node.  Returns the

@@ -133,7 +133,7 @@ class StorageNode:
             raise NodeUnavailable(f"storage node {self.node_id} is down")
 
     # -- operations ----------------------------------------------------------
-    # Each returns (result, response_size_estimate).
+    # Each returns its request's result; the fabric sizes responses itself.
 
     def do_get(self, partition_id: int, space: str, key: Any) -> Tuple[Any, int]:
         # Hottest node op: inline the alive/partition/space lookups and
@@ -148,27 +148,41 @@ class StorageNode:
         cells = store.spaces.get(space)
         cell = cells.get(key) if cells is not None else None
         if cell is None:
-            return (None, 0), 8
-        return (cell.value, cell.version), 16 + approx_size(cell.value)
+            return None, 0
+        return cell.value, cell.version
 
-    def do_put(
-        self, partition_id: int, space: str, key: Any, value: Any
-    ) -> Tuple[int, int]:
+    def _install(
+        self,
+        store: PartitionStore,
+        space: str,
+        cells: SpaceDict,
+        key: Any,
+        cell: Optional[Cell],
+        value: Any,
+        version: int,
+    ) -> None:
+        """The one create-or-replace path (``cell`` is ``cells.get(key)``):
+        charge first, so a write over capacity raises :class:`NoCapacity`
+        with nothing changed."""
+        if cell is None:
+            self._charge(store, approx_size(value) + approx_size(key))
+            cells[key] = Cell(value, version)
+            store.invalidate_scan_cache(space)
+            return
+        # Replacing in place: the key's size cancels out of the delta.
+        self._charge(store, approx_size(value) - approx_size(cell.value))
+        cell.value = value
+        cell.version = version
+
+    def do_put(self, partition_id: int, space: str, key: Any, value: Any) -> int:
         self._check_alive()
         self.ops_write += 1
         store = self.partition(partition_id)
         cells = store.space(space)
         cell = cells.get(key)
-        if cell is None:
-            self._charge(store, approx_size(value) + approx_size(key))
-            cells[key] = Cell(value, 1)
-            store.invalidate_scan_cache(space)
-            return 1, 16
-        # Replacing in place: the key's size cancels out of the delta.
-        self._charge(store, approx_size(value) - approx_size(cell.value))
-        cell.value = value
-        cell.version += 1
-        return cell.version, 16
+        version = 1 if cell is None else cell.version + 1
+        self._install(store, space, cells, key, cell, value, version)
+        return version
 
     def do_put_if_version(
         self,
@@ -177,7 +191,7 @@ class StorageNode:
         key: Any,
         value: Any,
         expected_version: int,
-    ) -> Tuple[Tuple[bool, int], int]:
+    ) -> Tuple[bool, int]:
         """Store-conditional: apply only if the cell version matches."""
         self._check_alive()
         self.ops_write += 1
@@ -186,32 +200,25 @@ class StorageNode:
         cell = cells.get(key)
         current = 0 if cell is None else cell.version
         if current != expected_version:
-            return (False, current), 16
-        if cell is None:
-            self._charge(store, approx_size(value) + approx_size(key))
-            cells[key] = Cell(value, 1)
-            store.invalidate_scan_cache(space)
-            return (True, 1), 16
-        self._charge(store, approx_size(value) - approx_size(cell.value))
-        cell.value = value
-        cell.version += 1
-        return (True, cell.version), 16
+            return False, current
+        self._install(store, space, cells, key, cell, value, current + 1)
+        return True, current + 1
 
-    def do_delete(self, partition_id: int, space: str, key: Any) -> Tuple[bool, int]:
+    def do_delete(self, partition_id: int, space: str, key: Any) -> bool:
         self._check_alive()
         self.ops_write += 1
         store = self.partition(partition_id)
         cells = store.space(space)
         cell = cells.pop(key, None)
         if cell is None:
-            return False, 8
+            return False
         self._charge(store, -(approx_size(cell.value) + approx_size(key)))
         store.invalidate_scan_cache(space)
-        return True, 8
+        return True
 
     def do_delete_if_version(
         self, partition_id: int, space: str, key: Any, expected_version: int
-    ) -> Tuple[Tuple[bool, int], int]:
+    ) -> Tuple[bool, int]:
         self._check_alive()
         self.ops_write += 1
         store = self.partition(partition_id)
@@ -219,15 +226,15 @@ class StorageNode:
         cell = cells.get(key)
         current = 0 if cell is None else cell.version
         if current != expected_version or cell is None:
-            return (False, current), 8
+            return False, current
         del cells[key]
         self._charge(store, -(approx_size(cell.value) + approx_size(key)))
         store.invalidate_scan_cache(space)
-        return (True, current), 8
+        return True, current
 
     def do_increment(
         self, partition_id: int, space: str, key: Any, delta: int
-    ) -> Tuple[int, int]:
+    ) -> int:
         self._check_alive()
         self.ops_write += 1
         store = self.partition(partition_id)
@@ -237,10 +244,10 @@ class StorageNode:
             self._charge(store, 16)
             cells[key] = Cell(delta, 1)
             store.invalidate_scan_cache(space)
-            return delta, 16
+            return delta
         cell.value += delta
         cell.version += 1
-        return cell.value, 16
+        return cell.value
 
     def do_scan(
         self,
@@ -252,7 +259,7 @@ class StorageNode:
         snapshot: Any = None,
         scan_filter: Any = None,
         projection: Any = None,
-    ) -> Tuple[List[Tuple[Any, Any, int]], int]:
+    ) -> List[Tuple[Any, Any, int]]:
         """Partition-local range scan: start <= key < end, sorted.
 
         With ``snapshot``, the node resolves the visible version of every
@@ -267,14 +274,12 @@ class StorageNode:
         lo = 0 if start is None else bisect.bisect_left(keys, start)
         hi = len(keys) if end is None else bisect.bisect_left(keys, end)
         out: List[Tuple[Any, Any, int]] = []
-        size = 8
         for key in keys[lo:hi]:
             cell = cells.get(key)
             if cell is None:
                 continue
             if snapshot is None:
                 out.append((key, cell.value, cell.version))
-                size += 16 + approx_size(cell.value)
             else:
                 # visible_payload resolves tombstones to None without
                 # allocating a Version wrapper (slab fast path).
@@ -286,10 +291,9 @@ class StorageNode:
                 if projection is not None:
                     row = projection.apply(row)
                 out.append((key, row, cell.version))
-                size += 16 + approx_size(row)
             if limit is not None and len(out) >= limit:
                 break
-        return out, size
+        return out
 
     # -- replication support ------------------------------------------------
 
@@ -298,15 +302,14 @@ class StorageNode:
         self._check_alive()
         store = self.host_partition(partition_id)
         cells = store.space(space)
-        old = cells.get(key)
+        if cell is not None:
+            self._install(store, space, cells, key, cells.get(key),
+                          cell.value, cell.version)
+            return
+        old = cells.pop(key, None)
         if old is not None:
             self._charge(store, -(approx_size(old.value) + approx_size(key)))
-        if cell is None:
-            cells.pop(key, None)
-        else:
-            cells[key] = Cell(cell.value, cell.version)
-            self._charge(store, approx_size(cell.value) + approx_size(key))
-        store.invalidate_scan_cache(space)
+            store.invalidate_scan_cache(space)
 
     def snapshot_partition(self, partition_id: int) -> PartitionStore:
         """Deep copy a hosted partition (used to restore the replication
@@ -324,6 +327,7 @@ class StorageNode:
     def install_partition(self, store: PartitionStore) -> None:
         self._check_alive()
         self.drop_partition(store.partition_id)
+        self.moved_out.pop(store.partition_id, None)
         self.partitions[store.partition_id] = store
         self.bytes_used += store.bytes_used
 

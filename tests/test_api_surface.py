@@ -254,7 +254,10 @@ def _within(names, package):
 
 
 class TestImportDirection:
-    """Library packages sit under the benchmark package, never on it."""
+    """Library packages sit under the benchmark package, never on it, and
+    the store is the bottom layer."""
+
+    STORE_MAY_IMPORT = ("repro.effects", "repro.errors", "repro.store")
 
     #: ``repro-obs run`` runs a bench experiment; ``TxnMetrics`` is pinned
     #: at ``repro.bench.metrics`` by the frozen ledger (docs/simulation.md).
@@ -276,6 +279,13 @@ class TestImportDirection:
                 bad = [name for upper in ("repro.bench", "repro.api",
                                           "repro.workloads")
                        for name in _within(top, upper)]
+                if bad:
+                    offenders[rel] = bad
+            if rel.startswith("repro/store/"):
+                bad = [name for name in _within(_imports(tree), "repro")
+                       if name != "repro" and not any(
+                           _within([name], lower)
+                           for lower in self.STORE_MAY_IMPORT)]
                 if bad:
                     offenders[rel] = bad
         assert offenders == {}

@@ -1,6 +1,6 @@
-"""Tests for live elasticity: topology, migration, admin API, autoscaler.
+"""Tests for live elasticity: ownership, migration, admin API, autoscaler.
 
-Covers the versioned-topology unit surface, the bounded-batch migration
+Covers the versioned partition map's unit surface, the bounded-batch migration
 protocol (including the no-leak guarantee after aborted migrations), the
 ``db.admin()`` cluster-administration API, the live simulated
 double/halve cycle under the sanitizer suite at every isolation level,
@@ -16,6 +16,8 @@ from repro.elastic.autoscaler import Autoscaler, AutoscalerPolicy
 from repro.elastic.coordinator import ElasticCoordinator
 from repro.elastic.migration import (assert_migration_clean, capture_pins,
                                      migrate_partition, run_moves_direct)
+from repro.elastic.topology import (assert_no_leaks, plan_drain,
+                                    plan_rebalance)
 from repro.errors import InvalidState
 from repro.sim.kernel import delay_of
 from repro.store.cluster import StorageCluster
@@ -41,55 +43,60 @@ def sim_config(**overrides):
     return TellConfig(**defaults)
 
 
-class TestTopology:
+class TestOwnershipMap:
     def test_every_membership_change_bumps_epoch(self):
         cluster = make_cluster()
-        topo = cluster.topology
-        assert topo.epoch == 1
+        pmap = cluster.partition_map
+        assert pmap.epoch == 1
         node = cluster.create_node()
-        assert topo.epoch == 2
-        run_moves_direct(cluster, topo.plan_drain(node.node_id))
+        assert pmap.epoch == 2
+        run_moves_direct(cluster, plan_drain(pmap, node.node_id))
         cluster.detach_node(node.node_id)
-        assert topo.epoch > 2
-        assert [entry[0] for entry in topo.epoch_log] == \
-            list(range(1, topo.epoch + 1))
+        assert pmap.epoch > 2
+        assert [entry[0] for entry in pmap.epoch_log] == \
+            list(range(1, pmap.epoch + 1))
 
     def test_duplicate_handoff_rejected(self):
         cluster = make_cluster()
-        topo = cluster.topology
+        pmap = cluster.partition_map
         cluster.create_node()
-        move = topo.plan_rebalance()[0]
-        topo.begin_handoff(move.partition_id, move.src, move.dst)
+        move = plan_rebalance(pmap)[0]
+        pmap.begin_handoff(move.partition_id, move.src, move.dst)
         with pytest.raises(InvalidState):
-            topo.begin_handoff(move.partition_id, move.src, move.dst)
+            pmap.begin_handoff(move.partition_id, move.src, move.dst)
 
     def test_finish_handoff_promotes_atomically(self):
         cluster = make_cluster()
-        topo = cluster.topology
+        pmap = cluster.partition_map
         node = cluster.create_node()
-        move = next(m for m in topo.plan_rebalance()
+        move = next(m for m in plan_rebalance(pmap)
                     if m.dst == node.node_id)
-        assert topo.owner_of(move.partition_id) == move.src
-        handoff = topo.begin_handoff(move.partition_id, move.src, move.dst)
+        assert pmap.master_of(move.partition_id) == move.src
+        handoff = pmap.begin_handoff(move.partition_id, move.src, move.dst)
         # mid-handoff the destination rides along as an extra backup
-        replicas = topo.ownership()[move.partition_id]
+        replicas = pmap.ownership()[move.partition_id]
         assert replicas[0] == move.src and move.dst in replicas
-        topo.finish_handoff(handoff)
-        replicas = topo.ownership()[move.partition_id]
+        pmap.finish_handoff(handoff)
+        replicas = pmap.ownership()[move.partition_id]
         assert replicas[0] == move.dst and move.src not in replicas
 
-    def test_fail_over_aborts_touching_handoffs(self):
+    @pytest.mark.parametrize("victim", ["src", "dst"])
+    def test_fail_over_aborts_touching_handoffs(self, victim):
         cluster = make_cluster()
-        topo = cluster.topology
+        pmap = cluster.partition_map
         node = cluster.create_node()
-        move = next(m for m in topo.plan_rebalance()
+        move = next(m for m in plan_rebalance(pmap)
                     if m.dst == node.node_id)
-        handoff = topo.begin_handoff(move.partition_id, move.src, move.dst)
-        cluster.nodes[move.src].crash()
-        topo.fail_over(move.src, [n for n in topo.node_ids()
-                                  if n != move.src])
-        assert not topo.handoff_active(handoff)
-        assert not topo.migrations_in_flight()
+        handoff = pmap.begin_handoff(move.partition_id, move.src, move.dst)
+        dead = getattr(move, victim)
+        cluster.nodes[dead].crash()
+        pmap.fail_over(dead)
+        assert not pmap.handoff_active(handoff)
+        assert not pmap.migrations_in_flight()
+        # one call: the abort's epoch step, then the promotion's
+        assert [reason.split(":")[0] for _epoch, reason
+                in pmap.epoch_log[-2:]] == ["handoff-abort", "fail-over"]
+        assert move.dst not in pmap.replicas_of(move.partition_id)
 
     def test_plans_are_deterministic(self):
         plans = []
@@ -98,13 +105,13 @@ class TestTopology:
             cluster.create_node()
             plans.append([
                 (m.partition_id, m.src, m.dst)
-                for m in cluster.topology.plan_rebalance()
+                for m in plan_rebalance(cluster.partition_map)
             ])
         assert plans[0] == plans[1] and plans[0]
 
     def test_plan_drain_avoids_drained_node(self):
         cluster = make_cluster(n_nodes=4)
-        moves = cluster.topology.plan_drain(1)
+        moves = plan_drain(cluster.partition_map, 1)
         assert moves
         assert all(m.src == 1 and m.dst != 1 for m in moves)
 
@@ -123,7 +130,7 @@ class TestClusterAdmin:
             self._fill(session)
             with db.admin() as admin:
                 node_id = admin.add_storage_node()
-                assert db.cluster.topology.is_balanced()
+                assert db.cluster.partition_map.is_balanced()
                 admin.remove_storage_node(node_id, drain=True)
             assert len(db.cluster.nodes) == 3
             rows = session.query("SELECT COUNT(*) AS n, SUM(v) AS s FROM kv")
@@ -137,7 +144,7 @@ class TestClusterAdmin:
                 admin.wait_balanced()
                 view = admin.topology()
         assert view["balanced"] is True
-        assert view["epoch"] == db.cluster.topology.epoch
+        assert view["epoch"] == db.cluster.partition_map.epoch
         assert sorted(view["master_counts"]) == view["nodes"]
         assert view["n_partitions"] == db.cluster.partitioner.n_partitions
 
@@ -173,11 +180,11 @@ class TestMigrationLeaks:
             pins = capture_pins(db.commit_managers)
             with db.admin() as admin:
                 admin.add_storage_node(rebalance=False)
-            moves = cluster.topology.plan_rebalance()
+            moves = plan_rebalance(cluster.partition_map)
             move = moves[0]
             steps = migrate_partition(cluster, move, batch_cells=1)
             next(steps)  # first batch yielded; handoff registered
-            assert cluster.topology.migrations_in_flight()
+            assert cluster.partition_map.migrations_in_flight()
             cluster.nodes[move.dst].crash()  # destination dies mid-copy
             with pytest.raises(StopIteration) as outcome:
                 while True:
@@ -226,18 +233,25 @@ class TestLiveElasticity:
         assert metrics.total_committed > 50
         assert coordinator.stats.partitions_moved > 0
         assert len(deployment.cluster.nodes) == 2
-        deployment.cluster.topology.assert_no_leaks(deployment.cluster)
+        assert_no_leaks(deployment.cluster)
 
     def test_fixed_seed_reproduces_migration_schedule(self):
-        runs = []
-        for _ in range(2):
-            deployment, coordinator, metrics = _run_diurnal(sim_config())
-            runs.append((
-                coordinator.events,
-                list(deployment.cluster.topology.epoch_log),
-                metrics.digest(),
-            ))
-        assert runs[0] == runs[1]
+        """One run against constants recorded at d7214b1 (CPython 3.11.7):
+        the ownership layer's only end-to-end pin."""
+        from repro.dispatch import WrongOwnerRedirect
+
+        deployment, coordinator, metrics = _run_diurnal(sim_config())
+        assert metrics.digest() == (
+            "c4bcc60be7e34c38c5bc1c225b34b7aa"
+            "5e61125759540df0c9f4dcc435db2a9f"
+        )
+        pmap = deployment.cluster.partition_map
+        assert pmap.epoch == 39 and len(pmap.epoch_log) == 39
+        assert [mw.redirects for mw in deployment.interceptors
+                if isinstance(mw, WrongOwnerRedirect)] == [4]
+        stats = coordinator.stats
+        assert (stats.partitions_moved, stats.cells_copied, stats.batches,
+                stats.aborted_handoffs) == (17, 3183, 94, 0)
 
     def test_wrong_owner_redirects_recover(self):
         deployment, coordinator, metrics = _run_diurnal(sim_config())
@@ -248,6 +262,7 @@ class TestLiveElasticity:
         assert len(redirectors) == 1
         # Redirects happened and every one of them recovered: no
         # WrongOwner error ever surfaced as a transaction outcome.
+        assert redirectors[0].redirects > 0
         assert metrics.total_committed > 50
 
     def test_pn_pool_grows_and_shrinks_live(self, monkeypatch):
@@ -279,15 +294,15 @@ class TestLiveElasticity:
         deployment.load()
         coordinator = ElasticCoordinator(deployment, batch_cells=8)
         sim = deployment.sim
-        topo = deployment.cluster.topology
+        pmap = deployment.cluster.partition_map
         sim.call_at(30_000.0, lambda: sim.spawn(
             coordinator.scale_storage_to(4), name="grow"))
         killed = []
 
         def killer():
-            while not topo.migrations_in_flight():
+            while not pmap.migrations_in_flight():
                 yield delay_of(50.0)
-            victim = topo.migrations_in_flight()[0].src
+            victim = pmap.migrations_in_flight()[0].src
             deployment.management.handle_node_failure(victim)
             killed.append(victim)
 
@@ -297,8 +312,8 @@ class TestLiveElasticity:
         assert metrics.total_committed > 50
         assert coordinator.stats.aborted_handoffs >= 1
         assert any("fail-over" in reason
-                   for _epoch, reason in topo.epoch_log)
-        topo.assert_no_leaks(deployment.cluster)
+                   for _epoch, reason in pmap.epoch_log)
+        assert_no_leaks(deployment.cluster)
 
 
 class TestAutoscaler:

@@ -59,10 +59,10 @@ class TestStorageTiming:
         probe = 0
         target = None
         while len(keys) < 5:
-            routing = cluster.routing(effects.Get("data", probe))
+            _pid, node_id = cluster.routing(effects.Get("data", probe))
             if target is None:
-                target = routing.node_id
-            if routing.node_id == target:
+                target = node_id
+            if node_id == target:
                 keys.append(probe)
             probe += 1
         single = run_request(sim, fabric, effects.Get("data", keys[0]))

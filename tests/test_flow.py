@@ -89,7 +89,7 @@ class TestCallGraph:
         tail = ("repro.dispatch.direct", "Dispatcher._tail")
         assert handle in g.edges[execute]
         assert handle in g.edges[tail]
-        assert ("repro.dispatch.core", "kind_of") in g.edges[handle]
+        assert ("repro.effects", "kind_of") in g.edges[handle]
 
     def test_yield_from_delegation_edges(self, src_analysis):
         g = src_analysis.graph
@@ -124,7 +124,7 @@ class TestCallGraph:
         # class's override, which calls its StorageNode operation: the
         # analyzer sees the store through the path requests take.
         reached = src_analysis.graph.reachable_from(
-            {("repro.store.cluster", "StorageCluster.apply")})
+            {("repro.store.cluster", "StorageCluster.execute")})
         for op in ("get", "put", "put_if_version", "delete",
                    "delete_if_version", "increment"):
             assert ("repro.store.node", f"StorageNode.do_{op}") in reached

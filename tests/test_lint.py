@@ -776,7 +776,7 @@ class TestRL012:
 
 
 # ---------------------------------------------------------------------------
-# RL013 -- topology epoch/ownership state mutated outside repro.elastic
+# RL013 -- epoch/ownership state mutated outside repro.store.partition
 # ---------------------------------------------------------------------------
 
 
@@ -813,12 +813,15 @@ class TestRL013:
                 return (topology.epoch, list(topology.epoch_log))
         """, module="repro.obs.collect") == []
 
-    def test_elastic_package_is_exempt(self):
-        assert codes("""
+    def test_owner_module_is_exempt(self):
+        bump = """
             def _bump(self, reason):
                 self.epoch += 1
                 self.epoch_log.append((self.epoch, reason))
-        """, module="repro.elastic.topology") == []
+        """
+        assert codes(bump, module="repro.store.partition") == []
+        assert codes(bump, module="repro.elastic.topology") == \
+            ["RL013", "RL013"]
 
     def test_outside_repro_is_exempt(self):
         assert codes("""

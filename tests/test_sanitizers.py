@@ -165,11 +165,11 @@ def _broken_put_if_version(self, partition_id, space, key, value,
         self._charge(store, approx_size(value) + approx_size(key))
         cells[key] = Cell(value, 1)
         store.invalidate_scan_cache(space)
-        return (True, 1), 16
+        return True, 1
     self._charge(store, approx_size(value) - approx_size(cell.value))
     cell.value = value
     cell.version += 1
-    return (True, cell.version), 16
+    return True, cell.version
 
 
 def _broken_collectable_versions(self, lav):
