@@ -114,19 +114,26 @@ class SharedRecordBuffer(BufferingStrategy):
         # key -> [record, cell_version, B]
         self._entries: "OrderedDict[Any, List[Any]]" = OrderedDict()
 
-    def read_records(self, snapshot, keys):
+    def _probe(
+        self, snapshot: SnapshotDescriptor, keys: List[Any]
+    ) -> Tuple[Dict[Any, ReadResult], List[Any]]:
+        """Condition 1 (V_tx ⊆ B -- the buffer is recent enough) over
+        ``keys``: returns ``(found, missing)``."""
         self.stats.lookups += len(keys)
         found: Dict[Any, ReadResult] = {}
         missing: List[Any] = []
         for key in keys:
             entry = self._entries.get(key)
             if entry is not None and snapshot.issubset(entry[2]):
-                # Condition 1: V_tx ⊆ B -- the buffer is recent enough.
                 self._entries.move_to_end(key)
                 found[key] = (entry[0], entry[1])
                 self.stats.hits += 1
             else:
                 missing.append(key)
+        return found, missing
+
+    def read_records(self, snapshot, keys):
+        found, missing = self._probe(snapshot, keys)
         if missing:
             # Condition 2: fetch from the store; B becomes V_max.
             self.stats.fetches += len(missing)
@@ -178,17 +185,7 @@ class SharedBufferVersionSync(SharedRecordBuffer):
         return vset_key(table_id, rid, self.unit_size)
 
     def read_records(self, snapshot, keys):
-        self.stats.lookups += len(keys)
-        found: Dict[Any, ReadResult] = {}
-        unverified: List[Any] = []
-        for key in keys:
-            entry = self._entries.get(key)
-            if entry is not None and snapshot.issubset(entry[2]):
-                self._entries.move_to_end(key)
-                found[key] = (entry[0], entry[1])
-                self.stats.hits += 1
-            else:
-                unverified.append(key)
+        found, unverified = self._probe(snapshot, keys)
         if not unverified:
             return found
 

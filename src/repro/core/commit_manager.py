@@ -36,12 +36,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import effects
 from repro.core.snapshot import CommittedSet, SnapshotDescriptor, TxnStart
+from repro.core.spaces import META_SPACE
 from repro.errors import InvalidState
 
 #: Storage key of the global tid counter.
 TID_COUNTER_KEY = ("counter", "tid")
-#: Space in which commit managers keep their published state.
-META_SPACE = "meta"
 
 
 def _state_key(cm_id: int) -> Tuple[str, int]:
@@ -116,16 +115,16 @@ class CommitManager:
 
     # -- the three interface calls of Section 4.2 ------------------------------
 
-    def _next_interleaved_tid(self) -> int:
-        tid = self._next_stripe * self.n_managers + self.cm_id + 1
-        self._next_stripe += 1
-        return tid
+    def _stripe_tid(self) -> int:
+        """Interleaved mode: the next unassigned tid of our residue class."""
+        return self._next_stripe * self.n_managers + self.cm_id + 1
 
     def start(self, pn_id: int = -1) -> TxnStart:
         """start() -> (tid, snapshot descriptor, lav)."""
         refilled = False
         if self.interleaved:
-            tid = self._next_interleaved_tid()
+            tid = self._stripe_tid()
+            self._next_stripe += 1
         else:
             if self._next_tid > self._range_end:
                 self._refill_tid_range()
@@ -139,6 +138,7 @@ class CommitManager:
         self.starts_served += 1
         start = TxnStart(tid, snapshot, self.lowest_active_version())
         start.range_refilled = refilled  # timing hint for the sim driver
+        start.isolation = self.isolation_name
         return start
 
     def set_committed(self, tid: int) -> None:
@@ -191,8 +191,9 @@ class CommitManager:
 
     @property
     def isolation_name(self) -> str:
-        """Mode string for reports/observability ("si" without a
-        validator, else the validator's mode)."""
+        """The mode this manager validates ("si" without a validator,
+        else the validator's mode); every ``start()`` hands it to the
+        transaction."""
         return "si" if self.validator is None else self.validator.mode
 
     def _finish(self, tid: int) -> None:
@@ -250,22 +251,18 @@ class CommitManager:
         self.sync_rounds += 1
         self.absorb_peers(peer_ids)
         if self.interleaved:
-            self._retire_idle_stripe_tids()
+            # Retire the tids peers have already raced past, so the global
+            # base can advance even when this manager is (relatively) idle.
+            self._skip_stripe_below(
+                max(self._peer_last_tid.values(), default=0))
         self.publish_state()
 
-    def _retire_idle_stripe_tids(self) -> None:
-        """Interleaved mode: complete unassigned tids of our residue
-        class that peers have already raced past, so the global base can
-        advance even when this manager is (relatively) idle.
-
-        Retired tids are skipped by assignment (the stripe cursor moves
-        past them), so they are never handed to a transaction.
-        """
-        horizon = max(self._peer_last_tid.values(), default=0)
-        while True:
-            tid = self._next_stripe * self.n_managers + self.cm_id + 1
-            if tid >= horizon:
-                break
+    def _skip_stripe_below(self, bound: int) -> None:
+        """Interleaved mode: complete every unassigned tid of our residue
+        class below ``bound`` and move the stripe cursor past it, so the
+        tid is never handed to a transaction and the global base version
+        can advance over it."""
+        while (tid := self._stripe_tid()) < bound:
             self.completed.mark_completed(tid)
             self._next_stripe += 1
 
@@ -294,20 +291,6 @@ class CommitManager:
         """Upper bound on assigned tids (this manager and synced peers)."""
         peers = max(self._peer_last_tid.values(), default=0)
         return max(self.last_assigned_tid, peers)
-
-    def _advance_stripe_past(self, horizon: int) -> None:
-        """Interleaved mode, after recovery: skip every tid of our
-        residue class up to and including ``horizon``.  The crashed
-        predecessor may have assigned any of them, so handing them out
-        again would violate tid uniqueness; marking them completed lets
-        the global base version advance past them (exactly like stripe
-        retirement for an idle manager)."""
-        while True:
-            tid = self._next_stripe * self.n_managers + self.cm_id + 1
-            if tid > horizon:
-                break
-            self.completed.mark_completed(tid)
-            self._next_stripe += 1
 
     @classmethod
     def recover(
@@ -340,7 +323,10 @@ class CommitManager:
             manager.last_assigned_tid = last_tid
         manager.absorb_peers(peer_ids)
         if interleaved:
-            manager._advance_stripe_past(manager.highest_known_tid())
+            # The crashed predecessor may have assigned any tid up to and
+            # including the highest known one: handing one out again
+            # would violate tid uniqueness.
+            manager._skip_stripe_below(manager.highest_known_tid() + 1)
         return manager
 
     def __repr__(self) -> str:

@@ -1,10 +1,9 @@
-"""Pluggable isolation protocols for the commit pipeline.
+"""The isolation modes and their commit-manager validators.
 
-Three first-class variants (``docs/isolation.md`` has the full matrix):
+Three first-class modes (``docs/isolation.md`` has the full matrix):
 
 * ``si``  -- snapshot isolation, the paper's protocol (Section 4.1).
-  No read tracking, no validation round trip; the commit pipeline is
-  byte-identical to the historical ``Transaction.commit``.
+  No read tracking, no validation round trip.
 * ``wsi`` -- write-snapshot isolation: the transaction's read set is
   captured on the PN and validated at the commit manager against keys
   written by concurrent commits.
@@ -12,23 +11,20 @@ Three first-class variants (``docs/isolation.md`` has the full matrix):
   rw-antidependencies between recent commits and aborts transactions
   that would complete a dangerous structure.
 
-This package is the *only* place allowed to touch the read-set /
-validation state directly (``txn._read_keys``, the validator's commit
-window) -- lint rule RL012 enforces the boundary.  Everything else goes
-through :func:`make_protocol` / :func:`make_validator` and the protocol
-hooks on :class:`~repro.core.isolation.base.IsolationProtocol`.
+The commit pipeline is one sequence for all three
+(:meth:`repro.core.transaction.Transaction.commit`): under ``wsi`` /
+``ssi`` it keeps a read set and yields one
+:class:`repro.effects.ValidateCommit`.  What differs between the modes
+is the admission rule, and that lives here, in the validator the
+deployment's commit managers share (:mod:`.validation`).  The validator's
+window is private to this package and the read set to the transaction
+module -- lint rule RL012 checks both.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.isolation.base import IsolationProtocol, SIProtocol
-from repro.core.isolation.validated import (
-    SSIProtocol,
-    ValidatedProtocol,
-    WSIProtocol,
-)
 from repro.core.isolation.validation import (
     CommitValidator,
     SSICommitValidator,
@@ -38,27 +34,6 @@ from repro.errors import InvalidState
 
 #: Accepted values of ``DatabaseConfig.isolation`` / ``connect(isolation=)``.
 ISOLATION_MODES = ("si", "wsi", "ssi")
-
-#: Shared stateless SI instance: the default protocol everywhere a
-#: processing node is built without an explicit choice.
-DEFAULT_PROTOCOL = SIProtocol()
-
-_PROTOCOLS = {
-    "si": DEFAULT_PROTOCOL,
-    "wsi": WSIProtocol(),
-    "ssi": SSIProtocol(),
-}
-
-
-def make_protocol(isolation: str = "si") -> IsolationProtocol:
-    """The (shared, stateless) protocol instance for ``isolation``."""
-    try:
-        return _PROTOCOLS[isolation]
-    except KeyError:
-        raise InvalidState(
-            f"unknown isolation mode {isolation!r}; pick one of "
-            f"{', '.join(ISOLATION_MODES)}"
-        ) from None
 
 
 def make_validator(isolation: str = "si") -> Optional[CommitValidator]:
@@ -74,23 +49,13 @@ def make_validator(isolation: str = "si") -> Optional[CommitValidator]:
         return CommitValidator()
     if isolation == "ssi":
         return SSICommitValidator()
-    raise InvalidState(
-        f"unknown isolation mode {isolation!r}; pick one of "
-        f"{', '.join(ISOLATION_MODES)}"
-    )
+    raise InvalidState(f"no validator for isolation mode {isolation!r}")
 
 
 __all__ = [
     "ISOLATION_MODES",
-    "DEFAULT_PROTOCOL",
-    "IsolationProtocol",
-    "SIProtocol",
-    "ValidatedProtocol",
-    "WSIProtocol",
-    "SSIProtocol",
     "CommitValidator",
     "SSICommitValidator",
     "ValidationVerdict",
-    "make_protocol",
     "make_validator",
 ]

@@ -11,9 +11,8 @@ from typing import Any, Callable, Dict, Generator, Optional
 
 from repro import effects
 from repro.core.buffers import BufferingStrategy, TransactionBuffer
-from repro.core.isolation import DEFAULT_PROTOCOL, IsolationProtocol
 from repro.core.spaces import META_SPACE, rid_counter_key
-from repro.core.transaction import Transaction
+from repro.core.transaction import Transaction, TxnState
 from repro.core.txlog import TransactionLog
 from repro.errors import TransactionAborted
 
@@ -39,16 +38,10 @@ class ProcessingNode:
         buffers: Optional[BufferingStrategy] = None,
         clock: Optional[Callable[[], float]] = None,
         rid_range_size: int = 1024,
-        protocol: Optional[IsolationProtocol] = None,
     ):
         self.pn_id = pn_id
         self.buffers: BufferingStrategy = (
             buffers if buffers is not None else TransactionBuffer()
-        )
-        # Isolation protocol shared by every transaction on this node
-        # (stateless; see repro.core.isolation).
-        self.protocol: IsolationProtocol = (
-            protocol if protocol is not None else DEFAULT_PROTOCOL
         )
         self.txlog = TransactionLog()
         self._clock = clock
@@ -106,6 +99,12 @@ class ProcessingNode:
             except TransactionAborted:
                 if attempts >= max_attempts:
                     raise
+            except Exception:
+                # An application error must not leak the tid: an abandoned
+                # active transaction pins the lav and blocks GC for good.
+                if txn.state is TxnState.RUNNING:
+                    yield from txn.abort()
+                raise
 
     # -- rid allocation -----------------------------------------------------------
 

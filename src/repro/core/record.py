@@ -11,8 +11,9 @@ them with LL/SC, so a record object can safely live in shared buffers and
 in the store at the same time.
 
 Storage layout: a record keeps its versions as two parallel tuples --
-``tids`` and ``payloads``, both newest first -- so the visibility scan and
-GC walk flat memory instead of chasing one ``Version`` object per entry.
+``tids`` and ``payloads``, both newest first -- so the one visibility scan
+(``visible_index``) and the one GC walk (``_survivors``) read flat memory
+instead of chasing one ``Version`` object per entry.
 The slab layout is an implementation detail: the public API (``versions``,
 ``latest_visible``, ``with_version``, ...) is unchanged, and ``versions``
 materializes :class:`Version` wrappers lazily for the sanitizers, tests,
@@ -123,10 +124,12 @@ class VersionedRecord:
 
     def visible_index(self, snapshot: SnapshotDescriptor) -> int:
         """Index into ``tids``/``payloads`` of the version the snapshot
-        reads, or ``-1`` when nothing is visible (Section 4.2).
+        reads -- the maximum visible tid -- or ``-1`` when nothing is
+        visible (Section 4.2).
 
-        This is the zero-allocation core of :meth:`latest_visible`; the
-        hot read paths call it directly and index ``payloads``.
+        The one visibility scan: every reader (transaction reads, storage
+        pushdown, table scans, the sanitizers' reference check) resolves
+        a snapshot through this function.
         """
         tids = self.tids
         if not tids:
@@ -148,54 +151,26 @@ class VersionedRecord:
         """The payload the snapshot reads, or ``None`` when nothing is
         visible *or* the visible version is a tombstone.
 
-        Zero-allocation companion to :meth:`latest_visible` for callers
-        that only want live row data (reads, scans); callers that must
-        distinguish "deleted" from "absent" use ``visible_index`` or
-        ``latest_visible`` instead.
+        For callers that only want live row data (reads, scans); callers
+        that must distinguish "deleted" from "absent" use
+        ``visible_index`` or ``latest_visible`` instead.
         """
-        # visible_index, manually inlined: this is the per-read hot path.
-        tids = self.tids
-        if not tids:
+        index = self.visible_index(snapshot)
+        if index < 0:
             return None
-        base = snapshot.base
-        if tids[0] <= base:
-            payload = self.payloads[0]
-            return None if payload is TOMBSTONE else payload
-        bits = snapshot.bits
-        index = 0
-        for tid in tids:
-            if tid <= base or bits >> (tid - base - 1) & 1:
-                payload = self.payloads[index]
-                return None if payload is TOMBSTONE else payload
-            index += 1
-        return None
+        payload = self.payloads[index]
+        return None if payload is TOMBSTONE else payload
 
     def latest_visible(self, snapshot: SnapshotDescriptor) -> Optional[Version]:
-        """The version the snapshot reads: max visible tid (Section 4.2).
+        """The version the snapshot reads, as a :class:`Version`.
 
         Returns ``None`` when no version is visible; a visible tombstone is
-        returned as-is (callers treat it as "record deleted").
+        returned as-is (callers treat it as "record deleted").  Served
+        from the memoized Version view, so repeated reads of an immutable
+        record return the same wrapper object.
         """
-        # visible_index, manually inlined; serves from the memoized
-        # Version view, so repeated reads of an immutable record return
-        # the same wrapper object, alloc-free.
-        tids = self.tids
-        if not tids:
-            return None
-        base = snapshot.base
-        if tids[0] <= base:
-            versions = self._versions
-            return versions[0] if versions is not None else self.versions[0]
-        bits = snapshot.bits
-        index = 0
-        for tid in tids:
-            if tid <= base or bits >> (tid - base - 1) & 1:
-                versions = self._versions
-                if versions is None:
-                    versions = self.versions
-                return versions[index]
-            index += 1
-        return None
+        index = self.visible_index(snapshot)
+        return self.versions[index] if index >= 0 else None
 
     def get(self, tid: int) -> Optional[Version]:
         try:
@@ -250,32 +225,15 @@ class VersionedRecord:
 
         The commit path installs exactly this shape -- the new tid is a
         fresh commit timestamp, so it exceeds every existing tid -- and
-        the fused form builds the surviving slabs in one pass instead of
-        allocating an intermediate record.  Falls back to the two-step
-        path when the tid is not the newest (which also raises on
-        duplicates, matching :meth:`with_version`).
-
-        Like :meth:`collect_garbage`, the set of dropped versions is
-        defined by :meth:`collectable_versions` -- the G-set definition
-        stays the single (test-mutable) source of truth.
+        the fused form allocates no intermediate record.  Falls back to
+        the two-step path when the tid is not the newest (which also
+        raises on duplicates, matching :meth:`with_version`).
         """
         tids = self.tids
         if tids and tids[0] >= tid:
             return self.collect_garbage(lav).with_version(Version(tid, payload))
-        garbage = self.collectable_versions(lav)
-        if not garbage:
-            return VersionedRecord._from_slabs(
-                (tid,) + tids, (payload,) + self.payloads
-            )
-        drop = set(garbage)
-        payloads = self.payloads
-        new_tids = [tid]
-        new_payloads = [payload]
-        for position, existing in enumerate(tids):
-            if existing not in drop:
-                new_tids.append(existing)
-                new_payloads.append(payloads[position])
-        return VersionedRecord._from_slabs(tuple(new_tids), tuple(new_payloads))
+        tids, payloads = self._survivors(lav)
+        return VersionedRecord._from_slabs((tid,) + tids, (payload,) + payloads)
 
     def without_version(self, tid: int) -> "VersionedRecord":
         try:
@@ -300,26 +258,33 @@ class VersionedRecord:
             return []
         return candidates[1:]  # newest first: candidates[0] == max(C)
 
-    def collect_garbage(self, lav: int) -> "VersionedRecord":
-        """Drop every version in G; may return ``self`` unchanged.
+    def _survivors(self, lav: int) -> Tuple[Tuple[int, ...], Tuple[object, ...]]:
+        """The slabs without G -- ``self``'s own tuples when G is empty.
 
-        G comes from :meth:`collectable_versions` so a (deliberately)
-        broken G-set definition propagates here -- the GC sanitizer's
-        seeded-mutation tests rely on that coupling.
+        G comes from :meth:`collectable_versions`, so that definition
+        stays the single source: a (deliberately) broken one propagates
+        to every GC path, which the GC sanitizer's seeded-mutation tests
+        rely on.
         """
         garbage = self.collectable_versions(lav)
         if not garbage:
-            return self
+            return self.tids, self.payloads
         drop = set(garbage)
-        tids = self.tids
         payloads = self.payloads
         keep_tids = []
         keep_payloads = []
-        for position, existing in enumerate(tids):
+        for position, existing in enumerate(self.tids):
             if existing not in drop:
                 keep_tids.append(existing)
                 keep_payloads.append(payloads[position])
-        return VersionedRecord._from_slabs(tuple(keep_tids), tuple(keep_payloads))
+        return tuple(keep_tids), tuple(keep_payloads)
+
+    def collect_garbage(self, lav: int) -> "VersionedRecord":
+        """Drop every version in G; may return ``self`` unchanged."""
+        tids, payloads = self._survivors(lav)
+        if tids is self.tids:
+            return self
+        return VersionedRecord._from_slabs(tids, payloads)
 
     def fully_deleted(self, lav: int) -> bool:
         """True when the record is just a tombstone no snapshot older than

@@ -4,7 +4,9 @@ Processing nodes are crash-stop: when one fails, every transaction it had
 in flight must be aborted, and transactions that were mid-commit (updates
 partially applied) must be reverted.  The transaction log holds enough
 information to do so: the write set identifies the records, and removing
-the version numbered ``tid`` from each of them undoes the transaction.
+the version numbered ``tid`` from each of them (:func:`remove_version`,
+the same undo step a conflicting commit runs on itself) undoes the
+transaction.
 
 Two discovery strategies are provided:
 
@@ -28,16 +30,20 @@ from repro.core.txlog import STATUS_ABORTED, LogEntry, TransactionLog
 def rollback_entry(entry: LogEntry, txlog: TransactionLog) -> Generator:
     """Revert every record version written by ``entry``'s transaction."""
     for key in entry.write_set:
-        yield from _remove_version(key, entry.tid)
+        yield from remove_version(key, entry.tid)
     yield from txlog.set_status(entry, STATUS_ABORTED)
 
 
-def _remove_version(key: Any, tid: int) -> Generator:
-    """LL/SC loop removing version ``tid`` from the record at ``key``."""
+def remove_version(key: Any, tid: int) -> Generator:
+    """The LL/SC loop removing version ``tid`` from the record at ``key``
+    -- the one undo step, shared by commit-time rollback
+    (``Transaction._rollback_applied``) and PN recovery.  A concurrent
+    writer may touch the record between the read and the conditional
+    write; the loop then retries on the fresh copy."""
     while True:
         value, cell_version = yield effects.Get(DATA_SPACE, key)
         if value is None or value.get(tid) is None:
-            return
+            return  # already gone (e.g. the insert was GC-removed)
         remaining = value.without_version(tid)
         if len(remaining) == 0:
             ok, _ = yield effects.DeleteIfVersion(DATA_SPACE, key, cell_version)

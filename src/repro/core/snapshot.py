@@ -155,16 +155,19 @@ class TxnStart:
 
     ``range_refilled`` flags that serving this start required refilling
     the manager's tid range from the store counter; the simulation driver
-    charges the extra round trip when it is set.
+    charges the extra round trip when it is set.  ``isolation`` is the
+    issuing manager's mode (``CommitManager.isolation_name``): the
+    transaction runs under the mode its commits will be validated in.
     """
 
-    __slots__ = ("tid", "snapshot", "lav", "range_refilled")
+    __slots__ = ("tid", "snapshot", "lav", "range_refilled", "isolation")
 
     def __init__(self, tid: int, snapshot: SnapshotDescriptor, lav: int):
         self.tid = tid
         self.snapshot = snapshot
         self.lav = lav
         self.range_refilled = False
+        self.isolation = "si"
 
     def __repr__(self) -> str:
         return f"TxnStart(tid={self.tid}, lav={self.lav}, {self.snapshot!r})"

@@ -13,12 +13,13 @@ Implements the life-cycle of Section 4.3:
    the commit manager is notified.  *Abort* -- applied updates are rolled
    back, then the commit manager is notified.
 
-The Try-Commit sequence itself lives with the processing node's
-:class:`~repro.core.isolation.IsolationProtocol` (``commit()`` delegates
-to it): snapshot isolation runs exactly the pipeline above, while the
-read-validating protocols (WSI/SSI) capture read keys through the hooks
-in the read paths below and insert a validation stage before the first
-update is applied.
+The sequence is the same under every isolation mode.  The commit manager
+that issued the tid names the mode (``TxnStart.isolation``); under
+``wsi`` / ``ssi`` the transaction additionally keeps its read set and,
+once the log entry is durable and before any update is applied, asks the
+commit manager to validate it (:class:`repro.effects.ValidateCommit`).
+The admission rule lives with the manager's validator
+(:mod:`repro.core.isolation`); nothing else differs on the PN.
 
 All store-touching methods are generator coroutines.
 
@@ -35,14 +36,13 @@ import enum
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
 
 from repro import effects
+from repro.core import recovery
 from repro.core.record import TOMBSTONE, VersionedRecord
 from repro.core.snapshot import TxnStart
 from repro.core.spaces import DATA_SPACE
-from repro.core.txlog import (
-    STATUS_ABORTED,
-    LogEntry,
-)
+from repro.core.txlog import STATUS_ABORTED, STATUS_COMMITTED, LogEntry
 from repro.errors import (
+    DuplicateKey,
     InvalidState,
     KeyNotFound,
     TransactionAborted,
@@ -81,8 +81,15 @@ class Transaction:
         # observability.  Carried explicitly (no ambient span stack --
         # simulated coroutines interleave at every yield).
         self.span = None
-        self.protocol = pn.protocol
-        self.protocol.attach(self)
+        # The mode is the issuing commit manager's: a PN cannot disagree
+        # with the validator its commits are checked against.
+        self.isolation = start.isolation
+        # The read set, a dict used as an insertion-ordered set (so the
+        # ValidateCommit payload is deterministic); None under si, which
+        # tracks nothing.
+        self._read_keys: Optional[Dict[Any, None]] = (
+            None if start.isolation == "si" else {}
+        )
 
     # -- reads ------------------------------------------------------------------
 
@@ -110,9 +117,10 @@ class Transaction:
             yield from self._fetch(to_fetch)
             for key in to_fetch:
                 result[key] = self._visible_payload(key)
-        protocol = self.protocol
-        if protocol.tracks_reads:
-            protocol.note_reads(self, keys)
+        read_keys = self._read_keys
+        if read_keys is not None:
+            for key in keys:
+                read_keys[key] = None
         return result
 
     def read_for_update(self, key: Any) -> Generator:
@@ -175,14 +183,20 @@ class Transaction:
         self._writes[key] = payload
 
     def delete(self, key: Any) -> Generator:
-        """Delete the record (writes a tombstone version)."""
+        """Delete the record (writes a tombstone version).
+
+        Returns True when the record was this transaction's own insert:
+        the buffered write is dropped, nothing reaches the store, and the
+        caller withdraws whatever else it queued for the row.
+        """
         self._require(TxnState.RUNNING)
         if key in self._inserted:
             self._inserted.discard(key)
             del self._writes[key]
-            return
+            return True
         yield from self._ensure_updatable(key)
         self._writes[key] = TOMBSTONE
+        return False
 
     def _ensure_updatable(self, key: Any) -> Generator:
         if key not in self._cache:
@@ -206,27 +220,101 @@ class Transaction:
 
     @property
     def tracks_reads(self) -> bool:
-        """True when the isolation protocol captures read keys (access
-        paths outside the core read methods -- e.g. table scans -- must
-        then report observed keys via :meth:`note_scanned`)."""
-        return self.protocol.tracks_reads
+        """True under wsi/ssi: access paths outside the core read methods
+        (table scans) must then report keys via :meth:`note_scanned`."""
+        return self._read_keys is not None
 
     def note_scanned(self, keys: List[Any]) -> None:
-        """Report keys observed by a scan to the isolation protocol."""
-        self.protocol.note_scanned(self, keys)
+        """Add keys observed by a scan to the read set (wsi/ssi only)."""
+        read_keys = self._read_keys
+        if read_keys is not None:
+            for key in keys:
+                read_keys[key] = None
 
     def commit(self) -> Generator:
-        """Run Try-Commit; raises :class:`TransactionAborted` on conflict.
-
-        The pipeline itself belongs to the processing node's isolation
-        protocol (:mod:`repro.core.isolation`): SI runs the historical
-        sequence unchanged, WSI/SSI insert a validation stage after the
-        log append.  Returns the protocol's generator directly (rather
-        than delegating with ``yield from``) so the strategy indirection
-        adds no frame to the hot commit path.
-        """
+        """Run Try-Commit; raises :class:`TransactionAborted` on conflict."""
         self._require(TxnState.RUNNING)
-        return self.protocol.commit(self)
+        span = self.span
+        pn = self.pn
+        if not self._writes and not self.index_ops:
+            # Read-only fast path: nothing to apply, log or validate.
+            self.state = TxnState.COMMITTED
+            pn.stats.committed += 1
+            commit_child = span.child("commit") if span is not None else None
+            yield effects.ReportCommitted(self.tid)
+            if commit_child is not None:
+                commit_child.finish()
+            self._finish_span("committed")
+            return
+
+        # Conflict scenario 1 of Section 4.1: the record was already read
+        # *with* a version newer than our snapshot (another transaction
+        # applied after we started but before we read).  The LL/SC would
+        # succeed -- nothing changed since the read -- so this case must
+        # be detected from the version numbers themselves.
+        commit_child = span.child("commit") if span is not None else None
+        for key in self._writes:
+            if key in self._inserted:
+                continue
+            record, _cell_version = self._cache[key]
+            if record is None:
+                continue
+            newest = record.newest_tid
+            if newest != self.tid and not self.snapshot.contains(newest):
+                yield from self._finish_abort(
+                    None,
+                    f"write-write conflict: {key!r} has newer version {newest}",
+                )
+
+        self.state = TxnState.TRY_COMMIT
+        entry = LogEntry(self.tid, pn.pn_id, pn.now(), self.write_set)
+        yield from pn.txlog.append(entry)
+        if commit_child is not None:
+            commit_child.finish()
+
+        if self._read_keys is not None:
+            # The validate stage: the log entry is durable and nothing is
+            # applied yet, so a refusal only has to flip the log status.
+            validate_child = span.child("validate") if span is not None else None
+            verdict = yield effects.ValidateCommit(
+                self.tid, tuple(self._read_keys), self.write_set, self.snapshot
+            )
+            if validate_child is not None:
+                validate_child.finish()
+            if not verdict.ok:
+                yield from self._finish_abort(
+                    entry, f"{self.isolation} validation: {verdict.reason}"
+                )
+
+        write_child = span.child("write") if span is not None else None
+        puts = self._build_apply_ops()
+        results = yield effects.Batch(puts)
+        applied = [op.key for op, (ok, _version) in zip(puts, results) if ok]
+        if len(applied) != len(puts):
+            yield from self._rollback_applied(applied)
+            yield from self._finish_abort(entry, "write-write conflict")
+        try:
+            yield from self._apply_index_ops()
+        except DuplicateKey as duplicate:
+            yield from self._rollback_applied(applied)
+            yield from self._finish_abort(entry, str(duplicate))
+
+        # Write-through to the PN's shared buffer (if any).
+        for op, (_ok, cell_version) in zip(puts, results):
+            yield from pn.buffers.note_applied(
+                self.tid, op.key, op.value, cell_version
+            )
+
+        if write_child is not None:
+            write_child.finish()
+        tail_child = span.child("commit") if span is not None else None
+        yield from pn.txlog.set_status(entry, STATUS_COMMITTED)
+        self.state = TxnState.COMMITTED
+        pn.stats.committed += 1
+        yield effects.ReportCommitted(self.tid)
+        if tail_child is not None:
+            tail_child.finish()
+        self._finish_span("committed")
 
     def abort(self) -> Generator:
         """Manual abort: nothing was applied, just notify the manager."""
@@ -242,10 +330,9 @@ class Transaction:
 
     # -- commit internals ------------------------------------------------------------
 
-    def _build_apply_ops(self):
+    def _build_apply_ops(self) -> List[effects.PutIfVersion]:
         """Construct the LL/SC puts (with eager version GC, Section 5.4)."""
         puts: List[effects.PutIfVersion] = []
-        new_records: Dict[Any, VersionedRecord] = {}
         for key, payload in self._writes.items():
             if key in self._inserted:
                 record = VersionedRecord.initial(self.tid, payload)
@@ -261,8 +348,7 @@ class Transaction:
                     # in one slab pass; the tid is a fresh commit timestamp).
                     record = base_record.updated(self.tid, payload, self.lav)
             puts.append(effects.PutIfVersion(DATA_SPACE, key, record, expected))
-            new_records[key] = record
-        return puts, new_records
+        return puts
 
     def _apply_index_ops(self) -> Generator:
         for action, btree, index_key, rid, unique in self.index_ops:
@@ -274,32 +360,17 @@ class Transaction:
                 raise InvalidState(f"unknown index action {action!r}")
 
     def _rollback_applied(self, applied_keys: List[Any]) -> Generator:
-        """Revert our version from every record we managed to apply.
-
-        Each removal is an LL/SC loop: concurrent writers may touch the
-        record between our read and conditional write, in which case we
-        simply retry on the fresh copy.
-        """
+        """Revert our version from every record we managed to apply."""
         for key in applied_keys:
-            while True:
-                value, cell_version = yield effects.Get(DATA_SPACE, key)
-                if value is None or value.get(self.tid) is None:
-                    break  # already gone (e.g. our insert was GC-removed)
-                remaining = value.without_version(self.tid)
-                if len(remaining) == 0:
-                    ok, _ = yield effects.DeleteIfVersion(
-                        DATA_SPACE, key, cell_version
-                    )
-                else:
-                    ok, _ = yield effects.PutIfVersion(
-                        DATA_SPACE, key, remaining, cell_version
-                    )
-                if ok:
-                    break
+            yield from recovery.remove_version(key, self.tid)
             self.pn.buffers.invalidate(key)
 
-    def _finish_abort(self, entry: LogEntry, reason: str) -> Generator:
-        yield from self.pn.txlog.set_status(entry, STATUS_ABORTED)
+    def _finish_abort(self, entry: Optional[LogEntry], reason: str) -> Generator:
+        """The one way a conflicting transaction becomes ABORTED; always
+        raises.  ``entry`` is None when the conflict was found before the
+        log append, so there is no status to flip."""
+        if entry is not None:
+            yield from self.pn.txlog.set_status(entry, STATUS_ABORTED)
         self.state = TxnState.ABORTED
         self.pn.stats.aborted += 1
         yield effects.ReportAborted(self.tid)

@@ -16,9 +16,8 @@ from __future__ import annotations
 from typing import Any, Generator, Iterable, Optional, Tuple
 
 from repro import effects
+from repro.core.spaces import LOG_SPACE
 from repro.store.cell import approx_size
-
-LOG_SPACE = "txlog"
 
 STATUS_ACTIVE = "active"
 STATUS_COMMITTED = "committed"

@@ -852,50 +852,50 @@ Delay once before the loop (`pause = delay_of(step)` ... `yield pause`).
 
 class RL012IsolationEncapsulation(Rule):
     code = "RL012"
-    title = "isolation-protocol state touched outside repro.core.isolation"
+    title = "isolation state touched outside the module that owns it"
     explain = """\
-The isolation strategy layer (repro.core.isolation) owns all read-set
-and commit-validation state: the per-transaction read-key capture
-(`txn._read_keys`, installed by `IsolationProtocol.attach`) and the
-validator's window (`_commit_window`, `_validation_horizon`).  That
-ownership is what makes protocols pluggable -- SI never allocates the
-state, and WSI/SSI can change its representation freely.  Library code
-elsewhere that reads or writes these attributes directly re-hardwires
-one protocol's internals into the shared pipeline: it breaks under SI
-(the attribute does not exist), silently desynchronizes the validator
-window, and defeats the strategy seam the refactor introduced.
+Read-set and commit-validation state each have one owner.  The
+per-transaction read set (`txn._read_keys`: a dict under wsi/ssi, None
+under si) belongs to repro.core.transaction, which fills it in
+`read_many` / `note_scanned` and ships it in the one `ValidateCommit`
+of the commit pipeline.  The validator's window (`_commit_window`,
+`_validation_horizon`) belongs to the repro.core.isolation package.
+Library code elsewhere that reads or writes these attributes directly
+hardwires one mode's representation into shared code: it breaks under
+si (there is no read set), silently desynchronizes the validator
+window, and lets a second place decide what a transaction has read.
 
 RL012 fires on any attribute access (load, store, or delete) named
 `_read_keys`, `_commit_window`, or `_validation_horizon` in a
-`repro.*` module outside the repro.core.isolation package.  Code that
-needs the read set must go through the protocol surface instead:
-`txn.tracks_reads` / `protocol.note_reads(...)` / the yielded
-`effects.ValidateCommit` request.  Tests and tools are out of scope
-(their module names are not under `repro.`).
+`repro.*` module outside that name's owner.  Code that needs the read
+set goes through the transaction's surface instead: `txn.tracks_reads`
+/ `txn.note_scanned(...)` / the yielded `effects.ValidateCommit`
+request.  Tests and tools are out of scope (their module names are not
+under `repro.`).
 """
 
-    #: The only package allowed to touch protocol-private state.
-    ISOLATION_PACKAGE = "repro.core.isolation"
-
-    _PRIVATE_STATE = frozenset({
-        "_read_keys", "_commit_window", "_validation_horizon",
-    })
+    #: Private attribute -> the one module or package allowed to touch it.
+    OWNERS = {
+        "_read_keys": "repro.core.transaction",
+        "_commit_window": "repro.core.isolation",
+        "_validation_horizon": "repro.core.isolation",
+    }
 
     def check(self, module: ModuleSummary, tree: ast.Module,
               index: ProjectIndex) -> Iterator[Tuple[ast.AST, str]]:
         name = module.module
         if not in_packages(name, ("repro",)):
             return
-        if in_packages(name, (self.ISOLATION_PACKAGE,)):
-            return
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute)
-                    and node.attr in self._PRIVATE_STATE):
+            if not isinstance(node, ast.Attribute):
+                continue
+            owner = self.OWNERS.get(node.attr)
+            if owner is not None and not in_packages(name, (owner,)):
                 yield node, (
-                    f"module {name} touches isolation-protocol state "
-                    f"`{node.attr}` directly; only repro.core.isolation "
-                    f"may -- go through the protocol surface "
-                    f"(tracks_reads / note_reads / ValidateCommit)"
+                    f"module {name} touches isolation state "
+                    f"`{node.attr}` directly; only {owner} may -- go "
+                    f"through the transaction's surface "
+                    f"(tracks_reads / note_scanned / ValidateCommit)"
                 )
 
 

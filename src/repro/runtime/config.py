@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import TypeVar
 
-from repro.core.isolation import make_protocol
+from repro.core.isolation import ISOLATION_MODES
 from repro.errors import InvalidState
 
 _Config = TypeVar("_Config", bound="DeploymentConfig")
@@ -52,7 +52,11 @@ class DeploymentConfig:
                 f"replication factor {self.replication_factor} exceeds "
                 f"the {self.storage_nodes} storage node(s)"
             )
-        make_protocol(self.isolation)  # raises InvalidState when unknown
+        if self.isolation not in ISOLATION_MODES:
+            raise InvalidState(
+                f"unknown isolation mode {self.isolation!r}; pick one of "
+                f"{', '.join(ISOLATION_MODES)}"
+            )
         # The grammar of repro.core.buffers.make_strategy.
         if not re.fullmatch(r"tb|sb|sbvs\d*", str(self.buffering).lower()):
             raise InvalidState(

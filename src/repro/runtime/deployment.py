@@ -14,12 +14,12 @@ from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
 
 from repro import effects
 from repro.core.buffers import make_strategy
-from repro.core.commit_manager import (META_SPACE, TID_COUNTER_KEY,
-                                       CommitManager)
-from repro.core.isolation import make_protocol, make_validator
+from repro.core.commit_manager import TID_COUNTER_KEY, CommitManager
+from repro.core.isolation import make_validator
 from repro.core.processing_node import ProcessingNode
 from repro.core.recovery import recover_processing_node
 from repro.core.snapshot import SnapshotDescriptor
+from repro.core.spaces import META_SPACE
 from repro.core.txlog import TransactionLog
 from repro.dispatch import DispatchEnv, Dispatcher, Interceptor, attach_all
 from repro.errors import InvalidState
@@ -46,7 +46,6 @@ class Deployment:
             partitions_per_node=config.partitions_per_node,
         )
         self.management = ManagementNode(self.cluster)
-        self.protocol = make_protocol(config.isolation)
         # One validator shared by every manager: it models validation
         # state synchronized through the store, not per-manager memory
         # (None under plain SI).
@@ -85,7 +84,6 @@ class Deployment:
             pn_id,
             buffers=make_strategy(self.config.buffering),
             clock=self.clock,
-            protocol=self.protocol,
         )
         if self.obs is not None:
             self.obs.adopt(pn, indexes)

@@ -300,7 +300,7 @@ def _constant_value(
     if isinstance(expr, ast.Literal):
         return True, expr.value
     if isinstance(expr, ast.Param):
-        return True, params[expr.index]
+        return True, evaluate(expr, {}, params)  # SqlPlanError when unbound
     if isinstance(expr, ast.UnaryOp) and expr.op == "-":
         ok, value = _constant_value(expr.operand, params)
         return (ok, -value if ok and value is not None else None)

@@ -109,7 +109,17 @@ class Table:
     def delete_by_rid(self, rid: int) -> Generator:
         """Delete the row (tombstone version; index entries stay for GC)."""
         key = data_key(self.schema.table_id, rid)
-        yield from self.txn.delete(key)
+        own_insert = yield from self.txn.delete(key)
+        if own_insert:
+            # The row never left this transaction, so neither may the
+            # index inserts queued for it: a re-insert of the same key
+            # would collide with them at commit, and alone they would
+            # commit entries for a row that does not exist.
+            trees = [self.indexes.tree(index) for index in self.schema.indexes]
+            self.txn.index_ops[:] = [
+                op for op in self.txn.index_ops
+                if op[3] != rid or op[1] not in trees
+            ]
 
     # -- point reads ---------------------------------------------------------------
 

@@ -253,11 +253,20 @@ def _within(names, package):
                   if name == package or name.startswith(package + "."))
 
 
+def _outside(names, allowed):
+    """The ``repro.*`` names among ``names`` that are in no allowed package."""
+    return [name for name in _within(names, "repro")
+            if name != "repro"
+            and not any(_within([name], lower) for lower in allowed)]
+
+
 class TestImportDirection:
-    """Library packages sit under the benchmark package, never on it, and
-    the store is the bottom layer."""
+    """Library packages sit under the benchmark package, never on it, the
+    store is the bottom layer and the MVCC core sits right on it."""
 
     STORE_MAY_IMPORT = ("repro.effects", "repro.errors", "repro.store")
+    CORE_MAY_IMPORT = ("repro.effects", "repro.errors", "repro.store.cell",
+                       "repro.core")
 
     #: ``repro-obs run`` runs a bench experiment; ``TxnMetrics`` is pinned
     #: at ``repro.bench.metrics`` by the frozen ledger (docs/simulation.md).
@@ -282,10 +291,16 @@ class TestImportDirection:
                 if bad:
                     offenders[rel] = bad
             if rel.startswith("repro/store/"):
-                bad = [name for name in _within(_imports(tree), "repro")
-                       if name != "repro" and not any(
-                           _within([name], lower)
-                           for lower in self.STORE_MAY_IMPORT)]
+                bad = _outside(_imports(tree), self.STORE_MAY_IMPORT)
+                if bad:
+                    offenders[rel] = bad
+            if rel.startswith("repro/core/"):
+                names = _imports(tree)
+                # No deferred import either: the core has no import cycle
+                # to break (``if TYPE_CHECKING:`` blocks are module level).
+                deferred = names - _imports(tree, module_level_only=True)
+                bad = (_outside(names, self.CORE_MAY_IMPORT)
+                       + _within(deferred, "repro.core"))
                 if bad:
                     offenders[rel] = bad
         assert offenders == {}

@@ -509,8 +509,7 @@ class TestYieldSummaries:
     def test_shipped_cm_methods_are_synchronous(self, src_atomic):
         # The stripe-pair writers must have no preemption points at all:
         # that is the invariant RA003 freezes.
-        for method in ("_retire_idle_stripe_tids", "_advance_stripe_past",
-                       "_finish", "start"):
+        for method in ("_skip_stripe_below", "_finish", "start"):
             node = ("repro.core.commit_manager", f"CommitManager.{method}")
             assert src_atomic.yield_summary(node) == [], method
 

@@ -19,9 +19,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 EFFECTS_PY = REPO_ROOT / "src" / "repro" / "effects.py"
 TRANSACTION_PY = REPO_ROOT / "src" / "repro" / "core" / "transaction.py"
 FABRIC_PY = REPO_ROOT / "src" / "repro" / "runtime" / "fabric.py"
-ISOLATION_BASE_PY = (
-    REPO_ROOT / "src" / "repro" / "core" / "isolation" / "base.py"
-)
+RECOVERY_PY = REPO_ROOT / "src" / "repro" / "core" / "recovery.py"
 
 
 def findings_for(source, module="repro.core.example"):
@@ -719,16 +717,19 @@ class TestRL011:
 
 
 # ---------------------------------------------------------------------------
-# RL012 -- isolation-protocol state touched outside repro.core.isolation
+# RL012 -- isolation state touched outside the module that owns it
 # ---------------------------------------------------------------------------
 
 
 class TestRL012:
     def test_read_keys_load_fires(self):
-        assert codes("""
+        source = """
             def snoop(txn):
                 return list(txn._read_keys)
-        """, module="repro.core.transaction") == ["RL012"]
+        """
+        assert codes(source, module="repro.core.processing_node") == ["RL012"]
+        # ... and its owner reads it freely.
+        assert codes(source, module="repro.core.transaction") == []
 
     def test_read_keys_store_fires(self):
         assert codes("""
@@ -749,10 +750,16 @@ class TestRL012:
         """, module="repro.runtime.deployment") == ["RL012"]
 
     def test_isolation_package_is_exempt(self):
+        # ... for the validator state it owns, not for the read set.
+        assert codes("""
+            def prune(validator):
+                validator._commit_window.clear()
+                validator._validation_horizon = 0
+        """, module="repro.core.isolation.validation") == []
         assert codes("""
             def attach(txn):
                 txn._read_keys = {}
-        """, module="repro.core.isolation.validated") == []
+        """, module="repro.core.isolation.validation") == ["RL012"]
 
     def test_outside_repro_is_exempt(self):
         # Tests and tools address the state directly by design.
@@ -961,25 +968,24 @@ class TestShippedTree:
         assert "clean" in capsys.readouterr().out
 
     def test_deleting_yield_before_putifversion_trips_rl001(self):
-        real = TRANSACTION_PY.read_text()
+        # The one LL/SC version-removal loop lives in recovery.py.
+        real = RECOVERY_PY.read_text()
         mutated = real.replace(
             "ok, _ = yield effects.PutIfVersion(",
             "ok, _ = effects.PutIfVersion(",
         )
         assert mutated != real, "mutation site vanished; update the test"
-        found = lint_source(mutated, module="repro.core.transaction")
+        found = lint_source(mutated, module="repro.core.recovery")
         assert "RL001" in [f.rule for f in found]
 
     def test_deleting_yield_before_report_committed_trips_rl001(self):
-        # The commit pipeline (and its ReportCommitted yields) lives in
-        # the isolation strategy layer now.
-        real = ISOLATION_BASE_PY.read_text()
+        real = TRANSACTION_PY.read_text()
         mutated = real.replace(
-            "yield effects.ReportCommitted(txn.tid)",
-            "effects.ReportCommitted(txn.tid)",
+            "yield effects.ReportCommitted(self.tid)",
+            "effects.ReportCommitted(self.tid)",
         )
         assert mutated != real
-        found = lint_source(mutated, module="repro.core.isolation.base")
+        found = lint_source(mutated, module="repro.core.transaction")
         assert [f.rule for f in found].count("RL001") >= 1
 
     def test_deleting_yield_from_trips_rl002(self):
@@ -1009,9 +1015,4 @@ class TestShippedTree:
     def test_unmutated_transaction_is_clean(self):
         assert lint_source(
             TRANSACTION_PY.read_text(), module="repro.core.transaction"
-        ) == []
-
-    def test_unmutated_isolation_base_is_clean(self):
-        assert lint_source(
-            ISOLATION_BASE_PY.read_text(), module="repro.core.isolation.base"
         ) == []

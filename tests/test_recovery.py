@@ -79,6 +79,40 @@ class TestRecovery:
             record, _ = cluster.execute(effects.Get(DATA_SPACE, key))
             assert record.get(crashed.tid) is None
 
+    def test_commit_rollback_and_recovery_share_one_removal(
+            self, env, monkeypatch):
+        """Commit-time rollback and PN recovery undo a version through
+        the same function: patched once, both paths see it."""
+        from repro.core import recovery
+
+        removed = []
+        real = recovery.remove_version
+
+        def spy(key, tid):
+            removed.append((key, tid))
+            return (yield from real(key, tid))
+
+        monkeypatch.setattr(recovery, "remove_version", spy)
+        cluster, cm = env
+        seed(cluster, cm, {K1: ("v0",), K2: ("w0",)})
+        # Recovery of a mid-commit crash.
+        crashed = crash_mid_commit(cluster, cm, 5, {K1: ("bad",)})
+        pn, runner = make_pn(cluster, cm, 0)
+        runner.run(recover_processing_node(5, [cm], TransactionLog()))
+        assert removed == [(K1, crashed.tid)]
+        # Commit-time rollback: the loser applied K1, then lost K2.
+        loser = runner.run(pn.begin())
+        winner = runner.run(pn.begin())
+        runner.run(loser.update(K1, ("l",)))
+        runner.run(loser.update(K2, ("l",)))
+        runner.run(winner.update(K2, ("w",)))
+        runner.run(winner.commit())
+        with pytest.raises(TransactionAborted):
+            runner.run(loser.commit())
+        assert removed[1:] == [(K1, loser.tid)]
+        record, _ = cluster.execute(effects.Get(DATA_SPACE, K1))
+        assert record.get(loser.tid) is None
+
     def test_recovery_completes_tids_so_base_advances(self, env):
         cluster, cm = env
         seed(cluster, cm, {K1: ("v0",)})

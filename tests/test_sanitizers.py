@@ -189,6 +189,12 @@ def _broken_latest_visible(self, snapshot):
     return self.versions[0] if self.versions else None
 
 
+def _broken_visible_index(self, snapshot):
+    """The same dirty-read bug planted in the one visibility scan, which
+    is what every production read runs."""
+    return 0 if self.tids else -1
+
+
 def _explore_with_replay(scenario, schedules=2):
     """Run the explorer, assert it found failures, and check every
     failing trace replays to (at least) an overlapping violation set."""
@@ -237,6 +243,30 @@ class TestSeededMutations:
         monkeypatch.setattr(
             VersionedRecord, "latest_visible", _broken_latest_visible
         )
+        baseline = gc_pressure(None)
+        assert not baseline.clean
+        assert "SI-READ" in baseline.codes()
+        _explore_with_replay(gc_pressure)
+
+    def test_broken_visibility_scan_trips_read_check(
+            self, monkeypatch, cluster, runner, pn):
+        """The checker checks the function the read path runs: a mutated
+        ``visible_index`` both changes what a transaction reads and is
+        reported.  (The scenario stayed clean while ``latest_visible``
+        was a separate copy of the scan that only the sanitizer called.)"""
+        monkeypatch.setattr(
+            VersionedRecord, "visible_index", _broken_visible_index
+        )
+        key = (7, 1)
+        seed = runner.run(pn.begin())
+        seed.insert(key, ("old",))
+        runner.run(seed.commit())
+        reader = runner.run(pn.begin())
+        writer = runner.run(pn.begin())
+        runner.run(writer.update(key, ("dirty",)))
+        runner.run(writer.commit())
+        assert runner.run(reader.read(key)) == ("dirty",)
+
         baseline = gc_pressure(None)
         assert not baseline.clean
         assert "SI-READ" in baseline.codes()

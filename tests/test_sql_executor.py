@@ -247,6 +247,15 @@ class TestDml:
         rows = session.query("SELECT name FROM emp WHERE id = ?", [20])
         assert rows == [{"name": "pam"}]
 
+    @pytest.mark.parametrize("sql", [
+        "SELECT name FROM emp WHERE salary + 0 = ?",  # evaluated per row
+        "SELECT name FROM emp WHERE id = ?",          # index-analyzed
+        "SELECT name FROM emp WHERE id BETWEEN 1 AND ?",
+    ])
+    def test_unbound_parameter_is_a_plan_error(self, session, sql):
+        with pytest.raises(SqlPlanError, match="only 0 values were bound"):
+            session.query(sql, [])
+
 
 class TestTransactions:
     def test_explicit_commit(self, session):
@@ -256,6 +265,36 @@ class TestTransactions:
         assert session.query("SELECT salary FROM emp WHERE id = 1") == [
             {"salary": 0.0}
         ]
+
+    def test_insert_delete_insert_of_one_key_commits(self, session):
+        # The deleted row's queued index inserts used to stay behind and
+        # collide with the re-insert's at commit (spurious DuplicateKey).
+        session.execute("BEGIN")
+        session.execute("INSERT INTO emp VALUES (9, 'old', 'eng', 1, NULL)")
+        session.execute("DELETE FROM emp WHERE id = 9")
+        session.execute("INSERT INTO emp VALUES (9, 'new', 'eng', 2, NULL)")
+        session.execute("COMMIT")
+        assert session.query("SELECT name FROM emp WHERE id = 9") == [
+            {"name": "new"}
+        ]
+        assert session.query(
+            "SELECT name FROM emp WHERE dept = 'eng' AND salary < 10"
+        ) == [{"name": "new"}]
+
+    def test_insert_then_delete_commits_nothing(self, session):
+        from repro.core.txlog import TransactionLog
+        from repro.sql.keyenc import encode_key
+
+        session.execute("BEGIN")
+        session.execute("INSERT INTO emp VALUES (9, 'gone', 'eng', 1, NULL)")
+        session.execute("DELETE FROM emp WHERE id = 9")
+        txn = session._txn
+        session.execute("COMMIT")
+        # The read-only fast path: no log entry, no dangling index entry.
+        assert session.runner.run(TransactionLog().get(txn.tid)) is None
+        primary = session.catalog.table("emp").primary_index
+        tree = session.indexes.tree(primary)
+        assert session.runner.run(tree.lookup(encode_key((9,)))) == []
 
     def test_rollback_reverts(self, session):
         session.execute("BEGIN")

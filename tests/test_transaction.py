@@ -90,6 +90,28 @@ class TestLifecycle:
         assert K1 in entry.write_set
 
 
+    def test_run_transaction_aborts_when_logic_raises(self, env):
+        """An application error must not leave the tid active: it would
+        pin the lowest active version and block GC for good."""
+        _cluster, cm, pn, runner = env
+        seed(runner, pn, {K1: ("x",)})
+
+        def broken(txn):
+            yield from txn.update(K2, ("no such row",))
+
+        with pytest.raises(KeyNotFound):
+            runner.run(pn.run_transaction(broken))
+        assert cm.active_transactions() == []
+        assert pn.stats.aborted == 1
+
+        def bump(txn):
+            yield from txn.update(K1, ("y",))
+
+        for _ in range(5):
+            runner.run(pn.run_transaction(bump))
+        assert cm.lowest_active_version() == cm.completed.base == 7
+
+
 class TestReadsAndWrites:
     def test_read_your_own_writes(self, env):
         _c, _cm, pn, runner = env
