@@ -24,6 +24,7 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro import effects
 from repro.core.commit_manager import CommitManager
+from repro.core.record import VersionedRecord
 from repro.dispatch import (
     KIND_BATCH,
     KIND_CM_START,
@@ -386,10 +387,16 @@ class SimFabric:
 
         def run_scan() -> None:
             try:
-                slot.value = self.cluster.execute_scan(op)
-                response_bytes = 64 + sum(
-                    16 + approx_size(value) for _k, value, _v in slot.value
-                )
+                slot.value = rows = self.cluster.execute_scan(op)
+                response_bytes = 64 + 16 * len(rows)
+                for _key, value, _version in rows:
+                    # An unfiltered scan ships whole records, which cache
+                    # their size; pushed-down rows take the generic path.
+                    response_bytes += (
+                        value.approx_size()
+                        if value.__class__ is VersionedRecord
+                        else approx_size(value)
+                    )
             except TellError as exc:
                 slot.error = exc
                 response_bytes = 64

@@ -1,7 +1,7 @@
-"""Relational layer: schema, SQL front end, and the iterator executor.
+"""Relational layer: schema, SQL front end, and the executor.
 
 Tell's processing nodes parse SQL, plan it against the catalog, and
-execute it with the iterator model over records fetched from the shared
+execute it stage by stage over the row tuples fetched from the shared
 store ("data is shipped to the query", Section 2.1).
 """
 

@@ -5,11 +5,21 @@ from __future__ import annotations
 from typing import Any, List, Optional, Sequence, Tuple
 
 
+def _structural_repr(node: Any) -> str:
+    """``Class(slot=value, ...)``: equal trees print equal (``parse``
+    shares one tree per statement text; tests compare it across runs)."""
+    fields = ", ".join(
+        f"{name}={getattr(node, name)!r}" for name in node.__slots__
+    )
+    return f"{type(node).__name__}({fields})"
+
+
 # -- expressions -------------------------------------------------------------
 
 
 class Expr:
     __slots__ = ()
+    __repr__ = _structural_repr
 
 
 class Literal(Expr):
@@ -121,10 +131,12 @@ class Like(Expr):
 
 class Statement:
     __slots__ = ()
+    __repr__ = _structural_repr
 
 
 class ColumnClause:
     __slots__ = ("name", "type_name", "nullable", "default", "unique")
+    __repr__ = _structural_repr
 
     def __init__(self, name: str, type_name: str, nullable: bool, default: Any,
                  unique: bool = False):
@@ -175,6 +187,7 @@ class Insert(Statement):
 
 class TableRef:
     __slots__ = ("name", "alias")
+    __repr__ = _structural_repr
 
     def __init__(self, name: str, alias: Optional[str]):
         self.name = name.lower()
@@ -183,6 +196,7 @@ class TableRef:
 
 class Join:
     __slots__ = ("table", "on", "kind")
+    __repr__ = _structural_repr
 
     def __init__(self, table: TableRef, on: Expr, kind: str = "inner"):
         self.table = table
@@ -192,6 +206,7 @@ class Join:
 
 class SelectItem:
     __slots__ = ("expr", "alias", "star", "table_star")
+    __repr__ = _structural_repr
 
     def __init__(self, expr: Optional[Expr], alias: Optional[str],
                  star: bool = False, table_star: Optional[str] = None):

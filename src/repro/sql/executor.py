@@ -1,8 +1,13 @@
 """Planning and execution of parsed SQL statements.
 
-The executor follows the iterator model of the paper's query processor,
-materialized stage by stage (OLTP result sets are small; OLAP scans ship
-data to the query by construction).  Access-path selection is rule-based:
+Each execution resolves its statement once and then runs on positional
+rows: every column reference becomes a position in the row tuple
+(:class:`_Layout`), every parameter its bound value, and the WHERE / ON /
+SET / projection / aggregate / ORDER BY expressions closures over row
+tuples (:class:`_Compiler`).  Stages are materialized lists (OLTP result
+sets are small; OLAP scans ship data to the query by construction).
+Nothing is kept between executions, so a statement always sees the
+current schema.  Access-path selection is rule-based:
 
 * a conjunction of equality predicates covering an index's full key ->
   index lookup;
@@ -11,25 +16,27 @@ data to the query by construction).  Access-path selection is rule-based:
 * otherwise -> full table scan through the storage layer's Scan.
 
 Joins prefer an index nested-loop when the inner table has a usable index
-on the join key, falling back to a hash join for equi-joins and to a
+on the join key, falling back to a hash join for inner equi-joins and to a
 filtered nested loop otherwise.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
+from repro.core.spaces import data_key
 from repro.errors import SqlPlanError
 from repro.sql import ast_nodes as ast
 from repro.sql.schema import IndexDef, TableSchema
 from repro.sql.table import Table
 
 AGGREGATE_FUNCTIONS = {"count", "sum", "avg", "min", "max"}
-SCALAR_FUNCTIONS = {"abs", "lower", "upper", "length", "round", "coalesce",
-                    "substr"}
 
-Row = Dict[str, Any]  # "alias.column" -> value (plus bare names when unique)
+#: The FROM tables' stored row tuples side by side (see :class:`_Layout`).
+Row = Tuple[Any, ...]
+RowFn = Callable[[Row], Any]
 
 
 class ResultSet:
@@ -88,7 +95,7 @@ class ResultSet:
 
 
 # ---------------------------------------------------------------------------
-# Expression evaluation
+# Expression compilation
 # ---------------------------------------------------------------------------
 
 
@@ -105,152 +112,251 @@ def _like_to_regex(pattern: str) -> "re.Pattern":
     return re.compile("".join(out), re.IGNORECASE)
 
 
-def evaluate(expr: ast.Expr, row: Row, params: Sequence[Any]) -> Any:
-    """Evaluate an expression against one row environment."""
-    if isinstance(expr, ast.Literal):
-        return expr.value
-    if isinstance(expr, ast.Param):
-        try:
-            return params[expr.index]
-        except IndexError:
-            raise SqlPlanError(
-                f"statement has parameter ${expr.index} but only "
-                f"{len(params)} values were bound"
+def _substr(args: List[Any]) -> Any:
+    if args[0] is None:
+        return None
+    start = int(args[1]) - 1
+    if len(args) > 2:
+        return str(args[0])[start : start + int(args[2])]
+    return str(args[0])[start:]
+
+
+#: name -> function of the evaluated argument list.
+SCALAR_FUNCTIONS: Dict[str, Callable[[List[Any]], Any]] = {
+    "abs": lambda args: None if args[0] is None else abs(args[0]),
+    "lower": lambda args: None if args[0] is None else str(args[0]).lower(),
+    "upper": lambda args: None if args[0] is None else str(args[0]).upper(),
+    "length": lambda args: None if args[0] is None else len(str(args[0])),
+    "round": lambda args: None if args[0] is None else round(
+        args[0], int(args[1]) if len(args) > 1 else 0
+    ),
+    "coalesce": lambda args: next(
+        (value for value in args if value is not None), None
+    ),
+    "substr": _substr,
+}
+
+#: Operators that yield NULL when an operand is NULL.
+_BINARY_OPERATORS: Dict[str, Callable[[Any, Any], Any]] = {
+    "=": operator.eq, "!=": operator.ne,
+    "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge,
+    "+": operator.add, "-": operator.sub,
+    "*": operator.mul, "/": operator.truediv,
+}
+
+
+def _param_value(param: ast.Param, params: Sequence[Any]) -> Any:
+    try:
+        return params[param.index]
+    except IndexError:
+        raise SqlPlanError(
+            f"statement has parameter ${param.index} but only "
+            f"{len(params)} values were bound"
+        )
+
+
+def _raiser(error: SqlPlanError) -> RowFn:
+    """What cannot be resolved fails when a row reaches it, not when the
+    statement is compiled: over no rows it is no error."""
+
+    def fail(_row: Row) -> Any:
+        raise error
+
+    return fail
+
+
+class _Layout:
+    """Where each FROM-clause column sits in a positional row.
+
+    A row is the tables' stored row tuples concatenated in FROM order, so
+    a single-table statement runs on the stored tuples themselves and a
+    join builds a new tuple only for a row it emits.
+    """
+
+    def __init__(self) -> None:
+        #: (alias, schema, position of the table's first column)
+        self.tables: List[Tuple[str, TableSchema, int]] = []
+        self.width = 0
+
+    def add(self, alias: str, schema: TableSchema) -> None:
+        self.tables.append((alias, schema, self.width))
+        self.width += len(schema.columns)
+
+    def position(self, ref: ast.ColumnRef) -> Optional[int]:
+        """Row position of ``ref``; None when it names no column -- or,
+        unqualified, more than one."""
+        if ref.table is None:
+            hits = [
+                offset + schema.position(ref.name)
+                for _alias, schema, offset in self.tables
+                if schema.has_column(ref.name)
+            ]
+            return hits[0] if len(hits) == 1 else None
+        for alias, schema, offset in reversed(self.tables):
+            if alias == ref.table and schema.has_column(ref.name):
+                return offset + schema.position(ref.name)
+        return None
+
+
+class _Compiler:
+    """Turns an expression into a closure over positional rows.
+
+    Columns resolve through ``layout`` *as it stands at the call*,
+    parameters to their bound values and -- after grouping -- aggregate
+    calls to the row positions in ``aggregates``
+    (:meth:`StatementExecutor._aggregate` appends the values there).
+    """
+
+    def __init__(self, layout: _Layout, params: Sequence[Any],
+                 aggregates: Optional[Dict[str, int]] = None):
+        self.layout = layout
+        self.params = params
+        self.aggregates = aggregates
+
+    def __call__(self, expr: ast.Expr) -> RowFn:
+        if isinstance(expr, ast.ColumnRef):
+            position = self.layout.position(expr)
+            if position is None:
+                name = f"{expr.table}.{expr.name}" if expr.table else expr.name
+                return _raiser(SqlPlanError(f"unknown column {name!r}"))
+            return operator.itemgetter(position)
+        if isinstance(expr, ast.Literal):
+            return _constant(expr.value)
+        if isinstance(expr, ast.Param):
+            try:
+                return _constant(_param_value(expr, self.params))
+            except SqlPlanError as unbound:
+                return _raiser(unbound)
+        if isinstance(expr, ast.BinaryOp):
+            return self._binary(expr)
+        if isinstance(expr, ast.FuncCall):
+            return self._function(expr)
+        if isinstance(expr, ast.UnaryOp):
+            function = {"-": operator.neg, "not": operator.not_}.get(expr.op)
+            if function is None:
+                raise SqlPlanError(f"unknown unary operator {expr.op!r}")
+            return self._null_if_any_null(function, expr.operand)
+        if isinstance(expr, ast.IsNull):
+            operand, negated = self(expr.operand), expr.negated
+            return lambda row: (operand(row) is None) != negated
+        if isinstance(expr, ast.InList):
+            operand, negated = self(expr.operand), expr.negated
+            items = [self(item) for item in expr.items]
+
+            def in_list(row: Row) -> Any:
+                value = operand(row)
+                if value is None:
+                    return None
+                return (value in [item(row) for item in items]) != negated
+
+            return in_list
+        if isinstance(expr, ast.Between):
+            def between(value: Any, low: Any, high: Any) -> bool:
+                return (low <= value <= high) != expr.negated
+
+            return self._null_if_any_null(
+                between, expr.operand, expr.low, expr.high
             )
-    if isinstance(expr, ast.ColumnRef):
-        key = f"{expr.table}.{expr.name}" if expr.table else expr.name
-        if key in row:
-            return row[key]
-        raise SqlPlanError(f"unknown column {key!r}")
-    if isinstance(expr, ast.BinaryOp):
-        return _binary(expr, row, params)
-    if isinstance(expr, ast.UnaryOp):
-        value = evaluate(expr.operand, row, params)
-        if expr.op == "-":
-            return None if value is None else -value
-        if expr.op == "not":
-            return None if value is None else not value
-        raise SqlPlanError(f"unknown unary operator {expr.op!r}")
-    if isinstance(expr, ast.FuncCall):
-        return _scalar_function(expr, row, params)
-    if isinstance(expr, ast.InList):
-        value = evaluate(expr.operand, row, params)
-        if value is None:
-            return None
-        members = [evaluate(item, row, params) for item in expr.items]
-        result = value in members
-        return not result if expr.negated else result
-    if isinstance(expr, ast.Between):
-        value = evaluate(expr.operand, row, params)
-        low = evaluate(expr.low, row, params)
-        high = evaluate(expr.high, row, params)
-        if value is None or low is None or high is None:
-            return None
-        result = low <= value <= high
-        return not result if expr.negated else result
-    if isinstance(expr, ast.IsNull):
-        value = evaluate(expr.operand, row, params)
-        result = value is None
-        return not result if expr.negated else result
-    if isinstance(expr, ast.Like):
-        value = evaluate(expr.operand, row, params)
-        pattern = evaluate(expr.pattern, row, params)
-        if value is None or pattern is None:
-            return None
-        result = bool(_like_to_regex(pattern).match(str(value)))
-        return not result if expr.negated else result
-    raise SqlPlanError(f"cannot evaluate {expr!r}")
+        if isinstance(expr, ast.Like):
+            def like(value: Any, pattern: Any) -> bool:
+                matched = _like_to_regex(pattern).match(str(value))
+                return (matched is not None) != expr.negated
+
+            return self._null_if_any_null(like, expr.operand, expr.pattern)
+        raise SqlPlanError(f"cannot evaluate {expr!r}")
+
+    def _null_if_any_null(self, function: Callable[..., Any],
+                          *operands: ast.Expr) -> RowFn:
+        compiled = [self(operand) for operand in operands]
+
+        def strict(row: Row) -> Any:
+            values = [operand(row) for operand in compiled]
+            return None if None in values else function(*values)
+
+        return strict
+
+    def _binary(self, expr: ast.BinaryOp) -> RowFn:
+        left, right = self(expr.left), self(expr.right)
+        if expr.op == "and":
+            def conjunction(row: Row) -> Any:
+                a = left(row)
+                if a is False:
+                    return False
+                b = right(row)
+                if b is False:
+                    return False
+                return None if a is None or b is None else True
+
+            return conjunction
+        if expr.op == "or":
+            def disjunction(row: Row) -> Any:
+                a = left(row)
+                if a is True:
+                    return True
+                b = right(row)
+                if b is True:
+                    return True
+                return None if a is None or b is None else False
+
+            return disjunction
+        function = _BINARY_OPERATORS.get(expr.op)
+        if function is None:
+            raise SqlPlanError(f"unknown operator {expr.op!r}")
+
+        def binary(row: Row) -> Any:
+            a = left(row)
+            b = right(row)
+            return None if a is None or b is None else function(a, b)
+
+        return binary
+
+    def _function(self, expr: ast.FuncCall) -> RowFn:
+        if expr.name in AGGREGATE_FUNCTIONS:
+            position = (self.aggregates or {}).get(_aggregate_key(expr))
+            if position is None:
+                return _raiser(SqlPlanError(
+                    f"aggregate {expr.name} used outside GROUP BY context"
+                ))
+            return operator.itemgetter(position)
+        function = SCALAR_FUNCTIONS.get(expr.name)
+        if function is None:
+            return _raiser(SqlPlanError(f"unknown function {expr.name!r}"))
+        args = [self(arg) for arg in expr.args]
+        return lambda row: function([arg(row) for arg in args])
 
 
-def _binary(expr: ast.BinaryOp, row: Row, params: Sequence[Any]) -> Any:
-    op = expr.op
-    if op == "and":
-        left = evaluate(expr.left, row, params)
-        if left is False:
-            return False
-        right = evaluate(expr.right, row, params)
-        if right is False:
-            return False
-        if left is None or right is None:
-            return None
-        return True
-    if op == "or":
-        left = evaluate(expr.left, row, params)
-        if left is True:
-            return True
-        right = evaluate(expr.right, row, params)
-        if right is True:
-            return True
-        if left is None or right is None:
-            return None
-        return False
-    left = evaluate(expr.left, row, params)
-    right = evaluate(expr.right, row, params)
-    if left is None or right is None:
-        return None
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        return left / right
-    raise SqlPlanError(f"unknown operator {op!r}")
-
-
-def _scalar_function(expr: ast.FuncCall, row: Row, params: Sequence[Any]) -> Any:
-    name = expr.name
-    if name in AGGREGATE_FUNCTIONS:
-        # Aggregates are computed by the grouping stage; during final
-        # projection their results live in the row under a synthetic key.
-        key = _aggregate_key(expr)
-        if key in row:
-            return row[key]
-        raise SqlPlanError(f"aggregate {name} used outside GROUP BY context")
-    args = [evaluate(arg, row, params) for arg in expr.args]
-    if name == "abs":
-        return None if args[0] is None else abs(args[0])
-    if name == "lower":
-        return None if args[0] is None else str(args[0]).lower()
-    if name == "upper":
-        return None if args[0] is None else str(args[0]).upper()
-    if name == "length":
-        return None if args[0] is None else len(str(args[0]))
-    if name == "round":
-        digits = int(args[1]) if len(args) > 1 else 0
-        return None if args[0] is None else round(args[0], digits)
-    if name == "coalesce":
-        for value in args:
-            if value is not None:
-                return value
-        return None
-    if name == "substr":
-        if args[0] is None:
-            return None
-        start = int(args[1]) - 1
-        if len(args) > 2:
-            return str(args[0])[start : start + int(args[2])]
-        return str(args[0])[start:]
-    raise SqlPlanError(f"unknown function {name!r}")
+def _constant(value: Any) -> RowFn:
+    return lambda _row: value
 
 
 def _aggregate_key(call: ast.FuncCall) -> str:
     inner = "*" if call.star else repr(call.args[0]) if call.args else ""
     distinct = "distinct " if call.distinct else ""
     return f"__agg_{call.name}({distinct}{inner})"
+
+
+def _compute_aggregate(
+    call: ast.FuncCall, argument: Optional[RowFn], rows: List[Row]
+) -> Any:
+    if argument is None:  # COUNT(*)
+        return len(rows)
+    values = [value for value in map(argument, rows) if value is not None]
+    if call.distinct:
+        values = list(dict.fromkeys(values))
+    if call.name == "count":
+        return len(values)
+    if not values:
+        return None
+    if call.name == "sum":
+        return sum(values)
+    if call.name == "avg":
+        return sum(values) / len(values)
+    if call.name == "min":
+        return min(values)
+    if call.name == "max":
+        return max(values)
+    raise SqlPlanError(f"unknown aggregate {call.name!r}")
 
 
 def _collect_aggregates(expr: Optional[ast.Expr], out: List[ast.FuncCall]) -> None:
@@ -300,7 +406,7 @@ def _constant_value(
     if isinstance(expr, ast.Literal):
         return True, expr.value
     if isinstance(expr, ast.Param):
-        return True, evaluate(expr, {}, params)  # SqlPlanError when unbound
+        return True, _param_value(expr, params)  # SqlPlanError when unbound
     if isinstance(expr, ast.UnaryOp) and expr.op == "-":
         ok, value = _constant_value(expr.operand, params)
         return (ok, -value if ok and value is not None else None)
@@ -473,39 +579,6 @@ class StatementExecutor:
         self.tables = table_provider
         self.params = list(params)
 
-    # -- rows in/out of environments ---------------------------------------------
-
-    def _env_from(
-        self, alias: str, schema: TableSchema, rid: int, row: Tuple[Any, ...]
-    ) -> Row:
-        env: Row = {"__rid." + alias: rid}
-        for column, value in zip(schema.columns, row):
-            env[f"{alias}.{column.name}"] = value
-        return env
-
-    @staticmethod
-    def _merge(left: Row, right: Row) -> Row:
-        merged = dict(left)
-        merged.update(right)
-        return merged
-
-    @staticmethod
-    def _add_bare_names(rows: List[Row], scopes: List[Tuple[str, TableSchema]]) -> None:
-        """Expose unambiguous bare column names alongside qualified ones."""
-        counts: Dict[str, int] = {}
-        for _alias, schema in scopes:
-            for column in schema.columns:
-                counts[column.name] = counts.get(column.name, 0) + 1
-        singles = [
-            (alias, column.name)
-            for alias, schema in scopes
-            for column in schema.columns
-            if counts[column.name] == 1
-        ]
-        for row in rows:
-            for alias, name in singles:
-                row[name] = row[f"{alias}.{name}"]
-
     # -- base table access ------------------------------------------------------------
 
     def _access_path(
@@ -524,26 +597,22 @@ class StatementExecutor:
         pushdown = _build_pushdown(schema, predicates) if path[0] == "scan" else None
         return path + (pushdown,)
 
-    def _base_rows(
+    def _base_pairs(
         self,
+        table: Table,
         table_ref: ast.TableRef,
         condition: Optional[ast.Expr],
     ) -> Generator:
-        table: Table = self.tables(table_ref.name)
-        schema = table.schema
+        """``[(rid, row)]`` through the chosen access path: a superset of
+        the rows ``condition`` keeps."""
         kind, index, low, high, include_high, pushdown = self._access_path(
-            table_ref, schema, condition
+            table_ref, table.schema, condition
         )
         if kind == "lookup":
-            pairs = yield from table.lookup(index, low)
-        elif kind == "range":
-            pairs = yield from table.index_range(index, low, high, include_high)
-        else:
-            pairs = yield from table.scan(pushdown)
-        return [
-            self._env_from(table_ref.alias, schema, rid, row)
-            for rid, row in pairs
-        ]
+            return (yield from table.lookup(index, low))
+        if kind == "range":
+            return (yield from table.index_range(index, low, high, include_high))
+        return (yield from table.scan(pushdown))
 
     # -- SELECT --------------------------------------------------------------------------
 
@@ -556,31 +625,34 @@ class StatementExecutor:
         return expr
 
     def select(self, stmt: ast.Select) -> Generator:
-        scopes: List[Tuple[str, TableSchema]] = []
-        rows: List[Row]
-        if stmt.table is None:
-            rows = [{}]
-        else:
-            schema = self.tables(stmt.table.name).schema
-            scopes.append((stmt.table.alias, schema))
-            rows = yield from self._base_rows(stmt.table, stmt.where)
+        if stmt.for_update and (stmt.group_by or stmt.joins):
+            raise SqlPlanError(
+                "FOR UPDATE requires a plain single-table SELECT"
+            )
+        layout = _Layout()
+        rows: List[Row] = [()]
+        if stmt.table is not None:
+            table: Table = self.tables(stmt.table.name)
+            layout.add(stmt.table.alias, table.schema)
+            pairs = yield from self._base_pairs(table, stmt.table, stmt.where)
+            rows = [row for _rid, row in pairs]
             for join in stmt.joins:
-                rows = yield from self._join(rows, scopes, join)
-                scopes.append((join.table.alias, self.tables(join.table.name).schema))
-        self._add_bare_names(rows, scopes)
+                rows = yield from self._join(rows, layout, join)
+        compile = _Compiler(layout, self.params)
 
         if stmt.where is not None:
-            rows = [
-                row for row in rows
-                if evaluate(stmt.where, row, self.params) is True
-            ]
+            where = compile(stmt.where)
+            rows = [row for row in rows if where(row) is True]
 
-        if stmt.for_update:
-            if stmt.group_by or stmt.joins:
-                raise SqlPlanError(
-                    "FOR UPDATE requires a plain single-table SELECT"
-                )
-            yield from self._lock_rows(stmt, rows, scopes)
+        if stmt.for_update and stmt.table is not None:
+            # Materialize the reads: concurrent writers conflict.  Without
+            # joins ``rows`` still holds the stored tuples of ``pairs``.
+            kept = set(map(id, rows))
+            for rid, row in pairs:
+                if id(row) in kept:
+                    yield from table.txn.read_for_update(
+                        data_key(table.schema.table_id, rid)
+                    )
 
         order_by = [
             (self._resolve_alias(stmt, expr), descending)
@@ -596,133 +668,99 @@ class StatementExecutor:
             _collect_aggregates(expr, aggregates)
 
         if group_by or aggregates:
-            rows = self._aggregate(group_by, rows, aggregates)
+            rows, compile = self._aggregate(compile, group_by, aggregates, rows)
         if stmt.having is not None:
-            rows = [
-                row for row in rows
-                if evaluate(stmt.having, row, self.params) is True
-            ]
+            having = compile(stmt.having)
+            rows = [row for row in rows if having(row) is True]
 
-        if order_by:
-            for expr, descending in reversed(order_by):
-                rows.sort(
-                    key=lambda row: _sort_key(evaluate(expr, row, self.params)),
-                    reverse=descending,
-                )
+        for expr, descending in reversed(order_by):
+            key = compile(expr)
+            rows.sort(key=lambda row: _SortKey(key(row)), reverse=descending)
 
-        columns, projected = self._project(stmt, rows, scopes)
+        columns, projected = self._project(stmt, rows, compile)
         if stmt.distinct:
-            seen = set()
-            unique_rows = []
-            for row in projected:
-                marker = tuple(row)
-                if marker not in seen:
-                    seen.add(marker)
-                    unique_rows.append(row)
-            projected = unique_rows
+            projected = list(dict.fromkeys(projected))
         if stmt.limit is not None:
             projected = projected[: stmt.limit]
         return ResultSet(columns, projected, len(projected))
 
-    def _lock_rows(
-        self,
-        stmt: ast.Select,
-        rows: List[Row],
-        scopes: List[Tuple[str, TableSchema]],
-    ) -> Generator:
-        """Materialize FOR UPDATE reads: concurrent writers conflict."""
-        from repro.core.spaces import data_key
-
-        if not scopes:
-            return
-        alias, schema = scopes[0]
-        table: Table = self.tables(stmt.table.name)
-        for row in rows:
-            rid = row.get("__rid." + alias)
-            if rid is not None:
-                yield from table.txn.read_for_update(
-                    data_key(schema.table_id, rid)
-                )
-
     def _join(
-        self,
-        left_rows: List[Row],
-        scopes: List[Tuple[str, TableSchema]],
-        join: ast.Join,
+        self, left_rows: List[Row], layout: _Layout, join: ast.Join
     ) -> Generator:
+        """``left_rows`` joined to ``join.table``, whose columns this adds
+        to ``layout``; left-major, inner rows in access order."""
         table: Table = self.tables(join.table.name)
         schema = table.schema
-        alias = join.table.alias
         strategy, index, equi, residual = self._join_plan(
-            join, schema, {scope_alias for scope_alias, _ in scopes}
+            join, schema, {alias for alias, _schema, _offset in layout.tables}
         )
+        # The outer key expressions range over the left tables, so they
+        # are compiled before the layout grows.
+        compile = _Compiler(layout, self.params)
+        if strategy == "index":
+            equi = sorted(equi, key=lambda pair: index.columns.index(pair[0]))
+        outer_parts = [compile(expr) for _column, expr in equi]
+        layout.add(join.table.alias, schema)
         if not left_rows:
             return []  # inner and left joins alike produce nothing
+        conditions = [
+            compile(cond) for cond in (
+                [join.on] if strategy == "loop" else residual
+            )
+        ]
         out: List[Row] = []
-        if strategy == "index":
-            # Index nested-loop join.
-            order = {column: position for position, column in enumerate(index.columns)}
-            ordered = sorted(equi, key=lambda pair: order[pair[0]])
+
+        if strategy == "hash":
+            # Build on the (filtered, usually small) left input and stream
+            # the scanned side past it: an inner row that matches nothing
+            # is looked at once and never copied.  A NULL key joins
+            # nothing: left rows carrying one are not entered, so inner
+            # ones find no bucket.
+            inner_key = operator.itemgetter(
+                *[schema.position(column) for column, _expr in equi]
+            )
+            outer_keys = []
+            buckets: Dict[Any, List[Row]] = {}  # inner rows, in scan order
             for left in left_rows:
-                key = tuple(
-                    evaluate(expr, left, self.params) for _col, expr in ordered
-                )
-                if any(part is None for part in key):
+                key = tuple([part(left) for part in outer_parts])
+                if None in key:
+                    key = None
+                else:
+                    # shaped like itemgetter's result: bare for one column
+                    key = key if len(key) > 1 else key[0]
+                    buckets[key] = []
+                outer_keys.append(key)
+            inner_pairs = yield from table.scan()
+            for _rid, inner in inner_pairs:
+                bucket = buckets.get(inner_key(inner))
+                if bucket is not None:
+                    bucket.append(inner)
+            for left, key in zip(left_rows, outer_keys):
+                for inner in buckets.get(key, ()):
+                    candidate = left + inner
+                    if all(cond(candidate) is True for cond in conditions):
+                        out.append(candidate)
+            return out
+
+        # Nested loop: index lookups per left row, or the scanned table
+        # under the whole ON condition.
+        if strategy == "loop":
+            matches = yield from table.scan()
+        for left in left_rows:
+            if strategy == "index":
+                key = tuple([part(left) for part in outer_parts])
+                if None in key:
                     matches = []  # NULL never equi-joins
                 else:
                     matches = yield from table.lookup(index, key)
-                matched = False
-                for rid, row in matches:
-                    candidate = self._merge(
-                        left, self._env_from(alias, schema, rid, row)
-                    )
-                    if all(
-                        evaluate(cond, candidate, self.params) is True
-                        for cond in residual
-                    ):
-                        out.append(candidate)
-                        matched = True
-                if join.kind == "left" and not matched:
-                    out.append(self._merge(left, self._null_env(alias, schema)))
-            return out
-
-        inner_pairs = yield from table.scan()
-        inner_rows = [
-            self._env_from(alias, schema, rid, row) for rid, row in inner_pairs
-        ]
-        if strategy != "loop" and join.kind == "inner":
-            # Hash join on the equi columns.
-            buckets: Dict[Tuple, List[Row]] = {}
-            for inner in inner_rows:
-                key = tuple(inner[f"{alias}.{column}"] for column, _ in equi)
-                if any(part is None for part in key):
-                    continue  # NULL never equi-joins
-                buckets.setdefault(key, []).append(inner)
-            for left in left_rows:
-                key = tuple(
-                    evaluate(expr, left, self.params) for _col, expr in equi
-                )
-                if any(part is None for part in key):
-                    continue
-                for inner in buckets.get(key, ()):  # noqa: B020
-                    candidate = self._merge(left, inner)
-                    if all(
-                        evaluate(cond, candidate, self.params) is True
-                        for cond in residual
-                    ):
-                        out.append(candidate)
-            return out
-
-        # Fallback: nested loop with full ON evaluation.
-        for left in left_rows:
             matched = False
-            for inner in inner_rows:
-                candidate = self._merge(left, inner)
-                if evaluate(join.on, candidate, self.params) is True:
+            for _rid, inner in matches:
+                candidate = left + inner
+                if all(cond(candidate) is True for cond in conditions):
                     out.append(candidate)
                     matched = True
             if join.kind == "left" and not matched:
-                out.append(self._merge(left, self._null_env(alias, schema)))
+                out.append(left + (None,) * len(schema.columns))
         return out
 
     def _join_plan(
@@ -731,13 +769,14 @@ class StatementExecutor:
         """The join decision, read by execution and EXPLAIN alike:
         ``(strategy, index, equi, residual)`` with strategy ``"index"``
         (nested-loop lookups through ``index``), ``"hash"`` or ``"loop"``.
-        ``equi`` pairs are ``inner.column = <expr over the left scope>``;
-        ``residual`` holds the other ON conjuncts."""
+        ``equi`` pairs are ``inner.column = <expr over the left scope>``,
+        one per inner column (a second equality on a column already bound
+        can only filter); ``residual`` holds the other ON conjuncts."""
         equi: List[Tuple[str, ast.Expr]] = []
         residual: List[ast.Expr] = []
         for conjunct in _conjuncts(join.on):
             pair = self._equi_pair(conjunct, join.table.alias, schema, left_aliases)
-            if pair is not None:
+            if pair is not None and all(pair[0] != column for column, _ in equi):
                 equi.append(pair)
             else:
                 residual.append(conjunct)
@@ -749,12 +788,6 @@ class StatementExecutor:
         else:
             strategy = "loop"
         return strategy, index, equi, residual
-
-    def _null_env(self, alias: str, schema: TableSchema) -> Row:
-        env: Row = {"__rid." + alias: None}
-        for column in schema.columns:
-            env[f"{alias}.{column.name}"] = None
-        return env
 
     def _equi_pair(
         self,
@@ -795,99 +828,67 @@ class StatementExecutor:
         available = set(columns)
         best: Optional[IndexDef] = None
         for index in schema.indexes:
-            if all(column in available for column in index.columns) and set(
-                index.columns
-            ) == available:
-                if best is None or index.unique:
-                    best = index
+            if set(index.columns) == available and (best is None or index.unique):
+                best = index
         return best
 
     # -- aggregation --------------------------------------------------------------------
 
     def _aggregate(
         self,
+        compile: _Compiler,
         group_by: List[ast.Expr],
-        rows: List[Row],
         aggregates: List[ast.FuncCall],
-    ) -> List[Row]:
-        groups: "Dict[Tuple, List[Row]]" = {}
+        rows: List[Row],
+    ) -> Tuple[List[Row], _Compiler]:
+        """One row per group -- the group's first row (NULLs for the one
+        group of an empty ungrouped input) followed by the aggregate
+        values -- and the compiler that finds the values there."""
+        width = compile.layout.width
+        positions: Dict[str, int] = {}
+        calls: List[Tuple[ast.FuncCall, Optional[RowFn]]] = []
+        for call in aggregates:
+            key = _aggregate_key(call)
+            if key not in positions:
+                positions[key] = width + len(calls)
+                calls.append((call, None if call.star else compile(call.args[0])))
         if group_by:
+            parts = [compile(expr) for expr in group_by]
+            groups: Dict[Tuple, List[Row]] = {}
             for row in rows:
-                key = tuple(
-                    _sort_key(evaluate(expr, row, self.params))
-                    for expr in group_by
-                )
+                key = tuple([_SortKey(part(row)) for part in parts])
                 groups.setdefault(key, []).append(row)
+            grouped = list(groups.values())
         else:
-            groups[()] = rows
-
-        out: List[Row] = []
-        for _key, members in groups.items():
-            base: Row = dict(members[0]) if members else {}
-            for call in aggregates:
-                base[_aggregate_key(call)] = self._compute_aggregate(call, members)
-            out.append(base)
-        if not group_by and not out:
-            empty: Row = {}
-            for call in aggregates:
-                empty[_aggregate_key(call)] = self._compute_aggregate(call, [])
-            out.append(empty)
-        return out
-
-    def _compute_aggregate(self, call: ast.FuncCall, rows: List[Row]) -> Any:
-        if call.star:
-            return len(rows)
-        values = [
-            evaluate(call.args[0], row, self.params) for row in rows
+            grouped = [rows]
+        out = [
+            (members[0] if members else (None,) * width) + tuple([
+                _compute_aggregate(call, argument, members)
+                for call, argument in calls
+            ])
+            for members in grouped
         ]
-        values = [value for value in values if value is not None]
-        if call.distinct:
-            values = list(dict.fromkeys(values))
-        if call.name == "count":
-            return len(values)
-        if not values:
-            return None
-        if call.name == "sum":
-            return sum(values)
-        if call.name == "avg":
-            return sum(values) / len(values)
-        if call.name == "min":
-            return min(values)
-        if call.name == "max":
-            return max(values)
-        raise SqlPlanError(f"unknown aggregate {call.name!r}")
+        return out, _Compiler(compile.layout, self.params, positions)
 
     # -- projection ----------------------------------------------------------------------
 
     def _project(
-        self,
-        stmt: ast.Select,
-        rows: List[Row],
-        scopes: List[Tuple[str, TableSchema]],
+        self, stmt: ast.Select, rows: List[Row], compile: _Compiler
     ) -> Tuple[List[str], List[Tuple[Any, ...]]]:
         columns: List[str] = []
-        extractors = []
+        extractors: List[RowFn] = []
         for item in stmt.items:
-            if item.star:
-                for alias, schema in scopes:
-                    for column in schema.columns:
-                        columns.append(column.name)
-                        extractors.append(_qualified_getter(alias, column.name))
-            elif item.table_star is not None:
-                target = item.table_star
-                for alias, schema in scopes:
-                    if alias == target:
-                        for column in schema.columns:
-                            columns.append(column.name)
-                            extractors.append(_qualified_getter(alias, column.name))
-            else:
+            if item.expr is not None:
                 columns.append(item.alias or _expr_label(item.expr))
-                expr = item.expr
-                extractors.append(
-                    lambda row, bound=expr: evaluate(bound, row, self.params)
-                )
+                extractors.append(compile(item.expr))
+                continue
+            for alias, schema, offset in compile.layout.tables:
+                if item.star or alias == item.table_star:
+                    for position, column in enumerate(schema.columns, offset):
+                        columns.append(column.name)
+                        extractors.append(operator.itemgetter(position))
         projected = [
-            tuple(extract(row) for extract in extractors) for row in rows
+            tuple([extract(row) for extract in extractors]) for row in rows
         ]
         return columns, projected
 
@@ -989,6 +990,7 @@ class StatementExecutor:
                 yield from table.insert(values)
                 count += 1
             return ResultSet([], [], count)
+        compile = _Compiler(_Layout(), self.params)
         for row_exprs in stmt.rows:
             if len(row_exprs) != len(columns):
                 raise SqlPlanError(
@@ -996,55 +998,49 @@ class StatementExecutor:
                     f"{len(row_exprs)} values"
                 )
             values = {
-                column: evaluate(expr, {}, self.params)
+                column: compile(expr)(())
                 for column, expr in zip(columns, row_exprs)
             }
             yield from table.insert(values)
             count += 1
         return ResultSet([], [], count)
 
+    def _target_pairs(
+        self, table: Table, table_name: str, condition: Optional[ast.Expr]
+    ) -> Generator:
+        """For UPDATE and DELETE: the compiler for the target table's rows
+        and the ``[(rid, row)]`` their WHERE keeps."""
+        ref = ast.TableRef(table_name, None)
+        layout = _Layout()
+        layout.add(ref.alias, table.schema)
+        compile = _Compiler(layout, self.params)
+        pairs = yield from self._base_pairs(table, ref, condition)
+        if condition is not None:
+            where = compile(condition)
+            pairs = [pair for pair in pairs if where(pair[1]) is True]
+        return compile, pairs
+
     def update(self, stmt: ast.Update) -> Generator:
         table: Table = self.tables(stmt.table)
-        ref = ast.TableRef(stmt.table, None)
-        rows = yield from self._base_rows(ref, stmt.where)
-        self._add_bare_names(rows, [(ref.alias, table.schema)])
-        count = 0
-        for row in rows:
-            if stmt.where is not None and evaluate(
-                stmt.where, row, self.params
-            ) is not True:
-                continue
-            changes = {
-                column: evaluate(expr, row, self.params)
-                for column, expr in stmt.assignments
-            }
-            yield from table.update_by_rid(row["__rid." + ref.alias], changes)
-            count += 1
-        return ResultSet([], [], count)
+        compile, pairs = yield from self._target_pairs(
+            table, stmt.table, stmt.where
+        )
+        assignments = [
+            (column, compile(expr)) for column, expr in stmt.assignments
+        ]
+        for rid, row in pairs:
+            changes = {column: value(row) for column, value in assignments}
+            yield from table.update_by_rid(rid, changes)
+        return ResultSet([], [], len(pairs))
 
     def delete(self, stmt: ast.Delete) -> Generator:
         table: Table = self.tables(stmt.table)
-        ref = ast.TableRef(stmt.table, None)
-        rows = yield from self._base_rows(ref, stmt.where)
-        self._add_bare_names(rows, [(ref.alias, table.schema)])
-        count = 0
-        for row in rows:
-            if stmt.where is not None and evaluate(
-                stmt.where, row, self.params
-            ) is not True:
-                continue
-            yield from table.delete_by_rid(row["__rid." + ref.alias])
-            count += 1
-        return ResultSet([], [], count)
-
-
-def _qualified_getter(alias: str, name: str):
-    key = f"{alias}.{name}"
-
-    def get(row: Row) -> Any:
-        return row.get(key)
-
-    return get
+        _compile, pairs = yield from self._target_pairs(
+            table, stmt.table, stmt.where
+        )
+        for rid, _row in pairs:
+            yield from table.delete_by_rid(rid)
+        return ResultSet([], [], len(pairs))
 
 
 def _expr_label(expr: ast.Expr) -> str:
@@ -1085,6 +1081,3 @@ class _SortKey:
     def __hash__(self) -> int:
         return hash(self.value)
 
-
-def _sort_key(value: Any) -> _SortKey:
-    return _SortKey(value)

@@ -7,6 +7,7 @@ UPDATE / DELETE / BEGIN / COMMIT / ROLLBACK.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, List, Optional, Tuple
 
 from repro.errors import SqlSyntaxError
@@ -488,6 +489,13 @@ class Parser:
         )
 
 
+@functools.lru_cache(maxsize=512)
 def parse(sql: str) -> ast.Statement:
-    """Parse one SQL statement."""
+    """Parse one SQL statement.
+
+    Memoised by statement text (a session re-sends the same few texts with
+    different parameters), so callers share one AST and must treat it as
+    immutable; nothing that depends on the schema or the parameters is in
+    it.  A text that fails to parse is not cached and fails again.
+    """
     return Parser(sql).parse()

@@ -17,6 +17,7 @@ record-level operations.  It encodes the paper's index discipline:
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Dict, Generator, Iterable, List, Optional, Sequence, Tuple
 
 from repro import effects
@@ -244,24 +245,31 @@ class Table:
             # observed joins the read set, including pushdown-filtered
             # rows resolved inside the storage nodes.
             self.txn.note_scanned([key for key, _value, _cell in rows])
-        visible: List[Tuple[int, Tuple[Any, ...]]] = []
         local = dict(self._local_rows())
-        deleted = self._locally_deleted_rids()
-        for (table_id, rid), value, _cell_version in rows:
-            if rid in local or rid in deleted:
-                continue  # superseded by the transaction-local state
-            if pushdown is None:
-                index = value.visible_index(self.txn.snapshot)
+        superseded = local.keys() | self._locally_deleted_rids()
+        if superseded:
+            # The transaction-local state replaces these stored versions.
+            rows = [row for row in rows if row[0][1] not in superseded]
+        visible: List[Tuple[int, Tuple[Any, ...]]]
+        if pushdown is not None:  # already resolved at the SN
+            visible = [(key[1], row) for key, row, _cell_version in rows]
+        else:
+            visible = []
+            snapshot = self.txn.snapshot
+            for (_table_id, rid), record, _cell_version in rows:
+                index = record.visible_index(snapshot)
                 if index >= 0:
-                    payload = value.payloads[index]
+                    payload = record.payloads[index]
                     if payload is not TOMBSTONE:
                         visible.append((rid, payload))
-            else:
-                visible.append((rid, value))  # already resolved at the SN
-        for rid, row in local.items():
-            if pushdown is None or pushdown.matches(row):
-                visible.append((rid, row))
-        visible.sort(key=lambda pair: pair[0])
+        if local:
+            # The store returns rows in key, i.e. rid, order; only the
+            # transaction's own rows have to be merged into it.
+            visible.extend(
+                pair for pair in local.items()
+                if pushdown is None or pushdown.matches(pair[1])
+            )
+            visible.sort(key=operator.itemgetter(0))
         return visible
 
     def make_filter(
@@ -298,7 +306,8 @@ class Table:
         else:
             high_entry = (encode_key(high),)
         entries = yield from tree.range_entries(low_entry, high_entry, limit=None)
-        results: List[Tuple[int, Tuple[Any, ...]]] = []
+        # (encoded key, rid, row): each row's index key is encoded once.
+        results: List[Tuple[Tuple, int, Tuple[Any, ...]]] = []
         if entries:
             keys = [data_key(self.schema.table_id, entry[1]) for entry in entries]
             rows = yield from self.txn.read_many(keys)
@@ -307,11 +316,12 @@ class Table:
                 if row is not None and encode_key(
                     self.schema.index_key_of(index, row)
                 ) == entry[0]:
-                    results.append((entry[1], row))
+                    results.append((entry[0], entry[1], row))
                     if limit is not None and len(results) >= limit:
                         break
         low_enc = encode_key(low) if low is not None else None
         high_enc = encode_key(high) if high is not None else None
+        merged = False
         for rid, row in self._local_rows():
             row_key = encode_key(self.schema.index_key_of(index, row))
             in_low = low_enc is None or row_key >= low_enc
@@ -322,16 +332,16 @@ class Table:
                 in_high = row_key[: len(high_enc)] <= high_enc
             else:
                 in_high = row_key < high_enc
-            if in_low and in_high and all(r != rid for r, _ in results):
-                results.append((rid, row))
-        results.sort(
-            key=lambda pair: (
-                encode_key(self.schema.index_key_of(index, pair[1])), pair[0]
-            )
-        )
+            if in_low and in_high and all(r != rid for _k, r, _row in results):
+                results.append((row_key, rid, row))
+                merged = True
+        if merged:
+            # The tree returns entries in (key, rid) order; only the
+            # transaction's own rows have to be merged into it.
+            results.sort(key=operator.itemgetter(0, 1))
         if limit is not None:
             results = results[:limit]
-        return results
+        return [(rid, row) for _key, rid, row in results]
 
     # -- internals ---------------------------------------------------------------------
 

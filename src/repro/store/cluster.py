@@ -21,6 +21,7 @@ on that node at the right simulated instant and then calls
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import effects
@@ -113,7 +114,7 @@ class StorageCluster:
             if not node.alive:
                 raise NodeUnavailable(f"storage node {node_id} is down")
             rows.extend(op.apply(node, partition_id))
-        rows.sort(key=lambda row: row[0])
+        rows.sort(key=operator.itemgetter(0))
         if op.limit is not None:
             rows = rows[: op.limit]
         return rows

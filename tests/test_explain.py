@@ -183,3 +183,38 @@ class TestPlanShownIsPlanExecuted:
         session.rollback()
         assert calls[0] == base_call
         assert set(calls[1:]) == ({join_call} if join_call else set())
+
+
+class TestPlanFollowsTheSchema:
+    def test_create_index_changes_the_plan_of_a_cached_statement(self, session):
+        # ``parse`` hands every execution the same AST; nothing that
+        # depends on the schema may stick to it.
+        for i in range(6):
+            session.execute(
+                "INSERT INTO orders VALUES (?, ?, ?, ?)",
+                [i, i % 2, "emea" if i % 2 else "apac", i],
+            )
+        sql = "SELECT id FROM orders WHERE region = 'emea'"
+
+        def executed():
+            calls = []
+            txn = session.begin()
+
+            def provider(name):
+                table = _RecordingTable(
+                    session.catalog.table(name), txn, session.indexes
+                )
+                table.calls = calls
+                return table
+
+            result = session.runner.run(
+                StatementExecutor(provider).select(parse(sql))
+            )
+            session.rollback()
+            return calls, sorted(result.rows)
+
+        assert "full scan with storage-side" in plan_text(session, sql)
+        assert executed() == (["scan+pushdown"], [(1,), (3,), (5,)])
+        session.execute("CREATE INDEX orders_region ON orders (region)")
+        assert "point lookup via orders_region" in plan_text(session, sql)
+        assert executed() == (["lookup"], [(1,), (3,), (5,)])

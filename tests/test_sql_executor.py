@@ -198,6 +198,30 @@ class TestJoins:
         )
         assert [r["name"] for r in rows] == ["dan", "eve"]
 
+    @pytest.mark.parametrize("inner_key, strategy", [
+        ("k", "index nested-loop join via b_pk"),
+        ("w", "hash join on w"),
+    ])
+    def test_two_equalities_on_one_inner_column(self, inner_key, strategy):
+        # The index path used to build a two-part key for the one-column
+        # index and find nothing: only the first equality on an inner
+        # column can bind it, the second is a residual condition.
+        session = Database(storage_nodes=2).session()
+        session.execute("CREATE TABLE a (id INT PRIMARY KEY, x INT, y INT)")
+        session.execute("CREATE TABLE b (k INT PRIMARY KEY, w INT, v TEXT)")
+        for i in range(5):
+            session.execute(
+                "INSERT INTO a VALUES (?, ?, ?)",
+                [i, i, i if i % 2 == 0 else i + 1],
+            )
+            session.execute("INSERT INTO b VALUES (?, ?, ?)", [i, i, f"v{i}"])
+        sql = (
+            f"SELECT a.id, b.v FROM a JOIN b ON b.{inner_key} = a.x "
+            f"AND b.{inner_key} = a.y ORDER BY a.id"
+        )
+        assert strategy in "\n".join(session.explain(sql))
+        assert session.execute(sql).rows == [(0, "v0"), (2, "v2"), (4, "v4")]
+
 
 class TestDml:
     def test_update_with_expression(self, session):

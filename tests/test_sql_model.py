@@ -3,7 +3,10 @@
 Hypothesis drives random INSERT/UPDATE/DELETE sequences against both the
 real database and an in-memory dict model, then checks that a battery of
 SELECT shapes (point lookup, secondary-index lookup, range, scan,
-aggregate) returns exactly what the model predicts.
+aggregate) returns exactly what the model predicts.  A second, randomly
+filled table is then joined to the first in every strategy the executor
+has (index nested-loop, hash, nested loop; inner and LEFT; NULL keys on
+either side), again against the model.
 """
 
 import pytest
@@ -36,11 +39,21 @@ operations = st.lists(
     max_size=40,
 )
 
+#: Rows of the second table ``u (k, ref, color)``: ``ref`` points at a
+#: ``t.id`` that may not exist (or is NULL), ``color`` may be NULL.
+references = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.integers(min_value=0, max_value=30)),
+        st.sampled_from(["red", "green", "blue", None]),
+    ),
+    max_size=8,
+)
+
 
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(operations=operations)
-def test_sql_engine_matches_dict_model(operations):
+@given(operations=operations, references=references)
+def test_sql_engine_matches_dict_model(operations, references):
     db = Database(storage_nodes=2)
     session = db.session()
     session.execute(
@@ -104,3 +117,71 @@ def test_sql_engine_matches_dict_model(operations):
     # NULL handling in the index
     rows = session.query("SELECT COUNT(*) AS n FROM t WHERE color IS NULL")
     assert rows == [{"n": sum(1 for _v, c in model.values() if c is None)}]
+
+    # -- joins against a second table ---------------------------------------
+    session.execute("CREATE TABLE u (k INT PRIMARY KEY, ref INT, color TEXT)")
+    for k, (ref, color) in enumerate(references):
+        session.execute("INSERT INTO u VALUES (?, ?, ?)", [k, ref, color])
+    u = list(enumerate(references))
+
+    def joined(sql):
+        plan = "\n".join(session.explain(sql))
+        return plan, [tuple(row.values()) for row in session.query(sql)]
+
+    # inner join through an index (t's primary key)
+    plan, rows = joined(
+        "SELECT u.k, t.v FROM u JOIN t ON t.id = u.ref ORDER BY u.k"
+    )
+    assert "index nested-loop join via t_pk" in plan
+    assert rows == [
+        (k, model[ref][0]) for k, (ref, _c) in u if ref in model
+    ]
+
+    # the same join the other way round: u.ref has no index -> hash join
+    plan, rows = joined(
+        "SELECT t.id, u.k FROM t JOIN u ON u.ref = t.id ORDER BY t.id, u.k"
+    )
+    assert "hash join on ref" in plan
+    assert rows == sorted(
+        (ref, k) for k, (ref, _c) in u if ref in model
+    )
+
+    # LEFT JOIN keeps unmatched left rows: through the index ...
+    plan, rows = joined(
+        "SELECT u.k, t.id FROM u LEFT JOIN t ON t.id = u.ref ORDER BY u.k"
+    )
+    assert "index nested-loop join via t_pk" in plan
+    assert rows == [
+        (k, ref if ref in model else None) for k, (ref, _c) in u
+    ]
+    # ... and without one (nested loop)
+    plan, rows = joined(
+        "SELECT t.id, COUNT(u.k) AS n FROM t LEFT JOIN u ON u.ref = t.id "
+        "GROUP BY t.id ORDER BY t.id"
+    )
+    assert "nested-loop join" in plan
+    assert rows == [
+        (key, sum(1 for _k, (ref, _c) in u if ref == key))
+        for key in sorted(model)
+    ]
+
+    # NULL join keys on either side never match: hashed ...
+    plan, rows = joined(
+        "SELECT t.id, u.k FROM t JOIN u ON u.color = t.color "
+        "ORDER BY t.id, u.k"
+    )
+    assert "hash join on color" in plan
+    expected = sorted(
+        (key, k)
+        for key, (_v, color) in model.items()
+        for k, (_ref, other) in u
+        if color is not None and color == other
+    )
+    assert rows == expected
+    # ... and probed through t's secondary index
+    plan, rows = joined(
+        "SELECT t.id, u.k FROM u JOIN t ON t.color = u.color "
+        "ORDER BY t.id, u.k"
+    )
+    assert "index nested-loop join via t_color" in plan
+    assert rows == expected
