@@ -24,12 +24,13 @@ import io
 import os
 import re
 import tokenize
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.lint.atomic import ATOMIC_RULES
 from repro.lint.flow.analysis import FlowAnalysis
 from repro.lint.flow.rules import FLOW_RULES
-from repro.lint.flow.summary import extract_module_flow
+from repro.lint.flow.summary import ModuleFlow, extract_module_flow
 from repro.lint.index import ModuleSummary, ProjectIndex
 from repro.lint.rules import ALL_RULES, Rule
 
@@ -65,7 +66,12 @@ class Finding:
 
 
 class SourceModule:
-    """A parsed source file plus its suppression table."""
+    """A parsed source file plus its suppression table.
+
+    ``summary`` and ``flow`` are pure functions of this one module's text,
+    computed on first use and kept: re-linting a project with one module
+    replaced (a planted mutation) re-extracts that module only.
+    """
 
     def __init__(self, path: str, module: str, text: str) -> None:
         self.path = path
@@ -108,6 +114,18 @@ class SourceModule:
                 # Standalone comment line: applies to the next line too.
                 self.line_ignores.setdefault(lineno + 1, set()).update(codes)
             self.line_ignores.setdefault(target, set()).update(codes)
+
+    @cached_property
+    def summary(self) -> ModuleSummary:
+        """Pass-1 summary (imports and definitions); needs a parsed tree."""
+        assert self.tree is not None
+        return ModuleSummary(self.module, self.tree)
+
+    @cached_property
+    def flow(self) -> ModuleFlow:
+        """Pass-2 flow summary (what every function does)."""
+        assert self.tree is not None
+        return extract_module_flow(self.summary, self.tree)
 
     def is_suppressed(self, finding: Finding) -> bool:
         return finding.rule in self.line_ignores.get(finding.line, ())
@@ -202,15 +220,9 @@ def build_index(sources: Sequence[SourceModule], flow: bool = False,
     (and, with ``atomic``, RA) rules read off ``index.flow``."""
     parsed = [source for source in sources
               if source.tree is not None and not source.skip_file]
-    summaries = {source.module: ModuleSummary(source.module, source.tree)
-                 for source in parsed}
-    index = ProjectIndex(summaries)
+    index = ProjectIndex({source.module: source.summary for source in parsed})
     if flow:
-        flows = {
-            source.module: extract_module_flow(
-                summaries[source.module], source.tree)
-            for source in parsed
-        }
+        flows = {source.module: source.flow for source in parsed}
         index.flow = FlowAnalysis(index, flows, atomic=atomic)
     return index
 

@@ -9,6 +9,7 @@ write; concurrent DDL therefore conflicts instead of corrupting.
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro import effects
@@ -251,8 +252,9 @@ class Catalog:
         return version
 
     @staticmethod
-    def load() -> Generator:
-        """Fetch the shared catalog; returns (catalog, cell_version).
+    def load(cached: Optional["Catalog"] = None, cached_version: int = 0) -> Generator:
+        """Fetch the shared catalog; returns (catalog, cell_version) --
+        ``cached`` itself while the cell is still at ``cached_version``.
 
         The catalog is deep-copied so that a PN mutating its local copy
         (during DDL, before the conditional write) cannot alias the stored
@@ -261,8 +263,8 @@ class Catalog:
         value, version = yield effects.Get(META_SPACE, CATALOG_KEY)
         if value is None:
             return Catalog(), 0
-        import copy
-
+        if cached is not None and version == cached_version:
+            return cached, version
         return copy.deepcopy(value), version
 
     def approx_size(self) -> int:

@@ -21,8 +21,10 @@ from repro.core.transaction import Transaction
 from repro.errors import InvalidState, SqlPlanError, TellError
 from repro.sql import ast_nodes as ast
 from repro.sql.executor import ResultSet, StatementExecutor
+from repro.sql.keyenc import encode_key
 from repro.sql.parser import parse
-from repro.sql.schema import Catalog, Column, TableSchema
+from repro.sql.plan import plan
+from repro.sql.schema import Catalog, Column, IndexDef, TableSchema
 from repro.sql.table import IndexManager, Table
 from repro.sql.types import ColumnType
 
@@ -50,9 +52,8 @@ class Session:
             return
         self._closed = True
         if self._txn is not None:
-            txn, self._txn = self._txn, None
             with contextlib.suppress(TellError):
-                self.runner.run(txn.abort())
+                self.rollback()
 
     @property
     def closed(self) -> bool:
@@ -73,7 +74,13 @@ class Session:
         return self._catalog
 
     def refresh_catalog(self) -> None:
-        self._catalog, self._catalog_version = self.runner.run(Catalog.load())
+        """Bring the cached catalog up to the shared one.  Every transaction
+        starts with this (one read of the catalog cell), so no statement
+        plans or maintains indexes against a schema another session has
+        since changed."""
+        self._catalog, self._catalog_version = self.runner.run(
+            Catalog.load(self._catalog, self._catalog_version)
+        )
 
     # -- transactions ---------------------------------------------------------------
 
@@ -86,6 +93,7 @@ class Session:
             raise InvalidState("session is closed")
         if self._txn is not None:
             raise InvalidState("a transaction is already open on this session")
+        self.refresh_catalog()
         self._txn = self.runner.run(self.pn.begin())
         return self._txn
 
@@ -115,10 +123,20 @@ class Session:
             yield txn
         except BaseException:
             if self._txn is txn:
-                self.rollback()
+                with contextlib.suppress(TellError):  # it may have aborted itself
+                    self.rollback()
             raise
         if self._txn is txn:
             self.commit()
+
+    @contextlib.contextmanager
+    def _autocommit(self) -> Iterator[Transaction]:
+        """The open transaction, or one that ends with the block."""
+        if self._txn is not None:
+            yield self._txn
+        else:
+            with self.transaction() as txn:
+                yield txn
 
     # -- SQL ---------------------------------------------------------------------------
 
@@ -127,14 +145,10 @@ class Session:
         if self._closed:
             raise InvalidState("session is closed")
         statement = parse(sql)
-        if isinstance(statement, ast.BeginStmt):
-            self.begin()
-            return ResultSet([], [], 0)
-        if isinstance(statement, ast.CommitStmt):
-            self.commit()
-            return ResultSet([], [], 0)
-        if isinstance(statement, ast.RollbackStmt):
-            self.rollback()
+        control = {ast.BeginStmt: self.begin, ast.CommitStmt: self.commit,
+                   ast.RollbackStmt: self.rollback}.get(type(statement))
+        if control is not None:
+            control()
             return ResultSet([], [], 0)
         if isinstance(statement, (ast.CreateTable, ast.CreateIndex, ast.DropTable)):
             if self._txn is not None:
@@ -151,31 +165,16 @@ class Session:
     ) -> int:
         """Execute one parameterized statement per parameter set inside a
         single transaction; returns the total rowcount."""
-        own_transaction = self._txn is None
-        if own_transaction:
-            self.begin()
-        total = 0
-        try:
-            for params in parameter_sets:
-                total += self.execute(sql, params).rowcount
-        except Exception:
-            if own_transaction and self._txn is not None:
-                self.rollback()
-            raise
-        if own_transaction:
-            self.commit()
-        return total
+        with self._autocommit():
+            return sum(
+                self.execute(sql, params).rowcount for params in parameter_sets
+            )
 
     def explain(self, sql: str, params: Sequence[Any] = ()) -> List[str]:
-        """Describe the plan the executor would choose (no execution)."""
-        statement = parse(sql)
-
-        def table_provider(name: str) -> Table:
-            # No transaction needed: EXPLAIN only touches the catalog.
-            return Table(self.catalog.table(name), None, self.indexes)
-
-        executor = StatementExecutor(table_provider, params)
-        return executor.explain(statement)
+        """The plan :meth:`execute` would run now (no execution)."""
+        if self._txn is None:
+            self.refresh_catalog()  # as the statement's own transaction would
+        return str(plan(parse(sql), self._tables(None), params)).splitlines()
 
     # -- table handles for power users --------------------------------------------------
 
@@ -187,45 +186,21 @@ class Session:
 
     # -- internals -----------------------------------------------------------------------
 
+    def _tables(self, txn: Optional[Transaction]) -> Callable[[str], Table]:
+        """Table handles bound to ``txn`` (none is needed to plan)."""
+        return lambda name: Table(self.catalog.table(name), txn, self.indexes)
+
     def _execute_dml(
         self, statement: ast.Statement, params: Sequence[Any]
     ) -> ResultSet:
-        autocommit = self._txn is None
-        if autocommit:
-            txn = self.runner.run(self.pn.begin())
-        else:
-            txn = self._txn
-
-        def table_provider(name: str) -> Table:
-            return Table(self.catalog.table(name), txn, self.indexes)
-
-        executor = StatementExecutor(table_provider, params)
-        try:
-            if isinstance(statement, ast.Select):
-                result = self.runner.run(executor.select(statement))
-            elif isinstance(statement, ast.Insert):
-                result = self.runner.run(executor.insert(statement))
-            elif isinstance(statement, ast.Update):
-                result = self.runner.run(executor.update(statement))
-            elif isinstance(statement, ast.Delete):
-                result = self.runner.run(executor.delete(statement))
-            else:
-                raise SqlPlanError(f"unsupported statement {statement!r}")
-        except Exception:
-            if autocommit:
-                try:
-                    self.runner.run(txn.abort())
-                except Exception:
-                    pass
-            raise
-        if autocommit:
-            self.runner.run(txn.commit())
-        return result
+        with self._autocommit() as txn:
+            executor = StatementExecutor(self._tables(txn), params)
+            return self.runner.run(executor.execute(statement))
 
     def _execute_ddl(self, statement: ast.Statement) -> ResultSet:
-        self.refresh_catalog()
-        catalog = self._catalog
-        assert catalog is not None
+        # A private copy: a statement that fails half-way must not leave
+        # its definitions in the session's cached catalog.
+        catalog, version = self.runner.run(Catalog.load())
         if isinstance(statement, ast.CreateTable):
             columns = [
                 Column(
@@ -247,7 +222,7 @@ class Session:
                 for clause in statement.columns
                 if clause.unique and [clause.name] != list(schema.primary_key)
             ]
-            self.runner.run(catalog.save_if_version(self._catalog_version))
+            self.runner.run(catalog.save_if_version(version))
             self.runner.run(self.indexes.create_storage(schema.primary_index))
             for index in unique_indexes:
                 self.runner.run(self.indexes.create_storage(index))
@@ -256,39 +231,29 @@ class Session:
                 statement.name, statement.table, statement.columns,
                 unique=statement.unique,
             )
-            self.runner.run(catalog.save_if_version(self._catalog_version))
+            self.runner.run(catalog.save_if_version(version))
             self.runner.run(self.indexes.create_storage(index))
-            self._backfill_index(catalog.table(statement.table), index.name)
+            self._backfill_index(catalog.table(statement.table), index)
         elif isinstance(statement, ast.DropTable):
             schema = catalog.drop_table(statement.name)
-            self.runner.run(catalog.save_if_version(self._catalog_version))
+            self.runner.run(catalog.save_if_version(version))
             self.runner.run(_purge_table_data(schema))
         else:
             raise SqlPlanError(f"unsupported DDL {statement!r}")
         self.refresh_catalog()
         return ResultSet([], [], 0)
 
-    def _backfill_index(self, schema: TableSchema, index_name: str) -> None:
+    def _backfill_index(self, schema: TableSchema, index: IndexDef) -> None:
         """Populate a freshly created index from existing rows."""
-        index = next(i for i in schema.indexes if i.name == index_name)
-        txn = self.runner.run(self.pn.begin())
-        try:
-            table = Table(schema, txn, self.indexes)
-            rows = self.runner.run(table.scan())
+        # A failed backfill (e.g. DuplicateKey under a unique index) must
+        # not leak an open transaction: an abandoned tid would hold the
+        # lowest-active-version down and block GC forever.
+        with self.transaction() as txn:
+            rows = self.runner.run(Table(schema, txn, self.indexes).scan())
             tree = self.indexes.tree(index)
-            from repro.sql.keyenc import encode_key
-
             for rid, row in rows:
                 key = encode_key(schema.index_key_of(index, row))
                 self.runner.run(tree.insert(key, rid, unique=index.unique))
-        except BaseException:
-            # A failed backfill (e.g. DuplicateKey under a unique index)
-            # must not leak an open transaction: an abandoned tid would
-            # hold the lowest-active-version down and block GC forever.
-            with contextlib.suppress(TellError):
-                self.runner.run(txn.abort())
-            raise
-        self.runner.run(txn.commit())
 
 
 def _purge_table_data(schema: TableSchema) -> Generator:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.lint import SourceModule, lint_sources
+from repro.lint.atomic import ATOMIC_RULES
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import build_index, load_sources
 from repro.lint.flow.atomic import ANALYZER_VERSION
@@ -62,9 +63,9 @@ def mutate(src_sources, edits):
                     source.text.replace(old, new, 1))
                 hit = True
         assert hit, path_suffix
-    return [f for f in lint_sources(sources, flow=True,
-                                    atomic=True).findings
-            if f.rule.startswith("RA")]
+    # Only the RA rules run: other findings would be filtered out anyway.
+    return lint_sources(sources, rules=ATOMIC_RULES, flow=True,
+                        atomic=True).findings
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.api import Database
+from repro.errors import SqlPlanError
 from repro.sql.executor import StatementExecutor
 from repro.sql.parser import parse
 from repro.sql.table import Table
@@ -218,3 +219,53 @@ class TestPlanFollowsTheSchema:
         session.execute("CREATE INDEX orders_region ON orders (region)")
         assert "point lookup via orders_region" in plan_text(session, sql)
         assert executed() == (["lookup"], [(1,), (3,), (5,)])
+
+
+class TestRejectedAtPlanTime:
+    """What is wrong with a statement is wrong before it runs -- for
+    ``explain`` exactly as for ``execute``."""
+
+    @pytest.mark.parametrize("where", ["customer = 7", "customer = 8"])
+    def test_insert_select_arity_with_and_without_rows(self, session, where):
+        # Used to be checked against the first row the SELECT produced: no
+        # row, no error.
+        session.execute("INSERT INTO orders VALUES (1, 7, 'emea', 3)")
+        sql = f"INSERT INTO customers SELECT id, region, total FROM orders WHERE {where}"
+        with pytest.raises(SqlPlanError, match="2 columns but 3 values"):
+            session.execute(sql)
+        with pytest.raises(SqlPlanError, match="2 columns but 3 values"):
+            session.explain(sql)
+        assert session.query("SELECT COUNT(*) AS n FROM customers") == [{"n": 0}]
+
+    def test_insert_values_arity(self, session):
+        sql = "INSERT INTO customers VALUES (1, 'a'), (2, 'b', 'c')"
+        with pytest.raises(SqlPlanError, match="2 columns but 3 values"):
+            session.execute(sql)
+        with pytest.raises(SqlPlanError, match="2 columns but 3 values"):
+            session.explain(sql)
+        assert session.query("SELECT COUNT(*) AS n FROM customers") == [{"n": 0}]
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT region, COUNT(*) FROM orders GROUP BY region FOR UPDATE",
+        "SELECT * FROM orders o JOIN customers c ON c.id = o.customer FOR UPDATE",
+    ])
+    def test_for_update_needs_a_plain_select(self, session, sql):
+        with pytest.raises(SqlPlanError, match="plain single-table SELECT"):
+            session.execute(sql)
+        with pytest.raises(SqlPlanError, match="plain single-table SELECT"):
+            session.explain(sql)
+
+    @pytest.mark.parametrize("sql, params", [
+        ("SELECT * FROM orders WHERE id = -?", ["one"]),   # used to be a TypeError
+        ("SELECT * FROM orders WHERE id = 1 / 0", []),
+        ("DELETE FROM orders WHERE id BETWEEN 1 AND -?", ["x"]),
+    ])
+    def test_a_constant_that_does_not_fold_is_a_plan_error(self, session, sql, params):
+        with pytest.raises(SqlPlanError, match="cannot evaluate"):
+            session.execute(sql, params)
+        with pytest.raises(SqlPlanError, match="cannot evaluate"):
+            session.explain(sql, params)
+
+    def test_only_dml_and_queries_have_plans(self, session):
+        with pytest.raises(SqlPlanError, match="unsupported statement"):
+            session.explain("DROP TABLE orders")

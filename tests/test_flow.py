@@ -12,6 +12,7 @@ import pytest
 from repro.lint import SourceModule, lint_sources
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import build_index, load_sources
+from repro.lint.flow.rules import FLOW_RULES
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = str(REPO_ROOT / "src")
@@ -61,8 +62,8 @@ def mutate(src_sources, edits):
                     source.path, source.module, source.text.replace(old, new, 1))
                 hit = True
         assert hit, path_suffix
-    return [f for f in lint_sources(sources, flow=True).findings
-            if f.rule.startswith("RF")]
+    # Only the RF rules run: the RL findings would be filtered out anyway.
+    return lint_sources(sources, rules=FLOW_RULES, flow=True).findings
 
 
 # ---------------------------------------------------------------------------

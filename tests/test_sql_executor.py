@@ -351,6 +351,48 @@ class TestTransactions:
         assert rows == [{"salary": 555.0}]
 
 
+class TestSharedCatalog:
+    """A session caches the catalog; every transaction revalidates it."""
+
+    def test_index_created_by_another_session_is_maintained(self, session):
+        other = _second_session(session)
+        other.query("SELECT id FROM emp WHERE id = 1")  # caches the catalog
+        session.execute("CREATE INDEX emp_name ON emp (name)")
+        # Used to insert without an emp_name entry: the indexed read below
+        # then silently missed the row a scan still found.
+        other.execute("INSERT INTO emp VALUES (10, 'zoe', 'eng', 95, NULL)")
+        sql = "SELECT id FROM emp WHERE name = 'zoe'"
+        assert "point lookup via emp_name" in "\n".join(session.explain(sql))
+        assert session.execute(sql).rows == [(10,)]
+        assert other.execute(sql).rows == [(10,)]
+        assert "point lookup via emp_name" in "\n".join(other.explain(sql))
+
+    def test_table_created_by_another_session_is_visible(self, session):
+        other = _second_session(session)
+        other.query("SELECT id FROM emp WHERE id = 1")
+        session.execute("CREATE TABLE notes (id INT PRIMARY KEY, body TEXT)")
+        other.execute("INSERT INTO notes VALUES (1, 'hello')")
+        assert session.execute("SELECT body FROM notes").rows == [("hello",)]
+
+    def test_an_open_transaction_keeps_the_catalog_it_began_with(self, session):
+        other = _second_session(session)
+        other.execute("BEGIN")
+        session.execute("CREATE TABLE notes (id INT PRIMARY KEY, body TEXT)")
+        with pytest.raises(SchemaError):
+            other.execute("INSERT INTO notes VALUES (1, 'hello')")
+        other.execute("ROLLBACK")
+        other.execute("INSERT INTO notes VALUES (1, 'hello')")
+
+    def test_failed_ddl_leaves_no_definition_behind(self, session):
+        with pytest.raises(SchemaError):
+            session.execute("CREATE INDEX emp_bad ON emp (nope)")
+        with pytest.raises(SchemaError):
+            session.execute("CREATE INDEX emp_dept ON emp (dept)")
+        assert [index.name for index in session.catalog.table("emp").indexes] == [
+            "emp_pk", "emp_dept",
+        ]
+
+
 def _second_session(session):
     """Another session against the same database (shares the cluster)."""
     from repro.sql.session import Session

@@ -6,7 +6,9 @@ SELECT shapes (point lookup, secondary-index lookup, range, scan,
 aggregate) returns exactly what the model predicts.  A second, randomly
 filled table is then joined to the first in every strategy the executor
 has (index nested-loop, hash, nested loop; inner and LEFT; NULL keys on
-either side), again against the model.
+either side), again against the model.  A second property generates
+statements and checks that executing one touches exactly the tables,
+through exactly the access methods, that its plan names.
 """
 
 import pytest
@@ -14,6 +16,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import Database
+from repro.sql.executor import StatementExecutor
+from repro.sql.parser import parse
+from repro.sql.plan import plan
+from tests.test_explain import _RecordingTable
+from tests.test_sql_plan import paths_of
 
 operations = st.lists(
     st.one_of(
@@ -185,3 +192,121 @@ def test_sql_engine_matches_dict_model(operations, references):
     )
     assert "index nested-loop join via t_color" in plan
     assert rows == expected
+
+
+# ---------------------------------------------------------------------------
+# The plan names what execution touches
+# ---------------------------------------------------------------------------
+
+_COLUMNS = {"t": ("id", "v", "color"), "u": ("k", "ref", "color")}
+
+#: Constants by column type (a type-mismatched comparison is an error of
+#: its own); some are expressions the planner has to fold.
+_numbers = st.one_of(
+    st.integers(min_value=-5, max_value=35).map(str),
+    st.sampled_from(["1 + 1", "-3", "2 * 5"]),
+)
+_colors = st.sampled_from(["'red'", "'blue'", "'mauve'"])
+
+
+def _constant_for(column):
+    return _colors if column.endswith("color") else _numbers
+
+
+@st.composite
+def _predicate(draw, table, prefix=""):
+    column = prefix + draw(st.sampled_from(_COLUMNS[table]))
+    constants = _constant_for(column)
+    shape = draw(st.sampled_from(["comparison", "flipped", "between"]))
+    if shape == "between":
+        return f"{column} BETWEEN {draw(constants)} AND {draw(constants)}"
+    op = draw(st.sampled_from(["=", "<", "<=", ">", ">=", "!="]))
+    if shape == "flipped":
+        return f"{draw(constants)} {op} {column}"
+    return f"{column} {op} {draw(constants)}"
+
+
+@st.composite
+def _single_table_statements(draw):
+    table = draw(st.sampled_from(sorted(_COLUMNS)))
+    where = " AND ".join(draw(st.lists(_predicate(table), max_size=3)))
+    where = f" WHERE {where}" if where else ""
+    return draw(st.sampled_from([
+        f"SELECT * FROM {table}{where}",
+        f"SELECT * FROM {table}{where} FOR UPDATE",
+        f"SELECT COUNT(*) FROM {table}{where}",
+        f"UPDATE {table} SET color = color{where}",
+        f"DELETE FROM {table}{where}",
+    ]))
+
+
+@st.composite
+def _join_statements(draw):
+    # No WHERE: the outer input is the whole (non-empty) base table, so the
+    # inner table is always reached.
+    outer, inner = draw(st.permutations(sorted(_COLUMNS)))
+
+    @st.composite
+    def pair(draw):
+        column = draw(st.sampled_from(_COLUMNS[inner]))
+        same_type = [
+            other for other in _COLUMNS[outer]
+            if (other == "color") == (column == "color")
+        ]
+        op = draw(st.sampled_from(["=", "<", ">="]))
+        return f"b.{column} {op} a.{draw(st.sampled_from(same_type))}"
+
+    on = draw(st.lists(st.one_of(pair(), _predicate(inner, "b.")),
+                       min_size=1, max_size=3))
+    kind = draw(st.sampled_from(["JOIN", "LEFT JOIN"]))
+    return f"SELECT * FROM {outer} a {kind} {inner} b ON {' AND '.join(on)}"
+
+
+#: What ``paths_of`` calls a decision -> the ``Table`` method it runs.
+_METHODS = {"lookup": "lookup", "range": "index_range", "scan": "scan",
+            "index": "lookup", "hash": "scan", "loop": "scan"}
+
+
+def _named_accesses(root):
+    """(table, Table method) for every access the plan names."""
+    return {
+        (path[0], _METHODS[path[1]] + ("+pushdown" if path[-1] and path[1] == "scan" else ""))
+        for path in paths_of(root)
+    }
+
+
+@pytest.fixture(scope="module")
+def populated():
+    session = Database(storage_nodes=2).session()
+    session.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, color TEXT)")
+    session.execute("CREATE INDEX t_color ON t (color)")
+    session.execute("CREATE TABLE u (k INT PRIMARY KEY, ref INT, color TEXT)")
+    session.execute("CREATE INDEX u_ref ON u (ref, color)")
+    for i in range(12):
+        color = ["red", "green", "blue", None][i % 4]
+        session.execute("INSERT INTO t VALUES (?, ?, ?)", [i, i - 6, color])
+        session.execute("INSERT INTO u VALUES (?, ?, ?)", [i, i % 5, color])
+    return session
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sql=st.one_of(_single_table_statements(), _join_statements()))
+def test_execution_touches_exactly_what_the_plan_names(populated, sql):
+    session = populated
+    statement = parse(sql)
+    txn = session.begin()
+    try:
+        calls = {name: [] for name in _COLUMNS}
+
+        def provider(name):
+            table = _RecordingTable(session.catalog.table(name), txn, session.indexes)
+            table.calls = calls[name]
+            return table
+
+        named = _named_accesses(plan(statement, provider))
+        session.runner.run(StatementExecutor(provider).execute(statement))
+        touched = {(name, call) for name in calls for call in calls[name]}
+        assert touched == named, sql
+    finally:
+        session.rollback()
