@@ -1,8 +1,9 @@
 """Benchmark harness: simulated deployments, metrics, experiment configs.
 
 This package regenerates the paper's evaluation (Section 6): every figure
-and table has a corresponding experiment function here and a bench file
-under ``benchmarks/``.
+and table is one entry of :data:`repro.bench.experiments.EXPERIMENTS`
+(sweep, printed columns, shape check), run by ``python -m repro.bench``
+and by ``benchmarks/test_shapes.py``.
 """
 
 from repro.bench.config import TellConfig

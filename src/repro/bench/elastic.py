@@ -1,4 +1,4 @@
-"""The ``elastic`` benchmark suite: throughput through live topology change.
+"""The ``elastic`` experiment: throughput through live topology change.
 
 ROADMAP item 1 asks for online elasticity; this suite measures what it
 *costs*.  Each point runs the full simulated TPC-C deployment through a
@@ -19,21 +19,23 @@ The ``autoscale16`` point replaces the fixed schedule with the
 deterministic :class:`repro.elastic.Autoscaler` driving the same
 coordinator, and records its decision log.
 
-Use via ``python -m repro.bench --suite elastic`` (prints the table) or
-:func:`run_elastic_suite` directly.
+Use via ``python -m repro.bench elastic`` (``--profile smoke`` runs only
+the ``smoke`` point) or :func:`run_elastic_point` directly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import sys
 import time
-from typing import Any, Dict, List
+from typing import TYPE_CHECKING, Any, Dict, List
 
 from repro.bench.config import TellConfig
 from repro.bench.metrics import TxnMetrics
 from repro.workloads.tpcc.params import TpccScale
+
+if TYPE_CHECKING:
+    from repro.bench.experiments import BenchProfile
 
 #: Phase boundaries as fractions of the run: the doubling starts at
 #: ``_DOUBLE_AT``, the drain back at ``_HALVE_AT``, and everything after
@@ -98,9 +100,6 @@ def elastic_points() -> List[Dict[str, Any]]:
         _point("autoscale16", 4, 4, warehouses=2, duration_us=300_000.0,
                threads_per_pn=16, autoscale=True),
     ]
-
-
-SMOKE_LABELS = ("smoke",)
 
 
 def _phase_stats(metrics: TxnMetrics, window_us: float) -> Dict[str, Any]:
@@ -226,7 +225,7 @@ def run_elastic_point(point: Dict[str, Any]) -> Dict[str, Any]:
     return result
 
 
-def _cycle(point: Dict[str, Any]) -> str:
+def cycle(point: Dict[str, Any]) -> str:
     """Human label for the point's SN trajectory."""
     if point["autoscale"]:
         return f"{point['sns']}->auto->{point['sns_final']} SNs"
@@ -234,53 +233,32 @@ def _cycle(point: Dict[str, Any]) -> str:
             f"{point['sns_final']} SNs")
 
 
-def run_elastic_suite(smoke: bool = False) -> List[Dict[str, Any]]:
-    """Run every point (``smoke``: only the smoke subset), logging each
-    to stderr as it finishes."""
-    results = []
-    for point in elastic_points():
-        if smoke and point["label"] not in SMOKE_LABELS:
+def run_elastic(profile: BenchProfile) -> List[Dict[str, Any]]:
+    """Every point; the smoke profile stops after ``smoke``."""
+    points = elastic_points()
+    if profile.name == "smoke":
+        points = points[:1]
+    return [run_elastic_point(point) for point in points]
+
+
+def check_elastic(rows: List[Dict[str, Any]]) -> None:
+    """Beyond the paper: Section 2.1 claims storage can grow and shrink
+    independently of processing; here it does so under live TPC-C.  A
+    scheduled cycle moves partitions, loses no handoff, returns to the
+    original fleet, and throughput neither collapses while data migrates
+    nor stays down afterwards."""
+    for row in rows:
+        phases = row["phases"]
+        assert all(phases[name]["committed"] > 0 for name in PHASES), (
+            f"{row['label']}: a phase committed nothing")
+        if row["autoscale"]:
             continue
-        result = run_elastic_point(point)
-        results.append(result)
-        phases = result["phases"]
-        print(
-            f"  {result['label']:12s} {_cycle(result):16s} "
-            f"{phases['before']['txns_per_s']:>9,.0f} / "
-            f"{phases['during']['txns_per_s']:>9,.0f} / "
-            f"{phases['after']['txns_per_s']:>9,.0f} txns/s "
-            f"({result['wall_s']:.1f}s wall)",
-            file=sys.stderr,
-        )
-    return results
-
-
-def render_elastic_table(points: List[Dict[str, Any]]) -> str:
-    """ASCII before/during/after throughput per point."""
-    if not points:
-        return "(no elastic points recorded)"
-    width = 30
-    peak = max(
-        phase["txns_per_s"]
-        for point in points for phase in point["phases"].values()
-    ) or 1.0
-    lines = ["throughput through the diurnal SN double/halve cycle:"]
-    for point in points:
-        mover = point["migration"]
-        lines.append(
-            f"  {point['label']:>12s} ({_cycle(point)}, "
-            f"{mover['partitions_moved']} moves, "
-            f"{point['redirects']} redirects)"
-        )
-        for name in PHASES:
-            phase = point["phases"][name]
-            bar = "#" * max(1, round(width * phase["txns_per_s"] / peak))
-            lines.append(
-                f"    {name:>7s} {phase['txns_per_s']:>9,.0f} txns/s "
-                f"p99={phase['p99_ms']:6.2f}ms {bar}"
-            )
-        if point.get("decisions"):
-            acted = [entry for entry in point["decisions"]
-                     if not entry.endswith(" -")]
-            lines.append(f"    autoscaler: {', '.join(acted) or '(held)'}")
-    return "\n".join(lines)
+        label, before = row["label"], phases["before"]["txns_per_s"]
+        assert row["migration"]["partitions_moved"] > 0, f"{label}: no move"
+        assert row["migration"]["aborted_handoffs"] == 0, (
+            f"{label}: a handoff aborted")
+        assert row["sns_final"] == row["sns"], f"{label}: fleet did not return"
+        assert phases["during"]["txns_per_s"] > 0.5 * before, (
+            f"{label}: throughput collapsed during migration")
+        assert phases["after"]["txns_per_s"] > 0.8 * before, (
+            f"{label}: throughput did not recover")

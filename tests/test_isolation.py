@@ -5,7 +5,7 @@ manager's ``start()``), the WSI/SSI commit validators in isolation, the
 full commit pipeline under each mode (write skew eliminated under
 WSI/SSI, present-but-reported under SI), the FOR UPDATE missing-key
 materialization fix, the obs surface (mode gauge, validation counters,
-the ``validate`` span phase), and the ``--suite isolation`` bench harness.
+the ``validate`` span phase), and the ``isolation`` bench experiment.
 """
 
 import pytest
@@ -588,8 +588,9 @@ class TestIsolationBench:
     def test_cli_suite_prints_its_table(self, capsys):
         from repro.bench.__main__ import main
 
-        assert main(["--suite", "isolation"]) == 0
+        assert main(["isolation"]) == 0
         out = capsys.readouterr().out
-        assert "Isolation protocol trade-off" in out
+        assert "isolation protocol trade-off" in out
+        assert "[isolation: shape holds]" in out
         for mode in ("si", "wsi", "ssi"):
             assert mode in out

@@ -108,9 +108,10 @@ class TestBenchCli:
     def test_list(self, capsys):
         from repro.bench.__main__ import main
 
+        from repro.bench.experiments import EXPERIMENTS
+
         assert main(["--list"]) == 0
-        out = capsys.readouterr().out
-        assert "fig5" in out and "table3" in out
+        assert capsys.readouterr().out.split() == list(EXPERIMENTS)
 
     def test_unknown_experiment(self):
         from repro.bench.__main__ import main
