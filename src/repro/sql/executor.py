@@ -196,13 +196,18 @@ class StatementExecutor:
         table = node.table
         if left_rows and node.index is None:
             matches = yield from table.scan()
+        full_key = node.index is not None and len(node.keys) == len(node.index.columns)
         padding = (None,) * len(table.schema.columns)
         out: List[Row] = []
         for left, key in zip(left_rows, keys):
             if None in key:
                 matches = []  # NULL never equi-joins
-            elif node.index is not None:
+            elif full_key:
                 matches = yield from table.lookup(node.index, key)
+            elif node.index is not None:  # every entry sharing the key prefix
+                matches = yield from table.index_range(
+                    node.index, key, key, include_high=True
+                )
             matched = False
             for _rid, inner in matches:
                 candidate = left + inner
@@ -217,7 +222,8 @@ class StatementExecutor:
         """Build on the (filtered, usually small) left input and stream the
         scanned side past it: an inner row that matches nothing is looked
         at once and never copied.  A NULL key joins nothing: left rows
-        carrying one are not entered, so inner ones find no bucket."""
+        carrying one are not entered, so inner ones find no bucket.  A
+        LEFT join pads the left rows nothing joined."""
         left_rows, keys, conditions = yield from self._join_inputs(node)
         if not left_rows:
             return []
@@ -233,12 +239,17 @@ class StatementExecutor:
             bucket = buckets.get(inner_key(inner))
             if bucket is not None:
                 bucket.append(inner)
+        padding = (None,) * len(node.table.schema.columns)
         out: List[Row] = []
         for left, key in zip(left_rows, keys):
+            matched = False
             for inner in buckets.get(key, ()):
                 candidate = left + inner
                 if all(cond(candidate) is True for cond in conditions):
                     out.append(candidate)
+                    matched = True
+            if node.kind == "left" and not matched:
+                out.append(left + padding)
         return out
 
     def _aggregate(self, node: nodes.Aggregate) -> Generator:

@@ -9,14 +9,15 @@ is EXPLAIN.
 
 Access is rule-based (:func:`choose_access_path`) and analysed once for
 both kinds of table: ``own column <op> expression over the tables to its
-left``.  A joined table is probed through an index when the equalities
-cover a full key, else hashed (inner equi-joins) or looped; a base table
-is the join against the one empty outer row, so its outer expressions
-fold to constants here.
+left``.  A joined table is probed through the index whose key, or a
+leading prefix of it, the equalities bind, else hashed (any other
+equi-join) or looped (no equality); a base table is the join against the
+one empty outer row, so its outer expressions fold to constants here.
 """
 
 from __future__ import annotations
 
+from itertools import takewhile
 from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SqlPlanError
@@ -99,26 +100,31 @@ class Scan(Node):
 
 
 class NestedLoop(Node):
-    """Per outer row: one lookup through ``index`` with the outer ``keys``
-    (in the order of its columns), or -- without an index -- the scanned
-    table; ``conditions`` decide which candidates join."""
+    """Per outer row: one probe of ``index`` with the outer ``keys`` (for
+    its leading columns, in their order: a lookup when they are all of
+    them, else the range sharing that prefix), or -- without an index --
+    the scanned table; ``conditions`` decide which candidates join."""
 
     __slots__ = ("source", "table", "layout", "kind", "index", "keys", "conditions")
 
     def describe(self) -> str:
-        how = ("nested-loop join" if self.index is None
-               else f"index nested-loop join via {self.index.name}")
+        if self.index is None:
+            how = "nested-loop join"
+        else:
+            how = f"index nested-loop join via {self.index.name}"
+            if len(self.keys) < len(self.index.columns):
+                how += f" prefix ({', '.join(self.index.columns[:len(self.keys)])})"
         return f"{self.kind} join {self._target()}: {how}"
 
 
 class HashJoin(Node):
-    """Inner equi-join: ``columns`` of the scanned table against the outer
+    """Equi-join: ``columns`` of the scanned table against the outer
     ``keys``."""
 
-    __slots__ = ("source", "table", "layout", "columns", "keys", "conditions")
+    __slots__ = ("source", "table", "layout", "kind", "columns", "keys", "conditions")
 
     def describe(self) -> str:
-        return f"inner join {self._target()}: hash join on " + ", ".join(self.columns)
+        return f"{self.kind} join {self._target()}: hash join on " + ", ".join(self.columns)
 
 
 class Filter(Node):
@@ -399,24 +405,22 @@ def _join(outer: Node, join: ast.Join, table: Table) -> Node:
         {outer_alias for outer_alias, _schema, _offset in outer.layout.tables},
         lambda expr: expr,
     )
-    kind, index, keys, _high, _include_high = choose_access_path(
-        schema, equals, lower, upper
-    )
-    if kind == "lookup":
-        # Equalities on columns outside the probed key can only filter.
+    index = choose_access_path(schema, equals, lower, upper)[1]
+    # The leading index columns the equalities bind: all of them for the
+    # chooser's "lookup", at least one for a "range" worth probing.
+    probed = tuple(takewhile(equals.__contains__, index.columns)) if index else ()
+    if probed:
+        # Equalities on columns outside the probed prefix can only filter.
         leftover = [
             ast.BinaryOp("=", ast.ColumnRef(alias, column), expr)
             for column, expr in equals.items()
-            if column not in index.columns
+            if column not in probed
         ]
-        return NestedLoop(outer, table, layout, join.kind, index, keys,
+        return NestedLoop(outer, table, layout, join.kind, index,
+                          tuple(equals[column] for column in probed),
                           tuple(leftover + residual))
-    # "range" here means the equalities bind a key *prefix*.  Probing the
-    # index through it is ROADMAP item 2(b): it changes the requests a join
-    # sends (a new sql_mixed digest), so until that PR re-records the
-    # baseline a join side takes an index only for a full-key match.
-    if equals and join.kind == "inner":
-        return HashJoin(outer, table, layout, tuple(equals),
+    if equals:
+        return HashJoin(outer, table, layout, join.kind, tuple(equals),
                         tuple(equals.values()), tuple(residual))
     return NestedLoop(outer, table, layout, join.kind, None, (), (join.on,))
 

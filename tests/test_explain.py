@@ -157,6 +157,15 @@ _PLANNED = [
      "hash join on region", "scan", "scan"),
     ("SELECT * FROM orders a JOIN orders b ON a.total < b.total",
      ": nested-loop join", "scan", "scan"),
+    # the ON binds the first of items_pk's two columns: a range per outer row
+    ("SELECT * FROM orders o JOIN items i ON i.order_id = o.id",
+     "inner join items [i]: index nested-loop join via items_pk prefix (order_id)",
+     "scan", "index_range"),
+    ("SELECT * FROM orders o LEFT JOIN items i ON i.order_id = o.id AND i.line > 0",
+     "left join items [i]: index nested-loop join via items_pk prefix (order_id)",
+     "scan", "index_range"),
+    ("SELECT * FROM orders o LEFT JOIN items i ON i.qty = o.customer",
+     "left join items [i]: hash join on qty", "scan", "scan"),
 ]
 
 
@@ -164,7 +173,10 @@ class TestPlanShownIsPlanExecuted:
     @pytest.mark.parametrize("sql, named, base_call, join_call", _PLANNED)
     def test_execution_uses_the_access_explain_names(
             self, session, sql, named, base_call, join_call):
+        session.execute("CREATE TABLE items (order_id INT, line INT, qty INT, "
+                        "PRIMARY KEY (order_id, line))")
         for i in range(6):
+            session.execute("INSERT INTO items VALUES (?, ?, ?)", [i // 2, i % 2, i])
             session.execute(
                 "INSERT INTO orders VALUES (?, ?, ?, ?)",
                 [i, i % 2, "emea" if i % 2 else "apac", i],

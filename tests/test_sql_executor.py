@@ -222,6 +222,32 @@ class TestJoins:
         assert strategy in "\n".join(session.explain(sql))
         assert session.execute(sql).rows == [(0, "v0"), (2, "v2"), (4, "v4")]
 
+    def test_left_equi_join_without_an_index_is_hashed(self):
+        # Used to plan "nested-loop join": a scan, then the whole ON for
+        # every (left, inner) pair.  Brute force is the oracle; both sides
+        # carry NULL keys, which pad (left) or are dropped (inner).
+        session = Database(storage_nodes=2).session()
+        session.execute("CREATE TABLE o (id INT PRIMARY KEY, b INT, c INT)")
+        session.execute("CREATE TABLE p (k INT PRIMARY KEY, b INT, c INT)")
+        values = [None, 0, 1]
+        o_rows = [(i, values[i % 3], values[i // 3 % 3]) for i in range(9)]
+        o_rows.append((9, 2, 2))  # no NULL, and no match either
+        p_rows = [(k, values[k % 3], values[k // 3 % 3]) for k in range(18)]
+        for row in o_rows:
+            session.execute("INSERT INTO o VALUES (?, ?, ?)", row)
+        for row in p_rows:
+            session.execute("INSERT INTO p VALUES (?, ?, ?)", row)
+        sql = ("SELECT o.id, p.k FROM o LEFT JOIN p ON p.b = o.b AND p.c = o.c "
+               "ORDER BY o.id, p.k")
+        assert "left join p [p]: hash join on b, c" in "\n".join(session.explain(sql))
+        expected = []
+        for i, b, c in o_rows:
+            matches = [(i, k) for k, pb, pc in p_rows
+                       if None not in (b, c) and (pb, pc) == (b, c)]
+            expected += matches or [(i, None)]
+        assert session.execute(sql).rows == expected
+        assert sum(k is None for _i, k in expected) == 6  # five of them NULL-keyed
+
 
 class TestDml:
     def test_update_with_expression(self, session):

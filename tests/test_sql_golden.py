@@ -9,10 +9,15 @@ updated and deleted ``orderline`` rows -- there the scan and index-range
 results must interleave the transaction's own rows, so no "input is
 already ordered" shortcut may fire.  Recorded before the executor moved
 from dict environments to positional rows; any rewrite of ``repro.sql``
-has to reproduce them.
+has to reproduce them.  The two ``join`` entries were re-recorded when the
+join began to probe ``orderline_pk`` through the prefix its ON clause
+binds (see the reasons beside them); nothing in the mix sends a ``Scan``
+since.
 """
 
+import ast as python_ast
 import collections
+import pathlib
 
 import pytest
 
@@ -121,7 +126,9 @@ GOLDEN_AUTOCOMMIT = {
             (11, 5, 1725.31),
             (11, 6, 1722.51),
         ],
-        {'Get': 2, 'Batch': 1, 'Batch.ops': 1, 'Scan': 1},
+        # Re-recorded: the prefix probe of orderline_pk (a leaf fetch and
+        # one batch of six row reads) replaced the unfiltered Scan.
+        {'Get': 3, 'Batch': 2, 'Batch.ops': 7},
     ),
     'analytic': (
         ['count(*)'],
@@ -164,16 +171,20 @@ GOLDEN_IN_TRANSACTION = {
     ),
     'join': (
         ['o_id', 'ol_number', 'ol_amount'],
+        # Re-recorded: an index probe returns index-key order with the
+        # transaction's own rows merged in (JOIN_ROWS_IN_SCAN_ORDER is what
+        # the hash join over a scan returned) and sends no Scan; the rows
+        # themselves are in the transaction's cache by now.
         [
+            (11, 0, 9500.5),
             (11, 1, 437.21),
             (11, 3, 9100.25),
             (11, 4, 7336.16),
             (11, 5, 1725.31),
             (11, 6, 1722.51),
-            (11, 0, 9500.5),
             (11, 99, 12.25),
         ],
-        {'Get': 2, 'Batch': 1, 'Batch.ops': 1, 'Scan': 1},
+        {'Get': 3, 'Batch': 1, 'Batch.ops': 1},
     ),
     'analytic': (
         ['count(*)'],
@@ -194,6 +205,18 @@ GOLDEN_IN_TRANSACTION = {
         {'Get': 1},
     ),
 }
+
+#: The in-transaction ``join`` rows as recorded before the join went
+#: through the index: rid order, the transaction's own inserts last.
+JOIN_ROWS_IN_SCAN_ORDER = [
+    (11, 1, 437.21),
+    (11, 3, 9100.25),
+    (11, 4, 7336.16),
+    (11, 5, 1725.31),
+    (11, 6, 1722.51),
+    (11, 0, 9500.5),
+    (11, 99, 12.25),
+]
 
 
 class _CountRequests(Interceptor):
@@ -279,6 +302,38 @@ def test_autocommit_results_and_requests(name):
 @pytest.mark.parametrize("name", ORDER)
 def test_results_and_requests_over_local_writes(name):
     assert run_in_transaction()[name] == GOLDEN_IN_TRANSACTION[name]
+
+
+def test_the_index_join_returns_the_rows_the_scan_join_did():
+    """The statement has no ORDER BY: the probe moved rows, not changed them."""
+    rows = GOLDEN_IN_TRANSACTION["join"][1]
+    assert rows != JOIN_ROWS_IN_SCAN_ORDER
+    assert sorted(rows) == sorted(JOIN_ROWS_IN_SCAN_ORDER)
+
+
+def test_no_sql_mixed_statement_scans():
+    """The goldens equal what runs (above), and none of them lists a Scan."""
+    for golden in (GOLDEN_AUTOCOMMIT, GOLDEN_IN_TRANSACTION):
+        assert set(golden) == set(ORDER)
+        for name, (_columns, _rows, requests) in golden.items():
+            assert "Scan" not in requests, name
+
+
+def test_statement_texts_equal_the_ledgers():
+    """``STATEMENTS`` is a copy; read the ledger's source, import nothing."""
+    source = pathlib.Path(__file__).parent.parent / "benchmarks/ledger/workloads.py"
+    declared = [
+        node.value for node in python_ast.parse(source.read_text()).body
+        if isinstance(node, python_ast.AnnAssign)
+        and getattr(node.target, "id", None) == "SQL_STATEMENTS"
+    ]
+    assert len(declared) == 1, "workloads.py no longer declares SQL_STATEMENTS once"
+    ledger = {
+        name: text
+        for name, (_cards, text) in python_ast.literal_eval(declared[0]).items()
+    }
+    copied = {name: text for name, text in STATEMENTS.items() if name != "lines"}
+    assert ledger == copied
 
 
 class TestStatementCache:

@@ -6,7 +6,9 @@ SELECT shapes (point lookup, secondary-index lookup, range, scan,
 aggregate) returns exactly what the model predicts.  A second, randomly
 filled table is then joined to the first in every strategy the executor
 has (index nested-loop, hash, nested loop; inner and LEFT; NULL keys on
-either side), again against the model.  A second property generates
+either side), again against the model.  A second property joins a table
+with a three-column primary key through every prefix of it, over rows the
+transaction itself wrote, against a brute-force oracle.  A third generates
 statements and checks that executing one touches exactly the tables,
 through exactly the access methods, that its plan names.
 """
@@ -161,12 +163,12 @@ def test_sql_engine_matches_dict_model(operations, references):
     assert rows == [
         (k, ref if ref in model else None) for k, (ref, _c) in u
     ]
-    # ... and without one (nested loop)
+    # ... and without one (hashed, like the inner join above)
     plan, rows = joined(
         "SELECT t.id, COUNT(u.k) AS n FROM t LEFT JOIN u ON u.ref = t.id "
         "GROUP BY t.id ORDER BY t.id"
     )
-    assert "nested-loop join" in plan
+    assert "left join u [u]: hash join on ref" in plan
     assert rows == [
         (key, sum(1 for _k, (ref, _c) in u if ref == key))
         for key in sorted(model)
@@ -192,6 +194,112 @@ def test_sql_engine_matches_dict_model(operations, references):
     )
     assert "index nested-loop join via t_color" in plan
     assert rows == expected
+
+
+# ---------------------------------------------------------------------------
+# Joins through a key prefix
+# ---------------------------------------------------------------------------
+
+_small = st.integers(min_value=0, max_value=2)
+_small_or_null = st.one_of(st.none(), st.integers(min_value=0, max_value=3))
+
+#: DML on ``p (a, b, c, d, v)``: (op, key, the ``c`` an update moves the row
+#: to, d, v).  Moving ``c`` moves the row inside ``p_pk`` and leaves a stale
+#: entry behind.
+_p_operations = st.lists(
+    st.tuples(st.sampled_from(["insert", "update", "delete"]),
+              st.tuples(_small, _small, _small), _small, _small_or_null,
+              st.integers(min_value=-9, max_value=9)),
+    max_size=12,
+)
+#: Rows of the outer table ``o (id, a, b, c)``; any of a, b, c may be NULL.
+_o_rows = st.lists(st.tuples(_small_or_null, _small_or_null, _small_or_null),
+                   min_size=1, max_size=6)
+
+
+def _eq(x, y):
+    return x is not None and y is not None and x == y
+
+
+def _plus_one(x):
+    return None if x is None else x + 1
+
+
+#: (ON clause, what it means for outer row ``o = (id, a, b, c)`` and inner
+#: row ``p = (a, b, c, d, v)``, the strategy EXPLAIN must name).
+_PREFIX_JOINS = [
+    ("p.a = o.a",
+     lambda o, p: _eq(p[0], o[1]), "via p_pk prefix (a)"),
+    ("p.a = o.a AND p.b = o.b",
+     lambda o, p: _eq(p[0], o[1]) and _eq(p[1], o[2]), "via p_pk prefix (a, b)"),
+    ("p.a = o.a AND p.c = o.c",  # prefix + an equality the probe cannot use
+     lambda o, p: _eq(p[0], o[1]) and _eq(p[2], o[3]), "via p_pk prefix (a)"),
+    ("p.a = o.a AND p.b >= o.b AND p.b < 2",  # prefix + range
+     lambda o, p: _eq(p[0], o[1]) and o[2] is not None and o[2] <= p[1] < 2,
+     "via p_pk prefix (a)"),
+    ("p.a = 1 AND p.b = o.b",  # a constant key part
+     lambda o, p: p[0] == 1 and _eq(p[1], o[2]), "via p_pk prefix (a, b)"),
+    ("p.a = o.a + 1",  # an arithmetic one
+     lambda o, p: _eq(p[0], _plus_one(o[1])), "via p_pk prefix (a)"),
+    ("p.a = o.a AND p.b = o.b AND p.c = o.c",  # the full key: a lookup
+     lambda o, p: _eq(p[0], o[1]) and _eq(p[1], o[2]) and _eq(p[2], o[3]),
+     "index nested-loop join via p_pk\n"),
+    ("p.b = o.b AND p.d = o.c",  # no index leads with b: hashed, NULLs both sides
+     lambda o, p: _eq(p[1], o[2]) and _eq(p[3], o[3]), "hash join on b, d"),
+]
+
+
+def _nulls_first(row):
+    return tuple((value is not None, value) for value in row)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(committed=_p_operations, local=_p_operations, outer=_o_rows)
+def test_prefix_joins_match_brute_force(committed, local, outer):
+    session = Database(storage_nodes=2).session()
+    session.execute("CREATE TABLE o (id INT PRIMARY KEY, a INT, b INT, c INT)")
+    session.execute("CREATE TABLE p (a INT, b INT, c INT, d INT, v INT, "
+                    "PRIMARY KEY (a, b, c))")
+    model = {}
+
+    def apply(operations):
+        for op, key, new_c, d, v in operations:
+            if op == "insert" and key not in model:
+                session.execute("INSERT INTO p VALUES (?, ?, ?, ?, ?)", [*key, d, v])
+                model[key] = (d, v)
+            elif op == "update" and key in model:
+                moved = (key[0], key[1], new_c)
+                if moved != key and moved in model:
+                    continue  # the engine would raise DuplicateKey
+                session.execute("UPDATE p SET c = ?, d = ?, v = ? "
+                                "WHERE a = ? AND b = ? AND c = ?", [new_c, d, v, *key])
+                del model[key]
+                model[moved] = (d, v)
+            elif op == "delete":
+                session.execute("DELETE FROM p WHERE a = ? AND b = ? AND c = ?", key)
+                model.pop(key, None)
+
+    o_rows = [(i, *values) for i, values in enumerate(outer)]
+    for row in o_rows:
+        session.execute("INSERT INTO o VALUES (?, ?, ?, ?)", row)
+    apply(committed)
+    session.begin()
+    apply(local)  # the joins below run over the transaction's own writes
+    p_rows = [(*key, *rest) for key, rest in model.items()]
+    for on, joins, strategy in _PREFIX_JOINS:
+        for kind in ("JOIN", "LEFT JOIN"):
+            sql = f"SELECT o.*, p.* FROM o {kind} p ON {on}"
+            assert strategy in "\n".join(session.explain(sql)) + "\n", sql
+            expected = []
+            for o in o_rows:
+                matches = [o + p for p in p_rows if joins(o, p)]
+                if kind == "LEFT JOIN" and not matches:
+                    matches = [o + (None,) * 5]
+                expected += matches
+            rows = session.execute(sql).rows
+            assert sorted(rows, key=_nulls_first) == sorted(expected, key=_nulls_first), sql
+    session.rollback()
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +372,8 @@ def _join_statements(draw):
 
 #: What ``paths_of`` calls a decision -> the ``Table`` method it runs.
 _METHODS = {"lookup": "lookup", "range": "index_range", "scan": "scan",
-            "index": "lookup", "hash": "scan", "loop": "scan"}
+            "index": "lookup", "prefix": "index_range", "hash": "scan",
+            "loop": "scan"}
 
 
 def _named_accesses(root):
