@@ -1,21 +1,23 @@
 """Simulated Tell deployment running the YCSB-style workload.
 
 Reuses the TPC-C deployment's fabric, drivers, ``run()`` and recovery; only
-the catalog, population, and terminal loop differ.  The point of the
-experiment: a zipfian key-value workload has no partitionable structure
-at all, and the shared-data architecture's scaling is unaffected --
-"no assumptions on the workload" (Section 2.1) made measurable.
+the catalog, population, and each terminal's transactions differ.  The
+point of the experiment: a zipfian key-value workload has no
+partitionable structure at all, and the shared-data architecture's
+scaling is unaffected -- "no assumptions on the workload" (Section 2.1)
+made measurable.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator
+from typing import Callable, Dict, Generator, Iterator, Sequence, Tuple
 
 from repro import effects
 from repro.bench.config import TellConfig
 from repro.bench.simcluster import SimulatedTell
-from repro.dispatch import Dispatcher
-from repro.errors import TellError, TransactionAborted
+from repro.core.transaction import Transaction
+from repro.dispatch import Dispatcher, Interceptor
+from repro.runtime.deployment import PnHandle
 from repro.sql.table import IndexManager
 from repro.workloads.loader import BulkLoader
 from repro.workloads.ycsb import (
@@ -34,8 +36,9 @@ class SimulatedYcsb(SimulatedTell):
     """
 
     def __init__(self, config: TellConfig, record_count: int = 10_000,
-                 zipf_theta: float = 0.99):
-        super().__init__(config)
+                 zipf_theta: float = 0.99,
+                 interceptors: Sequence[Interceptor] = ()):
+        super().__init__(config, interceptors=interceptors)
         self.catalog = build_ycsb_catalog()
         self.record_count = record_count
         self.zipf_theta = zipf_theta
@@ -60,42 +63,20 @@ class SimulatedYcsb(SimulatedTell):
     def _terminal_seed(self, pn_id: int, thread: int) -> int:
         return (self.config.seed * 7919 + pn_id * 211 + thread) & 0x7FFFFFFF
 
-    def _terminal(self, handle, seed: int) -> Generator:  # noqa: ANN001
-        pn, pool, cm_index, indexes = handle
+    def _transactions(self, handle: PnHandle,
+                      seed: int) -> Iterator[Tuple[str, Callable]]:
+        """One terminal's operations from its own :class:`YcsbClient`."""
         client = YcsbClient(
-            self.catalog, indexes, self.record_count, self.workload,
+            self.catalog, handle[3], self.record_count, self.workload,
             theta=self.zipf_theta, seed=seed,
         )
-        while self.sim.now < self._end_time:
-            op, args = client.next_operation()
-            started = self.sim.now
-            outcome = yield from self._drive(
-                pool, cm_index, self._ycsb_script(pn, client, op, args),
-                pn_id=pn.pn_id,
-            )
-            if started >= self._warmup_end:
-                self.metrics.record(op, outcome, self.sim.now - started)
+        cpu_per_row_us = self.config.cpu_per_row_us
 
-    def _ycsb_script(self, pn, client: YcsbClient, op: str,
-                     args: Dict) -> Generator:  # noqa: ANN001
-        config = self.config
-        try:
-            txn = yield from pn.begin()
-        except TellError:
-            return "conflict"
-        if config.txn_overhead_us > 0:
-            yield effects.Compute(config.txn_overhead_us)
-        try:
+        def run(txn: Transaction, op: str, args: Dict) -> Generator:
             yield from client.execute(txn, op, args)
-            if config.cpu_per_row_us > 0:
-                yield effects.Compute(config.cpu_per_row_us)
-        except TransactionAborted:
-            return "conflict"
-        except TellError:
-            yield from txn.abort()
-            return "conflict"
-        try:
-            yield from txn.commit()
-        except TransactionAborted:
-            return "conflict"
-        return "committed"
+            if cpu_per_row_us > 0:
+                yield effects.Compute(cpu_per_row_us)
+
+        while True:
+            op, args = client.next_operation()
+            yield op, lambda txn: run(txn, op, args)

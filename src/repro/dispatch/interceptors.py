@@ -244,9 +244,9 @@ class FaultInjector(Interceptor):
 
 
 def _delay(duration: float) -> Any:
-    from repro.sim.kernel import delay_of
+    from repro.sim.kernel import Delay
 
-    return delay_of(duration)
+    return Delay(duration)
 
 
 class CrashPoint(Interceptor):

@@ -37,7 +37,7 @@ from typing import Any, Dict, Generator, List, Optional
 from repro.elastic.coordinator import ElasticCoordinator
 from repro.errors import InvalidState
 from repro.runtime.metrics import percentile
-from repro.sim.kernel import delay_of
+from repro.sim.kernel import Delay
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ class Autoscaler:
 
     def process(self, until_us: float) -> Generator:
         """The autoscaler loop; spawn with ``sim.spawn(a.process(end))``."""
-        tick = delay_of(self.policy.interval_us)
+        tick = Delay(self.policy.interval_us)
         while self.sim.now + self.policy.interval_us <= until_us:
             yield tick
             signals = self.sample()

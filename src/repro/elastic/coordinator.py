@@ -23,7 +23,7 @@ from repro.elastic.migration import (DEFAULT_BATCH_CELLS, BatchCost,
                                      MigrationStats, migrate_partition)
 from repro.elastic.topology import Move, plan_drain, plan_rebalance
 from repro.errors import InvalidState
-from repro.sim.kernel import Delay, delay_of
+from repro.sim.kernel import Delay
 
 #: Per-cell copy service time on each endpoint of a migration batch
 #: (microseconds).  Deliberately above the plain write service time: the
@@ -215,11 +215,12 @@ class ElasticCoordinator:
             # observe the stop flag at a transaction boundary, and running
             # recovery under a still-live transaction would roll it back
             # underneath its own PN (the sanitizers catch that).
-            yield delay_of(self.drain_pause_us)
+            pause = Delay(self.drain_pause_us)
+            yield pause
             while not all(
                 self.deployment.pn_quiesced(pn_id) for pn_id in victims
             ):
-                yield delay_of(self.drain_pause_us)
+                yield pause
             rolled_back = 0
             for pn_id in victims:
                 _pn, pool, cm_index, _indexes = self.deployment.pn_handle(pn_id)

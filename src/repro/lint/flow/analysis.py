@@ -1,15 +1,11 @@
 """Fixpoint taint propagation over the linked call graph.
 
-Four classifications drive the RF rules:
+Three classifications drive the RF rules:
 
 * **sim-time-reachable** -- forward closure from the simulation entry
   points: every function in the simulated-time packages plus every
   generator resolved as a ``spawn(...)``/``run_direct(...)`` argument.
   RF001 reports wall-clock / unseeded-RNG facts inside this set.
-* **hot-path-reachable** -- forward closure from the entry points
-  the pinned-digest tests and the performance ledger drive (the TPC-C
-  deployment and the scale suite).  RF005 reports per-call allocation
-  facts inside this set.
 * **protocol-mutation tainted** -- reverse closure from every function
   with a recorded protocol-mutation fact; **obs tainted** -- reverse
   closure from the repro.obs modules.  RF004 reports sanitizer observer
@@ -31,15 +27,6 @@ from repro.lint.flow.callgraph import CallGraph, Node
 from repro.lint.flow.summary import ModuleFlow, PROTOCOL_MUTATORS
 from repro.lint.index import ProjectIndex, Symbol, in_prefixes
 from repro.lint.rules import SIMULATED_TIME_PACKAGES
-
-#: Entry points of the runs tests/test_determinism.py pins and
-#: benchmarks/ledger measures: the end-to-end TPC-C deployment and the
-#: scale suite both run through these.
-HOT_PATH_ROOTS: Tuple[Node, ...] = (
-    ("repro.runtime.deployment", "SimulatedDeployment.run"),
-    ("repro.bench.simcluster", "SimulatedTell.load"),
-    ("repro.bench.scale", "run_scale_point"),
-)
 
 #: repro.san driver modules (own their deployments; exempt from the
 #: observer isolation contract).  Mirrors RL009.
@@ -73,7 +60,6 @@ class FlowAnalysis:
             from repro.lint.flow.atomic import AtomicAnalysis
             self.atomic = AtomicAnalysis(self.graph)
         self.sim_parents = self._compute_sim_reach()
-        self.hot_parents = self.graph.reachable_from(set(HOT_PATH_ROOTS))
         #: Linted effect classes whose body declares ``kind``
         #: (RF002/RF003): a class routes iff it inherits from one.
         self.kind_declarers: Set[Symbol] = {

@@ -12,7 +12,7 @@ Edges are added only on explicit evidence, mirroring the pass-1 policy
   :mod:`repro.lint.flow.summary` (``self.commit_managers[i]`` resolves
   through the ``List[CommitManager]`` annotation on ``__init__``);
   the call also reaches every subclass override of the method
-  (``SimulatedDeployment._spawn_pn`` spawns ``self._terminal(...)``;
+  (``SimulatedDeployment._terminal`` calls ``self._transactions(...)``;
   ``StorageCluster.apply`` calls ``op.apply(...)`` on a ``StoreRequest``
   and lands in each effect class's storage-node operation);
 * ``yield from f(...)`` is a call edge flagged as *delegation*, so

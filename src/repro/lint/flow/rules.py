@@ -229,52 +229,11 @@ own their deployments and are exempt, as in RL009.
                     )
 
 
-class RF005HotPathAllocation(FlowRule):
-    code = "RF005"
-    title = "per-call allocation on a perf-guarded hot path"
-    explain = """\
-The performance ledger (`benchmarks/ledger`) measures the host cost of
-the simulated TPC-C deployment, the path the scale suite runs too;
-allocations that happen once per simulated request add up to real
-regressions there.  RF005 computes the forward closure of the guarded
-entry points (`SimulatedDeployment.run`, `SimulatedTell.load`,
-`run_scale_point`) and
-reports constant-argument `yield Delay(...)` constructions and
-all-constant list/dict literals rebuilt inside loops, with the chain
-from the guarded entry point.
-
-Fix by hoisting the constant to module level (kernel `Delay` objects
-are immutable and reusable).
-"""
-
-    def _check_flow(self, module: ModuleSummary, analysis: FlowAnalysis
-                    ) -> Iterator[Tuple[_Loc, str]]:
-        for node, info in _module_nodes(module, analysis):
-            if node not in analysis.hot_parents:
-                continue
-            via = _via(analysis, analysis.hot_parents, node)
-            facts = info.get("facts", {})
-            for fact in facts.get("const_delay", []):
-                yield _Loc(fact["line"]), (
-                    f"`{format_node(node)}` yields a constant "
-                    f"`{fact.get('what', 'Delay(...)')}` allocated per "
-                    f"call on a perf-guarded hot path{via}; hoist it to "
-                    f"a module-level constant"
-                )
-            for fact in facts.get("const_literal", []):
-                yield _Loc(fact["line"]), (
-                    f"{fact.get('what', 'constant literal')} in "
-                    f"`{format_node(node)}` on a perf-guarded hot "
-                    f"path{via}; hoist it out of the loop"
-                )
-
-
 FLOW_RULES: List[Rule] = [
     RF001WallClockReachableFromSim(),
     RF002UnroutableYield(),
     RF003UnregisteredRequestClass(),
     RF004SanitizerIsolationLeak(),
-    RF005HotPathAllocation(),
 ]
 
 FLOW_RULES_BY_CODE = {rule.code: rule for rule in FLOW_RULES}

@@ -4,7 +4,7 @@ The pass-1 :class:`~repro.lint.index.ModuleSummary` answers "what does
 this name import to"; this pass records what every *function* does --
 which callables it invokes (and through which receiver chains), what it
 yields, what it spawns into a simulator, and which determinism /
-allocation / isolation facts its body exhibits, as plain data.
+isolation facts its body exhibits, as plain data.
 
 Resolution is deliberately deferred: a call is recorded as a *shape*
 (bare name, receiver chain rooted at ``self``/a local/a parameter, a
@@ -29,12 +29,6 @@ from repro.lint.index import (
     walk_functions,
 )
 from repro.lint.rules import WALL_CLOCK_ATTRS
-
-#: Kernel Delay symbols (RF005 per-call allocation facts).
-_DELAY_SYMBOLS = frozenset({
-    ("repro.sim.kernel", "Delay"),
-    ("repro.sim", "Delay"),
-})
 
 #: Callables that *drive* a freshly created generator: their call-shaped
 #: arguments become simulation entry points for RF001.
@@ -172,16 +166,6 @@ def _value_desc(node: ast.expr) -> Optional[Dict[str, Any]]:
     return None
 
 
-def _all_constant(node: ast.expr) -> bool:
-    if isinstance(node, ast.Constant):
-        return True
-    if isinstance(node, (ast.Tuple, ast.List)):
-        return all(_all_constant(e) for e in node.elts)
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return _all_constant(node.operand)
-    return False
-
-
 class _FunctionExtractor(ast.NodeVisitor):
     """Collect the flow summary of one function body.
 
@@ -209,7 +193,6 @@ class _FunctionExtractor(ast.NodeVisitor):
             "touch": [],
             "ylines": {},
         }
-        self._loop_depth = 0
         self._yf_calls: set = set()
         #: Lexical yield-segment counter: 0 before the first preemption
         #: point, +1 after every ``yield``/``yield from``.  Touch records
@@ -287,22 +270,7 @@ class _FunctionExtractor(ast.NodeVisitor):
             src = _value_desc(node.iter)
             if src is not None:
                 self._bind(node.target.id, {"k": "iter", "src": src})
-        self.visit(node.iter)
-        self._loop_depth += 1
-        for child in node.body:
-            self.visit(child)
-        self._loop_depth -= 1
-        for child in node.orelse:
-            self.visit(child)
-
-    def visit_While(self, node: ast.While) -> None:
-        self.visit(node.test)
-        self._loop_depth += 1
-        for child in node.body:
-            self.visit(child)
-        self._loop_depth -= 1
-        for child in node.orelse:
-            self.visit(child)
+        self.generic_visit(node)
 
     # -- bindings ----------------------------------------------------------
 
@@ -368,14 +336,6 @@ class _FunctionExtractor(ast.NodeVisitor):
                 self.info["yields"].append(
                     {"line": node.lineno, "ref": list(ref)}
                 )
-                symbol = self.summary.resolve_ref(ref)
-                if (symbol in _DELAY_SYMBOLS and len(value.args) == 1
-                        and not value.keywords
-                        and isinstance(value.args[0], ast.Constant)
-                        and isinstance(value.args[0].value, (int, float))
-                        and not isinstance(value.args[0].value, bool)):
-                    self._fact("const_delay", node.lineno,
-                               f"Delay({value.args[0].value!r})")
         if value is not None:
             self.visit(value)  # arguments are evaluated pre-yield
         self._seg += 1
@@ -498,29 +458,6 @@ class _FunctionExtractor(ast.NodeVisitor):
                 root, steps = flattened
                 self._touch(root, steps, node.attr, "r", node.lineno)
         self.generic_visit(node)
-
-    def visit_List(self, node: ast.List) -> None:
-        self._check_const_literal(node, "list")
-        self.generic_visit(node)
-
-    def visit_Dict(self, node: ast.Dict) -> None:
-        self._check_const_literal(node, "dict")
-        self.generic_visit(node)
-
-    def _check_const_literal(self, node: ast.expr, kind: str) -> None:
-        if self._loop_depth == 0:
-            return
-        if isinstance(node, ast.List):
-            parts: List[Optional[ast.expr]] = list(node.elts)
-        else:
-            parts = list(getattr(node, "keys", [])) + \
-                list(getattr(node, "values", []))
-        if not parts or any(p is None for p in parts):
-            return
-        if all(_all_constant(p) for p in parts if p is not None):
-            self._fact("const_literal", node.lineno,
-                       f"all-constant {kind} literal rebuilt every "
-                       f"iteration")
 
 
 class ModuleFlow:

@@ -125,7 +125,7 @@ conflict check that snapshot isolation depends on and corrupts the run
 without any error.
 
 RL001 fires when an effect construction (or a call to an effect factory
-such as `multi_get` / `delay_of`) appears as
+such as `multi_get`) appears as
 
   * a bare expression statement:   `effects.PutIfVersion(space, k, v, ver)`
   * a tuple-unpacking assignment:  `ok, _ = effects.PutIfVersion(...)`
@@ -744,112 +744,6 @@ __main__) on:
                     )
 
 
-class RL011UninternedDelay(Rule):
-    code = "RL011"
-    title = "per-yield Delay() with a constant/recurring duration"
-    explain = """\
-`yield Delay(x)` allocates a fresh Delay object on every suspension.  For
-a duration that never changes -- a literal constant, or a loop-invariant
-variable re-yielded on every iteration -- that is one garbage object per
-event on the simulator's hottest path.  `repro.sim.kernel.delay_of`
-interns Delay instances by duration (Delays are immutable, so sharing one
-across yields, processes, and simulators is safe), and a loop can equally
-hoist a single instance out of the loop body.
-
-RL011 fires inside the hot-path packages (repro.sim / core / store /
-index / net / baselines / bench / workloads) on:
-
-* `yield Delay(<numeric literal>)` anywhere, and
-* `yield Delay(<name>)` directly inside a for/while loop when `<name>`
-  is never rebound in the loop body (the duration is the same object
-  every iteration, so the Delay should be too).
-
-A computed duration (`yield Delay(end - now)`) is exempt: the value
-genuinely varies per yield.
-
-Fix: `yield delay_of(duration)` for recurring durations, or build the
-Delay once before the loop (`pause = delay_of(step)` ... `yield pause`).
-"""
-
-    _HOT_PATH_PACKAGES = SIMULATED_TIME_PACKAGES + (
-        "repro.bench", "repro.workloads",
-    )
-    _DELAY_SYMBOLS = frozenset({
-        ("repro.sim.kernel", "Delay"),
-        ("repro.sim", "Delay"),
-    })
-
-    def _is_delay_call(self, node: ast.expr,
-                       module: ModuleSummary) -> bool:
-        if not (isinstance(node, ast.Call)
-                and len(node.args) == 1 and not node.keywords):
-            return False
-        symbol = module.resolve_callable(node.func)
-        return symbol in self._DELAY_SYMBOLS
-
-    @staticmethod
-    def _names_bound_in(loop: ast.AST) -> frozenset:
-        bound = set()
-        for node in ast.walk(loop):
-            targets = ()
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = (node.target,)
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                targets = (node.target,)
-            elif isinstance(node, ast.NamedExpr):
-                targets = (node.target,)
-            elif isinstance(node, ast.withitem):
-                if node.optional_vars is not None:
-                    targets = (node.optional_vars,)
-            for target in targets:
-                for leaf in ast.walk(target):
-                    if isinstance(leaf, ast.Name):
-                        bound.add(leaf.id)
-        return frozenset(bound)
-
-    def check(self, module: ModuleSummary, tree: ast.Module,
-              index: ProjectIndex) -> Iterator[Tuple[ast.AST, str]]:
-        if not in_packages(module.module, self._HOT_PATH_PACKAGES):
-            return
-
-        def visit(node: ast.AST,
-                  loops: Tuple[ast.AST, ...]
-                  ) -> Iterator[Tuple[ast.AST, str]]:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                      ast.Lambda)):
-                    # A nested function's yields do not repeat per
-                    # enclosing-loop iteration; restart the loop stack.
-                    yield from visit(child, ())
-                elif isinstance(child, (ast.For, ast.AsyncFor, ast.While)):
-                    yield from visit(child, loops + (child,))
-                else:
-                    yield from visit(child, loops)
-            if (isinstance(node, ast.Yield) and node.value is not None
-                    and self._is_delay_call(node.value, module)):
-                arg = node.value.args[0]
-                if (isinstance(arg, ast.Constant)
-                        and isinstance(arg.value, (int, float))
-                        and not isinstance(arg.value, bool)):
-                    yield node.value, (
-                        f"`yield Delay({arg.value!r})` allocates per "
-                        f"yield for a constant duration; use "
-                        f"`delay_of({arg.value!r})`"
-                    )
-                elif loops and isinstance(arg, ast.Name):
-                    if arg.id not in self._names_bound_in(loops[-1]):
-                        yield node.value, (
-                            f"`yield Delay({arg.id})` inside a loop "
-                            f"re-allocates a Delay for the same duration "
-                            f"every iteration; use `delay_of({arg.id})` "
-                            f"or hoist one instance out of the loop"
-                        )
-
-        yield from visit(tree, ())
-
-
 class RL012IsolationEncapsulation(Rule):
     code = "RL012"
     title = "isolation state touched outside the module that owns it"
@@ -975,7 +869,6 @@ ALL_RULES: List[Rule] = [
     RL008BypassedDispatch(),
     RL009SanitizerMutation(),
     RL010SanitizerObservability(),
-    RL011UninternedDelay(),
     RL012IsolationEncapsulation(),
     RL013OwnershipEncapsulation(),
 ]

@@ -42,24 +42,9 @@ class NetworkProfile:
     client_cpu_per_msg_us: float
     server_cpu_per_msg_us: float
 
-    def __post_init__(self) -> None:
-        # Message sizes cluster into a few dozen size classes (fixed-size
-        # CM messages, per-kind response estimates), so per-size memoization
-        # removes the arithmetic from the per-message hot path.  The cache
-        # is an implementation detail, not a dataclass field: it must not
-        # participate in __eq__/__repr__, and the frozen dataclass requires
-        # object.__setattr__ to install it.
-        object.__setattr__(self, "_one_way_cache", {})
-
     def one_way(self, size_bytes: int = 64) -> float:
         """One-way message latency including serialization delay."""
-        cache = self._one_way_cache
-        cached = cache.get(size_bytes)
-        if cached is None:
-            cached = self.one_way_us + size_bytes / self.bytes_per_us
-            if len(cache) < 4096:
-                cache[size_bytes] = cached
-        return cached
+        return self.one_way_us + size_bytes / self.bytes_per_us
 
     def round_trip(self, request_bytes: int = 64, response_bytes: int = 64) -> float:
         """Request/response wire time, excluding server processing."""

@@ -89,13 +89,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _run_bench(profile: Optional[str]) -> dict:
-    import os
+    """``profile`` names a ``PROFILES`` entry; None defers to
+    ``REPRO_BENCH_PROFILE`` (``bench_profile()``), as ``repro-bench``."""
+    from repro.bench.experiments import PROFILES, run_phase_breakdown
 
-    from repro.bench import experiments
-
-    if profile:
-        os.environ["REPRO_BENCH_PROFILE"] = profile
-    return experiments.run_phase_breakdown()
+    return run_phase_breakdown(PROFILES[profile] if profile else None)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -134,6 +132,8 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.bench.experiments import PROFILES
+
     parser = argparse.ArgumentParser(
         prog="repro-obs",
         description="Render and validate repro.obs metrics snapshots.",
@@ -141,7 +141,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="bench + live table")
-    run_parser.add_argument("--profile", choices=("smoke", "quick", "full"))
+    run_parser.add_argument("--profile", choices=tuple(PROFILES))
     run_parser.add_argument("--out", metavar="FILE",
                             help="also write the snapshot JSON here")
     run_parser.set_defaults(func=_cmd_run)
@@ -157,7 +157,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     validate_parser.set_defaults(func=_cmd_validate)
 
     smoke_parser = sub.add_parser("smoke", help="CI smoke gate")
-    smoke_parser.add_argument("--profile", choices=("smoke", "quick", "full"))
+    smoke_parser.add_argument("--profile", choices=tuple(PROFILES))
     smoke_parser.set_defaults(func=_cmd_smoke)
 
     args = parser.parse_args(argv)

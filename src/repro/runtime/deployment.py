@@ -20,12 +20,13 @@ from repro.core.processing_node import ProcessingNode
 from repro.core.recovery import recover_processing_node
 from repro.core.snapshot import SnapshotDescriptor
 from repro.core.spaces import META_SPACE
+from repro.core.transaction import Transaction
 from repro.core.txlog import TransactionLog
 from repro.dispatch import DispatchEnv, Dispatcher, Interceptor, attach_all
-from repro.errors import InvalidState
+from repro.errors import InvalidState, TellError, TransactionAborted
 from repro.runtime.config import DeploymentConfig, SimulationConfig
 from repro.runtime.fabric import CorePool, SimFabric, drive
-from repro.sim.kernel import Simulator, delay_of
+from repro.sim.kernel import Delay, Simulator
 from repro.sql.table import IndexManager
 from repro.store.cluster import StorageCluster
 from repro.store.management import ManagementNode
@@ -184,10 +185,17 @@ class SimulatedDeployment(Deployment):
     Owns the event kernel, the fabric, the interceptor chain (see
     ``docs/dispatch.md``; the empty default adds no work to the hot
     loop), the live processing-node pool, ``run()`` and ``quiesce()``.
-    A subclass supplies ``load()``, ``_terminal(handle, seed)`` and
-    ``_obs_label()``; ``metrics`` is its recorder -- the runtime only
-    stamps the measured window and the obs snapshot on it.
+    A subclass supplies ``load()``, ``_transactions(handle, seed)`` -- one
+    terminal's endless source of ``(name, body)`` pairs, ``body(txn)``
+    being the workload coroutine, finished with before the next pair
+    is drawn -- and ``_obs_label()``, and may name its own rollback in
+    ``_rollback_errors``; ``metrics`` is its recorder -- the runtime
+    only stamps the measured window and the obs snapshot on it.
     """
+
+    #: What a workload body raises to roll its transaction back on
+    #: purpose (outcome ``"user_abort"``, not ``"conflict"``).
+    _rollback_errors: Tuple[type, ...] = ()
 
     def __init__(self, config: SimulationConfig, metrics: Any,
                  interceptors: Sequence[Interceptor] = ()):
@@ -267,6 +275,64 @@ class SimulatedDeployment(Deployment):
         """Per-terminal RNG seed; workload subclasses derive their own."""
         return (self.config.seed * 10_007 + pn_id * 131 + thread) & 0x7FFFFFFF
 
+    def _terminal(self, handle: PnHandle, seed: int) -> Generator:
+        """One closed-loop client (a sim process body): it runs the
+        workload's transactions back to back until the run ends or its
+        processing node is stopped."""
+        pn, pool, cm_index, _indexes = handle
+        transactions = self._transactions(handle, seed)
+        warmup_end = self._warmup_end
+        end_time = self._end_time
+        sim = self.sim
+        active = self._pn_active
+        pn_id = pn.pn_id
+        while sim.now < end_time and active.get(pn_id, True):
+            name, body = next(transactions)
+            started = sim.now
+            try:
+                outcome = yield from self._drive(
+                    pool, cm_index, self._transaction(pn, name, body),
+                    pn_id=pn_id,
+                )
+            except TellError:
+                # An infrastructure failure (e.g. a storage node dying
+                # under an in-flight request) escaped the transaction's
+                # own abort path.  The terminal abandons the transaction
+                # exactly like a crashed PN -- recovery reconciles the
+                # leftover state -- and keeps serving.
+                outcome = "conflict"
+            if started >= warmup_end:
+                self.metrics.record(name, outcome, sim.now - started)
+
+    def _transaction(self, pn: ProcessingNode, name: str,
+                     body: Callable[[Transaction], Generator]) -> Generator:
+        """begin -> per-transaction overhead -> body -> commit; returns
+        ``"committed"``, ``"conflict"`` or ``"user_abort"``."""
+        try:
+            txn: Transaction = yield from pn.begin()
+        except TellError:
+            return "conflict"
+        if txn.span is not None:
+            txn.span.attrs["txn"] = name
+        if self.config.txn_overhead_us > 0:
+            yield effects.Compute(self.config.txn_overhead_us)
+        try:
+            yield from body(txn)
+        except self._rollback_errors:
+            yield from txn.abort()
+            return "user_abort"
+        except TransactionAborted:
+            return "conflict"
+        except TellError:
+            # e.g. KeyNotFound under races: treat as an abort
+            yield from txn.abort()
+            return "conflict"
+        try:
+            yield from txn.commit()
+        except TransactionAborted:
+            return "conflict"
+        return "committed"
+
     def start_pn(self) -> int:
         """Attach a fresh processing node while the simulation runs.
 
@@ -330,9 +396,7 @@ class SimulatedDeployment(Deployment):
     def _cm_sync_loop(self, manager: CommitManager) -> Generator:
         """Background snapshot synchronization between commit managers."""
         peer_ids = [m.cm_id for m in self.commit_managers]
-        # Delay objects are immutable; one interned instance serves every
-        # iteration of the loop.
-        pause = delay_of(self.config.cm_sync_interval_us)
+        pause = Delay(self.config.cm_sync_interval_us)  # immutable: reused
         while True:
             yield pause
             # State-wise the sync runs through the store directly; its

@@ -40,7 +40,7 @@ from repro.dispatch import (
 from repro.errors import TellError, WrongOwner
 from repro.net.profiles import NetworkProfile, profile_by_name
 from repro.runtime.config import SimulationConfig
-from repro.sim.kernel import Delay, Simulator, delay_of
+from repro.sim.kernel import Delay, Simulator
 from repro.store.cell import approx_size, request_size
 from repro.store.cluster import StorageCluster
 
@@ -166,7 +166,7 @@ class SimFabric:
                 yield Delay(end - now)
             return None
         if kind == KIND_SLEEP:
-            yield delay_of(request.duration)
+            yield Delay(request.duration)
             return None
         if kind == KIND_BATCH:
             ops = request.ops

@@ -49,51 +49,6 @@ class Delay:
         return f"Delay({self.duration})"
 
 
-#: Interned delays for recurring durations (sync intervals, fixed service
-#: times).  Delay objects are immutable, so sharing one instance across
-#: yields -- even across simulators -- is safe and skips an allocation on
-#: the hot path.
-#:
-#: Capacity policy: the cache is insert-only and bounded.  Once
-#: ``_DELAY_CACHE_MAX`` distinct durations have been interned, later
-#: durations are *not* cached -- ``delay_of`` still returns a correct
-#: (fresh) ``Delay``, it just stops saving the allocation.  Nothing is
-#: ever evicted, so the recurring durations that fill the cache first
-#: (sync intervals, fixed service times) keep their pooled instances for
-#: the life of the interpreter.  ``delay_cache_info()`` exposes the
-#: occupancy so callers and tests can detect saturation instead of
-#: guessing why interning "stopped working".
-_DELAY_CACHE: Dict[float, Delay] = {}
-_DELAY_CACHE_MAX = 1024
-
-
-def delay_of(duration: float) -> Delay:
-    """A pooled :class:`Delay`; prefer this for repeated durations.
-
-    At capacity (see ``delay_cache_info``) this degrades gracefully to a
-    plain allocation per call; the returned value is indistinguishable
-    from the cached case except by identity.
-    """
-    pooled = _DELAY_CACHE.get(duration)
-    if pooled is None:
-        pooled = Delay(duration)
-        if len(_DELAY_CACHE) < _DELAY_CACHE_MAX:
-            _DELAY_CACHE[duration] = pooled
-    return pooled
-
-
-def delay_cache_info() -> Tuple[int, int]:
-    """``(size, capacity)`` of the delay intern pool.
-
-    ``size == capacity`` means the pool is saturated: ``delay_of`` keeps
-    returning correct delays but no longer interns new durations.  A
-    workload that feeds many distinct durations through ``delay_of``
-    (e.g. randomised think times) should construct ``Delay`` directly
-    instead of churning the pool.
-    """
-    return len(_DELAY_CACHE), _DELAY_CACHE_MAX
-
-
 class Event:
     """A one-shot event processes can wait on.
 

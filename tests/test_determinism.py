@@ -15,6 +15,7 @@ import pytest
 from repro.bench.config import TellConfig, TpccScale
 from repro.bench.scale import scale_points
 from repro.bench.simcluster import run_tell_experiment
+from repro.bench.ycsb_sim import SimulatedYcsb
 
 
 def _config(seed: int, threads_per_pn: int = 4,
@@ -47,6 +48,19 @@ def _config(seed: int, threads_per_pn: int = 4,
 ])
 def test_pinned_digest(config, pinned):
     assert run_tell_experiment(config).digest() == pinned
+
+
+def test_pinned_ycsb_digest():
+    # Recorded at 584bb3b.  The YCSB deployment shares the runtime's
+    # closed-loop client with TPC-C but draws its own seeds, operations
+    # and per-row Compute; neither digest above covers that.
+    config = TellConfig(
+        processing_nodes=2, storage_nodes=3, threads_per_pn=4, mix="A",
+        duration_us=40_000.0, warmup_us=4_000.0, seed=1,
+    )
+    metrics = SimulatedYcsb(config, record_count=500).run()
+    assert metrics.digest() == (
+        "8e802d3c85502ece9e633e86b2fa89b8010ddeee8069c07b80d71f86a88ee631")
 
 
 def test_different_seed_diverges():

@@ -19,7 +19,7 @@ from repro.elastic.migration import (assert_migration_clean, capture_pins,
 from repro.elastic.topology import (assert_no_leaks, plan_drain,
                                     plan_rebalance)
 from repro.errors import InvalidState
-from repro.sim.kernel import delay_of
+from repro.sim.kernel import Delay
 from repro.store.cluster import StorageCluster
 from repro.workloads.tpcc.params import TpccScale
 
@@ -300,8 +300,9 @@ class TestLiveElasticity:
         killed = []
 
         def killer():
+            poll = Delay(50.0)
             while not pmap.migrations_in_flight():
-                yield delay_of(50.0)
+                yield poll
             victim = pmap.migrations_in_flight()[0].src
             deployment.management.handle_node_failure(victim)
             killed.append(victim)

@@ -97,14 +97,15 @@ class TestCallGraph:
         perform = ("repro.runtime.fabric", "SimFabric.perform")
         batch = ("repro.runtime.fabric", "SimFabric._perform_batch")
         assert batch in g.yf_edges[perform]
-        script = ("repro.bench.simcluster", "SimulatedTell._transaction_script")
+        script = ("repro.runtime.deployment",
+                  "SimulatedDeployment._transaction")
         commit = ("repro.core.transaction", "Transaction.commit")
         assert commit in g.yf_edges[script]
 
     def test_dispatch_table_fans_out_to_transactions(self, src_analysis):
         g = src_analysis.graph
-        script = ("repro.bench.simcluster", "SimulatedTell._transaction_script")
-        targets = g.edges[script]
+        source = ("repro.bench.simcluster", "SimulatedTell._transactions")
+        targets = g.edges[source]
         for name in ("new_order", "payment", "order_status",
                      "delivery", "stock_level"):
             assert ("repro.workloads.tpcc.transactions", name) in targets
@@ -131,19 +132,22 @@ class TestCallGraph:
             assert ("repro.store.node", f"StorageNode.do_{op}") in reached
 
     def test_spawned_terminals_reach_commit_manager(self, src_analysis):
-        # _spawn_pn lives in repro.runtime and spawns `self._terminal(...)`:
-        # the workload overrides are reached through the self-call.
-        assert ("repro.bench.simcluster", "SimulatedTell._terminal") \
-            in src_analysis.graph.spawned
-        assert ("repro.bench.ycsb_sim", "SimulatedYcsb._terminal") \
-            in src_analysis.graph.spawned
+        # _spawn_pn spawns the runtime's `_terminal`, whose
+        # `self._transactions(...)` reaches each workload's override.
+        g = src_analysis.graph
+        terminal = ("repro.runtime.deployment",
+                    "SimulatedDeployment._terminal")
+        assert terminal in g.spawned
+        assert ("repro.bench.simcluster", "SimulatedTell._transactions") \
+            in g.edges[terminal]
+        assert ("repro.bench.ycsb_sim", "SimulatedYcsb._transactions") \
+            in g.edges[terminal]
         assert ("repro.core.commit_manager", "CommitManager.start") \
             in src_analysis.sim_parents
 
-    def test_tpcc_transactions_are_hot_and_sim_reachable(self, src_analysis):
+    def test_tpcc_transactions_are_sim_reachable(self, src_analysis):
         node = ("repro.workloads.tpcc.transactions", "new_order")
         assert node in src_analysis.sim_parents
-        assert node in src_analysis.hot_parents
 
     def test_every_effect_leaf_is_routable(self, src_analysis):
         leaves = src_analysis.effect_leaves()
@@ -184,7 +188,7 @@ class TestRF001:
              '_audit()\n    warehouse_table = ctx.table("warehouse")'),
         ])
         assert [f.rule for f in findings] == ["RF001"]
-        assert "SimulatedTell._terminal" in findings[0].message
+        assert "SimulatedDeployment._terminal" in findings[0].message
         assert "new_order" in findings[0].message
 
     def test_unreached_helper_is_silent(self, src_sources):
@@ -391,53 +395,6 @@ class TestRF004:
 
 
 # ---------------------------------------------------------------------------
-# RF005 -- per-call allocation on perf-guarded hot paths
-# ---------------------------------------------------------------------------
-
-
-class TestRF005:
-    def test_constant_delay_in_real_drive_loop(self, src_sources):
-        findings = mutate(src_sources, [(
-            "runtime/fabric.py", "yield Delay(wait)", "yield Delay(0.001)",
-        )])
-        assert [f.rule for f in findings] == ["RF005"]
-        assert "SimulatedDeployment.run" in findings[0].message
-
-    def test_constant_literal_in_hot_loop(self, src_sources):
-        findings = mutate(src_sources, [(
-            "workloads/tpcc/transactions.py",
-            "item_ids = [(i_id,) for i_id, _sw, _q in params.items]",
-            "for _ in range(2):\n"
-            '        _weights = {"a": 1, "b": 2}\n'
-            "    item_ids = [(i_id,) for i_id, _sw, _q in params.items]",
-        )])
-        assert [f.rule for f in findings] == ["RF005"]
-
-    def test_cold_function_is_silent(self):
-        # Constant Delay in a function nothing hot reaches.
-        assert flow_codes(
-            ("repro.tools.mini", """
-                from repro.sim.kernel import Delay
-                def cold():
-                    yield Delay(1.5)
-            """),
-        ) == []
-
-    def test_hot_root_fixture_fires(self):
-        findings = flow_findings(
-            ("repro.bench.scale", """
-                from repro.sim.kernel import Delay
-                def run_scale_point():
-                    yield from pace()
-                def pace():
-                    yield Delay(1.5)
-            """),
-        )
-        assert [f.rule for f in findings] == ["RF005"]
-        assert "run_scale_point" in findings[0].message
-
-
-# ---------------------------------------------------------------------------
 # Suppression integration
 # ---------------------------------------------------------------------------
 
@@ -494,14 +451,14 @@ class TestCli:
     def test_list_rules_includes_flow_family(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RF001", "RF002", "RF003", "RF004", "RF005"):
+        for code in ("RF001", "RF002", "RF003", "RF004"):
             assert code in out
 
     def test_dump_callgraph(self, capsys):
         assert lint_main(["--flow", "--dump-callgraph", SRC]) == 0
         data = json.loads(capsys.readouterr().out)
         assert "repro.dispatch.direct:Dispatcher.execute" in data["nodes"]
-        assert "repro.bench.simcluster:SimulatedTell._terminal" \
+        assert "repro.runtime.deployment:SimulatedDeployment._terminal" \
             in data["spawned"]
         edges = data["edges"]["repro.dispatch.direct:Dispatcher.execute"]
         assert "repro.dispatch.direct:Dispatcher._handle" in edges

@@ -5,6 +5,7 @@ guards the linter itself against regressions."""
 
 import ast
 import json
+import re
 import textwrap
 from pathlib import Path
 
@@ -628,95 +629,6 @@ class TestRL010:
 
 
 # ---------------------------------------------------------------------------
-# RL011 -- per-yield Delay() with a constant/recurring duration
-# ---------------------------------------------------------------------------
-
-
-class TestRL011:
-    def test_constant_duration_fires(self):
-        assert codes("""
-            from repro.sim.kernel import Delay
-            def worker():
-                yield Delay(5.0)
-        """, module="repro.core.fixture") == ["RL011"]
-
-    def test_constant_via_module_attribute_fires(self):
-        assert codes("""
-            from repro.sim import kernel
-            def worker():
-                yield kernel.Delay(100)
-        """, module="repro.store.fixture") == ["RL011"]
-
-    def test_loop_invariant_name_fires(self):
-        assert codes("""
-            from repro.sim.kernel import Delay
-            def sync_loop(interval):
-                while True:
-                    yield Delay(interval)
-        """, module="repro.bench.fixture") == ["RL011"]
-
-    def test_name_rebound_in_loop_is_clean(self):
-        assert codes("""
-            from repro.sim.kernel import Delay
-            def backoff(base):
-                wait = base
-                while True:
-                    yield Delay(wait)
-                    wait = wait * 2
-        """, module="repro.core.fixture") == []
-
-    def test_computed_duration_is_clean(self):
-        assert codes("""
-            from repro.sim.kernel import Delay
-            def charge(sim, reserve, cost):
-                start, end = reserve(sim.now, cost)
-                if end > sim.now:
-                    yield Delay(end - sim.now)
-        """, module="repro.bench.fixture") == []
-
-    def test_name_outside_loop_is_clean(self):
-        # A single yield of a variable duration is the wrapper idiom
-        # (prepare_* returning a wait); only per-iteration re-yields fire.
-        assert codes("""
-            from repro.sim.kernel import Delay
-            def wrapper(wait):
-                if wait > 0:
-                    yield Delay(wait)
-        """, module="repro.bench.fixture") == []
-
-    def test_delay_of_is_clean(self):
-        assert codes("""
-            from repro.sim.kernel import delay_of
-            def sync_loop(interval):
-                while True:
-                    yield delay_of(interval)
-        """, module="repro.core.fixture") == []
-
-    def test_hoisted_instance_is_clean(self):
-        assert codes("""
-            from repro.sim.kernel import Delay
-            def ticker(step, n):
-                pause = Delay(step)
-                for _ in range(n):
-                    yield pause
-        """, module="repro.bench.fixture") == []
-
-    def test_outside_hot_path_packages_is_clean(self):
-        assert codes("""
-            from repro.sim.kernel import Delay
-            def worker():
-                yield Delay(5.0)
-        """, module="repro.api.fixture") == []
-
-    def test_suppression(self):
-        assert codes("""
-            from repro.sim.kernel import Delay
-            def worker():
-                yield Delay(5.0)  # repro-lint: ignore[RL011] fixture
-        """, module="repro.core.fixture") == []
-
-
-# ---------------------------------------------------------------------------
 # RL012 -- isolation state touched outside the module that owns it
 # ---------------------------------------------------------------------------
 
@@ -954,6 +866,16 @@ class TestCli:
         out = capsys.readouterr().out
         for code in ("RL001", "RL007"):
             assert code in out
+
+    def test_rule_catalog_documents_exactly_the_registered_rules(self, capsys):
+        # One `### <code>` heading in docs/static-analysis.md per rule
+        # `--list-rules` prints, and none for a rule that is gone.
+        assert lint_main(["--list-rules"]) == 0
+        registered = [line.split()[0]
+                      for line in capsys.readouterr().out.splitlines()]
+        catalog = (REPO_ROOT / "docs" / "static-analysis.md").read_text()
+        documented = re.findall(r"^### (R[LFA]\d{3})\b", catalog, re.M)
+        assert documented == registered != []
 
 
 # ---------------------------------------------------------------------------

@@ -341,41 +341,3 @@ def test_clock_view():
     sim.spawn(proc())
     sim.run()
     assert clock.now == 8.0
-
-
-def test_delay_cache_at_capacity(monkeypatch):
-    """delay_of degrades gracefully at capacity: fresh correct Delays,
-    no eviction of the durations interned first."""
-    from repro.sim import kernel
-
-    monkeypatch.setattr(kernel, "_DELAY_CACHE", {})
-    monkeypatch.setattr(kernel, "_DELAY_CACHE_MAX", 4)
-
-    interned = [kernel.delay_of(float(i)) for i in range(4)]
-    assert kernel.delay_cache_info() == (4, 4)
-    # Within capacity: same instance back on every call.
-    for i, pooled in enumerate(interned):
-        assert kernel.delay_of(float(i)) is pooled
-
-    # Saturated: new durations still come back correct, just uncached.
-    overflow_a = kernel.delay_of(99.0)
-    overflow_b = kernel.delay_of(99.0)
-    assert overflow_a.duration == overflow_b.duration == 99.0
-    assert overflow_a is not overflow_b
-    assert kernel.delay_cache_info() == (4, 4)
-
-    # Insert-only, no eviction: the original residents survive overflow.
-    assert kernel.delay_of(0.0) is interned[0]
-    assert kernel.delay_of(3.0) is interned[3]
-
-
-def test_delay_cache_info_reports_live_pool():
-    from repro.sim.kernel import delay_cache_info, delay_of
-
-    size_before, capacity = delay_cache_info()
-    assert 0 <= size_before <= capacity
-    pooled = delay_of(123456.789)  # unlikely to collide with real uses
-    size_after, _ = delay_cache_info()
-    assert size_after >= size_before
-    if size_after > size_before:  # interned (pool was not saturated)
-        assert delay_of(123456.789) is pooled
