@@ -21,7 +21,7 @@ Several commit managers can run in parallel:
   which is legitimate (slightly older snapshots only raise the conflict
   probability, Section 6.3.3).
 
-Atomicity contract (checked by ``repro-lint --atomic``): the
+Atomicity contract (checked by ``repro-lint``, RA rules): the
 completed-set / stripe-cursor and active-base / active-PN fields are
 ``INVARIANT_PAIRS`` -- their updaters are deliberately synchronous
 (no yield between the paired writes, RA003), peer-state absorption must

@@ -13,8 +13,8 @@ Two strategies cooperate:
 This module implements the lazy sweeper.  Its prune write *must* stay a
 ``PutIfVersion`` conditioned on the version observed in the scan: the
 scan result is stale after any later yield, and an unconditional write
-would silently clobber concurrent committers (``repro-lint --atomic``
-rule RA001 guards exactly this downgrade).
+would silently clobber concurrent committers (``repro-lint`` rule
+RA001 guards exactly this downgrade).
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ The admission rule lives with the manager's validator
 
 All store-touching methods are generator coroutines.
 
-Typestate contract (checked by ``repro-lint --atomic``, RA004/RA005):
+Typestate contract (checked by ``repro-lint``, RA004/RA005):
 a transaction is linear -- begin, uses, then exactly one finish
 (``commit``/``abort``/a ``state = TxnState.ABORTED|COMMITTED`` write),
 and every abort path must ``yield effects.ReportAborted(tid)`` so the

@@ -5,8 +5,7 @@ kernel may run any other PN/CM/SN coroutine before the result comes
 back.  The RA rules statically prove the windows around those points
 safe: RA001-RA003 check shared-state atomicity across yields, RA004 and
 RA005 check the transaction/validator lifecycle as finite-state
-contracts over the call graph.  They run only under
-``repro-lint --atomic`` (which implies ``--flow``) and require the
+contracts over the call graph.  They read the
 :class:`~repro.lint.flow.atomic.AtomicAnalysis` the engine attaches to
 the flow analysis.
 
@@ -18,7 +17,7 @@ structure the flow summaries do not keep).
 from __future__ import annotations
 
 import ast
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Tuple
 
 from repro.lint.flow.atomic import AtomicAnalysis
 from repro.lint.flow.rules import _Loc
@@ -32,10 +31,7 @@ class AtomicRule(Rule):
 
     def check(self, module: ModuleSummary, tree: ast.Module,
               index: ProjectIndex) -> Iterator[Tuple[Any, str]]:
-        flow = getattr(index, "flow", None)
-        analysis: Optional[AtomicAnalysis] = getattr(flow, "atomic", None)
-        if analysis is None:
-            return
+        analysis: AtomicAnalysis = index.flow.atomic
         for line, code, message in analysis.module_findings(module, tree):
             if code == self.code:
                 yield _Loc(line), message
@@ -161,7 +157,8 @@ degrades into false positives against ghosts.
 RA005(a) is path-local: the discharge must appear at or after the state
 write in the same function (delegation counts via a ReportAborted
 reachability fixpoint over `yield from` edges).  RA005(b) is class
--local over the extracted call facts.
+-local over the extracted call facts, in `repro.*` modules only (a test
+that drives a validator directly owns no abort path).
 
 Fix by delivering `ReportAborted` on every abort path (the shipped
 idiom is `Transaction._finish_abort`) and by calling
@@ -176,5 +173,3 @@ ATOMIC_RULES: List[Rule] = [
     RA004TxnUseAfterFinish(),
     RA005AbortNotReported(),
 ]
-
-ATOMIC_RULES_BY_CODE = {rule.code: rule for rule in ATOMIC_RULES}

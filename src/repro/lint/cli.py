@@ -3,12 +3,11 @@
 Usage::
 
     repro-lint [PATHS...]              lint (default: src)
-    repro-lint --flow src              + interprocedural RF rules
-    repro-lint --flow --atomic src     + yield-point RA rules
-    repro-lint --json src              machine-readable findings
     repro-lint --explain RF001         print one rule's documentation
     repro-lint --list-rules            one line per rule
-    repro-lint --flow --dump-callgraph src   call graph as JSON
+
+Every run builds the whole analysis (symbol index, flow summaries, call
+graph, yield-point analysis) and runs every rule.
 
 Exit codes: 0 clean, 1 findings, 2 usage or internal error.
 """
@@ -16,28 +15,16 @@ Exit codes: 0 clean, 1 findings, 2 usage or internal error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import textwrap
 from typing import List, Optional
 
-from repro.lint.atomic import ATOMIC_RULES_BY_CODE
-from repro.lint.engine import build_index, lint_sources, load_sources
-from repro.lint.flow.atomic import ANALYZER_VERSION
-from repro.lint.flow.rules import FLOW_RULES_BY_CODE
-from repro.lint.rules import ALL_RULES, RULES_BY_CODE
-
-#: JSON output schema tag.  /1 had no "schema"/"analyzer"/"family"
-#: fields; /2 added them; /3 drops "baselined" (baselines are gone).
-JSON_SCHEMA = "repro-lint-findings/3"
-
-_ALL_RULES_BY_CODE = {**RULES_BY_CODE, **FLOW_RULES_BY_CODE,
-                      **ATOMIC_RULES_BY_CODE}
-
-
-def _family(code: str) -> str:
-    """Rule family of a finding code: RL, RF, or RA."""
-    return code[:2] if code[:2] in ("RL", "RF", "RA") else "RL"
+from repro.lint.engine import (
+    ALL_RULES,
+    RULES_BY_CODE,
+    lint_sources,
+    load_sources,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,21 +32,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description="AST invariant checker for the repro codebase: "
                     "effect-coroutine hygiene, simulation determinism, "
-                    "and hot-path contracts.",
+                    "hot-path contracts, sanitizer isolation, and "
+                    "yield-point atomicity.",
     )
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
-    parser.add_argument("--flow", action="store_true",
-                        help="run the interprocedural RF rules (project "
-                             "call graph + taint propagation)")
-    parser.add_argument("--atomic", action="store_true",
-                        help="run the yield-point interleaving and "
-                             "typestate RA rules (implies --flow)")
-    parser.add_argument("--dump-callgraph", action="store_true",
-                        help="with --flow: print the resolved call graph "
-                             "as JSON and exit")
-    parser.add_argument("--json", action="store_true", dest="as_json",
-                        help="emit findings as JSON on stdout")
     parser.add_argument("--explain", metavar="RULE", default=None,
                         help="print the documentation for one rule "
                              "(e.g. --explain RF001) and exit")
@@ -69,9 +46,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _explain(code: str) -> int:
-    rule = _ALL_RULES_BY_CODE.get(code.upper())
+    rule = RULES_BY_CODE.get(code.upper())
     if rule is None:
-        known = ", ".join(sorted(_ALL_RULES_BY_CODE))
+        known = ", ".join(sorted(RULES_BY_CODE))
         print(f"repro-lint: unknown rule {code!r} (known: {known})",
               file=sys.stderr)
         return 2
@@ -81,31 +58,14 @@ def _explain(code: str) -> int:
     return 0
 
 
-def _list_rules() -> int:
-    for rule in ALL_RULES:
-        print(f"{rule.code}  {rule.title}")
-    for rule in FLOW_RULES_BY_CODE.values():
-        print(f"{rule.code}  {rule.title}  [--flow]")
-    for rule in ATOMIC_RULES_BY_CODE.values():
-        print(f"{rule.code}  {rule.title}  [--atomic]")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.atomic:
-        # The RA rules are built on the flow call graph.
-        args.flow = True
-
+    args = _build_parser().parse_args(argv)
     if args.explain is not None:
         return _explain(args.explain)
     if args.list_rules:
-        return _list_rules()
-    if args.dump_callgraph and not args.flow:
-        print("repro-lint: --dump-callgraph requires --flow",
-              file=sys.stderr)
-        return 2
+        for rule in ALL_RULES:
+            print(f"{rule.code}  {rule.title}")
+        return 0
 
     try:
         sources = load_sources(args.paths)
@@ -113,29 +73,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"repro-lint: no such file or directory: {exc}",
               file=sys.stderr)
         return 2
-
-    if args.dump_callgraph:
-        graph = build_index(sources, flow=True).flow.graph
-        print(json.dumps(graph.to_dict(), indent=2, sort_keys=True))
-        return 0
-
-    result = lint_sources(sources, flow=args.flow, atomic=args.atomic)
-
-    if args.as_json:
-        findings = []
-        for finding in result.findings:
-            entry = finding.to_dict()
-            entry["family"] = _family(finding.rule)
-            findings.append(entry)
-        payload = {
-            "schema": JSON_SCHEMA,
-            "analyzer": ANALYZER_VERSION,
-            "findings": findings,
-            "files_checked": result.files_checked,
-            "suppressed": result.suppressed,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return result.exit_code
+    result = lint_sources(sources)
 
     for finding in result.findings:
         print(f"{finding.path}:{finding.line}:{finding.col + 1}: "

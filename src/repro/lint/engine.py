@@ -1,12 +1,14 @@
 """repro-lint engine: discovery, suppression, reporting.
 
 Flow: collect :class:`SourceModule` objects (from paths or in-memory
-strings), summarize each into the pass-1 :class:`ProjectIndex`, run every
-rule over every module, then filter findings through inline suppressions.
+strings), summarize each into the pass-1 :class:`ProjectIndex` and the
+pass-2 flow summaries, link those into the one :class:`FlowAnalysis`,
+run every rule over every module, then filter findings through inline
+suppressions.
 
 Inline suppressions::
 
-    time.sleep(1)  # repro-lint: ignore[RL003] calibration outside the sim
+    time.sleep(1)  # repro-lint: ignore[RF001] calibration outside the sim
 
     # repro-lint: ignore[RL001, RL002]
     effects.Get(space, key)
@@ -32,14 +34,18 @@ from repro.lint.flow.analysis import FlowAnalysis
 from repro.lint.flow.rules import FLOW_RULES
 from repro.lint.flow.summary import ModuleFlow, extract_module_flow
 from repro.lint.index import ModuleSummary, ProjectIndex
-from repro.lint.rules import ALL_RULES, Rule
+from repro.lint.rules import LOCAL_RULES, Rule
 
 _IGNORE_RE = re.compile(r"#\s*repro-lint:\s*ignore\[([A-Z0-9,\s]+)\]")
 _SKIP_FILE_RE = re.compile(r"#\s*repro-lint:\s*skip-file")
 
+#: Every rule, in ``--list-rules`` order: module-local, flow, atomic.
+ALL_RULES: List[Rule] = [*LOCAL_RULES, *FLOW_RULES, *ATOMIC_RULES]
+RULES_BY_CODE = {rule.code: rule for rule in ALL_RULES}
+
 
 class Finding:
-    """One lint finding, locatable and JSON-serializable."""
+    """One lint finding."""
 
     __slots__ = ("rule", "path", "line", "col", "message", "line_text")
 
@@ -51,15 +57,6 @@ class Finding:
         self.col = col
         self.message = message
         self.line_text = line_text
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
 
     def __repr__(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
@@ -213,37 +210,24 @@ def load_sources(paths: Sequence[str],
 # -- running ---------------------------------------------------------------
 
 
-def build_index(sources: Sequence[SourceModule], flow: bool = False,
-                atomic: bool = False) -> ProjectIndex:
-    """Pass-1 summaries of every parsed source; under ``flow`` also the
-    pass-2 flow summaries, linked into the :class:`FlowAnalysis` the RF
-    (and, with ``atomic``, RA) rules read off ``index.flow``."""
+def build_index(sources: Sequence[SourceModule]) -> ProjectIndex:
+    """Pass-1 summaries of every parsed source plus the pass-2 flow
+    summaries, linked into the :class:`FlowAnalysis` the RF and RA rules
+    read off ``index.flow``."""
     parsed = [source for source in sources
               if source.tree is not None and not source.skip_file]
     index = ProjectIndex({source.module: source.summary for source in parsed})
-    if flow:
-        flows = {source.module: source.flow for source in parsed}
-        index.flow = FlowAnalysis(index, flows, atomic=atomic)
+    index.flow = FlowAnalysis(
+        index, {source.module: source.flow for source in parsed})
     return index
 
 
 def run_rules(sources: Sequence[SourceModule],
-              rules: Optional[Sequence[Rule]] = None,
-              flow: bool = False,
-              atomic: bool = False) -> List[Finding]:
-    """Raw findings, before inline suppressions are applied.
-
-    ``flow`` enables the interprocedural RF rules and ``atomic`` (which
-    requires ``flow``) the yield-point RA rules.
-    """
-    if rules is not None:
-        active_rules = list(rules)
-    elif flow:
-        active_rules = ALL_RULES + FLOW_RULES + \
-            (ATOMIC_RULES if atomic else [])
-    else:
-        active_rules = list(ALL_RULES)
-    index = build_index(sources, flow=flow, atomic=atomic)
+              rules: Optional[Sequence[Rule]] = None) -> List[Finding]:
+    """Raw findings of ``rules`` (default: all), before inline
+    suppressions are applied."""
+    active_rules = ALL_RULES if rules is None else rules
+    index = build_index(sources)
 
     findings: List[Finding] = []
     for source in sources:
@@ -270,10 +254,8 @@ def run_rules(sources: Sequence[SourceModule],
 
 
 def lint_sources(sources: Sequence[SourceModule],
-                 rules: Optional[Sequence[Rule]] = None,
-                 flow: bool = False,
-                 atomic: bool = False) -> LintResult:
-    raw = run_rules(sources, rules, flow=flow, atomic=atomic)
+                 rules: Optional[Sequence[Rule]] = None) -> LintResult:
+    raw = run_rules(sources, rules)
     by_path = {source.path: source for source in sources}
     kept: List[Finding] = []
     suppressed = 0
@@ -289,25 +271,20 @@ def lint_sources(sources: Sequence[SourceModule],
 
 def lint_paths(paths: Sequence[str],
                rules: Optional[Sequence[Rule]] = None,
-               relative_to: Optional[str] = None,
-               flow: bool = False,
-               atomic: bool = False) -> LintResult:
-    return lint_sources(load_sources(paths, relative_to), rules,
-                        flow=flow, atomic=atomic)
+               relative_to: Optional[str] = None) -> LintResult:
+    return lint_sources(load_sources(paths, relative_to), rules)
 
 
 def lint_source(text: str, module: str = "repro.example",
                 path: str = "<memory>",
                 rules: Optional[Sequence[Rule]] = None,
-                extra_sources: Iterable[SourceModule] = (),
-                flow: bool = False,
-                atomic: bool = False) -> List[Finding]:
+                extra_sources: Iterable[SourceModule] = ()) -> List[Finding]:
     """Lint one in-memory snippet (test/fixture entry point).
 
-    ``module`` controls package-scoped rules (RL003 fires only under the
-    simulated-time packages); ``extra_sources`` joins additional modules
-    into the same project index (cross-module resolution tests).
+    ``module`` controls package-scoped rules (a wall clock is an RF001
+    finding only when reachable from the simulated-time packages);
+    ``extra_sources`` joins additional modules into the same project
+    index (cross-module resolution tests).
     """
     sources = [SourceModule(path, module, text)] + list(extra_sources)
-    return lint_sources(sources, rules=rules, flow=flow,
-                        atomic=atomic).findings
+    return lint_sources(sources, rules=rules).findings

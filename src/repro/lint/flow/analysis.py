@@ -3,13 +3,15 @@
 Three classifications drive the RF rules:
 
 * **sim-time-reachable** -- forward closure from the simulation entry
-  points: every function in the simulated-time packages plus every
-  generator resolved as a ``spawn(...)``/``run_direct(...)`` argument.
-  RF001 reports wall-clock / unseeded-RNG facts inside this set.
+  points: every function (and module body) in the simulated-time
+  packages plus every generator resolved as a ``spawn(...)``/
+  ``run_direct(...)`` argument.  RF001 reports wall-clock facts inside
+  this set, and unseeded-RNG facts anywhere.
 * **protocol-mutation tainted** -- reverse closure from every function
   with a recorded protocol-mutation fact; **obs tainted** -- reverse
-  closure from the repro.obs modules.  RF004 reports sanitizer observer
-  edges into either set.
+  closure from the repro.obs modules and every function with an obs
+  fact.  RF004 reports a sanitizer observer's own facts and its edges
+  into either set.
 * **routable** -- effect classes a dispatcher can classify: those whose
   class body, or an ancestor's, declares the ``kind`` that
   :func:`repro.dispatch.kind_of` reads.  RF002/RF003 report yields and
@@ -18,26 +20,19 @@ Three classifications drive the RF rules:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.lint.flow.atomic import AtomicAnalysis
-
+from repro.lint.flow.atomic import AtomicAnalysis
 from repro.lint.flow.callgraph import CallGraph, Node
-from repro.lint.flow.summary import ModuleFlow, PROTOCOL_MUTATORS
-from repro.lint.index import ProjectIndex, Symbol, in_prefixes
-from repro.lint.rules import SIMULATED_TIME_PACKAGES
-
-#: repro.san driver modules (own their deployments; exempt from the
-#: observer isolation contract).  Mirrors RL009.
-SAN_DRIVER_MODULES: Tuple[str, ...] = (
-    "repro.san.scenarios",
-    "repro.san.explorer",
-    "repro.san.__main__",
+from repro.lint.flow.summary import (
+    OBS_PACKAGE,
+    PROTOCOL_MUTATORS,
+    SAN_DRIVER_MODULES,
+    SAN_PACKAGE,
+    SIMULATED_TIME_PACKAGES,
+    ModuleFlow,
 )
-
-SAN_PACKAGE = "repro.san"
-OBS_PACKAGE = "repro.obs"
+from repro.lint.index import ProjectIndex, Symbol, in_prefixes
 
 
 def format_node(node: Node) -> str:
@@ -45,20 +40,16 @@ def format_node(node: Node) -> str:
 
 
 class FlowAnalysis:
-    """Project-wide flow facts, computed once per ``--flow`` run."""
+    """Project-wide flow facts, computed once per lint run."""
 
-    def __init__(self, index: ProjectIndex, flows: Dict[str, ModuleFlow],
-                 atomic: bool = False) -> None:
+    def __init__(self, index: ProjectIndex,
+                 flows: Dict[str, ModuleFlow]) -> None:
         self.index = index
         self.flows = flows
         self.graph = CallGraph(index, flows)
-        #: Set under ``--atomic``: the yield-point interleaving and
-        #: typestate analysis the RA rules consume (imported lazily to
-        #: keep plain ``--flow`` runs free of the extra fixpoints).
-        self.atomic: Optional["AtomicAnalysis"] = None
-        if atomic:
-            from repro.lint.flow.atomic import AtomicAnalysis
-            self.atomic = AtomicAnalysis(self.graph)
+        #: The yield-point interleaving and typestate analysis the RA
+        #: rules consume.
+        self.atomic = AtomicAnalysis(self.graph)
         self.sim_parents = self._compute_sim_reach()
         #: Linted effect classes whose body declares ``kind``
         #: (RF002/RF003): a class routes iff it inherits from one.

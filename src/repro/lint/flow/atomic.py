@@ -1,15 +1,14 @@
-"""Yield-point interleaving and typestate analysis (``--atomic``).
+"""Yield-point interleaving and typestate analysis.
 
 Every ``yield`` of an effect in protocol code is a preemption point:
 the kernel may run any other PN/CM/SN coroutine before the result comes
 back.  This module turns that scheduling model into static checks:
 
-* **Yield-point summaries** -- the extraction pass tags every shared
-  -state touch (reads and writes through attribute chains) with the
-  lexical yield segment it happens in; :class:`AtomicAnalysis` resolves
-  those chains against the call graph's type evidence and exposes, per
-  function and per preemption point, which shared footprints are read
-  before and written after it, propagated through ``yield from`` chains.
+* **Shared footprints** -- the extraction pass records every shared
+  -state touch (reads and writes through attribute chains);
+  :class:`AtomicAnalysis` resolves those chains against the call graph's
+  type evidence and exposes, per function, which shared footprints it
+  reads and writes, propagated through ``yield from`` chains.
 * **A path-sensitive walker** (:class:`_FunctionWalker`) re-analyzes
   live function ASTs: it tracks which locals were derived from data read
   before the current segment (staleness), which guards tests use them,
@@ -30,19 +29,16 @@ from __future__ import annotations
 import ast
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.flow.callgraph import CallGraph, Node, _TypeEntry
+from repro.lint.flow.callgraph import CallGraph, Node
 from repro.lint.flow.summary import ATOMIC_MUTATORS
 from repro.lint.index import (
     ModuleSummary,
     Symbol,
     in_prefixes,
     name_ref_of,
+    receiver_steps,
     walk_functions,
 )
-
-#: Analyzer version, part of the ``--json`` payload.  Bump on any
-#: semantic change to the RA rules.
-ANALYZER_VERSION = "repro-atomic/1"
 
 #: Classes whose instances are shared between coroutines: attributes of
 #: these (and their subclasses) are shared-state footprints.  Per-txn
@@ -155,23 +151,6 @@ def _has_yield(node: ast.AST) -> bool:
     return False
 
 
-def _flatten(node: ast.expr) -> Optional[Tuple[str, List[str]]]:
-    """``self.commit_managers[i]`` -> ``("self", ["commit_managers",
-    "[]"])``; None for receivers rooted anywhere but a bare name."""
-    steps: List[str] = []
-    while True:
-        if isinstance(node, ast.Attribute):
-            steps.insert(0, node.attr)
-            node = node.value
-        elif isinstance(node, ast.Subscript):
-            steps.insert(0, "[]")
-            node = node.value
-        elif isinstance(node, ast.Name):
-            return node.id, steps
-        else:
-            return None
-
-
 def _oldest(*taints: Optional[_Taint]) -> Optional[_Taint]:
     """The stalest (lowest-segment) taint of the inputs, if any."""
     best: Optional[_Taint] = None
@@ -182,9 +161,9 @@ def _oldest(*taints: Optional[_Taint]) -> Optional[_Taint]:
 
 
 class AtomicAnalysis:
-    """Project-wide atomic facts: shared-footprint resolution, yield
-    -point summaries, ReportAborted reachability, transaction-parameter
-    typestate summaries, and the per-module walker cache."""
+    """Project-wide atomic facts: shared-footprint resolution,
+    ReportAborted reachability, transaction-parameter typestate
+    summaries, and the per-module walker cache."""
 
     def __init__(self, graph: CallGraph) -> None:
         self.graph = graph
@@ -246,7 +225,7 @@ class AtomicAnalysis:
                 return i
         return None
 
-    # -- yield-point summaries ---------------------------------------------
+    # -- shared footprints of whole functions ------------------------------
 
     def node_touches(self, node: Node) -> Tuple[Set[str], Set[str]]:
         """Resolved (reads, writes) shared-footprint names of one
@@ -294,40 +273,6 @@ class AtomicAnalysis:
             stack.extend(self.graph.yf_edges.get(current, ()))
         self._yf_cache[node] = (reads, writes)
         return reads, writes
-
-    def yield_summary(self, node: Node) -> List[Dict[str, Any]]:
-        """Per-preemption-point summary of one generator: for yield
-        point ``k`` (between segments ``k-1`` and ``k``), the shared
-        footprints read at or before it and written at or after it --
-        the window an interleaved coroutine could tear."""
-        info = self.graph.function_info(node)
-        if info is None:
-            return []
-        ylines = info.get("ylines", {})
-        touches = info.get("touch", [])
-        points: List[Dict[str, Any]] = []
-        for seg_text, line in sorted(ylines.items(),
-                                     key=lambda kv: int(kv[0])):
-            seg = int(seg_text)
-            read_before: Set[str] = set()
-            written_after: Set[str] = set()
-            for rec in touches:
-                footprint = self.footprint_of(
-                    node[0], info, list(rec.get("c", [])),
-                    rec.get("a", ""))
-                if footprint is None:
-                    continue
-                name = self.footprint_name(footprint)
-                if rec.get("k") == "r" and rec.get("s", 0) < seg:
-                    read_before.add(name)
-                elif rec.get("k") != "r" and rec.get("s", 0) >= seg:
-                    written_after.add(name)
-            points.append({
-                "yield": seg, "line": line,
-                "reads_before": sorted(read_before),
-                "writes_after": sorted(written_after),
-            })
-        return points
 
     # -- ReportAborted reachability (RA005) --------------------------------
 
@@ -454,7 +399,9 @@ class AtomicAnalysis:
                         self, summary, qualname, info, fn)
                     walker.run(interleaving)
                     findings.extend(walker.findings)
-            findings.extend(self._validator_findings(summary.module, flow))
+            if in_prefixes(summary.module, ("repro",)):
+                findings.extend(
+                    self._validator_findings(summary.module, flow))
         findings.sort()
         self._module_cache[summary.module] = findings
         return findings
@@ -463,7 +410,8 @@ class AtomicAnalysis:
                             flow: Any) -> List[RawFinding]:
         """RA005(b): a class that registers commit intents with a
         validator must also wire the abort path (``on_aborted``), or
-        the validator's in-flight window leaks aborted writers."""
+        the validator's in-flight window leaks aborted writers.  Library
+        code only: a test driving a validator owns no abort path."""
         findings: List[RawFinding] = []
         by_class: Dict[str, List[Tuple[str, Dict[str, Any]]]] = {}
         for qualname, info in flow.functions.items():
@@ -903,9 +851,8 @@ class _FunctionWalker:
                 self.txn[name] = list(self.txn[value.id])
                 return
         elif isinstance(value, ast.Attribute):
-            flattened = _flatten(value)
-            if flattened is not None:
-                root, steps = flattened
+            root, steps = receiver_steps(value.value)
+            if root is not None:
                 chain_key = ".".join([root] + steps + [value.attr])
                 if chain_key in self.txn:
                     self.txn[name] = list(self.txn[chain_key])
@@ -942,10 +889,9 @@ class _FunctionWalker:
             return
         if not isinstance(node, ast.Attribute):
             return
-        flattened = _flatten(node.value)
-        if flattened is None:
+        root, steps = receiver_steps(node.value)
+        if root is None:
             return
-        root, steps = flattened
         attr = node.attr
         self._check_abort_obligation(root, steps, attr, value, line)
         footprint = self.an.footprint_of(self.module, self.info,
@@ -1039,10 +985,9 @@ class _FunctionWalker:
         if isinstance(func, ast.Name):
             return {"k": "name", "fn": func.id, "line": call.lineno}
         if isinstance(func, ast.Attribute):
-            flattened = _flatten(func.value)
-            if flattened is None:
+            root, steps = receiver_steps(func.value)
+            if root is None:
                 return None
-            root, steps = flattened
             return {"k": "attr", "root": root, "steps": steps,
                     "attr": func.attr, "line": call.lineno}
         if isinstance(func, ast.Subscript):
@@ -1108,9 +1053,8 @@ class _FunctionWalker:
                 used.append((expr.id, taint))
             return taint
         if isinstance(expr, ast.Attribute):
-            flattened = _flatten(expr.value)
-            if flattened is not None:
-                root, steps = flattened
+            root, steps = receiver_steps(expr.value)
+            if root is not None:
                 footprint = self.an.footprint_of(
                     self.module, self.info, [root] + steps, expr.attr)
                 if footprint is not None and self.interleaving:
@@ -1214,9 +1158,8 @@ class _FunctionWalker:
                         targets: List[Node]) -> None:
         attr = func.attr
         # Structural mutator call on a shared attribute.
-        flattened = _flatten(func.value)
-        if flattened is not None and attr in ATOMIC_MUTATORS:
-            root, steps = flattened
+        root, steps = receiver_steps(func.value)
+        if root is not None and attr in ATOMIC_MUTATORS:
             if steps and steps[-1] != "[]":
                 footprint = self.an.footprint_of(
                     self.module, self.info, [root] + steps[:-1],
@@ -1247,10 +1190,9 @@ class _FunctionWalker:
                 self.txn[receiver.id] = ["run", 0, ""]
                 return receiver.id
             return None
-        flattened = _flatten(receiver)
-        if flattened is None:
+        root, steps = receiver_steps(receiver)
+        if root is None:
             return None
-        root, steps = flattened
         key = ".".join([root] + steps)
         if key in self.txn:
             return key

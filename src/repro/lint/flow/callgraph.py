@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.index import ModuleSummary, ProjectIndex, Symbol
+from repro.lint.index import ProjectIndex, Symbol
 from repro.lint.flow.summary import ModuleFlow
 
 Node = Tuple[str, str]  # (dotted module, function qualname)
@@ -459,21 +459,3 @@ class CallGraph:
             path.append(current)
         path.reverse()
         return path
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON view for ``repro-lint --dump-callgraph``."""
-        def label(node: Node) -> str:
-            return f"{node[0]}:{node[1]}"
-
-        return {
-            "nodes": sorted(label(n) for n in self.nodes),
-            "edges": {
-                label(src): sorted(label(dst) for dst in dsts)
-                for src, dsts in sorted(self.edges.items())
-            },
-            "delegations": {
-                label(src): sorted(label(dst) for dst in dsts)
-                for src, dsts in sorted(self.yf_edges.items())
-            },
-            "spawned": sorted(label(n) for n in self.spawned),
-        }

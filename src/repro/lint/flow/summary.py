@@ -4,7 +4,12 @@ The pass-1 :class:`~repro.lint.index.ModuleSummary` answers "what does
 this name import to"; this pass records what every *function* does --
 which callables it invokes (and through which receiver chains), what it
 yields, what it spawns into a simulator, and which determinism /
-isolation facts its body exhibits, as plain data.
+isolation facts its body exhibits, as plain data.  A module's top-level
+code is summarized too, as the pseudo-function :data:`MODULE_SCOPE`.
+
+The facts (wall-clock reads, unseeded RNG, protocol mutations, obs use)
+are extracted here and nowhere else; the tables below define them and
+the RF rules only report them.
 
 Resolution is deliberately deferred: a call is recorded as a *shape*
 (bare name, receiver chain rooted at ``self``/a local/a parameter, a
@@ -22,36 +27,87 @@ import ast
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.lint.index import (
+    FunctionNode,
     ModuleSummary,
-    NameRef,
     function_is_generator,
+    in_prefixes,
     name_ref_of,
+    receiver_steps,
     walk_functions,
 )
-from repro.lint.rules import WALL_CLOCK_ATTRS
 
-#: Callables that *drive* a freshly created generator: their call-shaped
-#: arguments become simulation entry points for RF001.
-_SPAWN_ATTRS = frozenset({"spawn"})
-_SPAWN_NAMES = frozenset({"run_direct"})
+#: Packages whose code runs on *simulated* time.  Wall-clock reads here
+#: bypass the event kernel and (worse) vary run to run, breaking the
+#: determinism contract of repro/sim/kernel.py.  repro.runtime is the
+#: code that *decides* simulated time (the fabric); repro.bench is
+#: excluded: measuring real elapsed time is its job.
+SIMULATED_TIME_PACKAGES: Tuple[str, ...] = (
+    "repro.sim",
+    "repro.core",
+    "repro.store",
+    "repro.index",
+    "repro.net",
+    "repro.runtime",
+    "repro.baselines",
+)
 
-#: Receiver names that bind protocol objects (RF004 mutation facts);
-#: mirrors RL009's heuristic so the transitive rule agrees with the
-#: module-local one.
-_PROTOCOL_RECEIVERS = frozenset({
-    "record", "version", "cell", "snapshot", "descriptor",
-    "txn", "transaction",
-    "cluster", "storage_cluster", "storage_node", "store",
-    "manager", "commit_manager", "processing_node",
-    "btree", "tree",
+WALL_CLOCK_ATTRS = frozenset({
+    "time", "time_ns", "monotonic", "monotonic_ns", "sleep",
+    "perf_counter", "perf_counter_ns", "process_time", "process_time_ns",
 })
 
+#: The sanitizers: observers that must never change the run they check
+#: nor depend on the repro.obs layer (RF004).
+SAN_PACKAGE = "repro.san"
+OBS_PACKAGE = "repro.obs"
+#: Driver modules inside repro.san: they *own* deployments and may
+#: mutate protocol state freely (that is their job).
+SAN_DRIVER_MODULES: Tuple[str, ...] = (
+    "repro.san.scenarios",
+    "repro.san.explorer",
+    "repro.san.__main__",
+)
+
+#: Receiver names that (by repo-wide convention) bind protocol objects.
+#: Sanitizer-owned state avoids them: shadow cells are `sc`, transaction
+#: views `view`, the history `shadow`.
+PROTOCOL_RECEIVERS = frozenset({
+    "record", "version", "cell", "snapshot", "descriptor",
+    "txn", "transaction", "start",
+    "cluster", "storage_cluster", "node", "storage_node", "store",
+    "manager", "commit_manager", "pn", "processing_node",
+    "btree", "tree", "index",
+    "request", "op", "ctx", "env",
+})
+
+#: Methods that may be called on a protocol receiver without mutating
+#: it: read-only accessors (several added expressly for the sanitizers).
+#: Any other method call on one is a protocol-mutation fact.
+READ_ONLY_METHODS = frozenset({
+    # records / versions
+    "version_numbers", "latest_visible", "payload_of", "get",
+    "collectable_versions", "fully_deleted", "approx_size",
+    # snapshots
+    "as_pair", "contains", "issubset",
+    # commit manager / gc
+    "active_transactions", "completed_view", "as_dict",
+    "local_lav", "lowest_active_version", "highest_known_tid",
+    "active_tids_of",
+    # misc read-only
+    "keys", "values", "items", "copy",
+})
+
+#: Receiver names that bind repro.obs instrumentation.
+OBS_RECEIVERS = frozenset({"obs", "tracer", "registry", "span"})
+
+#: Protocol methods that mutate through `self`, which no call-site fact
+#: can see: in the simulated-time packages they are mutation sources
+#: themselves (``CommitManager.start``).
 PROTOCOL_MUTATORS = frozenset({
     "start", "set_committed", "set_aborted", "execute", "execute_scan",
     "apply", "insert", "delete", "update", "put", "commit", "abort",
     "append", "set_status", "recover", "invalidate", "note_applied",
 })
-_PROTOCOL_MUTATORS = PROTOCOL_MUTATORS
 
 #: Method names that structurally mutate their receiver.  Superset of
 #: PROTOCOL_MUTATORS: the atomic analysis also cares about plain
@@ -62,8 +118,22 @@ ATOMIC_MUTATORS = PROTOCOL_MUTATORS | frozenset({
     "popleft",
 })
 
-#: Receiver names that bind repro.obs instrumentation (RF004).
-_OBS_RECEIVERS = frozenset({"obs", "tracer", "registry"})
+#: Callables that *drive* a freshly created generator: their call-shaped
+#: arguments become simulation entry points for RF001.
+_SPAWN_ATTRS = frozenset({"spawn"})
+_SPAWN_NAMES = frozenset({"run_direct"})
+
+#: Qualname of the pseudo-function holding a module's top-level code:
+#: statements, class bodies, decorators and argument defaults.
+MODULE_SCOPE = "<module>"
+
+
+def _final_name(root: Optional[str], steps: List[str]) -> Optional[str]:
+    """The name a receiver chain goes by: its last attribute, or its root
+    name when it is a bare name or ends in a subscript."""
+    if steps and steps[-1] != "[]":
+        return steps[-1]
+    return root
 
 
 def _ann_info(node: Optional[ast.expr]) -> Dict[str, Any]:
@@ -111,27 +181,6 @@ def _ann_info(node: Optional[ast.expr]) -> Dict[str, Any]:
     return info
 
 
-def _receiver_steps(node: ast.expr) -> Optional[Tuple[str, List[str]]]:
-    """Flatten a receiver expression into ``(root_name, steps)``.
-
-    ``self.commit_managers[i]`` becomes ``("self", ["commit_managers",
-    "[]"])``; a step of ``"[]"`` means "element of the previous step".
-    Returns None for receivers rooted anywhere but a bare name.
-    """
-    steps: List[str] = []
-    while True:
-        if isinstance(node, ast.Attribute):
-            steps.insert(0, node.attr)
-            node = node.value
-        elif isinstance(node, ast.Subscript):
-            steps.insert(0, "[]")
-            node = node.value
-        elif isinstance(node, ast.Name):
-            return node.id, steps
-        else:
-            return None
-
-
 def _value_desc(node: ast.expr) -> Optional[Dict[str, Any]]:
     """Describe the value of an assignment RHS, if evidence exists."""
     if isinstance(node, ast.Call):
@@ -142,9 +191,8 @@ def _value_desc(node: ast.expr) -> Optional[Dict[str, Any]]:
     if isinstance(node, ast.Name):
         return {"k": "alias", "name": node.id}
     if isinstance(node, (ast.Attribute, ast.Subscript)):
-        flattened = _receiver_steps(node)
-        if flattened is not None:
-            root, steps = flattened
+        root, steps = receiver_steps(node)
+        if root is not None:
             return {"k": "chain", "root": root, "steps": steps}
         return None
     if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
@@ -167,11 +215,12 @@ def _value_desc(node: ast.expr) -> Optional[Dict[str, Any]]:
 
 
 class _FunctionExtractor(ast.NodeVisitor):
-    """Collect the flow summary of one function body.
+    """Collect the flow summary of one function body (or, for
+    :data:`MODULE_SCOPE`, of a module's top-level code).
 
     Nested defs are skipped here (they get their own summary; the parent
-    records an implicit edge to them) and lambdas are folded into the
-    enclosing function.
+    records an implicit edge to them, and evaluates their decorators and
+    defaults) and lambdas are folded into the enclosing function.
     """
 
     def __init__(self, summary: ModuleSummary, node: ast.AST,
@@ -191,14 +240,8 @@ class _FunctionExtractor(ast.NodeVisitor):
             "facts": {},
             "pnames": [],
             "touch": [],
-            "ylines": {},
         }
         self._yf_calls: set = set()
-        #: Lexical yield-segment counter: 0 before the first preemption
-        #: point, +1 after every ``yield``/``yield from``.  Touch records
-        #: carry the segment they happened in so the atomic analysis can
-        #: build yield-point summaries of callees.
-        self._seg = 0
         self._touch_seen: set = set()
         args = getattr(node, "args", None)
         if args is not None:
@@ -218,15 +261,14 @@ class _FunctionExtractor(ast.NodeVisitor):
                line: int) -> None:
         """Record one shared-state touch: a read (``r``) or write
         (``set``/``aug``/``sub``/``del``/``call``) through an attribute
-        chain, tagged with the yield segment it happens in."""
-        key = (root, tuple(steps), attr, kind, self._seg)
+        chain."""
+        key = (root, tuple(steps), attr, kind)
         if key in self._touch_seen or \
                 len(self.info["touch"]) >= self._TOUCH_CAP:
             return
         self._touch_seen.add(key)
         self.info["touch"].append({
-            "c": [root] + list(steps), "a": attr, "k": kind,
-            "s": self._seg, "ln": line,
+            "c": [root] + list(steps), "a": attr, "k": kind, "ln": line,
         })
 
     def _touch_target(self, target: ast.expr, line: int,
@@ -237,18 +279,15 @@ class _FunctionExtractor(ast.NodeVisitor):
                 kind = "sub"
         if not isinstance(target, ast.Attribute):
             return
-        flattened = _receiver_steps(target.value)
-        if flattened is not None:
-            root, steps = flattened
+        root, steps = receiver_steps(target.value)
+        if root is not None:
             self._touch(root, steps, target.attr, kind, line)
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _fact(self, kind: str, line: int, detail: str = "") -> None:
-        entry: Dict[str, Any] = {"line": line}
-        if detail:
-            entry["what"] = detail
-        self.info["facts"].setdefault(kind, []).append(entry)
+    def _fact(self, kind: str, line: int, detail: str) -> None:
+        self.info["facts"].setdefault(kind, []).append(
+            {"line": line, "what": detail})
 
     def _bind(self, name: str, desc: Optional[Dict[str, Any]]) -> None:
         if desc is not None:
@@ -257,13 +296,22 @@ class _FunctionExtractor(ast.NodeVisitor):
     # -- defs / loops ------------------------------------------------------
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self.info["locals"].append(node.name)
+        self._visit_def(node)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self.info["locals"].append(node.name)
+        self._visit_def(node)
 
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        self.visit(node.body)
+    def _visit_def(self, node: FunctionNode) -> None:
+        """A nested def: its body has its own summary, but its decorators
+        and argument defaults run here, in the enclosing scope."""
+        if self.qualname != MODULE_SCOPE:
+            # Module-level defs are reached through ordinary call
+            # resolution; only nested ones get the implicit parent edge.
+            self.info["locals"].append(node.name)
+        for expr in (*node.decorator_list, *node.args.defaults,
+                     *node.args.kw_defaults):
+            if expr is not None:
+                self.visit(expr)
 
     def visit_For(self, node: ast.For) -> None:
         if isinstance(node.target, ast.Name):
@@ -278,7 +326,7 @@ class _FunctionExtractor(ast.NodeVisitor):
         if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
             self._bind(node.targets[0].id, _value_desc(node.value))
         self._check_mutation_target(node, node.targets)
-        self.visit(node.value)  # value first: yields bump the segment
+        self.visit(node.value)
         for target in node.targets:
             self._touch_target(target, node.lineno)
             self.visit(target)
@@ -305,26 +353,48 @@ class _FunctionExtractor(ast.NodeVisitor):
             self._touch_target(target, node.lineno, kind="del")
         self.generic_visit(node)
 
+    @staticmethod
+    def _protocol_receiver(node: ast.expr) -> Optional[str]:
+        """The receiver's name if it binds a protocol object the code at
+        hand does not own (chains rooted at ``self``/``cls`` are its own
+        state)."""
+        root, steps = receiver_steps(node)
+        if root in ("self", "cls"):
+            return None
+        final = _final_name(root, steps)
+        return final if final in PROTOCOL_RECEIVERS else None
+
     def _check_mutation_target(self, node: ast.stmt,
                                targets: List[ast.expr]) -> None:
-        """RL009-style protocol-mutation fact: attribute assignment whose
-        receiver chain ends in a protocol name and is not self-rooted."""
+        """Protocol-mutation fact: an attribute (or subscript) store on a
+        protocol receiver."""
         for target in targets:
             while isinstance(target, ast.Subscript):
                 target = target.value
             if not isinstance(target, ast.Attribute):
                 continue
-            flattened = _receiver_steps(target.value)
-            if flattened is None:
-                continue
-            root, steps = flattened
-            if root in ("self", "cls"):
-                continue
-            final = steps[-1] if steps and steps[-1] != "[]" else root
-            if final in _PROTOCOL_RECEIVERS:
+            receiver = self._protocol_receiver(target.value)
+            if receiver is not None:
                 self._fact("mutates", node.lineno,
                            f"assigns `.{target.attr}` on protocol object "
-                           f"`{final}`")
+                           f"`{receiver}`")
+
+    # -- imports -----------------------------------------------------------
+
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            if in_prefixes(alias.name, (OBS_PACKAGE,)):
+                self._fact("obs", node.lineno, f"imports `{alias.name}`")
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.module == "time" and not node.level:
+            for alias in node.names:
+                if alias.name in WALL_CLOCK_ATTRS:
+                    self._fact("wall_clock", node.lineno,
+                               f"time.{alias.name}")
+        elif in_prefixes(node.module or "", (OBS_PACKAGE,)):
+            self._fact("obs", node.lineno,
+                       f"imports from `{node.module}`")
 
     # -- yields ------------------------------------------------------------
 
@@ -337,16 +407,12 @@ class _FunctionExtractor(ast.NodeVisitor):
                     {"line": node.lineno, "ref": list(ref)}
                 )
         if value is not None:
-            self.visit(value)  # arguments are evaluated pre-yield
-        self._seg += 1
-        self.info["ylines"][str(self._seg)] = node.lineno
+            self.visit(value)
 
     def visit_YieldFrom(self, node: ast.YieldFrom) -> None:
         if isinstance(node.value, ast.Call):
             self._yf_calls.add(id(node.value))
         self.visit(node.value)
-        self._seg += 1
-        self.info["ylines"][str(self._seg)] = node.lineno
 
     # -- calls and facts ---------------------------------------------------
 
@@ -356,9 +422,18 @@ class _FunctionExtractor(ast.NodeVisitor):
             if id(node) in self._yf_calls:
                 desc["yf"] = True
             self.info["calls"].append(desc)
+        self._call_facts(node)
         self._check_spawn(node)
-        self._check_rng(node)
         self.generic_visit(node)
+
+    def _wall_clock_import(self, name: str) -> Optional[str]:
+        """``perf_counter`` after ``from time import perf_counter``: the
+        wall-clock function a bare name is bound to, if any."""
+        symbol = self.summary.resolve_name(name)
+        if symbol is not None and symbol[0] == "time" \
+                and symbol[1] in WALL_CLOCK_ATTRS:
+            return symbol[1]
+        return None
 
     @staticmethod
     def _arg_names(node: ast.Call) -> Optional[List[Optional[str]]]:
@@ -373,49 +448,62 @@ class _FunctionExtractor(ast.NodeVisitor):
 
     def _call_desc(self, node: ast.Call) -> Optional[Dict[str, Any]]:
         func = node.func
+        desc: Dict[str, Any]
         if isinstance(func, ast.Name):
-            # from-time import calls are wall-clock facts, not edges
-            symbol = self.summary.resolve_name(func.id)
-            if (symbol is not None and symbol[0] == "time"
-                    and symbol[1] in WALL_CLOCK_ATTRS):
-                self._fact("wall_clock", node.lineno, f"time.{symbol[1]}")
+            if self._wall_clock_import(func.id) is not None:
+                return None  # a wall-clock fact, not an edge
+            desc = {"k": "name", "fn": func.id, "line": node.lineno}
+        elif isinstance(func, ast.Attribute):
+            root, steps = receiver_steps(func.value)
+            if root is None:
                 return None
-            desc: Dict[str, Any] = {"k": "name", "fn": func.id,
-                                    "line": node.lineno}
-            args = self._arg_names(node)
-            if args is not None:
-                desc["args"] = args
-            return desc
-        if isinstance(func, ast.Attribute):
-            flattened = _receiver_steps(func.value)
-            if flattened is None:
-                return None
-            root, steps = flattened
-            final = steps[-1] if steps and steps[-1] != "[]" else root
-            if final in _OBS_RECEIVERS and root not in ("self", "cls"):
-                self._fact("obs", node.lineno,
-                           f"`{final}.{func.attr}(...)`")
-            if (final in _PROTOCOL_RECEIVERS and root not in ("self", "cls")
-                    and func.attr in _PROTOCOL_MUTATORS):
-                self._fact("mutates", node.lineno,
-                           f"calls `{final}.{func.attr}(...)`")
-            if func.attr in ATOMIC_MUTATORS and steps and steps[-1] != "[]":
-                # `self.completed.mark_completed(tid)` structurally
-                # mutates the `completed` attribute of `self`.
-                self._touch(root, steps[:-1], steps[-1], "call",
-                            node.lineno)
             desc = {"k": "attr", "root": root, "steps": steps,
                     "attr": func.attr, "line": node.lineno}
-            args = self._arg_names(node)
-            if args is not None:
-                desc["args"] = args
-            return desc
-        if isinstance(func, ast.Subscript):
+        elif isinstance(func, ast.Subscript):
             table = name_ref_of(func.value)
-            if table is not None:
-                return {"k": "table", "table": list(table),
-                        "line": node.lineno}
-        return None
+            if table is None:
+                return None
+            return {"k": "table", "table": list(table), "line": node.lineno}
+        else:
+            return None
+        args = self._arg_names(node)
+        if args is not None:
+            desc["args"] = args
+        return desc
+
+    def _call_facts(self, node: ast.Call) -> None:
+        """Wall-clock, unseeded-RNG, obs and protocol-mutation facts of
+        one call, plus the structural-mutation touch of its receiver."""
+        func = node.func
+        if isinstance(func, ast.Name):
+            clock = self._wall_clock_import(func.id)
+            if clock is not None:
+                self._fact("wall_clock", node.lineno, f"time.{clock}")
+            elif (self.summary.resolve_name(func.id) == ("random", "Random")
+                    and not node.args):
+                self._fact("rng", node.lineno, "Random()")
+            return
+        if not isinstance(func, ast.Attribute):
+            return
+        root, steps = receiver_steps(func.value)
+        final = _final_name(root, steps)
+        if final in OBS_RECEIVERS:
+            self._fact("obs", node.lineno, f"calls `{final}.{func.attr}(...)`")
+        elif (final in PROTOCOL_RECEIVERS and root not in ("self", "cls")
+                and func.attr not in READ_ONLY_METHODS):
+            self._fact("mutates", node.lineno,
+                       f"calls `{final}.{func.attr}(...)`")
+        if root is None:
+            return
+        if func.attr in ATOMIC_MUTATORS and steps and steps[-1] != "[]":
+            # `self.completed.mark_completed(tid)` structurally
+            # mutates the `completed` attribute of `self`.
+            self._touch(root, steps[:-1], steps[-1], "call", node.lineno)
+        if not steps and self.summary.resolve_qualifier(root) == "random":
+            if func.attr not in ("Random", "SystemRandom"):
+                self._fact("rng", node.lineno, f"random.{func.attr}")
+            elif func.attr == "Random" and not node.args:
+                self._fact("rng", node.lineno, "random.Random()")
 
     def _check_spawn(self, node: ast.Call) -> None:
         func = node.func
@@ -431,20 +519,6 @@ class _FunctionExtractor(ast.NodeVisitor):
                 if desc is not None:
                     self.info["spawns"].append(desc)
 
-    def _check_rng(self, node: ast.Call) -> None:
-        func = node.func
-        if (isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and self.summary.resolve_qualifier(func.value.id) == "random"):
-            if func.attr not in ("Random", "SystemRandom"):
-                self._fact("rng", node.lineno, f"random.{func.attr}")
-            elif func.attr == "Random" and not node.args:
-                self._fact("rng", node.lineno, "random.Random()")
-        elif isinstance(func, ast.Name):
-            symbol = self.summary.resolve_name(func.id)
-            if symbol == ("random", "Random") and not node.args:
-                self._fact("rng", node.lineno, "Random()")
-
     # -- remaining facts ---------------------------------------------------
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
@@ -453,9 +527,8 @@ class _FunctionExtractor(ast.NodeVisitor):
                 and self.summary.resolve_qualifier(node.value.id) == "time"):
             self._fact("wall_clock", node.lineno, f"time.{node.attr}")
         if isinstance(node.ctx, ast.Load):
-            flattened = _receiver_steps(node.value)
-            if flattened is not None:
-                root, steps = flattened
+            root, steps = receiver_steps(node.value)
+            if root is not None:
                 self._touch(root, steps, node.attr, "r", node.lineno)
         self.generic_visit(node)
 
@@ -562,6 +635,8 @@ def extract_module_flow(summary: ModuleSummary,
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
             flow.attr_types[node.name] = _collect_attr_types(node)
+    flow.functions[MODULE_SCOPE] = _FunctionExtractor(
+        summary, tree, MODULE_SCOPE, None).info
     for fn, class_name, qualname in walk_functions(tree):
         flow.functions[qualname] = _FunctionExtractor(
             summary, fn, qualname, class_name).info

@@ -119,6 +119,26 @@ def name_ref_of(node: ast.expr) -> Optional[NameRef]:
     return None
 
 
+def receiver_steps(node: ast.expr) -> Tuple[Optional[str], List[str]]:
+    """Flatten a receiver expression into ``(root_name, steps)``.
+
+    ``self.commit_managers[i]`` becomes ``("self", ["commit_managers",
+    "[]"])``; a step of ``"[]"`` means "element of the previous step".
+    The root is None when the chain starts at anything but a bare name
+    (``make().cluster`` is ``(None, ["cluster"])``).
+    """
+    steps: List[str] = []
+    while True:
+        if isinstance(node, ast.Attribute):
+            steps.insert(0, node.attr)
+            node = node.value
+        elif isinstance(node, ast.Subscript):
+            steps.insert(0, "[]")
+            node = node.value
+        else:
+            return (node.id if isinstance(node, ast.Name) else None), steps
+
+
 class ClassSummary:
     """What RL002/RL006 (and the flow layer) need to know about one
     class definition.  Pure data."""
@@ -255,9 +275,9 @@ class ProjectIndex:
         self.effect_classes: Set[Symbol] = set(EFFECT_CLASS_SEEDS)
         self.kernel_classes: Set[Symbol] = set(KERNEL_CLASS_SEEDS)
         self.effect_factories: Set[Symbol] = set(EFFECT_FACTORY_SEEDS)
-        #: Attached by the engine when ``--flow`` is on; the RF rules
-        #: read it.  Typed loosely to avoid an import cycle with
-        #: repro.lint.flow.
+        #: The :class:`~repro.lint.flow.analysis.FlowAnalysis` the engine
+        #: attaches; the RF and RA rules read it.  Typed loosely to avoid
+        #: an import cycle with repro.lint.flow.
         self.flow: Any = None
         self._close_subclasses(self.effect_classes)
         self._close_subclasses(self.kernel_classes)

@@ -13,43 +13,21 @@ the two in sync when adding rules.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.lint.index import (
     ModuleSummary,
     ProjectIndex,
     function_is_generator,
+    in_prefixes,
+    receiver_steps,
     walk_functions,
 )
-
-# Packages whose code runs on *simulated* time.  Wall-clock reads here
-# bypass the event kernel and (worse) vary run to run, breaking the
-# determinism contract of repro/sim/kernel.py.  repro.runtime is the code
-# that *decides* simulated time (the fabric); repro.bench is excluded:
-# measuring real elapsed time is its job.
-SIMULATED_TIME_PACKAGES: Tuple[str, ...] = (
-    "repro.sim",
-    "repro.core",
-    "repro.store",
-    "repro.index",
-    "repro.net",
-    "repro.runtime",
-    "repro.baselines",
-)
-
-WALL_CLOCK_ATTRS = frozenset({
-    "time", "time_ns", "monotonic", "monotonic_ns", "sleep",
-    "perf_counter", "perf_counter_ns", "process_time", "process_time_ns",
-})
 
 MUTABLE_DEFAULT_CALLS = frozenset({
     "list", "dict", "set", "bytearray",
     "defaultdict", "deque", "Counter", "OrderedDict",
 })
-
-
-def in_packages(module: str, prefixes: Sequence[str]) -> bool:
-    return any(module == p or module.startswith(p + ".") for p in prefixes)
 
 
 class Rule:
@@ -244,103 +222,6 @@ Fix: delegate with `yield from`, or drive the generator explicitly.
                                         in_generator, cls)
 
 
-class RL003WallClock(Rule):
-    code = "RL003"
-    title = "wall-clock time in simulated-time code"
-    explain = """\
-Code under repro.sim / core / store / index / net / runtime / baselines runs on
-*simulated* time: the event kernel's clock, advanced deterministically by
-the scheduler.  Reading the wall clock there (time.time, time.monotonic,
-time.perf_counter, time.sleep, ...) has two failure modes: the value has
-nothing to do with simulated time, and -- worse -- it differs between
-runs, so the "fixed seed reproduces the exact same run" contract of
-repro/sim/kernel.py is broken in a way the digest-invariance harness can
-only detect after the fact.
-
-Use `sim.now` / `SimClock.now` (or take a clock as a dependency) instead.
-repro.bench is exempt: measuring real elapsed time is its job.
-
-RL003 fires on any use of a wall-clock attribute of the `time` module and
-on `from time import ...` of those names, inside the simulated-time
-packages.
-"""
-
-    def check(self, module: ModuleSummary, tree: ast.Module,
-              index: ProjectIndex) -> Iterator[Tuple[ast.AST, str]]:
-        if not in_packages(module.module, SIMULATED_TIME_PACKAGES):
-            return
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute):
-                if (node.attr in WALL_CLOCK_ATTRS
-                        and isinstance(node.value, ast.Name)
-                        and module.resolve_qualifier(node.value.id) == "time"):
-                    yield node, (
-                        f"wall-clock `time.{node.attr}` in simulated-time "
-                        f"module {module.module}; use the simulator clock"
-                    )
-            elif isinstance(node, ast.ImportFrom):
-                if node.module == "time" and not node.level:
-                    for alias in node.names:
-                        if alias.name in WALL_CLOCK_ATTRS:
-                            yield node, (
-                                f"importing wall-clock `time.{alias.name}` "
-                                f"in simulated-time module {module.module}"
-                            )
-
-
-class RL004GlobalRandom(Rule):
-    code = "RL004"
-    title = "module-level random or unseeded Random()"
-    explain = """\
-Library code must draw randomness only from an explicitly seeded
-`random.Random(seed)` instance that is threaded through from the caller.
-The module-level functions (`random.random()`, `random.choice()`, ...)
-share one process-global, unseeded generator: any call sneaks
-nondeterminism past the simulation's determinism digest, and state leaks
-between otherwise independent runs.  An argument-less `random.Random()`
-seeds from the OS and is just as bad.
-
-RL004 fires on any use of a module-level `random.<fn>` (everything except
-the `Random` / `SystemRandom` classes) and on `random.Random()` calls
-without a seed argument.
-
-Fix: accept an `rng: random.Random` (or a seed) as a parameter, the way
-repro.workloads and repro.bench.simcluster already do.
-"""
-
-    _CLASS_NAMES = frozenset({"Random", "SystemRandom"})
-
-    def check(self, module: ModuleSummary, tree: ast.Module,
-              index: ProjectIndex) -> Iterator[Tuple[ast.AST, str]]:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            # random.<fn>(...) through the imported module
-            if (isinstance(func, ast.Attribute)
-                    and isinstance(func.value, ast.Name)
-                    and module.resolve_qualifier(func.value.id) == "random"):
-                if func.attr not in self._CLASS_NAMES:
-                    yield node, (
-                        f"module-level `random.{func.attr}` uses the "
-                        f"shared unseeded generator; thread a seeded "
-                        f"random.Random through instead"
-                    )
-                elif func.attr == "Random" and not node.args:
-                    yield node, (
-                        "`random.Random()` without a seed is "
-                        "nondeterministic; pass an explicit seed"
-                    )
-            # from random import Random; Random(...)
-            elif isinstance(func, ast.Name):
-                symbol = module.resolve_name(func.id)
-                if symbol == ("random", "Random") and not node.args:
-                    yield node, (
-                        "`Random()` without a seed is nondeterministic; "
-                        "pass an explicit seed"
-                    )
-
-
 class RL005SetIteration(Rule):
     code = "RL005"
     title = "iteration over a set"
@@ -514,18 +395,9 @@ manager's own tid-counter refill -- carry
     _CLUSTER_NAMES = frozenset({"cluster", "storage_cluster"})
     _CM_NAMES = frozenset({"commit_manager", "manager"})
 
-    @staticmethod
-    def _receiver_name(node: ast.expr) -> Optional[str]:
-        """Final name of the receiver chain: `a.b.cluster` -> 'cluster'."""
-        if isinstance(node, ast.Name):
-            return node.id
-        if isinstance(node, ast.Attribute):
-            return node.attr
-        return None
-
     def check(self, module: ModuleSummary, tree: ast.Module,
               index: ProjectIndex) -> Iterator[Tuple[ast.AST, str]]:
-        if not in_packages(module.module, self.PROTOCOL_PACKAGES):
+        if not in_prefixes(module.module, self.PROTOCOL_PACKAGES):
             return
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
@@ -533,9 +405,9 @@ manager's own tid-counter refill -- carry
             func = node.func
             if not isinstance(func, ast.Attribute):
                 continue
-            receiver = self._receiver_name(func.value)
-            if receiver is None:
-                continue
+            root, steps = receiver_steps(func.value)
+            # Final name of the receiver chain: `a.b.cluster` -> cluster.
+            receiver = steps[-1] if steps else root
             if (receiver in self._CLUSTER_NAMES
                     and func.attr in self._CLUSTER_METHODS):
                 yield node, (
@@ -550,198 +422,6 @@ manager's own tid-counter refill -- carry
                     f"module {module.module} bypasses the dispatch "
                     f"pipeline; yield the commit-manager effect instead"
                 )
-
-
-class RL009SanitizerMutation(Rule):
-    code = "RL009"
-    title = "sanitizer mutates protocol state"
-    explain = """\
-The sanitizers under repro.san are strictly *observational*: they watch
-the request stream, maintain their own shadow history, and must never
-change the run they are checking.  A sanitizer that mutates a protocol
-object -- assigning an attribute on a record/snapshot/transaction,
-or calling a mutating method on the store, commit manager, or a
-transaction -- silently perturbs the very interleaving under test and
-turns the checker into a heisenbug generator.  (It can also mask the bug
-being hunted: "fixing" a version chain before the axiom check runs.)
-
-RL009 fires inside the observer modules of repro.san (everything except
-the drivers: scenarios, explorer, __main__, which own their deployments)
-on:
-
-  * attribute assignment whose receiver chain ends in a protocol-object
-    name (`record`, `snapshot`, `txn`, `cluster`, `manager`, ...) and is
-    not rooted at `self`/`cls` -- includes `recv.attr[k] = v` stores;
-  * method calls on those receivers outside the read-only accessor
-    allow-list (`version_numbers`, `latest_visible`, `payload_of`,
-    `as_pair`, `contains`, `as_dict`, `active_transactions`,
-    `completed_view`, ...).
-
-Sanitizer-owned mutable state must therefore avoid protocol receiver
-names: shadow cells are `sc`, transaction views are `view`, the history
-is `shadow`.  Genuinely read-only uses that trip the name heuristic can
-carry `# repro-lint: ignore[RL009]` with a justification.
-"""
-
-    #: Modules where the observational contract is enforced.
-    OBSERVER_PACKAGE = "repro.san"
-    #: Driver modules inside the package: they *own* deployments and may
-    #: mutate protocol state freely (that is their job).
-    DRIVER_MODULES: Tuple[str, ...] = (
-        "repro.san.scenarios",
-        "repro.san.explorer",
-        "repro.san.__main__",
-    )
-
-    #: Receiver names that (by repo-wide convention) bind protocol
-    #: objects.  Final-attribute matching, same scheme as RL008.
-    _PROTOCOL_RECEIVERS = frozenset({
-        "record", "version", "cell", "snapshot", "descriptor",
-        "txn", "transaction", "start",
-        "cluster", "storage_cluster", "node", "storage_node", "store",
-        "manager", "commit_manager", "pn", "processing_node",
-        "btree", "tree", "index",
-        "request", "op", "ctx", "env",
-    })
-
-    #: Methods a sanitizer may call on protocol receivers: read-only
-    #: accessors (several added expressly for the sanitizers).
-    _READ_ONLY_METHODS = frozenset({
-        # records / versions
-        "version_numbers", "latest_visible", "payload_of", "get",
-        "collectable_versions", "fully_deleted", "approx_size",
-        # snapshots
-        "as_pair", "contains", "issubset",
-        # commit manager / gc
-        "active_transactions", "completed_view", "as_dict",
-        "local_lav", "lowest_active_version", "highest_known_tid",
-        "active_tids_of",
-        # misc read-only
-        "keys", "values", "items", "copy",
-    })
-
-    @staticmethod
-    def _root_name(node: ast.expr) -> Optional[str]:
-        while isinstance(node, (ast.Attribute, ast.Subscript)):
-            node = node.value
-        if isinstance(node, ast.Name):
-            return node.id
-        return None
-
-    def _flagged_receiver(self, node: ast.expr) -> Optional[str]:
-        """Receiver's final name if it matches a protocol object bound
-        outside the sanitizer itself (chains rooted at self/cls are the
-        sanitizer's own state)."""
-        receiver = RL008BypassedDispatch._receiver_name(node)
-        if receiver is None or receiver not in self._PROTOCOL_RECEIVERS:
-            return None
-        if self._root_name(node) in ("self", "cls"):
-            return None
-        return receiver
-
-    def check(self, module: ModuleSummary, tree: ast.Module,
-              index: ProjectIndex) -> Iterator[Tuple[ast.AST, str]]:
-        name = module.module
-        if not in_packages(name, (self.OBSERVER_PACKAGE,)):
-            return
-        if name in self.DRIVER_MODULES:
-            return
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) \
-                    else [node.target]
-                for target in targets:
-                    while isinstance(target, ast.Subscript):
-                        target = target.value
-                    if not isinstance(target, ast.Attribute):
-                        continue
-                    receiver = self._flagged_receiver(target.value)
-                    if receiver is not None:
-                        yield node, (
-                            f"sanitizer module {name} assigns state on "
-                            f"protocol object `{receiver}`; sanitizers "
-                            f"are read-only observers"
-                        )
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if not isinstance(func, ast.Attribute):
-                    continue
-                if func.attr in self._READ_ONLY_METHODS:
-                    continue
-                receiver = self._flagged_receiver(func.value)
-                if receiver is not None:
-                    yield node, (
-                        f"sanitizer module {name} calls "
-                        f"`{receiver}.{func.attr}(...)`, which is not on "
-                        f"the read-only accessor allow-list; sanitizers "
-                        f"must not drive or mutate protocol objects"
-                    )
-
-
-class RL010SanitizerObservability(Rule):
-    code = "RL010"
-    title = "sanitizer touches observability instrumentation"
-    explain = """\
-The repro.obs metrics/tracing layer and the repro.san sanitizers are
-both observers, but they must stay independent: the sanitizers verify
-protocol axioms over a shadow history, and the observability layer
-harvests live component state.  Shadow code that imports repro.obs, or
-records into a registry/tracer/span it was handed, couples the two --
-metric values would then depend on whether a sanitizer is attached
-(breaking obs snapshot determinism), and a tracing bug could perturb a
-sanitized run.  Instrumentation belongs in the protocol and driver
-layers; sanitizers report through their own finding channels.
-
-RL010 fires inside the observer modules of repro.san (the same set
-RL009 polices -- everything except the drivers scenarios, explorer,
-__main__) on:
-
-  * `import repro.obs` / `from repro.obs import ...` (any submodule);
-  * calls whose receiver chain ends in an observability object name
-    (`obs`, `tracer`, `registry`, `span`).
-"""
-
-    OBSERVER_PACKAGE = RL009SanitizerMutation.OBSERVER_PACKAGE
-    DRIVER_MODULES = RL009SanitizerMutation.DRIVER_MODULES
-
-    _OBS_RECEIVERS = frozenset({"obs", "tracer", "registry", "span"})
-
-    def check(self, module: ModuleSummary, tree: ast.Module,
-              index: ProjectIndex) -> Iterator[Tuple[ast.AST, str]]:
-        name = module.module
-        if not in_packages(name, (self.OBSERVER_PACKAGE,)):
-            return
-        if name in self.DRIVER_MODULES:
-            return
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "repro.obs" or \
-                            alias.name.startswith("repro.obs."):
-                        yield node, (
-                            f"sanitizer module {name} imports "
-                            f"`{alias.name}`; shadow code must not use "
-                            f"observability instrumentation"
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                source = node.module or ""
-                if source == "repro.obs" or source.startswith("repro.obs."):
-                    yield node, (
-                        f"sanitizer module {name} imports from "
-                        f"`{source}`; shadow code must not use "
-                        f"observability instrumentation"
-                    )
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if not isinstance(func, ast.Attribute):
-                    continue
-                receiver = RL008BypassedDispatch._receiver_name(func.value)
-                if receiver in self._OBS_RECEIVERS:
-                    yield node, (
-                        f"sanitizer module {name} calls "
-                        f"`{receiver}.{func.attr}(...)`; shadow code must "
-                        f"not record metrics or spans"
-                    )
 
 
 class RL012IsolationEncapsulation(Rule):
@@ -778,13 +458,13 @@ under `repro.`).
     def check(self, module: ModuleSummary, tree: ast.Module,
               index: ProjectIndex) -> Iterator[Tuple[ast.AST, str]]:
         name = module.module
-        if not in_packages(name, ("repro",)):
+        if not in_prefixes(name, ("repro",)):
             return
         for node in ast.walk(tree):
             if not isinstance(node, ast.Attribute):
                 continue
             owner = self.OWNERS.get(node.attr)
-            if owner is not None and not in_packages(name, (owner,)):
+            if owner is not None and not in_prefixes(name, (owner,)):
                 yield node, (
                     f"module {name} touches isolation state "
                     f"`{node.attr}` directly; only {owner} may -- go "
@@ -830,7 +510,7 @@ Tests and tools are out of scope (their module names are not under
     def check(self, module: ModuleSummary, tree: ast.Module,
               index: ProjectIndex) -> Iterator[Tuple[ast.AST, str]]:
         name = module.module
-        if not in_packages(name, ("repro",)):
+        if not in_prefixes(name, ("repro",)):
             return
         if name == self.OWNER_MODULE:
             return
@@ -858,19 +538,15 @@ Tests and tools are out of scope (their module names are not under
                 )
 
 
-ALL_RULES: List[Rule] = [
+#: The module-local RL family; the engine runs it with the RF and RA
+#: families (``repro.lint.engine.ALL_RULES``).
+LOCAL_RULES: List[Rule] = [
     RL001DroppedEffect(),
     RL002GeneratorNotDelegated(),
-    RL003WallClock(),
-    RL004GlobalRandom(),
     RL005SetIteration(),
     RL006MissingSlots(),
     RL007MutableDefault(),
     RL008BypassedDispatch(),
-    RL009SanitizerMutation(),
-    RL010SanitizerObservability(),
     RL012IsolationEncapsulation(),
     RL013OwnershipEncapsulation(),
 ]
-
-RULES_BY_CODE = {rule.code: rule for rule in ALL_RULES}

@@ -20,7 +20,7 @@ PCT / replay policies) to hunt interleaving-dependent violations;
 Everything is off by default: the ``REPRO_SANITIZE`` environment
 variable (or an explicit :func:`make_sanitizers` chain) turns it on.
 Sanitizers are strictly observational -- they never mutate protocol
-state (lint rule RL009 enforces read-only access) and never raise from
+state (lint rule RF004 enforces read-only access) and never raise from
 inside the pipeline; check :attr:`ViolationLog.clean` after the run.
 """
 

@@ -10,7 +10,7 @@ optional :class:`~repro.sim.kernel.SchedulerPolicy`, which is what lets
 replay failures deterministically.
 
 This module (like the explorer and the CLI) is a *driver*: it owns the
-deployment and may mutate protocol objects freely, so lint rule RL009
+deployment and may mutate protocol objects freely, so lint rule RF004
 (sanitizers are read-only observers) exempts it -- the observational
 discipline applies to ``si``/``gcsan``/``chain``/``shadow`` only.
 """

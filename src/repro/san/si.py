@@ -27,7 +27,7 @@ cycles involving anti-dependencies -- write skew, which SI permits --
 without ever failing the run.
 
 Strictly observational: the interceptor touches protocol objects only
-through read-only accessors (lint rule RL009 enforces this), collects
+through read-only accessors (lint rule RF004 enforces this), collects
 into a :class:`~repro.san.violations.ViolationLog`, and never raises.
 
 Ordering note: commit-manager completions are processed in the *pre*

@@ -1,10 +1,9 @@
-"""Tests for repro-atomic (`repro-lint --atomic`): every RA rule catches
-its planted interleaving bug with a yield-site witness and stays quiet
-on the clean variant, the seeded-mutation guards prove the analyzer
-would have caught real bugs in core/, and the shipped tree is
-atomic-clean."""
+"""Tests for repro-atomic, the yield-point analysis under repro-lint's
+RA rules: every RA rule catches its planted interleaving bug with a
+yield-site witness and stays quiet on the clean variant, and the
+seeded-mutation guards prove the analyzer would have caught real bugs
+in core/."""
 
-import json
 import os
 import textwrap
 from pathlib import Path
@@ -15,7 +14,6 @@ from repro.lint import SourceModule, lint_sources
 from repro.lint.atomic import ATOMIC_RULES
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import build_index, load_sources
-from repro.lint.flow.atomic import ANALYZER_VERSION
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = str(REPO_ROOT / "src")
@@ -30,8 +28,7 @@ def _modules(*pairs):
 
 def atomic_findings(*pairs):
     return [
-        f for f in lint_sources(_modules(*pairs), flow=True,
-                                atomic=True).findings
+        f for f in lint_sources(_modules(*pairs)).findings
         if f.rule.startswith("RA")
     ]
 
@@ -47,7 +44,7 @@ def src_sources():
 
 @pytest.fixture(scope="module")
 def src_atomic(src_sources):
-    return build_index(src_sources, flow=True, atomic=True).flow.atomic
+    return build_index(src_sources).flow.atomic
 
 
 def mutate(src_sources, edits):
@@ -64,19 +61,7 @@ def mutate(src_sources, edits):
                 hit = True
         assert hit, path_suffix
     # Only the RA rules run: other findings would be filtered out anyway.
-    return lint_sources(sources, rules=ATOMIC_RULES, flow=True,
-                        atomic=True).findings
-
-
-# ---------------------------------------------------------------------------
-# Shipped tree is atomic-clean
-# ---------------------------------------------------------------------------
-
-
-class TestShippedTree:
-    def test_atomic_lint_clean_on_src(self, src_sources):
-        result = lint_sources(src_sources, flow=True, atomic=True)
-        assert result.findings == [], [str(f) for f in result.findings]
+    return lint_sources(sources, rules=ATOMIC_RULES).findings
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +160,7 @@ class TestRA002:
                 # repro-lint: ignore[RA002] single writer per peer id
                 self._peer_lav[peer] = value
     """
-        result = lint_sources(
-            _modules(("repro.core.fixture", src)), flow=True, atomic=True)
+        result = lint_sources(_modules(("repro.core.fixture", src)))
         assert [f.rule for f in result.findings] == []
         assert result.suppressed == 1
 
@@ -321,6 +305,24 @@ class TestRA004:
         value = yield from txn.read("key")
         return value
     """)) == []
+
+    def test_alias_of_finished_attribute_chain(self):
+        # `current = self._txn` inherits the chain's state.
+        findings = atomic_findings(_TXN_STUB, ("repro.sql.fixture", """\
+    from repro.core.transaction import Transaction
+
+    class Session:
+        def __init__(self, txn: Transaction):
+            self._txn = txn
+
+        def close_then_read(self):
+            yield from self._txn.commit()
+            current = self._txn
+            value = yield from current.read("key")
+            return value
+    """))
+        assert [f.rule for f in findings] == ["RA004"]
+        assert "`current`" in findings[0].message
 
 
 # ---------------------------------------------------------------------------
@@ -484,35 +486,18 @@ class TestSeededMutations:
 
 
 # ---------------------------------------------------------------------------
-# Yield-point summaries (the analysis API itself)
+# Analysis facts the RA rules build on
 # ---------------------------------------------------------------------------
 
 
 class TestYieldSummaries:
-    def test_summary_reports_read_before_write_after(self):
-        sources = _modules(("repro.core.fixture", _CM_FIXTURE_HEADER + """\
-        def probe(self, key):
-            base = self._active_base.get(key)
-            yield effects.Sleep(1)
-            self._peer_lav[key] = base
-    """))
-        analysis = build_index(sources, flow=True, atomic=True).flow
-        points = analysis.atomic.yield_summary(
-            ("repro.core.fixture", "Worker.probe"))
-        assert len(points) == 1
-        # The owning class attribution depends on which modules are in the
-        # index; the footprint attribute names are the stable part.
-        assert [fp.split(".")[-1] for fp in points[0]["reads_before"]] == \
-            ["_active_base"]
-        assert [fp.split(".")[-1] for fp in points[0]["writes_after"]] == \
-            ["_peer_lav"]
-
     def test_shipped_cm_methods_are_synchronous(self, src_atomic):
         # The stripe-pair writers must have no preemption points at all:
         # that is the invariant RA003 freezes.
         for method in ("_skip_stripe_below", "_finish", "start"):
             node = ("repro.core.commit_manager", f"CommitManager.{method}")
-            assert src_atomic.yield_summary(node) == [], method
+            assert src_atomic.graph.function_info(node)["gen"] is False, \
+                method
 
     def test_report_aborted_closure_covers_finish_abort(self, src_atomic):
         assert ("repro.core.transaction",
@@ -532,34 +517,9 @@ class TestCLI:
         out = capsys.readouterr().out
         for code in ("RA001", "RA002", "RA003", "RA004", "RA005"):
             assert f"{code} " in out
-        assert "[--atomic]" in out
 
     def test_explain_ra_rule(self, capsys):
         assert lint_main(["--explain", "RA004"]) == 0
         out = capsys.readouterr().out
         assert "RA004" in out
         assert "typestate" in out.lower() or "contract" in out.lower()
-
-    def test_atomic_implies_flow_and_src_is_clean(self, capsys):
-        code = lint_main(["--atomic", SRC])
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "clean" in out
-
-    def test_json_schema_family_and_analyzer(self, capsys, tmp_path):
-        bad = tmp_path / "fixture.py"
-        bad.write_text(textwrap.dedent("""\
-            import time
-
-            def now():
-                return time.time()
-        """))
-        code = lint_main(["--json", "--flow", "--atomic", str(bad)])
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == "repro-lint-findings/3"
-        assert payload["analyzer"] == ANALYZER_VERSION
-        assert set(payload) == {"schema", "analyzer", "findings",
-                                "files_checked", "suppressed"}
-        for finding in payload["findings"]:
-            assert finding["family"] in ("RL", "RF", "RA")
-        assert code in (0, 1)

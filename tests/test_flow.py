@@ -1,8 +1,7 @@
-"""Tests for repro-flow (`repro-lint --flow`): the call graph links what
-it should, every RF rule catches its planted defect and stays quiet on
-the clean variant, and the shipped tree is flow-clean."""
+"""Tests for repro-flow, the call-graph layer under repro-lint's RF
+rules: the call graph links what it should, and every RF rule catches
+its planted defect -- once -- and stays quiet on the clean variant."""
 
-import json
 import os
 import textwrap
 from pathlib import Path
@@ -26,9 +25,9 @@ def _modules(*pairs):
 
 
 def flow_findings(*pairs):
-    """RF findings of a fixture (module-local RL overlap is covered by
-    test_lint.py)."""
-    return [f for f in lint_sources(_modules(*pairs), flow=True).findings
+    """RF findings of a fixture (the RL and RA families are covered by
+    test_lint.py and test_atomic.py)."""
+    return [f for f in lint_sources(_modules(*pairs)).findings
             if f.rule.startswith("RF")]
 
 
@@ -37,7 +36,7 @@ def flow_codes(*pairs):
 
 
 def analysis_of(sources):
-    return build_index(sources, flow=True).flow
+    return build_index(sources).flow
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +49,9 @@ def src_analysis(src_sources):
     return analysis_of(src_sources)
 
 
-def mutate(src_sources, edits):
-    """Re-lint the real tree with planted text edits."""
+def mutate(src_sources, edits, rules=FLOW_RULES):
+    """Re-lint the real tree with planted text edits (all rules under
+    ``rules=None``)."""
     sources = list(src_sources)
     for path_suffix, old, new in edits:
         hit = False
@@ -62,19 +62,7 @@ def mutate(src_sources, edits):
                     source.path, source.module, source.text.replace(old, new, 1))
                 hit = True
         assert hit, path_suffix
-    # Only the RF rules run: the RL findings would be filtered out anyway.
-    return lint_sources(sources, rules=FLOW_RULES, flow=True).findings
-
-
-# ---------------------------------------------------------------------------
-# Shipped tree is flow-clean
-# ---------------------------------------------------------------------------
-
-
-class TestShippedTree:
-    def test_flow_lint_clean_on_src(self, src_sources):
-        result = lint_sources(src_sources, flow=True)
-        assert result.findings == []
+    return lint_sources(sources, rules=rules).findings
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +163,9 @@ class TestRF001:
         assert "_clock_probe" in rf001[0].message
 
     def test_cross_package_chain_into_workload(self, src_sources):
-        # Wall clock OUTSIDE the simulated-time packages (RL003's scope)
-        # but reachable from the spawned terminal through the dispatch
-        # table: only the flow rule can see this.
+        # Wall clock OUTSIDE the simulated-time packages but reachable
+        # from the spawned terminal through the dispatch table: only the
+        # call graph can see this.
         findings = mutate(src_sources, [
             ("workloads/tpcc/transactions.py",
              "def new_order(",
@@ -215,6 +203,29 @@ class TestRF001:
         )
         assert [f.rule for f in findings] == ["RF001"]
         assert "unseeded RNG" in findings[0].message
+
+    def test_planted_wall_clock_in_fabric_is_one_finding(self, src_sources):
+        # Every rule runs: the fabric is a simulated-time package, so the
+        # clock is reported once, as RF001, with no module-local twin.
+        findings = mutate(src_sources, [(
+            "runtime/fabric.py",
+            "        now = self.sim.now\n        t_send = now\n",
+            "        import time\n        now = time.time()\n"
+            "        t_send = now\n",
+        )], rules=None)
+        assert [f.rule for f in findings] == ["RF001"]
+        assert "SimFabric.prepare_single" in findings[0].message
+
+    def test_unseeded_rng_unreached_is_reported(self):
+        # Unseeded RNG is nondeterminism wherever it runs: reported in a
+        # module nothing in simulated time calls.
+        findings = flow_findings(("tools.entropy", """
+            import random
+            def pick():
+                return random.random()
+        """))
+        assert [f.rule for f in findings] == ["RF001"]
+        assert "reachable" not in findings[0].message
 
     def test_seeded_rng_is_silent(self):
         assert flow_codes(
@@ -351,10 +362,13 @@ class TestRF004:
                     return None
             """),
         )
-        rules = [f.rule for f in findings]
-        assert rules == ["RF004"]
-        # The finding anchors on the edge that leaves the observer set.
-        assert findings[0].path == "<repro.san.helper>"
+        # The helper's own import, and the edge that leaves the observer
+        # set; nothing on the observer that only calls the helper.
+        assert [(f.rule, f.path, f.line) for f in findings] == [
+            ("RF004", "<repro.san.helper>", 2),
+            ("RF004", "<repro.san.helper>", 4),
+        ]
+        assert "imports from `repro.obs`" in findings[0].message
 
     def test_driver_modules_exempt(self):
         assert flow_codes(
@@ -381,6 +395,55 @@ class TestRF004:
                     return store.get(1)
             """),
         ) == []
+
+    def test_span_finish_leak_through_core_helper(self):
+        # `span` binds obs instrumentation wherever it is called.
+        findings = flow_findings(
+            ("repro.san.minisan", """
+                from repro.core.minicore import close
+                def observe(span):
+                    return close(span)
+            """),
+            ("repro.core.minicore", """
+                def close(span):
+                    span.finish()
+            """),
+        )
+        assert [f.rule for f in findings] == ["RF004"]
+        assert "repro.obs layer" in findings[0].message
+
+    def test_node_crash_leak_through_core_helper(self):
+        # `crash` is not a read-only accessor, so calling it on a
+        # protocol receiver is a mutation, whatever its name.
+        findings = flow_findings(
+            ("repro.san.minisan", """
+                from repro.core.minicore import stop
+                def observe(node):
+                    return stop(node)
+            """),
+            ("repro.core.minicore", """
+                def stop(node):
+                    node.crash()
+            """),
+        )
+        assert [f.rule for f in findings] == ["RF004"]
+        assert "protocol-mutating" in findings[0].message
+
+    def test_own_statement_and_edge_report_once(self):
+        # A mutating call the call graph also resolves is one finding.
+        findings = flow_findings(
+            ("repro.san.minisan", """
+                from repro.core.minicore import Manager
+                def observe(manager: Manager):
+                    manager.recover()
+            """),
+            ("repro.core.minicore", """
+                class Manager:
+                    def recover(self):
+                        self.state = 0
+            """),
+        )
+        assert [f.rule for f in findings] == ["RF004"]
 
     def test_planted_leak_in_real_tree(self, src_sources):
         findings = mutate(src_sources, [(
@@ -415,21 +478,6 @@ class TestIntegration:
         )
         assert findings == []
 
-    def test_rf_rules_skipped_without_flow(self):
-        findings = lint_sources(_modules(
-            ("repro.core.mini", """
-                from repro.helpers.entropy import pick
-                def choose():
-                    return pick()
-            """),
-            ("repro.helpers.entropy", """
-                import time
-                def pick():
-                    return time.time()
-            """),
-        )).findings
-        assert findings == []
-
 
 # ---------------------------------------------------------------------------
 # CLI
@@ -437,12 +485,6 @@ class TestIntegration:
 
 
 class TestCli:
-    def test_flow_flag_clean_on_src(self, capsys):
-        code = lint_main(["--flow", SRC])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "clean" in out
-
     def test_explain_rf_rule(self, capsys):
         assert lint_main(["--explain", "RF001"]) == 0
         out = capsys.readouterr().out
@@ -453,15 +495,3 @@ class TestCli:
         out = capsys.readouterr().out
         for code in ("RF001", "RF002", "RF003", "RF004"):
             assert code in out
-
-    def test_dump_callgraph(self, capsys):
-        assert lint_main(["--flow", "--dump-callgraph", SRC]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert "repro.dispatch.direct:Dispatcher.execute" in data["nodes"]
-        assert "repro.runtime.deployment:SimulatedDeployment._terminal" \
-            in data["spawned"]
-        edges = data["edges"]["repro.dispatch.direct:Dispatcher.execute"]
-        assert "repro.dispatch.direct:Dispatcher._handle" in edges
-
-    def test_dump_callgraph_requires_flow(self, capsys):
-        assert lint_main(["--dump-callgraph", SRC]) == 2

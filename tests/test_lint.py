@@ -4,7 +4,6 @@ behaviour (skip-file, CLI) and the seeded-mutation check that
 guards the linter itself against regressions."""
 
 import ast
-import json
 import re
 import textwrap
 from pathlib import Path
@@ -206,7 +205,8 @@ class TestRL002:
 
 
 # ---------------------------------------------------------------------------
-# RL003 -- wall clock in simulated-time code
+# Wall clock in simulated-time code: RF001's chain of length zero (these
+# fixtures checked the retired module-local rule of the same class name)
 # ---------------------------------------------------------------------------
 
 
@@ -216,12 +216,12 @@ class TestRL003:
             import time
             def now():
                 return time.time()
-        """, module="repro.sim.fixture") == ["RL003"]
+        """, module="repro.sim.fixture") == ["RF001"]
 
     def test_from_import_fires(self):
         assert codes("""
             from time import perf_counter
-        """, module="repro.store.fixture") == ["RL003"]
+        """, module="repro.store.fixture") == ["RF001"]
 
     def test_bench_is_exempt(self):
         assert codes("""
@@ -235,7 +235,7 @@ class TestRL003:
             import time as clock
             def now():
                 return clock.monotonic()
-        """, module="repro.core.fixture") == ["RL003"]
+        """, module="repro.core.fixture") == ["RF001"]
 
     def test_simulated_clock_is_clean(self):
         assert codes("""
@@ -247,13 +247,14 @@ class TestRL003:
         assert codes("""
             import time
             def now():
-                # repro-lint: ignore[RL003] calibration runs outside the sim
+                # repro-lint: ignore[RF001] calibration runs outside the sim
                 return time.time()
         """, module="repro.sim.fixture") == []
 
 
 # ---------------------------------------------------------------------------
-# RL004 -- module-level random / unseeded Random()
+# Module-level random / unseeded Random(): RF001 in any module, reachable
+# or not (these fixtures checked the retired rule of the same class name)
 # ---------------------------------------------------------------------------
 
 
@@ -263,21 +264,21 @@ class TestRL004:
             import random
             def pick(items):
                 return random.choice(items)
-        """) == ["RL004"]
+        """) == ["RF001"]
 
     def test_unseeded_random_fires(self):
         assert codes("""
             import random
             def rng():
                 return random.Random()
-        """) == ["RL004"]
+        """) == ["RF001"]
 
     def test_unseeded_imported_random_fires(self):
         assert codes("""
             from random import Random
             def rng():
                 return Random()
-        """) == ["RL004"]
+        """) == ["RF001"]
 
     def test_seeded_random_is_clean(self):
         assert codes("""
@@ -488,7 +489,8 @@ class TestRL008:
 
 
 # ---------------------------------------------------------------------------
-# RL009 -- sanitizer mutates protocol state
+# Sanitizer mutates protocol state: RF004's chain of length zero (these
+# fixtures checked the retired module-local rule of the same class name)
 # ---------------------------------------------------------------------------
 
 
@@ -497,25 +499,25 @@ class TestRL009:
         assert codes("""
             def observe(self, record):
                 record.versions = ()
-        """, module="repro.san.si") == ["RL009"]
+        """, module="repro.san.si") == ["RF004"]
 
     def test_subscript_store_on_protocol_attr_fires(self):
         assert codes("""
             def observe(self, txn, key):
                 txn.index_ops[0] = None
-        """, module="repro.san.gcsan") == ["RL009"]
+        """, module="repro.san.gcsan") == ["RF004"]
 
     def test_mutating_method_call_fires(self):
         assert codes("""
             def observe(self, manager, tid):
                 manager.set_committed(tid)
-        """, module="repro.san.si") == ["RL009"]
+        """, module="repro.san.si") == ["RF004"]
 
     def test_driving_a_transaction_fires(self):
         assert codes("""
             def observe(self, txn):
                 txn.commit()
-        """, module="repro.san.chain") == ["RL009"]
+        """, module="repro.san.chain") == ["RF004"]
 
     def test_read_only_accessors_are_clean(self):
         assert codes("""
@@ -555,12 +557,13 @@ class TestRL009:
     def test_inline_suppression(self):
         assert codes("""
             def observe(self, record):
-                record.warm_cache()  # repro-lint: ignore[RL009] read-only
+                record.warm_cache()  # repro-lint: ignore[RF004] read-only
         """, module="repro.san.si") == []
 
 
 # ---------------------------------------------------------------------------
-# RL010 -- sanitizer shadow code must not touch observability
+# Sanitizer shadow code must not touch observability: RF004's chain of
+# length zero (these fixtures checked the retired rule of the same name)
 # ---------------------------------------------------------------------------
 
 
@@ -568,41 +571,41 @@ class TestRL010:
     def test_import_repro_obs_fires(self):
         assert codes("""
             import repro.obs
-        """, module="repro.san.si") == ["RL010"]
+        """, module="repro.san.si") == ["RF004"]
 
     def test_import_submodule_fires(self):
         assert codes("""
             import repro.obs.registry
-        """, module="repro.san.gcsan") == ["RL010"]
+        """, module="repro.san.gcsan") == ["RF004"]
 
     def test_from_import_fires(self):
         assert codes("""
             from repro.obs import MetricsRegistry
-        """, module="repro.san.chain") == ["RL010"]
+        """, module="repro.san.chain") == ["RF004"]
 
     def test_from_submodule_import_fires(self):
         assert codes("""
             from repro.obs.tracing import Tracer
-        """, module="repro.san.si") == ["RL010"]
+        """, module="repro.san.si") == ["RF004"]
 
     def test_recording_into_registry_fires(self):
         assert codes("""
             def observe(self, registry):
                 registry.counter("repro_san_checks").inc()
-        """, module="repro.san.si") == ["RL010"]
+        """, module="repro.san.si") == ["RF004"]
 
     def test_span_and_tracer_calls_fire(self):
         assert codes("""
             def observe(self, tracer, span):
                 child = tracer.start_span("check")
                 span.finish()
-        """, module="repro.san.gcsan") == ["RL010", "RL010"]
+        """, module="repro.san.gcsan") == ["RF004", "RF004"]
 
     def test_obs_receiver_fires(self):
         assert codes("""
             def observe(self, pn):
                 pn.obs.snapshot()
-        """, module="repro.san.si") == ["RL010"]
+        """, module="repro.san.si") == ["RF004"]
 
     def test_driver_modules_are_exempt(self):
         source = """
@@ -769,8 +772,8 @@ class TestEngine:
     def test_multi_rule_suppression(self):
         assert codes("""
             import time
-            def f(acc=[]):  # repro-lint: ignore[RL007, RL003]
-                return time.time()  # repro-lint: ignore[RL003] fixture
+            def f(acc=[]):  # repro-lint: ignore[RL007, RF001]
+                return time.time()  # repro-lint: ignore[RF001] fixture
         """, module="repro.core.fixture") == []
 
     def test_suppression_requires_matching_code(self):
@@ -813,26 +816,20 @@ class TestCli:
         assert lint_main([str(good)]) == 0
         assert "clean" in capsys.readouterr().out
 
-    def test_json_output(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        bad = self._write_fixture(tmp_path)
-        assert lint_main(["--json", str(bad)]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["findings"][0]["rule"] == "RL007"
-        assert payload["files_checked"] == 1
-
     def test_overlapping_paths_lint_each_file_once(self, tmp_path, capsys,
                                                    monkeypatch):
         monkeypatch.chdir(tmp_path)
         bad = self._write_fixture(tmp_path)
-        assert lint_main(["--json", "repro", str(bad), "repro/core"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert [f["rule"] for f in payload["findings"]] == ["RL007"]
-        assert payload["files_checked"] == 1
+        assert lint_main(["repro", str(bad), "repro/core"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in out
+                if line.startswith("repro/")] == ["RL007"]
+        assert out[-2] == "repro-lint: 1 finding(s) in 1 file(s)"
 
     @pytest.mark.parametrize("flag", [
         ["--jobs", "2"], ["--changed"], ["--cache", "c.json"],
         ["--baseline", "b.json"], ["--no-baseline"], ["--write-baseline"],
+        ["--flow"], ["--atomic"], ["--json"], ["--dump-callgraph"],
     ])
     def test_removed_flags_are_usage_errors(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -866,6 +863,7 @@ class TestCli:
         out = capsys.readouterr().out
         for code in ("RL001", "RL007"):
             assert code in out
+        assert len(out.splitlines()) == 17
 
     def test_rule_catalog_documents_exactly_the_registered_rules(self, capsys):
         # One `### <code>` heading in docs/static-analysis.md per rule
@@ -885,8 +883,10 @@ class TestCli:
 
 class TestShippedTree:
     def test_repro_lint_src_exits_0(self, capsys, monkeypatch):
+        # The one whole-tree run (what CI runs): every rule, every tree,
+        # one inline suppression (core/recovery.py, RL008).
         monkeypatch.chdir(REPO_ROOT)
-        assert lint_main(["src"]) == 0
+        assert lint_main(["src", "tests", "examples", "benchmarks"]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_deleting_yield_before_putifversion_trips_rl001(self):
@@ -921,7 +921,8 @@ class TestShippedTree:
 
     def test_wall_clock_in_the_fabric_trips_rl003(self):
         # The fabric *decides* simulated time; a wall-clock read there
-        # breaks determinism at the source.
+        # breaks determinism at the source.  (Named for the retired
+        # module-local rule; RF001 reports it now.)
         real = FABRIC_PY.read_text()
         mutated = real.replace(
             "        now = self.sim.now\n        t_send = now\n",
@@ -931,7 +932,7 @@ class TestShippedTree:
         )
         assert mutated != real, "mutation site vanished; update the test"
         found = lint_source(mutated, module="repro.runtime.fabric")
-        assert [f.rule for f in found] == ["RL003"]
+        assert [f.rule for f in found] == ["RF001"]
         assert lint_source(real, module="repro.runtime.fabric") == []
 
     def test_unmutated_transaction_is_clean(self):
