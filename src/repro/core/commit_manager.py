@@ -21,13 +21,15 @@ Several commit managers can run in parallel:
   which is legitimate (slightly older snapshots only raise the conflict
   probability, Section 6.3.3).
 
-Atomicity contract (checked by ``repro-lint``, RA rules): the
-completed-set / stripe-cursor and active-base / active-PN fields are
-``INVARIANT_PAIRS`` -- their updaters are deliberately synchronous
-(no yield between the paired writes, RA003), peer-state absorption must
-not re-enter the event loop per peer (RA002), and a validator that
-registers a committer must release it on abort via ``on_aborted``
-(RA005).
+Atomicity contract: the completed-set / stripe-cursor and active-base /
+active-PN fields are updated in pairs by deliberately synchronous
+methods, with no yield between the paired writes
+(``tests/test_cm_failover.py::TestInterleavedRecovery::test_absorb_peers_after_stripe_retirement_advances_base``);
+peer-state absorption does not re-enter the event loop per peer
+(``tests/test_api_database.py::TestCommitManagerSync::test_sync_commit_managers``);
+and a validator that registers a committer is released on abort via
+``on_aborted``
+(``tests/test_isolation.py::test_abort_after_validation_releases_the_validator``).
 """
 
 from __future__ import annotations

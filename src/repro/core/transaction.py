@@ -23,11 +23,13 @@ The admission rule lives with the manager's validator
 
 All store-touching methods are generator coroutines.
 
-Typestate contract (checked by ``repro-lint``, RA004/RA005):
-a transaction is linear -- begin, uses, then exactly one finish
-(``commit``/``abort``/a ``state = TxnState.ABORTED|COMMITTED`` write),
+Typestate contract: a transaction is linear -- begin, uses, then
+exactly one finish (``commit``/``abort``/a ``state =
+TxnState.ABORTED|COMMITTED`` write); a use after the finish raises
+(``tests/test_api_surface.py::TestTransactionScope::test_manual_rollback_inside_scope_is_honored``),
 and every abort path must ``yield effects.ReportAborted(tid)`` so the
-commit manager can advance LAV past the tid.
+commit manager can advance LAV past the tid
+(``tests/test_api_surface.py::TestSessionLifecycle::test_session_context_manager_rolls_back_open_txn``).
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ state between runs (RL007).  The interprocedural RF rules close those
 contracts over the project call graph: simulated-time code must never
 reach the wall clock, nor any code the process-global RNG (RF001), and
 the sanitizers must never reach protocol-mutating or obs code (RF004).
-The RA rules check what may change across a coroutine's yield points.
 
 ``repro-lint src`` enforces all of it statically, in one run mode.  See
 ``docs/static-analysis.md`` for the full rule catalog and the inline

@@ -7,7 +7,7 @@ Usage::
     repro-lint --list-rules            one line per rule
 
 Every run builds the whole analysis (symbol index, flow summaries, call
-graph, yield-point analysis) and runs every rule.
+graph) and runs every rule.
 
 Exit codes: 0 clean, 1 findings, 2 usage or internal error.
 """
@@ -32,8 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description="AST invariant checker for the repro codebase: "
                     "effect-coroutine hygiene, simulation determinism, "
-                    "hot-path contracts, sanitizer isolation, and "
-                    "yield-point atomicity.",
+                    "hot-path contracts and sanitizer isolation.",
     )
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")

@@ -29,7 +29,6 @@ import tokenize
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.lint.atomic import ATOMIC_RULES
 from repro.lint.flow.analysis import FlowAnalysis
 from repro.lint.flow.rules import FLOW_RULES
 from repro.lint.flow.summary import ModuleFlow, extract_module_flow
@@ -39,8 +38,8 @@ from repro.lint.rules import LOCAL_RULES, Rule
 _IGNORE_RE = re.compile(r"#\s*repro-lint:\s*ignore\[([A-Z0-9,\s]+)\]")
 _SKIP_FILE_RE = re.compile(r"#\s*repro-lint:\s*skip-file")
 
-#: Every rule, in ``--list-rules`` order: module-local, flow, atomic.
-ALL_RULES: List[Rule] = [*LOCAL_RULES, *FLOW_RULES, *ATOMIC_RULES]
+#: Every rule, in ``--list-rules`` order: module-local, then flow.
+ALL_RULES: List[Rule] = [*LOCAL_RULES, *FLOW_RULES]
 RULES_BY_CODE = {rule.code: rule for rule in ALL_RULES}
 
 
@@ -212,8 +211,8 @@ def load_sources(paths: Sequence[str],
 
 def build_index(sources: Sequence[SourceModule]) -> ProjectIndex:
     """Pass-1 summaries of every parsed source plus the pass-2 flow
-    summaries, linked into the :class:`FlowAnalysis` the RF and RA rules
-    read off ``index.flow``."""
+    summaries, linked into the :class:`FlowAnalysis` the RF rules read
+    off ``index.flow``."""
     parsed = [source for source in sources
               if source.tree is not None and not source.skip_file]
     index = ProjectIndex({source.module: source.summary for source in parsed})

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from repro.lint.flow.atomic import AtomicAnalysis
 from repro.lint.flow.callgraph import CallGraph, Node
 from repro.lint.flow.summary import (
     OBS_PACKAGE,
@@ -47,9 +46,6 @@ class FlowAnalysis:
         self.index = index
         self.flows = flows
         self.graph = CallGraph(index, flows)
-        #: The yield-point interleaving and typestate analysis the RA
-        #: rules consume.
-        self.atomic = AtomicAnalysis(self.graph)
         self.sim_parents = self._compute_sim_reach()
         #: Linted effect classes whose body declares ``kind``
         #: (RF002/RF003): a class routes iff it inherits from one.

@@ -15,8 +15,8 @@ Edges are added only on explicit evidence, mirroring the pass-1 policy
   (``SimulatedDeployment._terminal`` calls ``self._transactions(...)``;
   ``StorageCluster.apply`` calls ``op.apply(...)`` on a ``StoreRequest``
   and lands in each effect class's storage-node operation);
-* ``yield from f(...)`` is a call edge flagged as *delegation*, so
-  effect-yield taint flows through coroutine chains;
+* ``yield from f(...)`` is an ordinary call edge, so taint flows
+  through coroutine chains;
 * ``TABLE[key](...)`` fans out to every callable registered in a
   module-level dispatch table (``TRANSACTIONS`` in the TPC-C driver).
 
@@ -26,7 +26,7 @@ approximation, same scheme the pass-1 index uses within one module).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.lint.index import ProjectIndex, Symbol
 from repro.lint.flow.summary import ModuleFlow
@@ -58,8 +58,6 @@ class CallGraph:
         self.flows = flows
         self.nodes: Set[Node] = set()
         self.edges: Dict[Node, Set[Node]] = {}
-        #: Delegation (``yield from``) subset of ``edges``.
-        self.yf_edges: Dict[Node, Set[Node]] = {}
         #: First call-site line per edge, for messages and anchors.
         self.edge_sites: Dict[Node, List[Tuple[Node, int]]] = {}
         #: Resolved calls into modules with no flow summary (stdlib,
@@ -271,12 +269,9 @@ class CallGraph:
 
     def _resolve_call(self, module: str, qualname: str,
                       info: Dict[str, Any],
-                      desc: Dict[str, Any],
-                      record_external: bool = True) -> List[Node]:
+                      desc: Dict[str, Any]) -> List[Node]:
         """Targets of one recorded call; external symbols are logged to
-        ``self.external`` as a side effect (unless ``record_external``
-        is off -- re-resolution by later analyses must not duplicate
-        the external log)."""
+        ``self.external`` as a side effect."""
         node = (module, qualname)
         line = desc.get("line", 0)
         kind = desc.get("k")
@@ -299,8 +294,7 @@ class CallGraph:
             target = self._resolve_symbol_target(symbol)
             if target is not None:
                 return [target]
-            if record_external:
-                self.external.setdefault(node, []).append((symbol, line))
+            self.external.setdefault(node, []).append((symbol, line))
             return []
         if kind == "attr":
             root, steps, attr = desc["root"], desc["steps"], desc["attr"]
@@ -318,9 +312,7 @@ class CallGraph:
                     target = self._resolve_symbol_target(symbol)
                     if target is not None:
                         return [target]
-                    if record_external:
-                        self.external.setdefault(node, []).append(
-                            (symbol, line))
+                    self.external.setdefault(node, []).append((symbol, line))
             return []
         if kind == "table":
             table_sym = self._resolve_ref(module, desc.get("table"))
@@ -345,12 +337,9 @@ class CallGraph:
 
     # -- linking -----------------------------------------------------------
 
-    def _add_edge(self, src: Node, dst: Node, line: int,
-                  delegation: bool) -> None:
+    def _add_edge(self, src: Node, dst: Node, line: int) -> None:
         self.edges.setdefault(src, set()).add(dst)
         self.edge_sites.setdefault(src, []).append((dst, line))
-        if delegation:
-            self.yf_edges.setdefault(src, set()).add(dst)
 
     def _link(self) -> None:
         self._collect_bases()
@@ -363,19 +352,16 @@ class CallGraph:
                 for name in info.get("locals", []):
                     nested = (module, f"{qualname}.{name}")
                     if nested in self.nodes:
-                        self._add_edge(node, nested, info.get("line", 0),
-                                       delegation=False)
+                        self._add_edge(node, nested, info.get("line", 0))
                 for call in info.get("calls", []):
                     for target in self._resolve_call(
                             module, qualname, info, call):
-                        self._add_edge(node, target, call.get("line", 0),
-                                       delegation=bool(call.get("yf")))
+                        self._add_edge(node, target, call.get("line", 0))
                 for spawn in info.get("spawns", []):
                     for target in self._resolve_call(
                             module, qualname, info, spawn):
                         self.spawned.add(target)
-                        self._add_edge(node, target, spawn.get("line", 0),
-                                       delegation=False)
+                        self._add_edge(node, target, spawn.get("line", 0))
                 for entry in info.get("yields", []):
                     symbol = self._resolve_ref(module, entry.get("ref"))
                     if symbol is not None:
@@ -383,30 +369,6 @@ class CallGraph:
                             (entry.get("line", 0), symbol))
 
     # -- queries -----------------------------------------------------------
-
-    def eval_chain(self, module: str, info: Dict[str, Any], root: str,
-                   steps: Sequence[str]) -> Optional[_TypeEntry]:
-        """Public type evaluation of ``root.step1.step2...`` inside one
-        function (same evidence rules as call linking)."""
-        return self._eval_chain(module, info, root, list(steps), 0)
-
-    def eval_name(self, module: str, info: Dict[str, Any],
-                  name: str) -> Optional[_TypeEntry]:
-        """Public type evaluation of a bare name inside one function."""
-        return self._eval_name(module, info, name, 0)
-
-    def entry_from_info(self, module: str,
-                        info: Dict[str, Any]) -> _TypeEntry:
-        """Public annotation/attr-type record evaluation."""
-        return self._entry_from_info(module, info)
-
-    def resolve_call_quiet(self, module: str, qualname: str,
-                           info: Dict[str, Any],
-                           desc: Dict[str, Any]) -> List[Node]:
-        """Re-resolve one call descriptor without logging externals
-        (the atomic analysis re-walks calls the linker already saw)."""
-        return self._resolve_call(module, qualname, info, desc,
-                                  record_external=False)
 
     def function_info(self, node: Node) -> Optional[Dict[str, Any]]:
         flow = self.flows.get(node[0])

@@ -29,7 +29,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.lint.index import (
     FunctionNode,
     ModuleSummary,
-    function_is_generator,
     in_prefixes,
     name_ref_of,
     receiver_steps,
@@ -107,15 +106,6 @@ PROTOCOL_MUTATORS = frozenset({
     "start", "set_committed", "set_aborted", "execute", "execute_scan",
     "apply", "insert", "delete", "update", "put", "commit", "abort",
     "append", "set_status", "recover", "invalidate", "note_applied",
-})
-
-#: Method names that structurally mutate their receiver.  Superset of
-#: PROTOCOL_MUTATORS: the atomic analysis also cares about plain
-#: container mutators on shared attributes (``self.completed.pop(...)``).
-ATOMIC_MUTATORS = PROTOCOL_MUTATORS | frozenset({
-    "mark_completed", "pop", "popitem", "add", "discard", "remove",
-    "clear", "extend", "setdefault", "move_to_end", "appendleft",
-    "popleft",
 })
 
 #: Callables that *drive* a freshly created generator: their call-shaped
@@ -229,7 +219,6 @@ class _FunctionExtractor(ast.NodeVisitor):
         self.qualname = qualname
         self.info: Dict[str, Any] = {
             "line": getattr(node, "lineno", 0),
-            "gen": function_is_generator(node),
             "cls": class_name,
             "params": {},
             "bindings": {},
@@ -238,50 +227,17 @@ class _FunctionExtractor(ast.NodeVisitor):
             "yields": [],
             "spawns": [],
             "facts": {},
-            "pnames": [],
-            "touch": [],
         }
-        self._yf_calls: set = set()
-        self._touch_seen: set = set()
         args = getattr(node, "args", None)
         if args is not None:
             every = list(getattr(args, "posonlyargs", [])) + \
                 list(args.args) + list(args.kwonlyargs)
-            self.info["pnames"] = [arg.arg for arg in every]
             for arg in every:
                 info = _ann_info(arg.annotation)
                 if info:
                     self.info["params"][arg.arg] = info
         for child in getattr(node, "body", []):
             self.visit(child)
-
-    _TOUCH_CAP = 160
-
-    def _touch(self, root: str, steps: List[str], attr: str, kind: str,
-               line: int) -> None:
-        """Record one shared-state touch: a read (``r``) or write
-        (``set``/``aug``/``sub``/``del``/``call``) through an attribute
-        chain."""
-        key = (root, tuple(steps), attr, kind)
-        if key in self._touch_seen or \
-                len(self.info["touch"]) >= self._TOUCH_CAP:
-            return
-        self._touch_seen.add(key)
-        self.info["touch"].append({
-            "c": [root] + list(steps), "a": attr, "k": kind, "ln": line,
-        })
-
-    def _touch_target(self, target: ast.expr, line: int,
-                      kind: str = "set") -> None:
-        while isinstance(target, ast.Subscript):
-            target = target.value
-            if kind == "set":
-                kind = "sub"
-        if not isinstance(target, ast.Attribute):
-            return
-        root, steps = receiver_steps(target.value)
-        if root is not None:
-            self._touch(root, steps, target.attr, kind, line)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -328,7 +284,6 @@ class _FunctionExtractor(ast.NodeVisitor):
         self._check_mutation_target(node, node.targets)
         self.visit(node.value)
         for target in node.targets:
-            self._touch_target(target, node.lineno)
             self.visit(target)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
@@ -341,17 +296,10 @@ class _FunctionExtractor(ast.NodeVisitor):
         self._check_mutation_target(node, [node.target])
         if node.value is not None:
             self.visit(node.value)
-        self._touch_target(node.target, node.lineno)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         self._check_mutation_target(node, [node.target])
         self.visit(node.value)
-        self._touch_target(node.target, node.lineno, kind="aug")
-
-    def visit_Delete(self, node: ast.Delete) -> None:
-        for target in node.targets:
-            self._touch_target(target, node.lineno, kind="del")
-        self.generic_visit(node)
 
     @staticmethod
     def _protocol_receiver(node: ast.expr) -> Optional[str]:
@@ -409,18 +357,11 @@ class _FunctionExtractor(ast.NodeVisitor):
         if value is not None:
             self.visit(value)
 
-    def visit_YieldFrom(self, node: ast.YieldFrom) -> None:
-        if isinstance(node.value, ast.Call):
-            self._yf_calls.add(id(node.value))
-        self.visit(node.value)
-
     # -- calls and facts ---------------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
         desc = self._call_desc(node)
         if desc is not None:
-            if id(node) in self._yf_calls:
-                desc["yf"] = True
             self.info["calls"].append(desc)
         self._call_facts(node)
         self._check_spawn(node)
@@ -435,45 +376,28 @@ class _FunctionExtractor(ast.NodeVisitor):
             return symbol[1]
         return None
 
-    @staticmethod
-    def _arg_names(node: ast.Call) -> Optional[List[Optional[str]]]:
-        """Bare names of the positional arguments (None placeholders for
-        expressions), recorded so typestate summaries can map caller
-        locals onto callee parameters.  None when no argument is a name."""
-        names: List[Optional[str]] = [
-            arg.id if isinstance(arg, ast.Name) else None
-            for arg in node.args
-        ]
-        return names if any(n is not None for n in names) else None
-
     def _call_desc(self, node: ast.Call) -> Optional[Dict[str, Any]]:
         func = node.func
-        desc: Dict[str, Any]
         if isinstance(func, ast.Name):
             if self._wall_clock_import(func.id) is not None:
                 return None  # a wall-clock fact, not an edge
-            desc = {"k": "name", "fn": func.id, "line": node.lineno}
-        elif isinstance(func, ast.Attribute):
+            return {"k": "name", "fn": func.id, "line": node.lineno}
+        if isinstance(func, ast.Attribute):
             root, steps = receiver_steps(func.value)
             if root is None:
                 return None
-            desc = {"k": "attr", "root": root, "steps": steps,
+            return {"k": "attr", "root": root, "steps": steps,
                     "attr": func.attr, "line": node.lineno}
-        elif isinstance(func, ast.Subscript):
+        if isinstance(func, ast.Subscript):
             table = name_ref_of(func.value)
             if table is None:
                 return None
             return {"k": "table", "table": list(table), "line": node.lineno}
-        else:
-            return None
-        args = self._arg_names(node)
-        if args is not None:
-            desc["args"] = args
-        return desc
+        return None
 
     def _call_facts(self, node: ast.Call) -> None:
         """Wall-clock, unseeded-RNG, obs and protocol-mutation facts of
-        one call, plus the structural-mutation touch of its receiver."""
+        one call."""
         func = node.func
         if isinstance(func, ast.Name):
             clock = self._wall_clock_import(func.id)
@@ -493,13 +417,8 @@ class _FunctionExtractor(ast.NodeVisitor):
                 and func.attr not in READ_ONLY_METHODS):
             self._fact("mutates", node.lineno,
                        f"calls `{final}.{func.attr}(...)`")
-        if root is None:
-            return
-        if func.attr in ATOMIC_MUTATORS and steps and steps[-1] != "[]":
-            # `self.completed.mark_completed(tid)` structurally
-            # mutates the `completed` attribute of `self`.
-            self._touch(root, steps[:-1], steps[-1], "call", node.lineno)
-        if not steps and self.summary.resolve_qualifier(root) == "random":
+        if root is not None and not steps \
+                and self.summary.resolve_qualifier(root) == "random":
             if func.attr not in ("Random", "SystemRandom"):
                 self._fact("rng", node.lineno, f"random.{func.attr}")
             elif func.attr == "Random" and not node.args:
@@ -526,10 +445,6 @@ class _FunctionExtractor(ast.NodeVisitor):
                 and isinstance(node.value, ast.Name)
                 and self.summary.resolve_qualifier(node.value.id) == "time"):
             self._fact("wall_clock", node.lineno, f"time.{node.attr}")
-        if isinstance(node.ctx, ast.Load):
-            root, steps = receiver_steps(node.value)
-            if root is not None:
-                self._touch(root, steps, node.attr, "r", node.lineno)
         self.generic_visit(node)
 
 

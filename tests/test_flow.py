@@ -25,8 +25,8 @@ def _modules(*pairs):
 
 
 def flow_findings(*pairs):
-    """RF findings of a fixture (the RL and RA families are covered by
-    test_lint.py and test_atomic.py)."""
+    """RF findings of a fixture (the RL family is covered by
+    test_lint.py)."""
     return [f for f in lint_sources(_modules(*pairs)).findings
             if f.rule.startswith("RF")]
 
@@ -84,11 +84,11 @@ class TestCallGraph:
         g = src_analysis.graph
         perform = ("repro.runtime.fabric", "SimFabric.perform")
         batch = ("repro.runtime.fabric", "SimFabric._perform_batch")
-        assert batch in g.yf_edges[perform]
+        assert batch in g.edges[perform]
         script = ("repro.runtime.deployment",
                   "SimulatedDeployment._transaction")
         commit = ("repro.core.transaction", "Transaction.commit")
-        assert commit in g.yf_edges[script]
+        assert commit in g.edges[script]
 
     def test_dispatch_table_fans_out_to_transactions(self, src_analysis):
         g = src_analysis.graph

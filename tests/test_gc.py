@@ -90,6 +90,36 @@ class TestLazyGcPass:
         # The pinned snapshot must still read its version.
         assert runner.run(pin.read(K1)) == (0,)
 
+    def test_commit_between_scan_and_prune_survives(self, env):
+        """The prune write is conditioned on the version the scan saw: a
+        transaction committing in between wins, and its write stays
+        readable.  Kills the unconditional ``Put`` prune
+        (``gc_unconditional_prune`` in tests/kill_matrix.py)."""
+        cluster, cm, pn, runner = env
+
+        def init(txn):
+            txn.insert(K1, (0,))
+            return None
+            yield
+
+        runner.run(pn.run_transaction(init))
+        pin = runner.run(pn.begin())
+        bump_n_times(pn, runner, K1, 3)  # pinned: eager GC keeps 4 versions
+        runner.run(pin.abort())
+
+        sweep = lazy_gc_pass(cm.lowest_active_version())
+        scan = next(sweep)
+        assert isinstance(scan, effects.Scan)
+        prune = sweep.send(cluster.execute(scan))
+        bump_n_times(pn, runner, K1, 1)  # commits between scan and prune
+        try:
+            sweep.send(cluster.execute(prune))
+        except StopIteration:
+            pass
+
+        final = runner.run(pn.begin())
+        assert runner.run(final.read(K1)) == (4,)
+
     def test_stats_accounting(self, env):
         cluster, cm, pn, runner = env
 

@@ -11,6 +11,7 @@ the ``validate`` span phase), and the ``isolation`` bench experiment.
 import pytest
 
 import repro
+from repro import effects
 from repro.api import DatabaseConfig
 from repro.api.runner import DirectRunner, Router
 from repro.core.commit_manager import CommitManager
@@ -362,6 +363,22 @@ def test_validation_abort_registers_nothing(cluster):
 
     runner.run(late_writer())  # no concurrent commits left: must admit
     assert manager.validation_aborts == 1
+
+
+@pytest.mark.parametrize("mode", ["wsi", "ssi"])
+def test_abort_after_validation_releases_the_validator(cluster, mode):
+    """A writer that validated and then aborted (LL/SC or index
+    maintenance failed) is un-registered when it reports the abort, so it
+    cannot abort later committers as a ghost.  Kills the dropped
+    ``validator.on_aborted`` in ``CommitManager.set_aborted``
+    (``cm_validator_not_released`` in tests/kill_matrix.py)."""
+    manager, pn, runner, router = isolation_env(cluster, mode)
+    txn = runner.run(pn.begin())
+    verdict = router.execute(
+        effects.ValidateCommit(txn.tid, (K1,), (K1,), txn.snapshot))
+    assert verdict.ok and not manager.validator.is_empty()
+    runner.run(txn.abort())
+    assert manager.validator.is_empty()
 
 
 # ---------------------------------------------------------------------------

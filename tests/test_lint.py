@@ -863,7 +863,7 @@ class TestCli:
         out = capsys.readouterr().out
         for code in ("RL001", "RL007"):
             assert code in out
-        assert len(out.splitlines()) == 17
+        assert len(out.splitlines()) == 12
 
     def test_rule_catalog_documents_exactly_the_registered_rules(self, capsys):
         # One `### <code>` heading in docs/static-analysis.md per rule
