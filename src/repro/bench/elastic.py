@@ -1,6 +1,6 @@
 """The ``elastic`` experiment: throughput through live topology change.
 
-ROADMAP item 1 asks for online elasticity; this suite measures what it
+Online elasticity (:mod:`repro.elastic`) is measured here by what it
 *costs*.  Each point runs the full simulated TPC-C deployment through a
 diurnal storage cycle -- double the SN fleet mid-run, then drain back to
 the original size -- while terminals keep committing, and reports

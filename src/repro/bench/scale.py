@@ -1,7 +1,7 @@
 """The ``scale`` experiment: deployment sizes beyond the paper's testbed.
 
-The paper's Figure 5-7 sweeps stop at 12 servers; ROADMAP item 2 asks the
-deterministic simulator to reach 64-256 node deployments so throughput
+The paper's Figure 5-7 sweeps stop at 12 servers; this suite takes the
+deterministic simulator to 64-256 node deployments so throughput
 curves flatten for *measured* reasons (commit-manager ceiling, replication
 fan-out) rather than small-N noise.  This suite runs the full simulated
 TPC-C deployment at 16/64/128 nodes plus a 100-warehouse configuration and

@@ -96,7 +96,7 @@ class TransactionBuffer(BufferingStrategy):
         self.stats.lookups += len(keys)
         self.stats.fetches += len(keys)
         results = yield effects.multi_get(DATA_SPACE, keys)
-        return {key: result for key, result in zip(keys, results)}
+        return dict(zip(keys, results))
 
     def note_applied(self, tid, key, record, cell_version):
         return

@@ -116,9 +116,13 @@ class Transaction:
                 seen.add(key)
                 to_fetch.append(key)
         if to_fetch:
-            yield from self._fetch(to_fetch)
+            fetched = yield from self._fetch(to_fetch)
+            snapshot = self.snapshot
             for key in to_fetch:
-                result[key] = self._visible_payload(key)
+                record = fetched[key][0]
+                result[key] = (
+                    None if record is None else record.visible_payload(snapshot)
+                )
         read_keys = self._read_keys
         if read_keys is not None:
             for key in keys:
@@ -151,13 +155,15 @@ class Transaction:
         return payload
 
     def _fetch(self, keys: List[Any]) -> Generator:
+        """Fetch ``keys`` into the private cache; returns the fetched
+        ``{key: (record, cell_version)}``."""
         span = self.span
         read_child = span.child("read") if span is not None else None
         fetched = yield from self.pn.buffers.read_records(self.snapshot, keys)
         if read_child is not None:
             read_child.finish()
-        for key, (record, cell_version) in fetched.items():
-            self._cache[key] = (record, cell_version)
+        self._cache.update(fetched)
+        return fetched
 
     def _visible_payload(self, key: Any) -> Optional[Any]:
         record, _cell_version = self._cache[key]

@@ -85,8 +85,7 @@ class TraceInterceptor(Interceptor):
             # an aborted transaction's requests must reconcile with the
             # sanitizer shadow history, not vanish from the trace.
             self._latency.observe(ctx.clock.now - started, **labels)
-            ops = getattr(request, "ops", None)
-            self._ops.inc(len(ops) if ops is not None else 1, **labels)
+            self._ops.inc(getattr(request, "op_count", 1), **labels)
             self._bytes.inc(request_size(request), **labels)
 
 

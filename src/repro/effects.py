@@ -17,7 +17,7 @@ benchmarked is the library itself, not a model of it.
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Any, ClassVar, Generator, Optional,
+from typing import (TYPE_CHECKING, Any, ClassVar, Generator, List, Optional,
                     Sequence)
 
 from repro.errors import TellError
@@ -287,22 +287,52 @@ class Batch(Request):
     Tell "aggressively batches operations" (Section 5.1): requests going to
     the same storage node share a round trip.  Result: list of individual
     results, in order.
+
+    A batch built by :func:`multi_get` is *columnar*: it carries the
+    ``keys`` and the space they are read from (``get_space``; deliberately
+    not ``space``, which fault rules match on single-key requests) and
+    builds its per-key :class:`Get` list only when something reads
+    :attr:`ops`.  The simulated fabric routes, sizes and applies the keys
+    directly, so a many-key read allocates no object per key that lives
+    for the whole round trip.  An op-list batch has ``keys`` = None.
     """
 
-    __slots__ = ("ops",)
+    __slots__ = ("_ops", "get_space", "keys")
 
     kind = KIND_BATCH
 
     def __init__(self, ops: Sequence[StoreRequest]) -> None:
-        self.ops = list(ops)
+        self._ops: Optional[List[StoreRequest]] = list(ops)
+        self.get_space: Optional[str] = None
+        self.keys: Optional[List[Any]] = None
+
+    @property
+    def ops(self) -> List[StoreRequest]:
+        """The member requests (a columnar batch's Gets, built once)."""
+        ops = self._ops
+        if ops is None:
+            space, keys = self.get_space, self.keys
+            assert space is not None and keys is not None
+            ops = self._ops = [Get(space, key) for key in keys]
+        return ops
+
+    @property
+    def op_count(self) -> int:
+        """How many requests the batch carries (builds no ``Get``)."""
+        ops = self._ops
+        return len(ops) if ops is not None else len(self.keys or ())
 
     def __repr__(self) -> str:
-        return f"Batch({len(self.ops)} ops)"
+        return f"Batch({self.op_count} ops)"
 
 
 def multi_get(space: str, keys: Sequence[Any]) -> Batch:
-    """Convenience: batch of Gets for ``keys`` in ``space``."""
-    return Batch([Get(space, key) for key in keys])
+    """A columnar batch of Gets for ``keys`` in ``space``."""
+    batch = Batch.__new__(Batch)
+    batch._ops = None
+    batch.get_space = space
+    batch.keys = list(keys)
+    return batch
 
 
 # ---------------------------------------------------------------------------

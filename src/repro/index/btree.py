@@ -289,8 +289,8 @@ class DistributedBTree:
                 by_leaf.setdefault(leaf_id, []).append(key)
         if by_leaf:
             leaf_ids = list(by_leaf.keys())
-            responses = yield effects.Batch(
-                [effects.Get(INDEX_SPACE, self._node_key(lid)) for lid in leaf_ids]
+            responses = yield effects.multi_get(
+                INDEX_SPACE, [self._node_key(lid) for lid in leaf_ids]
             )
             for leaf_id, (leaf, _version) in zip(leaf_ids, responses):
                 for key in by_leaf[leaf_id]:

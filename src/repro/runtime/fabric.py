@@ -56,6 +56,10 @@ REPL_WRITE_AMP = 2.0
 REPL_FIXED_US = 5.0
 
 
+#: The positions of a one-member message (:meth:`SimFabric.prepare_single`).
+_ONLY_MEMBER = (0,)
+
+
 class CorePool:
     """A multi-server FIFO of CPU cores (reserve = find earliest core)."""
 
@@ -169,11 +173,10 @@ class SimFabric:
             yield Delay(request.duration)
             return None
         if kind == KIND_BATCH:
-            ops = request.ops
-            if self.config.batching and len(ops) > 1:
-                return (yield from self._perform_batch(pn_pool, ops))
+            if self.config.batching and request.op_count > 1:
+                return (yield from self._perform_batch(pn_pool, request))
             results = []
-            for op in ops:  # nothing to batch: one round trip each
+            for op in request.ops:  # nothing to batch: one round trip each
                 results.append(
                     (yield from self.perform(pn_pool, cm_index, op, pn_id))
                 )
@@ -207,24 +210,44 @@ class SimFabric:
         if client_cpu > 0:
             _s, t_send = pn_pool.reserve(t_send, client_cpu)
         slot, t_done = self._send_group(
-            t_send, node_id, [(0, op, partition_id)]
+            t_send, node_id, _ONLY_MEMBER, [partition_id], [op], None
         )
         if client_cpu > 0:
             _s, t_done = pn_pool.reserve(t_done, client_cpu)
         return slot, t_done - now
 
     def _perform_batch(
-        self, pn_pool: CorePool, ops: List[effects.StoreRequest]
+        self, pn_pool: CorePool, batch: effects.Batch
     ) -> Generator:
-        """Send ops grouped per target storage node; one message each."""
-        routing_of = self.cluster.routing
-        groups: Dict[int, List[Tuple[int, effects.StoreRequest, int]]] = {}
-        for position, op in enumerate(ops):
-            partition_id, node_id = routing_of(op)
+        """Send a batch grouped per target storage node; one message each.
+
+        The members (the ops of an op-list batch, the keys of a columnar
+        one) and their partition ids are parallel lists, and a node's
+        group is the list of its members' positions, so nothing per
+        member references a request.  Routing is inlined as in
+        :meth:`prepare_single`.
+        """
+        space = batch.get_space
+        members = batch.keys
+        if members is None:
+            members = batch.ops
+            keys: List[Any] = [op.key for op in members]
+        else:
+            keys = members
+        cluster = self.cluster
+        partition_of = cluster.partitioner.partition_of
+        assignments = cluster.partition_map.assignments
+        pids: List[int] = []
+        groups: Dict[int, List[int]] = {}
+        for position, key in enumerate(keys):
+            partition_id = partition_of(key)
+            pids.append(partition_id)
+            node_id = assignments[partition_id].replicas[0]
             group = groups.get(node_id)
             if group is None:
-                groups[node_id] = group = []
-            group.append((position, op, partition_id))
+                groups[node_id] = [position]
+            else:
+                group.append(position)
         now = self.sim.now
         # Send-side CPU: one charge per outgoing message.
         t_send = now
@@ -234,9 +257,11 @@ class SimFabric:
                 _s, t_send = pn_pool.reserve(t_send, client_cpu)
         slots = []
         t_done = t_send
-        for node_id, members in groups.items():
-            slot, t_response = self._send_group(t_send, node_id, members)
-            slots.append((slot, members))
+        for node_id, positions in groups.items():
+            slot, t_response = self._send_group(
+                t_send, node_id, positions, pids, members, space
+            )
+            slots.append((slot, positions))
             if t_response > t_done:
                 t_done = t_response
         # Receive-side CPU, one charge per response message.
@@ -245,13 +270,13 @@ class SimFabric:
                 _s, t_done = pn_pool.reserve(t_done, client_cpu)
         if t_done > now:
             yield Delay(t_done - now)
-        results: List[Any] = [None] * len(ops)
+        results: List[Any] = [None] * len(keys)
         error: Optional[BaseException] = None
-        for slot, members in slots:
+        for slot, positions in slots:
             if slot.error is not None:
                 error = slot.error
                 continue
-            for (position, _op, _pid), value in zip(members, slot.value):
+            for position, value in zip(positions, slot.value):
                 results[position] = value
         if error is not None:
             raise error
@@ -261,9 +286,18 @@ class SimFabric:
         self,
         now: float,
         node_id: int,
-        members: List[Tuple[int, effects.StoreRequest, int]],
+        positions: Sequence[int],
+        pids: List[int],
+        members: List[Any],
+        space: Optional[str],
     ) -> Tuple[_Slot, float]:
-        """Schedule one request message; returns (slot, t_response)."""
+        """Schedule one request message; returns (slot, t_response).
+
+        The message carries ``members[p]`` for each ``p`` in
+        ``positions``: store requests, or -- with ``space`` set -- the
+        keys of a columnar read, each served as the ``Get`` it stands
+        for; ``pids[p]`` is member ``p``'s partition.
+        """
         profile = self.profile
         cluster = self.cluster
         node = cluster.nodes[node_id]
@@ -272,25 +306,32 @@ class SimFabric:
         service_us_write = node.service_us_write
 
         # One pass over the members computes wire size, service time, and
-        # the replicated-write set together (three separate traversals
-        # previously).
+        # the replicated-write set (positions) together.  Service time
+        # accumulates per member: a product would round differently.
         request_bytes = 0
         service = profile.server_cpu_per_msg_us
         response_bytes = 16
-        writes: List[Tuple[effects.StoreRequest, int]] = []
-        for _pos, op, pid in members:
-            request_bytes += request_size(op)
-            if op.is_write:
-                service += service_us_write
-                response_bytes += WRITE_RESPONSE_BYTES
-                writes.append((op, pid))
-            else:
+        writes: List[int] = []
+        if space is not None:
+            for position in positions:
+                request_bytes += 24 + approx_size(members[position])
                 service += service_us_read
-                response_bytes += READ_RESPONSE_BYTES
+            response_bytes += READ_RESPONSE_BYTES * len(positions)
+        else:
+            for position in positions:
+                op = members[position]
+                request_bytes += request_size(op)
+                if op.is_write:
+                    service += service_us_write
+                    response_bytes += WRITE_RESPONSE_BYTES
+                    writes.append(position)
+                else:
+                    service += service_us_read
+                    response_bytes += READ_RESPONSE_BYTES
 
         stats = self.stats
         stats.messages += 1
-        stats.store_ops += len(members)
+        stats.store_ops += len(positions)
         stats.bytes_sent += request_bytes
 
         t_arrive = now + profile.one_way(request_bytes)
@@ -307,8 +348,8 @@ class SimFabric:
         if writes and cluster.replication_factor > 1:
             backup_targets: Dict[int, int] = {}
             backups_of = cluster.partition_map.backups_of
-            for op, pid in writes:
-                for backup_id in backups_of(pid):
+            for position in writes:
+                for backup_id in backups_of(pids[position]):
                     backup_targets[backup_id] = backup_targets.get(backup_id, 0) + 1
             sent = start + service
             for backup_id, write_count in backup_targets.items():
@@ -336,20 +377,35 @@ class SimFabric:
                     # be retried.  The epoch rides the error so the
                     # redirect interceptor can report staleness.
                     assignments = cluster.partition_map.assignments
-                    for _pos, op, pid in members:
+                    for position in positions:
+                        pid = pids[position]
                         if node_id not in assignments[pid].replicas:
                             raise WrongOwner(
                                 pid, node_id, cluster.partition_map.epoch
                             )
-                    for op, pid in writes:
+                    for position in writes:
+                        pid = pids[position]
                         if assignments[pid].replicas[0] != node_id:
                             raise WrongOwner(
                                 pid, node_id, cluster.partition_map.epoch
                             )
                 target = cluster.nodes[node_id]  # as of now, not send time
-                values = [op.apply(target, pid) for _pos, op, pid in members]
-                for op, pid in writes:
-                    cluster.replicate(op, pid)
+                if space is not None:
+                    do_get = target.do_get
+                    values = [
+                        do_get(pids[position], space, members[position])
+                        for position in positions
+                    ]
+                else:
+                    # A loop, not a comprehension: most op-list
+                    # messages carry one op, where the loop is cheaper.
+                    values = []
+                    for position in positions:
+                        values.append(
+                            members[position].apply(target, pids[position])
+                        )
+                    for position in writes:
+                        cluster.replicate(members[position], pids[position])
                 slot.value = values
             except TellError as exc:
                 slot.error = exc

@@ -90,7 +90,7 @@ class TableSchema:
         self._pk_positions: Tuple[int, ...] = tuple(
             self._positions[name] for name in self.primary_key
         )
-        # index name -> column positions, filled lazily by index_key_of
+        # index name -> column positions, filled lazily by index_positions
         self._index_positions: Dict[str, Tuple[int, ...]] = {}
         self.indexes: List[IndexDef] = []
 
@@ -153,11 +153,19 @@ class TableSchema:
         """Primary-key tuple of a payload row."""
         return tuple([row[position] for position in self._pk_positions])
 
-    def index_key_of(self, index: IndexDef, row: Tuple[Any, ...]) -> Tuple[Any, ...]:
+    def index_positions(self, index: IndexDef) -> Tuple[int, ...]:
+        """Row positions of ``index``'s columns, in key order."""
         positions = self._index_positions.get(index.name)
         if positions is None:
             positions = tuple(self._positions[name] for name in index.columns)
             self._index_positions[index.name] = positions
+        return positions
+
+    def index_key_of(self, index: IndexDef, row: Tuple[Any, ...]) -> Tuple[Any, ...]:
+        # The cache lookup is inlined: this runs for every row read.
+        positions = self._index_positions.get(index.name)
+        if positions is None:
+            positions = self.index_positions(index)
         return tuple([row[position] for position in positions])
 
     @property

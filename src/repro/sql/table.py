@@ -26,7 +26,7 @@ from repro.core.spaces import DATA_SPACE, data_key
 from repro.core.transaction import Transaction
 from repro.errors import DuplicateKey, KeyNotFound
 from repro.index.btree import MAX_RID, DistributedBTree
-from repro.sql.keyenc import ABOVE_ALL_RANK, encode_key
+from repro.sql.keyenc import ABOVE_ALL_RANK, encode_component, encode_key
 from repro.sql.schema import IndexDef, TableSchema
 
 
@@ -306,19 +306,22 @@ class Table:
         else:
             high_entry = (encode_key(high),)
         entries = yield from tree.range_entries(low_entry, high_entry, limit=None)
-        # (encoded key, rid, row): each row's index key is encoded once.
+        # (encoded key, rid, row) for every entry whose row still carries
+        # the entry's key; each row's index key is encoded once.
         results: List[Tuple[Tuple, int, Tuple[Any, ...]]] = []
         if entries:
-            keys = [data_key(self.schema.table_id, entry[1]) for entry in entries]
+            table_id = self.schema.table_id
+            keys = [data_key(table_id, rid) for _key, rid in entries]
             rows = yield from self.txn.read_many(keys)
-            for entry, storage_key in zip(entries, keys):
-                row = rows[storage_key]
-                if row is not None and encode_key(
-                    self.schema.index_key_of(index, row)
-                ) == entry[0]:
-                    results.append((entry[0], entry[1], row))
-                    if limit is not None and len(results) >= limit:
-                        break
+            positions = self.schema.index_positions(index)
+            results = [
+                (encoded, rid, row)
+                for (encoded, rid), row in zip(entries, map(rows.__getitem__, keys))
+                if row is not None
+                and tuple([encode_component(row[p]) for p in positions]) == encoded
+            ]
+            if limit is not None:
+                del results[limit:]
         low_enc = encode_key(low) if low is not None else None
         high_enc = encode_key(high) if high is not None else None
         merged = False

@@ -88,8 +88,9 @@ def approx_size(value: Any) -> int:
 def request_size(request: Request) -> int:
     """Estimated wire size of ``request``: a 24-byte header plus the key
     and, for puts, the value payload.  A batch is the sum of its
-    operations; a request without a key (commit-manager and local
-    effects) is header only.
+    operations (a columnar one's keys are sized as the Gets they stand
+    for); a request without a key (commit-manager and local effects) is
+    header only.
 
     The simulated fabric charges bandwidth by this for every store op it
     ships, and the dispatch trace reports the same figure per request
@@ -99,6 +100,9 @@ def request_size(request: Request) -> int:
     if kind > KIND_SCAN:
         return 24
     if kind == KIND_BATCH:
+        keys = request.keys
+        if keys is not None:  # columnar: the Gets it stands for
+            return sum([24 + approx_size(key) for key in keys])
         return sum(request_size(op) for op in request.ops)
     if request.ships_value:
         return 24 + approx_size(request.key) + approx_size(request.value)

@@ -13,10 +13,9 @@ architecture (Figure 3).  It executes the storage requests defined in
 * batches group single-key operations into one round trip.
 
 Under the direct runner the cluster executes requests itself via
-:meth:`execute`.  The simulation driver instead uses :meth:`routing` to
-learn which node serves a request, runs ``op.apply(node, partition_id)``
-on that node at the right simulated instant and then calls
-:meth:`replicate`.
+:meth:`execute`.  The simulation driver instead routes each key the way
+:meth:`routing` does (inlined), runs the node operation on that node at
+the right simulated instant and then calls :meth:`replicate`.
 """
 
 from __future__ import annotations

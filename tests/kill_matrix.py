@@ -133,9 +133,9 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
     (
         "txn_fetch_not_delegated",
         "src/repro/core/transaction.py",
-        "yield from self._fetch(to_fetch)",
-        "self._fetch(to_fetch)",
-        "a batched read calls its fetch coroutine without yield from: "
+        "yield from self._fetch([key])",
+        "self._fetch([key])",
+        "an update calls its fetch coroutine without yield from: "
         "nothing is fetched",
     ),
     # -- determinism and isolation: test_lint.py's and test_flow.py's seeds

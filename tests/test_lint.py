@@ -913,7 +913,7 @@ class TestShippedTree:
     def test_deleting_yield_from_trips_rl002(self):
         real = TRANSACTION_PY.read_text()
         mutated = real.replace(
-            "yield from self._fetch(to_fetch)", "self._fetch(to_fetch)"
+            "yield from self._fetch([key])", "self._fetch([key])"
         )
         assert mutated != real
         found = lint_source(mutated, module="repro.core.transaction")
