@@ -18,7 +18,10 @@ strategies, all implemented here behind one interface:
   share one version-set cell.
 
 Every method that touches the store is a generator yielding storage
-requests (see :mod:`repro.effects`).
+requests (see :mod:`repro.effects`).  A read returns two columns in key
+order, ``(records, cell_versions)``, as the store's columnar read does,
+and a shared buffer keeps its entries as parallel per-key columns: no
+read leaves a tuple or list per key behind.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ from repro.core.record import VersionedRecord
 from repro.core.snapshot import SnapshotDescriptor
 from repro.core.spaces import DATA_SPACE, VSET_SPACE, vset_key
 
-#: (record-or-None, cell_version) -- what a read produces.
-ReadResult = Tuple[Optional[VersionedRecord], int]
+#: (records, cell_versions) in key order -- what a read produces; a
+#: missing record reads as (None, 0).
+ReadColumns = Tuple[List[Optional[VersionedRecord]], List[int]]
 
 
 class BufferStats:
@@ -73,8 +77,8 @@ class BufferingStrategy:
     def read_records(
         self, snapshot: SnapshotDescriptor, keys: List[Any]
     ) -> Generator:
-        """Fetch ``keys`` (deduplicated, batched); returns
-        ``{key: (record, cell_version)}``."""
+        """Fetch ``keys`` (deduplicated, batched); returns the
+        :data:`ReadColumns` of ``keys``."""
         raise NotImplementedError
 
     def note_applied(
@@ -95,8 +99,7 @@ class TransactionBuffer(BufferingStrategy):
     def read_records(self, snapshot, keys):
         self.stats.lookups += len(keys)
         self.stats.fetches += len(keys)
-        results = yield effects.multi_get(DATA_SPACE, keys)
-        return dict(zip(keys, results))
+        return (yield effects.multi_get(DATA_SPACE, keys))
 
     def note_applied(self, tid, key, record, cell_version):
         return
@@ -111,38 +114,54 @@ class SharedRecordBuffer(BufferingStrategy):
     def __init__(self, capacity: int = 100_000):
         super().__init__()
         self.capacity = capacity
-        # key -> [record, cell_version, B]
-        self._entries: "OrderedDict[Any, List[Any]]" = OrderedDict()
+        # Parallel per-key columns: the buffered record (in LRU order),
+        # its cell version and its validity set B.
+        self._records: "OrderedDict[Any, Optional[VersionedRecord]]" = (
+            OrderedDict()
+        )
+        self._versions: Dict[Any, int] = {}
+        self._validity: Dict[Any, SnapshotDescriptor] = {}
 
     def _probe(
         self, snapshot: SnapshotDescriptor, keys: List[Any]
-    ) -> Tuple[Dict[Any, ReadResult], List[Any]]:
+    ) -> Tuple[List[Optional[VersionedRecord]], List[int], List[int]]:
         """Condition 1 (V_tx ⊆ B -- the buffer is recent enough) over
-        ``keys``: returns ``(found, missing)``."""
-        self.stats.lookups += len(keys)
-        found: Dict[Any, ReadResult] = {}
-        missing: List[Any] = []
-        for key in keys:
-            entry = self._entries.get(key)
-            if entry is not None and snapshot.issubset(entry[2]):
-                self._entries.move_to_end(key)
-                found[key] = (entry[0], entry[1])
-                self.stats.hits += 1
+        ``keys``: returns the read columns with every hit filled in, and
+        the positions of the keys that missed."""
+        count = len(keys)
+        self.stats.lookups += count
+        records: List[Optional[VersionedRecord]] = [None] * count
+        versions = [0] * count
+        missing: List[int] = []
+        buffered = self._records
+        validity = self._validity
+        for position, key in enumerate(keys):
+            valid = validity.get(key)
+            if valid is not None and snapshot.issubset(valid):
+                buffered.move_to_end(key)
+                records[position] = buffered[key]
+                versions[position] = self._versions[key]
             else:
-                missing.append(key)
-        return found, missing
+                missing.append(position)
+        self.stats.hits += count - len(missing)
+        return records, versions, missing
 
     def read_records(self, snapshot, keys):
-        found, missing = self._probe(snapshot, keys)
+        records, versions, missing = self._probe(snapshot, keys)
         if missing:
             # Condition 2: fetch from the store; B becomes V_max.
             self.stats.fetches += len(missing)
             validity = self.latest_snapshot
-            results = yield effects.multi_get(DATA_SPACE, missing)
-            for key, (record, cell_version) in zip(missing, results):
-                self._insert(key, record, cell_version, validity)
-                found[key] = (record, cell_version)
-        return found
+            fetched, fetched_versions = yield effects.multi_get(
+                DATA_SPACE, [keys[position] for position in missing]
+            )
+            for position, record, cell_version in zip(
+                missing, fetched, fetched_versions
+            ):
+                self._insert(keys[position], record, cell_version, validity)
+                records[position] = record
+                versions[position] = cell_version
+        return records, versions
 
     def note_applied(self, tid, key, record, cell_version):
         # Write-through: B = V_max ∪ {tid}.  V_max is valid because had a
@@ -154,13 +173,24 @@ class SharedRecordBuffer(BufferingStrategy):
         yield  # pragma: no cover - makes this a generator
 
     def invalidate(self, key):
-        self._entries.pop(key, None)
+        if key in self._records:
+            del self._records[key]
+            self._forget(key)
 
     def _insert(self, key, record, cell_version, validity) -> None:
-        self._entries[key] = [record, cell_version, validity]
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)  # LRU eviction
+        records = self._records
+        records[key] = record
+        records.move_to_end(key)
+        self._versions[key] = cell_version
+        self._validity[key] = validity
+        while len(records) > self.capacity:
+            evicted, _record = records.popitem(last=False)  # LRU eviction
+            self._forget(evicted)
+
+    def _forget(self, key: Any) -> None:
+        """Drop the rest of a key whose record just left the buffer."""
+        del self._versions[key]
+        del self._validity[key]
 
 
 class SharedBufferVersionSync(SharedRecordBuffer):
@@ -177,7 +207,8 @@ class SharedBufferVersionSync(SharedRecordBuffer):
         super().__init__(capacity)
         self.unit_size = unit_size
         self.name = f"sbvs{unit_size}"
-        # unit -> set of buffered keys, for local unit invalidation
+        # unit -> its buffered keys, for local unit invalidation; a unit
+        # with no buffered key has no set
         self._unit_members: Dict[Any, set] = {}
 
     def _unit_of(self, key: Any) -> Any:
@@ -185,45 +216,54 @@ class SharedBufferVersionSync(SharedRecordBuffer):
         return vset_key(table_id, rid, self.unit_size)
 
     def read_records(self, snapshot, keys):
-        found, unverified = self._probe(snapshot, keys)
+        records, versions, unverified = self._probe(snapshot, keys)
         if not unverified:
-            return found
+            return records, versions
 
         # Condition 2: fetch the (small) version-set cells.
+        unit_of = self._unit_of
         units = []
         seen_units = set()
-        for key in unverified:
-            unit = self._unit_of(key)
+        for position in unverified:
+            unit = unit_of(keys[position])
             if unit not in seen_units:
                 seen_units.add(unit)
                 units.append(unit)
         self.stats.vset_checks += len(units)
-        vset_results = yield effects.multi_get(VSET_SPACE, units)
+        stored, _cell_versions = yield effects.multi_get(VSET_SPACE, units)
         stored_sets = {
             unit: (value if value is not None else SnapshotDescriptor(0, 0))
-            for unit, (value, _version) in zip(units, vset_results)
+            for unit, value in zip(units, stored)
         }
 
-        refetch: List[Any] = []
-        for key in unverified:
-            stored = stored_sets[self._unit_of(key)]
-            entry = self._entries.get(key)
-            if entry is not None and entry[2] == stored:
+        refetch: List[int] = []
+        buffered = self._records
+        for position in unverified:
+            key = keys[position]
+            unit_set = stored_sets[unit_of(key)]
+            if key in buffered and self._validity[key] == unit_set:
                 # Condition 2a: B' == B, the buffered record is still valid.
-                found[key] = (entry[0], entry[1])
+                records[position] = buffered[key]
+                versions[position] = self._versions[key]
                 self.stats.vset_valid += 1
             else:
-                refetch.append(key)
+                refetch.append(position)
 
         if refetch:
             # Condition 2b: re-fetch and adopt B' as the validity set.
             self.stats.fetches += len(refetch)
-            results = yield effects.multi_get(DATA_SPACE, refetch)
-            for key, (record, cell_version) in zip(refetch, results):
+            fetched, fetched_versions = yield effects.multi_get(
+                DATA_SPACE, [keys[position] for position in refetch]
+            )
+            for position, record, cell_version in zip(
+                refetch, fetched, fetched_versions
+            ):
+                key = keys[position]
                 self._insert_unit(key, record, cell_version,
-                                  stored_sets[self._unit_of(key)])
-                found[key] = (record, cell_version)
-        return found
+                                  stored_sets[unit_of(key)])
+                records[position] = record
+                versions[position] = cell_version
+        return records, versions
 
     def note_applied(self, tid, key, record, cell_version):
         # Update the record's unit cell so other PNs notice, then install
@@ -233,18 +273,19 @@ class SharedBufferVersionSync(SharedRecordBuffer):
         unit = self._unit_of(key)
         yield effects.Put(VSET_SPACE, unit, new_set)
         self.stats.puts += 1
-        for member in list(self._unit_members.get(unit, ())):
+        for member in self._unit_members.pop(unit, ()):
             if member != key:
-                self._entries.pop(member, None)
-        self._unit_members[unit] = {key}
+                self.invalidate(member)
         self._insert_unit(key, record, cell_version, new_set)
 
-    def invalidate(self, key):
-        super().invalidate(key)
+    def _forget(self, key: Any) -> None:
+        super()._forget(key)
         unit = self._unit_of(key)
         members = self._unit_members.get(unit)
         if members is not None:
             members.discard(key)
+            if not members:
+                del self._unit_members[unit]
 
     def _insert_unit(self, key, record, cell_version, validity) -> None:
         self._insert(key, record, cell_version, validity)

@@ -70,8 +70,11 @@ class Transaction:
         self.snapshot = start.snapshot
         self.lav = start.lav
         self.state = TxnState.RUNNING
-        # private transaction buffer: key -> (record-or-None, cell_version)
-        self._cache: Dict[Any, Tuple[Optional[VersionedRecord], int]] = {}
+        # private transaction buffer, two parallel maps: key -> the record
+        # read (None when missing) and key -> its cell version (the LL
+        # token of the commit's store-conditional write)
+        self._records: Dict[Any, Optional[VersionedRecord]] = {}
+        self._versions: Dict[Any, int] = {}
         # buffered updates: key -> payload (TOMBSTONE for deletes)
         self._writes: Dict[Any, Any] = {}
         self._inserted: set = set()
@@ -110,16 +113,15 @@ class Transaction:
             if key in self._writes:
                 payload = self._writes[key]
                 result[key] = None if payload is TOMBSTONE else payload
-            elif key in self._cache:
+            elif key in self._records:
                 result[key] = self._visible_payload(key)
             elif key not in seen:
                 seen.add(key)
                 to_fetch.append(key)
         if to_fetch:
-            fetched = yield from self._fetch(to_fetch)
+            records = yield from self._fetch(to_fetch)
             snapshot = self.snapshot
-            for key in to_fetch:
-                record = fetched[key][0]
+            for key, record in zip(to_fetch, records):
                 result[key] = (
                     None if record is None else record.visible_payload(snapshot)
                 )
@@ -155,18 +157,21 @@ class Transaction:
         return payload
 
     def _fetch(self, keys: List[Any]) -> Generator:
-        """Fetch ``keys`` into the private cache; returns the fetched
-        ``{key: (record, cell_version)}``."""
+        """Fetch ``keys`` into the private cache; returns their records
+        in key order."""
         span = self.span
         read_child = span.child("read") if span is not None else None
-        fetched = yield from self.pn.buffers.read_records(self.snapshot, keys)
+        records, versions = yield from self.pn.buffers.read_records(
+            self.snapshot, keys
+        )
         if read_child is not None:
             read_child.finish()
-        self._cache.update(fetched)
-        return fetched
+        self._records.update(zip(keys, records))
+        self._versions.update(zip(keys, versions))
+        return records
 
     def _visible_payload(self, key: Any) -> Optional[Any]:
-        record, _cell_version = self._cache[key]
+        record = self._records[key]
         if record is None:
             return None
         return record.visible_payload(self.snapshot)
@@ -207,7 +212,7 @@ class Transaction:
         return False
 
     def _ensure_updatable(self, key: Any) -> Generator:
-        if key not in self._cache:
+        if key not in self._records:
             yield from self._fetch([key])
         if self._visible_payload(key) is None:
             raise KeyNotFound(f"no visible version of {key!r} to update")
@@ -264,7 +269,7 @@ class Transaction:
         for key in self._writes:
             if key in self._inserted:
                 continue
-            record, _cell_version = self._cache[key]
+            record = self._records[key]
             if record is None:
                 continue
             newest = record.newest_tid
@@ -346,7 +351,8 @@ class Transaction:
                 record = VersionedRecord.initial(self.tid, payload)
                 expected = 0
             else:
-                base_record, expected = self._cache[key]
+                base_record = self._records[key]
+                expected = self._versions[key]
                 if base_record is None:
                     # The record vanished between read and write-buffering;
                     # treat as insert-at-version-0 (LL/SC still protects us).

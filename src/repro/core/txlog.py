@@ -89,8 +89,5 @@ class TransactionLog:
     def get_many(self, tids: Iterable[int]) -> Generator:
         """Batched fetch; returns {tid: entry-or-None}."""
         tid_list = list(tids)
-        results = yield effects.multi_get(LOG_SPACE, tid_list)
-        return {
-            tid: value
-            for tid, (value, _version) in zip(tid_list, results)
-        }
+        entries, _versions = yield effects.multi_get(LOG_SPACE, tid_list)
+        return dict(zip(tid_list, entries))

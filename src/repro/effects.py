@@ -285,16 +285,24 @@ class Batch(Request):
     """Several storage requests combined into one network round trip.
 
     Tell "aggressively batches operations" (Section 5.1): requests going to
-    the same storage node share a round trip.  Result: list of individual
-    results, in order.
+    the same storage node share a round trip.
 
-    A batch built by :func:`multi_get` is *columnar*: it carries the
-    ``keys`` and the space they are read from (``get_space``; deliberately
-    not ``space``, which fault rules match on single-key requests) and
-    builds its per-key :class:`Get` list only when something reads
-    :attr:`ops`.  The simulated fabric routes, sizes and applies the keys
-    directly, so a many-key read allocates no object per key that lives
-    for the whole round trip.  An op-list batch has ``keys`` = None.
+    A batch comes in two forms with two result contracts:
+
+    * an *op-list* batch (``Batch(ops)``, e.g. a commit's LL/SC puts)
+      resolves to one result per op, in order;
+    * a *columnar* read, built only by :func:`multi_get`, resolves to two
+      columns in key order, ``(values, versions)``: ``values[i]`` is the
+      value stored under ``keys[i]`` (None when missing) and
+      ``versions[i]`` its cell version (0 when missing).
+
+    The columnar form carries the ``keys`` and the space they are read
+    from (``get_space``; deliberately not ``space``, which fault rules
+    match on single-key requests) and builds its per-key :class:`Get`
+    list only when something reads :attr:`ops`.  Every driver serves the
+    keys directly and fills the two columns, so a many-key read keeps no
+    object per key alive for its round trip -- neither a request nor a
+    ``(value, version)`` pair.  An op-list batch has ``keys`` = None.
     """
 
     __slots__ = ("_ops", "get_space", "keys")
@@ -327,7 +335,8 @@ class Batch(Request):
 
 
 def multi_get(space: str, keys: Sequence[Any]) -> Batch:
-    """A columnar batch of Gets for ``keys`` in ``space``."""
+    """A columnar batch of Gets for ``keys`` in ``space``; resolves to
+    ``(values, versions)`` in key order."""
     batch = Batch.__new__(Batch)
     batch._ops = None
     batch.get_space = space

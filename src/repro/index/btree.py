@@ -289,10 +289,10 @@ class DistributedBTree:
                 by_leaf.setdefault(leaf_id, []).append(key)
         if by_leaf:
             leaf_ids = list(by_leaf.keys())
-            responses = yield effects.multi_get(
+            leaves, _versions = yield effects.multi_get(
                 INDEX_SPACE, [self._node_key(lid) for lid in leaf_ids]
             )
-            for leaf_id, (leaf, _version) in zip(leaf_ids, responses):
+            for leaf_id, leaf in zip(leaf_ids, leaves):
                 for key in by_leaf[leaf_id]:
                     if leaf is None or not self._leaf_answers(leaf, key):
                         fallback.append(key)
@@ -388,8 +388,12 @@ class DistributedBTree:
             if position < len(leaf.entries) and leaf.entries[position] == entry:
                 return False
             if unique:
-                same_key = [e for e in leaf.entries if e[0] == key]
-                if same_key:
+                # Same-key entries are contiguous, so one would sit right
+                # beside the insertion point.
+                entries = leaf.entries
+                if (position > 0 and entries[position - 1][0] == key) or (
+                    position < len(entries) and entries[position][0] == key
+                ):
                     raise DuplicateKey(
                         f"index {self.index_id}: key {key!r} already present"
                     )

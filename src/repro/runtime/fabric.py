@@ -95,14 +95,85 @@ class FabricStats:
         self.bytes_sent = 0
 
 
-class _Slot:
-    """Result carrier between a call_at callback and the waiting driver."""
+class _Message:
+    """One storage request message, from send until its sender wakes.
 
-    __slots__ = ("value", "error")
+    The kernel calls the message itself at service time (a bound
+    ``apply`` would be one more object per message kept alive across
+    simulated time).  It carries ``members[p]`` for each ``p`` in
+    ``positions``: store requests, or -- with ``space`` set -- the keys
+    of a columnar read; ``pids[p]`` is member ``p``'s partition and
+    ``writes`` the positions of its replicated writes.  Results land in
+    the sender's batch-wide columns: ``values[p]`` (plus ``versions[p]``
+    for a columnar read); a :class:`~repro.errors.TellError` lands in
+    ``error``.
+    """
 
-    def __init__(self) -> None:
-        self.value = None
+    __slots__ = ("fabric", "node_id", "positions", "pids", "members",
+                 "space", "writes", "values", "versions", "error")
+
+    def __init__(self, fabric: "SimFabric", node_id: int,
+                 positions: Sequence[int], pids: List[int],
+                 members: List[Any], space: Optional[str],
+                 writes: List[int], values: List[Any],
+                 versions: Optional[List[int]]) -> None:
+        self.fabric = fabric
+        self.node_id = node_id
+        self.positions = positions
+        self.pids = pids
+        self.members = members
+        self.space = space
+        self.writes = writes
+        self.values = values
+        self.versions = versions
         self.error: Optional[BaseException] = None
+
+    def apply(self) -> None:
+        """Serve the message on its node, then drop what it carried."""
+        positions, pids, members = self.positions, self.pids, self.members
+        node_id = self.node_id
+        fabric = self.fabric
+        cluster = fabric.cluster
+        try:
+            if fabric.elastic_active:
+                # Ownership may have changed between routing (send time)
+                # and service (now).  Reject the whole message BEFORE
+                # applying anything: a write landing on a demoted master
+                # would be silently lost by the next migration batch, and
+                # a half-applied group could not be retried.  The epoch
+                # rides the error so the redirect interceptor can report
+                # staleness.
+                assignments = cluster.partition_map.assignments
+                for position in positions:
+                    pid = pids[position]
+                    if node_id not in assignments[pid].replicas:
+                        raise WrongOwner(
+                            pid, node_id, cluster.partition_map.epoch
+                        )
+                for position in self.writes:
+                    pid = pids[position]
+                    if assignments[pid].replicas[0] != node_id:
+                        raise WrongOwner(
+                            pid, node_id, cluster.partition_map.epoch
+                        )
+            target = cluster.nodes[node_id]  # as of now, not send time
+            space, versions = self.space, self.versions
+            if space is not None and versions is not None:
+                target.do_get_columns(space, members, pids, positions,
+                                      self.values, versions)
+            else:
+                values = self.values
+                for position in positions:
+                    values[position] = members[position].apply(
+                        target, pids[position]
+                    )
+                for position in self.writes:
+                    cluster.replicate(members[position], pids[position])
+        except TellError as exc:
+            self.error = exc
+        del self.positions, self.pids, self.members, self.writes
+
+    __call__ = apply
 
 
 class SimFabric:
@@ -157,12 +228,12 @@ class SimFabric:
         """
         kind = kind_of(request)
         if kind == KIND_STORE:
-            slot, wait = self.prepare_single(pn_pool, request)
+            message, wait = self.prepare_single(pn_pool, request)
             if wait > 0:
                 yield Delay(wait)
-            if slot.error is not None:
-                raise slot.error
-            return slot.value[0]
+            if message.error is not None:
+                raise message.error
+            return message.values[0]
         if kind == KIND_COMPUTE:
             now = self.sim.now
             _start, end = pn_pool.reserve(now, request.duration)
@@ -173,14 +244,32 @@ class SimFabric:
             yield Delay(request.duration)
             return None
         if kind == KIND_BATCH:
-            if self.config.batching and request.op_count > 1:
+            # A one-key columnar read is one message either way; the
+            # batch path serves it without a Get or a (value, version)
+            # pair.
+            keys = request.keys
+            if self.config.batching and (
+                keys is not None or request.op_count > 1
+            ):
                 return (yield from self._perform_batch(pn_pool, request))
-            results = []
-            for op in request.ops:  # nothing to batch: one round trip each
-                results.append(
-                    (yield from self.perform(pn_pool, cm_index, op, pn_id))
+            # Nothing to batch: one round trip per op.
+            if keys is None:
+                results = []
+                for op in request.ops:
+                    results.append(
+                        (yield from self.perform(pn_pool, cm_index, op, pn_id))
+                    )
+                return results
+            space = request.get_space
+            values: List[Any] = []
+            versions: List[int] = []
+            for key in keys:
+                value, version = yield from self.perform(
+                    pn_pool, cm_index, effects.Get(space, key), pn_id
                 )
-            return results
+                values.append(value)
+                versions.append(version)
+            return values, versions
         if kind == KIND_SCAN:
             return (yield from self._perform_scan(pn_pool, request))
         # Remaining kinds are the commit-manager round trips.
@@ -192,14 +281,14 @@ class SimFabric:
 
     def prepare_single(
         self, pn_pool: CorePool, op: effects.StoreRequest
-    ) -> Tuple[_Slot, float]:
+    ) -> Tuple[_Message, float]:
         """One single-key op: the degenerate one-message batch.
 
         Performs every reservation and schedules the state transition,
-        then returns ``(slot, wait_us)``; :meth:`perform` owns the single
-        suspension and unwraps the slot.  Routing is inlined (partitioner
-        + master lookup) so the hot path allocates nothing beyond the
-        result slot.
+        then returns ``(message, wait_us)``; :meth:`perform` owns the
+        single suspension and unwraps the message's one value.  Routing
+        is inlined (partitioner + master lookup) so the hot path
+        allocates nothing beyond the message.
         """
         cluster = self.cluster
         partition_id = cluster.partitioner.partition_of(op.key)
@@ -209,23 +298,27 @@ class SimFabric:
         client_cpu = self.profile.client_cpu_per_msg_us
         if client_cpu > 0:
             _s, t_send = pn_pool.reserve(t_send, client_cpu)
-        slot, t_done = self._send_group(
-            t_send, node_id, _ONLY_MEMBER, [partition_id], [op], None
+        message, t_done = self._send_group(
+            t_send, node_id, _ONLY_MEMBER, [partition_id], [op], None,
+            [None], None,
         )
         if client_cpu > 0:
             _s, t_done = pn_pool.reserve(t_done, client_cpu)
-        return slot, t_done - now
+        return message, t_done - now
 
-    def _perform_batch(
-        self, pn_pool: CorePool, batch: effects.Batch
-    ) -> Generator:
-        """Send a batch grouped per target storage node; one message each.
+    def prepare_batch(
+        self, pn_pool: CorePool, batch: effects.Batch,
+        values: List[Any], versions: Optional[List[int]],
+    ) -> Tuple[List[_Message], float]:
+        """Send a batch grouped per target storage node, one message
+        each; returns ``(messages, wait_us)``.
 
         The members (the ops of an op-list batch, the keys of a columnar
-        one) and their partition ids are parallel lists, and a node's
-        group is the list of its members' positions, so nothing per
-        member references a request.  Routing is inlined as in
-        :meth:`prepare_single`.
+        one), their partition ids and the result columns ``values`` /
+        ``versions`` are batch-wide parallel lists, and a node's group is
+        the list of its members' positions, so nothing per member
+        references a request or a result.  None of them outlives the
+        messages: the sender keeps only the columns.
         """
         space = batch.get_space
         members = batch.keys
@@ -234,20 +327,7 @@ class SimFabric:
             keys: List[Any] = [op.key for op in members]
         else:
             keys = members
-        cluster = self.cluster
-        partition_of = cluster.partitioner.partition_of
-        assignments = cluster.partition_map.assignments
-        pids: List[int] = []
-        groups: Dict[int, List[int]] = {}
-        for position, key in enumerate(keys):
-            partition_id = partition_of(key)
-            pids.append(partition_id)
-            node_id = assignments[partition_id].replicas[0]
-            group = groups.get(node_id)
-            if group is None:
-                groups[node_id] = [position]
-            else:
-                group.append(position)
+        pids, groups = self.cluster.group_by_master(keys)
         now = self.sim.now
         # Send-side CPU: one charge per outgoing message.
         t_send = now
@@ -255,32 +335,40 @@ class SimFabric:
         if client_cpu > 0:
             for _ in groups:
                 _s, t_send = pn_pool.reserve(t_send, client_cpu)
-        slots = []
+        messages = []
         t_done = t_send
         for node_id, positions in groups.items():
-            slot, t_response = self._send_group(
-                t_send, node_id, positions, pids, members, space
+            message, t_response = self._send_group(
+                t_send, node_id, positions, pids, members, space,
+                values, versions,
             )
-            slots.append((slot, positions))
+            messages.append(message)
             if t_response > t_done:
                 t_done = t_response
         # Receive-side CPU, one charge per response message.
         if client_cpu > 0:
             for _ in groups:
                 _s, t_done = pn_pool.reserve(t_done, client_cpu)
-        if t_done > now:
-            yield Delay(t_done - now)
-        results: List[Any] = [None] * len(keys)
+        return messages, t_done - now
+
+    def _perform_batch(
+        self, pn_pool: CorePool, batch: effects.Batch
+    ) -> Generator:
+        """A batch as one message per storage node; resolves per
+        :class:`~repro.effects.Batch`'s result contract."""
+        count = batch.op_count
+        values: List[Any] = [None] * count
+        versions = None if batch.keys is None else [0] * count
+        messages, wait = self.prepare_batch(pn_pool, batch, values, versions)
+        if wait > 0:
+            yield Delay(wait)
         error: Optional[BaseException] = None
-        for slot, positions in slots:
-            if slot.error is not None:
-                error = slot.error
-                continue
-            for position, value in zip(positions, slot.value):
-                results[position] = value
+        for message in messages:
+            if message.error is not None:
+                error = message.error
         if error is not None:
             raise error
-        return results
+        return values if versions is None else (values, versions)
 
     def _send_group(
         self,
@@ -290,13 +378,16 @@ class SimFabric:
         pids: List[int],
         members: List[Any],
         space: Optional[str],
-    ) -> Tuple[_Slot, float]:
-        """Schedule one request message; returns (slot, t_response).
+        values: List[Any],
+        versions: Optional[List[int]],
+    ) -> Tuple[_Message, float]:
+        """Schedule one request message; returns (message, t_response).
 
         The message carries ``members[p]`` for each ``p`` in
         ``positions``: store requests, or -- with ``space`` set -- the
         keys of a columnar read, each served as the ``Get`` it stands
-        for; ``pids[p]`` is member ``p``'s partition.
+        for; ``pids[p]`` is member ``p``'s partition, and its result
+        lands in ``values[p]`` (and ``versions[p]``).
         """
         profile = self.profile
         cluster = self.cluster
@@ -364,64 +455,22 @@ class SimFabric:
                 repl_extra += max(0.0, b_end + profile.one_way(32) - sent)
         _s, t_service_end = pool.reserve(t_arrive, service + repl_extra)
 
-        slot = _Slot()
-
-        def apply() -> None:
-            try:
-                if self.elastic_active:
-                    # Ownership may have changed between routing (send
-                    # time) and service (now).  Reject the whole message
-                    # BEFORE applying anything: a write landing on a
-                    # demoted master would be silently lost by the next
-                    # migration batch, and a half-applied group could not
-                    # be retried.  The epoch rides the error so the
-                    # redirect interceptor can report staleness.
-                    assignments = cluster.partition_map.assignments
-                    for position in positions:
-                        pid = pids[position]
-                        if node_id not in assignments[pid].replicas:
-                            raise WrongOwner(
-                                pid, node_id, cluster.partition_map.epoch
-                            )
-                    for position in writes:
-                        pid = pids[position]
-                        if assignments[pid].replicas[0] != node_id:
-                            raise WrongOwner(
-                                pid, node_id, cluster.partition_map.epoch
-                            )
-                target = cluster.nodes[node_id]  # as of now, not send time
-                if space is not None:
-                    do_get = target.do_get
-                    values = [
-                        do_get(pids[position], space, members[position])
-                        for position in positions
-                    ]
-                else:
-                    # A loop, not a comprehension: most op-list
-                    # messages carry one op, where the loop is cheaper.
-                    values = []
-                    for position in positions:
-                        values.append(
-                            members[position].apply(target, pids[position])
-                        )
-                    for position in writes:
-                        cluster.replicate(members[position], pids[position])
-                slot.value = values
-            except TellError as exc:
-                slot.error = exc
-
-        self.sim.call_at(t_service_end, apply)
+        message = _Message(self, node_id, positions, pids, members, space,
+                           writes, values, versions)
+        self.sim.call_at(t_service_end, message)
         t_response = t_service_end + profile.one_way(response_bytes)
-        return slot, t_response
+        return message, t_response
 
     def _perform_scan(self, pn_pool: CorePool, op: effects.Scan) -> Generator:
-        """Fan a scan out to every master; wait for the slowest slice."""
+        """Fan a scan out to every master; wait for the slowest slice.
+
+        The event delivers the merged rows, or the
+        :class:`~repro.errors.TellError` the scan raised."""
         profile = self.profile
         now = self.sim.now
         slices: Dict[int, List[int]] = {}
         for pid, node_id in self.cluster.scan_routing(op):
             slices.setdefault(node_id, []).append(pid)
-        slot = _Slot()
         t_done = now
         for node_id, pids in slices.items():
             node = self.cluster.nodes[node_id]
@@ -442,8 +491,9 @@ class SimFabric:
         event = self.sim.event()
 
         def run_scan() -> None:
+            outcome: Any
             try:
-                slot.value = rows = self.cluster.execute_scan(op)
+                outcome = rows = self.cluster.execute_scan(op)
                 response_bytes = 64 + 16 * len(rows)
                 for _key, value, _version in rows:
                     # An unfiltered scan ships whole records, which cache
@@ -454,21 +504,21 @@ class SimFabric:
                         else approx_size(value)
                     )
             except TellError as exc:
-                slot.error = exc
+                outcome = exc
                 response_bytes = 64
             # The response wire time depends on how much the scan ships:
             # storage-side push-down (Section 5.2) earns its keep here.
             self.stats.bytes_sent += response_bytes
             self.sim.call_at(
                 self.sim.now + profile.one_way(response_bytes),
-                lambda: event.trigger(None),
+                lambda: event.trigger(outcome),
             )
 
         self.sim.call_at(t_done, run_scan)
-        yield event
-        if slot.error is not None:
-            raise slot.error
-        return slot.value
+        outcome = yield event
+        if isinstance(outcome, TellError):
+            raise outcome
+        return outcome
 
     # -- commit manager messages -----------------------------------------------------
 

@@ -65,7 +65,9 @@ class GCSanitizer(Interceptor):
         result = yield from next(request)
         if kind == KIND_STORE:
             self._observe(id(ctx), request, result)
-        elif kind == KIND_BATCH:
+        elif kind == KIND_BATCH and request.keys is None:
+            # Only an op-list batch can prune: a columnar read writes
+            # nothing.
             for op, value in zip(request.ops, result):
                 self._observe(id(ctx), op, value)
         return result

@@ -105,8 +105,8 @@ class SISanitizer(Interceptor):
         except BaseException:
             # The request may have half-applied (a batch's groups apply
             # independently); every referenced data cell becomes a blind
-            # spot until re-observed.
-            if kind == KIND_BATCH:
+            # spot until re-observed.  A columnar read writes nothing.
+            if kind == KIND_BATCH and request.keys is None:
                 for op in request.ops:
                     if op.is_write and op.space == DATA_SPACE:
                         self.shadow.drop(op.key)
@@ -121,8 +121,15 @@ class SISanitizer(Interceptor):
         elif kind == KIND_STORE:
             self._observe(ctx_key, request, result)
         elif kind == KIND_BATCH:
-            for op, value in zip(request.ops, result):
-                self._observe(ctx_key, op, value)
+            if request.keys is None:
+                for op, value in zip(request.ops, result):
+                    self._observe(ctx_key, op, value)
+            elif request.get_space == DATA_SPACE:
+                values, versions = result
+                for key, value, cell_version in zip(
+                    request.keys, values, versions
+                ):
+                    self._observe_get(ctx_key, key, value, cell_version)
         elif kind == KIND_SCAN:
             self._observe_scan(ctx_key, request, result)
         return result
@@ -199,7 +206,8 @@ class SISanitizer(Interceptor):
         if getattr(op, "space", None) != DATA_SPACE:
             return
         if isinstance(op, effects.Get):
-            self._observe_get(ctx_key, op.key, result)
+            value, cell_version = result
+            self._observe_get(ctx_key, op.key, value, cell_version)
         elif isinstance(op, effects.PutIfVersion):
             self._observe_put_if(ctx_key, op, result)
         elif isinstance(op, effects.DeleteIfVersion):
@@ -210,9 +218,9 @@ class SISanitizer(Interceptor):
             self.shadow.adopt(op.key, payloads, result)
             self.log.reconcile("unconditional-put")
 
-    def _observe_get(self, ctx_key: int, key: Any, result: Any) -> None:
+    def _observe_get(self, ctx_key: int, key: Any, value: Any,
+                     cell_version: int) -> None:
         shadow = self.shadow
-        value, cell_version = result
         view = shadow.current(ctx_key)
         if value is None:
             if shadow.cells.get(key) is not None \

@@ -13,9 +13,10 @@ architecture (Figure 3).  It executes the storage requests defined in
 * batches group single-key operations into one round trip.
 
 Under the direct runner the cluster executes requests itself via
-:meth:`execute`.  The simulation driver instead routes each key the way
-:meth:`routing` does (inlined), runs the node operation on that node at
-the right simulated instant and then calls :meth:`replicate`.
+:meth:`execute`.  The simulation driver instead routes a single key the
+way :meth:`routing` does (inlined) and a batch with
+:meth:`group_by_master`, runs the node operations on each node at the
+right simulated instant and then calls :meth:`replicate`.
 """
 
 from __future__ import annotations
@@ -80,6 +81,27 @@ class StorageCluster:
         return (partition_id,
                 self.partition_map.assignments[partition_id].replicas[0])
 
+    def group_by_master(
+        self, keys: List[Any]
+    ) -> Tuple[List[int], Dict[int, List[int]]]:
+        """Route a batch's keys: ``(pids, groups)``, where ``pids[p]`` is
+        key ``p``'s partition and ``groups`` maps each master node, in
+        order of first use, to the positions of the keys it serves."""
+        partition_of = self.partitioner.partition_of
+        assignments = self.partition_map.assignments
+        pids: List[int] = []
+        groups: Dict[int, List[int]] = {}
+        for position, key in enumerate(keys):
+            partition_id = partition_of(key)
+            pids.append(partition_id)
+            node_id = assignments[partition_id].replicas[0]
+            group = groups.get(node_id)
+            if group is None:
+                groups[node_id] = [position]
+            else:
+                group.append(position)
+        return pids, groups
+
     def scan_routing(self, op: effects.Scan) -> List[Tuple[int, int]]:
         """(partition_id, master_node_id) pairs a scan must visit."""
         return [
@@ -92,11 +114,23 @@ class StorageCluster:
     def execute(self, op: effects.Request) -> Any:
         """Execute a request synchronously (direct mode).
 
-        Classification is the shared :func:`repro.effects.kind_of`.
+        Classification is the shared :func:`repro.effects.kind_of`; a
+        batch resolves per :class:`~repro.effects.Batch`'s result
+        contract.
         """
         kind = kind_of(op)
         if kind == KIND_BATCH:
-            return [self.execute(sub) for sub in op.ops]
+            keys = op.keys
+            if keys is None:
+                return [self.execute(sub) for sub in op.ops]
+            values: List[Any] = [None] * len(keys)
+            versions: List[int] = [0] * len(keys)
+            pids, groups = self.group_by_master(keys)
+            for node_id, positions in groups.items():
+                self.nodes[node_id].do_get_columns(
+                    op.get_space, keys, pids, positions, values, versions
+                )
+            return values, versions
         if kind == KIND_SCAN:
             return self.execute_scan(op)
         partition_id, node_id = self.routing(op)

@@ -13,7 +13,7 @@ linearizable single-key operations RAMCloud provides.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import KeyNotFound, NoCapacity, NodeUnavailable, WrongOwner
 from repro.store.cell import Cell, approx_size
@@ -150,6 +150,36 @@ class StorageNode:
         if cell is None:
             return None, 0
         return cell.value, cell.version
+
+    def do_get_columns(
+        self,
+        space: str,
+        keys: List[Any],
+        pids: List[int],
+        positions: Sequence[int],
+        values: List[Any],
+        versions: List[int],
+    ) -> None:
+        """A columnar read: for each ``p`` in ``positions``, the cell of
+        ``keys[p]`` in partition ``pids[p]`` fills ``values[p]`` and
+        ``versions[p]``; a missing cell leaves them at None / 0.  Counts
+        and fails like :meth:`do_get` once per key, without building a
+        ``(value, version)`` pair."""
+        if not self.alive:
+            self._check_alive()
+        partitions = self.partitions
+        for position in positions:
+            store = partitions.get(pids[position])
+            if store is None:
+                self.ops_read += positions.index(position) + 1
+                self.partition(pids[position])  # raises
+            cells = store.spaces.get(space)
+            if cells is not None:
+                cell = cells.get(keys[position])
+                if cell is not None:
+                    values[position] = cell.value
+                    versions[position] = cell.version
+        self.ops_read += len(positions)
 
     def _install(
         self,

@@ -89,7 +89,7 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
         "src/repro/core/transaction.py",
         "        yield effects.ReportAborted(self.tid)\n        if",
         "        yield effects.ReportAborted(self.tid)\n"
-        "        leftover = yield from self.read_many(list(self._cache))\n"
+        "        leftover = yield from self.read_many(list(self._records))\n"
         "        if",
         "a manual abort reads through the transaction it just finished",
     ),
@@ -247,8 +247,8 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
     (
         "fabric_wrong_owner_skipped",
         "src/repro/runtime/fabric.py",
-        "                if self.elastic_active:",
-        "                if False:",
+        "            if fabric.elastic_active:",
+        "            if False:",
         "a storage node serves a message for a partition it no longer "
         "owns instead of raising WrongOwner",
     ),

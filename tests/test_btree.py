@@ -56,6 +56,30 @@ class TestBasicOperations:
         with pytest.raises(DuplicateKey):
             runner.run(tree.insert(5, 2, unique=True))
 
+    @pytest.mark.parametrize("key, rid, raises", [
+        ("m", 3, True),    # the same-key entries sort right after (m, 3)
+        ("m", 11, True),   # ... and right before (m, 11)
+        ("m", 7, True),    # ... and on both sides of (m, 7)
+        ("a", 0, True),    # ... and after it, at the leaf's first slot
+        ("mm", 5, False),  # near miss: shares the prefix, not the key
+        ("l", 5, False),   # near miss below
+    ])
+    def test_unique_insert_checks_both_neighbours(self, env, key, rid, raises):
+        """One leaf holds same-key entries on one side of the insertion
+        point, on both, or none; ``DuplicateKey`` is raised exactly when
+        a whole-leaf scan for the key finds one."""
+        _c, _r, runner, tree = env
+        for other, other_rid in (("a", 1), ("m", 5), ("m", 9), ("z", 1)):
+            runner.run(tree.insert(other, other_rid))
+        leaf = runner.run(tree.all_entries())
+        assert raises == any(entry[0] == key for entry in leaf)
+        if raises:
+            with pytest.raises(DuplicateKey):
+                runner.run(tree.insert(key, rid, unique=True))
+            assert runner.run(tree.all_entries()) == leaf
+        else:
+            assert runner.run(tree.insert(key, rid, unique=True)) is True
+
     def test_delete(self, env):
         _c, _r, runner, tree = env
         runner.run(tree.insert(1, 10))

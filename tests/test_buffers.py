@@ -68,7 +68,7 @@ class TestSharedRecordBuffer:
         second = run(router, strategy.read_records(SnapshotDescriptor(3, 0), [K1]))
         assert strategy.stats.fetches == 1
         assert strategy.stats.hits == 1
-        assert first[K1][0] is second[K1][0]
+        assert first[0][0] is second[0][0]
 
     def test_miss_when_transaction_too_recent(self, store_env):
         _cluster, router = store_env
@@ -96,7 +96,7 @@ class TestSharedRecordBuffer:
         )
         strategy.observe_snapshot(SnapshotDescriptor(8, 0))
         result = run(router, strategy.read_records(SnapshotDescriptor(8, 0), [K1]))
-        assert result[K1][0].get(7).payload == ("new",)
+        assert result[0][0].get(7).payload == ("new",)
 
     def test_write_through_on_apply(self, store_env):
         _cluster, router = store_env
@@ -105,7 +105,7 @@ class TestSharedRecordBuffer:
         record = VersionedRecord.initial(6, ("w",))
         run(router, strategy.note_applied(6, K1, record, 2))
         result = run(router, strategy.read_records(SnapshotDescriptor(4, 0).with_completed(6), [K1]))
-        assert result[K1][0] is record
+        assert result == ([record], [2])
         assert strategy.stats.fetches == 0
 
     def test_lru_eviction(self, store_env):
@@ -157,7 +157,7 @@ class TestSharedBufferVersionSync:
         # PN B with a newer snapshot detects B' != B and re-fetches.
         pn_b.observe_snapshot(SnapshotDescriptor(9, 0))
         result = run(router, pn_b.read_records(SnapshotDescriptor(9, 0), [K1]))
-        assert result[K1][0].get(7) is not None
+        assert result[0][0].get(7) is not None
         assert pn_b.stats.fetches == 2
 
     def test_cache_unit_groups_invalidation(self, store_env):
@@ -171,8 +171,8 @@ class TestSharedBufferVersionSync:
         new_record = VersionedRecord.initial(7, ("upd",))
         run(router, strategy.note_applied(7, K1, new_record, 2))
         # K2's entry was dropped locally.
-        assert K2 not in strategy._entries
-        assert K1 in strategy._entries
+        assert K2 not in strategy._records
+        assert K1 in strategy._records
 
     def test_unit_size_separates_records(self, store_env):
         cluster, router = store_env
@@ -184,7 +184,28 @@ class TestSharedBufferVersionSync:
         # rid 1 -> unit 0; rid 11 -> unit 1.
         run(router, strategy.read_records(SnapshotDescriptor(5, 0), [K1, K11]))
         run(router, strategy.note_applied(7, K1, VersionedRecord.initial(7, ("u",)), 2))
-        assert K11 in strategy._entries  # different unit: untouched
+        assert K11 in strategy._records  # different unit: untouched
+
+    def test_eviction_leaves_no_unit_membership(self, store_env):
+        """An evicted key leaves its unit's member set, and a unit whose
+        last buffered key went has no set at all."""
+        cluster, router = store_env
+        cluster.execute(
+            effects.Put(DATA_SPACE, K11, VersionedRecord.initial(0, ("c",)))
+        )
+        strategy = SharedBufferVersionSync(unit_size=10, capacity=1)
+        snapshot = SnapshotDescriptor(5, 0)
+        strategy.observe_snapshot(snapshot)
+        run(router, strategy.read_records(snapshot, [K1]))
+        run(router, strategy.read_records(snapshot, [K11]))  # evicts K1
+        assert list(strategy._records) == [K11]
+        assert strategy._unit_members == {(1, 1): {K11}}
+        run(router, strategy.read_records(snapshot, [K1]))  # evicts K11
+        assert strategy._unit_members == {(1, 0): {K1}}
+        strategy.invalidate(K1)
+        assert strategy._unit_members == {}
+        assert not strategy._records and not strategy._versions
+        assert not strategy._validity
 
     def test_vset_cell_written_to_store(self, store_env):
         cluster, router = store_env

@@ -1,28 +1,38 @@
-"""The columnar multi-key read: ``multi_get`` carries ``(space, keys)``.
+"""The columnar multi-key read: ``multi_get`` carries ``(space, keys)``
+and resolves to ``(values, versions)``.
 
 A ``Batch`` built by :func:`repro.effects.multi_get` stands for one
 ``Get`` per key but builds those ``Get``\\ s only when something reads
-``.ops``; the simulated fabric routes, sizes and applies the keys
-directly.  These tests pin (1) that nothing per key referencing a request
-stays alive while such a read is in flight -- an object that lives across
-simulated time is promoted to the cycle collector's oldest generation and
-rescanned by every full collection -- and (2) that the columnar form is
-indistinguishable from the op-list ``Batch`` of the same ``Get``\\ s
-everywhere a batch is observed.
+``.ops``; every driver serves the keys directly and fills two result
+columns in key order.  These tests pin (1) that nothing per key -- no
+request, no ``(value, version)`` pair, no closure -- stays alive while
+such a read is in flight, and that no read leaves a per-key tuple or
+list in the transaction or the buffer: an object that lives across
+simulated time is promoted to the cycle collector's oldest generation
+and rescanned by every full collection; (2) that every driver returns
+the same columns, and that they hold what the op-list ``Batch`` of the
+same ``Get``\\ s returns one pair per op.
 """
 
 import gc
+import types
 
 import pytest
 
 from repro import effects
+from repro.api.runner import DirectRunner, Router
 from repro.bench.config import TellConfig
 from repro.bench.simcluster import SimulatedTell
+from repro.core.buffers import make_strategy
 from repro.core.commit_manager import CommitManager
+from repro.core.processing_node import ProcessingNode
+from repro.core.record import VersionedRecord
 from repro.core.spaces import DATA_SPACE
 from repro.dispatch import Dispatcher, FaultRule, TraceInterceptor
+from repro.runtime import fabric as fabric_module
 from repro.runtime.config import SimulationConfig
 from repro.runtime.fabric import CorePool, SimFabric
+from repro.san import make_sanitizers
 from repro.sim.kernel import Simulator
 from repro.sql.executor import StatementExecutor
 from repro.sql.parser import parse
@@ -47,8 +57,26 @@ def populated_cluster():
     cluster = StorageCluster(n_nodes=3, replication_factor=1,
                              partitions_per_node=4)
     for key in KEYS[::3]:
-        cluster.execute(effects.Put(DATA_SPACE, key, ("row",) + key))
+        cluster.execute(effects.Put(
+            DATA_SPACE, key, VersionedRecord.initial(0, ("row",) + key)))
     return cluster
+
+
+def payload(value):
+    return None if value is None else value.payloads[0]
+
+
+def shape(columns):
+    """A columnar result with each record replaced by its payload."""
+    values, versions = columns
+    return [payload(value) for value in values], versions
+
+
+def cell_holds(cell, target):
+    try:
+        return cell.cell_contents is target
+    except ValueError:  # an empty cell
+        return False
 
 
 def simulate(batch, **config):
@@ -73,14 +101,29 @@ def simulate(batch, **config):
 
 
 def test_no_per_key_request_object_outlives_the_send():
-    """While a 2 000-key read is in flight, no ``Get`` and no tuple
-    holding a request is tracked by the cycle collector."""
+    """While a 2 000-key read is in flight, the only tracked object per
+    message is the message itself: no ``Get``, no tuple holding a
+    request or a ``(value, version)`` pair, no closure or cell; once
+    served, a message holds nothing but the result columns."""
     cluster = StorageCluster(n_nodes=2, replication_factor=1,
                              partitions_per_node=4)
+    keys = [(7, rid) for rid in range(2_000)]
+    stored = {key: ["row", key[1]] for key in keys[::2]}
+    for key, value in stored.items():
+        cluster.execute(effects.Put("guard", key, value))
+    stored_ids = {id(value) for value in stored.values()}
     sim = Simulator()
     fabric = SimFabric(sim, cluster, [CommitManager(0, cluster.execute)],
                        SimulationConfig(storage_nodes=2, partitions_per_node=4))
-    keys = [(7, rid) for rid in range(2_000)]
+    service_ends = []
+    schedule = sim.call_at
+
+    def spy(when, callback):
+        if type(callback) is fabric_module._Message:
+            service_ends.append(when)
+        schedule(when, callback)
+
+    sim.call_at = spy
     seen = {}
 
     # Requests other tests left alive are not this read's: count only
@@ -88,29 +131,119 @@ def test_no_per_key_request_object_outlives_the_send():
     def ours(obj):
         return isinstance(obj, effects.StoreRequest) and obj.space == "guard"
 
-    def census():
+    def census(label):
         tracked = gc.get_objects()
-        seen["gets"] = sum(
-            1 for obj in tracked if type(obj) is effects.Get and ours(obj)
-        )
-        seen["tuples"] = sum(
-            1 for obj in tracked
-            if type(obj) is tuple and any(ours(item) for item in obj)
-        )
-        seen["at"] = sim.now
+        messages = [obj for obj in tracked
+                    if type(obj) is fabric_module._Message]
+        seen[label] = {
+            "at": sim.now,
+            "messages": len(messages),
+            "gets": sum(
+                1 for obj in tracked if type(obj) is effects.Get and ours(obj)
+            ),
+            "request_tuples": sum(
+                1 for obj in tracked
+                if type(obj) is tuple and any(ours(item) for item in obj)
+            ),
+            "pairs": sum(
+                1 for obj in tracked
+                if type(obj) is tuple and len(obj) == 2
+                and id(obj[0]) in stored_ids
+            ),
+            "bound_applies": sum(
+                1 for obj in tracked
+                if type(obj) is types.MethodType
+                and type(obj.__self__) is fabric_module._Message
+            ),
+            "closures": sum(
+                1 for obj in tracked
+                if type(obj) is types.FunctionType
+                and obj.__module__ == fabric_module.__name__
+                and obj.__closure__ is not None
+            ),
+            "member_cells": sum(
+                1 for obj in tracked
+                if type(obj) is types.CellType and cell_holds(obj, batch.keys)
+            ),
+            "carried": sum(
+                1 for message in messages
+                for part in ("positions", "pids", "members", "writes")
+                if hasattr(message, part)
+            ),
+        }
+
+    def in_flight():
+        census("sent")
+        # Same instant as the last service, scheduled after it: every
+        # message is served and no response has arrived yet.
+        schedule(max(service_ends), lambda: census("served"))
+
+    batch = effects.multi_get("guard", keys)
 
     def proc():
-        seen["value"] = yield from fabric.perform(
-            CorePool(4), 0, effects.multi_get("guard", keys)
-        )
+        seen["value"] = yield from fabric.perform(CorePool(4), 0, batch)
         seen["done"] = sim.now
 
-    sim.call_at(1.0, census)
+    schedule(1.0, in_flight)
     sim.run_until_complete(sim.spawn(proc()))
-    assert seen["at"] < seen["done"]  # the census ran mid round trip
-    assert seen["gets"] == 0
-    assert seen["tuples"] == 0
-    assert seen["value"] == [(None, 0)] * len(keys)
+    sent, served = seen["sent"], seen["served"]
+    assert sent["at"] < served["at"] < seen["done"]  # mid round trip
+    assert len(service_ends) == sent["messages"] == served["messages"] == 2
+    for counts in (sent, served):
+        assert counts["gets"] == counts["request_tuples"] == 0
+        assert counts["pairs"] == 0
+        assert counts["bound_applies"] == counts["closures"] == 0
+        assert counts["member_cells"] == 0
+    assert sent["carried"] == 8 and served["carried"] == 0
+    values, versions = seen["value"]
+    assert values == [stored.get(key) for key in keys]
+    assert versions == [1 if key in stored else 0 for key in keys]
+
+
+@pytest.mark.parametrize("name", ["tb", "sb", "sbvs10"])
+def test_reads_leave_no_per_key_tuple_or_list(name):
+    """After reads through each buffering strategy -- misses, hits, and
+    a refetch after a remote write -- neither the transaction nor the
+    buffer holds a tuple or list per key: a record read is referenced
+    only by parallel maps and the store's cell."""
+    cluster = StorageCluster(n_nodes=2)
+    cm = CommitManager(0, cluster.execute)
+    pn = ProcessingNode(0, buffers=make_strategy(name))
+    runner = DirectRunner(Router(cluster, cm, pn_id=0))
+    keys = [(1, rid) for rid in range(1, 25)]
+
+    def load(txn):
+        for key in keys:
+            txn.insert(key, (key[1],))
+        return None
+        yield
+
+    runner.run(pn.run_transaction(load))
+    first = runner.run(pn.begin())
+    assert runner.run(first.read_many(keys)) == {
+        key: (key[1],) for key in keys
+    }
+    runner.run(first.commit())
+
+    def bump(txn):
+        yield from txn.update(keys[0], (-1,))
+
+    runner.run(pn.run_transaction(bump))
+    reader = runner.run(pn.begin())
+    values = runner.run(reader.read_many(keys))
+    assert values[keys[0]] == (-1,) and values[keys[1]] == (2,)
+
+    buffers = pn.buffers
+    maps = [reader._records, reader._versions]
+    if name != "tb":
+        maps += [buffers._records, buffers._versions, buffers._validity]
+    for mapping in maps:
+        assert set(mapping) >= set(keys)
+        assert not any(isinstance(value, (tuple, list))
+                       for value in mapping.values())
+    for key in keys:
+        referrers = gc.get_referrers(reader._records[key])
+        assert not [ref for ref in referrers if isinstance(ref, (tuple, list))]
 
 
 class TestColumnarMatchesOpList:
@@ -126,13 +259,40 @@ class TestColumnarMatchesOpList:
     @pytest.mark.parametrize("config", [{}, {"batching": False}],
                              ids=["batched", "unbatched"])
     def test_same_result_time_and_traffic_through_the_fabric(self, config):
-        assert simulate(columnar(), **config) == simulate(op_list(), **config)
+        columns, at, traffic = simulate(columnar(), **config)
+        pairs, op_list_at, op_list_traffic = simulate(op_list(), **config)
+        assert (at, traffic) == (op_list_at, op_list_traffic)
+        values, versions = columns
+        assert [(payload(value), version) for value, version in pairs] == [
+            (payload(value), version)
+            for value, version in zip(values, versions)
+        ]
 
     def test_same_result_through_storage_cluster_execute(self):
-        cluster = populated_cluster()
-        expected = cluster.execute(op_list())
-        assert cluster.execute(columnar()) == expected
-        assert expected[0] == (("row",) + KEYS[0], 1) and expected[1] == (None, 0)
+        values, versions = populated_cluster().execute(columnar())
+        pairs = populated_cluster().execute(op_list())
+        assert [payload(value) for value, _version in pairs] == [
+            payload(value) for value in values
+        ]
+        assert [version for _value, version in pairs] == versions
+        assert payload(values[0]) == ("row",) + KEYS[0] and versions[0] == 1
+        assert values[1] is None and versions[1] == 0
+
+    def test_same_columns_through_every_driver(self):
+        expected = shape(populated_cluster().execute(columnar()))
+        log, chain = make_sanitizers()
+        results = {
+            "fabric batched": simulate(columnar())[0],
+            "fabric unbatched": simulate(columnar(), batching=False)[0],
+            "Dispatcher": Dispatcher(populated_cluster()).execute(columnar()),
+            "sanitizer chain": Dispatcher(
+                populated_cluster(), interceptors=chain
+            ).execute(columnar()),
+        }
+        for driver, result in results.items():
+            assert type(result) is tuple, driver
+            assert shape(result) == expected, driver
+        assert log.clean
 
     def test_same_request_size(self):
         assert request_size(columnar()) == request_size(op_list())

@@ -239,8 +239,10 @@ class TestStorageCluster:
     def test_batch_preserves_order(self, cluster):
         for i in range(10):
             cluster.execute(effects.Put("data", i, f"v{i}"))
-        results = cluster.execute(effects.multi_get("data", list(range(10))))
-        assert [value for value, _v in results] == [f"v{i}" for i in range(10)]
+        values, versions = cluster.execute(
+            effects.multi_get("data", list(range(10))))
+        assert values == [f"v{i}" for i in range(10)]
+        assert versions == [1] * 10
 
     def test_scan_across_partitions(self, cluster):
         for i in range(50):

@@ -201,7 +201,8 @@ class TestSnapshotIsolation:
 
         runner.run(pn.run_transaction(writer))
         # fresh read of the same key through a *new* fetch: drop the cache
-        reader._cache.clear()
+        reader._records.clear()
+        reader._versions.clear()
         assert runner.run(reader.read(K1)) == ("v0",)
 
     def test_write_write_conflict_first_committer_wins(self, env):
