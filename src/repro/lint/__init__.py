@@ -4,12 +4,15 @@ The reproduction rests on conventions no runtime check can fully guard:
 protocol code must *yield* its effects (RL001/RL002), scheduling-adjacent
 code must not iterate sets (RL005), effect and kernel classes must keep
 the ``__slots__`` hot-path contract (RL006), and mutable defaults leak
-state between runs (RL007).  The interprocedural RF rules close those
-contracts over the project call graph: simulated-time code must never
-reach the wall clock, nor any code the process-global RNG (RF001), and
-the sanitizers must never reach protocol-mutating or obs code (RF004).
+state between runs (RL007).  RF001 closes determinism over the project
+call graph: simulated-time code must never reach the wall clock, nor any
+code the process-global RNG.  Two contracts are runtime tests instead:
+every concrete request declares a dispatch kind
+(``tests/test_dispatch.py::test_every_concrete_request_declares_a_kind``)
+and the sanitizers leave the run they watch unchanged
+(``tests/test_sanitizers.py::test_sanitizers_leave_the_run_unchanged``).
 
-``repro-lint src`` enforces all of it statically, in one run mode.  See
+``repro-lint src`` enforces the rest statically, in one run mode.  See
 ``docs/static-analysis.md`` for the full rule catalog and the inline
 suppression syntax.
 """

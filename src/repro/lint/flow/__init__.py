@@ -1,11 +1,11 @@
-"""repro-flow: interprocedural call-graph and taint analysis.
+"""repro-flow: the interprocedural call graph behind RF001.
 
-This package is the substrate behind repro-lint's RF rules: it
-extracts a serializable per-module summary of every function (calls,
-receiver bindings, yields, determinism and isolation facts), links the
-summaries into a project-wide call graph, runs fixpoint taint
-propagation, and evaluates the RF rule family on the result.  See
-docs/static-analysis.md for the design and the rule catalog.
+This package extracts a serializable per-module summary of every
+function (calls, receiver bindings, spawned generators, determinism
+facts), links the summaries into a project-wide call graph, closes it
+forward from the simulation entry points, and evaluates RF001 on the
+result.  See docs/static-analysis.md for the design and the rule
+catalog.
 """
 
 from repro.lint.flow.analysis import FlowAnalysis

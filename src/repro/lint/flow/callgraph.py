@@ -15,8 +15,8 @@ Edges are added only on explicit evidence, mirroring the pass-1 policy
   (``SimulatedDeployment._terminal`` calls ``self._transactions(...)``;
   ``StorageCluster.apply`` calls ``op.apply(...)`` on a ``StoreRequest``
   and lands in each effect class's storage-node operation);
-* ``yield from f(...)`` is an ordinary call edge, so taint flows
-  through coroutine chains;
+* ``yield from f(...)`` is an ordinary call edge, so reachability
+  flows through coroutine chains;
 * ``TABLE[key](...)`` fans out to every callable registered in a
   module-level dispatch table (``TRANSACTIONS`` in the TPC-C driver).
 
@@ -58,15 +58,8 @@ class CallGraph:
         self.flows = flows
         self.nodes: Set[Node] = set()
         self.edges: Dict[Node, Set[Node]] = {}
-        #: First call-site line per edge, for messages and anchors.
-        self.edge_sites: Dict[Node, List[Tuple[Node, int]]] = {}
-        #: Resolved calls into modules with no flow summary (stdlib,
-        #: unparsed packages): ``node -> [(symbol, line)]``.
-        self.external: Dict[Node, List[Tuple[Symbol, int]]] = {}
         #: Resolved generator arguments of ``spawn(...)``/``run_direct``.
         self.spawned: Set[Node] = set()
-        #: Resolved yielded constructions: ``node -> [(line, symbol)]``.
-        self.yielded_classes: Dict[Node, List[Tuple[int, Symbol]]] = {}
         #: Resolved class base edges, project-wide.
         self.bases_of: Dict[Symbol, List[Symbol]] = {}
         self._method_cache: Dict[Tuple[Symbol, str], Optional[Node]] = {}
@@ -267,13 +260,9 @@ class CallGraph:
             return self.method_node(symbol, "__init__")
         return None
 
-    def _resolve_call(self, module: str, qualname: str,
-                      info: Dict[str, Any],
+    def _resolve_call(self, module: str, info: Dict[str, Any],
                       desc: Dict[str, Any]) -> List[Node]:
-        """Targets of one recorded call; external symbols are logged to
-        ``self.external`` as a side effect."""
-        node = (module, qualname)
-        line = desc.get("line", 0)
+        """Targets of one recorded call."""
         kind = desc.get("k")
         if kind == "name":
             name = desc["fn"]
@@ -292,10 +281,7 @@ class CallGraph:
             if symbol is None:
                 return []
             target = self._resolve_symbol_target(symbol)
-            if target is not None:
-                return [target]
-            self.external.setdefault(node, []).append((symbol, line))
-            return []
+            return [target] if target is not None else []
         if kind == "attr":
             root, steps, attr = desc["root"], desc["steps"], desc["attr"]
             receiver = self._eval_chain(module, info, root, steps, 0)
@@ -308,11 +294,9 @@ class CallGraph:
                 qualifier = summary.resolve_qualifier(root) \
                     if summary is not None else None
                 if qualifier is not None:
-                    symbol = (qualifier, attr)
-                    target = self._resolve_symbol_target(symbol)
+                    target = self._resolve_symbol_target((qualifier, attr))
                     if target is not None:
                         return [target]
-                    self.external.setdefault(node, []).append((symbol, line))
             return []
         if kind == "table":
             table_sym = self._resolve_ref(module, desc.get("table"))
@@ -337,9 +321,8 @@ class CallGraph:
 
     # -- linking -----------------------------------------------------------
 
-    def _add_edge(self, src: Node, dst: Node, line: int) -> None:
+    def _add_edge(self, src: Node, dst: Node) -> None:
         self.edges.setdefault(src, set()).add(dst)
-        self.edge_sites.setdefault(src, []).append((dst, line))
 
     def _link(self) -> None:
         self._collect_bases()
@@ -352,29 +335,16 @@ class CallGraph:
                 for name in info.get("locals", []):
                     nested = (module, f"{qualname}.{name}")
                     if nested in self.nodes:
-                        self._add_edge(node, nested, info.get("line", 0))
+                        self._add_edge(node, nested)
                 for call in info.get("calls", []):
-                    for target in self._resolve_call(
-                            module, qualname, info, call):
-                        self._add_edge(node, target, call.get("line", 0))
+                    for target in self._resolve_call(module, info, call):
+                        self._add_edge(node, target)
                 for spawn in info.get("spawns", []):
-                    for target in self._resolve_call(
-                            module, qualname, info, spawn):
+                    for target in self._resolve_call(module, info, spawn):
                         self.spawned.add(target)
-                        self._add_edge(node, target, spawn.get("line", 0))
-                for entry in info.get("yields", []):
-                    symbol = self._resolve_ref(module, entry.get("ref"))
-                    if symbol is not None:
-                        self.yielded_classes.setdefault(node, []).append(
-                            (entry.get("line", 0), symbol))
+                        self._add_edge(node, target)
 
     # -- queries -----------------------------------------------------------
-
-    def function_info(self, node: Node) -> Optional[Dict[str, Any]]:
-        flow = self.flows.get(node[0])
-        if flow is None:
-            return None
-        return flow.functions.get(node[1])
 
     def reachable_from(self, roots: Set[Node]) -> Dict[Node, Optional[Node]]:
         """Forward closure; maps each reached node to its BFS parent
@@ -390,22 +360,6 @@ class CallGraph:
                     parents[target] = current
                     queue.append(target)
         return parents
-
-    def reverse_reachable(self, seeds: Set[Node]) -> Set[Node]:
-        """All nodes that can reach a seed (seeds included)."""
-        reverse: Dict[Node, Set[Node]] = {}
-        for src, dsts in self.edges.items():
-            for dst in dsts:
-                reverse.setdefault(dst, set()).add(src)
-        found = {seed for seed in seeds if seed in self.nodes}
-        queue = list(found)
-        while queue:
-            current = queue.pop(0)
-            for src in reverse.get(current, ()):
-                if src not in found:
-                    found.add(src)
-                    queue.append(src)
-        return found
 
     @staticmethod
     def chain(parents: Dict[Node, Optional[Node]], node: Node) -> List[Node]:

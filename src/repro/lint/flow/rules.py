@@ -11,12 +11,11 @@ index.
 from __future__ import annotations
 
 import ast
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.lint.flow.analysis import FlowAnalysis, format_node
 from repro.lint.flow.callgraph import Node
-from repro.lint.flow.summary import OBS_PACKAGE
-from repro.lint.index import ModuleSummary, ProjectIndex, in_prefixes
+from repro.lint.index import ModuleSummary, ProjectIndex
 from repro.lint.rules import Rule
 
 
@@ -129,165 +128,6 @@ repro.workloads and repro.bench.simcluster do.
                 )
 
 
-class RF002UnroutableYield(FlowRule):
-    code = "RF002"
-    title = "yielded effect cannot reach any dispatcher"
-    explain = """\
-An effect coroutine communicates only through the `Request` objects it
-yields; a request class no dispatcher can classify is silently dropped
-by drivers that skip unknown kinds -- or raises `TypeError: unroutable
-request` at runtime, far from the yield that produced it.  RF002
-resolves every `yield SomeRequest(...)` construction against the
-classes `kind_of` can classify -- those whose body, or an ancestor's,
-declares `kind` -- and reports yields of classes outside that closure.
-
-Fix by declaring `kind = KIND_...` in the class body or deriving it
-from a concrete effect class (`Get`, `Scan`, `Batch`, ...).
-"""
-
-    def _check_flow(self, module: ModuleSummary, analysis: FlowAnalysis
-                    ) -> Iterator[Tuple[_Loc, str]]:
-        if not analysis.has_dispatch_info:
-            return
-        for node, _info in _module_nodes(module, analysis):
-            for line, symbol in analysis.graph.yielded_classes.get(node, []):
-                if symbol not in analysis.index.effect_classes:
-                    continue
-                if analysis.is_routable(symbol):
-                    continue
-                yield _Loc(line), (
-                    f"`{format_node(node)}` yields "
-                    f"`{symbol[0]}.{symbol[1]}`, which no dispatcher can "
-                    f"route (neither it nor an ancestor declares `kind`); "
-                    f"the effect would fail at dispatch, not at the yield"
-                )
-
-
-class RF003UnregisteredRequestClass(FlowRule):
-    code = "RF003"
-    title = "concrete Request subclass not wired into dispatch"
-    explain = """\
-Dispatcher exhaustiveness as a lint error instead of a runtime one:
-every concrete (leaf) subclass of `repro.effects.Request` must classify
-to a kind -- declared in its own body or inherited from an ancestor.
-Adding a request class without one otherwise surfaces as `TypeError:
-unroutable request` the first time a workload yields it; RF003 reports
-it at the class definition.
-"""
-
-    def _check_flow(self, module: ModuleSummary, analysis: FlowAnalysis
-                    ) -> Iterator[Tuple[_Loc, str]]:
-        if not analysis.has_dispatch_info:
-            return
-        leaves = analysis.effect_leaves()
-        for name, cls in sorted(module.classes.items()):
-            symbol = (module.module, name)
-            if symbol not in leaves:
-                continue
-            if analysis.is_routable(symbol):
-                continue
-            yield _Loc(cls.lineno, cls.col_offset), (
-                f"request class `{name}` declares no `kind` and inherits "
-                f"none; yielding it raises `TypeError: unroutable "
-                f"request` at runtime"
-            )
-
-
-class RF004SanitizerIsolationLeak(FlowRule):
-    code = "RF004"
-    title = "sanitizer mutates protocol state or uses repro.obs"
-    explain = """\
-The sanitizers under repro.san are strictly *observational*: they watch
-the request stream, maintain their own shadow history, and must never
-change the run they are checking.  A sanitizer that mutates a protocol
-object -- assigning an attribute on a record/snapshot/transaction, or
-calling a mutating method on the store, commit manager, or a
-transaction -- silently perturbs the very interleaving under test and
-turns the checker into a heisenbug generator.  (It can also mask the bug
-being hunted: "fixing" a version chain before the axiom check runs.)
-They must also stay independent of the repro.obs metrics/tracing layer
-they cross-check: metric values would otherwise depend on whether a
-sanitizer is attached (breaking obs snapshot determinism), and a tracing
-bug could perturb a sanitized run.
-
-Both contracts are transitive: an observer that calls a helper that
-calls `store.put(...)` perturbs the run exactly as a direct call would.
-RF004 fires inside the observer modules of repro.san on
-
-  * the observer's own statements: an attribute (or subscript) store on
-    a receiver named like a protocol object (`record`, `snapshot`,
-    `txn`, `cluster`, `manager`, `node`, ...) and not rooted at
-    `self`/`cls`, a method call on one outside the read-only accessor
-    allow-list (`version_numbers`, `latest_visible`, `as_pair`,
-    `active_transactions`, ...), an `import repro.obs` (or `from
-    repro.obs... import`), or a call on an observability object (`obs`,
-    `tracer`, `registry`, `span`);
-  * every call edge from an observer into a function that reaches such a
-    statement, or the repro.obs modules, through any chain -- printed
-    with the message.
-
-Sanitizer-owned state must therefore avoid protocol receiver names:
-shadow cells are `sc`, transaction views are `view`, the history is
-`shadow`.  The driver modules (`repro.san.scenarios`, `.explorer`,
-`.__main__`) own their deployments and are exempt.  Genuinely read-only
-uses that trip the name heuristic carry `# repro-lint: ignore[RF004]`
-with a justification.
-"""
-
-    _SHADOW = "observers must stay pure shadows of the protocol"
-    _INDEPENDENT = "sanitizers must cross-check metrics, not depend on them"
-
-    def _check_flow(self, module: ModuleSummary, analysis: FlowAnalysis
-                    ) -> Iterator[Tuple[_Loc, str]]:
-        if not analysis.is_san_observer_module(module.module):
-            return
-        for node, info in _module_nodes(module, analysis):
-            facts = info["facts"]
-            where = f"sanitizer `{format_node(node)}`"
-            # One finding per line: a statement that is a fact itself
-            # is not reported again for the edges it also makes.
-            reported: Set[int] = set()
-            for kind, advice in (("mutates", self._SHADOW),
-                                 ("obs", self._INDEPENDENT)):
-                for fact in facts.get(kind, []):
-                    reported.add(fact["line"])
-                    yield _Loc(fact["line"]), (
-                        f"{where} {fact['what']}; {advice}")
-            for target, line in analysis.graph.edge_sites.get(node, []):
-                if line in reported or \
-                        analysis.is_san_observer_module(target[0]):
-                    continue
-                if target in analysis.mutation_tainted:
-                    witness = analysis.taint_witness(
-                        target, analysis.mutation_tainted, "mutates")
-                    reached, advice = "protocol-mutating code", self._SHADOW
-                elif (target in analysis.obs_tainted
-                      or in_prefixes(target[0], (OBS_PACKAGE,))):
-                    witness = analysis.taint_witness(
-                        target, analysis.obs_tainted, "obs")
-                    reached, advice = "the repro.obs layer", \
-                        self._INDEPENDENT
-                else:
-                    continue
-                reported.add(line)
-                path = " -> ".join(format_node(s) for s in witness)
-                yield _Loc(line), (
-                    f"{where} calls `{format_node(target)}`, which "
-                    f"reaches {reached} ({path}); {advice}"
-                )
-            for symbol, line in analysis.graph.external.get(node, []):
-                if line not in reported and \
-                        in_prefixes(symbol[0], (OBS_PACKAGE,)):
-                    reported.add(line)
-                    yield _Loc(line), (
-                        f"{where} uses `{symbol[0]}.{symbol[1]}` from the "
-                        f"repro.obs layer; {self._INDEPENDENT}"
-                    )
-
-
 FLOW_RULES: List[Rule] = [
     RF001WallClockReachableFromSim(),
-    RF002UnroutableYield(),
-    RF003UnregisteredRequestClass(),
-    RF004SanitizerIsolationLeak(),
 ]

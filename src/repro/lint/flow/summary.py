@@ -3,13 +3,13 @@
 The pass-1 :class:`~repro.lint.index.ModuleSummary` answers "what does
 this name import to"; this pass records what every *function* does --
 which callables it invokes (and through which receiver chains), what it
-yields, what it spawns into a simulator, and which determinism /
-isolation facts its body exhibits, as plain data.  A module's top-level
-code is summarized too, as the pseudo-function :data:`MODULE_SCOPE`.
+spawns into a simulator, and which determinism facts its body exhibits,
+as plain data.  A module's top-level code is summarized too, as the
+pseudo-function :data:`MODULE_SCOPE`.
 
-The facts (wall-clock reads, unseeded RNG, protocol mutations, obs use)
-are extracted here and nowhere else; the tables below define them and
-the RF rules only report them.
+The facts (wall-clock reads, unseeded RNG) are extracted here and
+nowhere else; the tables below define them and RF001 only reports
+them.
 
 Resolution is deliberately deferred: a call is recorded as a *shape*
 (bare name, receiver chain rooted at ``self``/a local/a parameter, a
@@ -29,7 +29,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.lint.index import (
     FunctionNode,
     ModuleSummary,
-    in_prefixes,
     name_ref_of,
     receiver_steps,
     walk_functions,
@@ -55,59 +54,6 @@ WALL_CLOCK_ATTRS = frozenset({
     "perf_counter", "perf_counter_ns", "process_time", "process_time_ns",
 })
 
-#: The sanitizers: observers that must never change the run they check
-#: nor depend on the repro.obs layer (RF004).
-SAN_PACKAGE = "repro.san"
-OBS_PACKAGE = "repro.obs"
-#: Driver modules inside repro.san: they *own* deployments and may
-#: mutate protocol state freely (that is their job).
-SAN_DRIVER_MODULES: Tuple[str, ...] = (
-    "repro.san.scenarios",
-    "repro.san.explorer",
-    "repro.san.__main__",
-)
-
-#: Receiver names that (by repo-wide convention) bind protocol objects.
-#: Sanitizer-owned state avoids them: shadow cells are `sc`, transaction
-#: views `view`, the history `shadow`.
-PROTOCOL_RECEIVERS = frozenset({
-    "record", "version", "cell", "snapshot", "descriptor",
-    "txn", "transaction", "start",
-    "cluster", "storage_cluster", "node", "storage_node", "store",
-    "manager", "commit_manager", "pn", "processing_node",
-    "btree", "tree", "index",
-    "request", "op", "ctx", "env",
-})
-
-#: Methods that may be called on a protocol receiver without mutating
-#: it: read-only accessors (several added expressly for the sanitizers).
-#: Any other method call on one is a protocol-mutation fact.
-READ_ONLY_METHODS = frozenset({
-    # records / versions
-    "version_numbers", "latest_visible", "payload_of", "get",
-    "collectable_versions", "fully_deleted", "approx_size",
-    # snapshots
-    "as_pair", "contains", "issubset",
-    # commit manager / gc
-    "active_transactions", "completed_view", "as_dict",
-    "local_lav", "lowest_active_version", "highest_known_tid",
-    "active_tids_of",
-    # misc read-only
-    "keys", "values", "items", "copy",
-})
-
-#: Receiver names that bind repro.obs instrumentation.
-OBS_RECEIVERS = frozenset({"obs", "tracer", "registry", "span"})
-
-#: Protocol methods that mutate through `self`, which no call-site fact
-#: can see: in the simulated-time packages they are mutation sources
-#: themselves (``CommitManager.start``).
-PROTOCOL_MUTATORS = frozenset({
-    "start", "set_committed", "set_aborted", "execute", "execute_scan",
-    "apply", "insert", "delete", "update", "put", "commit", "abort",
-    "append", "set_status", "recover", "invalidate", "note_applied",
-})
-
 #: Callables that *drive* a freshly created generator: their call-shaped
 #: arguments become simulation entry points for RF001.
 _SPAWN_ATTRS = frozenset({"spawn"})
@@ -116,14 +62,6 @@ _SPAWN_NAMES = frozenset({"run_direct"})
 #: Qualname of the pseudo-function holding a module's top-level code:
 #: statements, class bodies, decorators and argument defaults.
 MODULE_SCOPE = "<module>"
-
-
-def _final_name(root: Optional[str], steps: List[str]) -> Optional[str]:
-    """The name a receiver chain goes by: its last attribute, or its root
-    name when it is a bare name or ends in a subscript."""
-    if steps and steps[-1] != "[]":
-        return steps[-1]
-    return root
 
 
 def _ann_info(node: Optional[ast.expr]) -> Dict[str, Any]:
@@ -218,13 +156,11 @@ class _FunctionExtractor(ast.NodeVisitor):
         self.summary = summary
         self.qualname = qualname
         self.info: Dict[str, Any] = {
-            "line": getattr(node, "lineno", 0),
             "cls": class_name,
             "params": {},
             "bindings": {},
             "locals": [],
             "calls": [],
-            "yields": [],
             "spawns": [],
             "facts": {},
         }
@@ -281,10 +217,7 @@ class _FunctionExtractor(ast.NodeVisitor):
     def visit_Assign(self, node: ast.Assign) -> None:
         if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
             self._bind(node.targets[0].id, _value_desc(node.value))
-        self._check_mutation_target(node, node.targets)
-        self.visit(node.value)
-        for target in node.targets:
-            self.visit(target)
+        self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         if isinstance(node.target, ast.Name):
@@ -293,46 +226,10 @@ class _FunctionExtractor(ast.NodeVisitor):
                 self._bind(node.target.id, {"k": "ann", **info})
             elif node.value is not None:
                 self._bind(node.target.id, _value_desc(node.value))
-        self._check_mutation_target(node, [node.target])
         if node.value is not None:
             self.visit(node.value)
 
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._check_mutation_target(node, [node.target])
-        self.visit(node.value)
-
-    @staticmethod
-    def _protocol_receiver(node: ast.expr) -> Optional[str]:
-        """The receiver's name if it binds a protocol object the code at
-        hand does not own (chains rooted at ``self``/``cls`` are its own
-        state)."""
-        root, steps = receiver_steps(node)
-        if root in ("self", "cls"):
-            return None
-        final = _final_name(root, steps)
-        return final if final in PROTOCOL_RECEIVERS else None
-
-    def _check_mutation_target(self, node: ast.stmt,
-                               targets: List[ast.expr]) -> None:
-        """Protocol-mutation fact: an attribute (or subscript) store on a
-        protocol receiver."""
-        for target in targets:
-            while isinstance(target, ast.Subscript):
-                target = target.value
-            if not isinstance(target, ast.Attribute):
-                continue
-            receiver = self._protocol_receiver(target.value)
-            if receiver is not None:
-                self._fact("mutates", node.lineno,
-                           f"assigns `.{target.attr}` on protocol object "
-                           f"`{receiver}`")
-
     # -- imports -----------------------------------------------------------
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            if in_prefixes(alias.name, (OBS_PACKAGE,)):
-                self._fact("obs", node.lineno, f"imports `{alias.name}`")
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module == "time" and not node.level:
@@ -340,22 +237,6 @@ class _FunctionExtractor(ast.NodeVisitor):
                 if alias.name in WALL_CLOCK_ATTRS:
                     self._fact("wall_clock", node.lineno,
                                f"time.{alias.name}")
-        elif in_prefixes(node.module or "", (OBS_PACKAGE,)):
-            self._fact("obs", node.lineno,
-                       f"imports from `{node.module}`")
-
-    # -- yields ------------------------------------------------------------
-
-    def visit_Yield(self, node: ast.Yield) -> None:
-        value = node.value
-        if isinstance(value, ast.Call):
-            ref = name_ref_of(value.func)
-            if ref is not None:
-                self.info["yields"].append(
-                    {"line": node.lineno, "ref": list(ref)}
-                )
-        if value is not None:
-            self.visit(value)
 
     # -- calls and facts ---------------------------------------------------
 
@@ -381,23 +262,22 @@ class _FunctionExtractor(ast.NodeVisitor):
         if isinstance(func, ast.Name):
             if self._wall_clock_import(func.id) is not None:
                 return None  # a wall-clock fact, not an edge
-            return {"k": "name", "fn": func.id, "line": node.lineno}
+            return {"k": "name", "fn": func.id}
         if isinstance(func, ast.Attribute):
             root, steps = receiver_steps(func.value)
             if root is None:
                 return None
             return {"k": "attr", "root": root, "steps": steps,
-                    "attr": func.attr, "line": node.lineno}
+                    "attr": func.attr}
         if isinstance(func, ast.Subscript):
             table = name_ref_of(func.value)
             if table is None:
                 return None
-            return {"k": "table", "table": list(table), "line": node.lineno}
+            return {"k": "table", "table": list(table)}
         return None
 
     def _call_facts(self, node: ast.Call) -> None:
-        """Wall-clock, unseeded-RNG, obs and protocol-mutation facts of
-        one call."""
+        """Wall-clock and unseeded-RNG facts of one call."""
         func = node.func
         if isinstance(func, ast.Name):
             clock = self._wall_clock_import(func.id)
@@ -410,13 +290,6 @@ class _FunctionExtractor(ast.NodeVisitor):
         if not isinstance(func, ast.Attribute):
             return
         root, steps = receiver_steps(func.value)
-        final = _final_name(root, steps)
-        if final in OBS_RECEIVERS:
-            self._fact("obs", node.lineno, f"calls `{final}.{func.attr}(...)`")
-        elif (final in PROTOCOL_RECEIVERS and root not in ("self", "cls")
-                and func.attr not in READ_ONLY_METHODS):
-            self._fact("mutates", node.lineno,
-                       f"calls `{final}.{func.attr}(...)`")
         if root is not None and not steps \
                 and self.summary.resolve_qualifier(root) == "random":
             if func.attr not in ("Random", "SystemRandom"):

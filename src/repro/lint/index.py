@@ -145,7 +145,7 @@ class ClassSummary:
 
     __slots__ = ("name", "lineno", "col_offset", "base_refs",
                  "generator_methods", "methods", "has_slots",
-                 "declares_kind", "local_base_names")
+                 "local_base_names")
 
     def __init__(self, name: str, lineno: int, col_offset: int,
                  base_refs: List[NameRef]) -> None:
@@ -156,9 +156,6 @@ class ClassSummary:
         self.generator_methods: Set[str] = set()
         self.methods: Set[str] = set()
         self.has_slots = False
-        #: The class body assigns ``kind`` (an effect class declaring how
-        #: it is dispatched; RF002/RF003 routability).
-        self.declares_kind = False
         self.local_base_names: List[str] = [
             ref[1] for ref in base_refs if ref[0] == "name"
         ]
@@ -178,13 +175,9 @@ class ClassSummary:
             elif isinstance(item, (ast.Assign, ast.AnnAssign)):
                 targets: List[ast.expr] = list(item.targets) \
                     if isinstance(item, ast.Assign) else [item.target]
-                for target in targets:
-                    if not isinstance(target, ast.Name):
-                        continue
-                    if target.id == "__slots__":
-                        summary.has_slots = True
-                    elif target.id == "kind" and item.value is not None:
-                        summary.declares_kind = True
+                if any(isinstance(target, ast.Name)
+                       and target.id == "__slots__" for target in targets):
+                    summary.has_slots = True
         return summary
 
 
@@ -276,8 +269,8 @@ class ProjectIndex:
         self.kernel_classes: Set[Symbol] = set(KERNEL_CLASS_SEEDS)
         self.effect_factories: Set[Symbol] = set(EFFECT_FACTORY_SEEDS)
         #: The :class:`~repro.lint.flow.analysis.FlowAnalysis` the engine
-        #: attaches; the RF and RA rules read it.  Typed loosely to avoid
-        #: an import cycle with repro.lint.flow.
+        #: attaches; RF001 reads it.  Typed loosely to avoid an import
+        #: cycle with repro.lint.flow.
         self.flow: Any = None
         self._close_subclasses(self.effect_classes)
         self._close_subclasses(self.kernel_classes)

@@ -538,8 +538,8 @@ Tests and tools are out of scope (their module names are not under
                 )
 
 
-#: The module-local RL family; the engine runs it with the RF and RA
-#: families (``repro.lint.engine.ALL_RULES``).
+#: The module-local RL family; the engine runs it with RF001
+#: (``repro.lint.engine.ALL_RULES``).
 LOCAL_RULES: List[Rule] = [
     RL001DroppedEffect(),
     RL002GeneratorNotDelegated(),

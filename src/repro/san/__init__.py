@@ -20,8 +20,10 @@ PCT / replay policies) to hunt interleaving-dependent violations;
 Everything is off by default: the ``REPRO_SANITIZE`` environment
 variable (or an explicit :func:`make_sanitizers` chain) turns it on.
 Sanitizers are strictly observational -- they never mutate protocol
-state (lint rule RF004 enforces read-only access) and never raise from
-inside the pipeline; check :attr:`ViolationLog.clean` after the run.
+state (``tests/test_sanitizers.py::test_sanitizers_leave_the_run_unchanged``
+checks that a sanitized run's digest and obs snapshot match the bare
+run's) and never raise from inside the pipeline; check
+:attr:`ViolationLog.clean` after the run.
 """
 
 from __future__ import annotations

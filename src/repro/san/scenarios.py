@@ -10,9 +10,10 @@ optional :class:`~repro.sim.kernel.SchedulerPolicy`, which is what lets
 replay failures deterministically.
 
 This module (like the explorer and the CLI) is a *driver*: it owns the
-deployment and may mutate protocol objects freely, so lint rule RF004
-(sanitizers are read-only observers) exempts it -- the observational
-discipline applies to ``si``/``gcsan``/``chain``/``shadow`` only.
+deployment and may mutate protocol objects freely -- the observational
+discipline (sanitizers are read-only observers, checked by
+``test_sanitizers_leave_the_run_unchanged``) applies to
+``si``/``gcsan``/``chain``/``shadow`` only.
 """
 
 from __future__ import annotations

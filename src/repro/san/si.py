@@ -27,8 +27,10 @@ cycles involving anti-dependencies -- write skew, which SI permits --
 without ever failing the run.
 
 Strictly observational: the interceptor touches protocol objects only
-through read-only accessors (lint rule RF004 enforces this), collects
-into a :class:`~repro.san.violations.ViolationLog`, and never raises.
+through read-only accessors (the tier-1 test
+``test_sanitizers_leave_the_run_unchanged`` checks that attaching it
+changes no digest and no obs snapshot), collects into a
+:class:`~repro.san.violations.ViolationLog`, and never raises.
 
 Ordering note: commit-manager completions are processed in the *pre*
 phase (at request issue time) while starts register in the *post* phase

@@ -252,6 +252,96 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
         "a storage node serves a message for a partition it no longer "
         "owns instead of raising WrongOwner",
     ),
+    # -- one bug per RL rule; RL001 and RL002 at yield sites that no
+    #    tier-1 test executes
+    (
+        "btree_root_race_cleanup_unyielded",
+        "src/repro/index/btree.py",
+        "            self._root_cache = None\n"
+        "            yield effects.Delete(INDEX_SPACE, "
+        "self._node_key(new_root_id))",
+        "            self._root_cache = None\n"
+        "            effects.Delete(INDEX_SPACE, self._node_key(new_root_id))",
+        "a root grow that lost its CAS builds the cleanup Delete but never "
+        "yields it: the orphaned root node leaks",
+    ),
+    (
+        "coordinator_add_node_moves_nothing",
+        "src/repro/elastic/coordinator.py",
+        "            yield from self._run_moves(moves)\n"
+        "            return node.node_id",
+        "            self._run_moves(moves)\n"
+        "            return node.node_id",
+        "adding a storage node plans the rebalance but never runs it: the "
+        "new node serves nothing",
+    ),
+    (
+        "txn_precheck_iterates_a_set",
+        "src/repro/core/transaction.py",
+        "        for key in self._writes:",
+        "        for key in set(self._writes):",
+        "the commit precheck walks the write set in hash order, so which "
+        "conflict is reported depends on the hash seed",
+    ),
+    (
+        "effects_get_without_slots",
+        "src/repro/effects.py",
+        "return ``(None, 0)``.  The cell version is the LL token for "
+        "LL/SC.\"\"\"\n\n    __slots__ = ()\n",
+        "return ``(None, 0)``.  The cell version is the LL token for "
+        "LL/SC.\"\"\"\n",
+        "Get, the most allocated request, gets a per-instance __dict__",
+    ),
+    (
+        "deployment_shares_default_interceptors",
+        "src/repro/runtime/deployment.py",
+        "                 interceptors: Sequence[Interceptor] = ()):\n"
+        "        self.sim = Simulator()\n"
+        "        super().__init__(config, clock=lambda: self.sim.now)\n"
+        "        self.fabric = SimFabric(\n"
+        "            self.sim, self.cluster, self.commit_managers, config\n"
+        "        )\n"
+        "        self.metrics = metrics\n"
+        "        self.interceptors = list(interceptors)\n",
+        "                 interceptors: Sequence[Interceptor] = []):\n"
+        "        self.sim = Simulator()\n"
+        "        super().__init__(config, clock=lambda: self.sim.now)\n"
+        "        self.fabric = SimFabric(\n"
+        "            self.sim, self.cluster, self.commit_managers, config\n"
+        "        )\n"
+        "        self.metrics = metrics\n"
+        "        self.interceptors = interceptors\n",
+        "every deployment built without interceptors shares one default "
+        "list: an elastic run's WrongOwnerRedirect leaks into the next",
+    ),
+    (
+        "recovery_completes_before_rollback",
+        "src/repro/core/recovery.py",
+        "        active_tids.extend(manager.active_tids_of(pn_id))\n",
+        "        active_tids.extend(manager.active_tids_of(pn_id))\n"
+        "        for tid in manager.active_tids_of(pn_id):\n"
+        "            manager.set_aborted(tid)\n",
+        "PN recovery completes the dead node's tids at the commit manager, "
+        "behind the dispatcher, before their versions are rolled back",
+    ),
+    (
+        "table_scan_writes_read_set",
+        "src/repro/sql/table.py",
+        "            self.txn.note_scanned([key for key, _value, _cell in rows])",
+        "            self.txn._read_keys.update(\n"
+        "                dict.fromkeys(key for key, _value, _cell in rows))",
+        "the table scan fills the transaction's read set directly instead "
+        "of through note_scanned",
+    ),
+    (
+        "coordinator_bumps_epoch",
+        "src/repro/elastic/coordinator.py",
+        "            self.cluster.detach_node(node_id)\n",
+        "            self.cluster.detach_node(node_id)\n"
+        "            self.partition_map.epoch += 1\n",
+        "removing a storage node bumps the partition-map epoch directly: "
+        "no epoch_log entry, and a route cached at the old epoch looks stale",
+    ),
 ]
 
 

@@ -6,10 +6,13 @@ run_direct error contract, and the Request __repr__ coverage that makes
 traces readable.
 """
 
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import repro
 from repro import effects
 from repro.api.runner import Router
 from repro.dispatch import (
@@ -146,6 +149,37 @@ class TestKindOf:
             kind_of(effects.Request())
         with pytest.raises(TypeError):  # abstract bases declare no kind
             kind_of(effects.StoreRequest("s", 1))
+
+
+def _repro_request_leaves():
+    """Every ``Request`` subclass defined under ``repro`` that no other
+    ``repro`` class subclasses, after importing every ``repro`` module.
+    Subclasses that tests define are ignored: they are not shipped."""
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.name.endswith(".__main__"):
+            importlib.import_module(info.name)
+
+    def shipped(cls):
+        return cls.__module__.split(".")[0] == "repro"
+
+    found, stack = set(), [effects.Request]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            if shipped(sub) and sub not in found:
+                found.add(sub)
+                stack.append(sub)
+    return {cls for cls in found
+            if not any(shipped(sub) for sub in cls.__subclasses__())}
+
+
+def test_every_concrete_request_declares_a_kind():
+    # Dispatcher exhaustiveness: a concrete request class with no kind
+    # of its own or inherited raises `TypeError: unroutable request` the
+    # first time anything yields it.
+    leaves = _repro_request_leaves()
+    assert len(leaves) >= 14
+    assert sorted(cls.__qualname__ for cls in leaves
+                  if not hasattr(cls, "kind")) == []
 
 
 # ---------------------------------------------------------------------------

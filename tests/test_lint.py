@@ -489,149 +489,6 @@ class TestRL008:
 
 
 # ---------------------------------------------------------------------------
-# Sanitizer mutates protocol state: RF004's chain of length zero (these
-# fixtures checked the retired module-local rule of the same class name)
-# ---------------------------------------------------------------------------
-
-
-class TestRL009:
-    def test_attribute_assignment_on_record_fires(self):
-        assert codes("""
-            def observe(self, record):
-                record.versions = ()
-        """, module="repro.san.si") == ["RF004"]
-
-    def test_subscript_store_on_protocol_attr_fires(self):
-        assert codes("""
-            def observe(self, txn, key):
-                txn.index_ops[0] = None
-        """, module="repro.san.gcsan") == ["RF004"]
-
-    def test_mutating_method_call_fires(self):
-        assert codes("""
-            def observe(self, manager, tid):
-                manager.set_committed(tid)
-        """, module="repro.san.si") == ["RF004"]
-
-    def test_driving_a_transaction_fires(self):
-        assert codes("""
-            def observe(self, txn):
-                txn.commit()
-        """, module="repro.san.chain") == ["RF004"]
-
-    def test_read_only_accessors_are_clean(self):
-        assert codes("""
-            def observe(self, record, snapshot, manager):
-                tids = record.version_numbers()
-                latest = record.latest_visible(snapshot)
-                base, bits = snapshot.as_pair()
-                active = manager.active_transactions()
-                return tids, latest, base, bits, active
-        """, module="repro.san.si") == []
-
-    def test_own_state_and_shadow_names_are_clean(self):
-        assert codes("""
-            def observe(self, view, sc, key):
-                self.records_checked += 1
-                self.shadow.cells[key] = sc
-                view.reads[key] = 3
-                sc.cell_version = 4
-        """, module="repro.san.si") == []
-
-    def test_driver_modules_are_exempt(self):
-        source = """
-            def drive(txn, manager, tid):
-                txn.commit()
-                manager.set_committed(tid)
-        """
-        assert codes(source, module="repro.san.scenarios") == []
-        assert codes(source, module="repro.san.explorer") == []
-        assert codes(source, module="repro.san.__main__") == []
-
-    def test_outside_san_is_exempt(self):
-        assert codes("""
-            def apply(record):
-                record.versions = ()
-        """, module="repro.core.transaction") == []
-
-    def test_inline_suppression(self):
-        assert codes("""
-            def observe(self, record):
-                record.warm_cache()  # repro-lint: ignore[RF004] read-only
-        """, module="repro.san.si") == []
-
-
-# ---------------------------------------------------------------------------
-# Sanitizer shadow code must not touch observability: RF004's chain of
-# length zero (these fixtures checked the retired rule of the same name)
-# ---------------------------------------------------------------------------
-
-
-class TestRL010:
-    def test_import_repro_obs_fires(self):
-        assert codes("""
-            import repro.obs
-        """, module="repro.san.si") == ["RF004"]
-
-    def test_import_submodule_fires(self):
-        assert codes("""
-            import repro.obs.registry
-        """, module="repro.san.gcsan") == ["RF004"]
-
-    def test_from_import_fires(self):
-        assert codes("""
-            from repro.obs import MetricsRegistry
-        """, module="repro.san.chain") == ["RF004"]
-
-    def test_from_submodule_import_fires(self):
-        assert codes("""
-            from repro.obs.tracing import Tracer
-        """, module="repro.san.si") == ["RF004"]
-
-    def test_recording_into_registry_fires(self):
-        assert codes("""
-            def observe(self, registry):
-                registry.counter("repro_san_checks").inc()
-        """, module="repro.san.si") == ["RF004"]
-
-    def test_span_and_tracer_calls_fire(self):
-        assert codes("""
-            def observe(self, tracer, span):
-                child = tracer.start_span("check")
-                span.finish()
-        """, module="repro.san.gcsan") == ["RF004", "RF004"]
-
-    def test_obs_receiver_fires(self):
-        assert codes("""
-            def observe(self, pn):
-                pn.obs.snapshot()
-        """, module="repro.san.si") == ["RF004"]
-
-    def test_driver_modules_are_exempt(self):
-        source = """
-            from repro.obs import Observability
-            def drive(obs):
-                return obs.snapshot()
-        """
-        assert codes(source, module="repro.san.scenarios") == []
-        assert codes(source, module="repro.san.explorer") == []
-        assert codes(source, module="repro.san.__main__") == []
-
-    def test_outside_san_is_exempt(self):
-        assert codes("""
-            from repro.obs import MetricsRegistry
-            def snapshot(obs):
-                return obs.snapshot()
-        """, module="repro.bench.simcluster") == []
-
-    def test_unrelated_imports_are_clean(self):
-        assert codes("""
-            from repro import effects
-            import repro.errors
-        """, module="repro.san.si") == []
-
-
-# ---------------------------------------------------------------------------
 # RL012 -- isolation state touched outside the module that owns it
 # ---------------------------------------------------------------------------
 
@@ -863,7 +720,7 @@ class TestCli:
         out = capsys.readouterr().out
         for code in ("RL001", "RL007"):
             assert code in out
-        assert len(out.splitlines()) == 12
+        assert len(out.splitlines()) == 9
 
     def test_rule_catalog_documents_exactly_the_registered_rules(self, capsys):
         # One `### <code>` heading in docs/static-analysis.md per rule

@@ -1,12 +1,14 @@
 """Tests for the ``repro.san`` sanitizer + schedule-exploration package.
 
-Three layers:
+Four layers:
 
 * the kernel's :class:`~repro.sim.kernel.SchedulerPolicy` hook -- the
   ``None`` path keeps the historical FIFO order, a policy can reorder
   same-time events, and a recorded trace replays bit-for-bit;
 * the scenarios run *clean* against the healthy tree (the sanitizers
   must not cry wolf), with write-skew surfaced as a report;
+* attaching the sanitizer chain leaves a TPC-C run's digest and obs
+  snapshot byte-identical: the sanitizers only observe;
 * seeded mutations -- a broken store-conditional, a GC that ignores the
   lowest active version, and a broken visibility rule -- must each trip
   their sanitizer under the explorer, and every failing schedule must
@@ -15,12 +17,17 @@ Three layers:
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.bench.config import TellConfig
+from repro.bench.simcluster import SimulatedTell
 from repro.core.record import VersionedRecord
 from repro.dispatch import DispatchContext, compose, drive_sync
 from repro.dispatch.interceptors import TraceInterceptor
 from repro.errors import KeyNotFound
+from repro.san import make_sanitizers
 from repro.san.explorer import (
     PCTPolicy,
     RandomJitterPolicy,
@@ -32,6 +39,7 @@ from repro.san.scenarios import SCENARIOS, gc_pressure, lost_update, write_skew
 from repro.sim.kernel import Delay, SchedulerPolicy, Simulator
 from repro.store.cell import Cell, approx_size
 from repro.store.node import StorageNode
+from repro.workloads.tpcc.params import TpccScale
 from repro import effects
 
 
@@ -148,6 +156,28 @@ class TestHealthyScenarios:
         explorer = ScheduleExplorer(lost_update, schedules=4, seed=1)
         assert explorer.run() == []
         assert explorer.runs == 4
+
+
+# -- the sanitizers only observe -----------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["si", "ssi"])
+def test_sanitizers_leave_the_run_unchanged(mode):
+    # A sanitizer that writes to the protocol state it watches, or
+    # records into the obs layer it cross-checks, moves the digest or the
+    # obs snapshot of the run it is attached to.
+    config = TellConfig(
+        processing_nodes=2, storage_nodes=3, threads_per_pn=4,
+        scale=TpccScale.tiny(2), duration_us=20_000.0, warmup_us=5_000.0,
+        seed=1, observability=True, isolation=mode,
+    )
+    bare = SimulatedTell(config).run()
+    sanitized = SimulatedTell(
+        config, interceptors=make_sanitizers(isolation=mode)[1]).run()
+    assert sum(bare.committed.values()) > 0
+    assert sanitized.digest() == bare.digest()
+    assert json.dumps(sanitized.obs_snapshot, sort_keys=True) == \
+        json.dumps(bare.obs_snapshot, sort_keys=True)
 
 
 # -- seeded mutations: each must trip its sanitizer ----------------------
