@@ -28,6 +28,8 @@ invalidates the cached ancestors so the next traversal re-fetches them.
 from __future__ import annotations
 
 import bisect
+import itertools
+import operator
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro import effects
@@ -81,7 +83,16 @@ class BTreeNode:
         # Estimated from the first entry: entries of one index are
         # homogeneous, and sizing is on the hot path of every node write.
         if self._size < 0:
-            per_entry = approx_size(self.entries[0]) if self.entries else 8
+            per_entry = 8
+            if self.entries:
+                first = self.entries[0]
+                per_entry = approx_size(first)
+                key = first[0]
+                if key.__class__ is tuple:
+                    # An encoded key (repro.sql.keyenc) is flat; each of
+                    # its components is charged as a (rank, value) pair,
+                    # one tuple header more than its two slots.
+                    per_entry += 8 * (len(key) >> 1)
             size = 24 + per_entry * len(self.entries)
             if self.children is not None:
                 size += 8 * len(self.children)
@@ -622,7 +633,7 @@ class DistributedBTree:
         is the database-population fast path, not a concurrent operation.
         Returns the number of nodes written.
         """
-        if sorted(entries) != list(entries):
+        if any(map(operator.gt, entries, itertools.islice(entries, 1, None))):
             raise InvalidState("bulk_build requires sorted entries")
         per_node = max(4, int(self.max_entries * fill))
         # Chunk the leaf level.

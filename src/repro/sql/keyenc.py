@@ -1,14 +1,23 @@
-"""Total-order encoding of index key components.
+"""Total-order encoding of index keys.
 
 SQL values of mixed types (and NULLs) are not comparable as raw Python
 values, but B+tree entries must have a total order.  Every component is
-therefore wrapped as ``(type_rank, value)``:
+therefore preceded by its type rank:
 
-* NULL sorts first (rank 0),
+* NULL sorts first (rank 0; the value slot holds ``False``),
 * booleans (rank 1),
 * numbers (rank 2; int/float compare naturally),
 * strings (rank 3),
 * bytes (rank 4).
+
+An encoded key is one flat tuple ``(rank0, value0, rank1, value1, ...)``.
+Comparing two such tuples compares rank, then value, component by
+component, so it orders exactly as a tuple of ``(rank, value)`` pairs
+would -- prefixes before their extensions included -- with one tuple per
+key instead of one per component.  ``BTreeNode.approx_size`` still charges
+each component as a ``(rank, value)`` pair (one tuple header, 8 B, more
+than its two flat slots), so the simulated size of an index entry does not
+depend on this in-memory layout.
 
 Encoding happens at the tree boundary only -- table rows and user-facing
 keys stay raw.
@@ -16,37 +25,47 @@ keys stay raw.
 
 from __future__ import annotations
 
-from typing import Any, Tuple
+from typing import Any, Iterable, Tuple
 
-_NULL = (0, False)
+#: An encoded index key: ``(rank0, value0, rank1, value1, ...)``.
+EncodedKey = Tuple[Any, ...]
 
-#: Type rank strictly greater than any produced by :func:`encode_component`;
-#: ``(ABOVE_ALL_RANK,)`` therefore sorts above every real key component,
-#: which range scans use to build inclusive prefix upper bounds.
+#: Type rank strictly greater than any a component is encoded with;
+#: ``encode_key(prefix) + (ABOVE_ALL_RANK,)`` therefore sorts above every
+#: key that extends ``prefix``, which range scans use to build inclusive
+#: prefix upper bounds.
 ABOVE_ALL_RANK = 5
 
 
-def encode_component(value: Any) -> Tuple[int, Any]:
-    # Exact-class checks settle the overwhelmingly common scalar types
-    # before the isinstance ladder (which must test bool before int).
-    cls = value.__class__
-    if cls is int or cls is float:
-        return (2, value)
-    if cls is str:
-        return (3, value)
-    if value is None:
-        return _NULL
+def _rank(value: Any) -> int:
+    """Type rank of a value that is not an exact ``int``, ``float``,
+    ``str`` or ``None`` (bool before int: ``bool`` subclasses ``int``)."""
     if isinstance(value, bool):
-        return (1, value)
+        return 1
     if isinstance(value, (int, float)):
-        return (2, value)
+        return 2
     if isinstance(value, str):
-        return (3, value)
+        return 3
     if isinstance(value, bytes):
-        return (4, value)
+        return 4
     raise TypeError(f"cannot index value of type {type(value).__name__}")
 
 
-def encode_key(key: Tuple[Any, ...]) -> Tuple[Tuple[int, Any], ...]:
-    """Encode a whole index key tuple."""
-    return tuple([encode_component(component) for component in key])
+def encode_key(key: Iterable[Any]) -> EncodedKey:
+    """Encode a whole index key (any iterable of its column values)."""
+    # Keys are a few components long, so growing the tuple by
+    # concatenation beats appending to a list and converting it.
+    # Exact-class checks settle the overwhelmingly common scalar types
+    # before the isinstance ladder.
+    encoded: EncodedKey = ()
+    for value in key:
+        cls = value.__class__
+        if cls is int or cls is float:
+            encoded += (2, value)
+        elif cls is str:
+            encoded += (3, value)
+        elif value is None:
+            encoded += (0, False)
+        else:
+            encoded += (_rank(value), value)
+    return encoded

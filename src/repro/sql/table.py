@@ -26,7 +26,7 @@ from repro.core.spaces import DATA_SPACE, data_key
 from repro.core.transaction import Transaction
 from repro.errors import DuplicateKey, KeyNotFound
 from repro.index.btree import MAX_RID, DistributedBTree
-from repro.sql.keyenc import ABOVE_ALL_RANK, encode_component, encode_key
+from repro.sql.keyenc import ABOVE_ALL_RANK, EncodedKey, encode_key
 from repro.sql.schema import IndexDef, TableSchema
 
 
@@ -140,7 +140,9 @@ class Table:
         index = self.schema.primary_index
         tree = self.indexes.tree(index)
         pk_tuples = [tuple(pk) for pk in pks]
-        encoded = {pk: encode_key(pk) for pk in pk_tuples}
+        encoded: Dict[Tuple[Any, ...], EncodedKey] = {
+            pk: encode_key(pk) for pk in pk_tuples
+        }
         rid_map = yield from tree.lookup_many(
             [encoded[pk] for pk in pk_tuples]
         )
@@ -302,13 +304,13 @@ class Table:
             # columns of a three-column index): extend the bound with a
             # component above every real encoded component so that all
             # longer keys sharing the prefix are covered.
-            high_entry = (encode_key(high) + ((ABOVE_ALL_RANK,),),)
+            high_entry = (encode_key(high) + (ABOVE_ALL_RANK,),)
         else:
             high_entry = (encode_key(high),)
         entries = yield from tree.range_entries(low_entry, high_entry, limit=None)
         # (encoded key, rid, row) for every entry whose row still carries
         # the entry's key; each row's index key is encoded once.
-        results: List[Tuple[Tuple, int, Tuple[Any, ...]]] = []
+        results: List[Tuple[EncodedKey, int, Tuple[Any, ...]]] = []
         if entries:
             table_id = self.schema.table_id
             keys = [data_key(table_id, rid) for _key, rid in entries]
@@ -318,7 +320,7 @@ class Table:
                 (encoded, rid, row)
                 for (encoded, rid), row in zip(entries, map(rows.__getitem__, keys))
                 if row is not None
-                and tuple([encode_component(row[p]) for p in positions]) == encoded
+                and encode_key([row[p] for p in positions]) == encoded
             ]
             if limit is not None:
                 del results[limit:]

@@ -9,12 +9,12 @@ fresh rids afterwards.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Iterable, List, Tuple
+from typing import Any, Generator, Iterable, List, Tuple
 
 from repro import effects
 from repro.core.record import VersionedRecord
 from repro.core.spaces import DATA_SPACE, META_SPACE, data_key, rid_counter_key
-from repro.sql.keyenc import encode_key
+from repro.sql.keyenc import EncodedKey, encode_key
 from repro.sql.schema import Catalog
 from repro.sql.table import IndexManager
 
@@ -31,37 +31,35 @@ class BulkLoader:
         self.batch_size = batch_size
 
     def load_table(
-        self, table_name: str, rows: Iterable[Dict[str, Any]]
+        self, table_name: str, payloads: Iterable[Tuple[Any, ...]]
     ) -> Generator:
-        """Write all ``rows`` and (re)build every index of the table.
+        """Write the payload tuples (``TableSchema.make_row`` rows) and
+        (re)build every index of the table.
 
         Returns the number of rows loaded.  Rids are assigned sequentially
-        from 1 in input order.
+        from 1 in input order; each batch's ``Put``s are built when it is
+        sent.
         """
         schema = self.catalog.table(table_name)
-        payloads: List[Tuple[Any, ...]] = [
-            schema.make_row(values) for values in rows
-        ]
-        puts: List[effects.Put] = []
-        for offset, payload in enumerate(payloads):
-            rid = offset + 1
-            puts.append(
+        table_id = schema.table_id
+        rows = list(payloads)
+        size = self.batch_size
+        for start in range(0, len(rows), size):
+            yield effects.Batch([
                 effects.Put(
                     DATA_SPACE,
-                    data_key(schema.table_id, rid),
+                    data_key(table_id, rid),
                     VersionedRecord.initial(LOAD_VERSION, payload),
                 )
-            )
-        for i in range(0, len(puts), self.batch_size):
-            yield effects.Batch(puts[i : i + self.batch_size])
+                for rid, payload in enumerate(rows[start : start + size], start + 1)
+            ])
         # Advance the rid counter past the loaded rows.
-        yield effects.Put(META_SPACE, rid_counter_key(schema.table_id), len(payloads))
+        yield effects.Put(META_SPACE, rid_counter_key(table_id), len(rows))
 
         for index in schema.indexes:
-            entries = sorted(
-                (encode_key(schema.index_key_of(index, payload)), offset + 1)
-                for offset, payload in enumerate(payloads)
+            entries: List[Tuple[EncodedKey, int]] = sorted(
+                (encode_key(schema.index_key_of(index, payload)), rid)
+                for rid, payload in enumerate(rows, 1)
             )
-            tree = self.indexes.tree(index)
-            yield from tree.bulk_build(entries)
-        return len(payloads)
+            yield from self.indexes.tree(index).bulk_build(entries)
+        return len(rows)

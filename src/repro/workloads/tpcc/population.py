@@ -10,7 +10,7 @@ keep the Python heap reasonable).
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Generator, Iterator, List
+from typing import Any, Dict, Generator, Iterator, List, Tuple
 
 from repro.sql.schema import Catalog
 from repro.workloads.loader import BulkLoader
@@ -128,17 +128,11 @@ def stock_rows(
         }
 
 
-class _OrderData:
-    """Orders, order lines, and new-order rows for one warehouse."""
-
-    def __init__(self) -> None:
-        self.orders: List[Dict[str, Any]] = []
-        self.orderlines: List[Dict[str, Any]] = []
-        self.neworders: List[Dict[str, Any]] = []
-
-
-def order_data(w_id: int, scale: TpccScale, rng: random.Random) -> _OrderData:
-    data = _OrderData()
+def order_rows(
+    w_id: int, scale: TpccScale, rng: random.Random
+) -> Iterator[Tuple[str, Dict[str, Any]]]:
+    """Orders, new-order and order-line rows for one warehouse, as
+    ``(table, row)`` pairs in generation order."""
     delivered_upto = int(scale.initial_orders_per_district * DELIVERED_FRACTION)
     for d_id in range(1, scale.districts_per_warehouse + 1):
         # Spec: o_c_id is a permutation of the customer ids.
@@ -147,7 +141,7 @@ def order_data(w_id: int, scale: TpccScale, rng: random.Random) -> _OrderData:
         for o_id in range(1, scale.initial_orders_per_district + 1):
             delivered = o_id <= delivered_upto
             ol_cnt = rng.randint(5, 15)
-            data.orders.append({
+            yield "orders", {
                 "o_w_id": w_id,
                 "o_d_id": d_id,
                 "o_id": o_id,
@@ -156,13 +150,13 @@ def order_data(w_id: int, scale: TpccScale, rng: random.Random) -> _OrderData:
                 "o_carrier_id": rng.randint(1, 10) if delivered else None,
                 "o_ol_cnt": ol_cnt,
                 "o_all_local": 1,
-            })
+            }
             if not delivered:
-                data.neworders.append({
+                yield "neworder", {
                     "no_w_id": w_id, "no_d_id": d_id, "no_o_id": o_id,
-                })
+                }
             for number in range(1, ol_cnt + 1):
-                data.orderlines.append({
+                yield "orderline", {
                     "ol_w_id": w_id,
                     "ol_d_id": d_id,
                     "ol_o_id": o_id,
@@ -175,8 +169,29 @@ def order_data(w_id: int, scale: TpccScale, rng: random.Random) -> _OrderData:
                         0.0 if delivered else round(rng.uniform(0.01, 9999.99), 2)
                     ),
                     "ol_dist_info": _text(rng, 24),
-                })
-    return data
+                }
+
+
+def warehouse_rows(
+    w_id: int, scale: TpccScale, rng: random.Random
+) -> Iterator[Tuple[str, Dict[str, Any]]]:
+    """Every row one warehouse adds, as ``(table, row)`` pairs in the
+    order they draw from ``rng``."""
+    yield "warehouse", warehouse_row(w_id, rng)
+    for row in district_rows(w_id, scale, rng):
+        yield "district", row
+    for row in customer_rows(w_id, scale, rng):
+        yield "customer", row
+    for row in stock_rows(w_id, scale, rng):
+        yield "stock", row
+    yield from order_rows(w_id, scale, rng)
+
+
+#: Tables filled per warehouse, in load order.
+_WAREHOUSE_TABLES = (
+    "warehouse", "district", "customer", "stock", "orders", "orderline",
+    "neworder",
+)
 
 
 def populate(
@@ -185,34 +200,27 @@ def populate(
     scale: TpccScale,
     seed: int = 7,
 ) -> Generator:
-    """Load the whole database; returns {table: row count}."""
+    """Load the whole database; returns {table: row count}.
+
+    Each row becomes its payload tuple (the object the store keeps) as
+    it is generated.  Warehouses draw their rows of every table in turn
+    from one ``rng``, so those payloads wait in one list per table until
+    the tables load, one after another.
+    """
     rng = random.Random(seed)
     counts: Dict[str, int] = {}
-    counts["item"] = yield from loader.load_table("item", item_rows(scale, rng))
+    counts["item"] = yield from loader.load_table(
+        "item", map(catalog.table("item").make_row, item_rows(scale, rng))
+    )
 
-    warehouses: List[Dict[str, Any]] = []
-    districts: List[Dict[str, Any]] = []
-    customers: List[Dict[str, Any]] = []
-    stocks: List[Dict[str, Any]] = []
-    orders: List[Dict[str, Any]] = []
-    orderlines: List[Dict[str, Any]] = []
-    neworders: List[Dict[str, Any]] = []
+    make_row = {table: catalog.table(table).make_row for table in _WAREHOUSE_TABLES}
+    payloads: Dict[str, List[Tuple[Any, ...]]] = {
+        table: [] for table in _WAREHOUSE_TABLES
+    }
     for w_id in range(1, scale.warehouses + 1):
-        warehouses.append(warehouse_row(w_id, rng))
-        districts.extend(district_rows(w_id, scale, rng))
-        customers.extend(customer_rows(w_id, scale, rng))
-        stocks.extend(stock_rows(w_id, scale, rng))
-        data = order_data(w_id, scale, rng)
-        orders.extend(data.orders)
-        orderlines.extend(data.orderlines)
-        neworders.extend(data.neworders)
-
-    counts["warehouse"] = yield from loader.load_table("warehouse", warehouses)
-    counts["district"] = yield from loader.load_table("district", districts)
-    counts["customer"] = yield from loader.load_table("customer", customers)
-    counts["stock"] = yield from loader.load_table("stock", stocks)
-    counts["orders"] = yield from loader.load_table("orders", orders)
-    counts["orderline"] = yield from loader.load_table("orderline", orderlines)
-    counts["neworder"] = yield from loader.load_table("neworder", neworders)
+        for table, row in warehouse_rows(w_id, scale, rng):
+            payloads[table].append(make_row[table](row))
+    for table in _WAREHOUSE_TABLES:
+        counts[table] = yield from loader.load_table(table, payloads.pop(table))
     counts["history"] = yield from loader.load_table("history", [])
     return counts

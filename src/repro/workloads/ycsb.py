@@ -129,8 +129,9 @@ def populate_ycsb(
     catalog: Catalog, loader: BulkLoader, record_count: int, seed: int = 3
 ) -> Generator:
     """Bulk-load the usertable; returns the row count."""
+    make_row = catalog.table("usertable").make_row
     count = yield from loader.load_table(
-        "usertable", ycsb_rows(record_count, seed)
+        "usertable", map(make_row, ycsb_rows(record_count, seed))
     )
     return count
 

@@ -10,6 +10,8 @@ from repro import effects
 from repro.api.runner import DirectRunner, Router
 from repro.errors import DuplicateKey, InvalidState
 from repro.index.btree import BTreeNode, DistributedBTree
+from repro.sql.keyenc import encode_key
+from repro.store.cell import approx_size
 from repro.store.cluster import StorageCluster
 from tests.conftest import interleave
 
@@ -231,6 +233,35 @@ class TestConcurrentInterleavings:
         rids = runner.run(tree.lookup(7))
         assert len(rids) == 1
         assert len(dup_errors) == 1
+
+
+class TestNodeSize:
+    """The simulated size of a node is part of every digest: it is charged
+    to the store and to the fabric on each write of the node."""
+
+    def test_encoded_entry_sizes_as_rank_value_pairs(self):
+        key = (7, "smith", None)
+        nested = ((2, 7), (3, "smith"), (0, False))
+        entries = ((encode_key(key), 5), (encode_key((8, "x", 1.5)), 6))
+        # Each entry is charged as the first one, in the nested form.
+        assert BTreeNode(1, 0, entries).approx_size() == (
+            24 + 2 * approx_size((nested, 5)))
+        assert approx_size((nested, 5)) == 8 + (8 + 24 + 21 + 17) + 8
+
+    def test_inner_node_adds_its_children(self):
+        entries = ((encode_key((1, 2)), 3),)
+        nested = (((2, 1), (2, 2)), 3)
+        assert BTreeNode(1, 1, entries, children=(4, 5)).approx_size() == (
+            24 + approx_size(nested) + 16)
+
+    @pytest.mark.parametrize("entries, size", [
+        (((5, 1), (6, 2)), 24 + 2 * 24),
+        ((("abcd", 1),), 24 + 8 + 4 + 8),  # a str key is not a tuple key
+        ((((3,), 1),), 24 + 8 + 16 + 8),   # nor is a raw 1-tuple encoded
+        ((), 24),
+    ])
+    def test_raw_keys_size_as_before(self, entries, size):
+        assert BTreeNode(1, 0, entries).approx_size() == size
 
 
 class TestBulkBuild:

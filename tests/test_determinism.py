@@ -10,12 +10,15 @@ commit/conflict/abort counts, the measured window, and the full latency
 series).
 """
 
+import hashlib
+
 import pytest
 
 from repro.bench.config import TellConfig, TpccScale
 from repro.bench.scale import scale_points
-from repro.bench.simcluster import run_tell_experiment
+from repro.bench.simcluster import SimulatedTell, run_tell_experiment
 from repro.bench.ycsb_sim import SimulatedYcsb
+from repro.store.cell import approx_size
 
 
 def _config(seed: int, threads_per_pn: int = 4,
@@ -69,3 +72,25 @@ def test_different_seed_diverges():
     first = run_tell_experiment(_config(seed=7))
     second = run_tell_experiment(_config(seed=8))
     assert first.digest() != second.digest()
+
+
+def test_pinned_store_after_load():
+    # The store a bulk load leaves behind, per node, partition and space:
+    # key order (elastic migration copies cells in dict order), each cell's
+    # version and its charged size.  A loader change must not reshuffle it
+    # or resize it silently.
+    deployment = SimulatedTell(TellConfig(
+        processing_nodes=1, storage_nodes=3, replication_factor=2,
+        scale=TpccScale.tiny(2), seed=3,
+    ))
+    deployment.load()
+    digest = hashlib.sha256()
+    for node_id, node in sorted(deployment.cluster.nodes.items()):
+        for partition_id, store in sorted(node.partitions.items()):
+            for space, cells in sorted(store.spaces.items()):
+                digest.update(repr((node_id, partition_id, space)).encode())
+                for key, cell in cells.items():
+                    charged = approx_size(key) + approx_size(cell.value)
+                    digest.update(repr((key, cell.version, charged)).encode())
+    assert digest.hexdigest() == (
+        "4afcb85d435b905c38ae9a9f8f2d13d8ed80434ff07de538282ea4fdf88b69ac")

@@ -35,7 +35,9 @@ def env():
 
 
 def load(cluster, loader, rows):
-    return effects.run_direct(loader.load_table("users", rows), Router(cluster))
+    schema = loader.catalog.table("users")
+    payloads = [schema.make_row(row) for row in rows]
+    return effects.run_direct(loader.load_table("users", payloads), Router(cluster))
 
 
 class TestBulkLoader:

@@ -1,11 +1,13 @@
 """Tests for column types, schemas, and the shared catalog."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import effects
 from repro.api.runner import DirectRunner, Router
 from repro.errors import ConflictError, SchemaError
-from repro.sql.keyenc import encode_component, encode_key
+from repro.sql.keyenc import ABOVE_ALL_RANK, encode_key
 from repro.sql.schema import Catalog, Column, TableSchema
 from repro.sql.types import ColumnType, coerce
 from repro.store.cluster import StorageCluster
@@ -161,30 +163,95 @@ class TestCatalog:
             runner.run(b.save_if_version(version_b))
 
 
+def _one(value):
+    return encode_key((value,))
+
+
 class TestKeyEncoding:
     def test_null_sorts_first(self):
-        assert encode_component(None) < encode_component(-10**9)
-        assert encode_component(None) < encode_component("")
+        assert _one(None) < _one(-10**9)
+        assert _one(None) < _one("")
 
     def test_numbers_before_strings(self):
-        assert encode_component(10**9) < encode_component("a")
+        assert _one(10**9) < _one("a")
 
     def test_int_float_interoperate(self):
-        assert encode_component(1) < encode_component(1.5)
-        assert encode_component(2.0) == encode_component(2)
+        assert _one(1) < _one(1.5)
+        assert _one(2.0) == _one(2)
 
     def test_bool_separate_from_int(self):
-        assert encode_component(True) < encode_component(0)
+        assert _one(True) < _one(0)
 
     def test_unsupported_type(self):
         with pytest.raises(TypeError):
-            encode_component([1])
+            _one([1])
 
     def test_encode_key_tuple(self):
         encoded = encode_key((None, 5, "x"))
-        assert encoded == ((0, False), (2, 5), (3, "x"))
+        assert encoded == (0, False, 2, 5, 3, "x")
 
     def test_total_order_over_mixed_population(self):
         values = [None, True, False, -3, 0, 2.5, 7, "", "a", "b", b"z"]
-        encoded = [encode_component(value) for value in values]
+        encoded = [_one(value) for value in values]
         assert sorted(encoded) is not None  # must not raise
+
+
+# -- the flat encoding orders exactly like (rank, value) pairs ----------------
+
+
+def _nested(key):
+    """Reference encoding: one ``(rank, value)`` pair per component."""
+    pairs = []
+    for value in key:
+        if value is None:
+            pairs.append((0, False))
+        elif isinstance(value, bool):
+            pairs.append((1, value))
+        elif isinstance(value, (int, float)):
+            pairs.append((2, value))
+        elif isinstance(value, str):
+            pairs.append((3, value))
+        else:
+            pairs.append((4, value))
+    return tuple(pairs)
+
+
+def _order(a, b):
+    return (a > b) - (a < b)
+
+
+_component = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=3),
+    st.floats(min_value=-3, max_value=3, allow_nan=False),
+    st.sampled_from(["", "a", "ab", "b"]),
+    st.sampled_from([b"", b"a", b"b"]),
+)
+_keys = st.lists(_component, min_size=0, max_size=4).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_keys, b=_keys, extend=st.lists(_component, max_size=2).map(tuple),
+       bound_a=st.booleans(), bound_b=st.booleans())
+def test_flat_key_orders_like_nested_pairs(a, b, extend, bound_a, bound_b):
+    """Random mixed-type keys, of equal arity, of different arity, and as
+    prefixes of each other, with and without the inclusive range bound
+    (``ABOVE_ALL_RANK`` after the key), compare the same in both forms."""
+    same_arity = b[:len(a)] + a[len(b):]
+    pairs = [(a, b), (a, same_arity), (a, a + extend), (a + extend, a)]
+    for left, right in pairs:
+        flat_left, flat_right = encode_key(left), encode_key(right)
+        nested_left, nested_right = _nested(left), _nested(right)
+        if bound_a:
+            flat_left += (ABOVE_ALL_RANK,)
+            nested_left += ((ABOVE_ALL_RANK,),)
+        if bound_b:
+            flat_right += (ABOVE_ALL_RANK,)
+            nested_right += ((ABOVE_ALL_RANK,),)
+        assert _order(flat_left, flat_right) == _order(nested_left, nested_right)
+        assert (flat_left == flat_right) == (nested_left == nested_right)
+        # As B+tree entries, (key, rid), with the inclusive-rid bound too.
+        for rid_left, rid_right in ((1, 2), (2, 1), (1, float("inf"))):
+            assert _order((flat_left, rid_left), (flat_right, rid_right)) == (
+                _order((nested_left, rid_left), (nested_right, rid_right)))
