@@ -184,19 +184,6 @@ class VersionedRecord:
         tids = self.tids
         return tids[0] if tids else 0
 
-    def payload_of(self, tid: int) -> Optional[object]:
-        """Read-only payload lookup by creating tid (None when absent).
-
-        Observational accessor for the sanitizers: returns the payload
-        object itself (records are immutable, so sharing is safe) without
-        exposing the Version wrapper.
-        """
-        try:
-            index = self.tids.index(tid)
-        except ValueError:
-            return None
-        return self.payloads[index]
-
     # -- writes (all return new records) -------------------------------------------
 
     def with_version(self, version: Version) -> "VersionedRecord":

@@ -300,10 +300,12 @@ class Transaction:
                 )
 
         write_child = span.child("write") if span is not None else None
-        puts = self._build_apply_ops()
-        results = yield effects.Batch(puts)
-        applied = [op.key for op, (ok, _version) in zip(puts, results) if ok]
-        if len(applied) != len(puts):
+        keys, records, expected = self._build_apply_columns()
+        oks, cell_versions = yield effects.multi_put(
+            DATA_SPACE, keys, records, expected
+        )
+        applied = [key for key, ok in zip(keys, oks) if ok]
+        if len(applied) != len(keys):
             yield from self._rollback_applied(applied)
             yield from self._finish_abort(entry, "write-write conflict")
         try:
@@ -313,9 +315,9 @@ class Transaction:
             yield from self._finish_abort(entry, str(duplicate))
 
         # Write-through to the PN's shared buffer (if any).
-        for op, (_ok, cell_version) in zip(puts, results):
+        for key, record, cell_version in zip(keys, records, cell_versions):
             yield from pn.buffers.note_applied(
-                self.tid, op.key, op.value, cell_version
+                self.tid, key, record, cell_version
             )
 
         if write_child is not None:
@@ -343,16 +345,19 @@ class Transaction:
 
     # -- commit internals ------------------------------------------------------------
 
-    def _build_apply_ops(self) -> List[effects.PutIfVersion]:
-        """Construct the LL/SC puts (with eager version GC, Section 5.4)."""
-        puts: List[effects.PutIfVersion] = []
+    def _build_apply_columns(self) -> Tuple[List[Any], List[Any], List[int]]:
+        """The LL/SC puts as ``(keys, records, expected versions)``
+        columns (with eager version GC, Section 5.4)."""
+        keys: List[Any] = []
+        records: List[Any] = []
+        expected: List[int] = []
         for key, payload in self._writes.items():
             if key in self._inserted:
                 record = VersionedRecord.initial(self.tid, payload)
-                expected = 0
+                version = 0
             else:
                 base_record = self._records[key]
-                expected = self._versions[key]
+                version = self._versions[key]
                 if base_record is None:
                     # The record vanished between read and write-buffering;
                     # treat as insert-at-version-0 (LL/SC still protects us).
@@ -361,8 +366,10 @@ class Transaction:
                     # Fused eager-GC + install (collect_garbage + with_version
                     # in one slab pass; the tid is a fresh commit timestamp).
                     record = base_record.updated(self.tid, payload, self.lav)
-            puts.append(effects.PutIfVersion(DATA_SPACE, key, record, expected))
-        return puts
+            keys.append(key)
+            records.append(record)
+            expected.append(version)
+        return keys, records, expected
 
     def _apply_index_ops(self) -> Generator:
         for action, btree, index_key, rid, unique in self.index_ops:

@@ -27,7 +27,7 @@ STATUS_ABORTED = "aborted"
 class LogEntry:
     """One transaction's log record."""
 
-    __slots__ = ("tid", "pn_id", "timestamp", "write_set", "status")
+    __slots__ = ("tid", "pn_id", "timestamp", "write_set", "status", "_size")
 
     def __init__(
         self,
@@ -42,16 +42,21 @@ class LogEntry:
         self.timestamp = timestamp
         self.write_set = tuple(write_set)
         self.status = status
+        self._size = -1
 
     def with_status(self, status: str) -> "LogEntry":
-        return LogEntry(self.tid, self.pn_id, self.timestamp, self.write_set, status)
+        entry = LogEntry(self.tid, self.pn_id, self.timestamp, self.write_set, status)
+        entry._size = self._size  # the status is not charged
+        return entry
 
     @property
     def committed(self) -> bool:
         return self.status == STATUS_COMMITTED
 
     def approx_size(self) -> int:
-        return 32 + sum(approx_size(key) for key in self.write_set)
+        if self._size < 0:  # sized on the wire and by every replica
+            self._size = 32 + sum(approx_size(key) for key in self.write_set)
+        return self._size
 
     def __repr__(self) -> str:
         return (

@@ -18,6 +18,7 @@ import random
 from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple, Type
 
 from repro.dispatch.core import (
+    KIND_BATCH,
     DispatchContext,
     DispatchEnv,
     Interceptor,
@@ -43,7 +44,7 @@ class TraceInterceptor(Interceptor):
     * ``repro_request_latency_us{class}`` -- histogram; its ``count`` is
       the number of requests, failed ones included,
     * ``repro_request_ops{class}`` / ``repro_request_bytes{class}`` --
-      operations (a batch counts each member) and estimated wire bytes,
+      operations (a batch counts each key) and estimated wire bytes,
     * ``repro_request_errors{class,error}`` -- requests that raised, by
       exception type.  Successful round trips are count minus errors.
 
@@ -85,7 +86,8 @@ class TraceInterceptor(Interceptor):
             # an aborted transaction's requests must reconcile with the
             # sanitizer shadow history, not vanish from the trace.
             self._latency.observe(ctx.clock.now - started, **labels)
-            self._ops.inc(getattr(request, "op_count", 1), **labels)
+            ops = len(request.keys) if request.kind == KIND_BATCH else 1
+            self._ops.inc(ops, **labels)
             self._bytes.inc(request_size(request), **labels)
 
 

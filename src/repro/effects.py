@@ -13,12 +13,17 @@ and receive the corresponding results via ``send``.  Two drivers exist:
 
 Because the same coroutines run under both drivers, the code being
 benchmarked is the library itself, not a model of it.
+
+Many keys of one space travel as one :class:`Batch`, built by
+:func:`multi_get` or :func:`multi_put`.  It is columnar -- a space, the
+keys and, for a put, the values and expected versions -- and resolves to
+two result columns.  Its space is ``batch_space``: a ``FaultRule(space=...)``
+matches single-key requests only.
 """
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Any, ClassVar, Generator, List, Optional,
-                    Sequence)
+from typing import TYPE_CHECKING, Any, ClassVar, Generator, Optional, Sequence
 
 from repro.errors import TellError
 
@@ -282,66 +287,63 @@ class Scan(StoreRequest):
 
 
 class Batch(Request):
-    """Several storage requests combined into one network round trip.
+    """Many keys of one space combined into one network round trip.
 
-    Tell "aggressively batches operations" (Section 5.1): requests going to
-    the same storage node share a round trip.
+    Tell "aggressively batches operations" (Section 5.1): the keys going
+    to the same storage node share a round trip.  A batch is columnar:
+    it carries the space (``batch_space``; deliberately not ``space``,
+    which a :class:`~repro.dispatch.FaultRule` matches on single-key
+    requests only) and parallel lists, and every driver serves the keys
+    directly and fills two result columns in key order.  A many-key
+    batch therefore keeps no object per key alive for its round trip --
+    neither a request nor a result pair.  Two factories build it:
 
-    A batch comes in two forms with two result contracts:
-
-    * an *op-list* batch (``Batch(ops)``, e.g. a commit's LL/SC puts)
-      resolves to one result per op, in order;
-    * a *columnar* read, built only by :func:`multi_get`, resolves to two
-      columns in key order, ``(values, versions)``: ``values[i]`` is the
-      value stored under ``keys[i]`` (None when missing) and
-      ``versions[i]`` its cell version (0 when missing).
-
-    The columnar form carries the ``keys`` and the space they are read
-    from (``get_space``; deliberately not ``space``, which fault rules
-    match on single-key requests) and builds its per-key :class:`Get`
-    list only when something reads :attr:`ops`.  Every driver serves the
-    keys directly and fills the two columns, so a many-key read keeps no
-    object per key alive for its round trip -- neither a request nor a
-    ``(value, version)`` pair.  An op-list batch has ``keys`` = None.
+    * :func:`multi_get` (``values`` is None) resolves to
+      ``(values, versions)``: ``values[i]`` is the value stored under
+      ``keys[i]`` (None when missing), ``versions[i]`` its cell version
+      (0 when missing) -- what a :class:`Get` of the key returns;
+    * :func:`multi_put` resolves to ``(oks, versions)``: key ``i`` is
+      written with ``values[i]`` exactly as the :class:`Put` (``expected``
+      None) or ``PutIfVersion(..., expected[i])`` it stands for would be,
+      in key order; ``oks[i]`` says whether it was applied and
+      ``versions[i]`` is the new (or, on a refused store-conditional,
+      the current) cell version.
     """
 
-    __slots__ = ("_ops", "get_space", "keys")
+    __slots__ = ("batch_space", "keys", "values", "expected")
 
     kind = KIND_BATCH
 
-    def __init__(self, ops: Sequence[StoreRequest]) -> None:
-        self._ops: Optional[List[StoreRequest]] = list(ops)
-        self.get_space: Optional[str] = None
-        self.keys: Optional[List[Any]] = None
+    def __init__(self, space: str, keys: Sequence[Any],
+                 values: Optional[Sequence[Any]] = None,
+                 expected: Optional[Sequence[int]] = None) -> None:
+        self.batch_space = space
+        self.keys = list(keys)
+        self.values = None if values is None else list(values)
+        self.expected = None if expected is None else list(expected)
 
     @property
-    def ops(self) -> List[StoreRequest]:
-        """The member requests (a columnar batch's Gets, built once)."""
-        ops = self._ops
-        if ops is None:
-            space, keys = self.get_space, self.keys
-            assert space is not None and keys is not None
-            ops = self._ops = [Get(space, key) for key in keys]
-        return ops
-
-    @property
-    def op_count(self) -> int:
-        """How many requests the batch carries (builds no ``Get``)."""
-        ops = self._ops
-        return len(ops) if ops is not None else len(self.keys or ())
+    def is_write(self) -> bool:
+        return self.values is not None
 
     def __repr__(self) -> str:
-        return f"Batch({self.op_count} ops)"
+        verb = "get" if self.values is None else "put"
+        return f"Batch({verb} {self.batch_space!r}, {len(self.keys)} keys)"
 
 
 def multi_get(space: str, keys: Sequence[Any]) -> Batch:
-    """A columnar batch of Gets for ``keys`` in ``space``; resolves to
+    """A batch reading ``keys`` in ``space``; resolves to
     ``(values, versions)`` in key order."""
-    batch = Batch.__new__(Batch)
-    batch._ops = None
-    batch.get_space = space
-    batch.keys = list(keys)
-    return batch
+    return Batch(space, keys)
+
+
+def multi_put(space: str, keys: Sequence[Any], values: Sequence[Any],
+              expected: Optional[Sequence[int]] = None) -> Batch:
+    """A batch writing ``values[i]`` under ``keys[i]`` in ``space``;
+    resolves to ``(oks, versions)`` in key order.  ``expected`` None
+    writes unconditionally; otherwise key ``i`` is a store-conditional
+    expecting cell version ``expected[i]``."""
+    return Batch(space, keys, values, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -661,7 +661,8 @@ class DistributedBTree:
             ids.append(list(range(cursor, cursor + len(level))))
             cursor += len(level)
 
-        puts: List[effects.Put] = []
+        keys: List[Any] = []
+        nodes: List[Any] = []
         # Leaves, with sibling links and high keys.
         leaf_ids = ids[0]
         for position, chunk in enumerate(leaf_chunks):
@@ -671,14 +672,9 @@ class DistributedBTree:
                 if position + 1 < len(leaf_chunks)
                 else None
             )
-            puts.append(
-                effects.Put(
-                    INDEX_SPACE,
-                    self._node_key(leaf_ids[position]),
-                    BTreeNode(leaf_ids[position], 0, chunk,
-                              high_key=high, right_id=right_id),
-                )
-            )
+            keys.append(self._node_key(leaf_ids[position]))
+            nodes.append(BTreeNode(leaf_ids[position], 0, chunk,
+                                   high_key=high, right_id=right_id))
         # Inner levels.
         for level_number in range(1, len(levels)):
             chunks = levels[level_number]
@@ -696,21 +692,18 @@ class DistributedBTree:
                 high = (
                     chunks[position + 1][0] if position + 1 < len(chunks) else None
                 )
-                puts.append(
-                    effects.Put(
-                        INDEX_SPACE,
-                        self._node_key(level_ids[position]),
-                        BTreeNode(level_ids[position], level_number, separators,
-                                  children=children, high_key=high,
-                                  right_id=right_id),
-                    )
-                )
+                keys.append(self._node_key(level_ids[position]))
+                nodes.append(BTreeNode(level_ids[position], level_number,
+                                       separators, children=children,
+                                       high_key=high, right_id=right_id))
         root_id = ids[-1][0]
         root_level = len(levels) - 1
-        puts.append(effects.Put(INDEX_SPACE, self._root_key(), (root_id, root_level)))
+        keys.append(self._root_key())
+        nodes.append((root_id, root_level))
         chunk_size = 512
-        for i in range(0, len(puts), chunk_size):
-            yield effects.Batch(puts[i : i + chunk_size])
+        for i in range(0, len(keys), chunk_size):
+            yield effects.multi_put(INDEX_SPACE, keys[i : i + chunk_size],
+                                    nodes[i : i + chunk_size])
         self._root_cache = (root_id, root_level)
         self.cache.clear()
         return total

@@ -68,6 +68,7 @@ KERNEL_CLASS_SEEDS: Set[Symbol] = {
 #: dropping the result is the same bug as dropping a constructor call.
 EFFECT_FACTORY_SEEDS: Set[Symbol] = {
     ("repro.effects", "multi_get"),
+    ("repro.effects", "multi_put"),
 }
 
 

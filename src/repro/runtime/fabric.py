@@ -100,37 +100,32 @@ class _Message:
 
     The kernel calls the message itself at service time (a bound
     ``apply`` would be one more object per message kept alive across
-    simulated time).  It carries ``members[p]`` for each ``p`` in
-    ``positions``: store requests, or -- with ``space`` set -- the keys
-    of a columnar read; ``pids[p]`` is member ``p``'s partition and
-    ``writes`` the positions of its replicated writes.  Results land in
-    the sender's batch-wide columns: ``values[p]`` (plus ``versions[p]``
-    for a columnar read); a :class:`~repro.errors.TellError` lands in
-    ``error``.
+    simulated time).  It carries ``request`` -- one single-key store
+    request, or a :class:`~repro.effects.Batch` of which it serves the
+    keys at ``positions`` -- with ``pids[p]`` key ``p``'s partition.
+    Results land in the sender's batch-wide columns, ``results[p]`` and
+    ``versions[p]`` (a single-key request's result is ``results[0]``);
+    a :class:`~repro.errors.TellError` lands in ``error``.
     """
 
-    __slots__ = ("fabric", "node_id", "positions", "pids", "members",
-                 "space", "writes", "values", "versions", "error")
+    __slots__ = ("fabric", "node_id", "request", "positions", "pids",
+                 "results", "versions", "error")
 
-    def __init__(self, fabric: "SimFabric", node_id: int,
+    def __init__(self, fabric: "SimFabric", node_id: int, request: Any,
                  positions: Sequence[int], pids: List[int],
-                 members: List[Any], space: Optional[str],
-                 writes: List[int], values: List[Any],
-                 versions: Optional[List[int]]) -> None:
+                 results: List[Any], versions: Optional[List[int]]) -> None:
         self.fabric = fabric
         self.node_id = node_id
+        self.request = request
         self.positions = positions
         self.pids = pids
-        self.members = members
-        self.space = space
-        self.writes = writes
-        self.values = values
+        self.results = results
         self.versions = versions
         self.error: Optional[BaseException] = None
 
     def apply(self) -> None:
         """Serve the message on its node, then drop what it carried."""
-        positions, pids, members = self.positions, self.pids, self.members
+        positions, pids, request = self.positions, self.pids, self.request
         node_id = self.node_id
         fabric = self.fabric
         cluster = fabric.cluster
@@ -150,28 +145,25 @@ class _Message:
                         raise WrongOwner(
                             pid, node_id, cluster.partition_map.epoch
                         )
-                for position in self.writes:
-                    pid = pids[position]
-                    if assignments[pid].replicas[0] != node_id:
-                        raise WrongOwner(
-                            pid, node_id, cluster.partition_map.epoch
-                        )
+                if request.is_write:
+                    for position in positions:
+                        pid = pids[position]
+                        if assignments[pid].replicas[0] != node_id:
+                            raise WrongOwner(
+                                pid, node_id, cluster.partition_map.epoch
+                            )
             target = cluster.nodes[node_id]  # as of now, not send time
-            space, versions = self.space, self.versions
-            if space is not None and versions is not None:
-                target.do_get_columns(space, members, pids, positions,
-                                      self.values, versions)
+            versions = self.versions
+            if versions is not None:
+                cluster.serve_batch(target, request, pids, positions,
+                                    self.results, versions)
             else:
-                values = self.values
-                for position in positions:
-                    values[position] = members[position].apply(
-                        target, pids[position]
-                    )
-                for position in self.writes:
-                    cluster.replicate(members[position], pids[position])
+                self.results[0] = request.apply(target, pids[0])
+                if request.is_write:
+                    cluster.replicate(pids[0], request.space, request.key)
         except TellError as exc:
             self.error = exc
-        del self.positions, self.pids, self.members, self.writes
+        del self.positions, self.pids, self.request
 
     __call__ = apply
 
@@ -199,6 +191,9 @@ class SimFabric:
         # Per-run constants of the CM round trip, hoisted off the hot path.
         self._cm_wire_us = self.profile.one_way(CM_MESSAGE_BYTES)
         self._cm_service_us = SN_SERVICE_CM_US + self.profile.server_cpu_per_msg_us
+        # ... and of the synchronous-replication hop (request, ack).
+        self._repl_wire_us = self.profile.one_way(64)
+        self._repl_ack_us = self.profile.one_way(32)
         #: Set by the elastic coordinator when live topology change is in
         #: play.  Arms the apply-time ownership guard in
         #: :meth:`_send_group`: a request that was routed before a
@@ -233,7 +228,7 @@ class SimFabric:
                 yield Delay(wait)
             if message.error is not None:
                 raise message.error
-            return message.values[0]
+            return message.results[0]
         if kind == KIND_COMPUTE:
             now = self.sim.now
             _start, end = pn_pool.reserve(now, request.duration)
@@ -244,32 +239,7 @@ class SimFabric:
             yield Delay(request.duration)
             return None
         if kind == KIND_BATCH:
-            # A one-key columnar read is one message either way; the
-            # batch path serves it without a Get or a (value, version)
-            # pair.
-            keys = request.keys
-            if self.config.batching and (
-                keys is not None or request.op_count > 1
-            ):
-                return (yield from self._perform_batch(pn_pool, request))
-            # Nothing to batch: one round trip per op.
-            if keys is None:
-                results = []
-                for op in request.ops:
-                    results.append(
-                        (yield from self.perform(pn_pool, cm_index, op, pn_id))
-                    )
-                return results
-            space = request.get_space
-            values: List[Any] = []
-            versions: List[int] = []
-            for key in keys:
-                value, version = yield from self.perform(
-                    pn_pool, cm_index, effects.Get(space, key), pn_id
-                )
-                values.append(value)
-                versions.append(version)
-            return values, versions
+            return (yield from self._perform_batch(pn_pool, request))
         if kind == KIND_SCAN:
             return (yield from self._perform_scan(pn_pool, request))
         # Remaining kinds are the commit-manager round trips.
@@ -299,126 +269,105 @@ class SimFabric:
         if client_cpu > 0:
             _s, t_send = pn_pool.reserve(t_send, client_cpu)
         message, t_done = self._send_group(
-            t_send, node_id, _ONLY_MEMBER, [partition_id], [op], None,
-            [None], None,
+            t_send, node_id, op, _ONLY_MEMBER, [partition_id], [None], None,
         )
         if client_cpu > 0:
             _s, t_done = pn_pool.reserve(t_done, client_cpu)
         return message, t_done - now
 
-    def prepare_batch(
-        self, pn_pool: CorePool, batch: effects.Batch,
-        values: List[Any], versions: Optional[List[int]],
-    ) -> Tuple[List[_Message], float]:
-        """Send a batch grouped per target storage node, one message
-        each; returns ``(messages, wait_us)``.
-
-        The members (the ops of an op-list batch, the keys of a columnar
-        one), their partition ids and the result columns ``values`` /
-        ``versions`` are batch-wide parallel lists, and a node's group is
-        the list of its members' positions, so nothing per member
-        references a request or a result.  None of them outlives the
-        messages: the sender keeps only the columns.
-        """
-        space = batch.get_space
-        members = batch.keys
-        if members is None:
-            members = batch.ops
-            keys: List[Any] = [op.key for op in members]
-        else:
-            keys = members
-        pids, groups = self.cluster.group_by_master(keys)
-        now = self.sim.now
-        # Send-side CPU: one charge per outgoing message.
-        t_send = now
-        client_cpu = self.profile.client_cpu_per_msg_us
-        if client_cpu > 0:
-            for _ in groups:
-                _s, t_send = pn_pool.reserve(t_send, client_cpu)
-        messages = []
-        t_done = t_send
-        for node_id, positions in groups.items():
-            message, t_response = self._send_group(
-                t_send, node_id, positions, pids, members, space,
-                values, versions,
-            )
-            messages.append(message)
-            if t_response > t_done:
-                t_done = t_response
-        # Receive-side CPU, one charge per response message.
-        if client_cpu > 0:
-            for _ in groups:
-                _s, t_done = pn_pool.reserve(t_done, client_cpu)
-        return messages, t_done - now
-
     def _perform_batch(
         self, pn_pool: CorePool, batch: effects.Batch
     ) -> Generator:
-        """A batch as one message per storage node; resolves per
-        :class:`~repro.effects.Batch`'s result contract."""
-        count = batch.op_count
-        values: List[Any] = [None] * count
-        versions = None if batch.keys is None else [0] * count
-        messages, wait = self.prepare_batch(pn_pool, batch, values, versions)
-        if wait > 0:
-            yield Delay(wait)
-        error: Optional[BaseException] = None
-        for message in messages:
-            if message.error is not None:
-                error = message.error
-        if error is not None:
-            raise error
-        return values if versions is None else (values, versions)
+        """A batch as one message per storage node -- with batching off,
+        one round trip per key, in key order, as the single-key requests
+        it stands for; resolves per :class:`~repro.effects.Batch`'s
+        result contract.
+
+        The keys, their partition ids and the result columns are
+        batch-wide parallel lists and a message carries the positions of
+        its keys, so nothing per key references a request or a result;
+        the sender keeps only the columns.
+        """
+        count = len(batch.keys)
+        results: List[Any] = [None] * count
+        versions = [0] * count
+        pids, groups = self.cluster.group_by_master(batch.keys)
+        rounds = [groups]
+        if not self.config.batching:
+            master = {p: node for node, group in groups.items() for p in group}
+            rounds = [{master[p]: [p]} for p in range(count)]
+        client_cpu = self.profile.client_cpu_per_msg_us
+        for round_groups in rounds:
+            now = self.sim.now
+            # Send-side CPU: one charge per outgoing message.
+            t_send = now
+            if client_cpu > 0:
+                for _ in round_groups:
+                    _s, t_send = pn_pool.reserve(t_send, client_cpu)
+            messages = []
+            t_done = t_send
+            for node_id, positions in round_groups.items():
+                message, t_response = self._send_group(
+                    t_send, node_id, batch, positions, pids, results, versions,
+                )
+                messages.append(message)
+                if t_response > t_done:
+                    t_done = t_response
+            # Receive-side CPU, one charge per response message.
+            if client_cpu > 0:
+                for _ in round_groups:
+                    _s, t_done = pn_pool.reserve(t_done, client_cpu)
+            wait = t_done - now
+            if wait > 0:
+                yield Delay(wait)
+            errors = [m.error for m in messages if m.error is not None]
+            if errors:
+                raise errors[-1]
+        return results, versions
 
     def _send_group(
         self,
         now: float,
         node_id: int,
+        request: Any,
         positions: Sequence[int],
         pids: List[int],
-        members: List[Any],
-        space: Optional[str],
-        values: List[Any],
+        results: List[Any],
         versions: Optional[List[int]],
     ) -> Tuple[_Message, float]:
         """Schedule one request message; returns (message, t_response).
 
-        The message carries ``members[p]`` for each ``p`` in
-        ``positions``: store requests, or -- with ``space`` set -- the
-        keys of a columnar read, each served as the ``Get`` it stands
-        for; ``pids[p]`` is member ``p``'s partition, and its result
-        lands in ``values[p]`` (and ``versions[p]``).
+        ``request`` is one single-key store request (``versions`` None,
+        its result lands in ``results[0]``) or a batch, of which the
+        message carries the keys at ``positions``: key ``p`` lives in
+        partition ``pids[p]`` and its result lands in ``results[p]`` and
+        ``versions[p]``.
         """
         profile = self.profile
         cluster = self.cluster
         node = cluster.nodes[node_id]
-        pool = self.sn_pools[node_id]
-        service_us_read = node.service_us_read
-        service_us_write = node.service_us_write
-
-        # One pass over the members computes wire size, service time, and
-        # the replicated-write set (positions) together.  Service time
-        # accumulates per member: a product would round differently.
-        request_bytes = 0
-        service = profile.server_cpu_per_msg_us
-        response_bytes = 16
-        writes: List[int] = []
-        if space is not None:
-            for position in positions:
-                request_bytes += 24 + approx_size(members[position])
-                service += service_us_read
-            response_bytes += READ_RESPONSE_BYTES * len(positions)
+        is_write = request.is_write
+        if versions is None:
+            request_bytes = request_size(request)
         else:
+            keys, values = request.keys, request.values
+            request_bytes = 24 * len(positions)
             for position in positions:
-                op = members[position]
-                request_bytes += request_size(op)
-                if op.is_write:
-                    service += service_us_write
-                    response_bytes += WRITE_RESPONSE_BYTES
-                    writes.append(position)
-                else:
-                    service += service_us_read
-                    response_bytes += READ_RESPONSE_BYTES
+                request_bytes += approx_size(keys[position])
+            if is_write:
+                for position in positions:
+                    request_bytes += approx_size(values[position])
+        # Service time accumulates per key: a product would round
+        # differently.
+        service = profile.server_cpu_per_msg_us
+        if is_write:
+            service_us = node.service_us_write
+            response_bytes = 16 + WRITE_RESPONSE_BYTES * len(positions)
+        else:
+            service_us = node.service_us_read
+            response_bytes = 16 + READ_RESPONSE_BYTES * len(positions)
+        for _ in positions:
+            service += service_us
 
         stats = self.stats
         stats.messages += 1
@@ -427,7 +376,7 @@ class SimFabric:
 
         t_arrive = now + profile.one_way(request_bytes)
 
-        start = pool.earliest(t_arrive)
+        pool = self.sn_pools[node_id]
         # Synchronous replication: the master worker is held until every
         # backup acknowledged (RAMCloud-style), so the wait extends the
         # reservation -- this is what throttles write capacity and
@@ -436,27 +385,28 @@ class SimFabric:
         # the ``REPL_WRITE_AMP`` factor plus a fixed per-put cost), and a
         # master pipelines its group's puts one at a time.
         repl_extra = 0.0
-        if writes and cluster.replication_factor > 1:
+        if is_write and cluster.replication_factor > 1:
             backup_targets: Dict[int, int] = {}
-            backups_of = cluster.partition_map.backups_of
-            for position in writes:
-                for backup_id in backups_of(pids[position]):
+            assignments = cluster.partition_map.assignments
+            for position in positions:
+                for backup_id in assignments[pids[position]].replicas[1:]:
                     backup_targets[backup_id] = backup_targets.get(backup_id, 0) + 1
-            sent = start + service
+            sent = pool.earliest(t_arrive) + service
+            repl_wire_us, repl_ack_us = self._repl_wire_us, self._repl_ack_us
             for backup_id, write_count in backup_targets.items():
                 backup_node = cluster.nodes[backup_id]
                 backup_pool = self.sn_pools[backup_id]
-                b_arrive = sent + profile.one_way(64)
+                b_arrive = sent + repl_wire_us
                 backup_service = write_count * (
                     backup_node.service_us_write * REPL_WRITE_AMP
                     + REPL_FIXED_US
                 )
                 _bs, b_end = backup_pool.reserve(b_arrive, backup_service)
-                repl_extra += max(0.0, b_end + profile.one_way(32) - sent)
+                repl_extra += max(0.0, b_end + repl_ack_us - sent)
         _s, t_service_end = pool.reserve(t_arrive, service + repl_extra)
 
-        message = _Message(self, node_id, positions, pids, members, space,
-                           writes, values, versions)
+        message = _Message(self, node_id, request, positions, pids, results,
+                           versions)
         self.sim.call_at(t_service_end, message)
         t_response = t_service_end + profile.one_way(response_bytes)
         return message, t_response

@@ -54,20 +54,18 @@ class VersionChainSanitizer(Interceptor):
         kind = kind_of(request)
         if kind == KIND_STORE:
             self._check_outgoing(request)
-        elif kind == KIND_BATCH and request.keys is None:
-            for op in request.ops:  # a columnar read ships no record
-                self._check_outgoing(op)
+        elif kind == KIND_BATCH and request.batch_space == DATA_SPACE \
+                and request.is_write:
+            for key, value in zip(request.keys, request.values):
+                self.check_record(key, value, origin="write")
         result = yield from next(request)
         if kind == KIND_STORE:
             self._check_result(request, result)
-        elif kind == KIND_BATCH:
-            if request.keys is None:
-                for op, value in zip(request.ops, result):
-                    self._check_result(op, value)
-            elif request.get_space == DATA_SPACE:
-                for key, value in zip(request.keys, result[0]):
-                    if value is not None:
-                        self.check_record(key, value, origin="read")
+        elif kind == KIND_BATCH and request.batch_space == DATA_SPACE \
+                and not request.is_write:
+            for key, value in zip(request.keys, result[0]):
+                if value is not None:
+                    self.check_record(key, value, origin="read")
         elif kind == KIND_SCAN and request.space == DATA_SPACE \
                 and request.snapshot is None:  # raw Scan
             for key, record, _cell_version in result:

@@ -65,11 +65,16 @@ class GCSanitizer(Interceptor):
         result = yield from next(request)
         if kind == KIND_STORE:
             self._observe(id(ctx), request, result)
-        elif kind == KIND_BATCH and request.keys is None:
-            # Only an op-list batch can prune: a columnar read writes
-            # nothing.
-            for op, value in zip(request.ops, result):
-                self._observe(id(ctx), op, value)
+        elif kind == KIND_BATCH and request.batch_space == DATA_SPACE \
+                and request.expected is not None:
+            # Only a store-conditional put batch can prune: a read writes
+            # nothing, and an unconditional put is a bulk load.
+            oks, _versions = result
+            for key, record, expected, ok in zip(
+                request.keys, request.values, request.expected, oks
+            ):
+                if ok:
+                    self._check_prune(id(ctx), key, record, expected)
         return result
 
     def _observe(self, ctx_key: int, op: Any, result: Any) -> None:
@@ -78,7 +83,8 @@ class GCSanitizer(Interceptor):
         if isinstance(op, effects.PutIfVersion):
             ok, _new_version = result
             if ok:
-                self._check_prune(ctx_key, op)
+                self._check_prune(ctx_key, op.key, op.value,
+                                  op.expected_version)
         elif isinstance(op, effects.DeleteIfVersion):
             ok, _current = result
             if ok:
@@ -86,12 +92,13 @@ class GCSanitizer(Interceptor):
 
     # -- version pruning -------------------------------------------------
 
-    def _check_prune(self, ctx_key: int, op: Any) -> None:
+    def _check_prune(self, ctx_key: int, key: Any, record: Any,
+                     expected: int) -> None:
         shadow = self.shadow
-        sc = shadow.cells.get(op.key)
-        if sc is None or sc.cell_version != op.expected_version:
+        sc = shadow.cells.get(key)
+        if sc is None or sc.cell_version != expected:
             return  # shadow not in sync with the overwritten state
-        written = set(op.value.version_numbers())
+        written = set(record.version_numbers())
         removed = set(sc.versions) - written
         if not removed:
             return
@@ -105,10 +112,10 @@ class GCSanitizer(Interceptor):
             if owner is not None:
                 self.log.violation(
                     "GC-REMOVED-ACTIVE",
-                    f"write to {op.key!r} removed version {tid}, which "
+                    f"write to {key!r} removed version {tid}, which "
                     f"belongs to a still-active transaction (writer: "
                     f"{writer_tid})",
-                    key=op.key, removed=tid, writer=writer_tid,
+                    key=key, removed=tid, writer=writer_tid,
                 )
                 continue
             finished = shadow.finished.get(tid)
@@ -117,13 +124,13 @@ class GCSanitizer(Interceptor):
             if true_lav is not None and tid > true_lav:
                 self.log.violation(
                     "GC-ABOVE-LAV",
-                    f"write to {op.key!r} pruned committed version {tid} "
+                    f"write to {key!r} pruned committed version {tid} "
                     f"although the true lowest active version is "
                     f"{true_lav} -- an active snapshot may still need it",
-                    key=op.key, removed=tid, true_lav=true_lav,
+                    key=key, removed=tid, true_lav=true_lav,
                     writer=writer_tid,
                 )
-            self._check_live_readers(op.key, sc, tid, writer_tid)
+            self._check_live_readers(key, sc, tid, writer_tid)
 
     def _check_live_readers(self, key: Any, sc: ShadowCell, removed: int,
                             writer_tid: Optional[int]) -> None:

@@ -108,11 +108,11 @@ class SISanitizer(Interceptor):
             # The request may have half-applied (a batch's groups apply
             # independently); every referenced data cell becomes a blind
             # spot until re-observed.  A columnar read writes nothing.
-            if kind == KIND_BATCH and request.keys is None:
-                for op in request.ops:
-                    if op.is_write and op.space == DATA_SPACE:
-                        self.shadow.drop(op.key)
-                        self.log.reconcile("batch-error-drop")
+            if kind == KIND_BATCH and request.is_write \
+                    and request.batch_space == DATA_SPACE:
+                for key in request.keys:
+                    self.shadow.drop(key)
+                    self.log.reconcile("batch-error-drop")
             elif kind == KIND_STORE and request.is_write \
                     and request.space == DATA_SPACE:
                 self.shadow.drop(request.key)
@@ -122,16 +122,8 @@ class SISanitizer(Interceptor):
             self._on_start(ctx_key, ctx.pn_id, result)
         elif kind == KIND_STORE:
             self._observe(ctx_key, request, result)
-        elif kind == KIND_BATCH:
-            if request.keys is None:
-                for op, value in zip(request.ops, result):
-                    self._observe(ctx_key, op, value)
-            elif request.get_space == DATA_SPACE:
-                values, versions = result
-                for key, value, cell_version in zip(
-                    request.keys, values, versions
-                ):
-                    self._observe_get(ctx_key, key, value, cell_version)
+        elif kind == KIND_BATCH and request.batch_space == DATA_SPACE:
+            self._observe_batch(ctx_key, request, result)
         elif kind == KIND_SCAN:
             self._observe_scan(ctx_key, request, result)
         return result
@@ -211,14 +203,35 @@ class SISanitizer(Interceptor):
             value, cell_version = result
             self._observe_get(ctx_key, op.key, value, cell_version)
         elif isinstance(op, effects.PutIfVersion):
-            self._observe_put_if(ctx_key, op, result)
+            ok, new_version = result
+            self._observe_put_if(ctx_key, op.key, op.value,
+                                 op.expected_version, ok, new_version)
         elif isinstance(op, effects.DeleteIfVersion):
             self._observe_delete_if(ctx_key, op, result)
         elif isinstance(op, effects.Put):
-            record = op.value
-            payloads = {v.tid: v.payload for v in record.versions}
-            self.shadow.adopt(op.key, payloads, result)
-            self.log.reconcile("unconditional-put")
+            self._observe_put(op.key, op.value, result)
+
+    def _observe_batch(self, ctx_key: int, batch: Any, result: Any) -> None:
+        """Each key of a data-space batch, as the single-key request it
+        stands for."""
+        column, versions = result
+        values, expected = batch.values, batch.expected
+        for position, key in enumerate(batch.keys):
+            if values is None:
+                self._observe_get(ctx_key, key, column[position],
+                                  versions[position])
+            elif expected is None:
+                self._observe_put(key, values[position], versions[position])
+            else:
+                self._observe_put_if(
+                    ctx_key, key, values[position], expected[position],
+                    column[position], versions[position],
+                )
+
+    def _observe_put(self, key: Any, record: Any, cell_version: int) -> None:
+        payloads = {v.tid: v.payload for v in record.versions}
+        self.shadow.adopt(key, payloads, cell_version)
+        self.log.reconcile("unconditional-put")
 
     def _observe_get(self, ctx_key: int, key: Any, value: Any,
                      cell_version: int) -> None:
@@ -277,18 +290,16 @@ class SISanitizer(Interceptor):
             # already ahead; the observation is stale but not wrong.
             self.log.reconcile("stale-read")
 
-    def _observe_put_if(self, ctx_key: int, op: Any, result: Any) -> None:
-        ok, new_version = result
+    def _observe_put_if(self, ctx_key: int, key: Any, record: Any,
+                        expected: int, ok: bool, new_version: int) -> None:
         if not ok:
             return
         shadow = self.shadow
-        key = op.key
-        record = op.value
         written = {v.tid: v.payload for v in record.versions}
         sc = shadow.cells.get(key)
         view = shadow.current(ctx_key)
-        if sc is not None and op.expected_version != sc.cell_version:
-            if op.expected_version > sc.cell_version:
+        if sc is not None and expected != sc.cell_version:
+            if expected > sc.cell_version:
                 self.log.reconcile("unobserved-write")
             elif new_version > sc.cell_version:
                 # The store accepted an LL token older than a write the
@@ -298,11 +309,11 @@ class SISanitizer(Interceptor):
                 self.log.violation(
                     "SI-STALE-SC",
                     f"PutIfVersion on {key!r} succeeded with expected "
-                    f"version {op.expected_version} although the cell "
+                    f"version {expected} although the cell "
                     f"was already at {sc.cell_version}; the "
                     f"store-conditional version check did not reject a "
                     f"stale LL token",
-                    key=key, expected=op.expected_version,
+                    key=key, expected=expected,
                     shadow_version=sc.cell_version,
                     writer=view.tid if view is not None else None,
                 )
@@ -311,7 +322,7 @@ class SISanitizer(Interceptor):
                 return
         if view is not None and not view.tainted:
             if view.tid in written:
-                view.writes[key] = op.expected_version
+                view.writes[key] = expected
                 if key not in view.applied:
                     view.applied.append(key)
             elif key in view.applied:

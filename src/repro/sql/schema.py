@@ -18,6 +18,12 @@ from repro.errors import ConflictError, SchemaError
 from repro.sql.types import ColumnType, coerce
 
 
+#: The class ``coerce`` stores a column type's values as (float for
+#: FLOAT, DECIMAL and TIMESTAMP).
+_STORAGE_CLASS = {ColumnType.INT: int, ColumnType.BIGINT: int,
+                  ColumnType.TEXT: str, ColumnType.BOOL: bool}
+
+
 class Column:
     """One column definition."""
 
@@ -90,6 +96,12 @@ class TableSchema:
         self._pk_positions: Tuple[int, ...] = tuple(
             self._positions[name] for name in self.primary_key
         )
+        # make_row's plan, per column: (name, storage class, column);
+        # ``coerce`` is the identity on values of exactly that class.
+        self._row_plan: List[Tuple[str, type, Column]] = [
+            (column.name, _STORAGE_CLASS.get(column.type, float), column)
+            for column in self.columns
+        ]
         # index name -> column positions, filled lazily by index_positions
         self._index_positions: Dict[str, Tuple[int, ...]] = {}
         self.indexes: List[IndexDef] = []
@@ -133,10 +145,11 @@ class TableSchema:
             provided = values
         row: List[Any] = []
         append = row.append
-        for column in self.columns:
-            name = column.name
+        for name, storage_class, column in self._row_plan:
             if name in provided:
-                value = coerce(provided[name], column.type, name)
+                value = provided[name]
+                if value.__class__ is not storage_class:
+                    value = coerce(value, column.type, name)
             else:
                 value = column.default
             if value is None and not column.nullable:

@@ -87,10 +87,10 @@ def approx_size(value: Any) -> int:
 
 def request_size(request: Request) -> int:
     """Estimated wire size of ``request``: a 24-byte header plus the key
-    and, for puts, the value payload.  A batch is the sum of its
-    operations (a columnar one's keys are sized as the Gets they stand
-    for); a request without a key (commit-manager and local effects) is
-    header only.
+    and, for puts, the value payload.  A batch is the sum of the
+    single-key requests its keys stand for (a ``Get`` per read key, a
+    ``Put`` / ``PutIfVersion`` per written one); a request without a key
+    (commit-manager and local effects) is header only.
 
     The simulated fabric charges bandwidth by this for every store op it
     ships, and the dispatch trace reports the same figure per request
@@ -100,10 +100,8 @@ def request_size(request: Request) -> int:
     if kind > KIND_SCAN:
         return 24
     if kind == KIND_BATCH:
-        keys = request.keys
-        if keys is not None:  # columnar: the Gets it stands for
-            return sum([24 + approx_size(key) for key in keys])
-        return sum(request_size(op) for op in request.ops)
+        return (sum([24 + approx_size(key) for key in request.keys])
+                + sum([approx_size(value) for value in request.values or ()]))
     if request.ships_value:
         return 24 + approx_size(request.key) + approx_size(request.value)
     return 24 + approx_size(request.key)

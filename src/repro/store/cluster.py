@@ -10,23 +10,25 @@ architecture (Figure 3).  It executes the storage requests defined in
   request is acknowledged (in-memory storage must replicate synchronously
   to be durable, Section 4.4.2);
 * scans fan out to every master holding a slice of the space;
-* batches group single-key operations into one round trip.
+* batches serve many keys of one space in one round trip per node.
 
 Under the direct runner the cluster executes requests itself via
 :meth:`execute`.  The simulation driver instead routes a single key the
 way :meth:`routing` does (inlined) and a batch with
-:meth:`group_by_master`, runs the node operations on each node at the
-right simulated instant and then calls :meth:`replicate`.
+:meth:`group_by_master`, and at the right simulated instant runs a
+single-key op (then :meth:`replicate`) or a node's keys of a batch
+(:meth:`serve_batch`).
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import effects
 from repro.effects import KIND_BATCH, KIND_SCAN, kind_of
 from repro.errors import InvalidState, NodeUnavailable
+from repro.store.cell import approx_size
 from repro.store.node import StorageNode
 from repro.store.partition import HashPartitioner, PartitionMap
 
@@ -121,23 +123,41 @@ class StorageCluster:
         kind = kind_of(op)
         if kind == KIND_BATCH:
             keys = op.keys
-            if keys is None:
-                return [self.execute(sub) for sub in op.ops]
-            values: List[Any] = [None] * len(keys)
+            results: List[Any] = [None] * len(keys)
             versions: List[int] = [0] * len(keys)
             pids, groups = self.group_by_master(keys)
             for node_id, positions in groups.items():
-                self.nodes[node_id].do_get_columns(
-                    op.get_space, keys, pids, positions, values, versions
-                )
-            return values, versions
+                self.serve_batch(self.nodes[node_id], op, pids, positions,
+                                 results, versions)
+            return results, versions
         if kind == KIND_SCAN:
             return self.execute_scan(op)
         partition_id, node_id = self.routing(op)
         result = op.apply(self.nodes[node_id], partition_id)
         if op.is_write:
-            self.replicate(op, partition_id)
+            self.replicate(partition_id, op.space, op.key)
         return result
+
+    def serve_batch(self, node: StorageNode, batch: effects.Batch,
+                    pids: List[int], positions: Sequence[int],
+                    results: List[Any], versions: List[int]) -> None:
+        """Serve the keys of ``batch`` at ``positions`` on their master
+        ``node`` in one loop, filling the result columns; each written
+        cell is copied to the backups.  Both drivers serve batches here."""
+        space, keys, values = batch.batch_space, batch.keys, batch.values
+        if values is None:
+            node.do_get_columns(space, keys, pids, positions, results,
+                                versions)
+            return
+        expected = batch.expected
+        put = node.do_put_if_version
+        for position in positions:
+            pid, key = pids[position], keys[position]
+            results[position], versions[position] = put(
+                pid, space, key, values[position],
+                None if expected is None else expected[position],
+            )
+            self.replicate(pid, space, key)
 
     def execute_scan(self, op: effects.Scan) -> List[Tuple[Any, Any, int]]:
         """Scan every partition and merge the sorted slices."""
@@ -154,23 +174,24 @@ class StorageCluster:
 
     # -- replication -----------------------------------------------------------
 
-    def replicate(self, op: effects.StoreRequest, partition_id: int) -> None:
-        """Synchronously copy the op's cell to every backup replica.
+    def replicate(self, partition_id: int, space: str, key: Any) -> None:
+        """Synchronously copy the cell of ``key`` to every backup replica.
 
         Mirrors RAMCloud's behaviour: the master acknowledges a write only
         after the backups hold it.  Timing is accounted by the simulation
-        driver; here we only install the state.
+        driver; here we only install the state.  The master's value is
+        sized once for all backups.
         """
-        backups = self.partition_map.backups_of(partition_id)
-        if not backups:
+        replicas = self.partition_map.assignments[partition_id].replicas
+        if len(replicas) < 2:
             return
-        master = self.nodes[self.partition_map.master_of(partition_id)]
-        cells = master.partition(partition_id).space(op.space)
-        cell = cells.get(op.key)
-        for backup_id in backups:
-            backup = self.nodes[backup_id]
+        nodes = self.nodes
+        cell = nodes[replicas[0]].partition(partition_id).space(space).get(key)
+        size = 0 if cell is None else approx_size(cell.value)
+        for index in range(1, len(replicas)):
+            backup = nodes[replicas[index]]
             if backup.alive:
-                backup.copy_cell(partition_id, op.space, op.key, cell)
+                backup.copy_cell(partition_id, space, key, cell, size)
                 self.replication_copies += 1
 
     # -- introspection -----------------------------------------------------------

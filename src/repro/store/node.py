@@ -190,29 +190,23 @@ class StorageNode:
         cell: Optional[Cell],
         value: Any,
         version: int,
+        size: int,
     ) -> None:
-        """The one create-or-replace path (``cell`` is ``cells.get(key)``):
-        charge first, so a write over capacity raises :class:`NoCapacity`
-        with nothing changed."""
+        """The one create-or-replace path (``cell`` is ``cells.get(key)``,
+        ``size`` is ``approx_size(value)``): charge first, so a write over
+        capacity raises :class:`NoCapacity` with nothing changed."""
         if cell is None:
-            self._charge(store, approx_size(value) + approx_size(key))
+            self._charge(store, size + approx_size(key))
             cells[key] = Cell(value, version)
             store.invalidate_scan_cache(space)
             return
         # Replacing in place: the key's size cancels out of the delta.
-        self._charge(store, approx_size(value) - approx_size(cell.value))
+        self._charge(store, size - approx_size(cell.value))
         cell.value = value
         cell.version = version
 
     def do_put(self, partition_id: int, space: str, key: Any, value: Any) -> int:
-        self._check_alive()
-        self.ops_write += 1
-        store = self.partition(partition_id)
-        cells = store.space(space)
-        cell = cells.get(key)
-        version = 1 if cell is None else cell.version + 1
-        self._install(store, space, cells, key, cell, value, version)
-        return version
+        return self.do_put_if_version(partition_id, space, key, value, None)[1]
 
     def do_put_if_version(
         self,
@@ -220,18 +214,20 @@ class StorageNode:
         space: str,
         key: Any,
         value: Any,
-        expected_version: int,
+        expected_version: Optional[int],
     ) -> Tuple[bool, int]:
-        """Store-conditional: apply only if the cell version matches."""
+        """Store-conditional: apply only if the cell version matches
+        (``expected_version`` None: unconditionally, as :meth:`do_put`)."""
         self._check_alive()
         self.ops_write += 1
         store = self.partition(partition_id)
         cells = store.space(space)
         cell = cells.get(key)
         current = 0 if cell is None else cell.version
-        if current != expected_version:
+        if expected_version is not None and current != expected_version:
             return False, current
-        self._install(store, space, cells, key, cell, value, current + 1)
+        self._install(store, space, cells, key, cell, value, current + 1,
+                      approx_size(value))
         return True, current + 1
 
     def do_delete(self, partition_id: int, space: str, key: Any) -> bool:
@@ -327,14 +323,19 @@ class StorageNode:
 
     # -- replication support ------------------------------------------------
 
-    def copy_cell(self, partition_id: int, space: str, key: Any, cell: Optional[Cell]) -> None:
-        """Install a replica copy of a cell (None deletes)."""
+    def copy_cell(self, partition_id: int, space: str, key: Any,
+                  cell: Optional[Cell], size: Optional[int] = None) -> None:
+        """Install a replica copy of a cell (None deletes).  ``size`` is
+        ``approx_size(cell.value)`` when the caller measured it once for
+        every replica."""
         self._check_alive()
         store = self.host_partition(partition_id)
         cells = store.space(space)
         if cell is not None:
+            if size is None:
+                size = approx_size(cell.value)
             self._install(store, space, cells, key, cells.get(key),
-                          cell.value, cell.version)
+                          cell.value, cell.version, size)
             return
         old = cells.pop(key, None)
         if old is not None:

@@ -100,10 +100,6 @@ class PartitionAssignment:
     def master(self) -> int:
         return self.replicas[0]
 
-    @property
-    def backups(self) -> List[int]:
-        return self.replicas[1:]
-
 
 class Handoff:
     """One in-flight partition handoff: ``dst`` takes over ``src``'s slot.
@@ -168,9 +164,6 @@ class PartitionMap:
 
     def master_of(self, partition_id: int) -> int:
         return self.assignments[partition_id].master
-
-    def backups_of(self, partition_id: int) -> List[int]:
-        return self.assignments[partition_id].backups
 
     def replicas_of(self, partition_id: int) -> List[int]:
         return list(self.assignments[partition_id].replicas)

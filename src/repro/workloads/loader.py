@@ -37,22 +37,22 @@ class BulkLoader:
         (re)build every index of the table.
 
         Returns the number of rows loaded.  Rids are assigned sequentially
-        from 1 in input order; each batch's ``Put``s are built when it is
+        from 1 in input order; each batch's records are built when it is
         sent.
         """
         schema = self.catalog.table(table_name)
         table_id = schema.table_id
         rows = list(payloads)
         size = self.batch_size
+        initial = VersionedRecord.initial
         for start in range(0, len(rows), size):
-            yield effects.Batch([
-                effects.Put(
-                    DATA_SPACE,
-                    data_key(table_id, rid),
-                    VersionedRecord.initial(LOAD_VERSION, payload),
-                )
-                for rid, payload in enumerate(rows[start : start + size], start + 1)
-            ])
+            chunk = rows[start : start + size]
+            yield effects.multi_put(
+                DATA_SPACE,
+                [data_key(table_id, rid)
+                 for rid in range(start + 1, start + 1 + len(chunk))],
+                [initial(LOAD_VERSION, payload) for payload in chunk],
+            )
         # Advance the rid counter past the loaded rows.
         yield effects.Put(META_SPACE, rid_counter_key(table_id), len(rows))
 

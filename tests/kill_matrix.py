@@ -212,14 +212,27 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
     (
         "store_sc_unconditional",
         "src/repro/store/node.py",
-        "        if current != expected_version:\n"
-        "            return False, current\n"
-        "        self._install(store, space, cells, key, cell, value, "
-        "current + 1)",
-        "        self._install(store, space, cells, key, cell, value, "
-        "current + 1)",
+        "        if expected_version is not None and current != expected_version:\n"
+        "            return False, current\n",
+        "",
         "the store-conditional ignores the expected version: last "
         "writer wins",
+    ),
+    (
+        "txn_commit_puts_unconditional",
+        "src/repro/core/transaction.py",
+        "            DATA_SPACE, keys, records, expected\n",
+        "            DATA_SPACE, keys, records\n",
+        "the commit's put batch drops its expected versions: every "
+        "LL/SC lands and the last writer wins",
+    ),
+    (
+        "batch_put_not_replicated",
+        "src/repro/store/cluster.py",
+        "            self.replicate(pid, space, key)\n",
+        "",
+        "a node's put group never copies its keys to the backups: the "
+        "replicas silently fall behind",
     ),
     (
         "gc_ignores_lav",

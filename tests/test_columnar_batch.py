@@ -2,16 +2,15 @@
 and resolves to ``(values, versions)``.
 
 A ``Batch`` built by :func:`repro.effects.multi_get` stands for one
-``Get`` per key but builds those ``Get``\\ s only when something reads
-``.ops``; every driver serves the keys directly and fills two result
-columns in key order.  These tests pin (1) that nothing per key -- no
-request, no ``(value, version)`` pair, no closure -- stays alive while
-such a read is in flight, and that no read leaves a per-key tuple or
-list in the transaction or the buffer: an object that lives across
-simulated time is promoted to the cycle collector's oldest generation
-and rescanned by every full collection; (2) that every driver returns
-the same columns, and that they hold what the op-list ``Batch`` of the
-same ``Get``\\ s returns one pair per op.
+``Get`` per key but never builds them; every driver serves the keys
+directly and fills two result columns in key order.  These tests pin
+(1) that nothing per key -- no request, no ``(value, version)`` pair, no
+closure -- stays alive while such a read is in flight, and that no read
+leaves a per-key tuple or list in the transaction or the buffer: an
+object that lives across simulated time is promoted to the cycle
+collector's oldest generation and rescanned by every full collection;
+(2) that every driver returns the same columns, and that they hold what
+the same ``Get``\\ s sent one by one return one pair per request.
 """
 
 import gc
@@ -50,7 +49,8 @@ def columnar():
 
 
 def op_list():
-    return effects.Batch([effects.Get(DATA_SPACE, key) for key in KEYS])
+    """The single-key requests the columnar read stands for."""
+    return [effects.Get(DATA_SPACE, key) for key in KEYS]
 
 
 def populated_cluster():
@@ -80,7 +80,8 @@ def cell_holds(cell, target):
 
 
 def simulate(batch, **config):
-    """One batch through a fresh fabric: (result, finish time, stats)."""
+    """One batch (or a list of requests, sent one after the other)
+    through a fresh fabric: (result, finish time, stats)."""
     cluster = populated_cluster()
     sim = Simulator()
     fabric = SimFabric(
@@ -90,7 +91,14 @@ def simulate(batch, **config):
     holder = {}
 
     def proc():
-        holder["value"] = yield from fabric.perform(CorePool(4), 0, batch)
+        pool = CorePool(4)
+        if isinstance(batch, list):
+            results = []
+            for request in batch:
+                results.append((yield from fabric.perform(pool, 0, request)))
+            holder["value"] = results
+        else:
+            holder["value"] = yield from fabric.perform(pool, 0, batch)
         holder["at"] = sim.now
 
     sim.run_until_complete(sim.spawn(proc()))
@@ -167,7 +175,7 @@ def test_no_per_key_request_object_outlives_the_send():
             ),
             "carried": sum(
                 1 for message in messages
-                for part in ("positions", "pids", "members", "writes")
+                for part in ("positions", "pids", "request")
                 if hasattr(message, part)
             ),
         }
@@ -194,7 +202,7 @@ def test_no_per_key_request_object_outlives_the_send():
         assert counts["pairs"] == 0
         assert counts["bound_applies"] == counts["closures"] == 0
         assert counts["member_cells"] == 0
-    assert sent["carried"] == 8 and served["carried"] == 0
+    assert sent["carried"] == 6 and served["carried"] == 0
     values, versions = seen["value"]
     assert values == [stored.get(key) for key in keys]
     assert versions == [1 if key in stored else 0 for key in keys]
@@ -246,22 +254,37 @@ def test_reads_leave_no_per_key_tuple_or_list(name):
         assert not [ref for ref in referrers if isinstance(ref, (tuple, list))]
 
 
+def execute_each(cluster, requests):
+    return [cluster.execute(request) for request in requests]
+
+
 class TestColumnarMatchesOpList:
+    """A columnar read against the list of single ``Get``\\ s it
+    stands for."""
+
     def test_ops_are_the_gets_it_stands_for(self):
         batch = columnar()
-        assert batch.keys == KEYS and batch.op_count == len(KEYS)
-        assert [(op.space, op.key) for op in batch.ops] == [
-            (op.space, op.key) for op in op_list().ops
+        assert batch.keys == KEYS and batch.values is None
+        assert [(batch.batch_space, key) for key in batch.keys] == [
+            (op.space, op.key) for op in op_list()
         ]
-        assert batch.ops is batch.ops  # built once
-        assert repr(batch) == repr(op_list()) == f"Batch({len(KEYS)} ops)"
+        assert repr(batch) == f"Batch(get 'data', {len(KEYS)} keys)"
 
     @pytest.mark.parametrize("config", [{}, {"batching": False}],
                              ids=["batched", "unbatched"])
     def test_same_result_time_and_traffic_through_the_fabric(self, config):
         columns, at, traffic = simulate(columnar(), **config)
         pairs, op_list_at, op_list_traffic = simulate(op_list(), **config)
-        assert (at, traffic) == (op_list_at, op_list_traffic)
+        if config:
+            # Unbatched, the read is those Gets, one round trip each.
+            assert (at, traffic) == (op_list_at, op_list_traffic)
+        else:
+            # Batched: the same operations, bytes and node reads in one
+            # message per node, and so sooner.
+            messages, store_ops, bytes_sent, reads = traffic
+            assert (store_ops, bytes_sent, reads) == op_list_traffic[1:]
+            assert messages == 3 < op_list_traffic[0] == len(KEYS)
+            assert at < op_list_at
         values, versions = columns
         assert [(payload(value), version) for value, version in pairs] == [
             (payload(value), version)
@@ -270,7 +293,7 @@ class TestColumnarMatchesOpList:
 
     def test_same_result_through_storage_cluster_execute(self):
         values, versions = populated_cluster().execute(columnar())
-        pairs = populated_cluster().execute(op_list())
+        pairs = execute_each(populated_cluster(), op_list())
         assert [payload(value) for value, _version in pairs] == [
             payload(value) for value in values
         ]
@@ -295,27 +318,30 @@ class TestColumnarMatchesOpList:
         assert log.clean
 
     def test_same_request_size(self):
-        assert request_size(columnar()) == request_size(op_list())
+        assert request_size(columnar()) == sum(
+            request_size(op) for op in op_list()
+        )
 
     def test_same_trace_row(self):
-        rows = []
-        for batch in (columnar(), op_list()):
-            trace = TraceInterceptor()
-            Dispatcher(populated_cluster(), interceptors=[trace]).execute(batch)
-            labels = {"class": "Batch"}
-            registry = trace.registry
-            rows.append((
-                registry.histogram("repro_request_latency_us").count(**labels),
-                registry.counter("repro_request_ops").value(**labels),
-                registry.counter("repro_request_bytes").value(**labels),
-            ))
-        assert rows[0] == rows[1] == (1, len(KEYS), request_size(op_list()))
+        trace = TraceInterceptor()
+        Dispatcher(populated_cluster(), interceptors=[trace]).execute(
+            columnar()
+        )
+        registry = trace.registry
+        labels = {"class": "Batch"}
+        assert (
+            registry.histogram("repro_request_latency_us").count(**labels),
+            registry.counter("repro_request_ops").value(**labels),
+            registry.counter("repro_request_bytes").value(**labels),
+        ) == (1, len(KEYS), sum(request_size(op) for op in op_list()))
 
     def test_same_fault_matching(self):
-        for batch in (columnar(), op_list()):
-            assert FaultRule(op="Batch").matches(batch)
-            assert not FaultRule(space=DATA_SPACE).matches(batch)
-            assert not FaultRule(op="Get").matches(batch)
+        batch = columnar()
+        assert FaultRule(op="Batch").matches(batch)
+        # Space rules match single-key requests only.
+        assert not FaultRule(space=DATA_SPACE).matches(batch)
+        assert FaultRule(space=DATA_SPACE).matches(op_list()[0])
+        assert not FaultRule(op="Get").matches(batch)
 
 
 ANALYTIC = ("SELECT COUNT(*) FROM orderline "

@@ -70,7 +70,8 @@ class TestKindOf:
         assert kind_of(effects.DeleteIfVersion("s", 1, 0)) == KIND_STORE
         assert kind_of(effects.Increment("s", 1)) == KIND_STORE
         assert kind_of(effects.Scan("s", None, None)) == KIND_SCAN
-        assert kind_of(effects.Batch([])) == KIND_BATCH
+        assert kind_of(effects.multi_get("s", [])) == KIND_BATCH
+        assert kind_of(effects.multi_put("s", [1], [2])) == KIND_BATCH
         assert kind_of(effects.StartTransaction()) == KIND_CM_START
         assert kind_of(effects.ReportCommitted(1)) == KIND_CM_COMMITTED
         assert kind_of(effects.ReportAborted(1)) == KIND_CM_ABORTED
@@ -193,10 +194,10 @@ class TestDispatcher:
         dispatcher.execute(effects.Put("data", "k", "v"))
         value, version = dispatcher.execute(effects.Get("data", "k"))
         assert value == "v" and version == 1
-        results = dispatcher.execute(
-            effects.Batch([effects.Get("data", "k"), effects.Get("data", "x")])
+        values, versions = dispatcher.execute(
+            effects.multi_get("data", ["k", "x"])
         )
-        assert results[0][0] == "v" and results[1][0] is None
+        assert values == ["v", None] and versions == [1, 0]
 
     def test_cm_requests_without_cm_raise(self, cluster):
         dispatcher = Dispatcher(cluster)
@@ -355,9 +356,7 @@ class TestTraceInterceptor:
         router = Router(cluster, interceptors=[trace])
         router.execute(effects.Put("data", "k", "v"))
         router.execute(effects.Get("data", "k"))
-        router.execute(
-            effects.Batch([effects.Get("data", "k"), effects.Get("data", "x")])
-        )
+        router.execute(effects.multi_get("data", ["k", "x"]))
         ops = trace.registry.counter("repro_request_ops")
         size = trace.registry.counter("repro_request_bytes")
         assert request_count(trace, **{"class": "Put"}) == 1
@@ -531,7 +530,9 @@ class TestRequestReprs:
         (effects.Increment("data", 1, delta=5),
          "Increment('data', 1, delta=5)"),
         (effects.Scan("data", 1, 9, limit=4), "Scan('data', 1..9, limit=4)"),
-        (effects.Batch([effects.Get("d", 1)]), "Batch(1 ops)"),
+        (effects.multi_get("d", [1]), "Batch(get 'd', 1 keys)"),
+        (effects.multi_put("d", [1, 2], ["v", "w"], [0, 3]),
+         "Batch(put 'd', 2 keys)"),
         (effects.StartTransaction(), "StartTransaction()"),
         (effects.ReportCommitted(7), "ReportCommitted(tid=7)"),
         (effects.ReportAborted(8), "ReportAborted(tid=8)"),

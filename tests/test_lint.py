@@ -72,9 +72,9 @@ class TestRL001:
     def test_yielded_and_batched_effects_are_clean(self):
         assert codes("""
             from repro import effects
-            def commit(puts):
-                puts.append(effects.PutIfVersion("data", 1, "v", 3))
-                results = yield effects.Batch(puts)
+            def commit(keys, records):
+                keys.append(1)
+                results = yield effects.multi_put("data", keys, records)
                 ok, _ = yield effects.PutIfVersion("data", 2, "w", 4)
                 return results, ok
         """) == []

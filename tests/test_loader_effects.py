@@ -105,8 +105,8 @@ class TestEffects:
     def test_multi_get_builds_batch(self):
         batch = effects.multi_get("data", [1, 2, 3])
         assert isinstance(batch, effects.Batch)
-        assert all(isinstance(op, effects.Get) for op in batch.ops)
-        assert [op.key for op in batch.ops] == [1, 2, 3]
+        assert batch.batch_space == "data" and batch.keys == [1, 2, 3]
+        assert batch.values is None and batch.expected is None
 
     def test_scan_bounds(self):
         scan = effects.Scan("data", 1, 10, limit=5)

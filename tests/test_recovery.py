@@ -54,9 +54,8 @@ def crash_mid_commit(cluster, cm, pn_id, writes):
     while not applied:
         request = commit.send(result)
         result = runner.router.execute(request)
-        if isinstance(request, effects.Batch) and any(
-            isinstance(op, effects.PutIfVersion) for op in request.ops
-        ):
+        if isinstance(request, effects.Batch) \
+                and request.expected is not None:
             applied = True
     return txn  # crashed: commit never completed
 

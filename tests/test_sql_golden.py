@@ -93,8 +93,8 @@ LOCAL_DML = [
 ]
 
 #: name -> (columns, rows, requests); recorded at the commit before the
-#: positional executor.  ``Batch.ops`` is the number of operations the
-#: batches carried in total.
+#: positional executor.  ``Batch.ops`` is the number of keys the
+#: batches carried in total (one operation each).
 GOLDEN_AUTOCOMMIT = {
     'update': (
         [],
@@ -228,7 +228,7 @@ class _CountRequests(Interceptor):
     def intercept(self, request, ctx, next):
         self.counts[type(request).__name__] += 1
         if isinstance(request, effects.Batch):
-            self.counts["Batch.ops"] += len(request.ops)
+            self.counts["Batch.ops"] += len(request.keys)
         return (yield from next(request))
 
 

@@ -297,7 +297,14 @@ class TestStorageCluster:
 
     def test_request_size_of_batches_and_keyless_requests(self):
         get = effects.Get("data", "k")
-        assert request_size(effects.Batch([get, get])) == 2 * request_size(get)
+        assert request_size(effects.multi_get("data", ["k", "k"])) == (
+            2 * request_size(get)
+        )
+        puts = [effects.Put("data", "k", "v"),
+                effects.PutIfVersion("data", "kk", "x" * 40, 3)]
+        assert request_size(effects.multi_put(
+            "data", ["k", "kk"], ["v", "x" * 40], [0, 3]
+        )) == sum(request_size(put) for put in puts)
         assert request_size(effects.StartTransaction()) == 24
 
 
