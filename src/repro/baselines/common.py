@@ -13,16 +13,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
+from typing import Generator, Set
 
 from repro.bench.metrics import TxnMetrics
-from repro.dispatch import (
-    DispatchContext,
-    DispatchEnv,
-    Interceptor,
-    attach_all,
-    compose,
-)
 from repro.sim.kernel import Simulator
 from repro.workloads.tpcc.mixes import MIXES, TpccMix
 from repro.workloads.tpcc.params import (
@@ -99,26 +92,17 @@ class BaselineConfig:
 
 
 class BaselineEngine:
-    """Base class: terminal loop + metrics; engines implement execute().
-
-    The terminal loop routes every transaction through the shared
-    :mod:`repro.dispatch` pipeline: ``interceptors`` wrap
-    :meth:`execute` with the uniform ``intercept(request, ctx, next)``
-    protocol, where the "request" is the engine-independent
-    :class:`TxnWork`.  The empty chain composes to ``execute`` itself.
-    """
+    """Base class: terminal loop + metrics; engines implement execute(),
+    which the terminal loop calls once per engine-independent
+    :class:`TxnWork`."""
 
     name = "baseline"
 
-    def __init__(self, config: BaselineConfig,
-                 interceptors: Sequence[Interceptor] = ()):
+    def __init__(self, config: BaselineConfig):
         self.config = config
         self.sim = Simulator()
         self.metrics = TxnMetrics()
         self.mix: TpccMix = MIXES[config.mix]
-        self.interceptors = list(interceptors)
-        if self.interceptors:
-            attach_all(self.interceptors, DispatchEnv(sim=self.sim))
 
     def execute(self, work: TxnWork) -> Generator:
         """Simulate one transaction; returns 'committed' or 'conflict'."""
@@ -134,17 +118,12 @@ class BaselineEngine:
             remote_accesses=self.mix.remote_accesses,
             home_warehouse=home,
         )
-        chain = compose(
-            self.interceptors,
-            self.execute,
-            DispatchContext(clock=self.sim.clock(), engine=self.name),
-        )
         while self.sim.now < end_time:
             txn_name = self.mix.pick(rng)
             params = getattr(params_gen, txn_name)()
             work = txn_work(txn_name, params, self.config.scale)
             started = self.sim.now
-            outcome = yield from chain(work)
+            outcome = yield from self.execute(work)
             if getattr(params, "rollback", False) and outcome == "committed":
                 outcome = "user_abort"  # the spec's 1% new-order rollback
             if started >= warmup_end:

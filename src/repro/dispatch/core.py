@@ -66,20 +66,17 @@ class DispatchContext:
     """Per-pipeline state visible to every interceptor.
 
     ``clock`` exposes ``.now`` in simulated microseconds (always 0 under
-    the direct runner); ``engine`` names the driver ("direct", "sim", or
-    a baseline engine name) so interceptors can adapt their behaviour.
+    the direct runner).
     """
 
-    __slots__ = ("pn_id", "clock", "engine")
+    __slots__ = ("pn_id", "clock")
 
-    def __init__(self, pn_id: int = -1, clock: Any = ZERO_CLOCK,
-                 engine: str = "direct") -> None:
+    def __init__(self, pn_id: int = -1, clock: Any = ZERO_CLOCK) -> None:
         self.pn_id = pn_id
         self.clock = clock
-        self.engine = engine
 
     def __repr__(self) -> str:
-        return f"DispatchContext(pn_id={self.pn_id}, engine={self.engine!r})"
+        return f"DispatchContext(pn_id={self.pn_id})"
 
 
 class DispatchEnv:

@@ -52,7 +52,7 @@ class Dispatcher:
         self.commit_manager = commit_manager
         self.pn_id = pn_id
         self.interceptors = list(interceptors)
-        self.context = DispatchContext(pn_id=pn_id, engine="direct")
+        self.context = DispatchContext(pn_id=pn_id)
         self._chain: Optional[NextFn] = None
         if self.interceptors:
             attach_all(

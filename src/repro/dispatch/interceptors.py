@@ -1,9 +1,9 @@
 """Production interceptors: tracing, fault injection, retry policy.
 
 All three implement the uniform :class:`repro.dispatch.core.Interceptor`
-protocol and therefore run unchanged under the direct runner, the
-simulated deployment, and the baseline engines.  Order matters: the chain
-runs outermost-first, so the conventional stack is
+protocol and therefore run unchanged under the direct runner and the
+simulated deployment.  Order matters: the chain runs outermost-first, so
+the conventional stack is
 
     [TraceInterceptor, RetryPolicy, FaultInjector]
 

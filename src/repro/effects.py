@@ -242,26 +242,25 @@ class Scan(StoreRequest):
     the query") and the lazy garbage collector.
 
     With ``snapshot`` set, the storage nodes resolve the snapshot-visible
-    version of each record themselves and -- if ``scan_filter`` /
-    ``projection`` are given -- pre-filter and trim rows before shipping
-    them: the operator push-down of Section 5.2.  The result rows then
+    version of each record themselves and -- if ``scan_filter`` is
+    given -- pre-filter rows before shipping them: the selection
+    push-down of Section 5.2.  The result rows then
     carry the visible *payload* instead of the whole versioned record.
     """
 
-    __slots__ = ("end", "limit", "snapshot", "scan_filter", "projection")
+    __slots__ = ("end", "limit", "snapshot", "scan_filter")
 
     kind = KIND_SCAN
     is_write = False
 
     def __init__(self, space: str, start: Any, end: Any,
                  limit: Optional[int] = None, snapshot: Any = None,
-                 scan_filter: Any = None, projection: Any = None) -> None:
+                 scan_filter: Any = None) -> None:
         super().__init__(space, start)
         self.end = end
         self.limit = limit
         self.snapshot = snapshot
         self.scan_filter = scan_filter
-        self.projection = projection
 
     @property
     def start(self) -> Any:
@@ -272,7 +271,6 @@ class Scan(StoreRequest):
         return node.do_scan(
             partition_id, self.space, self.key, self.end, self.limit,
             snapshot=self.snapshot, scan_filter=self.scan_filter,
-            projection=self.projection,
         )
 
     def __repr__(self) -> str:
@@ -281,7 +279,7 @@ class Scan(StoreRequest):
             extra += f", limit={self.limit}"
         if self.snapshot is not None:
             extra += ", snapshot=..."
-        if self.scan_filter is not None or self.projection is not None:
+        if self.scan_filter is not None:
             extra += ", pushdown=..."
         return f"Scan({self.space!r}, {self.key!r}..{self.end!r}{extra})"
 

@@ -3,10 +3,12 @@
 The reproduction rests on conventions no runtime check can fully guard:
 protocol code must *yield* its effects (RL001/RL002), scheduling-adjacent
 code must not iterate sets (RL005), effect and kernel classes must keep
-the ``__slots__`` hot-path contract (RL006), and mutable defaults leak
-state between runs (RL007).  RF001 closes determinism over the project
-call graph: simulated-time code must never reach the wall clock, nor any
-code the process-global RNG.  Two contracts are runtime tests instead:
+the ``__slots__`` hot-path contract (RL006), protocol code must not call
+around the dispatcher (RL008), and isolation state has one owner
+(RL012).  RF001 guards determinism: no ``repro.*`` module outside
+``repro.bench`` may read the wall clock, and no module may use the
+process-global RNG.  Every rule is module-local, resolving names through
+one cross-module symbol index.  Two contracts are runtime tests instead:
 every concrete request declares a dispatch kind
 (``tests/test_dispatch.py::test_every_concrete_request_declares_a_kind``)
 and the sanitizers leave the run they watch unchanged

@@ -6,8 +6,7 @@ Usage::
     repro-lint --explain RF001         print one rule's documentation
     repro-lint --list-rules            one line per rule
 
-Every run builds the whole analysis (symbol index, flow summaries, call
-graph) and runs every rule.
+Every run builds the symbol index and runs every rule.
 
 Exit codes: 0 clean, 1 findings, 2 usage or internal error.
 """

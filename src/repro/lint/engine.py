@@ -1,8 +1,7 @@
 """repro-lint engine: discovery, suppression, reporting.
 
 Flow: collect :class:`SourceModule` objects (from paths or in-memory
-strings), summarize each into the pass-1 :class:`ProjectIndex` and the
-pass-2 flow summaries, link those into the one :class:`FlowAnalysis`,
+strings), summarize each into the cross-module :class:`ProjectIndex`,
 run every rule over every module, then filter findings through inline
 suppressions.
 
@@ -29,17 +28,12 @@ import tokenize
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.lint.flow.analysis import FlowAnalysis
-from repro.lint.flow.rules import FLOW_RULES
-from repro.lint.flow.summary import ModuleFlow, extract_module_flow
 from repro.lint.index import ModuleSummary, ProjectIndex
-from repro.lint.rules import LOCAL_RULES, Rule
+from repro.lint.rules import ALL_RULES, Rule
 
 _IGNORE_RE = re.compile(r"#\s*repro-lint:\s*ignore\[([A-Z0-9,\s]+)\]")
 _SKIP_FILE_RE = re.compile(r"#\s*repro-lint:\s*skip-file")
 
-#: Every rule, in ``--list-rules`` order: module-local, then flow.
-ALL_RULES: List[Rule] = [*LOCAL_RULES, *FLOW_RULES]
 RULES_BY_CODE = {rule.code: rule for rule in ALL_RULES}
 
 
@@ -64,9 +58,9 @@ class Finding:
 class SourceModule:
     """A parsed source file plus its suppression table.
 
-    ``summary`` and ``flow`` are pure functions of this one module's text,
-    computed on first use and kept: re-linting a project with one module
-    replaced (a planted mutation) re-extracts that module only.
+    ``summary`` is a pure function of this one module's text, computed on
+    first use and kept: re-linting a project with one module replaced (a
+    planted mutation) re-summarizes that module only.
     """
 
     def __init__(self, path: str, module: str, text: str) -> None:
@@ -113,15 +107,9 @@ class SourceModule:
 
     @cached_property
     def summary(self) -> ModuleSummary:
-        """Pass-1 summary (imports and definitions); needs a parsed tree."""
+        """Imports and definitions; needs a parsed tree."""
         assert self.tree is not None
         return ModuleSummary(self.module, self.tree)
-
-    @cached_property
-    def flow(self) -> ModuleFlow:
-        """Pass-2 flow summary (what every function does)."""
-        assert self.tree is not None
-        return extract_module_flow(self.summary, self.tree)
 
     def is_suppressed(self, finding: Finding) -> bool:
         return finding.rule in self.line_ignores.get(finding.line, ())
@@ -209,24 +197,15 @@ def load_sources(paths: Sequence[str],
 # -- running ---------------------------------------------------------------
 
 
-def build_index(sources: Sequence[SourceModule]) -> ProjectIndex:
-    """Pass-1 summaries of every parsed source plus the pass-2 flow
-    summaries, linked into the :class:`FlowAnalysis` the RF rules read
-    off ``index.flow``."""
-    parsed = [source for source in sources
-              if source.tree is not None and not source.skip_file]
-    index = ProjectIndex({source.module: source.summary for source in parsed})
-    index.flow = FlowAnalysis(
-        index, {source.module: source.flow for source in parsed})
-    return index
-
-
 def run_rules(sources: Sequence[SourceModule],
               rules: Optional[Sequence[Rule]] = None) -> List[Finding]:
     """Raw findings of ``rules`` (default: all), before inline
     suppressions are applied."""
     active_rules = ALL_RULES if rules is None else rules
-    index = build_index(sources)
+    index = ProjectIndex({
+        source.module: source.summary for source in sources
+        if source.tree is not None and not source.skip_file
+    })
 
     findings: List[Finding] = []
     for source in sources:
@@ -281,7 +260,7 @@ def lint_source(text: str, module: str = "repro.example",
     """Lint one in-memory snippet (test/fixture entry point).
 
     ``module`` controls package-scoped rules (a wall clock is an RF001
-    finding only when reachable from the simulated-time packages);
+    finding only in a ``repro.*`` module outside ``repro.bench``);
     ``extra_sources`` joins additional modules into the same project
     index (cross-module resolution tests).
     """

@@ -1,4 +1,4 @@
-"""Pass-1 symbol index for repro-lint.
+"""Symbol index for repro-lint.
 
 The interesting rules (RL001/RL002/RL006) need to know, for an arbitrary
 call or class definition, whether a name refers to an *effect class* (a
@@ -14,14 +14,13 @@ resolves to ``(module, name)`` through the file's import table, and class
 bases are chased to a fixpoint across all indexed modules.  Method calls
 are resolved only through ``self``/a locally defined class, never through
 arbitrary receiver expressions -- an unresolvable receiver produces *no*
-finding rather than a speculative one.  (The interprocedural layer in
-:mod:`repro.lint.flow` builds a richer resolver on top of this index.)
+finding rather than a speculative one.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 Symbol = Tuple[str, str]  # (dotted module, name)
 
@@ -90,25 +89,23 @@ FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 
 def walk_functions(
-        tree: ast.AST) -> Iterator[Tuple[FunctionNode, Optional[str], str]]:
+        tree: ast.AST) -> Iterator[Tuple[FunctionNode, Optional[str]]]:
     """Every function/method under ``tree`` in source order, as
-    ``(node, enclosing class name, qualname)``.  A nested def is qualified
-    by its parent function (``outer.inner``) and keeps the parent's class;
-    a class body restarts the qualname at the class name."""
+    ``(node, enclosing class name)``.  A nested def keeps its parent's
+    class."""
 
-    def visit(node: ast.AST, class_name: Optional[str], prefix: str
-              ) -> Iterator[Tuple[FunctionNode, Optional[str], str]]:
+    def visit(node: ast.AST, class_name: Optional[str]
+              ) -> Iterator[Tuple[FunctionNode, Optional[str]]]:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = prefix + child.name
-                yield child, class_name, qualname
-                yield from visit(child, class_name, qualname + ".")
+                yield child, class_name
+                yield from visit(child, class_name)
             elif isinstance(child, ast.ClassDef):
-                yield from visit(child, child.name, child.name + ".")
+                yield from visit(child, child.name)
             else:
-                yield from visit(child, class_name, prefix)
+                yield from visit(child, class_name)
 
-    return visit(tree, None, "")
+    return visit(tree, None)
 
 
 def name_ref_of(node: ast.expr) -> Optional[NameRef]:
@@ -120,42 +117,17 @@ def name_ref_of(node: ast.expr) -> Optional[NameRef]:
     return None
 
 
-def receiver_steps(node: ast.expr) -> Tuple[Optional[str], List[str]]:
-    """Flatten a receiver expression into ``(root_name, steps)``.
-
-    ``self.commit_managers[i]`` becomes ``("self", ["commit_managers",
-    "[]"])``; a step of ``"[]"`` means "element of the previous step".
-    The root is None when the chain starts at anything but a bare name
-    (``make().cluster`` is ``(None, ["cluster"])``).
-    """
-    steps: List[str] = []
-    while True:
-        if isinstance(node, ast.Attribute):
-            steps.insert(0, node.attr)
-            node = node.value
-        elif isinstance(node, ast.Subscript):
-            steps.insert(0, "[]")
-            node = node.value
-        else:
-            return (node.id if isinstance(node, ast.Name) else None), steps
-
-
 class ClassSummary:
-    """What RL002/RL006 (and the flow layer) need to know about one
-    class definition.  Pure data."""
+    """What RL002/RL006 need to know about one class definition.  Pure
+    data."""
 
-    __slots__ = ("name", "lineno", "col_offset", "base_refs",
-                 "generator_methods", "methods", "has_slots",
+    __slots__ = ("name", "base_refs", "generator_methods", "has_slots",
                  "local_base_names")
 
-    def __init__(self, name: str, lineno: int, col_offset: int,
-                 base_refs: List[NameRef]) -> None:
+    def __init__(self, name: str, base_refs: List[NameRef]) -> None:
         self.name = name
-        self.lineno = lineno
-        self.col_offset = col_offset
         self.base_refs = base_refs
         self.generator_methods: Set[str] = set()
-        self.methods: Set[str] = set()
         self.has_slots = False
         self.local_base_names: List[str] = [
             ref[1] for ref in base_refs if ref[0] == "name"
@@ -167,10 +139,9 @@ class ClassSummary:
             ref for ref in (name_ref_of(base) for base in node.bases)
             if ref is not None
         ]
-        summary = cls(node.name, node.lineno, node.col_offset, base_refs)
+        summary = cls(node.name, base_refs)
         for item in node.body:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                summary.methods.add(item.name)
                 if function_is_generator(item):
                     summary.generator_methods.add(item.name)
             elif isinstance(item, (ast.Assign, ast.AnnAssign)):
@@ -269,10 +240,6 @@ class ProjectIndex:
         self.effect_classes: Set[Symbol] = set(EFFECT_CLASS_SEEDS)
         self.kernel_classes: Set[Symbol] = set(KERNEL_CLASS_SEEDS)
         self.effect_factories: Set[Symbol] = set(EFFECT_FACTORY_SEEDS)
-        #: The :class:`~repro.lint.flow.analysis.FlowAnalysis` the engine
-        #: attaches; RF001 reads it.  Typed loosely to avoid an import
-        #: cycle with repro.lint.flow.
-        self.flow: Any = None
         self._close_subclasses(self.effect_classes)
         self._close_subclasses(self.kernel_classes)
 
@@ -301,16 +268,6 @@ class ProjectIndex:
         if base[0] == "name":
             return (summary.module, base[1])  # forward/local reference
         return None
-
-    def resolve_base_symbols(self, summary: ModuleSummary,
-                             cls: ClassSummary) -> List[Symbol]:
-        """Resolved base-class symbols of ``cls`` (flow-layer helper)."""
-        symbols: List[Symbol] = []
-        for base in cls.base_refs:
-            resolved = self._resolve_base(summary, base)
-            if resolved is not None:
-                symbols.append(resolved)
-        return symbols
 
     # -- queries used by the rules ---------------------------------------
 

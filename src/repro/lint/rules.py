@@ -20,14 +20,8 @@ from repro.lint.index import (
     ProjectIndex,
     function_is_generator,
     in_prefixes,
-    receiver_steps,
     walk_functions,
 )
-
-MUTABLE_DEFAULT_CALLS = frozenset({
-    "list", "dict", "set", "bytearray",
-    "defaultdict", "deque", "Counter", "OrderedDict",
-})
 
 
 class Rule:
@@ -179,7 +173,7 @@ Fix: delegate with `yield from`, or drive the generator explicitly.
 
     def check(self, module: ModuleSummary, tree: ast.Module,
               index: ProjectIndex) -> Iterator[Tuple[ast.AST, str]]:
-        for fn, cls, _qualname in walk_functions(tree):
+        for fn, cls in walk_functions(tree):
             in_generator = function_is_generator(fn)
             for child in ast.iter_child_nodes(fn):
                 yield from self._check_body(child, module, index,
@@ -309,53 +303,6 @@ assign `__slots__`.  Subclasses that add no attributes still need
             )
 
 
-class RL007MutableDefault(Rule):
-    code = "RL007"
-    title = "mutable default argument"
-    explain = """\
-Default argument values are evaluated once, at function definition time,
-and shared across every call.  A mutable default (`def f(x, acc=[])`)
-therefore accumulates state between calls -- in this codebase that means
-state leaking between transactions, simulations, or test runs, which the
-determinism digest will eventually surface as an unexplained divergence.
-
-RL007 fires when a parameter default is a list/dict/set display or
-comprehension, or a direct call to list/dict/set/bytearray/defaultdict/
-deque/Counter/OrderedDict.
-
-Fix: default to None and create the container inside the function.
-"""
-
-    @classmethod
-    def _is_mutable(cls, node: ast.expr) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                             ast.DictComp, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else (
-                func.attr if isinstance(func, ast.Attribute) else None
-            )
-            return name in MUTABLE_DEFAULT_CALLS
-        return False
-
-    def check(self, module: ModuleSummary, tree: ast.Module,
-              index: ProjectIndex) -> Iterator[Tuple[ast.AST, str]]:
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.Lambda)):
-                continue
-            defaults = list(node.args.defaults) + [
-                d for d in node.args.kw_defaults if d is not None
-            ]
-            for default in defaults:
-                if self._is_mutable(default):
-                    yield default, (
-                        "mutable default argument is shared across calls; "
-                        "default to None and build the container inside"
-                    )
-
-
 class RL008BypassedDispatch(Rule):
     code = "RL008"
     title = "dispatcher bypassed from protocol code"
@@ -405,9 +352,10 @@ manager's own tid-counter refill -- carry
             func = node.func
             if not isinstance(func, ast.Attribute):
                 continue
-            root, steps = receiver_steps(func.value)
             # Final name of the receiver chain: `a.b.cluster` -> cluster.
-            receiver = steps[-1] if steps else root
+            value = func.value
+            receiver = value.attr if isinstance(value, ast.Attribute) else (
+                value.id if isinstance(value, ast.Name) else None)
             if (receiver in self._CLUSTER_NAMES
                     and func.attr in self._CLUSTER_METHODS):
                 yield node, (
@@ -473,80 +421,101 @@ under `repro.`).
                 )
 
 
-class RL013OwnershipEncapsulation(Rule):
-    code = "RL013"
-    title = "epoch/ownership state mutated outside repro.store.partition"
+WALL_CLOCK_ATTRS = frozenset({
+    "time", "time_ns", "monotonic", "monotonic_ns", "sleep",
+    "perf_counter", "perf_counter_ns", "process_time", "process_time_ns",
+})
+
+
+class RF001WallClockOrUnseededRng(Rule):
+    code = "RF001"
+    title = "wall-clock time outside repro.bench, or unseeded RNG"
     explain = """\
-The versioned partition map (repro.store.partition.PartitionMap) owns
-all ownership state: the epoch counter (`epoch`), its audit trail
-(`epoch_log`), and the in-flight handoff registry (`_handoffs`).  Every
-mutation must go through its methods (`begin_handoff` / `finish_handoff`
-/ `abort_handoff` / `fail_over`), because each one is a single atomic
-epoch step -- the invariant that lets in-flight requests detect a
-stale route with one `WrongOwner` check and lets migrations abort
-cleanly.  Library code elsewhere that bumps the epoch or edits the
-handoff table directly can create an ownerless instant, desynchronize
-the partition map from the epoch log, or leave a handoff the leak
-checker then reports.
+Everything in repro.* except repro.bench runs on *simulated* time: the
+event kernel's clock, advanced deterministically by the scheduler.
+Reading the wall clock (time.time, time.monotonic, time.perf_counter,
+time.sleep, ...) there has two failure modes: the value has nothing to
+do with simulated time, and -- worse -- it differs between runs, so the
+"fixed seed reproduces the exact same run" contract of
+repro/sim/kernel.py is broken in a way the digest-invariance harness can
+only detect after the fact.
 
-RL013 fires on any *mutation* -- assignment, augmented assignment,
-deletion, or a mutating method call (`append`, `pop`, `clear`, ...) --
-of an attribute named `epoch`, `epoch_log`, or `_handoffs` in a
-`repro.*` module other than repro.store.partition.  Reading them is
-fine (the obs collectors and benches do); changing them is not.
-Tests and tools are out of scope (their module names are not under
-`repro.`).
+RF001 reports any wall-clock use (an attribute of the `time` module, or
+a `from time import ...` of one) in a repro.* module outside
+repro.bench.  repro.bench is exempt: measuring real elapsed time is its
+job.  Code outside repro.* (tests, examples, benchmarks) is out of
+scope for the clock.
+
+Randomness must come only from an explicitly seeded
+`random.Random(seed)` threaded through from the caller.  The
+module-level functions (`random.random()`, `random.choice()`, ...)
+share one process-global, unseeded generator, and an argument-less
+`random.Random()` seeds from the OS; either sneaks nondeterminism past
+the determinism digest and leaks state between runs.  RF001 reports
+those in every linted module.
+
+Fix by taking time from the simulator (`sim.now`, or the dispatch
+context's `ctx.clock.now`) and randomness from a
+`random.Random(seed)` threaded through the deployment, the way
+repro.workloads and repro.bench.simcluster do.
 """
-
-    #: The only module allowed to mutate ownership state.
-    OWNER_MODULE = "repro.store.partition"
-
-    _OWNERSHIP_STATE = frozenset({"epoch", "epoch_log", "_handoffs"})
-    _MUTATORS = frozenset({
-        "append", "extend", "insert", "remove", "pop", "popitem", "clear",
-        "update", "setdefault",
-    })
 
     def check(self, module: ModuleSummary, tree: ast.Module,
               index: ProjectIndex) -> Iterator[Tuple[ast.AST, str]]:
         name = module.module
-        if not in_prefixes(name, ("repro",)):
-            return
-        if name == self.OWNER_MODULE:
-            return
+        clock_scope = (in_prefixes(name, ("repro",))
+                       and not in_prefixes(name, ("repro.bench",)))
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute)
-                    and node.attr in self._OWNERSHIP_STATE
-                    and isinstance(node.ctx, (ast.Store, ast.Del))):
+            if isinstance(node, ast.Call):
+                rng = self._unseeded_rng(node, module)
+                if rng is not None:
+                    yield node, (
+                        f"unseeded RNG `{rng}`; thread a seeded "
+                        f"random.Random through instead"
+                    )
+            if not clock_scope:
+                continue
+            clock = None
+            if (isinstance(node, ast.ImportFrom) and node.module == "time"
+                    and not node.level):
+                clock = next((alias.name for alias in node.names
+                              if alias.name in WALL_CLOCK_ATTRS), None)
+            elif (isinstance(node, ast.Attribute)
+                    and node.attr in WALL_CLOCK_ATTRS
+                    and isinstance(node.value, ast.Name)
+                    and module.resolve_qualifier(node.value.id) == "time"):
+                clock = node.attr
+            if clock is not None:
                 yield node, (
-                    f"module {name} mutates ownership state `{node.attr}` "
-                    f"directly; only {self.OWNER_MODULE} may -- go through "
-                    f"the PartitionMap surface (begin/finish/abort_handoff, "
-                    f"fail_over)"
-                )
-            elif (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in self._MUTATORS
-                    and isinstance(node.func.value, ast.Attribute)
-                    and node.func.value.attr in self._OWNERSHIP_STATE):
-                yield node, (
-                    f"module {name} mutates ownership state "
-                    f"`{node.func.value.attr}.{node.func.attr}(...)` "
-                    f"directly; only {self.OWNER_MODULE} may -- go through "
-                    f"the PartitionMap surface (begin/finish/abort_handoff, "
-                    f"fail_over)"
+                    f"`time.{clock}` in {name}: only repro.bench may read "
+                    f"the host clock; take time from the simulator"
                 )
 
+    @staticmethod
+    def _unseeded_rng(node: ast.Call, module: ModuleSummary) -> Optional[str]:
+        func = node.func
+        seeded = bool(node.args or node.keywords)
+        if isinstance(func, ast.Name):
+            if module.resolve_name(func.id) == ("random", "Random") \
+                    and not seeded:
+                return "Random()"
+        elif (isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and module.resolve_qualifier(func.value.id) == "random"):
+            if func.attr not in ("Random", "SystemRandom"):
+                return f"random.{func.attr}"
+            if func.attr == "Random" and not seeded:
+                return "random.Random()"
+        return None
 
-#: The module-local RL family; the engine runs it with RF001
-#: (``repro.lint.engine.ALL_RULES``).
-LOCAL_RULES: List[Rule] = [
+
+#: Every rule, in ``--list-rules`` order.
+ALL_RULES: List[Rule] = [
     RL001DroppedEffect(),
     RL002GeneratorNotDelegated(),
     RL005SetIteration(),
     RL006MissingSlots(),
-    RL007MutableDefault(),
     RL008BypassedDispatch(),
     RL012IsolationEncapsulation(),
-    RL013OwnershipEncapsulation(),
+    RF001WallClockOrUnseededRng(),
 ]

@@ -513,7 +513,7 @@ def drive(fabric: SimFabric, interceptors: Sequence[Interceptor],
     step = compose(
         interceptors,
         lambda request: fabric.perform(pool, cm_index, request, pn_id),
-        DispatchContext(pn_id=pn_id, clock=fabric.sim.clock(), engine="sim"),
+        DispatchContext(pn_id=pn_id, clock=fabric.sim.clock()),
     )
     send_value: Any = None
     throw_exc: Optional[BaseException] = None

@@ -364,9 +364,9 @@ class SISanitizer(Interceptor):
             return
         # Storage-side push-down (Section 5.2): the SN extracted the
         # visible payload itself -- the one place visibility runs outside
-        # the PN.  With no filter/projection the shipped payload must be
-        # exactly what the shadow's reference visibility picks.
-        if op.scan_filter is not None or op.projection is not None:
+        # the PN.  With no filter the shipped payload must be exactly what
+        # the shadow's reference visibility picks.
+        if op.scan_filter is not None:
             return
         base, bits = op.snapshot.as_pair()
         shadow = self.shadow

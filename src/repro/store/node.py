@@ -284,13 +284,12 @@ class StorageNode:
         limit: Optional[int],
         snapshot: Any = None,
         scan_filter: Any = None,
-        projection: Any = None,
     ) -> List[Tuple[Any, Any, int]]:
         """Partition-local range scan: start <= key < end, sorted.
 
         With ``snapshot``, the node resolves the visible version of every
-        record and ships payload rows (optionally filtered/projected) --
-        the storage-side operator push-down of Section 5.2.
+        record and ships payload rows (optionally filtered) -- the
+        storage-side selection push-down of Section 5.2.
         """
         self._check_alive()
         self.ops_scan += 1
@@ -314,8 +313,6 @@ class StorageNode:
                     continue
                 if scan_filter is not None and not scan_filter.matches(row):
                     continue
-                if projection is not None:
-                    row = projection.apply(row)
                 out.append((key, row, cell.version))
             if limit is not None and len(out) >= limit:
                 break

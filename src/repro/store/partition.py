@@ -11,9 +11,11 @@ The map is *versioned*: every ownership change (node join/leave, handoff
 begin/finish/abort, fail-over, replica restore) is one method here, and
 each advances a monotonically increasing **epoch** recorded in
 ``epoch_log`` -- which is what makes migration schedules auditable and
-fixed-seed deterministic.  Lint rule RL013 keeps it that way: ``epoch``,
-``epoch_log`` and ``_handoffs`` are written in this module only; reads are
-free.  A deployment that never changes shape stays at epoch 1.
+fixed-seed deterministic.  ``epoch``, ``epoch_log`` and ``_handoffs`` are
+written in this module only; reads are free.  The tier-1 test
+``tests/test_elastic.py::TestLiveElasticity::test_fixed_seed_reproduces_migration_schedule``
+keeps it that way: an epoch bumped elsewhere changes the schedule it pins.
+A deployment that never changes shape stays at epoch 1.
 
 Partition assignment uses a deterministic hash so that runs are
 reproducible regardless of ``PYTHONHASHSEED``.

@@ -3,9 +3,9 @@
 For mixed workloads the paper proposes executing simple relational
 operators (selection, projection) inside the storage nodes so that
 analytical scans ship *result* rows instead of whole tables.  This
-module defines the shippable filter: a conjunction of column/constant
-comparisons evaluated against the snapshot-visible version of each
-record during a scan.
+module defines the one that is pushed down, selection: a conjunction of
+column/constant comparisons evaluated against the snapshot-visible
+version of each record during a scan.
 
 The storage layer stays generic: it only needs the value to offer
 ``latest_visible(snapshot)`` (which :class:`repro.core.record.
@@ -15,7 +15,7 @@ VersionedRecord` does) and evaluates the filter on plain row tuples.
 from __future__ import annotations
 
 import operator
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Sequence, Tuple
 
 from repro.errors import InvalidState
 
@@ -61,20 +61,3 @@ class ScanFilter:
             for position, op, value in self.conjuncts
         )
         return f"ScanFilter({parts or 'TRUE'})"
-
-
-class Projection:
-    """Column positions to ship back (None = whole row)."""
-
-    __slots__ = ("positions",)
-
-    def __init__(self, positions: Optional[Sequence[int]] = None):
-        self.positions = tuple(positions) if positions is not None else None
-
-    def apply(self, row: Tuple[Any, ...]) -> Tuple[Any, ...]:
-        if self.positions is None:
-            return row
-        return tuple(row[position] for position in self.positions)
-
-    def approx_size(self) -> int:
-        return 8 * (len(self.positions) if self.positions else 1)

@@ -43,7 +43,7 @@ OUTPUT = ROOT / "tests" / "kill_matrix.json"
 
 #: Test files left out of the ``tier1`` column: the lint suites check
 #: the rule columns themselves, and the guard checks the rows.
-NOT_TIER1 = ("test_lint.py", "test_flow.py", "test_kill_matrix.py")
+NOT_TIER1 = ("test_lint.py", "test_kill_matrix.py")
 
 _PY = sys.executable
 
@@ -138,7 +138,7 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
         "an update calls its fetch coroutine without yield from: "
         "nothing is fetched",
     ),
-    # -- determinism and isolation: test_lint.py's and test_flow.py's seeds
+    # -- determinism and isolation: test_lint.py's seeds
     (
         "fabric_wall_clock",
         "src/repro/runtime/fabric.py",
@@ -180,8 +180,7 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
         "\n"
         "    _stamp()\n"
         "    warehouse_table = ctx.table(\"warehouse\")",
-        "a workload outside the simulated-time packages reads the host "
-        "clock, reached from the spawned terminal",
+        "a TPC-C transaction reads the host clock through a nested helper",
     ),
     (
         "gc_yields_unroutable_request",

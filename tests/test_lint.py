@@ -14,6 +14,9 @@ from repro.lint import SourceModule, lint_source
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import module_name_for
 from repro.lint.index import EFFECT_CLASS_SEEDS
+from tests.kill_matrix import MUTANTS
+
+KILL_ROWS = {row[0]: row for row in MUTANTS}
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 EFFECTS_PY = REPO_ROOT / "src" / "repro" / "effects.py"
@@ -205,8 +208,8 @@ class TestRL002:
 
 
 # ---------------------------------------------------------------------------
-# Wall clock in simulated-time code: RF001's chain of length zero (these
-# fixtures checked the retired module-local rule of the same class name)
+# Wall clock in repro.* outside repro.bench: RF001 (these fixtures checked
+# the retired rule of the same class name)
 # ---------------------------------------------------------------------------
 
 
@@ -253,8 +256,8 @@ class TestRL003:
 
 
 # ---------------------------------------------------------------------------
-# Module-level random / unseeded Random(): RF001 in any module, reachable
-# or not (these fixtures checked the retired rule of the same class name)
+# Module-level random / unseeded Random(): RF001 in any module (these
+# fixtures checked the retired rule of the same class name)
 # ---------------------------------------------------------------------------
 
 
@@ -294,6 +297,91 @@ class TestRL004:
                 def pick(self):
                     return self.random.uniform(1, 10)
         """) == []
+
+
+# ---------------------------------------------------------------------------
+# RF001 -- its scope, and the kill matrix's planted wall-clock rows
+# ---------------------------------------------------------------------------
+
+PERF_COUNTER = """
+    import time
+    def elapsed(start):
+        return time.perf_counter() - start
+"""
+
+UNSEEDED_PICK = """
+    import random
+    def pick():
+        return random.random()
+"""
+
+
+class TestRF001:
+    @pytest.mark.parametrize("row_id", [
+        "fabric_wall_clock",
+        "cm_wall_clock_two_deep",
+        "tpcc_wall_clock_via_helper",
+    ])
+    def test_planted_wall_clock_row(self, row_id):
+        # Each row's bug is one clock read in its own module; the clean
+        # module is silent.
+        _id, file, old, new, _why = KILL_ROWS[row_id]
+        real = (REPO_ROOT / file).read_text()
+        module = module_name_for(str(REPO_ROOT / file))
+        assert lint_source(real, module=module) == []
+        found = lint_source(real.replace(old, new, 1), module=module)
+        assert [f.rule for f in found] == ["RF001"]
+        assert "time.time" in found[0].message
+
+    @pytest.mark.parametrize("module", [
+        "repro.bench.x", "benchmarks.ledger.x", "tests.x"])
+    def test_clock_outside_scope_is_silent(self, module):
+        assert codes(PERF_COUNTER, module=module) == []
+
+    def test_clock_in_workloads_fires(self):
+        assert codes(PERF_COUNTER, module="repro.workloads.x") == ["RF001"]
+
+    def test_unreached_clock_in_repro_fires(self):
+        # No call path is needed: a helper nothing calls is flagged too.
+        assert codes("""
+            import time
+            def _stamp():
+                return time.time()
+        """, module="repro.workloads.tpcc.x") == ["RF001"]
+
+    def test_from_time_import_fires(self):
+        assert codes("""
+            from time import monotonic
+        """, module="repro.core.x") == ["RF001"]
+
+    def test_unseeded_rng_outside_repro_fires(self):
+        assert codes(UNSEEDED_PICK, module="tests.x") == ["RF001"]
+
+    def test_unseeded_rng_in_helper_module(self):
+        # Reported where the RNG is called, not where the helper is used.
+        helper = SourceModule("<entropy>", "repro.helpers.entropy",
+                              textwrap.dedent(UNSEEDED_PICK))
+        found = lint_source(textwrap.dedent("""
+            from repro.helpers.entropy import pick
+            def choose():
+                return pick()
+        """), module="repro.core.mini", extra_sources=[helper])
+        assert [(f.path, f.rule) for f in found] == [("<entropy>", "RF001")]
+        assert "unseeded RNG" in found[0].message
+
+    def test_seeded_rng_is_silent(self):
+        assert codes("""
+            import random
+            def make_rng():
+                return random.Random(42), random.Random(seed=7)
+        """, module="tests.x") == []
+
+    def test_inline_suppression(self):
+        assert codes("""
+            import random
+            def pick():
+                return random.random()  # repro-lint: ignore[RF001]
+        """, module="tests.x") == []
 
 
 # ---------------------------------------------------------------------------
@@ -392,38 +480,6 @@ class TestRL006:
             extra_sources=[base],
         )
         assert [f.rule for f in findings] == ["RL006"]
-
-
-# ---------------------------------------------------------------------------
-# RL007 -- mutable default arguments
-# ---------------------------------------------------------------------------
-
-
-class TestRL007:
-    def test_list_default_fires(self):
-        assert codes("""
-            def f(x, acc=[]):
-                acc.append(x)
-        """) == ["RL007"]
-
-    def test_dict_call_default_fires(self):
-        assert codes("""
-            def f(x, table=dict()):
-                table[x] = 1
-        """) == ["RL007"]
-
-    def test_kwonly_default_fires(self):
-        assert codes("""
-            def f(x, *, acc={}):
-                acc[x] = 1
-        """) == ["RL007"]
-
-    def test_none_default_is_clean(self):
-        assert codes("""
-            def f(x, acc=None):
-                acc = acc or []
-                acc.append(x)
-        """) == []
 
 
 # ---------------------------------------------------------------------------
@@ -554,73 +610,12 @@ class TestRL012:
         """, module="repro.core.fixture") == []
 
 
-# ---------------------------------------------------------------------------
-# RL013 -- epoch/ownership state mutated outside repro.store.partition
-# ---------------------------------------------------------------------------
-
-
-class TestRL013:
-    def test_epoch_store_fires(self):
-        assert codes("""
-            def rewind(topology):
-                topology.epoch = 1
-        """, module="repro.store.cluster") == ["RL013"]
-
-    def test_epoch_augassign_fires(self):
-        assert codes("""
-            def bump(topology):
-                topology.epoch += 1
-        """, module="repro.runtime.deployment") == ["RL013"]
-
-    def test_handoffs_mutating_call_fires(self):
-        assert codes("""
-            def forge(topology, handoff):
-                topology._handoffs.pop(handoff.partition_id)
-        """, module="repro.store.management") == ["RL013"]
-
-    def test_epoch_log_append_fires(self):
-        assert codes("""
-            def fake(topology):
-                topology.epoch_log.append((99, "forged"))
-        """, module="repro.api.admin") == ["RL013"]
-
-    def test_epoch_read_is_clean(self):
-        # Reads are the supported surface: obs gauges and benches report
-        # the epoch without owning it.
-        assert codes("""
-            def report(topology):
-                return (topology.epoch, list(topology.epoch_log))
-        """, module="repro.obs.collect") == []
-
-    def test_owner_module_is_exempt(self):
-        bump = """
-            def _bump(self, reason):
-                self.epoch += 1
-                self.epoch_log.append((self.epoch, reason))
-        """
-        assert codes(bump, module="repro.store.partition") == []
-        assert codes(bump, module="repro.elastic.topology") == \
-            ["RL013", "RL013"]
-
-    def test_outside_repro_is_exempt(self):
-        assert codes("""
-            def reset(topology):
-                topology.epoch = 1
-        """, module="test_elastic") == []
-
-    def test_suppression(self):
-        assert codes("""
-            def probe(topology):
-                topology.epoch = 7  # repro-lint: ignore[RL013] fixture
-        """, module="repro.core.fixture") == []
-
-
 class TestEngine:
     def test_skip_file(self):
         assert codes("""
             # repro-lint: skip-file  (generated)
-            def f(x, acc=[]):
-                acc.append(x)
+            def f(keys):
+                return [k for k in set(keys)]
         """) == []
 
     def test_syntax_error_reported_as_rl000(self):
@@ -628,16 +623,18 @@ class TestEngine:
 
     def test_multi_rule_suppression(self):
         assert codes("""
+            import random
             import time
-            def f(acc=[]):  # repro-lint: ignore[RL007, RF001]
-                return time.time()  # repro-lint: ignore[RF001] fixture
+            def f():
+                for x in {random.random()}:  # repro-lint: ignore[RL005, RF001]
+                    return time.time()  # repro-lint: ignore[RF001] fixture
         """, module="repro.core.fixture") == []
 
     def test_suppression_requires_matching_code(self):
         assert codes("""
-            def f(x, acc=[]):  # repro-lint: ignore[RL001] wrong code
-                acc.append(x)
-        """) == ["RL007"]
+            def f(keys):
+                return [k for k in set(keys)]  # repro-lint: ignore[RL001]
+        """) == ["RL005"]
 
     def test_module_name_for(self):
         assert module_name_for("src/repro/core/transaction.py") == \
@@ -655,7 +652,7 @@ class TestCli:
         pkg = tmp_path / "repro" / "core"
         pkg.mkdir(parents=True)
         bad = pkg / "bad.py"
-        bad.write_text("def f(x, acc=[]):\n    acc.append(x)\n")
+        bad.write_text("def f(keys):\n    return [k for k in set(keys)]\n")
         return bad
 
     def test_findings_exit_1_and_human_output(self, tmp_path, capsys,
@@ -664,7 +661,7 @@ class TestCli:
         bad = self._write_fixture(tmp_path)
         assert lint_main([str(bad)]) == 1
         out = capsys.readouterr().out
-        assert "RL007" in out and "bad.py" in out
+        assert "RL005" in out and "bad.py" in out
 
     def test_clean_exit_0(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -680,7 +677,7 @@ class TestCli:
         assert lint_main(["repro", str(bad), "repro/core"]) == 1
         out = capsys.readouterr().out.splitlines()
         assert [line.split()[1] for line in out
-                if line.startswith("repro/")] == ["RL007"]
+                if line.startswith("repro/")] == ["RL005"]
         assert out[-2] == "repro-lint: 1 finding(s) in 1 file(s)"
 
     @pytest.mark.parametrize("flag", [
@@ -715,12 +712,16 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert lint_main(["does-not-exist"]) == 2
 
+    def test_explain_rf001_names_its_scope(self, capsys):
+        assert lint_main(["--explain", "RF001"]) == 0
+        out = capsys.readouterr().out
+        assert "repro.bench" in out and "random.Random(seed)" in out
+
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RL001", "RL007"):
-            assert code in out
-        assert len(out.splitlines()) == 9
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "RL001", "RL002", "RL005", "RL006", "RL008", "RL012", "RF001"]
 
     def test_rule_catalog_documents_exactly_the_registered_rules(self, capsys):
         # One `### <code>` heading in docs/static-analysis.md per rule

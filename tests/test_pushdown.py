@@ -8,7 +8,7 @@ from repro.core.record import TOMBSTONE, Version, VersionedRecord
 from repro.core.snapshot import SnapshotDescriptor
 from repro.errors import InvalidState
 from repro.store.cluster import StorageCluster
-from repro.store.pushdown import Projection, ScanFilter
+from repro.store.pushdown import ScanFilter
 
 
 class TestScanFilter:
@@ -35,14 +35,6 @@ class TestScanFilter:
         for op, expected in (("=", False), ("!=", True), ("<", True),
                              ("<=", True), (">", False), (">=", False)):
             assert ScanFilter([(0, op, 7)]).matches(row) is expected
-
-
-class TestProjection:
-    def test_selects_positions(self):
-        assert Projection([2, 0]).apply(("a", "b", "c")) == ("c", "a")
-
-    def test_none_is_identity(self):
-        assert Projection(None).apply(("a", "b")) == ("a", "b")
 
 
 class TestStoragePushdown:
@@ -80,17 +72,6 @@ class TestStoragePushdown:
         ))
         values = sorted(value[0] for _k, value, _v in rows)
         assert values == [15, 16, 17, 18, 19]
-
-    def test_projection_trims_rows(self, cluster):
-        snapshot = self.seed(cluster)
-        rows = cluster.execute(effects.Scan(
-            "data", (1,), (2,), snapshot=snapshot,
-            scan_filter=ScanFilter([(0, "<", 3)]),
-            projection=Projection([1]),
-        ))
-        assert sorted(value for _k, (value,), _v in rows) == [
-            "name-0", "name-1", "name-2"
-        ]
 
     def test_raw_scan_unchanged(self, cluster):
         self.seed(cluster)
