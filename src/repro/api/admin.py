@@ -11,11 +11,12 @@ processing-pool grow/shrink, and topology introspection::
             view = admin.topology()           # epoch, ownership map
             admin.wait_balanced()
 
-Every mutation goes through the versioned
-:class:`repro.store.partition.PartitionMap` (epoch bumps, handoff
-lifecycle) and the bounded-batch migration protocol, so the embedded
-path exercises exactly the state machine the simulated elastic
-coordinator drives under live load.
+Every storage mutation runs one of the shared
+:class:`repro.elastic.migration.StorageOps` operations -- the same
+generators the simulated elastic coordinator drives under live load --
+through the versioned :class:`repro.store.partition.PartitionMap`
+(epoch bumps, handoff lifecycle) and the bounded-batch migration
+protocol.  This driver only drains them; the coordinator times them.
 
 Leaving the ``with`` block verifies nothing leaked: no handoff residue,
 hosting consistent with assignment, and -- because migrations never open
@@ -24,12 +25,21 @@ transactions -- the commit managers' pins unchanged.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Generator, List, Optional
 
-from repro.elastic.migration import (capture_pins, assert_migration_clean,
-                                     run_moves_direct, MigrationStats)
-from repro.elastic.topology import plan_drain, plan_rebalance
+from repro.elastic.migration import (StorageOps, assert_migration_clean,
+                                     capture_pins)
 from repro.errors import InvalidState
+
+
+def _complete(operation: Generator) -> Any:
+    """Run a storage operation to its end.  The embedded path models no
+    time, so every batch cost it yields is ignored."""
+    while True:
+        try:
+            next(operation)
+        except StopIteration as stop:
+            return stop.value
 
 
 class ClusterAdmin:
@@ -37,7 +47,9 @@ class ClusterAdmin:
 
     def __init__(self, db: Any):
         self._db = db
-        self.stats = MigrationStats()
+        self._ops = StorageOps(db.cluster, db.management,
+                               lambda message: None)
+        self.stats = self._ops.stats
         self._pins = capture_pins(db.commit_managers)
 
     # -- context management -------------------------------------------------
@@ -55,20 +67,13 @@ class ClusterAdmin:
             self._db.cluster, self._db.commit_managers, self._pins
         )
 
-    # -- storage elasticity -------------------------------------------------
+    # -- storage elasticity: the shared operations, untimed -----------------
 
     def add_storage_node(self, rebalance: bool = True,
                          capacity_bytes: Optional[int] = None) -> int:
         """Attach a fresh storage node; by default migrate partitions onto
         it until master counts are balanced.  Returns the new node id."""
-        cluster = self._db.cluster
-        node = cluster.create_node(capacity_bytes)
-        if rebalance:
-            run_moves_direct(
-                cluster, plan_rebalance(cluster.partition_map),
-                stats=self.stats,
-            )
-        return node.node_id
+        return _complete(self._ops.add_storage_node(capacity_bytes, rebalance))
 
     def remove_storage_node(self, node_id: int, drain: bool = True) -> None:
         """Retire a storage node.
@@ -79,24 +84,11 @@ class ClusterAdmin:
         node's fail-over path -- under RF1 that loses the node's data,
         exactly like a crash.
         """
-        cluster = self._db.cluster
-        if node_id not in cluster.nodes:
-            raise InvalidState(f"no storage node {node_id}")
-        if drain:
-            run_moves_direct(
-                cluster, plan_drain(cluster.partition_map, node_id),
-                stats=self.stats,
-            )
-        else:
-            self._db.management.handle_node_failure(node_id)
-        cluster.detach_node(node_id)
+        _complete(self._ops.remove_storage_node(node_id, drain))
 
     def rebalance(self) -> int:
         """Even out master placement; returns the number of moves run."""
-        cluster = self._db.cluster
-        moves = plan_rebalance(cluster.partition_map)
-        run_moves_direct(cluster, moves, stats=self.stats)
-        return len(moves)
+        return _complete(self._ops.rebalance())
 
     def wait_balanced(self) -> None:
         """Block until the topology is balanced (embedded mode: migrations

@@ -16,7 +16,7 @@ series across all three phases plus the coordinator's event log, making
 every point reproducible byte-for-byte under a fixed seed.
 
 The ``autoscale16`` point replaces the fixed schedule with the
-deterministic :class:`repro.elastic.Autoscaler` driving the same
+deterministic :class:`repro.elastic.autoscaler.Autoscaler` driving the same
 coordinator, and records its decision log.
 
 Use via ``python -m repro.bench elastic`` (``--profile smoke`` runs only

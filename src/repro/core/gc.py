@@ -6,7 +6,7 @@ Two strategies cooperate:
   versions from a record before writing it back
   (:meth:`repro.core.record.VersionedRecord.collect_garbage`, wired into
   the commit path), and index lookups drop obsolete entries
-  (:meth:`repro.index.btree.DistributedBTree.lookup_and_gc`).
+  (:meth:`repro.sql.table.Table._maybe_gc_entry`).
 * *Lazy* GC is a background task sweeping the data space in intervals,
   catching rarely-accessed records the eager path never sees.
 

@@ -9,9 +9,11 @@ and storage scale *independently* -- operational while traffic runs:
 * :mod:`repro.elastic.migration` -- the bounded-batch key-handoff
   protocol streaming partitions to their new owner while PNs keep
   committing (SI-safe: destination rides the replica list, promotion is
-  a single atomic epoch step);
-* :mod:`repro.elastic.coordinator` -- the sim-timeline driver (SN
-  add/remove, PN grow/shrink through the recovery path, timed batches);
+  a single atomic epoch step), and ``StorageOps``, the one
+  implementation of SN add, remove, rebalance and scale-to that both
+  ``db.admin()`` and the coordinator drive;
+* :mod:`repro.elastic.coordinator` -- the sim-timeline driver (timed
+  batches under a FIFO lock, PN grow/shrink through the recovery path);
 * :mod:`repro.elastic.autoscaler` -- the deterministic policy that turns
   ``repro.obs`` snapshots (queue depth, p99, abort rate) into add/remove
   decisions.
@@ -21,38 +23,3 @@ In-flight requests that reach a node after its partition moved fail with
 re-routed by :class:`repro.dispatch.WrongOwnerRedirect`.  See
 ``docs/elasticity.md`` for the full protocol.
 """
-
-from repro.elastic.topology import Move
-from repro.store.partition import Handoff
-
-
-def __getattr__(name):
-    # Loaded on first use: the embedded database's ``db.admin()`` imports
-    # this package for the migration protocol only and must not pull in
-    # the coordinator or the autoscaler (and, through them, the simulator).
-    if name in ("MigrationStats", "run_moves_direct", "migrate_partition"):
-        from repro.elastic import migration
-
-        return getattr(migration, name)
-    if name == "ElasticCoordinator":
-        from repro.elastic.coordinator import ElasticCoordinator
-
-        return ElasticCoordinator
-    if name in ("Autoscaler", "AutoscalerPolicy", "Decision"):
-        from repro.elastic import autoscaler
-
-        return getattr(autoscaler, name)
-    raise AttributeError(name)
-
-
-__all__ = [
-    "Autoscaler",
-    "AutoscalerPolicy",
-    "Decision",
-    "ElasticCoordinator",
-    "Handoff",
-    "MigrationStats",
-    "Move",
-    "migrate_partition",
-    "run_moves_direct",
-]

@@ -2,26 +2,26 @@
 
 :class:`ElasticCoordinator` runs against a
 :class:`repro.runtime.deployment.SimulatedDeployment` and executes
-elastic operations *while the workload runs*: every migration batch is a
-timed message (wire latency plus per-cell copy service on both storage
-nodes' core pools), so a rebalance visibly steals service capacity from
-foreground traffic -- the throughput dip the elastic bench suite
-measures -- and every state transition happens at an exact simulated
-instant.
+elastic operations *while the workload runs*.  The storage operations
+are the shared :class:`repro.elastic.migration.StorageOps` generators --
+the same ones ``db.admin()`` drives; this driver adds only what time
+needs: every migration batch they yield is a timed message (wire latency
+plus per-cell copy service on both storage nodes' core pools), so a
+rebalance visibly steals service capacity from foreground traffic -- the
+throughput dip the elastic bench suite measures -- and every state
+transition happens at an exact simulated instant.
 
-The coordinator is deliberately sequential: moves execute one at a time
-in plan order, so a fixed seed reproduces the identical migration
-schedule, epoch log, and digest on every run (pinned by the determinism
-tests).
+Elastic operations serialize behind a FIFO lock and moves execute one at
+a time in plan order, so a fixed seed reproduces the identical migration
+schedule, epoch log, event log and digest on every run (pinned by the
+determinism tests).
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Generator, List, Tuple
 
-from repro.elastic.migration import (DEFAULT_BATCH_CELLS, BatchCost,
-                                     MigrationStats, migrate_partition)
-from repro.elastic.topology import Move, plan_drain, plan_rebalance
+from repro.elastic.migration import DEFAULT_BATCH_CELLS, BatchCost, StorageOps
 from repro.errors import InvalidState
 from repro.sim.kernel import Delay
 
@@ -48,13 +48,13 @@ class ElasticCoordinator:
         self.sim = deployment.sim
         self.fabric = deployment.fabric
         self.cluster = deployment.cluster
-        self.partition_map = deployment.cluster.partition_map
-        self.batch_cells = batch_cells
         self.drain_pause_us = drain_pause_us
-        self.stats = MigrationStats()
         #: (sim_time_us, description) log of every elastic action, in
         #: execution order -- the determinism tests pin this down.
         self.events: List[Tuple[float, str]] = []
+        self._ops = StorageOps(self.cluster, deployment.management,
+                               self._log, batch_cells)
+        self.stats = self._ops.stats
         # Elastic operations serialize: planning against a topology whose
         # handoffs another operation is still executing would produce
         # colliding moves.  FIFO hand-off keeps the order deterministic.
@@ -94,90 +94,24 @@ class ElasticCoordinator:
             # observe one logical request however many redirects it took.
             interceptors.append(WrongOwnerRedirect())
 
-    # -- storage scale-out / scale-in -------------------------------------
+    # -- storage scale-out / scale-in: the shared operations, timed ------
 
     def add_storage_node(self) -> Generator:
         """Attach a fresh SN and rebalance partitions onto it, live."""
-        self._arm()
-        yield from self._acquire()
-        try:
-            node = self.cluster.create_node()
-            self.fabric.register_node(node.node_id)
-            self._log(f"sn-add {node.node_id} epoch={self.partition_map.epoch}")
-            moves = plan_rebalance(self.partition_map)
-            yield from self._run_moves(moves)
-            return node.node_id
-        finally:
-            self._release()
+        return self._run(self._ops.add_storage_node())
 
     def remove_storage_node(self, node_id: int, drain: bool = True) -> Generator:
-        """Retire an SN.  ``drain=True`` migrates its partitions away
-        first; ``drain=False`` models a hard removal (crash + fail-over
-        through the management node, losing nothing only under RF>1)."""
-        self._arm()
-        yield from self._acquire()
-        try:
-            if drain:
-                moves = plan_drain(self.partition_map, node_id)
-                self._log(f"sn-drain {node_id} moves={len(moves)}")
-                yield from self._run_moves(moves)
-                node = self.cluster.nodes.get(node_id)
-                if node is not None and node.partitions:
-                    raise InvalidState(
-                        f"drain of storage node {node_id} left "
-                        f"{len(node.partitions)} partition(s) behind"
-                    )
-            else:
-                self._log(f"sn-kill {node_id}")
-                self.deployment.management.handle_node_failure(node_id)
-            self.cluster.detach_node(node_id)
-            self.fabric.sn_pools.pop(node_id, None)
-            self._log(f"sn-removed {node_id} epoch={self.partition_map.epoch}")
-        finally:
-            self._release()
+        """Retire an SN by drain or hard removal, live."""
+        return self._run(self._ops.remove_storage_node(node_id, drain))
 
     def scale_storage_to(self, target: int) -> Generator:
-        """Grow or shrink the SN fleet to ``target`` members, live.
-
-        Growth attaches every missing node first and rebalances once --
-        a single planning pass moves each partition at most once, where
-        incremental :meth:`add_storage_node` calls would re-shuffle after
-        every attach.  Shrink drains the highest-numbered nodes one at a
-        time (each drain re-plans against the then-current membership).
-        Returns the resulting sorted node-id list.
-        """
-        if target < 1:
-            raise InvalidState("scale_storage_to needs target >= 1")
-        current = sorted(self.cluster.nodes)
-        if target > len(current):
-            self._arm()
-            yield from self._acquire()
-            try:
-                added = []
-                for _ in range(target - len(current)):
-                    node = self.cluster.create_node()
-                    self.fabric.register_node(node.node_id)
-                    added.append(node.node_id)
-                self._log(f"sn-scale {len(current)}->{target} added={added}")
-                yield from self._run_moves(plan_rebalance(self.partition_map))
-            finally:
-                self._release()
-        elif target < len(current):
-            for node_id in reversed(current[target:]):
-                yield from self.remove_storage_node(node_id)
-        return sorted(self.cluster.nodes)
+        """Grow or shrink the SN fleet to ``target`` members, live;
+        returns the resulting sorted node-id list."""
+        return self._run(self._ops.scale_storage_to(target))
 
     def rebalance(self) -> Generator:
         """Move partitions until master counts differ by at most one."""
-        self._arm()
-        yield from self._acquire()
-        try:
-            moves = plan_rebalance(self.partition_map)
-            self._log(f"rebalance moves={len(moves)}")
-            yield from self._run_moves(moves)
-            return len(moves)
-        finally:
-            self._release()
+        return self._run(self._ops.rebalance())
 
     # -- processing scale-out / scale-in ----------------------------------
 
@@ -236,31 +170,31 @@ class ElasticCoordinator:
 
     # -- migration driving -------------------------------------------------
 
-    def _run_moves(self, moves: Sequence[Move]) -> Generator:
-        for move in moves:
-            yield from self._run_move(move)
-        self._log(
-            f"moves-done n={len(moves)} epoch={self.partition_map.epoch} "
-            f"balanced={self.partition_map.is_balanced()}"
-        )
+    def _run(self, operation: Generator) -> Generator:
+        """Drive one storage operation under the lock, charging every
+        migration batch it yields; returns the operation's result."""
+        self._arm()
+        yield from self._acquire()
+        try:
+            while True:
+                try:
+                    cost = next(operation)
+                except StopIteration as stop:
+                    return stop.value
+                finally:
+                    self._sync_pools()
+                yield from self._charge_batch(cost)
+        finally:
+            self._release()
 
-    def _run_move(self, move: Move) -> Generator:
-        steps = migrate_partition(
-            self.cluster, move, self.batch_cells, self.stats
-        )
-        committed = False
-        while True:
-            try:
-                cost = next(steps)
-            except StopIteration as stop:
-                committed = bool(stop.value)
-                break
-            yield from self._charge_batch(cost)
-        self._log(
-            f"move p{move.partition_id} {move.src}->{move.dst} "
-            f"{'ok' if committed else 'aborted'} epoch={self.partition_map.epoch}"
-        )
-        return committed
+    def _sync_pools(self) -> None:
+        # An SN the step just attached gets its core pool, and a detached
+        # one loses it, before simulated time moves on.
+        pools, nodes = self.fabric.sn_pools, self.cluster.nodes
+        for node_id in nodes:
+            self.fabric.register_node(node_id)
+        for node_id in [n for n in pools if n not in nodes]:
+            del pools[node_id]
 
     def _charge_batch(self, cost: BatchCost) -> Generator:
         """Charge one migration batch: copy service on the source, wire

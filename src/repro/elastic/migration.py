@@ -30,13 +30,19 @@ Every step is SI-safe: the destination is indistinguishable from a
 backup replica until promotion, and promotion changes routing only --
 never version history.  The sanitizer suite stays clean through
 migrations (pinned by the elastic tests).
+
+:class:`StorageOps` builds SN add, remove, rebalance and scale-to on top
+of the one-partition protocol -- one set of operations that both the
+embedded ``db.admin()`` and the simulated coordinator drive.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Generator, List, Optional, Sequence,
+                    Tuple)
 
-from repro.elastic.topology import Move, assert_no_leaks
+from repro.elastic.topology import (Move, assert_no_leaks, plan_drain,
+                                    plan_rebalance)
 from repro.errors import InvalidState, TellError
 from repro.store.cell import approx_size
 from repro.store.partition import PartitionMap
@@ -191,28 +197,102 @@ def _drop_partial(cluster: Any, move: Move, pid: int) -> None:
         dst_node.drop_partition(pid)
 
 
-def run_moves_direct(
-    cluster: Any,
-    moves: Sequence[Move],
-    batch_cells: int = DEFAULT_BATCH_CELLS,
-    stats: Optional[MigrationStats] = None,
-) -> MigrationStats:
-    """Drive a list of moves synchronously (the embedded-database path).
+class StorageOps:
+    """SN add, remove, rebalance and scale-to, written once for both drivers.
 
-    The direct runner models no time, so batch costs are consumed
-    without waiting; state transitions are identical to the simulated
-    path.
+    Each operation is a generator that yields every migration batch's
+    :class:`BatchCost` and reports each elastic step to ``log``.
+    :class:`repro.api.admin.ClusterAdmin` drains the generators (the
+    embedded path models no time, so costs are ignored);
+    :class:`repro.elastic.coordinator.ElasticCoordinator` charges each
+    cost on the SN core pools under its FIFO lock.  Moves run one at a
+    time in plan order, so a fixed seed replays the identical schedule.
     """
-    if stats is None:
-        stats = MigrationStats()
-    for move in moves:
-        steps = migrate_partition(cluster, move, batch_cells, stats)
-        while True:
-            try:
-                next(steps)
-            except StopIteration:
-                break
-    return stats
+
+    def __init__(self, cluster: Any, management: Any,
+                 log: Callable[[str], None],
+                 batch_cells: int = DEFAULT_BATCH_CELLS):
+        self.cluster = cluster
+        self.management = management
+        self.log = log
+        self.batch_cells = batch_cells
+        self.stats = MigrationStats()
+
+    def add_storage_node(self, capacity_bytes: Optional[int] = None,
+                         rebalance: bool = True) -> Generator:
+        """Attach a fresh SN and, by default, rebalance partitions onto
+        it.  Returns the new node id."""
+        node_id = self.cluster.create_node(capacity_bytes).node_id
+        pmap = self.cluster.partition_map
+        self.log(f"sn-add {node_id} epoch={pmap.epoch}")
+        if rebalance:
+            yield from self.run_moves(plan_rebalance(pmap))
+        return node_id
+
+    def remove_storage_node(self, node_id: int, drain: bool = True) -> Generator:
+        """Retire an SN.  ``drain=True`` migrates its partitions away
+        first (no data loss at any replication factor); ``drain=False``
+        is a hard removal -- crash plus fail-over through the management
+        node, losing nothing only under RF>1."""
+        cluster = self.cluster
+        if node_id not in cluster.nodes:
+            raise InvalidState(f"no storage node {node_id}")
+        if drain:
+            moves = plan_drain(cluster.partition_map, node_id)
+            self.log(f"sn-drain {node_id} moves={len(moves)}")
+            yield from self.run_moves(moves)
+        else:
+            self.log(f"sn-kill {node_id}")
+            self.management.handle_node_failure(node_id)
+        cluster.detach_node(node_id)
+        self.log(f"sn-removed {node_id} epoch={cluster.partition_map.epoch}")
+
+    def rebalance(self) -> Generator:
+        """Move partitions until master counts differ by at most one;
+        returns the number of moves run."""
+        moves = plan_rebalance(self.cluster.partition_map)
+        self.log(f"rebalance moves={len(moves)}")
+        yield from self.run_moves(moves)
+        return len(moves)
+
+    def scale_storage_to(self, target: int) -> Generator:
+        """Grow or shrink the SN fleet to ``target`` members.
+
+        Growth attaches every missing node first and rebalances once --
+        a single planning pass moves each partition at most once, where
+        incremental :meth:`add_storage_node` calls would re-shuffle after
+        every attach.  Shrink drains the highest-numbered node, one at a
+        time, re-reading membership before each step.  Returns the
+        resulting sorted node-id list.
+        """
+        if target < 1:
+            raise InvalidState("scale_storage_to needs target >= 1")
+        cluster = self.cluster
+        current = len(cluster.nodes)
+        if target > current:
+            added = [cluster.create_node().node_id
+                     for _ in range(target - current)]
+            self.log(f"sn-scale {current}->{target} added={added}")
+            yield from self.run_moves(plan_rebalance(cluster.partition_map))
+        while len(cluster.nodes) > target:
+            yield from self.remove_storage_node(max(cluster.nodes))
+        return sorted(cluster.nodes)
+
+    def run_moves(self, moves: Sequence[Move]) -> Generator:
+        """Run ``moves`` one at a time, in plan order."""
+        pmap = self.cluster.partition_map
+        for move in moves:
+            committed = yield from migrate_partition(
+                self.cluster, move, self.batch_cells, self.stats
+            )
+            self.log(
+                f"move p{move.partition_id} {move.src}->{move.dst} "
+                f"{'ok' if committed else 'aborted'} epoch={pmap.epoch}"
+            )
+        self.log(
+            f"moves-done n={len(moves)} epoch={pmap.epoch} "
+            f"balanced={pmap.is_balanced()}"
+        )
 
 
 # -- leak checking (the _backfill_index lesson, applied to migrations) -------

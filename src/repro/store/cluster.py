@@ -207,9 +207,10 @@ class StorageCluster:
     ) -> StorageNode:
         """Attach a fresh, empty storage node and register it with the
         partition map (epoch bump).  The node owns nothing until a rebalance
-        assigns it partitions -- :class:`repro.api.admin.ClusterAdmin`
-        and :class:`repro.elastic.ElasticCoordinator` pair this with a
-        migration."""
+        assigns it partitions -- :class:`repro.elastic.migration.StorageOps`
+        pairs this with a rebalance, for both
+        :class:`repro.api.admin.ClusterAdmin` and
+        :class:`repro.elastic.coordinator.ElasticCoordinator`."""
         node_id = max(self.nodes.keys()) + 1 if self.nodes else 0
         node = StorageNode(
             node_id,

@@ -1,6 +1,6 @@
 """Kill matrix: which checker catches which planted protocol bug.
 
-    PYTHONPATH=src python tests/kill_matrix.py
+    PYTHONPATH=src python tests/kill_matrix.py [--rows ID [ID ...]]
 
 Each row of :data:`MUTANTS` is one planted bug, ``(id, file, old, new,
 why)``: the one occurrence of ``old`` in ``file`` becomes ``new``.  For
@@ -19,15 +19,19 @@ column against the copy:
   construction): a kill when it fails.
 
 The clean copy must pass ``san`` and ``tier1``.  The result is printed
-as a table and written to ``tests/kill_matrix.json``;
-``tests/test_kill_matrix.py`` checks that every row still plants at HEAD
-and that the JSON matches the current rows and columns.  A rule column
+as a table and written to ``tests/kill_matrix.json``; ``--rows`` runs
+the same clean-tree gate, then re-measures only the named rows and
+rewrites only their entries (the columns must be unchanged since the
+last full run).  ``tests/test_kill_matrix.py`` checks that every row
+still plants at HEAD and that the JSON matches the current rows and
+columns.  A rule column
 that kills no row on its own is a deletion candidate; a row no column
 kills is the next correctness test to write.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -36,7 +40,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 OUTPUT = ROOT / "tests" / "kill_matrix.json"
@@ -279,11 +283,11 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
     ),
     (
         "coordinator_add_node_moves_nothing",
-        "src/repro/elastic/coordinator.py",
-        "            yield from self._run_moves(moves)\n"
-        "            return node.node_id",
-        "            self._run_moves(moves)\n"
-        "            return node.node_id",
+        "src/repro/elastic/migration.py",
+        "            yield from self.run_moves(plan_rebalance(pmap))\n"
+        "        return node_id",
+        "            self.run_moves(plan_rebalance(pmap))\n"
+        "        return node_id",
         "adding a storage node plans the rebalance but never runs it: the "
         "new node serves nothing",
     ),
@@ -347,10 +351,10 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
     ),
     (
         "coordinator_bumps_epoch",
-        "src/repro/elastic/coordinator.py",
-        "            self.cluster.detach_node(node_id)\n",
-        "            self.cluster.detach_node(node_id)\n"
-        "            self.partition_map.epoch += 1\n",
+        "src/repro/elastic/migration.py",
+        "        cluster.detach_node(node_id)\n",
+        "        cluster.detach_node(node_id)\n"
+        "        cluster.partition_map.epoch += 1\n",
         "removing a storage node bumps the partition-map epoch directly: "
         "no epoch_log entry, and a route cached at the old epoch looks stale",
     ),
@@ -464,7 +468,25 @@ def dump(matrix: Dict[str, List[str]]) -> str:
             f"  \"rows\": {{\n{rows}\n  }}\n}}\n")
 
 
-def main() -> int:
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Plant each kill-matrix row and record its killers.")
+    parser.add_argument(
+        "--rows", nargs="+", metavar="ID",
+        help="re-measure only these rows and rewrite only their entries")
+    args = parser.parse_args(argv)
+    selected = MUTANTS
+    matrix: Dict[str, List[str]] = {}
+    if args.rows:
+        unknown = sorted(set(args.rows) - {row[0] for row in MUTANTS})
+        if unknown:
+            parser.error(f"unknown row(s): {' '.join(unknown)}")
+        recorded = json.loads(OUTPUT.read_text(encoding="utf-8"))
+        if recorded["columns"] != columns():
+            parser.error("the columns changed since the last full run; "
+                         "run without --rows")
+        selected = [row for row in MUTANTS if row[0] in args.rows]
+        matrix = recorded["rows"]
     with tempfile.TemporaryDirectory(prefix="kill-matrix-") as tmp:
         clean_tree = Path(tmp) / "clean"
         _copy_checkout(clean_tree)
@@ -473,8 +495,7 @@ def main() -> int:
             print("kill_matrix: the clean tree fails san or tier1",
                   file=sys.stderr)
             return 1
-        matrix: Dict[str, List[str]] = {}
-        for row in MUTANTS:
+        for row in selected:
             tree = Path(tmp) / row[0]
             shutil.copytree(clean_tree, tree, ignore=_CACHES)
             plant(tree, row)
@@ -484,6 +505,12 @@ def main() -> int:
             print(f"{row[0]}: {' '.join(killers) or 'SURVIVES'}"
                   f"{f'  (tier1: {failure})' if failure else ''}",
                   flush=True)
+    missing = [row[0] for row in MUTANTS if row[0] not in matrix]
+    if missing:
+        print(f"kill_matrix: no recorded entry for {' '.join(missing)}; "
+              "name them in --rows", file=sys.stderr)
+        return 1
+    matrix = {row[0]: matrix[row[0]] for row in MUTANTS}
     OUTPUT.write_text(dump(matrix), encoding="utf-8")
     print()
     print(render(matrix))
