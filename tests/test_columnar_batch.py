@@ -113,6 +113,9 @@ def test_no_per_key_request_object_outlives_the_send():
     message is the message itself: no ``Get``, no tuple holding a
     request or a ``(value, version)`` pair, no closure or cell; once
     served, a message holds nothing but the result columns."""
+    # Cyclic garbage that earlier tests left behind stays in
+    # gc.get_objects() until the collector next runs.
+    gc.collect()
     cluster = StorageCluster(n_nodes=2, replication_factor=1,
                              partitions_per_node=4)
     keys = [(7, rid) for rid in range(2_000)]

@@ -17,6 +17,7 @@ Four layers:
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -41,6 +42,17 @@ from repro.store.cell import Cell, approx_size
 from repro.store.node import StorageNode
 from repro.workloads.tpcc.params import TpccScale
 from repro import effects
+
+
+def log_digest(log):
+    """sha256 of everything a ViolationLog recorded, in order: each
+    violation's and report's code and message, and the reconciliation
+    counts."""
+    return hashlib.sha256(json.dumps({
+        "violations": [[v.code, v.message] for v in log.violations],
+        "reports": [[r.code, r.message] for r in log.reports],
+        "reconciliations": sorted(log.reconciliations.items()),
+    }, sort_keys=True).encode()).hexdigest()
 
 
 # -- kernel scheduler-policy hook ----------------------------------------
@@ -161,20 +173,29 @@ class TestHealthyScenarios:
 # -- the sanitizers only observe -----------------------------------------
 
 
+#: log_digest of the sanitized run, per isolation mode.
+SANITIZED_RUN_LOG = {
+    "si": "c6f18d0693817ab9b6d7a6ecb97c520c9694901c85daf667fe7411343be041ce",
+    "ssi": "bc14e4402448ac09424d6762059a8dd1a8038d5c0b861999ceef79970950acd5",
+}
+
+
 @pytest.mark.parametrize("mode", ["si", "ssi"])
 def test_sanitizers_leave_the_run_unchanged(mode):
     # A sanitizer that writes to the protocol state it watches, or
     # records into the obs layer it cross-checks, moves the digest or the
-    # obs snapshot of the run it is attached to.
+    # obs snapshot of the run it is attached to.  The log digest pins
+    # what the sanitizers saw: every reconciliation they counted.
     config = TellConfig(
         processing_nodes=2, storage_nodes=3, threads_per_pn=4,
         scale=TpccScale.tiny(2), duration_us=20_000.0, warmup_us=5_000.0,
         seed=1, observability=True, isolation=mode,
     )
     bare = SimulatedTell(config).run()
-    sanitized = SimulatedTell(
-        config, interceptors=make_sanitizers(isolation=mode)[1]).run()
+    log, chain = make_sanitizers(isolation=mode)
+    sanitized = SimulatedTell(config, interceptors=chain).run()
     assert sum(bare.committed.values()) > 0
+    assert log_digest(log) == SANITIZED_RUN_LOG[mode]
     assert sanitized.digest() == bare.digest()
     assert json.dumps(sanitized.obs_snapshot, sort_keys=True) == \
         json.dumps(bare.obs_snapshot, sort_keys=True)
@@ -241,6 +262,19 @@ def _explore_with_replay(scenario, schedules=2):
     return explorer, failures
 
 
+#: log_digest of each mutation's FIFO baseline scenario.  Which check
+#: fires, in which order and how often is part of the result: a GC check
+#: run against the shadow after the write was folded in still reports
+#: once, where it should report twelve times.
+MUTATION_LOG = {
+    "store_conditional":
+        "34315bcc02425143b894ed8357b3b8ae9aac793e9db4700750ad2b6fde1deaa1",
+    "gc": "30bf2eefb10c8b65e380a2768d727c7c924d0b2a5600568af55d3fe3e83d263b",
+    "visibility":
+        "05ba4aea9ba533d636f2609c2b710de338bf2915c44f651932d1303923de2d00",
+}
+
+
 class TestSeededMutations:
     def test_broken_store_conditional_trips_si_sanitizer(self, monkeypatch):
         monkeypatch.setattr(
@@ -251,6 +285,7 @@ class TestSeededMutations:
         assert set(baseline.codes()) & {
             "SI-LOST-UPDATE", "SI-STALE-SC", "SCN-COUNTER"
         }
+        assert log_digest(baseline) == MUTATION_LOG["store_conditional"]
         explorer, failures = _explore_with_replay(lost_update)
         # The shortest failing prefix must itself still fail.
         minimal = explorer.minimize(failures[0])
@@ -267,6 +302,7 @@ class TestSeededMutations:
         assert set(baseline.codes()) & {
             "GC-ABOVE-LAV", "GC-LIVE-SNAPSHOT", "SCN-SNAPSHOT-LOST"
         }
+        assert log_digest(baseline) == MUTATION_LOG["gc"]
         _explore_with_replay(gc_pressure)
 
     def test_broken_visibility_trips_read_check(self, monkeypatch):
@@ -276,6 +312,7 @@ class TestSeededMutations:
         baseline = gc_pressure(None)
         assert not baseline.clean
         assert "SI-READ" in baseline.codes()
+        assert log_digest(baseline) == MUTATION_LOG["visibility"]
         _explore_with_replay(gc_pressure)
 
     def test_broken_visibility_scan_trips_read_check(
@@ -300,6 +337,7 @@ class TestSeededMutations:
         baseline = gc_pressure(None)
         assert not baseline.clean
         assert "SI-READ" in baseline.codes()
+        assert log_digest(baseline) == MUTATION_LOG["visibility"]
         _explore_with_replay(gc_pressure)
 
 
