@@ -109,7 +109,7 @@ def run_isolation_point(mode: str, pairs: int = 4, rounds: int = 6) -> Dict[str,
     world.run_all(processes)
     elapsed_us = max(world.sim.now - started_us, 1.0)
 
-    cycles = world.sanitizers[0].analyze()
+    cycles = world.sanitizer.analyze()
     manager = world.commit_manager
     finished = counts["committed"] + counts["aborted"]
     return {

@@ -1,17 +1,19 @@
 """reprosan: dynamic sanitizers for the snapshot-isolation protocol.
 
-Three interceptors validate a running deployment (simulated or direct)
-against an independently maintained shadow history:
+One interceptor, :class:`~repro.san.si.Sanitizer`, validates a running
+deployment (simulated or direct) against a shadow history it maintains
+independently of the production code.  It turns every data-space store
+result into one observation per key and runs three passes over them:
 
-* :class:`~repro.san.si.SISanitizer` -- the SI axioms: reads return the
-  newest snapshot-visible version, first-committer-wins on write-write
-  overlap, no lost updates; plus an SSI-style dependency graph that
-  *reports* write-skew cycles (SI permits them).
-* :class:`~repro.san.gcsan.GCSanitizer` -- eager/lazy GC never prunes a
-  version above the true lowest active version or out from under a live
-  snapshot.
-* :class:`~repro.san.chain.VersionChainSanitizer` -- version chains stay
-  sorted, deduplicated, and structurally valid.
+1. version chains (:func:`~repro.san.chain.check_chain`) stay sorted,
+   deduplicated, and structurally valid;
+2. GC (:class:`~repro.san.gcsan.GCChecks`): eager/lazy GC never prunes a
+   version above the true lowest active version or out from under a
+   live snapshot -- checked against the shadow before the write;
+3. the SI fold: reads return the newest snapshot-visible version,
+   first-committer-wins on write-write overlap, no lost updates; it
+   updates the shadow and builds an SSI-style dependency graph that
+   *reports* write-skew cycles (SI permits them).
 
 :mod:`repro.san.explorer` perturbs the sim kernel's schedule (random /
 PCT / replay policies) to hunt interleaving-dependent violations;
@@ -29,10 +31,13 @@ run's) and never raise from inside the pipeline; check
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.san.shadow import ShadowHistory
 from repro.san.violations import SanitizerError, Violation, ViolationLog
+
+if TYPE_CHECKING:
+    from repro.san.si import Sanitizer
 
 #: Environment flag enabling sanitizer attachment in stock harnesses
 #: (bench ``--sanitize``, the SI invariant tests).
@@ -47,34 +52,20 @@ def sanitizers_enabled() -> bool:
 def make_sanitizers(
     log: Optional[ViolationLog] = None,
     isolation: str = "si",
-) -> Tuple[ViolationLog, List[object]]:
-    """Build the standard sanitizer chain sharing one shadow history.
+) -> Tuple[ViolationLog, List[Sanitizer]]:
+    """Build the sanitizer chain: ``(log, [Sanitizer])``.
 
-    Returns ``(log, [SISanitizer, GCSanitizer, VersionChainSanitizer])``
-    -- ordered for :func:`repro.dispatch.compose`: post-result code runs
-    innermost-first, so the GC and chain sanitizers see each observation
-    against the *pre-write* shadow before the (outermost) SI sanitizer
-    folds the write in.  The sanitizer imports stay lazy so the default
-    (sanitizers-off) paths never pay for loading the dispatch stack.
-
-    ``isolation`` names the deployment's protocol: under the
-    read-validating modes ("wsi"/"ssi") the SI sanitizer's dependency
-    analysis escalates write-skew cycles from reports to violations --
-    the protocol promised to prevent them.
+    The import stays lazy so the default (sanitizers-off) paths never pay
+    for loading the dispatch stack.  ``isolation`` names the deployment's
+    protocol: under the read-validating modes ("wsi"/"ssi") the
+    dependency analysis escalates write-skew cycles from reports to
+    violations -- the protocol promised to prevent them.
     """
-    from repro.san.chain import VersionChainSanitizer
-    from repro.san.gcsan import GCSanitizer
-    from repro.san.si import SISanitizer
+    from repro.san.si import Sanitizer
 
     if log is None:
         log = ViolationLog()
-    shadow = ShadowHistory()
-    chain: List[object] = [
-        SISanitizer(log, shadow, serializable=isolation != "si"),
-        GCSanitizer(log, shadow),
-        VersionChainSanitizer(log),
-    ]
-    return log, chain
+    return log, [Sanitizer(log, serializable=isolation != "si")]
 
 
 __all__ = [

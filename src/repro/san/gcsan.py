@@ -2,10 +2,10 @@
 
 Both GC strategies -- the eager prune inlined into the commit path and
 the lazy background sweeper -- ultimately surface as ordinary LL/SC
-writes: a ``PutIfVersion`` whose new record is missing versions the old
-record had, or a ``DeleteIfVersion`` removing the cell outright.  The
-:class:`GCSanitizer` watches for exactly those shrinking writes and
-checks every removed version against the shadow history:
+writes: a store-conditional put (single or batched) whose new record is
+missing versions the old record had, or a ``DeleteIfVersion`` removing
+the cell outright.  :class:`GCChecks` looks at exactly those shrinking
+writes and checks every removed version against the shadow history:
 
 * **GC-ABOVE-LAV** -- a committed version newer than the *true* lowest
   active version (the minimum snapshot base the shadow observed being
@@ -23,72 +23,39 @@ checks every removed version against the shadow history:
   (or any future one, when no transaction is active) would still read a
   non-tombstone version from it.
 
-The sanitizer must run *inside* the :class:`~repro.san.si.SISanitizer`
-in the interceptor chain: post-result code executes innermost-first, so
-this check compares each observation against the shadow state from
-*before* the SI sanitizer folds the write in.
+:class:`~repro.san.si.Sanitizer` runs these checks as its second pass,
+after the version-chain pass and before its SI fold updates the shadow:
+each write is compared against the shadow state from *before* it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
-from repro import effects
 from repro.core.record import TOMBSTONE
-from repro.core.spaces import DATA_SPACE
-from repro.dispatch import (
-    KIND_BATCH,
-    KIND_STORE,
-    DispatchContext,
-    DispatchEnv,
-    Interceptor,
-    NextFn,
-    kind_of,
-)
 from repro.san.shadow import ShadowCell, ShadowHistory, ref_latest_visible
 from repro.san.violations import ViolationLog
 
+if TYPE_CHECKING:
+    from repro.san.si import Observation
 
-class GCSanitizer(Interceptor):
+
+class GCChecks:
     """Checks version pruning and cell drops against the shadow."""
 
     def __init__(self, log: ViolationLog, shadow: ShadowHistory) -> None:
         self.log = log
-        self.shadow = shadow  # shared with SISanitizer; never mutated here
+        self.shadow = shadow  # the Sanitizer's; never mutated here
 
-    def on_attach(self, env: DispatchEnv) -> None:
-        pass
-
-    def intercept(self, request: Any, ctx: DispatchContext,
-                  next: NextFn) -> Generator[Any, Any, Any]:
-        kind = kind_of(request)
-        result = yield from next(request)
-        if kind == KIND_STORE:
-            self._observe(id(ctx), request, result)
-        elif kind == KIND_BATCH and request.batch_space == DATA_SPACE \
-                and request.expected is not None:
-            # Only a store-conditional put batch can prune: a read writes
-            # nothing, and an unconditional put is a bulk load.
-            oks, _versions = result
-            for key, record, expected, ok in zip(
-                request.keys, request.values, request.expected, oks
-            ):
-                if ok:
-                    self._check_prune(id(ctx), key, record, expected)
-        return result
-
-    def _observe(self, ctx_key: int, op: Any, result: Any) -> None:
-        if getattr(op, "space", None) != DATA_SPACE:
-            return
-        if isinstance(op, effects.PutIfVersion):
-            ok, _new_version = result
-            if ok:
-                self._check_prune(ctx_key, op.key, op.value,
-                                  op.expected_version)
-        elif isinstance(op, effects.DeleteIfVersion):
-            ok, _current = result
-            if ok:
-                self._check_cell_drop(ctx_key, op)
+    def check(self, ctx_key: int, observed: List[Observation]) -> None:
+        """Every successful store-conditional write and cell delete."""
+        for op, key, record, expected, ok, _version in observed:
+            if not ok or expected is None:
+                continue  # only a successful LL/SC write can prune
+            if op == "write":
+                self._check_prune(ctx_key, key, record, expected)
+            elif op == "delete":
+                self._check_cell_drop(ctx_key, key, expected)
 
     # -- version pruning -------------------------------------------------
 
@@ -151,10 +118,11 @@ class GCSanitizer(Interceptor):
 
     # -- whole-cell removal ----------------------------------------------
 
-    def _check_cell_drop(self, ctx_key: int, op: Any) -> None:
+    def _check_cell_drop(self, ctx_key: int, key: Any,
+                         expected: int) -> None:
         shadow = self.shadow
-        sc = shadow.cells.get(op.key)
-        if sc is None or sc.cell_version != op.expected_version:
+        sc = shadow.cells.get(key)
+        if sc is None or sc.cell_version != expected:
             return
         view = shadow.current(ctx_key)
         writer_tid = view.tid if view is not None else None
@@ -169,10 +137,10 @@ class GCSanitizer(Interceptor):
                     and sc.versions[visible] is not TOMBSTONE:
                 self.log.violation(
                     "GC-CELL-DROP",
-                    f"cell {op.key!r} deleted although active tid "
+                    f"cell {key!r} deleted although active tid "
                     f"{reader.tid} still reads non-tombstone version "
                     f"{visible} from it",
-                    key=op.key, reader=reader.tid, visible=visible,
+                    key=key, reader=reader.tid, visible=visible,
                 )
                 return
         if not shadow.active and tids:
@@ -180,8 +148,8 @@ class GCSanitizer(Interceptor):
             if sc.versions[newest] is not TOMBSTONE:
                 self.log.violation(
                     "GC-CELL-DROP",
-                    f"cell {op.key!r} deleted although its newest "
+                    f"cell {key!r} deleted although its newest "
                     f"version {newest} is live data every future "
                     f"snapshot would read",
-                    key=op.key, newest=newest,
+                    key=key, newest=newest,
                 )

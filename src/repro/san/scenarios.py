@@ -38,7 +38,7 @@ _PHASE_LIMIT = 50_000_000.0
 
 
 class SimWorld:
-    """A minimal simulated deployment with the sanitizer chain attached.
+    """A minimal simulated deployment with the sanitizer attached.
 
     Same fabric and timing model as the TPC-C harness, but the workload
     is whatever transaction scripts the scenario spawns -- small enough
@@ -59,8 +59,9 @@ class SimWorld:
             self.sim, self.deployment.cluster,
             self.deployment.commit_managers, config,
         )
-        self.log, self.sanitizers = make_sanitizers(isolation=isolation)
-        attach_all(self.sanitizers, self.deployment.dispatch_env(self.sim))
+        self.log, self.chain = make_sanitizers(isolation=isolation)
+        (self.sanitizer,) = self.chain
+        attach_all(self.chain, self.deployment.dispatch_env(self.sim))
         self.pns = [self.deployment.make_pn(pn_id) for pn_id in range(n_pns)]
         self.pools = [CorePool(config.pn_cores) for _ in range(n_pns)]
 
@@ -68,9 +69,9 @@ class SimWorld:
 
     def _drive(self, pn_id: int, gen: Generator) -> Generator:
         """A sim process body: run one protocol script through the
-        sanitizer chain into the fabric (one fresh DispatchContext per
+        sanitizer into the fabric (one fresh DispatchContext per
         script, which is what keys the shadow's txn attribution)."""
-        return drive(self.fabric, self.sanitizers, self.pools[pn_id], 0,
+        return drive(self.fabric, self.chain, self.pools[pn_id], 0,
                      gen, pn_id)
 
     def spawn(self, pn_id: int, gen: Generator, name: str) -> Process:
@@ -113,7 +114,7 @@ class SimWorld:
 
     def finish(self) -> ViolationLog:
         """Post-run analysis: the SSI dependency graph, then the log."""
-        self.sanitizers[0].analyze()
+        self.sanitizer.analyze()
         return self.log
 
 

@@ -1,6 +1,6 @@
 """Shadow history: the sanitizers' independent model of the store.
 
-The :class:`repro.san.si.SISanitizer` rebuilds, from the observed request
+The :class:`repro.san.si.Sanitizer` rebuilds, from the observed request
 stream alone, what the data space *should* contain: which versions each
 cell holds, which transactions are active/committed/aborted, and which
 snapshot each transaction was handed.  SI axioms are then checked against
@@ -112,7 +112,7 @@ RECENT_WINDOW = 512
 
 
 class ShadowHistory:
-    """The independently maintained model all sanitizers share."""
+    """The independently maintained model the sanitizer checks against."""
 
     def __init__(self) -> None:
         self.cells: Dict[Any, ShadowCell] = {}

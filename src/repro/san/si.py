@@ -1,8 +1,20 @@
-"""Snapshot-isolation sanitizer (the SI axioms, machine-checked).
+"""The sanitizer: one interceptor, three passes over each observation.
 
-:class:`SISanitizer` is a dispatch interceptor that watches every request
-a pipeline serves and validates, against the independent
-:class:`~repro.san.shadow.ShadowHistory`:
+:class:`Sanitizer` is the dispatch interceptor of :mod:`repro.san`.  It
+classifies each request once (:func:`~repro.dispatch.kind_of`) and turns
+every data-space store result into one :data:`Observation` per key -- a
+single-key request is a batch of one.  Each observation batch then goes
+through three passes, each over the whole batch before the next starts
+(a put batch may repeat a key):
+
+1. **version chains** -- :func:`repro.san.chain.check_chain` on every
+   record read, written or scanned;
+2. **GC** -- :class:`repro.san.gcsan.GCChecks` on every successful
+   store-conditional write and cell delete, against the shadow as it was
+   *before* the write;
+3. **the SI fold** -- the checks below, which also fold the observation
+   into the independent :class:`~repro.san.shadow.ShadowHistory` this
+   sanitizer owns:
 
 * **SI-READ** -- every read returned ``max(V ∩ V*)``: the production
   :meth:`~repro.core.record.VersionedRecord.latest_visible` verdict is
@@ -22,7 +34,7 @@ a pipeline serves and validates, against the independent
   ``setAborted``, Section 4.3).
 
 It also builds the SSI-style dependency graph (wr / ww / rw edges) over
-the recent committed window; :meth:`SISanitizer.analyze` *reports*
+the recent committed window; :meth:`Sanitizer.analyze` *reports*
 cycles involving anti-dependencies -- write skew, which SI permits --
 without ever failing the run.
 
@@ -52,11 +64,12 @@ from repro.dispatch import (
     KIND_SCAN,
     KIND_STORE,
     DispatchContext,
-    DispatchEnv,
     Interceptor,
     NextFn,
     kind_of,
 )
+from repro.san.chain import check_chain
+from repro.san.gcsan import GCChecks
 from repro.san.shadow import (
     ShadowCell,
     ShadowHistory,
@@ -66,31 +79,64 @@ from repro.san.shadow import (
 )
 from repro.san.violations import ViolationLog
 
+#: One data cell a store request touched: ``(op, key, value, expected,
+#: ok, version)``.  ``op`` is ``"read"`` (value: the record or None),
+#: ``"write"`` (value: the record written; ``expected`` is None for an
+#: unconditional put), ``"delete"`` (a ``DeleteIfVersion``; no value) or
+#: ``"scan"`` (a raw scan row).  ``version`` is the cell version the
+#: store returned: read, installed, or current after a failed delete.
+Observation = Tuple[str, Any, Any, Optional[int], bool, int]
 
-class SISanitizer(Interceptor):
-    """Shadow-history bookkeeper + SI axiom checker.
 
-    Owns the shared :class:`ShadowHistory`; the GC and version-chain
-    sanitizers read the same instance but never mutate it.  Place this
-    interceptor *outermost* of the sanitizer trio so its post-phase
-    (which folds observed writes into the shadow) runs after the others
-    compared the observation against the pre-write shadow state.
-    """
+def observations(kind: int, request: Any, result: Any) -> List[Observation]:
+    """The data cells ``request`` touched, one observation per key."""
+    if kind == KIND_BATCH:
+        if request.batch_space != DATA_SPACE:
+            return []
+        column, versions = result
+        keys, values, expected = request.keys, request.values, request.expected
+        if values is None:
+            return [("read", key, column[i], None, True, versions[i])
+                    for i, key in enumerate(keys)]
+        if expected is None:
+            return [("write", key, values[i], None, True, versions[i])
+                    for i, key in enumerate(keys)]
+        return [("write", key, values[i], expected[i], column[i],
+                 versions[i]) for i, key in enumerate(keys)]
+    if request.space != DATA_SPACE:
+        return []
+    if kind == KIND_SCAN:
+        if request.snapshot is not None:
+            return []  # pushdown rows are payloads, not version chains
+        return [("scan", key, record, None, True, cell_version)
+                for key, record, cell_version in result]
+    if isinstance(request, effects.Get):
+        value, cell_version = result
+        return [("read", request.key, value, None, True, cell_version)]
+    if isinstance(request, effects.PutIfVersion):
+        ok, version = result
+        return [("write", request.key, request.value,
+                 request.expected_version, ok, version)]
+    if isinstance(request, effects.DeleteIfVersion):
+        ok, version = result
+        return [("delete", request.key, None, request.expected_version,
+                 ok, version)]
+    return []
 
-    def __init__(self, log: ViolationLog,
-                 shadow: Optional[ShadowHistory] = None,
-                 serializable: bool = False) -> None:
+
+class Sanitizer(Interceptor):
+    """Shadow-history bookkeeper; runs the chain, GC and SI checks."""
+
+    def __init__(self, log: ViolationLog, serializable: bool = False) -> None:
         self.log = log
-        self.shadow = shadow if shadow is not None else ShadowHistory()
+        self.shadow = ShadowHistory()
+        self.gc = GCChecks(log, self.shadow)
+        self.records_checked = 0
         # Under a serializability-promising isolation protocol (WSI/SSI,
         # repro.core.isolation) the dependency analysis escalates
         # write-skew cycles from informational reports to violations:
         # the protocol claimed to prevent them.
         self.serializable = serializable
-
-    def on_attach(self, env: DispatchEnv) -> None:
-        # Nothing to wire; attach may run repeatedly (router clones).
-        pass
 
     # -- the interceptor -------------------------------------------------
 
@@ -120,13 +166,33 @@ class SISanitizer(Interceptor):
             raise
         if kind == KIND_CM_START:
             self._on_start(ctx_key, ctx.pn_id, result)
-        elif kind == KIND_STORE:
-            self._observe(ctx_key, request, result)
-        elif kind == KIND_BATCH and request.batch_space == DATA_SPACE:
-            self._observe_batch(ctx_key, request, result)
-        elif kind == KIND_SCAN:
-            self._observe_scan(ctx_key, request, result)
+        elif kind <= KIND_SCAN:
+            observed = observations(kind, request, result)
+            if observed:
+                self._check_chains(observed)
+                self.gc.check(ctx_key, observed)
+                self._fold(ctx_key, observed)
         return result
+
+    def _check_chains(self, observed: List[Observation]) -> None:
+        for op, key, value, _expected, _ok, _version in observed:
+            if value is not None:
+                self.records_checked += 1
+                check_chain(self.log, key, value, op)
+
+    def _fold(self, ctx_key: int, observed: List[Observation]) -> None:
+        for op, key, value, expected, ok, version in observed:
+            if op == "read":
+                self._observe_get(ctx_key, key, value, version)
+            elif op == "scan":
+                self._sync_cell(key, value, version)
+            elif expected is None:  # an unconditional put
+                self._observe_put(key, value, version)
+            elif op == "write":
+                self._observe_put_if(ctx_key, key, value, expected, ok,
+                                     version)
+            elif ok:  # a DeleteIfVersion that removed the cell
+                self._observe_delete_if(ctx_key, key, expected)
 
     # -- transaction lifecycle ------------------------------------------
 
@@ -195,38 +261,6 @@ class SISanitizer(Interceptor):
             self.log.reconcile("unknown-abort")
 
     # -- storage observations -------------------------------------------
-
-    def _observe(self, ctx_key: int, op: Any, result: Any) -> None:
-        if getattr(op, "space", None) != DATA_SPACE:
-            return
-        if isinstance(op, effects.Get):
-            value, cell_version = result
-            self._observe_get(ctx_key, op.key, value, cell_version)
-        elif isinstance(op, effects.PutIfVersion):
-            ok, new_version = result
-            self._observe_put_if(ctx_key, op.key, op.value,
-                                 op.expected_version, ok, new_version)
-        elif isinstance(op, effects.DeleteIfVersion):
-            self._observe_delete_if(ctx_key, op, result)
-        elif isinstance(op, effects.Put):
-            self._observe_put(op.key, op.value, result)
-
-    def _observe_batch(self, ctx_key: int, batch: Any, result: Any) -> None:
-        """Each key of a data-space batch, as the single-key request it
-        stands for."""
-        column, versions = result
-        values, expected = batch.values, batch.expected
-        for position, key in enumerate(batch.keys):
-            if values is None:
-                self._observe_get(ctx_key, key, column[position],
-                                  versions[position])
-            elif expected is None:
-                self._observe_put(key, values[position], versions[position])
-            else:
-                self._observe_put_if(
-                    ctx_key, key, values[position], expected[position],
-                    column[position], versions[position],
-                )
 
     def _observe_put(self, key: Any, record: Any, cell_version: int) -> None:
         payloads = {v.tid: v.payload for v in record.versions}
@@ -330,23 +364,20 @@ class SISanitizer(Interceptor):
         if sc is None or new_version > sc.cell_version:
             shadow.adopt(key, written, new_version)
 
-    def _observe_delete_if(self, ctx_key: int, op: Any, result: Any) -> None:
-        ok, _current = result
-        if not ok:
-            return
+    def _observe_delete_if(self, ctx_key: int, key: Any,
+                           expected: int) -> None:
         shadow = self.shadow
-        key = op.key
         sc = shadow.cells.get(key)
-        if sc is not None and op.expected_version != sc.cell_version:
-            if op.expected_version > sc.cell_version:
+        if sc is not None and expected != sc.cell_version:
+            if expected > sc.cell_version:
                 self.log.reconcile("unobserved-write")
             else:
                 self.log.violation(
                     "SI-STALE-SC",
                     f"DeleteIfVersion on {key!r} succeeded with expected "
-                    f"version {op.expected_version} although the cell "
+                    f"version {expected} although the cell "
                     f"was already at {sc.cell_version}",
-                    key=key, expected=op.expected_version,
+                    key=key, expected=expected,
                     shadow_version=sc.cell_version,
                 )
         view = shadow.current(ctx_key)
@@ -354,35 +385,6 @@ class SISanitizer(Interceptor):
             view.applied.remove(key)
         # Cell versions restart at 1 after a delete; model "missing".
         shadow.cells[key] = ShadowCell({}, 0)
-
-    def _observe_scan(self, ctx_key: int, op: Any, result: Any) -> None:
-        if op.space != DATA_SPACE:
-            return
-        if op.snapshot is None:
-            for key, record, cell_version in result:
-                self._sync_cell(key, record, cell_version)
-            return
-        # Storage-side push-down (Section 5.2): the SN extracted the
-        # visible payload itself -- the one place visibility runs outside
-        # the PN.  With no filter the shipped payload must be exactly what
-        # the shadow's reference visibility picks.
-        if op.scan_filter is not None:
-            return
-        base, bits = op.snapshot.as_pair()
-        shadow = self.shadow
-        for key, payload, cell_version in result:
-            sc = shadow.cells.get(key)
-            if sc is None or sc.cell_version != cell_version:
-                continue  # shadow not in sync for this cell: no verdict
-            reference = ref_latest_visible(sc.versions.keys(), base, bits)
-            if reference is None or sc.versions[reference] != payload:
-                self.log.violation(
-                    "SI-SCAN-VISIBILITY",
-                    f"pushdown scan shipped a payload for {key!r} that is "
-                    f"not the snapshot-visible version (reference tid "
-                    f"{reference})",
-                    key=key, reference=reference,
-                )
 
     # -- SSI dependency analysis (the protocol oracle) -------------------
 

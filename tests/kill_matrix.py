@@ -14,11 +14,16 @@ column against the copy:
 * ``san`` -- ``python -m repro.san`` under si, wsi and ssi, then
   ``REPRO_SANITIZE=1 pytest tests/test_si_invariants.py``: a kill when
   any of them fails;
-* ``tier1`` -- ``pytest -x tests`` without the lint test files and
+* ``tier1`` -- ``pytest -x`` over the tier-1 test files that do not
+  import ``repro.san``, without the lint test files and
   ``test_kill_matrix.py`` (whose guard fails on every planted row by
-  construction): a kill when it fails.
+  construction): a kill when it fails;
+* ``tier1_san`` -- ``pytest -x`` over the tier-1 test files that import
+  ``repro.san`` (the sanitizers' own tests and the tests that attach
+  them), so what the sanitizers catch shows apart from the rest of
+  tier-1.
 
-The clean copy must pass ``san`` and ``tier1``.  The result is printed
+The clean copy must pass ``san``, ``tier1`` and ``tier1_san``.  The result is printed
 as a table and written to ``tests/kill_matrix.json``; ``--rows`` runs
 the same clean-tree gate, then re-measures only the named rows and
 rewrites only their entries (the columns must be unchanged since the
@@ -45,9 +50,12 @@ from typing import Dict, List, Optional, Tuple
 ROOT = Path(__file__).resolve().parents[1]
 OUTPUT = ROOT / "tests" / "kill_matrix.json"
 
-#: Test files left out of the ``tier1`` column: the lint suites check
+#: Test files left out of the tier-1 columns: the lint suites check
 #: the rule columns themselves, and the guard checks the rows.
 NOT_TIER1 = ("test_lint.py", "test_kill_matrix.py")
+
+#: An import of ``repro.san`` puts a test file in ``tier1_san``.
+_IMPORTS_SAN = re.compile(r"^\s*(?:from|import) repro\.san\b", re.M)
 
 _PY = sys.executable
 
@@ -211,6 +219,16 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
         "        displaced = self.shadow.begin(ctx_key, view)",
         "the SI sanitizer rewrites the lav of the start it observes",
     ),
+    (
+        "san_gc_pass_after_fold",
+        "src/repro/san/si.py",
+        "                self.gc.check(ctx_key, observed)\n"
+        "                self._fold(ctx_key, observed)\n",
+        "                self._fold(ctx_key, observed)\n"
+        "                self.gc.check(ctx_key, observed)\n",
+        "the GC checks run after the SI fold, against a shadow that "
+        "already holds the pruning write: a prune looks like no change",
+    ),
     # -- the sanitizers' seeds (test_sanitizers.py)
     (
         "store_sc_unconditional",
@@ -368,7 +386,7 @@ def rule_codes() -> List[str]:
 
 
 def columns() -> List[str]:
-    return rule_codes() + ["san", "tier1"]
+    return rule_codes() + ["san", "tier1", "tier1_san"]
 
 
 _CACHES = shutil.ignore_patterns(
@@ -425,11 +443,22 @@ def san_fails(tree: Path) -> bool:
                 REPRO_SANITIZE="1").returncode != 0
 
 
-def tier1_failure(tree: Path) -> str:
-    """The first failing tier-1 test id, or "" when the suite passes."""
-    ignores = [f"--ignore=tests/{name}" for name in NOT_TIER1]
+def tier1_files() -> Dict[str, List[str]]:
+    """The test files of the ``tier1`` and ``tier1_san`` columns."""
+    files: Dict[str, List[str]] = {"tier1": [], "tier1_san": []}
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        if path.name in NOT_TIER1:
+            continue
+        column = "tier1_san" if _IMPORTS_SAN.search(
+            path.read_text(encoding="utf-8")) else "tier1"
+        files[column].append(f"tests/{path.name}")
+    return files
+
+
+def tier1_failure(tree: Path, files: List[str]) -> str:
+    """The first failing test id among ``files``, or "" when they pass."""
     proc = _run(tree, ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                       "tests", *ignores])
+                       *files])
     if proc.returncode == 0:
         return ""
     failed = re.findall(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.M)
@@ -437,16 +466,20 @@ def tier1_failure(tree: Path) -> str:
 
 
 def measure(tree: Path, clean: Dict[str, int]) -> Tuple[List[str], str]:
-    """(killing columns, first tier-1 failure) of the tree as planted."""
+    """(killing columns, first tier-1 failure per column) of the tree
+    as planted."""
     counts = lint_counts(tree)
     killers = [code for code in rule_codes()
                if counts.get(code, 0) > clean.get(code, 0)]
     if san_fails(tree):
         killers.append("san")
-    failure = tier1_failure(tree)
-    if failure:
-        killers.append("tier1")
-    return killers, failure
+    failures = []
+    for column, files in tier1_files().items():
+        failure = tier1_failure(tree, files)
+        if failure:
+            killers.append(column)
+            failures.append(f"{column}: {failure}")
+    return killers, "; ".join(failures)
 
 
 def render(matrix: Dict[str, List[str]]) -> str:
@@ -491,8 +524,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         clean_tree = Path(tmp) / "clean"
         _copy_checkout(clean_tree)
         clean = lint_counts(clean_tree)
-        if san_fails(clean_tree) or tier1_failure(clean_tree):
-            print("kill_matrix: the clean tree fails san or tier1",
+        if san_fails(clean_tree) or any(
+                tier1_failure(clean_tree, files)
+                for files in tier1_files().values()):
+            print("kill_matrix: the clean tree fails san or tier-1",
                   file=sys.stderr)
             return 1
         for row in selected:
@@ -503,7 +538,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             shutil.rmtree(tree)
             matrix[row[0]] = killers
             print(f"{row[0]}: {' '.join(killers) or 'SURVIVES'}"
-                  f"{f'  (tier1: {failure})' if failure else ''}",
+                  f"{f'  ({failure})' if failure else ''}",
                   flush=True)
     missing = [row[0] for row in MUTANTS if row[0] not in matrix]
     if missing:

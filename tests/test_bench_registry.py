@@ -1,6 +1,7 @@
 """The experiment registry: the CLI, the docs and the shape checks read
 one ``EXPERIMENTS`` table (``repro.bench.experiments``)."""
 
+import ast
 import dataclasses
 import pathlib
 import re
@@ -101,3 +102,23 @@ def test_design_index_names_exactly_the_registry():
                   for name in re.findall(r"`([a-z0-9-]+)`",
                                          row.split("|")[-2])]
     assert sorted(documented) == sorted(EXPERIMENTS)
+
+
+def test_frozen_ledger_surface_is_documented():
+    """Every name the frozen ledger imports from ``repro`` is listed, as
+    ``module.name``, in docs/simulation.md "What the frozen ledger
+    pins": a change to one of them is a change to the ledger's program."""
+    text = (ROOT / "docs" / "simulation.md").read_text(encoding="utf-8")
+    section = text[text.index("### What the frozen ledger pins"):]
+    section = section[:section.index("\n#", 1)]
+    imported = set()
+    for path in sorted((ROOT / "benchmarks" / "ledger").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module \
+                    and node.module.split(".")[0] == "repro":
+                imported.update(f"{node.module}.{alias.name}"
+                                for alias in node.names)
+    assert imported
+    assert sorted(name for name in imported
+                  if f"`{name}" not in section) == []

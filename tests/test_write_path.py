@@ -223,11 +223,11 @@ class TestSanitizersReadPutColumns:
 
         runner.run(pn.run_transaction(bump))
         log.assert_clean()
-        si, _gc, version_chain = chain
+        (sanitizer,) = chain
         for key in keys:
             cell = cluster.execute(effects.Get(DATA_SPACE, key))
-            assert si.shadow.cells[key].cell_version == cell[1]
-        assert version_chain.records_checked >= len(keys) + 3
+            assert sanitizer.shadow.cells[key].cell_version == cell[1]
+        assert sanitizer.records_checked >= len(keys) + 3
 
     def test_stale_conditional_batch_is_reported(self, monkeypatch):
         """A store that applies a stale store-conditional is caught
