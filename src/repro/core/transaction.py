@@ -78,8 +78,10 @@ class Transaction:
         # buffered updates: key -> payload (TOMBSTONE for deletes)
         self._writes: Dict[Any, Any] = {}
         self._inserted: set = set()
-        # pending index maintenance, filled by the relational layer:
-        # ("insert"|"delete", btree, index_key, rid, unique)
+        # pending index inserts, filled by the relational layer:
+        # (btree, index_key, rid, unique row check or None).  Entries are
+        # never removed at commit: they outlive their rows and reads
+        # collect them (Sections 5.3.2, 5.4).
         self.index_ops: List[Tuple] = []
         self.start_time = pn.now()
         # repro.obs root span; stays None unless the deployment enabled
@@ -372,13 +374,8 @@ class Transaction:
         return keys, records, expected
 
     def _apply_index_ops(self) -> Generator:
-        for action, btree, index_key, rid, unique in self.index_ops:
-            if action == "insert":
-                yield from btree.insert(index_key, rid, unique=unique)
-            elif action == "delete":
-                yield from btree.delete(index_key, rid)
-            else:
-                raise InvalidState(f"unknown index action {action!r}")
+        for btree, index_key, rid, unique in self.index_ops:
+            yield from btree.insert(index_key, rid, unique=unique)
 
     def _rollback_applied(self, applied_keys: List[Any]) -> Generator:
         """Revert our version from every record we managed to apply."""

@@ -19,10 +19,13 @@ prescribes -- carry *no versioning information*: one entry per record,
 maintained only when the indexed key changes.
 
 Caching (Section 5.3.1): inner nodes are cached on the processing node;
-leaf nodes are always fetched from the store.  When a fetched leaf does
-not cover the probed key (its range no longer matches what the cached
-parent promised), the reader follows sibling links for correctness and
-invalidates the cached ancestors so the next traversal re-fetches them.
+the node an operation reads or writes is always fetched from the store.
+Every walk is one descent (:meth:`DistributedBTree._descend`) to a level:
+when a fetched leaf does not cover the probed key (its range no longer
+matches what the cached parent promised), the reader follows sibling
+links for correctness and invalidates the cached ancestors so the next
+traversal re-fetches them.  Every change to an existing node is one
+conditional write (:meth:`DistributedBTree._install`).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro import effects
 from repro.core.spaces import INDEX_SPACE, META_SPACE
@@ -41,6 +44,9 @@ EntryKey = Tuple[Any, ...]  # (index key tuple, rid)
 
 #: Upper bound greater than any rid, used for inclusive upper bounds.
 MAX_RID = float("inf")
+
+#: Share of ``max_entries`` each node holds after :meth:`bulk_build`.
+BULK_FILL = 0.75
 
 
 class BTreeNode:
@@ -69,6 +75,16 @@ class BTreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.level == 0
+
+    def with_entries(
+        self,
+        entries: Tuple[EntryKey, ...],
+        children: Optional[Tuple[int, ...]] = None,
+    ) -> "BTreeNode":
+        """This node with new content; id, level, high key and right
+        link stay."""
+        return BTreeNode(self.node_id, self.level, entries, children,
+                         self.high_key, self.right_id)
 
     def covers(self, entry_key: EntryKey) -> bool:
         """Does this node's range still include ``entry_key``?"""
@@ -154,20 +170,13 @@ class DistributedBTree:
     store; the object itself only holds the PN-local cache.
     """
 
-    def __init__(
-        self,
-        index_id: int,
-        max_entries: int = 64,
-        cache: Optional[IndexCache] = None,
-        cache_inner_nodes: bool = True,
-    ):
+    def __init__(self, index_id: int, max_entries: int = 64):
         if max_entries < 4:
             raise InvalidState("B+tree fanout must be at least 4")
         self.index_id = index_id
         self.max_entries = max_entries
         self.stats = BTreeStats()
-        self.cache = cache if cache is not None else IndexCache()
-        self.cache_inner_nodes = cache_inner_nodes
+        self.cache = IndexCache()
         # Cached root pointer (node_id, level).  A stale root is safe as a
         # descent entry point (inner nodes are never deleted and sibling
         # links cover splits); it is refreshed when staleness is detected.
@@ -195,21 +204,26 @@ class DistributedBTree:
             stats.leaf_fetches += 1
         return value, version
 
-    def _load(self, node_id: int, use_cache: bool) -> Generator:
-        if use_cache and self.cache_inner_nodes:
-            cached = self.cache.get(node_id)
-            if cached is not None:
-                return cached
-        node, version = yield from self._fetch(node_id)
-        if use_cache and self.cache_inner_nodes:
-            self.cache.put(node, version)
-        return node, version
+    def _install(self, node: BTreeNode, version: int) -> Generator:
+        """Conditionally replace the node's cell; True when the write won.
 
-    def _new_node_id(self) -> Generator:
-        value = yield effects.Increment(
-            META_SPACE, ("counter", ("index_node", self.index_id))
+        The one way an existing node changes: a lost write means another
+        PN changed the node since it was read, and the caller retries on
+        the fresh copy.
+        """
+        ok, _ = yield effects.PutIfVersion(
+            INDEX_SPACE, self._node_key(node.node_id), node, version
         )
-        return value + 1  # id 1 is reserved for the initial root leaf
+        if ok:
+            self.cache.invalidate(node.node_id)
+        return ok
+
+    def _new_node_ids(self, count: int = 1) -> Generator:
+        """Allocate ``count`` consecutive node ids in one counter bump."""
+        top = yield effects.Increment(
+            META_SPACE, ("counter", ("index_node", self.index_id)), count
+        )
+        return range(top - count + 2, top + 2)  # id 1 is the initial root leaf
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -223,11 +237,8 @@ class DistributedBTree:
         yield effects.PutIfVersion(INDEX_SPACE, self._root_key(), (1, 0), 0)
 
     def _root(self) -> Generator:
-        if self.cache_inner_nodes and self._root_cache is not None:
+        if self._root_cache is not None:
             return self._root_cache
-        return (yield from self._refresh_root())
-
-    def _refresh_root(self) -> Generator:
         value, _version = yield effects.Get(INDEX_SPACE, self._root_key())
         if value is None:
             raise InvalidState(f"index {self.index_id} does not exist")
@@ -236,42 +247,57 @@ class DistributedBTree:
 
     # -- traversal ---------------------------------------------------------------
 
-    def _descend(self, entry_key: EntryKey) -> Generator:
-        """Walk to the leaf that should hold ``entry_key``.
+    def _descend(self, entry_key: EntryKey, level: int = 0) -> Generator:
+        """Walk to the node at ``level`` whose range holds ``entry_key``.
 
-        Returns ``(leaf, cell_version, path)`` where ``path[level]`` is the
-        node id traversed at that level (used as split-insertion hints).
-        Detects stale cached parents: if the store copy of a cached inner
-        node no longer covers the key, the cache entry is refreshed
-        recursively, exactly the validation rule of Section 5.3.1.
+        Returns ``(node, cell_version, path)`` where ``path[l]`` is the
+        node id traversed at level ``l`` (split-insertion hints).  Nodes
+        above ``level`` come through the PN cache; the node at ``level``
+        is fetched, since a conditional write on it needs its cell
+        version.  A leaf reached only through sibling links means the
+        cached parents were stale: they are dropped so the next
+        traversal re-fetches them (Section 5.3.1).
         """
-        root_id, root_level = yield from self._root()
-        path: Dict[int, int] = {root_level: root_id}
-        node_id = root_id
-        level = root_level
+        node_id, node_level = yield from self._root()
+        path: Dict[int, int] = {}
         while True:
-            use_cache = level > 0
-            node, version = yield from self._load(node_id, use_cache)
-            moved_right = 0
-            while not node.covers(entry_key):
-                if node.right_id is None:
-                    break  # rightmost node covers everything above
-                self.cache.invalidate(node_id)
-                node_id = node.right_id
-                node, version = yield from self._load(node_id, use_cache)
-                moved_right += 1
-            if moved_right and level == 0:
-                # Leaf range mismatch: cached parents were stale; refresh
-                # them so future traversals go direct (Section 5.3.1).
-                for parent_level in list(path):
-                    if parent_level > 0:
-                        self.cache.invalidate(path[parent_level])
-            path[level] = node_id
-            if node.is_leaf:
+            node, version, moved = yield from self._move_right(
+                node_id, entry_key, use_cache=node_level > level
+            )
+            path[node_level] = node.node_id
+            if node_level == level:
+                if moved and level == 0:
+                    for parent_id in path.values():  # the leaf is never cached
+                        self.cache.invalidate(parent_id)
                 return node, version, path
             node_id = node.child_for(entry_key)
-            level = node.level - 1
-            path[level] = node_id
+            node_level -= 1
+
+    def _move_right(
+        self, node_id: int, entry_key: EntryKey, use_cache: bool
+    ) -> Generator:
+        """Load ``node_id`` and follow right links until a node covers
+        ``entry_key`` (B-link move-right).
+
+        Returns ``(node, cell_version, moved)``.  With ``use_cache`` nodes
+        come from the PN cache when present, and a cached node the walk
+        passes over is dropped from it.
+        """
+        moved = False
+        while True:
+            cached = self.cache.get(node_id) if use_cache else None
+            if cached is None:
+                node, version = yield from self._fetch(node_id)
+                if use_cache:
+                    self.cache.put(node, version)
+            else:
+                node, version = cached
+            if node.right_id is None or node.covers(entry_key):
+                return node, version, moved
+            if use_cache:
+                self.cache.invalidate(node_id)
+            node_id = node.right_id
+            moved = True
 
     # -- lookups ---------------------------------------------------------------
 
@@ -342,7 +368,7 @@ class DistributedBTree:
 
     def _cached_leaf_for(self, entry_key: EntryKey) -> Optional[int]:
         """Predict the leaf for ``entry_key`` using only cached nodes."""
-        if not self.cache_inner_nodes or self._root_cache is None:
+        if self._root_cache is None:
             return None
         node_id, level = self._root_cache
         while level > 0:
@@ -384,107 +410,88 @@ class DistributedBTree:
 
     # -- insert -----------------------------------------------------------------
 
-    def insert(self, key: Any, rid: int, unique: bool = False) -> Generator:
+    def insert(
+        self,
+        key: Any,
+        rid: int,
+        unique: Optional[Callable[[Any, int], Generator]] = None,
+    ) -> Generator:
         """Insert the entry ``(key, rid)``.
 
-        With ``unique=True``, an existing entry under the same key raises
-        :class:`DuplicateKey` (callers GC dead entries beforehand when the
-        duplicate might be a leftover of a deleted record).
+        ``unique`` makes ``key`` unique: a coroutine function
+        ``unique(key, other_rid)`` that returns whether an existing
+        same-key entry is live.  The tree knows no versions (Section
+        5.3.2) and entries outlive their rows, so the caller decides;
+        a live entry raises :class:`DuplicateKey`.
         Returns False if the exact entry already existed.
         """
         entry = (key, rid)
         while True:
             leaf, version, path = yield from self._descend(entry)
-            position = bisect.bisect_left(leaf.entries, entry)
-            if position < len(leaf.entries) and leaf.entries[position] == entry:
+            entries = leaf.entries
+            position = bisect.bisect_left(entries, entry)
+            if position < len(entries) and entries[position] == entry:
                 return False
-            if unique:
-                # Same-key entries are contiguous, so one would sit right
-                # beside the insertion point.
-                entries = leaf.entries
-                if (position > 0 and entries[position - 1][0] == key) or (
-                    position < len(entries) and entries[position][0] == key
-                ):
-                    raise DuplicateKey(
-                        f"index {self.index_id}: key {key!r} already present"
-                    )
-                # A same-key entry could also sit in the left sibling's
-                # tail; entries share the key prefix so they cannot span
-                # leaves unless this leaf starts with the key.
-                if position == 0 and leaf.entries:
-                    conflict = yield from self.lookup(key)
-                    if conflict:
+            # Same-key entries are contiguous, so one would sit right
+            # beside the insertion point -- or, when the leaf starts
+            # there, in the left sibling's tail.
+            if unique is not None and (
+                (position == 0 and entries)
+                or (position > 0 and entries[position - 1][0] == key)
+                or (position < len(entries) and entries[position][0] == key)
+            ):
+                for other in (yield from self.lookup(key)):
+                    if (yield from unique(key, other)):
                         raise DuplicateKey(
                             f"index {self.index_id}: key {key!r} already present"
                         )
-            new_entries = leaf.entries[:position] + (entry,) + leaf.entries[position:]
-            if len(new_entries) <= self.max_entries:
-                updated = BTreeNode(
-                    leaf.node_id, 0, new_entries,
-                    high_key=leaf.high_key, right_id=leaf.right_id,
-                )
-                ok, _ = yield effects.PutIfVersion(
-                    INDEX_SPACE, self._node_key(leaf.node_id), updated, version
-                )
-                if ok:
+            entries = entries[:position] + (entry,) + entries[position:]
+            if len(entries) > self.max_entries:
+                if (yield from self._split(leaf, version, entries, path)):
                     return True
-                self.stats.smo_retries += 1
-                continue  # raced: retry from a fresh descent
-            done = yield from self._split_and_insert(leaf, version, new_entries, path)
-            if done:
+            elif (yield from self._install(leaf.with_entries(entries), version)):
                 return True
+            else:
+                self.stats.smo_retries += 1  # raced: retry from a fresh descent
 
-    def _split_and_insert(
+    def _split(
         self,
         node: BTreeNode,
         version: int,
-        new_entries: Tuple[EntryKey, ...],
+        entries: Tuple[EntryKey, ...],
         path: Dict[int, int],
-        new_children: Optional[Tuple[int, ...]] = None,
+        children: Optional[Tuple[int, ...]] = None,
     ) -> Generator:
-        """Split ``node`` (already containing the new entry in
-        ``new_entries``) and hook the new sibling into the parent.
+        """Split ``node``, whose new content ``entries`` (and, for an inner
+        node, ``children``) overflows it, and hook the new right sibling
+        into the parent level.
 
         Returns False when the conditional write of the left half lost a
-        race (caller retries the whole operation).
+        race (the caller retries the whole operation).
         """
-        mid = len(new_entries) // 2
-        split_key = new_entries[mid]
-        right_id = yield from self._new_node_id()
-        if node.is_leaf:
-            right = BTreeNode(
-                right_id, 0, new_entries[mid:],
-                high_key=node.high_key, right_id=node.right_id,
-            )
-            left = BTreeNode(
-                node.node_id, 0, new_entries[:mid],
-                high_key=split_key, right_id=right_id,
-            )
-        else:
-            assert new_children is not None
-            # Inner split: the separator at ``mid`` moves up; its right
-            # neighbourhood forms the new node.
-            right = BTreeNode(
-                right_id, node.level, new_entries[mid + 1:],
-                children=new_children[mid + 1:],
-                high_key=node.high_key, right_id=node.right_id,
-            )
-            left = BTreeNode(
-                node.node_id, node.level, new_entries[:mid],
-                children=new_children[: mid + 1],
-                high_key=split_key, right_id=right_id,
-            )
-        yield effects.Put(INDEX_SPACE, self._node_key(right_id), right)
-        ok, _ = yield effects.PutIfVersion(
-            INDEX_SPACE, self._node_key(node.node_id), left, version
+        mid = len(entries) // 2
+        split_key = entries[mid]
+        (right_id,) = yield from self._new_node_ids()
+        # An inner split moves the separator at ``mid`` up: it stays in
+        # neither half.
+        upper = mid if children is None else mid + 1
+        right = BTreeNode(
+            right_id, node.level, entries[upper:],
+            None if children is None else children[upper:],
+            node.high_key, node.right_id,
         )
-        if not ok:
+        left = BTreeNode(
+            node.node_id, node.level, entries[:mid],
+            None if children is None else children[:upper],
+            split_key, right_id,
+        )
+        yield effects.Put(INDEX_SPACE, self._node_key(right_id), right)
+        if not (yield from self._install(left, version)):
             # Lost the race; the fresh right node is unreachable garbage.
             yield effects.Delete(INDEX_SPACE, self._node_key(right_id))
             self.stats.smo_retries += 1
             return False
         self.stats.smo_splits += 1
-        self.cache.invalidate(node.node_id)
         yield from self._insert_separator(
             node.level + 1, split_key, right_id, path
         )
@@ -504,48 +511,33 @@ class DistributedBTree:
                 if grown:
                     return
                 continue
-            node_id = path.get(level)
-            if node_id is None:
-                node_id = yield from self._find_level_node(split_key, level)
-            node, version = yield from self._fetch(node_id)
-            moved = False
-            while not node.covers(split_key):
-                if node.right_id is None:
-                    break
-                node_id = node.right_id
-                node, version = yield from self._fetch(node_id)
-                moved = True
-            if node.level != level:
-                # Path hint was stale (e.g. root changed); re-resolve.
-                path.pop(level, None)
-                continue
-            position = bisect.bisect_left(node.entries, split_key)
-            if position < len(node.entries) and node.entries[position] == split_key:
+            hint = path.get(level)
+            if hint is None:
+                node, version, _path = yield from self._descend(split_key, level)
+            else:
+                node, version, _moved = yield from self._move_right(
+                    hint, split_key, use_cache=False
+                )
+                if node.level != level:
+                    # Path hint was stale (e.g. root changed); re-resolve.
+                    path.pop(level, None)
+                    continue
+            entries = node.entries
+            position = bisect.bisect_left(entries, split_key)
+            if position < len(entries) and entries[position] == split_key:
                 return  # separator already installed by a helper
-            new_entries = (
-                node.entries[:position] + (split_key,) + node.entries[position:]
-            )
-            new_children = (
+            entries = entries[:position] + (split_key,) + entries[position:]
+            children = (
                 node.children[: position + 1]
                 + (child_id,)
                 + node.children[position + 1:]
             )
-            if len(new_entries) <= self.max_entries:
-                updated = BTreeNode(
-                    node.node_id, level, new_entries, children=new_children,
-                    high_key=node.high_key, right_id=node.right_id,
-                )
-                ok, _ = yield effects.PutIfVersion(
-                    INDEX_SPACE, self._node_key(node.node_id), updated, version
-                )
-                if ok:
-                    self.cache.invalidate(node.node_id)
+            if len(entries) > self.max_entries:
+                if (yield from self._split(node, version, entries, path, children)):
                     return
-                continue
-            done = yield from self._split_and_insert(
-                node, version, new_entries, path, new_children
-            )
-            if done:
+            elif (yield from self._install(
+                node.with_entries(entries, children), version
+            )):
                 return
 
     def _grow_root(
@@ -557,7 +549,7 @@ class DistributedBTree:
         child_id: int,
     ) -> Generator:
         """Create a taller root; returns False when the root CAS lost."""
-        new_root_id = yield from self._new_node_id()
+        (new_root_id,) = yield from self._new_node_ids()
         new_root = BTreeNode(
             new_root_id, new_level, (split_key,),
             children=(old_root_id, child_id),
@@ -578,23 +570,6 @@ class DistributedBTree:
             yield effects.Delete(INDEX_SPACE, self._node_key(new_root_id))
         return ok
 
-    def _find_level_node(self, entry_key: EntryKey, level: int) -> Generator:
-        """Descend from the root to the node at ``level`` covering the key."""
-        root_id, root_level = yield from self._root()
-        node_id = root_id
-        current = root_level
-        while current > level:
-            node, _version = yield from self._load(node_id, use_cache=True)
-            while not node.covers(entry_key):
-                if node.right_id is None:
-                    break
-                self.cache.invalidate(node_id)
-                node_id = node.right_id
-                node, _version = yield from self._load(node_id, use_cache=True)
-            node_id = node.child_for(entry_key)
-            current = node.level - 1
-        return node_id
-
     # -- delete ---------------------------------------------------------------
 
     def delete(self, key: Any, rid: int) -> Generator:
@@ -609,102 +584,74 @@ class DistributedBTree:
         entry = (key, rid)
         while True:
             leaf, version, _path = yield from self._descend(entry)
-            position = bisect.bisect_left(leaf.entries, entry)
-            if position >= len(leaf.entries) or leaf.entries[position] != entry:
+            entries = leaf.entries
+            position = bisect.bisect_left(entries, entry)
+            if position >= len(entries) or entries[position] != entry:
                 return False
-            new_entries = leaf.entries[:position] + leaf.entries[position + 1:]
-            updated = BTreeNode(
-                leaf.node_id, 0, new_entries,
-                high_key=leaf.high_key, right_id=leaf.right_id,
-            )
-            ok, _ = yield effects.PutIfVersion(
-                INDEX_SPACE, self._node_key(leaf.node_id), updated, version
-            )
-            if ok:
+            if (yield from self._install(
+                leaf.with_entries(entries[:position] + entries[position + 1:]),
+                version,
+            )):
                 self.stats.entries_pruned += 1
                 return True
 
     # -- bulk loading ------------------------------------------------------------
 
-    def bulk_build(self, entries: List[EntryKey], fill: float = 0.75) -> Generator:
+    def bulk_build(self, entries: List[EntryKey]) -> Generator:
         """Build the tree bottom-up from sorted entries (initial load).
 
         Must only be used on an index no other node is accessing -- this
         is the database-population fast path, not a concurrent operation.
-        Returns the number of nodes written.
+        Nodes are filled to :data:`BULK_FILL`.  Returns the number of
+        nodes written.
         """
         if any(map(operator.gt, entries, itertools.islice(entries, 1, None))):
             raise InvalidState("bulk_build requires sorted entries")
-        per_node = max(4, int(self.max_entries * fill))
-        # Chunk the leaf level.
-        leaf_chunks = [
+        per_node = max(4, int(self.max_entries * BULK_FILL))
+        # Each level chunks the first keys of the level below.
+        levels = [[
             tuple(entries[i : i + per_node])
             for i in range(0, len(entries), per_node)
-        ] or [()]
-        levels: List[List[Tuple[EntryKey, ...]]] = [leaf_chunks]
+        ] or [()]]
         while len(levels[-1]) > 1:
-            below = levels[-1]
-            sep_keys = [chunk[0] for chunk in below]
-            inner: List[Tuple[EntryKey, ...]] = []
-            for i in range(0, len(below), per_node):
-                inner.append(tuple(sep_keys[i : i + per_node]))
-            levels.append(inner)
-        # Allocate ids for every node in one counter bump.
-        total = sum(len(level) for level in levels)
-        top = yield effects.Increment(
-            META_SPACE, ("counter", ("index_node", self.index_id)), total
-        )
-        first_id = top - total + 2  # ids start after the reserved root leaf
-        ids: List[List[int]] = []
-        cursor = first_id
-        for level in levels:
-            ids.append(list(range(cursor, cursor + len(level))))
-            cursor += len(level)
-
+            firsts = [chunk[0] for chunk in levels[-1]]
+            levels.append([
+                tuple(firsts[i : i + per_node])
+                for i in range(0, len(firsts), per_node)
+            ])
+        total = sum(len(chunks) for chunks in levels)
+        ids = yield from self._new_node_ids(total)
         keys: List[Any] = []
         nodes: List[Any] = []
-        # Leaves, with sibling links and high keys.
-        leaf_ids = ids[0]
-        for position, chunk in enumerate(leaf_chunks):
-            right_id = leaf_ids[position + 1] if position + 1 < len(leaf_ids) else None
-            high = (
-                leaf_chunks[position + 1][0]
-                if position + 1 < len(leaf_chunks)
-                else None
-            )
-            keys.append(self._node_key(leaf_ids[position]))
-            nodes.append(BTreeNode(leaf_ids[position], 0, chunk,
-                                   high_key=high, right_id=right_id))
-        # Inner levels.
-        for level_number in range(1, len(levels)):
-            chunks = levels[level_number]
-            level_ids = ids[level_number]
-            child_ids = ids[level_number - 1]
-            child_cursor = 0
+        below: Sequence[int] = ()
+        for level, chunks in enumerate(levels):
+            level_ids = ids[len(keys) : len(keys) + len(chunks)]
             for position, chunk in enumerate(chunks):
-                n_children = len(chunk)
-                children = tuple(child_ids[child_cursor : child_cursor + n_children])
-                child_cursor += n_children
-                separators = chunk[1:]  # first key of each child but the first
-                right_id = (
-                    level_ids[position + 1] if position + 1 < len(level_ids) else None
-                )
-                high = (
-                    chunks[position + 1][0] if position + 1 < len(chunks) else None
-                )
-                keys.append(self._node_key(level_ids[position]))
-                nodes.append(BTreeNode(level_ids[position], level_number,
-                                       separators, children=children,
-                                       high_key=high, right_id=right_id))
-        root_id = ids[-1][0]
-        root_level = len(levels) - 1
+                last = position + 1 == len(chunks)
+                high_key = None if last else chunks[position + 1][0]
+                right_id = None if last else level_ids[position + 1]
+                if level == 0:
+                    node = BTreeNode(level_ids[position], 0, chunk,
+                                     high_key=high_key, right_id=right_id)
+                else:
+                    # The first key of each child but the first separates.
+                    first = position * per_node
+                    node = BTreeNode(
+                        level_ids[position], level, chunk[1:],
+                        children=tuple(below[first : first + len(chunk)]),
+                        high_key=high_key, right_id=right_id,
+                    )
+                keys.append(self._node_key(node.node_id))
+                nodes.append(node)
+            below = level_ids
+        root = (ids[-1], len(levels) - 1)
         keys.append(self._root_key())
-        nodes.append((root_id, root_level))
+        nodes.append(root)
         chunk_size = 512
         for i in range(0, len(keys), chunk_size):
             yield effects.multi_put(INDEX_SPACE, keys[i : i + chunk_size],
                                     nodes[i : i + chunk_size])
-        self._root_cache = (root_id, root_level)
+        self._root_cache = root
         self.cache.clear()
         return total
 

@@ -289,10 +289,12 @@ def index_gc(policy: Optional[SchedulerPolicy] = None,
              isolation: str = "si") -> ViolationLog:
     """Index maintenance vs garbage collection.
 
-    Insert indexed rows, delete half of them (tombstones + index-entry
-    removal at commit), run a lazy GC sweep that drops the fully-deleted
-    cells, then walk the B+tree: every surviving entry must still
-    resolve to a live record (IDX-DANGLE otherwise).
+    Insert indexed rows, delete half of them (tombstones at commit; the
+    entries outlive their rows, Section 5.3.2), remove those entries the
+    way read-side GC does once the delete has committed, run a lazy GC
+    sweep that drops the fully-deleted cells, then walk the B+tree:
+    every surviving entry must still resolve to a live record
+    (IDX-DANGLE otherwise).
     """
     world = SimWorld(policy, n_pns=1, isolation=isolation)
     btree = DistributedBTree(index_id=1)
@@ -302,17 +304,18 @@ def index_gc(policy: Optional[SchedulerPolicy] = None,
         txn = yield from world.pns[0].begin()
         for position, rid in enumerate(INDEX_RIDS):
             txn.insert(rid, (position,))
-            txn.index_ops.append(("insert", btree, position, rid, False))
+            txn.index_ops.append((btree, position, rid, None))
         yield from txn.commit()
         return "committed"
 
     def delete_rows() -> Generator:
         txn = yield from world.pns[0].begin()
-        for position, rid in enumerate(INDEX_RIDS):
-            if position % 2 == 0:
-                yield from txn.delete(rid)
-                txn.index_ops.append(("delete", btree, position, rid, False))
+        deleted = list(enumerate(INDEX_RIDS))[::2]
+        for _position, rid in deleted:
+            yield from txn.delete(rid)
         yield from txn.commit()
+        for position, rid in deleted:
+            yield from btree.delete(position, rid)
         return "committed"
 
     world.run_one(0, insert_rows(), "idx-insert")

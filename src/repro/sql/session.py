@@ -249,11 +249,13 @@ class Session:
         # not leak an open transaction: an abandoned tid would hold the
         # lowest-active-version down and block GC forever.
         with self.transaction() as txn:
-            rows = self.runner.run(Table(schema, txn, self.indexes).scan())
+            table = Table(schema, txn, self.indexes)
+            rows = self.runner.run(table.scan())
             tree = self.indexes.tree(index)
+            unique = table.unique_check(index)
             for rid, row in rows:
                 key = encode_key(schema.index_key_of(index, row))
-                self.runner.run(tree.insert(key, rid, unique=index.unique))
+                self.runner.run(tree.insert(key, rid, unique=unique))
 
 
 def _purge_table_data(schema: TableSchema) -> Generator:

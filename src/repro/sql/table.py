@@ -18,14 +18,14 @@ record-level operations.  It encodes the paper's index discipline:
 from __future__ import annotations
 
 import operator
-from typing import Any, Dict, Generator, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro import effects
 from repro.core.record import TOMBSTONE, VersionedRecord
 from repro.core.spaces import DATA_SPACE, data_key
 from repro.core.transaction import Transaction
 from repro.errors import DuplicateKey, KeyNotFound
-from repro.index.btree import MAX_RID, DistributedBTree
+from repro.index.btree import DistributedBTree
 from repro.sql.keyenc import ABOVE_ALL_RANK, EncodedKey, encode_key
 from repro.sql.schema import IndexDef, TableSchema
 
@@ -67,8 +67,9 @@ class Table:
         """Insert a row; returns the allocated rid.
 
         Unique indexes are pre-checked (with dead-entry GC) here and
-        enforced again at commit time by the B+tree itself, which catches
-        races between concurrent inserters.
+        enforced again at commit time by the B+tree with
+        :meth:`unique_check`, which catches races between concurrent
+        inserters.
         """
         row = self.schema.make_row(values)
         for index in self.schema.indexes:
@@ -79,7 +80,7 @@ class Table:
         for index in self.schema.indexes:
             key = encode_key(self.schema.index_key_of(index, row))
             self.txn.index_ops.append(
-                ("insert", self.indexes.tree(index), key, rid, index.unique)
+                (self.indexes.tree(index), key, rid, self.unique_check(index))
             )
         return rid
 
@@ -102,8 +103,8 @@ class Table:
                 if index.unique:
                     yield from self._check_unique(index, new_row)
                 self.txn.index_ops.append(
-                    ("insert", self.indexes.tree(index), encode_key(new_key),
-                     rid, index.unique)
+                    (self.indexes.tree(index), encode_key(new_key), rid,
+                     self.unique_check(index))
                 )
         return new_row
 
@@ -119,7 +120,7 @@ class Table:
             trees = [self.indexes.tree(index) for index in self.schema.indexes]
             self.txn.index_ops[:] = [
                 op for op in self.txn.index_ops
-                if op[3] != rid or op[1] not in trees
+                if op[2] != rid or op[0] not in trees
             ]
 
     # -- point reads ---------------------------------------------------------------
@@ -201,9 +202,7 @@ class Table:
         on the way, implementing the read-side index GC of Section 5.4.
         """
         tree = self.indexes.tree(index)
-        encoded = encode_key(key)
-        entries = yield from tree.range_entries((encoded,), (encoded, MAX_RID))
-        rids = [entry[1] for entry in entries]
+        rids = yield from tree.lookup(encode_key(key))
         results: List[Tuple[int, Tuple[Any, ...]]] = []
         if rids:
             keys = [data_key(self.schema.table_id, rid) for rid in rids]
@@ -378,6 +377,40 @@ class Table:
                 raise DuplicateKey(
                     f"{self.schema.name}: duplicate key {key!r} on {index.name}"
                 )
+
+    def unique_check(
+        self, index: IndexDef
+    ) -> Optional[Callable[[EncodedKey, int], Generator]]:
+        """The row check a B+tree insert into ``index`` runs on each
+        same-key entry it finds; None when the index is not unique.
+
+        An entry outlives its row (Section 5.3.2), so the check reads the
+        row: it is gone when its newest version is a tombstone or holds
+        another key, and that version is this transaction's own or
+        committed in its snapshot.  Any other version is live -- of two
+        concurrent inserters of one key, exactly one commits.
+        """
+        if not index.unique:
+            return None
+        schema = self.schema
+        # The transaction's index_ops hold the check: capture its tid
+        # and snapshot, not the transaction (no reference cycle).
+        tid, snapshot = self.txn.tid, self.txn.snapshot
+
+        def live(key: EncodedKey, rid: int) -> Generator:
+            record, _cell_version = yield effects.Get(
+                DATA_SPACE, data_key(schema.table_id, rid)
+            )
+            if record is None:
+                return False
+            newest = record.newest_tid
+            if newest != tid and not snapshot.contains(newest):
+                return True
+            payload = record.payloads[0]
+            return payload is not TOMBSTONE and encode_key(
+                schema.index_key_of(index, payload)) == key
+
+        return live
 
     def _maybe_gc_entry(
         self,

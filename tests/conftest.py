@@ -10,6 +10,13 @@ from repro.core.processing_node import ProcessingNode
 from repro.store.cluster import StorageCluster
 
 
+def every_entry_live(_key, _rid):
+    """Unique row check for tree-level tests: every existing same-key
+    entry is live, so any one makes a unique insert a duplicate."""
+    return True
+    yield  # a coroutine function, like the SQL layer's row check
+
+
 @pytest.fixture
 def cluster():
     """A small storage cluster without replication."""

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from repro import effects
 from repro.api.runner import DirectRunner, Router
+from repro.core.spaces import INDEX_SPACE, META_SPACE
 from repro.errors import DuplicateKey, InvalidState
 from repro.index.btree import BTreeNode, DistributedBTree
 from repro.sql.keyenc import encode_key
 from repro.store.cell import approx_size
 from repro.store.cluster import StorageCluster
-from tests.conftest import interleave
+from tests.conftest import every_entry_live, interleave
 
 
 @pytest.fixture
@@ -26,12 +27,10 @@ def env():
     return cluster, router, runner, tree
 
 
-def fresh_handle(env, **kwargs):
+def fresh_handle(env):
     """A second tree handle: simulates another PN (separate cache)."""
-    _cluster, _router, runner, tree = env
-    other = DistributedBTree(index_id=tree.index_id, max_entries=tree.max_entries,
-                             **kwargs)
-    return other
+    tree = env[3]
+    return DistributedBTree(index_id=tree.index_id, max_entries=tree.max_entries)
 
 
 class TestBasicOperations:
@@ -54,9 +53,9 @@ class TestBasicOperations:
 
     def test_unique_insert_rejects_same_key(self, env):
         _c, _r, runner, tree = env
-        runner.run(tree.insert(5, 1, unique=True))
+        runner.run(tree.insert(5, 1, unique=every_entry_live))
         with pytest.raises(DuplicateKey):
-            runner.run(tree.insert(5, 2, unique=True))
+            runner.run(tree.insert(5, 2, unique=every_entry_live))
 
     @pytest.mark.parametrize("key, rid, raises", [
         ("m", 3, True),    # the same-key entries sort right after (m, 3)
@@ -77,10 +76,10 @@ class TestBasicOperations:
         assert raises == any(entry[0] == key for entry in leaf)
         if raises:
             with pytest.raises(DuplicateKey):
-                runner.run(tree.insert(key, rid, unique=True))
+                runner.run(tree.insert(key, rid, unique=every_entry_live))
             assert runner.run(tree.all_entries()) == leaf
         else:
-            assert runner.run(tree.insert(key, rid, unique=True)) is True
+            assert runner.run(tree.insert(key, rid, unique=every_entry_live)) is True
 
     def test_delete(self, env):
         _c, _r, runner, tree = env
@@ -186,14 +185,6 @@ class TestCrossHandleVisibility:
         for key in range(0, 200, 13):
             assert result[key] == [key]
 
-    def test_cache_disabled_mode(self, env):
-        _c, _r, runner, tree = env
-        uncached = fresh_handle(env, cache_inner_nodes=False)
-        for key in range(60):
-            runner.run(tree.insert(key, key))
-        assert runner.run(uncached.lookup(30)) == [30]
-        assert uncached.cache.hits == 0
-
 
 class TestConcurrentInterleavings:
     def test_interleaved_inserts_from_two_pns(self, env):
@@ -227,12 +218,74 @@ class TestConcurrentInterleavings:
     def test_interleaved_unique_inserts_one_winner(self, env):
         _c, router, runner, tree = env
         other = fresh_handle(env)
-        gens = [tree.insert(7, 1, unique=True), other.insert(7, 2, unique=True)]
+        gens = [tree.insert(7, 1, unique=every_entry_live),
+                other.insert(7, 2, unique=every_entry_live)]
         _results, errors = interleave(router, gens)
         dup_errors = [e for e in errors if isinstance(e, DuplicateKey)]
         rids = runner.run(tree.lookup(7))
         assert len(rids) == 1
         assert len(dup_errors) == 1
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_racing_inserts_leave_no_orphan_node(self, seed):
+        """Six PNs insert 80 ascending keys into one narrow tree, all at
+        once; a seeded scheduler picks which insert issues its next
+        request.  Every node written under the index stays reachable
+        from the root: a split or root grow that lost its conditional
+        write deletes the node it wrote first."""
+        router = Router(StorageCluster(n_nodes=3))
+        runner = DirectRunner(router)
+        handles = [DistributedBTree(index_id=1, max_entries=4)
+                   for _ in range(6)]
+        runner.run(handles[0].create())
+        pending = [handles[key % len(handles)].insert(key, key)
+                   for key in range(80)]
+        replies = [None] * len(pending)
+        rng = random.Random(seed)
+        while pending:
+            pick = rng.randrange(len(pending))
+            try:
+                request = pending[pick].send(replies[pick])
+            except StopIteration:
+                del pending[pick], replies[pick]
+                continue
+            replies[pick] = router.execute(request)
+
+        assert runner.run(handles[0].all_entries()) == [
+            (key, key) for key in range(80)]
+        assert _stored_node_ids(runner, 1) == _reachable_node_ids(runner, 1)
+
+
+def _stored_node_ids(runner, index_id):
+    """Ids of every node cell under ``index_id``; the node-id counter
+    bounds them (id 1 is the initial root leaf)."""
+    allocated, _version = runner.run(_get(
+        META_SPACE, ("counter", ("index_node", index_id))))
+    return {
+        node_id for node_id in range(1, (allocated or 0) + 2)
+        if runner.run(_get(INDEX_SPACE, (index_id, node_id)))[0] is not None
+    }
+
+
+def _reachable_node_ids(runner, index_id):
+    """Ids of the nodes reachable from the root by children and right
+    links."""
+    (root_id, _level), _version = runner.run(_get(
+        INDEX_SPACE, (index_id, "root")))
+    seen, todo = set(), [root_id]
+    while todo:
+        node_id = todo.pop()
+        if node_id is None or node_id in seen:
+            continue
+        seen.add(node_id)
+        node, _version = runner.run(_get(INDEX_SPACE, (index_id, node_id)))
+        todo.append(node.right_id)
+        todo.extend(node.children or ())
+    return seen
+
+
+def _get(space, key):
+    return (yield effects.Get(space, key))
 
 
 class TestNodeSize:

@@ -104,3 +104,45 @@ class TestExecutemany:
         )
         session.execute("ROLLBACK")
         assert session.query("SELECT v FROM src WHERE id = 1") == [{"v": 10}]
+
+
+class TestUniqueKeyAfterDelete:
+    """A deleted row's index entry stays while a snapshot can reach the
+    row (Section 5.3.2); only a live row makes a unique key a duplicate."""
+
+    @pytest.fixture
+    def table(self, db):
+        session = db.session()
+        session.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        session.execute("INSERT INTO t VALUES (1, 1)")
+        return session
+
+    def test_reinsert_in_the_deleting_transaction(self, table):
+        table.execute("BEGIN")
+        table.execute("DELETE FROM t WHERE id = 1")
+        table.execute("INSERT INTO t VALUES (1, 2)")
+        table.execute("COMMIT")
+        assert table.query("SELECT v FROM t WHERE id = 1") == [{"v": 2}]
+
+    def test_reinsert_while_an_older_snapshot_reads(self, db, table):
+        reader = db.session()
+        reader.execute("BEGIN")
+        assert reader.query("SELECT v FROM t WHERE id = 1") == [{"v": 1}]
+        table.execute("DELETE FROM t WHERE id = 1")
+        table.execute("INSERT INTO t VALUES (1, 2)")
+        assert table.query("SELECT v FROM t WHERE id = 1") == [{"v": 2}]
+        assert reader.query("SELECT v FROM t WHERE id = 1") == [{"v": 1}]
+        reader.execute("COMMIT")
+
+    @pytest.mark.parametrize("key", [5, 1], ids=["new", "deleted"])
+    def test_concurrent_inserts_of_one_key_one_commits(self, db, table, key):
+        table.execute("DELETE FROM t WHERE id = 1")
+        first, second = db.session(), db.session()
+        first.execute("BEGIN")
+        second.execute("BEGIN")
+        first.execute(f"INSERT INTO t VALUES ({key}, 1)")
+        second.execute(f"INSERT INTO t VALUES ({key}, 2)")
+        first.execute("COMMIT")
+        with pytest.raises(TransactionAborted):
+            second.execute("COMMIT")
+        assert table.query(f"SELECT v FROM t WHERE id = {key}") == [{"v": 1}]
