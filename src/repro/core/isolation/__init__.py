@@ -18,7 +18,9 @@ The commit pipeline is one sequence for all three
 is the admission rule, and that lives here, in the validator the
 deployment's commit managers share (:mod:`.validation`).  The validator's
 window is private to this package and the read set to the transaction
-module -- lint rule RL012 checks both.
+module; a SQL scan reports its keys through
+:meth:`~repro.core.transaction.Transaction.note_scanned`
+(``tests/test_isolation.py::test_sql_scan_write_skew_by_mode``).
 """
 
 from __future__ import annotations

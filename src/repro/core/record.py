@@ -48,24 +48,15 @@ class Version:
     version represents a deletion.
     """
 
-    __slots__ = ("tid", "payload", "_size")
+    __slots__ = ("tid", "payload")
 
     def __init__(self, tid: int, payload):
         self.tid = tid
         self.payload = payload
-        self._size = -1
 
     @property
     def is_tombstone(self) -> bool:
         return self.payload is TOMBSTONE
-
-    def approx_size(self) -> int:
-        # Memoized: versions are immutable and sized on every store write.
-        if self._size < 0:
-            self._size = 8 + (
-                1 if self.is_tombstone else approx_size(self.payload)
-            )
-        return self._size
 
     def __repr__(self) -> str:
         return f"Version(v{self.tid}, {self.payload!r})"
@@ -287,7 +278,7 @@ class VersionedRecord:
             total = 8
             for payload in self.payloads:
                 # 8 per version header, +1 for a tombstone marker or the
-                # serialized payload (same arithmetic as Version.approx_size).
+                # serialized payload.
                 total += 9 if payload is TOMBSTONE else 8 + approx_size(payload)
             self._size = total
         return self._size

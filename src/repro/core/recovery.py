@@ -77,7 +77,7 @@ def recover_processing_node(
     # the dispatcher's single-CM effect.
     for manager in commit_managers:
         for tid in active_tids:
-            manager.set_aborted(tid)  # repro-lint: ignore[RL008]
+            manager.set_aborted(tid)
     return rolled_back
 
 

@@ -39,7 +39,6 @@ from repro.dispatch.interceptors import (
     TraceInterceptor,
     WrongOwnerRedirect,
     kill_storage_node,
-    restart_storage_node,
 )
 
 __all__ = [
@@ -71,5 +70,4 @@ __all__ = [
     "RetryPolicy",
     "WrongOwnerRedirect",
     "kill_storage_node",
-    "restart_storage_node",
 ]

@@ -143,10 +143,10 @@ class FaultRule:
 class ScheduledFault:
     """A deployment-level event fired at an absolute simulated time.
 
-    ``action(env)`` receives the :class:`DispatchEnv`; use the factories
-    :func:`kill_storage_node` / :func:`restart_storage_node` or pass any
-    callable (e.g. a commit-manager failover).  Requires a simulated
-    deployment -- the direct runner has no timeline to schedule on.
+    ``action(env)`` receives the :class:`DispatchEnv`; use the factory
+    :func:`kill_storage_node` or pass any callable (e.g. a commit-manager
+    failover).  Requires a simulated deployment -- the direct runner has
+    no timeline to schedule on.
     """
 
     __slots__ = ("at_us", "action", "label")
@@ -173,16 +173,6 @@ def kill_storage_node(node_id: int) -> Callable[[DispatchEnv], None]:
     return action
 
 
-def restart_storage_node(node_id: int) -> Callable[[DispatchEnv], None]:
-    """Action: bring a crashed SN back (empty; the management node must
-    re-replicate partitions onto it)."""
-
-    def action(env: DispatchEnv) -> None:
-        env.cluster.nodes[node_id].restart()
-
-    return action
-
-
 class FaultInjector(Interceptor):
     """Deterministic, seed-driven fault injection middleware.
 
@@ -192,7 +182,7 @@ class FaultInjector(Interceptor):
     * per-space/per-op *errors* and *added latency* via :class:`FaultRule`
       (probabilities drawn from a private seeded RNG, so a fixed seed
       reproduces the exact same faults),
-    * deployment events (SN kill/restart, CM failover) via
+    * deployment events (SN kill, CM failover) via
       :class:`ScheduledFault`, armed on the simulator clock at attach
       time.
     """
@@ -369,5 +359,4 @@ __all__ = [
     "RetryPolicy",
     "WrongOwnerRedirect",
     "kill_storage_node",
-    "restart_storage_node",
 ]

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import random
+import time
+
 import pytest
 
 from repro.api.runner import DirectRunner, Router
@@ -15,6 +19,39 @@ def every_entry_live(_key, _rid):
     entry is live, so any one makes a unique insert a duplicate."""
     return True
     yield  # a coroutine function, like the SQL layer's row check
+
+
+#: Host entropy a seeded run must never read: the host clocks and the
+#: module-level functions of the process-global RNG.  Seeded
+#: ``random.Random`` instances are separate objects and stay usable.
+TRAPPED_CLOCKS = ("time", "time_ns", "perf_counter", "perf_counter_ns",
+                  "monotonic", "monotonic_ns")
+TRAPPED_RANDOM = ("random", "randint", "choice", "shuffle", "uniform",
+                  "randrange", "sample", "seed", "getrandbits")
+
+
+@contextlib.contextmanager
+def host_clock_trap():
+    """Replace the host clocks and the global RNG with traps for the body.
+
+    Yields the list of trapped calls.  Each trap records its call and
+    raises; a coroutine may swallow the raise, so callers assert on the
+    list, not on the exception.
+    """
+    calls = []
+
+    def trap(name):
+        def trapped(*_args, **_kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name}() called during a seeded run")
+        return trapped
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in TRAPPED_CLOCKS:
+            patch.setattr(time, name, trap(f"time.{name}"))
+        for name in TRAPPED_RANDOM:
+            patch.setattr(random, name, trap(f"random.{name}"))
+        yield calls
 
 
 @pytest.fixture

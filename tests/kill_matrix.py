@@ -8,30 +8,25 @@ every row the script copies the checkout into a temporary directory,
 plants the row there (never in the checkout) and runs every checker
 column against the copy:
 
-* one column per ``repro-lint --list-rules`` code -- a kill when that
-  code's finding count over ``src tests examples benchmarks`` rises
-  against the clean copy;
 * ``san`` -- ``python -m repro.san`` under si, wsi and ssi, then
   ``REPRO_SANITIZE=1 pytest tests/test_si_invariants.py``: a kill when
   any of them fails;
 * ``tier1`` -- ``pytest -x`` over the tier-1 test files that do not
-  import ``repro.san``, without the lint test files and
-  ``test_kill_matrix.py`` (whose guard fails on every planted row by
-  construction): a kill when it fails;
+  import ``repro.san``, without ``test_kill_matrix.py`` (whose guard
+  fails on every planted row by construction): a kill when it fails;
 * ``tier1_san`` -- ``pytest -x`` over the tier-1 test files that import
   ``repro.san`` (the sanitizers' own tests and the tests that attach
   them), so what the sanitizers catch shows apart from the rest of
   tier-1.
 
-The clean copy must pass ``san``, ``tier1`` and ``tier1_san``.  The result is printed
-as a table and written to ``tests/kill_matrix.json``; ``--rows`` runs
-the same clean-tree gate, then re-measures only the named rows and
-rewrites only their entries (the columns must be unchanged since the
-last full run).  ``tests/test_kill_matrix.py`` checks that every row
-still plants at HEAD and that the JSON matches the current rows and
-columns.  A rule column
-that kills no row on its own is a deletion candidate; a row no column
-kills is the next correctness test to write.
+The clean copy must pass every column.  The result is printed as a
+table and written to ``tests/kill_matrix.json``; ``--rows`` runs the
+same clean-tree gate, then re-measures only the named rows and rewrites
+only their entries (the columns must be unchanged since the last full
+run).  ``tests/test_kill_matrix.py`` checks that every row still plants
+at HEAD, that the JSON matches the current rows and columns, and that
+every row has a killer: a row no column kills is the next correctness
+test to write.
 """
 
 from __future__ import annotations
@@ -50,9 +45,9 @@ from typing import Dict, List, Optional, Tuple
 ROOT = Path(__file__).resolve().parents[1]
 OUTPUT = ROOT / "tests" / "kill_matrix.json"
 
-#: Test files left out of the tier-1 columns: the lint suites check
-#: the rule columns themselves, and the guard checks the rows.
-NOT_TIER1 = ("test_lint.py", "test_kill_matrix.py")
+#: Test files left out of the tier-1 columns: the guard checks the
+#: rows themselves.
+NOT_TIER1 = ("test_kill_matrix.py",)
 
 #: An import of ``repro.san`` puts a test file in ``tier1_san``.
 _IMPORTS_SAN = re.compile(r"^\s*(?:from|import) repro\.san\b", re.M)
@@ -125,7 +120,7 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
         "a manual abort never reports to the commit manager, so the tid "
         "stays active and pins the lav",
     ),
-    # -- effect hygiene: test_lint.py's seeds
+    # -- effect hygiene
     (
         "recovery_putifversion_unyielded",
         "src/repro/core/recovery.py",
@@ -150,7 +145,7 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
         "an update calls its fetch coroutine without yield from: "
         "nothing is fetched",
     ),
-    # -- determinism and isolation: test_lint.py's seeds
+    # -- determinism and isolation
     (
         "fabric_wall_clock",
         "src/repro/runtime/fabric.py",
@@ -286,8 +281,8 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
         "a storage node serves a message for a partition it no longer "
         "owns instead of raising WrongOwner",
     ),
-    # -- one bug per RL rule; RL001 and RL002 at yield sites that no
-    #    tier-1 test executes
+    # -- one bug per rule of the retired static analyzer; runtime tests
+    #    kill each of them
     (
         "btree_root_race_cleanup_unyielded",
         "src/repro/index/btree.py",
@@ -359,13 +354,12 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
         "behind the dispatcher, before their versions are rolled back",
     ),
     (
-        "table_scan_writes_read_set",
+        "table_scan_skips_read_set",
         "src/repro/sql/table.py",
         "            self.txn.note_scanned([key for key, _value, _cell in rows])",
-        "            self.txn._read_keys.update(\n"
-        "                dict.fromkeys(key for key, _value, _cell in rows))",
-        "the table scan fills the transaction's read set directly instead "
-        "of through note_scanned",
+        "            pass",
+        "a table scan under WSI/SSI leaves its keys out of the read set: "
+        "a concurrent write to a scanned row goes unvalidated",
     ),
     (
         "coordinator_bumps_epoch",
@@ -379,14 +373,8 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
 ]
 
 
-def rule_codes() -> List[str]:
-    """The ``--list-rules`` codes, in order."""
-    from repro.lint.engine import ALL_RULES
-    return [rule.code for rule in ALL_RULES]
-
-
 def columns() -> List[str]:
-    return rule_codes() + ["san", "tier1", "tier1_san"]
+    return ["san", "tier1", "tier1_san"]
 
 
 _CACHES = shutil.ignore_patterns(
@@ -422,18 +410,6 @@ def _run(tree: Path, argv: List[str], **env: str) -> subprocess.CompletedProcess
                           capture_output=True, text=True)
 
 
-_FINDING = re.compile(r"^\S+:\d+:\d+: (R[A-Z]\d{3}) ", re.M)
-
-
-def lint_counts(tree: Path) -> Dict[str, int]:
-    out = _run(tree, ["-m", "repro.lint", "src", "tests", "examples",
-                      "benchmarks"]).stdout
-    counts: Dict[str, int] = {}
-    for code in _FINDING.findall(out):
-        counts[code] = counts.get(code, 0) + 1
-    return counts
-
-
 def san_fails(tree: Path) -> bool:
     for mode in ("si", "wsi", "ssi"):
         if _run(tree, ["-m", "repro.san", "--isolation", mode]).returncode:
@@ -465,14 +441,10 @@ def tier1_failure(tree: Path, files: List[str]) -> str:
     return failed[0] if failed else f"exit {proc.returncode}"
 
 
-def measure(tree: Path, clean: Dict[str, int]) -> Tuple[List[str], str]:
+def measure(tree: Path) -> Tuple[List[str], str]:
     """(killing columns, first tier-1 failure per column) of the tree
     as planted."""
-    counts = lint_counts(tree)
-    killers = [code for code in rule_codes()
-               if counts.get(code, 0) > clean.get(code, 0)]
-    if san_fails(tree):
-        killers.append("san")
+    killers = ["san"] if san_fails(tree) else []
     failures = []
     for column, files in tier1_files().items():
         failure = tier1_failure(tree, files)
@@ -523,7 +495,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     with tempfile.TemporaryDirectory(prefix="kill-matrix-") as tmp:
         clean_tree = Path(tmp) / "clean"
         _copy_checkout(clean_tree)
-        clean = lint_counts(clean_tree)
         if san_fails(clean_tree) or any(
                 tier1_failure(clean_tree, files)
                 for files in tier1_files().values()):
@@ -534,7 +505,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             tree = Path(tmp) / row[0]
             shutil.copytree(clean_tree, tree, ignore=_CACHES)
             plant(tree, row)
-            killers, failure = measure(tree, clean)
+            killers, failure = measure(tree)
             shutil.rmtree(tree)
             matrix[row[0]] = killers
             print(f"{row[0]}: {' '.join(killers) or 'SURVIVES'}"

@@ -12,6 +12,7 @@ from repro.core.processing_node import ProcessingNode
 from repro.dispatch import FaultInjector, FaultRule, RetryPolicy
 from repro.errors import InvalidState, NodeUnavailable, TransactionAborted
 from repro.store.cluster import StorageCluster
+from tests.conftest import host_clock_trap
 
 
 class TestCommitManagerFailover:
@@ -54,19 +55,23 @@ class TestCommitManagerFailover:
         assert session.runner.router.commit_manager is replacement
 
     def test_conflict_detection_still_works_after_failover(self):
-        db = Database()
-        session = db.session()
-        session.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-        session.execute("INSERT INTO t VALUES (1, 0)")
-        db.crash_commit_manager(0)
-        a, b = db.session(), db.session()
-        a.execute("BEGIN")
-        b.execute("BEGIN")
-        a.execute("UPDATE t SET v = 1 WHERE id = 1")
-        b.execute("UPDATE t SET v = 2 WHERE id = 1")
-        a.execute("COMMIT")
-        with pytest.raises(TransactionAborted):
-            b.execute("COMMIT")
+        # Also the clock trap's failover run: replacing the manager and
+        # deciding the conflict read no host clock and no global RNG.
+        with host_clock_trap() as trapped:
+            db = Database()
+            session = db.session()
+            session.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+            session.execute("INSERT INTO t VALUES (1, 0)")
+            db.crash_commit_manager(0)
+            a, b = db.session(), db.session()
+            a.execute("BEGIN")
+            b.execute("BEGIN")
+            a.execute("UPDATE t SET v = 1 WHERE id = 1")
+            b.execute("UPDATE t SET v = 2 WHERE id = 1")
+            a.execute("COMMIT")
+            with pytest.raises(TransactionAborted):
+                b.execute("COMMIT")
+        assert trapped == []
 
     def test_multi_manager_failover_uses_peer_state(self):
         db = Database(commit_managers=2)

@@ -7,7 +7,9 @@ instances.  Performance work on the hot paths is only admissible when it
 preserves this property, so these tests pin two runs to the digests
 recorded for them (a digest covers every raw measurement: per-type
 commit/conflict/abort counts, the measured window, and the full latency
-series).
+series).  The pinned runs execute under ``host_clock_trap``
+(tests/conftest.py): a read of the host clock or the global RNG fails
+them even where it leaves the digest alone.
 """
 
 import hashlib
@@ -18,7 +20,9 @@ from repro.bench.config import TellConfig, TpccScale
 from repro.bench.scale import scale_points
 from repro.bench.simcluster import SimulatedTell, run_tell_experiment
 from repro.bench.ycsb_sim import SimulatedYcsb
+from repro.core.transaction import Transaction
 from repro.store.cell import approx_size
+from tests.conftest import host_clock_trap
 
 
 def _config(seed: int, threads_per_pn: int = 4,
@@ -37,20 +41,40 @@ def _config(seed: int, threads_per_pn: int = 4,
 # Recorded under CPython 3.11.  A digest that moves is a change to the
 # *simulated* system, never a speed-up (docs/performance.md): fix the
 # change, or, for an intended model change, re-record the constant in
-# the same commit and say so.
-@pytest.mark.parametrize("config, pinned", [
+# the same commit and say so.  Each run also pins its abort-reason
+# stream, which the digest does not cover: which conflict a transaction
+# reports must not depend on hash order.
+@pytest.mark.parametrize("config, pinned, pinned_aborts", [
     # also the ledger's tpcc_contended workload at 200 simulated ms
     pytest.param(
         _config(seed=1, threads_per_pn=8, duration_us=200_000.0),
         "d24b0c5500c73a8f44b62489ec4092379ffaff3ac8371bd520c0118725af9aa4",
+        "5563587467cc30b96317dfc142b18232272ffb600011d1d43dae6b8bd3af825f",
         id="tpcc_e2e"),
     pytest.param(
         scale_points()[0]["config"],
         "b34eec05c76d77d5072ae5513a56343c0fa74897d9d4f455c065ccf6b79e2784",
+        "73f057000de7d6821f62e53831e31030c9fda26a34e9207a18aba28ac1ab962b",
         id="smoke16"),
 ])
-def test_pinned_digest(config, pinned):
-    assert run_tell_experiment(config).digest() == pinned
+def test_pinned_digest(config, pinned, pinned_aborts, monkeypatch):
+    # Every abort passes through Transaction._finish_abort; wrapping it
+    # records each reason in order.  The wrapper stands in for
+    # first-class abort records (ROADMAP 6(a)), which will replace it.
+    reasons = []
+    finish_abort = Transaction._finish_abort
+
+    def recording(txn, entry, reason):
+        reasons.append(reason)
+        return finish_abort(txn, entry, reason)
+
+    monkeypatch.setattr(Transaction, "_finish_abort", recording)
+    with host_clock_trap() as trapped:
+        metrics = run_tell_experiment(config)
+    assert trapped == []
+    assert metrics.digest() == pinned
+    stream = hashlib.sha256("\n".join(reasons).encode()).hexdigest()
+    assert stream == pinned_aborts
 
 
 def test_pinned_ycsb_digest():
@@ -61,7 +85,9 @@ def test_pinned_ycsb_digest():
         processing_nodes=2, storage_nodes=3, threads_per_pn=4, mix="A",
         duration_us=40_000.0, warmup_us=4_000.0, seed=1,
     )
-    metrics = SimulatedYcsb(config, record_count=500).run()
+    with host_clock_trap() as trapped:
+        metrics = SimulatedYcsb(config, record_count=500).run()
+    assert trapped == []
     assert metrics.digest() == (
         "8e802d3c85502ece9e633e86b2fa89b8010ddeee8069c07b80d71f86a88ee631")
 

@@ -42,7 +42,7 @@ from repro.core.commit_manager import CommitManager
 from repro.errors import NodeUnavailable, TellError
 from repro.runtime.config import SimulationConfig
 from repro.runtime.fabric import CorePool, SimFabric
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Delay, Event, Simulator
 from repro.store.cluster import StorageCluster
 
 
@@ -152,25 +152,31 @@ class TestKindOf:
             kind_of(effects.StoreRequest("s", 1))
 
 
-def _repro_request_leaves():
-    """Every ``Request`` subclass defined under ``repro`` that no other
-    ``repro`` class subclasses, after importing every ``repro`` module.
-    Subclasses that tests define are ignored: they are not shipped."""
+def _shipped(cls):
+    return cls.__module__.split(".")[0] == "repro"
+
+
+def _repro_tree(root):
+    """``root`` and every subclass of it defined under ``repro``, after
+    importing every ``repro`` module.  Subclasses that tests define are
+    ignored: they are not shipped."""
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
         if not info.name.endswith(".__main__"):
             importlib.import_module(info.name)
-
-    def shipped(cls):
-        return cls.__module__.split(".")[0] == "repro"
-
-    found, stack = set(), [effects.Request]
+    found, stack = {root}, [root]
     while stack:
         for sub in stack.pop().__subclasses__():
-            if shipped(sub) and sub not in found:
+            if _shipped(sub) and sub not in found:
                 found.add(sub)
                 stack.append(sub)
-    return {cls for cls in found
-            if not any(shipped(sub) for sub in cls.__subclasses__())}
+    return found
+
+
+def _repro_request_leaves():
+    """Every ``Request`` class under ``repro`` that no other ``repro``
+    class subclasses."""
+    return {cls for cls in _repro_tree(effects.Request)
+            if not any(_shipped(sub) for sub in cls.__subclasses__())}
 
 
 def test_every_concrete_request_declares_a_kind():
@@ -181,6 +187,17 @@ def test_every_concrete_request_declares_a_kind():
     assert len(leaves) >= 14
     assert sorted(cls.__qualname__ for cls in leaves
                   if not hasattr(cls, "kind")) == []
+
+
+def test_hot_classes_have_no_instance_dict():
+    # The __slots__ contract (docs/performance.md): requests and the
+    # kernel's Delay and Event are allocated on every simulated step, so
+    # none of them, base or leaf, may give its instances a __dict__.
+    classes = set().union(*(_repro_tree(root)
+                            for root in (effects.Request, Delay, Event)))
+    assert len(classes) >= 19
+    assert sorted(cls.__qualname__ for cls in classes
+                  if cls.__dictoffset__ != 0) == []
 
 
 # ---------------------------------------------------------------------------

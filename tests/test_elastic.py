@@ -24,6 +24,7 @@ from repro.errors import InvalidState
 from repro.sim.kernel import Delay
 from repro.store.cluster import StorageCluster
 from repro.workloads.tpcc.params import TpccScale
+from tests.conftest import host_clock_trap
 
 
 def make_cluster(n_nodes=3, rf=2, ppn=4):
@@ -250,7 +251,9 @@ class TestLiveElasticity:
         the ownership layer's only end-to-end pin."""
         from repro.dispatch import WrongOwnerRedirect
 
-        deployment, coordinator, metrics = _run_diurnal(sim_config())
+        with host_clock_trap() as trapped:
+            deployment, coordinator, metrics = _run_diurnal(sim_config())
+        assert trapped == []
         assert metrics.digest() == (
             "c4bcc60be7e34c38c5bc1c225b34b7aa"
             "5e61125759540df0c9f4dcc435db2a9f"

@@ -411,6 +411,38 @@ class TestWriteSkewScenario:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("mode, reason", [
+    ("si", None),
+    ("wsi", "read key overwritten by concurrent commit"),
+    ("ssi", "pivot in a dangerous structure"),
+])
+def test_sql_scan_write_skew_by_mode(mode, reason):
+    # Write skew through a SQL scan: each session sums the table, then
+    # updates the row the other one does not.  Only the scan reads row
+    # 2, so under WSI/SSI it is the scan's read set, reported through
+    # Transaction.note_scanned, that must catch b's concurrent write.
+    with repro.connect(isolation=mode) as db:
+        setup = db.session()
+        setup.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        setup.execute("INSERT INTO t VALUES (1, 10), (2, 20)")
+        a, b = db.session(), db.session()
+        for session in (a, b):
+            session.execute("BEGIN")
+            assert session.query("SELECT SUM(v) AS s FROM t WHERE v > 0") \
+                == [{"s": 30}]
+        b.execute("UPDATE t SET v = 0 WHERE id = 2")
+        b.execute("COMMIT")
+        a.execute("UPDATE t SET v = 0 WHERE id = 1")
+        if reason is None:
+            a.execute("COMMIT")
+            expected = [{"id": 1, "v": 0}, {"id": 2, "v": 0}]
+        else:
+            with pytest.raises(TransactionAborted, match=reason):
+                a.execute("COMMIT")
+            expected = [{"id": 1, "v": 10}, {"id": 2, "v": 0}]
+        assert setup.query("SELECT id, v FROM t ORDER BY id") == expected
+
+
 class TestReadForUpdateMissingKey:
     def test_missing_key_reads_none_and_stays_absent(self, cluster):
         _manager, pn, runner, _router = isolation_env(cluster, "si")

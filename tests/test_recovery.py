@@ -78,6 +78,28 @@ class TestRecovery:
             record, _ = cluster.execute(effects.Get(DATA_SPACE, key))
             assert record.get(crashed.tid) is None
 
+    def test_rollback_precedes_completing_the_tid(self, env, monkeypatch):
+        """The commit manager learns a dead node's tid is aborted only
+        after every version that tid wrote is gone: a completed tid lets
+        the base version pass it, and a version still in the store would
+        then read as committed."""
+        cluster, cm = env
+        seed(cluster, cm, {K1: ("v0",), K2: ("w0",)})
+        crashed = crash_mid_commit(cluster, cm, 5, {K1: ("bad",), K2: ("bad",)})
+        calls = []
+        set_aborted = cm.set_aborted
+
+        def checking(tid):
+            left = [key for key in (K1, K2) if cluster.execute(
+                effects.Get(DATA_SPACE, key))[0].get(tid) is not None]
+            calls.append((tid, left))
+            return set_aborted(tid)
+
+        monkeypatch.setattr(cm, "set_aborted", checking)
+        _pn, runner = make_pn(cluster, cm, 0)
+        runner.run(recover_processing_node(5, [cm], TransactionLog()))
+        assert calls == [(crashed.tid, [])]
+
     def test_commit_rollback_and_recovery_share_one_removal(
             self, env, monkeypatch):
         """Commit-time rollback and PN recovery undo a version through
