@@ -15,10 +15,6 @@ is free and adds no simulated time); the digest covers the merged
 series across all three phases plus the coordinator's event log, making
 every point reproducible byte-for-byte under a fixed seed.
 
-The ``autoscale16`` point replaces the fixed schedule with the
-deterministic :class:`repro.elastic.autoscaler.Autoscaler` driving the same
-coordinator, and records its decision log.
-
 Use via ``python -m repro.bench elastic`` (``--profile smoke`` runs only
 the ``smoke`` point) or :func:`run_elastic_point` directly.
 """
@@ -57,7 +53,6 @@ def _point(
     threads_per_pn: int = 8,
     customers_per_district: int = 60,
     batch_cells: int = 256,
-    autoscale: bool = False,
 ) -> Dict[str, Any]:
     scale = TpccScale(
         warehouses=warehouses,
@@ -75,20 +70,13 @@ def _point(
         warmup_us=duration_us / 10,
         seed=1,
     )
-    return {
-        "label": label,
-        "config": config,
-        "batch_cells": batch_cells,
-        "autoscale": autoscale,
-    }
+    return {"label": label, "config": config, "batch_cells": batch_cells}
 
 
 #: The suite, smallest first.  ``smoke`` is the CI gate: a 2->4->2 SN
 #: cycle small enough for every PR.  ``elastic64`` is the acceptance
 #: configuration -- a 64-node deployment (16 PNs + 48 SNs) doubling and
-#: halving its SN count under live TPC-C.  ``autoscale16`` starts the
-#: same 16-node deployment deliberately storage-tight and lets the
-#: deterministic autoscaler do the scaling instead of the schedule.
+#: halving its SN count under live TPC-C.
 def elastic_points() -> List[Dict[str, Any]]:
     return [
         _point("smoke", 2, 2, warehouses=1, duration_us=240_000.0,
@@ -97,8 +85,6 @@ def elastic_points() -> List[Dict[str, Any]]:
         _point("diurnal16", 4, 12, warehouses=4, duration_us=300_000.0),
         _point("elastic64", 16, 48, warehouses=8, duration_us=240_000.0,
                customers_per_district=30),
-        _point("autoscale16", 4, 4, warehouses=2, duration_us=300_000.0,
-               threads_per_pn=16, autoscale=True),
     ]
 
 
@@ -161,28 +147,12 @@ def run_elastic_point(point: Dict[str, Any]) -> Dict[str, Any]:
     )
 
     base_sns = config.storage_nodes
-    autoscaler = None
-    if point["autoscale"]:
-        from repro.elastic.autoscaler import Autoscaler, AutoscalerPolicy
-
-        autoscaler = Autoscaler(
-            coordinator,
-            AutoscalerPolicy(
-                interval_us=duration / 12,
-                evidence_ticks=2,
-                cooldown_ticks=1,
-                min_storage_nodes=base_sns,
-                max_storage_nodes=base_sns * 4,
-            ),
-        )
-        sim.spawn(autoscaler.process(duration), name="autoscaler")
-    else:
-        sim.call_at(t_double, lambda: sim.spawn(
-            coordinator.scale_storage_to(base_sns * 2), name="elastic-double"
-        ))
-        sim.call_at(t_halve, lambda: sim.spawn(
-            coordinator.scale_storage_to(base_sns), name="elastic-halve"
-        ))
+    sim.call_at(t_double, lambda: sim.spawn(
+        coordinator.scale_storage_to(base_sns * 2), name="elastic-double"
+    ))
+    sim.call_at(t_halve, lambda: sim.spawn(
+        coordinator.scale_storage_to(base_sns), name="elastic-halve"
+    ))
 
     started = time.perf_counter()
     deployment.run()
@@ -201,14 +171,13 @@ def run_elastic_point(point: Dict[str, Any]) -> Dict[str, Any]:
         mw.redirects for mw in deployment.interceptors
         if isinstance(mw, WrongOwnerRedirect)
     )
-    result = {
+    return {
         "label": point["label"],
         "pns": config.processing_nodes,
         "sns": base_sns,
         "sns_final": len(deployment.cluster.nodes),
         "warehouses": config.scale.warehouses,
         "duration_us": duration,
-        "autoscale": point["autoscale"],
         "phases": {
             name: _phase_stats(phase_metrics[name], windows[name])
             for name in PHASES
@@ -220,15 +189,10 @@ def run_elastic_point(point: Dict[str, Any]) -> Dict[str, Any]:
         "wall_s": wall,
         "digest": _run_digest(phase_metrics, coordinator.events),
     }
-    if autoscaler is not None:
-        result["decisions"] = autoscaler.decision_log()
-    return result
 
 
 def cycle(point: Dict[str, Any]) -> str:
     """Human label for the point's SN trajectory."""
-    if point["autoscale"]:
-        return f"{point['sns']}->auto->{point['sns_final']} SNs"
     return (f"{point['sns']}->{2 * point['sns']}->"
             f"{point['sns_final']} SNs")
 
@@ -251,8 +215,6 @@ def check_elastic(rows: List[Dict[str, Any]]) -> None:
         phases = row["phases"]
         assert all(phases[name]["committed"] > 0 for name in PHASES), (
             f"{row['label']}: a phase committed nothing")
-        if row["autoscale"]:
-            continue
         label, before = row["label"], phases["before"]["txns_per_s"]
         assert row["migration"]["partitions_moved"] > 0, f"{label}: no move"
         assert row["migration"]["aborted_handoffs"] == 0, (

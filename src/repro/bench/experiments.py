@@ -226,7 +226,7 @@ def run_phase_breakdown(profile: Optional[BenchProfile] = None,
     """One TPC-C run with observability forced on; returns the
     ``repro-obs/2`` snapshot whose ``repro_txn_us`` /
     ``repro_txn_phase_us`` histograms :func:`repro.obs.phase_table_rows`
-    renders into the per-phase table of ``repro-obs run`` (snapshot /
+    renders into the per-phase table of ``repro-obs smoke`` (snapshot /
     read / write / commit per transaction type).  Deterministic for a
     fixed seed."""
     config = tell_config(profile or bench_profile(), observability=True,
@@ -843,9 +843,6 @@ EXPERIMENTS: Dict[str, Experiment] = {experiment.name: experiment for experiment
          "Redirects": "redirects",
          **{f"{name} txns/s": _phase(name, "txns_per_s") for name in PHASES},
          **{f"{name} p99 (ms)": _phase(name, "p99_ms") for name in PHASES},
-         "Autoscaler": lambda row: ", ".join(
-             entry for entry in row.get("decisions", ())
-             if not entry.endswith(" -")) or "-",
          "Digest": lambda row: row["digest"][:16]},
         check_elastic),
 )}

@@ -13,10 +13,10 @@ and storage scale *independently* -- operational while traffic runs:
   implementation of SN add, remove, rebalance and scale-to that both
   ``db.admin()`` and the coordinator drive;
 * :mod:`repro.elastic.coordinator` -- the sim-timeline driver (timed
-  batches under a FIFO lock, PN grow/shrink through the recovery path);
-* :mod:`repro.elastic.autoscaler` -- the deterministic policy that turns
-  ``repro.obs`` snapshots (queue depth, p99, abort rate) into add/remove
-  decisions.
+  batches under a FIFO lock, PN grow/shrink through the recovery path).
+
+*When* to scale is left to the caller (a bench schedule, ``db.admin()``),
+as the paper gives no policy for it.
 
 In-flight requests that reach a node after its partition moved fail with
 :class:`repro.errors.WrongOwner` *before any state mutation* and are

@@ -1,14 +1,11 @@
-"""``repro-obs`` -- render, validate, and produce metrics snapshots.
+"""``repro-obs`` -- render and validate metrics snapshots.
 
 Subcommands::
 
-    repro-obs run [--profile smoke|quick|full] [--out FILE]
-        Run one observability-enabled TPC-C bench and render the live
-        per-phase latency table (the paper's Table-4 shape).
-
     repro-obs render SNAPSHOT.json [--prometheus]
-        Render a snapshot file previously written by ``python -m
-        repro.bench --obs`` (or ``repro-obs run --out``).
+        Render a snapshot file written by ``python -m repro.bench NAME
+        --obs DIR``: the per-phase latency table (the paper's Table-4
+        shape) and key gauges.
 
     repro-obs validate SNAPSHOT.json
         Exit 0 when the file is a valid ``repro-obs/2`` document.
@@ -26,7 +23,7 @@ import sys
 from typing import List, Optional
 
 from repro.obs.exporters import (OBS_SCHEMA, PHASE_TABLE_HEADERS,
-                                 phase_table_rows, to_json, to_prometheus,
+                                 phase_table_rows, to_prometheus,
                                  validate_snapshot)
 
 
@@ -88,27 +85,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 1 if problems else 0
 
 
-def _run_bench(profile: Optional[str]) -> dict:
-    """``profile`` names a ``PROFILES`` entry; None defers to
-    ``REPRO_BENCH_PROFILE`` (``bench_profile()``), as ``repro-bench``."""
+def _cmd_smoke(args: argparse.Namespace) -> int:
     from repro.bench.experiments import PROFILES, run_phase_breakdown
 
-    return run_phase_breakdown(PROFILES[profile] if profile else None)
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    snapshot = _run_bench(args.profile)
-    _print_phase_table(snapshot)
-    _print_highlights(snapshot)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(to_json(snapshot))
-        print(f"snapshot written to {args.out}")
-    return 0
-
-
-def _cmd_smoke(args: argparse.Namespace) -> int:
-    snapshot = _run_bench(args.profile or "smoke")
+    snapshot = run_phase_breakdown(PROFILES[args.profile or "smoke"])
     problems = validate_snapshot(snapshot)
     for problem in problems:
         print(f"SMOKE FAIL: {problem}", file=sys.stderr)
@@ -139,12 +119,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Render and validate repro.obs metrics snapshots.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_parser = sub.add_parser("run", help="bench + live table")
-    run_parser.add_argument("--profile", choices=tuple(PROFILES))
-    run_parser.add_argument("--out", metavar="FILE",
-                            help="also write the snapshot JSON here")
-    run_parser.set_defaults(func=_cmd_run)
 
     render_parser = sub.add_parser("render", help="render a snapshot file")
     render_parser.add_argument("snapshot")

@@ -155,20 +155,3 @@ def collect_topology(reg: MetricsRegistry, pmap: object) -> None:
     for node_id in sorted(counts):
         masters.set(counts[node_id], node=str(node_id))
 
-
-def collect_autoscaler(reg: MetricsRegistry, autoscaler: object) -> None:
-    """Autoscaler activity: decisions taken and the latest signals."""
-    gauge = reg.gauge("repro_autoscaler", "autoscaler decisions taken")
-    actions = {"sn-add": 0, "sn-remove": 0, "pn-grow": 0, "pn-shrink": 0}
-    for decision in autoscaler.decisions:
-        if decision.action in actions:
-            actions[decision.action] += 1
-    for action in sorted(actions):
-        gauge.set(actions[action], action=action)
-    gauge.set(len(autoscaler.decisions), action="ticks")
-    if autoscaler.decisions:
-        signals = autoscaler.decisions[-1].signals
-        latest = reg.gauge("repro_autoscaler_signals",
-                           "signals at the last autoscaler tick")
-        for name in sorted(signals):
-            latest.set(signals[name], signal=name)

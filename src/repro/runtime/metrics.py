@@ -1,4 +1,4 @@
-"""Order statistics shared by the benchmark metrics and the autoscaler."""
+"""Order statistics for the benchmark latency metrics."""
 
 from __future__ import annotations
 

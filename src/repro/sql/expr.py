@@ -14,7 +14,7 @@ import operator
 import re
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import SqlPlanError
+from repro.errors import SqlError, SqlPlanError
 from repro.sql import ast_nodes as ast
 from repro.sql.schema import TableSchema
 
@@ -62,13 +62,21 @@ SCALAR_FUNCTIONS: Dict[str, Callable[[List[Any]], Any]] = {
     "substr": _substr,
 }
 
+
+def _divide(a: Any, b: Any) -> Any:
+    # SQL's data exception 22012, as in PostgreSQL (sqlite3 yields NULL)
+    if b == 0:
+        raise SqlError("division by zero")
+    return a / b
+
+
 #: Operators that yield NULL when an operand is NULL.
 _BINARY_OPERATORS: Dict[str, Callable[[Any, Any], Any]] = {
     "=": operator.eq, "!=": operator.ne,
     "<": operator.lt, "<=": operator.le,
     ">": operator.gt, ">=": operator.ge,
     "+": operator.add, "-": operator.sub,
-    "*": operator.mul, "/": operator.truediv,
+    "*": operator.mul, "/": _divide,
 }
 
 

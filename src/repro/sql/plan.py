@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import takewhile
 from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import SqlPlanError
+from repro.errors import SqlError, SqlPlanError
 from repro.sql import ast_nodes as ast
 from repro.sql.expr import AGGREGATE_FUNCTIONS, Compiler, Layout, aggregate_key
 from repro.sql.schema import IndexDef, TableSchema
@@ -378,7 +378,10 @@ def _access(ref: ast.TableRef, table: Table, condition: Optional[ast.Expr],
     def fold(expr: ast.Expr) -> Any:
         try:
             return compile(expr)(())
-        except (TypeError, ArithmeticError) as error:
+        except SqlPlanError:
+            raise
+        except (TypeError, ArithmeticError, SqlError) as error:
+            # e.g. a constant ``1 / 0``: rejected before any row is read
             raise SqlPlanError(f"cannot evaluate {expr!r}: {error}")
 
     equals, lower, upper, _residual = _analyze(condition, ref.alias, schema, (), fold)

@@ -362,6 +362,14 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
         "a concurrent write to a scanned row goes unvalidated",
     ),
     (
+        "unique_dead_entry_counts_as_live",
+        "src/repro/sql/table.py",
+        "return payload is not TOMBSTONE and encode_key(",
+        "return True or payload is not TOMBSTONE and encode_key(",
+        "the unique check counts an index entry whose row was deleted (or "
+        "re-keyed) as live: a deleted unique key can never be re-inserted",
+    ),
+    (
         "coordinator_bumps_epoch",
         "src/repro/elastic/migration.py",
         "        cluster.detach_node(node_id)\n",

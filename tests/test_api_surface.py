@@ -268,8 +268,9 @@ class TestImportDirection:
     CORE_MAY_IMPORT = ("repro.effects", "repro.errors", "repro.store.cell",
                        "repro.core")
 
-    #: ``repro-obs run`` runs a bench experiment; ``TxnMetrics`` is pinned
-    #: at ``repro.bench.metrics`` by the frozen ledger (docs/simulation.md).
+    #: ``repro-obs smoke`` runs a bench experiment and ``render`` prints
+    #: with the bench's table helper; ``TxnMetrics`` is pinned at
+    #: ``repro.bench.metrics`` by the frozen ledger (docs/simulation.md).
     MAY_IMPORT_BENCH = {"repro/obs/cli.py", "repro/baselines/common.py"}
 
     def test_dependency_arrows_point_away_from_the_benchmark(self):

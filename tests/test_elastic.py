@@ -1,11 +1,11 @@
-"""Tests for live elasticity: ownership, migration, admin API, autoscaler.
+"""Tests for live elasticity: ownership, migration, admin API.
 
 Covers the versioned partition map's unit surface, the bounded-batch migration
 protocol (including the no-leak guarantee after aborted migrations), the
 ``db.admin()`` cluster-administration API, the live simulated
 double/halve cycle under the sanitizer suite at every isolation level,
-fixed-seed determinism of migration schedules, mid-migration SN-kill
-chaos, and the deterministic autoscaler policy.
+fixed-seed determinism of migration schedules, and mid-migration SN-kill
+chaos.
 """
 
 import hashlib
@@ -14,7 +14,6 @@ import pytest
 
 import repro
 from repro.bench.config import TellConfig
-from repro.elastic.autoscaler import Autoscaler, AutoscalerPolicy
 from repro.elastic.coordinator import ElasticCoordinator
 from repro.elastic.migration import (StorageOps, assert_migration_clean,
                                      capture_pins, migrate_partition)
@@ -425,75 +424,3 @@ class TestOneStateMachineTwoDrivers:
         assert result == sorted(cluster.nodes)
         assert sorted(coordinator.fabric.sn_pools) == sorted(cluster.nodes)
         assert_no_leaks(cluster)
-
-
-class TestAutoscaler:
-    def _autoscaler(self, **policy):
-        from repro.bench.simcluster import SimulatedTell
-
-        deployment = SimulatedTell(sim_config())
-        coordinator = ElasticCoordinator(deployment)
-        return Autoscaler(coordinator, AutoscalerPolicy(**policy))
-
-    def _signals(self, queue=0.0, p99=0.0, aborts=0.0, txns=100.0):
-        return {"queue_us": queue, "p99_us": p99, "abort_rate": aborts,
-                "txns": txns}
-
-    def test_policy_validation(self):
-        with pytest.raises(InvalidState):
-            AutoscalerPolicy(interval_us=0)
-        with pytest.raises(InvalidState):
-            AutoscalerPolicy(min_storage_nodes=8, max_storage_nodes=4)
-
-    def test_sustained_backlog_scales_storage_out(self):
-        scaler = self._autoscaler(evidence_ticks=2)
-        assert scaler.decide(self._signals(queue=100.0)) is None
-        assert scaler.decide(self._signals(queue=100.0)) == "sn-add"
-
-    def test_tail_latency_without_backlog_grows_pns(self):
-        scaler = self._autoscaler(evidence_ticks=2)
-        assert scaler.decide(self._signals(p99=5_000.0)) is None
-        assert scaler.decide(self._signals(p99=5_000.0)) == "pn-grow"
-
-    def test_sustained_idleness_scales_storage_in(self):
-        scaler = self._autoscaler(evidence_ticks=2, min_storage_nodes=1)
-        assert scaler.decide(self._signals(queue=0.5, p99=100.0)) is None
-        assert scaler.decide(self._signals(queue=0.5, p99=100.0)) \
-            == "sn-remove"
-
-    def test_contention_thrashing_shrinks_pns(self):
-        scaler = self._autoscaler()
-        # the deployment has not run yet: mark its PN pool live by hand
-        scaler.deployment._pn_active.update({0: True, 1: True})
-        assert scaler.decide(self._signals(aborts=0.6)) == "pn-shrink"
-
-    def test_bounds_respected(self):
-        scaler = self._autoscaler(evidence_ticks=1, min_storage_nodes=2,
-                                  max_storage_nodes=2)
-        assert scaler.decide(self._signals(queue=100.0)) is None
-        assert scaler.decide(self._signals(queue=0.5, p99=1.0)) is None
-
-    def test_no_evidence_without_traffic(self):
-        scaler = self._autoscaler(evidence_ticks=1)
-        assert scaler.decide(self._signals(queue=100.0, txns=0.0)) is None
-
-    def test_live_run_decision_log_is_deterministic(self):
-        logs = []
-        for _ in range(2):
-            from repro.bench.simcluster import SimulatedTell
-
-            deployment = SimulatedTell(sim_config(threads_per_pn=8))
-            deployment.load()
-            coordinator = ElasticCoordinator(deployment)
-            scaler = Autoscaler(coordinator, AutoscalerPolicy(
-                interval_us=20_000.0, evidence_ticks=2, cooldown_ticks=1,
-                min_storage_nodes=2, max_storage_nodes=4,
-            ))
-            deployment.sim.spawn(
-                scaler.process(deployment.config.duration_us),
-                name="autoscaler",
-            )
-            deployment.run()
-            logs.append(scaler.decision_log())
-        assert logs[0] == logs[1]
-        assert logs[0]  # it ticked

@@ -10,8 +10,6 @@ import repro
 from repro.bench.config import TellConfig
 from repro.bench.simcluster import SimulatedTell
 from repro.dispatch import FaultInjector, FaultRule, TraceInterceptor
-from repro.elastic.autoscaler import Autoscaler, AutoscalerPolicy
-from repro.elastic.coordinator import ElasticCoordinator
 from repro.obs import (Observability, obs_enabled, phase_table_rows, to_json,
                        to_prometheus, validate_snapshot)
 from repro.obs.registry import MetricsRegistry
@@ -230,18 +228,14 @@ def observed():
 @pytest.fixture(scope="module")
 def wired():
     """A run with everything that exports series attached: a request
-    trace (over injected errors, so the error counter has a series) and
-    a ticking autoscaler.  Returns ``(deployment, trace, snapshot)``."""
+    trace over injected errors, so the error counter has a series.
+    Returns ``(deployment, trace, snapshot)``."""
     trace = TraceInterceptor()
     faults = FaultInjector(seed=3, rules=[
         FaultRule(op="Get", error_rate=0.01),
     ])
     deployment = SimulatedTell(tiny_config(), interceptors=[trace, faults])
     deployment.load()
-    scaler = Autoscaler(ElasticCoordinator(deployment),
-                        AutoscalerPolicy(interval_us=10_000.0))
-    deployment.sim.spawn(scaler.process(deployment.config.duration_us),
-                         name="autoscaler")
     return deployment, trace, deployment.run().obs_snapshot
 
 
@@ -267,7 +261,7 @@ EXPORTED_SERIES = {
     "repro_replication_copies", "repro_cm_activity", "repro_isolation_mode",
     "repro_fabric_totals", "repro_topology", "repro_topology_masters",
     "repro_pn_txns", "repro_buffer_ops", "repro_buffer_hit_ratio",
-    "repro_index_activity", "repro_autoscaler", "repro_autoscaler_signals",
+    "repro_index_activity",
     # Tracer
     "repro_txn_us", "repro_txn_phase_us", "repro_txn_outcomes",
     # TraceInterceptor

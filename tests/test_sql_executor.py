@@ -6,6 +6,7 @@ from repro.api import Database
 from repro.errors import (
     DuplicateKey,
     SchemaError,
+    SqlError,
     SqlPlanError,
     TransactionAborted,
 )
@@ -375,6 +376,34 @@ class TestTransactions:
         session.execute("COMMIT")
         rows = session.query("SELECT salary FROM emp WHERE id = 1")
         assert rows == [{"salary": 555.0}]
+
+
+class TestDivisionByZero:
+    @pytest.fixture
+    def ratios(self, session):
+        session.execute("CREATE TABLE t (id INT PRIMARY KEY, a INT, b INT)")
+        session.execute(
+            "INSERT INTO t VALUES (1, 6, 2), (2, NULL, 0), (3, 5, 0), (4, 0, 3)"
+        )
+        return session
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT a / b AS r FROM t WHERE id = 3",  # projection
+        "SELECT id FROM t WHERE a / b > 1",       # WHERE
+        "SELECT id FROM t ORDER BY a / a",        # ORDER BY
+    ])
+    def test_raises_sql_error_and_the_transaction_still_commits(
+            self, ratios, sql):
+        ratios.execute("BEGIN")
+        ratios.execute("UPDATE t SET a = 7 WHERE id = 1")
+        with pytest.raises(SqlError, match="division by zero"):
+            ratios.query(sql)
+        ratios.execute("COMMIT")
+        assert ratios.query("SELECT a FROM t WHERE id = 1") == [{"a": 7}]
+        # NULL still wins over the zero divisor
+        assert ratios.query("SELECT a / b AS r FROM t WHERE id = 2") == [
+            {"r": None}
+        ]
 
 
 class TestSharedCatalog:
