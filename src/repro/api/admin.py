@@ -1,8 +1,8 @@
 """The first-class cluster-administration surface: ``db.admin()``.
 
 :class:`ClusterAdmin` is the supported way to change a running
-deployment's shape -- storage scale-out/in with partition rebalancing,
-processing-pool grow/shrink, and topology introspection::
+deployment's storage shape -- scale-out/in with partition rebalancing,
+and topology introspection::
 
     with repro.connect(storage_nodes=4) as db:
         with db.admin() as admin:
@@ -25,7 +25,7 @@ transactions -- the commit managers' pins unchanged.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, Optional
 
 from repro.elastic.migration import (StorageOps, assert_migration_clean,
                                      capture_pins)
@@ -101,28 +101,6 @@ class ClusterAdmin:
                 "topology failed to balance: "
                 f"master counts {pmap.master_counts()!r}"
             )
-
-    # -- processing elasticity ----------------------------------------------
-
-    def grow_pns(self, n: int = 1) -> List[int]:
-        """Attach ``n`` processing nodes (no data movement)."""
-        if n < 1:
-            raise InvalidState("grow_pns needs n >= 1")
-        return [self._db.add_processing_node().pn_id for _ in range(n)]
-
-    def shrink_pns(self, n: int = 1) -> List[int]:
-        """Detach the ``n`` highest-numbered PNs, rolling back anything
-        they left in flight (the PN-crash recovery path).  Returns the
-        rolled-back transaction ids."""
-        pn_ids = sorted(self._db.processing_nodes)
-        if n < 1 or n > len(pn_ids):
-            raise InvalidState(
-                f"cannot shrink {n} of {len(pn_ids)} processing node(s)"
-            )
-        rolled_back: List[int] = []
-        for pn_id in reversed(pn_ids[-n:]):
-            rolled_back.extend(self._db.crash_processing_node(pn_id))
-        return rolled_back
 
     # -- introspection ------------------------------------------------------
 

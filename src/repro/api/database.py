@@ -80,7 +80,7 @@ class Database(Deployment):
     def admin(self) -> "ClusterAdmin":
         """The cluster-administration surface (see
         :class:`repro.api.admin.ClusterAdmin`): storage scale-out/in with
-        partition rebalancing, PN pool grow/shrink, topology inspection.
+        partition rebalancing, topology inspection.
         Context-managed; leaving the block verifies no migration residue
         or transaction pin leaked."""
         if self._closed:

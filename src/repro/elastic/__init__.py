@@ -1,7 +1,9 @@
 """repro.elastic: live topology change on the simulated timeline.
 
-The elasticity subsystem makes the paper's headline claim -- processing
-and storage scale *independently* -- operational while traffic runs:
+The elasticity subsystem makes the storage half of the paper's headline
+claim -- processing and storage scale *independently* -- operational
+while traffic runs (a simulated run's processing pool is fixed; the
+processing half shows through static sweeps of the PN count):
 
 * :mod:`repro.elastic.topology` -- deterministic rebalance/drain planning
   and the leak oracle over the store's versioned
@@ -13,7 +15,7 @@ and storage scale *independently* -- operational while traffic runs:
   implementation of SN add, remove, rebalance and scale-to that both
   ``db.admin()`` and the coordinator drive;
 * :mod:`repro.elastic.coordinator` -- the sim-timeline driver (timed
-  batches under a FIFO lock, PN grow/shrink through the recovery path).
+  batches under a FIFO lock).
 
 *When* to scale is left to the caller (a bench schedule, ``db.admin()``),
 as the paper gives no policy for it.

@@ -22,33 +22,26 @@ from __future__ import annotations
 from typing import Any, Generator, List, Tuple
 
 from repro.elastic.migration import DEFAULT_BATCH_CELLS, BatchCost, StorageOps
-from repro.errors import InvalidState
 from repro.sim.kernel import Delay
 
 #: Per-cell copy service time on each endpoint of a migration batch
 #: (microseconds).  Deliberately above the plain write service time: the
 #: copy path serializes, ships, and installs versioned cells.
 MIGRATION_CELL_US = 0.3
-#: Polling interval while a retired PN's terminals finish their in-flight
-#: transactions; recovery runs only once they have all exited, and rolls
-#: back whatever they abandoned (the infrastructure-failure path).
-PN_DRAIN_US = 500.0
 
 
 class ElasticCoordinator:
-    """Executes SN/PN scale-out and scale-in on the simulated timeline."""
+    """Executes SN scale-out and scale-in on the simulated timeline."""
 
     def __init__(
         self,
         deployment: Any,
         batch_cells: int = DEFAULT_BATCH_CELLS,
-        drain_pause_us: float = PN_DRAIN_US,
     ):
         self.deployment = deployment
         self.sim = deployment.sim
         self.fabric = deployment.fabric
         self.cluster = deployment.cluster
-        self.drain_pause_us = drain_pause_us
         #: (sim_time_us, description) log of every elastic action, in
         #: execution order -- the determinism tests pin this down.
         self.events: List[Tuple[float, str]] = []
@@ -112,61 +105,6 @@ class ElasticCoordinator:
     def rebalance(self) -> Generator:
         """Move partitions until master counts differ by at most one."""
         return self._run(self._ops.rebalance())
-
-    # -- processing scale-out / scale-in ----------------------------------
-
-    def grow_pns(self, n: int = 1) -> List[int]:
-        """Attach ``n`` fresh PNs; instant (a PN has no state to warm)."""
-        if n < 1:
-            raise InvalidState("grow_pns needs n >= 1")
-        self._arm()
-        new_ids = [self.deployment.start_pn() for _ in range(n)]
-        self._log(f"pn-add {new_ids}")
-        return new_ids
-
-    def shrink_pns(self, n: int = 1) -> Generator:
-        """Retire the ``n`` highest-numbered active PNs.
-
-        Their terminals exit at the next transaction boundary; after a
-        drain pause the stripe-recovery path (the same code a PN crash
-        takes) rolls back anything still in flight, so no transaction or
-        lav pin outlives its processing node.
-        """
-        active = self.deployment.active_pn_ids()
-        if n < 1 or n >= len(active):
-            raise InvalidState(
-                f"cannot shrink {n} of {len(active)} active PNs "
-                "(at least one must remain)"
-            )
-        self._arm()
-        yield from self._acquire()
-        try:
-            victims = active[-n:]
-            for pn_id in victims:
-                self.deployment.stop_pn(pn_id)
-            self._log(f"pn-stop {victims}")
-            # Wait for the victims' terminals to actually exit: they only
-            # observe the stop flag at a transaction boundary, and running
-            # recovery under a still-live transaction would roll it back
-            # underneath its own PN (the sanitizers catch that).
-            pause = Delay(self.drain_pause_us)
-            yield pause
-            while not all(
-                self.deployment.pn_quiesced(pn_id) for pn_id in victims
-            ):
-                yield pause
-            rolled_back = 0
-            for pn_id in victims:
-                _pn, pool, cm_index, _indexes = self.deployment.pn_handle(pn_id)
-                tids = yield from self.deployment._drive(
-                    pool, cm_index, self.deployment.recover_pn(pn_id),
-                    pn_id=pn_id,
-                )
-                rolled_back += len(tids)
-            self._log(f"pn-recovered {victims} rolled_back={rolled_back}")
-            return rolled_back
-        finally:
-            self._release()
 
     # -- migration driving -------------------------------------------------
 

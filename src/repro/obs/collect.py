@@ -4,9 +4,10 @@
 collector a deployment needs.  It reads live component state
 (storage nodes, topology, commit managers, fabric, processing nodes,
 B+trees) when a snapshot is taken, so components that appear later --
-a grown PN pool, a new session, a fail-over commit manager -- need no
-registration of their own.  Everything is duck-typed on the stats
-attributes so this module imports no protocol code and works for both
+an added processing node, a new session, a fail-over commit manager --
+need no registration of their own.  Everything is duck-typed on the
+stats attributes so this module imports no protocol code and works for
+both
 embedded (:class:`repro.api.Database`) and simulated
 (:class:`repro.runtime.deployment.SimulatedDeployment`) deployments.
 """

@@ -9,8 +9,7 @@ in who drives the protocol coroutines and who supplies time.
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 from repro import effects
 from repro.core.buffers import make_strategy
@@ -94,18 +93,15 @@ class Deployment:
         """The commit manager serving processing node ``pn_id``."""
         return pn_id % len(self.commit_managers)
 
-    def recover_pn(self, pn_id: int) -> Generator:
-        """The recovery coroutine (Section 4.4.1) for a crashed or retired
-        processing node; returns the rolled-back tids.  The caller drives
-        it: directly, or under the fabric so it takes simulated time."""
-        return recover_processing_node(
-            pn_id, self.commit_managers, TransactionLog()
-        )
-
     def recover_pn_direct(self, pn_id: int) -> List[int]:
-        """:meth:`recover_pn`, run to completion outside simulated time."""
+        """Run PN recovery (Section 4.4.1) for a crashed processing node
+        to completion, outside simulated time; returns the rolled-back
+        tids."""
         return effects.run_direct(
-            self.recover_pn(pn_id), Dispatcher(self.cluster)
+            recover_processing_node(
+                pn_id, self.commit_managers, TransactionLog()
+            ),
+            Dispatcher(self.cluster),
         )
 
     # -- commit-manager fail-over ------------------------------------------
@@ -184,7 +180,8 @@ class SimulatedDeployment(Deployment):
 
     Owns the event kernel, the fabric, the interceptor chain (see
     ``docs/dispatch.md``; the empty default adds no work to the hot
-    loop), the live processing-node pool, ``run()`` and ``quiesce()``.
+    loop), the processing-node pool (fixed for the length of a run),
+    ``run()`` and ``quiesce()``.
     A subclass supplies ``load()``, ``_transactions(handle, seed)`` -- one
     terminal's endless source of ``(name, body)`` pairs, ``body(txn)``
     being the workload coroutine, finished with before the next pair
@@ -216,11 +213,6 @@ class SimulatedDeployment(Deployment):
             )
             self.interceptors.extend(chain)
         self._pn_handles: List[PnHandle] = []
-        # Live PN pool state: terminals of a stopped PN exit their loop at
-        # the next transaction boundary (the flag check adds no simulated
-        # time, so the static path's digest is untouched).
-        self._pn_active: Dict[int, bool] = {}
-        self._pn_procs: Dict[int, List[Any]] = {}
         self._warmup_end = min(config.warmup_us, config.duration_us)
         self._end_time = config.duration_us
         self._populated = False
@@ -240,7 +232,13 @@ class SimulatedDeployment(Deployment):
             self.load()
         end_time = self._end_time
         for pn_id in range(self.config.processing_nodes):
-            self._spawn_pn(pn_id)
+            handle = self._make_pn(pn_id)
+            self._pn_handles.append(handle)
+            for thread in range(self.config.threads_per_pn):
+                self.sim.spawn(
+                    self._terminal(handle, self._terminal_seed(pn_id, thread)),
+                    name=f"pn{pn_id}-t{thread}",
+                )
         if len(self.commit_managers) > 1:
             for manager in self.commit_managers:
                 self.sim.spawn(
@@ -260,33 +258,20 @@ class SimulatedDeployment(Deployment):
             obs_module.emit(self._obs_label(), snapshot)
         return self.metrics
 
-    def _spawn_pn(self, pn_id: int) -> None:
-        handle = self._make_pn(pn_id)
-        self._pn_handles.append(handle)
-        self._pn_active[pn_id] = True
-        procs = self._pn_procs.setdefault(pn_id, [])
-        for thread in range(self.config.threads_per_pn):
-            procs.append(self.sim.spawn(
-                self._terminal(handle, self._terminal_seed(pn_id, thread)),
-                name=f"pn{pn_id}-t{thread}",
-            ))
-
     def _terminal_seed(self, pn_id: int, thread: int) -> int:
         """Per-terminal RNG seed; workload subclasses derive their own."""
         return (self.config.seed * 10_007 + pn_id * 131 + thread) & 0x7FFFFFFF
 
     def _terminal(self, handle: PnHandle, seed: int) -> Generator:
         """One closed-loop client (a sim process body): it runs the
-        workload's transactions back to back until the run ends or its
-        processing node is stopped."""
+        workload's transactions back to back until the run ends."""
         pn, pool, cm_index, _indexes = handle
         transactions = self._transactions(handle, seed)
         warmup_end = self._warmup_end
         end_time = self._end_time
         sim = self.sim
-        active = self._pn_active
         pn_id = pn.pn_id
-        while sim.now < end_time and active.get(pn_id, True):
+        while sim.now < end_time:
             name, body = next(transactions)
             started = sim.now
             try:
@@ -332,47 +317,6 @@ class SimulatedDeployment(Deployment):
         except TransactionAborted:
             return "conflict"
         return "committed"
-
-    def start_pn(self) -> int:
-        """Attach a fresh processing node while the simulation runs.
-
-        The new PN's terminals enter the workload at the current
-        simulated instant with the same deterministic seed derivation the
-        initial pool uses, so a fixed seed reproduces the grown
-        deployment exactly.  Returns the new pn id.
-        """
-        pn_id = (
-            max(pn.pn_id for pn, _pool, _cm, _idx in self._pn_handles) + 1
-            if self._pn_handles else 0
-        )
-        self._spawn_pn(pn_id)
-        return pn_id
-
-    def stop_pn(self, pn_id: int) -> None:
-        """Retire a processing node: its terminals exit at the next
-        transaction boundary.  The caller (the elastic coordinator) then
-        drains and runs PN recovery to roll back anything in flight."""
-        self._pn_active[pn_id] = False
-
-    def pn_quiesced(self, pn_id: int) -> bool:
-        """True once every terminal of a stopped PN has actually exited.
-
-        A terminal only observes :meth:`stop_pn` at its next transaction
-        boundary, so a transaction in flight at stop time keeps running
-        for a while; recovery must not roll it back underneath it (the
-        sanitizers catch exactly that)."""
-        return all(proc.finished for proc in self._pn_procs.get(pn_id, ()))
-
-    def pn_handle(self, pn_id: int) -> PnHandle:
-        for handle in self._pn_handles:
-            if handle[0].pn_id == pn_id:
-                return handle
-        raise KeyError(f"no processing node {pn_id}")
-
-    def active_pn_ids(self) -> List[int]:
-        return sorted(
-            pn_id for pn_id, active in self._pn_active.items() if active
-        )
 
     def _drive(self, pool: CorePool, cm_index: int, gen,
                pn_id: int = -1) -> Generator:  # noqa: ANN001

@@ -18,7 +18,8 @@ from repro.core.spaces import data_key
 from repro.errors import MultipleResultRows, NoResultRows
 from repro.sql import ast_nodes as ast
 from repro.sql import plan as nodes
-from repro.sql.expr import AGGREGATE_FUNCTIONS, Compiler, Row, RowFn
+from repro.sql.expr import (AGGREGATE_FUNCTIONS, Compiler, Row, RowFn,
+                             type_mismatch)
 from repro.sql.plan import plan
 
 
@@ -85,7 +86,12 @@ def _compute_aggregate(
         values = list(dict.fromkeys(values))
     if call.name == "count":
         return len(values)
-    return AGGREGATE_FUNCTIONS[call.name](values) if values else None
+    if not values:
+        return None
+    try:
+        return AGGREGATE_FUNCTIONS[call.name](values)
+    except TypeError:
+        raise type_mismatch(f"aggregate {call.name.upper()}", values) from None
 
 
 class StatementExecutor:

@@ -80,6 +80,13 @@ _BINARY_OPERATORS: Dict[str, Callable[[Any, Any], Any]] = {
 }
 
 
+def type_mismatch(what: str, values: Sequence[Any]) -> SqlError:
+    """What a builtin ``TypeError`` over SQL values becomes: an error
+    naming the operator and the operand types, not a Python exception."""
+    types = " and ".join(dict.fromkeys(type(value).__name__ for value in values))
+    return SqlError(f"{what} does not apply to {types}")
+
+
 def _param_value(param: ast.Param, params: Sequence[Any]) -> Any:
     try:
         return params[param.index]
@@ -168,7 +175,7 @@ class Compiler:
             function = {"-": operator.neg, "not": operator.not_}.get(expr.op)
             if function is None:
                 raise SqlPlanError(f"unknown unary operator {expr.op!r}")
-            return self._null_if_any_null(function, expr.operand)
+            return self._null_if_any_null(expr.op, function, expr.operand)
         if isinstance(expr, ast.IsNull):
             operand, negated = self(expr.operand), expr.negated
             return lambda row: (operand(row) is None) != negated
@@ -188,23 +195,30 @@ class Compiler:
                 return (low <= value <= high) != expr.negated
 
             return self._null_if_any_null(
-                between, expr.operand, expr.low, expr.high
+                "between", between, expr.operand, expr.low, expr.high
             )
         if isinstance(expr, ast.Like):
             def like(value: Any, pattern: Any) -> bool:
                 matched = _like_to_regex(pattern).match(str(value))
                 return (matched is not None) != expr.negated
 
-            return self._null_if_any_null(like, expr.operand, expr.pattern)
+            return self._null_if_any_null(
+                "like", like, expr.operand, expr.pattern
+            )
         raise SqlPlanError(f"cannot evaluate {expr!r}")
 
-    def _null_if_any_null(self, function: Callable[..., Any],
+    def _null_if_any_null(self, op: str, function: Callable[..., Any],
                           *operands: ast.Expr) -> RowFn:
         compiled = [self(operand) for operand in operands]
 
         def strict(row: Row) -> Any:
             values = [operand(row) for operand in compiled]
-            return None if None in values else function(*values)
+            if None in values:
+                return None
+            try:
+                return function(*values)
+            except TypeError:
+                raise type_mismatch(f"operator {op!r}", values) from None
 
         return strict
 
@@ -239,7 +253,12 @@ class Compiler:
         def binary(row: Row) -> Any:
             a = left(row)
             b = right(row)
-            return None if a is None or b is None else function(a, b)
+            if a is None or b is None:
+                return None
+            try:
+                return function(a, b)
+            except TypeError:
+                raise type_mismatch(f"operator {expr.op!r}", (a, b)) from None
 
         return binary
 

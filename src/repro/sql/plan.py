@@ -25,6 +25,7 @@ from repro.sql import ast_nodes as ast
 from repro.sql.expr import AGGREGATE_FUNCTIONS, Compiler, Layout, aggregate_key
 from repro.sql.schema import IndexDef, TableSchema
 from repro.sql.table import Table
+from repro.sql.types import ColumnType
 
 # ---------------------------------------------------------------------------
 # Plan nodes
@@ -385,6 +386,15 @@ def _access(ref: ast.TableRef, table: Table, condition: Optional[ast.Expr],
             raise SqlPlanError(f"cannot evaluate {expr!r}: {error}")
 
     equals, lower, upper, _residual = _analyze(condition, ref.alias, schema, (), fold)
+    for column, (op, value) in [*lower.items(), *upper.items()]:
+        column_type = schema.column(column).type
+        if value is not None and (column_type is ColumnType.TEXT) != isinstance(value, str):
+            # Python cannot order the two, here or in a storage node's
+            # push-down filter: reject before any Scan is sent.
+            raise SqlPlanError(
+                f"cannot compare {column_type.name} column {column!r} "
+                f"{op} {value!r}"
+            )
     kind, index, low, high, include_high = choose_access_path(
         schema, equals, lower, upper
     )

@@ -1,53 +1,28 @@
-"""Management node: failure detection and storage fail-over.
+"""Management node: storage fail-over.
 
 The paper (Section 4.4) assigns the management node three jobs for the
-storage layer: detect failures (an eventually-perfect, timeout-based
-detector), fail partitions over to their replicas, and restore the
-replication level afterwards.  Only one recovery process runs at a time,
-but a single recovery handles any number of simultaneous node failures.
+storage layer: detect failures, fail partitions over to their replicas,
+and restore the replication level afterwards.  Detection is not
+modelled: whatever kills a storage node (the
+``repro.dispatch.kill_storage_node`` fault, a hard removal, a test)
+calls :meth:`ManagementNode.handle_node_failure` directly.  Only one
+recovery process runs at a time, but a single recovery handles any
+number of simultaneous node failures.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.errors import InvalidState
 from repro.store.cluster import StorageCluster
 
 
-class FailureDetector:
-    """Timeout-based eventually-perfect failure detector.
-
-    Nodes are expected to heartbeat every ``heartbeat_us``; a node whose
-    last heartbeat is older than ``timeout_us`` is suspected.  Under the
-    direct runner, tests call :meth:`heartbeat`/:meth:`suspects`
-    explicitly; under simulation a background process does.
-    """
-
-    def __init__(self, timeout_us: float = 500_000.0):
-        self.timeout_us = timeout_us
-        self.last_heartbeat: Dict[int, float] = {}
-
-    def heartbeat(self, node_id: int, now: float) -> None:
-        self.last_heartbeat[node_id] = now
-
-    def forget(self, node_id: int) -> None:
-        self.last_heartbeat.pop(node_id, None)
-
-    def suspects(self, now: float) -> List[int]:
-        return [
-            node_id
-            for node_id, seen in self.last_heartbeat.items()
-            if now - seen > self.timeout_us
-        ]
-
-
 class ManagementNode:
-    """Monitors the storage cluster and repairs it after node failures."""
+    """Repairs the storage cluster after node failures."""
 
     def __init__(self, cluster: StorageCluster):
         self.cluster = cluster
-        self.detector = FailureDetector()
         self.recovery_running = False
         self.recoveries_completed = 0
 
@@ -66,7 +41,6 @@ class ManagementNode:
             node = self.cluster.nodes.get(node_id)
             if node is not None and node.alive:
                 node.crash()
-            self.detector.forget(node_id)
             degraded = self.cluster.partition_map.fail_over(node_id)
             self._restore_replication(degraded)
             self.recoveries_completed += 1
@@ -88,12 +62,3 @@ class ManagementNode:
                 clone = source.snapshot_partition(partition_id)
                 self.cluster.nodes[new_host_id].install_partition(clone)
                 pmap.add_replica(partition_id, new_host_id)
-
-    def check_heartbeats(self, now: float) -> List[int]:
-        """Run the detector; fail over every suspected node.  Returns the
-        node ids that were recovered."""
-        recovered = []
-        for node_id in self.detector.suspects(now):
-            self.handle_node_failure(node_id)
-            recovered.append(node_id)
-        return recovered

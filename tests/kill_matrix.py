@@ -20,7 +20,10 @@ column against the copy:
   tier-1.
 
 The clean copy must pass every column.  The result is printed as a
-table and written to ``tests/kill_matrix.json``; ``--rows`` runs the
+table and written to ``tests/kill_matrix.json``: per row, each killing
+column with its first killer -- the failing ``repro.san --isolation
+<mode>`` run or the first failing test id -- so a test that stops
+killing a row shows as a diff of that row.  ``--rows`` runs the
 same clean-tree gate, then re-measures only the named rows and rewrites
 only their entries (the columns must be unchanged since the last full
 run).  ``tests/test_kill_matrix.py`` checks that every row still plants
@@ -418,13 +421,14 @@ def _run(tree: Path, argv: List[str], **env: str) -> subprocess.CompletedProcess
                           capture_output=True, text=True)
 
 
-def san_fails(tree: Path) -> bool:
+def san_failure(tree: Path) -> str:
+    """The first failing ``repro.san`` run or sanitized test id, or ""
+    when the ``san`` column passes."""
     for mode in ("si", "wsi", "ssi"):
         if _run(tree, ["-m", "repro.san", "--isolation", mode]).returncode:
-            return True
-    return _run(tree, ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                       "tests/test_si_invariants.py"],
-                REPRO_SANITIZE="1").returncode != 0
+            return f"repro.san --isolation {mode}"
+    return first_failure(tree, ["tests/test_si_invariants.py"],
+                         REPRO_SANITIZE="1")
 
 
 def tier1_files() -> Dict[str, List[str]]:
@@ -439,30 +443,27 @@ def tier1_files() -> Dict[str, List[str]]:
     return files
 
 
-def tier1_failure(tree: Path, files: List[str]) -> str:
+def first_failure(tree: Path, files: List[str], **env: str) -> str:
     """The first failing test id among ``files``, or "" when they pass."""
     proc = _run(tree, ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                       *files])
+                       *files], **env)
     if proc.returncode == 0:
         return ""
-    failed = re.findall(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.M)
+    # "FAILED <test id> - <message>"; a parametrized id may hold spaces
+    failed = re.findall(r"^(?:FAILED|ERROR) (\S+?(?:\[.*?\])?)(?: - |$)",
+                        proc.stdout, re.M)
     return failed[0] if failed else f"exit {proc.returncode}"
 
 
-def measure(tree: Path) -> Tuple[List[str], str]:
-    """(killing columns, first tier-1 failure per column) of the tree
-    as planted."""
-    killers = ["san"] if san_fails(tree) else []
-    failures = []
+def measure(tree: Path) -> Dict[str, str]:
+    """Killing column -> its first killer, for the tree as planted."""
+    failures = {"san": san_failure(tree)}
     for column, files in tier1_files().items():
-        failure = tier1_failure(tree, files)
-        if failure:
-            killers.append(column)
-            failures.append(f"{column}: {failure}")
-    return killers, "; ".join(failures)
+        failures[column] = first_failure(tree, files)
+    return {column: failure for column, failure in failures.items() if failure}
 
 
-def render(matrix: Dict[str, List[str]]) -> str:
+def render(matrix: Dict[str, Dict[str, str]]) -> str:
     cols = columns()
     width = max(len(row_id) for row_id in matrix)
     lines = [" " * width + "  " + " ".join(cols)]
@@ -473,7 +474,7 @@ def render(matrix: Dict[str, List[str]]) -> str:
     return "\n".join(lines)
 
 
-def dump(matrix: Dict[str, List[str]]) -> str:
+def dump(matrix: Dict[str, Dict[str, str]]) -> str:
     """One row per line, so a diff of the file reads as a diff of rows."""
     rows = ",\n".join(f"    {json.dumps(row_id)}: {json.dumps(killers)}"
                       for row_id, killers in matrix.items())
@@ -489,7 +490,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="re-measure only these rows and rewrite only their entries")
     args = parser.parse_args(argv)
     selected = MUTANTS
-    matrix: Dict[str, List[str]] = {}
+    matrix: Dict[str, Dict[str, str]] = {}
     if args.rows:
         unknown = sorted(set(args.rows) - {row[0] for row in MUTANTS})
         if unknown:
@@ -503,8 +504,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     with tempfile.TemporaryDirectory(prefix="kill-matrix-") as tmp:
         clean_tree = Path(tmp) / "clean"
         _copy_checkout(clean_tree)
-        if san_fails(clean_tree) or any(
-                tier1_failure(clean_tree, files)
+        if san_failure(clean_tree) or any(
+                first_failure(clean_tree, files)
                 for files in tier1_files().values()):
             print("kill_matrix: the clean tree fails san or tier-1",
                   file=sys.stderr)
@@ -513,12 +514,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             tree = Path(tmp) / row[0]
             shutil.copytree(clean_tree, tree, ignore=_CACHES)
             plant(tree, row)
-            killers, failure = measure(tree)
+            killers = measure(tree)
             shutil.rmtree(tree)
             matrix[row[0]] = killers
-            print(f"{row[0]}: {' '.join(killers) or 'SURVIVES'}"
-                  f"{f'  ({failure})' if failure else ''}",
-                  flush=True)
+            print(f"{row[0]}: " + ("; ".join(
+                f"{column}: {killer}" for column, killer in killers.items())
+                or "SURVIVES"), flush=True)
     missing = [row[0] for row in MUTANTS if row[0] not in matrix]
     if missing:
         print(f"kill_matrix: no recorded entry for {' '.join(missing)}; "

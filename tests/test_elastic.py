@@ -158,17 +158,6 @@ class TestClusterAdmin:
         assert sorted(view["master_counts"]) == view["nodes"]
         assert view["n_partitions"] == db.cluster.partitioner.n_partitions
 
-    def test_pn_grow_shrink(self):
-        with repro.connect(storage_nodes=2) as db:
-            session = db.session()
-            session.execute("CREATE TABLE t (id INT PRIMARY KEY)")
-            with db.admin() as admin:
-                new = admin.grow_pns(2)
-                assert len(db.processing_nodes) >= 3
-                rolled_back = admin.shrink_pns(2)
-            assert rolled_back == []
-            assert all(pn not in db.processing_nodes for pn in new)
-
     def test_closed_database_refuses_admin(self):
         db = repro.connect(storage_nodes=2)
         db.close()
@@ -280,24 +269,6 @@ class TestLiveElasticity:
         # WrongOwner error ever surfaced as a transaction outcome.
         assert redirectors[0].redirects > 0
         assert metrics.total_committed > 50
-
-    def test_pn_pool_grows_and_shrinks_live(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        from repro.bench.simcluster import SimulatedTell
-
-        deployment = SimulatedTell(sim_config())
-        deployment.load()
-        coordinator = ElasticCoordinator(deployment)
-        sim = deployment.sim
-        sim.call_at(30_000.0, lambda: coordinator.grow_pns(2))
-        sim.call_at(70_000.0, lambda: sim.spawn(
-            coordinator.shrink_pns(2), name="shrink"))
-        metrics = deployment.run()
-        assert metrics.total_committed > 50
-        assert deployment.active_pn_ids() == [0, 1]
-        events = [what for _at, what in coordinator.events]
-        assert any(what.startswith("pn-add") for what in events)
-        assert any(what.startswith("pn-recovered") for what in events)
 
     def test_sn_kill_mid_migration_chaos(self, monkeypatch):
         """Kill the source of the first in-flight handoff: the fail-over

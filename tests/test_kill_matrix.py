@@ -1,8 +1,9 @@
 """Guard for the kill matrix (tests/kill_matrix.py): every planted row
 still applies to the code it patches, and tests/kill_matrix.json was
-regenerated for the current rows and columns.  A row whose ``old`` text
-moved or vanished fails here instead of silently planting nothing, and
-a row that no column kills fails too."""
+regenerated for the current rows and columns, with each killing
+column's first killer.  A row whose ``old`` text moved or vanished fails
+here instead of silently planting nothing, and a row that no column
+kills fails too."""
 
 import json
 
@@ -24,8 +25,11 @@ def test_json_holds_the_current_rows_and_columns():
         "columns changed: rerun PYTHONPATH=src python tests/kill_matrix.py"
     assert list(recorded["rows"]) == [row[0] for row in MUTANTS], \
         "rows changed: rerun PYTHONPATH=src python tests/kill_matrix.py"
-    for killers in recorded["rows"].values():
-        assert set(killers) <= set(recorded["columns"])
+    for row_id, killers in recorded["rows"].items():
+        # column -> its first killer: a failing repro.san run or test id
+        assert set(killers) <= set(recorded["columns"]), row_id
+        assert all(isinstance(killer, str) and killer
+                   for killer in killers.values()), row_id
 
 
 def test_every_row_has_a_killer():

@@ -12,6 +12,7 @@ from repro.bench.simcluster import SimulatedTell
 from repro.dispatch import FaultInjector, FaultRule, TraceInterceptor
 from repro.obs import (Observability, obs_enabled, phase_table_rows, to_json,
                        to_prometheus, validate_snapshot)
+from repro.obs import cli as obs_cli
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.workloads.tpcc.params import TpccScale
@@ -348,6 +349,33 @@ class TestSimulatedObservability:
         errors = counters[
             "repro_request_errors{class=Get,error=NodeUnavailable}"]
         assert 0 < errors < latency["count"]
+
+
+class TestObsCli:
+    """``repro-obs render`` / ``validate`` on a snapshot file."""
+
+    @pytest.fixture
+    def snapshot_file(self, observed, tmp_path):
+        path = tmp_path / "snapshot.json"
+        path.write_text(json.dumps(observed.obs_snapshot), encoding="utf-8")
+        return str(path)
+
+    def test_validate_and_render_a_valid_snapshot(self, snapshot_file,
+                                                  capsys):
+        assert obs_cli.main(["validate", snapshot_file]) == 0
+        assert obs_cli.main(["render", snapshot_file]) == 0
+        assert "Per-phase latency breakdown" in capsys.readouterr().out
+        assert obs_cli.main(["render", snapshot_file, "--prometheus"]) == 0
+        assert "# TYPE" in capsys.readouterr().out
+
+    def test_wrong_schema_is_refused(self, observed, tmp_path, capsys):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(dict(observed.obs_snapshot,
+                                        schema="repro-obs/1")),
+                        encoding="utf-8")
+        assert obs_cli.main(["validate", str(path)]) == 1
+        assert obs_cli.main(["render", str(path)]) == 2
+        assert "invalid snapshot" in capsys.readouterr().err
 
 
 class TestEmbeddedObservability:

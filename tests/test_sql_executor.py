@@ -406,6 +406,43 @@ class TestDivisionByZero:
         ]
 
 
+class TestTypeMismatch:
+    """Operands Python cannot combine raise an SqlError, never a builtin
+    TypeError -- from a storage node's push-down filter least of all."""
+
+    @pytest.fixture
+    def named(self, session):
+        session.execute(
+            "CREATE TABLE t (id INT PRIMARY KEY, name VARCHAR(10), v INT)"
+        )
+        session.execute("INSERT INTO t VALUES (1, 'a', 1), (2, 'b', 2)")
+        return session
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT id FROM t WHERE name > 5",   # text column vs a constant
+        "SELECT id FROM t WHERE name > v",   # text column vs an int column
+        "SELECT name + 1 AS x FROM t",       # arithmetic on text
+        "SELECT SUM(name) AS s FROM t",      # aggregate over text
+    ])
+    def test_raises_sql_error_and_the_transaction_still_commits(
+            self, named, sql):
+        named.execute("BEGIN")
+        named.execute("UPDATE t SET v = 7 WHERE id = 1")
+        with pytest.raises(SqlError, match="name|str"):
+            named.query(sql)
+        named.execute("COMMIT")
+        assert named.query("SELECT v FROM t WHERE id = 1") == [{"v": 7}]
+
+    def test_ordering_mismatch_is_rejected_before_any_scan(self, named):
+        with pytest.raises(SqlPlanError, match="TEXT column 'name'"):
+            named.explain("SELECT id FROM t WHERE name > ?", [5])
+
+    def test_equality_across_types_matches_nothing(self, named):
+        assert named.query("SELECT id FROM t WHERE name = 5") == []
+        assert named.query("SELECT id FROM t WHERE name != 5 ORDER BY id") \
+            == [{"id": 1}, {"id": 2}]
+
+
 class TestSharedCatalog:
     """A session caches the catalog; every transaction revalidates it."""
 

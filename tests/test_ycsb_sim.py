@@ -78,30 +78,6 @@ class TestSimulatedYcsb:
         assert log.clean
         assert sum(log.reconciliations.values()) > 0  # the chain saw traffic
 
-    def test_retired_pn_stops_and_recovers(self):
-        # Processing nodes are stateless and come and go (Sections 2.1,
-        # 4.4.1): a stopped PN's terminals leave at the next transaction
-        # boundary, then recovery runs -- for every workload, since the
-        # closed loop is the runtime's.
-        from repro.elastic.coordinator import ElasticCoordinator
-
-        deployment = SimulatedYcsb(
-            config(processing_nodes=3, duration_us=80_000.0),
-            record_count=500,
-        )
-        deployment.load()
-        coordinator = ElasticCoordinator(deployment)
-        sim = deployment.sim
-        shrink = []
-        sim.call_at(20_000.0, lambda: shrink.append(
-            sim.spawn(coordinator.shrink_pns(1), name="shrink")))
-        assert deployment.run().total_committed > 100
-        assert shrink[0].finished
-        assert deployment.active_pn_ids() == [0, 1]
-        assert deployment.pn_quiesced(2)
-        events = [what for _at, what in coordinator.events]
-        assert any(what.startswith("pn-recovered [2]") for what in events)
-
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValueError):
             SimulatedYcsb(config(mix="standard"))
