@@ -96,6 +96,16 @@ class VersionedRecord:
     def initial(cls, tid: int, payload) -> "VersionedRecord":
         return cls._from_slabs((tid,), (payload,))
 
+    @classmethod
+    def initial_many(
+        cls, tid: int, payloads: Iterable[object]
+    ) -> List["VersionedRecord"]:
+        """One :meth:`initial` record per payload; the records share one
+        ``tids`` tuple (the bulk loader's records, all created by ``tid``)."""
+        tids = (tid,)
+        from_slabs = cls._from_slabs
+        return [from_slabs(tids, (payload,)) for payload in payloads]
+
     # -- reads -----------------------------------------------------------------
 
     @property

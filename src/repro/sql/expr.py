@@ -67,6 +67,11 @@ def _divide(a: Any, b: Any) -> Any:
     # SQL's data exception 22012, as in PostgreSQL (sqlite3 yields NULL)
     if b == 0:
         raise SqlError("division by zero")
+    if a.__class__ is int and b.__class__ is int:
+        # INT / INT truncates toward zero, as in PostgreSQL and sqlite3
+        # (Python's // floors: -7 // 2 is -4).
+        quotient = abs(a) // abs(b)
+        return quotient if (a < 0) == (b < 0) else -quotient
     return a / b
 
 

@@ -7,6 +7,11 @@ the version observed by the earlier ``Get``.  Because the counter is
 monotonic, a value that was changed and changed back still fails the
 conditional write, which is exactly the ABA immunity the paper requires of
 LL/SC (Section 4.1).
+
+A cell is never changed once installed: a write binds a new cell in its
+place, so the backups of a partition share the master's cell object (each
+replica is still charged its bytes), and a replica that missed a write
+keeps the cell it had.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from repro.effects import KIND_BATCH, KIND_SCAN, Request
 
 
 class Cell:
-    """One key's stored value and its write-stamp."""
+    """One key's stored value and its write-stamp; never changed once
+    installed, so replicas share it."""
 
     __slots__ = ("value", "version")
 

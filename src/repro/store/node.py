@@ -3,6 +3,9 @@
 A storage node owns a set of partitions.  For each partition it keeps, per
 *space* (a namespace such as ``data``, ``index``, ``txlog``, ``meta``), a
 plain dict of key -> :class:`Cell` plus a sorted-key cache used by scans.
+A cell is never changed once installed: every write binds a new one, and
+the backups of a partition bind the master's cell object, while each
+replica is still charged the cell's bytes.
 
 All operations on a node are atomic with respect to each other: under the
 direct runner they execute synchronously, and under the simulator every
@@ -187,23 +190,23 @@ class StorageNode:
         space: str,
         cells: SpaceDict,
         key: Any,
-        cell: Optional[Cell],
-        value: Any,
-        version: int,
+        old: Optional[Cell],
+        cell: Cell,
         size: int,
     ) -> None:
-        """The one create-or-replace path (``cell`` is ``cells.get(key)``,
-        ``size`` is ``approx_size(value)``): charge first, so a write over
-        capacity raises :class:`NoCapacity` with nothing changed."""
-        if cell is None:
+        """The one create-or-replace path (``old`` is ``cells.get(key)``,
+        ``size`` is ``approx_size(cell.value)``): charge first, so a write
+        over capacity raises :class:`NoCapacity` with nothing changed, then
+        bind ``cell``.  Cells are never changed once installed, so a backup
+        binds the master's own cell object."""
+        if old is None:
             self._charge(store, size + approx_size(key))
-            cells[key] = Cell(value, version)
+            cells[key] = cell
             store.invalidate_scan_cache(space)
             return
-        # Replacing in place: the key's size cancels out of the delta.
-        self._charge(store, size - approx_size(cell.value))
-        cell.value = value
-        cell.version = version
+        # Replacing: the key's size cancels out of the delta.
+        self._charge(store, size - approx_size(old.value))
+        cells[key] = cell
 
     def do_put(self, partition_id: int, space: str, key: Any, value: Any) -> int:
         return self.do_put_if_version(partition_id, space, key, value, None)[1]
@@ -222,11 +225,11 @@ class StorageNode:
         self.ops_write += 1
         store = self.partition(partition_id)
         cells = store.space(space)
-        cell = cells.get(key)
-        current = 0 if cell is None else cell.version
+        old = cells.get(key)
+        current = 0 if old is None else old.version
         if expected_version is not None and current != expected_version:
             return False, current
-        self._install(store, space, cells, key, cell, value, current + 1,
+        self._install(store, space, cells, key, old, Cell(value, current + 1),
                       approx_size(value))
         return True, current + 1
 
@@ -265,14 +268,13 @@ class StorageNode:
         self.ops_write += 1
         store = self.partition(partition_id)
         cells = store.space(space)
-        cell = cells.get(key)
-        if cell is None:
+        old = cells.get(key)
+        if old is None:
             self._charge(store, 16)
             cells[key] = Cell(delta, 1)
             store.invalidate_scan_cache(space)
             return delta
-        cell.value += delta
-        cell.version += 1
+        cell = cells[key] = Cell(old.value + delta, old.version + 1)
         return cell.value
 
     def do_scan(
@@ -322,17 +324,17 @@ class StorageNode:
 
     def copy_cell(self, partition_id: int, space: str, key: Any,
                   cell: Optional[Cell], size: Optional[int] = None) -> None:
-        """Install a replica copy of a cell (None deletes).  ``size`` is
-        ``approx_size(cell.value)`` when the caller measured it once for
-        every replica."""
+        """Install a replica of a cell (None deletes): the replica binds
+        ``cell`` itself, which is never changed once installed, and is
+        charged its bytes as a copy.  ``size`` is ``approx_size(cell.value)``
+        when the caller measured it once for every replica."""
         self._check_alive()
         store = self.host_partition(partition_id)
         cells = store.space(space)
         if cell is not None:
             if size is None:
                 size = approx_size(cell.value)
-            self._install(store, space, cells, key, cells.get(key),
-                          cell.value, cell.version, size)
+            self._install(store, space, cells, key, cells.get(key), cell, size)
             return
         old = cells.pop(key, None)
         if old is not None:
@@ -340,15 +342,14 @@ class StorageNode:
             store.invalidate_scan_cache(space)
 
     def snapshot_partition(self, partition_id: int) -> PartitionStore:
-        """Deep copy a hosted partition (used to restore the replication
-        factor after a failure)."""
+        """Copy a hosted partition (used to restore the replication factor
+        after a failure): each space dict is copied, and the immutable
+        cells are shared with the source."""
         self._check_alive()
         source = self.partition(partition_id)
         clone = PartitionStore(partition_id)
         for space_name, cells in source.spaces.items():
-            target = clone.space(space_name)
-            for key, cell in cells.items():
-                target[key] = Cell(cell.value, cell.version)
+            clone.space(space_name).update(cells)
         clone.bytes_used = source.bytes_used
         return clone
 

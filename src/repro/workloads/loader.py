@@ -37,21 +37,20 @@ class BulkLoader:
         (re)build every index of the table.
 
         Returns the number of rows loaded.  Rids are assigned sequentially
-        from 1 in input order; each batch's records are built when it is
-        sent.
+        from 1 in input order.  The records share one ``tids`` tuple, and
+        the data keys and index entries share one list of rid ints.
         """
         schema = self.catalog.table(table_name)
         table_id = schema.table_id
         rows = list(payloads)
+        rids = list(range(1, len(rows) + 1))
+        records = VersionedRecord.initial_many(LOAD_VERSION, rows)
         size = self.batch_size
-        initial = VersionedRecord.initial
         for start in range(0, len(rows), size):
-            chunk = rows[start : start + size]
             yield effects.multi_put(
                 DATA_SPACE,
-                [data_key(table_id, rid)
-                 for rid in range(start + 1, start + 1 + len(chunk))],
-                [initial(LOAD_VERSION, payload) for payload in chunk],
+                [data_key(table_id, rid) for rid in rids[start : start + size]],
+                records[start : start + size],
             )
         # Advance the rid counter past the loaded rows.
         yield effects.Put(META_SPACE, rid_counter_key(table_id), len(rows))
@@ -59,7 +58,7 @@ class BulkLoader:
         for index in schema.indexes:
             entries: List[Tuple[EncodedKey, int]] = sorted(
                 (encode_key(schema.index_key_of(index, payload)), rid)
-                for rid, payload in enumerate(rows, 1)
+                for rid, payload in zip(rids, rows)
             )
             yield from self.indexes.tree(index).bulk_build(entries)
         return len(rows)

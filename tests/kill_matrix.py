@@ -238,6 +238,17 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
         "writer wins",
     ),
     (
+        "replica_cell_mutated_in_place",
+        "src/repro/store/node.py",
+        "        self._charge(store, size - approx_size(old.value))\n"
+        "        cells[key] = cell\n",
+        "        self._charge(store, size - approx_size(old.value))\n"
+        "        old.value, old.version = cell.value, cell.version\n",
+        "a replace writes into the installed cell, which the backups "
+        "share: they see the write uncharged, and a full backup loses "
+        "its old cell",
+    ),
+    (
         "txn_commit_puts_unconditional",
         "src/repro/core/transaction.py",
         "            DATA_SPACE, keys, records, expected\n",

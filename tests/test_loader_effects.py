@@ -4,10 +4,13 @@ import pytest
 
 from repro import effects
 from repro.api.runner import DirectRunner, Router
+from repro.bench.config import TellConfig, TpccScale
+from repro.bench.simcluster import SimulatedTell
 from repro.bench.tables import format_table
 from repro.core.commit_manager import CommitManager
 from repro.core.processing_node import ProcessingNode
-from repro.core.spaces import META_SPACE, rid_counter_key
+from repro.core.record import VersionedRecord
+from repro.core.spaces import DATA_SPACE, META_SPACE, rid_counter_key
 from repro.sql.schema import Catalog, Column
 from repro.sql.table import IndexManager, Table
 from repro.sql.types import ColumnType
@@ -99,6 +102,38 @@ class TestBulkLoader:
     def test_empty_table_load(self, env):
         cluster, catalog, indexes, loader = env
         assert load(cluster, loader, []) == 0
+
+
+def test_load_shares_replica_cells_and_tids():
+    # Counted, not measured as RSS: every backup binds its master's cell,
+    # and one table's loaded records share one tids tuple.
+    deployment = SimulatedTell(TellConfig(
+        processing_nodes=1, storage_nodes=3, replication_factor=3,
+        scale=TpccScale.tiny(2), seed=3,
+    ))
+    deployment.load()
+    master_of = deployment.cluster.partition_map.master_of
+    installed = 0
+    masters = 0
+    cells = set()
+    tids_by_table = {}
+    for node_id, node in deployment.cluster.nodes.items():
+        for partition_id, store in node.partitions.items():
+            for space, space_cells in store.spaces.items():
+                installed += len(space_cells)
+                if master_of(partition_id) == node_id:
+                    masters += len(space_cells)
+                cells.update(map(id, space_cells.values()))
+                if space != DATA_SPACE:
+                    continue
+                for key, cell in space_cells.items():
+                    assert isinstance(cell.value, VersionedRecord)
+                    tids_by_table.setdefault(key[0], set()).add(
+                        id(cell.value.tids))
+    assert installed == 3 * masters
+    assert len(cells) == masters
+    assert len(tids_by_table) > 1
+    assert all(len(ids) == 1 for ids in tids_by_table.values())
 
 
 class TestEffects:

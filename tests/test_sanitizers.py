@@ -218,8 +218,7 @@ def _broken_put_if_version(self, partition_id, space, key, value,
         store.invalidate_scan_cache(space)
         return True, 1
     self._charge(store, approx_size(value) - approx_size(cell.value))
-    cell.value = value
-    cell.version += 1
+    cell = cells[key] = Cell(value, cell.version + 1)
     return True, cell.version
 
 

@@ -1,5 +1,7 @@
 """Tests for SQL execution through the embedded database."""
 
+import sqlite3
+
 import pytest
 
 from repro.api import Database
@@ -404,6 +406,27 @@ class TestDivisionByZero:
         assert ratios.query("SELECT a / b AS r FROM t WHERE id = 2") == [
             {"r": None}
         ]
+
+
+class TestIntegerDivision:
+    """INT / INT truncates toward zero, as in PostgreSQL and sqlite3;
+    any other operand pair divides exactly, and NULL still wins."""
+
+    @pytest.mark.parametrize("expr, expected", [
+        ("7 / 2", 3),
+        ("-7 / 2", -3),
+        ("7 / -2", -3),
+        ("6 / 3", 2),
+        ("7.0 / 2", 3.5),
+        ("7 / 2.0", 3.5),
+        ("NULL / 2", None),
+    ])
+    def test_matches_sqlite3(self, session, expr, expected):
+        (row,) = session.query(f"SELECT {expr} AS r")
+        reference = sqlite3.connect(":memory:").execute(
+            f"SELECT {expr}").fetchone()[0]
+        assert row["r"] == expected == reference
+        assert type(row["r"]) is type(expected) is type(reference)
 
 
 class TestTypeMismatch:

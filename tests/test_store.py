@@ -236,6 +236,30 @@ class TestStorageCluster:
         cluster.execute(effects.Put("data", "k", "v"))
         assert cluster.execute(effects.Get("data", "k")) == ("v", 1)
 
+    def test_full_backup_keeps_its_old_cell(self):
+        # Cells are never changed once installed: a backup without room
+        # for the new value keeps the old one and its bytes, while the
+        # replicas written before it hold the new value.
+        cluster = StorageCluster(n_nodes=3, replication_factor=3,
+                                 partitions_per_node=1)
+        cluster.execute(effects.Put("data", "k", "short"))
+        pid = cluster.partition_of("k")
+        replicas = cluster.partition_map.replicas_of(pid)
+        full = cluster.nodes[replicas[-1]]
+        full.capacity_bytes = full.bytes_used
+        with pytest.raises(NoCapacity):
+            cluster.execute(effects.Put("data", "k", "a much longer value"))
+
+        def held(node_id):
+            cell = cluster.nodes[node_id].partition(pid).space("data")["k"]
+            return cell.value, cell.version
+
+        assert [held(node_id) for node_id in replicas] == [
+            ("a much longer value", 2), ("a much longer value", 2),
+            ("short", 1),
+        ]
+        assert full.bytes_used == approx_size("short") + approx_size("k")
+
     def test_batch_preserves_order(self, cluster):
         for i in range(10):
             cluster.execute(effects.Put("data", i, f"v{i}"))

@@ -198,6 +198,14 @@ class TestReplicaInstall:
         assert cluster.replication_copies == 1
         assert cluster.nodes[2].bytes_used == 0
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+    def test_increment_created_counter_is_charged_alike_on_every_replica(
+            self):
+        cluster = StorageCluster(n_nodes=3, replication_factor=3,
+                                 partitions_per_node=1)
+        cluster.execute(effects.Increment(SPACE, ("counter", "k"), 1))
+        assert len({node.bytes_used for node in cluster.nodes.values()}) == 1
+
 
 class TestSanitizersReadPutColumns:
     def test_commit_batch_feeds_the_shadow(self):
