@@ -157,10 +157,13 @@ class _Message:
             if versions is not None:
                 cluster.serve_batch(target, request, pids, positions,
                                     self.results, versions)
+            elif request.is_write:
+                pid = pids[0]
+                old = cluster.master_cell(pid, request.space, request.key)
+                self.results[0] = request.apply(target, pid)
+                cluster.replicate(pid, request.space, request.key, old)
             else:
                 self.results[0] = request.apply(target, pids[0])
-                if request.is_write:
-                    cluster.replicate(pids[0], request.space, request.key)
         except TellError as exc:
             self.error = exc
         del self.positions, self.pids, self.request

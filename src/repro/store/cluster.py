@@ -27,9 +27,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import effects
 from repro.effects import KIND_BATCH, KIND_SCAN, kind_of
-from repro.errors import InvalidState, NodeUnavailable
-from repro.store.cell import approx_size
-from repro.store.node import StorageNode
+from repro.errors import InvalidState, NoCapacity, NodeUnavailable
+from repro.store.cell import Cell, approx_size
+from repro.store.node import StorageNode, copy_charge
 from repro.store.partition import HashPartitioner, PartitionMap
 
 
@@ -67,9 +67,13 @@ class StorageCluster:
         self.partition_map = PartitionMap(
             n_partitions, list(self.nodes.keys()), replication_factor
         )
+        # The backups hosted here mirror their master's dicts (see
+        # :meth:`replicate`); every store hosted later holds its own.
         for partition_id in range(n_partitions):
-            for node_id in self.partition_map.replicas_of(partition_id):
-                self.nodes[node_id].host_partition(partition_id)
+            master_id, *backup_ids = self.partition_map.replicas_of(partition_id)
+            master = self.nodes[master_id].host_partition(partition_id)
+            for node_id in backup_ids:
+                self.nodes[node_id].host_mirror(master)
 
     # -- routing -----------------------------------------------------------
 
@@ -133,9 +137,11 @@ class StorageCluster:
         if kind == KIND_SCAN:
             return self.execute_scan(op)
         partition_id, node_id = self.routing(op)
+        if not op.is_write:
+            return op.apply(self.nodes[node_id], partition_id)
+        old = self.master_cell(partition_id, op.space, op.key)
         result = op.apply(self.nodes[node_id], partition_id)
-        if op.is_write:
-            self.replicate(partition_id, op.space, op.key)
+        self.replicate(partition_id, op.space, op.key, old)
         return result
 
     def serve_batch(self, node: StorageNode, batch: effects.Batch,
@@ -151,13 +157,15 @@ class StorageCluster:
             return
         expected = batch.expected
         put = node.do_put_if_version
+        master_cell = self.master_cell
         for position in positions:
             pid, key = pids[position], keys[position]
+            old = master_cell(pid, space, key)
             results[position], versions[position] = put(
                 pid, space, key, values[position],
                 None if expected is None else expected[position],
             )
-            self.replicate(pid, space, key)
+            self.replicate(pid, space, key, old)
 
     def execute_scan(self, op: effects.Scan) -> List[Tuple[Any, Any, int]]:
         """Scan every partition and merge the sorted slices."""
@@ -174,25 +182,60 @@ class StorageCluster:
 
     # -- replication -----------------------------------------------------------
 
-    def replicate(self, partition_id: int, space: str, key: Any) -> None:
+    def master_cell(self, partition_id: int, space: str,
+                    key: Any) -> Optional[Cell]:
+        """The master's cell of ``key``, read before a write for
+        :meth:`replicate`; None, unread, when the partition has no
+        backups."""
+        replicas = self.partition_map.assignments[partition_id].replicas
+        if len(replicas) < 2:
+            return None
+        store = self.nodes[replicas[0]].partitions.get(partition_id)
+        cells = None if store is None else store.spaces.get(space)
+        return None if cells is None else cells.get(key)
+
+    def replicate(self, partition_id: int, space: str, key: Any,
+                  old: Optional[Cell]) -> None:
         """Synchronously copy the cell of ``key`` to every backup replica.
 
         Mirrors RAMCloud's behaviour: the master acknowledges a write only
-        after the backups hold it.  Timing is accounted by the simulation
-        driver; here we only install the state.  The master's value is
-        sized once for all backups.
+        after the backups hold it.  Timing is accounted by the simulated
+        fabric; here we only install the state.  ``old`` is the master's
+        cell before the write (:meth:`master_cell`).  A backup mirroring
+        the master's store already holds the new cell and is only charged
+        what :meth:`StorageNode.copy_cell` would charge, computed once;
+        every other backup is sent a copy.  When a backup has no room,
+        it and every backup after it miss the write: the mirrors among
+        them diverge, keeping ``old``, and :class:`NoCapacity` propagates.
         """
         replicas = self.partition_map.assignments[partition_id].replicas
         if len(replicas) < 2:
             return
         nodes = self.nodes
-        cell = nodes[replicas[0]].partition(partition_id).space(space).get(key)
+        master = nodes[replicas[0]].partition(partition_id)
+        cell = master.space(space).get(key)
         size = 0 if cell is None else approx_size(cell.value)
-        for index in range(1, len(replicas)):
-            backup = nodes[replicas[index]]
-            if backup.alive:
-                backup.copy_cell(partition_id, space, key, cell, size)
+        delta: Optional[int] = None
+        index = 1
+        try:
+            for index in range(1, len(replicas)):
+                backup = nodes[replicas[index]]
+                if not backup.alive:
+                    continue
+                store = backup.partitions.get(partition_id)
+                if store is not None and store.mirror_of is master:
+                    if delta is None:
+                        delta = copy_charge(key, old, cell, size)
+                    backup.charge_mirror(store, delta)
+                else:
+                    backup.copy_cell(partition_id, space, key, cell, size)
                 self.replication_copies += 1
+        except NoCapacity:
+            for node_id in replicas[index:]:
+                store = nodes[node_id].partitions.get(partition_id)
+                if store is not None and store.mirror_of is master:
+                    store.diverge(space, key, old)
+            raise
 
     # -- introspection -----------------------------------------------------------
 
@@ -238,3 +281,4 @@ class StorageCluster:
         if node_id in self.partition_map.node_ids:
             self.partition_map.remove_node(node_id)
         return self.nodes.pop(node_id)
+

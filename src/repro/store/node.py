@@ -4,8 +4,13 @@ A storage node owns a set of partitions.  For each partition it keeps, per
 *space* (a namespace such as ``data``, ``index``, ``txlog``, ``meta``), a
 plain dict of key -> :class:`Cell` plus a sorted-key cache used by scans.
 A cell is never changed once installed: every write binds a new one, and
-the backups of a partition bind the master's cell object, while each
-replica is still charged the cell's bytes.
+a backup that holds its own dicts binds the master's cell object, while
+each replica is still charged the cell's bytes.  A backup hosted with the
+cluster goes one step further and *mirrors* its master: it binds the
+master's space dicts themselves and keeps only its own ``bytes_used``,
+until the first time it must differ from the master (a write of its own
+node, a copy from a different master, or a copy it has no room for); it
+then takes its own copy of each dict (:meth:`PartitionStore.unshare`).
 
 All operations on a node are atomic with respect to each other: under the
 direct runner they execute synchronously, and under the simulator every
@@ -24,17 +29,58 @@ from repro.store.cell import Cell, approx_size
 SpaceDict = Dict[Any, Cell]
 
 
+def copy_charge(key: Any, old: Optional[Cell], cell: Optional[Cell],
+                size: int) -> int:
+    """What :meth:`StorageNode.copy_cell` charges a backup holding ``old``
+    for ``cell`` (None: a delete), whose value is ``size`` bytes."""
+    if cell is None:
+        return 0 if old is None else -(approx_size(old.value) + approx_size(key))
+    if old is None:
+        return size + approx_size(key)
+    return size - approx_size(old.value)
+
+
 class PartitionStore:
-    """Data for one partition hosted by a node (master or backup copy)."""
+    """Data for one partition hosted by a node (master or backup copy).
 
-    __slots__ = ("partition_id", "spaces", "_sorted_keys", "bytes_used")
+    A *mirror* (``mirror_of`` set) binds the ``spaces`` mapping and the
+    sorted-key cache of the master store it mirrors, so it holds exactly
+    the master's keys and cells; only ``bytes_used`` is its own.
+    """
 
-    def __init__(self, partition_id: int):
+    __slots__ = ("partition_id", "spaces", "_sorted_keys", "bytes_used",
+                 "mirror_of")
+
+    def __init__(self, partition_id: int,
+                 mirror_of: Optional["PartitionStore"] = None):
         self.partition_id = partition_id
-        self.spaces: Dict[str, SpaceDict] = {}
-        # sorted key list per space, rebuilt lazily for scans
-        self._sorted_keys: Dict[str, Optional[List[Any]]] = {}
+        self.mirror_of = mirror_of
+        if mirror_of is None:
+            self.spaces: Dict[str, SpaceDict] = {}
+            # sorted key list per space, rebuilt lazily for scans
+            self._sorted_keys: Dict[str, Optional[List[Any]]] = {}
+        else:
+            self.spaces = mirror_of.spaces
+            self._sorted_keys = mirror_of._sorted_keys
         self.bytes_used = 0
+
+    def unshare(self) -> None:
+        """Stop mirroring: take an own copy of each space dict (same key
+        order, same cells) and of the sorted-key cache."""
+        self.spaces = {name: dict(cells) for name, cells in self.spaces.items()}
+        self._sorted_keys = dict(self._sorted_keys)
+        self.mirror_of = None
+
+    def diverge(self, space_name: str, key: Any, old: Optional[Cell]) -> None:
+        """Stop mirroring a master whose write to ``key`` this store
+        missed: unshare, then put back ``old``, the master's cell before
+        that write (None: the key was absent)."""
+        self.unshare()
+        cells = self.spaces[space_name]
+        if old is not None:
+            cells[key] = old
+        elif cells.pop(key, None) is not None:
+            self.invalidate_scan_cache(space_name)
 
     def space(self, name: str) -> SpaceDict:
         existing = self.spaces.get(name)
@@ -93,6 +139,13 @@ class StorageNode:
             self.partitions[partition_id] = store
         return store
 
+    def host_mirror(self, master: PartitionStore) -> PartitionStore:
+        """Host a backup of ``master``'s partition that mirrors it (the
+        cluster's construction-time replicas)."""
+        store = PartitionStore(master.partition_id, master)
+        self.partitions[master.partition_id] = store
+        return store
+
     def drop_partition(self, partition_id: int) -> None:
         store = self.partitions.pop(partition_id, None)
         if store is not None:
@@ -116,6 +169,15 @@ class StorageNode:
             raise KeyNotFound(
                 f"node {self.node_id} does not host partition {partition_id}"
             ) from None
+
+    def _writable(self, partition_id: int) -> PartitionStore:
+        """The store of ``partition_id`` for a write of this node's own:
+        a mirror is unshared first, so the write never lands in the
+        dicts of the master it mirrors."""
+        store = self.partition(partition_id)
+        if store.mirror_of is not None:
+            store.unshare()
+        return store
 
     # -- failure -----------------------------------------------------------
 
@@ -223,7 +285,7 @@ class StorageNode:
         (``expected_version`` None: unconditionally, as :meth:`do_put`)."""
         self._check_alive()
         self.ops_write += 1
-        store = self.partition(partition_id)
+        store = self._writable(partition_id)
         cells = store.space(space)
         old = cells.get(key)
         current = 0 if old is None else old.version
@@ -236,7 +298,7 @@ class StorageNode:
     def do_delete(self, partition_id: int, space: str, key: Any) -> bool:
         self._check_alive()
         self.ops_write += 1
-        store = self.partition(partition_id)
+        store = self._writable(partition_id)
         cells = store.space(space)
         cell = cells.pop(key, None)
         if cell is None:
@@ -250,7 +312,7 @@ class StorageNode:
     ) -> Tuple[bool, int]:
         self._check_alive()
         self.ops_write += 1
-        store = self.partition(partition_id)
+        store = self._writable(partition_id)
         cells = store.space(space)
         cell = cells.get(key)
         current = 0 if cell is None else cell.version
@@ -266,7 +328,7 @@ class StorageNode:
     ) -> int:
         self._check_alive()
         self.ops_write += 1
-        store = self.partition(partition_id)
+        store = self._writable(partition_id)
         cells = store.space(space)
         old = cells.get(key)
         if old is None:
@@ -327,9 +389,12 @@ class StorageNode:
         """Install a replica of a cell (None deletes): the replica binds
         ``cell`` itself, which is never changed once installed, and is
         charged its bytes as a copy.  ``size`` is ``approx_size(cell.value)``
-        when the caller measured it once for every replica."""
+        when the caller measured it once for every replica.  A mirror is
+        unshared first: it is sent a copy only once its master moved."""
         self._check_alive()
         store = self.host_partition(partition_id)
+        if store.mirror_of is not None:
+            store.unshare()
         cells = store.space(space)
         if cell is not None:
             if size is None:
@@ -340,6 +405,12 @@ class StorageNode:
         if old is not None:
             self._charge(store, -(approx_size(old.value) + approx_size(key)))
             store.invalidate_scan_cache(space)
+
+    def charge_mirror(self, store: PartitionStore, delta: int) -> None:
+        """Charge a mirror of the current master for a replicated write
+        (``delta``: what :meth:`copy_cell` would charge); raises
+        :class:`NoCapacity` with nothing charged when it does not fit."""
+        self._charge(store, delta)
 
     def snapshot_partition(self, partition_id: int) -> PartitionStore:
         """Copy a hosted partition (used to restore the replication factor

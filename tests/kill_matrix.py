@@ -249,6 +249,48 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
         "its old cell",
     ),
     (
+        "mirror_charged_for_a_moved_master",
+        "src/repro/store/cluster.py",
+        "                if store is not None and store.mirror_of is master:\n"
+        "                    if delta is None:",
+        "                if store is not None and store.mirror_of is not None:\n"
+        "                    if delta is None:",
+        "replicate charges any mirror, not only one of the current "
+        "master's store: after the master moved, the backups are charged "
+        "for a write their stale dicts never see",
+    ),
+    (
+        "mirror_written_in_place",
+        "src/repro/store/node.py",
+        "        store = self.partition(partition_id)\n"
+        "        if store.mirror_of is not None:\n"
+        "            store.unshare()\n"
+        "        return store\n",
+        "        return self.partition(partition_id)\n",
+        "a fail-over-promoted master writes into the dicts it still "
+        "shares with the co-backups of its dead master: they see the "
+        "write uncharged",
+    ),
+    (
+        "mirror_charge_past_capacity",
+        "src/repro/store/node.py",
+        "        self._charge(store, delta)\n",
+        "        store.bytes_used += delta\n"
+        "        self.bytes_used += delta\n",
+        "a mirror is charged past its node's capacity: a full backup "
+        "holds the new cell instead of refusing it",
+    ),
+    (
+        "migration_cell_lost",
+        "src/repro/elastic/migration.py",
+        "            keys = list(master_store.spaces[space].keys())\n",
+        "            keys = list(master_store.spaces[space].keys())\n"
+        "            if space == max(master_store.spaces):\n"
+        "                keys = keys[:-1]\n",
+        "a migration never streams the last key of a partition: the new "
+        "master lacks that cell after the handoff",
+    ),
+    (
         "txn_commit_puts_unconditional",
         "src/repro/core/transaction.py",
         "            DATA_SPACE, keys, records, expected\n",
@@ -259,7 +301,7 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
     (
         "batch_put_not_replicated",
         "src/repro/store/cluster.py",
-        "            self.replicate(pid, space, key)\n",
+        "            self.replicate(pid, space, key, old)\n",
         "",
         "a node's put group never copies its keys to the backups: the "
         "replicas silently fall behind",

@@ -120,3 +120,29 @@ def test_pinned_store_after_load():
                     digest.update(repr((key, cell.version, charged)).encode())
     assert digest.hexdigest() == (
         "4afcb85d435b905c38ae9a9f8f2d13d8ed80434ff07de538282ea4fdf88b69ac")
+
+
+def test_pinned_replica_charges():
+    # What each replica is charged, after a load and a short run at RF3:
+    # the bytes of every (node, partition) store, every node's total, and
+    # the number of copies shipped to backups.  The store pin above fixes
+    # each cell's size; this one fixes how replication charges them.
+    # Recorded at bf98700, where every backup still held its own dicts.
+    deployment = SimulatedTell(TellConfig(
+        processing_nodes=1, storage_nodes=3, replication_factor=3,
+        threads_per_pn=4, scale=TpccScale.tiny(2), duration_us=20_000.0,
+        warmup_us=2_000.0, seed=3,
+    ))
+    deployment.load()
+    deployment.run()
+    cluster = deployment.cluster
+    charges = sorted(
+        (node_id, partition_id, store.bytes_used)
+        for node_id, node in cluster.nodes.items()
+        for partition_id, store in node.partitions.items()
+    )
+    totals = [node.bytes_used for _id, node in sorted(cluster.nodes.items())]
+    digest = hashlib.sha256(
+        repr((charges, totals, cluster.replication_copies)).encode())
+    assert digest.hexdigest() == (
+        "6d44cd567a6133c56d28ca29a0407726df54c1473f1455e68dec4155f745d647")

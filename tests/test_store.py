@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from repro import effects
 from repro.errors import KeyNotFound, NoCapacity, NodeUnavailable
 from repro.store.cell import Cell, approx_size, request_size
+from repro.elastic.migration import migrate_partition
+from repro.elastic.topology import Move
 from repro.store.cluster import StorageCluster
+from repro.store.management import ManagementNode
 from repro.store.node import StorageNode
 from repro.store.partition import HashPartitioner, PartitionMap, stable_hash
 
@@ -349,3 +352,176 @@ class TestApproxSize:
 
     def test_unknown_fallback(self):
         assert approx_size(object()) == 64
+
+
+def assert_replicas_hold_their_master(cluster, diverged=()):
+    """Every live replica of every partition holds its master's key ->
+    ``Cell`` mapping (compared as dicts: a migrated copy is in stream
+    order), except the ``(node_id, partition_id)`` pairs in ``diverged``;
+    and every store and node is charged exactly the cells it holds (true
+    while no cell was created by ``Increment``)."""
+
+    def held(store):
+        return {name: cells for name, cells in store.spaces.items() if cells}
+
+    for pid in range(cluster.partitioner.n_partitions):
+        replicas = cluster.partition_map.replicas_of(pid)
+        master = cluster.nodes[replicas[0]].partition(pid)
+        for node_id in replicas:
+            node = cluster.nodes[node_id]
+            if not node.alive:
+                continue
+            store = node.partition(pid)
+            if (node_id, pid) not in diverged:
+                assert held(store) == held(master), (node_id, pid)
+    for node in cluster.nodes.values():
+        for store in node.partitions.values():
+            assert store.bytes_used == sum(
+                approx_size(key) + approx_size(cell.value)
+                for cells in store.spaces.values()
+                for key, cell in cells.items()
+            ), (node.node_id, store.partition_id)
+        assert node.bytes_used == sum(
+            store.bytes_used for store in node.partitions.values())
+
+
+def _keys_of(cluster, pid, count, start=0):
+    return [key for key in range(start, start + 1000)
+            if cluster.partition_of(key) == pid][:count]
+
+
+def _drive(steps):
+    while True:
+        try:
+            next(steps)
+        except StopIteration as stop:
+            return stop.value
+
+
+class TestBackupStopsMirroring:
+    """A backup hosted with the cluster binds its master's dicts until it
+    must differ; every way it stops must leave the state a per-key copy
+    to each backup would."""
+
+    def test_cluster_backups_mirror_and_later_stores_do_not(self):
+        cluster = StorageCluster(n_nodes=3, replication_factor=3,
+                                 partitions_per_node=1)
+        master_id, *backup_ids = cluster.partition_map.replicas_of(0)
+        master = cluster.nodes[master_id].partition(0)
+        assert master.mirror_of is None
+        for node_id in backup_ids:
+            store = cluster.nodes[node_id].partition(0)
+            assert store.mirror_of is master
+            assert store.spaces is master.spaces
+        assert StorageNode(9).host_partition(0).mirror_of is None
+        rf1 = StorageCluster(n_nodes=3)
+        assert all(store.mirror_of is None
+                   for node in rf1.nodes.values()
+                   for store in node.partitions.values())
+
+    def test_promoted_backup_mirrors_until_its_first_write(self):
+        cluster = StorageCluster(n_nodes=4, replication_factor=3,
+                                 partitions_per_node=1)
+        cluster.execute(effects.Put("data", 0, "v"))
+        pid = cluster.partition_of(0)
+        ManagementNode(cluster).handle_node_failure(
+            cluster.partition_map.master_of(pid))
+        promoted = cluster.nodes[cluster.partition_map.master_of(pid)]
+        store = promoted.partition(pid)
+        assert cluster.execute(effects.Get("data", 0)) == ("v", 1)
+        assert [key for key, _v, _c in cluster.execute(
+            effects.Scan("data", None, None))] == [0]
+        assert store.mirror_of is not None  # reads never copy
+        cluster.execute(effects.Put("data", 0, "w"))
+        assert store.mirror_of is None
+        assert_replicas_hold_their_master(cluster)
+
+    def test_full_last_backup_stops_the_batch_at_its_key(self):
+        cluster = StorageCluster(n_nodes=3, replication_factor=3,
+                                 partitions_per_node=1)
+        pid = cluster.partition_of(0)
+        keys = _keys_of(cluster, pid, 5)
+        cluster.execute(effects.Put("data", keys[2], "short"))
+        replicas = cluster.partition_map.replicas_of(pid)
+        full = cluster.nodes[replicas[-1]]
+        full.capacity_bytes = full.bytes_used + sum(
+            approx_size(key) + approx_size("v") for key in keys[:2])
+        with pytest.raises(NoCapacity):
+            cluster.execute(effects.multi_put(
+                "data", keys, ["v", "v", "a much longer value", "v", "v"]))
+
+        def held(node_id):
+            cells = cluster.nodes[node_id].partition(pid).spaces["data"]
+            return [cells[key].value if key in cells else None
+                    for key in keys]
+
+        assert [held(node_id) for node_id in replicas] == [
+            ["v", "v", "a much longer value", None, None],
+            ["v", "v", "a much longer value", None, None],
+            ["v", "v", "short", None, None],
+        ]
+        assert_replicas_hold_their_master(
+            cluster, diverged={(replicas[-1], pid)})
+
+    def test_full_first_backup_leaves_the_later_one_behind_too(self):
+        # The copy stops at the full backup: the one after it never got
+        # the write either, and keeps the old cell and its bytes.
+        cluster = StorageCluster(n_nodes=3, replication_factor=3,
+                                 partitions_per_node=1)
+        pid = cluster.partition_of(0)
+        grown, inserted = _keys_of(cluster, pid, 2)
+        cluster.execute(effects.Put("data", grown, "short"))
+        replicas = cluster.partition_map.replicas_of(pid)
+        full = cluster.nodes[replicas[1]]
+        full.capacity_bytes = full.bytes_used
+        with pytest.raises(NoCapacity):
+            cluster.execute(effects.Put("data", grown, "a much longer value"))
+        with pytest.raises(NoCapacity):
+            cluster.execute(effects.Put("data", inserted, "v"))
+        values = [
+            [cluster.nodes[node_id].do_get(pid, "data", key)[0]
+             for key in (grown, inserted)]
+            for node_id in replicas
+        ]
+        assert values == [["a much longer value", "v"], ["short", None],
+                          ["short", None]]
+        assert_replicas_hold_their_master(
+            cluster, diverged={(node_id, pid) for node_id in replicas[1:]})
+
+    def test_failed_over_master_writes_and_deletes(self):
+        cluster = StorageCluster(n_nodes=4, replication_factor=3,
+                                 partitions_per_node=2)
+        for key in range(60):
+            cluster.execute(effects.Put("data", key, f"v{key}"))
+        pid = cluster.partition_of(0)
+        dead = cluster.partition_map.master_of(pid)
+        ManagementNode(cluster).handle_node_failure(dead)
+        replicas = cluster.partition_map.replicas_of(pid)
+        assert len(replicas) == 3 and dead not in replicas
+        assert_replicas_hold_their_master(cluster)
+        old_key, gone_key = _keys_of(cluster, pid, 2)
+        new_key = _keys_of(cluster, pid, 1, start=1000)[0]
+        cluster.execute(effects.Put("data", new_key, "inserted"))
+        cluster.execute(effects.Put("data", old_key, "a longer value"))
+        cluster.execute(effects.Delete("data", gone_key))
+        assert_replicas_hold_their_master(cluster)
+        assert cluster.execute(effects.Get("data", gone_key)) == (None, 0)
+
+    def test_moved_master_inserts_replaces_and_deletes(self):
+        cluster = StorageCluster(n_nodes=3, replication_factor=3,
+                                 partitions_per_node=1)
+        for key in range(30):
+            cluster.execute(effects.Put("data", key, f"v{key}"))
+        pid = cluster.partition_of(0)
+        src = cluster.partition_map.master_of(pid)
+        dst = cluster.create_node().node_id
+        assert _drive(migrate_partition(cluster, Move(pid, src, dst),
+                                        batch_cells=4))
+        assert cluster.partition_map.master_of(pid) == dst
+        assert_replicas_hold_their_master(cluster)
+        old_key, gone_key = _keys_of(cluster, pid, 2)
+        new_key = _keys_of(cluster, pid, 1, start=1000)[0]
+        cluster.execute(effects.Put("data", new_key, "inserted"))
+        cluster.execute(effects.Put("data", old_key, "a longer value"))
+        cluster.execute(effects.Delete("data", gone_key))
+        assert_replicas_hold_their_master(cluster)
