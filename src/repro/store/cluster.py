@@ -204,9 +204,10 @@ class StorageCluster:
         cell before the write (:meth:`master_cell`).  A backup mirroring
         the master's store already holds the new cell and is only charged
         what :meth:`StorageNode.copy_cell` would charge, computed once;
-        every other backup is sent a copy.  When a backup has no room,
-        it and every backup after it miss the write: the mirrors among
-        them diverge, keeping ``old``, and :class:`NoCapacity` propagates.
+        every other backup is sent a copy.  A replicated write is all or
+        nothing: when a backup has no room, the master and every backup
+        already written get ``old`` back, and :class:`NoCapacity`
+        propagates with no replica changed.
         """
         replicas = self.partition_map.assignments[partition_id].replicas
         if len(replicas) < 2:
@@ -231,10 +232,15 @@ class StorageCluster:
                     backup.copy_cell(partition_id, space, key, cell, size)
                 self.replication_copies += 1
         except NoCapacity:
-            for node_id in replicas[index:]:
-                store = nodes[node_id].partitions.get(partition_id)
+            # The master's restored dicts are its mirrors' too.
+            nodes[replicas[0]].copy_cell(partition_id, space, key, old)
+            for node_id in replicas[1:index]:
+                backup = nodes[node_id]
+                store = backup.partitions.get(partition_id)
                 if store is not None and store.mirror_of is master:
-                    store.diverge(space, key, old)
+                    backup.charge_mirror(store, -copy_charge(key, old, cell, size))
+                elif backup.alive:
+                    backup.copy_cell(partition_id, space, key, old)
             raise
 
     # -- introspection -----------------------------------------------------------

@@ -9,8 +9,8 @@ each replica is still charged the cell's bytes.  A backup hosted with the
 cluster goes one step further and *mirrors* its master: it binds the
 master's space dicts themselves and keeps only its own ``bytes_used``,
 until the first time it must differ from the master (a write of its own
-node, a copy from a different master, or a copy it has no room for); it
-then takes its own copy of each dict (:meth:`PartitionStore.unshare`).
+node, or a copy from a different master); it then takes its own copy of
+each dict (:meth:`PartitionStore.unshare`).
 
 All operations on a node are atomic with respect to each other: under the
 direct runner they execute synchronously, and under the simulator every
@@ -70,17 +70,6 @@ class PartitionStore:
         self.spaces = {name: dict(cells) for name, cells in self.spaces.items()}
         self._sorted_keys = dict(self._sorted_keys)
         self.mirror_of = None
-
-    def diverge(self, space_name: str, key: Any, old: Optional[Cell]) -> None:
-        """Stop mirroring a master whose write to ``key`` this store
-        missed: unshare, then put back ``old``, the master's cell before
-        that write (None: the key was absent)."""
-        self.unshare()
-        cells = self.spaces[space_name]
-        if old is not None:
-            cells[key] = old
-        elif cells.pop(key, None) is not None:
-            self.invalidate_scan_cache(space_name)
 
     def space(self, name: str) -> SpaceDict:
         existing = self.spaces.get(name)

@@ -281,6 +281,23 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
         "holds the new cell instead of refusing it",
     ),
     (
+        "replicate_keeps_master_write",
+        "src/repro/store/cluster.py",
+        "            nodes[replicas[0]].copy_cell(partition_id, space, key, old)\n",
+        "",
+        "a write a full backup refused stays on the master: every later "
+        "read sees a value whose write was reported as failed",
+    ),
+    (
+        "kernel_same_time_lifo",
+        "src/repro/sim/kernel.py",
+        "        self._next_seq: Callable[[], int] = itertools.count().__next__\n",
+        "        self._next_seq: Callable[[], int] = "
+        "itertools.count(0, -1).__next__\n",
+        "events due at the same instant fire last-scheduled first: every "
+        "co-timed wake-up and callback runs in reverse order",
+    ),
+    (
         "migration_cell_lost",
         "src/repro/elastic/migration.py",
         "            keys = list(master_store.spaces[space].keys())\n",

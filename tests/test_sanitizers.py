@@ -22,6 +22,7 @@ import json
 
 import pytest
 
+import repro.runtime.deployment as deployment_module
 from repro.bench.config import TellConfig
 from repro.bench.simcluster import SimulatedTell
 from repro.core.record import VersionedRecord
@@ -199,6 +200,44 @@ def test_sanitizers_leave_the_run_unchanged(mode):
     assert sanitized.digest() == bare.digest()
     assert json.dumps(sanitized.obs_snapshot, sort_keys=True) == \
         json.dumps(bare.obs_snapshot, sort_keys=True)
+
+
+class _PassThroughFifo(SchedulerPolicy):
+    """Keeps every decision as the kernel would make it without a
+    policy: the requested time, and a counter for the tie-break."""
+
+    def __init__(self):
+        self.counter = 0
+
+    def on_schedule(self, when, now, process):
+        self.counter += 1
+        return when, self.counter
+
+
+def test_policy_hook_preserves_production_order(monkeypatch):
+    # The explorer perturbs the production event loop through
+    # ``on_schedule``; a policy that perturbs nothing must give back the
+    # policy-free run exactly, or an explored schedule says nothing
+    # about the runs the pinned digests come from.
+    config = TellConfig(
+        processing_nodes=2, storage_nodes=3, threads_per_pn=4,
+        scale=TpccScale.tiny(2), duration_us=20_000.0, warmup_us=5_000.0,
+        seed=1, isolation="si",
+    )
+
+    def run(policy):
+        monkeypatch.setattr(deployment_module, "Simulator",
+                            lambda: Simulator(policy=policy))
+        log, chain = make_sanitizers(isolation="si")
+        deployment = SimulatedTell(config, interceptors=chain)
+        metrics = deployment.run()
+        return metrics.digest(), deployment.sim.events_processed, \
+            log_digest(log)
+
+    policy = _PassThroughFifo()
+    production = run(None)
+    assert run(policy) == production
+    assert policy.counter >= production[1]
 
 
 # -- seeded mutations: each must trip its sanitizer ----------------------

@@ -240,9 +240,9 @@ class TestStorageCluster:
         assert cluster.execute(effects.Get("data", "k")) == ("v", 1)
 
     def test_full_backup_keeps_its_old_cell(self):
-        # Cells are never changed once installed: a backup without room
-        # for the new value keeps the old one and its bytes, while the
-        # replicas written before it hold the new value.
+        # A write is all or nothing: a backup without room for the new
+        # value keeps the old one and its bytes, and so does every
+        # replica written before it.
         cluster = StorageCluster(n_nodes=3, replication_factor=3,
                                  partitions_per_node=1)
         cluster.execute(effects.Put("data", "k", "short"))
@@ -257,11 +257,9 @@ class TestStorageCluster:
             cell = cluster.nodes[node_id].partition(pid).space("data")["k"]
             return cell.value, cell.version
 
-        assert [held(node_id) for node_id in replicas] == [
-            ("a much longer value", 2), ("a much longer value", 2),
-            ("short", 1),
-        ]
-        assert full.bytes_used == approx_size("short") + approx_size("k")
+        assert [held(node_id) for node_id in replicas] == [("short", 1)] * 3
+        assert {cluster.nodes[node_id].bytes_used for node_id in replicas} \
+            == {approx_size("short") + approx_size("k")}
 
     def test_batch_preserves_order(self, cluster):
         for i in range(10):
@@ -354,12 +352,11 @@ class TestApproxSize:
         assert approx_size(object()) == 64
 
 
-def assert_replicas_hold_their_master(cluster, diverged=()):
+def assert_replicas_hold_their_master(cluster):
     """Every live replica of every partition holds its master's key ->
     ``Cell`` mapping (compared as dicts: a migrated copy is in stream
-    order), except the ``(node_id, partition_id)`` pairs in ``diverged``;
-    and every store and node is charged exactly the cells it holds (true
-    while no cell was created by ``Increment``)."""
+    order), and every store and node is charged exactly the cells it
+    holds (true while no cell was created by ``Increment``)."""
 
     def held(store):
         return {name: cells for name, cells in store.spaces.items() if cells}
@@ -371,9 +368,7 @@ def assert_replicas_hold_their_master(cluster, diverged=()):
             node = cluster.nodes[node_id]
             if not node.alive:
                 continue
-            store = node.partition(pid)
-            if (node_id, pid) not in diverged:
-                assert held(store) == held(master), (node_id, pid)
+            assert held(node.partition(pid)) == held(master), (node_id, pid)
     for node in cluster.nodes.values():
         for store in node.partitions.values():
             assert store.bytes_used == sum(
@@ -456,16 +451,14 @@ class TestBackupStopsMirroring:
                     for key in keys]
 
         assert [held(node_id) for node_id in replicas] == [
-            ["v", "v", "a much longer value", None, None],
-            ["v", "v", "a much longer value", None, None],
-            ["v", "v", "short", None, None],
-        ]
-        assert_replicas_hold_their_master(
-            cluster, diverged={(replicas[-1], pid)})
+            ["v", "v", "short", None, None]] * 3
+        assert_replicas_hold_their_master(cluster)
+        master = cluster.nodes[replicas[0]].partition(pid)
+        assert full.partition(pid).mirror_of is master
 
-    def test_full_first_backup_leaves_the_later_one_behind_too(self):
-        # The copy stops at the full backup: the one after it never got
-        # the write either, and keeps the old cell and its bytes.
+    def test_full_first_backup_leaves_every_replica_unwritten(self):
+        # The refused write is on no replica: the master takes its old
+        # cell back, and the backup after the full one never gets it.
         cluster = StorageCluster(n_nodes=3, replication_factor=3,
                                  partitions_per_node=1)
         pid = cluster.partition_of(0)
@@ -479,14 +472,14 @@ class TestBackupStopsMirroring:
         with pytest.raises(NoCapacity):
             cluster.execute(effects.Put("data", inserted, "v"))
         values = [
-            [cluster.nodes[node_id].do_get(pid, "data", key)[0]
+            [cluster.nodes[node_id].do_get(pid, "data", key)
              for key in (grown, inserted)]
             for node_id in replicas
         ]
-        assert values == [["a much longer value", "v"], ["short", None],
-                          ["short", None]]
-        assert_replicas_hold_their_master(
-            cluster, diverged={(node_id, pid) for node_id in replicas[1:]})
+        assert values == [[("short", 1), (None, 0)]] * 3
+        assert [key for key, _v, _version in cluster.execute(
+            effects.Scan("data", None, None))] == [grown]
+        assert_replicas_hold_their_master(cluster)
 
     def test_failed_over_master_writes_and_deletes(self):
         cluster = StorageCluster(n_nodes=4, replication_factor=3,

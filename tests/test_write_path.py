@@ -27,9 +27,10 @@ from repro.core.processing_node import ProcessingNode
 from repro.core.record import VersionedRecord
 from repro.core.spaces import DATA_SPACE
 from repro.core.txlog import STATUS_COMMITTED, LogEntry
-from repro.errors import SchemaError
+from repro.errors import NoCapacity, SchemaError
 from repro.runtime.config import SimulationConfig
-from repro.runtime.fabric import CorePool, SimFabric
+from repro.runtime.deployment import Deployment
+from repro.runtime.fabric import CorePool, SimFabric, drive
 from repro.san import make_sanitizers
 from repro.sim.kernel import Simulator
 from repro.sql.schema import Column, TableSchema
@@ -197,6 +198,75 @@ class TestReplicaInstall:
         cluster.execute(effects.multi_put(SPACE, [key], ["v"]))
         assert cluster.replication_copies == 1
         assert cluster.nodes[2].bytes_used == 0
+
+    @pytest.mark.parametrize("driver", [run_direct, run_sim],
+                             ids=["direct", "sim"])
+    def test_write_refused_by_a_full_replica_changes_no_replica(self, driver):
+        # Node 2 holds every partition: as master it refuses first, as a
+        # backup after the master (and maybe one more backup) applied.
+        cluster = StorageCluster(n_nodes=3, replication_factor=3,
+                                 partitions_per_node=2)
+        keys = list(range(12))
+        cluster.execute(effects.multi_put(SPACE, keys, ["v"] * len(keys)))
+        full = cluster.nodes[2]
+        full.capacity_bytes = full.bytes_used
+
+        def cells_and_bytes():
+            nodes, _copies = state(cluster)
+            return {node_id: cells_bytes[:2]
+                    for node_id, cells_bytes in nodes.items()}
+
+        before = cells_and_bytes()
+        with pytest.raises(NoCapacity):
+            driver(cluster, [effects.multi_put(
+                SPACE, keys, ["a longer value"] * len(keys))])
+        assert cells_and_bytes() == before
+
+    def test_transaction_refused_by_a_full_backup_commits_nothing(self):
+        # Under the sim fabric, a commit whose record a full backup
+        # refuses fails, its value is read by no later transaction, and
+        # every node is charged alike for what the commit did write (its
+        # log entry): the record write is undone on every replica.
+        config = SimulationConfig(processing_nodes=1, storage_nodes=3,
+                                  replication_factor=3, partitions_per_node=1)
+        sim = Simulator()
+        deployment = Deployment(config, clock=lambda: sim.now)
+        cluster = deployment.cluster
+        fabric = SimFabric(sim, cluster, deployment.commit_managers, config)
+        pn = deployment.make_pn(0)
+        pool = CorePool(config.pn_cores)
+        key = (3, 1)
+
+        def run(script):
+            return sim.run_until_complete(
+                sim.spawn(drive(fabric, (), pool, 0, script, 0)))
+
+        def write(payload, insert=False):
+            txn = yield from pn.begin()
+            if insert:
+                txn.insert(key, payload)
+            else:
+                yield from txn.update(key, payload)
+            yield from txn.commit()
+
+        def read():
+            txn = yield from pn.begin()
+            payload = yield from txn.read(key)
+            yield from txn.commit()
+            return payload
+
+        run(write(("short",), insert=True))
+        pid = cluster.partition_of(key)
+        full = cluster.nodes[cluster.partition_map.replicas_of(pid)[-1]]
+        full.capacity_bytes = full.bytes_used + 2_000  # a log entry fits
+        before = {node_id: node.bytes_used
+                  for node_id, node in cluster.nodes.items()}
+        with pytest.raises(NoCapacity):
+            run(write(("x" * 5_000,)))
+        (logged,) = {node.bytes_used - before[node_id]
+                     for node_id, node in cluster.nodes.items()}
+        assert logged > 0
+        assert run(read()) == ("short",)
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
     def test_increment_created_counter_is_charged_alike_on_every_replica(
