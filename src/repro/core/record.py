@@ -15,9 +15,9 @@ Storage layout: a record keeps its versions as two parallel tuples --
 (``visible_index``) and the one GC walk (``_survivors``) read flat memory
 instead of chasing one ``Version`` object per entry.
 The slab layout is an implementation detail: the public API (``versions``,
-``latest_visible``, ``with_version``, ...) is unchanged, and ``versions``
-materializes :class:`Version` wrappers lazily for the sanitizers, tests,
-and ``repr``.
+``latest_visible``, ``with_version``, ...) is unchanged, and builds
+:class:`Version` wrappers on demand for the sanitizers, tests and
+``repr``; a record keeps none.
 """
 
 from __future__ import annotations
@@ -71,14 +71,13 @@ class VersionedRecord:
     Version-object API below.
     """
 
-    __slots__ = ("tids", "payloads", "_size", "_versions")
+    __slots__ = ("tids", "payloads", "_size")
 
     def __init__(self, versions: Iterable[Version]):
         ordered = sorted(versions, key=lambda version: version.tid, reverse=True)
         self.tids = tuple(version.tid for version in ordered)
         self.payloads = tuple(version.payload for version in ordered)
         self._size = -1
-        self._versions = None
 
     @classmethod
     def _from_slabs(
@@ -89,7 +88,6 @@ class VersionedRecord:
         record.tids = tids
         record.payloads = payloads
         record._size = -1
-        record._versions = None
         return record
 
     @classmethod
@@ -110,15 +108,8 @@ class VersionedRecord:
 
     @property
     def versions(self) -> Tuple[Version, ...]:
-        """Version-object view of the slabs, materialized once on demand."""
-        cached = self._versions
-        if cached is None:
-            cached = tuple(
-                Version(tid, payload)
-                for tid, payload in zip(self.tids, self.payloads)
-            )
-            self._versions = cached
-        return cached
+        """Version-object view of the slabs, built on each call."""
+        return tuple(map(Version, self.tids, self.payloads))
 
     def version_numbers(self) -> Tuple[int, ...]:
         return self.tids
@@ -166,19 +157,20 @@ class VersionedRecord:
         """The version the snapshot reads, as a :class:`Version`.
 
         Returns ``None`` when no version is visible; a visible tombstone is
-        returned as-is (callers treat it as "record deleted").  Served
-        from the memoized Version view, so repeated reads of an immutable
-        record return the same wrapper object.
+        returned as-is (callers treat it as "record deleted").  Each call
+        builds a new wrapper.
         """
         index = self.visible_index(snapshot)
-        return self.versions[index] if index >= 0 else None
+        if index < 0:
+            return None
+        return Version(self.tids[index], self.payloads[index])
 
     def get(self, tid: int) -> Optional[Version]:
         try:
             index = self.tids.index(tid)
         except ValueError:
             return None
-        return self.versions[index]
+        return Version(tid, self.payloads[index])
 
     @property
     def newest_tid(self) -> int:

@@ -43,12 +43,7 @@ from repro.core.record import TOMBSTONE, VersionedRecord
 from repro.core.snapshot import TxnStart
 from repro.core.spaces import DATA_SPACE
 from repro.core.txlog import STATUS_ABORTED, STATUS_COMMITTED, LogEntry
-from repro.errors import (
-    DuplicateKey,
-    InvalidState,
-    KeyNotFound,
-    TransactionAborted,
-)
+from repro.errors import InvalidState, KeyNotFound, TellError, TransactionAborted
 
 if TYPE_CHECKING:  # import cycle: processing_node constructs Transaction
     from repro.core.processing_node import ProcessingNode
@@ -283,7 +278,10 @@ class Transaction:
 
         self.state = TxnState.TRY_COMMIT
         entry = LogEntry(self.tid, pn.pn_id, pn.now(), self.write_set)
-        yield from pn.txlog.append(entry)
+        try:
+            yield from pn.txlog.append(entry)
+        except TellError as error:  # e.g. NoCapacity: nothing was logged
+            yield from self._finish_abort(None, f"log append failed: {error}")
         if commit_child is not None:
             commit_child.finish()
 
@@ -303,18 +301,24 @@ class Transaction:
 
         write_child = span.child("write") if span is not None else None
         keys, records, expected = self._build_apply_columns()
-        oks, cell_versions = yield effects.multi_put(
-            DATA_SPACE, keys, records, expected
-        )
+        try:
+            oks, cell_versions = yield effects.multi_put(
+                DATA_SPACE, keys, records, expected
+            )
+        except TellError as error:
+            # The batch stops at the refused key, so any key may hold
+            # our version; the undo skips those that do not.
+            yield from self._rollback_applied(keys)
+            yield from self._finish_abort(entry, f"write failed: {error}")
         applied = [key for key, ok in zip(keys, oks) if ok]
         if len(applied) != len(keys):
             yield from self._rollback_applied(applied)
             yield from self._finish_abort(entry, "write-write conflict")
         try:
             yield from self._apply_index_ops()
-        except DuplicateKey as duplicate:
+        except TellError as error:  # DuplicateKey, or a refused node write
             yield from self._rollback_applied(applied)
-            yield from self._finish_abort(entry, str(duplicate))
+            yield from self._finish_abort(entry, str(error))
 
         # Write-through to the PN's shared buffer (if any).
         for key, record, cell_version in zip(keys, records, cell_versions):

@@ -13,10 +13,14 @@ that lands on a node that has since split simply follows the link
 rightwards.  This makes half-finished splits harmless to concurrent
 readers and writers on other processing nodes.
 
-Index entries are composite ``(key, rid)`` pairs, which makes every entry
-unique even for non-unique secondary indexes, and -- as Section 5.3.2
-prescribes -- carry *no versioning information*: one entry per record,
-maintained only when the indexed key changes.
+An index entry is one flat tuple: the components of its key (a tuple,
+the same length for every key of one index), then the rid.  The rid
+makes every entry unique even for non-unique secondary indexes, and --
+as Section 5.3.2 prescribes -- entries carry *no versioning information*:
+one entry per record, maintained only when the indexed key changes.
+Entries order as ``(key, rid)`` pairs would, because all keys of one
+index have the same length; a key alone (or a prefix of it) sorts before
+every entry that extends it, and ``key + (MAX_RID,)`` after every one.
 
 Caching (Section 5.3.1): inner nodes are cached on the processing node;
 the node an operation reads or writes is always fetched from the store.
@@ -40,9 +44,13 @@ from repro.core.spaces import INDEX_SPACE, META_SPACE
 from repro.errors import DuplicateKey, InvalidState
 from repro.store.cell import approx_size
 
-EntryKey = Tuple[Any, ...]  # (index key tuple, rid)
+#: An entry ``key + (rid,)``; separators and high keys are entries too,
+#: and a bound is a key or key prefix, optionally followed by MAX_RID.
+EntryKey = Tuple[Any, ...]
 
-#: Upper bound greater than any rid, used for inclusive upper bounds.
+#: Greater than any rid and any key component's type rank: ``prefix +
+#: (MAX_RID,)`` sorts after every entry that extends ``prefix``, which
+#: makes it the inclusive upper bound of a key or of a key prefix.
 MAX_RID = float("inf")
 
 #: Share of ``max_entries`` each node holds after :meth:`bulk_build`.
@@ -102,13 +110,11 @@ class BTreeNode:
             per_entry = 8
             if self.entries:
                 first = self.entries[0]
-                per_entry = approx_size(first)
-                key = first[0]
-                if key.__class__ is tuple:
-                    # An encoded key (repro.sql.keyenc) is flat; each of
-                    # its components is charged as a (rank, value) pair,
-                    # one tuple header more than its two slots.
-                    per_entry += 8 * (len(key) >> 1)
+                # Charged as a (key tuple, rid) pair, one tuple header
+                # more than the flat entry, whose encoded key
+                # (repro.sql.keyenc) has each (rank, value) component
+                # charged as a pair: one more header per two slots.
+                per_entry = approx_size(first) + 8 + 8 * ((len(first) - 1) >> 1)
             size = 24 + per_entry * len(self.entries)
             if self.children is not None:
                 size += 8 * len(self.children)
@@ -301,12 +307,12 @@ class DistributedBTree:
 
     # -- lookups ---------------------------------------------------------------
 
-    def lookup(self, key: Any) -> Generator:
+    def lookup(self, key: EntryKey) -> Generator:
         """All rids indexed under ``key`` (non-unique aware)."""
-        entries = yield from self.range_entries((key,), (key, MAX_RID))
-        return [entry[1] for entry in entries]
+        entries = yield from self.range_entries(key, key + (MAX_RID,))
+        return [entry[-1] for entry in entries]
 
-    def lookup_many(self, keys: List[Any]) -> Generator:
+    def lookup_many(self, keys: List[EntryKey]) -> Generator:
         """Point lookups for several keys with batched leaf fetches.
 
         This is the index side of Tell's aggressive batching (Section
@@ -315,11 +321,11 @@ class DistributedBTree:
         cannot be predicted from the cache (cold cache, stale range) fall
         back to individual descents.  Returns ``{key: [rids]}``.
         """
-        result: Dict[Any, List[int]] = {}
-        by_leaf: Dict[int, List[Any]] = {}
-        fallback: List[Any] = []
+        result: Dict[EntryKey, List[int]] = {}
+        by_leaf: Dict[int, List[EntryKey]] = {}
+        fallback: List[EntryKey] = []
         for key in keys:
-            leaf_id = self._cached_leaf_for((key,))
+            leaf_id = self._cached_leaf_for(key)
             if leaf_id is None:
                 fallback.append(key)
             else:
@@ -331,40 +337,36 @@ class DistributedBTree:
             )
             for leaf_id, leaf in zip(leaf_ids, leaves):
                 for key in by_leaf[leaf_id]:
-                    if leaf is None or not self._leaf_answers(leaf, key):
+                    rids = None if leaf is None else self._rids_in_leaf(leaf, key)
+                    if rids is None:
                         fallback.append(key)
                     else:
-                        result[key] = self._rids_in_leaf(leaf, key)
+                        result[key] = rids
         for key in fallback:
             result[key] = yield from self.lookup(key)
         return result
 
-    def _leaf_answers(self, leaf: BTreeNode, key: Any) -> bool:
-        """Can ``leaf`` alone answer a point lookup of ``key``?
+    @staticmethod
+    def _rids_in_leaf(leaf: BTreeNode, key: EntryKey) -> Optional[List[int]]:
+        """The rids of ``key`` in ``leaf``, or None when the leaf alone
+        cannot answer the lookup.
 
-        Requires the leaf to cover the whole ``(key, *)`` entry range: the
-        key must be below the high key and, if present, not be the very
-        first entry (a same-key entry could then live in a left sibling
-        after a stale-cache descent).
+        It can when it covers every entry of ``key``: the key's upper
+        bound is below the high key, and no entry of the key opens the
+        leaf (the run could then start in a left sibling after a
+        stale-cache descent).
         """
         if not leaf.is_leaf:
-            return False
-        if leaf.high_key is not None and (key, MAX_RID) >= leaf.high_key:
-            return False
-        position = bisect.bisect_left(leaf.entries, (key,))
-        if position == 0 and leaf.entries and leaf.entries[0][0] == key:
-            return False  # run may extend into the left sibling
-        return True
-
-    @staticmethod
-    def _rids_in_leaf(leaf: BTreeNode, key: Any) -> List[int]:
-        position = bisect.bisect_left(leaf.entries, (key,))
-        rids: List[int] = []
-        for entry in leaf.entries[position:]:
-            if entry[0] != key:
-                break
-            rids.append(entry[1])
-        return rids
+            return None
+        high = key + (MAX_RID,)
+        if leaf.high_key is not None and high >= leaf.high_key:
+            return None
+        entries = leaf.entries
+        start = bisect.bisect_left(entries, key)
+        stop = bisect.bisect_left(entries, high, start)
+        if start == 0 and stop:
+            return None  # run may extend into the left sibling
+        return [entry[-1] for entry in entries[start:stop]]
 
     def _cached_leaf_for(self, entry_key: EntryKey) -> Optional[int]:
         """Predict the leaf for ``entry_key`` using only cached nodes."""
@@ -388,21 +390,22 @@ class DistributedBTree:
         high: Optional[EntryKey],
         limit: Optional[int] = None,
     ) -> Generator:
-        """Entries with ``low <= (key, rid) < high`` in order.
+        """Entries with ``low <= entry < high`` in order.
 
         ``high=None`` scans to the end of the index.
         """
         leaf, _version, _path = yield from self._descend(low)
         results: List[EntryKey] = []
         while True:
-            start = bisect.bisect_left(leaf.entries, low)
-            for entry in leaf.entries[start:]:
-                if high is not None and entry >= high:
-                    return results
-                results.append(entry)
-                if limit is not None and len(results) >= limit:
-                    return results
-            if leaf.right_id is None:
+            entries = leaf.entries
+            start = bisect.bisect_left(entries, low)
+            stop = (len(entries) if high is None
+                    else bisect.bisect_left(entries, high, start))
+            results += entries[start:stop]
+            if limit is not None and len(results) >= limit:
+                del results[limit:]
+                return results
+            if stop < len(entries) or leaf.right_id is None:
                 return results
             if high is not None and leaf.high_key is not None and leaf.high_key >= high:
                 return results
@@ -412,11 +415,11 @@ class DistributedBTree:
 
     def insert(
         self,
-        key: Any,
+        key: EntryKey,
         rid: int,
-        unique: Optional[Callable[[Any, int], Generator]] = None,
+        unique: Optional[Callable[[EntryKey, int], Generator]] = None,
     ) -> Generator:
-        """Insert the entry ``(key, rid)``.
+        """Insert the entry ``key + (rid,)``.
 
         ``unique`` makes ``key`` unique: a coroutine function
         ``unique(key, other_rid)`` that returns whether an existing
@@ -425,7 +428,7 @@ class DistributedBTree:
         a live entry raises :class:`DuplicateKey`.
         Returns False if the exact entry already existed.
         """
-        entry = (key, rid)
+        entry = key + (rid,)
         while True:
             leaf, version, path = yield from self._descend(entry)
             entries = leaf.entries
@@ -434,11 +437,13 @@ class DistributedBTree:
                 return False
             # Same-key entries are contiguous, so one would sit right
             # beside the insertion point -- or, when the leaf starts
-            # there, in the left sibling's tail.
+            # there, in the left sibling's tail.  Below the entry, one
+            # above ``key`` extends it; above, one below its bound.
             if unique is not None and (
                 (position == 0 and entries)
-                or (position > 0 and entries[position - 1][0] == key)
-                or (position < len(entries) and entries[position][0] == key)
+                or (position > 0 and entries[position - 1] > key)
+                or (position < len(entries)
+                    and entries[position] < key + (MAX_RID,))
             ):
                 for other in (yield from self.lookup(key)):
                     if (yield from unique(key, other)):
@@ -572,8 +577,8 @@ class DistributedBTree:
 
     # -- delete ---------------------------------------------------------------
 
-    def delete(self, key: Any, rid: int) -> Generator:
-        """Remove the entry ``(key, rid)``; returns False if absent.
+    def delete(self, key: EntryKey, rid: int) -> Generator:
+        """Remove the entry ``key + (rid,)``; returns False if absent.
 
         Leaves may become empty; they are not merged (a simplification --
         the Bw-tree merges lazily, and empty leaves are harmless to
@@ -581,7 +586,7 @@ class DistributedBTree:
         stressed).  A failed conditional write retries on the fresh copy,
         matching Section 5.4's "GC is retried with the next read".
         """
-        entry = (key, rid)
+        entry = key + (rid,)
         while True:
             leaf, version, _path = yield from self._descend(entry)
             entries = leaf.entries
@@ -602,9 +607,13 @@ class DistributedBTree:
 
         Must only be used on an index no other node is accessing -- this
         is the database-population fast path, not a concurrent operation.
-        Nodes are filled to :data:`BULK_FILL`.  Returns the number of
-        nodes written.
+        ``(key, rid)`` pairs, told apart by the key tuple in their first
+        slot (no key component is a tuple), are flattened first.  Nodes
+        are filled to :data:`BULK_FILL`.  Returns the number of nodes
+        written.
         """
+        if entries and entries[0][0].__class__ is tuple:
+            entries = [key + (rid,) for key, rid in entries]
         if any(map(operator.gt, entries, itertools.islice(entries, 1, None))):
             raise InvalidState("bulk_build requires sorted entries")
         per_node = max(4, int(self.max_entries * BULK_FILL))

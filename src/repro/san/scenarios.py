@@ -304,7 +304,7 @@ def index_gc(policy: Optional[SchedulerPolicy] = None,
         txn = yield from world.pns[0].begin()
         for position, rid in enumerate(INDEX_RIDS):
             txn.insert(rid, (position,))
-            txn.index_ops.append((btree, position, rid, None))
+            txn.index_ops.append((btree, (position,), rid, None))
         yield from txn.commit()
         return "committed"
 
@@ -315,7 +315,7 @@ def index_gc(policy: Optional[SchedulerPolicy] = None,
             yield from txn.delete(rid)
         yield from txn.commit()
         for position, rid in deleted:
-            yield from btree.delete(position, rid)
+            yield from btree.delete((position,), rid)
         return "committed"
 
     world.run_one(0, insert_rows(), "idx-insert")
@@ -330,7 +330,7 @@ def index_gc(policy: Optional[SchedulerPolicy] = None,
         entries = yield from btree.all_entries()
         dangling = []
         for entry in entries:
-            rid = entry[1]
+            rid = entry[-1]
             value, _cell_version = yield effects.Get(DATA_SPACE, rid)
             if value is None or all(
                 version.is_tombstone for version in value.versions

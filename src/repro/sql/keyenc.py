@@ -14,10 +14,13 @@ An encoded key is one flat tuple ``(rank0, value0, rank1, value1, ...)``.
 Comparing two such tuples compares rank, then value, component by
 component, so it orders exactly as a tuple of ``(rank, value)`` pairs
 would -- prefixes before their extensions included -- with one tuple per
-key instead of one per component.  ``BTreeNode.approx_size`` still charges
-each component as a ``(rank, value)`` pair (one tuple header, 8 B, more
-than its two flat slots), so the simulated size of an index entry does not
-depend on this in-memory layout.
+key instead of one per component.  A B+tree entry appends the rid to it
+(``repro.index.btree``), and ``btree.MAX_RID`` after a key or key prefix
+sorts above every entry that extends it: above any type rank here, and
+above any rid.  ``BTreeNode.approx_size`` still charges each component as
+a ``(rank, value)`` pair (one tuple header, 8 B, more than its two flat
+slots), so the simulated size of an index entry does not depend on this
+in-memory layout.
 
 Encoding happens at the tree boundary only -- table rows and user-facing
 keys stay raw.
@@ -29,12 +32,6 @@ from typing import Any, Iterable, Tuple
 
 #: An encoded index key: ``(rank0, value0, rank1, value1, ...)``.
 EncodedKey = Tuple[Any, ...]
-
-#: Type rank strictly greater than any a component is encoded with;
-#: ``encode_key(prefix) + (ABOVE_ALL_RANK,)`` therefore sorts above every
-#: key that extends ``prefix``, which range scans use to build inclusive
-#: prefix upper bounds.
-ABOVE_ALL_RANK = 5
 
 
 def _rank(value: Any) -> int:

@@ -25,8 +25,8 @@ from repro.core.record import TOMBSTONE, VersionedRecord
 from repro.core.spaces import DATA_SPACE, data_key
 from repro.core.transaction import Transaction
 from repro.errors import DuplicateKey, KeyNotFound
-from repro.index.btree import DistributedBTree
-from repro.sql.keyenc import ABOVE_ALL_RANK, EncodedKey, encode_key
+from repro.index.btree import MAX_RID, DistributedBTree
+from repro.sql.keyenc import EncodedKey, encode_key
 from repro.sql.schema import IndexDef, TableSchema
 
 
@@ -295,57 +295,48 @@ class Table:
         """Rows whose index key lies in [low, high) (or (..] with
         ``include_high``); returns [(rid, row)] in index order."""
         tree = self.indexes.tree(index)
-        low_entry = (encode_key(low),) if low is not None else ((),)
+        low_entry = encode_key(low) if low is not None else ()
         if high is None:
             high_entry = None
         elif include_high:
             # Inclusive bounds may be key *prefixes* (e.g. the first two
-            # columns of a three-column index): extend the bound with a
-            # component above every real encoded component so that all
-            # longer keys sharing the prefix are covered.
-            high_entry = (encode_key(high) + (ABOVE_ALL_RANK,),)
+            # columns of a three-column index): MAX_RID sorts above every
+            # component and rid that can follow the bound.
+            high_entry = encode_key(high) + (MAX_RID,)
         else:
-            high_entry = (encode_key(high),)
+            high_entry = encode_key(high)
         entries = yield from tree.range_entries(low_entry, high_entry, limit=None)
-        # (encoded key, rid, row) for every entry whose row still carries
-        # the entry's key; each row's index key is encoded once.
-        results: List[Tuple[EncodedKey, int, Tuple[Any, ...]]] = []
+        # (entry, row) for every entry whose row still carries the
+        # entry's key; each row's index key is encoded once.
+        results: List[Tuple[EncodedKey, Tuple[Any, ...]]] = []
         if entries:
             table_id = self.schema.table_id
-            keys = [data_key(table_id, rid) for _key, rid in entries]
+            keys = [data_key(table_id, entry[-1]) for entry in entries]
             rows = yield from self.txn.read_many(keys)
             positions = self.schema.index_positions(index)
             results = [
-                (encoded, rid, row)
-                for (encoded, rid), row in zip(entries, map(rows.__getitem__, keys))
+                (entry, row)
+                for entry, row in zip(entries, map(rows.__getitem__, keys))
                 if row is not None
-                and encode_key([row[p] for p in positions]) == encoded
+                and encode_key([row[p] for p in positions]) + (entry[-1],) == entry
             ]
             if limit is not None:
                 del results[limit:]
-        low_enc = encode_key(low) if low is not None else None
-        high_enc = encode_key(high) if high is not None else None
         merged = False
         for rid, row in self._local_rows():
-            row_key = encode_key(self.schema.index_key_of(index, row))
-            in_low = low_enc is None or row_key >= low_enc
-            if high_enc is None:
-                in_high = True
-            elif include_high:
-                # Prefix-aware inclusive bound: compare the truncation.
-                in_high = row_key[: len(high_enc)] <= high_enc
-            else:
-                in_high = row_key < high_enc
-            if in_low and in_high and all(r != rid for _k, r, _row in results):
-                results.append((row_key, rid, row))
+            row_entry = encode_key(self.schema.index_key_of(index, row)) + (rid,)
+            if (row_entry >= low_entry
+                    and (high_entry is None or row_entry < high_entry)
+                    and all(entry[-1] != rid for entry, _row in results)):
+                results.append((row_entry, row))
                 merged = True
         if merged:
-            # The tree returns entries in (key, rid) order; only the
-            # transaction's own rows have to be merged into it.
-            results.sort(key=operator.itemgetter(0, 1))
+            # The tree returns entries in order; only the transaction's
+            # own rows have to be merged into it.
+            results.sort(key=operator.itemgetter(0))
         if limit is not None:
             results = results[:limit]
-        return [(rid, row) for _key, rid, row in results]
+        return [(entry[-1], row) for entry, row in results]
 
     # -- internals ---------------------------------------------------------------------
 

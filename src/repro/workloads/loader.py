@@ -56,8 +56,8 @@ class BulkLoader:
         yield effects.Put(META_SPACE, rid_counter_key(table_id), len(rows))
 
         for index in schema.indexes:
-            entries: List[Tuple[EncodedKey, int]] = sorted(
-                (encode_key(schema.index_key_of(index, payload)), rid)
+            entries: List[EncodedKey] = sorted(
+                encode_key(schema.index_key_of(index, payload)) + (rid,)
                 for rid, payload in zip(rids, rows)
             )
             yield from self.indexes.tree(index).bulk_build(entries)

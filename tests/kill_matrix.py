@@ -333,9 +333,8 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
     (
         "read_ignores_snapshot",
         "src/repro/core/record.py",
-        "        index = self.visible_index(snapshot)\n"
-        "        return self.versions[index] if index >= 0 else None",
-        "        return self.versions[0] if self.versions else None",
+        "        return Version(self.tids[index], self.payloads[index])",
+        "        return Version(self.tids[0], self.payloads[0])",
         "latest_visible returns the newest version whatever the snapshot",
     ),
     (
@@ -433,6 +432,15 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
         "            pass",
         "a table scan under WSI/SSI leaves its keys out of the read set: "
         "a concurrent write to a scanned row goes unvalidated",
+    ),
+    (
+        "index_range_rank_sentinel",
+        "src/repro/sql/table.py",
+        "            high_entry = encode_key(high) + (MAX_RID,)",
+        "            high_entry = encode_key(high) + (5,)",
+        "an inclusive index-range bound ends in a type-rank sentinel, not "
+        "MAX_RID: after a full key it lands in the rid slot and cuts every "
+        "rid above 5",
     ),
     (
         "unique_dead_entry_counts_as_live",

@@ -10,10 +10,16 @@ from repro import effects
 from repro.api.runner import DirectRunner, Router
 from repro.core.spaces import INDEX_SPACE, META_SPACE
 from repro.errors import DuplicateKey, InvalidState
-from repro.index.btree import BTreeNode, DistributedBTree
+from repro.core.commit_manager import CommitManager
+from repro.core.processing_node import ProcessingNode
+from repro.index.btree import MAX_RID, BTreeNode, DistributedBTree
 from repro.sql.keyenc import encode_key
+from repro.sql.schema import Catalog, Column
+from repro.sql.table import IndexManager, Table
+from repro.sql.types import ColumnType
 from repro.store.cell import approx_size
 from repro.store.cluster import StorageCluster
+from repro.workloads.loader import BulkLoader
 from tests.conftest import every_entry_live, interleave
 
 
@@ -36,26 +42,26 @@ def fresh_handle(env):
 class TestBasicOperations:
     def test_insert_lookup(self, env):
         _c, _r, runner, tree = env
-        runner.run(tree.insert(10, 100))
-        assert runner.run(tree.lookup(10)) == [100]
-        assert runner.run(tree.lookup(11)) == []
+        runner.run(tree.insert((10,), 100))
+        assert runner.run(tree.lookup((10,))) == [100]
+        assert runner.run(tree.lookup((11,))) == []
 
     def test_duplicate_entry_returns_false(self, env):
         _c, _r, runner, tree = env
-        assert runner.run(tree.insert(10, 100)) is True
-        assert runner.run(tree.insert(10, 100)) is False
+        assert runner.run(tree.insert((10,), 100)) is True
+        assert runner.run(tree.insert((10,), 100)) is False
 
     def test_non_unique_keys_accumulate(self, env):
         _c, _r, runner, tree = env
         for rid in (3, 1, 2):
-            runner.run(tree.insert("key", rid))
-        assert runner.run(tree.lookup("key")) == [1, 2, 3]
+            runner.run(tree.insert(("key",), rid))
+        assert runner.run(tree.lookup(("key",))) == [1, 2, 3]
 
     def test_unique_insert_rejects_same_key(self, env):
         _c, _r, runner, tree = env
-        runner.run(tree.insert(5, 1, unique=every_entry_live))
+        runner.run(tree.insert((5,), 1, unique=every_entry_live))
         with pytest.raises(DuplicateKey):
-            runner.run(tree.insert(5, 2, unique=every_entry_live))
+            runner.run(tree.insert((5,), 2, unique=every_entry_live))
 
     @pytest.mark.parametrize("key, rid, raises", [
         ("m", 3, True),    # the same-key entries sort right after (m, 3)
@@ -71,43 +77,43 @@ class TestBasicOperations:
         a whole-leaf scan for the key finds one."""
         _c, _r, runner, tree = env
         for other, other_rid in (("a", 1), ("m", 5), ("m", 9), ("z", 1)):
-            runner.run(tree.insert(other, other_rid))
+            runner.run(tree.insert((other,), other_rid))
         leaf = runner.run(tree.all_entries())
         assert raises == any(entry[0] == key for entry in leaf)
         if raises:
             with pytest.raises(DuplicateKey):
-                runner.run(tree.insert(key, rid, unique=every_entry_live))
+                runner.run(tree.insert((key,), rid, unique=every_entry_live))
             assert runner.run(tree.all_entries()) == leaf
         else:
-            assert runner.run(tree.insert(key, rid, unique=every_entry_live)) is True
+            assert runner.run(tree.insert((key,), rid, unique=every_entry_live)) is True
 
     def test_delete(self, env):
         _c, _r, runner, tree = env
-        runner.run(tree.insert(1, 10))
-        assert runner.run(tree.delete(1, 10)) is True
-        assert runner.run(tree.delete(1, 10)) is False
-        assert runner.run(tree.lookup(1)) == []
+        runner.run(tree.insert((1,), 10))
+        assert runner.run(tree.delete((1,), 10)) is True
+        assert runner.run(tree.delete((1,), 10)) is False
+        assert runner.run(tree.lookup((1,))) == []
 
     def test_splits_preserve_order(self, env):
         _c, _r, runner, tree = env
         keys = list(range(200))
         random.Random(1).shuffle(keys)
         for key in keys:
-            runner.run(tree.insert(key, key * 2))
+            runner.run(tree.insert((key,), key * 2))
         entries = runner.run(tree.all_entries())
         assert entries == [(key, key * 2) for key in range(200)]
 
     def test_range_entries(self, env):
         _c, _r, runner, tree = env
         for key in range(100):
-            runner.run(tree.insert(key, key))
+            runner.run(tree.insert((key,), key))
         got = runner.run(tree.range_entries((20,), (30,)))
         assert got == [(key, key) for key in range(20, 30)]
 
     def test_range_with_limit(self, env):
         _c, _r, runner, tree = env
         for key in range(50):
-            runner.run(tree.insert(key, key))
+            runner.run(tree.insert((key,), key))
         got = runner.run(tree.range_entries((0,), None, limit=7))
         assert len(got) == 7
 
@@ -115,83 +121,83 @@ class TestBasicOperations:
         _c, _r, runner, _tree = env
         ghost = DistributedBTree(index_id=999)
         with pytest.raises(InvalidState):
-            runner.run(ghost.lookup(1))
+            runner.run(ghost.lookup((1,)))
 
     def test_create_is_idempotent_under_races(self, env):
         _c, _r, runner, tree = env
-        runner.run(tree.insert(1, 1))
+        runner.run(tree.insert((1,), 1))
         other = DistributedBTree(index_id=tree.index_id, max_entries=6)
         runner.run(other.create())  # loses the conditional writes
-        assert runner.run(other.lookup(1)) == [1]
+        assert runner.run(other.lookup((1,))) == [1]
 
 
 class TestCrossHandleVisibility:
     def test_second_pn_sees_inserts(self, env):
         _c, _r, runner, tree = env
         for key in range(100):
-            runner.run(tree.insert(key, key))
+            runner.run(tree.insert((key,), key))
         other = fresh_handle(env)
-        assert runner.run(other.lookup(42)) == [42]
+        assert runner.run(other.lookup((42,))) == [42]
 
     def test_stale_cache_follows_splits(self, env):
         """A PN whose cached inner nodes predate splits still finds keys
         (B-link move-right), and refreshes its cache."""
         _c, _r, runner, tree = env
         for key in range(0, 40):
-            runner.run(tree.insert(key, key))
+            runner.run(tree.insert((key,), key))
         other = fresh_handle(env)
-        runner.run(other.lookup(20))  # warm other's cache
+        runner.run(other.lookup((20,)))  # warm other's cache
         # main handle splits leaves to the right of 20 heavily
         for key in range(40, 160):
-            runner.run(tree.insert(key, key))
+            runner.run(tree.insert((key,), key))
         for key in (45, 99, 159):
-            assert runner.run(other.lookup(key)) == [key]
+            assert runner.run(other.lookup((key,))) == [key]
 
     def test_stale_root_cache_after_tree_grows(self, env):
         _c, _r, runner, tree = env
-        runner.run(tree.insert(1, 1))
+        runner.run(tree.insert((1,), 1))
         other = fresh_handle(env)
-        runner.run(other.lookup(1))  # caches the 1-level root
+        runner.run(other.lookup((1,)))  # caches the 1-level root
         for key in range(2, 300):
-            runner.run(tree.insert(key, key))  # root grows several levels
-        assert runner.run(other.lookup(250)) == [250]
+            runner.run(tree.insert((key,), key))  # root grows several levels
+        assert runner.run(other.lookup((250,))) == [250]
 
     def test_lookup_many_batches(self, env):
         _c, _r, runner, tree = env
         for key in range(100):
-            runner.run(tree.insert(key, key))
-        runner.run(tree.lookup(0))  # warm cache
-        result = runner.run(tree.lookup_many(list(range(0, 100, 7))))
+            runner.run(tree.insert((key,), key))
+        runner.run(tree.lookup((0,)))  # warm cache
+        result = runner.run(tree.lookup_many([(k,) for k in range(0, 100, 7)]))
         for key in range(0, 100, 7):
-            assert result[key] == [key]
+            assert result[(key,)] == [key]
 
     def test_lookup_many_cold_cache_falls_back(self, env):
         _c, _r, runner, tree = env
         for key in range(50):
-            runner.run(tree.insert(key, key))
+            runner.run(tree.insert((key,), key))
         other = fresh_handle(env)
-        result = runner.run(other.lookup_many([1, 25, 49]))
-        assert result == {1: [1], 25: [25], 49: [49]}
+        result = runner.run(other.lookup_many([(1,), (25,), (49,)]))
+        assert result == {(1,): [1], (25,): [25], (49,): [49]}
 
     def test_lookup_many_after_concurrent_splits(self, env):
         _c, _r, runner, tree = env
         for key in range(0, 200, 2):
-            runner.run(tree.insert(key, key))
+            runner.run(tree.insert((key,), key))
         other = fresh_handle(env)
-        runner.run(other.lookup(0))  # warm cache
+        runner.run(other.lookup((0,)))  # warm cache
         for key in range(1, 200, 2):  # splits under other's feet
-            runner.run(tree.insert(key, key))
-        result = runner.run(other.lookup_many(list(range(0, 200, 13))))
+            runner.run(tree.insert((key,), key))
+        result = runner.run(other.lookup_many([(k,) for k in range(0, 200, 13)]))
         for key in range(0, 200, 13):
-            assert result[key] == [key]
+            assert result[(key,)] == [key]
 
 
 class TestConcurrentInterleavings:
     def test_interleaved_inserts_from_two_pns(self, env):
         _c, router, runner, tree = env
         other = fresh_handle(env)
-        gens = [tree.insert(i, 1000 + i) for i in range(40)]
-        gens += [other.insert(i + 40, 2000 + i) for i in range(40)]
+        gens = [tree.insert((i,), 1000 + i) for i in range(40)]
+        gens += [other.insert((i + 40,), 2000 + i) for i in range(40)]
         random.Random(3).shuffle(gens)
         _results, errors = interleave(router, gens)
         assert not any(errors)
@@ -202,10 +208,10 @@ class TestConcurrentInterleavings:
     def test_interleaved_insert_delete(self, env):
         _c, router, runner, tree = env
         for key in range(30):
-            runner.run(tree.insert(key, key))
+            runner.run(tree.insert((key,), key))
         other = fresh_handle(env)
-        gens = [tree.delete(key, key) for key in range(0, 30, 2)]
-        gens += [other.insert(key, key) for key in range(30, 60)]
+        gens = [tree.delete((key,), key) for key in range(0, 30, 2)]
+        gens += [other.insert((key,), key) for key in range(30, 60)]
         _results, errors = interleave(router, gens)
         assert not any(errors)
         entries = runner.run(tree.all_entries())
@@ -218,11 +224,11 @@ class TestConcurrentInterleavings:
     def test_interleaved_unique_inserts_one_winner(self, env):
         _c, router, runner, tree = env
         other = fresh_handle(env)
-        gens = [tree.insert(7, 1, unique=every_entry_live),
-                other.insert(7, 2, unique=every_entry_live)]
+        gens = [tree.insert((7,), 1, unique=every_entry_live),
+                other.insert((7,), 2, unique=every_entry_live)]
         _results, errors = interleave(router, gens)
         dup_errors = [e for e in errors if isinstance(e, DuplicateKey)]
-        rids = runner.run(tree.lookup(7))
+        rids = runner.run(tree.lookup((7,)))
         assert len(rids) == 1
         assert len(dup_errors) == 1
 
@@ -238,7 +244,7 @@ class TestConcurrentInterleavings:
         handles = [DistributedBTree(index_id=1, max_entries=4)
                    for _ in range(6)]
         runner.run(handles[0].create())
-        pending = [handles[key % len(handles)].insert(key, key)
+        pending = [handles[key % len(handles)].insert((key,), key)
                    for key in range(80)]
         replies = [None] * len(pending)
         rng = random.Random(seed)
@@ -295,26 +301,51 @@ class TestNodeSize:
     def test_encoded_entry_sizes_as_rank_value_pairs(self):
         key = (7, "smith", None)
         nested = ((2, 7), (3, "smith"), (0, False))
-        entries = ((encode_key(key), 5), (encode_key((8, "x", 1.5)), 6))
-        # Each entry is charged as the first one, in the nested form.
+        entries = (encode_key(key) + (5,), encode_key((8, "x", 1.5)) + (6,))
+        # Each entry is charged as the first one, as a (key, rid) pair
+        # of the nested form.
         assert BTreeNode(1, 0, entries).approx_size() == (
             24 + 2 * approx_size((nested, 5)))
         assert approx_size((nested, 5)) == 8 + (8 + 24 + 21 + 17) + 8
 
     def test_inner_node_adds_its_children(self):
-        entries = ((encode_key((1, 2)), 3),)
+        entries = (encode_key((1, 2)) + (3,),)
         nested = (((2, 1), (2, 2)), 3)
         assert BTreeNode(1, 1, entries, children=(4, 5)).approx_size() == (
             24 + approx_size(nested) + 16)
 
-    @pytest.mark.parametrize("entries, size", [
-        (((5, 1), (6, 2)), 24 + 2 * 24),
-        ((("abcd", 1),), 24 + 8 + 4 + 8),  # a str key is not a tuple key
-        ((((3,), 1),), 24 + 8 + 16 + 8),   # nor is a raw 1-tuple encoded
-        ((), 24),
-    ])
-    def test_raw_keys_size_as_before(self, entries, size):
-        assert BTreeNode(1, 0, entries).approx_size() == size
+    @pytest.mark.parametrize("columns", [1, 2, 3, 4])
+    def test_size_equals_the_pair_era_rule(self, columns):
+        """Leaves and inner nodes over encoded keys of ``columns``
+        INT / FLOAT / VARCHAR / NULL columns are charged exactly what
+        the node was charged when an entry was a ``(key, rid)`` pair."""
+        rng = random.Random(columns)
+        values = [lambda: rng.randrange(-10**6, 10**6),
+                  lambda: rng.random() * 1e3,
+                  lambda: "x" * rng.randrange(0, 12),
+                  lambda: None]
+
+        def pair_era(entries, children):
+            # The rule before entries were flat: 24 B of node, each entry
+            # charged as the first, a (key tuple, rid) pair, plus 8 B per
+            # (rank, value) component of an encoded key; 8 B per child.
+            per_entry = 8
+            if entries:
+                key, rid = entries[0]
+                per_entry = approx_size((key, rid)) + 8 * (len(key) >> 1)
+            return (24 + per_entry * len(entries)
+                    + (8 * len(children) if children is not None else 0))
+
+        for count in (0, 1, 5):
+            pairs = tuple(sorted(
+                (encode_key([rng.choice(values)() for _ in range(columns)]),
+                 rng.randrange(1, 10**9))
+                for _ in range(count)))
+            flat = tuple(key + (rid,) for key, rid in pairs)
+            children = tuple(range(2, count + 3))
+            assert BTreeNode(1, 0, flat).approx_size() == pair_era(pairs, None)
+            assert BTreeNode(1, 1, flat, children=children).approx_size() == (
+                pair_era(pairs, children))
 
 
 class TestBulkBuild:
@@ -325,15 +356,15 @@ class TestBulkBuild:
         runner.run(bulk.bulk_build(entries))
         assert runner.run(bulk.all_entries()) == entries
         for key in (0, 123, 499):
-            assert runner.run(bulk.lookup(key)) == [key * 3]
+            assert runner.run(bulk.lookup((key,))) == [key * 3]
 
     def test_bulk_build_empty(self, env):
         _c, _r, runner, _tree = env
         bulk = DistributedBTree(index_id=51, max_entries=8)
         runner.run(bulk.bulk_build([]))
         assert runner.run(bulk.all_entries()) == []
-        runner.run(bulk.insert(1, 1))
-        assert runner.run(bulk.lookup(1)) == [1]
+        runner.run(bulk.insert((1,), 1))
+        assert runner.run(bulk.lookup((1,))) == [1]
 
     def test_bulk_build_rejects_unsorted(self, env):
         _c, _r, runner, _tree = env
@@ -347,7 +378,7 @@ class TestBulkBuild:
         bulk = DistributedBTree(index_id=53, max_entries=8)
         runner.run(bulk.bulk_build(entries))
         for key in range(1, 100, 2):
-            runner.run(bulk.insert(key, key))
+            runner.run(bulk.insert((key,), key))
         assert runner.run(bulk.all_entries()) == sorted(
             (key, key) for key in range(100)
         )
@@ -377,15 +408,15 @@ def test_btree_matches_set_model(operations):
     model = set()
     for action, key, rid in operations:
         if action == "insert":
-            runner.run(tree.insert(key, rid))
+            runner.run(tree.insert((key,), rid))
             model.add((key, rid))
         else:
-            runner.run(tree.delete(key, rid))
+            runner.run(tree.delete((key,), rid))
             model.discard((key, rid))
     assert runner.run(tree.all_entries()) == sorted(model)
     for key in range(41):
         expected = sorted(r for k, r in model if k == key)
-        assert runner.run(tree.lookup(key)) == expected
+        assert runner.run(tree.lookup((key,))) == expected
 
 
 @settings(max_examples=20, deadline=None,
@@ -402,9 +433,124 @@ def test_range_scan_matches_model(keys, low, span):
     runner.run(tree.create())
     model = set()
     for rid, key in enumerate(keys):
-        runner.run(tree.insert(key, rid))
+        runner.run(tree.insert((key,), rid))
         model.add((key, rid))
     high = low + span
     got = runner.run(tree.range_entries((low,), (high,)))
     expected = sorted(entry for entry in model if low <= entry[0] < high)
     assert got == expected
+
+
+# -- index ranges against a brute-force model ------------------------------------
+
+#: Small domains, so keys repeat and one key holds many rids.
+_DOMAINS = {
+    ColumnType.INT: [0, 1, 2, -7],
+    ColumnType.FLOAT: [0.5, 1.0, 2.25],
+    ColumnType.TEXT: ["", "a", "ab"],
+}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_index_ranges_match_a_sorted_model(seed):
+    """Encoded keys of 1-3 INT / FLOAT / TEXT / NULL columns in a narrow
+    tree (leaf and inner splits, bulk-built and inserted entries):
+    ``range_entries``, ``lookup``, ``lookup_many`` and
+    ``Table.index_range`` -- inclusive and exclusive, prefix and
+    full-key bounds -- return what a sorted list of ``(key, rid)``
+    filtered by brute force holds."""
+    rng = random.Random(seed)
+    width = rng.randint(1, 3)
+    types = [rng.choice(list(_DOMAINS)) for _ in range(width)]
+    catalog = Catalog()
+    catalog.define_table(
+        "t",
+        [Column("id", ColumnType.INT, nullable=False)]
+        + [Column(f"c{i}", kind) for i, kind in enumerate(types)],
+        ["id"],
+    )
+    catalog.define_index("t_c", "t", [f"c{i}" for i in range(width)])
+    schema = catalog.table("t")
+    index = catalog.indexes["t_c"]
+    indexes = IndexManager(max_entries=4)
+    cluster = StorageCluster(n_nodes=3)
+    runner = DirectRunner(Router(cluster, CommitManager(0, cluster.execute),
+                                 pn_id=0))
+    pn = ProcessingNode(0)
+
+    def value(column):
+        return rng.choice(_DOMAINS[types[column]] + [None])
+
+    def row(row_id):
+        return {"id": row_id, **{f"c{i}": value(i) for i in range(width)}}
+
+    loaded = [schema.make_row(row(i)) for i in range(40)]
+    runner.run(BulkLoader(catalog, indexes).load_table("t", loaded))
+    rows = dict(enumerate(loaded, start=1))  # the loader's rids
+    writer = runner.run(pn.begin())
+    table = Table(schema, writer, indexes)
+    for i in range(40, 60):
+        values = row(i)
+        rows[runner.run(table.insert(values))] = schema.make_row(values)
+    runner.run(writer.commit())
+    # The reader's own inserts reach index_range, not the tree.
+    reader = runner.run(pn.begin())
+    table = Table(schema, reader, indexes)
+    local = {}
+    for i in range(60, 63):
+        values = row(i)
+        local[runner.run(table.insert(values))] = schema.make_row(values)
+
+    def entries(payloads):
+        return sorted((encode_key(schema.index_key_of(index, payload)), rid)
+                      for rid, payload in payloads.items())
+
+    committed = entries(rows)
+    everything = entries({**rows, **local})
+    rows.update(local)
+    tree = indexes.tree(index)
+
+    def in_range(key, low, high, include_high):
+        if low is not None and key < encode_key(low):
+            return False
+        if high is None:
+            return True
+        bound = encode_key(high)
+        return key[:len(bound)] <= bound if include_high else key < bound
+
+    keys = sorted({key for key, _rid in committed})
+    # The key with the most rids, as a full-key inclusive bound: its rids
+    # run past 5, which a type-rank sentinel in the rid slot would cut.
+    busiest = max(keys, key=lambda key: sum(k == key for k, _ in committed))
+    raw = schema.index_key_of(index, rows[next(
+        rid for key, rid in committed if key == busiest)])
+    assert max(rid for key, rid in committed if key == busiest) > 5
+    queries = [(raw, raw, True), (None, raw, True), (raw, raw, False)]
+    for _ in range(25):
+        low, high = (tuple(value(i) for i in range(rng.randint(1, width)))
+                     for _bound in range(2))
+        queries.append((rng.choice([low, None]), rng.choice([high, None]),
+                        rng.random() < 0.5))
+
+    for low, high, include_high in queries:
+        expected = [key + (rid,) for key, rid in committed
+                    if in_range(key, low, high, include_high)]
+        low_bound = encode_key(low) if low is not None else ()
+        if high is None:
+            high_bound = None
+        else:
+            high_bound = encode_key(high) + ((MAX_RID,) if include_high else ())
+        assert runner.run(tree.range_entries(low_bound, high_bound)) == expected
+        assert runner.run(table.index_range(index, low, high, include_high)) == [
+            (rid, rows[rid]) for key, rid in everything
+            if in_range(key, low, high, include_high)]
+
+    probes = keys + [encode_key(("zz",) * width)]  # the last is absent
+    rids_of = {key: [rid for k, rid in committed if k == key] for key in probes}
+    for key in probes:
+        assert runner.run(tree.lookup(key)) == rids_of[key]
+    # Warm inner nodes answer most keys from one batched leaf fetch;
+    # a fresh handle takes the descent for every key.
+    assert runner.run(tree.lookup_many(probes)) == rids_of
+    fresh = DistributedBTree(tree.index_id, max_entries=4)
+    assert runner.run(fresh.lookup_many(probes)) == rids_of

@@ -43,7 +43,7 @@ def run_until_crash(cluster, generator, crash_predicate):
 
 def fill_leaf(runner, tree, count=4):
     for key in range(count):
-        runner.run(tree.insert(key, key))
+        runner.run(tree.insert((key,), key))
 
 
 class TestCrashMidSplit:
@@ -62,14 +62,14 @@ class TestCrashMidSplit:
             )
 
         crashed = run_until_crash(
-            cluster, tree.insert(10, 10), stop_after_right_put
+            cluster, tree.insert((10,), 10), stop_after_right_put
         )
         assert crashed, "the insert should have split"
         # Another PN's handle sees the original four keys, can insert, read.
         other = DistributedBTree(index_id=1, max_entries=4)
         assert runner.run(other.all_entries()) == [(k, k) for k in range(4)]
-        runner.run(other.insert(10, 10))
-        assert runner.run(other.lookup(10)) == [10]
+        runner.run(other.insert((10,), 10))
+        assert runner.run(other.lookup((10,))) == [10]
 
     def test_crash_after_left_cas_before_parent_update(self, env):
         """Crash with the split half-done (left CASed, separator not yet
@@ -77,7 +77,7 @@ class TestCrashMidSplit:
         cluster, runner, tree = env
         # Build a two-level tree first so there is a parent to update.
         for key in range(0, 40, 2):
-            runner.run(tree.insert(key, key))
+            runner.run(tree.insert((key,), key))
 
         def stop_after_leaf_cas(request):
             return (
@@ -92,7 +92,7 @@ class TestCrashMidSplit:
         key = 1
         while not crashed and key < 40:
             crashed = run_until_crash(
-                cluster, tree.insert(key, key), stop_after_leaf_cas
+                cluster, tree.insert((key,), key), stop_after_leaf_cas
             )
             key += 2
         assert crashed, "no split happened; widen the key range"
@@ -102,9 +102,9 @@ class TestCrashMidSplit:
         # Every key -- including those in the half-linked new leaf -- is
         # reachable (B-link move-right), and new inserts repair/extend.
         for probe in list(range(0, 40, 2)) + inserted_odds:
-            assert runner.run(other.lookup(probe)) == [probe], probe
-        runner.run(other.insert(999, 999))
-        assert runner.run(other.lookup(999)) == [999]
+            assert runner.run(other.lookup((probe,))) == [probe], probe
+        runner.run(other.insert((999,), 999))
+        assert runner.run(other.lookup((999,))) == [999]
         entries = runner.run(other.all_entries())
         assert entries == sorted(entries)
 
@@ -124,16 +124,16 @@ class TestCrashMidSplit:
         key = 0
         while not crashed and key < 100:
             crashed = run_until_crash(
-                cluster, tree.insert(key, key), stop_after_new_root_put
+                cluster, tree.insert((key,), key), stop_after_new_root_put
             )
             key += 1
         assert crashed, "tree never tried to grow its root"
 
         other = DistributedBTree(index_id=1, max_entries=4)
         for probe in range(key - 1):  # all fully-inserted keys
-            assert runner.run(other.lookup(probe)) == [probe]
+            assert runner.run(other.lookup((probe,))) == [probe]
         for extra in range(200, 260):
-            runner.run(other.insert(extra, extra))
+            runner.run(other.insert((extra,), extra))
         entries = runner.run(other.all_entries())
         assert entries == sorted(entries)
 
@@ -157,7 +157,7 @@ class TestRepeatedCrashes:
 
             handle = DistributedBTree(index_id=1, max_entries=4)
             crashed = run_until_crash(
-                cluster, handle.insert(key, key), stop_after_n
+                cluster, handle.insert((key,), key), stop_after_n
             )
             if not crashed:
                 committed.add(key)
@@ -168,5 +168,5 @@ class TestRepeatedCrashes:
         # every fully-completed insert must be present
         assert committed <= present
         # and the survivor can still operate
-        runner.run(survivor.insert(10_000, 1))
-        assert runner.run(survivor.lookup(10_000)) == [1]
+        runner.run(survivor.insert((10_000,), 1))
+        assert runner.run(survivor.lookup((10_000,))) == [1]

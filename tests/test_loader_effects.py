@@ -10,7 +10,10 @@ from repro.bench.tables import format_table
 from repro.core.commit_manager import CommitManager
 from repro.core.processing_node import ProcessingNode
 from repro.core.record import VersionedRecord
-from repro.core.spaces import DATA_SPACE, META_SPACE, rid_counter_key
+from repro.core.spaces import (DATA_SPACE, INDEX_SPACE, META_SPACE, data_key,
+                               rid_counter_key)
+from repro.index.btree import BTreeNode
+from repro.sql.keyenc import encode_key
 from repro.sql.schema import Catalog, Column
 from repro.sql.table import IndexManager, Table
 from repro.sql.types import ColumnType
@@ -134,6 +137,46 @@ def test_load_shares_replica_cells_and_tids():
     assert len(cells) == masters
     assert len(tids_by_table) > 1
     assert all(len(ids) == 1 for ids in tids_by_table.values())
+
+
+
+def test_loaded_index_entries_are_flat_tuples_ending_in_their_rid():
+    # One tuple per index entry: the encoded key's (rank, value) slots,
+    # then the rid of the loaded row that carries the key; no entry
+    # wraps its key in a tuple of its own.
+    deployment = SimulatedTell(TellConfig(
+        processing_nodes=1, storage_nodes=3, replication_factor=1,
+        scale=TpccScale.tiny(2), seed=3,
+    ))
+    deployment.load()
+    catalog = deployment.catalog
+    records = {}
+    leaves = []
+    for node in deployment.cluster.nodes.values():
+        for store in node.partitions.values():
+            records.update(
+                (key, cell.value)
+                for key, cell in store.spaces.get(DATA_SPACE, {}).items())
+            leaves.extend(
+                (key[0], cell.value)
+                for key, cell in store.spaces.get(INDEX_SPACE, {}).items()
+                if isinstance(cell.value, BTreeNode) and cell.value.is_leaf)
+    indexes = {index.index_id: index for index in catalog.indexes.values()}
+    entries = 0
+    for index_id, leaf in leaves:
+        index = indexes[index_id]
+        schema = catalog.table(index.table_name)
+        for entry in leaf.entries:
+            assert entry.__class__ is tuple and len(entry) % 2 == 1
+            assert not any(part.__class__ is tuple for part in entry)
+            rid = entry[-1]
+            row = records[data_key(schema.table_id, rid)].payloads[0]
+            assert encode_key(schema.index_key_of(index, row)) + (rid,) == entry
+            entries += 1
+    assert entries == sum(
+        sum(1 for key in records if key[0] == catalog.table(index.table_name)
+            .table_id)
+        for index in catalog.indexes.values())
 
 
 class TestEffects:

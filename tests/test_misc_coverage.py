@@ -173,12 +173,12 @@ class TestCommitEdgeCases:
 
         tree = DistributedBTree(index_id=9, max_entries=8)
         runner.run(tree.create())
-        runner.run(tree.insert("taken", 99, unique=every_entry_live))
+        runner.run(tree.insert(("taken",), 99, unique=every_entry_live))
 
         txn = runner.run(pn.begin())
         key = data_key(3, 1)
         txn.insert(key, ("payload",))
-        txn.index_ops.append((tree, "taken", 1, every_entry_live))
+        txn.index_ops.append((tree, ("taken",), 1, every_entry_live))
         with pytest.raises(TransactionAborted):
             runner.run(txn.commit())
         record, _ = cluster.execute(effects.Get("data", key))

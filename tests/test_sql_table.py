@@ -32,7 +32,7 @@ class TestIndexMaintenance:
         snapshots still reach the old version through it (Section 5.4)."""
         db, session = env
         session.execute("UPDATE acc SET owner = 'zoe' WHERE id = 1")
-        owners = [entry[0] for entry in tree_entries(session, "acc_owner")]
+        owners = [entry[:-1] for entry in tree_entries(session, "acc_owner")]
         assert encode_key(("ann",)) in owners  # stale entry still there
         assert encode_key(("zoe",)) in owners
 
@@ -55,7 +55,7 @@ class TestIndexMaintenance:
         # Old versions age out as transactions complete (lav advances).
         for _ in range(3):
             session.query("SELECT id FROM acc WHERE owner = 'ann'")
-        owners = [entry[0] for entry in tree_entries(session, "acc_owner")]
+        owners = [entry[:-1] for entry in tree_entries(session, "acc_owner")]
         assert owners.count(encode_key(("ann",))) == 1  # only id 3 remains
 
     def test_deleted_row_entry_gc(self, env):
@@ -63,7 +63,7 @@ class TestIndexMaintenance:
         session.execute("DELETE FROM acc WHERE id = 2")
         for _ in range(3):
             session.query("SELECT id FROM acc WHERE owner = 'bob'")
-        owners = [entry[0] for entry in tree_entries(session, "acc_owner")]
+        owners = [entry[:-1] for entry in tree_entries(session, "acc_owner")]
         assert encode_key(("bob",)) not in owners
 
     def test_lookup_skips_invisible_matches_without_error(self, env):

@@ -13,8 +13,12 @@ from repro.core.processing_node import ProcessingNode
 from repro.core.record import TOMBSTONE
 from repro.core.spaces import DATA_SPACE, data_key
 from repro.core.transaction import TxnState
-from repro.core.txlog import LOG_SPACE
+from repro.core.txlog import LOG_SPACE, STATUS_ABORTED
 from repro.api.runner import DirectRunner, Router
+from repro.runtime.config import SimulationConfig
+from repro.runtime.fabric import CorePool, SimFabric, drive
+from repro.sim.kernel import Simulator
+from repro.store.cluster import StorageCluster
 from repro.errors import (
     InvalidState,
     KeyNotFound,
@@ -367,3 +371,61 @@ class TestInterleavedExecution:
             runner.run(pn.run_transaction(bump))
         # The old reader must still see its version.
         assert runner.run(old_reader.read(K1)) == ("v0",)
+
+
+
+class SimRunner:
+    """``DirectRunner``'s ``run`` over the simulated fabric: each script
+    is one simulated process on PN 0."""
+
+    def __init__(self, cluster, cm):
+        self.sim = Simulator()
+        self.fabric = SimFabric(self.sim, cluster, [cm], SimulationConfig(
+            storage_nodes=len(cluster.nodes), partitions_per_node=4))
+        self.pool = CorePool(4)
+
+    def run(self, script):
+        return self.sim.run_until_complete(self.sim.spawn(
+            drive(self.fabric, (), self.pool, 0, script, 0)))
+
+
+class TestStorageRefusesTheCommit:
+    """A store error during Try-Commit aborts the transaction: its tid
+    leaves the commit manager (else it pins the lav for good) and none
+    of its versions stays in a record."""
+
+    KEYS = [data_key(1, rid) for rid in range(1, 21)]
+
+    @pytest.mark.parametrize("full_node", [0, 1, 2])
+    @pytest.mark.parametrize("driver", ["direct", "sim"])
+    def test_no_capacity_aborts_and_rolls_back(self, driver, full_node):
+        # RF1 over 3 nodes: the full node refuses the log append when it
+        # holds the log entry, else the put batch at its first key.
+        cluster = StorageCluster(n_nodes=3, replication_factor=1,
+                                 partitions_per_node=4)
+        cm = CommitManager(0, cluster.execute, tid_range_size=32)
+        pn = ProcessingNode(0)
+        if driver == "direct":
+            runner = DirectRunner(Router(cluster, cm, pn_id=0))
+        else:
+            runner = SimRunner(cluster, cm)
+        seed(runner, pn, {key: ("v0",) for key in self.KEYS})
+        node = cluster.nodes[full_node]
+        node.capacity_bytes = node.bytes_used
+        txn = runner.run(pn.begin())
+
+        def update_all():
+            for key in self.KEYS:
+                yield from txn.update(key, ("v1" * 20,))
+            yield from txn.commit()
+
+        with pytest.raises(TransactionAborted):
+            runner.run(update_all())
+        assert txn.state is TxnState.ABORTED
+        assert cm.active_tids_of(0) == []
+        for stored in cluster.nodes.values():
+            for partition in stored.partitions.values():
+                for cell in partition.spaces.get(DATA_SPACE, {}).values():
+                    assert txn.tid not in cell.value.tids
+        entry, _version = cluster.execute(effects.Get(LOG_SPACE, txn.tid))
+        assert entry is None or entry.status == STATUS_ABORTED

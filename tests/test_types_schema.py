@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from repro import effects
 from repro.api.runner import DirectRunner, Router
 from repro.errors import ConflictError, SchemaError
-from repro.sql.keyenc import ABOVE_ALL_RANK, encode_key
+from repro.index.btree import MAX_RID
+from repro.sql.keyenc import encode_key
 from repro.sql.schema import Catalog, Column, TableSchema
 from repro.sql.types import ColumnType, coerce
 from repro.store.cluster import StorageCluster
@@ -233,25 +234,39 @@ _keys = st.lists(_component, min_size=0, max_size=4).map(tuple)
 
 @settings(max_examples=300, deadline=None)
 @given(a=_keys, b=_keys, extend=st.lists(_component, max_size=2).map(tuple),
-       bound_a=st.booleans(), bound_b=st.booleans())
-def test_flat_key_orders_like_nested_pairs(a, b, extend, bound_a, bound_b):
+       bound_a=st.booleans(), bound_b=st.booleans(),
+       rids=st.tuples(st.integers(0, 1 << 40), st.integers(0, 1 << 40)))
+def test_flat_key_orders_like_nested_pairs(a, b, extend, bound_a, bound_b, rids):
     """Random mixed-type keys, of equal arity, of different arity, and as
     prefixes of each other, with and without the inclusive range bound
-    (``ABOVE_ALL_RANK`` after the key), compare the same in both forms."""
+    (``MAX_RID`` after the key), compare the same in both forms; and a
+    B+tree entry, ``encode_key(key) + (rid,)``, sits on the same side of
+    every bound as its key does."""
     same_arity = b[:len(a)] + a[len(b):]
     pairs = [(a, b), (a, same_arity), (a, a + extend), (a + extend, a)]
     for left, right in pairs:
         flat_left, flat_right = encode_key(left), encode_key(right)
         nested_left, nested_right = _nested(left), _nested(right)
         if bound_a:
-            flat_left += (ABOVE_ALL_RANK,)
-            nested_left += ((ABOVE_ALL_RANK,),)
+            flat_left += (MAX_RID,)
+            nested_left += ((MAX_RID,),)
         if bound_b:
-            flat_right += (ABOVE_ALL_RANK,)
-            nested_right += ((ABOVE_ALL_RANK,),)
+            flat_right += (MAX_RID,)
+            nested_right += ((MAX_RID,),)
         assert _order(flat_left, flat_right) == _order(nested_left, nested_right)
         assert (flat_left == flat_right) == (nested_left == nested_right)
-        # As B+tree entries, (key, rid), with the inclusive-rid bound too.
-        for rid_left, rid_right in ((1, 2), (2, 1), (1, float("inf"))):
-            assert _order((flat_left, rid_left), (flat_right, rid_right)) == (
-                _order((nested_left, rid_left), (nested_right, rid_right)))
+    # Entries of one index (equal arity) order as (key, rid) pairs would.
+    rid_a, rid_b = rids
+    for rid_left, rid_right in ((rid_a, rid_b), (rid_b, rid_a), (rid_a, rid_a)):
+        assert _order(encode_key(a) + (rid_left,),
+                      encode_key(same_arity) + (rid_right,)) == _order(
+            (_nested(a), rid_left), (_nested(same_arity), rid_right))
+    # An entry against the bounds built from a key or key prefix.
+    key = a + extend
+    for prefix in (a, key, same_arity[:len(a)]):
+        entry = encode_key(key) + (rid_a,)
+        bound = encode_key(prefix)
+        truncated = _nested(key)[:len(prefix)]
+        assert (entry >= bound) == (_nested(key) >= _nested(prefix))
+        assert (entry < bound) == (_nested(key) < _nested(prefix))
+        assert (entry < bound + (MAX_RID,)) == (truncated <= _nested(prefix))

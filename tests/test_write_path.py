@@ -27,7 +27,7 @@ from repro.core.processing_node import ProcessingNode
 from repro.core.record import VersionedRecord
 from repro.core.spaces import DATA_SPACE
 from repro.core.txlog import STATUS_COMMITTED, LogEntry
-from repro.errors import NoCapacity, SchemaError
+from repro.errors import NoCapacity, SchemaError, TransactionAborted
 from repro.runtime.config import SimulationConfig
 from repro.runtime.deployment import Deployment
 from repro.runtime.fabric import CorePool, SimFabric, drive
@@ -224,7 +224,7 @@ class TestReplicaInstall:
 
     def test_transaction_refused_by_a_full_backup_commits_nothing(self):
         # Under the sim fabric, a commit whose record a full backup
-        # refuses fails, its value is read by no later transaction, and
+        # refuses aborts, its value is read by no later transaction, and
         # every node is charged alike for what the commit did write (its
         # log entry): the record write is undone on every replica.
         config = SimulationConfig(processing_nodes=1, storage_nodes=3,
@@ -261,7 +261,7 @@ class TestReplicaInstall:
         full.capacity_bytes = full.bytes_used + 2_000  # a log entry fits
         before = {node_id: node.bytes_used
                   for node_id, node in cluster.nodes.items()}
-        with pytest.raises(NoCapacity):
+        with pytest.raises(TransactionAborted):
             run(write(("x" * 5_000,)))
         (logged,) = {node.bytes_used - before[node_id]
                      for node_id, node in cluster.nodes.items()}
