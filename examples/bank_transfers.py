@@ -17,6 +17,7 @@ from repro import effects
 from repro.core.recovery import recover_processing_node
 from repro.core.spaces import data_key
 from repro.core.txlog import TransactionLog
+from repro.effects import run_direct
 from repro.errors import TransactionAborted
 
 N_ACCOUNTS = 10
@@ -62,13 +63,13 @@ def _run(db) -> None:
     committed = conflicts = 0
     for i in range(N_TRANSFERS):
         session = sessions[i % 2]
-        runner = db._runners[session.pn.pn_id]
+        dispatcher = db._dispatchers[session.pn.pn_id]
         source, target = rng.sample(range(N_ACCOUNTS), 2)
         amount = rng.randint(1, 200)
         logic = transfer_logic(keys[source], keys[target], amount)
         while True:
             try:
-                runner.run(session.pn.run_transaction(logic))
+                run_direct(session.pn.run_transaction(logic), dispatcher)
                 committed += 1
                 break
             except TransactionAborted:
@@ -78,9 +79,9 @@ def _run(db) -> None:
 
     # Invariant: money is conserved.
     check = db.session()
-    runner = db._runners[check.pn.pn_id]
+    dispatcher = db._dispatchers[check.pn.pn_id]
     with check.transaction() as txn:
-        balances = runner.run(txn.read_many(keys))
+        balances = run_direct(txn.read_many(keys), dispatcher)
         total = sum(balance[0] for balance in balances.values())
     print(f"total balance: {total} (expected {N_ACCOUNTS * INITIAL_BALANCE})")
     assert total == N_ACCOUNTS * INITIAL_BALANCE
@@ -88,30 +89,31 @@ def _run(db) -> None:
     # --- crash a PN mid-commit and recover --------------------------------------
     print("\ncrashing a processing node mid-commit ...")
     victim = db.session()
-    runner = db._runners[victim.pn.pn_id]
-    txn = runner.run(victim.pn.begin())
-    runner.run(txn.update(keys[0], (0,)))  # steal everything from account 0
+    dispatcher = db._dispatchers[victim.pn.pn_id]
+    txn = run_direct(victim.pn.begin(), dispatcher)
+    run_direct(txn.update(keys[0], (0,)), dispatcher)  # steal everything from account 0
     commit = txn.commit()
     # Drive the commit just past the data-apply step, then "crash".
     result = None
     while True:
         request = commit.send(result)
-        result = runner.router.execute(request)
+        result = dispatcher.execute(request)
         if isinstance(request, effects.Batch):
             break
     print(f"  transaction {txn.tid} applied its update, then the PN died")
 
-    rolled_back = db._runners[check.pn.pn_id].run(
+    rolled_back = run_direct(
         recover_processing_node(
             victim.pn.pn_id, db.commit_managers, TransactionLog()
-        )
+        ),
+        db._dispatchers[check.pn.pn_id],
     )
     print(f"  recovery rolled back tids: {rolled_back}")
 
     check2 = db.session()
-    runner2 = db._runners[check2.pn.pn_id]
+    dispatcher2 = db._dispatchers[check2.pn.pn_id]
     with check2.transaction() as txn:
-        balances = runner2.run(txn.read_many(keys))
+        balances = run_direct(txn.read_many(keys), dispatcher2)
         total = sum(balance[0] for balance in balances.values())
     print(f"  total balance after recovery: {total}")
     assert total == N_ACCOUNTS * INITIAL_BALANCE

@@ -9,8 +9,7 @@ read-intensive mix of Table 2 on the same cluster shape.
 Run with:  python examples/tpcc_simulation.py
 """
 
-from repro.bench.config import TellConfig
-from repro.bench.simcluster import SimulatedTell
+from repro.workloads.simulated import SimulatedTell, TellConfig
 from repro.workloads.tpcc.params import TpccScale
 
 

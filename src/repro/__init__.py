@@ -9,7 +9,7 @@ Entry points:
   (``with repro.connect(storage_nodes=3) as db: ...``);
 * :class:`repro.api.Database` -- the embedded database (SQL sessions,
   transactions, elasticity, recovery);
-* :class:`repro.bench.simcluster.SimulatedTell` -- a full simulated
+* :class:`repro.workloads.simulated.SimulatedTell` -- a full simulated
   deployment running TPC-C under network/CPU timing;
 * ``python -m repro.bench`` -- regenerate the paper's tables and figures;
 * ``python -m repro.obs`` -- render and validate metrics snapshots.

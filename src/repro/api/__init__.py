@@ -2,18 +2,17 @@
 
 :class:`repro.api.database.Database` assembles a storage cluster, commit
 manager, and processing node(s) in one process and drives all protocol
-coroutines with the direct runner (zero simulated latency).  It is the
-entry point for the examples and for applications that want Tell's
-semantics without the simulation harness.
+coroutines with :func:`repro.effects.run_direct` (zero simulated
+latency).  It is the entry point for the examples and for applications
+that want Tell's semantics without the simulation harness.
 """
 
 from repro.api.config import DatabaseConfig
-from repro.api.runner import DirectRunner, Router
 
 
 def __getattr__(name):
     # Imported lazily: Database pulls in the SQL layer, which not every
-    # user of the runner needs.
+    # user of the config needs.
     if name == "Database":
         from repro.api.database import Database
 
@@ -29,5 +28,4 @@ def __getattr__(name):
     raise AttributeError(name)
 
 
-__all__ = ["ClusterAdmin", "Database", "DatabaseConfig", "DirectRunner",
-           "Router", "connect"]
+__all__ = ["ClusterAdmin", "Database", "DatabaseConfig", "connect"]

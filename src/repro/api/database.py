@@ -20,9 +20,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.api.config import DatabaseConfig
-from repro.api.runner import DirectRunner, Router
 from repro.core.commit_manager import CommitManager
 from repro.core.processing_node import ProcessingNode
+from repro.dispatch import Dispatcher
 from repro.errors import InvalidState
 from repro.runtime.deployment import Deployment
 from repro.sql.session import Session
@@ -48,7 +48,7 @@ class Database(Deployment):
         super().__init__(config)
         self._next_pn_id = 0
         self.processing_nodes: Dict[int, ProcessingNode] = {}
-        self._runners: Dict[int, DirectRunner] = {}
+        self._dispatchers: Dict[int, Dispatcher] = {}
         self._closed = False
 
     # -- lifecycle ----------------------------------------------------------------------
@@ -63,7 +63,7 @@ class Database(Deployment):
             return
         self._closed = True
         self.processing_nodes.clear()
-        self._runners.clear()
+        self._dispatchers.clear()
 
     @property
     def closed(self) -> bool:
@@ -99,26 +99,25 @@ class Database(Deployment):
         pn_id = self._next_pn_id
         self._next_pn_id += 1
         pn = self.make_pn(pn_id)
-        router = Router(
+        self.processing_nodes[pn_id] = pn
+        self._dispatchers[pn_id] = Dispatcher(
             self.cluster, self.commit_managers[self.cm_index_of(pn_id)], pn_id
         )
-        self.processing_nodes[pn_id] = pn
-        self._runners[pn_id] = DirectRunner(router)
         return pn
 
     def remove_processing_node(self, pn_id: int) -> None:
         """Detach a PN cleanly (its soft state simply disappears)."""
         self.processing_nodes.pop(pn_id, None)
-        self._runners.pop(pn_id, None)
+        self._dispatchers.pop(pn_id, None)
 
     def crash_commit_manager(self, cm_id: int) -> CommitManager:
         """:meth:`Deployment.crash_commit_manager`; processing nodes wired
         to the failed manager switch to the replacement."""
         failed = self.commit_managers[cm_id]
         replacement = super().crash_commit_manager(cm_id)
-        for runner in self._runners.values():
-            if runner.router.commit_manager is failed:
-                runner.router.commit_manager = replacement
+        for dispatcher in self._dispatchers.values():
+            if dispatcher.commit_manager is failed:
+                dispatcher.commit_manager = replacement
         return replacement
 
     def crash_processing_node(self, pn_id: int) -> List[int]:
@@ -142,7 +141,7 @@ class Database(Deployment):
         indexes = IndexManager()
         if self.obs is not None:
             self.obs.adopt(pn, indexes)
-        return Session(pn, self._runners[pn_id], indexes)
+        return Session(pn, self._dispatchers[pn_id], indexes)
 
     # -- maintenance ----------------------------------------------------------------------
 

@@ -1,44 +1,16 @@
-"""Direct (synchronous) execution of protocol coroutines.
+# Import path pinned by the frozen ledger; ledger v2 (ROADMAP 1(c)) deletes it.
+from repro.dispatch import Dispatcher
+from repro.effects import run_direct
 
-The :class:`Router` resolves every effect immediately against in-process
-components; :class:`DirectRunner` drives a coroutine to completion with
-it.  This gives the embedded API and the unit tests the exact same code
-paths the simulation exercises, minus the timing.
-
-Routing itself lives in :mod:`repro.dispatch`: ``Router`` is the direct
-:class:`~repro.dispatch.direct.Dispatcher` bound to this API's component
-types, optionally wrapped in an interceptor chain (tracing, fault
-injection, retry policy -- see ``docs/dispatch.md``).
-"""
-
-from __future__ import annotations
-
-from typing import Any, Optional, Sequence
-
-from repro import effects
-from repro.core.commit_manager import CommitManager
-from repro.dispatch import Dispatcher, Interceptor
-from repro.store.cluster import StorageCluster
-
-
-class Router(Dispatcher):
-    """Binds one processing node's effects to its targets."""
-
-    def __init__(
-        self,
-        cluster: StorageCluster,
-        commit_manager: Optional[CommitManager] = None,
-        pn_id: int = -1,
-        interceptors: Sequence[Interceptor] = (),
-    ):
-        super().__init__(cluster, commit_manager, pn_id, interceptors)
+Router = Dispatcher
 
 
 class DirectRunner:
-    """Runs protocol coroutines synchronously through a router."""
-
-    def __init__(self, router: Router):
+    def __init__(self, router):
         self.router = router
 
-    def run(self, generator) -> Any:
-        return effects.run_direct(generator, self.router)
+    def run(self, generator):
+        return run_direct(generator, self.router)
+
+
+__all__ = ["DirectRunner", "Router"]

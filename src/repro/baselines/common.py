@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Generator, Set
 
-from repro.bench.metrics import TxnMetrics
+from repro.runtime.metrics import TxnMetrics
 from repro.sim.kernel import Simulator
 from repro.workloads.tpcc.mixes import MIXES, TpccMix
 from repro.workloads.tpcc.params import (

@@ -1,12 +1,9 @@
-"""Benchmark harness: simulated deployments, metrics, experiment configs.
+"""The paper-figure registry (Section 6).
 
-This package regenerates the paper's evaluation (Section 6): every figure
-and table is one entry of :data:`repro.bench.experiments.EXPERIMENTS`
-(sweep, printed columns, shape check), run by ``python -m repro.bench``
-and by ``benchmarks/test_shapes.py``.
+Every figure and table is one entry of
+:data:`repro.bench.experiments.EXPERIMENTS` (sweep, printed columns,
+shape check), run by ``python -m repro.bench`` and by
+``benchmarks/test_shapes.py``.  The workloads it drives live in
+:mod:`repro.workloads.simulated`, their metrics in
+:mod:`repro.runtime.metrics`.
 """
-
-from repro.bench.config import TellConfig
-from repro.bench.metrics import LatencyStats, TxnMetrics
-
-__all__ = ["LatencyStats", "TellConfig", "TxnMetrics"]

@@ -18,7 +18,7 @@ import sys
 import time
 
 from repro.bench.experiments import EXPERIMENTS, PROFILES, bench_profile
-from repro.bench.tables import print_table
+from repro.obs.exporters import print_table
 
 
 def _write_snapshots(directory, experiment, snapshots) -> int:

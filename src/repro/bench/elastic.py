@@ -26,8 +26,8 @@ import json
 import time
 from typing import TYPE_CHECKING, Any, Dict, List
 
-from repro.bench.config import TellConfig
-from repro.bench.metrics import TxnMetrics
+from repro.runtime.metrics import TxnMetrics
+from repro.workloads.simulated import SimulatedTell, TellConfig
 from repro.workloads.tpcc.params import TpccScale
 
 if TYPE_CHECKING:
@@ -119,7 +119,6 @@ def _run_digest(phase_metrics: Dict[str, TxnMetrics],
 
 def run_elastic_point(point: Dict[str, Any]) -> Dict[str, Any]:
     """Run one diurnal double/halve cycle and report the three phases."""
-    from repro.bench.simcluster import SimulatedTell
     from repro.dispatch import WrongOwnerRedirect
     from repro.elastic.coordinator import ElasticCoordinator
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 from repro.baselines import (
     BaselineConfig,
@@ -27,14 +26,11 @@ from repro.baselines import (
     MySqlClusterLike,
     VoltDBLike,
 )
-from repro.bench.config import TellConfig
 from repro.bench.elastic import PHASES, check_elastic, cycle, run_elastic
 from repro.bench.isolation import check_isolation, run_isolation
-from repro.bench.metrics import TxnMetrics
 from repro.bench.scale import check_scale, run_scale
-from repro.bench.simcluster import SimulatedTell, run_tell_experiment
-from repro.bench.tables import TABLE1_HEADERS, TABLE1_ROWS
-from repro.bench.ycsb_sim import SimulatedYcsb
+from repro.runtime.metrics import TxnMetrics
+from repro.workloads.simulated import SimulatedTell, SimulatedYcsb, TellConfig
 from repro.workloads.tpcc.params import TpccScale
 
 Row = Dict[str, Any]
@@ -221,24 +217,27 @@ def _tell(profile: BenchProfile, **point: Any) -> Row:
     )
 
 
-def run_phase_breakdown(profile: Optional[BenchProfile] = None,
-                        **overrides: Any) -> dict:
-    """One TPC-C run with observability forced on; returns the
-    ``repro-obs/2`` snapshot whose ``repro_txn_us`` /
-    ``repro_txn_phase_us`` histograms :func:`repro.obs.phase_table_rows`
-    renders into the per-phase table of ``repro-obs smoke`` (snapshot /
-    read / write / commit per transaction type).  Deterministic for a
-    fixed seed."""
-    config = tell_config(profile or bench_profile(), observability=True,
-                         **overrides)
-    snapshot = run_tell_experiment(config).obs_snapshot
-    assert snapshot is not None  # observability=True guarantees one
-    return snapshot
-
-
 # ---------------------------------------------------------------------------
 # Tables 1 and 2: static content, checked against the code
 # ---------------------------------------------------------------------------
+
+
+#: Table 1 of the paper: design-principle comparison (static content).
+TABLE1_HEADERS = [
+    "System", "Shared Data", "Decoupling", "In-Memory",
+    "ACID Txns", "Complex Queries",
+]
+TABLE1_ROWS = [
+    ("Tell (this reproduction)", "yes", "yes", "yes", "yes", "yes"),
+    ("Oracle RAC", "yes", "no", "no", "yes", "yes"),
+    ("FoundationDB", "yes", "yes", "yes", "yes", "yes"),
+    ("Google F1", "yes", "yes", "no", "yes", "yes"),
+    ("OMID", "yes", "yes", "no", "yes", "no"),
+    ("Hyder", "yes", "yes", "no", "yes", "(partial)"),
+    ("VoltDB", "no", "no", "yes", "yes", "yes"),
+    ("Azure SQL Database", "no", "no", "no", "yes", "yes"),
+    ("Google BigTable", "no", "yes", "no", "no", "no"),
+]
 
 
 def run_table1(profile: BenchProfile) -> List[Row]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Any, Dict, List
 
-from repro.bench.config import TellConfig
+from repro.workloads.simulated import SimulatedTell, TellConfig
 from repro.workloads.tpcc.params import TpccScale
 
 if TYPE_CHECKING:
@@ -79,8 +79,6 @@ def scale_points() -> List[Dict[str, Any]]:
 
 def run_scale_point(label: str, config: TellConfig) -> Dict[str, Any]:
     """Load + run one deployment; report host and simulated throughput."""
-    from repro.bench.simcluster import SimulatedTell
-
     deployment = SimulatedTell(config)
     deployment.load()
     started = time.perf_counter()

@@ -2,9 +2,8 @@
 
 Every Tell protocol coroutine communicates with its driver by yielding
 :class:`repro.effects.Request` objects.  Historically each driver grew its
-own ``isinstance`` ladder to interpret them (the direct Router, the
-simulation fabric, the setup-time loader router); this module replaces all
-of them with one shared classification step plus one composition rule for
+own ``isinstance`` ladder to interpret them; this module replaces all of
+them with one shared classification step plus one composition rule for
 cross-cutting concerns:
 
 * :func:`kind_of` maps a request to a small integer *kind* (single-key
@@ -155,7 +154,7 @@ def drive_sync(generator: Generator[Any, Any, Any]) -> Any:
     Yielded Delays/Events model simulated time, which direct mode does
     not track, so every yield resolves immediately to ``None`` -- e.g.
     retry backoffs and injected latency become no-ops, exactly like
-    ``Compute``/``Sleep`` under the direct Router.
+    ``Compute``/``Sleep`` under the direct :class:`Dispatcher`.
     """
     try:
         while True:

@@ -2,10 +2,9 @@
 
 :class:`Dispatcher` resolves every request immediately against its bound
 targets -- storage cluster, commit manager, and the (unmodelled) clock --
-through the shared classification in :mod:`repro.dispatch.core`.  It
-subsumes what used to be three separate isinstance ladders:
-``repro.api.runner.Router``, the setup-time ``_ClusterOnlyRouter`` in the
-simulation driver, and the ad-hoc loaders in tests.
+through the shared classification in :mod:`repro.dispatch.core`; the
+embedded database, the bulk loader and the tests drive coroutines with it
+through :func:`repro.effects.run_direct`.
 
 With no interceptors the pipeline is exactly one kind lookup plus the
 handler call, preserving the direct path's cost.  With interceptors the

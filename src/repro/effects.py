@@ -4,9 +4,9 @@ All Tell protocol code (transactions, B+tree, commit manager clients, SQL
 executor) is written as generator coroutines that ``yield`` request objects
 and receive the corresponding results via ``send``.  Two drivers exist:
 
-* :class:`repro.api.runner.DirectRunner` resolves every request immediately
-  against in-process components -- this powers the embedded database API
-  and fast unit tests.
+* :func:`run_direct` resolves every request immediately through a
+  :class:`repro.dispatch.Dispatcher` bound to in-process components --
+  this powers the embedded database API and fast unit tests.
 * The simulation driver in :mod:`repro.runtime.fabric` charges network and
   service latency for every request, letting many workers interleave, which
   reproduces the distributed behaviour measured in the paper.

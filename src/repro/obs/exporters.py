@@ -1,4 +1,5 @@
-"""Snapshot exporters: JSON schema ``repro-obs/2`` and Prometheus text.
+"""Snapshot exporters: JSON schema ``repro-obs/2``, Prometheus text, and
+the aligned text tables ``repro-obs`` and ``python -m repro.bench`` print.
 
 The JSON snapshot is the canonical artifact -- the bench harness writes
 one next to every figure/table result, the CLI renders it, and CI
@@ -10,7 +11,7 @@ same-seed runs serialize byte-identically.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 OBS_SCHEMA = "repro-obs/2"
 
@@ -144,3 +145,44 @@ def phase_table_rows(snapshot: dict) -> List[list]:
                        else f"{total_us / count / 1000.0:.3f}")
         rows.append(row)
     return rows
+
+
+def format_table(
+    headers: Sequence[str],
+    rows: Sequence[Sequence[Any]],
+    title: Optional[str] = None,
+) -> str:
+    """Render an aligned ASCII table."""
+    cells = [[_format(value) for value in row] for row in rows]
+    widths = [
+        max(len(header), *(len(row[i]) for row in cells)) if cells else len(header)
+        for i, header in enumerate(headers)
+    ]
+    lines: List[str] = []
+    if title:
+        lines.append(title)
+    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
+    lines.append("  ".join("-" * w for w in widths))
+    for row in cells:
+        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
+def _format(value: Any) -> str:
+    if isinstance(value, float):
+        if abs(value) >= 1000:
+            return f"{value:,.0f}"
+        return f"{value:,.2f}"
+    if isinstance(value, int):
+        return f"{value:,}"
+    return str(value)
+
+
+def print_table(
+    headers: Sequence[str],
+    rows: Sequence[Sequence[Any]],
+    title: Optional[str] = None,
+) -> None:
+    print()
+    print(format_table(headers, rows, title))
+    print()

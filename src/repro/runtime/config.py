@@ -2,10 +2,10 @@
 
 :class:`DeploymentConfig` is their single declaration and validation
 point.  :class:`repro.api.DatabaseConfig` *is* this shape;
-:class:`SimulationConfig` adds what the simulated fabric and run loop
-read, and :class:`repro.bench.config.TellConfig` the workload on top --
-so a bad value fails identically, at construction, behind every front
-door.
+:class:`SimulationConfig` adds what the simulated fabric and closed loop
+read, and :class:`repro.workloads.simulated.TellConfig` the workload on
+top -- so a bad value fails identically, at construction, behind every
+front door.
 """
 
 from __future__ import annotations
@@ -89,3 +89,15 @@ class SimulationConfig(DeploymentConfig):
     duration_us: float = 1_000_000.0   # one simulated second
     warmup_us: float = 100_000.0
     seed: int = 1
+    txn_overhead_us: float = 30.0    # parse/plan/commit bookkeeping per txn
+
+    @property
+    def total_cores(self) -> int:
+        """Total CPU cores of the deployment, the x-axis of Figures 8/9
+        (PNs + SNs + commit managers at 2 cores + 1 management node)."""
+        return (
+            self.processing_nodes * self.pn_cores
+            + self.storage_nodes * self.sn_cores
+            + self.commit_managers * 2
+            + 2
+        )

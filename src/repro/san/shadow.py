@@ -122,7 +122,7 @@ class ShadowHistory:
         #: dispatch-context identity -> the transaction it is driving.
         #: Each driver creates one DispatchContext per concurrently
         #: running transaction script (the sim fabric per script, the
-        #: direct runner per Router), which is what makes per-context
+        #: direct driver per Dispatcher), which is what makes per-context
         #: attribution sound.
         self.by_ctx: Dict[int, TxnView] = {}
         #: key -> committed writers [(tid, base, bits)], recent window.

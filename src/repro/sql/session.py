@@ -18,6 +18,7 @@ from repro import effects
 from repro.core.processing_node import ProcessingNode
 from repro.core.spaces import DATA_SPACE
 from repro.core.transaction import Transaction
+from repro.dispatch import Dispatcher
 from repro.errors import InvalidState, SqlPlanError, TellError
 from repro.sql import ast_nodes as ast
 from repro.sql.executor import ResultSet, StatementExecutor
@@ -32,14 +33,18 @@ from repro.sql.types import ColumnType
 class Session:
     """One client connection to a processing node."""
 
-    def __init__(self, pn: ProcessingNode, runner, index_manager=None):  # noqa: ANN001
+    def __init__(self, pn: ProcessingNode, dispatcher: Dispatcher,
+                 index_manager: Optional[IndexManager] = None):
         self.pn = pn
-        self.runner = runner
+        self.dispatcher = dispatcher
         self.indexes = index_manager if index_manager is not None else IndexManager()
         self._catalog: Optional[Catalog] = None
         self._catalog_version = 0
         self._txn: Optional[Transaction] = None
         self._closed = False
+
+    def _run(self, generator: Generator) -> Any:
+        return effects.run_direct(generator, self.dispatcher)
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -78,7 +83,7 @@ class Session:
         starts with this (one read of the catalog cell), so no statement
         plans or maintains indexes against a schema another session has
         since changed."""
-        self._catalog, self._catalog_version = self.runner.run(
+        self._catalog, self._catalog_version = self._run(
             Catalog.load(self._catalog, self._catalog_version)
         )
 
@@ -94,20 +99,20 @@ class Session:
         if self._txn is not None:
             raise InvalidState("a transaction is already open on this session")
         self.refresh_catalog()
-        self._txn = self.runner.run(self.pn.begin())
+        self._txn = self._run(self.pn.begin())
         return self._txn
 
     def commit(self) -> None:
         if self._txn is None:
             raise InvalidState("no open transaction")
         txn, self._txn = self._txn, None
-        self.runner.run(txn.commit())
+        self._run(txn.commit())
 
     def rollback(self) -> None:
         if self._txn is None:
             raise InvalidState("no open transaction")
         txn, self._txn = self._txn, None
-        self.runner.run(txn.abort())
+        self._run(txn.abort())
 
     @contextlib.contextmanager
     def transaction(self) -> Iterator[Transaction]:
@@ -195,12 +200,12 @@ class Session:
     ) -> ResultSet:
         with self._autocommit() as txn:
             executor = StatementExecutor(self._tables(txn), params)
-            return self.runner.run(executor.execute(statement))
+            return self._run(executor.execute(statement))
 
     def _execute_ddl(self, statement: ast.Statement) -> ResultSet:
         # A private copy: a statement that fails half-way must not leave
         # its definitions in the session's cached catalog.
-        catalog, version = self.runner.run(Catalog.load())
+        catalog, version = self._run(Catalog.load())
         if isinstance(statement, ast.CreateTable):
             columns = [
                 Column(
@@ -222,22 +227,22 @@ class Session:
                 for clause in statement.columns
                 if clause.unique and [clause.name] != list(schema.primary_key)
             ]
-            self.runner.run(catalog.save_if_version(version))
-            self.runner.run(self.indexes.create_storage(schema.primary_index))
+            self._run(catalog.save_if_version(version))
+            self._run(self.indexes.create_storage(schema.primary_index))
             for index in unique_indexes:
-                self.runner.run(self.indexes.create_storage(index))
+                self._run(self.indexes.create_storage(index))
         elif isinstance(statement, ast.CreateIndex):
             index = catalog.define_index(
                 statement.name, statement.table, statement.columns,
                 unique=statement.unique,
             )
-            self.runner.run(catalog.save_if_version(version))
-            self.runner.run(self.indexes.create_storage(index))
+            self._run(catalog.save_if_version(version))
+            self._run(self.indexes.create_storage(index))
             self._backfill_index(catalog.table(statement.table), index)
         elif isinstance(statement, ast.DropTable):
             schema = catalog.drop_table(statement.name)
-            self.runner.run(catalog.save_if_version(version))
-            self.runner.run(_purge_table_data(schema))
+            self._run(catalog.save_if_version(version))
+            self._run(_purge_table_data(schema))
         else:
             raise SqlPlanError(f"unsupported DDL {statement!r}")
         self.refresh_catalog()
@@ -250,12 +255,12 @@ class Session:
         # lowest-active-version down and block GC forever.
         with self.transaction() as txn:
             table = Table(schema, txn, self.indexes)
-            rows = self.runner.run(table.scan())
+            rows = self._run(table.scan())
             tree = self.indexes.tree(index)
             unique = table.unique_check(index)
             for rid, row in rows:
                 key = encode_key(schema.index_key_of(index, row))
-                self.runner.run(tree.insert(key, rid, unique=unique))
+                self._run(tree.insert(key, rid, unique=unique))
 
 
 def _purge_table_data(schema: TableSchema) -> Generator:

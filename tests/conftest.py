@@ -8,9 +8,9 @@ import time
 
 import pytest
 
-from repro.api.runner import DirectRunner, Router
 from repro.core.commit_manager import CommitManager
 from repro.core.processing_node import ProcessingNode
+from repro.dispatch import Dispatcher
 from repro.store.cluster import StorageCluster
 
 
@@ -67,10 +67,10 @@ def replicated_cluster():
 
 
 @pytest.fixture
-def runner(cluster):
-    """Direct runner with a commit manager attached."""
+def dispatcher(cluster):
+    """A direct dispatcher with a commit manager attached."""
     commit_manager = CommitManager(0, cluster.execute, tid_range_size=64)
-    return DirectRunner(Router(cluster, commit_manager, pn_id=0))
+    return Dispatcher(cluster, commit_manager, pn_id=0)
 
 
 @pytest.fixture
@@ -87,14 +87,14 @@ def db():
         yield database
 
 
-def interleave(router, generators):
+def interleave(dispatcher, generators):
     """Drive several protocol coroutines round-robin, one request each.
 
     This produces adversarial interleavings at every request boundary --
     the direct-mode analogue of concurrent PNs racing on shared state.
     Returns the list of results (StopIteration values) in input order.
 
-    With interceptors configured, each coroutine gets its own router
+    With interceptors configured, each coroutine gets its own dispatcher
     clone (sharing the same interceptor instances): stateful middleware
     such as the ``repro.san`` sanitizers attribute requests to logical
     workers by dispatch context, and a shared context would fold every
@@ -102,12 +102,12 @@ def interleave(router, generators):
     """
     from repro.errors import TellError
 
-    routers = [router] * len(generators)
-    if router.interceptors:
-        routers = [
-            type(router)(router.cluster, router.commit_manager,
-                         pn_id=router.pn_id,
-                         interceptors=router.interceptors)
+    dispatchers = [dispatcher] * len(generators)
+    if dispatcher.interceptors:
+        dispatchers = [
+            type(dispatcher)(dispatcher.cluster, dispatcher.commit_manager,
+                             pn_id=dispatcher.pn_id,
+                             interceptors=dispatcher.interceptors)
             for _ in generators
         ]
     states = [(i, gen, None, None) for i, gen in enumerate(generators)]
@@ -129,7 +129,7 @@ def interleave(router, generators):
                 errors[index] = error
                 continue
             try:
-                outcome = routers[index].execute(request)
+                outcome = dispatchers[index].execute(request)
                 next_round.append((index, gen, outcome, None))
             except TellError as error:
                 next_round.append((index, gen, None, error))

@@ -24,8 +24,8 @@ class TestDatabaseAssembly:
         db = Database(commit_managers=2)
         a = db.session()
         b = db.session()
-        cm_a = db._runners[a.pn.pn_id].router.commit_manager
-        cm_b = db._runners[b.pn.pn_id].router.commit_manager
+        cm_a = db._dispatchers[a.pn.pn_id].commit_manager
+        cm_b = db._dispatchers[b.pn.pn_id].commit_manager
         assert cm_a is not cm_b
 
     def test_buffering_strategy_selection(self):

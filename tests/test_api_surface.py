@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -268,19 +269,13 @@ class TestImportDirection:
     CORE_MAY_IMPORT = ("repro.effects", "repro.errors", "repro.store.cell",
                        "repro.core")
 
-    #: ``repro-obs smoke`` runs a bench experiment and ``render`` prints
-    #: with the bench's table helper; ``TxnMetrics`` is pinned at
-    #: ``repro.bench.metrics`` by the frozen ledger (docs/simulation.md).
-    MAY_IMPORT_BENCH = {"repro/obs/cli.py", "repro/baselines/common.py"}
-
     def test_dependency_arrows_point_away_from_the_benchmark(self):
         package = pathlib.Path(repro.__file__).parent
         offenders = {}
         for path in sorted(package.rglob("*.py")):
             rel = path.relative_to(package.parent).as_posix()
             tree = ast.parse(path.read_text(encoding="utf-8"))
-            if not (rel.startswith("repro/bench/")
-                    or rel in self.MAY_IMPORT_BENCH):
+            if not rel.startswith("repro/bench/"):
                 bad = _within(_imports(tree), "repro.bench")
                 if bad:
                     offenders[rel] = bad
@@ -305,3 +300,52 @@ class TestImportDirection:
                 if bad:
                     offenders[rel] = bad
         assert offenders == {}
+
+
+#: Import paths the frozen ledger (``benchmarks/ledger``) still reads;
+#: each module only re-exports names that live elsewhere.
+LEDGER_STUBS = {
+    "repro.bench.simcluster": "repro/bench/simcluster.py",
+    "repro.bench.config": "repro/bench/config.py",
+    "repro.bench.metrics": "repro/bench/metrics.py",
+    "repro.bench.ycsb_sim": "repro/bench/ycsb_sim.py",
+    "repro.api.runner": "repro/api/runner.py",
+}
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+class TestLedgerStubs:
+    def test_only_the_ledger_imports_a_stub(self):
+        offenders = {}
+        for top in ("src", "tests", "examples"):
+            for path in sorted((ROOT / top).rglob("*.py")):
+                names = _imports(ast.parse(path.read_text(encoding="utf-8")))
+                bad = sorted(names & set(LEDGER_STUBS))
+                if bad:
+                    offenders[path.relative_to(ROOT).as_posix()] = bad
+        assert offenders == {}
+
+    @pytest.mark.parametrize("module", sorted(LEDGER_STUBS))
+    def test_stub_exports_exactly_the_documented_names(self, module):
+        """``__all__`` equals the names docs/simulation.md "What the
+        frozen ledger pins" spells out for this path, and each is bound."""
+        text = (ROOT / "docs" / "simulation.md").read_text(encoding="utf-8")
+        section = text[text.index("### What the frozen ledger pins"):]
+        section = section[:section.index("\n#", 1)]
+        documented = set(re.findall(rf"`{re.escape(module)}\.(\w+)`", section))
+        tree = ast.parse(
+            (ROOT / "src" / LEDGER_STUBS[module]).read_text(encoding="utf-8"))
+        exported, bound = None, set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = {target.id for target in node.targets}
+                if targets == {"__all__"}:
+                    exported = set(ast.literal_eval(node.value))
+                bound |= targets
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.ClassDef):
+                bound.add(node.name)
+        assert documented and exported == documented
+        assert exported <= bound
+

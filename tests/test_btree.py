@@ -7,8 +7,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import effects
-from repro.api.runner import DirectRunner, Router
 from repro.core.spaces import INDEX_SPACE, META_SPACE
+from repro.dispatch import Dispatcher
+from repro.effects import run_direct
 from repro.errors import DuplicateKey, InvalidState
 from repro.core.commit_manager import CommitManager
 from repro.core.processing_node import ProcessingNode
@@ -26,42 +27,41 @@ from tests.conftest import every_entry_live, interleave
 @pytest.fixture
 def env():
     cluster = StorageCluster(n_nodes=3)
-    router = Router(cluster)
-    runner = DirectRunner(router)
+    dispatcher = Dispatcher(cluster)
     tree = DistributedBTree(index_id=1, max_entries=6)
-    runner.run(tree.create())
-    return cluster, router, runner, tree
+    run_direct(tree.create(), dispatcher)
+    return cluster, dispatcher, tree
 
 
 def fresh_handle(env):
     """A second tree handle: simulates another PN (separate cache)."""
-    tree = env[3]
+    tree = env[2]
     return DistributedBTree(index_id=tree.index_id, max_entries=tree.max_entries)
 
 
 class TestBasicOperations:
     def test_insert_lookup(self, env):
-        _c, _r, runner, tree = env
-        runner.run(tree.insert((10,), 100))
-        assert runner.run(tree.lookup((10,))) == [100]
-        assert runner.run(tree.lookup((11,))) == []
+        _c, dispatcher, tree = env
+        run_direct(tree.insert((10,), 100), dispatcher)
+        assert run_direct(tree.lookup((10,)), dispatcher) == [100]
+        assert run_direct(tree.lookup((11,)), dispatcher) == []
 
     def test_duplicate_entry_returns_false(self, env):
-        _c, _r, runner, tree = env
-        assert runner.run(tree.insert((10,), 100)) is True
-        assert runner.run(tree.insert((10,), 100)) is False
+        _c, dispatcher, tree = env
+        assert run_direct(tree.insert((10,), 100), dispatcher) is True
+        assert run_direct(tree.insert((10,), 100), dispatcher) is False
 
     def test_non_unique_keys_accumulate(self, env):
-        _c, _r, runner, tree = env
+        _c, dispatcher, tree = env
         for rid in (3, 1, 2):
-            runner.run(tree.insert(("key",), rid))
-        assert runner.run(tree.lookup(("key",))) == [1, 2, 3]
+            run_direct(tree.insert(("key",), rid), dispatcher)
+        assert run_direct(tree.lookup(("key",)), dispatcher) == [1, 2, 3]
 
     def test_unique_insert_rejects_same_key(self, env):
-        _c, _r, runner, tree = env
-        runner.run(tree.insert((5,), 1, unique=every_entry_live))
+        _c, dispatcher, tree = env
+        run_direct(tree.insert((5,), 1, unique=every_entry_live), dispatcher)
         with pytest.raises(DuplicateKey):
-            runner.run(tree.insert((5,), 2, unique=every_entry_live))
+            run_direct(tree.insert((5,), 2, unique=every_entry_live), dispatcher)
 
     @pytest.mark.parametrize("key, rid, raises", [
         ("m", 3, True),    # the same-key entries sort right after (m, 3)
@@ -75,146 +75,146 @@ class TestBasicOperations:
         """One leaf holds same-key entries on one side of the insertion
         point, on both, or none; ``DuplicateKey`` is raised exactly when
         a whole-leaf scan for the key finds one."""
-        _c, _r, runner, tree = env
+        _c, dispatcher, tree = env
         for other, other_rid in (("a", 1), ("m", 5), ("m", 9), ("z", 1)):
-            runner.run(tree.insert((other,), other_rid))
-        leaf = runner.run(tree.all_entries())
+            run_direct(tree.insert((other,), other_rid), dispatcher)
+        leaf = run_direct(tree.all_entries(), dispatcher)
         assert raises == any(entry[0] == key for entry in leaf)
         if raises:
             with pytest.raises(DuplicateKey):
-                runner.run(tree.insert((key,), rid, unique=every_entry_live))
-            assert runner.run(tree.all_entries()) == leaf
+                run_direct(tree.insert((key,), rid, unique=every_entry_live), dispatcher)
+            assert run_direct(tree.all_entries(), dispatcher) == leaf
         else:
-            assert runner.run(tree.insert((key,), rid, unique=every_entry_live)) is True
+            assert run_direct(tree.insert((key,), rid, unique=every_entry_live), dispatcher) is True
 
     def test_delete(self, env):
-        _c, _r, runner, tree = env
-        runner.run(tree.insert((1,), 10))
-        assert runner.run(tree.delete((1,), 10)) is True
-        assert runner.run(tree.delete((1,), 10)) is False
-        assert runner.run(tree.lookup((1,))) == []
+        _c, dispatcher, tree = env
+        run_direct(tree.insert((1,), 10), dispatcher)
+        assert run_direct(tree.delete((1,), 10), dispatcher) is True
+        assert run_direct(tree.delete((1,), 10), dispatcher) is False
+        assert run_direct(tree.lookup((1,)), dispatcher) == []
 
     def test_splits_preserve_order(self, env):
-        _c, _r, runner, tree = env
+        _c, dispatcher, tree = env
         keys = list(range(200))
         random.Random(1).shuffle(keys)
         for key in keys:
-            runner.run(tree.insert((key,), key * 2))
-        entries = runner.run(tree.all_entries())
+            run_direct(tree.insert((key,), key * 2), dispatcher)
+        entries = run_direct(tree.all_entries(), dispatcher)
         assert entries == [(key, key * 2) for key in range(200)]
 
     def test_range_entries(self, env):
-        _c, _r, runner, tree = env
+        _c, dispatcher, tree = env
         for key in range(100):
-            runner.run(tree.insert((key,), key))
-        got = runner.run(tree.range_entries((20,), (30,)))
+            run_direct(tree.insert((key,), key), dispatcher)
+        got = run_direct(tree.range_entries((20,), (30,)), dispatcher)
         assert got == [(key, key) for key in range(20, 30)]
 
     def test_range_with_limit(self, env):
-        _c, _r, runner, tree = env
+        _c, dispatcher, tree = env
         for key in range(50):
-            runner.run(tree.insert((key,), key))
-        got = runner.run(tree.range_entries((0,), None, limit=7))
+            run_direct(tree.insert((key,), key), dispatcher)
+        got = run_direct(tree.range_entries((0,), None, limit=7), dispatcher)
         assert len(got) == 7
 
     def test_lookup_on_missing_index_raises(self, env):
-        _c, _r, runner, _tree = env
+        _c, dispatcher, _tree = env
         ghost = DistributedBTree(index_id=999)
         with pytest.raises(InvalidState):
-            runner.run(ghost.lookup((1,)))
+            run_direct(ghost.lookup((1,)), dispatcher)
 
     def test_create_is_idempotent_under_races(self, env):
-        _c, _r, runner, tree = env
-        runner.run(tree.insert((1,), 1))
+        _c, dispatcher, tree = env
+        run_direct(tree.insert((1,), 1), dispatcher)
         other = DistributedBTree(index_id=tree.index_id, max_entries=6)
-        runner.run(other.create())  # loses the conditional writes
-        assert runner.run(other.lookup((1,))) == [1]
+        run_direct(other.create(), dispatcher)  # loses the conditional writes
+        assert run_direct(other.lookup((1,)), dispatcher) == [1]
 
 
 class TestCrossHandleVisibility:
     def test_second_pn_sees_inserts(self, env):
-        _c, _r, runner, tree = env
+        _c, dispatcher, tree = env
         for key in range(100):
-            runner.run(tree.insert((key,), key))
+            run_direct(tree.insert((key,), key), dispatcher)
         other = fresh_handle(env)
-        assert runner.run(other.lookup((42,))) == [42]
+        assert run_direct(other.lookup((42,)), dispatcher) == [42]
 
     def test_stale_cache_follows_splits(self, env):
         """A PN whose cached inner nodes predate splits still finds keys
         (B-link move-right), and refreshes its cache."""
-        _c, _r, runner, tree = env
+        _c, dispatcher, tree = env
         for key in range(0, 40):
-            runner.run(tree.insert((key,), key))
+            run_direct(tree.insert((key,), key), dispatcher)
         other = fresh_handle(env)
-        runner.run(other.lookup((20,)))  # warm other's cache
+        run_direct(other.lookup((20,)), dispatcher)  # warm other's cache
         # main handle splits leaves to the right of 20 heavily
         for key in range(40, 160):
-            runner.run(tree.insert((key,), key))
+            run_direct(tree.insert((key,), key), dispatcher)
         for key in (45, 99, 159):
-            assert runner.run(other.lookup((key,))) == [key]
+            assert run_direct(other.lookup((key,)), dispatcher) == [key]
 
     def test_stale_root_cache_after_tree_grows(self, env):
-        _c, _r, runner, tree = env
-        runner.run(tree.insert((1,), 1))
+        _c, dispatcher, tree = env
+        run_direct(tree.insert((1,), 1), dispatcher)
         other = fresh_handle(env)
-        runner.run(other.lookup((1,)))  # caches the 1-level root
+        run_direct(other.lookup((1,)), dispatcher)  # caches the 1-level root
         for key in range(2, 300):
-            runner.run(tree.insert((key,), key))  # root grows several levels
-        assert runner.run(other.lookup((250,))) == [250]
+            run_direct(tree.insert((key,), key), dispatcher)  # root grows several levels
+        assert run_direct(other.lookup((250,)), dispatcher) == [250]
 
     def test_lookup_many_batches(self, env):
-        _c, _r, runner, tree = env
+        _c, dispatcher, tree = env
         for key in range(100):
-            runner.run(tree.insert((key,), key))
-        runner.run(tree.lookup((0,)))  # warm cache
-        result = runner.run(tree.lookup_many([(k,) for k in range(0, 100, 7)]))
+            run_direct(tree.insert((key,), key), dispatcher)
+        run_direct(tree.lookup((0,)), dispatcher)  # warm cache
+        result = run_direct(tree.lookup_many([(k,) for k in range(0, 100, 7)]), dispatcher)
         for key in range(0, 100, 7):
             assert result[(key,)] == [key]
 
     def test_lookup_many_cold_cache_falls_back(self, env):
-        _c, _r, runner, tree = env
+        _c, dispatcher, tree = env
         for key in range(50):
-            runner.run(tree.insert((key,), key))
+            run_direct(tree.insert((key,), key), dispatcher)
         other = fresh_handle(env)
-        result = runner.run(other.lookup_many([(1,), (25,), (49,)]))
+        result = run_direct(other.lookup_many([(1,), (25,), (49,)]), dispatcher)
         assert result == {(1,): [1], (25,): [25], (49,): [49]}
 
     def test_lookup_many_after_concurrent_splits(self, env):
-        _c, _r, runner, tree = env
+        _c, dispatcher, tree = env
         for key in range(0, 200, 2):
-            runner.run(tree.insert((key,), key))
+            run_direct(tree.insert((key,), key), dispatcher)
         other = fresh_handle(env)
-        runner.run(other.lookup((0,)))  # warm cache
+        run_direct(other.lookup((0,)), dispatcher)  # warm cache
         for key in range(1, 200, 2):  # splits under other's feet
-            runner.run(tree.insert((key,), key))
-        result = runner.run(other.lookup_many([(k,) for k in range(0, 200, 13)]))
+            run_direct(tree.insert((key,), key), dispatcher)
+        result = run_direct(other.lookup_many([(k,) for k in range(0, 200, 13)]), dispatcher)
         for key in range(0, 200, 13):
             assert result[(key,)] == [key]
 
 
 class TestConcurrentInterleavings:
     def test_interleaved_inserts_from_two_pns(self, env):
-        _c, router, runner, tree = env
+        _c, dispatcher, tree = env
         other = fresh_handle(env)
         gens = [tree.insert((i,), 1000 + i) for i in range(40)]
         gens += [other.insert((i + 40,), 2000 + i) for i in range(40)]
         random.Random(3).shuffle(gens)
-        _results, errors = interleave(router, gens)
+        _results, errors = interleave(dispatcher, gens)
         assert not any(errors)
-        entries = runner.run(tree.all_entries())
+        entries = run_direct(tree.all_entries(), dispatcher)
         assert len(entries) == 80
         assert entries == sorted(entries)
 
     def test_interleaved_insert_delete(self, env):
-        _c, router, runner, tree = env
+        _c, dispatcher, tree = env
         for key in range(30):
-            runner.run(tree.insert((key,), key))
+            run_direct(tree.insert((key,), key), dispatcher)
         other = fresh_handle(env)
         gens = [tree.delete((key,), key) for key in range(0, 30, 2)]
         gens += [other.insert((key,), key) for key in range(30, 60)]
-        _results, errors = interleave(router, gens)
+        _results, errors = interleave(dispatcher, gens)
         assert not any(errors)
-        entries = runner.run(tree.all_entries())
+        entries = run_direct(tree.all_entries(), dispatcher)
         expected = sorted(
             [(key, key) for key in range(1, 30, 2)]
             + [(key, key) for key in range(30, 60)]
@@ -222,13 +222,13 @@ class TestConcurrentInterleavings:
         assert entries == expected
 
     def test_interleaved_unique_inserts_one_winner(self, env):
-        _c, router, runner, tree = env
+        _c, dispatcher, tree = env
         other = fresh_handle(env)
         gens = [tree.insert((7,), 1, unique=every_entry_live),
                 other.insert((7,), 2, unique=every_entry_live)]
-        _results, errors = interleave(router, gens)
+        _results, errors = interleave(dispatcher, gens)
         dup_errors = [e for e in errors if isinstance(e, DuplicateKey)]
-        rids = runner.run(tree.lookup((7,)))
+        rids = run_direct(tree.lookup((7,)), dispatcher)
         assert len(rids) == 1
         assert len(dup_errors) == 1
 
@@ -239,11 +239,10 @@ class TestConcurrentInterleavings:
         request.  Every node written under the index stays reachable
         from the root: a split or root grow that lost its conditional
         write deletes the node it wrote first."""
-        router = Router(StorageCluster(n_nodes=3))
-        runner = DirectRunner(router)
+        dispatcher = Dispatcher(StorageCluster(n_nodes=3))
         handles = [DistributedBTree(index_id=1, max_entries=4)
                    for _ in range(6)]
-        runner.run(handles[0].create())
+        run_direct(handles[0].create(), dispatcher)
         pending = [handles[key % len(handles)].insert((key,), key)
                    for key in range(80)]
         replies = [None] * len(pending)
@@ -255,36 +254,36 @@ class TestConcurrentInterleavings:
             except StopIteration:
                 del pending[pick], replies[pick]
                 continue
-            replies[pick] = router.execute(request)
+            replies[pick] = dispatcher.execute(request)
 
-        assert runner.run(handles[0].all_entries()) == [
+        assert run_direct(handles[0].all_entries(), dispatcher) == [
             (key, key) for key in range(80)]
-        assert _stored_node_ids(runner, 1) == _reachable_node_ids(runner, 1)
+        assert _stored_node_ids(dispatcher, 1) == _reachable_node_ids(dispatcher, 1)
 
 
-def _stored_node_ids(runner, index_id):
+def _stored_node_ids(dispatcher, index_id):
     """Ids of every node cell under ``index_id``; the node-id counter
     bounds them (id 1 is the initial root leaf)."""
-    allocated, _version = runner.run(_get(
-        META_SPACE, ("counter", ("index_node", index_id))))
+    allocated, _version = run_direct(_get(
+        META_SPACE, ("counter", ("index_node", index_id))), dispatcher)
     return {
         node_id for node_id in range(1, (allocated or 0) + 2)
-        if runner.run(_get(INDEX_SPACE, (index_id, node_id)))[0] is not None
+        if run_direct(_get(INDEX_SPACE, (index_id, node_id)), dispatcher)[0] is not None
     }
 
 
-def _reachable_node_ids(runner, index_id):
+def _reachable_node_ids(dispatcher, index_id):
     """Ids of the nodes reachable from the root by children and right
     links."""
-    (root_id, _level), _version = runner.run(_get(
-        INDEX_SPACE, (index_id, "root")))
+    (root_id, _level), _version = run_direct(_get(
+        INDEX_SPACE, (index_id, "root")), dispatcher)
     seen, todo = set(), [root_id]
     while todo:
         node_id = todo.pop()
         if node_id is None or node_id in seen:
             continue
         seen.add(node_id)
-        node, _version = runner.run(_get(INDEX_SPACE, (index_id, node_id)))
+        node, _version = run_direct(_get(INDEX_SPACE, (index_id, node_id)), dispatcher)
         todo.append(node.right_id)
         todo.extend(node.children or ())
     return seen
@@ -350,36 +349,36 @@ class TestNodeSize:
 
 class TestBulkBuild:
     def test_bulk_build_equals_incremental(self, env):
-        _c, _r, runner, _tree = env
+        _c, dispatcher, _tree = env
         entries = sorted((key, key * 3) for key in range(500))
         bulk = DistributedBTree(index_id=50, max_entries=16)
-        runner.run(bulk.bulk_build(entries))
-        assert runner.run(bulk.all_entries()) == entries
+        run_direct(bulk.bulk_build(entries), dispatcher)
+        assert run_direct(bulk.all_entries(), dispatcher) == entries
         for key in (0, 123, 499):
-            assert runner.run(bulk.lookup((key,))) == [key * 3]
+            assert run_direct(bulk.lookup((key,)), dispatcher) == [key * 3]
 
     def test_bulk_build_empty(self, env):
-        _c, _r, runner, _tree = env
+        _c, dispatcher, _tree = env
         bulk = DistributedBTree(index_id=51, max_entries=8)
-        runner.run(bulk.bulk_build([]))
-        assert runner.run(bulk.all_entries()) == []
-        runner.run(bulk.insert((1,), 1))
-        assert runner.run(bulk.lookup((1,))) == [1]
+        run_direct(bulk.bulk_build([]), dispatcher)
+        assert run_direct(bulk.all_entries(), dispatcher) == []
+        run_direct(bulk.insert((1,), 1), dispatcher)
+        assert run_direct(bulk.lookup((1,)), dispatcher) == [1]
 
     def test_bulk_build_rejects_unsorted(self, env):
-        _c, _r, runner, _tree = env
+        _c, dispatcher, _tree = env
         bulk = DistributedBTree(index_id=52)
         with pytest.raises(InvalidState):
-            runner.run(bulk.bulk_build([(2, 2), (1, 1)]))
+            run_direct(bulk.bulk_build([(2, 2), (1, 1)]), dispatcher)
 
     def test_inserts_after_bulk_build(self, env):
-        _c, _r, runner, _tree = env
+        _c, dispatcher, _tree = env
         entries = sorted((key, key) for key in range(0, 100, 2))
         bulk = DistributedBTree(index_id=53, max_entries=8)
-        runner.run(bulk.bulk_build(entries))
+        run_direct(bulk.bulk_build(entries), dispatcher)
         for key in range(1, 100, 2):
-            runner.run(bulk.insert((key,), key))
-        assert runner.run(bulk.all_entries()) == sorted(
+            run_direct(bulk.insert((key,), key), dispatcher)
+        assert run_direct(bulk.all_entries(), dispatcher) == sorted(
             (key, key) for key in range(100)
         )
 
@@ -402,21 +401,21 @@ class TestBulkBuild:
 def test_btree_matches_set_model(operations):
     """Random insert/delete sequences agree with a sorted-set model."""
     cluster = StorageCluster(n_nodes=2)
-    runner = DirectRunner(Router(cluster))
+    dispatcher = Dispatcher(cluster)
     tree = DistributedBTree(index_id=1, max_entries=4)
-    runner.run(tree.create())
+    run_direct(tree.create(), dispatcher)
     model = set()
     for action, key, rid in operations:
         if action == "insert":
-            runner.run(tree.insert((key,), rid))
+            run_direct(tree.insert((key,), rid), dispatcher)
             model.add((key, rid))
         else:
-            runner.run(tree.delete((key,), rid))
+            run_direct(tree.delete((key,), rid), dispatcher)
             model.discard((key, rid))
-    assert runner.run(tree.all_entries()) == sorted(model)
+    assert run_direct(tree.all_entries(), dispatcher) == sorted(model)
     for key in range(41):
         expected = sorted(r for k, r in model if k == key)
-        assert runner.run(tree.lookup((key,))) == expected
+        assert run_direct(tree.lookup((key,)), dispatcher) == expected
 
 
 @settings(max_examples=20, deadline=None,
@@ -428,15 +427,15 @@ def test_btree_matches_set_model(operations):
 )
 def test_range_scan_matches_model(keys, low, span):
     cluster = StorageCluster(n_nodes=2)
-    runner = DirectRunner(Router(cluster))
+    dispatcher = Dispatcher(cluster)
     tree = DistributedBTree(index_id=1, max_entries=4)
-    runner.run(tree.create())
+    run_direct(tree.create(), dispatcher)
     model = set()
     for rid, key in enumerate(keys):
-        runner.run(tree.insert((key,), rid))
+        run_direct(tree.insert((key,), rid), dispatcher)
         model.add((key, rid))
     high = low + span
-    got = runner.run(tree.range_entries((low,), (high,)))
+    got = run_direct(tree.range_entries((low,), (high,)), dispatcher)
     expected = sorted(entry for entry in model if low <= entry[0] < high)
     assert got == expected
 
@@ -474,8 +473,8 @@ def test_index_ranges_match_a_sorted_model(seed):
     index = catalog.indexes["t_c"]
     indexes = IndexManager(max_entries=4)
     cluster = StorageCluster(n_nodes=3)
-    runner = DirectRunner(Router(cluster, CommitManager(0, cluster.execute),
-                                 pn_id=0))
+    dispatcher = Dispatcher(cluster, CommitManager(0, cluster.execute),
+                            pn_id=0)
     pn = ProcessingNode(0)
 
     def value(column):
@@ -485,21 +484,21 @@ def test_index_ranges_match_a_sorted_model(seed):
         return {"id": row_id, **{f"c{i}": value(i) for i in range(width)}}
 
     loaded = [schema.make_row(row(i)) for i in range(40)]
-    runner.run(BulkLoader(catalog, indexes).load_table("t", loaded))
+    run_direct(BulkLoader(catalog, indexes).load_table("t", loaded), dispatcher)
     rows = dict(enumerate(loaded, start=1))  # the loader's rids
-    writer = runner.run(pn.begin())
+    writer = run_direct(pn.begin(), dispatcher)
     table = Table(schema, writer, indexes)
     for i in range(40, 60):
         values = row(i)
-        rows[runner.run(table.insert(values))] = schema.make_row(values)
-    runner.run(writer.commit())
+        rows[run_direct(table.insert(values), dispatcher)] = schema.make_row(values)
+    run_direct(writer.commit(), dispatcher)
     # The reader's own inserts reach index_range, not the tree.
-    reader = runner.run(pn.begin())
+    reader = run_direct(pn.begin(), dispatcher)
     table = Table(schema, reader, indexes)
     local = {}
     for i in range(60, 63):
         values = row(i)
-        local[runner.run(table.insert(values))] = schema.make_row(values)
+        local[run_direct(table.insert(values), dispatcher)] = schema.make_row(values)
 
     def entries(payloads):
         return sorted((encode_key(schema.index_key_of(index, payload)), rid)
@@ -540,17 +539,17 @@ def test_index_ranges_match_a_sorted_model(seed):
             high_bound = None
         else:
             high_bound = encode_key(high) + ((MAX_RID,) if include_high else ())
-        assert runner.run(tree.range_entries(low_bound, high_bound)) == expected
-        assert runner.run(table.index_range(index, low, high, include_high)) == [
+        assert run_direct(tree.range_entries(low_bound, high_bound), dispatcher) == expected
+        assert run_direct(table.index_range(index, low, high, include_high), dispatcher) == [
             (rid, rows[rid]) for key, rid in everything
             if in_range(key, low, high, include_high)]
 
     probes = keys + [encode_key(("zz",) * width)]  # the last is absent
     rids_of = {key: [rid for k, rid in committed if k == key] for key in probes}
     for key in probes:
-        assert runner.run(tree.lookup(key)) == rids_of[key]
+        assert run_direct(tree.lookup(key), dispatcher) == rids_of[key]
     # Warm inner nodes answer most keys from one batched leaf fetch;
     # a fresh handle takes the descent for every key.
-    assert runner.run(tree.lookup_many(probes)) == rids_of
+    assert run_direct(tree.lookup_many(probes), dispatcher) == rids_of
     fresh = DistributedBTree(tree.index_id, max_entries=4)
-    assert runner.run(fresh.lookup_many(probes)) == rids_of
+    assert run_direct(fresh.lookup_many(probes), dispatcher) == rids_of

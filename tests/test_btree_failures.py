@@ -13,8 +13,9 @@ handles keep working.
 import pytest
 
 from repro import effects
-from repro.api.runner import DirectRunner, Router
 from repro.dispatch import CrashPoint, InjectedCrash
+from repro.dispatch import Dispatcher
+from repro.effects import run_direct
 from repro.index.btree import DistributedBTree
 from repro.store.cluster import StorageCluster
 
@@ -22,10 +23,10 @@ from repro.store.cluster import StorageCluster
 @pytest.fixture
 def env():
     cluster = StorageCluster(n_nodes=2)
-    runner = DirectRunner(Router(cluster))
+    dispatcher = Dispatcher(cluster)
     tree = DistributedBTree(index_id=1, max_entries=4)
-    runner.run(tree.create())
-    return cluster, runner, tree
+    run_direct(tree.create(), dispatcher)
+    return cluster, dispatcher, tree
 
 
 def run_until_crash(cluster, generator, crash_predicate):
@@ -33,17 +34,17 @@ def run_until_crash(cluster, generator, crash_predicate):
     the first request satisfying ``crash_predicate`` has been executed
     (simulated PN crash).  Returns True if the crash fired."""
     crash = CrashPoint(crash_predicate)
-    router = Router(cluster, interceptors=[crash])
+    dispatcher = Dispatcher(cluster, interceptors=[crash])
     try:
-        effects.run_direct(generator, router)
+        effects.run_direct(generator, dispatcher)
     except InjectedCrash:
         pass
     return crash.fired
 
 
-def fill_leaf(runner, tree, count=4):
+def fill_leaf(dispatcher, tree, count=4):
     for key in range(count):
-        runner.run(tree.insert((key,), key))
+        run_direct(tree.insert((key,), key), dispatcher)
 
 
 class TestCrashMidSplit:
@@ -51,8 +52,8 @@ class TestCrashMidSplit:
         """Crash between writing the new right sibling and CASing the
         left half: the right node is unreachable garbage; the tree is
         untouched and fully usable."""
-        cluster, runner, tree = env
-        fill_leaf(runner, tree)  # leaf now full (max_entries=4)
+        cluster, dispatcher, tree = env
+        fill_leaf(dispatcher, tree)  # leaf now full (max_entries=4)
 
         def stop_after_right_put(request):
             return (
@@ -67,17 +68,17 @@ class TestCrashMidSplit:
         assert crashed, "the insert should have split"
         # Another PN's handle sees the original four keys, can insert, read.
         other = DistributedBTree(index_id=1, max_entries=4)
-        assert runner.run(other.all_entries()) == [(k, k) for k in range(4)]
-        runner.run(other.insert((10,), 10))
-        assert runner.run(other.lookup((10,))) == [10]
+        assert run_direct(other.all_entries(), dispatcher) == [(k, k) for k in range(4)]
+        run_direct(other.insert((10,), 10), dispatcher)
+        assert run_direct(other.lookup((10,)), dispatcher) == [10]
 
     def test_crash_after_left_cas_before_parent_update(self, env):
         """Crash with the split half-done (left CASed, separator not yet
         in the parent): keys stay reachable through the sibling link."""
-        cluster, runner, tree = env
+        cluster, dispatcher, tree = env
         # Build a two-level tree first so there is a parent to update.
         for key in range(0, 40, 2):
-            runner.run(tree.insert((key,), key))
+            run_direct(tree.insert((key,), key), dispatcher)
 
         def stop_after_leaf_cas(request):
             return (
@@ -102,16 +103,16 @@ class TestCrashMidSplit:
         # Every key -- including those in the half-linked new leaf -- is
         # reachable (B-link move-right), and new inserts repair/extend.
         for probe in list(range(0, 40, 2)) + inserted_odds:
-            assert runner.run(other.lookup((probe,))) == [probe], probe
-        runner.run(other.insert((999,), 999))
-        assert runner.run(other.lookup((999,))) == [999]
-        entries = runner.run(other.all_entries())
+            assert run_direct(other.lookup((probe,)), dispatcher) == [probe], probe
+        run_direct(other.insert((999,), 999), dispatcher)
+        assert run_direct(other.lookup((999,)), dispatcher) == [999]
+        entries = run_direct(other.all_entries(), dispatcher)
         assert entries == sorted(entries)
 
     def test_crash_during_root_growth(self, env):
         """Crash after the new root node is written but before the root
         pointer CAS: the old root remains valid."""
-        cluster, runner, tree = env
+        cluster, dispatcher, tree = env
 
         def stop_after_new_root_put(request):
             return (
@@ -131,10 +132,10 @@ class TestCrashMidSplit:
 
         other = DistributedBTree(index_id=1, max_entries=4)
         for probe in range(key - 1):  # all fully-inserted keys
-            assert runner.run(other.lookup((probe,))) == [probe]
+            assert run_direct(other.lookup((probe,)), dispatcher) == [probe]
         for extra in range(200, 260):
-            runner.run(other.insert((extra,), extra))
-        entries = runner.run(other.all_entries())
+            run_direct(other.insert((extra,), extra), dispatcher)
+        entries = run_direct(other.all_entries(), dispatcher)
         assert entries == sorted(entries)
 
 
@@ -144,7 +145,7 @@ class TestRepeatedCrashes:
         the tree consistent for a final survivor."""
         import random
 
-        cluster, runner, tree = env
+        cluster, dispatcher, tree = env
         rng = random.Random(9)
         committed = set()
         for key in range(120):
@@ -162,11 +163,11 @@ class TestRepeatedCrashes:
             if not crashed:
                 committed.add(key)
         survivor = DistributedBTree(index_id=1, max_entries=4)
-        entries = runner.run(survivor.all_entries())
+        entries = run_direct(survivor.all_entries(), dispatcher)
         assert entries == sorted(entries)
         present = {key for key, _rid in entries}
         # every fully-completed insert must be present
         assert committed <= present
         # and the survivor can still operate
-        runner.run(survivor.insert((10_000,), 1))
-        assert runner.run(survivor.lookup((10_000,))) == [1]
+        run_direct(survivor.insert((10_000,), 1), dispatcher)
+        assert run_direct(survivor.lookup((10_000,)), dispatcher) == [1]

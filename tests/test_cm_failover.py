@@ -6,10 +6,11 @@ inside the protocol code."""
 import pytest
 
 from repro.api import Database
-from repro.api.runner import DirectRunner, Router
 from repro.core.commit_manager import CommitManager
 from repro.core.processing_node import ProcessingNode
 from repro.dispatch import FaultInjector, FaultRule, RetryPolicy
+from repro.dispatch import Dispatcher
+from repro.effects import run_direct
 from repro.errors import InvalidState, NodeUnavailable, TransactionAborted
 from repro.store.cluster import StorageCluster
 from tests.conftest import host_clock_trap
@@ -52,7 +53,7 @@ class TestCommitManagerFailover:
         session = db.session()
         session.execute("CREATE TABLE t (id INT PRIMARY KEY)")
         replacement = db.crash_commit_manager(0)
-        assert session.runner.router.commit_manager is replacement
+        assert session.dispatcher.commit_manager is replacement
 
     def test_conflict_detection_still_works_after_failover(self):
         # Also the clock trap's failover run: replacing the manager and
@@ -232,33 +233,33 @@ class TestTransientStorageErrors:
     centralized :class:`RetryPolicy` interceptor; the protocol coroutines
     never see it and the transactions commit normally."""
 
-    def _flaky_runner(self, db, error_rate=0.2, max_attempts=8, seed=5):
+    def _flaky_dispatcher(self, db, error_rate=0.2, max_attempts=8, seed=5):
         retry = RetryPolicy(max_attempts=max_attempts, backoff_us=10.0)
         # Commit applies its write set via Batch; reads hit "data" directly.
         fault = FaultInjector(seed=seed, rules=[
             FaultRule(op="Batch", error_rate=error_rate),
             FaultRule(space="data", error_rate=error_rate),
         ])
-        router = Router(
+        dispatcher = Dispatcher(
             db.cluster, db.commit_managers[0], pn_id=42,
             interceptors=[retry, fault],
         )
-        return DirectRunner(router), retry, fault
+        return dispatcher, retry, fault
 
     def test_retry_policy_masks_flaky_store(self):
         db = Database()
         pn = ProcessingNode(42)
-        runner, retry, fault = self._flaky_runner(db)
+        dispatcher, retry, fault = self._flaky_dispatcher(db)
         for key in range(40):
-            txn = runner.run(pn.begin())
+            txn = run_direct(pn.begin(), dispatcher)
             txn.insert(("t", key), (key,))
-            runner.run(txn.commit())
+            run_direct(txn.commit(), dispatcher)
         assert fault.injected_errors > 0, "the fault never fired"
         assert retry.retries == fault.injected_errors
         # Every write survived the flakiness.
-        check = runner.run(pn.begin())
+        check = run_direct(pn.begin(), dispatcher)
         for key in range(40):
-            assert runner.run(check.read(("t", key))) == (key,)
+            assert run_direct(check.read(("t", key)), dispatcher) == (key,)
 
     def test_without_retry_the_error_aborts_the_transaction(self):
         db = Database()
@@ -266,11 +267,9 @@ class TestTransientStorageErrors:
         fault = FaultInjector(seed=5, rules=[
             FaultRule(op="Batch", error_rate=1.0),
         ])
-        runner = DirectRunner(
-            Router(db.cluster, db.commit_managers[0], pn_id=42,
-                   interceptors=[fault])
-        )
-        txn = runner.run(pn.begin())
+        dispatcher = Dispatcher(db.cluster, db.commit_managers[0], pn_id=42,
+                                interceptors=[fault])
+        txn = run_direct(pn.begin(), dispatcher)
         txn.insert(("t", 0), (0,))
         with pytest.raises((NodeUnavailable, TransactionAborted)):
-            runner.run(txn.commit())
+            run_direct(txn.commit(), dispatcher)

@@ -19,15 +19,13 @@ import types
 import pytest
 
 from repro import effects
-from repro.api.runner import DirectRunner, Router
-from repro.bench.config import TellConfig
-from repro.bench.simcluster import SimulatedTell
 from repro.core.buffers import make_strategy
 from repro.core.commit_manager import CommitManager
 from repro.core.processing_node import ProcessingNode
 from repro.core.record import VersionedRecord
 from repro.core.spaces import DATA_SPACE
 from repro.dispatch import Dispatcher, FaultRule, TraceInterceptor
+from repro.effects import run_direct
 from repro.runtime import fabric as fabric_module
 from repro.runtime.config import SimulationConfig
 from repro.runtime.fabric import CorePool, SimFabric
@@ -38,6 +36,7 @@ from repro.sql.parser import parse
 from repro.sql.table import Table
 from repro.store.cell import request_size
 from repro.store.cluster import StorageCluster
+from repro.workloads.simulated import SimulatedTell, TellConfig
 from repro.workloads.tpcc.params import TpccScale
 
 #: Keys spread over every node; every third one is stored.
@@ -220,7 +219,7 @@ def test_reads_leave_no_per_key_tuple_or_list(name):
     cluster = StorageCluster(n_nodes=2)
     cm = CommitManager(0, cluster.execute)
     pn = ProcessingNode(0, buffers=make_strategy(name))
-    runner = DirectRunner(Router(cluster, cm, pn_id=0))
+    dispatcher = Dispatcher(cluster, cm, pn_id=0)
     keys = [(1, rid) for rid in range(1, 25)]
 
     def load(txn):
@@ -229,19 +228,19 @@ def test_reads_leave_no_per_key_tuple_or_list(name):
         return None
         yield
 
-    runner.run(pn.run_transaction(load))
-    first = runner.run(pn.begin())
-    assert runner.run(first.read_many(keys)) == {
+    run_direct(pn.run_transaction(load), dispatcher)
+    first = run_direct(pn.begin(), dispatcher)
+    assert run_direct(first.read_many(keys), dispatcher) == {
         key: (key[1],) for key in keys
     }
-    runner.run(first.commit())
+    run_direct(first.commit(), dispatcher)
 
     def bump(txn):
         yield from txn.update(keys[0], (-1,))
 
-    runner.run(pn.run_transaction(bump))
-    reader = runner.run(pn.begin())
-    values = runner.run(reader.read_many(keys))
+    run_direct(pn.run_transaction(bump), dispatcher)
+    reader = run_direct(pn.begin(), dispatcher)
+    values = run_direct(reader.read_many(keys), dispatcher)
     assert values[keys[0]] == (-1,) and values[keys[1]] == (2,)
 
     buffers = pn.buffers

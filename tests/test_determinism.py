@@ -16,12 +16,16 @@ import hashlib
 
 import pytest
 
-from repro.bench.config import TellConfig, TpccScale
 from repro.bench.scale import scale_points
-from repro.bench.simcluster import SimulatedTell, run_tell_experiment
-from repro.bench.ycsb_sim import SimulatedYcsb
 from repro.core.transaction import Transaction
 from repro.store.cell import approx_size
+from repro.workloads.simulated import (
+    SimulatedTell,
+    SimulatedYcsb,
+    TellConfig,
+    run_tell_experiment,
+)
+from repro.workloads.tpcc.params import TpccScale
 from tests.conftest import host_clock_trap
 
 

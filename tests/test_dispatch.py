@@ -14,7 +14,6 @@ import pytest
 
 import repro
 from repro import effects
-from repro.api.runner import Router
 from repro.dispatch import (
     KIND_BATCH,
     KIND_CM_ABORTED,
@@ -226,9 +225,6 @@ class TestDispatcher:
         assert dispatcher.execute(effects.Compute(5.0)) is None
         assert dispatcher.execute(effects.Sleep(5.0)) is None
 
-    def test_router_is_a_dispatcher(self, cluster):
-        assert isinstance(Router(cluster), Dispatcher)
-
 
 # ---------------------------------------------------------------------------
 # compose / interceptor protocol
@@ -257,11 +253,11 @@ class TestCompose:
 
     def test_chain_runs_outermost_first(self, cluster):
         log = []
-        router = Router(
+        dispatcher = Dispatcher(
             cluster,
             interceptors=[_Recorder("outer", log), _Recorder("inner", log)],
         )
-        router.execute(effects.Put("data", "k", "v"))
+        dispatcher.execute(effects.Put("data", "k", "v"))
         assert log == ["outer:enter", "inner:enter", "inner:exit",
                        "outer:exit"]
 
@@ -317,8 +313,8 @@ class TestRunDirectErrors:
         fault = FaultInjector(seed=1, rules=[
             FaultRule(op="_Boom", error_rate=1.0),
         ])
-        router = Router(cluster, interceptors=[fault])
-        outcome = effects.run_direct(proto(), router)
+        dispatcher = Dispatcher(cluster, interceptors=[fault])
+        outcome = effects.run_direct(proto(), dispatcher)
         assert outcome == "aborted"
         assert events == ["first-ok", "caught:NodeUnavailable"]
         assert cluster.execute(effects.Get("data", "cleaned"))[0] is True
@@ -343,9 +339,9 @@ class TestRunDirectErrors:
             return "done"
 
         crash = CrashPoint(lambda r: isinstance(r, effects.Get))
-        router = Router(cluster, interceptors=[crash])
+        dispatcher = Dispatcher(cluster, interceptors=[crash])
         with pytest.raises(InjectedCrash):
-            effects.run_direct(proto(), router)
+            effects.run_direct(proto(), dispatcher)
         # close() ran the coroutine's finally block instead of abandoning it
         assert cleaned == [True]
         # the crash struck *after* the matched request executed
@@ -370,10 +366,10 @@ def request_errors(trace):
 class TestTraceInterceptor:
     def test_counts_bytes_and_round_trips(self, cluster):
         trace = TraceInterceptor()
-        router = Router(cluster, interceptors=[trace])
-        router.execute(effects.Put("data", "k", "v"))
-        router.execute(effects.Get("data", "k"))
-        router.execute(effects.multi_get("data", ["k", "x"]))
+        dispatcher = Dispatcher(cluster, interceptors=[trace])
+        dispatcher.execute(effects.Put("data", "k", "v"))
+        dispatcher.execute(effects.Get("data", "k"))
+        dispatcher.execute(effects.multi_get("data", ["k", "x"]))
         ops = trace.registry.counter("repro_request_ops")
         size = trace.registry.counter("repro_request_bytes")
         assert request_count(trace, **{"class": "Put"}) == 1
@@ -389,9 +385,9 @@ class TestTraceInterceptor:
             FaultRule(op="Get", error_rate=1.0),
         ])
         # trace wraps fault: the trace sees the injected error
-        router = Router(cluster, interceptors=[trace, fault])
+        dispatcher = Dispatcher(cluster, interceptors=[trace, fault])
         with pytest.raises(NodeUnavailable):
-            router.execute(effects.Get("data", "k"))
+            dispatcher.execute(effects.Get("data", "k"))
         assert trace.registry.snapshot()["counters"][
             "repro_request_errors{class=Get,error=NodeUnavailable}"] == 1
         # successful round trips are count minus errors
@@ -400,8 +396,8 @@ class TestTraceInterceptor:
 
     def test_registry_snapshot_carries_the_per_class_figures(self, cluster):
         trace = TraceInterceptor()
-        router = Router(cluster, interceptors=[trace])
-        router.execute(effects.Put("data", "k", "v"))
+        dispatcher = Dispatcher(cluster, interceptors=[trace])
+        dispatcher.execute(effects.Put("data", "k", "v"))
         snapshot = json.loads(json.dumps(trace.registry.snapshot()))
         assert set(snapshot["histograms"][
             "repro_request_latency_us{class=Put}"]) == {
@@ -444,9 +440,9 @@ class TestRetryPolicy:
     def test_non_retry_on_errors_pass_through(self, cluster):
         crash = CrashPoint(lambda r: True)
         retry = RetryPolicy(max_attempts=5)
-        router = Router(cluster, interceptors=[retry, crash])
+        dispatcher = Dispatcher(cluster, interceptors=[retry, crash])
         with pytest.raises(InjectedCrash):
-            router.execute(effects.Put("data", "k", "v"))
+            dispatcher.execute(effects.Put("data", "k", "v"))
         assert retry.retries == 0
 
 

@@ -12,17 +12,17 @@ debuggable at all.
 
 import pytest
 
-from repro.api.runner import DirectRunner, Router
-from repro.bench.config import TellConfig
-from repro.bench.simcluster import SimulatedTell
 from repro.core.processing_node import ProcessingNode
 from repro.dispatch import (
+    Dispatcher,
     FaultInjector,
     ScheduledFault,
     TraceInterceptor,
     kill_storage_node,
 )
+from repro.effects import run_direct
 from repro.sql.table import IndexManager, Table
+from repro.workloads.simulated import SimulatedTell, TellConfig
 from repro.workloads.tpcc.params import TpccScale
 
 KILL_AT_US = 60_000.0
@@ -58,32 +58,31 @@ def after_faulty_run():
     deployment, metrics, fault = _run_with_kill()
     deployment.quiesce()
     pn = ProcessingNode(50)
-    runner = DirectRunner(
-        Router(deployment.cluster, deployment.commit_managers[0], pn_id=50)
-    )
-    return deployment, metrics, fault, pn, runner
+    dispatcher = Dispatcher(deployment.cluster, deployment.commit_managers[0],
+                            pn_id=50)
+    return deployment, metrics, fault, pn, dispatcher
 
 
 def all_rows(after_faulty_run, table_name):
-    deployment, _metrics, _fault, pn, runner = after_faulty_run
-    txn = runner.run(pn.begin())
+    deployment, _metrics, _fault, pn, dispatcher = after_faulty_run
+    txn = run_direct(pn.begin(), dispatcher)
     table = Table(deployment.catalog.table(table_name), txn, IndexManager())
-    rows = runner.run(table.scan())
-    runner.run(txn.commit())
+    rows = run_direct(table.scan(), dispatcher)
+    run_direct(txn.commit(), dispatcher)
     schema = deployment.catalog.table(table_name)
     return [schema.row_to_dict(row) for _rid, row in rows]
 
 
 class TestSnKillFailover:
     def test_fault_fired_and_node_is_dead(self, after_faulty_run):
-        deployment, metrics, fault, _pn, _runner = after_faulty_run
+        deployment, metrics, fault, _pn, _dispatcher = after_faulty_run
         assert fault.fired_events == [f"kill-sn{KILLED_NODE}"]
         assert not deployment.cluster.nodes[KILLED_NODE].alive
         assert KILLED_NODE not in deployment.cluster.live_nodes()
         assert deployment.management.recoveries_completed == 1
 
     def test_workload_keeps_committing_after_the_kill(self, after_faulty_run):
-        _deployment, metrics, _fault, _pn, _runner = after_faulty_run
+        _deployment, metrics, _fault, _pn, _dispatcher = after_faulty_run
         # Latencies are recorded at commit time; commits after the kill
         # prove the fail-over actually served traffic.
         post_kill_commits = sum(
@@ -94,7 +93,7 @@ class TestSnKillFailover:
         assert metrics.abort_rate < 0.9
 
     def test_every_partition_has_a_live_master(self, after_faulty_run):
-        deployment, _metrics, _fault, _pn, _runner = after_faulty_run
+        deployment, _metrics, _fault, _pn, _dispatcher = after_faulty_run
         pmap = deployment.cluster.partition_map
         for pid in range(deployment.cluster.partitioner.n_partitions):
             master = pmap.master_of(pid)
@@ -151,7 +150,7 @@ class TestSnKillFailover:
     def test_no_uncommitted_versions_remain(self, after_faulty_run):
         from repro import effects
 
-        deployment, _metrics, _fault, _pn, _runner = after_faulty_run
+        deployment, _metrics, _fault, _pn, _dispatcher = after_faulty_run
         manager = deployment.commit_managers[0]
         rows = deployment.cluster.execute(effects.Scan("data", None, None))
         for _key, record, _version in rows:

@@ -13,7 +13,6 @@ import hashlib
 import pytest
 
 import repro
-from repro.bench.config import TellConfig
 from repro.elastic.coordinator import ElasticCoordinator
 from repro.elastic.migration import (StorageOps, assert_migration_clean,
                                      capture_pins, migrate_partition)
@@ -22,6 +21,7 @@ from repro.elastic.topology import (assert_no_leaks, plan_drain,
 from repro.errors import InvalidState
 from repro.sim.kernel import Delay
 from repro.store.cluster import StorageCluster
+from repro.workloads.simulated import SimulatedTell, TellConfig
 from repro.workloads.tpcc.params import TpccScale
 from tests.conftest import host_clock_trap
 
@@ -206,8 +206,6 @@ class TestMigrationLeaks:
 
 def _run_diurnal(config, double_at=30_000.0, halve_at=70_000.0):
     """Build a deployment, schedule a live SN double + halve, run it."""
-    from repro.bench.simcluster import SimulatedTell
-
     deployment = SimulatedTell(config)
     deployment.load()
     coordinator = ElasticCoordinator(deployment, batch_cells=64)
@@ -274,8 +272,6 @@ class TestLiveElasticity:
         """Kill the source of the first in-flight handoff: the fail-over
         aborts it, the migration unwinds, the run stays clean."""
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        from repro.bench.simcluster import SimulatedTell
-
         config = sim_config(storage_nodes=3, replication_factor=2)
         deployment = SimulatedTell(config)
         deployment.load()
@@ -333,8 +329,6 @@ def simulated_driver():
     """The same for the coordinator on an idle, loaded 3-SN RF2
     ``SimulatedTell``: each operation runs to its end on the sim
     timeline without the workload."""
-    from repro.bench.simcluster import SimulatedTell
-
     deployment = SimulatedTell(sim_config(storage_nodes=3,
                                           replication_factor=2))
     deployment.load()

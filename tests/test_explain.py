@@ -3,6 +3,7 @@
 import pytest
 
 from repro.api import Database
+from repro.effects import run_direct
 from repro.errors import SqlPlanError
 from repro.sql.executor import StatementExecutor
 from repro.sql.parser import parse
@@ -192,7 +193,7 @@ class TestPlanShownIsPlanExecuted:
             table.calls = calls
             return table
 
-        session.runner.run(StatementExecutor(provider).select(parse(sql)))
+        run_direct(StatementExecutor(provider).select(parse(sql)), session.dispatcher)
         session.rollback()
         assert calls[0] == base_call
         assert set(calls[1:]) == ({join_call} if join_call else set())
@@ -220,9 +221,9 @@ class TestPlanFollowsTheSchema:
                 table.calls = calls
                 return table
 
-            result = session.runner.run(
+            result = run_direct(
                 StatementExecutor(provider).select(parse(sql))
-            )
+            , session.dispatcher)
             session.rollback()
             return calls, sorted(result.rows)
 

@@ -10,6 +10,8 @@ import pytest
 
 from repro.api import Database
 from repro.core.commit_manager import CommitManager
+from repro.dispatch import Dispatcher
+from repro.effects import run_direct
 from repro.errors import InvalidState, SqlPlanError, TransactionAborted
 from repro.store.cluster import StorageCluster
 
@@ -80,7 +82,7 @@ class TestForUpdate:
         other = db.session()
         session.execute("BEGIN")
         table = session.table("doctors")
-        session.runner.run(table.lock((1,)))
+        run_direct(table.lock((1,)), session.dispatcher)
         other.execute("UPDATE doctors SET on_call = 9 WHERE id = 1")
         with pytest.raises(TransactionAborted):
             session.commit()
@@ -158,8 +160,7 @@ class TestStorageFailureDuringRun:
     def test_sn_crash_mid_simulation(self):
         """Crash a storage node mid-run (RF2): the management node fails
         over, the workload continues, and the final state is consistent."""
-        from repro.bench.config import TellConfig
-        from repro.bench.simcluster import SimulatedTell
+        from repro.workloads.simulated import SimulatedTell, TellConfig
         from repro.store.management import ManagementNode
         from repro.workloads.tpcc.params import TpccScale
 
@@ -188,22 +189,22 @@ class TestStorageFailureDuringRun:
         assert len(rows) > 1000
         # TPC-C money invariant still holds after the failure
         catalog = deployment.catalog
-        from repro.api.runner import DirectRunner, Router
         from repro.core.processing_node import ProcessingNode
         from repro.sql.table import IndexManager, Table
 
         pn = ProcessingNode(80)
-        runner = DirectRunner(
-            Router(deployment.cluster, deployment.commit_managers[0], pn_id=80)
+        dispatcher = Dispatcher(deployment.cluster,
+                                deployment.commit_managers[0], pn_id=80)
+        txn = run_direct(pn.begin(), dispatcher)
+        warehouses = run_direct(
+            Table(catalog.table("warehouse"), txn, IndexManager()).scan(),
+            dispatcher,
         )
-        txn = runner.run(pn.begin())
-        warehouses = runner.run(
-            Table(catalog.table("warehouse"), txn, IndexManager()).scan()
+        districts = run_direct(
+            Table(catalog.table("district"), txn, IndexManager()).scan(),
+            dispatcher,
         )
-        districts = runner.run(
-            Table(catalog.table("district"), txn, IndexManager()).scan()
-        )
-        runner.run(txn.commit())
+        run_direct(txn.commit(), dispatcher)
         w_schema = catalog.table("warehouse")
         d_schema = catalog.table("district")
         for _rid, warehouse in warehouses:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import effects
-from repro.bench.config import TellConfig
 from repro.core.commit_manager import CommitManager
 from repro.net.profiles import INFINIBAND_QDR
 from repro.runtime.fabric import (
@@ -14,6 +13,7 @@ from repro.runtime.fabric import (
 )
 from repro.sim.kernel import Simulator
 from repro.store.cluster import StorageCluster
+from repro.workloads.simulated import TellConfig
 
 
 @pytest.fixture

@@ -13,7 +13,6 @@ import pytest
 import repro
 from repro import effects
 from repro.api import DatabaseConfig
-from repro.api.runner import DirectRunner, Router
 from repro.core.commit_manager import CommitManager
 from repro.core.isolation import (
     ISOLATION_MODES,
@@ -24,6 +23,8 @@ from repro.core.isolation import (
 from repro.core.processing_node import ProcessingNode
 from repro.core.snapshot import SnapshotDescriptor
 from repro.core.spaces import data_key
+from repro.dispatch import Dispatcher
+from repro.effects import run_direct
 from repro.errors import InvalidState, TransactionAborted
 from tests.conftest import interleave
 
@@ -43,8 +44,8 @@ class TestFactories:
 
     def test_tracking_flags(self, cluster):
         for mode in ISOLATION_MODES:
-            manager, pn, runner, _router = isolation_env(cluster, mode)
-            txn = runner.run(pn.begin())
+            manager, pn, dispatcher = isolation_env(cluster, mode)
+            txn = run_direct(pn.begin(), dispatcher)
             assert txn.isolation == manager.isolation_name == mode
             assert txn.tracks_reads == (mode != "si")
 
@@ -246,8 +247,8 @@ def isolation_env(cluster, mode):
     )
     # The PN is told nothing: start() hands the manager's mode over.
     pn = ProcessingNode(0)
-    router = Router(cluster, manager, pn_id=0)
-    return manager, pn, DirectRunner(router), router
+    dispatcher = Dispatcher(cluster, manager, pn_id=0)
+    return manager, pn, dispatcher
 
 
 def doctor(pn, write_key, outcomes):
@@ -269,7 +270,7 @@ def doctor(pn, write_key, outcomes):
     ("ssi", ["committed", "aborted"]),
 ])
 def test_write_skew_outcomes_by_mode(cluster, mode, expected):
-    manager, pn, runner, router = isolation_env(cluster, mode)
+    manager, pn, dispatcher = isolation_env(cluster, mode)
 
     def seed():
         txn = yield from pn.begin()
@@ -277,10 +278,10 @@ def test_write_skew_outcomes_by_mode(cluster, mode, expected):
         txn.insert(K2, (1,))
         yield from txn.commit()
 
-    runner.run(seed())
+    run_direct(seed(), dispatcher)
     seed_validations = manager.validations  # the seed writer validates too
     outcomes = []
-    interleave(router, [doctor(pn, K1, outcomes), doctor(pn, K2, outcomes)])
+    interleave(dispatcher, [doctor(pn, K1, outcomes), doctor(pn, K2, outcomes)])
     assert sorted(outcomes) == sorted(expected)
     if mode == "si":
         assert manager.validations == 0
@@ -288,8 +289,8 @@ def test_write_skew_outcomes_by_mode(cluster, mode, expected):
         assert manager.validations - seed_validations == 2
         assert manager.validation_aborts == 1
         # The constraint survived: at most one doctor went off call.
-        final = runner.run(pn.begin())
-        values = runner.run(final.read_many([K1, K2]))
+        final = run_direct(pn.begin(), dispatcher)
+        values = run_direct(final.read_many([K1, K2]), dispatcher)
         assert sum(p[0] for p in values.values()) >= 1
 
 
@@ -299,7 +300,7 @@ def test_bare_processing_node_follows_its_commit_manager(cluster):
     and its writing commit is validated."""
     manager = CommitManager(0, cluster.execute, validator=make_validator("wsi"))
     pn = ProcessingNode(0)
-    runner = DirectRunner(Router(cluster, manager, pn_id=0))
+    dispatcher = Dispatcher(cluster, manager, pn_id=0)
 
     def writer():
         txn = yield from pn.begin()
@@ -307,13 +308,13 @@ def test_bare_processing_node_follows_its_commit_manager(cluster):
         txn.insert(K1, (1,))
         yield from txn.commit()
 
-    runner.run(writer())
+    run_direct(writer(), dispatcher)
     assert manager.validations == 1
 
 
 @pytest.mark.parametrize("mode", ["wsi", "ssi"])
 def test_read_only_transactions_skip_validation(cluster, mode):
-    manager, pn, runner, _router = isolation_env(cluster, mode)
+    manager, pn, dispatcher = isolation_env(cluster, mode)
 
     def seed():
         txn = yield from pn.begin()
@@ -326,9 +327,9 @@ def test_read_only_transactions_skip_validation(cluster, mode):
         yield from txn.commit()
         return value
 
-    runner.run(seed())
+    run_direct(seed(), dispatcher)
     validations_after_seed = manager.validations
-    assert runner.run(reader()) == ("x",)
+    assert run_direct(reader(), dispatcher) == ("x",)
     assert manager.validations == validations_after_seed
 
     def scanner_mode_noted():
@@ -336,12 +337,12 @@ def test_read_only_transactions_skip_validation(cluster, mode):
         assert txn.tracks_reads
         return txn.isolation
 
-    assert runner.run(scanner_mode_noted()) == mode
+    assert run_direct(scanner_mode_noted(), dispatcher) == mode
 
 
 def test_validation_abort_registers_nothing(cluster):
     """The aborted doctor must not itself abort later transactions."""
-    manager, pn, runner, router = isolation_env(cluster, "wsi")
+    manager, pn, dispatcher = isolation_env(cluster, "wsi")
 
     def seed():
         txn = yield from pn.begin()
@@ -349,9 +350,9 @@ def test_validation_abort_registers_nothing(cluster):
         txn.insert(K2, (1,))
         yield from txn.commit()
 
-    runner.run(seed())
+    run_direct(seed(), dispatcher)
     outcomes = []
-    interleave(router, [doctor(pn, K1, outcomes), doctor(pn, K2, outcomes)])
+    interleave(dispatcher, [doctor(pn, K1, outcomes), doctor(pn, K2, outcomes)])
     assert sorted(outcomes) == ["aborted", "committed"]
 
     def late_writer():
@@ -361,7 +362,7 @@ def test_validation_abort_registers_nothing(cluster):
         yield from txn.update(K2, (total,))
         yield from txn.commit()
 
-    runner.run(late_writer())  # no concurrent commits left: must admit
+    run_direct(late_writer(), dispatcher)  # no concurrent commits left: must admit
     assert manager.validation_aborts == 1
 
 
@@ -372,12 +373,12 @@ def test_abort_after_validation_releases_the_validator(cluster, mode):
     cannot abort later committers as a ghost.  Kills the dropped
     ``validator.on_aborted`` in ``CommitManager.set_aborted``
     (``cm_validator_not_released`` in tests/kill_matrix.py)."""
-    manager, pn, runner, router = isolation_env(cluster, mode)
-    txn = runner.run(pn.begin())
-    verdict = router.execute(
+    manager, pn, dispatcher = isolation_env(cluster, mode)
+    txn = run_direct(pn.begin(), dispatcher)
+    verdict = dispatcher.execute(
         effects.ValidateCommit(txn.tid, (K1,), (K1,), txn.snapshot))
     assert verdict.ok and not manager.validator.is_empty()
-    runner.run(txn.abort())
+    run_direct(txn.abort(), dispatcher)
     assert manager.validator.is_empty()
 
 
@@ -445,7 +446,7 @@ def test_sql_scan_write_skew_by_mode(mode, reason):
 
 class TestReadForUpdateMissingKey:
     def test_missing_key_reads_none_and_stays_absent(self, cluster):
-        _manager, pn, runner, _router = isolation_env(cluster, "si")
+        _manager, pn, dispatcher = isolation_env(cluster, "si")
 
         def script():
             txn = yield from pn.begin()
@@ -454,7 +455,7 @@ class TestReadForUpdateMissingKey:
             yield from txn.commit()
             return first, again
 
-        assert runner.run(script()) == (None, None)
+        assert run_direct(script(), dispatcher) == (None, None)
 
         def check():
             txn = yield from pn.begin()
@@ -463,13 +464,13 @@ class TestReadForUpdateMissingKey:
             return value
 
         # The materialized tombstone commits as a no-op delete.
-        assert runner.run(check()) is None
+        assert run_direct(check(), dispatcher) is None
 
     def test_concurrent_for_update_readers_of_missing_key_conflict(
             self, cluster):
         """Regression: the read used to silently degrade to a plain read
         for absent keys, so both FOR UPDATE readers proceeded."""
-        _manager, pn, runner, router = isolation_env(cluster, "si")
+        _manager, pn, dispatcher = isolation_env(cluster, "si")
         outcomes = []
 
         def claimer(marker):
@@ -483,7 +484,7 @@ class TestReadForUpdateMissingKey:
             except TransactionAborted:
                 outcomes.append(("aborted", marker))
 
-        interleave(router, [claimer("a"), claimer("b")])
+        interleave(dispatcher, [claimer("a"), claimer("b")])
         assert sorted(o for o, _ in outcomes) == ["aborted", "committed"]
 
         def check():
@@ -493,17 +494,17 @@ class TestReadForUpdateMissingKey:
             return value
 
         winner = next(m for o, m in outcomes if o == "committed")
-        assert runner.run(check()) == (winner,)
+        assert run_direct(check(), dispatcher) == (winner,)
 
     def test_present_key_still_materializes_the_read(self, cluster):
-        _manager, pn, runner, router = isolation_env(cluster, "si")
+        _manager, pn, dispatcher = isolation_env(cluster, "si")
 
         def seed():
             txn = yield from pn.begin()
             txn.insert(K1, ("x",))
             yield from txn.commit()
 
-        runner.run(seed())
+        run_direct(seed(), dispatcher)
         outcomes = []
 
         def toucher(tag):
@@ -515,7 +516,7 @@ class TestReadForUpdateMissingKey:
             except TransactionAborted:
                 outcomes.append(("aborted", tag))
 
-        interleave(router, [toucher("a"), toucher("b")])
+        interleave(dispatcher, [toucher("a"), toucher("b")])
         assert sorted(o for o, _ in outcomes) == ["aborted", "committed"]
 
 
@@ -529,7 +530,7 @@ class TestObsSurface:
         from repro.obs import MetricsRegistry
         from repro.obs.collect import collect_commit_managers
 
-        manager, pn, runner, router = isolation_env(cluster, "wsi")
+        manager, pn, dispatcher = isolation_env(cluster, "wsi")
 
         def seed():
             txn = yield from pn.begin()
@@ -537,9 +538,9 @@ class TestObsSurface:
             txn.insert(K2, (1,))
             yield from txn.commit()
 
-        runner.run(seed())
+        run_direct(seed(), dispatcher)
         outcomes = []
-        interleave(router, [doctor(pn, K1, outcomes),
+        interleave(dispatcher, [doctor(pn, K1, outcomes),
                             doctor(pn, K2, outcomes)])
 
         registry = MetricsRegistry()
@@ -561,7 +562,7 @@ class TestObsSurface:
         from repro.obs import MetricsRegistry
         from repro.obs.collect import collect_commit_managers
 
-        manager, _pn, _runner, _router = isolation_env(cluster, "si")
+        manager, _pn, _dispatcher = isolation_env(cluster, "si")
         registry = MetricsRegistry()
         collect_commit_managers(registry, [manager])
         gauges = registry.snapshot()["gauges"]

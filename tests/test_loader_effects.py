@@ -3,22 +3,23 @@
 import pytest
 
 from repro import effects
-from repro.api.runner import DirectRunner, Router
-from repro.bench.config import TellConfig, TpccScale
-from repro.bench.simcluster import SimulatedTell
-from repro.bench.tables import format_table
 from repro.core.commit_manager import CommitManager
 from repro.core.processing_node import ProcessingNode
 from repro.core.record import VersionedRecord
 from repro.core.spaces import (DATA_SPACE, INDEX_SPACE, META_SPACE, data_key,
                                rid_counter_key)
+from repro.dispatch import Dispatcher
+from repro.effects import run_direct
 from repro.index.btree import BTreeNode
+from repro.obs.exporters import format_table
 from repro.sql.keyenc import encode_key
 from repro.sql.schema import Catalog, Column
 from repro.sql.table import IndexManager, Table
 from repro.sql.types import ColumnType
 from repro.store.cluster import StorageCluster
 from repro.workloads.loader import BulkLoader
+from repro.workloads.simulated import SimulatedTell, TellConfig
+from repro.workloads.tpcc.params import TpccScale
 
 
 @pytest.fixture
@@ -43,7 +44,7 @@ def env():
 def load(cluster, loader, rows):
     schema = loader.catalog.table("users")
     payloads = [schema.make_row(row) for row in rows]
-    return effects.run_direct(loader.load_table("users", payloads), Router(cluster))
+    return effects.run_direct(loader.load_table("users", payloads), Dispatcher(cluster))
 
 
 class TestBulkLoader:
@@ -55,10 +56,10 @@ class TestBulkLoader:
         assert count == 100
         cm = CommitManager(0, cluster.execute)
         pn = ProcessingNode(0)
-        runner = DirectRunner(Router(cluster, cm, pn_id=0))
-        txn = runner.run(pn.begin())
+        dispatcher = Dispatcher(cluster, cm, pn_id=0)
+        txn = run_direct(pn.begin(), dispatcher)
         table = Table(catalog.table("users"), txn, indexes)
-        found = runner.run(table.get((42,)))
+        found = run_direct(table.get((42,)), dispatcher)
         assert found is not None and found[1][1] == "user-42"
 
     def test_secondary_index_built(self, env):
@@ -69,11 +70,11 @@ class TestBulkLoader:
         ])
         cm = CommitManager(0, cluster.execute)
         pn = ProcessingNode(0)
-        runner = DirectRunner(Router(cluster, cm, pn_id=0))
-        txn = runner.run(pn.begin())
+        dispatcher = Dispatcher(cluster, cm, pn_id=0)
+        txn = run_direct(pn.begin(), dispatcher)
         table = Table(catalog.table("users"), txn, indexes)
         index = catalog.indexes["users_age"]
-        matches = runner.run(table.lookup(index, (30,)))
+        matches = run_direct(table.lookup(index, (30,)), dispatcher)
         assert len(matches) == 5
 
     def test_rid_counter_advanced(self, env):
@@ -86,10 +87,10 @@ class TestBulkLoader:
         # new inserts get fresh rids beyond the loaded population
         cm = CommitManager(0, cluster.execute)
         pn = ProcessingNode(0)
-        runner = DirectRunner(Router(cluster, cm, pn_id=0))
-        txn = runner.run(pn.begin())
+        dispatcher = Dispatcher(cluster, cm, pn_id=0)
+        txn = run_direct(pn.begin(), dispatcher)
         table = Table(catalog.table("users"), txn, indexes)
-        rid = runner.run(table.insert({"id": 100, "name": "new"}))
+        rid = run_direct(table.insert({"id": 100, "name": "new"}), dispatcher)
         assert rid > 7
 
     def test_loaded_versions_visible_to_every_snapshot(self, env):
@@ -196,22 +197,22 @@ class TestEffects:
             value, _version = yield effects.Get("data", "k")
             return value
 
-        assert effects.run_direct(proto(), Router(cluster)) == "v"
+        assert effects.run_direct(proto(), Dispatcher(cluster)) == "v"
 
     def test_router_rejects_unknown(self, cluster):
-        router = Router(cluster)
+        dispatcher = Dispatcher(cluster)
         with pytest.raises(TypeError):
-            router.execute("not a request")
+            dispatcher.execute("not a request")
 
     def test_router_without_cm_rejects_cm_requests(self, cluster):
-        router = Router(cluster)
+        dispatcher = Dispatcher(cluster)
         with pytest.raises(RuntimeError):
-            router.execute(effects.StartTransaction())
+            dispatcher.execute(effects.StartTransaction())
 
     def test_compute_and_sleep_are_noops_in_direct_mode(self, cluster):
-        router = Router(cluster)
-        assert router.execute(effects.Compute(100.0)) is None
-        assert router.execute(effects.Sleep(100.0)) is None
+        dispatcher = Dispatcher(cluster)
+        assert dispatcher.execute(effects.Compute(100.0)) is None
+        assert dispatcher.execute(effects.Sleep(100.0)) is None
 
 
 class TestTablePrinter:

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.bench.metrics import LatencyStats, TxnMetrics
 from repro.errors import InvalidState
 from repro.net.profiles import (
     ETHERNET_10G,
     INFINIBAND_QDR,
     profile_by_name,
 )
+from repro.runtime.metrics import LatencyStats, TxnMetrics
 
 
 class TestLatencyStats:

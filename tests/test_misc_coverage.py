@@ -3,10 +3,11 @@
 import pytest
 
 from repro import effects
-from repro.api.runner import DirectRunner, Router
 from repro.core.commit_manager import CommitManager
 from repro.core.processing_node import ProcessingNode
 from repro.core.spaces import data_key
+from repro.dispatch import Dispatcher
+from repro.effects import run_direct
 from repro.errors import TransactionAborted
 from repro.store.cluster import StorageCluster
 from tests.conftest import every_entry_live
@@ -16,34 +17,34 @@ from tests.conftest import every_entry_live
 def env(cluster):
     cm = CommitManager(0, cluster.execute, tid_range_size=16)
     pn = ProcessingNode(0, rid_range_size=4)
-    runner = DirectRunner(Router(cluster, cm, pn_id=0))
-    return cluster, cm, pn, runner
+    dispatcher = Dispatcher(cluster, cm, pn_id=0)
+    return cluster, cm, pn, dispatcher
 
 
 class TestRidAllocation:
     def test_ranges_are_contiguous_per_refill(self, env):
-        _c, _cm, pn, runner = env
-        rids = [runner.run(pn.allocate_rid(1)) for _ in range(10)]
+        _c, _cm, pn, dispatcher = env
+        rids = [run_direct(pn.allocate_rid(1), dispatcher) for _ in range(10)]
         assert rids == list(range(1, 11))
 
     def test_independent_per_table(self, env):
-        _c, _cm, pn, runner = env
-        a = runner.run(pn.allocate_rid(1))
-        b = runner.run(pn.allocate_rid(2))
+        _c, _cm, pn, dispatcher = env
+        a = run_direct(pn.allocate_rid(1), dispatcher)
+        b = run_direct(pn.allocate_rid(2), dispatcher)
         assert a == 1 and b == 1
 
     def test_two_pns_never_collide(self, env):
-        cluster, cm, pn, runner = env
+        cluster, cm, pn, dispatcher = env
         other_pn = ProcessingNode(1, rid_range_size=4)
-        other_runner = DirectRunner(Router(cluster, cm, pn_id=1))
-        mine = {runner.run(pn.allocate_rid(1)) for _ in range(12)}
-        theirs = {other_runner.run(other_pn.allocate_rid(1)) for _ in range(12)}
+        other_dispatcher = Dispatcher(cluster, cm, pn_id=1)
+        mine = {run_direct(pn.allocate_rid(1), dispatcher) for _ in range(12)}
+        theirs = {run_direct(other_pn.allocate_rid(1), other_dispatcher) for _ in range(12)}
         assert mine.isdisjoint(theirs)
 
 
 class TestRunTransactionRetry:
     def test_retries_until_success(self, env):
-        cluster, cm, pn, runner = env
+        cluster, cm, pn, dispatcher = env
         key = data_key(1, 1)
 
         def init(txn):
@@ -51,7 +52,7 @@ class TestRunTransactionRetry:
             return None
             yield
 
-        runner.run(pn.run_transaction(init))
+        run_direct(pn.run_transaction(init), dispatcher)
 
         # Sabotage: the first attempt gets invalidated by a concurrent
         # commit between its read and its commit.
@@ -69,11 +70,11 @@ class TestRunTransactionRetry:
                 yield from pn.run_transaction(interloper)
             yield from txn.update(key, (value[0] + 1,))
 
-        result, attempts = runner.run(pn.run_transaction(logic, max_attempts=3))
+        result, attempts = run_direct(pn.run_transaction(logic, max_attempts=3), dispatcher)
         assert attempts == 2
 
     def test_raises_after_max_attempts(self, env):
-        cluster, cm, pn, runner = env
+        cluster, cm, pn, dispatcher = env
         key = data_key(1, 2)
 
         def init(txn):
@@ -81,7 +82,7 @@ class TestRunTransactionRetry:
             return None
             yield
 
-        runner.run(pn.run_transaction(init))
+        run_direct(pn.run_transaction(init), dispatcher)
 
         def always_conflicting(txn):
             value = yield from txn.read(key)
@@ -94,7 +95,7 @@ class TestRunTransactionRetry:
             yield from txn.update(key, (value[0] - 1,))
 
         with pytest.raises(TransactionAborted):
-            runner.run(pn.run_transaction(always_conflicting, max_attempts=2))
+            run_direct(pn.run_transaction(always_conflicting, max_attempts=2), dispatcher)
 
 
 class TestClusterScanLimit:
@@ -157,38 +158,38 @@ class TestBenchProfiles:
 
 class TestCommitEdgeCases:
     def test_commit_after_user_abort_rejected(self, env):
-        _c, _cm, pn, runner = env
+        _c, _cm, pn, dispatcher = env
         from repro.errors import InvalidState
 
-        txn = runner.run(pn.begin())
-        runner.run(txn.abort())
+        txn = run_direct(pn.begin(), dispatcher)
+        run_direct(txn.abort(), dispatcher)
         with pytest.raises(InvalidState):
-            runner.run(txn.commit())
+            run_direct(txn.commit(), dispatcher)
 
     def test_duplicate_index_key_rolls_back_data(self, env):
         """A commit that fails on a unique-index insert must leave no
         trace of its data writes."""
-        cluster, _cm, pn, runner = env
+        cluster, _cm, pn, dispatcher = env
         from repro.index.btree import DistributedBTree
 
         tree = DistributedBTree(index_id=9, max_entries=8)
-        runner.run(tree.create())
-        runner.run(tree.insert(("taken",), 99, unique=every_entry_live))
+        run_direct(tree.create(), dispatcher)
+        run_direct(tree.insert(("taken",), 99, unique=every_entry_live), dispatcher)
 
-        txn = runner.run(pn.begin())
+        txn = run_direct(pn.begin(), dispatcher)
         key = data_key(3, 1)
         txn.insert(key, ("payload",))
         txn.index_ops.append((tree, ("taken",), 1, every_entry_live))
         with pytest.raises(TransactionAborted):
-            runner.run(txn.commit())
+            run_direct(txn.commit(), dispatcher)
         record, _ = cluster.execute(effects.Get("data", key))
         assert record is None
 
     def test_write_after_commit_rejected(self, env):
-        _c, _cm, pn, runner = env
+        _c, _cm, pn, dispatcher = env
         from repro.errors import InvalidState
 
-        txn = runner.run(pn.begin())
-        runner.run(txn.commit())
+        txn = run_direct(pn.begin(), dispatcher)
+        run_direct(txn.commit(), dispatcher)
         with pytest.raises(InvalidState):
             txn.insert(data_key(1, 5), ("x",))

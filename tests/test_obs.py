@@ -7,14 +7,13 @@ import re
 import pytest
 
 import repro
-from repro.bench.config import TellConfig
-from repro.bench.simcluster import SimulatedTell
 from repro.dispatch import FaultInjector, FaultRule, TraceInterceptor
 from repro.obs import (Observability, obs_enabled, phase_table_rows, to_json,
                        to_prometheus, validate_snapshot)
 from repro.obs import cli as obs_cli
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import Tracer
+from repro.workloads.simulated import SimulatedTell, TellConfig
 from repro.workloads.tpcc.params import TpccScale
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"

@@ -111,6 +111,8 @@ class TestSqlIntegration:
         session.execute("ROLLBACK")
 
     def test_pushdown_snapshot_stability(self, session):
+        from repro.core.processing_node import ProcessingNode
+        from repro.dispatch import Dispatcher
         from repro.sql.session import Session
 
         session.execute("BEGIN")
@@ -118,13 +120,9 @@ class TestSqlIntegration:
             "SELECT COUNT(*) AS n FROM m WHERE grp = 'odd'"
         )[0]["n"]
         # another session deletes odd rows
-        db_runner = session.runner
-        other = Session(
-            __import__("repro.core.processing_node", fromlist=["ProcessingNode"]).ProcessingNode(55),
-            type(db_runner)(type(db_runner.router)(
-                db_runner.router.cluster, db_runner.router.commit_manager, 55
-            )),
-        )
+        own = session.dispatcher
+        other = Session(ProcessingNode(55),
+                        Dispatcher(own.cluster, own.commit_manager, 55))
         other.execute("DELETE FROM m WHERE grp = 'odd'")
         after = session.query(
             "SELECT COUNT(*) AS n FROM m WHERE grp = 'odd'"
@@ -138,8 +136,7 @@ class TestSqlIntegration:
     def test_pushdown_reduces_shipped_bytes_in_simulation(self):
         """End-to-end: a selective analytic scan ships far fewer bytes
         with storage-side filtering."""
-        from repro.bench.config import TellConfig
-        from repro.bench.simcluster import SimulatedTell
+        from repro.workloads.simulated import SimulatedTell, TellConfig
         from repro.workloads.tpcc.params import TpccScale
 
         config = TellConfig(processing_nodes=1, storage_nodes=3,

@@ -3,12 +3,13 @@
 import pytest
 
 from repro import effects
-from repro.api.runner import DirectRunner, Router
 from repro.core.commit_manager import CommitManager
 from repro.core.processing_node import ProcessingNode
 from repro.core.recovery import discover_from_log, recover_processing_node
 from repro.core.spaces import DATA_SPACE, data_key
 from repro.core.txlog import TransactionLog
+from repro.dispatch import Dispatcher
+from repro.effects import run_direct
 from repro.errors import TransactionAborted
 
 K1 = data_key(1, 1)
@@ -24,11 +25,11 @@ def env(cluster):
 
 def make_pn(cluster, cm, pn_id):
     pn = ProcessingNode(pn_id)
-    return pn, DirectRunner(Router(cluster, cm, pn_id=pn_id))
+    return pn, Dispatcher(cluster, cm, pn_id=pn_id)
 
 
 def seed(cluster, cm, rows):
-    pn, runner = make_pn(cluster, cm, 99)
+    pn, dispatcher = make_pn(cluster, cm, 99)
 
     def logic(txn):
         for key, payload in rows.items():
@@ -36,24 +37,24 @@ def seed(cluster, cm, rows):
         return None
         yield
 
-    runner.run(pn.run_transaction(logic))
+    run_direct(pn.run_transaction(logic), dispatcher)
 
 
 def crash_mid_commit(cluster, cm, pn_id, writes):
     """Run a transaction up to (and including) applying its updates,
     then 'crash' -- i.e. stop driving the coroutine before the commit
     flag is written."""
-    pn, runner = make_pn(cluster, cm, pn_id)
-    txn = runner.run(pn.begin())
+    pn, dispatcher = make_pn(cluster, cm, pn_id)
+    txn = run_direct(pn.begin(), dispatcher)
     for key, payload in writes.items():
-        runner.run(txn.update(key, payload))
+        run_direct(txn.update(key, payload), dispatcher)
     commit = txn.commit()
     # Drive the commit only through the log append + data apply batch.
     result = None
     applied = False
     while not applied:
         request = commit.send(result)
-        result = runner.router.execute(request)
+        result = dispatcher.execute(request)
         if isinstance(request, effects.Batch) \
                 and request.expected is not None:
             applied = True
@@ -69,9 +70,10 @@ class TestRecovery:
         record, _ = cluster.execute(effects.Get(DATA_SPACE, K1))
         assert record.get(crashed.tid) is not None
 
-        _pn, runner = make_pn(cluster, cm, 0)
-        rolled_back = runner.run(
-            recover_processing_node(5, [cm], TransactionLog())
+        _pn, dispatcher = make_pn(cluster, cm, 0)
+        rolled_back = run_direct(
+            recover_processing_node(5, [cm], TransactionLog()),
+            dispatcher,
         )
         assert crashed.tid in rolled_back
         for key in (K1, K2):
@@ -96,8 +98,8 @@ class TestRecovery:
             return set_aborted(tid)
 
         monkeypatch.setattr(cm, "set_aborted", checking)
-        _pn, runner = make_pn(cluster, cm, 0)
-        runner.run(recover_processing_node(5, [cm], TransactionLog()))
+        _pn, dispatcher = make_pn(cluster, cm, 0)
+        run_direct(recover_processing_node(5, [cm], TransactionLog()), dispatcher)
         assert calls == [(crashed.tid, [])]
 
     def test_commit_rollback_and_recovery_share_one_removal(
@@ -118,18 +120,18 @@ class TestRecovery:
         seed(cluster, cm, {K1: ("v0",), K2: ("w0",)})
         # Recovery of a mid-commit crash.
         crashed = crash_mid_commit(cluster, cm, 5, {K1: ("bad",)})
-        pn, runner = make_pn(cluster, cm, 0)
-        runner.run(recover_processing_node(5, [cm], TransactionLog()))
+        pn, dispatcher = make_pn(cluster, cm, 0)
+        run_direct(recover_processing_node(5, [cm], TransactionLog()), dispatcher)
         assert removed == [(K1, crashed.tid)]
         # Commit-time rollback: the loser applied K1, then lost K2.
-        loser = runner.run(pn.begin())
-        winner = runner.run(pn.begin())
-        runner.run(loser.update(K1, ("l",)))
-        runner.run(loser.update(K2, ("l",)))
-        runner.run(winner.update(K2, ("w",)))
-        runner.run(winner.commit())
+        loser = run_direct(pn.begin(), dispatcher)
+        winner = run_direct(pn.begin(), dispatcher)
+        run_direct(loser.update(K1, ("l",)), dispatcher)
+        run_direct(loser.update(K2, ("l",)), dispatcher)
+        run_direct(winner.update(K2, ("w",)), dispatcher)
+        run_direct(winner.commit(), dispatcher)
         with pytest.raises(TransactionAborted):
-            runner.run(loser.commit())
+            run_direct(loser.commit(), dispatcher)
         assert removed[1:] == [(K1, loser.tid)]
         record, _ = cluster.execute(effects.Get(DATA_SPACE, K1))
         assert record.get(loser.tid) is None
@@ -139,53 +141,56 @@ class TestRecovery:
         seed(cluster, cm, {K1: ("v0",)})
         crashed = crash_mid_commit(cluster, cm, 5, {K1: ("bad",)})
         base_before = cm.completed.base
-        _pn, runner = make_pn(cluster, cm, 0)
-        runner.run(recover_processing_node(5, [cm], TransactionLog()))
+        _pn, dispatcher = make_pn(cluster, cm, 0)
+        run_direct(recover_processing_node(5, [cm], TransactionLog()), dispatcher)
         assert cm.completed.contains(crashed.tid)
         assert cm.active_tids_of(5) == []
 
     def test_active_but_not_applying_needs_no_rollback(self, env):
         cluster, cm = env
         seed(cluster, cm, {K1: ("v0",)})
-        pn, runner = make_pn(cluster, cm, 5)
-        txn = runner.run(pn.begin())
-        runner.run(txn.update(K1, ("never-applied",)))
+        pn, dispatcher = make_pn(cluster, cm, 5)
+        txn = run_direct(pn.begin(), dispatcher)
+        run_direct(txn.update(K1, ("never-applied",)), dispatcher)
         # crash before commit: updates were only buffered on the PN
-        _pn0, runner0 = make_pn(cluster, cm, 0)
-        rolled_back = runner0.run(
-            recover_processing_node(5, [cm], TransactionLog())
+        _pn0, dispatcher0 = make_pn(cluster, cm, 0)
+        rolled_back = run_direct(
+            recover_processing_node(5, [cm], TransactionLog()),
+            dispatcher0,
         )
         assert rolled_back == []  # nothing applied, nothing to roll back
         assert cm.completed.contains(txn.tid)
-        check_pn, check_runner = make_pn(cluster, cm, 0)
-        check = check_runner.run(check_pn.begin())
-        assert check_runner.run(check.read(K1)) == ("v0",)
+        check_pn, check_dispatcher = make_pn(cluster, cm, 0)
+        check = run_direct(check_pn.begin(), check_dispatcher)
+        assert run_direct(check.read(K1), check_dispatcher) == ("v0",)
 
     def test_committed_transactions_left_alone(self, env):
         cluster, cm = env
         seed(cluster, cm, {K1: ("v0",)})
-        pn, runner = make_pn(cluster, cm, 5)
+        pn, dispatcher = make_pn(cluster, cm, 5)
 
         def logic(txn):
             yield from txn.update(K1, ("committed",))
 
-        runner.run(pn.run_transaction(logic))
-        _pn0, runner0 = make_pn(cluster, cm, 0)
-        rolled_back = runner0.run(
-            recover_processing_node(5, [cm], TransactionLog())
+        run_direct(pn.run_transaction(logic), dispatcher)
+        _pn0, dispatcher0 = make_pn(cluster, cm, 0)
+        rolled_back = run_direct(
+            recover_processing_node(5, [cm], TransactionLog()),
+            dispatcher0,
         )
         assert rolled_back == []
-        check = runner0.run(_pn0.begin())
-        assert runner0.run(check.read(K1)) == ("committed",)
+        check = run_direct(_pn0.begin(), dispatcher0)
+        assert run_direct(check.read(K1), dispatcher0) == ("committed",)
 
     def test_recovery_only_touches_failed_pn(self, env):
         cluster, cm = env
         seed(cluster, cm, {K1: ("v0",), K2: ("w0",)})
         crashed = crash_mid_commit(cluster, cm, 5, {K1: ("bad",)})
         survivor = crash_mid_commit(cluster, cm, 6, {K2: ("pending",)})
-        _pn0, runner0 = make_pn(cluster, cm, 0)
-        rolled_back = runner0.run(
-            recover_processing_node(5, [cm], TransactionLog())
+        _pn0, dispatcher0 = make_pn(cluster, cm, 0)
+        rolled_back = run_direct(
+            recover_processing_node(5, [cm], TransactionLog()),
+            dispatcher0,
         )
         assert rolled_back == [crashed.tid]
         record, _ = cluster.execute(effects.Get(DATA_SPACE, K2))
@@ -196,9 +201,10 @@ class TestRecovery:
         seed(cluster, cm, {K1: ("a",), K2: ("b",), K3: ("c",)})
         t1 = crash_mid_commit(cluster, cm, 5, {K1: ("x",)})
         t2 = crash_mid_commit(cluster, cm, 5, {K2: ("y",), K3: ("z",)})
-        _pn0, runner0 = make_pn(cluster, cm, 0)
-        rolled_back = runner0.run(
-            recover_processing_node(5, [cm], TransactionLog())
+        _pn0, dispatcher0 = make_pn(cluster, cm, 0)
+        rolled_back = run_direct(
+            recover_processing_node(5, [cm], TransactionLog()),
+            dispatcher0,
         )
         assert set(rolled_back) == {t1.tid, t2.tid}
 
@@ -209,9 +215,10 @@ class TestRecovery:
         seed(cluster, cm, {K1: ("v0",)})
         crashed = crash_mid_commit(cluster, cm, 5, {K1: ("bad",)})
         highest = cm.last_assigned_tid
-        _pn0, runner0 = make_pn(cluster, cm, 0)
-        rolled_back = runner0.run(
-            discover_from_log(5, highest, 0, TransactionLog())
+        _pn0, dispatcher0 = make_pn(cluster, cm, 0)
+        rolled_back = run_direct(
+            discover_from_log(5, highest, 0, TransactionLog()),
+            dispatcher0,
         )
         assert crashed.tid in rolled_back
         record, _ = cluster.execute(effects.Get(DATA_SPACE, K1))
@@ -221,10 +228,10 @@ class TestRecovery:
         cluster, cm = env
         seed(cluster, cm, {K1: (100,), K2: (200,)})
         crash_mid_commit(cluster, cm, 5, {K1: (1,), K2: (2,)})
-        _pn0, runner0 = make_pn(cluster, cm, 0)
-        runner0.run(recover_processing_node(5, [cm], TransactionLog()))
-        txn = runner0.run(_pn0.begin())
-        values = runner0.run(txn.read_many([K1, K2]))
+        _pn0, dispatcher0 = make_pn(cluster, cm, 0)
+        run_direct(recover_processing_node(5, [cm], TransactionLog()), dispatcher0)
+        txn = run_direct(_pn0.begin(), dispatcher0)
+        values = run_direct(txn.read_many([K1, K2]), dispatcher0)
         assert values == {K1: (100,), K2: (200,)}
 
 

@@ -22,9 +22,8 @@ import json
 
 import pytest
 
+from repro.effects import run_direct
 import repro.runtime.deployment as deployment_module
-from repro.bench.config import TellConfig
-from repro.bench.simcluster import SimulatedTell
 from repro.core.record import VersionedRecord
 from repro.dispatch import DispatchContext, compose, drive_sync
 from repro.dispatch.interceptors import TraceInterceptor
@@ -41,6 +40,7 @@ from repro.san.scenarios import SCENARIOS, gc_pressure, lost_update, write_skew
 from repro.sim.kernel import Delay, SchedulerPolicy, Simulator
 from repro.store.cell import Cell, approx_size
 from repro.store.node import StorageNode
+from repro.workloads.simulated import SimulatedTell, TellConfig
 from repro.workloads.tpcc.params import TpccScale
 from repro import effects
 
@@ -354,7 +354,7 @@ class TestSeededMutations:
         _explore_with_replay(gc_pressure)
 
     def test_broken_visibility_scan_trips_read_check(
-            self, monkeypatch, cluster, runner, pn):
+            self, monkeypatch, cluster, dispatcher, pn):
         """The checker checks the function the read path runs: a mutated
         ``visible_index`` both changes what a transaction reads and is
         reported.  (The scenario stayed clean while ``latest_visible``
@@ -363,14 +363,14 @@ class TestSeededMutations:
             VersionedRecord, "visible_index", _broken_visible_index
         )
         key = (7, 1)
-        seed = runner.run(pn.begin())
+        seed = run_direct(pn.begin(), dispatcher)
         seed.insert(key, ("old",))
-        runner.run(seed.commit())
-        reader = runner.run(pn.begin())
-        writer = runner.run(pn.begin())
-        runner.run(writer.update(key, ("dirty",)))
-        runner.run(writer.commit())
-        assert runner.run(reader.read(key)) == ("dirty",)
+        run_direct(seed.commit(), dispatcher)
+        reader = run_direct(pn.begin(), dispatcher)
+        writer = run_direct(pn.begin(), dispatcher)
+        run_direct(writer.update(key, ("dirty",)), dispatcher)
+        run_direct(writer.commit(), dispatcher)
+        assert run_direct(reader.read(key), dispatcher) == ("dirty",)
 
         baseline = gc_pressure(None)
         assert not baseline.clean

@@ -16,10 +16,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api.runner import DirectRunner, Router
 from repro.core.commit_manager import CommitManager
 from repro.core.processing_node import ProcessingNode
 from repro.core.spaces import data_key
+from repro.dispatch import Dispatcher
+from repro.effects import run_direct
 from repro.san import make_sanitizers, sanitizers_enabled
 from repro.store.cluster import StorageCluster
 from tests.conftest import interleave
@@ -42,11 +43,11 @@ def fresh_env(n_pns=2):
     if sanitizers_enabled():
         log, chain = make_sanitizers()
         _SANITIZER_LOGS.append(log)
-    runners = [
-        DirectRunner(Router(cluster, cm, pn_id=i, interceptors=chain))
+    dispatchers = [
+        Dispatcher(cluster, cm, pn_id=i, interceptors=chain)
         for i in range(n_pns)
     ]
-    return cluster, cm, pns, runners
+    return cluster, cm, pns, dispatchers
 
 
 @pytest.fixture(autouse=True)
@@ -61,14 +62,14 @@ def _sanitizers_stay_clean():
     _SANITIZER_LOGS.clear()
 
 
-def seed_pair(pn, runner):
+def seed_pair(pn, dispatcher):
     def logic(txn):
         txn.insert(PAIR_A, (0,))
         txn.insert(PAIR_B, (0,))
         return None
         yield
 
-    runner.run(pn.run_transaction(logic))
+    run_direct(pn.run_transaction(logic), dispatcher)
 
 
 @settings(max_examples=15, deadline=None,
@@ -77,8 +78,8 @@ def seed_pair(pn, runner):
 def test_paired_writes_always_read_equal(seed):
     """Writers bump both keys to the same value; readers interleaved at
     every request boundary must always see A == B."""
-    cluster, cm, pns, runners = fresh_env()
-    seed_pair(pns[0], runners[0])
+    cluster, cm, pns, dispatchers = fresh_env()
+    seed_pair(pns[0], dispatchers[0])
     rng = random.Random(seed)
 
     observations = []
@@ -115,7 +116,7 @@ def test_paired_writes_always_read_equal(seed):
     for _ in range(8):
         generators.append(reader(pns[rng.randint(0, 1)]))
     rng.shuffle(generators)
-    _results, errors = interleave(runners[0].router, generators)
+    _results, errors = interleave(dispatchers[0], generators)
     assert not any(errors)
     for a, b in observations:
         assert a == b, f"torn read: A={a} B={b}"
@@ -127,7 +128,7 @@ def test_paired_writes_always_read_equal(seed):
 def test_no_lost_increments(seed):
     """Counters bumped by racing transactions with retries: the final
     values equal the number of successful commits per key."""
-    cluster, cm, pns, runners = fresh_env()
+    cluster, cm, pns, dispatchers = fresh_env()
     keys = [data_key(2, i) for i in range(4)]
 
     def init(txn):
@@ -136,7 +137,7 @@ def test_no_lost_increments(seed):
         return None
         yield
 
-    runners[0].run(pns[0].run_transaction(init))
+    run_direct(pns[0].run_transaction(init), dispatchers[0])
     rng = random.Random(seed)
     successes = {key: 0 for key in keys}
 
@@ -159,13 +160,13 @@ def test_no_lost_increments(seed):
     generators = [
         bumper(pns[rng.randint(0, 1)], rng.choice(keys)) for _ in range(20)
     ]
-    _results, errors = interleave(runners[0].router, generators)
+    _results, errors = interleave(dispatchers[0], generators)
     assert not any(errors)
 
     def check(txn):
         return (yield from txn.read_many(keys))
 
-    final, _ = runners[0].run(pns[0].run_transaction(check))
+    final, _ = run_direct(pns[0].run_transaction(check), dispatchers[0])
     for key in keys:
         assert final[key] == (successes[key],)
 
@@ -175,8 +176,8 @@ def test_read_only_transactions_never_abort():
     but read-only transactions have empty write sets)."""
     from repro.errors import TransactionAborted
 
-    cluster, cm, pns, runners = fresh_env()
-    seed_pair(pns[0], runners[0])
+    cluster, cm, pns, dispatchers = fresh_env()
+    seed_pair(pns[0], dispatchers[0])
 
     def writer(txn):
         value = yield from txn.read(PAIR_A)
@@ -201,7 +202,7 @@ def test_read_only_transactions_never_abort():
     all_gens = []
     for pair in zip(generators, reader_gens):
         all_gens.extend(pair)
-    results, errors = interleave(runners[0].router, all_gens)
+    results, errors = interleave(dispatchers[0], all_gens)
     assert not any(errors)
     # all readers (odd positions) succeeded
     assert all(results[1::2])
@@ -210,20 +211,20 @@ def test_read_only_transactions_never_abort():
 def test_monotonic_reads_across_transactions():
     """Consecutive transactions on one PN never observe time going
     backwards (their snapshots only grow)."""
-    cluster, cm, pns, runners = fresh_env(n_pns=1)
-    seed_pair(pns[0], runners[0])
-    pn, runner = pns[0], runners[0]
+    cluster, cm, pns, dispatchers = fresh_env(n_pns=1)
+    seed_pair(pns[0], dispatchers[0])
+    pn, dispatcher = pns[0], dispatchers[0]
 
     last_seen = -1
     for i in range(10):
         def bump(txn, value=i):
             yield from txn.update(PAIR_A, (value,))
 
-        runner.run(pn.run_transaction(bump))
+        run_direct(pn.run_transaction(bump), dispatcher)
 
         def read(txn):
             return (yield from txn.read(PAIR_A))
 
-        value, _ = runner.run(pn.run_transaction(read))
+        value, _ = run_direct(pn.run_transaction(read), dispatcher)
         assert value[0] >= last_seen
         last_seen = value[0]

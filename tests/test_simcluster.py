@@ -1,12 +1,16 @@
 """Tests for the simulated deployment and its cost model."""
 
+import dataclasses
+
 import pytest
 
 from repro import effects
-from repro.bench.config import TellConfig
-from repro.bench.simcluster import SimulatedTell
 from repro.errors import InvalidState
+from repro.runtime.config import SimulationConfig
+from repro.runtime.deployment import SimulatedDeployment
 from repro.runtime.fabric import CorePool
+from repro.runtime.metrics import TxnMetrics
+from repro.workloads.simulated import SimulatedTell, TellConfig
 from repro.workloads.tpcc.params import TpccScale
 
 
@@ -36,6 +40,52 @@ class TestConfigValidation:
         # built, let alone loaded, from a config that cannot run.
         with pytest.raises(InvalidState):
             TellConfig(**bad)
+
+
+class TestConfigSplit:
+    def test_tell_config_adds_only_the_workload(self):
+        fields = {field.name for field in dataclasses.fields(TellConfig)}
+        runtime = {field.name for field in dataclasses.fields(SimulationConfig)}
+        assert fields - runtime == {"cpu_per_row_us", "scale", "mix"}
+        assert {"txn_overhead_us"} <= runtime
+
+    def test_total_cores_counts_every_node(self):
+        config = SimulationConfig(processing_nodes=2, storage_nodes=3,
+                                  commit_managers=2)
+        assert config.total_cores == 2 * 4 + 3 * 4 + 2 * 2 + 2
+
+
+class _Noop(SimulatedDeployment):
+    """The smallest workload: every transaction is begin + commit."""
+
+    def load(self):
+        self._populated = True
+        return {}
+
+    def _obs_label(self):
+        return "noop"
+
+    def _transactions(self, handle, seed):
+        def body(txn):
+            return
+            yield
+
+        while True:
+            yield "noop", body
+
+
+class TestPlainSimulationConfig:
+    def test_closed_loop_runs_without_a_workload_config(self):
+        """The runtime reads only ``SimulationConfig`` fields: a plain one
+        drives a closed loop, and its per-transaction overhead is what
+        separates two commits of one terminal."""
+        config = SimulationConfig(processing_nodes=1, storage_nodes=1,
+                                  threads_per_pn=1, duration_us=20_000.0,
+                                  warmup_us=0.0)
+        metrics = _Noop(config, TxnMetrics()).run()
+        assert metrics.total_committed > 0
+        assert metrics.total_conflicts == 0
+        assert min(metrics.latencies_us["noop"]) >= config.txn_overhead_us
 
 
 class TestCorePool:

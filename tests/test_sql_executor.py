@@ -5,6 +5,8 @@ import sqlite3
 import pytest
 
 from repro.api import Database
+from repro.dispatch import Dispatcher
+from repro.effects import run_direct
 from repro.errors import (
     DuplicateKey,
     SchemaError,
@@ -344,10 +346,10 @@ class TestTransactions:
         txn = session._txn
         session.execute("COMMIT")
         # The read-only fast path: no log entry, no dangling index entry.
-        assert session.runner.run(TransactionLog().get(txn.tid)) is None
+        assert run_direct(TransactionLog().get(txn.tid), session.dispatcher) is None
         primary = session.catalog.table("emp").primary_index
         tree = session.indexes.tree(primary)
-        assert session.runner.run(tree.lookup(encode_key((9,)))) == []
+        assert run_direct(tree.lookup(encode_key((9,))), session.dispatcher) == []
 
     def test_rollback_reverts(self, session):
         session.execute("BEGIN")
@@ -512,11 +514,9 @@ def _second_session(session):
     """Another session against the same database (shares the cluster)."""
     from repro.sql.session import Session
     from repro.sql.table import IndexManager
-    from repro.api.runner import DirectRunner, Router
     from repro.core.processing_node import ProcessingNode
 
-    cluster = session.runner.router.cluster
-    cm = session.runner.router.commit_manager
+    cluster = session.dispatcher.cluster
+    cm = session.dispatcher.commit_manager
     pn = ProcessingNode(77)
-    return Session(pn, DirectRunner(Router(cluster, cm, pn_id=77)),
-                   IndexManager())
+    return Session(pn, Dispatcher(cluster, cm, pn_id=77), IndexManager())

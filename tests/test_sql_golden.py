@@ -22,10 +22,11 @@ import pathlib
 import pytest
 
 from repro import effects
-from repro.api.runner import DirectRunner, Router
 from repro.core.commit_manager import CommitManager
 from repro.core.processing_node import ProcessingNode
 from repro.dispatch import Interceptor
+from repro.dispatch import Dispatcher
+from repro.effects import run_direct
 from repro.errors import SqlSyntaxError
 from repro.sql import ast_nodes as ast
 from repro.sql.executor import StatementExecutor
@@ -242,17 +243,17 @@ class _TinyTpcc:
         effects.run_direct(
             populate(self.catalog, BulkLoader(self.catalog, self.indexes),
                      TpccScale.tiny(2), seed=3),
-            Router(cluster),
+            Dispatcher(cluster),
         )
         self.counter = _CountRequests()
         self.pn = ProcessingNode(0)
-        self.runner = DirectRunner(Router(
+        self.dispatcher = Dispatcher(
             cluster, CommitManager(0, cluster.execute), pn_id=0,
             interceptors=[self.counter],
-        ))
+        )
 
     def begin(self):
-        return self.runner.run(self.pn.begin())
+        return run_direct(self.pn.begin(), self.dispatcher)
 
     def execute(self, txn, text, params):
         """Run one statement inside ``txn``; (columns, rows, requests)."""
@@ -266,7 +267,7 @@ class _TinyTpcc:
             ast.Update: executor.update, ast.Delete: executor.delete,
         }[type(statement)]
         self.counter.counts.clear()
-        result = self.runner.run(method(statement))
+        result = run_direct(method(statement), self.dispatcher)
         if not isinstance(statement, ast.Select):
             return [], result.rowcount, dict(self.counter.counts)
         return result.columns, result.rows, dict(self.counter.counts)
@@ -278,7 +279,7 @@ def run_autocommit():
     for name in ORDER:
         txn = db.begin()
         observed[name] = db.execute(txn, STATEMENTS[name], PARAMS[name])
-        db.runner.run(txn.commit())
+        run_direct(txn.commit(), db.dispatcher)
     return observed
 
 
@@ -290,7 +291,7 @@ def run_in_transaction():
     observed = {
         name: db.execute(txn, STATEMENTS[name], PARAMS[name]) for name in ORDER
     }
-    db.runner.run(txn.abort())
+    run_direct(txn.abort(), db.dispatcher)
     return observed
 
 

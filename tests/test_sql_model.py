@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import Database
+from repro.effects import run_direct
 from repro.sql.executor import StatementExecutor
 from repro.sql.parser import parse
 from repro.sql.plan import plan
@@ -414,7 +415,7 @@ def test_execution_touches_exactly_what_the_plan_names(populated, sql):
             return table
 
         named = _named_accesses(plan(statement, provider))
-        session.runner.run(StatementExecutor(provider).execute(statement))
+        run_direct(StatementExecutor(provider).execute(statement), session.dispatcher)
         touched = {(name, call) for name in calls for call in calls[name]}
         assert touched == named, sql
     finally:

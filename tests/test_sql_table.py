@@ -3,6 +3,7 @@
 import pytest
 
 from repro.api import Database
+from repro.effects import run_direct
 from repro.sql.keyenc import encode_key
 
 
@@ -23,7 +24,7 @@ def env():
 def tree_entries(session, index_name):
     index = session.catalog.indexes[index_name]
     tree = session.indexes.tree(index)
-    return session.runner.run(tree.all_entries())
+    return run_direct(tree.all_entries(), session.dispatcher)
 
 
 class TestIndexMaintenance:
@@ -78,7 +79,7 @@ class TestGetMany:
         db, session = env
         session.execute("BEGIN")
         table = session.table("acc")
-        result = session.runner.run(table.get_many([(1,), (2,), (9,)]))
+        result = run_direct(table.get_many([(1,), (2,), (9,)]), session.dispatcher)
         assert result[(1,)][1][1] == "ann"
         assert result[(2,)][1][1] == "bob"
         assert result[(9,)] is None
@@ -89,7 +90,7 @@ class TestGetMany:
         session.execute("BEGIN")
         session.execute("INSERT INTO acc VALUES (50, 'new', 0)")
         table = session.table("acc")
-        result = session.runner.run(table.get_many([(50,)]))
+        result = run_direct(table.get_many([(50,)]), session.dispatcher)
         assert result[(50,)][1][1] == "new"
         session.execute("ROLLBACK")
 
@@ -102,7 +103,7 @@ class TestGetMany:
         session.execute("BEGIN")
         table = session.table("acc")
         # warm the inner-node cache
-        session.runner.run(table.get_many([(1,)]))
+        run_direct(table.get_many([(1,)]), session.dispatcher)
         generator = table.get_many([(1,), (2,), (3,)])
         requests = []
         result = None
@@ -112,7 +113,7 @@ class TestGetMany:
             except StopIteration:
                 break
             requests.append(request)
-            result = session.runner.router.execute(request)
+            result = session.dispatcher.execute(request)
         batch_count = sum(1 for r in requests if isinstance(r, effects.Batch))
         assert batch_count <= 2  # one leaf batch + one record batch
         session.execute("COMMIT")

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from repro import effects
-from repro.api.runner import DirectRunner, Router
 from repro.core.commit_manager import CommitManager
 from repro.core.processing_node import ProcessingNode
+from repro.dispatch import Dispatcher
+from repro.effects import run_direct
 from repro.errors import TransactionAborted
 from repro.sql.table import IndexManager, Table
 from repro.store.cluster import StorageCluster
@@ -46,8 +47,8 @@ def loaded():
     catalog = build_tpcc_catalog()
     indexes = IndexManager()
     loader = BulkLoader(catalog, indexes)
-    router = Router(cluster)
-    counts = effects.run_direct(populate(catalog, loader, SCALE, seed=3), router)
+    dispatcher = Dispatcher(cluster)
+    counts = effects.run_direct(populate(catalog, loader, SCALE, seed=3), dispatcher)
     cm = CommitManager(0, cluster.execute)
     return cluster, catalog, cm, counts
 
@@ -56,26 +57,26 @@ def loaded():
 def env(loaded):
     cluster, catalog, cm, _counts = loaded
     pn = ProcessingNode(0)
-    runner = DirectRunner(Router(cluster, cm, pn_id=0))
-    return cluster, catalog, cm, pn, runner
+    dispatcher = Dispatcher(cluster, cm, pn_id=0)
+    return cluster, catalog, cm, pn, dispatcher
 
 
 def run_txn(env, txn_fn, params):
-    cluster, catalog, cm, pn, runner = env
-    txn = runner.run(pn.begin())
+    cluster, catalog, cm, pn, dispatcher = env
+    txn = run_direct(pn.begin(), dispatcher)
     context = TpccContext(catalog, txn, IndexManager())
     context.districts_per_warehouse = SCALE.districts_per_warehouse
-    result = runner.run(txn_fn(context, params))
-    runner.run(txn.commit())
+    result = run_direct(txn_fn(context, params), dispatcher)
+    run_direct(txn.commit(), dispatcher)
     return result
 
 
 def read_row(env, table_name, pk):
-    cluster, catalog, cm, pn, runner = env
-    txn = runner.run(pn.begin())
+    cluster, catalog, cm, pn, dispatcher = env
+    txn = run_direct(pn.begin(), dispatcher)
     table = Table(catalog.table(table_name), txn, IndexManager())
-    found = runner.run(table.get(pk))
-    runner.run(txn.commit())
+    found = run_direct(table.get(pk), dispatcher)
+    run_direct(txn.commit(), dispatcher)
     if found is None:
         return None
     return catalog.table(table_name).row_to_dict(found[1])
@@ -184,13 +185,13 @@ class TestPopulation:
         assert district["d_next_o_id"] == SCALE.initial_orders_per_district + 1
 
     def test_customer_names_findable(self, env):
-        cluster, catalog, cm, pn, runner = env
-        txn = runner.run(pn.begin())
+        cluster, catalog, cm, pn, dispatcher = env
+        txn = run_direct(pn.begin(), dispatcher)
         table = Table(catalog.table("customer"), txn, IndexManager())
         index = next(i for i in table.schema.indexes if i.name == "customer_name")
         name = last_name(0)
-        matches = runner.run(table.lookup(index, (1, 1, name)))
-        runner.run(txn.commit())
+        matches = run_direct(table.lookup(index, (1, 1, name)), dispatcher)
+        run_direct(txn.commit(), dispatcher)
         assert matches  # BARBARBAR always exists in a populated district
 
 
@@ -234,16 +235,16 @@ class TestNewOrder:
         assert stock_after["s_quantity"] == expected
 
     def test_one_percent_rollback(self, env):
-        cluster, catalog, cm, pn, runner = env
+        cluster, catalog, cm, pn, dispatcher = env
         gen = ParamGenerator(SCALE, seed=23)
         params = gen.new_order()
         params.rollback = True
-        txn = runner.run(pn.begin())
+        txn = run_direct(pn.begin(), dispatcher)
         context = TpccContext(catalog, txn, IndexManager())
         context.districts_per_warehouse = SCALE.districts_per_warehouse
         with pytest.raises(TpccRollback):
-            runner.run(new_order(context, params))
-        runner.run(txn.abort())
+            run_direct(new_order(context, params), dispatcher)
+        run_direct(txn.abort(), dispatcher)
         # nothing persisted
         district = read_row(env, "district", (params.w_id, params.d_id))
         order = read_row(
@@ -286,16 +287,16 @@ class TestPayment:
         assert result["amount"] == params.amount
 
     def test_history_row_written(self, env):
-        cluster, catalog, cm, pn, runner = env
+        cluster, catalog, cm, pn, dispatcher = env
         gen = ParamGenerator(SCALE, seed=33)
         params = gen.payment()
         params.c_id = 1
         params.c_last = None
         run_txn(env, payment, params)
-        txn = runner.run(pn.begin())
+        txn = run_direct(pn.begin(), dispatcher)
         table = Table(catalog.table("history"), txn, IndexManager())
-        rows = runner.run(table.scan())
-        runner.run(txn.commit())
+        rows = run_direct(table.scan(), dispatcher)
+        run_direct(txn.commit(), dispatcher)
         assert any(
             row[catalog.table("history").position("h_amount")] == params.amount
             for _rid, row in rows
@@ -318,18 +319,19 @@ class TestOrderStatus:
 
 class TestDelivery:
     def test_delivers_oldest_neworder(self, env):
-        cluster, catalog, cm, pn, runner = env
+        cluster, catalog, cm, pn, dispatcher = env
         params = ParamGenerator(SCALE, seed=51).delivery()
         # find the oldest undelivered order of district 1 beforehand
-        txn = runner.run(pn.begin())
+        txn = run_direct(pn.begin(), dispatcher)
         no_table = Table(catalog.table("neworder"), txn, IndexManager())
-        oldest = runner.run(
+        oldest = run_direct(
             no_table.index_range(
                 no_table.schema.primary_index,
                 (params.w_id, 1), (params.w_id, 2), limit=1,
-            )
+            ),
+            dispatcher,
         )
-        runner.run(txn.commit())
+        run_direct(txn.commit(), dispatcher)
         assert oldest, "population must leave undelivered orders"
         o_id = oldest[0][1][2]
 
@@ -349,14 +351,14 @@ class TestStockLevel:
         assert 0 <= result["low_stock"] <= result["distinct_items"]
 
     def test_read_only(self, env):
-        cluster, catalog, cm, pn, runner = env
+        cluster, catalog, cm, pn, dispatcher = env
         params = ParamGenerator(SCALE, seed=62).stock_level()
-        txn = runner.run(pn.begin())
+        txn = run_direct(pn.begin(), dispatcher)
         context = TpccContext(catalog, txn, IndexManager())
         context.districts_per_warehouse = SCALE.districts_per_warehouse
-        runner.run(stock_level(context, params))
+        run_direct(stock_level(context, params), dispatcher)
         assert txn.write_set == ()
-        runner.run(txn.commit())
+        run_direct(txn.commit(), dispatcher)
 
 
 class TestDispatchTable:

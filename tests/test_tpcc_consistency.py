@@ -11,13 +11,12 @@ recovery bug would break one of these equations.
 import pytest
 
 from repro import effects
-from repro.api.runner import Router
-from repro.bench.config import TellConfig
-from repro.bench.simcluster import SimulatedTell
 from repro.core.commit_manager import CommitManager
 from repro.core.processing_node import ProcessingNode
-from repro.api.runner import DirectRunner
+from repro.dispatch import Dispatcher
+from repro.effects import run_direct
 from repro.sql.table import IndexManager, Table
+from repro.workloads.simulated import SimulatedTell, TellConfig
 from repro.workloads.tpcc.params import TpccScale
 
 
@@ -41,18 +40,17 @@ def after_run():
     # PNs; quiesce() runs the paper's recovery procedure on each of them.
     deployment.quiesce()
     pn = ProcessingNode(50)
-    runner = DirectRunner(
-        Router(deployment.cluster, deployment.commit_managers[0], pn_id=50)
-    )
-    return deployment, metrics, pn, runner
+    dispatcher = Dispatcher(deployment.cluster, deployment.commit_managers[0],
+                            pn_id=50)
+    return deployment, metrics, pn, dispatcher
 
 
 def all_rows(after_run, table_name):
-    deployment, _metrics, pn, runner = after_run
-    txn = runner.run(pn.begin())
+    deployment, _metrics, pn, dispatcher = after_run
+    txn = run_direct(pn.begin(), dispatcher)
     table = Table(deployment.catalog.table(table_name), txn, IndexManager())
-    rows = runner.run(table.scan())
-    runner.run(txn.commit())
+    rows = run_direct(table.scan(), dispatcher)
+    run_direct(txn.commit(), dispatcher)
     schema = deployment.catalog.table(table_name)
     return [schema.row_to_dict(row) for _rid, row in rows]
 
@@ -143,7 +141,7 @@ class TestTpccConsistency:
     def test_no_uncommitted_versions_remain(self, after_run):
         """Every version in the store belongs to a completed transaction
         (no transaction of a finished run may remain mid-commit)."""
-        deployment, _metrics, _pn, _runner = after_run
+        deployment, _metrics, _pn, _dispatcher = after_run
         manager = deployment.commit_managers[0]
         rows = deployment.cluster.execute(effects.Scan("data", None, None))
         for _key, record, _version in rows:
@@ -153,5 +151,5 @@ class TestTpccConsistency:
                 )
 
     def test_abort_rate_sane(self, after_run):
-        _deployment, metrics, _pn, _runner = after_run
+        _deployment, metrics, _pn, _dispatcher = after_run
         assert 0.0 <= metrics.abort_rate < 0.9

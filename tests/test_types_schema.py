@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import effects
-from repro.api.runner import DirectRunner, Router
+from repro.dispatch import Dispatcher
+from repro.effects import run_direct
 from repro.errors import ConflictError, SchemaError
 from repro.index.btree import MAX_RID
 from repro.sql.keyenc import encode_key
@@ -141,27 +142,27 @@ class TestCatalog:
 
     def test_persistence_roundtrip(self):
         cluster = StorageCluster(n_nodes=1)
-        runner = DirectRunner(Router(cluster))
+        dispatcher = Dispatcher(cluster)
         catalog = Catalog()
         catalog.define_table("t", [Column("x", ColumnType.INT)], ["x"])
-        runner.run(catalog.save())
-        loaded, version = runner.run(Catalog.load())
+        run_direct(catalog.save(), dispatcher)
+        loaded, version = run_direct(Catalog.load(), dispatcher)
         assert loaded.has_table("t")
         assert version == 1
         assert loaded is not catalog  # deep copy
 
     def test_concurrent_ddl_conflicts(self):
         cluster = StorageCluster(n_nodes=1)
-        runner = DirectRunner(Router(cluster))
+        dispatcher = Dispatcher(cluster)
         catalog = Catalog()
-        runner.run(catalog.save())
-        a, version_a = runner.run(Catalog.load())
-        b, version_b = runner.run(Catalog.load())
+        run_direct(catalog.save(), dispatcher)
+        a, version_a = run_direct(Catalog.load(), dispatcher)
+        b, version_b = run_direct(Catalog.load(), dispatcher)
         a.define_table("from_a", [Column("x", ColumnType.INT)], ["x"])
-        runner.run(a.save_if_version(version_a))
+        run_direct(a.save_if_version(version_a), dispatcher)
         b.define_table("from_b", [Column("x", ColumnType.INT)], ["x"])
         with pytest.raises(ConflictError):
-            runner.run(b.save_if_version(version_b))
+            run_direct(b.save_if_version(version_b), dispatcher)
 
 
 def _one(value):

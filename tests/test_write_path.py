@@ -19,14 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import effects
-from repro.api.runner import DirectRunner, Router
-from repro.bench.config import TellConfig
-from repro.bench.simcluster import SimulatedTell
 from repro.core.commit_manager import CommitManager
 from repro.core.processing_node import ProcessingNode
 from repro.core.record import VersionedRecord
 from repro.core.spaces import DATA_SPACE
 from repro.core.txlog import STATUS_COMMITTED, LogEntry
+from repro.dispatch import Dispatcher
 from repro.errors import NoCapacity, SchemaError, TransactionAborted
 from repro.runtime.config import SimulationConfig
 from repro.runtime.deployment import Deployment
@@ -38,6 +36,7 @@ from repro.sql.types import ColumnType, coerce
 from repro.store.cell import approx_size, request_size
 from repro.store.cluster import StorageCluster
 from repro.store.node import StorageNode
+from repro.workloads.simulated import SimulatedTell, TellConfig
 from repro.workloads.tpcc.params import TpccScale
 
 SPACE = "data"
@@ -282,8 +281,8 @@ class TestSanitizersReadPutColumns:
         cluster = StorageCluster(n_nodes=3)
         manager = CommitManager(0, cluster.execute)
         log, chain = make_sanitizers()
-        runner = DirectRunner(Router(cluster, manager, pn_id=0,
-                                     interceptors=chain))
+        dispatcher = Dispatcher(cluster, manager, pn_id=0,
+                                interceptors=chain)
         pn = ProcessingNode(0)
         keys = [(3, rid) for rid in range(1, 6)]
 
@@ -293,13 +292,13 @@ class TestSanitizersReadPutColumns:
             return None
             yield
 
-        runner.run(pn.run_transaction(load))
+        effects.run_direct(pn.run_transaction(load), dispatcher)
 
         def bump(txn):
             for key in keys[:3]:
                 yield from txn.update(key, (-key[1],))
 
-        runner.run(pn.run_transaction(bump))
+        effects.run_direct(pn.run_transaction(bump), dispatcher)
         log.assert_clean()
         (sanitizer,) = chain
         for key in keys:
@@ -312,12 +311,12 @@ class TestSanitizersReadPutColumns:
         through the batch's columns, as for a single PutIfVersion."""
         cluster = StorageCluster(n_nodes=1)
         log, chain = make_sanitizers()
-        router = Router(cluster, interceptors=chain)
+        dispatcher = Dispatcher(cluster, interceptors=chain)
         key = (3, 1)
         first = VersionedRecord.initial(0, ("a",))
-        router.execute(effects.multi_put(DATA_SPACE, [key], [first]))
+        dispatcher.execute(effects.multi_put(DATA_SPACE, [key], [first]))
         second = first.updated(5, ("b",), 0)
-        router.execute(effects.multi_put(DATA_SPACE, [key], [second], [1]))
+        dispatcher.execute(effects.multi_put(DATA_SPACE, [key], [second], [1]))
         log.assert_clean()
         put_if_version = StorageNode.do_put_if_version
 
@@ -326,7 +325,7 @@ class TestSanitizersReadPutColumns:
 
         monkeypatch.setattr(StorageNode, "do_put_if_version", unconditional)
         third = second.updated(6, ("c",), 0)
-        oks, versions = router.execute(
+        oks, versions = dispatcher.execute(
             effects.multi_put(DATA_SPACE, [key], [third], [1])
         )
         assert oks == [True] and versions == [3]

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from repro import effects
-from repro.api.runner import DirectRunner, Router
 from repro.core.commit_manager import CommitManager
 from repro.core.processing_node import ProcessingNode
+from repro.dispatch import Dispatcher
+from repro.effects import run_direct
 from repro.errors import TransactionAborted
 from repro.sql.table import IndexManager
 from repro.store.cluster import StorageCluster
@@ -32,24 +33,24 @@ def env():
     catalog = build_ycsb_catalog()
     indexes = IndexManager()
     loader = BulkLoader(catalog, indexes)
-    router = Router(cluster)
+    dispatcher = Dispatcher(cluster)
     count = effects.run_direct(
-        populate_ycsb(catalog, loader, RECORDS), router
+        populate_ycsb(catalog, loader, RECORDS), dispatcher
     )
     assert count == RECORDS
     cm = CommitManager(0, cluster.execute)
     pn = ProcessingNode(0)
-    runner = DirectRunner(Router(cluster, cm, pn_id=0))
-    return catalog, indexes, pn, runner
+    dispatcher = Dispatcher(cluster, cm, pn_id=0)
+    return catalog, indexes, pn, dispatcher
 
 
 def run_op(env, client, op, args):
-    catalog, indexes, pn, runner = env
+    catalog, indexes, pn, dispatcher = env
 
     def logic(txn):
         return (yield from client.execute(txn, op, args))
 
-    result, _ = runner.run(pn.run_transaction(logic))
+    result, _ = run_direct(pn.run_transaction(logic), dispatcher)
     return result
 
 
@@ -93,7 +94,7 @@ class TestMixes:
 
 class TestOperations:
     def test_read(self, env):
-        catalog, indexes, pn, runner = env
+        catalog, indexes, pn, dispatcher = env
         client = YcsbClient(catalog, indexes, RECORDS, WORKLOAD_C, seed=1)
         found = run_op(env, client, "read", {"key": 5})
         assert found is not None
@@ -101,7 +102,7 @@ class TestOperations:
         assert row[0] == 5
 
     def test_update_changes_a_field(self, env):
-        catalog, indexes, pn, runner = env
+        catalog, indexes, pn, dispatcher = env
         client = YcsbClient(catalog, indexes, RECORDS, WORKLOAD_A, seed=2)
         before = run_op(env, client, "read", {"key": 7})[1]
         run_op(env, client, "update", {"key": 7})
@@ -110,14 +111,14 @@ class TestOperations:
         assert before[0] == after[0] == 7
 
     def test_scan_returns_ordered_run(self, env):
-        catalog, indexes, pn, runner = env
+        catalog, indexes, pn, dispatcher = env
         client = YcsbClient(catalog, indexes, RECORDS, WORKLOAD_E, seed=3)
         rows = run_op(env, client, "scan", {"key": 50, "length": 10})
         keys = [row[0] for _rid, row in rows]
         assert keys == list(range(50, 60))
 
     def test_insert_uses_fresh_keys(self, env):
-        catalog, indexes, pn, runner = env
+        catalog, indexes, pn, dispatcher = env
         client = YcsbClient(catalog, indexes, RECORDS, WORKLOAD_E, seed=4)
         op, args = None, None
         while op != "insert":
@@ -128,25 +129,25 @@ class TestOperations:
         assert found is not None
 
     def test_read_modify_write(self, env):
-        catalog, indexes, pn, runner = env
+        catalog, indexes, pn, dispatcher = env
         client = YcsbClient(catalog, indexes, RECORDS, WORKLOAD_A, seed=5)
         result = run_op(env, client, "read_modify_write", {"key": 3})
         assert result is not None
 
     def test_conflicting_updates_one_loses(self, env):
-        catalog, indexes, pn, runner = env
+        catalog, indexes, pn, dispatcher = env
         client = YcsbClient(catalog, indexes, RECORDS, WORKLOAD_A, seed=6)
 
-        txn_a = runner.run(pn.begin())
-        txn_b = runner.run(pn.begin())
-        runner.run(client.execute(txn_a, "update", {"key": 1}))
-        runner.run(client.execute(txn_b, "update", {"key": 1}))
-        runner.run(txn_a.commit())
+        txn_a = run_direct(pn.begin(), dispatcher)
+        txn_b = run_direct(pn.begin(), dispatcher)
+        run_direct(client.execute(txn_a, "update", {"key": 1}), dispatcher)
+        run_direct(client.execute(txn_b, "update", {"key": 1}), dispatcher)
+        run_direct(txn_a.commit(), dispatcher)
         with pytest.raises(TransactionAborted):
-            runner.run(txn_b.commit())
+            run_direct(txn_b.commit(), dispatcher)
 
     def test_mixed_stream_runs_clean(self, env):
-        catalog, indexes, pn, runner = env
+        catalog, indexes, pn, dispatcher = env
         for name, mix in WORKLOADS.items():
             client = YcsbClient(catalog, indexes, RECORDS, mix, seed=hash(name) & 0xFF)
             for _ in range(25):

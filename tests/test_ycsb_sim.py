@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.bench.config import TellConfig
-from repro.bench.ycsb_sim import SimulatedYcsb
+from repro.workloads.simulated import SimulatedYcsb, TellConfig
 
 
 def config(**overrides):
