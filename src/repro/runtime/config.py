@@ -75,14 +75,13 @@ class SimulationConfig(DeploymentConfig):
     everything :class:`repro.runtime.fabric.SimFabric` and
     :class:`repro.runtime.deployment.SimulatedDeployment` read.  Defaults
     model the paper's testbed (Section 6.1) at reduced scale: NUMA-unit
-    nodes with 4 cores, 7 storage nodes, InfiniBand.
+    nodes with 4 cores (:data:`repro.runtime.fabric.PN_CORES` /
+    ``SN_CORES``), 7 storage nodes, InfiniBand.
     """
 
     storage_nodes: int = 7
     processing_nodes: int = 4
     network: str = "infiniband"
-    pn_cores: int = 4
-    sn_cores: int = 4
     cm_sync_interval_us: float = 1000.0
     batching: bool = True            # ablation: split batches when False
     threads_per_pn: int = 32         # synchronous worker threads per PN
@@ -95,9 +94,11 @@ class SimulationConfig(DeploymentConfig):
     def total_cores(self) -> int:
         """Total CPU cores of the deployment, the x-axis of Figures 8/9
         (PNs + SNs + commit managers at 2 cores + 1 management node)."""
+        from repro.runtime.fabric import PN_CORES, SN_CORES
+
         return (
-            self.processing_nodes * self.pn_cores
-            + self.storage_nodes * self.sn_cores
+            self.processing_nodes * PN_CORES
+            + self.storage_nodes * SN_CORES
             + self.commit_managers * 2
             + 2
         )

@@ -24,7 +24,7 @@ from repro.core.txlog import TransactionLog
 from repro.dispatch import DispatchEnv, Dispatcher, Interceptor, attach_all
 from repro.errors import InvalidState, TellError, TransactionAborted
 from repro.runtime.config import DeploymentConfig, SimulationConfig
-from repro.runtime.fabric import CorePool, SimFabric, drive
+from repro.runtime.fabric import PN_CORES, CorePool, SimFabric, drive
 from repro.sim.kernel import Delay, Simulator
 from repro.sql.table import IndexManager
 from repro.store.cluster import StorageCluster
@@ -222,7 +222,7 @@ class SimulatedDeployment(Deployment):
     def _make_pn(self, pn_id: int) -> PnHandle:
         indexes = IndexManager()
         pn = self.make_pn(pn_id, indexes)
-        return (pn, CorePool(self.config.pn_cores), self.cm_index_of(pn_id),
+        return (pn, CorePool(PN_CORES), self.cm_index_of(pn_id),
                 indexes)
 
     # -- the simulated run -------------------------------------------------

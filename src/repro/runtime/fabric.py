@@ -44,6 +44,10 @@ from repro.sim.kernel import Delay, Simulator
 from repro.store.cell import approx_size, request_size
 from repro.store.cluster import StorageCluster
 
+#: Simulated cores of every processing node and every storage node (one
+#: NUMA unit of the paper's testbed, Section 6.1).
+PN_CORES = 4
+SN_CORES = 4
 #: Response-size estimates by request kind (bytes); used for wire time.
 READ_RESPONSE_BYTES = 280
 WRITE_RESPONSE_BYTES = 24
@@ -187,7 +191,7 @@ class SimFabric:
         self.config = config
         self.profile: NetworkProfile = profile_by_name(config.network)
         self.sn_pools = {
-            node_id: CorePool(config.sn_cores) for node_id in cluster.nodes
+            node_id: CorePool(SN_CORES) for node_id in cluster.nodes
         }
         self.cm_pools = [CorePool(2) for _ in commit_managers]
         self.stats = FabricStats()
@@ -209,7 +213,7 @@ class SimFabric:
     def register_node(self, node_id: int) -> None:
         """Give a freshly attached storage node its simulated core pool."""
         if node_id not in self.sn_pools:
-            self.sn_pools[node_id] = CorePool(self.config.sn_cores)
+            self.sn_pools[node_id] = CorePool(SN_CORES)
 
     # -- top-level dispatch ------------------------------------------------------
 

@@ -28,7 +28,7 @@ from repro.errors import TellError, TransactionAborted
 from repro.index.btree import DistributedBTree
 from repro.runtime.config import SimulationConfig
 from repro.runtime.deployment import Deployment
-from repro.runtime.fabric import CorePool, SimFabric, drive
+from repro.runtime.fabric import PN_CORES, CorePool, SimFabric, drive
 from repro.san import make_sanitizers
 from repro.san.violations import ViolationLog
 from repro.sim.kernel import Process, SchedulerPolicy, Simulator, all_of
@@ -63,7 +63,7 @@ class SimWorld:
         (self.sanitizer,) = self.chain
         attach_all(self.chain, self.deployment.dispatch_env(self.sim))
         self.pns = [self.deployment.make_pn(pn_id) for pn_id in range(n_pns)]
-        self.pools = [CorePool(config.pn_cores) for _ in range(n_pns)]
+        self.pools = [CorePool(PN_CORES) for _ in range(n_pns)]
 
     # -- driving protocol coroutines under the fabric --------------------
 

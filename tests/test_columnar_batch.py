@@ -27,10 +27,7 @@ from repro.core.spaces import DATA_SPACE
 from repro.dispatch import Dispatcher, FaultRule, TraceInterceptor
 from repro.effects import run_direct
 from repro.runtime import fabric as fabric_module
-from repro.runtime.config import SimulationConfig
-from repro.runtime.fabric import CorePool, SimFabric
 from repro.san import make_sanitizers
-from repro.sim.kernel import Simulator
 from repro.sql.executor import StatementExecutor
 from repro.sql.parser import parse
 from repro.sql.table import Table
@@ -38,6 +35,7 @@ from repro.store.cell import request_size
 from repro.store.cluster import StorageCluster
 from repro.workloads.simulated import SimulatedTell, TellConfig
 from repro.workloads.tpcc.params import TpccScale
+from tests.conftest import FabricRig
 
 #: Keys spread over every node; every third one is stored.
 KEYS = [(7, rid) for rid in range(60)]
@@ -82,28 +80,14 @@ def simulate(batch, **config):
     """One batch (or a list of requests, sent one after the other)
     through a fresh fabric: (result, finish time, stats)."""
     cluster = populated_cluster()
-    sim = Simulator()
-    fabric = SimFabric(
-        sim, cluster, [CommitManager(0, cluster.execute)],
-        SimulationConfig(storage_nodes=3, partitions_per_node=4, **config),
-    )
-    holder = {}
-
-    def proc():
-        pool = CorePool(4)
-        if isinstance(batch, list):
-            results = []
-            for request in batch:
-                results.append((yield from fabric.perform(pool, 0, request)))
-            holder["value"] = results
-        else:
-            holder["value"] = yield from fabric.perform(pool, 0, batch)
-        holder["at"] = sim.now
-
-    sim.run_until_complete(sim.spawn(proc()))
-    stats = fabric.stats
+    rig = FabricRig(cluster, **config)
+    if isinstance(batch, list):
+        value = rig.perform(*batch)
+    else:
+        (value,) = rig.perform(batch)
+    stats = rig.fabric.stats
     reads = [node.ops_read for node in cluster.nodes.values()]
-    return (holder["value"], holder["at"],
+    return (value, rig.sim.now,
             (stats.messages, stats.store_ops, stats.bytes_sent, reads))
 
 
@@ -122,9 +106,8 @@ def test_no_per_key_request_object_outlives_the_send():
     for key, value in stored.items():
         cluster.execute(effects.Put("guard", key, value))
     stored_ids = {id(value) for value in stored.values()}
-    sim = Simulator()
-    fabric = SimFabric(sim, cluster, [CommitManager(0, cluster.execute)],
-                       SimulationConfig(storage_nodes=2, partitions_per_node=4))
+    rig = FabricRig(cluster)
+    sim = rig.sim
     service_ends = []
     schedule = sim.call_at
 
@@ -190,12 +173,9 @@ def test_no_per_key_request_object_outlives_the_send():
 
     batch = effects.multi_get("guard", keys)
 
-    def proc():
-        seen["value"] = yield from fabric.perform(CorePool(4), 0, batch)
-        seen["done"] = sim.now
-
     schedule(1.0, in_flight)
-    sim.run_until_complete(sim.spawn(proc()))
+    (seen["value"],) = rig.perform(batch)
+    seen["done"] = sim.now
     sent, served = seen["sent"], seen["served"]
     assert sent["at"] < served["at"] < seen["done"]  # mid round trip
     assert len(service_ends) == sent["messages"] == served["messages"] == 2

@@ -96,12 +96,10 @@ def test_pinned_ycsb_digest():
         "8e802d3c85502ece9e633e86b2fa89b8010ddeee8069c07b80d71f86a88ee631")
 
 
-def test_different_seed_diverges():
+def test_different_seed_diverges(tiny_run, tiny_run_seed6):
     # Not a formal requirement, but if two different seeds collide the
     # digest is almost certainly not covering the measurements.
-    first = run_tell_experiment(_config(seed=7))
-    second = run_tell_experiment(_config(seed=8))
-    assert first.digest() != second.digest()
+    assert tiny_run.metrics.digest() != tiny_run_seed6.metrics.digest()
 
 
 def test_pinned_store_after_load():

@@ -37,12 +37,10 @@ from repro.dispatch import (
     drive_sync,
     kind_of,
 )
-from repro.core.commit_manager import CommitManager
 from repro.errors import NodeUnavailable, TellError
-from repro.runtime.config import SimulationConfig
-from repro.runtime.fabric import CorePool, SimFabric
-from repro.sim.kernel import Delay, Event, Simulator
+from repro.sim.kernel import Delay, Event
 from repro.store.cluster import StorageCluster
+from tests.conftest import FabricRig
 
 
 #: Every ``Request`` subclass :mod:`repro.effects` defines, and the
@@ -88,13 +86,8 @@ class TestKindOf:
         assert fancy.is_write == base.is_write
 
         def run_fabric(cluster, request):
-            sim = Simulator()
-            fabric = SimFabric(
-                sim, cluster, [CommitManager(0, cluster.execute)],
-                SimulationConfig(storage_nodes=2, replication_factor=2),
-            )
-            return sim.run_until_complete(
-                sim.spawn(fabric.perform(CorePool(4), 0, request)))
+            (result,) = FabricRig(cluster).perform(request)
+            return result
 
         for run in (StorageCluster.execute, run_fabric):
             results = []

@@ -24,6 +24,7 @@ from repro.effects import run_direct
 from repro.sql.table import IndexManager, Table
 from repro.workloads.simulated import SimulatedTell, TellConfig
 from repro.workloads.tpcc.params import TpccScale
+from tests.conftest import shared_run
 
 KILL_AT_US = 60_000.0
 KILLED_NODE = 1
@@ -48,9 +49,14 @@ def _run_with_kill(seed=11):
                        label=f"kill-sn{KILLED_NODE}"),
     ])
     deployment = SimulatedTell(_config(seed), interceptors=[fault])
-    deployment.load()
     metrics = deployment.run()
     return deployment, metrics, fault
+
+
+@shared_run()
+def killed_run():
+    """The seed-23 run with the kill: ``(deployment, metrics, fault)``."""
+    return _run_with_kill(seed=23)
 
 
 @pytest.fixture(scope="module")
@@ -161,17 +167,15 @@ class TestSnKillFailover:
 
 
 class TestFaultDeterminism:
-    def test_fixed_seed_reproduces_the_faulty_run(self):
-        _d1, metrics_a, fault_a = _run_with_kill(seed=23)
+    def test_fixed_seed_reproduces_the_faulty_run(self, killed_run):
+        _d1, metrics_a, fault_a = killed_run
         _d2, metrics_b, fault_b = _run_with_kill(seed=23)
         assert metrics_a.digest() == metrics_b.digest()
         assert fault_a.fired_events == fault_b.fired_events
 
-    def test_the_kill_actually_changes_the_run(self):
-        deployment = SimulatedTell(_config(seed=23))
-        deployment.load()
-        clean = deployment.run()
-        _d, faulty, _f = _run_with_kill(seed=23)
+    def test_the_kill_actually_changes_the_run(self, killed_run):
+        clean = SimulatedTell(_config(seed=23)).run()
+        _d, faulty, _f = killed_run
         assert clean.digest() != faulty.digest()
 
 

@@ -23,7 +23,7 @@ from repro.sim.kernel import Delay
 from repro.store.cluster import StorageCluster
 from repro.workloads.simulated import SimulatedTell, TellConfig
 from repro.workloads.tpcc.params import TpccScale
-from tests.conftest import host_clock_trap
+from tests.conftest import host_clock_trap, shared_run
 
 
 def make_cluster(n_nodes=3, rf=2, ppn=4):
@@ -219,6 +219,15 @@ def _run_diurnal(config, double_at=30_000.0, halve_at=70_000.0):
     return deployment, coordinator, metrics
 
 
+@shared_run()
+def diurnal():
+    """The seed-7 ``sim_config()`` cycle, run under ``host_clock_trap``:
+    ``(deployment, coordinator, metrics, trapped calls)``."""
+    with host_clock_trap() as trapped:
+        deployment, coordinator, metrics = _run_diurnal(sim_config())
+    return deployment, coordinator, metrics, trapped
+
+
 class TestLiveElasticity:
     @pytest.mark.parametrize("isolation", ["si", "wsi", "ssi"])
     def test_diurnal_double_halve_sanitized(self, isolation, monkeypatch):
@@ -232,13 +241,12 @@ class TestLiveElasticity:
         assert len(deployment.cluster.nodes) == 2
         assert_no_leaks(deployment.cluster)
 
-    def test_fixed_seed_reproduces_migration_schedule(self):
+    def test_fixed_seed_reproduces_migration_schedule(self, diurnal):
         """One run against constants recorded at d7214b1 (CPython 3.11.7):
         the ownership layer's only end-to-end pin."""
         from repro.dispatch import WrongOwnerRedirect
 
-        with host_clock_trap() as trapped:
-            deployment, coordinator, metrics = _run_diurnal(sim_config())
+        deployment, coordinator, metrics, trapped = diurnal
         assert trapped == []
         assert metrics.digest() == (
             "c4bcc60be7e34c38c5bc1c225b34b7aa"
@@ -256,8 +264,8 @@ class TestLiveElasticity:
             == ("075d3d20b78a2df90518af7ca9589ba1"
                 "abbaa6ca70f29d06616516c5583d8a7f")
 
-    def test_wrong_owner_redirects_recover(self):
-        deployment, coordinator, metrics = _run_diurnal(sim_config())
+    def test_wrong_owner_redirects_recover(self, diurnal):
+        deployment, _coordinator, metrics, _trapped = diurnal
         from repro.dispatch import WrongOwnerRedirect
 
         redirectors = [mw for mw in deployment.interceptors

@@ -2,11 +2,8 @@
 
 import io
 import runpy
-import sys
 from contextlib import redirect_stdout
 from pathlib import Path
-
-import pytest
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import effects
-from repro.errors import InvalidState, NodeUnavailable
+from repro.errors import NodeUnavailable
 from repro.store.cluster import StorageCluster
 from repro.store.management import ManagementNode
 

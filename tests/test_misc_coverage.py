@@ -9,7 +9,6 @@ from repro.core.spaces import data_key
 from repro.dispatch import Dispatcher
 from repro.effects import run_direct
 from repro.errors import TransactionAborted
-from repro.store.cluster import StorageCluster
 from tests.conftest import every_entry_live
 
 

@@ -13,25 +13,14 @@ from repro.obs import (Observability, obs_enabled, phase_table_rows, to_json,
 from repro.obs import cli as obs_cli
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import Tracer
-from repro.workloads.simulated import SimulatedTell, TellConfig
-from repro.workloads.tpcc.params import TpccScale
+from repro.workloads.simulated import SimulatedTell
+from tests.conftest import finished, shared_run, tiny_tell_config
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
 
 
 def tiny_config(**overrides):
-    defaults = dict(
-        processing_nodes=1,
-        storage_nodes=2,
-        threads_per_pn=4,
-        scale=TpccScale.tiny(2),
-        duration_us=60_000.0,
-        warmup_us=10_000.0,
-        seed=5,
-        observability=True,
-    )
-    defaults.update(overrides)
-    return TellConfig(**defaults)
+    return tiny_tell_config(observability=True, **overrides)
 
 
 class TestRegistry:
@@ -214,18 +203,16 @@ class TestEnvFlag:
 
 
 def run_tiny(**overrides):
-    deployment = SimulatedTell(tiny_config(**overrides))
-    deployment.load()
-    return deployment.run()
+    return SimulatedTell(tiny_config(**overrides)).run()
 
 
-@pytest.fixture(scope="module")
+@shared_run()
 def observed():
     """The seed-5 ``tiny_config`` run, observability on."""
-    return run_tiny()
+    return finished(SimulatedTell(tiny_config()))
 
 
-@pytest.fixture(scope="module")
+@shared_run()
 def wired():
     """A run with everything that exports series attached: a request
     trace over injected errors, so the error counter has a series.
@@ -235,7 +222,6 @@ def wired():
         FaultRule(op="Get", error_rate=0.01),
     ])
     deployment = SimulatedTell(tiny_config(), interceptors=[trace, faults])
-    deployment.load()
     return deployment, trace, deployment.run().obs_snapshot
 
 
@@ -278,36 +264,35 @@ def series_names(snapshot):
 
 class TestSimulatedObservability:
     def test_snapshot_emitted_and_valid(self, observed):
-        snapshot = observed.obs_snapshot
+        snapshot = observed.metrics.obs_snapshot
         assert snapshot is not None
         assert validate_snapshot(snapshot) == []
         assert snapshot["meta"]["clock"] == "sim"
         assert "phases" not in snapshot  # repro-obs/1 section, now series
 
     def test_phase_table_matches_golden(self, observed):
-        assert phase_table_rows(observed.obs_snapshot) == GOLDEN_PHASE_TABLE
+        assert phase_table_rows(observed.metrics.obs_snapshot) \
+            == GOLDEN_PHASE_TABLE
 
     def test_transactions_in_flight_at_run_end_are_abandoned(self, observed):
-        spans = observed.obs_snapshot["spans"]
+        spans = observed.metrics.obs_snapshot["spans"]
         assert spans["finished_roots"] == 419
         # one open root per terminal: the run end cut its transaction off
         assert spans["abandoned"] == 4
 
     def test_identical_snapshots_across_same_seed_runs(self, observed):
-        assert json.dumps(observed.obs_snapshot, sort_keys=True) == \
-            json.dumps(run_tiny().obs_snapshot, sort_keys=True)
+        assert json.dumps(observed.metrics.obs_snapshot, sort_keys=True) \
+            == json.dumps(run_tiny().obs_snapshot, sort_keys=True)
 
-    def test_digest_unchanged_by_observability(self, observed):
-        without = run_tiny(observability=False)
+    def test_digest_unchanged_by_observability(self, observed, tiny_run):
+        # tiny_run is this run with observability off.
+        without = tiny_run.metrics
         assert without.obs_snapshot is None
-        assert observed.digest() == without.digest()
+        assert observed.metrics.digest() == without.digest()
 
-    def test_disabled_run_has_no_tracer_attached(self):
-        deployment = SimulatedTell(tiny_config(observability=False))
-        assert deployment.obs is None
-        deployment.load()
-        deployment.run()
-        for pn, _pool, _cm, _indexes in deployment._pn_handles:
+    def test_disabled_run_has_no_tracer_attached(self, tiny_run):
+        assert tiny_run.obs is None
+        for pn, _pool, _cm, _indexes in tiny_run._pn_handles:
             assert pn.obs is None
 
     def test_pn_txn_outcomes_are_counted_under_simulation(self):
@@ -356,7 +341,8 @@ class TestObsCli:
     @pytest.fixture
     def snapshot_file(self, observed, tmp_path):
         path = tmp_path / "snapshot.json"
-        path.write_text(json.dumps(observed.obs_snapshot), encoding="utf-8")
+        path.write_text(json.dumps(observed.metrics.obs_snapshot),
+                        encoding="utf-8")
         return str(path)
 
     def test_validate_and_render_a_valid_snapshot(self, snapshot_file,
@@ -369,7 +355,7 @@ class TestObsCli:
 
     def test_wrong_schema_is_refused(self, observed, tmp_path, capsys):
         path = tmp_path / "old.json"
-        path.write_text(json.dumps(dict(observed.obs_snapshot,
+        path.write_text(json.dumps(dict(observed.metrics.obs_snapshot,
                                         schema="repro-obs/1")),
                         encoding="utf-8")
         assert obs_cli.main(["validate", str(path)]) == 1

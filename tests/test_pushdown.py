@@ -7,7 +7,6 @@ from repro.api import Database
 from repro.core.record import TOMBSTONE, Version, VersionedRecord
 from repro.core.snapshot import SnapshotDescriptor
 from repro.errors import InvalidState
-from repro.store.cluster import StorageCluster
 from repro.store.pushdown import ScanFilter
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import InvalidState
-from repro.sim.kernel import Delay, Event, Simulator, all_of
+from repro.sim.kernel import Delay, Simulator, all_of
 
 
 def test_delay_advances_time():

@@ -12,20 +12,7 @@ from repro.runtime.fabric import CorePool
 from repro.runtime.metrics import TxnMetrics
 from repro.workloads.simulated import SimulatedTell, TellConfig
 from repro.workloads.tpcc.params import TpccScale
-
-
-def tiny_config(**overrides):
-    defaults = dict(
-        processing_nodes=1,
-        storage_nodes=2,
-        threads_per_pn=4,
-        scale=TpccScale.tiny(2),
-        duration_us=60_000.0,
-        warmup_us=10_000.0,
-        seed=5,
-    )
-    defaults.update(overrides)
-    return TellConfig(**defaults)
+from tests.conftest import tiny_tell_config as tiny_config
 
 
 class TestConfigValidation:
@@ -115,78 +102,60 @@ class TestCorePool:
 
 
 class TestSimulatedRun:
-    def test_small_run_commits_transactions(self):
-        deployment = SimulatedTell(tiny_config())
-        deployment.load()
-        metrics = deployment.run()
+    def test_small_run_commits_transactions(self, tiny_run):
+        metrics = tiny_run.metrics
         assert metrics.total_committed > 20
         assert metrics.tpmc > 0
         assert metrics.measured_time_us == 50_000.0
 
-    def test_deterministic_with_same_seed(self):
+    def test_deterministic_with_same_seed(self, tiny_run):
         runs = []
-        for _ in range(2):
-            deployment = SimulatedTell(tiny_config())
-            deployment.load()
-            metrics = deployment.run()
+        for metrics in (tiny_run.metrics,
+                        SimulatedTell(tiny_config()).run()):
             runs.append(
                 (metrics.total_committed, metrics.total_conflicts,
                  dict(metrics.committed))
             )
         assert runs[0] == runs[1]
 
-    def test_different_seed_different_run(self):
-        a = SimulatedTell(tiny_config(seed=5))
-        a.load()
-        b = SimulatedTell(tiny_config(seed=6))
-        b.load()
-        assert a.run().total_committed != b.run().total_committed
+    def test_different_seed_different_run(self, tiny_run, tiny_run_seed6):
+        assert tiny_run.metrics.total_committed \
+            != tiny_run_seed6.metrics.total_committed
 
     def test_more_pns_more_throughput(self):
         # 16 warehouses keep the 16 terminals of the 4-PN run uncontended;
         # tiny rows keep the two loads cheap.
         one = SimulatedTell(tiny_config(scale=TpccScale.tiny(16)))
-        one.load()
         tpmc_one = one.run().tpmc
         four = SimulatedTell(
             tiny_config(processing_nodes=4, scale=TpccScale.tiny(16))
         )
-        four.load()
         tpmc_four = four.run().tpmc
         assert tpmc_four > tpmc_one * 1.5
 
     def test_replication_costs_throughput_under_writes(self):
         rf1 = SimulatedTell(tiny_config(storage_nodes=3))
-        rf1.load()
         tpmc_rf1 = rf1.run().tpmc
         rf3 = SimulatedTell(
             tiny_config(storage_nodes=3, replication_factor=3)
         )
-        rf3.load()
         tpmc_rf3 = rf3.run().tpmc
         assert tpmc_rf3 < tpmc_rf1
 
-    def test_infiniband_beats_ethernet(self):
-        ib = SimulatedTell(tiny_config())
-        ib.load()
-        tpmc_ib = ib.run().tpmc
+    def test_infiniband_beats_ethernet(self, tiny_run):
+        tpmc_ib = tiny_run.metrics.tpmc
         eth = SimulatedTell(tiny_config(network="ethernet-10g"))
-        eth.load()
         tpmc_eth = eth.run().tpmc
         assert tpmc_ib > tpmc_eth * 2
 
-    def test_latencies_recorded(self):
-        deployment = SimulatedTell(tiny_config())
-        deployment.load()
-        metrics = deployment.run()
-        stats = metrics.latency("new_order")
+    def test_latencies_recorded(self, tiny_run):
+        stats = tiny_run.metrics.latency("new_order")
         assert stats.count > 0
         assert 0 < stats.mean_us < 1e6
 
     def test_replicas_identical_after_run(self):
         config = tiny_config(storage_nodes=3, replication_factor=2)
         deployment = SimulatedTell(config)
-        deployment.load()
         deployment.run()
         deployment.quiesce()
         cluster = deployment.cluster
@@ -204,7 +173,6 @@ class TestSimulatedRun:
 
     def test_quiesce_idempotent(self):
         deployment = SimulatedTell(tiny_config())
-        deployment.load()
         deployment.run()
         deployment.quiesce()
         assert deployment.quiesce() == 0
@@ -215,7 +183,6 @@ class TestSimulatedRun:
         # the fabric addresses managers by index, so it sees the
         # replacement without rewiring.
         deployment = SimulatedTell(tiny_config())
-        deployment.load()
         deployment.run()
         failed = deployment.commit_managers[0]
         with pytest.raises(InvalidState):
@@ -226,12 +193,9 @@ class TestSimulatedRun:
         assert deployment.fabric.commit_managers[0] is replacement
         assert replacement.start(0).tid > failed.last_assigned_tid
 
-    def test_batching_reduces_messages(self):
-        batched = SimulatedTell(tiny_config())
-        batched.load()
-        batched.run()
+    def test_batching_reduces_messages(self, tiny_run):
+        batched = tiny_run
         unbatched = SimulatedTell(tiny_config(batching=False))
-        unbatched.load()
         unbatched.run()
         per_txn_batched = (
             batched.fabric.stats.messages
@@ -246,7 +210,6 @@ class TestSimulatedRun:
     def test_commit_managers_scale_without_breaking(self):
         config = tiny_config(commit_managers=2, processing_nodes=2)
         deployment = SimulatedTell(config)
-        deployment.load()
         metrics = deployment.run()
         assert metrics.total_committed > 20
         deployment.quiesce()

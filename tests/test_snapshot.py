@@ -1,7 +1,6 @@
 """Tests for snapshot descriptors and the committed set (Section 4.2)."""
 
-import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.snapshot import CommittedSet, SnapshotDescriptor

@@ -12,7 +12,7 @@ from repro.elastic.topology import Move
 from repro.store.cluster import StorageCluster
 from repro.store.management import ManagementNode
 from repro.store.node import StorageNode
-from repro.store.partition import HashPartitioner, PartitionMap, stable_hash
+from repro.store.partition import PartitionMap, stable_hash
 
 
 class TestStableHash:

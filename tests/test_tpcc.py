@@ -9,12 +9,10 @@ from repro.core.commit_manager import CommitManager
 from repro.core.processing_node import ProcessingNode
 from repro.dispatch import Dispatcher
 from repro.effects import run_direct
-from repro.errors import TransactionAborted
 from repro.sql.table import IndexManager, Table
 from repro.store.cluster import StorageCluster
 from repro.workloads.loader import BulkLoader
 from repro.workloads.tpcc.mixes import (
-    MIXES,
     READ_INTENSIVE_MIX,
     SHARDABLE_MIX,
     STANDARD_MIX,

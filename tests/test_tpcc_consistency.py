@@ -11,7 +11,6 @@ recovery bug would break one of these equations.
 import pytest
 
 from repro import effects
-from repro.core.commit_manager import CommitManager
 from repro.core.processing_node import ProcessingNode
 from repro.dispatch import Dispatcher
 from repro.effects import run_direct

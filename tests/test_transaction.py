@@ -10,22 +10,18 @@ import pytest
 from repro import effects
 from repro.core.commit_manager import CommitManager
 from repro.core.processing_node import ProcessingNode
-from repro.core.record import TOMBSTONE
 from repro.core.spaces import DATA_SPACE, data_key
 from repro.core.transaction import TxnState
 from repro.core.txlog import LOG_SPACE, STATUS_ABORTED
 from repro.dispatch import Dispatcher
 from repro.effects import run_direct
-from repro.runtime.config import SimulationConfig
-from repro.runtime.fabric import CorePool, SimFabric, drive
-from repro.sim.kernel import Simulator
 from repro.store.cluster import StorageCluster
 from repro.errors import (
     InvalidState,
     KeyNotFound,
     TransactionAborted,
 )
-from tests.conftest import interleave
+from tests.conftest import FabricRig, interleave
 
 K1 = data_key(1, 1)
 K2 = data_key(1, 2)
@@ -379,21 +375,6 @@ class TestInterleavedExecution:
 
 
 
-def sim_run(cluster, cm):
-    """``run_direct`` over the simulated fabric: each script is one
-    simulated process on PN 0."""
-    sim = Simulator()
-    fabric = SimFabric(sim, cluster, [cm], SimulationConfig(
-        storage_nodes=len(cluster.nodes), partitions_per_node=4))
-    pool = CorePool(4)
-
-    def run(script):
-        return sim.run_until_complete(sim.spawn(
-            drive(fabric, (), pool, 0, script, 0)))
-
-    return run
-
-
 class TestStorageRefusesTheCommit:
     """A store error during Try-Commit aborts the transaction: its tid
     leaves the commit manager (else it pins the lav for good) and none
@@ -416,7 +397,7 @@ class TestStorageRefusesTheCommit:
             def run(script):
                 return run_direct(script, dispatcher)
         else:
-            run = sim_run(cluster, cm)
+            run = FabricRig(cluster, [cm]).run
         run(pn.run_transaction(inserts({key: ("v0",) for key in self.KEYS})))
         node = cluster.nodes[full_node]
         node.capacity_bytes = node.bytes_used

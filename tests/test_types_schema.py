@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import effects
 from repro.dispatch import Dispatcher
 from repro.effects import run_direct
 from repro.errors import ConflictError, SchemaError

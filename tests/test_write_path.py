@@ -28,9 +28,7 @@ from repro.dispatch import Dispatcher
 from repro.errors import NoCapacity, SchemaError, TransactionAborted
 from repro.runtime.config import SimulationConfig
 from repro.runtime.deployment import Deployment
-from repro.runtime.fabric import CorePool, SimFabric, drive
 from repro.san import make_sanitizers
-from repro.sim.kernel import Simulator
 from repro.sql.schema import Column, TableSchema
 from repro.sql.types import ColumnType, coerce
 from repro.store.cell import approx_size, request_size
@@ -38,6 +36,7 @@ from repro.store.cluster import StorageCluster
 from repro.store.node import StorageNode
 from repro.workloads.simulated import SimulatedTell, TellConfig
 from repro.workloads.tpcc.params import TpccScale
+from tests.conftest import FabricRig
 
 SPACE = "data"
 #: Pre-stored before each case, so conditional puts meet versions 1..3.
@@ -93,21 +92,8 @@ def run_direct(cluster, requests):
 def run_sim(cluster, requests):
     """Each request through a fresh fabric, one after the other:
     (results, wire bytes the fabric sent)."""
-    sim = Simulator()
-    fabric = SimFabric(
-        sim, cluster, [CommitManager(0, cluster.execute)],
-        SimulationConfig(storage_nodes=3, partitions_per_node=2,
-                         replication_factor=cluster.replication_factor),
-    )
-    results = []
-
-    def proc():
-        pool = CorePool(4)
-        for request in requests:
-            results.append((yield from fabric.perform(pool, 0, request)))
-
-    sim.run_until_complete(sim.spawn(proc()))
-    return results, fabric.stats.bytes_sent
+    rig = FabricRig(cluster)
+    return rig.perform(*requests), rig.fabric.stats.bytes_sent
 
 
 def state(cluster):
@@ -228,17 +214,13 @@ class TestReplicaInstall:
         # log entry): the record write is undone on every replica.
         config = SimulationConfig(processing_nodes=1, storage_nodes=3,
                                   replication_factor=3, partitions_per_node=1)
-        sim = Simulator()
-        deployment = Deployment(config, clock=lambda: sim.now)
+        # The deployment reads its clock only once the rig runs.
+        deployment = Deployment(config, clock=lambda: rig.sim.now)
         cluster = deployment.cluster
-        fabric = SimFabric(sim, cluster, deployment.commit_managers, config)
+        rig = FabricRig(cluster, deployment.commit_managers)
+        run = rig.run
         pn = deployment.make_pn(0)
-        pool = CorePool(config.pn_cores)
         key = (3, 1)
-
-        def run(script):
-            return sim.run_until_complete(
-                sim.spawn(drive(fabric, (), pool, 0, script, 0)))
 
         def write(payload, insert=False):
             txn = yield from pn.begin()
