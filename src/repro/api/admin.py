@@ -25,21 +25,12 @@ transactions -- the commit managers' pins unchanged.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional
+from typing import Any, Dict, Optional
 
+from repro.dispatch import drive_sync
 from repro.elastic.migration import (StorageOps, assert_migration_clean,
                                      capture_pins)
 from repro.errors import InvalidState
-
-
-def _complete(operation: Generator) -> Any:
-    """Run a storage operation to its end.  The embedded path models no
-    time, so every batch cost it yields is ignored."""
-    while True:
-        try:
-            next(operation)
-        except StopIteration as stop:
-            return stop.value
 
 
 class ClusterAdmin:
@@ -73,7 +64,7 @@ class ClusterAdmin:
                          capacity_bytes: Optional[int] = None) -> int:
         """Attach a fresh storage node; by default migrate partitions onto
         it until master counts are balanced.  Returns the new node id."""
-        return _complete(self._ops.add_storage_node(capacity_bytes, rebalance))
+        return drive_sync(self._ops.add_storage_node(capacity_bytes, rebalance))
 
     def remove_storage_node(self, node_id: int, drain: bool = True) -> None:
         """Retire a storage node.
@@ -84,11 +75,11 @@ class ClusterAdmin:
         node's fail-over path -- under RF1 that loses the node's data,
         exactly like a crash.
         """
-        _complete(self._ops.remove_storage_node(node_id, drain))
+        drive_sync(self._ops.remove_storage_node(node_id, drain))
 
     def rebalance(self) -> int:
         """Even out master placement; returns the number of moves run."""
-        return _complete(self._ops.rebalance())
+        return drive_sync(self._ops.rebalance())
 
     def wait_balanced(self) -> None:
         """Block until the topology is balanced (embedded mode: migrations

@@ -6,9 +6,9 @@ own ``isinstance`` ladder to interpret them; this module replaces all of
 them with one shared classification step plus one composition rule for
 cross-cutting concerns:
 
-* :func:`kind_of` maps a request to a small integer *kind* (single-key
-  store op, batch, scan, commit-manager call, local compute/sleep): one
-  read of the ``kind`` its class declares in :mod:`repro.effects`, so a
+* :func:`repro.effects.kind_of` maps a request to a small integer
+  *kind* (single-key store op, batch, scan, commit-manager call, local
+  compute/sleep): one read of the ``kind`` its class declares, so a
   subclass routes like its parent.  This is the only request
   classification in the repository.
 * :class:`Interceptor` is the uniform middleware protocol:
@@ -29,22 +29,7 @@ model and lets this module own routing.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional, Sequence
-
-# The KIND_* constants and kind_of live beside the classes that declare
-# them; they stay importable from here and from :mod:`repro.dispatch`.
-from repro.effects import (
-    KIND_BATCH,
-    KIND_CM_ABORTED,
-    KIND_CM_COMMITTED,
-    KIND_CM_START,
-    KIND_CM_VALIDATE,
-    KIND_COMPUTE,
-    KIND_SCAN,
-    KIND_SLEEP,
-    KIND_STORE,
-    kind_of,
-)
+from typing import Any, Callable, Generator, Sequence
 
 
 class _ZeroClock:
@@ -78,27 +63,6 @@ class DispatchContext:
         return f"DispatchContext(pn_id={self.pn_id})"
 
 
-class DispatchEnv:
-    """Deployment-level bindings handed to :meth:`Interceptor.on_attach`.
-
-    Fields are ``None`` when the owning driver does not have the
-    component (e.g. ``sim`` under the direct runner, ``obs`` -- the
-    :class:`repro.obs.Observability` hub -- when observability is off).
-    """
-
-    __slots__ = ("cluster", "commit_managers", "sim", "management", "obs")
-
-    def __init__(self, cluster: Any = None,
-                 commit_managers: Optional[Sequence[Any]] = None,
-                 sim: Any = None, management: Any = None,
-                 obs: Any = None) -> None:
-        self.cluster = cluster
-        self.commit_managers = list(commit_managers or ())
-        self.sim = sim
-        self.management = management
-        self.obs = obs
-
-
 #: A pipeline stage: called with the request, returns the generator that
 #: resolves it (yielding Delays/Events to the driver as needed).
 NextFn = Callable[[Any], Generator[Any, Any, Any]]
@@ -115,9 +79,6 @@ class Interceptor:
     value resolves immediately to ``None``; under the simulator yields
     are charged in simulated time.
     """
-
-    def on_attach(self, env: DispatchEnv) -> None:
-        """Called once when the owning driver wires the pipeline."""
 
     def intercept(self, request: Any, ctx: DispatchContext,
                   next: NextFn) -> Generator[Any, Any, Any]:
@@ -162,8 +123,3 @@ def drive_sync(generator: Generator[Any, Any, Any]) -> Any:
     except StopIteration as stop:
         return stop.value
 
-
-def attach_all(interceptors: Sequence[Interceptor], env: DispatchEnv) -> None:
-    """Run every interceptor's :meth:`~Interceptor.on_attach` hook."""
-    for interceptor in interceptors:
-        interceptor.on_attach(env)

@@ -17,18 +17,13 @@ from __future__ import annotations
 from typing import Any, Generator, Optional, Sequence
 
 from repro.dispatch.core import (
-    KIND_COMPUTE,
-    KIND_SCAN,
-    KIND_SLEEP,
     DispatchContext,
-    DispatchEnv,
     Interceptor,
     NextFn,
-    attach_all,
     compose,
     drive_sync,
 )
-from repro.effects import kind_of
+from repro.effects import KIND_COMPUTE, KIND_SCAN, KIND_SLEEP, kind_of
 
 
 class Dispatcher:
@@ -54,15 +49,6 @@ class Dispatcher:
         self.context = DispatchContext(pn_id=pn_id)
         self._chain: Optional[NextFn] = None
         if self.interceptors:
-            attach_all(
-                self.interceptors,
-                DispatchEnv(
-                    cluster=cluster,
-                    commit_managers=(
-                        [] if commit_manager is None else [commit_manager]
-                    ),
-                ),
-            )
             self._chain = compose(self.interceptors, self._tail, self.context)
 
     def execute(self, request: Any) -> Any:

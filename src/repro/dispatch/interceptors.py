@@ -15,15 +15,10 @@ policy re-drives the faulty tail, and faults are injected closest to the
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Generator, Optional, Sequence, Tuple, Type
 
-from repro.dispatch.core import (
-    KIND_BATCH,
-    DispatchContext,
-    DispatchEnv,
-    Interceptor,
-    NextFn,
-)
+from repro.dispatch.core import DispatchContext, Interceptor, NextFn
+from repro.effects import KIND_BATCH
 from repro.errors import NodeUnavailable, WrongOwner
 from repro.obs.registry import MetricsRegistry
 from repro.store.cell import request_size
@@ -48,15 +43,14 @@ class TraceInterceptor(Interceptor):
     * ``repro_request_errors{class,error}`` -- requests that raised, by
       exception type.  Successful round trips are count minus errors.
 
-    On an observability-enabled deployment the registry is the hub's, so
-    the series appear in the deployment's ``repro-obs/2`` snapshot;
-    otherwise it is the interceptor's own.
+    Without a ``registry`` it records into one of its own; pass an
+    observability-enabled deployment's ``obs.registry`` to put the series
+    in that deployment's ``repro-obs/2`` snapshot.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self._use(registry if registry is not None else MetricsRegistry())
-
-    def _use(self, registry: MetricsRegistry) -> None:
+        if registry is None:
+            registry = MetricsRegistry()
         self.registry = registry
         self._latency = registry.histogram(
             "repro_request_latency_us", "request latency by request class")
@@ -67,10 +61,6 @@ class TraceInterceptor(Interceptor):
         self._errors = registry.counter(
             "repro_request_errors",
             "failed requests by request class and exception type")
-
-    def on_attach(self, env: DispatchEnv) -> None:
-        if env.obs is not None:
-            self._use(env.obs.registry)
 
     def intercept(self, request: Any, ctx: DispatchContext,
                   next: NextFn) -> Generator[Any, Any, Any]:
@@ -114,23 +104,21 @@ class FaultRule:
     Matches requests by class name (``op``, ``None`` = any) and -- for
     storage requests -- by ``space`` (``None`` = any).  On a match, with
     probability ``error_rate`` the rule raises ``error_type(...)`` instead
-    of executing the request, and with probability ``latency_rate`` it
-    stalls the caller for ``latency_us`` of simulated time first.
+    of executing the request; every match first stalls the caller for
+    ``latency_us`` of simulated time.
     """
 
-    __slots__ = ("op", "space", "error_rate", "error_type", "latency_us",
-                 "latency_rate")
+    __slots__ = ("op", "space", "error_rate", "error_type", "latency_us")
 
     def __init__(self, op: Optional[str] = None, space: Optional[str] = None,
                  error_rate: float = 0.0,
                  error_type: Type[Exception] = NodeUnavailable,
-                 latency_us: float = 0.0, latency_rate: float = 1.0) -> None:
+                 latency_us: float = 0.0) -> None:
         self.op = op
         self.space = space
         self.error_rate = error_rate
         self.error_type = error_type
         self.latency_us = latency_us
-        self.latency_rate = latency_rate
 
     def matches(self, request: Any) -> bool:
         if self.op is not None and request.__class__.__name__ != self.op:
@@ -140,90 +128,29 @@ class FaultRule:
         return True
 
 
-class ScheduledFault:
-    """A deployment-level event fired at an absolute simulated time.
-
-    ``action(env)`` receives the :class:`DispatchEnv`; use the factory
-    :func:`kill_storage_node` or pass any callable (e.g. a commit-manager
-    failover).  Requires a simulated deployment -- the direct runner has
-    no timeline to schedule on.
-    """
-
-    __slots__ = ("at_us", "action", "label")
-
-    def __init__(self, at_us: float, action: Callable[[DispatchEnv], None],
-                 label: str = "fault") -> None:
-        self.at_us = at_us
-        self.action = action
-        self.label = label
-
-    def __repr__(self) -> str:
-        return f"ScheduledFault({self.at_us}, {self.label!r})"
-
-
-def kill_storage_node(node_id: int) -> Callable[[DispatchEnv], None]:
-    """Action: crash one SN and fail its partitions over to replicas."""
-
-    def action(env: DispatchEnv) -> None:
-        if env.management is not None:
-            env.management.handle_node_failure(node_id)
-        else:
-            env.cluster.nodes[node_id].crash()
-
-    return action
-
-
 class FaultInjector(Interceptor):
     """Deterministic, seed-driven fault injection middleware.
 
-    Three fault shapes, replacing the ad-hoc failure plumbing that tests
-    used to hand-roll:
-
-    * per-space/per-op *errors* and *added latency* via :class:`FaultRule`
-      (probabilities drawn from a private seeded RNG, so a fixed seed
-      reproduces the exact same faults),
-    * deployment events (SN kill, CM failover) via
-      :class:`ScheduledFault`, armed on the simulator clock at attach
-      time.
+    Per-space/per-op *errors* and *added latency* via :class:`FaultRule`;
+    error probabilities are drawn from a private seeded RNG, so a fixed
+    seed reproduces the exact same faults.  Deployment events (an SN
+    kill, a commit-manager fail-over) are plain simulator callbacks, e.g.
+    ``deployment.sim.call_at(t, lambda:
+    deployment.management.handle_node_failure(n))``.
     """
 
-    def __init__(self, seed: int = 0, rules: Sequence[FaultRule] = (),
-                 schedule: Sequence[ScheduledFault] = ()) -> None:
+    def __init__(self, seed: int = 0, rules: Sequence[FaultRule] = ()) -> None:
         self.rng = random.Random(seed)
         self.rules = list(rules)
-        self.schedule = list(schedule)
         self.injected_errors = 0
         self.injected_delays = 0
-        self.fired_events: List[str] = []
-
-    def on_attach(self, env: DispatchEnv) -> None:
-        if not self.schedule:
-            return
-        if env.sim is None:
-            raise ValueError(
-                "ScheduledFault requires a simulated deployment; the "
-                "direct runner has no timeline"
-            )
-        for fault in self.schedule:
-            env.sim.call_at(fault.at_us, self._firer(fault, env))
-
-    def _firer(self, fault: ScheduledFault,
-               env: DispatchEnv) -> Callable[[], None]:
-        def fire() -> None:
-            fault.action(env)
-            self.fired_events.append(fault.label)
-
-        return fire
 
     def intercept(self, request: Any, ctx: DispatchContext,
                   next: NextFn) -> Generator[Any, Any, Any]:
         for rule in self.rules:
             if not rule.matches(request):
                 continue
-            if rule.latency_us > 0.0 and (
-                rule.latency_rate >= 1.0
-                or self.rng.random() < rule.latency_rate
-            ):
+            if rule.latency_us > 0.0:
                 self.injected_delays += 1
                 yield _delay(rule.latency_us)
             if rule.error_rate > 0.0 and self.rng.random() < rule.error_rate:
@@ -247,24 +174,18 @@ class CrashPoint(Interceptor):
     executed (its state transition lands in the store) and then
     :class:`InjectedCrash` unwinds the driver, abandoning the coroutine
     exactly like a processing-node failure between two requests.  Fires
-    at most once unless ``repeat`` is set.
+    at most once.
     """
 
-    def __init__(self, predicate: Callable[[Any], bool],
-                 repeat: bool = False) -> None:
+    def __init__(self, predicate: Callable[[Any], bool]) -> None:
         self.predicate = predicate
-        self.repeat = repeat
-        self.crashes = 0
-
-    @property
-    def fired(self) -> bool:
-        return self.crashes > 0
+        self.fired = False
 
     def intercept(self, request: Any, ctx: DispatchContext,
                   next: NextFn) -> Generator[Any, Any, Any]:
         result = yield from next(request)
-        if (self.repeat or not self.fired) and self.predicate(request):
-            self.crashes += 1
+        if not self.fired and self.predicate(request):
+            self.fired = True
             raise InjectedCrash(request)
         return result
 
@@ -353,10 +274,8 @@ __all__ = [
     "TraceInterceptor",
     "InjectedCrash",
     "FaultRule",
-    "ScheduledFault",
     "FaultInjector",
     "CrashPoint",
     "RetryPolicy",
     "WrongOwnerRedirect",
-    "kill_storage_node",
 ]

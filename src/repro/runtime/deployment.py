@@ -21,7 +21,7 @@ from repro.core.snapshot import SnapshotDescriptor
 from repro.core.spaces import META_SPACE
 from repro.core.transaction import Transaction
 from repro.core.txlog import TransactionLog
-from repro.dispatch import DispatchEnv, Dispatcher, Interceptor, attach_all
+from repro.dispatch import Dispatcher, Interceptor
 from repro.errors import InvalidState, TellError, TransactionAborted
 from repro.runtime.config import DeploymentConfig, SimulationConfig
 from repro.runtime.fabric import PN_CORES, CorePool, SimFabric, drive
@@ -67,13 +67,6 @@ class Deployment:
 
             self.obs = Observability(clock=clock)
             watch_deployment(self.obs, self)
-
-    def dispatch_env(self, sim: Any = None) -> DispatchEnv:
-        """What interceptors attach to (:func:`repro.dispatch.attach_all`)."""
-        return DispatchEnv(
-            cluster=self.cluster, commit_managers=self.commit_managers,
-            sim=sim, management=self.management, obs=self.obs,
-        )
 
     # -- processing nodes ---------------------------------------------------
 
@@ -216,8 +209,6 @@ class SimulatedDeployment(Deployment):
         self._warmup_end = min(config.warmup_us, config.duration_us)
         self._end_time = config.duration_us
         self._populated = False
-        if self.interceptors:
-            attach_all(self.interceptors, self.dispatch_env(self.sim))
 
     def _make_pn(self, pn_id: int) -> PnHandle:
         indexes = IndexManager()

@@ -25,16 +25,14 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 from repro import effects
 from repro.core.commit_manager import CommitManager
 from repro.core.record import VersionedRecord
-from repro.dispatch import (
+from repro.dispatch import DispatchContext, Interceptor, compose
+from repro.effects import (
     KIND_BATCH,
     KIND_CM_START,
     KIND_COMPUTE,
     KIND_SCAN,
     KIND_SLEEP,
     KIND_STORE,
-    DispatchContext,
-    Interceptor,
-    compose,
     kind_of,
 )
 from repro.errors import TellError, WrongOwner
@@ -223,7 +221,7 @@ class SimFabric:
 
         The only executor of a request under simulation: every driver
         reaches the fabric through :func:`drive`, whose chain ends here.
-        Routing is the shared :func:`repro.dispatch.kind_of`
+        Routing is the shared :func:`repro.effects.kind_of`
         classification; this fabric owns only the *timing* model for
         each kind.  Checks are ordered by request frequency: single-key
         storage ops and Compute dominate the stream.

@@ -23,7 +23,6 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tup
 from repro import effects
 from repro.core.gc import lazy_gc_pass
 from repro.core.spaces import DATA_SPACE
-from repro.dispatch import attach_all
 from repro.errors import TellError, TransactionAborted
 from repro.index.btree import DistributedBTree
 from repro.runtime.config import SimulationConfig
@@ -61,7 +60,6 @@ class SimWorld:
         )
         self.log, self.chain = make_sanitizers(isolation=isolation)
         (self.sanitizer,) = self.chain
-        attach_all(self.chain, self.deployment.dispatch_env(self.sim))
         self.pns = [self.deployment.make_pn(pn_id) for pn_id in range(n_pns)]
         self.pools = [CorePool(PN_CORES) for _ in range(n_pns)]
 

@@ -1,7 +1,7 @@
 """The sanitizer: one interceptor, three passes over each observation.
 
 :class:`Sanitizer` is the dispatch interceptor of :mod:`repro.san`.  It
-classifies each request once (:func:`~repro.dispatch.kind_of`) and turns
+classifies each request once (:func:`~repro.effects.kind_of`) and turns
 every data-space store result into one :data:`Observation` per key -- a
 single-key request is a batch of one.  Each observation batch then goes
 through three passes, each over the whole batch before the next starts
@@ -56,16 +56,14 @@ from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from repro import effects
 from repro.core.spaces import DATA_SPACE
-from repro.dispatch import (
+from repro.dispatch import DispatchContext, Interceptor, NextFn
+from repro.effects import (
     KIND_BATCH,
     KIND_CM_ABORTED,
     KIND_CM_COMMITTED,
     KIND_CM_START,
     KIND_SCAN,
     KIND_STORE,
-    DispatchContext,
-    Interceptor,
-    NextFn,
     kind_of,
 )
 from repro.san.chain import check_chain

@@ -3,9 +3,10 @@
 The paper (Section 4.4) assigns the management node three jobs for the
 storage layer: detect failures, fail partitions over to their replicas,
 and restore the replication level afterwards.  Detection is not
-modelled: whatever kills a storage node (the
-``repro.dispatch.kill_storage_node`` fault, a hard removal, a test)
-calls :meth:`ManagementNode.handle_node_failure` directly.  Only one
+modelled: whatever kills a storage node (a simulator callback such as
+``sim.call_at(t, lambda: management.handle_node_failure(n))``, a hard
+removal, a test) calls :meth:`ManagementNode.handle_node_failure`
+directly.  Only one
 recovery process runs at a time, but a single recovery handles any
 number of simultaneous node failures.
 """

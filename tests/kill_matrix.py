@@ -459,6 +459,21 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
         "removing a storage node bumps the partition-map epoch directly: "
         "no epoch_log entry, and a route cached at the old epoch looks stale",
     ),
+    (
+        "crash_point_before_request",
+        "src/repro/dispatch/interceptors.py",
+        "        result = yield from next(request)\n"
+        "        if not self.fired and self.predicate(request):\n"
+        "            self.fired = True\n"
+        "            raise InjectedCrash(request)\n"
+        "        return result\n",
+        "        if not self.fired and self.predicate(request):\n"
+        "            self.fired = True\n"
+        "            raise InjectedCrash(request)\n"
+        "        return (yield from next(request))\n",
+        "CrashPoint raises before the matched request executes: a crash "
+        "test meant to find its write in the store finds none",
+    ),
 ]
 
 

@@ -7,6 +7,8 @@ import re
 import pytest
 
 import repro
+import repro.dispatch
+import repro.effects
 from repro.api import Database, DatabaseConfig
 from repro.errors import (DuplicateKey, InvalidState, MultipleResultRows,
                           NoResultRows, TransactionAborted)
@@ -300,6 +302,14 @@ class TestImportDirection:
                 if bad:
                     offenders[rel] = bad
         assert offenders == {}
+
+
+def test_dispatch_re_exports_nothing_from_effects():
+    """A request kind has one import path: :mod:`repro.effects`, which
+    declares it; :mod:`repro.dispatch` exports none of its names."""
+    effects_names = {name for name in vars(repro.effects)
+                     if not name.startswith("_")}
+    assert sorted(effects_names.intersection(repro.dispatch.__all__)) == []
 
 
 #: Import paths the frozen ledger (``benchmarks/ledger``) still reads;

@@ -15,15 +15,6 @@ import pytest
 import repro
 from repro import effects
 from repro.dispatch import (
-    KIND_BATCH,
-    KIND_CM_ABORTED,
-    KIND_CM_COMMITTED,
-    KIND_CM_START,
-    KIND_CM_VALIDATE,
-    KIND_COMPUTE,
-    KIND_SCAN,
-    KIND_SLEEP,
-    KIND_STORE,
     CrashPoint,
     DispatchContext,
     Dispatcher,
@@ -35,6 +26,17 @@ from repro.dispatch import (
     TraceInterceptor,
     compose,
     drive_sync,
+)
+from repro.effects import (
+    KIND_BATCH,
+    KIND_CM_ABORTED,
+    KIND_CM_COMMITTED,
+    KIND_CM_START,
+    KIND_CM_VALIDATE,
+    KIND_COMPUTE,
+    KIND_SCAN,
+    KIND_SLEEP,
+    KIND_STORE,
     kind_of,
 )
 from repro.errors import NodeUnavailable, TellError
@@ -492,16 +494,6 @@ class TestFaultInjector:
         dispatcher = Dispatcher(cluster, interceptors=[fault])
         with pytest.raises(Transient):
             dispatcher.execute(effects.Get("data", "k"))
-
-    def test_schedule_requires_a_simulator(self, cluster):
-        from repro.dispatch import ScheduledFault, kill_storage_node
-
-        fault = FaultInjector(
-            seed=1,
-            schedule=[ScheduledFault(10.0, kill_storage_node(0))],
-        )
-        with pytest.raises(ValueError):
-            Dispatcher(cluster, interceptors=[fault])
 
     def test_retry_recovers_injected_transients(self, cluster):
         """Retry + fault injection compose: bounded retry absorbs a

@@ -1,25 +1,19 @@
-"""End-to-end fault injection through the dispatch pipeline.
+"""End-to-end storage-node fault injection.
 
 The paper's recovery claims (Section 4.4) say a shared-data deployment
 survives storage-node failures: masters fail over to synchronously
 replicated backups and the workload keeps committing.  These tests kill
-one SN in the middle of a concurrent simulated TPC-C run (RF3) via a
-:class:`~repro.dispatch.ScheduledFault` and then check the TPC-C
-consistency conditions end-to-end -- plus that the whole faulty run is
-deterministic for a fixed seed, which is what makes failure scenarios
-debuggable at all.
+one SN in the middle of a concurrent simulated TPC-C run (RF3) with a
+simulator callback into the management node's fail-over and then check
+the TPC-C consistency conditions end-to-end -- plus that the whole
+faulty run is deterministic for a fixed seed, which is what makes
+failure scenarios debuggable at all.
 """
 
 import pytest
 
 from repro.core.processing_node import ProcessingNode
-from repro.dispatch import (
-    Dispatcher,
-    FaultInjector,
-    ScheduledFault,
-    TraceInterceptor,
-    kill_storage_node,
-)
+from repro.dispatch import Dispatcher, TraceInterceptor
 from repro.effects import run_direct
 from repro.sql.table import IndexManager, Table
 from repro.workloads.simulated import SimulatedTell, TellConfig
@@ -28,6 +22,8 @@ from tests.conftest import shared_run
 
 KILL_AT_US = 60_000.0
 KILLED_NODE = 1
+#: Every table the consistency checks read after the faulty run.
+CHECKED_TABLES = ("warehouse", "district", "orders", "orderline")
 
 
 def _config(seed=11):
@@ -44,51 +40,54 @@ def _config(seed=11):
 
 
 def _run_with_kill(seed=11):
-    fault = FaultInjector(seed=seed, schedule=[
-        ScheduledFault(KILL_AT_US, kill_storage_node(KILLED_NODE),
-                       label=f"kill-sn{KILLED_NODE}"),
-    ])
-    deployment = SimulatedTell(_config(seed), interceptors=[fault])
-    metrics = deployment.run()
-    return deployment, metrics, fault
+    deployment = SimulatedTell(_config(seed))
+    deployment.sim.call_at(
+        KILL_AT_US,
+        lambda: deployment.management.handle_node_failure(KILLED_NODE))
+    return deployment, deployment.run()
 
 
 @shared_run()
 def killed_run():
-    """The seed-23 run with the kill: ``(deployment, metrics, fault)``."""
+    """The seed-23 run with the kill: ``(deployment, metrics)``."""
     return _run_with_kill(seed=23)
 
 
-@pytest.fixture(scope="module")
-def after_faulty_run():
-    deployment, metrics, fault = _run_with_kill()
-    deployment.quiesce()
+def _read_tables(deployment, names):
+    """Every row of each named table, as dicts, read in one transaction."""
     pn = ProcessingNode(50)
     dispatcher = Dispatcher(deployment.cluster, deployment.commit_managers[0],
                             pn_id=50)
-    return deployment, metrics, fault, pn, dispatcher
-
-
-def all_rows(after_faulty_run, table_name):
-    deployment, _metrics, _fault, pn, dispatcher = after_faulty_run
     txn = run_direct(pn.begin(), dispatcher)
-    table = Table(deployment.catalog.table(table_name), txn, IndexManager())
-    rows = run_direct(table.scan(), dispatcher)
+    rows = {}
+    for name in names:
+        schema = deployment.catalog.table(name)
+        scanned = run_direct(
+            Table(schema, txn, IndexManager()).scan(), dispatcher)
+        rows[name] = [schema.row_to_dict(row) for _rid, row in scanned]
     run_direct(txn.commit(), dispatcher)
-    schema = deployment.catalog.table(table_name)
-    return [schema.row_to_dict(row) for _rid, row in rows]
+    return rows
+
+
+@shared_run()
+def after_faulty_run():
+    """The quiesced seed-11 run with the kill:
+    ``(deployment, metrics, rows)``, ``rows`` mapping each of
+    :data:`CHECKED_TABLES` to its rows."""
+    deployment, metrics = _run_with_kill()
+    deployment.quiesce()
+    return deployment, metrics, _read_tables(deployment, CHECKED_TABLES)
 
 
 class TestSnKillFailover:
     def test_fault_fired_and_node_is_dead(self, after_faulty_run):
-        deployment, metrics, fault, _pn, _dispatcher = after_faulty_run
-        assert fault.fired_events == [f"kill-sn{KILLED_NODE}"]
+        deployment, _metrics, _rows = after_faulty_run
         assert not deployment.cluster.nodes[KILLED_NODE].alive
         assert KILLED_NODE not in deployment.cluster.live_nodes()
         assert deployment.management.recoveries_completed == 1
 
     def test_workload_keeps_committing_after_the_kill(self, after_faulty_run):
-        _deployment, metrics, _fault, _pn, _dispatcher = after_faulty_run
+        _deployment, metrics, _rows = after_faulty_run
         # Latencies are recorded at commit time; commits after the kill
         # prove the fail-over actually served traffic.
         post_kill_commits = sum(
@@ -99,15 +98,15 @@ class TestSnKillFailover:
         assert metrics.abort_rate < 0.9
 
     def test_every_partition_has_a_live_master(self, after_faulty_run):
-        deployment, _metrics, _fault, _pn, _dispatcher = after_faulty_run
+        deployment, _metrics, _rows = after_faulty_run
         pmap = deployment.cluster.partition_map
         for pid in range(deployment.cluster.partitioner.n_partitions):
             master = pmap.master_of(pid)
             assert deployment.cluster.nodes[master].alive
 
     def test_consistency_district_next_o_id(self, after_faulty_run):
-        districts = all_rows(after_faulty_run, "district")
-        orders = all_rows(after_faulty_run, "orders")
+        rows = after_faulty_run[2]
+        districts, orders = rows["district"], rows["orders"]
         for district in districts:
             w, d = district["d_w_id"], district["d_id"]
             o_ids = [o["o_id"] for o in orders
@@ -118,7 +117,7 @@ class TestSnKillFailover:
             )
 
     def test_consistency_order_ids_contiguous(self, after_faulty_run):
-        orders = all_rows(after_faulty_run, "orders")
+        orders = after_faulty_run[2]["orders"]
         per_district = {}
         for order in orders:
             per_district.setdefault(
@@ -130,8 +129,8 @@ class TestSnKillFailover:
             )
 
     def test_consistency_orderline_counts(self, after_faulty_run):
-        orders = all_rows(after_faulty_run, "orders")
-        lines = all_rows(after_faulty_run, "orderline")
+        rows = after_faulty_run[2]
+        orders, lines = rows["orders"], rows["orderline"]
         expected = {}
         for order in orders:
             key = (order["o_w_id"], order["o_d_id"])
@@ -143,8 +142,8 @@ class TestSnKillFailover:
         assert actual == expected
 
     def test_consistency_warehouse_ytd(self, after_faulty_run):
-        warehouses = all_rows(after_faulty_run, "warehouse")
-        districts = all_rows(after_faulty_run, "district")
+        rows = after_faulty_run[2]
+        warehouses, districts = rows["warehouse"], rows["district"]
         for warehouse in warehouses:
             own = [d for d in districts if d["d_w_id"] == warehouse["w_id"]]
             payments_d = sum(d["d_ytd"] for d in own) - 30_000.0 * len(own)
@@ -156,7 +155,7 @@ class TestSnKillFailover:
     def test_no_uncommitted_versions_remain(self, after_faulty_run):
         from repro import effects
 
-        deployment, _metrics, _fault, _pn, _dispatcher = after_faulty_run
+        deployment, _metrics, _rows = after_faulty_run
         manager = deployment.commit_managers[0]
         rows = deployment.cluster.execute(effects.Scan("data", None, None))
         for _key, record, _version in rows:
@@ -168,14 +167,13 @@ class TestSnKillFailover:
 
 class TestFaultDeterminism:
     def test_fixed_seed_reproduces_the_faulty_run(self, killed_run):
-        _d1, metrics_a, fault_a = killed_run
-        _d2, metrics_b, fault_b = _run_with_kill(seed=23)
+        _d1, metrics_a = killed_run
+        _d2, metrics_b = _run_with_kill(seed=23)
         assert metrics_a.digest() == metrics_b.digest()
-        assert fault_a.fired_events == fault_b.fired_events
 
     def test_the_kill_actually_changes_the_run(self, killed_run):
         clean = SimulatedTell(_config(seed=23)).run()
-        _d, faulty, _f = killed_run
+        _d, faulty = killed_run
         assert clean.digest() != faulty.digest()
 
 

@@ -217,11 +217,12 @@ def wired():
     """A run with everything that exports series attached: a request
     trace over injected errors, so the error counter has a series.
     Returns ``(deployment, trace, snapshot)``."""
-    trace = TraceInterceptor()
     faults = FaultInjector(seed=3, rules=[
         FaultRule(op="Get", error_rate=0.01),
     ])
-    deployment = SimulatedTell(tiny_config(), interceptors=[trace, faults])
+    deployment = SimulatedTell(tiny_config(), interceptors=[faults])
+    trace = TraceInterceptor(deployment.obs.registry)
+    deployment.interceptors.insert(0, trace)
     return deployment, trace, deployment.run().obs_snapshot
 
 
