@@ -26,7 +26,6 @@ from repro.dispatch import Dispatcher
 from repro.errors import InvalidState
 from repro.runtime.deployment import Deployment
 from repro.sql.session import Session
-from repro.sql.table import IndexManager
 
 
 class Database(Deployment):
@@ -98,7 +97,7 @@ class Database(Deployment):
             raise InvalidState("database is closed")
         pn_id = self._next_pn_id
         self._next_pn_id += 1
-        pn = self.make_pn(pn_id)
+        pn, _indexes = self.make_pn(pn_id)
         self.processing_nodes[pn_id] = pn
         self._dispatchers[pn_id] = Dispatcher(
             self.cluster, self.commit_managers[self.cm_index_of(pn_id)], pn_id
@@ -131,16 +130,14 @@ class Database(Deployment):
     # -- sessions ------------------------------------------------------------------------
 
     def session(self, pn_id: Optional[int] = None) -> Session:
-        """Open a SQL session (creating a PN when none specified exists)."""
+        """Open a SQL session (creating a PN when none specified exists);
+        sessions on one PN share its B+tree cache."""
         if self._closed:
             raise InvalidState("database is closed")
         if pn_id is None:
-            pn = self.add_processing_node()
-            pn_id = pn.pn_id
+            pn_id = self.add_processing_node().pn_id
         pn = self.processing_nodes[pn_id]
-        indexes = IndexManager()
-        if self.obs is not None:
-            self.obs.adopt(pn, indexes)
+        indexes = self.pn_registry[pn_id][1]
         return Session(pn, self._dispatchers[pn_id], indexes)
 
     # -- maintenance ----------------------------------------------------------------------

@@ -29,6 +29,8 @@ from repro.baselines import (
 from repro.bench.elastic import PHASES, check_elastic, cycle, run_elastic
 from repro.bench.isolation import check_isolation, run_isolation
 from repro.bench.scale import check_scale, run_scale
+from repro.obs.collect import collect_deployment
+from repro.obs.registry import MetricsRegistry
 from repro.runtime.metrics import TxnMetrics
 from repro.workloads.simulated import SimulatedTell, SimulatedYcsb, TellConfig
 from repro.workloads.tpcc.params import TpccScale
@@ -207,13 +209,15 @@ def _tell(profile: BenchProfile, **point: Any) -> Row:
     deployment = SimulatedTell(config)
     deployment.load()
     metrics = _finished("tell", deployment.run(), config.duration_us)
-    hit_ratios = [pn.buffers.stats.hit_ratio
-                  for pn, _pool, _cm, _idx in deployment._pn_handles]
+    counters = MetricsRegistry()
+    collect_deployment(counters, deployment)
+    hit_ratios = list(
+        counters.gauge("repro_buffer_hit_ratio").series().values())
+    messages = counters.gauge("repro_fabric_totals").value(what="messages")
     return _row(
         metrics, **point, system="tell", cores=config.total_cores,
         hit_ratio=sum(hit_ratios) / len(hit_ratios),
-        messages_per_txn=(deployment.fabric.stats.messages
-                          / metrics.total_finished),
+        messages_per_txn=messages / metrics.total_finished,
     )
 
 

@@ -35,15 +35,6 @@ class GcStats:
         self.versions_removed = 0
         self.records_removed = 0
 
-    def as_dict(self) -> dict:
-        """Read-only snapshot of the counters (for reports/sanitizers)."""
-        return {
-            "passes": self.passes,
-            "records_seen": self.records_seen,
-            "versions_removed": self.versions_removed,
-            "records_removed": self.records_removed,
-        }
-
 
 def lazy_gc_pass(lav: int, stats: Optional[GcStats] = None) -> Generator:
     """Sweep every record once: prune versions below the lav; drop cells

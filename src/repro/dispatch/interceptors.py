@@ -104,21 +104,18 @@ class FaultRule:
     Matches requests by class name (``op``, ``None`` = any) and -- for
     storage requests -- by ``space`` (``None`` = any).  On a match, with
     probability ``error_rate`` the rule raises ``error_type(...)`` instead
-    of executing the request; every match first stalls the caller for
-    ``latency_us`` of simulated time.
+    of executing the request.
     """
 
-    __slots__ = ("op", "space", "error_rate", "error_type", "latency_us")
+    __slots__ = ("op", "space", "error_rate", "error_type")
 
     def __init__(self, op: Optional[str] = None, space: Optional[str] = None,
                  error_rate: float = 0.0,
-                 error_type: Type[Exception] = NodeUnavailable,
-                 latency_us: float = 0.0) -> None:
+                 error_type: Type[Exception] = NodeUnavailable) -> None:
         self.op = op
         self.space = space
         self.error_rate = error_rate
         self.error_type = error_type
-        self.latency_us = latency_us
 
     def matches(self, request: Any) -> bool:
         if self.op is not None and request.__class__.__name__ != self.op:
@@ -131,7 +128,7 @@ class FaultRule:
 class FaultInjector(Interceptor):
     """Deterministic, seed-driven fault injection middleware.
 
-    Per-space/per-op *errors* and *added latency* via :class:`FaultRule`;
+    Per-space/per-op *errors* via :class:`FaultRule`;
     error probabilities are drawn from a private seeded RNG, so a fixed
     seed reproduces the exact same faults.  Deployment events (an SN
     kill, a commit-manager fail-over) are plain simulator callbacks, e.g.
@@ -143,16 +140,12 @@ class FaultInjector(Interceptor):
         self.rng = random.Random(seed)
         self.rules = list(rules)
         self.injected_errors = 0
-        self.injected_delays = 0
 
     def intercept(self, request: Any, ctx: DispatchContext,
                   next: NextFn) -> Generator[Any, Any, Any]:
         for rule in self.rules:
             if not rule.matches(request):
                 continue
-            if rule.latency_us > 0.0:
-                self.injected_delays += 1
-                yield _delay(rule.latency_us)
             if rule.error_rate > 0.0 and self.rng.random() < rule.error_rate:
                 self.injected_errors += 1
                 raise rule.error_type(

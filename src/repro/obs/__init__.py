@@ -33,8 +33,7 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "Observability", "Span", "Tracer",
     "OBS_SCHEMA", "PHASE_TABLE_HEADERS", "ENV_FLAG", "obs_enabled",
-    "install_sink",
-    "clear_sink", "emit", "phase_table_rows", "to_json",
+    "install_sink", "emit", "phase_table_rows", "to_json",
     "to_prometheus", "validate_snapshot",
 ]
 
@@ -77,15 +76,6 @@ class Observability:
         self.clock: Callable[[], float] = clock or _StepClock()
         self.registry = MetricsRegistry()
         self.tracer = Tracer(self.clock, self.registry, max_roots=max_roots)
-        #: ``(processing node, its index manager or None)`` pairs harvested
-        #: by :func:`repro.obs.collect.watch_deployment` at snapshot time.
-        self.adopted: List[Tuple[object, object]] = []
-
-    def adopt(self, pn: object, indexes: object = None) -> None:
-        """Instrument ``pn`` (its transactions open spans on this hub) and
-        export its stats -- plus ``indexes``' B+tree stats -- from now on."""
-        pn.obs = self  # type: ignore[attr-defined]
-        self.adopted.append((pn, indexes))
 
     def snapshot(self) -> dict:
         """Collect and export everything as a ``repro-obs/2`` document."""
@@ -116,11 +106,6 @@ def install_sink() -> List[Tuple[str, dict]]:
     if _SINK is None:
         _SINK = []
     return _SINK
-
-
-def clear_sink() -> None:
-    global _SINK
-    _SINK = None
 
 
 def emit(label: str, snapshot: dict) -> None:

@@ -1,15 +1,16 @@
 """Collector wiring: harvest the stack's always-on statistics.
 
-:func:`watch_deployment` registers the one :class:`MetricsRegistry`
-collector a deployment needs.  It reads live component state
+:func:`collect_deployment` is the one walk over a deployment's counters
 (storage nodes, topology, commit managers, fabric, processing nodes,
-B+trees) when a snapshot is taken, so components that appear later --
-an added processing node, a new session, a fail-over commit manager --
-need no registration of their own.  Everything is duck-typed on the
-stats attributes so this module imports no protocol code and works for
-both
-embedded (:class:`repro.api.Database`) and simulated
-(:class:`repro.runtime.deployment.SimulatedDeployment`) deployments.
+B+trees): it reads live component state into a :class:`MetricsRegistry`,
+so components that appear later -- an added processing node, a
+fail-over commit manager -- need no registration of their own.
+:func:`watch_deployment` runs it at every snapshot of an obs hub; a
+caller with obs off fills a fresh registry with it.  Everything is
+duck-typed on the stats attributes so this module imports no protocol
+code and works for both embedded (:class:`repro.api.Database`) and
+simulated (:class:`repro.runtime.deployment.SimulatedDeployment`)
+deployments.
 """
 
 from __future__ import annotations
@@ -20,26 +21,27 @@ from repro.obs.registry import MetricsRegistry
 
 
 def watch_deployment(hub: object, deployment: object) -> None:
-    """Export ``deployment``'s components in every snapshot of ``hub``.
+    """Export ``deployment``'s components in every snapshot of ``hub``."""
+    hub.registry.register_collector(
+        lambda reg: collect_deployment(reg, deployment))
 
-    ``deployment`` exposes ``cluster``, a live ``commit_managers`` list
-    and, when simulated, ``fabric``; processing nodes and their index
-    managers are the ones the hub adopted (``hub.adopted``).
+
+def collect_deployment(reg: MetricsRegistry, deployment: object) -> None:
+    """Write every counter of ``deployment`` into ``reg``.
+
+    ``deployment`` exposes ``cluster``, a live ``commit_managers`` list,
+    ``pn_registry`` (pn id -> ``(processing node, index manager)``) and,
+    when simulated, ``fabric``.
     """
-
-    def collect(reg: MetricsRegistry) -> None:
-        collect_storage_cluster(reg, deployment.cluster)
-        collect_commit_managers(reg, deployment.commit_managers)
-        fabric = getattr(deployment, "fabric", None)
-        if fabric is not None:
-            collect_fabric(reg, fabric.stats)
-        collect_topology(reg, deployment.cluster.partition_map)
-        for pn, indexes in hub.adopted:
-            collect_processing_node(reg, pn)
-            if indexes is not None:
-                collect_index_manager(reg, indexes, pn.pn_id)
-
-    hub.registry.register_collector(collect)
+    collect_storage_cluster(reg, deployment.cluster)
+    collect_commit_managers(reg, deployment.commit_managers)
+    fabric = getattr(deployment, "fabric", None)
+    if fabric is not None:
+        collect_fabric(reg, fabric.stats)
+    collect_topology(reg, deployment.cluster.partition_map)
+    for pn, indexes in deployment.pn_registry.values():
+        collect_processing_node(reg, pn)
+        collect_index_manager(reg, indexes, pn.pn_id)
 
 
 def collect_processing_node(reg: MetricsRegistry, pn: object) -> None:
@@ -78,17 +80,15 @@ def collect_commit_managers(reg: MetricsRegistry,
         label = str(cm.cm_id)
         gauge.set(cm.starts_served, cm=label, what="starts_served")
         gauge.set(cm.range_refills, cm=label, what="range_refills")
-        gauge.set(getattr(cm, "sync_rounds", 0), cm=label, what="sync_rounds")
+        gauge.set(cm.sync_rounds, cm=label, what="sync_rounds")
         gauge.set(len(cm.active_transactions()), cm=label, what="active")
         gauge.set(cm.completed_view().base, cm=label, what="base_version")
         gauge.set(cm.lowest_active_version(), cm=label, what="lav")
         # Isolation protocol surface: mode plus the WSI/SSI validation
         # counters (both stay 0 under plain SI).
-        gauge.set(getattr(cm, "validations", 0), cm=label,
-                  what="validations")
-        gauge.set(getattr(cm, "validation_aborts", 0), cm=label,
-                  what="validation_aborts")
-        mode.set(1.0, cm=label, mode=getattr(cm, "isolation_name", "si"))
+        gauge.set(cm.validations, cm=label, what="validations")
+        gauge.set(cm.validation_aborts, cm=label, what="validation_aborts")
+        mode.set(1.0, cm=label, mode=cm.isolation_name)
 
 
 def collect_storage_cluster(reg: MetricsRegistry, cluster: object) -> None:
@@ -114,8 +114,7 @@ def collect_index_manager(reg: MetricsRegistry, indexes: object,
     label = str(pn_id)
     gauge = reg.gauge("repro_index_activity",
                       "B+tree traversal and SMO activity")
-    for index_id in sorted(indexes._trees):
-        tree = indexes._trees[index_id]
+    for index_id, tree in indexes.trees():
         index = str(index_id)
         stats = tree.stats
         gauge.set(stats.node_fetches, pn=label, index=index,

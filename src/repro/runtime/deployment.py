@@ -9,7 +9,8 @@ in who drives the protocol coroutines and who supplies time.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
+                    Tuple)
 
 from repro import effects
 from repro.core.buffers import make_strategy
@@ -59,6 +60,11 @@ class Deployment:
             )
             for cm_id in range(config.commit_managers)
         ]
+        #: Every processing node :meth:`make_pn` built, by id in creation
+        #: order (a PN made again under its id replaces the entry), with
+        #: its index manager (B+tree handles and caches): the one list of
+        #: PNs the obs walk and ``quiesce`` read.
+        self.pn_registry: Dict[int, Tuple[ProcessingNode, IndexManager]] = {}
         self.obs = None
         from repro.obs import obs_enabled
         if config.observability or obs_enabled():
@@ -70,17 +76,18 @@ class Deployment:
 
     # -- processing nodes ---------------------------------------------------
 
-    def make_pn(self, pn_id: int, indexes: Any = None) -> ProcessingNode:
+    def make_pn(self, pn_id: int) -> Tuple[ProcessingNode, IndexManager]:
         """A fresh processing node (no data movement, just a new
-        instance); the obs hub exports it and ``indexes``' B+tree stats."""
+        instance) and its index manager, recorded in ``pn_registry``; the
+        PN's transactions open spans on the obs hub, if any."""
         pn = ProcessingNode(
             pn_id,
             buffers=make_strategy(self.config.buffering),
             clock=self.clock,
         )
-        if self.obs is not None:
-            self.obs.adopt(pn, indexes)
-        return pn
+        pn.obs = self.obs
+        entry = self.pn_registry[pn_id] = (pn, IndexManager())
+        return entry
 
     def cm_index_of(self, pn_id: int) -> int:
         """The commit manager serving processing node ``pn_id``."""
@@ -211,8 +218,7 @@ class SimulatedDeployment(Deployment):
         self._populated = False
 
     def _make_pn(self, pn_id: int) -> PnHandle:
-        indexes = IndexManager()
-        pn = self.make_pn(pn_id, indexes)
+        pn, indexes = self.make_pn(pn_id)
         return (pn, CorePool(PN_CORES), self.cm_index_of(pn_id),
                 indexes)
 
@@ -323,9 +329,9 @@ class SimulatedDeployment(Deployment):
         (Section 4.4.1) brings the store back to a transaction-consistent
         state.  Returns the number of transactions rolled back.
         """
-        pn_ids = {pn.pn_id for pn, _pool, _cm, _idx in self._pn_handles}
         return sum(
-            len(self.recover_pn_direct(pn_id)) for pn_id in sorted(pn_ids)
+            len(self.recover_pn_direct(pn_id))
+            for pn_id in sorted(self.pn_registry)
         )
 
     def _cm_sync_loop(self, manager: CommitManager) -> Generator:

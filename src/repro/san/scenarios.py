@@ -60,7 +60,7 @@ class SimWorld:
         )
         self.log, self.chain = make_sanitizers(isolation=isolation)
         (self.sanitizer,) = self.chain
-        self.pns = [self.deployment.make_pn(pn_id) for pn_id in range(n_pns)]
+        self.pns = [self.deployment.make_pn(pn_id)[0] for pn_id in range(n_pns)]
         self.pools = [CorePool(PN_CORES) for _ in range(n_pns)]
 
     # -- driving protocol coroutines under the fabric --------------------

@@ -93,11 +93,6 @@ class ViolationLog:
         if self.violations:
             raise SanitizerError(self.summary())
 
-    def clear(self) -> None:
-        self.violations.clear()
-        self.reports.clear()
-        self.reconciliations.clear()
-
     def __repr__(self) -> str:
         return (
             f"<ViolationLog violations={len(self.violations)} "

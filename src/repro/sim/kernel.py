@@ -76,12 +76,6 @@ class Event:
         for process in waiters:
             sim._push(sim.now, process, value)
 
-    def add_waiter(self, process: "Process") -> None:
-        if self.triggered:
-            self.sim._push(self.sim.now, process, self.value)
-        else:
-            self._waiters.append(process)
-
 
 class Process:
     """Wrapper around a running generator coroutine."""

@@ -44,6 +44,10 @@ class IndexManager:
             self._trees[index.index_id] = tree
         return tree
 
+    def trees(self) -> List[Tuple[int, DistributedBTree]]:
+        """``(index id, tree)`` for every tree built so far, by id."""
+        return sorted(self._trees.items())
+
     def create_storage(self, index: IndexDef) -> Generator:
         yield from self.tree(index).create()
 

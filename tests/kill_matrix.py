@@ -474,6 +474,15 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
         "CrashPoint raises before the matched request executes: a crash "
         "test meant to find its write in the store finds none",
     ),
+    # -- observability
+    (
+        "obs_walk_skips_last_tree",
+        "src/repro/obs/collect.py",
+        "    for index_id, tree in indexes.trees():\n",
+        "    for index_id, tree in indexes.trees()[:-1]:\n",
+        "the counter walk skips each PN's last B+tree: the exported index "
+        "activity undercounts what the ledger harvest reads",
+    ),
 ]
 
 

@@ -1,5 +1,6 @@
 """Tests for repro.obs: registry, tracer, exporters, and determinism."""
 
+import importlib.util
 import json
 import pathlib
 import re
@@ -11,12 +12,14 @@ from repro.dispatch import FaultInjector, FaultRule, TraceInterceptor
 from repro.obs import (Observability, obs_enabled, phase_table_rows, to_json,
                        to_prometheus, validate_snapshot)
 from repro.obs import cli as obs_cli
+from repro.obs.collect import collect_deployment
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.workloads.simulated import SimulatedTell
 from tests.conftest import finished, shared_run, tiny_tell_config
 
-DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DOCS = ROOT / "docs"
 
 
 def tiny_config(**overrides):
@@ -293,7 +296,7 @@ class TestSimulatedObservability:
 
     def test_disabled_run_has_no_tracer_attached(self, tiny_run):
         assert tiny_run.obs is None
-        for pn, _pool, _cm, _indexes in tiny_run._pn_handles:
+        for pn, _indexes in tiny_run.pn_registry.values():
             assert pn.obs is None
 
     def test_pn_txn_outcomes_are_counted_under_simulation(self):
@@ -364,6 +367,102 @@ class TestObsCli:
         assert "invalid snapshot" in capsys.readouterr().err
 
 
+def ledger_layers():
+    """The frozen ledger's harvest (``benchmarks/ledger/layers.py``),
+    loaded from its file: the reference the counter walk reproduces."""
+    path = ROOT / "benchmarks" / "ledger" / "layers.py"
+    spec = importlib.util.spec_from_file_location("ledger_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def walk_total(counters, name, **labels):
+    """Sum of gauge ``name``'s series whose labels include ``labels``."""
+    wanted = {(key, str(value)) for key, value in labels.items()}
+    return sum(value
+               for key, value in counters.gauge(name).series().items()
+               if wanted <= set(key))
+
+
+def ratio(numerator, denominator):
+    return numerator / denominator if denominator else 0.0
+
+
+def exact_from_walk(counters):
+    """Every counter-based ``exact`` row of the ledger, computed from the
+    walk's series alone."""
+    txns = walk_total(counters, "repro_cm_activity", what="starts_served")
+
+    def fabric(what):
+        return walk_total(counters, "repro_fabric_totals", what=what)
+
+    def sn_ops(kind):
+        return walk_total(counters, "repro_sn_ops", kind=kind)
+
+    def buffer(op):
+        return walk_total(counters, "repro_buffer_ops", op=op)
+
+    def index(what):
+        return walk_total(counters, "repro_index_activity", what=what)
+
+    cache_hits, cache_misses = index("cache_hits"), index("cache_misses")
+    return {
+        "fabric.messages_per_txn": ratio(fabric("messages"), txns),
+        "fabric.bytes_per_txn": ratio(fabric("bytes_sent"), txns),
+        "fabric.store_ops_per_message": ratio(fabric("store_ops"),
+                                              fabric("messages")),
+        "store.reads_per_txn": ratio(sn_ops("read"), txns),
+        "store.writes_per_txn": ratio(sn_ops("write"), txns),
+        "store.scans_per_txn": ratio(sn_ops("scan"), txns),
+        "store.replica_copies_per_txn": ratio(
+            walk_total(counters, "repro_replication_copies"), txns),
+        "store.bytes_used_mb":
+            walk_total(counters, "repro_sn_bytes_used") / 2**20,
+        "core.cm_range_refills": walk_total(
+            counters, "repro_cm_activity", what="range_refills"),
+        "core.buffer_hit_ratio": ratio(buffer("hits") + buffer("vset_valid"),
+                                       buffer("lookups")),
+        "core.buffer_fetches_per_txn": ratio(buffer("fetches"), txns),
+        "index.node_fetches_per_txn": ratio(index("node_fetches"), txns),
+        "index.leaf_fetches_per_txn": ratio(index("leaf_fetches"), txns),
+        "index.cache_hit_ratio": ratio(cache_hits, cache_hits + cache_misses),
+        "index.smo_splits": index("smo_splits"),
+        "index.smo_retries": index("smo_retries"),
+    }
+
+
+class TestOneCounterWalk:
+    """``collect_deployment`` is the one walk over a deployment's
+    counters: it gives every number the frozen ledger harvest reads."""
+
+    def test_walk_reproduces_the_ledger_harvest(self, tiny_run):
+        layers = ledger_layers()
+        counters = MetricsRegistry()
+        collect_deployment(counters, tiny_run)
+        store = layers.store_counters(tiny_run)
+        assert {
+            "reads": walk_total(counters, "repro_sn_ops", kind="read"),
+            "writes": walk_total(counters, "repro_sn_ops", kind="write"),
+            "scans": walk_total(counters, "repro_sn_ops", kind="scan"),
+            "replica_copies": walk_total(counters,
+                                         "repro_replication_copies"),
+        } == store
+        exact = layers.exact_metrics(
+            tiny_run, tiny_run.metrics, 0, dict.fromkeys(store, 0), "tpcc")
+        from_walk = exact_from_walk(counters)
+        assert from_walk == {name: exact[name] for name in from_walk}
+        # Every counter row is covered, and the run moves the main ones.
+        assert set(exact) - set(from_walk) == {
+            "sim.events_per_txn", "core.commit_success_ratio",
+            "workloads.tpmc", *(f"sql.{name}.sim_p50_us"
+                                for name in layers.SQL_CLASSES)}
+        assert all(from_walk[name] for name in (
+            "fabric.messages_per_txn", "store.reads_per_txn",
+            "core.buffer_fetches_per_txn", "index.node_fetches_per_txn",
+            "index.cache_hit_ratio"))
+
+
 class TestEmbeddedObservability:
     def test_failed_over_commit_manager_needs_no_reregistration(self):
         def starts_served(db):
@@ -381,3 +480,38 @@ class TestEmbeddedObservability:
             assert before == 3 and replacement.starts_served == 1
             assert starts_served(db) == replacement.starts_served
             assert len(db.obs.registry._collectors) == 1
+
+    def test_sessions_on_one_pn_share_its_index_cache(self):
+        def fetches(indexes):
+            """(node, leaf) fetches summed over the PN's trees."""
+            trees = [tree for _id, tree in indexes.trees()]
+            return (sum(tree.stats.node_fetches for tree in trees),
+                    sum(tree.stats.leaf_fetches for tree in trees))
+
+        with repro.connect(observability=True) as db:
+            session = db.session()
+            pn_id = session.pn.pn_id
+            session.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+            for key in range(200):
+                session.execute("INSERT INTO t VALUES (?, 1)", [key])
+            first, second = db.session(pn_id), db.session(pn_id)
+            assert list(db.pn_registry) == [pn_id]
+            _pn, indexes = db.pn_registry[pn_id]
+            assert first.indexes is second.indexes is indexes
+            keys = [3, 77, 150, 199]
+            for key in keys:
+                first.query("SELECT v FROM t WHERE id = ?", [key])
+            nodes, leaves = fetches(indexes)
+            for key in keys:
+                second.query("SELECT v FROM t WHERE id = ?", [key])
+            # The repeat lookups fetch leaves again but no inner node.
+            nodes_after, leaves_after = fetches(indexes)
+            assert leaves_after > leaves
+            assert nodes_after - leaves_after == nodes - leaves
+            gauges = db.obs.snapshot()["gauges"]
+            exported = sum(
+                value for series, value in gauges.items()
+                if series.startswith("repro_index_activity{")
+                and "what=node_fetches" in series)
+            assert exported == nodes_after
+

@@ -219,7 +219,7 @@ class TestReplicaInstall:
         cluster = deployment.cluster
         rig = FabricRig(cluster, deployment.commit_managers)
         run = rig.run
-        pn = deployment.make_pn(0)
+        pn, _indexes = deployment.make_pn(0)
         key = (3, 1)
 
         def write(payload, insert=False):
