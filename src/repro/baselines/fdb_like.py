@@ -46,7 +46,7 @@ class FoundationDBLike(BaselineEngine):
     def execute(self, work: TxnWork) -> Generator:
         now = self.sim.now
         duration = work.rows * PER_ROW_US + COMMIT_FIXED_US
-        _start, slot_done = self.slots.reserve(now, duration)
-        _s, end = self.sequencer.reserve(slot_done, SEQUENCER_US)
+        slot_done = self.slots.reserve(now, duration)
+        end = self.sequencer.reserve(slot_done, SEQUENCER_US)
         yield Delay(end - now)
         return "committed"

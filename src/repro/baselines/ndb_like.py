@@ -51,12 +51,12 @@ class MySqlClusterLike(BaselineEngine):
             work.rows * OP_CPU_US + work.rows_written * OP_REPLICA_US * replicas
         )
         now = self.sim.now
-        _start, cpu_done = self.cpu.reserve(now, cpu_us)
+        cpu_done = self.cpu.reserve(now, cpu_us)
         wire_us = OP_RTT_US * (work.rows / OPS_PER_ROUND)
         if work.is_distributed:
             wire_us += 2 * TPC_ROUND_US  # prepare + commit rounds
         if work.rows_written:
-            _s, tc_done = self.coordinator.reserve(cpu_done, TC_SERVICE_US)
+            tc_done = self.coordinator.reserve(cpu_done, TC_SERVICE_US)
         else:
             tc_done = cpu_done
         end = tc_done + wire_us

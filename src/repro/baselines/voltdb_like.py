@@ -62,7 +62,7 @@ class VoltDBLike(BaselineEngine):
         involved = {self._partition_of(w) for w in work.warehouses}
         if len(involved) == 1:
             pool = self.partitions[next(iter(involved))]
-            _start, end = pool.reserve(now, self._service_us(work))
+            end = pool.reserve(now, self._service_us(work))
             yield Delay(end - now)
             return "committed"
         # Multi-partition: the initiator blocks the whole cluster while

@@ -827,7 +827,9 @@ EXPERIMENTS: Dict[str, Experiment] = {experiment.name: experiment for experiment
         {"Point": "label", "Nodes": "nodes", "PNs": "pns", "SNs": "sns",
          "Warehouses": "warehouses", "Host events/s": "events_per_s",
          "Host txns/s": "txns_per_s", "TpmC": "tpmc", **_ABORTS,
-         "Wall (s)": "wall_s", "Digest": lambda row: row["digest"][:16]},
+         "Load (s)": "load_s", "Wall (s)": "wall_s",
+         "GC share": "gc_share", "GC0 (ms)": "gc0_ms",
+         "Digest": lambda row: row["digest"][:16]},
         check_scale),
     Experiment(
         "isolation",

@@ -10,7 +10,12 @@ wall second) next to the simulated txns/s -- the first number tracks how
 affordable large experiments are, the second is the science.
 
 Every point reports the run's metrics digest, pinned by the same
-determinism contract as ``tpcc_e2e``.
+determinism contract as ``tpcc_e2e``, the wall seconds of its ``load()``,
+and the share of ``run()``'s wall time spent in the cycle collector
+(timed by a ``gc.callbacks`` hook around the run; no collector setting
+is changed), with the number of collections and the mean generation-0
+collection.  A profiler does not show the collector: it charges a
+collection to whichever allocation triggered it.
 
 Use via ``python -m repro.bench scale`` (``--profile smoke`` runs only
 ``smoke16``) or :func:`run_scale_point` directly.
@@ -18,8 +23,10 @@ Use via ``python -m repro.bench scale`` (``--profile smoke`` runs only
 
 from __future__ import annotations
 
+import gc
 import time
-from typing import TYPE_CHECKING, Any, Dict, List
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List
 
 from repro.workloads.simulated import SimulatedTell, TellConfig
 from repro.workloads.tpcc.params import TpccScale
@@ -77,14 +84,46 @@ def scale_points() -> List[Dict[str, Any]]:
     ]
 
 
+class CollectorTimer:
+    """Wall seconds inside cycle collections, per generation."""
+
+    def __init__(self) -> None:
+        self.seconds = [0.0, 0.0, 0.0]
+        self.collections = [0, 0, 0]
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: Dict[str, Any]) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        generation = info["generation"]
+        self.seconds[generation] += time.perf_counter() - self._started
+        self.collections[generation] += 1
+
+
+@contextmanager
+def collector_timed() -> Iterator[CollectorTimer]:
+    """Time every cycle collection inside the block."""
+    timer = CollectorTimer()
+    gc.callbacks.append(timer)
+    try:
+        yield timer
+    finally:
+        gc.callbacks.remove(timer)
+
+
 def run_scale_point(label: str, config: TellConfig) -> Dict[str, Any]:
     """Load + run one deployment; report host and simulated throughput."""
     deployment = SimulatedTell(config)
-    deployment.load()
     started = time.perf_counter()
-    metrics = deployment.run()
-    wall = time.perf_counter() - started
+    deployment.load()
+    load_s = time.perf_counter() - started
+    with collector_timed() as collector:
+        started = time.perf_counter()
+        metrics = deployment.run()
+        wall = time.perf_counter() - started
     events = deployment.sim.events_processed
+    gc_s = sum(collector.seconds)
     return {
         "label": label,
         "nodes": config.processing_nodes + config.storage_nodes,
@@ -94,10 +133,16 @@ def run_scale_point(label: str, config: TellConfig) -> Dict[str, Any]:
         "duration_us": config.duration_us,
         "events": events,
         "events_per_s": events / wall,
+        "events_per_s_without_gc": events / (wall - gc_s),
         "txns_per_s": metrics.total_finished / wall,
         "tpmc": metrics.tpmc,
         "abort_rate": metrics.abort_rate,
+        "load_s": load_s,
         "wall_s": wall,
+        "gc_share": gc_s / wall,
+        "gc_collections": sum(collector.collections),
+        "gc0_ms": (1000.0 * collector.seconds[0]
+                   / max(collector.collections[0], 1)),
         "digest": metrics.digest(),
     }
 

@@ -148,10 +148,10 @@ class ElasticCoordinator:
         t = now
         src_pool = fabric.sn_pools.get(cost.src)
         if src_pool is not None:
-            _s, t = src_pool.reserve(t, service)
+            t = src_pool.reserve(t, service)
         t += profile.one_way(cost.nbytes)
         dst_pool = fabric.sn_pools.get(cost.dst)
         if dst_pool is not None:
-            _s, t = dst_pool.reserve(t, service)
+            t = dst_pool.reserve(t, service)
         if t > now:
             yield Delay(t - now)

@@ -79,13 +79,14 @@ class CorePool:
         at: float,
         duration: float,
         _heapreplace=heapq.heapreplace,
-    ) -> Tuple[float, float]:
+    ) -> float:
+        """Run ``duration`` on the earliest free core, no sooner than
+        ``at``; returns the instant it ends."""
         free = self._free
         head = free[0]
-        start = at if at > head else head
-        end = start + duration
+        end = (at if at > head else head) + duration
         _heapreplace(free, end)
-        return start, end
+        return end
 
 
 class FabricStats:
@@ -160,10 +161,7 @@ class _Message:
                 cluster.serve_batch(target, request, pids, positions,
                                     self.results, versions)
             elif request.is_write:
-                pid = pids[0]
-                old = cluster.master_cell(pid, request.space, request.key)
-                self.results[0] = request.apply(target, pid)
-                cluster.replicate(pid, request.space, request.key, old)
+                self.results[0] = cluster.write(target, pids[0], request)
             else:
                 self.results[0] = request.apply(target, pids[0])
         except TellError as exc:
@@ -236,7 +234,7 @@ class SimFabric:
             return message.results[0]
         if kind == KIND_COMPUTE:
             now = self.sim.now
-            _start, end = pn_pool.reserve(now, request.duration)
+            end = pn_pool.reserve(now, request.duration)
             if end > now:
                 yield Delay(end - now)
             return None
@@ -272,12 +270,12 @@ class SimFabric:
         t_send = now
         client_cpu = self.profile.client_cpu_per_msg_us
         if client_cpu > 0:
-            _s, t_send = pn_pool.reserve(t_send, client_cpu)
+            t_send = pn_pool.reserve(t_send, client_cpu)
         message, t_done = self._send_group(
             t_send, node_id, op, _ONLY_MEMBER, [partition_id], [None], None,
         )
         if client_cpu > 0:
-            _s, t_done = pn_pool.reserve(t_done, client_cpu)
+            t_done = pn_pool.reserve(t_done, client_cpu)
         return message, t_done - now
 
     def _perform_batch(
@@ -308,7 +306,7 @@ class SimFabric:
             t_send = now
             if client_cpu > 0:
                 for _ in round_groups:
-                    _s, t_send = pn_pool.reserve(t_send, client_cpu)
+                    t_send = pn_pool.reserve(t_send, client_cpu)
             messages = []
             t_done = t_send
             for node_id, positions in round_groups.items():
@@ -321,7 +319,7 @@ class SimFabric:
             # Receive-side CPU, one charge per response message.
             if client_cpu > 0:
                 for _ in round_groups:
-                    _s, t_done = pn_pool.reserve(t_done, client_cpu)
+                    t_done = pn_pool.reserve(t_done, client_cpu)
             wait = t_done - now
             if wait > 0:
                 yield Delay(wait)
@@ -406,9 +404,9 @@ class SimFabric:
                     backup_node.service_us_write * REPL_WRITE_AMP
                     + REPL_FIXED_US
                 )
-                _bs, b_end = backup_pool.reserve(b_arrive, backup_service)
+                b_end = backup_pool.reserve(b_arrive, backup_service)
                 repl_extra += max(0.0, b_end + repl_ack_us - sent)
-        _s, t_service_end = pool.reserve(t_arrive, service + repl_extra)
+        t_service_end = pool.reserve(t_arrive, service + repl_extra)
 
         message = _Message(self, node_id, request, positions, pids, results,
                            versions)
@@ -439,7 +437,7 @@ class SimFabric:
                 if pid in node.partitions
             )
             service = profile.server_cpu_per_msg_us + 0.05 * max(cells, 1)
-            _s, t_end = pool.reserve(t_arrive, service)
+            t_end = pool.reserve(t_arrive, service)
             t_done = max(t_done, t_end)
             self.stats.messages += 1
 
@@ -497,7 +495,7 @@ class SimFabric:
         self.stats.messages += 1
         result = manager.serve(request, pn_id)
         cm_wire = self._cm_wire_us
-        _s, t_end = pool.reserve(now + cm_wire, self._cm_service_us)
+        t_end = pool.reserve(now + cm_wire, self._cm_service_us)
         t_response = t_end + cm_wire
         if kind == KIND_CM_START and result.range_refilled:
             t_response += self.profile.round_trip() + 2.0

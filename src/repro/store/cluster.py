@@ -16,7 +16,7 @@ Under the direct runner the cluster executes requests itself via
 :meth:`execute`.  The simulation driver instead routes a single key the
 way :meth:`routing` does (inlined) and a batch with
 :meth:`group_by_master`, and at the right simulated instant runs a
-single-key op (then :meth:`replicate`) or a node's keys of a batch
+single-key op (:meth:`write` for a write) or a node's keys of a batch
 (:meth:`serve_batch`).
 """
 
@@ -28,8 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro import effects
 from repro.effects import KIND_BATCH, KIND_SCAN, kind_of
 from repro.errors import InvalidState, NoCapacity, NodeUnavailable
-from repro.store.cell import Cell, approx_size
-from repro.store.node import StorageNode, copy_charge
+from repro.store.node import StorageNode, Written
 from repro.store.partition import HashPartitioner, PartitionMap
 
 
@@ -139,9 +138,17 @@ class StorageCluster:
         partition_id, node_id = self.routing(op)
         if not op.is_write:
             return op.apply(self.nodes[node_id], partition_id)
-        old = self.master_cell(partition_id, op.space, op.key)
-        result = op.apply(self.nodes[node_id], partition_id)
-        self.replicate(partition_id, op.space, op.key, old)
+        return self.write(self.nodes[node_id], partition_id, op)
+
+    def write(self, node: StorageNode, partition_id: int,
+              op: effects.StoreRequest) -> Any:
+        """Apply the single-key write ``op`` on ``node``, the master of
+        ``partition_id``, and copy what it wrote to the backups."""
+        result = op.apply(node, partition_id)
+        replicas = self.partition_map.assignments[partition_id].replicas
+        if len(replicas) > 1:
+            self.replicate(partition_id, replicas, op.space, op.key,
+                           node.last_write)
         return result
 
     def serve_batch(self, node: StorageNode, batch: effects.Batch,
@@ -157,15 +164,16 @@ class StorageCluster:
             return
         expected = batch.expected
         put = node.do_put_if_version
-        master_cell = self.master_cell
+        assignments = self.partition_map.assignments
         for position in positions:
             pid, key = pids[position], keys[position]
-            old = master_cell(pid, space, key)
             results[position], versions[position] = put(
                 pid, space, key, values[position],
                 None if expected is None else expected[position],
             )
-            self.replicate(pid, space, key, old)
+            replicas = assignments[pid].replicas
+            if len(replicas) > 1:
+                self.replicate(pid, replicas, space, key, node.last_write)
 
     def execute_scan(self, op: effects.Scan) -> List[Tuple[Any, Any, int]]:
         """Scan every partition and merge the sorted slices."""
@@ -182,41 +190,27 @@ class StorageCluster:
 
     # -- replication -----------------------------------------------------------
 
-    def master_cell(self, partition_id: int, space: str,
-                    key: Any) -> Optional[Cell]:
-        """The master's cell of ``key``, read before a write for
-        :meth:`replicate`; None, unread, when the partition has no
-        backups."""
-        replicas = self.partition_map.assignments[partition_id].replicas
-        if len(replicas) < 2:
-            return None
-        store = self.nodes[replicas[0]].partitions.get(partition_id)
-        cells = None if store is None else store.spaces.get(space)
-        return None if cells is None else cells.get(key)
-
-    def replicate(self, partition_id: int, space: str, key: Any,
-                  old: Optional[Cell]) -> None:
-        """Synchronously copy the cell of ``key`` to every backup replica.
+    def replicate(self, partition_id: int, replicas: List[int], space: str,
+                  key: Any, written: Written) -> None:
+        """Synchronously copy the master's write of ``key`` to every
+        backup in ``replicas`` (the partition's, master first).
 
         Mirrors RAMCloud's behaviour: the master acknowledges a write only
         after the backups hold it.  Timing is accounted by the simulated
-        fabric; here we only install the state.  ``old`` is the master's
-        cell before the write (:meth:`master_cell`).  A backup mirroring
-        the master's store already holds the new cell and is only charged
-        what :meth:`StorageNode.copy_cell` would charge, computed once;
-        every other backup is sent a copy.  A replicated write is all or
-        nothing: when a backup has no room, the master and every backup
-        already written get ``old`` back, and :class:`NoCapacity`
-        propagates with no replica changed.
+        fabric; here we only install the state.  ``written`` is what the
+        master's write op did (:data:`~repro.store.node.Written`, its
+        ``last_write``): a backup mirroring the master's store already
+        holds the new cell and is only charged its ``delta``; every other
+        backup is sent a copy, sized with the master's measure.  A
+        refused conditional write is copied too (the master's cell,
+        unchanged).  A replicated write is all or nothing: when a backup
+        has no room, the master and every backup already written get the
+        old cell back, and :class:`NoCapacity` propagates with no replica
+        changed.
         """
-        replicas = self.partition_map.assignments[partition_id].replicas
-        if len(replicas) < 2:
-            return
+        old, cell, size, delta = written
         nodes = self.nodes
         master = nodes[replicas[0]].partition(partition_id)
-        cell = master.space(space).get(key)
-        size = 0 if cell is None else approx_size(cell.value)
-        delta: Optional[int] = None
         index = 1
         try:
             for index in range(1, len(replicas)):
@@ -225,8 +219,6 @@ class StorageCluster:
                     continue
                 store = backup.partitions.get(partition_id)
                 if store is not None and store.mirror_of is master:
-                    if delta is None:
-                        delta = copy_charge(key, old, cell, size)
                     backup.charge_mirror(store, delta)
                 else:
                     backup.copy_cell(partition_id, space, key, cell, size)
@@ -238,7 +230,7 @@ class StorageCluster:
                 backup = nodes[node_id]
                 store = backup.partitions.get(partition_id)
                 if store is not None and store.mirror_of is master:
-                    backup.charge_mirror(store, -copy_charge(key, old, cell, size))
+                    backup.charge_mirror(store, -delta)
                 elif backup.alive:
                     backup.copy_cell(partition_id, space, key, old)
             raise

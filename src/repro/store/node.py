@@ -28,16 +28,13 @@ from repro.store.cell import Cell, approx_size
 
 SpaceDict = Dict[Any, Cell]
 
-
-def copy_charge(key: Any, old: Optional[Cell], cell: Optional[Cell],
-                size: int) -> int:
-    """What :meth:`StorageNode.copy_cell` charges a backup holding ``old``
-    for ``cell`` (None: a delete), whose value is ``size`` bytes."""
-    if cell is None:
-        return 0 if old is None else -(approx_size(old.value) + approx_size(key))
-    if old is None:
-        return size + approx_size(key)
-    return size - approx_size(old.value)
+#: What one write op did to its key, for the cluster to copy to the
+#: backups: ``(old, cell, size, delta)`` -- the key's cell before and
+#: after the op (None: absent; ``cell is old`` when a conditional write
+#: was refused), ``approx_size(cell.value)`` when the op measured it
+#: (else None), and what :meth:`StorageNode.copy_cell` charges a backup
+#: holding ``old`` for ``cell``.
+Written = Tuple[Optional[Cell], Optional[Cell], Optional[int], int]
 
 
 class PartitionStore:
@@ -112,6 +109,9 @@ class StorageNode:
         # absent.  Empty on the static-topology path.
         self.moved_out: Dict[int, int] = {}
         self.bytes_used = 0
+        #: The latest write op's :data:`Written`, which
+        #: :meth:`StorageCluster.replicate` reads right after it.
+        self.last_write: Written = (None, None, None, 0)
         # op accounting, harvested by repro.obs collectors at snapshot time
         self.ops_read = 0
         self.ops_write = 0
@@ -244,20 +244,23 @@ class StorageNode:
         old: Optional[Cell],
         cell: Cell,
         size: int,
-    ) -> None:
+    ) -> int:
         """The one create-or-replace path (``old`` is ``cells.get(key)``,
         ``size`` is ``approx_size(cell.value)``): charge first, so a write
         over capacity raises :class:`NoCapacity` with nothing changed, then
         bind ``cell``.  Cells are never changed once installed, so a backup
-        binds the master's own cell object."""
+        binds the master's own cell object.  Returns the bytes charged."""
         if old is None:
-            self._charge(store, size + approx_size(key))
+            charged = size + approx_size(key)
+            self._charge(store, charged)
             cells[key] = cell
             store.invalidate_scan_cache(space)
-            return
-        # Replacing: the key's size cancels out of the delta.
-        self._charge(store, size - approx_size(old.value))
+            return charged
+        # Replacing: the key's size cancels out of the charge.
+        charged = size - approx_size(old.value)
+        self._charge(store, charged)
         cells[key] = cell
+        return charged
 
     def do_put(self, partition_id: int, space: str, key: Any, value: Any) -> int:
         return self.do_put_if_version(partition_id, space, key, value, None)[1]
@@ -279,9 +282,14 @@ class StorageNode:
         old = cells.get(key)
         current = 0 if old is None else old.version
         if expected_version is not None and current != expected_version:
+            self.last_write = (old, old, None, 0)
             return False, current
-        self._install(store, space, cells, key, old, Cell(value, current + 1),
-                      approx_size(value))
+        cell = Cell(value, current + 1)
+        size = approx_size(value)
+        self.last_write = (
+            old, cell, size,
+            self._install(store, space, cells, key, old, cell, size),
+        )
         return True, current + 1
 
     def do_delete(self, partition_id: int, space: str, key: Any) -> bool:
@@ -291,9 +299,9 @@ class StorageNode:
         cells = store.space(space)
         cell = cells.pop(key, None)
         if cell is None:
+            self.last_write = (None, None, None, 0)
             return False
-        self._charge(store, -(approx_size(cell.value) + approx_size(key)))
-        store.invalidate_scan_cache(space)
+        self._delete_charge(store, space, key, cell)
         return True
 
     def do_delete_if_version(
@@ -306,11 +314,19 @@ class StorageNode:
         cell = cells.get(key)
         current = 0 if cell is None else cell.version
         if current != expected_version or cell is None:
+            self.last_write = (cell, cell, None, 0)
             return False, current
         del cells[key]
-        self._charge(store, -(approx_size(cell.value) + approx_size(key)))
-        store.invalidate_scan_cache(space)
+        self._delete_charge(store, space, key, cell)
         return True, current
+
+    def _delete_charge(self, store: PartitionStore, space: str, key: Any,
+                       old: Cell) -> None:
+        """Un-charge the cell ``old`` of ``key``, just deleted."""
+        charged = -(approx_size(old.value) + approx_size(key))
+        self._charge(store, charged)
+        store.invalidate_scan_cache(space)
+        self.last_write = (old, None, None, charged)
 
     def do_increment(
         self, partition_id: int, space: str, key: Any, delta: int
@@ -322,10 +338,18 @@ class StorageNode:
         old = cells.get(key)
         if old is None:
             self._charge(store, 16)
-            cells[key] = Cell(delta, 1)
+            cell = cells[key] = Cell(delta, 1)
             store.invalidate_scan_cache(space)
-            return delta
-        cell = cells[key] = Cell(old.value + delta, old.version + 1)
+        else:
+            cell = cells[key] = Cell(old.value + delta, old.version + 1)
+        # A backup is charged as a copy, unlike the master, which charges
+        # 16 B for a new counter and nothing for a change.
+        size = approx_size(cell.value)
+        self.last_write = (
+            old, cell, size,
+            size + approx_size(key) if old is None
+            else size - approx_size(old.value),
+        )
         return cell.value
 
     def do_scan(

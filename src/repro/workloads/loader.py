@@ -33,8 +33,9 @@ class BulkLoader:
     def load_table(
         self, table_name: str, payloads: Iterable[Tuple[Any, ...]]
     ) -> Generator:
-        """Write the payload tuples (``TableSchema.make_row`` rows) and
-        (re)build every index of the table.
+        """Write the payload tuples (values in the table's column order,
+        each of its column's storage class, as ``TableSchema.make_row``
+        builds them) and (re)build every index of the table.
 
         Returns the number of rows loaded.  Rids are assigned sequentially
         from 1 in input order.  The records share one ``tids`` tuple, and

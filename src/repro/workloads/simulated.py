@@ -66,8 +66,7 @@ class SimulatedTell(SimulatedDeployment):
         """Populate the database (setup step, not simulated time)."""
         loader = BulkLoader(self.catalog, IndexManager())
         counts = effects.run_direct(
-            populate(self.catalog, loader, self.config.scale,
-                     seed=self.config.seed),
+            populate(loader, self.config.scale, seed=self.config.seed),
             Dispatcher(self.cluster),
         )
         self._populated = True
@@ -141,8 +140,7 @@ class SimulatedYcsb(SimulatedTell):
     def load(self) -> Dict[str, int]:
         loader = BulkLoader(self.catalog, IndexManager())
         count = effects.run_direct(
-            populate_ycsb(self.catalog, loader, self.record_count,
-                          seed=self.config.seed),
+            populate_ycsb(loader, self.record_count, seed=self.config.seed),
             Dispatcher(self.cluster),
         )
         self._populated = True

@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from functools import lru_cache
+from typing import Any, Dict, Generator, Iterator, Optional, Tuple
 
 from repro.core.transaction import Transaction
 from repro.sql.schema import Catalog, Column
 from repro.sql.table import IndexManager, Table
 from repro.sql.types import ColumnType
 from repro.workloads.loader import BulkLoader
+from repro.workloads.tpcc.population import _text
 
 FIELD_COUNT = 4
 FIELD_LENGTH = 24
@@ -70,6 +72,13 @@ WORKLOADS = {mix.name: mix for mix in (
 )}
 
 
+@lru_cache(maxsize=None)
+def _zeta(upto: int, theta: float) -> float:
+    """The sum of ``1 / i**theta`` for i in 1..upto: the same float for
+    every generator over ``upto`` keys, so it is summed once."""
+    return sum(1.0 / (i ** theta) for i in range(1, upto + 1))
+
+
 class ZipfianGenerator:
     """Approximate zipfian key chooser (Gray et al. rejection-free form)."""
 
@@ -79,15 +88,12 @@ class ZipfianGenerator:
         self.n = n
         self.theta = theta
         self.rng = random.Random(seed)
-        self._zetan = sum(1.0 / (i ** theta) for i in range(1, n + 1))
+        self._zetan = _zeta(n, theta)
         self._alpha = 1.0 / (1.0 - theta)
         self._eta = (
             (1.0 - (2.0 / n) ** (1.0 - theta))
-            / (1.0 - self._zeta(2) / self._zetan)
+            / (1.0 - _zeta(2, theta) / self._zetan)
         ) if n >= 2 else 0.0
-
-    def _zeta(self, upto: int) -> float:
-        return sum(1.0 / (i ** self.theta) for i in range(1, upto + 1))
 
     def next(self) -> int:
         """A key in [0, n): rank 0 is the hottest."""
@@ -113,25 +119,23 @@ def build_ycsb_catalog(catalog: Optional[Catalog] = None) -> Catalog:
 
 
 def _value(rng: random.Random) -> str:
-    return "".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=FIELD_LENGTH))
+    return _text(rng, FIELD_LENGTH)
 
 
-def ycsb_rows(record_count: int, seed: int = 3):
+def ycsb_rows(record_count: int, seed: int = 3) -> Iterator[Tuple[Any, ...]]:
+    """The usertable's payload tuples, in column order."""
     rng = random.Random(seed)
     for key in range(record_count):
-        row = {"ycsb_key": key}
-        for i in range(FIELD_COUNT):
-            row[f"field{i}"] = _value(rng)
-        yield row
+        # ycsb_key, then field0 .. field{FIELD_COUNT - 1}
+        yield (key, *[_value(rng) for _ in range(FIELD_COUNT)])
 
 
 def populate_ycsb(
-    catalog: Catalog, loader: BulkLoader, record_count: int, seed: int = 3
+    loader: BulkLoader, record_count: int, seed: int = 3
 ) -> Generator:
     """Bulk-load the usertable; returns the row count."""
-    make_row = catalog.table("usertable").make_row
     count = yield from loader.load_table(
-        "usertable", map(make_row, ycsb_rows(record_count, seed))
+        "usertable", ycsb_rows(record_count, seed)
     )
     return count
 

@@ -232,6 +232,7 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
         "store_sc_unconditional",
         "src/repro/store/node.py",
         "        if expected_version is not None and current != expected_version:\n"
+        "            self.last_write = (old, old, None, 0)\n"
         "            return False, current\n",
         "",
         "the store-conditional ignores the expected version: last "
@@ -240,10 +241,12 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
     (
         "replica_cell_mutated_in_place",
         "src/repro/store/node.py",
-        "        self._charge(store, size - approx_size(old.value))\n"
-        "        cells[key] = cell\n",
-        "        self._charge(store, size - approx_size(old.value))\n"
-        "        old.value, old.version = cell.value, cell.version\n",
+        "        self._charge(store, charged)\n"
+        "        cells[key] = cell\n"
+        "        return charged\n",
+        "        self._charge(store, charged)\n"
+        "        old.value, old.version = cell.value, cell.version\n"
+        "        return charged\n",
         "a replace writes into the installed cell, which the backups "
         "share: they see the write uncharged, and a full backup loses "
         "its old cell",
@@ -252,9 +255,9 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
         "mirror_charged_for_a_moved_master",
         "src/repro/store/cluster.py",
         "                if store is not None and store.mirror_of is master:\n"
-        "                    if delta is None:",
+        "                    backup.charge_mirror(store, delta)\n",
         "                if store is not None and store.mirror_of is not None:\n"
-        "                    if delta is None:",
+        "                    backup.charge_mirror(store, delta)\n",
         "replicate charges any mirror, not only one of the current "
         "master's store: after the master moved, the backups are charged "
         "for a write their stale dicts never see",
@@ -318,7 +321,8 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
     (
         "batch_put_not_replicated",
         "src/repro/store/cluster.py",
-        "            self.replicate(pid, space, key, old)\n",
+        "            if len(replicas) > 1:\n"
+        "                self.replicate(pid, replicas, space, key, node.last_write)\n",
         "",
         "a node's put group never copies its keys to the backups: the "
         "replicas silently fall behind",

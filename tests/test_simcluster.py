@@ -78,21 +78,19 @@ class TestPlainSimulationConfig:
 class TestCorePool:
     def test_single_core_serializes(self):
         pool = CorePool(1)
-        start1, end1 = pool.reserve(0.0, 10.0)
-        start2, end2 = pool.reserve(0.0, 10.0)
-        assert (start1, end1) == (0.0, 10.0)
-        assert (start2, end2) == (10.0, 20.0)
+        assert pool.reserve(0.0, 10.0) == 10.0
+        assert pool.reserve(0.0, 10.0) == 20.0
 
     def test_multi_core_parallel(self):
         pool = CorePool(2)
-        assert pool.reserve(0.0, 10.0) == (0.0, 10.0)
-        assert pool.reserve(0.0, 10.0) == (0.0, 10.0)
-        assert pool.reserve(0.0, 10.0) == (10.0, 20.0)
+        assert pool.reserve(0.0, 10.0) == 10.0
+        assert pool.reserve(0.0, 10.0) == 10.0
+        assert pool.reserve(0.0, 10.0) == 20.0
 
     def test_idle_gap(self):
         pool = CorePool(1)
         pool.reserve(0.0, 5.0)
-        assert pool.reserve(100.0, 5.0) == (100.0, 105.0)
+        assert pool.reserve(100.0, 5.0) == 105.0
 
     def test_earliest_peeks(self):
         pool = CorePool(1)

@@ -241,7 +241,7 @@ class _TinyTpcc:
         self.catalog = build_tpcc_catalog()
         self.indexes = IndexManager()
         effects.run_direct(
-            populate(self.catalog, BulkLoader(self.catalog, self.indexes),
+            populate(BulkLoader(self.catalog, self.indexes),
                      TpccScale.tiny(2), seed=3),
             Dispatcher(cluster),
         )

@@ -22,7 +22,13 @@ from repro.workloads.tpcc.params import (
     TpccScale,
     last_name,
 )
-from repro.workloads.tpcc.population import populate
+from repro.workloads.tpcc.population import (
+    _ALPHABET,
+    _text,
+    item_rows,
+    populate,
+    warehouse_rows,
+)
 from repro.workloads.tpcc.schema import build_tpcc_catalog
 from repro.workloads.tpcc.transactions import (
     TRANSACTIONS,
@@ -46,7 +52,7 @@ def loaded():
     indexes = IndexManager()
     loader = BulkLoader(catalog, indexes)
     dispatcher = Dispatcher(cluster)
-    counts = effects.run_direct(populate(catalog, loader, SCALE, seed=3), dispatcher)
+    counts = effects.run_direct(populate(loader, SCALE, seed=3), dispatcher)
     cm = CommitManager(0, cluster.execute)
     return cluster, catalog, cm, counts
 
@@ -191,6 +197,40 @@ class TestPopulation:
         matches = run_direct(table.lookup(index, (1, 1, name)), dispatcher)
         run_direct(txn.commit(), dispatcher)
         assert matches  # BARBARBAR always exists in a populated district
+
+
+def typed(row):
+    """A row as its values' reprs and classes: ``0 == 0.0`` and
+    ``1 == True`` hold, but their reprs and classes differ."""
+    return [(repr(value), value.__class__) for value in row]
+
+
+class TestRowsAreStoragePayloads:
+    """Population draws payload tuples directly, so every one must be
+    exactly what ``make_row`` builds from its values by column name."""
+
+    def test_every_row_is_its_make_row(self):
+        catalog = build_tpcc_catalog()
+        rng = random.Random(3)
+        rows = [("item", row) for row in item_rows(SCALE, rng)]
+        for w_id in range(1, SCALE.warehouses + 1):
+            rows.extend(warehouse_rows(w_id, SCALE, rng))
+        assert {table for table, _row in rows} == {
+            "item", "warehouse", "district", "customer", "stock", "orders",
+            "orderline", "neworder",
+        }
+        for table, row in rows:
+            schema = catalog.table(table)
+            built = schema.make_row(dict(zip(schema.column_names, row)))
+            assert typed(row) == typed(built), table
+
+    def test_text_draws_what_choices_draws(self):
+        for seed in range(5):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for length in range(31):
+                assert _text(ours, length) == "".join(
+                    theirs.choices(_ALPHABET, k=length))
+            assert ours.random() == theirs.random()
 
 
 class TestNewOrder:

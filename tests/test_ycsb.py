@@ -22,6 +22,7 @@ from repro.workloads.ycsb import (
     ZipfianGenerator,
     build_ycsb_catalog,
     populate_ycsb,
+    ycsb_rows,
 )
 
 RECORDS = 200
@@ -35,7 +36,7 @@ def env():
     loader = BulkLoader(catalog, indexes)
     dispatcher = Dispatcher(cluster)
     count = effects.run_direct(
-        populate_ycsb(catalog, loader, RECORDS), dispatcher
+        populate_ycsb(loader, RECORDS), dispatcher
     )
     assert count == RECORDS
     cm = CommitManager(0, cluster.execute)
@@ -73,6 +74,16 @@ class TestZipfian:
     def test_invalid(self):
         with pytest.raises(ValueError):
             ZipfianGenerator(0)
+
+
+def test_rows_are_their_make_row():
+    schema = build_ycsb_catalog().table("usertable")
+    rows = list(ycsb_rows(RECORDS))
+    assert len(rows) == RECORDS
+    for row in rows:
+        built = schema.make_row(dict(zip(schema.column_names, row)))
+        assert [(repr(v), v.__class__) for v in row] == [
+            (repr(v), v.__class__) for v in built]
 
 
 class TestMixes:
