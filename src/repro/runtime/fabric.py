@@ -39,7 +39,7 @@ from repro.errors import TellError, WrongOwner
 from repro.net.profiles import NetworkProfile, profile_by_name
 from repro.runtime.config import SimulationConfig
 from repro.sim.kernel import Delay, Simulator
-from repro.store.cell import approx_size, request_size
+from repro.store.cell import approx_size, keys_size, request_size
 from repro.store.cluster import StorageCluster
 
 #: Simulated cores of every processing node and every storage node (one
@@ -353,10 +353,8 @@ class SimFabric:
         if versions is None:
             request_bytes = request_size(request)
         else:
-            keys, values = request.keys, request.values
-            request_bytes = 24 * len(positions)
-            for position in positions:
-                request_bytes += approx_size(keys[position])
+            values = request.values
+            request_bytes = 24 * len(positions) + keys_size(request.keys, positions)
             if is_write:
                 for position in positions:
                     request_bytes += approx_size(values[position])

@@ -17,13 +17,14 @@ one empty outer row, so its outer expressions fold to constants here.
 
 from __future__ import annotations
 
+from functools import partial, reduce
 from itertools import takewhile
-from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SqlError, SqlPlanError
 from repro.sql import ast_nodes as ast
 from repro.sql.expr import AGGREGATE_FUNCTIONS, Compiler, Layout, aggregate_key
-from repro.sql.schema import IndexDef, TableSchema
+from repro.sql.schema import Column, IndexDef, TableSchema
 from repro.sql.table import Table
 from repro.sql.types import ColumnType
 
@@ -214,6 +215,10 @@ class Delete(Node):
 
 _FLIPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
+#: A conjunct and the constraints it set, ``(kind, column)`` with kind
+#: ``"="``, ``">"`` (a lower bound) or ``"<"`` (an upper one).
+Claim = Tuple[ast.Expr, Tuple[Tuple[str, str], ...]]
+
 
 def _conjuncts(expr: Optional[ast.Expr]) -> List[ast.Expr]:
     if expr is None:
@@ -276,30 +281,85 @@ def _analyze(
     schema: TableSchema,
     outer: Collection[str],
     bound: Callable[[ast.Expr], Any],
-) -> Tuple[Dict[str, Any], Dict[str, Any], Dict[str, Any], List[ast.Expr]]:
-    """``(equals, lower, upper, residual)``: the table's ``column -> bound``
+) -> Tuple[Dict[str, Any], Dict[str, Any], Dict[str, Any], List[Claim]]:
+    """``(equals, lower, upper, claims)``: the table's ``column -> bound``
     equalities and ``column -> (op, bound)`` ranges in ``condition`` (the
-    first of a kind on a column wins), and the conjuncts that bound no
-    equality -- a join re-checks exactly those, a base table its whole
-    WHERE.  ``bound`` makes an outer-side expression what the constraint
-    holds: a join keeps the expression, a base table folds it."""
+    first of a kind on a column wins), and every conjunct with the
+    constraints it set -- ``("=", column)``, ``(">", column)`` or
+    ``("<", column)`` -- none when it lost one to an earlier conjunct.
+    ``bound`` makes an outer-side expression what the constraint holds: a
+    join keeps the expression, a base table folds it."""
     equals: Dict[str, Any] = {}
     lower: Dict[str, Tuple[str, Any]] = {}
     upper: Dict[str, Tuple[str, Any]] = {}
-    residual: List[ast.Expr] = []
+    claims: List[Claim] = []
     for conjunct in _conjuncts(condition):
-        keyed = False
+        slots: List[Tuple[str, str]] = []
+        lost = False
         for column, op, expr in _bindings(conjunct, alias, schema, outer):
-            if op == "=" and column not in equals:
-                equals[column] = bound(expr)
-                keyed = True
-            elif op[0] == ">" and column not in lower:
-                lower[column] = (op, bound(expr))
-            elif op[0] == "<" and column not in upper:
-                upper[column] = (op, bound(expr))
-        if not keyed:
-            residual.append(conjunct)
-    return equals, lower, upper, residual
+            kind = op[0]
+            constraints = equals if kind == "=" else lower if kind == ">" else upper
+            if column in constraints:
+                lost = True
+                continue
+            constraints[column] = bound(expr) if kind == "=" else (op, bound(expr))
+            slots.append((kind, column))
+        claims.append((conjunct, () if lost else tuple(slots)))
+    return equals, lower, upper, claims
+
+
+def _unclaimed(claims: List[Claim], enforced: Set[Tuple[str, str]]) -> List[ast.Expr]:
+    """The conjuncts that still need checking on every row: all but those
+    whose every constraint is ``enforced``."""
+    return [conjunct for conjunct, slots in claims
+            if not slots or not enforced.issuperset(slots)]
+
+
+def _filtered(node: Node, condition: Optional[ast.Expr],
+              residual: List[ast.Expr]) -> Node:
+    """``node`` under a :class:`Filter` of the ``residual`` conjuncts of
+    ``condition`` -- ``condition`` itself when that is all of them, no
+    filter when none is left."""
+    if not residual:
+        return node
+    if len(residual) < len(_conjuncts(condition)):
+        condition = reduce(partial(ast.BinaryOp, "and"), residual)
+    return Filter(node, condition)
+
+
+def _ranks_like(column: Column, value: Any) -> bool:
+    """Whether ``value`` has the key encoding's type rank of every
+    non-NULL value of ``column``: then the encoding orders them as SQL
+    compares them (``repro.sql.keyenc``)."""
+    if column.type is ColumnType.TEXT:
+        return value.__class__ is str
+    return column.type is not ColumnType.BOOL and value.__class__ in (int, float)
+
+
+def _enforced(schema: TableSchema, index: IndexDef, equals: Dict[str, Any],
+              lower: Dict[str, Any], upper: Dict[str, Any]) -> Set[Tuple[str, str]]:
+    """The constraints every row of a lookup or range over ``index`` meets
+    (``Table.lookup`` / ``Table.index_range`` return a row only when its
+    indexed values equal, or encode inside, the probed key):
+
+    * an equality on a probed column, unless its bound is NULL (which the
+      encoding matches and SQL does not);
+    * on the column after them, a ``>=`` bound of the column's rank (the
+      range starts at it; a ``>`` one starts there too, so it stays), and
+      a ``<`` or ``<=`` one of that rank on a NOT NULL column (NULLs sort
+      below every bound).
+    """
+    probed = tuple(takewhile(equals.__contains__, index.columns))
+    enforced = {("=", name) for name in probed if equals[name] is not None}
+    if len(probed) < len(index.columns):
+        column = schema.column(index.columns[len(probed)])
+        op, value = lower.get(column.name, (None, None))
+        if op == ">=" and _ranks_like(column, value):
+            enforced.add((">", column.name))
+        _op, value = upper.get(column.name, (None, None))
+        if not column.nullable and _ranks_like(column, value):
+            enforced.add(("<", column.name))
+    return enforced
 
 
 def choose_access_path(
@@ -361,9 +421,9 @@ def plan(stmt: ast.Statement, table_provider: Callable[[str], Table],
         return _insert(stmt, table_provider, params)
     if isinstance(stmt, (ast.Update, ast.Delete)):
         table = table_provider(stmt.table)
-        rows = _access(ast.TableRef(stmt.table, None), table, stmt.where, params)
-        if stmt.where is not None:
-            rows = Filter(rows, stmt.where)
+        rows, residual = _access(ast.TableRef(stmt.table, None), table, stmt.where,
+                                 params)
+        rows = _filtered(rows, stmt.where, residual)
         if isinstance(stmt, ast.Delete):
             return Delete(rows, table)
         return Update(rows, table, tuple(stmt.assignments))
@@ -371,8 +431,9 @@ def plan(stmt: ast.Statement, table_provider: Callable[[str], Table],
 
 
 def _access(ref: ast.TableRef, table: Table, condition: Optional[ast.Expr],
-            params: Sequence[Any]) -> Node:
-    """The base-table access: a superset of the rows ``condition`` keeps."""
+            params: Sequence[Any]) -> Tuple[Node, List[ast.Expr]]:
+    """The base-table access -- a superset of the rows ``condition`` keeps
+    -- and the conjuncts of ``condition`` its rows still have to pass."""
     schema = table.schema
     compile = Compiler(OneRow.layout, params)
 
@@ -385,7 +446,7 @@ def _access(ref: ast.TableRef, table: Table, condition: Optional[ast.Expr],
             # e.g. a constant ``1 / 0``: rejected before any row is read
             raise SqlPlanError(f"cannot evaluate {expr!r}: {error}")
 
-    equals, lower, upper, _residual = _analyze(condition, ref.alias, schema, (), fold)
+    equals, lower, upper, claims = _analyze(condition, ref.alias, schema, (), fold)
     for column, (op, value) in [*lower.items(), *upper.items()]:
         column_type = schema.column(column).type
         if value is not None and (column_type is ColumnType.TEXT) != isinstance(value, str):
@@ -399,25 +460,29 @@ def _access(ref: ast.TableRef, table: Table, condition: Optional[ast.Expr],
         schema, equals, lower, upper
     )
     layout = Layout(((ref.alias, schema, 0),))
-    if kind == "lookup":
-        return PointGet(table, layout, index, low)
-    if kind == "range":
-        return IndexRange(table, layout, index, low, high, include_high)
+    if kind != "scan":
+        residual = _unclaimed(claims, _enforced(schema, index, equals, lower, upper))
+        if kind == "lookup":
+            return PointGet(table, layout, index, low), residual
+        return IndexRange(table, layout, index, low, high, include_high), residual
     # Section 5.2 operator push-down: the storage nodes apply what the
     # analysis understood of the WHERE.
     pushed = [(column, "=", value) for column, value in equals.items()]
     pushed += [(column, *bound) for column, bound in [*lower.items(), *upper.items()]]
-    return Scan(table, layout, table.make_filter(pushed) if pushed else None)
+    pushdown = table.make_filter(pushed) if pushed else None
+    return Scan(table, layout, pushdown), _conjuncts(condition)
 
 
 def _join(outer: Node, join: ast.Join, table: Table) -> Node:
     schema, alias = table.schema, join.table.alias
     layout = Layout(outer.layout.tables + ((alias, schema, outer.layout.width),))
-    equals, lower, upper, residual = _analyze(
+    equals, lower, upper, claims = _analyze(
         join.on, alias, schema,
         {outer_alias for outer_alias, _schema, _offset in outer.layout.tables},
         lambda expr: expr,
     )
+    # Equalities either probe or are re-checked below; the rest stays.
+    residual = _unclaimed(claims, {("=", column) for column in equals})
     index = choose_access_path(schema, equals, lower, upper)[1]
     # The leading index columns the equalities bind: all of them for the
     # chooser's "lookup", at least one for a "range" worth probing.
@@ -444,13 +509,23 @@ def _select(stmt: ast.Select, tables: Callable[[str], Table],
         raise SqlPlanError("FOR UPDATE requires a plain single-table SELECT")
     if stmt.table is None:
         node: Node = OneRow()
+        residual = _conjuncts(stmt.where)
     else:
         base = tables(stmt.table.name)
-        node = _access(stmt.table, base, stmt.where, params)
+        node, residual = _access(stmt.table, base, stmt.where, params)
+        access = node.layout
         for join in stmt.joins:
             node = _join(node, join, tables(join.table.name))
-    if stmt.where is not None:
-        node = Filter(node, stmt.where)
+        if node.layout is not access:
+            # A joined table can take a column name over from the base
+            # table (an unqualified or a reused alias): every conjunct
+            # whose column moved is checked again.
+            residual = [
+                conjunct for conjunct in _conjuncts(stmt.where)
+                if any(conjunct is kept for kept in residual)
+                or not _resolves_alike(conjunct, access, node.layout)
+            ]
+    node = _filtered(node, stmt.where, residual)
     if stmt.for_update and stmt.table is not None:
         node = Lock(node, base)
 
@@ -511,6 +586,18 @@ def _insert(stmt: ast.Insert, tables: Callable[[str], Table],
             f"{max(widths - {len(columns)})} values"
         )
     return Insert(table, columns, tuple(map(tuple, stmt.rows)), source)
+
+
+def _resolves_alike(expr: ast.Expr, before: Layout, after: Layout) -> bool:
+    """Whether every column ``expr`` names sits at one position in both."""
+    if isinstance(expr, ast.ColumnRef):
+        return before.position(expr) == after.position(expr)
+    for slot in expr.__slots__:
+        child = getattr(expr, slot)
+        for part in child if isinstance(child, list) else (child,):
+            if isinstance(part, ast.Expr) and not _resolves_alike(part, before, after):
+                return False
+    return True
 
 
 def _collect_aggregates(expr: ast.Expr, out: Dict[str, ast.FuncCall]) -> None:

@@ -10,7 +10,8 @@ write; concurrent DDL therefore conflicts instead of corrupting.
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro import effects
 from repro.core.spaces import CATALOG_KEY, META_SPACE
@@ -102,8 +103,9 @@ class TableSchema:
             (column.name, _STORAGE_CLASS.get(column.type, float), column)
             for column in self.columns
         ]
-        # index name -> column positions, filled lazily by index_positions
+        # index name -> column positions / index_values, filled lazily
         self._index_positions: Dict[str, Tuple[int, ...]] = {}
+        self._index_values: Dict[str, Tuple[Callable[[Tuple[Any, ...]], Any], bool]] = {}
         self.indexes: List[IndexDef] = []
 
     # -- column access ---------------------------------------------------------
@@ -166,20 +168,31 @@ class TableSchema:
         """Primary-key tuple of a payload row."""
         return tuple([row[position] for position in self._pk_positions])
 
-    def index_positions(self, index: IndexDef) -> Tuple[int, ...]:
-        """Row positions of ``index``'s columns, in key order."""
-        positions = self._index_positions.get(index.name)
-        if positions is None:
-            positions = tuple(self._positions[name] for name in index.columns)
-            self._index_positions[index.name] = positions
-        return positions
-
     def index_key_of(self, index: IndexDef, row: Tuple[Any, ...]) -> Tuple[Any, ...]:
         # The cache lookup is inlined: this runs for every row read.
         positions = self._index_positions.get(index.name)
         if positions is None:
-            positions = self.index_positions(index)
+            positions = tuple(self._positions[name] for name in index.columns)
+            self._index_positions[index.name] = positions
         return tuple([row[position] for position in positions])
+
+    def index_values(
+        self, index: IndexDef
+    ) -> Tuple[Callable[[Tuple[Any, ...]], Any], bool]:
+        """``(values_of, plain)``: ``values_of(row)`` is the row's values
+        of ``index``'s columns -- a tuple, or the one value of a
+        one-column index -- and ``plain`` says none of them can be NULL
+        or a bool (every column is NOT NULL and not BOOL)."""
+        probe = self._index_values.get(index.name)
+        if probe is None:
+            columns = [self.column(name) for name in index.columns]
+            probe = (
+                itemgetter(*[self._positions[column.name] for column in columns]),
+                not any(column.nullable or column.type is ColumnType.BOOL
+                        for column in columns),
+            )
+            self._index_values[index.name] = probe
+        return probe
 
     @property
     def primary_index(self) -> IndexDef:

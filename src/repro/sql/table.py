@@ -311,18 +311,28 @@ class Table:
             high_entry = encode_key(high)
         entries = yield from tree.range_entries(low_entry, high_entry, limit=None)
         # (entry, row) for every entry whose row still carries the
-        # entry's key; each row's index key is encoded once.
+        # entry's key.  The row's values are compared with the entry's
+        # value slots: Python equality is the encoding's unless a NULL
+        # (``(0, False)``, and ``0 == False``) or a bool (``True == 1``)
+        # takes part.  A ``plain`` index has no such entry; elsewhere an
+        # entry with a slot ranked below 2 is compared encoded.
         results: List[Tuple[EncodedKey, Tuple[Any, ...]]] = []
         if entries:
             table_id = self.schema.table_id
             keys = [data_key(table_id, entry[-1]) for entry in entries]
             rows = yield from self.txn.read_many(keys)
-            positions = self.schema.index_positions(index)
+            values_of, plain = self.schema.index_values(index)
+            slots_of = operator.itemgetter(*range(1, 2 * len(index.columns), 2))
             results = [
                 (entry, row)
                 for entry, row in zip(entries, map(rows.__getitem__, keys))
-                if row is not None
-                and encode_key([row[p] for p in positions]) + (entry[-1],) == entry
+                if row is not None and (
+                    (value := values_of(row)) is (slot := slots_of(entry))
+                    or value == slot
+                    if plain or min(entry[0:-1:2]) > 1
+                    else encode_key(self.schema.index_key_of(index, row))
+                    + (entry[-1],) == entry
+                )
             ]
             if limit is not None:
                 del results[limit:]

@@ -92,13 +92,10 @@ class StorageCluster:
         """Route a batch's keys: ``(pids, groups)``, where ``pids[p]`` is
         key ``p``'s partition and ``groups`` maps each master node, in
         order of first use, to the positions of the keys it serves."""
-        partition_of = self.partitioner.partition_of
         assignments = self.partition_map.assignments
-        pids: List[int] = []
+        pids = self.partitioner.partitions_of(keys)
         groups: Dict[int, List[int]] = {}
-        for position, key in enumerate(keys):
-            partition_id = partition_of(key)
-            pids.append(partition_id)
+        for position, partition_id in enumerate(pids):
             node_id = assignments[partition_id].replicas[0]
             group = groups.get(node_id)
             if group is None:

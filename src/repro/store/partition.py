@@ -88,6 +88,16 @@ class HashPartitioner:
     def partition_of(self, key: Any) -> int:
         return stable_hash(key) % self.n_partitions
 
+    def partitions_of(self, keys: Sequence[Any]) -> List[int]:
+        """``partition_of`` of every key, in one call for a batch (a loop:
+        a comprehension's own call costs a one-key batch more)."""
+        n_partitions = self.n_partitions
+        pids: List[int] = []
+        append = pids.append
+        for key in keys:
+            append(stable_hash(key) % n_partitions)
+        return pids
+
 
 class PartitionAssignment:
     """Replica placement of a single partition: master first."""

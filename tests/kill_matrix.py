@@ -455,6 +455,25 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
         "re-keyed) as live: a deleted unique key can never be re-inserted",
     ),
     (
+        "range_live_check_ignores_rank",
+        "src/repro/sql/table.py",
+        "                    if plain or min(entry[0:-1:2]) > 1\n",
+        "                    if True\n",
+        "index_range compares every entry's value slots with the row's "
+        "values, NULL and bool slots too: a row whose nullable indexed "
+        "column went from NULL to FALSE or 0 is still found through its "
+        "stale (0, False) entry",
+    ),
+    (
+        "residual_drops_strict_bound",
+        "src/repro/sql/plan.py",
+        "        if op == \">=\" and _ranks_like(column, value):\n",
+        "        if op is not None and _ranks_like(column, value):\n",
+        "the planner counts a > bound on the column after the probed prefix "
+        "as enforced by the range, which starts at the bound: rows equal "
+        "to it pass the base table's filter",
+    ),
+    (
         "coordinator_bumps_epoch",
         "src/repro/elastic/migration.py",
         "        cluster.detach_node(node_id)\n",

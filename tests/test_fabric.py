@@ -3,6 +3,7 @@
 import pytest
 
 from repro import effects
+from repro.errors import NodeUnavailable
 from repro.net.profiles import INFINIBAND_QDR
 from repro.runtime.fabric import CM_MESSAGE_BYTES, SN_SERVICE_CM_US, CorePool
 from repro.store.cluster import StorageCluster
@@ -108,6 +109,25 @@ class TestStorageTiming:
         (rows,) = rig.perform(effects.Scan("data", None, None))
         assert len(rows) == 20
         assert fabric.stats.messages - before == len(cluster.nodes)
+
+    def test_scan_on_a_dead_master_raises_into_the_scanner(self, rig):
+        """The scan's error is the response: 64 bytes on the wire, then
+        raised where the scan was yielded."""
+        cluster, fabric = rig.cluster, rig.fabric
+        for i in range(20):
+            cluster.execute(effects.Put("data", i, i))
+        cluster.nodes[1].crash()
+        before = fabric.stats.bytes_sent
+
+        def scanner():
+            try:
+                yield effects.Scan("data", None, None)
+            except NodeUnavailable as error:
+                return error
+            return None
+
+        assert isinstance(rig.run(scanner()), NodeUnavailable)
+        assert fabric.stats.bytes_sent - before == 64
 
 
 class TestCmTiming:

@@ -16,6 +16,7 @@ import pytest
 
 from repro.api import Database
 from repro.sql import plan as nodes
+from repro.sql.expr import Compiler, Layout
 from repro.sql.parser import parse
 from repro.sql.plan import plan
 from repro.sql.table import Table
@@ -67,31 +68,26 @@ def plan_of(catalog, sql, params=()):
 GOLDEN_SQL_MIXED = {
     "point": """\
 project c_first, c_last, c_balance
-  filter: (((Col(c_w_id) = Param(0)) and (Col(c_d_id) = Param(1))) and (Col(c_id) = Param(2)))
-    scan customer [customer]: point lookup via customer_pk key=(2, 3, 7)""",
+  scan customer [customer]: point lookup via customer_pk key=(2, 3, 7)""",
     "byname": """\
 project c_id, c_first, c_balance
   sort by 1 key(s)
-    filter: (((Col(c_w_id) = Param(0)) and (Col(c_d_id) = Param(1))) and (Col(c_last) = Param(2)))
-      scan customer [customer]: point lookup via customer_name key=(1, 2, 'BARBARPRES')""",
+    scan customer [customer]: point lookup via customer_name key=(1, 2, 'BARBARPRES')""",
     "range_agg": """\
 project sum(ol_amount), count(*)
   aggregate sum(Col(ol_amount)), count(*)
-    filter: ((((Col(ol_w_id) = Param(0)) and (Col(ol_d_id) = Param(1))) and (Col(ol_o_id) >= Param(2))) and (Col(ol_o_id) < Param(3)))
-      scan orderline [orderline]: range via orderline_pk (1, 2, 3) .. < (1, 2, 13)""",
+    scan orderline [orderline]: range via orderline_pk (1, 2, 3) .. < (1, 2, 13)""",
     "update": """\
 UPDATE customer: set c_balance, c_payment_cnt
-  filter: (((Col(c_w_id) = Param(1)) and (Col(c_d_id) = Param(2))) and (Col(c_id) = Param(3)))
-    scan customer [customer]: point lookup via customer_pk key=(2, 3, 7)""",
+  scan customer [customer]: point lookup via customer_pk key=(2, 3, 7)""",
     "join": """\
 project o_id, ol_number, ol_amount
-  filter: (((Col(o.o_w_id) = Param(0)) and (Col(o.o_d_id) = Param(1))) and (Col(o.o_id) = Param(2)))
-    inner join orderline [ol]: index nested-loop join via orderline_pk prefix (ol_w_id, ol_d_id, ol_o_id)
-      scan orders [o]: point lookup via orders_pk key=(1, 2, 11)""",
+  inner join orderline [ol]: index nested-loop join via orderline_pk prefix (ol_w_id, ol_d_id, ol_o_id)
+    scan orders [o]: point lookup via orders_pk key=(1, 2, 11)""",
     "analytic": """\
 project count(*)
   aggregate count(*)
-    filter: ((Col(ol_w_id) = Param(0)) and (Col(ol_amount) >= Literal(9000.0)))
+    filter: (Col(ol_amount) >= Literal(9000.0))
       scan orderline [orderline]: range via orderline_pk (1,) .. <= (1,)""",
 }
 
@@ -108,8 +104,7 @@ limit 2
     ("SELECT * FROM orders WHERE id = 1 FOR UPDATE", """\
 project id, customer, region, total
   lock rows (FOR UPDATE)
-    filter: (Col(id) = Literal(1))
-      scan orders [orders]: point lookup via orders_pk key=(1,)"""),
+    scan orders [orders]: point lookup via orders_pk key=(1,)"""),
     ("SELECT o.id, c.name FROM orders o LEFT JOIN customers c "
      "ON c.id = o.customer AND c.name != 'x'", """\
 project id, name
@@ -139,12 +134,10 @@ INSERT 2 row(s) into customers"""),
     ("INSERT INTO customers SELECT id, region FROM orders WHERE customer = 7", """\
 INSERT into customers from
   project id, region
-    filter: (Col(customer) = Literal(7))
-      scan orders [orders]: point lookup via orders_customer key=(7,)"""),
+    scan orders [orders]: point lookup via orders_customer key=(7,)"""),
     ("DELETE FROM orders WHERE id BETWEEN 3 AND ?", """\
 DELETE orders
-  filter: Between(operand=Col(id), low=Literal(3), high=Param(0), negated=False)
-    scan orders [orders]: range via orders_pk (3,) .. <= (9,)"""),
+  scan orders [orders]: range via orders_pk (3,) .. <= (9,)"""),
 ]
 
 
@@ -368,3 +361,84 @@ def test_paths_equal_the_parent_commits(catalogs, case, expected):
     assert before == expected
     assert paths_of(plan_of(catalogs[schema], sql, params)) == now
 
+
+
+# ---------------------------------------------------------------------------
+# The residual: what a base table's filter still checks
+# ---------------------------------------------------------------------------
+
+RESIDUAL_DDL = [
+    "CREATE TABLE r (id INT PRIMARY KEY, a INT, b INT, c INT)",
+    "CREATE INDEX r_ab ON r (a, b)",
+    "CREATE TABLE q (id INT PRIMARY KEY, k INT)",
+    "INSERT INTO r VALUES (1, 1, 0, 3), (2, 1, 1, 3), (3, 1, 2, 4), "
+    "(4, 1, NULL, 3), (5, NULL, 1, 3), (6, NULL, NULL, 4), (7, 2, 2, 3), "
+    "(8, 1, 3, NULL), (9, 1, 1, 4)",
+    "INSERT INTO q VALUES (1, 1), (2, 2)",
+]
+
+#: (WHERE over ``r``, params, the filter the plan keeps: None for none).
+#: ``r_ab``'s columns are nullable; ``id`` is NOT NULL.
+RESIDUAL_CASES = [
+    # a NULL equality: the key encoding matches NULLs, SQL does not
+    ("a = ?", [None], "(Col(a) = Param(0))"),
+    ("a = ? AND b = ?", [1, None], "(Col(b) = Param(1))"),
+    # the second equality on a column is not the one probed
+    ("a = 1 AND b = 1 AND b = 0", [], "(Col(b) = Literal(0))"),
+    # a range starts at a > bound: the rows equal to it come too
+    ("a = 1 AND b > 1", [], "(Col(b) > Literal(1))"),
+    ("a = 1 AND b >= 1", [], None),
+    ("a = 1 AND b >= 1.5", [], None),
+    # a bool bound ranks below every integer: the range holds them all
+    ("a = 1 AND b >= TRUE", [], "(Col(b) >= Literal(True))"),
+    # NULLs sort below an upper bound on a nullable column
+    ("a = 1 AND b < 2", [], "(Col(b) < Literal(2))"),
+    ("a = 1 AND b <= 2", [], "(Col(b) <= Literal(2))"),
+    ("id >= 2 AND id < 5", [], None),
+    ("id > 2 AND id <= 5", [], "(Col(id) > Literal(2))"),
+    ("id BETWEEN 2 AND 5", [], None),
+    ("a = 1 AND c = 3", [], "(Col(c) = Literal(3))"),
+    ("c = 3 AND a = 1 AND b >= 1 AND b < 3", [],
+     "((Col(c) = Literal(3)) and (Col(b) < Literal(3)))"),
+    ("a = 1 OR b = 2", [], "((Col(a) = Literal(1)) or (Col(b) = Literal(2)))"),
+]
+
+
+@pytest.fixture(scope="module")
+def residual_session():
+    session = Database(storage_nodes=2).session()
+    for text in RESIDUAL_DDL:
+        session.execute(text)
+    return session
+
+
+def filters_of(root):
+    node, found = root, []
+    while node is not None:
+        if isinstance(node, nodes.Filter):
+            found.append(repr(node.condition))
+        node = node.source
+    return found
+
+
+@pytest.mark.parametrize("where, params, kept", RESIDUAL_CASES)
+def test_base_table_filter_is_the_residual(residual_session, where, params, kept):
+    """The filter holds what the access path does not enforce, and the
+    rows are those the whole WHERE keeps of a scan."""
+    sql = f"SELECT * FROM r WHERE {where}"
+    catalog = residual_session.catalog
+    assert filters_of(plan_of(catalog, sql, params)) == ([kept] if kept else [])
+    keep = Compiler(Layout((("r", catalog.table("r"), 0),)), params)(parse(sql).where)
+    every = [tuple(row.values()) for row in residual_session.query("SELECT * FROM r")]
+    expected = sorted((row for row in every if keep(row) is True), key=lambda row: row[0])
+    rows = [tuple(row.values()) for row in residual_session.query(sql, params)]
+    assert sorted(rows, key=lambda row: row[0]) == expected
+
+
+def test_a_column_a_join_takes_over_is_checked_again(residual_session):
+    """Unqualified, ``id`` names ``r.id`` to the base access but no one
+    column once ``q`` is joined: the filter keeps it."""
+    catalog = residual_session.catalog
+    join = "SELECT r.id FROM r JOIN q ON q.k = r.a WHERE {} = 4"
+    assert filters_of(plan_of(catalog, join.format("r.id"))) == []
+    assert filters_of(plan_of(catalog, join.format("id"))) == ["(Col(id) = Literal(4))"]

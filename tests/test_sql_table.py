@@ -5,6 +5,7 @@ import pytest
 from repro.api import Database
 from repro.effects import run_direct
 from repro.sql.keyenc import encode_key
+from repro.sql.table import Table
 
 
 @pytest.fixture
@@ -143,6 +144,59 @@ class TestScans:
         )
         assert [r["id"] for r in rows] == [1, 3, 10]
         session.execute("ROLLBACK")
+
+
+class TestRangeLiveEntries:
+    """``index_range`` keeps an entry while its row carries the entry's
+    key: it compares the row's values with the entry's value slots, and
+    encoded where a NULL ``(0, False)`` or a bool takes part (``0 ==
+    False``).  Each case leaves stale entries and checks the whole range
+    against that rule spelled out with ``encode_key``."""
+
+    @pytest.fixture
+    def session(self):
+        session = Database(storage_nodes=2).session()
+        session.execute(
+            "CREATE TABLE fl (id INT PRIMARY KEY, g INT NOT NULL, f BOOL, n INT)")
+        session.execute("CREATE INDEX fl_gf ON fl (g, f)")
+        session.execute("CREATE INDEX fl_gn ON fl (g, n)")
+        session.execute("INSERT INTO fl VALUES (1, 1, NULL, NULL), "
+                        "(2, 1, FALSE, 0), (3, 1, TRUE, 1), (4, 2, NULL, 5)")
+        return session
+
+    @staticmethod
+    def check_range(session, index_name):
+        """Compare the full range of ``index_name`` with the rule; returns
+        the rids of the stale entries it skipped."""
+        schema = session.catalog.table("fl")
+        index = session.catalog.indexes[index_name]
+        txn = run_direct(session.pn.begin(), session.dispatcher)
+        table = Table(schema, txn, session.indexes)
+        rows = dict(run_direct(table.scan(), session.dispatcher))
+        live, stale = [], []
+        for entry in tree_entries(session, index_name):
+            rid = entry[-1]
+            if encode_key(schema.index_key_of(index, rows[rid])) + (rid,) == entry:
+                live.append((rid, rows[rid]))
+            else:
+                stale.append(rid)
+        assert run_direct(table.index_range(index, None, None),
+                          session.dispatcher) == live
+        return stale
+
+    def test_null_became_false_or_zero(self, session):
+        session.execute("UPDATE fl SET f = FALSE, n = 0 WHERE id = 1")
+        assert self.check_range(session, "fl_gf") == [1]
+        assert self.check_range(session, "fl_gn") == [1]
+
+    def test_value_became_null(self, session):
+        session.execute("UPDATE fl SET f = NULL, n = NULL WHERE id = 2")
+        assert self.check_range(session, "fl_gf") == [2]
+        assert self.check_range(session, "fl_gn") == [2]
+
+    def test_updated_primary_key(self, session):
+        session.execute("UPDATE fl SET id = 10 WHERE id = 2")
+        assert self.check_range(session, "fl_pk") == [2]
 
 
 class TestUniqueness:

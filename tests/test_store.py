@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro import effects
 from repro.errors import KeyNotFound, NoCapacity, NodeUnavailable
-from repro.store.cell import Cell, approx_size, request_size
+from repro.store.cell import Cell, approx_size, keys_size, request_size
 from repro.elastic.migration import migrate_partition
 from repro.elastic.topology import Move
 from repro.store.cluster import StorageCluster
@@ -350,6 +350,20 @@ class TestApproxSize:
 
     def test_unknown_fallback(self):
         assert approx_size(object()) == 64
+
+    def test_keys_size_is_the_sum_of_approx_sizes(self):
+        keys = [(3, 17), (3, True), (True, 3), (3, "x"), (3, 17, 1), (3.0, 1),
+                ("tbl", 2), 7, "key", None, ((1, 2), 3)]
+        positions = [0, 2, 4, 5, 6, 7, 8, 9, 10, 1, 3]
+        assert keys_size(keys, positions) == sum(approx_size(keys[p]) for p in positions)
+
+
+class TestBatchRouting:
+    def test_partitions_of_is_partition_of_per_key(self):
+        cluster = StorageCluster(n_nodes=3)
+        keys = [(3, 17), ("tbl", 2), 7, "key", None, (True, 3), (3, 17)]
+        assert cluster.partitioner.partitions_of(keys) == [
+            cluster.partition_of(key) for key in keys]
 
 
 def assert_replicas_hold_their_master(cluster):
