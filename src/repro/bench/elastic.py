@@ -26,9 +26,9 @@ import json
 import time
 from typing import TYPE_CHECKING, Any, Dict, List
 
+from repro.bench.scale import tpcc_point
 from repro.runtime.metrics import TxnMetrics
 from repro.workloads.simulated import SimulatedTell, TellConfig
-from repro.workloads.tpcc.params import TpccScale
 
 if TYPE_CHECKING:
     from repro.bench.experiments import BenchProfile
@@ -43,48 +43,21 @@ _SETTLE_AT = 0.85
 PHASES = ("before", "during", "after")
 
 
-def _point(
-    label: str,
-    pns: int,
-    sns: int,
-    *,
-    warehouses: int,
-    duration_us: float,
-    threads_per_pn: int = 8,
-    customers_per_district: int = 60,
-    batch_cells: int = 256,
-) -> Dict[str, Any]:
-    scale = TpccScale(
-        warehouses=warehouses,
-        districts_per_warehouse=10,
-        customers_per_district=customers_per_district,
-        initial_orders_per_district=customers_per_district,
-        items=1000,
-    )
-    config = TellConfig(
-        processing_nodes=pns,
-        storage_nodes=sns,
-        threads_per_pn=threads_per_pn,
-        scale=scale,
-        duration_us=duration_us,
-        warmup_us=duration_us / 10,
-        seed=1,
-    )
-    return {"label": label, "config": config, "batch_cells": batch_cells}
-
-
 #: The suite, smallest first.  ``smoke`` is the CI gate: a 2->4->2 SN
 #: cycle small enough for every PR.  ``elastic64`` is the acceptance
 #: configuration -- a 64-node deployment (16 PNs + 48 SNs) doubling and
 #: halving its SN count under live TPC-C.
 def elastic_points() -> List[Dict[str, Any]]:
     return [
-        _point("smoke", 2, 2, warehouses=1, duration_us=240_000.0,
-               threads_per_pn=4, customers_per_district=40,
-               batch_cells=128),
-        _point("diurnal16", 4, 12, warehouses=4, duration_us=300_000.0),
-        _point("elastic64", 16, 48, warehouses=8, duration_us=240_000.0,
-               customers_per_district=30),
+        tpcc_point("smoke", 2, 2, warehouses=1, duration_us=240_000.0,
+                   threads_per_pn=4, customers_per_district=40,
+                   batch_cells=128),
+        tpcc_point("diurnal16", 4, 12, warehouses=4, duration_us=300_000.0,
+                   threads_per_pn=8, customers_per_district=60,
+                   batch_cells=256),
+        tpcc_point("elastic64", 16, 48, warehouses=8, duration_us=240_000.0,
+                   threads_per_pn=8, customers_per_district=30,
+                   batch_cells=256),
     ]
 
 

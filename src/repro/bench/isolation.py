@@ -110,7 +110,7 @@ def run_isolation_point(mode: str, pairs: int = 4, rounds: int = 6) -> Dict[str,
     elapsed_us = max(world.sim.now - started_us, 1.0)
 
     cycles = world.sanitizer.analyze()
-    manager = world.commit_manager
+    manager = world.commit_managers[0]
     finished = counts["committed"] + counts["aborted"]
     return {
         "mode": mode,

@@ -35,24 +35,24 @@ if TYPE_CHECKING:
     from repro.bench.experiments import BenchProfile
 
 
-def _point(
+def tpcc_point(
     label: str,
     pns: int,
     sns: int,
     *,
     warehouses: int,
     duration_us: float,
-    threads_per_pn: int = 16,
+    threads_per_pn: int,
+    customers_per_district: int,
     commit_managers: int = 1,
-    customers_per_district: int = 120,
+    **extra: Any,
 ) -> Dict[str, Any]:
-    scale = TpccScale(
-        warehouses=warehouses,
-        districts_per_warehouse=10,
-        customers_per_district=customers_per_district,
-        initial_orders_per_district=customers_per_district,
-        items=1000,
-    )
+    """One point of the scale and elastic suites: ``label``, its TPC-C
+    deployment (ten districts, 1 000 items, as many initial orders per
+    district as customers, a tenth of the run as warm-up, seed 1) under
+    ``config``, and any ``extra`` entries the suite reads."""
+    scale = TpccScale(warehouses, 10, customers_per_district,
+                      customers_per_district, 1000)
     config = TellConfig(
         processing_nodes=pns,
         storage_nodes=sns,
@@ -63,7 +63,7 @@ def _point(
         warmup_us=duration_us / 10,
         seed=1,
     )
-    return {"label": label, "config": config}
+    return {"label": label, "config": config, **extra}
 
 
 #: The suite, smallest first.  ``smoke16`` is small enough for every PR
@@ -74,13 +74,16 @@ def _point(
 #: affordable).
 def scale_points() -> List[Dict[str, Any]]:
     return [
-        _point("smoke16", 4, 12, warehouses=4, duration_us=30_000.0,
-               threads_per_pn=8),
-        _point("nodes16", 4, 12, warehouses=8, duration_us=100_000.0),
-        _point("nodes64", 16, 48, warehouses=16, duration_us=60_000.0),
-        _point("nodes128", 32, 96, warehouses=32, duration_us=40_000.0),
-        _point("wh100", 8, 24, warehouses=100, duration_us=40_000.0,
-               customers_per_district=30),
+        tpcc_point("smoke16", 4, 12, warehouses=4, duration_us=30_000.0,
+                   threads_per_pn=8, customers_per_district=120),
+        tpcc_point("nodes16", 4, 12, warehouses=8, duration_us=100_000.0,
+                   threads_per_pn=16, customers_per_district=120),
+        tpcc_point("nodes64", 16, 48, warehouses=16, duration_us=60_000.0,
+                   threads_per_pn=16, customers_per_district=120),
+        tpcc_point("nodes128", 32, 96, warehouses=32, duration_us=40_000.0,
+                   threads_per_pn=16, customers_per_district=120),
+        tpcc_point("wh100", 8, 24, warehouses=100, duration_us=40_000.0,
+                   threads_per_pn=16, customers_per_district=30),
     ]
 
 

@@ -5,7 +5,8 @@
 elastic operations *while the workload runs*.  The storage operations
 are the shared :class:`repro.elastic.migration.StorageOps` generators --
 the same ones ``db.admin()`` drives; this driver adds only what time
-needs: every migration batch they yield is a timed message (wire latency
+needs: every migration batch they yield is charged by
+:meth:`repro.runtime.fabric.SimFabric.charge_migration` (wire latency
 plus per-cell copy service on both storage nodes' core pools), so a
 rebalance visibly steals service capacity from foreground traffic -- the
 throughput dip the elastic bench suite measures -- and every state
@@ -21,13 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, List, Tuple
 
-from repro.elastic.migration import DEFAULT_BATCH_CELLS, BatchCost, StorageOps
-from repro.sim.kernel import Delay
-
-#: Per-cell copy service time on each endpoint of a migration batch
-#: (microseconds).  Deliberately above the plain write service time: the
-#: copy path serializes, ships, and installs versioned cells.
-MIGRATION_CELL_US = 0.3
+from repro.elastic.migration import DEFAULT_BATCH_CELLS, StorageOps
 
 
 class ElasticCoordinator:
@@ -120,38 +115,9 @@ class ElasticCoordinator:
                 except StopIteration as stop:
                     return stop.value
                 finally:
-                    self._sync_pools()
-                yield from self._charge_batch(cost)
+                    self.fabric.sync_pools()
+                yield from self.fabric.charge_migration(
+                    cost.src, cost.dst, cost.cells, cost.nbytes
+                )
         finally:
             self._release()
-
-    def _sync_pools(self) -> None:
-        # An SN the step just attached gets its core pool, and a detached
-        # one loses it, before simulated time moves on.
-        pools, nodes = self.fabric.sn_pools, self.cluster.nodes
-        for node_id in nodes:
-            self.fabric.register_node(node_id)
-        for node_id in [n for n in pools if n not in nodes]:
-            del pools[node_id]
-
-    def _charge_batch(self, cost: BatchCost) -> Generator:
-        """Charge one migration batch: copy service on the source, wire
-        time for the batch payload, install service on the destination.
-        Reserving on the shared SN core pools is what makes a migration
-        compete with foreground requests for service capacity."""
-        fabric = self.fabric
-        profile = fabric.profile
-        now = self.sim.now
-        service = (
-            profile.server_cpu_per_msg_us + MIGRATION_CELL_US * cost.cells
-        )
-        t = now
-        src_pool = fabric.sn_pools.get(cost.src)
-        if src_pool is not None:
-            t = src_pool.reserve(t, service)
-        t += profile.one_way(cost.nbytes)
-        dst_pool = fabric.sn_pools.get(cost.dst)
-        if dst_pool is not None:
-            t = dst_pool.reserve(t, service)
-        if t > now:
-            yield Delay(t - now)

@@ -72,14 +72,8 @@ ETHERNET_10G = NetworkProfile(
     server_cpu_per_msg_us=6.0,
 )
 
-_PROFILES = {
-    INFINIBAND_QDR.name: INFINIBAND_QDR,
-    ETHERNET_10G.name: ETHERNET_10G,
-    # aliases used in configs and docs
-    "ib": INFINIBAND_QDR,
-    "10gbe": ETHERNET_10G,
-    "ethernet": ETHERNET_10G,
-}
+_PROFILES = {profile.name: profile
+             for profile in (INFINIBAND_QDR, ETHERNET_10G)}
 
 
 def profile_by_name(name: str) -> NetworkProfile:
@@ -87,5 +81,5 @@ def profile_by_name(name: str) -> NetworkProfile:
     try:
         return _PROFILES[name.lower()]
     except KeyError:
-        known = ", ".join(sorted(set(p.name for p in _PROFILES.values())))
+        known = ", ".join(sorted(_PROFILES))
         raise InvalidState(f"unknown network profile {name!r} (known: {known})")

@@ -16,6 +16,7 @@ from typing import TypeVar
 
 from repro.core.isolation import ISOLATION_MODES
 from repro.errors import InvalidState
+from repro.net.profiles import profile_by_name
 
 _Config = TypeVar("_Config", bound="DeploymentConfig")
 
@@ -90,15 +91,26 @@ class SimulationConfig(DeploymentConfig):
     seed: int = 1
     txn_overhead_us: float = 30.0    # parse/plan/commit bookkeeping per txn
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        profile_by_name(self.network)
+        for name in ("processing_nodes", "threads_per_pn"):
+            if getattr(self, name) < 1:
+                raise InvalidState(f"{name} must be >= 1")
+        if not self.duration_us > 0:
+            raise InvalidState("duration_us must be > 0")
+        if not self.warmup_us >= 0:
+            raise InvalidState("warmup_us must be >= 0")
+
     @property
     def total_cores(self) -> int:
         """Total CPU cores of the deployment, the x-axis of Figures 8/9
-        (PNs + SNs + commit managers at 2 cores + 1 management node)."""
-        from repro.runtime.fabric import PN_CORES, SN_CORES
+        (PNs + SNs + commit managers, plus the management node's 2)."""
+        from repro.runtime.fabric import CM_CORES, PN_CORES, SN_CORES
 
         return (
             self.processing_nodes * PN_CORES
             + self.storage_nodes * SN_CORES
-            + self.commit_managers * 2
+            + self.commit_managers * CM_CORES
             + 2
         )

@@ -26,7 +26,7 @@ from repro.dispatch import Dispatcher, Interceptor
 from repro.errors import InvalidState, TellError, TransactionAborted
 from repro.runtime.config import DeploymentConfig, SimulationConfig
 from repro.runtime.fabric import PN_CORES, CorePool, SimFabric, drive
-from repro.sim.kernel import Delay, Simulator
+from repro.sim.kernel import Delay, SchedulerPolicy, Simulator
 from repro.sql.table import IndexManager
 from repro.store.cluster import StorageCluster
 from repro.store.management import ManagementNode
@@ -178,7 +178,8 @@ PnHandle = Tuple[ProcessingNode, CorePool, int, IndexManager]
 class SimulatedDeployment(Deployment):
     """A deployment under the simulated fabric, minus the workload.
 
-    Owns the event kernel, the fabric, the interceptor chain (see
+    Owns the event kernel (under ``policy``, if any: the schedule
+    explorer's hook), the fabric, the interceptor chain (see
     ``docs/dispatch.md``; the empty default adds no work to the hot
     loop), the processing-node pool (fixed for the length of a run),
     ``run()`` and ``quiesce()``.
@@ -195,8 +196,9 @@ class SimulatedDeployment(Deployment):
     _rollback_errors: Tuple[type, ...] = ()
 
     def __init__(self, config: SimulationConfig, metrics: Any,
-                 interceptors: Sequence[Interceptor] = ()):
-        self.sim = Simulator()
+                 interceptors: Sequence[Interceptor] = (),
+                 policy: Optional[SchedulerPolicy] = None):
+        self.sim = Simulator(policy)
         super().__init__(config, clock=lambda: self.sim.now)
         self.fabric = SimFabric(
             self.sim, self.cluster, self.commit_managers, config

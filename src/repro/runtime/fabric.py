@@ -46,6 +46,15 @@ from repro.store.cluster import StorageCluster
 #: NUMA unit of the paper's testbed, Section 6.1).
 PN_CORES = 4
 SN_CORES = 4
+#: Simulated cores of every commit manager.
+CM_CORES = 2
+#: Storage-node service time per key of a request message (microseconds).
+SN_READ_US = 1.2
+SN_WRITE_US = 1.8
+#: Per-cell copy service time on each endpoint of a migration batch
+#: (microseconds).  Deliberately above the plain write service time: the
+#: copy path serializes, ships, and installs versioned cells.
+MIGRATION_CELL_US = 0.3
 #: Response-size estimates by request kind (bytes); used for wire time.
 READ_RESPONSE_BYTES = 280
 WRITE_RESPONSE_BYTES = 24
@@ -189,7 +198,7 @@ class SimFabric:
         self.sn_pools = {
             node_id: CorePool(SN_CORES) for node_id in cluster.nodes
         }
-        self.cm_pools = [CorePool(2) for _ in commit_managers]
+        self.cm_pools = [CorePool(CM_CORES) for _ in commit_managers]
         self.stats = FabricStats()
         # Per-run constants of the CM round trip, hoisted off the hot path.
         self._cm_wire_us = self.profile.one_way(CM_MESSAGE_BYTES)
@@ -199,17 +208,45 @@ class SimFabric:
         self._repl_ack_us = self.profile.one_way(32)
         #: Set by the elastic coordinator when live topology change is in
         #: play.  Arms the apply-time ownership guard in
-        #: :meth:`_send_group`: a request that was routed before a
+        #: :meth:`_Message.apply`: a request that was routed before a
         #: migration promoted a new master must fail with
         #: :class:`~repro.errors.WrongOwner` *before any state mutation*
         #: (the redirect interceptor then re-routes it).  False on the
         #: static path -- the guard costs nothing when elasticity is off.
         self.elastic_active = False
 
-    def register_node(self, node_id: int) -> None:
-        """Give a freshly attached storage node its simulated core pool."""
-        if node_id not in self.sn_pools:
-            self.sn_pools[node_id] = CorePool(SN_CORES)
+    def sync_pools(self) -> None:
+        """Give every storage node the cluster attached its core pool,
+        and drop the pools of detached ones, before simulated time moves
+        on."""
+        pools, nodes = self.sn_pools, self.cluster.nodes
+        for node_id in nodes:
+            if node_id not in pools:
+                pools[node_id] = CorePool(SN_CORES)
+        for node_id in [n for n in pools if n not in nodes]:
+            del pools[node_id]
+
+    def charge_migration(self, src: int, dst: int, cells: int,
+                         nbytes: int) -> Generator:
+        """Sub-generator charging one migration batch: copy service on
+        the source, wire time for the batch payload, install service on
+        the destination.  Reserving on the shared SN core pools is what
+        makes a migration compete with foreground requests for service
+        capacity; an endpoint without a pool (already detached) is
+        skipped."""
+        profile = self.profile
+        now = self.sim.now
+        service = profile.server_cpu_per_msg_us + MIGRATION_CELL_US * cells
+        t = now
+        src_pool = self.sn_pools.get(src)
+        if src_pool is not None:
+            t = src_pool.reserve(t, service)
+        t += profile.one_way(nbytes)
+        dst_pool = self.sn_pools.get(dst)
+        if dst_pool is not None:
+            t = dst_pool.reserve(t, service)
+        if t > now:
+            yield Delay(t - now)
 
     # -- top-level dispatch ------------------------------------------------------
 
@@ -348,7 +385,6 @@ class SimFabric:
         """
         profile = self.profile
         cluster = self.cluster
-        node = cluster.nodes[node_id]
         is_write = request.is_write
         if versions is None:
             request_bytes = request_size(request)
@@ -362,10 +398,10 @@ class SimFabric:
         # differently.
         service = profile.server_cpu_per_msg_us
         if is_write:
-            service_us = node.service_us_write
+            service_us = SN_WRITE_US
             response_bytes = 16 + WRITE_RESPONSE_BYTES * len(positions)
         else:
-            service_us = node.service_us_read
+            service_us = SN_READ_US
             response_bytes = 16 + READ_RESPONSE_BYTES * len(positions)
         for _ in positions:
             service += service_us
@@ -395,12 +431,10 @@ class SimFabric:
             sent = pool.earliest(t_arrive) + service
             repl_wire_us, repl_ack_us = self._repl_wire_us, self._repl_ack_us
             for backup_id, write_count in backup_targets.items():
-                backup_node = cluster.nodes[backup_id]
                 backup_pool = self.sn_pools[backup_id]
                 b_arrive = sent + repl_wire_us
                 backup_service = write_count * (
-                    backup_node.service_us_write * REPL_WRITE_AMP
-                    + REPL_FIXED_US
+                    SN_WRITE_US * REPL_WRITE_AMP + REPL_FIXED_US
                 )
                 b_end = backup_pool.reserve(b_arrive, backup_service)
                 repl_extra += max(0.0, b_end + repl_ack_us - sent)

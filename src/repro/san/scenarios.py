@@ -18,7 +18,7 @@ discipline (sanitizers are read-only observers, checked by
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
 
 from repro import effects
 from repro.core.gc import lazy_gc_pass
@@ -26,22 +26,24 @@ from repro.core.spaces import DATA_SPACE
 from repro.errors import TellError, TransactionAborted
 from repro.index.btree import DistributedBTree
 from repro.runtime.config import SimulationConfig
-from repro.runtime.deployment import Deployment
-from repro.runtime.fabric import PN_CORES, CorePool, SimFabric, drive
+from repro.runtime.deployment import SimulatedDeployment
 from repro.san import make_sanitizers
+from repro.san.si import Sanitizer
 from repro.san.violations import ViolationLog
-from repro.sim.kernel import Process, SchedulerPolicy, Simulator, all_of
+from repro.sim.kernel import Process, SchedulerPolicy, all_of
 
 #: Hard wall for every scenario phase, in simulated microseconds.
 _PHASE_LIMIT = 50_000_000.0
 
 
-class SimWorld:
+class SimWorld(SimulatedDeployment):
     """A minimal simulated deployment with the sanitizer attached.
 
-    Same fabric and timing model as the TPC-C harness, but the workload
-    is whatever transaction scripts the scenario spawns -- small enough
-    that a schedule sweep of N runs stays in the milliseconds.
+    Same kernel, fabric and timing model as the TPC-C harness, but no
+    workload and no ``run()``: the workload is whatever transaction
+    scripts the scenario spawns -- small enough that a schedule sweep of
+    N runs stays in the milliseconds.  The chain holds exactly one
+    sanitizer: the one ``REPRO_SANITIZE`` attached, or else its own.
     """
 
     def __init__(self, policy: Optional[SchedulerPolicy] = None,
@@ -51,29 +53,26 @@ class SimWorld:
             processing_nodes=n_pns, storage_nodes=storage_nodes,
             partitions_per_node=4, tid_range_size=16, isolation=isolation,
         )
-        self.sim = Simulator(policy)
-        self.deployment = Deployment(config, clock=lambda: self.sim.now)
-        self.commit_manager = self.deployment.commit_managers[0]
-        self.fabric = SimFabric(
-            self.sim, self.deployment.cluster,
-            self.deployment.commit_managers, config,
-        )
-        self.log, self.chain = make_sanitizers(isolation=isolation)
-        (self.sanitizer,) = self.chain
-        self.pns = [self.deployment.make_pn(pn_id)[0] for pn_id in range(n_pns)]
-        self.pools = [CorePool(PN_CORES) for _ in range(n_pns)]
+        super().__init__(config, None, policy=policy)
+        if self.sanitizer_log is None:
+            self.sanitizer_log, chain = make_sanitizers(isolation=isolation)
+            self.interceptors.extend(chain)
+        self.log: ViolationLog = self.sanitizer_log
+        (self.sanitizer,) = [interceptor for interceptor in self.interceptors
+                             if isinstance(interceptor, Sanitizer)]
+        self._pn_handles = [self._make_pn(pn_id) for pn_id in range(n_pns)]
+        self.pns = [handle[0] for handle in self._pn_handles]
 
     # -- driving protocol coroutines under the fabric --------------------
 
-    def _drive(self, pn_id: int, gen: Generator) -> Generator:
-        """A sim process body: run one protocol script through the
-        sanitizer into the fabric (one fresh DispatchContext per
-        script, which is what keys the shadow's txn attribution)."""
-        return drive(self.fabric, self.chain, self.pools[pn_id], 0,
-                     gen, pn_id)
-
     def spawn(self, pn_id: int, gen: Generator, name: str) -> Process:
-        return self.sim.spawn(self._drive(pn_id, gen), name=name)
+        """Run one protocol script on PN ``pn_id`` through the sanitizer
+        into the fabric (one fresh DispatchContext per script, which is
+        what keys the shadow's txn attribution)."""
+        _pn, pool, cm_index, _indexes = self._pn_handles[pn_id]
+        return self.sim.spawn(
+            self._drive(pool, cm_index, gen, pn_id=pn_id), name=name
+        )
 
     def run_all(self, processes: Sequence[Process]) -> None:
         waiter = self.sim.spawn(
@@ -234,7 +233,7 @@ def gc_pressure(policy: Optional[SchedulerPolicy] = None,
     # A lazy sweep under the now-idle manager must also stay safe.
     world.run_one(
         0,
-        lazy_gc_pass(world.commit_manager.lowest_active_version()),
+        lazy_gc_pass(world.commit_managers[0].lowest_active_version()),
         "lazy-gc",
     )
     return world.finish()
@@ -320,7 +319,7 @@ def index_gc(policy: Optional[SchedulerPolicy] = None,
     world.run_one(0, delete_rows(), "idx-delete")
     world.run_one(
         0,
-        lazy_gc_pass(world.commit_manager.lowest_active_version()),
+        lazy_gc_pass(world.commit_managers[0].lowest_active_version()),
         "idx-lazy-gc",
     )
 

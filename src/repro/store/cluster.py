@@ -41,8 +41,6 @@ class StorageCluster:
         replication_factor: int = 1,
         partitions_per_node: int = 8,
         capacity_bytes: Optional[int] = None,
-        service_us_read: float = 1.2,
-        service_us_write: float = 1.8,
     ):
         if n_nodes < 1:
             raise InvalidState("need at least one storage node")
@@ -50,15 +48,8 @@ class StorageCluster:
         # replica cell copies shipped to backups (repro.obs fan-out gauge)
         self.replication_copies = 0
         self._default_capacity = capacity_bytes
-        self._service_us_read = service_us_read
-        self._service_us_write = service_us_write
         self.nodes: Dict[int, StorageNode] = {
-            node_id: StorageNode(
-                node_id,
-                capacity_bytes=capacity_bytes,
-                service_us_read=service_us_read,
-                service_us_write=service_us_write,
-            )
+            node_id: StorageNode(node_id, capacity_bytes=capacity_bytes)
             for node_id in range(n_nodes)
         }
         n_partitions = n_nodes * partitions_per_node
@@ -256,8 +247,6 @@ class StorageCluster:
                 capacity_bytes if capacity_bytes is not None
                 else self._default_capacity
             ),
-            service_us_read=self._service_us_read,
-            service_us_write=self._service_us_write,
         )
         self.nodes[node_id] = node
         self.partition_map.add_node(node_id)

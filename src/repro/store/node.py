@@ -90,17 +90,9 @@ class PartitionStore:
 class StorageNode:
     """One storage server with its hosted partitions and capacity limit."""
 
-    def __init__(
-        self,
-        node_id: int,
-        capacity_bytes: Optional[int] = None,
-        service_us_read: float = 1.2,
-        service_us_write: float = 1.8,
-    ):
+    def __init__(self, node_id: int, capacity_bytes: Optional[int] = None):
         self.node_id = node_id
         self.capacity_bytes = capacity_bytes
-        self.service_us_read = service_us_read
-        self.service_us_write = service_us_write
         self.alive = True
         self.partitions: Dict[int, PartitionStore] = {}
         # Partitions that migrated away (pid -> topology epoch of the

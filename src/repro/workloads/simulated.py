@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, Iterator, Sequence, Tuple
+from typing import (Callable, Dict, Generator, Iterator, Optional, Sequence,
+                    Tuple)
 
 from repro import effects
 from repro.core.transaction import Transaction
@@ -20,6 +21,7 @@ from repro.dispatch import Dispatcher, Interceptor
 from repro.runtime.config import SimulationConfig
 from repro.runtime.deployment import PnHandle, SimulatedDeployment
 from repro.runtime.metrics import TxnMetrics
+from repro.sim.kernel import SchedulerPolicy
 from repro.sql.table import IndexManager
 from repro.workloads.loader import BulkLoader
 from repro.workloads.tpcc.mixes import MIXES
@@ -56,8 +58,9 @@ class SimulatedTell(SimulatedDeployment):
     _rollback_errors = (TpccRollback,)
 
     def __init__(self, config: TellConfig,
-                 interceptors: Sequence[Interceptor] = ()):
-        super().__init__(config, TxnMetrics(), interceptors)
+                 interceptors: Sequence[Interceptor] = (),
+                 policy: Optional[SchedulerPolicy] = None):
+        super().__init__(config, TxnMetrics(), interceptors, policy)
         self.catalog = build_tpcc_catalog()
 
     # -- setup (direct, untimed) --------------------------------------------------------

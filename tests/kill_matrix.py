@@ -357,6 +357,16 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
         "a storage node serves a message for a partition it no longer "
         "owns instead of raising WrongOwner",
     ),
+    (
+        "pmap_removes_hosting_node",
+        "src/repro/store/partition.py",
+        "        hosted = self.partitions_hosted_by(node_id)\n"
+        "        if hosted:\n",
+        "        hosted = self.partitions_hosted_by(node_id)\n"
+        "        if False:\n",
+        "the partition map deregisters a node that still hosts replicas: "
+        "its partitions keep routing to a node that is no longer a member",
+    ),
     # -- one bug per rule of the retired static analyzer; runtime tests
     #    kill each of them
     (
@@ -400,16 +410,18 @@ MUTANTS: List[Tuple[str, str, str, str, str]] = [
     (
         "deployment_shares_default_interceptors",
         "src/repro/runtime/deployment.py",
-        "                 interceptors: Sequence[Interceptor] = ()):\n"
-        "        self.sim = Simulator()\n"
+        "                 interceptors: Sequence[Interceptor] = (),\n"
+        "                 policy: Optional[SchedulerPolicy] = None):\n"
+        "        self.sim = Simulator(policy)\n"
         "        super().__init__(config, clock=lambda: self.sim.now)\n"
         "        self.fabric = SimFabric(\n"
         "            self.sim, self.cluster, self.commit_managers, config\n"
         "        )\n"
         "        self.metrics = metrics\n"
         "        self.interceptors = list(interceptors)\n",
-        "                 interceptors: Sequence[Interceptor] = []):\n"
-        "        self.sim = Simulator()\n"
+        "                 interceptors: Sequence[Interceptor] = [],\n"
+        "                 policy: Optional[SchedulerPolicy] = None):\n"
+        "        self.sim = Simulator(policy)\n"
         "        super().__init__(config, clock=lambda: self.sim.now)\n"
         "        self.fabric = SimFabric(\n"
         "            self.sim, self.cluster, self.commit_managers, config\n"

@@ -126,6 +126,45 @@ class TestOwnershipMap:
         assert all(m.src == 1 and m.dst != 1 for m in moves)
 
 
+class TestMembershipRefusals:
+    """A refused membership change raises and leaves the node set, the
+    map's members, its epoch and its epoch log as they were."""
+
+    def topology(self, cluster):
+        pmap = cluster.partition_map
+        return (sorted(cluster.nodes), list(pmap.node_ids), pmap.epoch,
+                list(pmap.epoch_log))
+
+    def refused(self, cluster, change):
+        before = self.topology(cluster)
+        with pytest.raises(InvalidState):
+            change()
+        assert self.topology(cluster) == before
+
+    def test_detach_unknown_node(self):
+        cluster = make_cluster()
+        self.refused(cluster, lambda: cluster.detach_node(99))
+
+    def test_detach_node_that_hosts_partitions(self):
+        cluster = make_cluster()
+        self.refused(cluster, lambda: cluster.detach_node(0))
+
+    def test_map_refuses_to_remove_a_hosting_node(self):
+        cluster = make_cluster()
+        self.refused(cluster, lambda: cluster.partition_map.remove_node(0))
+
+    def test_map_refuses_to_remove_a_non_member(self):
+        cluster = make_cluster()
+        self.refused(cluster, lambda: cluster.partition_map.remove_node(99))
+
+    def test_storage_ops_refuse_an_unknown_node(self):
+        cluster = make_cluster()
+        logged = []
+        ops = StorageOps(cluster, None, logged.append)
+        self.refused(cluster, lambda: next(ops.remove_storage_node(99)))
+        assert logged == []
+
+
 class TestClusterAdmin:
     def _fill(self, session, rows=60):
         session.execute(

@@ -5,7 +5,8 @@ import pytest
 from repro import effects
 from repro.errors import NodeUnavailable
 from repro.net.profiles import INFINIBAND_QDR
-from repro.runtime.fabric import CM_MESSAGE_BYTES, SN_SERVICE_CM_US, CorePool
+from repro.runtime.fabric import (CM_MESSAGE_BYTES, MIGRATION_CELL_US,
+                                  SN_CORES, SN_SERVICE_CM_US, CorePool)
 from repro.store.cluster import StorageCluster
 from tests.conftest import FabricRig
 
@@ -128,6 +129,49 @@ class TestStorageTiming:
 
         assert isinstance(rig.run(scanner()), NodeUnavailable)
         assert fabric.stats.bytes_sent - before == 64
+
+
+class TestMigrationCharge:
+    CELLS, NBYTES = 100, 4096
+
+    def _charge(self, rig, src, dst):
+        rig.sim.run_until_complete(rig.sim.spawn(
+            rig.fabric.charge_migration(src, dst, self.CELLS, self.NBYTES)))
+        return rig.sim.now
+
+    def _service(self, rig):
+        return (rig.fabric.profile.server_cpu_per_msg_us
+                + MIGRATION_CELL_US * self.CELLS)
+
+    def test_batch_is_source_then_wire_then_destination(self, rig):
+        # Every source core is busy until 10 us: the copy queues behind
+        # foreground work, then the install reserves a destination core.
+        for _ in range(SN_CORES):
+            rig.fabric.sn_pools[0].reserve(0.0, 10.0)
+        service = self._service(rig)
+        ended = self._charge(rig, 0, 1)
+        assert ended == (10.0 + service
+                         + rig.fabric.profile.one_way(self.NBYTES)) + service
+        # The install holds one destination core until the batch ends.
+        destination = rig.fabric.sn_pools[1]
+        for _ in range(SN_CORES - 1):
+            destination.reserve(0.0, 1e6)
+        assert destination.earliest(0.0) == ended
+
+    @pytest.mark.parametrize("gone", [0, 1])
+    def test_an_endpoint_without_a_pool_is_skipped(self, rig, gone):
+        del rig.fabric.sn_pools[gone]
+        assert self._charge(rig, 0, 1) == pytest.approx(
+            self._service(rig) + rig.fabric.profile.one_way(self.NBYTES))
+
+    def test_pools_follow_the_cluster_membership(self, rig):
+        cluster, pools = rig.cluster, rig.fabric.sn_pools
+        node_id = cluster.create_node().node_id
+        rig.fabric.sync_pools()
+        assert sorted(pools) == [0, 1, node_id]
+        cluster.detach_node(node_id)
+        rig.fabric.sync_pools()
+        assert sorted(pools) == [0, 1]
 
 
 class TestCmTiming:

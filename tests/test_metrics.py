@@ -111,10 +111,10 @@ class TestTxnMetrics:
 
 
 class TestNetworkProfiles:
-    def test_lookup_by_name_and_alias(self):
+    def test_lookup_by_name(self):
         assert profile_by_name("infiniband") is INFINIBAND_QDR
-        assert profile_by_name("IB") is INFINIBAND_QDR
-        assert profile_by_name("10gbe") is ETHERNET_10G
+        assert profile_by_name("InfiniBand") is INFINIBAND_QDR
+        assert profile_by_name("ethernet-10g") is ETHERNET_10G
 
     def test_unknown_profile(self):
         with pytest.raises(InvalidState):

@@ -23,7 +23,6 @@ import json
 import pytest
 
 from repro.effects import run_direct
-import repro.runtime.deployment as deployment_module
 from repro.core.record import VersionedRecord
 from repro.dispatch import DispatchContext, compose, drive_sync
 from repro.dispatch.interceptors import TraceInterceptor
@@ -214,7 +213,7 @@ class _PassThroughFifo(SchedulerPolicy):
         return when, self.counter
 
 
-def test_policy_hook_preserves_production_order(monkeypatch):
+def test_policy_hook_preserves_production_order():
     # The explorer perturbs the production event loop through
     # ``on_schedule``; a policy that perturbs nothing must give back the
     # policy-free run exactly, or an explored schedule says nothing
@@ -226,10 +225,8 @@ def test_policy_hook_preserves_production_order(monkeypatch):
     )
 
     def run(policy):
-        monkeypatch.setattr(deployment_module, "Simulator",
-                            lambda: Simulator(policy=policy))
         log, chain = make_sanitizers(isolation="si")
-        deployment = SimulatedTell(config, interceptors=chain)
+        deployment = SimulatedTell(config, interceptors=chain, policy=policy)
         metrics = deployment.run()
         return metrics.digest(), deployment.sim.events_processed, \
             log_digest(log)

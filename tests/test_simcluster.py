@@ -28,6 +28,20 @@ class TestConfigValidation:
         with pytest.raises(InvalidState):
             TellConfig(**bad)
 
+    @pytest.mark.parametrize("bad", [
+        dict(network="carrier-pigeon"),
+        dict(processing_nodes=0),
+        dict(threads_per_pn=0),
+        dict(duration_us=0.0),
+        dict(duration_us=-5.0),
+        dict(warmup_us=-1.0),
+    ])
+    def test_bad_run_field_fails_at_construction(self, bad):
+        # An unknown network would fail only when the fabric is built,
+        # and zero PNs or threads would run nothing without a word.
+        with pytest.raises(InvalidState):
+            SimulationConfig(**bad)
+
 
 class TestConfigSplit:
     def test_tell_config_adds_only_the_workload(self):
