@@ -63,7 +63,7 @@ def _run(db) -> None:
     committed = conflicts = 0
     for i in range(N_TRANSFERS):
         session = sessions[i % 2]
-        dispatcher = db._dispatchers[session.pn.pn_id]
+        dispatcher = session.dispatcher
         source, target = rng.sample(range(N_ACCOUNTS), 2)
         amount = rng.randint(1, 200)
         logic = transfer_logic(keys[source], keys[target], amount)
@@ -79,7 +79,7 @@ def _run(db) -> None:
 
     # Invariant: money is conserved.
     check = db.session()
-    dispatcher = db._dispatchers[check.pn.pn_id]
+    dispatcher = check.dispatcher
     with check.transaction() as txn:
         balances = run_direct(txn.read_many(keys), dispatcher)
         total = sum(balance[0] for balance in balances.values())
@@ -89,7 +89,7 @@ def _run(db) -> None:
     # --- crash a PN mid-commit and recover --------------------------------------
     print("\ncrashing a processing node mid-commit ...")
     victim = db.session()
-    dispatcher = db._dispatchers[victim.pn.pn_id]
+    dispatcher = victim.dispatcher
     txn = run_direct(victim.pn.begin(), dispatcher)
     run_direct(txn.update(keys[0], (0,)), dispatcher)  # steal everything from account 0
     commit = txn.commit()
@@ -106,12 +106,12 @@ def _run(db) -> None:
         recover_processing_node(
             victim.pn.pn_id, db.commit_managers, TransactionLog()
         ),
-        db._dispatchers[check.pn.pn_id],
+        check.dispatcher,
     )
     print(f"  recovery rolled back tids: {rolled_back}")
 
     check2 = db.session()
-    dispatcher2 = db._dispatchers[check2.pn.pn_id]
+    dispatcher2 = check2.dispatcher
     with check2.transaction() as txn:
         balances = run_direct(txn.read_many(keys), dispatcher2)
         total = sum(balance[0] for balance in balances.values())

@@ -637,7 +637,7 @@ def run_pushdown(profile: BenchProfile) -> List[Row]:
         processing_nodes=1, storage_nodes=5, scale=profile.scale(),
     ))
     deployment.load()
-    pn, pool, cm_index, indexes = deployment._make_pn(0)
+    pn, indexes = deployment.make_pn(0)
     orderline = deployment.catalog.table("orderline")
     amount = orderline.position("ol_amount")
 
@@ -657,7 +657,7 @@ def run_pushdown(profile: BenchProfile) -> List[Row]:
 
         before = deployment.fabric.stats.bytes_sent
         shipped, elapsed = deployment.sim.run_until_complete(
-            deployment.sim.spawn(deployment._drive(pool, cm_index, script()))
+            deployment.spawn(0, script(), mode)
         )
         return {
             "mode": mode, "rows_shipped": len(shipped),

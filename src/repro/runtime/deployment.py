@@ -25,8 +25,8 @@ from repro.core.txlog import TransactionLog
 from repro.dispatch import Dispatcher, Interceptor
 from repro.errors import InvalidState, TellError, TransactionAborted
 from repro.runtime.config import DeploymentConfig, SimulationConfig
-from repro.runtime.fabric import PN_CORES, CorePool, SimFabric, drive
-from repro.sim.kernel import Delay, SchedulerPolicy, Simulator
+from repro.runtime.fabric import CorePool, SimFabric, drive, serving_manager
+from repro.sim.kernel import Delay, Process, SchedulerPolicy, Simulator
 from repro.sql.table import IndexManager
 from repro.store.cluster import StorageCluster
 from repro.store.management import ManagementNode
@@ -91,7 +91,7 @@ class Deployment:
 
     def cm_index_of(self, pn_id: int) -> int:
         """The commit manager serving processing node ``pn_id``."""
-        return pn_id % len(self.commit_managers)
+        return serving_manager(pn_id, len(self.commit_managers))
 
     def recover_pn_direct(self, pn_id: int) -> List[int]:
         """Run PN recovery (Section 4.4.1) for a crashed processing node
@@ -171,7 +171,8 @@ class Deployment:
         return replacement
 
 
-#: A processing node, its core pool, its commit manager's index, its indexes.
+#: The handle ``_make_pn`` gives the frozen ledger: a processing node, its
+#: core pool, its commit manager's index, its indexes.
 PnHandle = Tuple[ProcessingNode, CorePool, int, IndexManager]
 
 
@@ -179,12 +180,12 @@ class SimulatedDeployment(Deployment):
     """A deployment under the simulated fabric, minus the workload.
 
     Owns the event kernel (under ``policy``, if any: the schedule
-    explorer's hook), the fabric, the interceptor chain (see
-    ``docs/dispatch.md``; the empty default adds no work to the hot
-    loop), the processing-node pool (fixed for the length of a run),
-    ``run()`` and ``quiesce()``.
-    A subclass supplies ``load()``, ``_transactions(handle, seed)`` -- one
-    terminal's endless source of ``(name, body)`` pairs, ``body(txn)``
+    explorer's hook), the fabric (which owns every core pool), the
+    interceptor chain (see ``docs/dispatch.md``; the empty default adds
+    no work to the hot loop), the processing-node pool (fixed for the
+    length of a run), ``spawn``, ``run()`` and ``quiesce()``.
+    A subclass supplies ``load()``, ``_transactions(indexes, seed)`` --
+    one terminal's endless source of ``(name, body)`` pairs, ``body(txn)``
     being the workload coroutine, finished with before the next pair
     is drawn -- and ``_obs_label()``, and may name its own rollback in
     ``_rollback_errors``; ``metrics`` is its recorder -- the runtime
@@ -219,10 +220,24 @@ class SimulatedDeployment(Deployment):
         self._end_time = config.duration_us
         self._populated = False
 
+    def spawn(self, pn_id: int, gen: Generator, name: str) -> Process:
+        """Run one protocol script of processing node ``pn_id`` as a sim
+        process (one fresh DispatchContext per script: it keys the
+        shadow's txn attribution)."""
+        return self.sim.spawn(drive(self.fabric, self.interceptors, pn_id, gen), name=name)
+
+    # -- adapters kept for the frozen performance ledger -----------------
+
     def _make_pn(self, pn_id: int) -> PnHandle:
         pn, indexes = self.make_pn(pn_id)
-        return (pn, CorePool(PN_CORES), self.cm_index_of(pn_id),
+        return (pn, self.fabric.pn_pools[pn_id], self.cm_index_of(pn_id),
                 indexes)
+
+    def _drive(self, pool: CorePool, cm_index: int, gen: Generator, *,
+               pn_id: int) -> Generator:
+        """:func:`drive`, given the pool and manager of ``pn_id``'s handle."""
+        assert pool is self.fabric.pn_pools[pn_id] and cm_index == self.cm_index_of(pn_id)
+        return drive(self.fabric, self.interceptors, pn_id, gen)
 
     # -- the simulated run -------------------------------------------------
 
@@ -231,11 +246,10 @@ class SimulatedDeployment(Deployment):
             self.load()
         end_time = self._end_time
         for pn_id in range(self.config.processing_nodes):
-            handle = self._make_pn(pn_id)
-            self._pn_handles.append(handle)
+            self._pn_handles.append(self._make_pn(pn_id))
             for thread in range(self.config.threads_per_pn):
                 self.sim.spawn(
-                    self._terminal(handle, self._terminal_seed(pn_id, thread)),
+                    self._terminal(pn_id, self._terminal_seed(pn_id, thread)),
                     name=f"pn{pn_id}-t{thread}",
                 )
         if len(self.commit_managers) > 1:
@@ -261,22 +275,21 @@ class SimulatedDeployment(Deployment):
         """Per-terminal RNG seed; workload subclasses derive their own."""
         return (self.config.seed * 10_007 + pn_id * 131 + thread) & 0x7FFFFFFF
 
-    def _terminal(self, handle: PnHandle, seed: int) -> Generator:
-        """One closed-loop client (a sim process body): it runs the
-        workload's transactions back to back until the run ends."""
-        pn, pool, cm_index, _indexes = handle
-        transactions = self._transactions(handle, seed)
+    def _terminal(self, pn_id: int, seed: int) -> Generator:
+        """One closed-loop client of processing node ``pn_id`` (a sim
+        process body): it runs the workload's transactions back to back
+        until the run ends."""
+        pn, indexes = self.pn_registry[pn_id]
+        transactions = self._transactions(indexes, seed)
         warmup_end = self._warmup_end
         end_time = self._end_time
-        sim = self.sim
-        pn_id = pn.pn_id
+        sim, fabric, interceptors = self.sim, self.fabric, self.interceptors
         while sim.now < end_time:
             name, body = next(transactions)
             started = sim.now
             try:
-                outcome = yield from self._drive(
-                    pool, cm_index, self._transaction(pn, name, body),
-                    pn_id=pn_id,
+                outcome = yield from drive(
+                    fabric, interceptors, pn_id, self._transaction(pn, name, body)
                 )
             except TellError:
                 # An infrastructure failure (e.g. a storage node dying
@@ -316,12 +329,6 @@ class SimulatedDeployment(Deployment):
         except TransactionAborted:
             return "conflict"
         return "committed"
-
-    def _drive(self, pool: CorePool, cm_index: int, gen,
-               pn_id: int = -1) -> Generator:  # noqa: ANN001
-        """:func:`drive` bound to this deployment's fabric and chain."""
-        return drive(self.fabric, self.interceptors, pool, cm_index, gen,
-                     pn_id)
 
     def quiesce(self) -> int:
         """Roll back every transaction still in flight after the run.

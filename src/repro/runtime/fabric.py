@@ -67,6 +67,11 @@ REPL_WRITE_AMP = 2.0
 REPL_FIXED_US = 5.0
 
 
+def serving_manager(pn_id: int, n_managers: int) -> int:
+    """Which of ``n_managers`` commit managers serves PN ``pn_id``."""
+    return pn_id % n_managers
+
+
 #: The positions of a one-member message (:meth:`SimFabric.prepare_single`).
 _ONLY_MEMBER = (0,)
 
@@ -199,6 +204,8 @@ class SimFabric:
             node_id: CorePool(SN_CORES) for node_id in cluster.nodes
         }
         self.cm_pools = [CorePool(CM_CORES) for _ in commit_managers]
+        #: Processing node ``pn_id``'s cores are ``pn_pools[pn_id]``.
+        self.pn_pools = [CorePool(PN_CORES) for _ in range(config.processing_nodes)]
         self.stats = FabricStats()
         # Per-run constants of the CM round trip, hoisted off the hot path.
         self._cm_wire_us = self.profile.one_way(CM_MESSAGE_BYTES)
@@ -250,9 +257,8 @@ class SimFabric:
 
     # -- top-level dispatch ------------------------------------------------------
 
-    def perform(self, pn_pool: CorePool, cm_index: int,
-                request: effects.Request, pn_id: int = -1) -> Generator:
-        """Sub-generator (yields Delay/Event) resolving one request.
+    def perform(self, pn_id: int, request: effects.Request) -> Generator:
+        """Sub-generator (yields Delay/Event) resolving one PN's request.
 
         The only executor of a request under simulation: every driver
         reaches the fabric through :func:`drive`, whose chain ends here.
@@ -263,7 +269,7 @@ class SimFabric:
         """
         kind = kind_of(request)
         if kind == KIND_STORE:
-            message, wait = self.prepare_single(pn_pool, request)
+            message, wait = self.prepare_single(self.pn_pools[pn_id], request)
             if wait > 0:
                 yield Delay(wait)
             if message.error is not None:
@@ -271,7 +277,7 @@ class SimFabric:
             return message.results[0]
         if kind == KIND_COMPUTE:
             now = self.sim.now
-            end = pn_pool.reserve(now, request.duration)
+            end = self.pn_pools[pn_id].reserve(now, request.duration)
             if end > now:
                 yield Delay(end - now)
             return None
@@ -279,11 +285,11 @@ class SimFabric:
             yield Delay(request.duration)
             return None
         if kind == KIND_BATCH:
-            return (yield from self._perform_batch(pn_pool, request))
+            return (yield from self._perform_batch(self.pn_pools[pn_id], request))
         if kind == KIND_SCAN:
-            return (yield from self._perform_scan(pn_pool, request))
+            return (yield from self._perform_scan(request))
         # Remaining kinds are the commit-manager round trips.
-        result, wait = self.prepare_cm(cm_index, request, pn_id, kind)
+        result, wait = self.prepare_cm(pn_id, request, kind)
         yield Delay(wait)
         return result
 
@@ -446,7 +452,7 @@ class SimFabric:
         t_response = t_service_end + profile.one_way(response_bytes)
         return message, t_response
 
-    def _perform_scan(self, pn_pool: CorePool, op: effects.Scan) -> Generator:
+    def _perform_scan(self, op: effects.Scan) -> Generator:
         """Fan a scan out to every master; wait for the slowest slice.
 
         The event delivers the merged rows, or the
@@ -508,10 +514,9 @@ class SimFabric:
     # -- commit manager messages -----------------------------------------------------
 
     def prepare_cm(
-        self, cm_index: int, request: effects.CommitManagerRequest,
-        pn_id: int, kind: int,
+        self, pn_id: int, request: effects.CommitManagerRequest, kind: int,
     ) -> Tuple[Any, float]:
-        """One commit-manager round trip.
+        """One commit-manager round trip to the manager serving the PN.
 
         Manager state executes at issue time (its operations are
         microsecond-cheap and commute across the tiny reordering window);
@@ -521,6 +526,7 @@ class SimFabric:
         ``(result, wait_us)``; ``wait_us`` is always positive (two wire
         hops), :meth:`perform` owns the suspension.
         """
+        cm_index = serving_manager(pn_id, len(self.commit_managers))
         manager = self.commit_managers[cm_index]
         pool = self.cm_pools[cm_index]
         now = self.sim.now
@@ -535,9 +541,8 @@ class SimFabric:
 
 
 def drive(fabric: SimFabric, interceptors: Sequence[Interceptor],
-          pool: CorePool, cm_index: int, gen: Generator,
-          pn_id: int = -1) -> Generator:
-    """Run a protocol coroutine under the fabric (a sim process body).
+          pn_id: int, gen: Generator) -> Generator:
+    """Run PN ``pn_id``'s protocol coroutine under the fabric (a sim process body).
 
     The one trampoline of the simulated runtime: every request ``gen``
     yields flows through the composed :mod:`repro.dispatch` chain into
@@ -547,7 +552,7 @@ def drive(fabric: SimFabric, interceptors: Sequence[Interceptor],
     """
     step = compose(
         interceptors,
-        lambda request: fabric.perform(pool, cm_index, request, pn_id),
+        lambda request: fabric.perform(pn_id, request),
         DispatchContext(pn_id=pn_id, clock=fabric.sim.clock()),
     )
     send_value: Any = None

@@ -60,19 +60,9 @@ class SimWorld(SimulatedDeployment):
         self.log: ViolationLog = self.sanitizer_log
         (self.sanitizer,) = [interceptor for interceptor in self.interceptors
                              if isinstance(interceptor, Sanitizer)]
-        self._pn_handles = [self._make_pn(pn_id) for pn_id in range(n_pns)]
-        self.pns = [handle[0] for handle in self._pn_handles]
+        self.pns = [self.make_pn(pn_id)[0] for pn_id in range(n_pns)]
 
     # -- driving protocol coroutines under the fabric --------------------
-
-    def spawn(self, pn_id: int, gen: Generator, name: str) -> Process:
-        """Run one protocol script on PN ``pn_id`` through the sanitizer
-        into the fabric (one fresh DispatchContext per script, which is
-        what keys the shadow's txn attribution)."""
-        _pn, pool, cm_index, _indexes = self._pn_handles[pn_id]
-        return self.sim.spawn(
-            self._drive(pool, cm_index, gen, pn_id=pn_id), name=name
-        )
 
     def run_all(self, processes: Sequence[Process]) -> None:
         waiter = self.sim.spawn(

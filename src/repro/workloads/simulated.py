@@ -19,7 +19,7 @@ from repro import effects
 from repro.core.transaction import Transaction
 from repro.dispatch import Dispatcher, Interceptor
 from repro.runtime.config import SimulationConfig
-from repro.runtime.deployment import PnHandle, SimulatedDeployment
+from repro.runtime.deployment import SimulatedDeployment
 from repro.runtime.metrics import TxnMetrics
 from repro.sim.kernel import SchedulerPolicy
 from repro.sql.table import IndexManager
@@ -83,10 +83,9 @@ class SimulatedTell(SimulatedDeployment):
                 f"-cm{config.commit_managers}"
                 f"-{config.buffering}-{config.mix}-seed{config.seed}")
 
-    def _transactions(self, handle: PnHandle,
+    def _transactions(self, indexes: IndexManager,
                       seed: int) -> Iterator[Tuple[str, Callable]]:
         """One terminal's draws from the configured mix."""
-        indexes = handle[3]
         config = self.config
         mix = MIXES[config.mix]
         rng = random.Random(seed)
@@ -108,15 +107,6 @@ class SimulatedTell(SimulatedDeployment):
         )
         context.districts_per_warehouse = config.scale.districts_per_warehouse
         return context
-
-
-def run_tell_experiment(
-    config: TellConfig, interceptors: Sequence[Interceptor] = ()
-) -> TxnMetrics:
-    """Convenience: build, load, run, return metrics."""
-    deployment = SimulatedTell(config, interceptors=interceptors)
-    deployment.load()
-    return deployment.run()
 
 
 class SimulatedYcsb(SimulatedTell):
@@ -152,11 +142,11 @@ class SimulatedYcsb(SimulatedTell):
     def _terminal_seed(self, pn_id: int, thread: int) -> int:
         return (self.config.seed * 7919 + pn_id * 211 + thread) & 0x7FFFFFFF
 
-    def _transactions(self, handle: PnHandle,
+    def _transactions(self, indexes: IndexManager,
                       seed: int) -> Iterator[Tuple[str, Callable]]:
         """One terminal's operations from its own :class:`YcsbClient`."""
         client = YcsbClient(
-            self.catalog, handle[3], self.record_count, self.workload,
+            self.catalog, indexes, self.record_count, self.workload,
             theta=self.zipf_theta, seed=seed,
         )
         cpu_per_row_us = self.config.cpu_per_row_us

@@ -12,7 +12,7 @@ from repro.core.commit_manager import CommitManager
 from repro.core.processing_node import ProcessingNode
 from repro.dispatch import Dispatcher
 from repro.runtime.config import SimulationConfig
-from repro.runtime.fabric import PN_CORES, CorePool, SimFabric, drive
+from repro.runtime.fabric import SimFabric, drive
 from repro.sim.kernel import Simulator
 from repro.store.cluster import StorageCluster
 from repro.workloads.simulated import SimulatedTell, TellConfig
@@ -144,8 +144,8 @@ def interleave(dispatcher, generators):
 
 class FabricRig:
     """The simulated fabric over ``cluster`` with no workload, for tests
-    that time single requests or drive protocol scripts: one kernel, one
-    fabric and processing node 0's core pool.
+    that time single requests or drive protocol scripts: one kernel and
+    one fabric, driven as processing node 0.
 
     ``commit_managers`` defaults to one manager over the cluster;
     ``config`` sets the :class:`SimulationConfig` fields the fabric
@@ -163,19 +163,16 @@ class FabricRig:
                              replication_factor=cluster.replication_factor,
                              **config),
         )
-        self.pool = CorePool(PN_CORES)
 
-    def perform(self, *requests, pool=None):
+    def perform(self, *requests):
         """Send ``requests`` one after the other from one simulated
-        process on PN 0's pool (or on ``pool``) and return their results;
-        ``sim.now`` is then the instant the last one finished."""
-        pool = self.pool if pool is None else pool
+        process on PN 0 and return their results; ``sim.now`` is then
+        the instant the last one finished."""
         results = []
 
         def process():
             for request in requests:
-                results.append(
-                    (yield from self.fabric.perform(pool, 0, request)))
+                results.append((yield from self.fabric.perform(0, request)))
 
         self.sim.run_until_complete(self.sim.spawn(process()))
         return results
@@ -184,7 +181,7 @@ class FabricRig:
         """Run a protocol coroutine as one simulated process on PN 0
         through :func:`drive`; returns its result."""
         return self.sim.run_until_complete(self.sim.spawn(
-            drive(self.fabric, (), self.pool, 0, script, 0)))
+            drive(self.fabric, (), 0, script)))
 
 
 # -- shared runs --------------------------------------------------------------

@@ -341,7 +341,7 @@ def test_sanitized_range_read_stays_clean(monkeypatch):
         scale=TpccScale.tiny(2),
     ))
     deployment.load()
-    pn, pool, cm_index, indexes = deployment._make_pn(0)
+    pn, indexes = deployment.make_pn(0)
     counts = {}
 
     def statement(name, sql, params):
@@ -364,8 +364,7 @@ def test_sanitized_range_read_stays_clean(monkeypatch):
         ("analytic", ANALYTIC, [1]),
     ]
     for name, sql, params in scripts:
-        deployment.sim.spawn(deployment._drive(
-            pool, cm_index, statement(name, sql, params), pn_id=0))
+        deployment.spawn(0, statement(name, sql, params), name)
     deployment.sim.run()
     deployment.sanitizer_log.assert_clean()
     assert sum(deployment.sanitizer_log.reconciliations.values()) > 0

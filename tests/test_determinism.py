@@ -19,12 +19,7 @@ import pytest
 from repro.bench.scale import scale_points
 from repro.core.transaction import Transaction
 from repro.store.cell import approx_size
-from repro.workloads.simulated import (
-    SimulatedTell,
-    SimulatedYcsb,
-    TellConfig,
-    run_tell_experiment,
-)
+from repro.workloads.simulated import SimulatedTell, SimulatedYcsb, TellConfig
 from repro.workloads.tpcc.params import TpccScale
 from tests.conftest import host_clock_trap
 
@@ -74,7 +69,7 @@ def test_pinned_digest(config, pinned, pinned_aborts, monkeypatch):
 
     monkeypatch.setattr(Transaction, "_finish_abort", recording)
     with host_clock_trap() as trapped:
-        metrics = run_tell_experiment(config)
+        metrics = SimulatedTell(config).run()
     assert trapped == []
     assert metrics.digest() == pinned
     stream = hashlib.sha256("\n".join(reasons).encode()).hexdigest()

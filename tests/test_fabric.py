@@ -5,8 +5,9 @@ import pytest
 from repro import effects
 from repro.errors import NodeUnavailable
 from repro.net.profiles import INFINIBAND_QDR
+from repro.runtime import fabric as fabric_module
 from repro.runtime.fabric import (CM_MESSAGE_BYTES, MIGRATION_CELL_US,
-                                  SN_CORES, SN_SERVICE_CM_US, CorePool)
+                                  SN_CORES, SN_SERVICE_CM_US)
 from repro.store.cluster import StorageCluster
 from tests.conftest import FabricRig
 
@@ -57,7 +58,7 @@ class TestStorageTiming:
         observed = {}
 
         def writer():
-            yield from fabric.perform(CorePool(4), 0, effects.Put("data", "k", "v"))
+            yield from fabric.perform(0, effects.Put("data", "k", "v"))
 
         def early_peek():
             from repro.sim.kernel import Delay
@@ -80,7 +81,7 @@ class TestStorageTiming:
         def client(key):
             def proc():
                 yield from fabric.perform(
-                    CorePool(4), 0, effects.Put("data", key, "x" * 2000)
+                    0, effects.Put("data", key, "x" * 2000)
                 )
                 finish_times.append(sim.now)
 
@@ -191,10 +192,10 @@ class TestCmTiming:
 
 
 class TestEthernetCpuTax:
-    def test_per_message_cpu_charged_to_pn_pool(self):
+    def test_per_message_cpu_charged_to_pn_pool(self, monkeypatch):
+        monkeypatch.setattr(fabric_module, "PN_CORES", 1)
         rig = FabricRig(StorageCluster(n_nodes=2, partitions_per_node=4),
                         network="ethernet-10g")
-        pool = CorePool(1)
-        rig.perform(effects.Get("data", "k"), pool=pool)
+        rig.perform(effects.Get("data", "k"))
         # send + receive charges reserved CPU on the single core
-        assert pool.earliest(0.0) >= 2 * 7.9
+        assert rig.fabric.pn_pools[0].earliest(0.0) >= 2 * 7.9

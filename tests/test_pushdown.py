@@ -142,7 +142,7 @@ class TestSqlIntegration:
                             scale=TpccScale.tiny(2))
         deployment = SimulatedTell(config)
         deployment.load()
-        pn, pool, cm_index, indexes = deployment._make_pn(0)
+        pn, indexes = deployment.make_pn(0)
         from repro.sql.table import Table
 
         def analytic(pushdown):
@@ -160,9 +160,7 @@ class TestSqlIntegration:
                 return rows
 
             before = deployment.fabric.stats.bytes_sent
-            process = deployment.sim.spawn(
-                deployment._drive(pool, cm_index, script())
-            )
+            process = deployment.spawn(0, script(), "analytic")
             rows = deployment.sim.run_until_complete(process)
             return rows, deployment.fabric.stats.bytes_sent - before
 

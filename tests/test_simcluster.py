@@ -4,8 +4,12 @@ import dataclasses
 
 import pytest
 
+import repro.obs
 from repro import effects
+from repro.core.spaces import DATA_SPACE
 from repro.errors import InvalidState
+from repro.obs import validate_snapshot
+from repro.runtime import fabric as fabric_module
 from repro.runtime.config import SimulationConfig
 from repro.runtime.deployment import SimulatedDeployment
 from repro.runtime.fabric import CorePool
@@ -66,7 +70,7 @@ class _Noop(SimulatedDeployment):
     def _obs_label(self):
         return "noop"
 
-    def _transactions(self, handle, seed):
+    def _transactions(self, indexes, seed):
         def body(txn):
             return
             yield
@@ -87,6 +91,73 @@ class TestPlainSimulationConfig:
         assert metrics.total_committed > 0
         assert metrics.total_conflicts == 0
         assert min(metrics.latencies_us["noop"]) >= config.txn_overhead_us
+
+
+class TestProcessingNodeById:
+    """A processing node is its id: the fabric owns its core pool and
+    routes its commit-manager requests."""
+
+    def test_patched_pn_cores_reach_every_pn_pool(self, monkeypatch,
+                                                  tiny_run):
+        monkeypatch.setattr(fabric_module, "PN_CORES", 1)
+        deployment = SimulatedTell(tiny_config())
+        assert [len(pool._free) for pool in deployment.fabric.pn_pools] == [1]
+        # Four terminals now queue for one core: a different run.
+        assert deployment.run().digest() != tiny_run.metrics.digest()
+
+    @pytest.mark.parametrize("pn_id", [0, 1])
+    def test_spawned_script_is_attributed_to_its_pn(self, pn_id):
+        key = 7
+        deployment = _Noop(SimulationConfig(processing_nodes=2,
+                                            storage_nodes=1,
+                                            commit_managers=2),
+                           TxnMetrics())
+        pn, _indexes = deployment.make_pn(pn_id)
+        begun = []
+
+        def script():
+            """Insert a row, apply it, then stall mid-commit."""
+            txn = yield from pn.begin()
+            begun.append(txn.tid)
+            txn.insert(key, ("stolen",))
+            commit = txn.commit()
+            request = result = None
+            while not isinstance(request, effects.Batch):
+                request = commit.send(result)
+                result = yield request
+            yield effects.Sleep(1_000.0)
+
+        deployment.spawn(pn_id, script(), "stalled")
+        deployment.sim.run(until=500.0)
+        managers = deployment.commit_managers
+        serving = managers[deployment.cm_index_of(pn_id)]
+        assert serving is managers[pn_id]
+        assert serving.active_tids_of(pn_id) == begun
+        assert managers[1 - pn_id].active_tids_of(pn_id) == []
+        assert deployment.cluster.execute(
+            effects.Get(DATA_SPACE, key))[0] is not None
+        assert deployment.recover_pn_direct(pn_id) == begun
+        assert serving.active_tids_of(pn_id) == []
+        assert deployment.cluster.execute(
+            effects.Get(DATA_SPACE, key))[0] is None
+
+
+class TestObsSink:
+    def test_a_run_emits_its_snapshot_once(self, monkeypatch):
+        monkeypatch.setattr(repro.obs, "_SINK", None)
+        sink = repro.obs.install_sink()
+        deployment = _Noop(SimulationConfig(processing_nodes=1,
+                                            storage_nodes=1,
+                                            threads_per_pn=1,
+                                            duration_us=2_000.0,
+                                            warmup_us=0.0,
+                                            observability=True),
+                           TxnMetrics())
+        deployment.run()
+        ((label, snapshot),) = sink
+        assert label == deployment._obs_label()
+        assert snapshot is deployment.metrics.obs_snapshot
+        assert validate_snapshot(snapshot) == []
 
 
 class TestCorePool:

@@ -399,7 +399,7 @@ def _keys_of(cluster, pid, count, start=0):
             if cluster.partition_of(key) == pid][:count]
 
 
-def _drive(steps):
+def _exhaust(steps):
     while True:
         try:
             next(steps)
@@ -522,7 +522,7 @@ class TestBackupStopsMirroring:
         pid = cluster.partition_of(0)
         src = cluster.partition_map.master_of(pid)
         dst = cluster.create_node().node_id
-        assert _drive(migrate_partition(cluster, Move(pid, src, dst),
+        assert _exhaust(migrate_partition(cluster, Move(pid, src, dst),
                                         batch_cells=4))
         assert cluster.partition_map.master_of(pid) == dst
         assert_replicas_hold_their_master(cluster)
